@@ -11,9 +11,12 @@
 //!   detectors themselves with exact expected verdicts.
 //! * **runtime-level** — [`RtCanary`] faults injected into the real
 //!   [`Cluster`] and driven through the schedule explorer: a disabled
-//!   ORDUP sequencer (order violation), an ignored epsilon budget
-//!   (bound breach), and an eagerly certified VTNC horizon. Each must
-//!   be flagged by the oracles in at least one explored schedule.
+//!   ORDUP sequencer (order violation) and an ignored epsilon budget
+//!   (bound breach), both planted in the cluster's effect executor, and
+//!   an eagerly certified VTNC horizon — the control core's own
+//!   `CtrlCanary::StaleVtncCert`, the defect `esr-model` also hunts,
+//!   here exposed through real threads. Each must be flagged by the
+//!   oracles in at least one explored schedule.
 //!
 //! The inversion harness runs its two threads *sequentially* — the
 //! detector is order-based, not occurrence-based, so it flags the

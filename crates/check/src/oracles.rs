@@ -86,15 +86,12 @@ pub struct RunEvidence {
 }
 
 /// Number of threads participating in the scheduled run for `method`
-/// (driver + sites + tracker + load helpers) — the scheduler's
-/// expected-registration count.
+/// (driver + sites + load helpers) — the scheduler's
+/// expected-registration count. Coordination runs inside the site
+/// threads' control cores, so no method adds a thread of its own.
 pub fn expected_threads(method: RtMethod) -> usize {
-    let tracker = usize::from(matches!(
-        method,
-        RtMethod::Commu | RtMethod::Ritu | RtMethod::RituMv
-    ));
     let helpers = if uses_load_helpers(method) { 2 } else { 0 };
-    1 + SITES + tracker + helpers
+    1 + SITES + helpers
 }
 
 fn uses_load_helpers(method: RtMethod) -> bool {

@@ -299,6 +299,16 @@ impl RecvBuf {
         Ok(true)
     }
 
+    /// Whether a whole frame is already buffered at the front (a frame
+    /// announcing more than `MAX_FRAME` never counts: the next decode
+    /// rejects it).
+    fn has_complete_frame(&self) -> bool {
+        self.buf.len() >= 4 && {
+            let len = be_u32(&self.buf) as usize;
+            len <= MAX_FRAME && self.buf.len() - 4 >= len
+        }
+    }
+
     /// Decodes up to `max` complete envelope frames off the front.
     /// `Err` means a protocol violation (oversized or truncated frame)
     /// and the connection must close.
@@ -577,8 +587,10 @@ fn link_tick(l: &mut LinkConn, now: Instant) -> Option<Instant> {
 fn service_inbound(c: &mut Inbound, scratch: &mut [u8]) -> bool {
     let mut alive = true;
     // Skip the fill when a previous cycle already left a large backlog
-    // of undecoded bytes (a backpressured connection drains first).
-    if c.rbuf.buf.len() < MAX_READ_PER_CYCLE {
+    // of decodable bytes (a backpressured connection drains first). A
+    // backlog that is one still-incomplete frame must keep filling, or
+    // a frame larger than the per-cycle cap would never finish arriving.
+    if c.rbuf.buf.len() < MAX_READ_PER_CYCLE || !c.rbuf.has_complete_frame() {
         alive = c
             .rbuf
             .fill(&mut c.stream, scratch, MAX_READ_PER_CYCLE)
@@ -908,6 +920,50 @@ mod tests {
         rb.buf.extend_from_slice(&3u32.to_be_bytes());
         rb.buf.extend_from_slice(b"abc");
         assert!(rb.drain_envelopes(&mut Vec::new(), usize::MAX).is_err());
+    }
+
+    /// Acks every peer envelope and records the payload sizes it saw.
+    struct SizeRecorder(Mutex<Vec<usize>>);
+
+    impl RpcService for SizeRecorder {
+        fn handle_batch(&self, _kind: ConnKind, envs: Vec<Envelope>, out: &mut Vec<u8>) -> bool {
+            let ids: Vec<u64> = envs.iter().map(|e| e.entry).collect();
+            self.0.lock().unwrap().extend(envs.iter().map(|e| e.payload.len()));
+            write_frame(out, &super::super::frame::seal_acks(&ids)).is_ok()
+        }
+    }
+
+    #[test]
+    fn one_frame_larger_than_the_read_cap_is_delivered_and_acked() {
+        // A single 3 MiB peer envelope — three times MAX_READ_PER_CYCLE —
+        // such as a long-lived coordinator's StartView. It arrives over
+        // several readiness cycles; the reactor must keep reading it.
+        const BIG: usize = 3 * 1024 * 1024;
+        let reactor = Reactor::new().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let service = Arc::new(SizeRecorder(Mutex::new(Vec::new())));
+        reactor.serve(listener, Arc::clone(&service) as Arc<dyn RpcService>);
+
+        let mut peer = TcpStream::connect(addr).unwrap();
+        // A wedged reactor stops reading: fail on the timeouts, not hang.
+        peer.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        peer.set_write_timeout(Some(Duration::from_secs(10))).unwrap();
+        peer.write_all(&[KIND_PEER]).unwrap();
+        write_frame(&mut peer, &seal(7, &vec![0xAB; BIG])).unwrap();
+        // A small follow-up proves the stream stays framed afterwards.
+        write_frame(&mut peer, &seal(8, b"tail")).unwrap();
+
+        let mut acked = Vec::new();
+        while acked.len() < 2 {
+            let ack = super::super::frame::unseal(
+                super::super::frame::read_frame(&mut peer).expect("ack for the large frame"),
+            )
+            .unwrap();
+            acked.extend(ack.ack_ids().expect("an ack envelope"));
+        }
+        assert_eq!(acked, vec![7, 8]);
+        assert_eq!(*service.0.lock().unwrap(), vec![BIG, 4]);
     }
 
     #[test]

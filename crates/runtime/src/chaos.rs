@@ -4,22 +4,30 @@
 //! The simulator (`esr-net`) already knows how to *plan* a message's
 //! fate — drops, duplicates, partition stalls — deterministically from a
 //! seed. This module puts that planner between the real site threads:
-//! every inter-site MSet travels through a **relay** owning a durable
-//! [`FileQueue`], and the relay consults a per-link [`Network`] to decide
-//! how the transport mistreats each entry. Because each directed link
+//! every wire [`Frame`] a chaos-mode site sends travels through a
+//! **relay** owning a durable [`FileQueue`] — the executor of the
+//! core's `Effect::Send` — and the relay consults a per-link
+//! [`Network`] to decide how the transport mistreats each
+//! *update-carrying* frame (`MSet` between sites, `Submit` on the
+//! `i -> i` self-link, which is site `i`'s client plane). Control
+//! frames (`Applied`, `Complete`, `Vtnc`, `Decision`, `Hello`,
+//! snapshots) share the durable queue, so they survive a crashed
+//! destination, but pass clean on their first attempt: their number
+//! and order depend on thread scheduling, so planning fates for them
+//! would make the trace schedule-dependent. Because each directed link
 //! has its own RNG stream (forked from the plan seed) and its own
-//! logical clock (one tick per enqueued entry), the planned fates — and
-//! therefore the fault trace — are identical across runs of the same
-//! seed, no matter how the OS schedules the threads.
+//! logical clock (one tick per update-carrying frame), the planned
+//! fates — and therefore the fault trace — are identical across runs
+//! of the same seed, no matter how the OS schedules the threads.
 //!
 //! Delivery is at-least-once, the paper's §2.2 stable-queue assumption:
 //! an entry stays in the relay's durable queue until the destination
-//! site acknowledges it *after* journalling and applying it. Planned
-//! extra attempts drive real exponential backoff through
-//! [`StableQueue::record_attempt`]; an entry whose ack never arrives
-//! (the destination crashed with the message in its channel) is re-sent
-//! after an ack timeout. Sites tolerate the resulting duplicates via
-//! their per-method idempotency guards.
+//! site acknowledges it *after* executing every effect of the step it
+//! caused (journal append included). Planned extra attempts drive real
+//! exponential backoff through [`StableQueue::record_attempt`]; an
+//! entry whose ack never arrives (the destination crashed with the
+//! message in its channel) is re-sent after an ack timeout. Sites
+//! tolerate the resulting duplicates via the core's idempotency guards.
 //!
 //! Relays themselves never crash — they model the stable queues the
 //! paper assumes survive site failures.
@@ -30,15 +38,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 
 use esr_core::ids::SiteId;
 use esr_net::faults::PartitionSchedule;
 use esr_net::latency::LatencyModel;
 use esr_net::topology::{LinkConfig, Topology};
 use esr_net::transport::{Network, NetStats};
-use esr_replica::mset::MSet;
-use esr_replica::wire::decode_mset;
+use esr_replica::wire::{decode_frame, Frame};
 use esr_sim::rng::DetRng;
 use esr_sim::time::{Duration as VDuration, VirtualTime};
 use esr_storage::stable_queue::{EntryId, FileQueue, StableQueue};
@@ -55,7 +62,7 @@ pub struct FaultPlan {
     /// Probability a delivered entry arrives twice.
     pub duplicate_prob: f64,
     /// Partition windows over *logical ticks*: tick `k` on a link is its
-    /// `k`-th enqueued entry (see [`FaultPlan::tick`]).
+    /// `k`-th update-carrying frame (see [`FaultPlan::tick`]).
     pub partitions: PartitionSchedule,
     /// First backoff step after a failed attempt; doubles per attempt.
     pub backoff_base: StdDuration,
@@ -98,24 +105,27 @@ impl FaultPlan {
         self
     }
 
-    /// The logical-tick instant of a link's `k`-th enqueued entry, for
-    /// building partition windows.
+    /// The logical-tick instant of a link's `k`-th update-carrying
+    /// frame, for building partition windows.
     pub fn tick(k: u64) -> VirtualTime {
         VirtualTime::from_millis(k)
     }
 }
 
-/// One planned link-level fate, recorded when the entry is enqueued.
-/// The trace is a pure function of (plan seed, per-link submission
-/// order): re-sends after an ack timeout never appear here, so crash
-/// timing cannot perturb it.
+/// One planned link-level fate, recorded when an update-carrying frame
+/// is enqueued. The trace is a pure function of (plan seed, per-link
+/// update count): control frames and re-sends after an ack timeout
+/// never appear here, so neither thread scheduling nor crash timing can
+/// perturb it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TraceEvent {
     /// Originating site.
     pub from: SiteId,
     /// Destination site.
     pub to: SiteId,
-    /// The entry's id in the link's durable queue.
+    /// `k` for the link's `k`-th update-carrying frame (its logical
+    /// tick) — not the raw queue entry id, which control frames sharing
+    /// the queue make schedule-dependent.
     pub entry: u64,
     /// Send attempts the planner charged before success (1 = clean).
     pub attempts: u32,
@@ -151,7 +161,8 @@ pub fn render_trace(events: &[TraceEvent]) -> String {
 /// Aggregated fault counters across every link of a chaos cluster.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosStats {
-    /// Entries handed to relays.
+    /// Update-carrying frames handed to relays (control frames are not
+    /// fault-planned and not counted).
     pub sent: u64,
     /// Copies handed to destination sites by the planner (first copies
     /// plus planned duplicates; excludes ack-timeout re-sends).
@@ -187,9 +198,9 @@ impl ChaosStats {
 
 /// Control messages understood by a relay thread.
 pub(crate) enum RelayMsg {
-    /// A freshly encoded MSet to enqueue durably and deliver.
+    /// A freshly encoded frame to enqueue durably and deliver.
     Send(Bytes),
-    /// The destination journalled and applied the entry.
+    /// The destination executed every effect of the entry's step.
     Ack { entry: EntryId },
     /// Report queue depth, counters, and the fate trace.
     Status { reply: Sender<RelayStatus> },
@@ -227,22 +238,21 @@ fn backoff_delay(plan: &FaultPlan, attempt: u32) -> StdDuration {
     plan.backoff_base.saturating_mul(factor).min(plan.backoff_cap)
 }
 
-/// Spawns the relay thread for the `from -> to` link. The caller builds
-/// the channel so the ack-sender half can be embedded in deliveries
-/// before the thread exists. `deliver` hands a decoded MSet (tagged
-/// with its queue entry) to the destination site, returning `false`
-/// when the site's channel is gone (crashed) — the entry then stays
-/// pending and the ack-timeout loop re-sends it.
+/// Spawns the relay thread for the `from -> to` link. `deliver` hands a
+/// decoded frame — with its queue entry and the relay's own sender, on
+/// which the site acks the entry — to the destination site, returning
+/// `false` when the site's channel is gone (crashed); the entry then
+/// stays pending and the ack-timeout loop re-sends it.
 pub(crate) fn spawn_relay(
     from: SiteId,
     to: SiteId,
     n: usize,
     plan: FaultPlan,
     queue_path: PathBuf,
-    channel: (Sender<RelayMsg>, Receiver<RelayMsg>),
-    deliver: impl Fn(MSet, EntryId) -> bool + Send + 'static,
+    deliver: impl Fn(Frame, (EntryId, Sender<RelayMsg>)) -> bool + Send + 'static,
 ) -> RelayHandle {
-    let (tx, rx) = channel;
+    let (tx, rx) = unbounded();
+    let ack_tx = tx.clone();
     let link = LinkConfig {
         latency: LatencyModel::Constant(VDuration::ZERO),
         drop_prob: plan.drop_prob,
@@ -271,44 +281,52 @@ pub(crate) fn spawn_relay(
             let mut retries = 0u64;
             let mut resends = 0u64;
             let decode = |bytes: &Bytes| {
-                decode_mset(bytes)
-                    .unwrap_or_else(|e| panic!("relay queue holds undecodable MSet: {e}"))
+                decode_frame(bytes)
+                    .unwrap_or_else(|e| panic!("relay queue holds undecodable frame: {e}"))
             };
             loop {
                 match rx.recv_timeout(StdDuration::from_millis(5)) {
                     Ok(RelayMsg::Send(bytes)) => {
                         let entry = queue.enqueue(bytes.clone());
-                        let fate = net.plan_send_sized(
-                            from,
-                            to,
-                            VirtualTime::from_millis(tick),
-                            bytes.len() as u64,
-                        );
-                        tick += 1;
-                        let attempts = fate.first().map_or(1, |d| d.attempts);
-                        let duplicate = fate.len() > 1;
-                        trace.push(TraceEvent {
-                            from,
-                            to,
-                            entry: entry.0,
-                            attempts,
-                            duplicate,
-                        });
-                        // Walk the planned failures through the durable
-                        // queue's attempt counter, paying real backoff
-                        // for each: the delivery genuinely happens later.
-                        for _ in 1..attempts {
-                            if let Some(count) = queue.record_attempt(entry) {
-                                retries += 1;
-                                std::thread::sleep(backoff_delay(&plan, count));
+                        let frame = decode(&bytes);
+                        let mut duplicate = false;
+                        // Only update-carrying frames are fault-planned
+                        // (and tick the link clock): their per-link count
+                        // is fixed by the submission order, whereas the
+                        // control traffic sharing this queue is not.
+                        if matches!(frame, Frame::MSet(_) | Frame::Submit(_)) {
+                            let fate = net.plan_send_sized(
+                                from,
+                                to,
+                                VirtualTime::from_millis(tick),
+                                bytes.len() as u64,
+                            );
+                            let attempts = fate.first().map_or(1, |d| d.attempts);
+                            duplicate = fate.len() > 1;
+                            trace.push(TraceEvent {
+                                from,
+                                to,
+                                entry: tick,
+                                attempts,
+                                duplicate,
+                            });
+                            tick += 1;
+                            // Walk the planned failures through the
+                            // durable queue's attempt counter, paying real
+                            // backoff for each: the delivery genuinely
+                            // happens later.
+                            for _ in 1..attempts {
+                                if let Some(count) = queue.record_attempt(entry) {
+                                    retries += 1;
+                                    std::thread::sleep(backoff_delay(&plan, count));
+                                }
                             }
                         }
                         queue.record_attempt(entry); // the successful try
-                        let mset = decode(&bytes);
-                        let _ = deliver(mset.clone(), entry);
                         if duplicate {
-                            let _ = deliver(mset, entry);
+                            let _ = deliver(frame.clone(), (entry, ack_tx.clone()));
                         }
+                        let _ = deliver(frame, (entry, ack_tx.clone()));
                         inflight.insert(entry, (bytes, Instant::now()));
                     }
                     Ok(RelayMsg::Ack { entry }) => {
@@ -339,7 +357,7 @@ pub(crate) fn spawn_relay(
                     }
                     queue.record_attempt(*entry);
                     resends += 1;
-                    let _ = deliver(decode(bytes), *entry);
+                    let _ = deliver(decode(bytes), (*entry, ack_tx.clone()));
                     *last_send = now;
                 }
             }

@@ -1,26 +1,35 @@
 //! A thread-per-site replicated cluster with real concurrency.
 //!
 //! Where [`esr_replica::SimCluster`] runs the protocols under a
-//! deterministic virtual clock, this runtime runs the *same site state
-//! machines* on real OS threads connected by channels — the shape a
-//! production deployment would take (one process per site, one queue per
-//! link). Updates propagate asynchronously: `submit_update` returns as
-//! soon as the MSets are enqueued, queries run against whichever state
-//! the local replica has, and `quiesce` waits for the system to settle —
-//! at which point all replicas are identical, the ESR convergence
-//! guarantee.
+//! deterministic virtual clock, this runtime runs one
+//! [`NodeCore`] — the pure control core `esrd` executes and `esr-model`
+//! checks — per OS thread, connected by channels. The cluster is only
+//! an **effect executor**: a site thread feeds inbound frames to
+//! `core.step` and performs the returned [`Effect`]s in order (journal
+//! append, sends to peers, trace events); ORDUP hold-back, completion
+//! tracking, VTNC certification and COMPE decisions are decided in
+//! `ctrl.rs` and nowhere else. Site 0 holds the coordinator role
+//! (view 0; no heartbeat tick is ever injected, so the role never
+//! moves). Updates propagate asynchronously: `submit_update` returns as
+//! soon as the submit is handed to the origin, queries run against
+//! whichever state the local replica has, and `quiesce` waits for the
+//! system to settle — at which point all replicas are identical, the
+//! ESR convergence guarantee.
 //!
-//! Clusters built with [`Cluster::chaos`] additionally route every
-//! update through the fault-injection relays of [`crate::chaos`]
-//! (seeded drops, duplicates, partition windows, durable at-least-once
-//! queues) and support [`Cluster::crash`] / [`Cluster::restart`], with
-//! recovery driven by the per-site journal and shared control log of
-//! [`crate::recovery`].
+//! Clusters built with [`Cluster::chaos`] route every frame — client
+//! submits included — through the durable fault-injection relays of
+//! [`crate::chaos`] (seeded drops, duplicates and partition windows for
+//! update-carrying frames, at-least-once for everything) and support
+//! [`Cluster::crash`] / [`Cluster::restart`] of any site, the
+//! coordinator included: a restart replays the site's journal through
+//! [`NodeCore::recover`] and greets every peer with a `Hello`, the
+//! same recovery `esrd` performs after a `kill -9`.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use crossbeam::atomic::AtomicCell;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -30,15 +39,17 @@ use esr_core::divergence::{EpsilonSpec, InconsistencyCounter};
 use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
-use esr_obs::{GaugeFamily, MetricsRegistry, SiteInstruments};
+use esr_obs::{EventRing, GaugeFamily, MetricsRegistry, SiteInstruments};
 use esr_replica::mset::MSet;
 use esr_replica::site::QueryOutcome;
-use esr_replica::wire::encode_mset;
+use esr_replica::wire::{encode_frame, Frame};
 use esr_sim::probe;
 use esr_storage::stable_queue::EntryId;
 
 use crate::chaos::{self, ChaosStats, FaultPlan, RelayHandle, RelayMsg, TraceEvent};
-use crate::recovery::{ApplyJournal, ControlLog, Decision};
+use crate::client::WireTraceEvent;
+use crate::ctrl::{CtrlCanary, Effect, NodeCore, NodeEvent};
+use crate::recovery::ApplyJournal;
 use crate::state::{RtMethod, SiteAudit, SiteState};
 
 /// Logical shared-memory location namespace for the per-site protocol
@@ -102,79 +113,107 @@ pub enum RtCanary {
     /// No fault injected (the only variant production code should use).
     #[default]
     None,
-    /// ORDUP sites apply MSets in arrival order, bypassing the
-    /// sequencer hold-back — the ORDUP global-order oracle must flag
-    /// out-of-order applications.
+    /// ORDUP sites apply MSets in arrival order, bypassing the core and
+    /// its sequencer hold-back — the ORDUP global-order oracle must
+    /// flag out-of-order applications.
     OrdupSequencerDisabled,
     /// Sites answer queries with an unbounded budget regardless of the
     /// declared `EpsilonSpec` — the epsilon-accounting oracle must flag
     /// admitted queries whose charge exceeds their declared bound.
     EpsilonIgnored,
-    /// The tracker certifies a VTNC advance on the *first* site ack
-    /// instead of waiting for all sites — the VTNC-safety oracle must
+    /// The coordinator certifies a VTNC advance on the *first* install
+    /// report instead of waiting for all sites (the control core's own
+    /// [`CtrlCanary::StaleVtncCert`]) — the VTNC-safety oracle must
     /// flag advances past a site's installed prefix.
     VtncEagerCertify,
 }
 
 enum SiteMsg {
-    Deliver(MSet),
-    /// A relay-delivered MSet under chaos: journal, apply, then ack back
-    /// through `ack` so the relay can retire the durable entry.
-    ChaosDeliver {
-        mset: MSet,
-        entry: EntryId,
-        ack: Sender<RelayMsg>,
+    /// A wire frame for the site's core. A frame whose sender is the
+    /// site itself arrived on its client plane (`Submit`, `Decision`);
+    /// any other sender is a peer link. Under chaos the frame came
+    /// through a relay, which is acked once every effect of the step
+    /// it caused has been performed.
+    Frame {
+        from: SiteId,
+        frame: Frame,
+        ack: Option<(EntryId, Sender<RelayMsg>)>,
     },
-    Complete(EtId),
-    AdvanceVtnc(VersionTs),
-    Commit(EtId),
-    Abort(EtId),
-    Query {
-        read_set: Vec<ObjectId>,
-        epsilon: EpsilonSpec,
-        reply: Sender<QueryOutcome>,
-    },
-    Snapshot {
-        reply: Sender<BTreeMap<ObjectId, Value>>,
-    },
-    Settled {
-        reply: Sender<bool>,
-    },
-    HasApplied {
-        et: EtId,
-        reply: Sender<bool>,
-    },
-    Audit {
-        reply: Sender<SiteAudit>,
-    },
-    /// Tear the site thread down mid-stream (chaos): everything still in
-    /// the channel is lost, exactly like a process kill; durable state
-    /// (journal) survives for [`Cluster::restart`].
-    Crash,
-    Shutdown,
-}
-
-enum TrackerMsg {
-    Applied { et: EtId, version: Option<VersionTs> },
-    Shutdown,
+    /// A rendezvous with the site thread (query / snapshot / settled /
+    /// has-applied / audit), answered from the live core — its public
+    /// `state` — the way `esrd` answers its client plane.
+    Inspect(Box<dyn FnOnce(&mut Site) + Send>),
+    /// Tear the site thread down (shutdown, or mid-stream by
+    /// [`Cluster::crash`]): everything still in the channel is lost,
+    /// exactly like a process kill; durable state (journal) survives
+    /// for [`Cluster::restart`].
+    Stop,
 }
 
 type SharedSenders = Arc<RwLock<Vec<Sender<SiteMsg>>>>;
+
+/// How frames travel between sites (and from the cluster's client
+/// plane to a site): the executor of [`Effect::Send`].
+#[derive(Clone)]
+enum Wiring {
+    /// Plain cluster: straight into the destination's inbox.
+    Direct(SharedSenders),
+    /// Chaos cluster: encoded onto the durable `from -> to` relay
+    /// (`relays[from][to]`); sites journal under `dir`.
+    Relayed {
+        relays: Arc<Vec<Vec<Sender<RelayMsg>>>>,
+        dir: PathBuf,
+    },
+}
+
+impl Wiring {
+    fn send(&self, from: SiteId, to: SiteId, frame: Frame) {
+        match self {
+            Wiring::Direct(senders) => {
+                let msg = SiteMsg::Frame {
+                    from,
+                    frame,
+                    ack: None,
+                };
+                let _ = senders.read()[to.raw() as usize].send(msg);
+            }
+            Wiring::Relayed { relays, .. } => {
+                let relay = &relays[from.raw() as usize][to.raw() as usize];
+                let _ = relay.send(RelayMsg::Send(encode_frame(&frame)));
+            }
+        }
+    }
+}
+
+/// Every site of an `n`-site cluster except `me`, in id order.
+fn peers(me: SiteId, n: usize) -> impl Iterator<Item = SiteId> {
+    (0..n as u64).map(SiteId).filter(move |s| *s != me)
+}
 
 /// Everything a site thread needs besides its receiver; bundled so
 /// [`Cluster::restart`] can respawn a site with identical wiring.
 #[derive(Clone)]
 struct SiteSpawn {
     method: RtMethod,
+    n: usize,
     audit: bool,
     canary: RtCanary,
-    tracker: Option<Sender<TrackerMsg>>,
-    /// Journal path + shared control log; `Some` only under chaos.
-    chaos: Option<(PathBuf, Arc<ControlLog>)>,
+    wiring: Wiring,
     /// Shared registry: each incarnation of a site re-registers the same
     /// series (same labels → same cells), so counters survive
     /// crash/restart cycles.
     metrics: MetricsRegistry,
+}
+
+/// The cluster's handle on one site.
+struct SiteSlot {
+    /// `None` while the site is crashed (or after shutdown).
+    thread: Option<JoinHandle<()>>,
+    /// The current incarnation's trace ring (a restart starts a fresh
+    /// one: the ring dies with the "process").
+    ring: EventRing,
+    /// Boot count, echoed in the restart `Hello`.
+    epoch: u64,
 }
 
 /// The chaos machinery attached to a cluster built with
@@ -182,7 +221,6 @@ struct SiteSpawn {
 struct ChaosRuntime {
     /// Relay per directed link, indexed `from * n + to`.
     relays: Vec<RelayHandle>,
-    control: Arc<ControlLog>,
     crashes: u64,
     restarts: u64,
 }
@@ -204,13 +242,10 @@ struct ChaosRuntime {
 /// assert_eq!(out.values, vec![Value::Int(5)]);
 /// ```
 pub struct Cluster {
-    method: RtMethod,
-    /// Senders shared with the tracker and the relays so
+    /// Senders shared with the sites and the relays so
     /// [`Cluster::restart`] can swap a crashed site's channel in place.
     site_senders: SharedSenders,
-    site_threads: Vec<Option<JoinHandle<()>>>,
-    tracker_sender: Option<Sender<TrackerMsg>>,
-    tracker_thread: Option<JoinHandle<()>>,
+    sites: Vec<SiteSlot>,
     sequencer: AtomicCell,
     version_clock: AtomicCell,
     // Instrumented (an ET allocation is a preemption point): concurrent
@@ -220,7 +255,6 @@ pub struct Cluster {
     n: usize,
     spawn_cfg: SiteSpawn,
     chaos: Option<ChaosRuntime>,
-    metrics: MetricsRegistry,
     /// `esr_divergence{site}`: objects where the site's quiesced value
     /// disagrees with the cluster consensus (see
     /// [`Cluster::refresh_metrics`]).
@@ -230,246 +264,162 @@ pub struct Cluster {
     queue_depth_gauge: GaugeFamily,
 }
 
-fn spawn_site(i: usize, rx: Receiver<SiteMsg>, cfg: SiteSpawn) -> JoinHandle<()> {
-    let id = SiteId(i as u64);
-    std::thread::Builder::new()
+/// One site thread's world: the pure core plus what its effects act on.
+struct Site {
+    core: NodeCore,
+    /// The write-ahead journal [`Effect::Journal`] appends to; `Some`
+    /// only under chaos (a plain cluster never restarts a site).
+    journal: Option<ApplyJournal>,
+    wiring: Wiring,
+    ring: EventRing,
+    canary: RtCanary,
+    boot: Instant,
+}
+
+impl Site {
+    /// Boots a site: a fresh core on a plain cluster; under chaos the
+    /// journal replay through [`NodeCore::recover`] followed by the
+    /// link handshake — a `Hello` to every peer, which makes the
+    /// coordinator answer with its control snapshot and (when the
+    /// recovering site *is* the coordinator) the followers re-announce
+    /// their applies and decisions.
+    fn boot(i: usize, cfg: SiteSpawn, ring: EventRing, epoch: u64) -> Self {
+        let SiteSpawn { method, n, .. } = cfg;
+        let id = SiteId(i as u64);
+        let mut state = SiteState::new(method, id);
+        state.attach_metrics(SiteInstruments::for_site(&cfg.metrics, method.name(), id.raw()));
+        if cfg.audit {
+            state.enable_audit();
+        }
+        let ctrl_canary =
+            (cfg.canary == RtCanary::VtncEagerCertify).then_some(CtrlCanary::StaleVtncCert);
+        let (core, journal, boot_effects) = match &cfg.wiring {
+            Wiring::Direct(_) => (
+                NodeCore::fresh(state, method, id, n, ctrl_canary),
+                None,
+                Vec::new(),
+            ),
+            Wiring::Relayed { dir, .. } => {
+                let path = dir.join(format!("site-{i}.journal"));
+                let journal = ApplyJournal::open(&path)
+                    .unwrap_or_else(|e| panic!("open site journal {}: {e}", path.display()));
+                let entries = journal.replay();
+                cfg.metrics
+                    .counter("esr_recovery_replays_total", &[("site", &i.to_string())])
+                    .add(entries.len() as u64);
+                let (core, mut effects) =
+                    NodeCore::recover(state, method, id, n, ctrl_canary, 0, entries);
+                effects.extend(peers(id, n).map(|to| Effect::Send {
+                    to,
+                    frame: Frame::Hello { site: id, epoch },
+                }));
+                (core, Some(journal), effects)
+            }
+        };
+        let mut site = Self {
+            core,
+            journal,
+            wiring: cfg.wiring,
+            ring,
+            canary: cfg.canary,
+            boot: Instant::now(),
+        };
+        site.perform(boot_effects);
+        site
+    }
+
+    /// Steps the core with one inbound frame and performs the effects.
+    fn on_frame(&mut self, from: SiteId, frame: Frame) {
+        let me = self.core.site;
+        // Canary: apply in raw arrival order, bypassing the core and
+        // with it the ORDUP hold-back — the global-order oracle must
+        // flag the resulting sequence gaps.
+        if self.canary == RtCanary::OrdupSequencerDisabled {
+            if let (SiteState::Ordup(s), Frame::MSet(m) | Frame::Submit(m)) =
+                (&mut self.core.state, &frame)
+            {
+                s.apply_unchecked(m.clone());
+                if from == me {
+                    for to in peers(me, self.core.sites) {
+                        self.wiring.send(me, to, Frame::MSet(m.clone()));
+                    }
+                }
+                return;
+            }
+        }
+        let event = if from != me {
+            NodeEvent::PeerFrame(frame)
+        } else {
+            match frame {
+                Frame::Submit(mset) => NodeEvent::ClientSubmit(mset),
+                Frame::Decision { et, commit } => NodeEvent::ClientDecision { et, commit },
+                _ => return,
+            }
+        };
+        let effects = self.core.step(event);
+        self.perform(effects);
+    }
+
+    /// Executes core effects strictly in order — the write-ahead rule
+    /// `Daemon::perform` follows: a step's journal append lands before
+    /// the sends that announce it, and (in the site loop) the inbound
+    /// relay entry is acked only after all of them.
+    fn perform(&mut self, effects: Vec<Effect>) {
+        for effect in effects {
+            match effect {
+                Effect::Journal(mset) => {
+                    if let Some(j) = &mut self.journal {
+                        j.record(&mset);
+                    }
+                }
+                Effect::Send { to, frame } => self.wiring.send(self.core.site, to, frame),
+                Effect::Trace { component, message } => {
+                    self.ring
+                        .record(self.boot.elapsed().as_micros() as u64, component, message);
+                }
+                // No heartbeat tick is ever injected, so no view past 0
+                // is ever installed; spans and checkpoint cuts have no
+                // consumer in this runtime.
+                Effect::RecordView(_) | Effect::Span(_) | Effect::Checkpoint(_) => {}
+            }
+        }
+    }
+}
+
+/// Spawns incarnation `epoch` of site `i` with a fresh trace ring.
+fn spawn_site(i: usize, rx: Receiver<SiteMsg>, cfg: SiteSpawn, epoch: u64) -> SiteSlot {
+    let ring = EventRing::default();
+    let site_ring = ring.clone();
+    let thread = std::thread::Builder::new()
         .name(format!("esr-site-{i}"))
         .spawn(move || {
-            let SiteSpawn {
-                method,
-                audit,
-                canary,
-                tracker,
-                chaos,
-                metrics,
-            } = cfg;
-            let mut state = SiteState::new(method, id);
-            state.attach_metrics(SiteInstruments::for_site(
-                &metrics,
-                method.name(),
-                id.raw(),
-            ));
-            let replays = metrics.counter(
-                "esr_recovery_replays_total",
-                &[("site", &id.raw().to_string())],
-            );
-            if audit {
-                state.enable_audit();
-            }
-            // Chaos recovery: rebuild from the durable journal (every
-            // MSet this incarnation or a predecessor accepted), then
-            // replay the control log to recover broadcasts that died
-            // with a crashed predecessor's channel. Journal replay must
-            // NOT re-notify the tracker — it already counted these
-            // applies before the crash.
-            let mut journal: Option<ApplyJournal> = None;
-            let mut journaled: HashSet<EtId> = HashSet::new();
-            if let Some((journal_path, control)) = &chaos {
-                let j = ApplyJournal::open(journal_path).unwrap_or_else(|e| {
-                    panic!("open site journal {}: {e}", journal_path.display())
-                });
-                for mset in j.replay() {
-                    journaled.insert(mset.et);
-                    state.deliver(mset);
-                    replays.inc();
-                }
-                state.replay_control(&control.snapshot());
-                journal = Some(j);
-            }
+            let mut site = Site::boot(i, cfg, site_ring, epoch);
             // Logical location of this site's protocol state for
             // the race detector: only this thread may touch it.
             let state_loc = SITE_STATE_LOC + i as u64;
-            // One message may be carried over from a drain that
-            // stopped at a non-matching message.
-            let mut carried: Option<SiteMsg> = None;
-            loop {
-                let msg = match carried.take() {
-                    Some(m) => m,
-                    None => match rx.recv() {
-                        Ok(m) => m,
-                        Err(_) => break,
-                    },
-                };
+            while let Ok(msg) = rx.recv() {
                 match msg {
-                    SiteMsg::Deliver(mset) => {
-                        // Drain the run of deliveries already
-                        // queued behind this one so the site
-                        // absorbs them through the method's
-                        // batch fast path; the first
-                        // non-delivery stops the run and is
-                        // processed next, preserving order.
-                        let mut batch = vec![mset];
-                        loop {
-                            match rx.try_recv() {
-                                Ok(SiteMsg::Deliver(m)) => batch.push(m),
-                                Ok(other) => {
-                                    carried = Some(other);
-                                    break;
-                                }
-                                Err(_) => break,
-                            }
-                        }
-                        // ETs this batch may newly apply, deduped
-                        // in arrival order (a duplicate delivery
-                        // must not produce a second ack).
-                        let mut candidates: Vec<(EtId, Option<VersionTs>)> = Vec::new();
-                        for m in &batch {
-                            if state.has_applied(m.et)
-                                || candidates.iter().any(|(e, _)| *e == m.et)
-                            {
-                                continue;
-                            }
-                            let version = m
-                                .ops
-                                .iter()
-                                .filter_map(|o| match &o.op {
-                                    Operation::TimestampedWrite(ts, _) => Some(*ts),
-                                    _ => None,
-                                })
-                                .max();
-                            candidates.push((m.et, version));
-                        }
+                    SiteMsg::Frame { from, frame, ack } => {
                         probe::mem_write(state_loc);
-                        match (&mut state, canary) {
-                            // Canary: bypass the ORDUP hold-back
-                            // and apply in raw arrival order —
-                            // the global-order oracle must flag
-                            // the resulting sequence gaps.
-                            (
-                                SiteState::Ordup(s),
-                                RtCanary::OrdupSequencerDisabled,
-                            ) => {
-                                for m in batch.drain(..) {
-                                    s.apply_unchecked(m);
-                                }
-                            }
-                            _ => {
-                                if batch.len() == 1 {
-                                    if let Some(single) = batch.pop() {
-                                        state.deliver(single);
-                                    }
-                                } else {
-                                    state.deliver_batch(batch);
-                                }
-                            }
-                        }
-                        if let Some(t) = &tracker {
-                            for (et, version) in candidates {
-                                if state.has_applied(et) {
-                                    let _ = t.send(TrackerMsg::Applied { et, version });
-                                }
-                            }
+                        site.on_frame(from, frame);
+                        if let Some((entry, relay)) = ack {
+                            let _ = relay.send(RelayMsg::Ack { entry });
                         }
                     }
-                    SiteMsg::ChaosDeliver { mset, entry, ack } => {
+                    SiteMsg::Inspect(ask) => {
                         probe::mem_write(state_loc);
-                        let et = mset.et;
-                        // Write-ahead: journal before applying, so an
-                        // acked entry is never lost to a crash. The
-                        // `journaled` set (not `has_applied`) gates the
-                        // append — an ORDUP MSet can be journalled yet
-                        // still held back.
-                        if !journaled.contains(&et) {
-                            if let Some(j) = &mut journal {
-                                j.record(&mset);
-                            }
-                            journaled.insert(et);
-                        }
-                        let before = state.has_applied(et);
-                        let version = mset
-                            .ops
-                            .iter()
-                            .filter_map(|o| match &o.op {
-                                Operation::TimestampedWrite(ts, _) => Some(*ts),
-                                _ => None,
-                            })
-                            .max();
-                        state.deliver(mset);
-                        // Notify the tracker only on the transition to
-                        // applied: duplicates and journal replays must
-                        // not inflate the per-ET ack count.
-                        if !before && state.has_applied(et) {
-                            if let Some(t) = &tracker {
-                                let _ = t.send(TrackerMsg::Applied { et, version });
-                            }
-                        }
-                        // Ack-after-journal+apply: the relay may now
-                        // retire the durable entry.
-                        let _ = ack.send(RelayMsg::Ack { entry });
+                        ask(&mut site);
                     }
-                    SiteMsg::Complete(et) => {
-                        probe::mem_write(state_loc);
-                        state.complete(et);
-                    }
-                    SiteMsg::AdvanceVtnc(ts) => {
-                        // The horizon is monotone, so a queued
-                        // run of advances collapses to its max.
-                        let mut horizon = ts;
-                        loop {
-                            match rx.try_recv() {
-                                Ok(SiteMsg::AdvanceVtnc(t2)) => {
-                                    horizon = horizon.max(t2);
-                                }
-                                Ok(other) => {
-                                    carried = Some(other);
-                                    break;
-                                }
-                                Err(_) => break,
-                            }
-                        }
-                        probe::mem_write(state_loc);
-                        state.advance_vtnc(horizon);
-                    }
-                    SiteMsg::Commit(et) => {
-                        probe::mem_write(state_loc);
-                        state.commit(et);
-                    }
-                    SiteMsg::Abort(et) => {
-                        probe::mem_write(state_loc);
-                        state.abort(et);
-                    }
-                    SiteMsg::Query {
-                        read_set,
-                        epsilon,
-                        reply,
-                    } => {
-                        probe::mem_write(state_loc);
-                        // Canary: ignore the declared budget —
-                        // the epsilon-accounting oracle must
-                        // flag admitted queries whose charge
-                        // exceeds the spec the client declared.
-                        let spec = if canary == RtCanary::EpsilonIgnored {
-                            EpsilonSpec::UNBOUNDED
-                        } else {
-                            epsilon
-                        };
-                        let mut counter = InconsistencyCounter::new(spec);
-                        let _ = reply.send(state.query(&read_set, &mut counter));
-                    }
-                    SiteMsg::Snapshot { reply } => {
-                        probe::mem_read(state_loc);
-                        let _ = reply.send(state.snapshot());
-                    }
-                    SiteMsg::Settled { reply } => {
-                        probe::mem_read(state_loc);
-                        let _ = reply.send(state.settled());
-                    }
-                    SiteMsg::HasApplied { et, reply } => {
-                        probe::mem_read(state_loc);
-                        let _ = reply.send(state.has_applied(et));
-                    }
-                    SiteMsg::Audit { reply } => {
-                        probe::mem_read(state_loc);
-                        let mut a = state.audit();
-                        a.journaled = journal.as_ref().map_or(0, ApplyJournal::entries);
-                        let _ = reply.send(a);
-                    }
-                    SiteMsg::Crash => break,
-                    SiteMsg::Shutdown => break,
+                    SiteMsg::Stop => break,
                 }
             }
         })
-        .unwrap_or_else(|e| panic!("spawn site thread {i}: {e}"))
+        .unwrap_or_else(|e| panic!("spawn site thread {i}: {e}"));
+    SiteSlot {
+        thread: Some(thread),
+        ring,
+        epoch,
+    }
 }
 
 impl Cluster {
@@ -486,12 +436,13 @@ impl Cluster {
         Self::build(method, n, true, canary, None)
     }
 
-    /// Spawns a chaos cluster: every update MSet travels through a
-    /// durable per-link relay that injects the seeded faults of `plan`,
-    /// and sites journal accepted MSets under `dir` so
-    /// [`Cluster::crash`] / [`Cluster::restart`] can lose and rebuild a
-    /// site mid-run. `dir` is created if missing and must be private to
-    /// this cluster (queue and journal files are keyed by site index).
+    /// Spawns a chaos cluster: every frame travels through a durable
+    /// per-link relay that injects the seeded faults of `plan` into the
+    /// update-carrying ones, and sites journal accepted MSets under
+    /// `dir` so [`Cluster::crash`] / [`Cluster::restart`] can lose and
+    /// rebuild a site mid-run. `dir` is created if missing and must be
+    /// private to this cluster (queue and journal files are keyed by
+    /// site index).
     pub fn chaos(method: RtMethod, n: usize, plan: FaultPlan, dir: impl AsRef<Path>) -> Self {
         Self::build(method, n, false, RtCanary::None, Some((plan, dir.as_ref().to_path_buf())))
     }
@@ -504,177 +455,85 @@ impl Cluster {
         chaos: Option<(FaultPlan, PathBuf)>,
     ) -> Self {
         assert!(n > 0);
-        let metrics = MetricsRegistry::new();
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers: Vec<Receiver<SiteMsg>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
+        let (senders, receivers): (Vec<_>, Vec<Receiver<SiteMsg>>) =
+            (0..n).map(|_| unbounded()).unzip();
         let site_senders: SharedSenders = Arc::new(RwLock::new(senders));
-        let control = Arc::new(ControlLog::new());
-        let chaos_control = chaos.as_ref().map(|_| Arc::clone(&control));
 
-        // Completion tracker (COMMU/RITU lock-counter release): counts
-        // per-ET applies and broadcasts Complete once all sites report.
-        let (tracker_sender, tracker_thread) = if matches!(
-            method,
-            RtMethod::Commu | RtMethod::Ritu | RtMethod::RituMv
-        ) {
-            let (ttx, trx) = unbounded::<TrackerMsg>();
-            let senders = Arc::clone(&site_senders);
-            let control = chaos_control.clone();
-            // VtncEagerCertify canary: certify on the first ack instead
-            // of waiting for every site — the injected defect the
-            // VTNC-safety oracle must catch.
-            let acks_needed = if canary == RtCanary::VtncEagerCertify {
-                1
-            } else {
-                n
-            };
-            let handle = std::thread::Builder::new()
-                .name("esr-tracker".into())
-                .spawn(move || {
-                    let mut counts: BTreeMap<EtId, (usize, Option<VersionTs>)> = BTreeMap::new();
-                    // VTNC certification (RituMv). The atomic version
-                    // clock hands out dense time components (1, 2, 3, …),
-                    // so the horizon advances exactly through the
-                    // contiguous prefix of fully-installed times — a gap
-                    // means some earlier version is still propagating.
-                    let mut fully_installed: BTreeMap<u64, VersionTs> = BTreeMap::new();
-                    let mut next_time: u64 = 1;
-                    while let Ok(msg) = trx.recv() {
-                        match msg {
-                            TrackerMsg::Applied { et, version } => {
-                                let e = counts.entry(et).or_insert((0, version));
-                                e.0 += 1;
-                                if e.0 >= acks_needed {
-                                    let Some((_, version)) = counts.remove(&et) else {
-                                        continue;
-                                    };
-                                    if method == RtMethod::RituMv {
-                                        if let Some(v) = version {
-                                            fully_installed.insert(v.time, v);
-                                            let mut horizon = None;
-                                            while let Some(v) = fully_installed.remove(&next_time)
-                                            {
-                                                horizon = Some(v);
-                                                next_time += 1;
-                                            }
-                                            if let Some(h) = horizon {
-                                                // Log before broadcasting
-                                                // so a site crashing now
-                                                // recovers the notice at
-                                                // restart.
-                                                if let Some(c) = &control {
-                                                    c.note_vtnc(h);
-                                                }
-                                                for s in senders.read().iter() {
-                                                    let _ = s.send(SiteMsg::AdvanceVtnc(h));
-                                                }
-                                            }
-                                        }
-                                    } else {
-                                        if let Some(c) = &control {
-                                            c.note_complete(et);
-                                        }
-                                        for s in senders.read().iter() {
-                                            let _ = s.send(SiteMsg::Complete(et));
-                                        }
-                                    }
-                                }
-                            }
-                            TrackerMsg::Shutdown => break,
-                        }
-                    }
-                })
-                .unwrap_or_else(|e| panic!("spawn tracker thread: {e}"));
-            (Some(ttx), Some(handle))
-        } else {
-            (None, None)
+        // Relays: one durable queue + fate planner per directed link.
+        // The self-link `i -> i` is site `i`'s client plane: submits
+        // (and, at site 0, COMPE decisions) ride it, so a submit to a
+        // crashed origin waits in the never-crashing relay — fault-
+        // planned like any update, just never partitioned. The relays
+        // come up before the sites, which send on them while booting.
+        let mut chaos_rt = None;
+        let wiring = match chaos {
+            None => Wiring::Direct(Arc::clone(&site_senders)),
+            Some((plan, dir)) => {
+                std::fs::create_dir_all(&dir)
+                    .unwrap_or_else(|e| panic!("create chaos dir {}: {e}", dir.display()));
+                let relays: Vec<RelayHandle> = (0..n * n)
+                    .map(|link| {
+                        let (from, to) = (link / n, link % n);
+                        let senders = Arc::clone(&site_senders);
+                        let deliver = move |frame: Frame, ack: (EntryId, Sender<RelayMsg>)| {
+                            let site = { senders.read()[to].clone() };
+                            site.send(SiteMsg::Frame {
+                                from: SiteId(from as u64),
+                                frame,
+                                ack: Some(ack),
+                            })
+                            .is_ok()
+                        };
+                        chaos::spawn_relay(
+                            SiteId(from as u64),
+                            SiteId(to as u64),
+                            n,
+                            plan.clone(),
+                            dir.join(format!("link-{from}-{to}.queue")),
+                            deliver,
+                        )
+                    })
+                    .collect();
+                let senders = relays
+                    .chunks(n)
+                    .map(|row| row.iter().map(|r| r.sender.clone()).collect())
+                    .collect();
+                chaos_rt = Some(ChaosRuntime {
+                    relays,
+                    crashes: 0,
+                    restarts: 0,
+                });
+                Wiring::Relayed {
+                    relays: Arc::new(senders),
+                    dir,
+                }
+            }
         };
-
-        let chaos_dir = chaos.as_ref().map(|(_, dir)| {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| panic!("create chaos dir {}: {e}", dir.display()));
-            dir.clone()
-        });
         let spawn_cfg = SiteSpawn {
             method,
+            n,
             audit,
             canary,
-            tracker: tracker_sender.clone(),
-            chaos: chaos_dir
-                .as_ref()
-                .map(|dir| (dir.clone(), Arc::clone(&control))),
-            metrics: metrics.clone(),
+            wiring,
+            metrics: MetricsRegistry::new(),
         };
-        let site_threads = receivers
+        let sites = receivers
             .into_iter()
             .enumerate()
-            .map(|(i, rx)| {
-                let mut cfg = spawn_cfg.clone();
-                if let Some((dir, control)) = cfg.chaos.take() {
-                    cfg.chaos = Some((dir.join(format!("site-{i}.journal")), control));
-                }
-                Some(spawn_site(i, rx, cfg))
-            })
+            .map(|(i, rx)| spawn_site(i, rx, spawn_cfg.clone(), 1))
             .collect();
 
-        // Relays: one durable queue + fate planner per directed link
-        // (self-links included — an origin's copy to itself rides the
-        // same machinery, just never partitioned).
-        let chaos = chaos.map(|(plan, dir)| {
-            let mut relays = Vec::with_capacity(n * n);
-            for from in 0..n {
-                for to in 0..n {
-                    let (tx, rx) = unbounded::<RelayMsg>();
-                    let ack_tx = tx.clone();
-                    let senders = Arc::clone(&site_senders);
-                    let deliver = move |mset: MSet, entry: EntryId| {
-                        let site = { senders.read()[to].clone() };
-                        site.send(SiteMsg::ChaosDeliver {
-                            mset,
-                            entry,
-                            ack: ack_tx.clone(),
-                        })
-                        .is_ok()
-                    };
-                    relays.push(chaos::spawn_relay(
-                        SiteId(from as u64),
-                        SiteId(to as u64),
-                        n,
-                        plan.clone(),
-                        dir.join(format!("link-{from}-{to}.queue")),
-                        (tx, rx),
-                        deliver,
-                    ));
-                }
-            }
-            ChaosRuntime {
-                relays,
-                control,
-                crashes: 0,
-                restarts: 0,
-            }
-        });
-
         Self {
-            method,
             site_senders,
-            site_threads,
-            tracker_sender,
-            tracker_thread,
+            sites,
             sequencer: AtomicCell::new(0),
             version_clock: AtomicCell::new(0),
             next_et: AtomicCell::new(1),
             n,
+            divergence_gauge: GaugeFamily::new(&spawn_cfg.metrics, "esr_divergence"),
+            queue_depth_gauge: GaugeFamily::new(&spawn_cfg.metrics, "esr_site_queue_depth"),
             spawn_cfg,
-            chaos,
-            divergence_gauge: GaugeFamily::new(&metrics, "esr_divergence"),
-            queue_depth_gauge: GaugeFamily::new(&metrics, "esr_site_queue_depth"),
-            metrics,
+            chaos: chaos_rt,
         }
     }
 
@@ -685,7 +544,7 @@ impl Cluster {
 
     /// The method in force.
     pub fn method(&self) -> RtMethod {
-        self.method
+        self.spawn_cfg.method
     }
 
     fn fresh_et(&self) -> EtId {
@@ -696,33 +555,26 @@ impl Cluster {
         self.site_senders.read()[site.raw() as usize].clone()
     }
 
-    /// Submits an update ET originating at `origin`; the MSet fans out to
-    /// every site asynchronously. Returns immediately with the ET id.
-    /// On a chaos cluster the copies travel through the per-link durable
-    /// relays (encoded with the wire codec) instead of being handed to
-    /// the site channels directly.
+    /// Submits an update ET originating at `origin`: stamped here (ET id,
+    /// ORDUP sequence), handed to the origin's core as a client submit,
+    /// and fanned out to every site by the core. Returns immediately
+    /// with the ET id. On a chaos cluster the submit rides the origin's
+    /// durable self-link relay, so it survives the origin being down;
+    /// the client stamp lets the core absorb the relay's re-sends
+    /// instead of fanning out twice.
     pub fn submit_update(&self, origin: SiteId, ops: Vec<ObjectOp>) -> EtId {
         let et = self.fresh_et();
-        let mset = match self.method {
+        let mset = match self.spawn_cfg.method {
             RtMethod::Ordup => {
                 let seq = SeqNo(self.sequencer.fetch_add(1));
                 MSet::new(et, origin, ops).sequenced(seq)
             }
             _ => MSet::new(et, origin, ops),
-        };
-        if let Some(c) = &self.chaos {
-            let bytes = encode_mset(&mset);
-            let from = origin.raw() as usize;
-            for to in 0..self.n {
-                let _ = c.relays[from * self.n + to]
-                    .sender
-                    .send(RelayMsg::Send(bytes.clone()));
-            }
-        } else {
-            for s in self.site_senders.read().iter() {
-                let _ = s.send(SiteMsg::Deliver(mset.clone()));
-            }
         }
+        .from_client(ClientId(0), et.0);
+        self.spawn_cfg
+            .wiring
+            .send(origin, origin, Frame::Submit(mset));
         et
     }
 
@@ -736,40 +588,38 @@ impl Cluster {
         )
     }
 
-    /// COMPE: broadcasts a commit decision for `et`. Control-plane
-    /// traffic is not chaos-injected, but under chaos the decision is
-    /// logged first so a crashed site recovers it at restart.
+    /// COMPE: issues a commit decision for `et` at the coordinator
+    /// (site 0), which broadcasts it. Under chaos the decision rides
+    /// site 0's durable client plane and the broadcast the durable
+    /// links (at-least-once, not fault-injected).
     pub fn commit(&self, et: EtId) {
-        if let Some(c) = &self.chaos {
-            c.control.note_decision(Decision::Commit(et));
-        }
-        for s in self.site_senders.read().iter() {
-            let _ = s.send(SiteMsg::Commit(et));
-        }
+        self.decide(et, true);
     }
 
-    /// COMPE: broadcasts an abort decision for `et` (logged first under
-    /// chaos, like [`Cluster::commit`]).
+    /// COMPE: issues an abort decision for `et` (routed like
+    /// [`Cluster::commit`]).
     pub fn abort(&self, et: EtId) {
-        if let Some(c) = &self.chaos {
-            c.control.note_decision(Decision::Abort(et));
-        }
-        for s in self.site_senders.read().iter() {
-            let _ = s.send(SiteMsg::Abort(et));
-        }
+        self.decide(et, false);
+    }
+
+    fn decide(&self, et: EtId, commit: bool) {
+        let coordinator = SiteId(0);
+        self.spawn_cfg
+            .wiring
+            .send(coordinator, coordinator, Frame::Decision { et, commit });
     }
 
     /// Crashes a site: the thread is torn down mid-stream and every
-    /// message still in its channel — deliveries, completion notices,
-    /// pending acks — is lost, as in a process kill. Durable state (the
-    /// site's journal) survives. Only meaningful on chaos clusters;
-    /// relays keep retrying the dead site until [`Cluster::restart`].
+    /// message still in its channel — deliveries, control frames,
+    /// pending acks — is lost along with the core's volatile state, as
+    /// in a process kill. Durable state (the site's journal) survives.
+    /// Only meaningful on chaos clusters; relays keep retrying the dead
+    /// site until [`Cluster::restart`].
     pub fn crash(&mut self, site: SiteId) {
         assert!(self.chaos.is_some(), "crash() requires a chaos cluster");
-        let i = site.raw() as usize;
         let sender = self.sender_of(site);
-        let _ = sender.send(SiteMsg::Crash);
-        if let Some(h) = self.site_threads[i].take() {
+        let _ = sender.send(SiteMsg::Stop);
+        if let Some(h) = self.sites[site.raw() as usize].thread.take() {
             let _ = h.join();
         }
         if let Some(c) = &mut self.chaos {
@@ -777,42 +627,43 @@ impl Cluster {
         }
     }
 
-    /// Restarts a crashed site: a fresh thread rebuilds the replica by
-    /// replaying its durable journal, then the shared control log, and
-    /// finally catches up on everything it missed through the relays'
-    /// ack-timeout re-sends. The new channel is swapped into the shared
-    /// sender table so the tracker and relays reach the new incarnation.
+    /// Restarts a crashed site: a fresh thread replays the durable
+    /// journal through [`NodeCore::recover`], greets every peer with a
+    /// `Hello` (recovering completions, VTNC horizons and decisions
+    /// through the core's own exchange), and catches up on everything
+    /// it missed through the relays' ack-timeout re-sends. The new
+    /// channel is swapped into the shared sender table so the relays
+    /// reach the new incarnation.
     pub fn restart(&mut self, site: SiteId) {
         assert!(self.chaos.is_some(), "restart() requires a chaos cluster");
         let i = site.raw() as usize;
         assert!(
-            self.site_threads[i].is_none(),
+            self.sites[i].thread.is_none(),
             "restart() of a site that is still running"
         );
         let (tx, rx) = unbounded();
         self.site_senders.write()[i] = tx;
-        let mut cfg = self.spawn_cfg.clone();
-        if let Some((dir, control)) = cfg.chaos.take() {
-            cfg.chaos = Some((dir.join(format!("site-{i}.journal")), control));
-        }
-        self.site_threads[i] = Some(spawn_site(i, rx, cfg));
+        self.sites[i] = spawn_site(i, rx, self.spawn_cfg.clone(), self.sites[i].epoch + 1);
         if let Some(c) = &mut self.chaos {
             c.restarts += 1;
         }
     }
 
-    /// One request/reply rendezvous with a site thread. Degrades instead
-    /// of panicking when the site is already down (shutdown or crash
-    /// raced the caller): `fallback` supplies the answer a dead site
-    /// gives.
-    fn rendezvous<T>(
+    /// One request/reply rendezvous with a site thread: `ask` runs on
+    /// the site's thread against its live state. Degrades instead of
+    /// panicking when the site is already down (shutdown or crash raced
+    /// the caller): `fallback` supplies the answer a dead site gives.
+    fn rendezvous<T: Send + 'static>(
         &self,
         site: SiteId,
-        make: impl FnOnce(Sender<T>) -> SiteMsg,
+        ask: impl FnOnce(&mut Site) -> T + Send + 'static,
         fallback: impl FnOnce() -> T,
     ) -> T {
         let (tx, rx) = bounded(1);
-        if self.sender_of(site).send(make(tx)).is_err() {
+        let msg = SiteMsg::Inspect(Box::new(move |s| {
+            let _ = tx.send(ask(s));
+        }));
+        if self.sender_of(site).send(msg).is_err() {
             return fallback();
         }
         rx.recv().unwrap_or_else(|_| fallback())
@@ -823,20 +674,28 @@ impl Cluster {
     /// against a shut-down cluster is rejected (never panics).
     pub fn query(&self, site: SiteId, read_set: &[ObjectId], epsilon: EpsilonSpec) -> QueryOutcome {
         let read_set = read_set.to_vec();
-        self.rendezvous(
-            site,
-            move |reply| SiteMsg::Query {
-                read_set,
-                epsilon,
-                reply,
-            },
-            QueryOutcome::rejected,
-        )
+        let ask = move |s: &mut Site| {
+            // Canary: ignore the declared budget — the
+            // epsilon-accounting oracle must flag admitted queries whose
+            // charge exceeds the spec the client declared.
+            let spec = if s.canary == RtCanary::EpsilonIgnored {
+                EpsilonSpec::UNBOUNDED
+            } else {
+                epsilon
+            };
+            s.core
+                .state
+                .query(&read_set, &mut InconsistencyCounter::new(spec))
+        };
+        self.rendezvous(site, ask, QueryOutcome::rejected)
     }
 
     /// Retries a query until its budget admits it (the synchronous
     /// fallback): useful for strict (epsilon = 0) reads, which succeed
-    /// once the replica has caught up.
+    /// once the replica has caught up with every update it knows to be
+    /// in flight. An update the site has not heard of yet — submitted at
+    /// another origin a moment ago — cannot hold a read back: read at
+    /// the origin (or quiesce first) to observe your own writes.
     pub fn query_blocking(
         &self,
         site: SiteId,
@@ -854,7 +713,7 @@ impl Cluster {
 
     /// A site's full snapshot (empty once the cluster is shut down).
     pub fn snapshot_of(&self, site: SiteId) -> BTreeMap<ObjectId, Value> {
-        self.rendezvous(site, |reply| SiteMsg::Snapshot { reply }, BTreeMap::new)
+        self.rendezvous(site, |s| s.core.state.snapshot(), BTreeMap::new)
     }
 
     /// The oracle audit of one site. Protocol logs are meaningful only
@@ -862,7 +721,12 @@ impl Cluster {
     /// (`redelivered`, `journaled`, and the `link_*` fields aggregated
     /// over this site's inbound relays) are live on any chaos cluster.
     pub fn audit_of(&self, site: SiteId) -> SiteAudit {
-        let mut a = self.rendezvous(site, |reply| SiteMsg::Audit { reply }, SiteAudit::default);
+        let ask = |s: &mut Site| {
+            let mut a = s.core.state.audit();
+            a.journaled = s.journal.as_ref().map_or(0, ApplyJournal::entries);
+            a
+        };
+        let mut a = self.rendezvous(site, ask, SiteAudit::default);
         if let Some(c) = &self.chaos {
             for r in c.relays.iter().filter(|r| r.to == site) {
                 if let Some(s) = r.status() {
@@ -878,7 +742,21 @@ impl Cluster {
 
     /// Has `site` applied `et` yet? (`false` once shut down.)
     pub fn has_applied(&self, site: SiteId, et: EtId) -> bool {
-        self.rendezvous(site, |reply| SiteMsg::HasApplied { et, reply }, || false)
+        self.rendezvous(site, move |s| s.core.state.has_applied(et), || false)
+    }
+
+    /// Dumps a site's structured trace ring — every `Effect::Trace` of
+    /// its current incarnation, as `(dropped, events)` in the shape
+    /// `esr_check::certify::SiteTrace::from_dump` takes (a restart
+    /// starts a fresh ring, like a daemon process).
+    pub fn trace_of(&self, site: SiteId) -> (u64, Vec<WireTraceEvent>) {
+        let ring = &self.sites[site.raw() as usize].ring;
+        let events = ring
+            .entries()
+            .into_iter()
+            .map(|e| (e.seq, e.micros, e.component, e.message))
+            .collect();
+        (ring.dropped(), events)
     }
 
     /// Aggregated fault counters across every relay, plus crash/restart
@@ -897,8 +775,8 @@ impl Cluster {
         agg
     }
 
-    /// The deterministic fault trace: every planned link-level fate,
-    /// sorted by (from, to, entry). Two runs with the same
+    /// The deterministic fault trace: every planned link-level fate of
+    /// an update-carrying frame, sorted by (from, to, k-th update). Two runs with the same
     /// [`FaultPlan`] and submission order produce identical traces
     /// regardless of thread scheduling. Empty on non-chaos clusters.
     pub fn fault_trace(&self) -> Vec<TraceEvent> {
@@ -955,13 +833,8 @@ impl Cluster {
                 None => true,
             };
             let all_settled = relays_drained
-                && (0..self.n).all(|i| {
-                    self.rendezvous(
-                        SiteId(i as u64),
-                        |reply| SiteMsg::Settled { reply },
-                        || true,
-                    )
-                });
+                && (0..self.n as u64)
+                    .all(|i| self.rendezvous(SiteId(i), |s| s.core.state.settled(), || true));
             if all_settled {
                 stable_rounds += 1;
             } else {
@@ -986,7 +859,7 @@ impl Cluster {
     /// live; the cluster-derived gauges (divergence, queue depth) are
     /// refreshed by the quiesce polls and [`Cluster::refresh_metrics`].
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        &self.spawn_cfg.metrics
     }
 
     /// Recomputes the cluster-derived gauges:
@@ -1051,18 +924,12 @@ impl Cluster {
             }
         }
         for s in self.site_senders.read().iter() {
-            let _ = s.send(SiteMsg::Shutdown);
+            let _ = s.send(SiteMsg::Stop);
         }
-        for h in &mut self.site_threads {
-            if let Some(h) = h.take() {
+        for slot in &mut self.sites {
+            if let Some(h) = slot.thread.take() {
                 let _ = h.join();
             }
-        }
-        if let Some(t) = self.tracker_sender.take() {
-            let _ = t.send(TrackerMsg::Shutdown);
-        }
-        if let Some(h) = self.tracker_thread.take() {
-            let _ = h.join();
         }
     }
 }
@@ -1135,7 +1002,9 @@ mod tests {
         for _ in 0..20 {
             c.submit_update(SiteId(0), incr(1));
         }
-        let out = c.query_blocking(SiteId(3), &[X], EpsilonSpec::STRICT);
+        // Read at the origin: its inbox already holds the 20 submits, and
+        // each stays in flight there until every site has applied it.
+        let out = c.query_blocking(SiteId(0), &[X], EpsilonSpec::STRICT);
         assert!(out.admitted);
         assert_eq!(out.charged, 0);
         assert_eq!(out.values, vec![Value::Int(20)]);

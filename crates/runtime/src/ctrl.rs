@@ -1,16 +1,18 @@
-//! The pure control-plane core shared by the `esrd` daemon and the
-//! `esr-model` checker.
+//! The pure control-plane core shared by the `esrd` daemon, the thread
+//! runtime's [`crate::cluster::Cluster`] and the `esr-model` checker.
 //!
-//! Everything the daemon does to protocol state — journal append +
+//! Everything a site does to protocol state — journal append +
 //! replay, coordinator completion/VTNC/decision tracking, view-change
 //! elections, wire-frame handling, boot recovery — is expressed here as
 //! side-effect-free transitions: [`NodeCore::step`] consumes one
 //! [`NodeEvent`] and returns the ordered list of [`Effect`]s it
 //! implies. The daemon executes those effects against the real world
 //! (fsync'd journal, durable TCP links, the esr-obs event ring); the
-//! model checker in `crates/check` executes them against in-memory
-//! queues and explores every interleaving. Because both run *this*
-//! code, the daemon and the model cannot drift (DESIGN.md §14).
+//! thread cluster executes them against channels (or, under chaos,
+//! fault-injecting durable relays and a file journal); the model
+//! checker in `crates/check` executes them against in-memory queues
+//! and explores every interleaving. Because all of them run *this*
+//! code, the runtimes and the model cannot drift (DESIGN.md §14).
 //!
 //! ## The coordinator is elected, not fixed
 //!
@@ -1143,7 +1145,7 @@ impl NodeCore {
                 // The coordinator's broadcast. If *we* hold the role
                 // (their view was older), record it and relay it for
                 // the same reason as `Complete` above.
-                let news = !self.decisions_order.iter().any(|(d, _)| *d == et);
+                let news = !self.decisions_seen.contains(&et);
                 if let Some(c) = &mut self.coord {
                     c.note_external_decision(et, commit);
                 }

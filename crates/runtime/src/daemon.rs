@@ -19,8 +19,7 @@
 //!
 //! ## Topology and the coordinator
 //!
-//! The coordinator of view `v` is site `v % sites` (view 0 → site 0):
-//! the networked analogue of the thread runtime's completion tracker.
+//! The coordinator of view `v` is site `v % sites` (view 0 → site 0).
 //! Peers send it [`Frame::Applied`] evidence; once every site has
 //! applied an ET it broadcasts [`Frame::Complete`] (COMMU/RITU
 //! lock-counter release) or advances the VTNC horizon

@@ -1,18 +1,27 @@
-//! # esr-runtime — thread-per-site concurrent runtime
+//! # esr-runtime — one protocol core, three executors
 //!
-//! The replica control methods of [`esr_replica`] running on real OS
-//! threads: one thread per site, crossbeam channels as the links, an
-//! atomic global sequencer for ORDUP, an atomic version clock for RITU,
-//! and a completion-tracker thread that releases COMMU/RITU
-//! lock-counters. The paper's repro hint calls for "async replicas";
-//! this runtime provides exactly that with the crates available in this
-//! workspace (threads + channels instead of an async executor — the
-//! protocol state machines are identical).
+//! The replica control methods of [`esr_replica`] behind one pure
+//! control core, [`ctrl::NodeCore`] / [`ctrl::CoordCore`]: ORDUP
+//! hold-back, completion tracking (COMMU/RITU lock-counter release),
+//! VTNC certification, COMPE decisions, recovery and coordinator
+//! election are side-effect-free steps returning ordered
+//! [`ctrl::Effect`]s. Everything else in this crate *executes* those
+//! effects:
 //!
-//! The [`chaos`] module adds a seeded fault-injection transport
-//! (drops, duplicates, partition windows, durable at-least-once link
-//! queues) and [`recovery`] the journal/control-log machinery behind
-//! [`Cluster::crash`] / [`Cluster::restart`].
+//! * [`cluster::Cluster`] — one core per OS thread, crossbeam channels
+//!   as the links, an atomic global sequencer for ORDUP and an atomic
+//!   version clock for RITU at the submit side. The paper's repro hint
+//!   calls for "async replicas"; this is exactly that with the crates
+//!   available in this workspace (threads + channels instead of an
+//!   async executor). [`chaos`] swaps the channels for seeded
+//!   fault-injecting durable relays and [`recovery`] adds the
+//!   write-ahead journal behind [`Cluster::crash`] /
+//!   [`Cluster::restart`].
+//! * [`daemon::Daemon`] (`esrd`) — the same core behind real sockets,
+//!   an on-disk journal, durable TCP links, checkpoints and spans;
+//!   [`proc_cluster::ProcCluster`] drives N of them as OS processes.
+//! * the `esr-model` checker (`crates/check`) — the same core against
+//!   in-memory queues, every interleaving explored.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -35,7 +44,7 @@ pub use cluster::{Cluster, QuiesceTimeout, RtCanary};
 pub use ctrl::{CoordCore, CtrlCanary, Effect, NodeCore, NodeEvent};
 pub use daemon::{Daemon, DaemonConfig};
 pub use proc_cluster::ProcCluster;
-pub use recovery::{ApplyJournal, ControlLog, Decision};
+pub use recovery::ApplyJournal;
 pub use spans::{
     critical_path, merge_timeline, render_timeline, RawSpan, SiteSpan, SpanRing, SPAN_QUERY_ALL,
 };

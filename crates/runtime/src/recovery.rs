@@ -1,27 +1,22 @@
-//! Crash/restart support: the per-site apply journal and the shared
-//! control-plane replay log.
+//! Crash/restart support: the per-site write-ahead apply journal.
 //!
-//! A chaos-mode site persists every MSet it accepts to an append-only
-//! [`FileQueue`] journal *before* applying it, and acknowledges the
-//! relay only afterwards — so a crash can lose channel contents but
-//! never an acknowledged update. Restart replays the journal to rebuild
-//! the replica state machine, then replays the [`ControlLog`] to
-//! recover the control-plane messages (completion notices, VTNC
-//! advances, COMPE decisions) that were broadcast while the site was
-//! down and died with its dropped channel.
-//!
-//! The control log is deliberately *not* chaos-injected: the paper
-//! treats completion/certification traffic as part of the reliable
-//! stable-queue substrate, and the chaos layer targets update
-//! propagation. See DESIGN.md §10 for the boundary.
+//! A site persists every MSet it accepts to an append-only
+//! [`FileQueue`] journal *before* applying it — the executor's half of
+//! [`crate::ctrl::Effect::Journal`] — and acknowledges the inbound
+//! envelope only afterwards, so a crash can lose channel contents but
+//! never an acknowledged update. Restart replays the journal through
+//! [`crate::ctrl::NodeCore::recover`], which rebuilds the replica and
+//! re-announces the recovered applies; the control-plane state that is
+//! *not* journalled (completion notices, VTNC horizons, COMPE
+//! decisions) comes back over the durable links via the core's Hello
+//! exchange. The `esrd` daemon and the thread runtime's chaos clusters
+//! share this journal and that recovery path. See DESIGN.md §10.
 
 use std::path::Path;
 
-use esr_core::ids::{EtId, VersionTs};
 use esr_replica::mset::MSet;
 use esr_replica::wire::{decode_mset, encode_mset};
 use esr_storage::stable_queue::{EntryId, FileQueue, StableQueue};
-use parking_lot::Mutex;
 
 /// A site's durable apply journal: encoded MSets in acceptance order.
 /// Entries stay live until a checkpoint covering them is installed;
@@ -127,81 +122,10 @@ impl ApplyJournal {
     }
 }
 
-/// One COMPE outcome decision, in broadcast order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decision {
-    /// The global update committed.
-    Commit(EtId),
-    /// The global update aborted; replicas compensate.
-    Abort(EtId),
-}
-
-#[derive(Debug, Default)]
-struct ControlState {
-    completed: Vec<EtId>,
-    decisions: Vec<Decision>,
-    vtnc_max: Option<VersionTs>,
-}
-
-/// Cluster-shared record of every control-plane broadcast, appended
-/// *before* the channels are used so a site that crashes mid-broadcast
-/// can recover the notice at restart. Channel re-delivery after replay
-/// is harmless: completion, VTNC advance, and decision handling are all
-/// idempotent at the sites.
-#[derive(Debug, Default)]
-pub struct ControlLog {
-    state: Mutex<ControlState>,
-}
-
-/// Snapshot of the control log for restart replay.
-#[derive(Debug, Clone, Default)]
-pub struct ControlReplay {
-    /// ETs whose completion notice has been broadcast (COMMU/RITU).
-    pub completed: Vec<EtId>,
-    /// COMPE commit/abort decisions in broadcast order.
-    pub decisions: Vec<Decision>,
-    /// The furthest VTNC horizon ever certified (RITU-MV).
-    pub vtnc_max: Option<VersionTs>,
-}
-
-impl ControlLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a completion notice about to be broadcast.
-    pub fn note_complete(&self, et: EtId) {
-        self.state.lock().completed.push(et);
-    }
-
-    /// Records a COMPE decision about to be broadcast.
-    pub fn note_decision(&self, d: Decision) {
-        self.state.lock().decisions.push(d);
-    }
-
-    /// Records a VTNC advance about to be broadcast (keeps the max —
-    /// the horizon is monotone).
-    pub fn note_vtnc(&self, to: VersionTs) {
-        let mut s = self.state.lock();
-        s.vtnc_max = Some(s.vtnc_max.map_or(to, |m| m.max(to)));
-    }
-
-    /// Everything a restarting site must replay after its journal.
-    pub fn snapshot(&self) -> ControlReplay {
-        let s = self.state.lock();
-        ControlReplay {
-            completed: s.completed.clone(),
-            decisions: s.decisions.clone(),
-            vtnc_max: s.vtnc_max,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esr_core::ids::{ClientId, ObjectId, SiteId};
+    use esr_core::ids::{EtId, ObjectId, SiteId};
     use esr_core::op::{ObjectOp, Operation};
 
     #[test]
@@ -274,23 +198,5 @@ mod tests {
         j2.record(&mk(6));
         assert_eq!(j2.last_id(), Some(5));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn control_log_keeps_order_and_vtnc_max() {
-        let log = ControlLog::new();
-        log.note_complete(EtId(1));
-        log.note_decision(Decision::Commit(EtId(2)));
-        log.note_decision(Decision::Abort(EtId(3)));
-        log.note_complete(EtId(4));
-        log.note_vtnc(VersionTs::new(3, ClientId(0)));
-        log.note_vtnc(VersionTs::new(1, ClientId(0)));
-        let r = log.snapshot();
-        assert_eq!(r.completed, vec![EtId(1), EtId(4)]);
-        assert_eq!(
-            r.decisions,
-            vec![Decision::Commit(EtId(2)), Decision::Abort(EtId(3))]
-        );
-        assert_eq!(r.vtnc_max, Some(VersionTs::new(3, ClientId(0))));
     }
 }

@@ -1,10 +1,10 @@
 //! The method-dispatched site state machine shared by every runtime.
 //!
 //! [`SiteState`] wraps one of the five replica-control site
-//! implementations behind a uniform surface, so the thread cluster
-//! ([`crate::cluster`]), the networked daemon ([`crate::daemon`]), and
-//! recovery ([`crate::recovery`]) all drive *the same* protocol code —
-//! the transports differ, the state machines cannot.
+//! implementations behind a uniform surface; the control core
+//! ([`crate::ctrl::NodeCore`]) owns one and is the only code that
+//! drives it, whichever executor — thread cluster ([`crate::cluster`]),
+//! networked daemon ([`crate::daemon`]), model checker — runs the core.
 
 use std::collections::BTreeMap;
 
@@ -19,8 +19,6 @@ use esr_replica::ordup::OrdupSite;
 use esr_replica::ritu::{RituMvSite, RituOverwriteSite};
 use esr_replica::site::{QueryOutcome, ReplicaSite};
 
-use crate::recovery::{ControlReplay, Decision};
-
 /// Replica control methods available in the runtimes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RtMethod {
@@ -30,10 +28,9 @@ pub enum RtMethod {
     Commu,
     /// RITU last-writer-wins overwrite.
     Ritu,
-    /// RITU multiversion with VTNC visibility: the tracker (thread
-    /// runtime) or coordinator site (process runtime) acts as the
-    /// certifier, advancing the horizon once a version is installed at
-    /// every replica.
+    /// RITU multiversion with VTNC visibility: the coordinator site
+    /// acts as the certifier, advancing the horizon once a version is
+    /// installed at every replica.
     RituMv,
     /// Compensation-based backward control (commit/abort driven by the
     /// client).
@@ -304,26 +301,6 @@ impl SiteState {
     pub fn abort(&mut self, et: EtId) {
         if let SiteState::Compe(s) = self {
             let _ = s.abort(et);
-        }
-    }
-
-    /// Replays recovered control-plane broadcasts after a journal
-    /// replay: completion notices, the certified VTNC horizon, and COMPE
-    /// decisions in their original order. Everything here is idempotent,
-    /// so notices the site already processed before crashing are
-    /// harmless to replay.
-    pub fn replay_control(&mut self, r: &ControlReplay) {
-        for &et in &r.completed {
-            self.complete(et);
-        }
-        if let Some(v) = r.vtnc_max {
-            self.advance_vtnc(v);
-        }
-        for d in &r.decisions {
-            match d {
-                Decision::Commit(et) => self.commit(*et),
-                Decision::Abort(et) => self.abort(*et),
-            }
         }
     }
 }

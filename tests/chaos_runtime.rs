@@ -1,14 +1,16 @@
 //! Chaos integration: the thread runtime under a seeded lossy transport
 //! with crash/restart recovery.
 //!
-//! Each scenario routes every update through the durable fault-injection
-//! relays (drops ≈ 25% of attempts, duplicates ≈ 15% of deliveries, one
-//! partition window isolating a site mid-stream), crashes one site in
-//! the middle of the run, restarts it, and then requires the full ESR
-//! guarantee: at quiescence all replicas are identical, and the final
-//! state equals what a fault-free run produces. Counters must prove the
-//! faults actually fired, and the same seed must reproduce byte-identical
-//! fault traces and final snapshots.
+//! Each scenario routes every frame through the durable fault-injection
+//! relays (drops ≈ 25% of update attempts, duplicates ≈ 15% of update
+//! deliveries, one partition window isolating a site mid-stream),
+//! crashes one site — a follower or the coordinator — in the middle of
+//! the run, restarts it, and then requires the full ESR guarantee: at
+//! quiescence all replicas are identical, and the final state equals
+//! what a fault-free run produces. Every run's per-site trace rings go
+//! through the `esr-check` trace certifier, counters must prove the
+//! faults actually fired, and the same seed must reproduce
+//! byte-identical fault traces and final snapshots.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -17,6 +19,7 @@ use std::time::Duration;
 use esr::core::{EtId, ObjectId, ObjectOp, Operation, SiteId, Value};
 use esr::net::faults::{PartitionSchedule, PartitionWindow};
 use esr::runtime::{render_trace, ChaosStats, Cluster, FaultPlan, RtMethod};
+use esr_check::certify::{certify, SiteTrace};
 
 const X: ObjectId = ObjectId(0);
 const Y: ObjectId = ObjectId(1);
@@ -64,10 +67,36 @@ struct RunResult {
     snapshots: Vec<BTreeMap<ObjectId, Value>>,
     trace: String,
     stats: ChaosStats,
-    /// Duplicate deliveries suppressed + MSets journalled, summed over
-    /// all sites.
-    redelivered: u64,
+    /// Duplicate deliveries suppressed (MSets by the replicas'
+    /// idempotency guards, re-sent submits by the cores' client tables)
+    /// + MSets journalled, summed over all sites.
+    suppressed: u64,
     journaled: u64,
+}
+
+/// Dumps every site's trace ring, requires the run to pass the
+/// replication-aware trace certifier — the thread runtime is judged
+/// against the same spec as every proc-cluster scenario — and returns
+/// how many re-sent submits the cores absorbed.
+fn certify_run(c: &Cluster, method: RtMethod, seed: u64) -> u64 {
+    let traces: Vec<SiteTrace> = (0..N as u64)
+        .map(|s| {
+            let (dropped, events) = c.trace_of(SiteId(s));
+            SiteTrace::from_dump(s, dropped, events)
+        })
+        .collect();
+    let findings = certify(method, &traces);
+    assert!(
+        findings.is_empty(),
+        "{method:?} seed={seed}: trace certification failed:\n{findings:#?}"
+    );
+    traces
+        .iter()
+        .flat_map(|t| &t.events)
+        .filter(|(component, message)| {
+            component == "client" && message.starts_with("duplicate submit")
+        })
+        .count() as u64
 }
 
 /// Submits update `i` of a scenario (ops chosen per method so the final
@@ -104,48 +133,60 @@ fn submit(c: &Cluster, method: RtMethod, i: u64) -> EtId {
     }
 }
 
-/// Runs the full chaos scenario: phase 1 of updates, crash site 1,
-/// phase 2 while it is down (relays buffer durably and re-send), restart,
-/// decide COMPE outcomes, quiesce, and collect everything.
-fn run_scenario(method: RtMethod, seed: u64, tag: &str) -> RunResult {
+/// COMPE: decides every ET of `ets` (numbered from `first`): commit
+/// even submissions, abort odd ones.
+fn decide(c: &Cluster, ets: &[EtId], first: u64) {
+    for (i, et) in (first..).zip(ets) {
+        if i % 2 == 0 {
+            c.commit(*et);
+        } else {
+            c.abort(*et);
+        }
+    }
+}
+
+/// Runs the full chaos scenario: phase 1 of updates (decided at once
+/// under COMPE, so decisions are in flight at the crash), crash
+/// `victim`, phase 2 while it is down (relays buffer durably and
+/// re-send — submits to the dead site included), restart, decide the
+/// phase-2 COMPE outcomes, quiesce, certify, and collect everything.
+/// `victim` = site 0 kills the coordinator: completion tracking, VTNC
+/// certification and the decision log die with it and are rebuilt by
+/// the core's Hello exchange.
+fn run_scenario(method: RtMethod, seed: u64, tag: &str, victim: SiteId) -> RunResult {
     let dir = fresh_dir(tag);
     let mut c = Cluster::chaos(method, N, plan(seed), &dir);
     let mut ets = Vec::new();
     for i in 0..PHASE {
         ets.push(submit(&c, method, i));
     }
-    c.crash(SiteId(1));
+    if method == RtMethod::Compe {
+        decide(&c, &ets, 0);
+    }
+    c.crash(victim);
     for i in PHASE..2 * PHASE {
         ets.push(submit(&c, method, i));
     }
     // Let the ack timeout elapse so the relays demonstrably re-send to
     // the dead site before it comes back (guarantees resends > 0).
     std::thread::sleep(Duration::from_millis(60));
-    c.restart(SiteId(1));
+    c.restart(victim);
     if method == RtMethod::Compe {
-        // Every global update needs a decision before COMPE can settle:
-        // commit even submissions, abort odd ones. Some decisions were
-        // logged while site 1 was down — it recovers them from the
-        // control log.
-        for (i, et) in ets.iter().enumerate() {
-            if i % 2 == 0 {
-                c.commit(*et);
-            } else {
-                c.abort(*et);
-            }
-        }
+        // Every global update needs a decision before COMPE can settle.
+        decide(&c, &ets[PHASE as usize..], PHASE);
     }
     c.quiesce();
     assert!(c.converged(), "{method:?} seed={seed}: replicas diverged");
+    let mut suppressed = certify_run(&c, method, seed);
     let snapshots: Vec<_> = (0..N)
         .map(|i| c.snapshot_of(SiteId(i as u64)))
         .collect();
     let stats = c.chaos_stats();
     let trace = render_trace(&c.fault_trace());
-    let (mut redelivered, mut journaled) = (0, 0);
+    let mut journaled = 0;
     for i in 0..N {
         let a = c.audit_of(SiteId(i as u64));
-        redelivered += a.redelivered;
+        suppressed += a.redelivered;
         journaled += a.journaled;
     }
     c.shutdown();
@@ -154,7 +195,7 @@ fn run_scenario(method: RtMethod, seed: u64, tag: &str) -> RunResult {
         snapshots,
         trace,
         stats,
-        redelivered,
+        suppressed,
         journaled,
     }
 }
@@ -201,7 +242,7 @@ fn expected_final(method: RtMethod) -> BTreeMap<ObjectId, Value> {
 
 fn assert_chaos_scenario(method: RtMethod, tag: &str) {
     let seed = seed();
-    let r = run_scenario(method, seed, tag);
+    let r = run_scenario(method, seed, tag, SiteId(1));
     let expected = expected_final(method);
     for (i, snap) in r.snapshots.iter().enumerate() {
         assert_eq!(
@@ -223,9 +264,9 @@ fn assert_chaos_scenario(method: RtMethod, tag: &str) {
     assert_eq!(r.stats.restarts, 1);
     // Every site journalled updates and survived duplicate deliveries.
     assert!(r.journaled >= 2 * PHASE, "{method:?}: journals too thin");
-    assert!(r.redelivered > 0, "{method:?}: no duplicate was suppressed");
+    assert!(r.suppressed > 0, "{method:?}: no duplicate was suppressed");
     // Reproducibility: the same seed yields the same trace and state.
-    let again = run_scenario(method, seed, &format!("{tag}2"));
+    let again = run_scenario(method, seed, &format!("{tag}2"), SiteId(1));
     assert_eq!(r.trace, again.trace, "{method:?} seed={seed}: trace differs");
     assert_eq!(
         r.snapshots, again.snapshots,
@@ -253,11 +294,50 @@ fn compe_survives_chaos_with_crash_restart() {
     assert_chaos_scenario(RtMethod::Compe, "compe");
 }
 
+/// Crashes and restarts the **coordinator** (site 0) mid-stream: the
+/// run must still converge to the fault-free state and certify
+/// (`run_scenario` checks both), and — the fault trace being a function
+/// of seed and submission order only — plan exactly the fates of the
+/// run that killed a follower instead.
+fn assert_coordinator_crash(method: RtMethod, tag: &str) {
+    let seed = seed();
+    let r = run_scenario(method, seed, tag, SiteId(0));
+    let expected = expected_final(method);
+    for (i, snap) in r.snapshots.iter().enumerate() {
+        assert_eq!(
+            snap, &expected,
+            "{method:?} seed={seed}: site {i} final state wrong after a coordinator crash"
+        );
+    }
+    assert_eq!((r.stats.crashes, r.stats.restarts), (1, 1));
+    assert!(r.stats.resends > 0, "{method:?}: crash never forced a re-send");
+    let follower = run_scenario(method, seed, &format!("{tag}f"), SiteId(1));
+    assert_eq!(
+        r.trace, follower.trace,
+        "{method:?} seed={seed}: fault trace depends on which site crashed"
+    );
+    assert_eq!(r.snapshots, follower.snapshots);
+}
+
+#[test]
+fn commu_survives_coordinator_crash_restart() {
+    assert_coordinator_crash(RtMethod::Commu, "commu0");
+}
+
+#[test]
+fn ritu_mv_survives_coordinator_crash_restart() {
+    assert_coordinator_crash(RtMethod::RituMv, "ritumv0");
+}
+
+#[test]
+fn compe_survives_coordinator_crash_restart() {
+    assert_coordinator_crash(RtMethod::Compe, "compe0");
+}
+
 #[test]
 fn ritu_mv_converges_under_chaos_without_crash() {
-    // RITU-MV exercises the tracker-certified VTNC path; run it under
-    // the lossy transport (no crash — the certification horizon then
-    // also catches up, which quiesce does not wait for).
+    // RITU-MV exercises the coordinator-certified VTNC path; run it
+    // under the lossy transport with no crash in the mix.
     let seed = seed();
     let dir = fresh_dir("ritumv");
     let c = Cluster::chaos(RtMethod::RituMv, N, plan(seed), &dir);
@@ -266,6 +346,7 @@ fn ritu_mv_converges_under_chaos_without_crash() {
     }
     c.quiesce();
     assert!(c.converged());
+    certify_run(&c, RtMethod::RituMv, seed);
     assert_eq!(
         c.snapshot_of(SiteId(0))[&X],
         Value::Int(2 * PHASE as i64 - 1)
@@ -290,6 +371,7 @@ fn same_seed_reproduces_byte_identical_trace() {
         }
         c.quiesce();
         assert!(c.converged());
+        certify_run(&c, RtMethod::Commu, seed);
         traces.push(render_trace(&c.fault_trace()));
         drop(c);
         let _ = std::fs::remove_dir_all(&dir);
@@ -311,7 +393,7 @@ fn same_seed_reproduces_byte_identical_trace() {
 fn different_seeds_differ() {
     // Sanity check that the plan seed actually steers the fates (two
     // arbitrary distinct seeds colliding on every link is vanishingly
-    // unlikely with 216 planned entries).
+    // unlikely with 72 planned entries).
     let mut traces = Vec::new();
     for seed in [11, 12] {
         let dir = fresh_dir(&format!("diverge{seed}"));
@@ -349,6 +431,7 @@ fn crashed_site_recovers_journalled_state_alone() {
         "journal replay lost acknowledged state"
     );
     assert!(c.converged());
+    certify_run(&c, RtMethod::Commu, seed);
     c.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
