@@ -1,29 +1,31 @@
-//! Replication-aware trace certification over `esr-obs` EventRing
+//! Replication-aware trace certification over per-site event-log
 //! dumps.
 //!
-//! A live esrd site records its protocol decisions as structured
-//! events (the `Effect::Trace` grammar of `esr_runtime::ctrl`); this
-//! module replays a set of per-site dumps against the per-method
-//! visibility and convergence specs, turning any chaos or proc-cluster
-//! run into a *checked* execution. The spec style follows Enea et
-//! al.'s replication-aware linearizability — per-replica causal
-//! histories checked against the method's visibility contract — and
-//! Perrin et al.'s update consistency for the cross-site agreement
-//! checks.
+//! A live site records its protocol decisions as typed
+//! [`Event`]s (the `Effect::Event`s of `esr_runtime::ctrl` plus the
+//! daemon's checkpoint-chain notes); this module replays a set of
+//! per-site dumps against the per-method visibility and convergence
+//! specs, turning any chaos or proc-cluster run into a *checked*
+//! execution. The spec style follows Enea et al.'s replication-aware
+//! linearizability — per-replica causal histories checked against the
+//! method's visibility contract — and Perrin et al.'s update
+//! consistency for the cross-site agreement checks.
 //!
-//! ## Event grammar (component → message)
+//! ## Events consumed
 //!
-//! * `apply` / `replay` — `et N applied[ v=T][ seq=S]` or
-//!   `et N held/duplicate`
-//! * `control` — `complete et N` | `vtnc -> time T` | `commit et N` |
-//!   `abort et N`
-//! * `ckpt` — `cut covered=N` | `restore covered=N view=V` |
-//!   `install seq=N covered=K` | `truncate through=C retired=R`
-//! * anything else (`boot`, `peer`) is ignored.
+//! * `Span` with stage `Apply` / `Replay` — an effective apply of the
+//!   record's ET (`version` and `gseq` feed the VTNC and ORDUP rules)
+//! * `Span` with stage `Complete` / `Vtnc` / `Decision` — the control
+//!   notices as this site learned them
+//! * `CkptCut` / `CkptRestore` / `CkptInstall` / `CkptTruncate` — the
+//!   checkpoint chain
+//! * every other event (the remaining span stages, duplicates,
+//!   handshakes, view changes, boot, catch-up, failures) carries no
+//!   invariant and is ignored.
 //!
-//! A dump covers one *incarnation*: the ring dies with the process,
-//! and a recovered site re-records its journal replays (`replay`
-//! events) and snapshot-replayed control traffic at boot, so the
+//! A dump covers one *incarnation*: the log dies with the process,
+//! and a recovered site re-records its journal replays (`Replay`
+//! spans) and snapshot-replayed control traffic at boot, so the
 //! causal prefix a check needs is present after restarts too.
 //!
 //! ## Checks
@@ -67,40 +69,42 @@
 //! 14. **outcome agreement** (COMPE): an ET's commit/abort outcome is
 //!     consistent across sites.
 //!
-//! Ring overflow (`dropped > 0`) downgrades gracefully: history-prefix
+//! Log overflow (`dropped > 0`) downgrades gracefully: history-prefix
 //! checks that would false-positive on an evicted prefix are skipped
 //! for that site, and cross-site checks are skipped entirely. An
-//! incarnation that booted from a snapshot (`ckpt restore ...`)
+//! incarnation that booted from a snapshot (a `CkptRestore` event)
 //! downgrades the same way: the checkpoint compresses the covered
 //! prefix out of the trace, so per-ET apply evidence for it is
 //! legitimately absent.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use esr_core::ids::{EtId, SeqNo, VersionTs};
+use esr_replica::span::{Event, SpanStage};
+use esr_runtime::spans::RawEvent;
 use esr_runtime::state::RtMethod;
 
-/// One site's EventRing dump, in ring-sequence (per-site causal)
+/// One site's event-log dump, in ring-sequence (per-site causal)
 /// order.
 #[derive(Debug, Clone)]
 pub struct SiteTrace {
     /// The dumping site.
     pub site: u64,
-    /// Events evicted by the bounded ring before the dump.
+    /// Events evicted by the bounded log before the dump.
     pub dropped: u64,
-    /// `(component, message)` pairs in seq order.
-    pub events: Vec<(String, String)>,
+    /// The retained events in seq order.
+    pub events: Vec<Event>,
 }
 
 impl SiteTrace {
-    /// Builds a trace from a raw `Frame::TraceOk` dump
-    /// (`(seq, micros, component, message)` tuples), restoring seq
-    /// order.
-    pub fn from_dump(site: u64, dropped: u64, mut dump: Vec<(u64, u64, String, String)>) -> Self {
+    /// Builds a trace from a raw dump (`(seq, micros, event)` tuples),
+    /// restoring seq order.
+    pub fn from_dump(site: u64, dropped: u64, mut dump: Vec<RawEvent>) -> Self {
         dump.sort_by_key(|e| e.0);
         Self {
             site,
             dropped,
-            events: dump.into_iter().map(|(_, _, c, m)| (c, m)).collect(),
+            events: dump.into_iter().map(|(_, _, e)| e).collect(),
         }
     }
 }
@@ -116,94 +120,13 @@ pub struct CertFinding {
     pub detail: String,
 }
 
-/// A parsed protocol event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Ev {
-    Applied { et: u64, v: Option<u64>, seq: Option<u64> },
-    Held,
-    Complete { et: u64 },
-    Vtnc { t: u64 },
-    Decision { et: u64, commit: bool },
-    CkptCut { covered: u64 },
-    CkptRestore { covered: u64 },
-    CkptInstall { seq: u64, covered: u64 },
-    CkptTruncate { through: u64 },
-}
-
-/// Pulls `key=<u64>` out of a whitespace-separated tail.
-fn field(tail: &str, key: &str) -> Option<u64> {
-    tail.split_whitespace()
-        .find_map(|tok| tok.strip_prefix(key)?.parse().ok())
-}
-
-fn parse_event(component: &str, message: &str) -> Option<Ev> {
-    match component {
-        "apply" | "replay" => {
-            let rest = message.strip_prefix("et ")?;
-            let (et_str, tail) = rest.split_once(' ')?;
-            let et = et_str.parse().ok()?;
-            if tail.starts_with("held/duplicate") {
-                return Some(Ev::Held);
-            }
-            if !tail.starts_with("applied") {
-                return None;
-            }
-            let mut v = None;
-            let mut seq = None;
-            for tok in tail.split_whitespace().skip(1) {
-                if let Some(t) = tok.strip_prefix("v=") {
-                    v = t.parse().ok();
-                } else if let Some(s) = tok.strip_prefix("seq=") {
-                    seq = s.parse().ok();
-                }
-            }
-            Some(Ev::Applied { et, v, seq })
-        }
-        "control" => {
-            if let Some(rest) = message.strip_prefix("complete et ") {
-                return Some(Ev::Complete { et: rest.parse().ok()? });
-            }
-            if let Some(rest) = message.strip_prefix("vtnc -> time ") {
-                return Some(Ev::Vtnc { t: rest.parse().ok()? });
-            }
-            if let Some(rest) = message.strip_prefix("commit et ") {
-                return Some(Ev::Decision { et: rest.parse().ok()?, commit: true });
-            }
-            if let Some(rest) = message.strip_prefix("abort et ") {
-                return Some(Ev::Decision { et: rest.parse().ok()?, commit: false });
-            }
-            None
-        }
-        "ckpt" => {
-            if let Some(tail) = message.strip_prefix("cut ") {
-                return Some(Ev::CkptCut { covered: field(tail, "covered=")? });
-            }
-            if let Some(tail) = message.strip_prefix("restore ") {
-                return Some(Ev::CkptRestore { covered: field(tail, "covered=")? });
-            }
-            if let Some(tail) = message.strip_prefix("install ") {
-                return Some(Ev::CkptInstall {
-                    seq: field(tail, "seq=")?,
-                    covered: field(tail, "covered=")?,
-                });
-            }
-            if let Some(tail) = message.strip_prefix("truncate ") {
-                return Some(Ev::CkptTruncate { through: field(tail, "through=")? });
-            }
-            // `catch-up: ...` and failure notes carry no invariant.
-            None
-        }
-        _ => None,
-    }
-}
-
 /// Per-site digest accumulated while replaying a trace.
 #[derive(Debug, Default)]
 struct SiteDigest {
-    applied: BTreeSet<u64>,
-    completed: BTreeSet<u64>,
-    committed: BTreeSet<u64>,
-    aborted: BTreeSet<u64>,
+    applied: BTreeSet<EtId>,
+    completed: BTreeSet<EtId>,
+    committed: BTreeSet<EtId>,
+    aborted: BTreeSet<EtId>,
 }
 
 /// Certifies a set of quiescent-site dumps against `method`'s spec.
@@ -215,109 +138,103 @@ pub fn certify(method: RtMethod, traces: &[SiteTrace]) -> Vec<CertFinding> {
     let mut any_restore = false;
     for trace in traces {
         let mut d = SiteDigest::default();
+        let mut flag = |check: &'static str, detail: String| {
+            findings.push(CertFinding {
+                site: Some(trace.site),
+                check,
+                detail,
+            });
+        };
         // A snapshot-restored incarnation has no per-ET events for the
-        // covered prefix — same downgrade as an overflowed ring.
+        // covered prefix — same downgrade as an overflowed log.
         let restored = trace
             .events
             .iter()
-            .any(|(c, m)| matches!(parse_event(c, m), Some(Ev::CkptRestore { .. })));
+            .any(|e| matches!(e, Event::CkptRestore { .. }));
         any_restore |= restored;
         let lossless = trace.dropped == 0 && !restored;
-        let mut max_installed: Option<u64> = None;
-        let mut vtnc_last: Option<u64> = None;
-        let mut last_seq: Option<u64> = None;
+        let mut max_installed: Option<VersionTs> = None;
+        let mut vtnc_last: Option<VersionTs> = None;
+        let mut last_seq: Option<SeqNo> = None;
         let mut ckpt_seq_last: Option<u64> = None;
         let mut ckpt_covered_last: Option<u64> = None;
         let mut ckpt_install_covered_last: Option<u64> = None;
         let mut ckpt_truncate_last: Option<u64> = None;
         let mut ckpt_chain_started = false;
-        for (component, message) in &trace.events {
-            let Some(ev) = parse_event(component, message) else {
-                continue;
-            };
-            match ev {
-                Ev::Applied { et, v, seq } => {
-                    if !d.applied.insert(et) {
-                        findings.push(CertFinding {
-                            site: Some(trace.site),
-                            check: "no-double-apply",
-                            detail: format!("et {et} effectively applied twice"),
-                        });
-                    }
-                    if let Some(t) = v {
-                        max_installed = Some(max_installed.map_or(t, |m| m.max(t)));
-                    }
-                    if let Some(s) = seq {
-                        if last_seq.is_some_and(|p| p >= s) {
-                            findings.push(CertFinding {
-                                site: Some(trace.site),
-                                check: "ordup-order",
-                                detail: format!(
-                                    "seq {s} applied after {:?}",
-                                    last_seq
-                                ),
-                            });
+        for event in &trace.events {
+            match *event {
+                Event::Span(r) => match (r.stage, r.et) {
+                    (SpanStage::Apply | SpanStage::Replay, Some(et)) => {
+                        if !d.applied.insert(et) {
+                            flag("no-double-apply", format!("{et} effectively applied twice"));
                         }
-                        last_seq = Some(s);
+                        max_installed = max_installed.max(r.version);
+                        if let Some(s) = r.gseq {
+                            if last_seq.is_some_and(|p| p >= s) {
+                                flag(
+                                    "ordup-order",
+                                    format!("seq {s} applied after {last_seq:?}"),
+                                );
+                            }
+                            last_seq = Some(s);
+                        }
                     }
-                }
-                Ev::Held => {}
-                Ev::Complete { et } => {
-                    if !d.completed.insert(et) {
-                        findings.push(CertFinding {
-                            site: Some(trace.site),
-                            check: "no-duplicate-complete",
-                            detail: format!(
-                                "et {et} completed twice in one incarnation"
-                            ),
-                        });
+                    (SpanStage::Complete, Some(et)) => {
+                        if !d.completed.insert(et) {
+                            flag(
+                                "no-duplicate-complete",
+                                format!("{et} completed twice in one incarnation"),
+                            );
+                        }
+                        if lossless && !d.applied.contains(&et) {
+                            flag(
+                                "apply-before-complete",
+                                format!("completion of {et} arrived before its apply"),
+                            );
+                        }
                     }
-                    if lossless && !d.applied.contains(&et) {
-                        findings.push(CertFinding {
-                            site: Some(trace.site),
-                            check: "apply-before-complete",
-                            detail: format!(
-                                "completion of et {et} arrived before its apply"
-                            ),
-                        });
+                    (SpanStage::Vtnc, _) => {
+                        let Some(t) = r.version else { continue };
+                        if vtnc_last.is_some_and(|p| p > t) {
+                            flag(
+                                "vtnc-monotone",
+                                format!("horizon regressed {vtnc_last:?} -> {t}"),
+                            );
+                        }
+                        vtnc_last = Some(t);
+                        if lossless && max_installed.is_none_or(|m| m < t) {
+                            flag(
+                                "vtnc-visibility",
+                                format!(
+                                    "horizon {t} certified but max installed version is \
+                                     {max_installed:?}"
+                                ),
+                            );
+                        }
                     }
-                }
-                Ev::Vtnc { t } => {
-                    if vtnc_last.is_some_and(|p| p > t) {
-                        findings.push(CertFinding {
-                            site: Some(trace.site),
-                            check: "vtnc-monotone",
-                            detail: format!("horizon regressed {vtnc_last:?} -> {t}"),
-                        });
-                    }
-                    vtnc_last = Some(t);
-                    if lossless && max_installed.is_none_or(|m| m < t) {
-                        findings.push(CertFinding {
-                            site: Some(trace.site),
-                            check: "vtnc-visibility",
-                            detail: format!(
-                                "horizon {t} certified but max installed version is {max_installed:?}"
-                            ),
-                        });
-                    }
-                }
-                Ev::Decision { et, commit } => {
-                    if commit {
-                        d.committed.insert(et);
-                    } else {
-                        d.aborted.insert(et);
-                    }
-                }
-                Ev::CkptCut { covered } => {
+                    (SpanStage::Decision, Some(et)) => match r.commit {
+                        Some(true) => {
+                            d.committed.insert(et);
+                        }
+                        Some(false) => {
+                            d.aborted.insert(et);
+                        }
+                        None => {}
+                    },
+                    // Submit/enqueue/deliver/held hops and the
+                    // coordinator's `*Cert` moments carry no per-site
+                    // invariant.
+                    _ => {}
+                },
+                Event::CkptCut { covered } => {
                     ckpt_chain_started = true;
                     if ckpt_covered_last.is_some_and(|p| p > covered) {
-                        findings.push(CertFinding {
-                            site: Some(trace.site),
-                            check: "ckpt-covered-monotone",
-                            detail: format!(
+                        flag(
+                            "ckpt-covered-monotone",
+                            format!(
                                 "cut covered frontier regressed {ckpt_covered_last:?} -> {covered}"
                             ),
-                        });
+                        );
                     }
                     ckpt_covered_last = Some(covered);
                 }
@@ -326,78 +243,68 @@ pub fn certify(method: RtMethod, traces: &[SiteTrace]) -> Vec<CertFinding> {
                 // covered monotonicity is judged install-against-install
                 // (seeded by the restore base), never against the cut
                 // chain.
-                Ev::CkptInstall { seq, covered } => {
+                Event::CkptInstall { seq, covered } => {
                     ckpt_chain_started = true;
                     if ckpt_install_covered_last.is_some_and(|p| p > covered) {
-                        findings.push(CertFinding {
-                            site: Some(trace.site),
-                            check: "ckpt-covered-monotone",
-                            detail: format!(
+                        flag(
+                            "ckpt-covered-monotone",
+                            format!(
                                 "install covered frontier regressed \
                                  {ckpt_install_covered_last:?} -> {covered}"
                             ),
-                        });
+                        );
                     }
                     ckpt_install_covered_last = Some(covered);
                     if ckpt_seq_last.is_some_and(|p| p >= seq) {
-                        findings.push(CertFinding {
-                            site: Some(trace.site),
-                            check: "ckpt-seq-monotone",
-                            detail: format!(
-                                "snapshot seq {seq} installed after {ckpt_seq_last:?}"
-                            ),
-                        });
+                        flag(
+                            "ckpt-seq-monotone",
+                            format!("snapshot seq {seq} installed after {ckpt_seq_last:?}"),
+                        );
                     }
                     ckpt_seq_last = Some(seq);
                 }
-                Ev::CkptRestore { covered } => {
+                Event::CkptRestore { covered, .. } => {
                     if ckpt_chain_started {
-                        findings.push(CertFinding {
-                            site: Some(trace.site),
-                            check: "ckpt-restore-first",
-                            detail: format!(
+                        flag(
+                            "ckpt-restore-first",
+                            format!(
                                 "restore (covered {covered}) after a cut/install \
                                  of the same incarnation"
                             ),
-                        });
+                        );
                     }
                     if ckpt_covered_last.is_some_and(|p| p > covered) {
-                        findings.push(CertFinding {
-                            site: Some(trace.site),
-                            check: "ckpt-covered-monotone",
-                            detail: format!(
-                                "restore covered {covered} below {ckpt_covered_last:?}"
-                            ),
-                        });
+                        flag(
+                            "ckpt-covered-monotone",
+                            format!("restore covered {covered} below {ckpt_covered_last:?}"),
+                        );
                     }
                     ckpt_covered_last = Some(covered);
                     ckpt_install_covered_last = Some(covered);
                 }
-                Ev::CkptTruncate { through } => {
+                Event::CkptTruncate { through, .. } => {
                     if ckpt_truncate_last.is_some_and(|p| p > through) {
-                        findings.push(CertFinding {
-                            site: Some(trace.site),
-                            check: "ckpt-truncate-monotone",
-                            detail: format!(
+                        flag(
+                            "ckpt-truncate-monotone",
+                            format!(
                                 "truncation cut moved backwards {ckpt_truncate_last:?} -> {through}"
                             ),
-                        });
+                        );
                     }
                     ckpt_truncate_last = Some(through);
                 }
+                // Duplicates, handshakes, view changes, boot, catch-up
+                // and failure notes carry no invariant.
+                _ => {}
             }
         }
         if let Some(et) = d.committed.intersection(&d.aborted).next() {
-            findings.push(CertFinding {
-                site: Some(trace.site),
-                check: "decision-conflict",
-                detail: format!("et {et} both committed and aborted"),
-            });
+            flag("decision-conflict", format!("{et} both committed and aborted"));
         }
         digests.push(d);
     }
 
-    // Cross-site agreement only when no ring lost history (by
+    // Cross-site agreement only when no log lost history (by
     // overflow or by snapshot compression).
     if traces.iter().all(|t| t.dropped == 0) && !any_restore && digests.len() > 1 {
         if method != RtMethod::Compe {
@@ -419,7 +326,7 @@ pub fn certify(method: RtMethod, traces: &[SiteTrace]) -> Vec<CertFinding> {
             );
         }
         if method == RtMethod::Compe {
-            let mut outcome: BTreeMap<u64, bool> = BTreeMap::new();
+            let mut outcome: BTreeMap<EtId, bool> = BTreeMap::new();
             for (trace, d) in traces.iter().zip(&digests) {
                 for (&et, commit) in d
                     .committed
@@ -431,7 +338,7 @@ pub fn certify(method: RtMethod, traces: &[SiteTrace]) -> Vec<CertFinding> {
                         findings.push(CertFinding {
                             site: Some(trace.site),
                             check: "outcome-agreement",
-                            detail: format!("et {et} outcome disagrees across sites"),
+                            detail: format!("{et} outcome disagrees across sites"),
                         });
                     }
                 }
@@ -447,7 +354,7 @@ fn agree(
     traces: &[SiteTrace],
     digests: &[SiteDigest],
     check: &'static str,
-    set: impl Fn(&SiteDigest) -> &BTreeSet<u64>,
+    set: impl Fn(&SiteDigest) -> &BTreeSet<EtId>,
 ) {
     let first = set(&digests[0]);
     for (trace, d) in traces.iter().zip(digests).skip(1) {
@@ -470,46 +377,88 @@ fn agree(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esr_core::ids::{ClientId, SiteId};
+    use esr_replica::span::SpanRec;
 
-    fn ev(c: &str, m: &str) -> (String, String) {
-        (c.to_string(), m.to_string())
+    fn span(stage: SpanStage, et: u64) -> SpanRec {
+        SpanRec::new(stage, EtId(et))
     }
 
-    fn site(site: u64, events: Vec<(String, String)>) -> SiteTrace {
+    fn v(time: u64) -> VersionTs {
+        VersionTs::new(time, ClientId(0))
+    }
+
+    fn applied(et: u64) -> Event {
+        Event::Span(span(SpanStage::Apply, et))
+    }
+
+    fn applied_v(et: u64, time: u64) -> Event {
+        Event::Span(span(SpanStage::Apply, et).with_version(Some(v(time))))
+    }
+
+    fn applied_seq(et: u64, seq: u64) -> Event {
+        Event::Span(span(SpanStage::Apply, et).with_gseq(Some(SeqNo(seq))))
+    }
+
+    fn replayed(et: u64) -> Event {
+        Event::Span(span(SpanStage::Replay, et))
+    }
+
+    fn complete(et: u64) -> Event {
+        Event::Span(span(SpanStage::Complete, et))
+    }
+
+    fn vtnc(time: u64) -> Event {
+        Event::Span(SpanRec::vtnc(SpanStage::Vtnc, v(time)))
+    }
+
+    fn decision(et: u64, commit: bool) -> Event {
+        Event::Span(span(SpanStage::Decision, et).with_commit(commit))
+    }
+
+    fn cut(covered: u64) -> Event {
+        Event::CkptCut { covered }
+    }
+
+    fn restore(covered: u64) -> Event {
+        Event::CkptRestore { covered, view: 0 }
+    }
+
+    fn install(seq: u64, covered: u64) -> Event {
+        Event::CkptInstall { seq, covered }
+    }
+
+    fn truncate(through: u64, retired: u64) -> Event {
+        Event::CkptTruncate { through, retired }
+    }
+
+    fn site(site: u64, events: Vec<Event>) -> SiteTrace {
         SiteTrace { site, dropped: 0, events }
+    }
+
+    fn fired(method: RtMethod, traces: &[SiteTrace], check: &str) -> bool {
+        certify(method, traces).iter().any(|f| f.check == check)
     }
 
     #[test]
     fn clean_commu_run_certifies() {
         let traces = vec![
-            site(0, vec![ev("apply", "et 1 applied"), ev("control", "complete et 1")]),
-            site(1, vec![ev("apply", "et 1 applied"), ev("control", "complete et 1")]),
+            site(0, vec![applied(1), complete(1)]),
+            site(1, vec![applied(1), complete(1)]),
         ];
         assert!(certify(RtMethod::Commu, &traces).is_empty());
     }
 
     #[test]
     fn complete_before_apply_is_flagged() {
-        let traces = vec![site(
-            1,
-            vec![ev("control", "complete et 1"), ev("apply", "et 1 applied")],
-        )];
-        let f = certify(RtMethod::Commu, &traces);
-        assert!(f.iter().any(|f| f.check == "apply-before-complete"));
+        let traces = vec![site(1, vec![complete(1), applied(1)])];
+        assert!(fired(RtMethod::Commu, &traces, "apply-before-complete"));
     }
 
     #[test]
     fn duplicate_complete_in_one_incarnation_is_flagged() {
-        let traces = vec![site(
-            0,
-            vec![
-                ev("apply", "et 1 applied"),
-                ev("control", "complete et 1"),
-                ev("control", "complete et 1"),
-            ],
-        )];
-        let f = certify(RtMethod::Commu, &traces);
-        assert!(f.iter().any(|f| f.check == "no-duplicate-complete"));
+        let traces = vec![site(0, vec![applied(1), complete(1), complete(1)])];
+        assert!(fired(RtMethod::Commu, &traces, "no-duplicate-complete"));
     }
 
     #[test]
@@ -517,10 +466,20 @@ mod tests {
         let traces = vec![site(
             0,
             vec![
-                ev("view", "install view 1, coordinator site 1"),
-                ev("client", "duplicate submit client 7 seq 1 -> et 1"),
-                ev("apply", "et 1 applied"),
-                ev("control", "complete et 1"),
+                Event::ViewInstall {
+                    view: 1,
+                    coordinator: SiteId(1),
+                },
+                Event::DuplicateSubmit {
+                    client: ClientId(7),
+                    seq: 1,
+                    et: EtId(1),
+                },
+                Event::Span(span(SpanStage::Deliver, 1)),
+                applied(1),
+                Event::DuplicateDelivery { et: EtId(1) },
+                Event::Span(span(SpanStage::CompleteCert, 1)),
+                complete(1),
             ],
         )];
         assert!(certify(RtMethod::Commu, &traces).is_empty());
@@ -528,77 +487,67 @@ mod tests {
 
     #[test]
     fn vtnc_ahead_of_install_is_flagged() {
-        let traces = vec![site(
-            2,
-            vec![ev("control", "vtnc -> time 2"), ev("apply", "et 1 applied v=2")],
-        )];
-        let f = certify(RtMethod::RituMv, &traces);
-        assert!(f.iter().any(|f| f.check == "vtnc-visibility"));
+        let traces = vec![site(2, vec![vtnc(2), applied_v(1, 2)])];
+        assert!(fired(RtMethod::RituMv, &traces, "vtnc-visibility"));
     }
 
     #[test]
     fn vtnc_regression_is_flagged() {
-        let traces = vec![site(
-            2,
-            vec![
-                ev("apply", "et 1 applied v=2"),
-                ev("control", "vtnc -> time 2"),
-                ev("control", "vtnc -> time 1"),
-            ],
-        )];
-        let f = certify(RtMethod::RituMv, &traces);
-        assert!(f.iter().any(|f| f.check == "vtnc-monotone"));
+        let traces = vec![site(2, vec![applied_v(1, 2), vtnc(2), vtnc(1)])];
+        assert!(fired(RtMethod::RituMv, &traces, "vtnc-monotone"));
     }
 
     #[test]
     fn replayed_applies_satisfy_prefix_checks() {
         // A restarted incarnation: journal replay events precede the
         // snapshot-replayed completion.
-        let traces = vec![site(
-            1,
-            vec![ev("replay", "et 1 applied"), ev("control", "complete et 1")],
-        )];
+        let traces = vec![site(1, vec![replayed(1), complete(1)])];
         assert!(certify(RtMethod::Commu, &traces).is_empty());
     }
 
     #[test]
     fn applied_set_divergence_is_flagged() {
         let traces = vec![
-            site(0, vec![ev("apply", "et 1 applied")]),
-            site(1, vec![ev("apply", "et 1 applied"), ev("apply", "et 2 applied")]),
+            site(0, vec![applied(1)]),
+            site(1, vec![applied(1), applied(2)]),
         ];
-        let f = certify(RtMethod::Ritu, &traces);
-        assert!(f.iter().any(|f| f.check == "applied-set-agreement"));
+        assert!(fired(RtMethod::Ritu, &traces, "applied-set-agreement"));
+    }
+
+    #[test]
+    fn completed_set_divergence_is_flagged() {
+        let traces = vec![
+            site(0, vec![applied(1), complete(1)]),
+            site(1, vec![applied(1)]),
+        ];
+        assert!(fired(RtMethod::Commu, &traces, "completed-set-agreement"));
     }
 
     #[test]
     fn double_apply_is_flagged() {
-        let traces = vec![site(1, vec![ev("apply", "et 1 applied"), ev("apply", "et 1 applied")])];
-        let f = certify(RtMethod::Commu, &traces);
-        assert!(f.iter().any(|f| f.check == "no-double-apply"));
+        let traces = vec![site(1, vec![applied(1), applied(1)])];
+        assert!(fired(RtMethod::Commu, &traces, "no-double-apply"));
     }
 
     #[test]
     fn ordup_misorder_is_flagged() {
-        let traces = vec![site(
-            1,
-            vec![
-                ev("apply", "et 2 applied seq=1"),
-                ev("apply", "et 1 applied seq=0"),
-            ],
-        )];
-        let f = certify(RtMethod::Ordup, &traces);
-        assert!(f.iter().any(|f| f.check == "ordup-order"));
+        let traces = vec![site(1, vec![applied_seq(2, 1), applied_seq(1, 0)])];
+        assert!(fired(RtMethod::Ordup, &traces, "ordup-order"));
     }
 
     #[test]
     fn conflicting_outcomes_are_flagged() {
         let traces = vec![
-            site(0, vec![ev("control", "commit et 1")]),
-            site(1, vec![ev("control", "abort et 1")]),
+            site(0, vec![decision(1, true)]),
+            site(1, vec![decision(1, false)]),
         ];
-        let f = certify(RtMethod::Compe, &traces);
-        assert!(f.iter().any(|f| f.check == "outcome-agreement"));
+        assert!(fired(RtMethod::Compe, &traces, "outcome-agreement"));
+    }
+
+    #[test]
+    fn commit_and_abort_at_one_site_is_flagged() {
+        let traces = vec![site(0, vec![decision(1, true), decision(1, false)])];
+        assert!(fired(RtMethod::Compe, &traces, "decision-conflict"));
     }
 
     #[test]
@@ -606,16 +555,24 @@ mod tests {
         let traces = vec![site(
             0,
             vec![
-                ev("ckpt", "restore covered=2 view=0"),
-                ev("replay", "et 3 applied"),
-                ev("apply", "et 4 applied"),
-                ev("ckpt", "cut covered=4"),
-                ev("ckpt", "install seq=3 covered=4"),
-                ev("ckpt", "truncate through=1 retired=2"),
-                ev("ckpt", "cut covered=4"),
-                ev("ckpt", "install seq=4 covered=4"),
-                ev("ckpt", "truncate through=3 retired=2"),
-                ev("ckpt", "catch-up: installed snapshot seq 4 (covered 4) from site 1"),
+                restore(2),
+                replayed(3),
+                applied(4),
+                cut(4),
+                install(3, 4),
+                truncate(1, 2),
+                cut(4),
+                install(4, 4),
+                truncate(3, 2),
+                Event::CkptCatchUp {
+                    seq: 4,
+                    covered: 4,
+                    from: SiteId(1),
+                },
+                Event::CkptFailed {
+                    seq: 5,
+                    detail: "install: disk full".into(),
+                },
             ],
         )];
         assert!(certify(RtMethod::Commu, &traces).is_empty());
@@ -623,25 +580,14 @@ mod tests {
 
     #[test]
     fn ckpt_seq_regression_is_flagged() {
-        let traces = vec![site(
-            0,
-            vec![
-                ev("ckpt", "install seq=5 covered=10"),
-                ev("ckpt", "install seq=5 covered=11"),
-            ],
-        )];
-        let f = certify(RtMethod::Commu, &traces);
-        assert!(f.iter().any(|f| f.check == "ckpt-seq-monotone"));
+        let traces = vec![site(0, vec![install(5, 10), install(5, 11)])];
+        assert!(fired(RtMethod::Commu, &traces, "ckpt-seq-monotone"));
     }
 
     #[test]
     fn ckpt_covered_regression_is_flagged() {
-        let traces = vec![site(
-            0,
-            vec![ev("ckpt", "cut covered=9"), ev("ckpt", "cut covered=4")],
-        )];
-        let f = certify(RtMethod::Commu, &traces);
-        assert!(f.iter().any(|f| f.check == "ckpt-covered-monotone"));
+        let traces = vec![site(0, vec![cut(9), cut(4)])];
+        assert!(fired(RtMethod::Commu, &traces, "ckpt-covered-monotone"));
     }
 
     #[test]
@@ -651,53 +597,27 @@ mod tests {
         // interleaving of an asynchronous install under load.
         let traces = vec![site(
             0,
-            vec![
-                ev("ckpt", "cut covered=4"),
-                ev("ckpt", "cut covered=9"),
-                ev("ckpt", "install seq=1 covered=4"),
-                ev("ckpt", "install seq=2 covered=9"),
-            ],
+            vec![cut(4), cut(9), install(1, 4), install(2, 9)],
         )];
         assert!(certify(RtMethod::Commu, &traces).is_empty());
     }
 
     #[test]
     fn install_covered_regression_is_flagged() {
-        let traces = vec![site(
-            0,
-            vec![
-                ev("ckpt", "install seq=1 covered=9"),
-                ev("ckpt", "install seq=2 covered=4"),
-            ],
-        )];
-        let f = certify(RtMethod::Commu, &traces);
-        assert!(f.iter().any(|f| f.check == "ckpt-covered-monotone"));
+        let traces = vec![site(0, vec![install(1, 9), install(2, 4)])];
+        assert!(fired(RtMethod::Commu, &traces, "ckpt-covered-monotone"));
     }
 
     #[test]
     fn restore_after_cut_is_flagged() {
-        let traces = vec![site(
-            0,
-            vec![
-                ev("ckpt", "cut covered=3"),
-                ev("ckpt", "restore covered=3 view=0"),
-            ],
-        )];
-        let f = certify(RtMethod::Commu, &traces);
-        assert!(f.iter().any(|f| f.check == "ckpt-restore-first"));
+        let traces = vec![site(0, vec![cut(3), restore(3)])];
+        assert!(fired(RtMethod::Commu, &traces, "ckpt-restore-first"));
     }
 
     #[test]
     fn backwards_truncation_is_flagged() {
-        let traces = vec![site(
-            0,
-            vec![
-                ev("ckpt", "truncate through=8 retired=9"),
-                ev("ckpt", "truncate through=2 retired=0"),
-            ],
-        )];
-        let f = certify(RtMethod::Commu, &traces);
-        assert!(f.iter().any(|f| f.check == "ckpt-truncate-monotone"));
+        let traces = vec![site(0, vec![truncate(8, 9), truncate(2, 0)])];
+        assert!(fired(RtMethod::Commu, &traces, "ckpt-truncate-monotone"));
     }
 
     #[test]
@@ -706,14 +626,8 @@ mod tests {
         // for it exists, yet its completion (and cross-site applied
         // sets) must not be flagged.
         let traces = vec![
-            site(
-                0,
-                vec![
-                    ev("ckpt", "restore covered=1 view=0"),
-                    ev("control", "complete et 1"),
-                ],
-            ),
-            site(1, vec![ev("apply", "et 1 applied"), ev("control", "complete et 1")]),
+            site(0, vec![restore(1), complete(1)]),
+            site(1, vec![applied(1), complete(1)]),
         ];
         assert!(certify(RtMethod::Commu, &traces).is_empty());
     }
@@ -723,7 +637,7 @@ mod tests {
         let traces = vec![SiteTrace {
             site: 1,
             dropped: 7,
-            events: vec![ev("control", "complete et 1")],
+            events: vec![complete(1)],
         }];
         assert!(certify(RtMethod::Commu, &traces).is_empty());
     }

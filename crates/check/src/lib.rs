@@ -28,8 +28,8 @@
 //!    terminal oracles plus recovery idempotence. Its own seeded
 //!    canaries live in [`model::canary`].
 //! 5. **Trace certifier** ([`certify`]) — replication-aware
-//!    certification of `esr-obs` event-ring dumps from live `esrd`
-//!    sites: per-site apply/complete/VTNC/decision causality and
+//!    certification of typed event-log dumps from live `esrd` sites
+//!    and thread-cluster sites: per-site apply/complete/VTNC/decision causality and
 //!    cross-site agreement, degrading gracefully on ring overflow.
 //!
 //! The probe hub is process-global, so explorations must not overlap;

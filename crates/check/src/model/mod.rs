@@ -47,6 +47,7 @@ use std::collections::VecDeque;
 use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
 use esr_replica::mset::MSet;
+use esr_replica::span::Event;
 use esr_replica::wire::Frame;
 use esr_runtime::ctrl::{CtrlCanary, Effect, NodeCore, NodeEvent};
 use esr_runtime::state::{RtMethod, SiteState};
@@ -327,9 +328,10 @@ pub struct ModelNode {
     /// view-monotonicity oracle's evidence; reset on crash like the
     /// trace).
     pub view_history: Vec<u64>,
-    /// This incarnation's trace events (cleared on crash, like the
-    /// real per-process EventRing) — certifier food.
-    pub trace: Vec<(&'static str, String)>,
+    /// This incarnation's events (cleared on crash, like the real
+    /// per-process event log) — certifier food, never consulted by a
+    /// transition.
+    pub trace: Vec<Event>,
     /// The newest checkpoint cut emitted by `Effect::Checkpoint`
     /// (durable: survives crashes, like the daemon's installed
     /// snapshot container). Properties compare restore-from-it +
@@ -638,14 +640,7 @@ impl<'a> World<'a> {
                     // ≡ full replay) is checked directly over it.
                     self.nodes[site].ckpt = Some(payload);
                 }
-                Effect::Trace { component, message } => {
-                    self.nodes[site].trace.push((component, message));
-                }
-                // Tracing spans are non-durable observability records;
-                // the model has no span ring and no clock to stamp
-                // them with, so they are discarded — by contract they
-                // carry no protocol meaning.
-                Effect::Span(_) => {}
+                Effect::Event(event) => self.nodes[site].trace.push(event),
             }
         }
     }

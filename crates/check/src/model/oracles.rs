@@ -22,6 +22,7 @@ use std::collections::BTreeSet;
 use esr_core::ids::{ObjectId, SiteId};
 use esr_core::value::Value;
 use esr_replica::compe::CompeEvent;
+use esr_replica::span::{Event, SpanRec, SpanStage};
 use esr_runtime::state::SiteState;
 use std::collections::BTreeMap;
 
@@ -191,15 +192,19 @@ pub fn check_safety(cfg: &ModelCfg, world: &World<'_>, phase: &str) -> Vec<Model
         // handoff must absorb prior completions as evidence, never
         // replay them as fresh `complete` events.
         let mut announced = BTreeSet::new();
-        for (component, message) in &node.trace {
-            if *component == "control"
-                && message.starts_with("complete et ")
-                && !announced.insert(message.clone())
+        for event in &node.trace {
+            if let Event::Span(SpanRec {
+                stage: SpanStage::Complete,
+                et: Some(et),
+                ..
+            }) = event
             {
-                findings.push(finding(
-                    "duplicate-complete",
-                    format!("{phase}site {i} traced \"{message}\" twice in one incarnation"),
-                ));
+                if !announced.insert(*et) {
+                    findings.push(finding(
+                        "duplicate-complete",
+                        format!("{phase}site {i} completed {et} twice in one incarnation"),
+                    ));
+                }
             }
         }
     }

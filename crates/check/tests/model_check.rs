@@ -179,11 +179,7 @@ fn model_traces_certify() {
             .map(|(i, n)| SiteTrace {
                 site: i as u64,
                 dropped: 0,
-                events: n
-                    .trace
-                    .iter()
-                    .map(|(c, m)| ((*c).to_string(), m.clone()))
-                    .collect(),
+                events: n.trace.clone(),
             })
             .collect();
         let findings = certify(method, &traces);

@@ -18,9 +18,10 @@
 //!   bundles threaded through the five replica-site implementations and
 //!   the TCP link manager. Both are no-ops when detached (`Default`),
 //!   so uninstrumented paths pay one branch.
-//! * [`EventRing`] — a bounded in-memory ring of causally ordered
-//!   structured trace events (the daemon's flight recorder), dumpable
-//!   over the wire via `esrctl trace`.
+//! * [`EventRing`] — a bounded in-memory ring of causally ordered,
+//!   caller-stamped events, generic over the event type (the runtimes'
+//!   flight recorder; `esrctl trace` / `esrctl spans` dump it over the
+//!   wire).
 //!
 //! Zero dependencies beyond `esr-core` (for the shared
 //! [`esr_core::fastid`] hasher); no wall-clock reads anywhere — callers
@@ -33,7 +34,7 @@ pub mod events;
 pub mod instruments;
 pub mod registry;
 
-pub use events::{EventRing, TraceEvent};
+pub use events::EventRing;
 pub use instruments::{
     CkptInstruments, GaugeFamily, LinkInstruments, ReactorInstruments, SiteInstruments,
 };

@@ -35,7 +35,6 @@ use esr_net::PartitionSchedule;
 use esr_sim::clock::LamportClock;
 use esr_sim::rng::DetRng;
 use esr_sim::sched::Scheduler;
-use esr_sim::trace::Trace;
 use esr_sim::time::{Duration, VirtualTime};
 use esr_storage::recovery_log::RollbackStrategy;
 use esr_storage::store::ObjectStore;
@@ -327,9 +326,6 @@ pub struct SimCluster {
     deviation: DeviationTracker,
     /// COMPE: sites that have processed each update's outcome notice.
     outcome_seen: BTreeMap<EtId, std::collections::BTreeSet<SiteId>>,
-    /// Bounded event trace (disabled by default; see
-    /// [`SimCluster::enable_trace`]).
-    trace: Trace,
     /// Acks already scheduled, so delivery rescans don't re-send them.
     acks_scheduled: std::collections::BTreeSet<(EtId, SiteId)>,
     stats: ClusterStats,
@@ -412,7 +408,6 @@ impl SimCluster {
             global_counters: LockCounters::new(),
             deviation: DeviationTracker::new(),
             outcome_seen: BTreeMap::new(),
-            trace: Trace::disabled(),
             acks_scheduled: std::collections::BTreeSet::new(),
             stats: ClusterStats::default(),
             metrics,
@@ -444,17 +439,6 @@ impl SimCluster {
             self.handle(now, e);
         }
         self.sched.advance_to(t);
-    }
-
-    /// Turns on event tracing with the given ring-buffer capacity.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Trace::new(capacity);
-    }
-
-    /// The recorded trace (empty unless [`SimCluster::enable_trace`] was
-    /// called).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Network statistics.
@@ -771,39 +755,7 @@ impl SimCluster {
         }
     }
 
-    /// Every method tracks per-update completion acks: they feed the
-    /// completion-latency metric, the lock-counter release, and the VTNC
-    /// certifier.
-    fn tracks_completion(&self) -> bool {
-        true
-    }
-
     fn handle(&mut self, now: VirtualTime, event: Event) {
-        match &event {
-            Event::Deliver { .. } => {
-                // Traced per MSet inside the batch drain below.
-            }
-            Event::Ack { et, from } => {
-                self.trace
-                    .record(now, "coord", format!("ack {et} from {from}"));
-            }
-            Event::Complete { to, et } => {
-                self.trace
-                    .record(now, &format!("site/{}", to.raw()), format!("complete {et}"));
-            }
-            Event::Outcome { to, et, commit } => {
-                let verdict = if *commit { "commit" } else { "abort" };
-                self.trace.record(
-                    now,
-                    &format!("site/{}", to.raw()),
-                    format!("{verdict} {et}"),
-                );
-            }
-            Event::VtncAdvance { to, ts } => {
-                self.trace
-                    .record(now, &format!("site/{}", to.raw()), format!("vtnc -> {ts}"));
-            }
-        }
         match event {
             Event::Deliver { to, mset } => {
                 // Drain every further delivery bound for this site at
@@ -821,11 +773,8 @@ impl SimCluster {
                     };
                     batch.push(mset);
                 }
-                let lamport = matches!(self.site(to), SiteImpl::OrdupLamport(_));
-                for m in &batch {
-                    self.trace
-                        .record(now, &format!("site/{}", to.raw()), format!("deliver {m}"));
-                    if lamport {
+                if matches!(self.site(to), SiteImpl::OrdupLamport(_)) {
+                    for m in &batch {
                         if let crate::mset::OrderTag::Lamport { ts, .. } = m.order {
                             self.send_clocks[to.raw() as usize].observe(ts);
                         }
@@ -838,31 +787,29 @@ impl SimCluster {
                 } else {
                     self.site_mut(to).deliver_batch(batch);
                 }
-                if self.tracks_completion() {
-                    // A delivery can apply several held-back MSets at
-                    // once (ORDUP drains its hold-back queue, a batch
-                    // applies many), so scan for everything newly applied
-                    // at this site and ack each back to its coordinator
-                    // (the origin site).
-                    let newly_applied: Vec<(EtId, SiteId)> = self
-                        .submissions
-                        .iter()
-                        .filter(|(id, sub)| {
-                            !sub.acks.contains(&to)
-                                && !self.acks_scheduled.contains(&(**id, to))
-                                && self.site(to).has_applied(**id)
-                        })
-                        .map(|(id, sub)| (*id, sub.origin))
-                        .collect();
-                    for (aid, aorigin) in newly_applied {
-                        self.acks_scheduled.insert((aid, to));
-                        if to == aorigin {
-                            self.sched.schedule_at(now, Event::Ack { et: aid, from: to });
-                        } else {
-                            for d in self.net.plan_send(to, aorigin, now) {
-                                self.sched
-                                    .schedule_at(d.at, Event::Ack { et: aid, from: to });
-                            }
+                // A delivery can apply several held-back MSets at
+                // once (ORDUP drains its hold-back queue, a batch
+                // applies many), so scan for everything newly applied
+                // at this site and ack each back to its coordinator
+                // (the origin site).
+                let newly_applied: Vec<(EtId, SiteId)> = self
+                    .submissions
+                    .iter()
+                    .filter(|(id, sub)| {
+                        !sub.acks.contains(&to)
+                            && !self.acks_scheduled.contains(&(**id, to))
+                            && self.site(to).has_applied(**id)
+                    })
+                    .map(|(id, sub)| (*id, sub.origin))
+                    .collect();
+                for (aid, aorigin) in newly_applied {
+                    self.acks_scheduled.insert((aid, to));
+                    if to == aorigin {
+                        self.sched.schedule_at(now, Event::Ack { et: aid, from: to });
+                    } else {
+                        for d in self.net.plan_send(to, aorigin, now) {
+                            self.sched
+                                .schedule_at(d.at, Event::Ack { et: aid, from: to });
                         }
                     }
                 }
@@ -1499,23 +1446,6 @@ mod tests {
         assert_eq!(t1, t2);
         assert_eq!(n1, n2);
         assert_eq!(s1, s2);
-    }
-
-    #[test]
-    fn trace_records_events_when_enabled() {
-        let mut c = SimCluster::new(lossy_config(Method::Commu));
-        c.enable_trace(256);
-        c.submit_update(SiteId(0), incr_op(5));
-        c.run_until_quiescent();
-        assert!(!c.trace().is_empty());
-        let text: Vec<String> = c.trace().entries().map(|e| e.to_string()).collect();
-        assert!(text.iter().any(|l| l.contains("deliver")), "{text:?}");
-        assert!(text.iter().any(|l| l.contains("ack")), "{text:?}");
-        // Disabled by default.
-        let mut c2 = SimCluster::new(lossy_config(Method::Commu));
-        c2.submit_update(SiteId(0), incr_op(5));
-        c2.run_until_quiescent();
-        assert!(c2.trace().is_empty());
     }
 
     #[test]

@@ -1,25 +1,31 @@
-//! Trace spans: the vocabulary of the `esr-trace` cross-site tracing
-//! plane.
+//! The event plane: the one typed vocabulary every executor records
+//! and every consumer reads.
 //!
 //! An update ET's life is distributed by design — it commits at its
 //! origin and propagates lazily — so no single site's metrics can say
-//! where the ET's latency went. Each site instead records [`SpanRec`]s
-//! at every protocol hop it witnesses (submit, link enqueue, delivery,
-//! hold-back, apply, completion, VTNC visibility, COMPE decision), and
-//! `esrctl spans` later merges every site's records into one causal
-//! timeline ordered by the protocol's happens-before edges.
+//! where the ET's latency went. Each site instead records an
+//! [`Event`] at every protocol point it witnesses: a [`SpanRec`] for
+//! each hop of an ET's lifecycle (submit, link enqueue, delivery,
+//! hold-back, apply, completion, VTNC visibility, COMPE decision) and
+//! a typed variant for everything else worth a line in the flight
+//! recorder (absorbed duplicates, handshakes, view changes, the
+//! checkpoint chain, boot). `esrctl spans` merges every site's span
+//! records into one causal timeline ordered by the protocol's
+//! happens-before edges; the trace certifier (`esr-check`) replays the
+//! same events against the per-method visibility specs; `esrctl trace`
+//! renders them through [`fmt::Display`] — text nothing parses again.
 //!
 //! The types here are pure data: no clocks, no I/O. Timestamps are
-//! attached by the *daemon* when it executes a `Span` effect (the step
-//! machines stay deterministic), and the client-submit wall stamp `t0`
-//! rides inside the MSet so every site can report queueing delay
+//! attached by the *executor* when it records an `Event` effect (the
+//! step machines stay deterministic), and the client-submit wall stamp
+//! `t0` rides inside the MSet so every site can report queueing delay
 //! against the same epoch.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use esr_core::ids::{EtId, SeqNo, SiteId, VersionTs};
+use esr_core::ids::{ClientId, EtId, SeqNo, SiteId, VersionTs};
 
 /// A protocol hop in an ET's distributed lifecycle.
 ///
@@ -195,6 +201,175 @@ impl fmt::Display for SpanRec {
     }
 }
 
+/// One observational event, as emitted by the pure step machines and
+/// the executors around them. Purely observational: dropping every
+/// `Event` must leave behaviour unchanged — no executor derives a reply
+/// or a protocol decision from one.
+///
+/// Like [`SpanRec`], an event names neither its recording site nor a
+/// time: the site is whose ring it sits in, the stamp is the
+/// executor's. Free text appears only as the unparsed `detail` of a
+/// failure variant.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Event {
+    /// One hop of an ET's lifecycle.
+    Span(SpanRec),
+    /// An MSet redelivered after its ET had already been applied here;
+    /// absorbed by the replica's idempotency guard.
+    DuplicateDelivery {
+        /// The redelivered ET.
+        et: EtId,
+    },
+    /// A retried client submit answered from the client table with the
+    /// original ET.
+    DuplicateSubmit {
+        /// The retrying client.
+        client: ClientId,
+        /// Its request sequence number.
+        seq: u64,
+        /// The ET the original submit was given.
+        et: EtId,
+    },
+    /// A peer link (re)connected and introduced itself.
+    Hello {
+        /// The peer.
+        site: SiteId,
+        /// Its boot epoch.
+        epoch: u64,
+    },
+    /// This site started (or joined) the election of `view`.
+    ViewChangeStart {
+        /// The view being elected.
+        view: u64,
+    },
+    /// This site installed `view`.
+    ViewInstall {
+        /// The installed view.
+        view: u64,
+        /// That view's coordinator.
+        coordinator: SiteId,
+    },
+    /// A checkpoint was cut.
+    CkptCut {
+        /// Journalled MSets the cut covers.
+        covered: u64,
+    },
+    /// This incarnation booted from a checkpoint image.
+    CkptRestore {
+        /// Journalled MSets the image covers.
+        covered: u64,
+        /// The view booted into.
+        view: u64,
+    },
+    /// A cut was durably installed as snapshot `seq`.
+    CkptInstall {
+        /// The snapshot's sequence number.
+        seq: u64,
+        /// Journalled MSets it covers.
+        covered: u64,
+    },
+    /// The journal prefix the previous snapshot covered was retired.
+    CkptTruncate {
+        /// Journal entry id retired through.
+        through: u64,
+        /// Entries retired.
+        retired: u64,
+    },
+    /// A wiped site installed a peer's snapshot before booting.
+    CkptCatchUp {
+        /// The fetched snapshot's sequence number.
+        seq: u64,
+        /// Journalled MSets it covers.
+        covered: u64,
+        /// The peer it came from.
+        from: SiteId,
+    },
+    /// Snapshot `seq` could not be installed or restored.
+    CkptFailed {
+        /// The snapshot's sequence number.
+        seq: u64,
+        /// What went wrong (unparsed).
+        detail: String,
+    },
+    /// The daemon finished boot recovery.
+    Boot {
+        /// This incarnation's boot epoch.
+        epoch: u64,
+        /// `(seq, covered)` of the snapshot restored from; `None` after
+        /// a full journal replay.
+        snapshot: Option<(u64, u64)>,
+        /// Journal entries replayed (the suffix, after a restore).
+        replayed: u64,
+        /// The view booted into.
+        view: u64,
+    },
+}
+
+/// Renders the `component<TAB>message` columns of an `esrctl trace`
+/// line.
+impl fmt::Display for Event {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Event::Span(rec) => write!(f, "span\t{rec}"),
+            Event::DuplicateDelivery { et } => write!(f, "apply\tet {} duplicate", et.raw()),
+            Event::DuplicateSubmit { client, seq, et } => write!(
+                f,
+                "client\tduplicate submit client {} seq {seq} -> et {}",
+                client.raw(),
+                et.raw()
+            ),
+            Event::Hello { site, epoch } => {
+                write!(f, "peer\thello from site {} epoch {epoch}", site.raw())
+            }
+            Event::ViewChangeStart { view } => {
+                write!(f, "view\tstart view change -> view {view}")
+            }
+            Event::ViewInstall { view, coordinator } => write!(
+                f,
+                "view\tinstall view {view}, coordinator site {}",
+                coordinator.raw()
+            ),
+            Event::CkptCut { covered } => write!(f, "ckpt\tcut covered={covered}"),
+            Event::CkptRestore { covered, view } => {
+                write!(f, "ckpt\trestore covered={covered} view={view}")
+            }
+            Event::CkptInstall { seq, covered } => {
+                write!(f, "ckpt\tinstall seq={seq} covered={covered}")
+            }
+            Event::CkptTruncate { through, retired } => {
+                write!(f, "ckpt\ttruncate through={through} retired={retired}")
+            }
+            Event::CkptCatchUp { seq, covered, from } => write!(
+                f,
+                "ckpt\tcatch-up: installed snapshot seq {seq} (covered {covered}) from site {}",
+                from.raw()
+            ),
+            Event::CkptFailed { seq, detail } => {
+                write!(f, "ckpt\tsnapshot seq {seq} failed: {detail}")
+            }
+            Event::Boot {
+                epoch,
+                snapshot: Some((seq, covered)),
+                replayed,
+                view,
+            } => write!(
+                f,
+                "boot\tepoch {epoch}: restored snapshot seq {seq} (covered {covered}), \
+                 replayed {replayed} suffix entries, view {view}"
+            ),
+            Event::Boot {
+                epoch,
+                snapshot: None,
+                replayed,
+                view,
+            } => write!(
+                f,
+                "boot\tepoch {epoch}: replayed {replayed} journal entries, view {view}"
+            ),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,5 +391,104 @@ mod tests {
         let rec = SpanRec::vtnc(SpanStage::Vtnc, VersionTs::new(9, ClientId(0)));
         assert!(rec.et.is_none());
         assert!(rec.version.is_some());
+    }
+
+    /// Pins every variant's `esrctl trace` columns. The text is an
+    /// operator/CI surface (`grep boot`, `grep 'restored snapshot'`,
+    /// `grep catch-up`, `grep 'apply et1'`); nothing parses it.
+    #[test]
+    fn display_golden() {
+        let golden: Vec<(Event, &str)> = vec![
+            (
+                Event::Span(SpanRec::new(SpanStage::Apply, EtId(1)).with_gseq(Some(SeqNo(2)))),
+                "span\tapply et1 seq=#2",
+            ),
+            (
+                Event::DuplicateDelivery { et: EtId(7) },
+                "apply\tet 7 duplicate",
+            ),
+            (
+                Event::DuplicateSubmit {
+                    client: ClientId(7),
+                    seq: 1,
+                    et: EtId(1),
+                },
+                "client\tduplicate submit client 7 seq 1 -> et 1",
+            ),
+            (
+                Event::Hello {
+                    site: SiteId(2),
+                    epoch: 3,
+                },
+                "peer\thello from site 2 epoch 3",
+            ),
+            (
+                Event::ViewChangeStart { view: 1 },
+                "view\tstart view change -> view 1",
+            ),
+            (
+                Event::ViewInstall {
+                    view: 1,
+                    coordinator: SiteId(1),
+                },
+                "view\tinstall view 1, coordinator site 1",
+            ),
+            (Event::CkptCut { covered: 4 }, "ckpt\tcut covered=4"),
+            (
+                Event::CkptRestore {
+                    covered: 2,
+                    view: 0,
+                },
+                "ckpt\trestore covered=2 view=0",
+            ),
+            (
+                Event::CkptInstall { seq: 3, covered: 4 },
+                "ckpt\tinstall seq=3 covered=4",
+            ),
+            (
+                Event::CkptTruncate {
+                    through: 1,
+                    retired: 2,
+                },
+                "ckpt\ttruncate through=1 retired=2",
+            ),
+            (
+                Event::CkptCatchUp {
+                    seq: 4,
+                    covered: 4,
+                    from: SiteId(1),
+                },
+                "ckpt\tcatch-up: installed snapshot seq 4 (covered 4) from site 1",
+            ),
+            (
+                Event::CkptFailed {
+                    seq: 5,
+                    detail: "disk full".into(),
+                },
+                "ckpt\tsnapshot seq 5 failed: disk full",
+            ),
+            (
+                Event::Boot {
+                    epoch: 2,
+                    snapshot: Some((3, 40)),
+                    replayed: 5,
+                    view: 1,
+                },
+                "boot\tepoch 2: restored snapshot seq 3 (covered 40), \
+                 replayed 5 suffix entries, view 1",
+            ),
+            (
+                Event::Boot {
+                    epoch: 1,
+                    snapshot: None,
+                    replayed: 0,
+                    view: 0,
+                },
+                "boot\tepoch 1: replayed 0 journal entries, view 0",
+            ),
+        ];
+        for (event, line) in golden {
+            assert_eq!(event.to_string(), line);
+        }
     }
 }

@@ -23,7 +23,7 @@ use esr_core::value::Value;
 use crate::compe::CompeEvent;
 use crate::mset::{MSet, OrderTag};
 use crate::site::QueryOutcome;
-use crate::span::{SpanRec, SpanStage};
+use crate::span::{Event, SpanRec, SpanStage};
 
 /// Why a byte payload failed to decode as an MSet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -349,12 +349,10 @@ const FRAME_AUDIT_OK: u8 = 0x19;
 const FRAME_DECISION_OK: u8 = 0x1A;
 const FRAME_METRICS: u8 = 0x1B;
 const FRAME_METRICS_OK: u8 = 0x1C;
-const FRAME_TRACE: u8 = 0x1D;
-const FRAME_TRACE_OK: u8 = 0x1E;
 const FRAME_CHECKPOINT: u8 = 0x1F;
 const FRAME_CHECKPOINT_OK: u8 = 0x20;
-const FRAME_SPAN_QUERY: u8 = 0x21;
-const FRAME_SPAN_OK: u8 = 0x22;
+const FRAME_EVENT_QUERY: u8 = 0x21;
+const FRAME_EVENT_OK: u8 = 0x22;
 
 const COMPE_APPLIED: u8 = 0;
 const COMPE_COMMITTED: u8 = 1;
@@ -589,17 +587,6 @@ pub enum Frame {
         /// The rendered scrape body.
         text: String,
     },
-    /// Client → daemon: dump the in-memory trace-event ring.
-    TraceDump,
-    /// Reply to [`Frame::TraceDump`]: the retained events, oldest first,
-    /// as `(seq, micros, component, message)`, plus how many older
-    /// events the bounded ring already evicted.
-    TraceOk {
-        /// Events evicted before the oldest retained one.
-        dropped: u64,
-        /// The retained events.
-        events: Vec<(u64, u64, String, String)>,
-    },
     /// Client → daemon: take a checkpoint now, regardless of the
     /// byte-interval policy.
     Checkpoint,
@@ -611,21 +598,23 @@ pub enum Frame {
         /// Journalled MSets the checkpoint covers.
         covered: u64,
     },
-    /// Client → daemon: dump the daemon's span ring, filtered to one
-    /// ET's records (`esrctl spans` scrapes every site and merges).
-    SpanQuery {
-        /// Raw ET id to filter on; `u64::MAX` selects every retained
-        /// span (VTNC horizon spans, which carry no ET, always match).
+    /// Client → daemon: dump the daemon's event ring. `esrctl trace`
+    /// asks for everything; `esrctl spans` asks every site for one ET's
+    /// lifecycle records and merges them.
+    EventQuery {
+        /// `u64::MAX` selects every retained event; any other value
+        /// selects the span records of that raw ET id (VTNC horizon
+        /// spans, which carry no ET, always match).
         et: u64,
     },
-    /// Reply to [`Frame::SpanQuery`]: the matching retained spans,
-    /// oldest first, as `(ring_seq, micros, rec)`, plus how many older
-    /// spans the bounded ring already evicted.
-    SpanOk {
-        /// Spans evicted before the oldest retained one.
+    /// Reply to [`Frame::EventQuery`]: the matching retained events,
+    /// oldest first, as `(ring_seq, micros, event)`, plus how many
+    /// older events the bounded ring already evicted.
+    EventOk {
+        /// Events evicted before the oldest retained one.
         dropped: u64,
-        /// The matching retained spans.
-        spans: Vec<(u64, u64, SpanRec)>,
+        /// The matching retained events.
+        events: Vec<(u64, u64, Event)>,
     },
 }
 
@@ -754,6 +743,138 @@ fn decode_span_rec(b: &mut &[u8]) -> Result<SpanRec, WireError> {
         gseq,
         t0,
         commit,
+    })
+}
+
+const EVENT_SPAN: u8 = 0;
+const EVENT_DUPLICATE_DELIVERY: u8 = 1;
+const EVENT_DUPLICATE_SUBMIT: u8 = 2;
+const EVENT_HELLO: u8 = 3;
+const EVENT_VIEW_CHANGE_START: u8 = 4;
+const EVENT_VIEW_INSTALL: u8 = 5;
+const EVENT_CKPT_CUT: u8 = 6;
+const EVENT_CKPT_RESTORE: u8 = 7;
+const EVENT_CKPT_INSTALL: u8 = 8;
+const EVENT_CKPT_TRUNCATE: u8 = 9;
+const EVENT_CKPT_CATCH_UP: u8 = 10;
+const EVENT_CKPT_FAILED: u8 = 11;
+const EVENT_BOOT: u8 = 12;
+
+fn put_tagged(b: &mut BytesMut, tag: u8, fields: &[u64]) {
+    b.put_u8(tag);
+    for f in fields {
+        b.put_u64(*f);
+    }
+}
+
+fn encode_event(b: &mut BytesMut, event: &Event) {
+    match event {
+        Event::Span(rec) => {
+            put_tagged(b, EVENT_SPAN, &[]);
+            encode_span_rec(b, rec);
+        }
+        Event::DuplicateDelivery { et } => {
+            put_tagged(b, EVENT_DUPLICATE_DELIVERY, &[et.raw()]);
+        }
+        Event::DuplicateSubmit { client, seq, et } => {
+            put_tagged(b, EVENT_DUPLICATE_SUBMIT, &[client.raw(), *seq, et.raw()]);
+        }
+        Event::Hello { site, epoch } => put_tagged(b, EVENT_HELLO, &[site.raw(), *epoch]),
+        Event::ViewChangeStart { view } => put_tagged(b, EVENT_VIEW_CHANGE_START, &[*view]),
+        Event::ViewInstall { view, coordinator } => {
+            put_tagged(b, EVENT_VIEW_INSTALL, &[*view, coordinator.raw()]);
+        }
+        Event::CkptCut { covered } => put_tagged(b, EVENT_CKPT_CUT, &[*covered]),
+        Event::CkptRestore { covered, view } => {
+            put_tagged(b, EVENT_CKPT_RESTORE, &[*covered, *view]);
+        }
+        Event::CkptInstall { seq, covered } => {
+            put_tagged(b, EVENT_CKPT_INSTALL, &[*seq, *covered]);
+        }
+        Event::CkptTruncate { through, retired } => {
+            put_tagged(b, EVENT_CKPT_TRUNCATE, &[*through, *retired]);
+        }
+        Event::CkptCatchUp { seq, covered, from } => {
+            put_tagged(b, EVENT_CKPT_CATCH_UP, &[*seq, *covered, from.raw()]);
+        }
+        Event::CkptFailed { seq, detail } => {
+            put_tagged(b, EVENT_CKPT_FAILED, &[*seq]);
+            encode_text(b, detail);
+        }
+        Event::Boot {
+            epoch,
+            snapshot,
+            replayed,
+            view,
+        } => {
+            put_tagged(b, EVENT_BOOT, &[*epoch, *replayed, *view]);
+            match snapshot {
+                None => b.put_u8(0),
+                Some((seq, covered)) => put_tagged(b, 1, &[*seq, *covered]),
+            }
+        }
+    }
+}
+
+fn decode_event(b: &mut &[u8]) -> Result<Event, WireError> {
+    Ok(match get_u8(b)? {
+        EVENT_SPAN => Event::Span(decode_span_rec(b)?),
+        EVENT_DUPLICATE_DELIVERY => Event::DuplicateDelivery {
+            et: EtId(get_u64(b)?),
+        },
+        EVENT_DUPLICATE_SUBMIT => Event::DuplicateSubmit {
+            client: ClientId(get_u64(b)?),
+            seq: get_u64(b)?,
+            et: EtId(get_u64(b)?),
+        },
+        EVENT_HELLO => Event::Hello {
+            site: SiteId(get_u64(b)?),
+            epoch: get_u64(b)?,
+        },
+        EVENT_VIEW_CHANGE_START => Event::ViewChangeStart { view: get_u64(b)? },
+        EVENT_VIEW_INSTALL => Event::ViewInstall {
+            view: get_u64(b)?,
+            coordinator: SiteId(get_u64(b)?),
+        },
+        EVENT_CKPT_CUT => Event::CkptCut {
+            covered: get_u64(b)?,
+        },
+        EVENT_CKPT_RESTORE => Event::CkptRestore {
+            covered: get_u64(b)?,
+            view: get_u64(b)?,
+        },
+        EVENT_CKPT_INSTALL => Event::CkptInstall {
+            seq: get_u64(b)?,
+            covered: get_u64(b)?,
+        },
+        EVENT_CKPT_TRUNCATE => Event::CkptTruncate {
+            through: get_u64(b)?,
+            retired: get_u64(b)?,
+        },
+        EVENT_CKPT_CATCH_UP => Event::CkptCatchUp {
+            seq: get_u64(b)?,
+            covered: get_u64(b)?,
+            from: SiteId(get_u64(b)?),
+        },
+        EVENT_CKPT_FAILED => Event::CkptFailed {
+            seq: get_u64(b)?,
+            detail: decode_text(b)?,
+        },
+        EVENT_BOOT => {
+            let (epoch, replayed, view) = (get_u64(b)?, get_u64(b)?, get_u64(b)?);
+            let snapshot = match get_u8(b)? {
+                0 => None,
+                1 => Some((get_u64(b)?, get_u64(b)?)),
+                tag => return Err(WireError::BadTag { field: "option", tag }),
+            };
+            Event::Boot {
+                epoch,
+                snapshot,
+                replayed,
+                view,
+            }
+        }
+        tag => return Err(WireError::BadTag { field: "event", tag }),
     })
 }
 
@@ -1013,9 +1134,6 @@ pub fn encode_frame(frame: &Frame) -> Bytes {
             b.put_u8(FRAME_METRICS_OK);
             encode_text(&mut b, text);
         }
-        Frame::TraceDump => {
-            b.put_u8(FRAME_TRACE);
-        }
         Frame::Checkpoint => {
             b.put_u8(FRAME_CHECKPOINT);
         }
@@ -1024,29 +1142,18 @@ pub fn encode_frame(frame: &Frame) -> Bytes {
             b.put_u64(*seq);
             b.put_u64(*covered);
         }
-        Frame::TraceOk { dropped, events } => {
-            b.put_u8(FRAME_TRACE_OK);
-            b.put_u64(*dropped);
-            b.put_u32(events.len() as u32);
-            for (seq, micros, component, message) in events {
-                b.put_u64(*seq);
-                b.put_u64(*micros);
-                encode_text(&mut b, component);
-                encode_text(&mut b, message);
-            }
-        }
-        Frame::SpanQuery { et } => {
-            b.put_u8(FRAME_SPAN_QUERY);
+        Frame::EventQuery { et } => {
+            b.put_u8(FRAME_EVENT_QUERY);
             b.put_u64(*et);
         }
-        Frame::SpanOk { dropped, spans } => {
-            b.put_u8(FRAME_SPAN_OK);
+        Frame::EventOk { dropped, events } => {
+            b.put_u8(FRAME_EVENT_OK);
             b.put_u64(*dropped);
-            b.put_u32(spans.len() as u32);
-            for (seq, micros, rec) in spans {
+            b.put_u32(events.len() as u32);
+            for (seq, micros, event) in events {
                 b.put_u64(*seq);
                 b.put_u64(*micros);
-                encode_span_rec(&mut b, rec);
+                encode_event(&mut b, event);
             }
         }
     }
@@ -1234,41 +1341,26 @@ pub fn decode_frame(payload: &Bytes) -> Result<Frame, WireError> {
         FRAME_METRICS_OK => Frame::MetricsOk {
             text: decode_text(&mut b)?,
         },
-        FRAME_TRACE => Frame::TraceDump,
-        FRAME_TRACE_OK => {
-            let dropped = get_u64(&mut b)?;
-            // Each event is at least 24 bytes (two u64s + two counts).
-            let n = get_count(&mut b, 24)?;
-            let mut events = Vec::with_capacity(n);
-            for _ in 0..n {
-                let seq = get_u64(&mut b)?;
-                let micros = get_u64(&mut b)?;
-                let component = decode_text(&mut b)?;
-                let message = decode_text(&mut b)?;
-                events.push((seq, micros, component, message));
-            }
-            Frame::TraceOk { dropped, events }
-        }
         FRAME_CHECKPOINT => Frame::Checkpoint,
         FRAME_CHECKPOINT_OK => Frame::CheckpointOk {
             seq: get_u64(&mut b)?,
             covered: get_u64(&mut b)?,
         },
-        FRAME_SPAN_QUERY => Frame::SpanQuery {
+        FRAME_EVENT_QUERY => Frame::EventQuery {
             et: get_u64(&mut b)?,
         },
-        FRAME_SPAN_OK => {
+        FRAME_EVENT_OK => {
             let dropped = get_u64(&mut b)?;
-            // Each span is at least 23 bytes (two u64s + stage + six
-            // presence bytes).
-            let n = get_count(&mut b, 23)?;
-            let mut spans = Vec::with_capacity(n);
+            // Each event is at least 25 bytes (two u64s, its tag, and
+            // one u64 field).
+            let n = get_count(&mut b, 25)?;
+            let mut events = Vec::with_capacity(n);
             for _ in 0..n {
                 let seq = get_u64(&mut b)?;
                 let micros = get_u64(&mut b)?;
-                spans.push((seq, micros, decode_span_rec(&mut b)?));
+                events.push((seq, micros, decode_event(&mut b)?));
             }
-            Frame::SpanOk { dropped, spans }
+            Frame::EventOk { dropped, events }
         }
         tag => return Err(WireError::BadTag { field: "frame", tag }),
     };
@@ -1411,6 +1503,71 @@ mod tests {
         let bytes = encode_frame(frame);
         let back = decode_frame(&bytes).expect("decode frame");
         assert_eq!(&back, frame);
+    }
+
+    /// One `(ring seq, micros, event)` per [`Event`] variant, spans in
+    /// several shapes.
+    fn every_event() -> Vec<(u64, u64, Event)> {
+        let v5 = VersionTs::new(5, ClientId(1));
+        let events = vec![
+            Event::Span(SpanRec::new(SpanStage::Submit, EtId(12)).with_t0(Some(990))),
+            Event::Span(SpanRec::new(SpanStage::Enqueue, EtId(12)).to_peer(SiteId(1))),
+            Event::Span(
+                SpanRec::new(SpanStage::Apply, EtId(12))
+                    .with_version(Some(v5))
+                    .with_gseq(Some(SeqNo(4))),
+            ),
+            Event::Span(SpanRec::vtnc(SpanStage::Vtnc, v5)),
+            Event::Span(SpanRec::new(SpanStage::Decision, EtId(13)).with_commit(false)),
+            Event::DuplicateDelivery { et: EtId(12) },
+            Event::DuplicateSubmit {
+                client: ClientId(7),
+                seq: 3,
+                et: EtId(12),
+            },
+            Event::Hello {
+                site: SiteId(2),
+                epoch: 4,
+            },
+            Event::ViewChangeStart { view: 1 },
+            Event::ViewInstall {
+                view: 1,
+                coordinator: SiteId(1),
+            },
+            Event::CkptCut { covered: 9 },
+            Event::CkptRestore { covered: 9, view: 1 },
+            Event::CkptInstall { seq: 2, covered: 9 },
+            Event::CkptTruncate {
+                through: 8,
+                retired: 8,
+            },
+            Event::CkptCatchUp {
+                seq: 2,
+                covered: 9,
+                from: SiteId(0),
+            },
+            Event::CkptFailed {
+                seq: 3,
+                detail: "No space left on device".to_owned(),
+            },
+            Event::Boot {
+                epoch: 2,
+                snapshot: Some((2, 9)),
+                replayed: 1,
+                view: 1,
+            },
+            Event::Boot {
+                epoch: 1,
+                snapshot: None,
+                replayed: 0,
+                view: 0,
+            },
+        ];
+        events
+            .into_iter()
+            .enumerate()
+            .map(|(i, e)| (7 + i as u64, 1_000 + 10 * i as u64, e))
+            .collect()
     }
 
     fn sample_mset() -> MSet {
@@ -1566,57 +1723,17 @@ mod tests {
                 text: "esr_msets_applied_total{site=\"0\"} 3\n".to_owned(),
             },
             Frame::MetricsOk { text: String::new() },
-            Frame::TraceDump,
-            Frame::TraceOk {
-                dropped: 4,
-                events: vec![
-                    (5, 1_000, "apply".to_owned(), "deliver et=5".to_owned()),
-                    (6, 2_000, "rpc".to_owned(), "query admitted".to_owned()),
-                ],
-            },
-            Frame::TraceOk {
-                dropped: 0,
-                events: vec![],
-            },
             Frame::Submit(sample_mset().traced(1_723_000_000_000_000)),
             Frame::MSet(sample_mset().from_client(ClientId(2), 3).traced(55)),
-            Frame::SpanQuery { et: 12 },
-            Frame::SpanQuery { et: u64::MAX },
-            Frame::SpanOk {
+            Frame::EventQuery { et: 12 },
+            Frame::EventQuery { et: u64::MAX },
+            Frame::EventOk {
                 dropped: 2,
-                spans: vec![
-                    (
-                        7,
-                        1_000,
-                        SpanRec::new(SpanStage::Submit, EtId(12)).with_t0(Some(990)),
-                    ),
-                    (
-                        8,
-                        1_010,
-                        SpanRec::new(SpanStage::Enqueue, EtId(12)).to_peer(SiteId(1)),
-                    ),
-                    (
-                        9,
-                        1_400,
-                        SpanRec::new(SpanStage::Apply, EtId(12))
-                            .with_version(Some(VersionTs::new(5, ClientId(1))))
-                            .with_gseq(Some(SeqNo(4))),
-                    ),
-                    (
-                        10,
-                        1_500,
-                        SpanRec::vtnc(SpanStage::Vtnc, VersionTs::new(5, ClientId(1))),
-                    ),
-                    (
-                        11,
-                        1_600,
-                        SpanRec::new(SpanStage::Decision, EtId(13)).with_commit(false),
-                    ),
-                ],
+                events: every_event(),
             },
-            Frame::SpanOk {
+            Frame::EventOk {
                 dropped: 0,
-                spans: vec![],
+                events: vec![],
             },
         ];
         for frame in &frames {
@@ -1649,10 +1766,6 @@ mod tests {
             Frame::MetricsOk {
                 text: "esr_backlog{site=\"1\"} 2\n".to_owned(),
             },
-            Frame::TraceOk {
-                dropped: 1,
-                events: vec![(2, 30, "apply".to_owned(), "x".to_owned())],
-            },
             Frame::SnapshotChunk {
                 total_len: 5,
                 offset: 0,
@@ -1668,13 +1781,9 @@ mod tests {
                 ckpt_covered: 7,
             },
             Frame::Submit(sample_mset().traced(9_000)),
-            Frame::SpanOk {
+            Frame::EventOk {
                 dropped: 1,
-                spans: vec![(
-                    3,
-                    77,
-                    SpanRec::new(SpanStage::Deliver, EtId(4)).with_t0(Some(70)),
-                )],
+                events: every_event(),
             },
         ];
         for frame in &frames {

@@ -25,7 +25,7 @@ use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
 use esr_replica::mset::MSet;
 use esr_replica::site::QueryOutcome;
-use esr_replica::span::{SpanRec, SpanStage};
+use esr_replica::span::{Event, SpanRec, SpanStage};
 use esr_replica::wire::{decode_frame, decode_mset, encode_frame, Frame, WireAudit};
 
 /// xorshift64* — deterministic, dependency-free.
@@ -168,21 +168,69 @@ fn corpus(seed: u64) -> Vec<Frame> {
             seq: seed % 13,
             covered: seed % 101,
         },
-        Frame::SpanQuery { et: seed % 97 },
-        Frame::SpanOk {
+        Frame::EventQuery { et: seed % 97 },
+        // Thirteen consecutive variants from a seed-dependent start:
+        // every corpus frame carries every `Event` variant.
+        Frame::EventOk {
             dropped: seed % 7,
-            spans: (0..seed % 3)
-                .map(|i| {
-                    (
-                        i,
-                        seed % 1_000 + i,
-                        SpanRec::new(SpanStage::Deliver, EtId(seed % 97))
-                            .with_t0(if seed.is_multiple_of(2) { Some(seed) } else { None }),
-                    )
-                })
+            events: (0..13)
+                .map(|i| (i, seed % 1_000 + i, event(seed, seed + i)))
                 .collect(),
         },
     ]
+}
+
+/// The `i`-th [`Event`] variant (mod 13), with seed-derived fields.
+fn event(seed: u64, i: u64) -> Event {
+    let et = EtId(seed % 97);
+    let site = SiteId(seed % 5);
+    match i % 13 {
+        0 => Event::Span(
+            SpanRec::new(SpanStage::Apply, et)
+                .with_gseq(Some(SeqNo(i)))
+                .with_t0(if seed.is_multiple_of(2) { Some(seed) } else { None }),
+        ),
+        1 => Event::DuplicateDelivery { et },
+        2 => Event::DuplicateSubmit {
+            client: ClientId(seed % 7),
+            seq: seed % 19,
+            et,
+        },
+        3 => Event::Hello { site, epoch: seed },
+        4 => Event::ViewChangeStart { view: seed % 9 },
+        5 => Event::ViewInstall {
+            view: seed % 9,
+            coordinator: site,
+        },
+        6 => Event::CkptCut { covered: seed % 101 },
+        7 => Event::CkptRestore {
+            covered: seed % 101,
+            view: seed % 9,
+        },
+        8 => Event::CkptInstall {
+            seq: seed % 13,
+            covered: seed % 101,
+        },
+        9 => Event::CkptTruncate {
+            through: seed % 89,
+            retired: seed % 83,
+        },
+        10 => Event::CkptCatchUp {
+            seq: seed % 13,
+            covered: seed % 101,
+            from: site,
+        },
+        11 => Event::CkptFailed {
+            seq: seed % 13,
+            detail: format!("io error {seed}"),
+        },
+        _ => Event::Boot {
+            epoch: seed % 7,
+            snapshot: if seed.is_multiple_of(2) { Some((seed % 13, seed % 101)) } else { None },
+            replayed: seed % 31,
+            view: seed % 9,
+        },
+    }
 }
 
 /// One mutation pass over `base` (never empties the buffer).

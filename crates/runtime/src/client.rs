@@ -27,7 +27,7 @@ use esr_replica::site::QueryOutcome;
 use esr_replica::wire::{decode_frame, encode_frame, Frame};
 
 use crate::daemon::resolve_addr;
-use crate::spans::RawSpan;
+use crate::spans::{span_records, RawEvent, RawSpan, SPAN_QUERY_ALL};
 use crate::state::SiteAudit;
 
 /// A daemon's health summary, as reported by a `Status` round trip.
@@ -191,24 +191,29 @@ impl RpcClient {
         }
     }
 
-    /// Dumps the daemon's in-memory trace ring: the number of events the
-    /// bounded ring dropped, and the retained events in order.
-    pub fn trace(&mut self) -> io::Result<(u64, Vec<WireTraceEvent>)> {
-        match self.call(&Frame::TraceDump)? {
-            Frame::TraceOk { dropped, events } => Ok((dropped, events)),
+    /// Dumps the daemon's event log as `et` selects it (see
+    /// [`crate::spans::EventLog::query`]): the number of events the
+    /// bounded log evicted, plus the retained matching events in order.
+    fn events(&mut self, et: u64) -> io::Result<(u64, Vec<RawEvent>)> {
+        match self.call(&Frame::EventQuery { et })? {
+            Frame::EventOk { dropped, events } => Ok((dropped, events)),
             other => Err(bad_reply(&other)),
         }
     }
 
-    /// Dumps the daemon's esr-trace span ring for one ET (or every
-    /// span, with [`crate::spans::SPAN_QUERY_ALL`]): the number of
-    /// spans the bounded ring evicted, plus the retained matching
-    /// `(ring_seq, micros, span)` records in order.
+    /// Dumps the daemon's whole event log: the number of events the
+    /// bounded log evicted, and the retained events in order.
+    pub fn trace(&mut self) -> io::Result<(u64, Vec<RawEvent>)> {
+        self.events(SPAN_QUERY_ALL)
+    }
+
+    /// Dumps the daemon's lifecycle records for one ET (or all of them,
+    /// with [`SPAN_QUERY_ALL`]): the number of events the bounded log
+    /// evicted, plus the retained matching `(ring_seq, micros, span)`
+    /// records in order.
     pub fn spans(&mut self, et: u64) -> io::Result<(u64, Vec<RawSpan>)> {
-        match self.call(&Frame::SpanQuery { et })? {
-            Frame::SpanOk { dropped, spans } => Ok((dropped, spans)),
-            other => Err(bad_reply(&other)),
-        }
+        let (dropped, events) = self.events(et)?;
+        Ok((dropped, span_records(events)))
     }
 
     /// Asks the daemon to take a checkpoint right now, regardless of its
@@ -256,7 +261,3 @@ impl RpcClient {
         }
     }
 }
-
-/// One trace-ring event as it crosses the wire:
-/// `(seq, micros-since-boot, component, message)`.
-pub type WireTraceEvent = (u64, u64, String, String);

@@ -6,7 +6,7 @@
 //! checks — per OS thread, connected by channels. The cluster is only
 //! an **effect executor**: a site thread feeds inbound frames to
 //! `core.step` and performs the returned [`Effect`]s in order (journal
-//! append, sends to peers, trace events); ORDUP hold-back, completion
+//! append, sends to peers, event-log records); ORDUP hold-back, completion
 //! tracking, VTNC certification and COMPE decisions are decided in
 //! `ctrl.rs` and nowhere else. Site 0 holds the coordinator role
 //! (view 0; no heartbeat tick is ever injected, so the role never
@@ -29,7 +29,6 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use crossbeam::atomic::AtomicCell;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -39,7 +38,7 @@ use esr_core::divergence::{EpsilonSpec, InconsistencyCounter};
 use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
-use esr_obs::{EventRing, GaugeFamily, MetricsRegistry, SiteInstruments};
+use esr_obs::{GaugeFamily, MetricsRegistry, SiteInstruments};
 use esr_replica::mset::MSet;
 use esr_replica::site::QueryOutcome;
 use esr_replica::wire::{encode_frame, Frame};
@@ -47,9 +46,9 @@ use esr_sim::probe;
 use esr_storage::stable_queue::EntryId;
 
 use crate::chaos::{self, ChaosStats, FaultPlan, RelayHandle, RelayMsg, TraceEvent};
-use crate::client::WireTraceEvent;
 use crate::ctrl::{CtrlCanary, Effect, NodeCore, NodeEvent};
 use crate::recovery::ApplyJournal;
+use crate::spans::{EventLog, RawEvent, SPAN_QUERY_ALL};
 use crate::state::{RtMethod, SiteAudit, SiteState};
 
 /// Logical shared-memory location namespace for the per-site protocol
@@ -209,9 +208,9 @@ struct SiteSpawn {
 struct SiteSlot {
     /// `None` while the site is crashed (or after shutdown).
     thread: Option<JoinHandle<()>>,
-    /// The current incarnation's trace ring (a restart starts a fresh
-    /// one: the ring dies with the "process").
-    ring: EventRing,
+    /// The current incarnation's event log (a restart starts a fresh
+    /// one: the log dies with the "process").
+    events: EventLog,
     /// Boot count, echoed in the restart `Hello`.
     epoch: u64,
 }
@@ -271,9 +270,8 @@ struct Site {
     /// only under chaos (a plain cluster never restarts a site).
     journal: Option<ApplyJournal>,
     wiring: Wiring,
-    ring: EventRing,
+    events: EventLog,
     canary: RtCanary,
-    boot: Instant,
 }
 
 impl Site {
@@ -283,7 +281,7 @@ impl Site {
     /// coordinator answer with its control snapshot and (when the
     /// recovering site *is* the coordinator) the followers re-announce
     /// their applies and decisions.
-    fn boot(i: usize, cfg: SiteSpawn, ring: EventRing, epoch: u64) -> Self {
+    fn boot(i: usize, cfg: SiteSpawn, events: EventLog, epoch: u64) -> Self {
         let SiteSpawn { method, n, .. } = cfg;
         let id = SiteId(i as u64);
         let mut state = SiteState::new(method, id);
@@ -320,9 +318,8 @@ impl Site {
             core,
             journal,
             wiring: cfg.wiring,
-            ring,
+            events,
             canary: cfg.canary,
-            boot: Instant::now(),
         };
         site.perform(boot_effects);
         site
@@ -373,27 +370,24 @@ impl Site {
                     }
                 }
                 Effect::Send { to, frame } => self.wiring.send(self.core.site, to, frame),
-                Effect::Trace { component, message } => {
-                    self.ring
-                        .record(self.boot.elapsed().as_micros() as u64, component, message);
-                }
+                Effect::Event(event) => self.events.record(event),
                 // No heartbeat tick is ever injected, so no view past 0
-                // is ever installed; spans and checkpoint cuts have no
-                // consumer in this runtime.
-                Effect::RecordView(_) | Effect::Span(_) | Effect::Checkpoint(_) => {}
+                // is ever installed; checkpoint cuts have no consumer
+                // in this runtime.
+                Effect::RecordView(_) | Effect::Checkpoint(_) => {}
             }
         }
     }
 }
 
-/// Spawns incarnation `epoch` of site `i` with a fresh trace ring.
+/// Spawns incarnation `epoch` of site `i` with a fresh event log.
 fn spawn_site(i: usize, rx: Receiver<SiteMsg>, cfg: SiteSpawn, epoch: u64) -> SiteSlot {
-    let ring = EventRing::default();
-    let site_ring = ring.clone();
+    let events = EventLog::start();
+    let site_events = events.clone();
     let thread = std::thread::Builder::new()
         .name(format!("esr-site-{i}"))
         .spawn(move || {
-            let mut site = Site::boot(i, cfg, site_ring, epoch);
+            let mut site = Site::boot(i, cfg, site_events, epoch);
             // Logical location of this site's protocol state for
             // the race detector: only this thread may touch it.
             let state_loc = SITE_STATE_LOC + i as u64;
@@ -417,7 +411,7 @@ fn spawn_site(i: usize, rx: Receiver<SiteMsg>, cfg: SiteSpawn, epoch: u64) -> Si
         .unwrap_or_else(|e| panic!("spawn site thread {i}: {e}"));
     SiteSlot {
         thread: Some(thread),
-        ring,
+        events,
         epoch,
     }
 }
@@ -745,18 +739,14 @@ impl Cluster {
         self.rendezvous(site, move |s| s.core.state.has_applied(et), || false)
     }
 
-    /// Dumps a site's structured trace ring — every `Effect::Trace` of
-    /// its current incarnation, as `(dropped, events)` in the shape
-    /// `esr_check::certify::SiteTrace::from_dump` takes (a restart
-    /// starts a fresh ring, like a daemon process).
-    pub fn trace_of(&self, site: SiteId) -> (u64, Vec<WireTraceEvent>) {
-        let ring = &self.sites[site.raw() as usize].ring;
-        let events = ring
-            .entries()
-            .into_iter()
-            .map(|e| (e.seq, e.micros, e.component, e.message))
-            .collect();
-        (ring.dropped(), events)
+    /// Dumps a site's event log — every `Effect::Event` of its current
+    /// incarnation, as `(dropped, events)` in the shape
+    /// [`crate::ProcCluster::trace_of`] returns (a restart starts a
+    /// fresh log, like a daemon process).
+    pub fn trace_of(&self, site: SiteId) -> (u64, Vec<RawEvent>) {
+        self.sites[site.raw() as usize]
+            .events
+            .query(SPAN_QUERY_ALL)
     }
 
     /// Aggregated fault counters across every relay, plus crash/restart
@@ -960,6 +950,38 @@ mod tests {
         c.quiesce();
         assert!(c.converged());
         assert_eq!(c.snapshot_of(SiteId(0))[&X], Value::Int(50));
+    }
+
+    #[test]
+    fn event_logs_merge_into_one_causal_timeline() {
+        use crate::spans::{merge_timeline, span_records};
+        use esr_replica::span::SpanStage;
+
+        let c = Cluster::new(RtMethod::Commu, 3);
+        c.submit_update(SiteId(0), incr(1));
+        let et = c.submit_update(SiteId(1), incr(2));
+        c.quiesce();
+        let per_site: Vec<_> = (0..3)
+            .map(|s| {
+                let (dropped, events) = c.trace_of(SiteId(s));
+                assert_eq!(dropped, 0);
+                (SiteId(s), span_records(events))
+            })
+            .collect();
+        let timeline = merge_timeline(&per_site, et);
+        let first = |stage| timeline.iter().position(|s| s.rec.stage == stage);
+        let last = |stage| timeline.iter().rposition(|s| s.rec.stage == stage);
+        let count = |stage| timeline.iter().filter(|s| s.rec.stage == stage).count();
+        assert_eq!(first(SpanStage::Submit), Some(0), "{timeline:#?}");
+        assert_eq!(timeline[0].site, SiteId(1), "the origin recorded the submit");
+        assert_eq!(count(SpanStage::Enqueue), 2);
+        for stage in [SpanStage::Deliver, SpanStage::Apply, SpanStage::Complete] {
+            assert_eq!(count(stage), 3, "{stage} at every site: {timeline:#?}");
+        }
+        assert!(last(SpanStage::Submit) < first(SpanStage::Enqueue));
+        assert!(last(SpanStage::Enqueue) < first(SpanStage::Deliver));
+        assert!(last(SpanStage::Deliver) < first(SpanStage::Apply));
+        assert!(last(SpanStage::Apply) < first(SpanStage::Complete));
     }
 
     #[test]

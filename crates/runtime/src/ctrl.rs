@@ -41,6 +41,16 @@
 //! covers [`Effect::RecordView`]: a view is durable before the first
 //! send that presumes it.
 //!
+//! ## One observational effect per protocol point
+//!
+//! [`Effect::Event`] is the only observational effect, and each
+//! protocol point pushes exactly one: the typed
+//! [`esr_replica::span::Event`] *is* the record — the apply span the
+//! timeline merges is the apply the trace certifier checks. Events
+//! carry no protocol meaning: an executor may stamp and keep them (the
+//! daemon, the thread cluster), keep them unstamped (the model) or
+//! drop them, and must never derive a reply or a decision from one.
+//!
 //! ## Seeded defects
 //!
 //! [`CtrlCanary`] enumerates the control-plane defect classes the
@@ -54,7 +64,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use esr_core::ids::{ClientId, EtId, SeqNo, SiteId, VersionTs};
 use esr_core::op::Operation;
 use esr_replica::mset::{MSet, OrderTag};
-use esr_replica::span::{SpanRec, SpanStage};
+use esr_replica::span::{Event, SpanRec, SpanStage};
 use esr_replica::wire::Frame;
 
 use crate::ckpt::CkptPayload;
@@ -120,30 +130,18 @@ pub enum Effect {
     /// step, so no frame of a view can be observed before the view
     /// itself would survive a crash.
     RecordView(u64),
-    /// Record a structured observability event (esr-obs ring). The
-    /// message grammar is part of the trace-certifier contract
-    /// (`esr-check::certify`): apply events carry `v=<time>` /
-    /// `seq=<n>` annotations, control events use the fixed
-    /// `complete et N` / `vtnc -> time T` / `commit et N` /
-    /// `abort et N` forms.
-    Trace {
-        /// Ring component tag (`apply`, `control`, `peer`, `replay`,
-        /// `view`, `client`, `ckpt`).
-        component: &'static str,
-        /// Human- and certifier-readable event text.
-        message: String,
-    },
     /// Persist this checkpoint image (atomic snapshot install in the
     /// daemon, an in-memory register in the model). Boxed: a payload
     /// carries the whole replica image and would otherwise dominate the
     /// size of every `Effect`.
     Checkpoint(Box<CkptPayload>),
-    /// Record one tracing span (esr-trace plane). Non-durable and
-    /// purely observational: the daemon stamps it with wall-clock
-    /// micros and appends it to the bounded span ring, the model
-    /// checker discards it. Never carries protocol meaning — dropping
-    /// every `Span` effect must leave behaviour unchanged.
-    Span(SpanRec),
+    /// Record one typed event: an ET lifecycle hop ([`SpanRec`]) or a
+    /// control-plane note. Non-durable and purely observational: the
+    /// daemon and the thread cluster stamp it with wall-clock micros
+    /// and append it to their bounded event ring, the model checker
+    /// keeps it as certifier food. Never carries protocol meaning —
+    /// dropping every `Event` effect must leave behaviour unchanged.
+    Event(Event),
 }
 
 /// Seeded control-plane defects for checker self-tests. Production
@@ -422,6 +420,11 @@ fn seq_of(mset: &MSet) -> Option<u64> {
     }
 }
 
+/// The event effect for one lifecycle hop.
+fn span(rec: SpanRec) -> Effect {
+    Effect::Event(Event::Span(rec))
+}
+
 /// A synthetic ET id used by canaries that re-apply an update under a
 /// fresh identity (bypassing per-ET idempotency guards), far outside
 /// any id a workload would mint.
@@ -587,45 +590,7 @@ impl NodeCore {
         let mut recovered: Vec<(EtId, Option<VersionTs>)> = Vec::new();
         let last = journal.last().cloned();
         for mset in journal {
-            let et = mset.et;
-            let version = max_version(&mset);
-            let seq = seq_of(&mset);
-            if core.journaled.insert(et) {
-                *core.frontier.entry(mset.origin.raw()).or_insert(0) += 1;
-            }
-            if let Some((cid, cseq)) = mset.client {
-                core.client_table.insert((cid.raw(), cseq), et);
-            }
-            if core.canary == Some(CtrlCanary::DecisionReplayReapplies) {
-                core.canary_msets.insert(et, mset.clone());
-            }
-            core.state.deliver(mset);
-            // This entry, plus any held predecessors it unblocked
-            // (the journal records acceptance order, which for ORDUP
-            // can run ahead of the sequence).
-            let mut newly = Vec::new();
-            if core.state.has_applied(et) {
-                newly.push((et, version, seq));
-            } else {
-                core.held.insert(et, (version, seq));
-            }
-            newly.extend(core.take_unblocked());
-            for (et, version, seq) in newly {
-                effects.push(Effect::Trace {
-                    component: "replay",
-                    message: apply_message(et, version, seq),
-                });
-                // The in-memory span ring died with the previous
-                // incarnation; the replay span is the durable trace of
-                // this site's apply, so post-crash timelines still
-                // stitch.
-                effects.push(Effect::Span(
-                    SpanRec::new(SpanStage::Replay, et)
-                        .with_version(version)
-                        .with_gseq(seq.map(SeqNo)),
-                ));
-                recovered.push((et, version));
-            }
+            core.replay(mset, &mut effects, &mut recovered);
         }
         // Defect: the replay cursor double-counts the tail record,
         // re-applying it outside the ET idempotency guard.
@@ -658,14 +623,11 @@ impl NodeCore {
                 // the original SubmitOk.
                 if let Some((cid, cseq)) = mset.client {
                     if let Some(et) = self.cached_et(cid, cseq) {
-                        return vec![Effect::Trace {
-                            component: "client",
-                            message: format!(
-                                "duplicate submit client {} seq {cseq} -> et {}",
-                                cid.raw(),
-                                et.0
-                            ),
-                        }];
+                        return vec![Effect::Event(Event::DuplicateSubmit {
+                            client: cid,
+                            seq: cseq,
+                            et,
+                        })];
                     }
                 }
                 // Fan the update out to every peer over the durable
@@ -673,13 +635,13 @@ impl NodeCore {
                 // report). The submit span marks the trace root; one
                 // enqueue span per peer marks each link hand-off.
                 let t0 = mset.t0;
-                let mut effects: Vec<Effect> = vec![Effect::Span(
+                let mut effects: Vec<Effect> = vec![span(
                     SpanRec::new(SpanStage::Submit, mset.et)
                         .with_gseq(seq_of(&mset).map(SeqNo))
                         .with_t0(t0),
                 )];
                 for to in self.peers().collect::<Vec<_>>() {
-                    effects.push(Effect::Span(
+                    effects.push(span(
                         SpanRec::new(SpanStage::Enqueue, mset.et)
                             .to_peer(to)
                             .with_t0(t0),
@@ -701,10 +663,9 @@ impl NodeCore {
             NodeEvent::Checkpoint { through } => {
                 let payload = self.ckpt_payload(through);
                 vec![
-                    Effect::Trace {
-                        component: "ckpt",
-                        message: format!("cut covered={}", payload.covered),
-                    },
+                    Effect::Event(Event::CkptCut {
+                        covered: payload.covered,
+                    }),
                     Effect::Checkpoint(Box::new(payload)),
                 ]
             }
@@ -786,42 +747,13 @@ impl NodeCore {
             .into_iter()
             .map(|(et, v, s)| (et, (v, s)))
             .collect();
-        let mut effects = vec![Effect::Trace {
-            component: "ckpt",
-            message: format!("restore covered={} view={}", payload.covered, core.view),
-        }];
+        let mut effects = vec![Effect::Event(Event::CkptRestore {
+            covered: payload.covered,
+            view: core.view,
+        })];
         let mut recovered: Vec<(EtId, Option<VersionTs>)> = Vec::new();
         for mset in suffix {
-            let et = mset.et;
-            let version = max_version(&mset);
-            let seq = seq_of(&mset);
-            if core.journaled.insert(et) {
-                *core.frontier.entry(mset.origin.raw()).or_insert(0) += 1;
-            }
-            if let Some((cid, cseq)) = mset.client {
-                core.client_table.insert((cid.raw(), cseq), et);
-            }
-            let before = core.state.has_applied(et);
-            core.state.deliver(mset);
-            let mut newly = Vec::new();
-            if !before && core.state.has_applied(et) {
-                newly.push((et, version, seq));
-            } else if !core.state.has_applied(et) {
-                core.held.insert(et, (version, seq));
-            }
-            newly.extend(core.take_unblocked());
-            for (et, version, seq) in newly {
-                effects.push(Effect::Trace {
-                    component: "replay",
-                    message: apply_message(et, version, seq),
-                });
-                effects.push(Effect::Span(
-                    SpanRec::new(SpanStage::Replay, et)
-                        .with_version(version)
-                        .with_gseq(seq.map(SeqNo)),
-                ));
-                recovered.push((et, version));
-            }
+            core.replay(mset, &mut effects, &mut recovered);
         }
         // Re-announce *everything* applied (image + suffix), exactly as
         // a full recovery would: the coordinator's evidence may have
@@ -837,6 +769,52 @@ impl NodeCore {
             effects.extend(core.report_applied(et, version));
         }
         Some((core, effects))
+    }
+
+    /// Replays one journal entry at boot, appending a `Replay` span and
+    /// a `recovered` entry for it and for any held predecessors it
+    /// unblocked (the journal records acceptance order, which for ORDUP
+    /// can run ahead of the sequence). An entry the restored image
+    /// already covers is absorbed by the idempotency guards.
+    fn replay(
+        &mut self,
+        mset: MSet,
+        effects: &mut Vec<Effect>,
+        recovered: &mut Vec<(EtId, Option<VersionTs>)>,
+    ) {
+        let et = mset.et;
+        let version = max_version(&mset);
+        let seq = seq_of(&mset);
+        if self.journaled.insert(et) {
+            *self.frontier.entry(mset.origin.raw()).or_insert(0) += 1;
+        }
+        if let Some((cid, cseq)) = mset.client {
+            self.client_table.insert((cid.raw(), cseq), et);
+        }
+        if self.canary == Some(CtrlCanary::DecisionReplayReapplies) {
+            self.canary_msets.insert(et, mset.clone());
+        }
+        let before = self.state.has_applied(et);
+        self.state.deliver(mset);
+        let mut newly = Vec::new();
+        if !self.state.has_applied(et) {
+            self.held.insert(et, (version, seq));
+        } else if !before {
+            newly.push((et, version, seq));
+        }
+        newly.extend(self.take_unblocked());
+        for (et, version, seq) in newly {
+            // The in-memory event ring died with the previous
+            // incarnation; the replay span is the durable trace of
+            // this site's apply, so post-crash timelines still stitch
+            // and the certifier still sees the apply.
+            effects.push(span(
+                SpanRec::new(SpanStage::Replay, et)
+                    .with_version(version)
+                    .with_gseq(seq.map(SeqNo)),
+            ));
+            recovered.push((et, version));
+        }
     }
 
     /// The cached ET for a client request, if this site has journalled
@@ -902,10 +880,7 @@ impl NodeCore {
         }
         let mut effects = Vec::new();
         if self.svc_from.insert(self.site) {
-            effects.push(Effect::Trace {
-                component: "view",
-                message: format!("start view change -> view {target}"),
-            });
+            effects.push(Effect::Event(Event::ViewChangeStart { view: target }));
             for to in self.peers() {
                 effects.push(Effect::Send {
                     to,
@@ -1003,10 +978,10 @@ impl NodeCore {
         self.coord = Some(coord);
         let mut effects = vec![
             Effect::RecordView(w),
-            Effect::Trace {
-                component: "view",
-                message: format!("install view {w} as coordinator"),
-            },
+            Effect::Event(Event::ViewInstall {
+                view: w,
+                coordinator: self.site,
+            }),
         ];
         effects.extend(self.absorb_evidence(&completed, &decisions, vtnc_max));
         for to in self.peers() {
@@ -1064,10 +1039,7 @@ impl NodeCore {
     fn on_peer_frame(&mut self, frame: Frame) -> Vec<Effect> {
         match frame {
             Frame::Hello { site, epoch } => {
-                let mut effects = vec![Effect::Trace {
-                    component: "peer",
-                    message: format!("hello from site {} epoch {epoch}", site.raw()),
-                }];
+                let mut effects = vec![Effect::Event(Event::Hello { site, epoch })];
                 if let Some(coord) = &mut self.coord {
                     // Coordinator: answer every peer (re)handshake with
                     // the view snapshot — idempotent replay that covers
@@ -1265,13 +1237,10 @@ impl NodeCore {
                         self.coord = None;
                     }
                     effects.push(Effect::RecordView(view));
-                    effects.push(Effect::Trace {
-                        component: "view",
-                        message: format!(
-                            "install view {view}, coordinator site {}",
-                            coordinator_of(view, self.sites).raw()
-                        ),
-                    });
+                    effects.push(Effect::Event(Event::ViewInstall {
+                        view,
+                        coordinator: coordinator_of(view, self.sites),
+                    }));
                 }
                 effects.extend(self.absorb_evidence(&completed, &decisions, vtnc_max));
                 if install && coordinator_of(view, self.sites) != self.site {
@@ -1315,7 +1284,7 @@ impl NodeCore {
         let version = max_version(&mset);
         let seq = seq_of(&mset);
         let t0 = mset.t0;
-        let mut effects = vec![Effect::Span(
+        let mut effects = vec![span(
             SpanRec::new(SpanStage::Deliver, et)
                 .with_gseq(seq.map(SeqNo))
                 .with_t0(t0),
@@ -1332,44 +1301,28 @@ impl NodeCore {
         }
         let before = self.state.has_applied(et);
         self.state.deliver(mset);
-        let newly_applied = !before && self.state.has_applied(et);
-        if !newly_applied && !self.state.has_applied(et) {
-            self.held.insert(et, (version, seq));
-        }
-        effects.push(Effect::Trace {
-            component: "apply",
-            message: if newly_applied {
-                apply_message(et, version, seq)
-            } else {
-                format!("et {} held/duplicate", et.0)
-            },
-        });
-        if newly_applied {
-            effects.push(Effect::Span(
+        if before {
+            // A redelivery: its lifecycle was recorded the first time.
+            effects.push(Effect::Event(Event::DuplicateDelivery { et }));
+        } else if self.state.has_applied(et) {
+            effects.push(span(
                 SpanRec::new(SpanStage::Apply, et)
                     .with_version(version)
                     .with_gseq(seq.map(SeqNo))
                     .with_t0(t0),
             ));
-        } else if !self.state.has_applied(et) {
-            // Parked behind a sequence gap (duplicates get no span —
-            // their lifecycle was already recorded the first time).
-            effects.push(Effect::Span(
+            effects.extend(self.report_applied(et, version));
+        } else {
+            // Parked behind a sequence gap.
+            self.held.insert(et, (version, seq));
+            effects.push(span(
                 SpanRec::new(SpanStage::Held, et).with_gseq(seq.map(SeqNo)),
             ));
-        }
-        if newly_applied {
-            let announce = self.report_applied(et, version);
-            effects.extend(announce);
         }
         // An in-order arrival may have released held successors: they
         // are applied *now*, so they are traced and reported now.
         for (et, version, seq) in self.take_unblocked() {
-            effects.push(Effect::Trace {
-                component: "apply",
-                message: apply_message(et, version, seq),
-            });
-            effects.push(Effect::Span(
+            effects.push(span(
                 SpanRec::new(SpanStage::Apply, et)
                     .with_version(version)
                     .with_gseq(seq.map(SeqNo)),
@@ -1456,64 +1409,41 @@ impl NodeCore {
         // coordinator-only, and only when the broadcast is news (a
         // re-driven log is absorbed silently below, so it gets no
         // second cert span either).
+        let certified = |cert: SpanRec, mut learned: Vec<Effect>| {
+            if !learned.is_empty() {
+                learned.insert(0, span(cert));
+            }
+            learned
+        };
         let mut effects = match frame {
-            Frame::Complete { et } => {
-                let mut v = self.apply_complete(et);
-                if !v.is_empty() {
-                    v.insert(
-                        0,
-                        Effect::Span(SpanRec::new(SpanStage::CompleteCert, et)),
-                    );
-                }
-                v
-            }
+            Frame::Complete { et } => certified(
+                SpanRec::new(SpanStage::CompleteCert, et),
+                self.apply_complete(et),
+            ),
             Frame::Vtnc { ts } => {
-                let mut v = self.apply_vtnc(ts);
-                if !v.is_empty() {
-                    v.insert(0, Effect::Span(SpanRec::vtnc(SpanStage::VtncCert, ts)));
-                }
-                v
+                certified(SpanRec::vtnc(SpanStage::VtncCert, ts), self.apply_vtnc(ts))
             }
-            Frame::Decision { et, commit } => {
-                let mut v = self.apply_decision(et, commit);
-                if !v.is_empty() {
-                    v.insert(
-                        0,
-                        Effect::Span(
-                            SpanRec::new(SpanStage::DecisionCert, et).with_commit(commit),
-                        ),
-                    );
-                }
-                v
-            }
+            Frame::Decision { et, commit } => certified(
+                SpanRec::new(SpanStage::DecisionCert, et).with_commit(commit),
+                self.apply_decision(et, commit),
+            ),
             _ => Vec::new(),
         };
-        for to in self.peers() {
-            effects.push(Effect::Send {
-                to,
-                frame: frame.clone(),
-            });
-        }
+        effects.extend(self.relay(frame));
         effects
     }
 
     fn apply_complete(&mut self, et: EtId) -> Vec<Effect> {
         // Re-broadcasts (a recovered or newly-elected coordinator
         // re-driving its log, snapshot replay) are absorbed silently:
-        // a duplicate `complete` trace would itself be a certifier
+        // a duplicate `complete` event would itself be a certifier
         // finding.
         if !self.completed_seen.insert(et) {
             return Vec::new();
         }
         self.completed_order.push(et);
         self.state.complete(et);
-        vec![
-            Effect::Span(SpanRec::new(SpanStage::Complete, et)),
-            Effect::Trace {
-                component: "control",
-                message: format!("complete et {}", et.0),
-            },
-        ]
+        vec![span(SpanRec::new(SpanStage::Complete, et))]
     }
 
     fn apply_vtnc(&mut self, ts: VersionTs) -> Vec<Effect> {
@@ -1527,13 +1457,7 @@ impl NodeCore {
             return Vec::new();
         }
         self.vtnc_seen = Some(ts);
-        vec![
-            Effect::Span(SpanRec::vtnc(SpanStage::Vtnc, ts)),
-            Effect::Trace {
-                component: "control",
-                message: format!("vtnc -> time {}", ts.time),
-            },
-        ]
+        vec![span(SpanRec::vtnc(SpanStage::Vtnc, ts))]
     }
 
     fn apply_decision(&mut self, et: EtId, commit: bool) -> Vec<Effect> {
@@ -1562,13 +1486,9 @@ impl NodeCore {
         if duplicate {
             return Vec::new();
         }
-        vec![
-            Effect::Span(SpanRec::new(SpanStage::Decision, et).with_commit(commit)),
-            Effect::Trace {
-                component: "control",
-                message: format!("{} et {}", if commit { "commit" } else { "abort" }, et.0),
-            },
-        ]
+        vec![span(
+            SpanRec::new(SpanStage::Decision, et).with_commit(commit),
+        )]
     }
 
     /// Enqueues `frame` to every peer without applying it locally —
@@ -1600,29 +1520,26 @@ impl NodeCore {
     }
 }
 
-/// The certifier-facing apply message: `et N applied[ v=T][ seq=S]`.
-fn apply_message(et: EtId, version: Option<VersionTs>, seq: Option<u64>) -> String {
-    let mut m = format!("et {} applied", et.0);
-    if let Some(v) = version {
-        m.push_str(&format!(" v={}", v.time));
-    }
-    if let Some(s) = seq {
-        m.push_str(&format!(" seq={s}"));
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use esr_core::op::ObjectOp;
-    use esr_core::ids::{ObjectId, SeqNo};
+    use esr_core::ids::ObjectId;
 
     fn incr(et: u64, origin: u64) -> MSet {
         MSet::new(
             EtId(et),
             SiteId(origin),
             vec![ObjectOp::new(ObjectId(1), Operation::Incr(1))],
+        )
+    }
+
+    /// Is `e` the event recording `et`'s completion at a site?
+    fn is_complete(e: &Effect, et: u64) -> bool {
+        matches!(
+            e,
+            Effect::Event(Event::Span(r))
+                if r.stage == SpanStage::Complete && r.et == Some(EtId(et))
         )
     }
 
@@ -1677,21 +1594,22 @@ mod tests {
         let held = core.step(NodeEvent::PeerFrame(Frame::MSet(early)));
         assert!(held.iter().any(|e| matches!(
             e,
-            Effect::Trace { message, .. } if message.contains("held")
+            Effect::Event(Event::Span(r)) if r.stage == SpanStage::Held
         )));
         let late = incr(1, 0).sequenced(SeqNo(0));
         let effects = core.step(NodeEvent::PeerFrame(Frame::MSet(late)));
-        let applies: Vec<&String> = effects
+        let applies: Vec<Option<SeqNo>> = effects
             .iter()
             .filter_map(|e| match e {
-                Effect::Trace { component: "apply", message } if message.contains("applied") => {
-                    Some(message)
-                }
+                Effect::Event(Event::Span(r)) if r.stage == SpanStage::Apply => Some(r.gseq),
                 _ => None,
             })
             .collect();
-        assert_eq!(applies.len(), 2, "release must trace both applies: {effects:?}");
-        assert!(applies[0].contains("seq=0") && applies[1].contains("seq=1"));
+        assert_eq!(
+            applies,
+            vec![Some(SeqNo(0)), Some(SeqNo(1))],
+            "release must trace both applies in sequence order: {effects:?}"
+        );
         assert!(core.state.has_applied(EtId(1)) && core.state.has_applied(EtId(2)));
     }
 
@@ -1714,6 +1632,9 @@ mod tests {
             )),
             "redelivery must neither re-journal nor re-announce"
         );
+        assert!(second
+            .iter()
+            .any(|e| matches!(e, Effect::Event(Event::DuplicateDelivery { et }) if *et == EtId(7))));
     }
 
     #[test]
@@ -1903,10 +1824,7 @@ mod tests {
         // The handoff re-drives evidence but must not re-trace the
         // completion anywhere.
         assert!(
-            !during.iter().any(|e| matches!(
-                e,
-                Effect::Trace { message, .. } if message == "complete et 7"
-            )),
+            !during.iter().any(|e| is_complete(e, 7)),
             "handoff re-traced an already-completed ET: {during:?}"
         );
         // The new coordinator's snapshot carries the old completion,
@@ -1915,10 +1833,7 @@ mod tests {
         let submit = cores[2].step(NodeEvent::ClientSubmit(incr(8, 2)));
         let all = pump(&mut cores, submit);
         assert!(
-            all.iter().any(|e| matches!(
-                e,
-                Effect::Trace { message, .. } if message == "complete et 8"
-            )),
+            all.iter().any(|e| is_complete(e, 8)),
             "post-handoff submit never completed: {all:?}"
         );
     }

@@ -68,10 +68,11 @@ use esr_net::rpc::{
     NO_ENTRY,
 };
 use esr_obs::{
-    CkptInstruments, Counter, EventRing, Gauge, Histogram, LinkInstruments, MetricsRegistry,
+    CkptInstruments, Counter, Gauge, Histogram, LinkInstruments, MetricsRegistry,
     ReactorInstruments, SiteInstruments,
 };
 use esr_replica::mset::MSet;
+use esr_replica::span::Event;
 use esr_replica::wire::{decode_frame, encode_frame, Frame, WireAudit};
 use esr_storage::snapshot;
 use esr_storage::stable_queue::FileQueue;
@@ -80,7 +81,7 @@ use crate::ckpt::{decode_payload, encode_payload, CkptPayload};
 use crate::client::RpcClient;
 use crate::ctrl::{Effect, NodeCore, NodeEvent};
 use crate::recovery::ApplyJournal;
-use crate::spans::SpanRing;
+use crate::spans::EventLog;
 use crate::state::{RtMethod, SiteState};
 
 /// Everything a daemon needs to come up.
@@ -122,7 +123,7 @@ struct CkptState {
 /// All protocol logic lives in the pure [`NodeCore`]
 /// (`crate::ctrl`): the daemon's job is only to feed it events and
 /// execute the effects it returns against the real world — the on-disk
-/// journal, the durable links, and the esr-obs trace ring.
+/// journal, the durable links, and the event log.
 pub struct Daemon {
     cfg: DaemonConfig,
     epoch: u64,
@@ -145,16 +146,10 @@ pub struct Daemon {
     robs: ReactorInstruments,
     /// This incarnation's metrics; scraped via [`Frame::Metrics`].
     metrics: MetricsRegistry,
-    /// Bounded structured-event ring; dumped via [`Frame::TraceDump`].
-    trace: EventRing,
-    /// Bounded esr-trace span ring; scraped via [`Frame::SpanQuery`].
-    spans: SpanRing,
-    /// Boot instant — trace timestamps are micros since boot.
-    boot: Instant,
-    /// UNIX micros at `boot`: span stamps are `wall_base + elapsed`,
-    /// so every site's spans share the host's wall epoch (what lets
-    /// `esrctl spans` subtract stamps across rings on one host).
-    wall_base: u64,
+    /// This incarnation's bounded event log: every `Effect::Event` of
+    /// the core plus the daemon's own boot and checkpoint-chain notes;
+    /// scraped via [`Frame::EventQuery`].
+    events: EventLog,
     /// Wall-clock journal+apply latency per accepted MSet.
     apply_latency: Histogram,
     /// Wall-clock client-plane request handling latency.
@@ -207,7 +202,7 @@ fn snap_prefix(site: SiteId) -> String {
 /// before the local install; our own journal is empty, so restore
 /// replays nothing on top. Best-effort: an unreachable cluster just
 /// means a cold boot.
-fn catch_up_from_peers(cfg: &DaemonConfig, prefix: &str, trace: &EventRing) {
+fn catch_up_from_peers(cfg: &DaemonConfig, prefix: &str, events: &EventLog) {
     for j in 0..cfg.sites {
         let peer = SiteId(j as u64);
         if peer == cfg.site {
@@ -228,15 +223,11 @@ fn catch_up_from_peers(cfg: &DaemonConfig, prefix: &str, trace: &EventRing) {
         };
         payload.covered_through = None;
         if snapshot::install(&cfg.dir, prefix, peer_seq, &encode_payload(&payload)).is_ok() {
-            trace.record(
-                0,
-                "ckpt",
-                format!(
-                    "catch-up: installed snapshot seq {peer_seq} (covered {}) from site {}",
-                    payload.covered,
-                    peer.raw()
-                ),
-            );
+            events.record(Event::CkptCatchUp {
+                seq: peer_seq,
+                covered: payload.covered,
+                from: peer,
+            });
             return;
         }
     }
@@ -320,13 +311,8 @@ impl Daemon {
         // are re-announced to the coordinator through the returned
         // effects, because the previous incarnation may have died
         // before its `Applied` report was durably enqueued.
-        let boot = Instant::now();
-        let wall_base = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_micros() as u64)
-            .unwrap_or(0);
+        let events = EventLog::start();
         let metrics = MetricsRegistry::new();
-        let trace = EventRing::default();
         let site_label = cfg.site.raw().to_string();
         let replays = metrics.counter("esr_recovery_replays_total", &[("site", &site_label)]);
         let ckpt_obs = CkptInstruments::for_site(&metrics, cfg.site.raw());
@@ -342,7 +328,7 @@ impl Daemon {
             && journal.live_entries() == 0
             && snapshot::load_newest(&cfg.dir, &prefix).ok().flatten().is_none()
         {
-            catch_up_from_peers(&cfg, &prefix, &trace);
+            catch_up_from_peers(&cfg, &prefix, &events);
         }
 
         // Rejoin the last durably installed view (0 on a cold boot):
@@ -397,22 +383,18 @@ impl Daemon {
                     for _ in 0..replayed {
                         replays.inc();
                     }
-                    trace.record(
-                        0,
-                        "boot",
-                        format!(
-                            "epoch {epoch}: restored snapshot seq {snap_seq} \
-                             (covered {}), replayed {replayed} suffix entries, view {}",
-                            chain.covered, core.view
-                        ),
-                    );
+                    events.record(Event::Boot {
+                        epoch,
+                        snapshot: Some((snap_seq, chain.covered)),
+                        replayed,
+                        view: core.view,
+                    });
                     restored = Some((core, effects, chain));
                 } else {
-                    trace.record(
-                        0,
-                        "ckpt",
-                        format!("snapshot seq {snap_seq} method mismatch; full replay"),
-                    );
+                    events.record(Event::CkptFailed {
+                        seq: snap_seq,
+                        detail: "method mismatch; full replay".to_owned(),
+                    });
                 }
             }
         }
@@ -430,14 +412,12 @@ impl Daemon {
                 for _ in &entries {
                     replays.inc();
                 }
-                trace.record(
-                    0,
-                    "boot",
-                    format!(
-                        "epoch {epoch}: replayed {} journal entries, view {view}",
-                        entries.len()
-                    ),
-                );
+                events.record(Event::Boot {
+                    epoch,
+                    snapshot: None,
+                    replayed: entries.len() as u64,
+                    view,
+                });
                 let (core, effects) = NodeCore::recover(
                     state,
                     cfg.method,
@@ -520,10 +500,7 @@ impl Daemon {
             robs,
             cfg,
             metrics,
-            trace,
-            spans: SpanRing::default(),
-            boot,
-            wall_base,
+            events,
             apply_latency,
             rpc_latency,
             view_gauge,
@@ -553,7 +530,7 @@ impl Daemon {
                 }
             })?;
 
-        // Execute the recovery effects: replay trace events plus the
+        // Execute the recovery effects: replay events plus the
         // re-announcement of recovered applies (the coordinator
         // deduplicates).
         daemon.perform(recovery_effects);
@@ -619,8 +596,7 @@ impl Daemon {
 
     /// Executes core effects against the real world, strictly in
     /// order: journal appends hit disk, view records land durably,
-    /// sends enqueue on the durable links, trace effects land in the
-    /// esr-obs ring.
+    /// sends enqueue on the durable links, events land in the log.
     fn perform(&self, effects: Vec<Effect>) {
         for effect in effects {
             match effect {
@@ -656,10 +632,7 @@ impl Daemon {
                     }
                     self.send_bytes(to, encode_frame(&frame));
                 }
-                Effect::Trace { component, message } => self.trace_event(component, message),
-                Effect::Span(rec) => self
-                    .spans
-                    .record(self.wall_base + self.boot.elapsed().as_micros() as u64, rec),
+                Effect::Event(event) => self.events.record(event),
             }
         }
     }
@@ -698,14 +671,11 @@ impl Daemon {
                 // SubmitOk — even if the retry was re-stamped.
                 if let Some((cid, seq)) = mset.client {
                     if let Some(et) = self.core.lock().cached_et(cid, seq) {
-                        self.trace_event(
-                            "client",
-                            format!(
-                                "duplicate submit client {} seq {seq} -> et {}",
-                                cid.raw(),
-                                et.0
-                            ),
-                        );
+                        self.events.record(Event::DuplicateSubmit {
+                            client: cid,
+                            seq,
+                            et,
+                        });
                         return Frame::SubmitOk { et };
                     }
                 }
@@ -787,19 +757,10 @@ impl Daemon {
             Frame::Metrics => Frame::MetricsOk {
                 text: self.metrics.render(),
             },
-            Frame::SpanQuery { et } => Frame::SpanOk {
-                dropped: self.spans.dropped(),
-                spans: self.spans.query(et),
-            },
-            Frame::TraceDump => Frame::TraceOk {
-                dropped: self.trace.dropped(),
-                events: self
-                    .trace
-                    .entries()
-                    .into_iter()
-                    .map(|e| (e.seq, e.micros, e.component, e.message))
-                    .collect(),
-            },
+            Frame::EventQuery { et } => {
+                let (dropped, events) = self.events.query(et);
+                Frame::EventOk { dropped, events }
+            }
             // Anything else is a protocol error; answer with an empty
             // status so the client sees *a* frame and can give up.
             _ => Frame::StatusOk {
@@ -833,7 +794,7 @@ impl Daemon {
             for effect in effects {
                 match effect {
                     Effect::Checkpoint(p) => payload = Some(p),
-                    Effect::Trace { component, message } => self.trace_event(component, message),
+                    Effect::Event(event) => self.events.record(event),
                     _ => {}
                 }
             }
@@ -862,17 +823,20 @@ impl Daemon {
         let seq = st.seq + 1;
         let prefix = snap_prefix(self.cfg.site);
         if let Err(e) = snapshot::install(&self.cfg.dir, &prefix, seq, &bytes) {
-            self.trace_event("ckpt", format!("install seq={seq} failed: {e}"));
+            self.events.record(Event::CkptFailed {
+                seq,
+                detail: format!("install: {e}"),
+            });
             return (st.seq, st.covered);
         }
         self.ckpt_obs.installed(
             (bytes.len() + snapshot::SNAP_OVERHEAD) as u64,
             started.elapsed().as_micros() as u64,
         );
-        self.trace_event(
-            "ckpt",
-            format!("install seq={seq} covered={}", payload.covered),
-        );
+        self.events.record(Event::CkptInstall {
+            seq,
+            covered: payload.covered,
+        });
         let previous_cut = st.covered_through;
         st.seq = seq;
         st.covered = payload.covered;
@@ -886,17 +850,14 @@ impl Daemon {
             if retired > 0 {
                 self.ckpt_obs.truncated(retired);
                 self.ckpt_obs.journal(file_bytes, live);
-                self.trace_event("ckpt", format!("truncate through={cut} retired={retired}"));
+                self.events.record(Event::CkptTruncate {
+                    through: cut,
+                    retired,
+                });
             }
         }
         let _ = snapshot::retain(&self.cfg.dir, &prefix, 2);
         (st.seq, st.covered)
-    }
-
-    /// Records a structured trace event stamped micros-since-boot.
-    fn trace_event(&self, component: &str, message: String) {
-        self.trace
-            .record(self.boot.elapsed().as_micros() as u64, component, message);
     }
 
     fn send_bytes(&self, to: SiteId, bytes: Bytes) {

@@ -46,6 +46,6 @@ pub use daemon::{Daemon, DaemonConfig};
 pub use proc_cluster::ProcCluster;
 pub use recovery::ApplyJournal;
 pub use spans::{
-    critical_path, merge_timeline, render_timeline, RawSpan, SiteSpan, SpanRing, SPAN_QUERY_ALL,
+    critical_path, merge_timeline, render_timeline, RawSpan, SiteSpan, SPAN_QUERY_ALL,
 };
 pub use state::{RtMethod, SiteAudit, SiteState};

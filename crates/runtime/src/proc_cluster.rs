@@ -29,9 +29,9 @@ use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
 use esr_replica::mset::MSet;
 
-use crate::client::{DaemonStatus, RpcClient, WireTraceEvent};
+use crate::client::{DaemonStatus, RpcClient};
 use crate::cluster::QuiesceTimeout;
-use crate::spans::RawSpan;
+use crate::spans::{RawEvent, RawSpan};
 use crate::state::{RtMethod, SiteAudit};
 
 /// How long to wait for a daemon to come up / answer before calling it
@@ -368,12 +368,12 @@ impl ProcCluster {
         self.client(site)?.metrics()
     }
 
-    /// Dumps `site`'s trace ring: `(dropped, events)`.
-    pub fn trace_of(&self, site: SiteId) -> io::Result<(u64, Vec<WireTraceEvent>)> {
+    /// Dumps `site`'s event log: `(dropped, events)`.
+    pub fn trace_of(&self, site: SiteId) -> io::Result<(u64, Vec<RawEvent>)> {
         self.client(site)?.trace()
     }
 
-    /// Dumps `site`'s esr-trace span ring for one ET (or all spans via
+    /// Dumps `site`'s lifecycle records for one ET (or all of them via
     /// [`crate::spans::SPAN_QUERY_ALL`]): `(dropped, spans)`.
     pub fn spans_of(
         &self,

@@ -1,12 +1,14 @@
-//! esr-trace: the per-daemon span ring and the cross-site timeline
+//! esr-trace: the per-site event log and the cross-site timeline
 //! merge.
 //!
-//! Each daemon appends every [`Effect::Span`](crate::ctrl::Effect)
-//! its core emits to a bounded [`SpanRing`] — the tracing plane's
-//! flight recorder, shaped like the esr-obs `EventRing` but typed.
-//! `esrctl spans <et>` then scrapes every site's ring over the client
-//! plane ([`Frame::SpanQuery`](esr_replica::wire::Frame)) and calls
-//! [`merge_timeline`] to stitch the records into one causal timeline.
+//! Each executor (the daemon, a thread-cluster site) stamps every
+//! [`Effect::Event`](crate::ctrl::Effect) its core emits with wall
+//! micros and appends it to one bounded [`EventLog`] — the flight
+//! recorder `esrctl trace` dumps whole and the trace certifier reads.
+//! `esrctl spans <et>` scrapes every site's log over the client plane
+//! ([`Frame::EventQuery`](esr_replica::wire::Frame)), keeps the
+//! lifecycle records ([`span_records`]) and calls [`merge_timeline`]
+//! to stitch them into one causal timeline.
 //!
 //! ## Merge rules (DESIGN.md §17)
 //!
@@ -32,111 +34,87 @@
 //!
 //! ## Overflow
 //!
-//! The ring is bounded ([`SPAN_RING_CAPACITY`]); overflow evicts the
-//! oldest records and counts them, mirroring the event ring. A merge
-//! over a ring that dropped records still orders what remains
-//! correctly (ranks are per-record), but the critical path may lose
-//! edges — `esrctl spans` surfaces the per-site drop counters so a
-//! truncated answer is never mistaken for a complete one (the same
-//! honesty rule the trace certifier applies to `EventRing` overflow).
+//! The log is bounded (`esr_obs::events::EVENT_RING_CAPACITY`);
+//! overflow evicts the oldest events and counts them. A merge over a
+//! log that dropped records still orders what remains correctly (ranks
+//! are per-record), but the critical path may lose edges — `esrctl
+//! spans` surfaces the per-site drop counters so a truncated answer is
+//! never mistaken for a complete one (the same honesty rule the trace
+//! certifier applies to overflow).
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use esr_core::ids::{EtId, SiteId, VersionTs};
-use esr_replica::span::{SpanRec, SpanStage};
+use esr_obs::EventRing;
+use esr_replica::span::{Event, SpanRec, SpanStage};
 
-/// Default per-daemon span ring capacity. At ~10 spans per ET
-/// lifecycle this retains the last few thousand ETs — enough to trace
-/// any ET a load driver just pushed, in bounded memory.
-pub const SPAN_RING_CAPACITY: usize = 65_536;
-
-/// The `et` value in a [`Frame::SpanQuery`](esr_replica::wire::Frame)
-/// that selects every retained span.
+/// The `et` value in a [`Frame::EventQuery`](esr_replica::wire::Frame)
+/// that selects every retained event.
 pub const SPAN_QUERY_ALL: u64 = u64::MAX;
 
-#[derive(Debug, Default)]
-struct SpanRingInner {
-    spans: VecDeque<(u64, u64, SpanRec)>,
-    next_seq: u64,
-    dropped: u64,
-}
+/// An event as it sits in a log and crosses the wire:
+/// `(ring seq, wall micros, event)`.
+pub type RawEvent = (u64, u64, Event);
 
-/// A bounded, shareable ring of `(ring_seq, micros, span)` records.
-/// Cloning shares the ring.
-#[derive(Debug, Clone)]
-pub struct SpanRing {
-    inner: Arc<Mutex<SpanRingInner>>,
-    capacity: usize,
-}
-
-impl SpanRing {
-    /// A ring holding at most `capacity` spans (oldest evicted first).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(SpanRingInner::default())),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, SpanRingInner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Appends one span stamped with caller-supplied micros (wall in
-    /// the daemon; the ring itself never reads a clock).
-    pub fn record(&self, micros: u64, rec: SpanRec) {
-        let mut inner = self.lock();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        if inner.spans.len() == self.capacity {
-            inner.spans.pop_front();
-            inner.dropped += 1;
-        }
-        inner.spans.push_back((seq, micros, rec));
-    }
-
-    /// Retained spans matching `et` ([`SPAN_QUERY_ALL`] selects all),
-    /// oldest first. VTNC horizon spans carry no ET and match every
-    /// query: the caller attributes them via apply versions.
-    pub fn query(&self, et: u64) -> Vec<(u64, u64, SpanRec)> {
-        self.lock()
-            .spans
-            .iter()
-            .filter(|(_, _, r)| {
-                et == SPAN_QUERY_ALL || r.et.is_none() || r.et == Some(EtId(et))
-            })
-            .copied()
-            .collect()
-    }
-
-    /// Spans evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.lock().dropped
-    }
-
-    /// Number of retained spans.
-    pub fn len(&self) -> usize {
-        self.lock().spans.len()
-    }
-
-    /// Whether the ring holds no spans.
-    pub fn is_empty(&self) -> bool {
-        self.lock().spans.is_empty()
-    }
-}
-
-impl Default for SpanRing {
-    fn default() -> Self {
-        Self::new(SPAN_RING_CAPACITY)
-    }
-}
-
-/// A span as it comes off the wire: `(ring seq, wall micros, record)`.
+/// A lifecycle record projected out of a [`RawEvent`]:
+/// `(ring seq, wall micros, record)`.
 pub type RawSpan = (u64, u64, SpanRec);
+
+/// One incarnation's bounded event log. Cloning shares the log.
+///
+/// Stamps are `wall_base + elapsed`: UNIX micros read once at start,
+/// advanced by a monotonic clock, so every site on a host shares an
+/// epoch (what lets `esrctl spans` subtract stamps across sites) and
+/// no log's stamps run backwards.
+#[derive(Debug, Clone)]
+pub struct EventLog {
+    ring: EventRing<Event>,
+    wall_base: u64,
+    boot: Instant,
+}
+
+impl EventLog {
+    /// An empty log whose clock starts now.
+    pub fn start() -> Self {
+        Self {
+            ring: EventRing::default(),
+            wall_base: SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .map_or(0, |d| d.as_micros() as u64),
+            boot: Instant::now(),
+        }
+    }
+
+    /// Appends `event`, stamped now.
+    pub fn record(&self, event: Event) {
+        let micros = self.wall_base + self.boot.elapsed().as_micros() as u64;
+        self.ring.record(micros, event);
+    }
+
+    /// The evicted-event count plus the retained events `et` selects,
+    /// oldest first: everything for [`SPAN_QUERY_ALL`], otherwise that
+    /// ET's lifecycle records. VTNC horizon spans carry no ET and match
+    /// every ET: the caller attributes them via apply versions.
+    pub fn query(&self, et: u64) -> (u64, Vec<RawEvent>) {
+        let all = et == SPAN_QUERY_ALL;
+        self.ring.dump(|e| match e {
+            Event::Span(r) => all || r.et.is_none() || r.et == Some(EtId(et)),
+            _ => all,
+        })
+    }
+}
+
+/// The lifecycle records among `events`, order preserved.
+pub fn span_records(events: Vec<RawEvent>) -> Vec<RawSpan> {
+    events
+        .into_iter()
+        .filter_map(|(seq, micros, event)| match event {
+            Event::Span(rec) => Some((seq, micros, rec)),
+            _ => None,
+        })
+        .collect()
+}
 
 /// One span as it appears in a merged cross-site timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -415,31 +393,23 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_bounded_and_counts_drops() {
-        let ring = SpanRing::new(3);
-        for i in 0..5u64 {
-            ring.record(i, SpanRec::new(SpanStage::Apply, EtId(i)));
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 2);
-        let spans = ring.query(SPAN_QUERY_ALL);
-        assert_eq!(spans[0].0, 2, "oldest two evicted");
-        assert!(!ring.is_empty());
-    }
-
-    #[test]
     fn query_filters_by_et_but_always_yields_horizons() {
-        let ring = SpanRing::new(16);
-        ring.record(0, SpanRec::new(SpanStage::Apply, EtId(1)));
-        ring.record(1, SpanRec::new(SpanStage::Apply, EtId(2)));
-        ring.record(
-            2,
-            SpanRec::vtnc(SpanStage::Vtnc, VersionTs::new(5, ClientId(0))),
-        );
-        let one = ring.query(1);
+        let log = EventLog::start();
+        log.record(Event::Span(SpanRec::new(SpanStage::Apply, EtId(1))));
+        log.record(Event::Span(SpanRec::new(SpanStage::Apply, EtId(2))));
+        log.record(Event::Span(SpanRec::vtnc(
+            SpanStage::Vtnc,
+            VersionTs::new(5, ClientId(0)),
+        )));
+        log.record(Event::DuplicateDelivery { et: EtId(1) });
+        let (dropped, one) = log.query(1);
+        assert_eq!(dropped, 0);
+        let one = span_records(one);
         assert_eq!(one.len(), 2, "et1 apply + the horizon span");
         assert!(one.iter().any(|(_, _, r)| r.et.is_none()));
-        assert_eq!(ring.query(SPAN_QUERY_ALL).len(), 3);
+        let (_, all) = log.query(SPAN_QUERY_ALL);
+        assert_eq!(all.len(), 4, "every event, lifecycle or not");
+        assert_eq!(span_records(all).len(), 3);
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl Net {
                     self.queues[site][to.raw() as usize].push_back(frame)
                 }
                 Effect::RecordView(v) => self.views[site] = v,
-                Effect::Trace { .. } | Effect::Checkpoint(_) | Effect::Span(_) => {}
+                Effect::Event(_) | Effect::Checkpoint(_) => {}
             }
         }
     }

@@ -1,8 +1,8 @@
 //! # esr-sim — deterministic discrete-event simulation kernel
 //!
 //! The substrate under the simulated distributed system: a virtual clock,
-//! a deterministic event queue, seeded randomness, Lamport clocks, and a
-//! bounded trace. Replica-control experiments run on this kernel so that
+//! a deterministic event queue, seeded randomness and Lamport clocks.
+//! Replica-control experiments run on this kernel so that
 //! every run is exactly reproducible from its seed — adversarial message
 //! reorderings and partition schedules included.
 
@@ -15,7 +15,6 @@ pub mod probe;
 pub mod rng;
 pub mod sched;
 pub mod time;
-pub mod trace;
 pub mod vclock;
 
 pub use clock::LamportClock;
@@ -24,5 +23,4 @@ pub use probe::{SyncEvent, SyncOp};
 pub use rng::DetRng;
 pub use sched::Scheduler;
 pub use time::{Duration, VirtualTime};
-pub use trace::{Trace, TraceEntry};
 pub use vclock::{Epoch, VectorClock};

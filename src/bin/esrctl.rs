@@ -37,7 +37,7 @@ commands:
   metrics
   trace
   spans <et> [--skeleton]
-      scrapes every site's span ring (discovered from the cluster
+      scrapes every site's event ring (discovered from the cluster
       directory; --site is ignored) and prints the ET's merged causal
       timeline plus a critical-path latency breakdown; --skeleton
       drops timestamps for deterministic comparison
@@ -137,7 +137,7 @@ fn discover_sites(dir: &std::path::Path) -> Vec<SiteId> {
     sites.into_iter().map(SiteId).collect()
 }
 
-/// `esrctl spans <et> [--skeleton]`: scrape every site's span ring and
+/// `esrctl spans <et> [--skeleton]`: scrape every site's event ring and
 /// print the merged causal timeline with its critical-path breakdown.
 fn cmd_spans(dir: &std::path::Path, args: &[String]) -> std::io::Result<()> {
     let mut skeleton = false;
@@ -159,7 +159,7 @@ fn cmd_spans(dir: &std::path::Path, args: &[String]) -> std::io::Result<()> {
         let (dropped, spans) = client.spans(et)?;
         if dropped > 0 {
             // Overflow makes the merge honest-but-partial; say so.
-            eprintln!("({site} span ring dropped {dropped} older spans)");
+            eprintln!("({site} event ring dropped {dropped} older events)");
         }
         per_site.push((site, spans));
     }
@@ -209,9 +209,12 @@ fn run(client: &mut RpcClient, command: &str, args: &[String]) -> std::io::Resul
             if dropped > 0 {
                 eprintln!("(ring dropped {dropped} older events)");
             }
+            // Wall stamps, shown relative to the oldest retained event
+            // like the `spans` timeline.
+            let base = events.iter().map(|e| e.1).min().unwrap_or(0);
             let mut out = std::io::stdout().lock();
-            for (seq, micros, component, message) in events {
-                writeln!(out, "{seq}\t{micros}us\t{component}\t{message}")?;
+            for (seq, micros, event) in events {
+                writeln!(out, "{seq}\t+{:>8}us\t{event}", micros - base)?;
             }
         }
         "audit" => {

@@ -18,6 +18,7 @@ use std::time::Duration;
 
 use esr::core::{EtId, ObjectId, ObjectOp, Operation, SiteId, Value};
 use esr::net::faults::{PartitionSchedule, PartitionWindow};
+use esr::replica::span::Event;
 use esr::runtime::{render_trace, ChaosStats, Cluster, FaultPlan, RtMethod};
 use esr_check::certify::{certify, SiteTrace};
 
@@ -93,9 +94,7 @@ fn certify_run(c: &Cluster, method: RtMethod, seed: u64) -> u64 {
     traces
         .iter()
         .flat_map(|t| &t.events)
-        .filter(|(component, message)| {
-            component == "client" && message.starts_with("duplicate submit")
-        })
+        .filter(|e| matches!(e, Event::DuplicateSubmit { .. }))
         .count() as u64
 }
 

@@ -21,6 +21,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use esr::core::{ObjectId, ObjectOp, Operation, SiteId};
+use esr::replica::span::Event;
 use esr::runtime::{ProcCluster, RtMethod};
 use esr_check::certify::{certify, SiteTrace};
 
@@ -183,11 +184,11 @@ fn wiped_site_rejoins_via_snapshot_catch_up() {
     // The rejoin really went through the wire catch-up + restore path.
     let (_, events) = c.trace_of(SiteId(1)).expect("trace of rejoined site");
     assert!(
-        events.iter().any(|(_, _, comp, msg)| comp == "ckpt" && msg.contains("catch-up")),
+        events.iter().any(|(_, _, e)| matches!(e, Event::CkptCatchUp { .. })),
         "rejoined site should record a catch-up event: {events:?}"
     );
     assert!(
-        events.iter().any(|(_, _, comp, msg)| comp == "ckpt" && msg.contains("restore")),
+        events.iter().any(|(_, _, e)| matches!(e, Event::CkptRestore { .. })),
         "rejoined site should restore from the fetched snapshot"
     );
     let status = c.status_of(SiteId(1)).expect("status after rejoin");
