@@ -27,8 +27,6 @@
 //!   lock-counters;
 //! * [`lock`] — ET lock modes, the paper's Tables 2–3, and a queueing
 //!   2PL lock manager with deadlock detection;
-//! * [`tso`] — basic-timestamp divergence control: TO for update ETs,
-//!   charged out-of-order reads for query ETs (§3.1);
 //! * [`spatial`] — the §5.1 spatial consistency criteria: bounding
 //!   queries by pending operations, value deviation, or changed items;
 //! * [`fastid`] — a cheap non-cryptographic hasher for id-keyed
@@ -48,7 +46,6 @@ pub mod op;
 pub mod overlap;
 pub mod serializability;
 pub mod spatial;
-pub mod tso;
 pub mod value;
 
 pub use divergence::{Admission, EpsilonSpec, InconsistencyCounter, LockCounters};
@@ -65,5 +62,4 @@ pub use serializability::{
     ConflictGraph,
 };
 pub use spatial::{DeviationTracker, SpatialSpec};
-pub use tso::{QueryReadDecision, TimestampOrdering, TsoDecision};
 pub use value::Value;

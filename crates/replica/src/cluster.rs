@@ -1,50 +1,68 @@
-//! The simulated replicated system: sites + network + replica control.
+//! The simulated replicated system: the protocol core under a
+//! deterministic virtual-time network.
 //!
-//! `SimCluster` wires one [`crate::site::ReplicaSite`] implementation
-//! per site to the deterministic network and event
-//! scheduler. It owns the method-specific coordination services the paper
-//! assumes around each method:
+//! `SimCluster` is an **effect executor** around one
+//! [`NodeCore`] per site — the same pure core `esrd` and the thread
+//! `Cluster` of `esr-runtime` execute and `esr-model` checks. One
+//! scheduler event kind carries a [`wire::Frame`](crate::wire::Frame)
+//! to a site; the site's core steps on it, and the simulator performs
+//! the returned [`Effect`]s in order: a `Send` is planned through the
+//! simulated [`Network`] (latency, loss, duplication, partitions,
+//! bandwidth — and therefore *reordering*) and becomes one scheduled
+//! arrival per planned copy, an `Event` lands in the site's in-memory
+//! event log, and journal / view / checkpoint effects are dropped (no
+//! site ever crashes here, and no `Tick` is injected, so site 0
+//! coordinates view 0 for the whole run). ORDUP hold-back, completion
+//! tracking, VTNC certification and COMPE decision broadcast are the
+//! core's; none of them is written here.
 //!
-//! * the **ORDUP sequencer** (MSets route through the sequencer site,
-//!   which stamps dense sequence numbers and fans out);
-//! * Lamport **send clocks** and per-origin FIFO numbers for distributed
-//!   ORDUP, plus the heartbeat flush that stabilizes the tail;
-//! * **completion tracking** for COMMU/RITU lock-counters (each replica
-//!   acks its apply to the origin; the origin broadcasts a completion
-//!   notice);
-//! * the **VTNC certifier** for RITU multiversion (advances the horizon
-//!   once every version below it is installed everywhere);
-//! * the **commit coordinator** for COMPE (decides commit/abort after a
-//!   configurable delay and broadcasts outcome notices).
+//! What stays in the simulator is what a *client* or an *omniscient
+//! observer* does:
 //!
-//! Everything — updates, acks, notices — travels through the simulated
-//! network with latency, loss, duplication, and partitions, so the whole
-//! run is reproducible from the seed.
+//! * minting ET ids, the **ORDUP sequencer** (the stamped submit enters
+//!   the core at the sequencer site after an origin → sequencer hop),
+//!   the RITU **version clock**, and — for distributed ORDUP — the
+//!   Lamport **send clocks**, per-origin FIFO numbers and the heartbeat
+//!   round that stabilizes the tail at quiescence;
+//! * the seeded COMPE **outcome draw** and the timer that hands the
+//!   origin the client decision (the core forwards it to the
+//!   coordinator, which broadcasts it);
+//! * the **measurement side**: the global lock-counters and deviation
+//!   tracker queries are admitted against (DESIGN §7), the serial
+//!   oracle, the true-error probe and the run statistics — fed by the
+//!   events the cores emit, never feeding a frame or a core input back.
+//!
+//! Everything travels through the simulated network, so the whole run —
+//! replica states, metrics, per-site event logs — is reproducible from
+//! the seed.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use esr_core::divergence::{EpsilonSpec, InconsistencyCounter, LockCounters};
-use esr_core::spatial::{DeviationTracker, SpatialSpec};
 use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
+use esr_core::spatial::{DeviationTracker, SpatialSpec};
 use esr_core::value::Value;
 use esr_net::topology::{LinkConfig, Topology};
 use esr_net::transport::{NetStats, Network};
-use esr_obs::{Counter, Gauge, GaugeFamily, MetricsRegistry, SiteInstruments};
 use esr_net::PartitionSchedule;
+use esr_obs::{Counter, Gauge, GaugeFamily, MetricsRegistry, SiteInstruments};
 use esr_sim::clock::LamportClock;
 use esr_sim::rng::DetRng;
 use esr_sim::sched::Scheduler;
 use esr_sim::time::{Duration, VirtualTime};
-use esr_storage::recovery_log::RollbackStrategy;
 use esr_storage::store::ObjectStore;
 
-use crate::commu::CommuSite;
-use crate::compe::CompeSite;
-use crate::mset::MSet;
-use crate::ordup::{OrdupLamportSite, OrdupSite};
-use crate::ritu::{RituMvSite, RituOverwriteSite};
-use crate::site::{QueryOutcome, ReplicaSite};
+use crate::ctrl::{coordinator_of, max_version, Effect, NodeCore, NodeEvent};
+use crate::mset::{MSet, OrderTag};
+use crate::site::QueryOutcome;
+use crate::span::{Event, SpanStage};
+use crate::state::{RtMethod, SiteState};
+use crate::wire::Frame;
+
+/// COMPE: time between origination and the client's commit/abort
+/// decision reaching the origin.
+const DECISION_DELAY: Duration = Duration::from_millis(20);
 
 /// Which replica control method a cluster runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -85,70 +103,29 @@ impl Method {
             Method::Compe => "COMPE",
         }
     }
-}
 
-/// One site's state machine, dispatched by method.
-#[derive(Debug)]
-enum SiteImpl {
-    OrdupSeq(OrdupSite),
-    OrdupLamport(OrdupLamportSite),
-    Commu(CommuSite),
-    RituOverwrite(RituOverwriteSite),
-    RituMv(RituMvSite),
-    Compe(CompeSite),
-}
-
-macro_rules! dispatch {
-    ($self:expr, $site:pat => $body:expr) => {
-        match $self {
-            SiteImpl::OrdupSeq($site) => $body,
-            SiteImpl::OrdupLamport($site) => $body,
-            SiteImpl::Commu($site) => $body,
-            SiteImpl::RituOverwrite($site) => $body,
-            SiteImpl::RituMv($site) => $body,
-            SiteImpl::Compe($site) => $body,
+    /// The core method this configuration runs on. Both ORDUP variants
+    /// ride [`RtMethod::Ordup`]: they differ in the site state machine
+    /// and in who stamps the order, not in the control plane.
+    pub fn rt(self) -> RtMethod {
+        match self {
+            Method::OrdupSeq | Method::OrdupLamport => RtMethod::Ordup,
+            Method::Commu => RtMethod::Commu,
+            Method::RituOverwrite => RtMethod::Ritu,
+            Method::RituMv => RtMethod::RituMv,
+            Method::Compe => RtMethod::Compe,
         }
-    };
-}
-
-impl SiteImpl {
-    fn deliver(&mut self, mset: MSet) {
-        dispatch!(self, s => s.deliver(mset))
-    }
-    fn deliver_batch(&mut self, msets: Vec<MSet>) {
-        dispatch!(self, s => s.deliver_batch(msets))
-    }
-    fn query(&mut self, read_set: &[ObjectId], c: &mut InconsistencyCounter) -> QueryOutcome {
-        dispatch!(self, s => s.query(read_set, c))
-    }
-    fn snapshot(&self) -> BTreeMap<ObjectId, Value> {
-        dispatch!(self, s => s.snapshot())
-    }
-    fn backlog(&self) -> usize {
-        dispatch!(self, s => s.backlog())
-    }
-    fn has_applied(&self, et: EtId) -> bool {
-        dispatch!(self, s => s.has_applied(et))
-    }
-    fn attach_metrics(&mut self, obs: SiteInstruments) {
-        dispatch!(self, s => s.attach_metrics(obs))
     }
 }
 
-/// Simulation events.
+/// The one simulation event: `frame` arrives at `to`. A sender equal to
+/// the receiver marks the site's client plane (`Submit`, `Decision`),
+/// as in the thread runtime; any other sender is a peer link.
 #[derive(Debug, Clone)]
-enum Event {
-    /// An update MSet arrives at a site.
-    Deliver { to: SiteId, mset: MSet },
-    /// A replica acknowledges applying `et` to the coordinator.
-    Ack { et: EtId, from: SiteId },
-    /// The completion notice for `et` arrives at a site (lock-counters
-    /// drop).
-    Complete { to: SiteId, et: EtId },
-    /// The COMPE coordinator's decision for `et` arrives at a site.
-    Outcome { to: SiteId, et: EtId, commit: bool },
-    /// The VTNC certifier tells a site to raise its horizon.
-    VtncAdvance { to: SiteId, ts: VersionTs },
+struct Arrival {
+    from: SiteId,
+    to: SiteId,
+    frame: Frame,
 }
 
 /// Configuration of a simulated cluster.
@@ -164,13 +141,8 @@ pub struct ClusterConfig {
     pub partitions: PartitionSchedule,
     /// RNG seed: same seed, same run.
     pub seed: u64,
-    /// Which site hosts the ORDUP sequencer / VTNC certifier.
-    pub coordinator: SiteId,
     /// COMPE: probability that a submitted update globally aborts.
     pub abort_prob: f64,
-    /// COMPE: time between origination and the global commit/abort
-    /// decision.
-    pub decision_delay: Duration,
 }
 
 impl ClusterConfig {
@@ -182,9 +154,7 @@ impl ClusterConfig {
             link: LinkConfig::default(),
             partitions: PartitionSchedule::none(),
             seed: 0xE5B,
-            coordinator: SiteId(0),
             abort_prob: 0.0,
-            decision_delay: Duration::from_millis(20),
         }
     }
 
@@ -219,23 +189,21 @@ impl ClusterConfig {
     }
 }
 
-/// Bookkeeping for one submitted update.
+/// What the observer remembers about one submitted update.
 #[derive(Debug, Clone)]
 struct Submission {
     ops: Vec<ObjectOp>,
     origin: SiteId,
     submitted_at: VirtualTime,
-    /// COMPE: the coordinator's eventual decision.
+    /// COMPE: the global outcome (drawn at submit; `false` while a
+    /// pending update awaits [`SimCluster::resolve`]).
     commit: bool,
     /// RITU: the version this update writes (max over its ops).
     version: Option<VersionTs>,
     /// ORDUP-seq: the assigned global sequence number.
     seq: Option<SeqNo>,
-    /// Replicas that have acked application (deduplicated — the network
-    /// may duplicate ack messages).
-    acks: std::collections::BTreeSet<SiteId>,
-    /// When the last replica applied it (completion).
-    completed_at: Option<VirtualTime>,
+    /// COMPE: sites that have recorded the decision.
+    decided: usize,
 }
 
 /// Aggregate statistics of a run.
@@ -245,7 +213,8 @@ pub struct ClusterStats {
     pub updates: u64,
     /// Queries served (admitted).
     pub queries_served: u64,
-    /// Queries rejected at least once for budget reasons.
+    /// Query attempts rejected for budget reasons (a retried query
+    /// counts once per rejected attempt).
     pub queries_rejected: u64,
     /// Total inconsistency charged to queries.
     pub total_charged: u64,
@@ -259,8 +228,9 @@ pub struct ClusterStats {
     pub ops_undone: u64,
     /// COMPE: operations replayed across all rollbacks.
     pub ops_replayed: u64,
-    /// Completion latencies (submit → all replicas applied), for methods
-    /// with ack tracking (COMMU, RITU, RITU-MV).
+    /// Completion latencies (submit → the coordinator certifying that
+    /// every replica applied), for the methods whose completion the core
+    /// certifies per ET (COMMU, RITU).
     pub completion_latencies: Vec<Duration>,
 }
 
@@ -295,13 +265,26 @@ pub struct SpatialQueryOutcome {
     pub changed_items: u64,
 }
 
+/// One simulated site: the pure core plus what its effects act on.
+#[derive(Debug)]
+struct Site {
+    core: NodeCore,
+    /// Every [`Effect::Event`] the core emitted, stamped with the
+    /// virtual time of the step.
+    events: Vec<(VirtualTime, Event)>,
+    /// A clone of the site's instrument bundle, so the cluster can set
+    /// the authoritative per-query epsilon gauges (the admission
+    /// decision for most methods happens here, not in the site).
+    obs: SiteInstruments,
+}
+
 /// The simulated replicated system.
 #[derive(Debug)]
 pub struct SimCluster {
     config: ClusterConfig,
-    sites: Vec<SiteImpl>,
+    sites: Vec<Site>,
     net: Network,
-    sched: Scheduler<Event>,
+    sched: Scheduler<Arrival>,
     rng: DetRng,
     /// Lamport send clocks, one per site (ORDUP-L).
     send_clocks: Vec<LamportClock>,
@@ -314,29 +297,20 @@ pub struct SimCluster {
     /// All submissions by ET.
     submissions: BTreeMap<EtId, Submission>,
     next_et: u64,
-    /// VTNC certifier state: current certified horizon.
-    certified_vtnc: VersionTs,
     /// Global divergence-control lock-counters (§3.2): raised at
     /// origination, released once the update is resolved at every
     /// replica. Queries under COMMU/RITU/COMPE/ORDUP-L charge against
-    /// these.
+    /// these. An event-plane observer: it reads the cores' events and
+    /// states and feeds nothing back.
     global_counters: LockCounters,
     /// Spatial divergence control (§5.1): tracks the pending value
     /// deviation / changed items alongside the operation counts.
     deviation: DeviationTracker,
-    /// COMPE: sites that have processed each update's outcome notice.
-    outcome_seen: BTreeMap<EtId, std::collections::BTreeSet<SiteId>>,
-    /// Acks already scheduled, so delivery rescans don't re-send them.
-    acks_scheduled: std::collections::BTreeSet<(EtId, SiteId)>,
     stats: ClusterStats,
     /// Shared metrics registry — every site bundle registers here; the
     /// snapshot is deterministic under the sim clock (the registry never
     /// reads wall time).
     metrics: MetricsRegistry,
-    /// Clones of each site's instrument bundle, so the cluster can set
-    /// the authoritative per-query epsilon gauges (the admission
-    /// decision for most methods happens here, not in the site).
-    site_obs: Vec<SiteInstruments>,
     /// Per-site replica divergence vs. the global outcome
     /// (`esr_divergence`), refreshed by [`SimCluster::refresh_metrics`].
     divergence_gauge: GaugeFamily,
@@ -362,27 +336,21 @@ impl SimCluster {
             .with_partitions(config.partitions.clone());
         let site_ids: Vec<SiteId> = (0..config.sites as u64).map(SiteId).collect();
         let metrics = MetricsRegistry::new();
-        let mut site_obs = Vec::with_capacity(config.sites);
+        let method = config.method.rt();
         let sites = site_ids
             .iter()
             .map(|&id| {
-                let mut site = match config.method {
-                    Method::OrdupSeq => SiteImpl::OrdupSeq(OrdupSite::new(id)),
-                    Method::OrdupLamport => {
-                        SiteImpl::OrdupLamport(OrdupLamportSite::new(id, site_ids.clone()))
-                    }
-                    Method::Commu => SiteImpl::Commu(CommuSite::new(id)),
-                    Method::RituOverwrite => {
-                        SiteImpl::RituOverwrite(RituOverwriteSite::new(id))
-                    }
-                    Method::RituMv => SiteImpl::RituMv(RituMvSite::new(id)),
-                    Method::Compe => SiteImpl::Compe(CompeSite::new(id)),
+                let mut state = match config.method {
+                    Method::OrdupLamport => SiteState::ordup_lamport(id, site_ids.clone()),
+                    _ => SiteState::new(method, id),
                 };
-                let obs =
-                    SiteInstruments::for_site(&metrics, config.method.name(), id.raw());
-                site_obs.push(obs.clone());
-                site.attach_metrics(obs);
-                site
+                let obs = SiteInstruments::for_site(&metrics, config.method.name(), id.raw());
+                state.attach_metrics(obs.clone());
+                Site {
+                    core: NodeCore::fresh(state, method, id, config.sites, None),
+                    events: Vec::new(),
+                    obs,
+                }
             })
             .collect();
         let divergence_gauge = GaugeFamily::new(&metrics, "esr_divergence");
@@ -404,14 +372,10 @@ impl SimCluster {
             next_version_time: 0,
             submissions: BTreeMap::new(),
             next_et: 1,
-            certified_vtnc: VersionTs::MIN,
             global_counters: LockCounters::new(),
             deviation: DeviationTracker::new(),
-            outcome_seen: BTreeMap::new(),
-            acks_scheduled: std::collections::BTreeSet::new(),
             stats: ClusterStats::default(),
             metrics,
-            site_obs,
             divergence_gauge,
             vtnc_lag_gauge,
             obs_updates,
@@ -436,7 +400,7 @@ impl SimCluster {
     /// delivering.
     pub fn advance_to(&mut self, t: VirtualTime) {
         while let Some((now, e)) = self.sched.next_event_before(t) {
-            self.handle(now, e);
+            self.arrive(now, e);
         }
         self.sched.advance_to(t);
     }
@@ -449,6 +413,17 @@ impl SimCluster {
     /// Run statistics.
     pub fn stats(&self) -> &ClusterStats {
         &self.stats
+    }
+
+    /// One site's event log: every event its core emitted, as
+    /// `(seq, virtual micros, event)` in emission order — the dump shape
+    /// of the thread and process clusters' `trace_of`, holding the same
+    /// typed [`Event`]s, ready for the trace certifier and the span
+    /// merger.
+    pub fn events_of(&self, site: SiteId) -> Vec<(u64, u64, Event)> {
+        let log = self.site(site).events.iter().enumerate();
+        log.map(|(seq, (at, event))| (seq as u64, at.as_micros(), event.clone()))
+            .collect()
     }
 
     /// The cluster's metrics registry. Per-site series update live on
@@ -480,17 +455,17 @@ impl SimCluster {
             .flat_map(|sub| sub.ops.iter())
             .filter(|o| o.op.is_write())
             .map(|o| o.object)
-            .collect::<std::collections::BTreeSet<_>>()
+            .collect::<BTreeSet<_>>()
             .into_iter()
             .collect();
-        for site in self.site_ids() {
-            let d = self.divergent_updates(site, &objects);
+        for id in self.site_ids() {
+            let d = self.divergent_updates(id, &objects);
             self.divergence_gauge
-                .set(site.raw(), i64::try_from(d).unwrap_or(i64::MAX));
-            if let SiteImpl::RituMv(s) = self.site(site) {
+                .set(id.raw(), i64::try_from(d).unwrap_or(i64::MAX));
+            if let SiteState::RituMv(s) = &self.site(id).core.state {
                 let lag = self.next_version_time.saturating_sub(s.vtnc().time);
                 self.vtnc_lag_gauge
-                    .set(site.raw(), i64::try_from(lag).unwrap_or(i64::MAX));
+                    .set(id.raw(), i64::try_from(lag).unwrap_or(i64::MAX));
             }
         }
         self.obs_overlap_inflight
@@ -499,10 +474,7 @@ impl SimCluster {
         let resolved = self
             .submissions
             .iter()
-            .filter(|(et, sub)| {
-                let survives = sub.commit || self.config.method != Method::Compe;
-                !survives || self.sites.iter().all(|s| s.has_applied(**et))
-            })
+            .filter(|(et, sub)| !self.survives(sub) || self.applied_everywhere(**et))
             .count();
         // An empty cluster is vacuously quiescent.
         let permille = (resolved * 1000).checked_div(total).map_or(1000, |p| p as i64);
@@ -514,107 +486,33 @@ impl SimCluster {
         (0..self.config.sites as u64).map(SiteId).collect()
     }
 
-    fn fresh_et(&mut self) -> EtId {
-        let et = EtId(self.next_et);
-        self.next_et += 1;
-        et
-    }
-
-    fn site_mut(&mut self, id: SiteId) -> &mut SiteImpl {
-        &mut self.sites[id.raw() as usize]
-    }
-
-    fn site(&self, id: SiteId) -> &SiteImpl {
+    fn site(&self, id: SiteId) -> &Site {
         &self.sites[id.raw() as usize]
+    }
+
+    /// Does `sub` survive globally (always, except an aborted or still
+    /// pending COMPE update)?
+    fn survives(&self, sub: &Submission) -> bool {
+        sub.commit || self.config.method != Method::Compe
+    }
+
+    fn applied_everywhere(&self, et: EtId) -> bool {
+        self.sites.iter().all(|s| s.core.state.has_applied(et))
     }
 
     /// Submits an update ET at `origin` carrying `ops`, at the current
     /// virtual time. Returns the ET id. For RITU methods every write must
     /// be a `TimestampedWrite` — use [`SimCluster::submit_blind_write`]
-    /// to stamp one from the global version clock.
+    /// to stamp one from the global version clock (the core's VTNC
+    /// certifier expects that clock's dense 1, 2, 3, … version times).
     pub fn submit_update(&mut self, origin: SiteId, ops: Vec<ObjectOp>) -> EtId {
-        let et = self.fresh_et();
-        let now = self.now();
-        let version = ops
-            .iter()
-            .filter_map(|o| match &o.op {
-                Operation::TimestampedWrite(ts, _) => Some(*ts),
-                _ => None,
-            })
-            .max();
         let commit = !self.rng.chance(self.config.abort_prob);
-        let mut seq = None;
-
-        match self.config.method {
-            Method::OrdupSeq => {
-                let s = self.next_seq;
-                self.next_seq = self.next_seq.next();
-                seq = Some(s);
-                let mset = MSet::new(et, origin, ops.clone()).sequenced(s);
-                // Route through the sequencer site: origin → sequencer,
-                // then fan out sequencer → every site.
-                let coordinator = self.config.coordinator;
-                let stamped_at = if origin == coordinator {
-                    now
-                } else {
-                    self.net.plan_send(origin, coordinator, now)[0].at
-                };
-                let mut deliveries: Vec<(VirtualTime, SiteId)> = Vec::new();
-                for to in self.site_ids() {
-                    if to == coordinator {
-                        deliveries.push((stamped_at, to));
-                    } else {
-                        for d in self.net.plan_send(coordinator, to, stamped_at) {
-                            deliveries.push((d.at, to));
-                        }
-                    }
-                }
-                self.schedule_deliveries(deliveries, mset);
-            }
-            Method::OrdupLamport => {
-                let ts = self.send_clocks[origin.raw() as usize].tick();
-                let fifo = self.fifo_counters[origin.raw() as usize];
-                self.fifo_counters[origin.raw() as usize] = fifo.next();
-                let mset = MSet::new(et, origin, ops.clone()).lamport(ts, fifo);
-                self.broadcast_from(origin, now, mset);
-            }
-            Method::Commu | Method::RituOverwrite | Method::RituMv | Method::Compe => {
-                let mset = MSet::new(et, origin, ops.clone());
-                self.broadcast_from(origin, now, mset);
-                if self.config.method == Method::Compe {
-                    // The coordinator (origin) decides after the delay and
-                    // broadcasts the outcome.
-                    let decided_at = now + self.config.decision_delay;
-                    self.schedule_outcome(et, origin, commit, decided_at);
-                }
-            }
+        let et = self.submit(origin, ops, commit);
+        if self.config.method == Method::Compe {
+            // The client decides after the delay and tells the origin.
+            let decided_at = self.now() + DECISION_DELAY;
+            self.decide_at(decided_at, et, origin, commit);
         }
-
-        // Register the update with divergence control: its lock-counters
-        // stay raised until it is resolved at every replica.
-        let write_set: Vec<ObjectId> = ops
-            .iter()
-            .filter(|o| o.op.is_write())
-            .map(|o| o.object)
-            .collect();
-        self.global_counters.begin_update(et, write_set);
-        self.deviation
-            .begin(et, ops.iter().map(|o| (o.object, &o.op)));
-        self.submissions.insert(
-            et,
-            Submission {
-                ops,
-                origin,
-                submitted_at: now,
-                commit,
-                version,
-                seq,
-                acks: std::collections::BTreeSet::new(),
-                completed_at: None,
-            },
-        );
-        self.stats.updates += 1;
-        self.obs_updates.inc();
         et
     }
 
@@ -634,24 +532,6 @@ impl SimCluster {
         )
     }
 
-    /// Broadcasts the COMPE outcome for `et` from its coordinator.
-    fn schedule_outcome(&mut self, et: EtId, origin: SiteId, commit: bool, decided_at: VirtualTime) {
-        if !commit {
-            self.stats.aborts += 1;
-        }
-        for to in self.site_ids() {
-            if to == origin {
-                self.sched
-                    .schedule_at(decided_at, Event::Outcome { to, et, commit });
-            } else {
-                for d in self.net.plan_send(origin, to, decided_at) {
-                    self.sched
-                        .schedule_at(d.at, Event::Outcome { to, et, commit });
-                }
-            }
-        }
-    }
-
     /// Submits a COMPE update whose global outcome stays **pending**
     /// until the caller decides it with [`SimCluster::resolve`] — the
     /// building block for sagas (§4.2), where each step remains
@@ -666,20 +546,61 @@ impl SimCluster {
             Method::Compe,
             "pending outcomes require the COMPE method"
         );
-        // Temporarily zero the abort probability so submit_update makes
-        // no automatic decision, then strip the scheduled outcome by
-        // construction: with abort_prob 0 submit_update would schedule a
-        // commit — so bypass it instead.
-        let et = self.fresh_et();
+        // Pending: treated as not-surviving until resolved.
+        self.submit(origin, ops, false)
+    }
+
+    /// Decides the outcome of a pending COMPE update: the client hands
+    /// its commit/abort decision to the update's origin at the current
+    /// time. Panics if `et` is unknown.
+    #[expect(clippy::expect_used, reason = "resolving an unknown ET is a caller bug; the panic is the documented contract")]
+    pub fn resolve(&mut self, et: EtId, commit: bool) {
+        assert_eq!(self.config.method, Method::Compe);
+        let sub = self
+            .submissions
+            .get_mut(&et)
+            .expect("resolve of unknown update");
+        sub.commit = commit;
+        let origin = sub.origin;
+        self.decide_at(self.now(), et, origin, commit);
+    }
+
+    /// Stamps one update (ET id, method order tag), hands it to the
+    /// core as a client submit, and registers it with the observer: its
+    /// lock-counters stay raised until it is resolved at every replica.
+    fn submit(&mut self, origin: SiteId, ops: Vec<ObjectOp>, commit: bool) -> EtId {
+        let et = EtId(self.next_et);
+        self.next_et += 1;
         let now = self.now();
-        let mset = MSet::new(et, origin, ops.clone());
-        self.broadcast_from(origin, now, mset);
-        let write_set: Vec<ObjectId> = ops
-            .iter()
-            .filter(|o| o.op.is_write())
-            .map(|o| o.object)
-            .collect();
-        self.global_counters.begin_update(et, write_set);
+        // The client stamp lets the core absorb a duplicated submit.
+        let mut mset = MSet::new(et, origin, ops.clone()).from_client(ClientId(0), et.0);
+        let mut entry = origin;
+        let mut seq = None;
+        match self.config.method {
+            Method::OrdupSeq => {
+                // Route through the sequencer site — the coordinator of
+                // view 0, which no `Tick` ever moves: origin → sequencer,
+                // whose core fans out to every site.
+                seq = Some(self.next_seq);
+                mset = mset.sequenced(self.next_seq);
+                self.next_seq = self.next_seq.next();
+                entry = coordinator_of(0, self.config.sites);
+            }
+            Method::OrdupLamport => {
+                let o = origin.raw() as usize;
+                let fifo = self.fifo_counters[o];
+                self.fifo_counters[o] = fifo.next();
+                mset = mset.lamport(self.send_clocks[o].tick(), fifo);
+            }
+            _ => {}
+        }
+        let version = max_version(&mset);
+        self.send(now, origin, entry, Frame::Submit(mset));
+
+        self.global_counters.begin_update(
+            et,
+            ops.iter().filter(|o| o.op.is_write()).map(|o| o.object),
+        );
         self.deviation
             .begin(et, ops.iter().map(|o| (o.object, &o.op)));
         self.submissions.insert(
@@ -688,12 +609,10 @@ impl SimCluster {
                 ops,
                 origin,
                 submitted_at: now,
-                // Pending: treated as not-surviving until resolved.
-                commit: false,
-                version: None,
-                seq: None,
-                acks: std::collections::BTreeSet::new(),
-                completed_at: None,
+                commit,
+                version,
+                seq,
+                decided: 0,
             },
         );
         self.stats.updates += 1;
@@ -701,258 +620,138 @@ impl SimCluster {
         et
     }
 
-    /// Decides the outcome of a pending COMPE update: broadcasts
-    /// commit/abort notices from the coordinator at the current time.
-    /// Panics if `et` is unknown.
-    #[expect(clippy::expect_used, reason = "resolving an unknown ET is a caller bug; the panic is the documented contract")]
-    pub fn resolve(&mut self, et: EtId, commit: bool) {
-        assert_eq!(self.config.method, Method::Compe);
-        let now = self.now();
-        let origin = {
-            let sub = self
-                .submissions
-                .get_mut(&et)
-                .expect("resolve of unknown update");
-            sub.commit = commit;
-            sub.origin
-        };
-        self.schedule_outcome(et, origin, commit, now);
+    /// Schedules the client's COMPE decision for `et` to reach `origin`
+    /// at `at`; the origin's core forwards it to the coordinator.
+    fn decide_at(&mut self, at: VirtualTime, et: EtId, origin: SiteId, commit: bool) {
+        if !commit {
+            self.stats.aborts += 1;
+        }
+        let frame = Frame::Decision { et, commit };
+        self.sched.schedule_at(
+            at,
+            Arrival {
+                from: origin,
+                to: origin,
+                frame,
+            },
+        );
     }
 
-    /// Fans an MSet out from `origin` to every site (self-delivery is
+    /// Puts `frame` on the wire from `from` to `to` at `now`: one
+    /// scheduled arrival per copy the network plans (a hop to oneself is
     /// immediate). Sized by the MSet's wire footprint, so
     /// bandwidth-limited links charge serialization delay and congest.
-    fn broadcast_from(&mut self, origin: SiteId, at: VirtualTime, mset: MSet) {
-        let bytes = mset.wire_size();
-        let mut deliveries: Vec<(VirtualTime, SiteId)> = Vec::new();
-        for to in self.site_ids() {
-            if to == origin {
-                deliveries.push((at, to));
-            } else {
-                for d in self.net.plan_send_sized(origin, to, at, bytes) {
-                    deliveries.push((d.at, to));
-                }
-            }
-        }
-        self.schedule_deliveries(deliveries, mset);
-    }
-
-    /// Schedules one `Deliver` per planned `(time, site)` pair, cloning
-    /// the MSet for all but the last — the payload moves into the final
-    /// event instead of being cloned once per destination and dropped at
-    /// the end.
-    #[expect(clippy::expect_used, reason = "the payload Option is taken exactly once, on the final destination")]
-    fn schedule_deliveries(&mut self, deliveries: Vec<(VirtualTime, SiteId)>, mset: MSet) {
-        let n = deliveries.len();
-        let mut mset = Some(mset);
-        for (i, (at, to)) in deliveries.into_iter().enumerate() {
-            let m = if i + 1 == n {
-                mset.take().expect("one payload per delivery run")
-            } else {
-                mset.as_ref().expect("payload lives until the last delivery").clone()
-            };
-            self.sched.schedule_at(at, Event::Deliver { to, mset: m });
-        }
-    }
-
-    fn handle(&mut self, now: VirtualTime, event: Event) {
-        match event {
-            Event::Deliver { to, mset } => {
-                // Drain every further delivery bound for this site at
-                // this same instant: consecutive same-time deliveries at
-                // the queue head become ONE deliver_batch call, letting
-                // the method's batch fast path coalesce work. Stopping
-                // at the first non-matching event preserves the global
-                // event order for everything else.
-                let mut batch = vec![mset];
-                while let Some((_, extra)) = self.sched.next_event_if(|at, e| {
-                    at == now && matches!(e, Event::Deliver { to: t, .. } if *t == to)
-                }) {
-                    let Event::Deliver { mset, .. } = extra else {
-                        unreachable!("predicate admits only deliveries");
-                    };
-                    batch.push(mset);
-                }
-                if matches!(self.site(to), SiteImpl::OrdupLamport(_)) {
-                    for m in &batch {
-                        if let crate::mset::OrderTag::Lamport { ts, .. } = m.order {
-                            self.send_clocks[to.raw() as usize].observe(ts);
-                        }
-                    }
-                }
-                if batch.len() == 1 {
-                    if let Some(single) = batch.pop() {
-                        self.site_mut(to).deliver(single);
-                    }
-                } else {
-                    self.site_mut(to).deliver_batch(batch);
-                }
-                // A delivery can apply several held-back MSets at
-                // once (ORDUP drains its hold-back queue, a batch
-                // applies many), so scan for everything newly applied
-                // at this site and ack each back to its coordinator
-                // (the origin site).
-                let newly_applied: Vec<(EtId, SiteId)> = self
-                    .submissions
-                    .iter()
-                    .filter(|(id, sub)| {
-                        !sub.acks.contains(&to)
-                            && !self.acks_scheduled.contains(&(**id, to))
-                            && self.site(to).has_applied(**id)
-                    })
-                    .map(|(id, sub)| (*id, sub.origin))
-                    .collect();
-                for (aid, aorigin) in newly_applied {
-                    self.acks_scheduled.insert((aid, to));
-                    if to == aorigin {
-                        self.sched.schedule_at(now, Event::Ack { et: aid, from: to });
-                    } else {
-                        for d in self.net.plan_send(to, aorigin, now) {
-                            self.sched
-                                .schedule_at(d.at, Event::Ack { et: aid, from: to });
-                        }
-                    }
-                }
-            }
-            Event::Ack { et, from } => {
-                let n = self.config.sites;
-                let completed = {
-                    let Some(sub) = self.submissions.get_mut(&et) else {
-                        return;
-                    };
-                    if !sub.acks.insert(from) || sub.acks.len() != n {
-                        None
-                    } else {
-                        sub.completed_at = Some(now);
-                        Some(sub.submitted_at)
-                    }
-                };
-                if let Some(submitted_at) = completed {
-                    self.stats.completion_latencies.push(now - submitted_at);
-                    if self.config.method != Method::Compe {
-                        self.global_counters.end_update(et);
-                        self.deviation.end(et);
-                    } else {
-                        self.maybe_release_compe(et);
-                    }
-                    // Broadcast completion notices (lock-counter release).
-                    if matches!(
-                        self.config.method,
-                        Method::Commu | Method::RituOverwrite
-                    ) {
-                        let coordinator = self.config.coordinator;
-                        for to in self.site_ids() {
-                            if to == coordinator {
-                                self.sched.schedule_at(now, Event::Complete { to, et });
-                            } else {
-                                for d in self.net.plan_send(coordinator, to, now) {
-                                    self.sched.schedule_at(d.at, Event::Complete { to, et });
-                                }
-                            }
-                        }
-                    }
-                    if self.config.method == Method::RituMv {
-                        self.recertify_vtnc(now);
-                    }
-                }
-            }
-
-            Event::Complete { to, et } => match self.site_mut(to) {
-                SiteImpl::Commu(s) => s.complete(et),
-                SiteImpl::RituOverwrite(s) => s.complete(et),
-                _ => {}
-            },
-            Event::Outcome { to, et, commit } => {
-                let report = match self.site_mut(to) {
-                    SiteImpl::Compe(s) => {
-                        if commit {
-                            s.commit(et);
-                            None
-                        } else {
-                            s.abort(et)
-                        }
-                    }
-                    _ => None,
-                };
-                if let Some(report) = report {
-                    match report.strategy {
-                        RollbackStrategy::CommutativeCompensation => {
-                            self.stats.fast_compensations += 1
-                        }
-                        RollbackStrategy::SuffixRollback => self.stats.suffix_rollbacks += 1,
-                    }
-                    self.stats.ops_undone += report.ops_undone as u64;
-                    self.stats.ops_replayed += report.ops_replayed as u64;
-                }
-                // The update may now be resolved everywhere.
-                self.outcome_seen.entry(et).or_default().insert(to);
-                self.maybe_release_compe(et);
-            }
-            Event::VtncAdvance { to, ts } => {
-                if let SiteImpl::RituMv(s) = self.site_mut(to) {
-                    s.advance_vtnc(ts);
-                }
-            }
-        }
-    }
-
-    /// Releases a COMPE update's lock-counters once it is fully
-    /// resolved: its outcome notice has been processed at every site,
-    /// and (for commits) its MSet has been applied at every site — until
-    /// then some replica may still be missing its effect, so queries
-    /// must keep being charged for it.
-    fn maybe_release_compe(&mut self, et: EtId) {
-        if self.config.method != Method::Compe {
+    fn send(&mut self, now: VirtualTime, from: SiteId, to: SiteId, frame: Frame) {
+        if from == to {
+            self.sched.schedule_at(now, Arrival { from, to, frame });
             return;
         }
-        let n = self.config.sites;
-        if self.outcome_seen.get(&et).map_or(0, |s| s.len()) < n {
-            return;
+        let bytes = match &frame {
+            Frame::MSet(m) | Frame::Submit(m) => m.wire_size(),
+            _ => 0,
+        };
+        let planned = self.net.plan_send_sized(from, to, now, bytes);
+        if let Some((last, copies)) = planned.split_last() {
+            for d in copies {
+                let frame = frame.clone();
+                self.sched.schedule_at(d.at, Arrival { from, to, frame });
+            }
+            self.sched.schedule_at(last.at, Arrival { from, to, frame });
         }
+    }
+
+    /// Steps the receiving site's core with one arrived frame and
+    /// performs the effects.
+    fn arrive(&mut self, now: VirtualTime, Arrival { from, to, frame }: Arrival) {
+        if let Frame::MSet(m) | Frame::Submit(m) = &frame {
+            if let OrderTag::Lamport { ts, .. } = m.order {
+                self.send_clocks[to.raw() as usize].observe(ts);
+            }
+        }
+        let event = match frame {
+            Frame::Submit(mset) => NodeEvent::ClientSubmit(mset),
+            Frame::Decision { et, commit } if from == to => {
+                NodeEvent::ClientDecision { et, commit }
+            }
+            frame => NodeEvent::PeerFrame(frame),
+        };
+        let effects = self.sites[to.raw() as usize].core.step(event);
+        self.perform(now, to, effects);
+    }
+
+    /// Executes one step's effects strictly in order.
+    fn perform(&mut self, now: VirtualTime, site: SiteId, effects: Vec<Effect>) {
+        for effect in effects {
+            match effect {
+                Effect::Send { to, frame } => self.send(now, site, to, frame),
+                Effect::Event(event) => {
+                    self.observe(now, &event);
+                    self.sites[site.raw() as usize].events.push((now, event));
+                }
+                // No site ever crashes and no view past 0 is ever
+                // installed: nothing to journal, record or checkpoint.
+                Effect::Journal(_) | Effect::RecordView(_) | Effect::Checkpoint(_) => {}
+            }
+        }
+    }
+
+    /// The measurement side's only input: the events the cores emit.
+    fn observe(&mut self, now: VirtualTime, event: &Event) {
+        let Event::Span(rec) = event else { return };
+        let Some(et) = rec.et else { return };
+        match rec.stage {
+            SpanStage::Apply => self.release_if_resolved(et),
+            SpanStage::Decision => {
+                if let Some(sub) = self.submissions.get_mut(&et) {
+                    sub.decided += 1;
+                }
+                if rec.commit == Some(false) {
+                    self.refresh_rollback_stats();
+                }
+                self.release_if_resolved(et);
+            }
+            SpanStage::CompleteCert => {
+                if let Some(sub) = self.submissions.get(&et) {
+                    self.stats.completion_latencies.push(now - sub.submitted_at);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Releases an update's lock-counters once no replica can disagree
+    /// with its global outcome any more: every site has applied it —
+    /// or, under COMPE, every site has recorded the decision and (for a
+    /// commit) applied the MSet. Until then some replica may still be
+    /// missing its effect, or still showing an effect due to be
+    /// compensated, so queries must keep being charged for it.
+    fn release_if_resolved(&mut self, et: EtId) {
         let Some(sub) = self.submissions.get(&et) else {
             return;
         };
-        let resolved = !sub.commit || self.sites.iter().all(|s| s.has_applied(et));
+        let resolved = if self.config.method == Method::Compe {
+            sub.decided == self.config.sites && (!sub.commit || self.applied_everywhere(et))
+        } else {
+            self.applied_everywhere(et)
+        };
         if resolved {
             self.global_counters.end_update(et);
             self.deviation.end(et);
         }
     }
 
-    /// Recomputes the certified VTNC: the largest version v such that
-    /// every submitted version ≤ v has been applied at every replica.
-    /// Broadcasts the new horizon when it advances.
-    fn recertify_vtnc(&mut self, now: VirtualTime) {
-        let n = self.config.sites;
-        let mut versions: Vec<(VersionTs, usize)> = self
-            .submissions
-            .values()
-            .filter_map(|s| s.version.map(|v| (v, s.acks.len())))
-            .collect();
-        versions.sort_unstable_by_key(|(v, _)| *v);
-        let mut horizon = VersionTs::MIN;
-        for (v, acks) in versions {
-            if acks >= n {
-                horizon = v;
-            } else {
-                break;
-            }
-        }
-        if horizon > self.certified_vtnc {
-            self.certified_vtnc = horizon;
-            let coordinator = self.config.coordinator;
-            for to in self.site_ids() {
-                if to == coordinator {
-                    self.sched
-                        .schedule_at(now, Event::VtncAdvance { to, ts: horizon });
-                } else {
-                    for d in self.net.plan_send(coordinator, to, now) {
-                        self.sched
-                            .schedule_at(d.at, Event::VtncAdvance { to, ts: horizon });
-                    }
-                }
-            }
-        }
+    /// Re-reads the sites' cumulative rollback costs into the run
+    /// statistics (E8's columns).
+    fn refresh_rollback_stats(&mut self) {
+        let costs = self.sites.iter().filter_map(|site| match &site.core.state {
+            SiteState::Compe(s) => Some(s.rollback_totals()),
+            _ => None,
+        });
+        let stats = &mut self.stats;
+        stats.fast_compensations = costs.clone().map(|c| c.fast).sum();
+        stats.suffix_rollbacks = costs.clone().map(|c| c.suffix).sum();
+        stats.ops_undone = costs.clone().map(|c| c.ops_undone).sum();
+        stats.ops_replayed = costs.map(|c| c.ops_replayed).sum();
     }
 
     /// Processes a single pending event. Returns `false` when none
@@ -960,7 +759,7 @@ impl SimCluster {
     pub fn step(&mut self) -> bool {
         match self.sched.next_event() {
             Some((now, e)) => {
-                self.handle(now, e);
+                self.arrive(now, e);
                 true
             }
             None => false,
@@ -984,25 +783,18 @@ impl SimCluster {
                     (c.site(), ts)
                 })
                 .collect();
-            for site in self.sites.iter_mut() {
-                if let SiteImpl::OrdupLamport(s) = site {
+            for site in &mut self.sites {
+                if let SiteState::OrdupLamport(s) = &mut site.core.state {
                     for (origin, ts) in &beats {
                         s.heartbeat(*origin, *ts);
                     }
                 }
             }
-            // Final ack round: updates applied during the heartbeat flush
-            // never went through Ack events, so reconcile the divergence
-            // control directly.
-            let resolved: Vec<EtId> = self
-                .submissions
-                .keys()
-                .filter(|et| self.sites.iter().all(|s| s.has_applied(**et)))
-                .copied()
-                .collect();
-            for et in resolved {
-                self.global_counters.end_update(et);
-                self.deviation.end(et);
+            // The flush applied the tail without a core step, so no
+            // apply event announced it: settle the in-flight set
+            // directly.
+            for (et, _) in self.global_counters.held_sets() {
+                self.release_if_resolved(et);
             }
         }
         self.refresh_metrics();
@@ -1029,58 +821,35 @@ impl SimCluster {
         epsilon: EpsilonSpec,
     ) -> QueryOutcome {
         let mut counter = InconsistencyCounter::new(epsilon);
-        let ritu_mv = self.config.method == Method::RituMv;
-        let mut attempted_charge = 0;
-        let out = match (self.config.method, &mut self.sites[site.raw() as usize]) {
-            (Method::OrdupSeq, SiteImpl::OrdupSeq(s)) => {
-                let token = self.next_seq;
-                let charge = s.gap_to(token);
-                attempted_charge = charge;
-                if counter.charge(charge).is_admitted() {
-                    let mut unbounded = InconsistencyCounter::new(EpsilonSpec::UNBOUNDED);
-                    let values = s.query(read_set, &mut unbounded).values;
-                    QueryOutcome {
-                        values,
-                        charged: charge,
-                        admitted: true,
-                    }
-                } else {
-                    QueryOutcome::rejected()
-                }
-            }
-            (Method::RituMv, s @ SiteImpl::RituMv(_)) => s.query(read_set, &mut counter),
-            (_, s) => {
-                let charge = self
+        let Site { core, obs, .. } = &mut self.sites[site.raw() as usize];
+        let out = if let SiteState::RituMv(_) = core.state {
+            core.state.query(read_set, &mut counter)
+        } else {
+            // The admission decision is made here, against the *global*
+            // divergence control — the site only ever sees an unbounded
+            // wrapper. Stamp the authoritative charge and limit onto the
+            // site's epsilon gauges (last write wins over the site's
+            // internal view), and count rejections the site never saw.
+            let charge = match &core.state {
+                SiteState::Ordup(s) => s.gap_to(self.next_seq),
+                _ => self
                     .global_counters
-                    .inconsistency_of_set(read_set.iter().copied());
-                attempted_charge = charge;
-                if counter.charge(charge).is_admitted() {
-                    let mut unbounded = InconsistencyCounter::new(EpsilonSpec::UNBOUNDED);
-                    let values = s.query(read_set, &mut unbounded).values;
-                    QueryOutcome {
-                        values,
-                        charged: charge,
-                        admitted: true,
-                    }
-                } else {
-                    QueryOutcome::rejected()
+                    .inconsistency_of_set(read_set.iter().copied()),
+            };
+            if counter.charge(charge).is_admitted() {
+                let mut unbounded = InconsistencyCounter::new(EpsilonSpec::UNBOUNDED);
+                let values = core.state.query(read_set, &mut unbounded).values;
+                obs.query_gauges(charge, epsilon.limit);
+                QueryOutcome {
+                    values,
+                    charged: charge,
+                    admitted: true,
                 }
+            } else {
+                obs.query(charge, epsilon.limit, false);
+                QueryOutcome::rejected()
             }
         };
-        // For every method but RITU-MV the admission decision is made
-        // here, against the *global* divergence control — the site only
-        // ever sees an unbounded wrapper. Stamp the authoritative charge
-        // and limit onto the site's epsilon gauges (last write wins over
-        // the site's internal view), and count rejections the site never
-        // saw.
-        if !ritu_mv {
-            let obs = &self.site_obs[site.raw() as usize];
-            if out.admitted {
-                obs.query_gauges(out.charged, epsilon.limit);
-            } else {
-                obs.query(attempted_charge, epsilon.limit, false);
-            }
-        }
         if out.admitted {
             self.stats.queries_served += 1;
             self.stats.total_charged += out.charged;
@@ -1091,7 +860,6 @@ impl SimCluster {
     }
 
     /// The outcome of a spatially-bounded query (§5.1 extension).
-    #[allow(clippy::type_complexity)]
     pub fn try_query_spatial(
         &mut self,
         site: SiteId,
@@ -1105,6 +873,8 @@ impl SimCluster {
         let values = if admitted {
             let mut unbounded = InconsistencyCounter::new(EpsilonSpec::UNBOUNDED);
             self.sites[site.raw() as usize]
+                .core
+                .state
                 .query(read_set, &mut unbounded)
                 .values
         } else {
@@ -1168,7 +938,7 @@ impl SimCluster {
 
     /// One site's full snapshot.
     pub fn snapshot_of(&self, site: SiteId) -> BTreeMap<ObjectId, Value> {
-        self.site(site).snapshot()
+        self.site(site).core.state.snapshot()
     }
 
     /// Strips zero values: an object never written and an object whose
@@ -1181,21 +951,22 @@ impl SimCluster {
     /// True when every replica exposes semantically identical values
     /// (call after [`SimCluster::run_until_quiescent`]).
     pub fn converged(&self) -> bool {
-        let first = Self::normalize(self.sites[0].snapshot());
+        let first = Self::normalize(self.sites[0].core.state.snapshot());
         self.sites
             .iter()
-            .all(|s| Self::normalize(s.snapshot()) == first)
+            .all(|s| Self::normalize(s.core.state.snapshot()) == first)
     }
 
     /// True when replica state semantically equals the serial oracle
     /// ([`SimCluster::expected_state`]).
     pub fn matches_oracle(&self) -> bool {
-        Self::normalize(self.sites[0].snapshot()) == Self::normalize(self.expected_state())
+        Self::normalize(self.sites[0].core.state.snapshot())
+            == Self::normalize(self.expected_state())
     }
 
     /// Total backlog across sites (should be zero at quiescence).
     pub fn total_backlog(&self) -> usize {
-        self.sites.iter().map(|s| s.backlog()).sum()
+        self.sites.iter().map(|s| s.core.state.backlog()).sum()
     }
 
     /// The 1SR oracle: the state produced by applying every *surviving*
@@ -1204,14 +975,14 @@ impl SimCluster {
     /// commutative methods (any order yields the same state).
     #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
     pub fn expected_state(&self) -> BTreeMap<ObjectId, Value> {
-        let mut subs: Vec<(&EtId, &Submission)> = self
+        let mut subs: Vec<&Submission> = self
             .submissions
-            .iter()
-            .filter(|(_, s)| s.commit || self.config.method != Method::Compe)
+            .values()
+            .filter(|s| self.survives(s))
             .collect();
         match self.config.method {
-            Method::OrdupSeq => subs.sort_by_key(|(_, s)| s.seq),
-            Method::RituOverwrite | Method::RituMv => subs.sort_by_key(|(_, s)| s.version),
+            Method::OrdupSeq => subs.sort_by_key(|s| s.seq),
+            Method::RituOverwrite | Method::RituMv => subs.sort_by_key(|s| s.version),
             // Submission order equals EtId order for the rest. For
             // ORDUP-L the Lamport order also equals submission order in
             // this driver because each submission ticks the origin clock
@@ -1220,21 +991,13 @@ impl SimCluster {
             _ => {}
         }
         let mut store = ObjectStore::new();
-        for (_, sub) in subs {
-            for op in &sub.ops {
-                if op.op.is_write() {
-                    match &op.op {
-                        Operation::TimestampedWrite(ts, v) => {
-                            // Fold with LWW semantics on a side table.
-                            let cur = store.get(op.object);
-                            let _ = cur;
-                            let _ = ts;
-                            store.put(op.object, v.clone());
-                        }
-                        _ => {
-                            store.apply(op).expect("oracle ops apply cleanly");
-                        }
-                    }
+        for op in subs.iter().flat_map(|s| &s.ops).filter(|o| o.op.is_write()) {
+            match &op.op {
+                // The sort above fixed the version order, so
+                // last-writer-wins is a plain overwrite fold.
+                Operation::TimestampedWrite(_, v) => store.put(op.object, v.clone()),
+                _ => {
+                    store.apply(op).expect("oracle ops apply cleanly");
                 }
             }
         }
@@ -1248,19 +1011,14 @@ impl SimCluster {
     /// whose effects are **still** visible because the compensation has
     /// not run yet.
     pub fn divergent_updates(&self, site: SiteId, objects: &[ObjectId]) -> u64 {
+        let state = &self.site(site).core.state;
         self.submissions
             .iter()
             .filter(|(et, sub)| {
-                let touches = sub
-                    .ops
+                sub.ops
                     .iter()
-                    .any(|o| o.op.is_write() && objects.contains(&o.object));
-                if !touches {
-                    return false;
-                }
-                let survives = sub.commit || self.config.method != Method::Compe;
-                let applied = self.site(site).has_applied(**et);
-                survives != applied
+                    .any(|o| o.op.is_write() && objects.contains(&o.object))
+                    && self.survives(sub) != state.has_applied(**et)
             })
             .count() as u64
     }
@@ -1268,15 +1026,16 @@ impl SimCluster {
     /// Committed updates writing any of `objects` not yet applied at
     /// `site` (a one-sided view of [`SimCluster::divergent_updates`]).
     pub fn missing_updates(&self, site: SiteId, objects: &[ObjectId]) -> u64 {
+        let state = &self.site(site).core.state;
         self.submissions
             .iter()
             .filter(|(et, sub)| {
-                (sub.commit || self.config.method != Method::Compe)
+                self.survives(sub)
                     && sub
                         .ops
                         .iter()
                         .any(|o| o.op.is_write() && objects.contains(&o.object))
-                    && !self.site(site).has_applied(**et)
+                    && !state.has_applied(**et)
             })
             .count() as u64
     }
@@ -1439,13 +1198,20 @@ mod tests {
                 c.submit_update(SiteId(i % 4), incr_op(i as i64));
             }
             let t = c.run_until_quiescent();
-            (t, c.net_stats(), c.snapshot_of(SiteId(0)))
+            let logs: Vec<_> = c
+                .site_ids()
+                .into_iter()
+                .map(|s| c.events_of(s))
+                .collect();
+            (t, c.net_stats(), c.snapshot_of(SiteId(0)), logs)
         };
-        let (t1, n1, s1) = run();
-        let (t2, n2, s2) = run();
+        let (t1, n1, s1, l1) = run();
+        let (t2, n2, s2, l2) = run();
         assert_eq!(t1, t2);
         assert_eq!(n1, n2);
         assert_eq!(s1, s2);
+        assert!(l1.iter().all(|log| !log.is_empty()));
+        assert_eq!(l1, l2, "per-site event logs differ across identical seeded runs");
     }
 
     #[test]

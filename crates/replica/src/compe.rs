@@ -23,7 +23,7 @@ use esr_core::divergence::InconsistencyCounter;
 use esr_core::ids::{EtId, ObjectId, SiteId};
 use esr_core::value::Value;
 use esr_obs::SiteInstruments;
-use esr_storage::recovery_log::{RecoveryLog, RollbackReport};
+use esr_storage::recovery_log::{RecoveryLog, RollbackReport, RollbackStrategy};
 use esr_storage::store::ObjectStore;
 
 use crate::mset::MSet;
@@ -40,11 +40,27 @@ pub struct CompeSite {
     seen: BTreeMap<EtId, Disposition>,
     applied: u64,
     compensations: u64,
+    rollbacks: RollbackTotals,
     redelivered: u64,
     /// Opt-in oracle audit: lifecycle events in the order they happened.
     audit: Option<Vec<(EtId, CompeEvent)>>,
     /// Metrics bundle (no-op until attached).
     obs: SiteInstruments,
+}
+
+/// Cumulative cost of the rollbacks a site has run (experiment E8's
+/// columns), summed over its [`RollbackReport`]s. Like the audit log,
+/// not part of the checkpoint image: it counts this incarnation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RollbackTotals {
+    /// Compensations taken via the commutative fast path.
+    pub fast: u64,
+    /// Compensations requiring a suffix rollback.
+    pub suffix: u64,
+    /// Operations undone across all rollbacks.
+    pub ops_undone: u64,
+    /// Operations replayed across all rollbacks.
+    pub ops_replayed: u64,
 }
 
 /// One lifecycle event on the COMPE audit log (see
@@ -107,6 +123,7 @@ impl CompeSite {
             seen: BTreeMap::new(),
             applied: 0,
             compensations: 0,
+            rollbacks: RollbackTotals::default(),
             redelivered: 0,
             audit: None,
             obs: SiteInstruments::default(),
@@ -148,6 +165,11 @@ impl CompeSite {
     /// Total aborts compensated.
     pub fn compensations(&self) -> u64 {
         self.compensations
+    }
+
+    /// What those compensations cost, cumulatively.
+    pub fn rollback_totals(&self) -> RollbackTotals {
+        self.rollbacks
     }
 
     /// Duplicate deliveries this site suppressed — re-arrivals of an ET
@@ -198,6 +220,7 @@ impl CompeSite {
                 .collect(),
             applied: c.applied,
             compensations: c.compensations,
+            rollbacks: RollbackTotals::default(),
             redelivered: c.redelivered,
             audit: None,
             obs: SiteInstruments::default(),
@@ -246,6 +269,12 @@ impl CompeSite {
             .expect("at-risk ET must be on the log")
             .expect("compensation ops apply cleanly");
         self.compensations += 1;
+        match report.strategy {
+            RollbackStrategy::CommutativeCompensation => self.rollbacks.fast += 1,
+            RollbackStrategy::SuffixRollback => self.rollbacks.suffix += 1,
+        }
+        self.rollbacks.ops_undone += report.ops_undone as u64;
+        self.rollbacks.ops_replayed += report.ops_replayed as u64;
         self.note(et, CompeEvent::Compensated);
         self.obs.compensations(1);
         self.obs.set_at_risk(self.log.at_risk() as u64);
@@ -416,7 +445,6 @@ mod tests {
     use super::*;
     use esr_core::divergence::EpsilonSpec;
     use esr_core::op::{ObjectOp, Operation};
-    use esr_storage::recovery_log::RollbackStrategy;
 
     const X: ObjectId = ObjectId(0);
     const Y: ObjectId = ObjectId(1);

@@ -1,5 +1,6 @@
-//! The pure control-plane core shared by the `esrd` daemon, the thread
-//! runtime's [`crate::cluster::Cluster`] and the `esr-model` checker.
+//! The pure control-plane core shared by every executor: the
+//! simulator's [`crate::cluster::SimCluster`], the thread `Cluster` and
+//! the `esrd` daemon of `esr-runtime`, and the `esr-model` checker.
 //!
 //! Everything a site does to protocol state — journal append +
 //! replay, coordinator completion/VTNC/decision tracking, view-change
@@ -9,10 +10,14 @@
 //! implies. The daemon executes those effects against the real world
 //! (fsync'd journal, durable TCP links, the esr-obs event ring); the
 //! thread cluster executes them against channels (or, under chaos,
-//! fault-injecting durable relays and a file journal); the model
-//! checker in `crates/check` executes them against in-memory queues
-//! and explores every interleaving. Because all of them run *this*
-//! code, the runtimes and the model cannot drift (DESIGN.md §14).
+//! fault-injecting durable relays and a file journal); the simulator
+//! executes them against a virtual-time network that drops,
+//! duplicates and *reorders*; the model checker in `crates/check`
+//! executes them against in-memory FIFO queues and explores every
+//! interleaving. Because all of them run *this* code, the experiments,
+//! the runtimes and the model cannot drift (DESIGN.md §14). The core
+//! lives in `esr-replica` so the simulator can own it; `esr-runtime`
+//! re-exports this module under its historical path.
 //!
 //! ## The coordinator is elected, not fixed
 //!
@@ -45,7 +50,7 @@
 //!
 //! [`Effect::Event`] is the only observational effect, and each
 //! protocol point pushes exactly one: the typed
-//! [`esr_replica::span::Event`] *is* the record — the apply span the
+//! [`crate::span::Event`] *is* the record — the apply span the
 //! timeline merges is the apply the trace certifier checks. Events
 //! carry no protocol meaning: an executor may stamp and keep them (the
 //! daemon, the thread cluster), keep them unstamped (the model) or
@@ -63,12 +68,11 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use esr_core::ids::{ClientId, EtId, SeqNo, SiteId, VersionTs};
 use esr_core::op::Operation;
-use esr_replica::mset::{MSet, OrderTag};
-use esr_replica::span::{Event, SpanRec, SpanStage};
-use esr_replica::wire::Frame;
-
-use crate::ckpt::CkptPayload;
+use crate::mset::{MSet, OrderTag};
+use crate::node_ckpt::CkptPayload;
+use crate::span::{Event, SpanRec, SpanStage};
 use crate::state::{RtMethod, SiteState};
+use crate::wire::Frame;
 
 /// One input to a site's control-plane state machine.
 #[derive(Debug, Clone)]
@@ -439,6 +443,7 @@ type HandoffEvidence = (Vec<EtId>, Vec<(EtId, bool)>, Option<VersionTs>);
 /// the journalled-ET set, the view-change election machine, and (on
 /// the current view's coordinator) the coordinator core. All protocol
 /// logic of the `esrd` daemon lives here, as pure transitions.
+#[derive(Debug)]
 pub struct NodeCore {
     /// This site's id.
     pub site: SiteId,
@@ -660,24 +665,28 @@ impl NodeCore {
                 let next = self.view.max(self.vc_target) + 1;
                 self.start_view_change(next)
             }
-            NodeEvent::Checkpoint { through } => {
-                let payload = self.ckpt_payload(through);
-                vec![
+            NodeEvent::Checkpoint { through } => match self.ckpt_payload(through) {
+                Some(payload) => vec![
                     Effect::Event(Event::CkptCut {
                         covered: payload.covered,
                     }),
                     Effect::Checkpoint(Box::new(payload)),
-                ]
-            }
+                ],
+                None => vec![Effect::Event(Event::CkptFailed {
+                    seq: 0,
+                    detail: "this site's method has no checkpoint image".into(),
+                })],
+            },
         }
     }
 
     /// Captures a consistent checkpoint of this node. Must be called
     /// with the core otherwise quiescent (the daemon holds the core
     /// lock; the model steps nodes one at a time), so no effect is
-    /// half-applied across the image.
-    pub fn ckpt_payload(&self, through: Option<u64>) -> CkptPayload {
-        CkptPayload {
+    /// half-applied across the image. `None` when the method state has
+    /// no image ([`SiteState::to_ckpt`]).
+    pub fn ckpt_payload(&self, through: Option<u64>) -> Option<CkptPayload> {
+        Some(CkptPayload {
             covered: self.journaled.len() as u64,
             covered_through: through,
             view: self.view,
@@ -697,8 +706,8 @@ impl NodeCore {
                 .iter()
                 .map(|(&et, &(v, s))| (et, v, s))
                 .collect(),
-            site: self.state.to_ckpt(),
-        }
+            site: self.state.to_ckpt()?,
+        })
     }
 
     /// Boot-time restore from a checkpoint image plus the journal
@@ -797,10 +806,12 @@ impl NodeCore {
         let before = self.state.has_applied(et);
         self.state.deliver(mset);
         let mut newly = Vec::new();
-        if !self.state.has_applied(et) {
+        if self.state.has_applied(et) {
+            if !before {
+                newly.push((et, version, seq));
+            }
+        } else if self.method == RtMethod::Ordup {
             self.held.insert(et, (version, seq));
-        } else if !before {
-            newly.push((et, version, seq));
         }
         newly.extend(self.take_unblocked());
         for (et, version, seq) in newly {
@@ -1312,8 +1323,10 @@ impl NodeCore {
                     .with_t0(t0),
             ));
             effects.extend(self.report_applied(et, version));
-        } else {
-            // Parked behind a sequence gap.
+        } else if self.method == RtMethod::Ordup {
+            // Parked behind a sequence gap. Only ORDUP holds back: the
+            // other way to get here is a COMPE MSet its abort outran,
+            // which the site suppressed for good.
             self.held.insert(et, (version, seq));
             effects.push(span(
                 SpanRec::new(SpanStage::Held, et).with_gseq(seq.map(SeqNo)),
@@ -1611,6 +1624,54 @@ mod tests {
             "release must trace both applies in sequence order: {effects:?}"
         );
         assert!(core.state.has_applied(EtId(1)) && core.state.has_applied(EtId(2)));
+    }
+
+    #[test]
+    fn compe_abort_outrunning_its_mset_leaves_nothing_held() {
+        // The decision travels origin -> coordinator -> site, the MSet
+        // origin -> site: on a non-coordinator site the abort can land
+        // first, and the site then suppresses the MSet for good.
+        let mut core = NodeCore::fresh(
+            SiteState::new(RtMethod::Compe, SiteId(2)),
+            RtMethod::Compe,
+            SiteId(2),
+            3,
+            None,
+        );
+        core.step(NodeEvent::PeerFrame(Frame::Decision {
+            et: EtId(1),
+            commit: false,
+        }));
+        let effects = core.step(NodeEvent::PeerFrame(Frame::MSet(incr(1, 1))));
+        assert!(
+            !effects.iter().any(|e| matches!(
+                e,
+                Effect::Event(Event::Span(r))
+                    if matches!(r.stage, SpanStage::Held | SpanStage::Apply)
+            )),
+            "a suppressed MSet is neither held nor applied: {effects:?}"
+        );
+        assert!(!core.state.has_applied(EtId(1)));
+        let payload = core.ckpt_payload(None).expect("COMPE has an image");
+        assert!(payload.held.is_empty(), "held forever: {:?}", payload.held);
+        assert!(core.state.settled());
+    }
+
+    #[test]
+    fn lamport_site_has_no_checkpoint_image() {
+        let origins = (0..3).map(SiteId).collect();
+        let mut core = NodeCore::fresh(
+            SiteState::ordup_lamport(SiteId(1), origins),
+            RtMethod::Ordup,
+            SiteId(1),
+            3,
+            None,
+        );
+        let effects = core.step(NodeEvent::Checkpoint { through: None });
+        assert!(matches!(
+            effects.as_slice(),
+            [Effect::Event(Event::CkptFailed { .. })]
+        ));
     }
 
     #[test]
@@ -1918,8 +1979,8 @@ mod tests {
         assert_eq!(payload.covered, 2);
         assert_eq!(payload.covered_through, Some(2));
         // The image survives its wire codec.
-        let bytes = crate::ckpt::encode_payload(&payload);
-        let payload = crate::ckpt::decode_payload(&bytes).expect("payload decodes");
+        let bytes = crate::node_ckpt::encode_payload(&payload);
+        let payload = crate::node_ckpt::decode_payload(&bytes).expect("payload decodes");
         // Restore + suffix ≡ full recovery.
         let (restored, _) = NodeCore::restore(
             RtMethod::Commu,
@@ -1944,7 +2005,7 @@ mod tests {
         assert_eq!(restored.journaled_count(), full.journaled_count());
         assert_eq!(restored.frontier(), full.frontier());
         // Over-approximated suffix (the whole journal) is absorbed.
-        let payload2 = full.ckpt_payload(None);
+        let payload2 = full.ckpt_payload(None).expect("COMMU has an image");
         let (re2, _) = NodeCore::restore(
             RtMethod::Commu,
             SiteId(2),
@@ -1968,7 +2029,7 @@ mod tests {
             3,
             None,
         );
-        let payload = core.ckpt_payload(None);
+        let payload = core.ckpt_payload(None).expect("COMMU has an image");
         assert!(NodeCore::restore(
             RtMethod::Ordup,
             SiteId(0),

@@ -21,15 +21,18 @@ pub mod api;
 pub mod ckpt;
 pub mod cluster;
 pub mod commu;
-pub mod etspec;
 pub mod compe;
+pub mod ctrl;
+pub mod etspec;
 pub mod mset;
+pub mod node_ckpt;
 pub mod ordup;
 pub mod quorum;
 pub mod ritu;
 pub mod saga;
 pub mod site;
 pub mod span;
+pub mod state;
 pub mod sync2pc;
 pub mod wire;
 
@@ -39,12 +42,15 @@ pub use cluster::{ClusterConfig, ClusterStats, Method, QueryReport, SimCluster};
 pub use commu::CommuSite;
 pub use etspec::{PropagationClass, SpecPipe};
 pub use compe::CompeSite;
+pub use ctrl::{CoordCore, CtrlCanary, Effect, NodeCore, NodeEvent};
 pub use mset::{MSet, OrderTag};
+pub use node_ckpt::{decode_payload, encode_payload, CkptPayload};
 pub use ordup::{OrdupLamportSite, OrdupSite};
 pub use ritu::{RituMvSite, RituOverwriteSite};
 pub use saga::{SagaCoordinator, SagaId, SagaState};
 pub use quorum::{QuorumCluster, QuorumReport};
 pub use site::{QueryOutcome, ReplicaSite};
 pub use span::{SpanRec, SpanStage};
+pub use state::{RtMethod, SiteAudit, SiteState};
 pub use sync2pc::{TwoPcCluster, TwoPcReport};
 pub use wire::{decode_mset, encode_mset, WireError};

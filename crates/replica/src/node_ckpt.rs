@@ -2,7 +2,7 @@
 //!
 //! A checkpoint captures everything [`crate::ctrl::NodeCore`] would
 //! otherwise rebuild by replaying the journal from its first entry: the
-//! method state machine (via [`esr_replica::ckpt`]), the node's
+//! method state machine (via [`crate::ckpt`]), the node's
 //! idempotency/ordering bookkeeping, and the control-plane results it
 //! has observed (completions, decisions, the VTNC horizon). Restoring a
 //! payload and replaying only the journal *suffix* past the cut must be
@@ -14,10 +14,13 @@
 //! snapshot files are detected, reported, and fall back to full replay.
 
 use bytes::{BufMut, BytesMut};
-use esr_core::ids::{ClientId, EtId, VersionTs};
-use esr_replica::ckpt::{decode_site_ckpt, encode_site_ckpt, SiteCkpt};
+use esr_core::ids::{EtId, VersionTs};
 
+use crate::ckpt::{decode_site_ckpt, encode_site_ckpt, SiteCkpt};
 use crate::state::RtMethod;
+use crate::wire::{
+    decode_bool, decode_version_opt, encode_version_opt, get_count, get_u64, get_u8, WireError,
+};
 
 /// One consistent checkpoint of a daemon node, cut while the core lock
 /// was held (so no effect is half-applied across the image).
@@ -74,79 +77,32 @@ impl CkptPayload {
     }
 }
 
-// ---- cursor primitives -------------------------------------------------
-//
-// The wire-format helpers in esr-replica are crate-private, so the
-// payload codec carries its own minimal cursor set. Same discipline:
-// every read checks remaining length, every count is bounded by the
-// bytes that could plausibly back it (`min_elem`), so a hostile length
-// prefix cannot force a huge allocation.
+// ---- payload codec -----------------------------------------------------
 
-fn get_u8(b: &mut &[u8]) -> Option<u8> {
-    let (&v, rest) = b.split_first()?;
-    *b = rest;
-    Some(v)
-}
-
-fn get_u64(b: &mut &[u8]) -> Option<u64> {
-    if b.len() < 8 {
-        return None;
-    }
-    let (raw, rest) = b.split_at(8);
-    *b = rest;
-    Some(u64::from_be_bytes(raw.try_into().ok()?))
-}
-
-fn get_count(b: &mut &[u8], min_elem: usize) -> Option<usize> {
-    if b.len() < 4 {
-        return None;
-    }
-    let (raw, rest) = b.split_at(4);
-    *b = rest;
-    let n = u32::from_be_bytes(raw.try_into().ok()?) as usize;
-    if n.checked_mul(min_elem)? > b.len() {
-        return None;
-    }
-    Some(n)
-}
-
-fn put_version_opt(out: &mut BytesMut, v: Option<VersionTs>) {
+fn put_u64_opt(out: &mut BytesMut, v: Option<u64>) {
     match v {
-        Some(ts) => {
+        Some(v) => {
             out.put_u8(1);
-            out.put_u64(ts.time);
-            out.put_u64(ts.client.raw());
+            out.put_u64(v);
         }
         None => out.put_u8(0),
     }
 }
 
-fn get_version_opt(b: &mut &[u8]) -> Option<Option<VersionTs>> {
+fn get_u64_opt(b: &mut &[u8]) -> Result<Option<u64>, WireError> {
     match get_u8(b)? {
-        0 => Some(None),
-        1 => {
-            let time = get_u64(b)?;
-            let client = ClientId::new(get_u64(b)?);
-            Some(Some(VersionTs::new(time, client)))
-        }
-        _ => None,
+        0 => Ok(None),
+        1 => Ok(Some(get_u64(b)?)),
+        tag => Err(WireError::BadTag { field: "option", tag }),
     }
 }
-
-// ---- payload codec -----------------------------------------------------
 
 /// Encodes a payload for [`esr_storage::snapshot::install`].
 pub fn encode_payload(p: &CkptPayload) -> Vec<u8> {
     let site = encode_site_ckpt(&p.site);
     let mut out = BytesMut::with_capacity(128 + site.len());
     out.put_u64(p.covered);
-    match p.covered_through {
-        Some(id) => {
-            out.put_u8(1);
-            out.put_u64(id);
-        }
-        None => out.put_u8(0),
-    }
+    put_u64_opt(&mut out, p.covered_through);
     out.put_u64(p.view);
     out.put_u32(p.frontier.len() as u32);
     for &(site_id, count) in &p.frontier {
@@ -166,7 +122,7 @@ pub fn encode_payload(p: &CkptPayload) -> Vec<u8> {
     out.put_u32(p.applied_log.len() as u32);
     for &(et, version) in &p.applied_log {
         out.put_u64(et.raw());
-        put_version_opt(&mut out, version);
+        encode_version_opt(&mut out, &version);
     }
     out.put_u32(p.completed.len() as u32);
     for et in &p.completed {
@@ -177,18 +133,12 @@ pub fn encode_payload(p: &CkptPayload) -> Vec<u8> {
         out.put_u64(et.raw());
         out.put_u8(u8::from(commit));
     }
-    put_version_opt(&mut out, p.vtnc);
+    encode_version_opt(&mut out, &p.vtnc);
     out.put_u32(p.held.len() as u32);
     for &(et, version, seq) in &p.held {
         out.put_u64(et.raw());
-        put_version_opt(&mut out, version);
-        match seq {
-            Some(s) => {
-                out.put_u8(1);
-                out.put_u64(s);
-            }
-            None => out.put_u8(0),
-        }
+        encode_version_opt(&mut out, &version);
+        put_u64_opt(&mut out, seq);
     }
     out.put_u32(site.len() as u32);
     out.put_slice(&site);
@@ -200,70 +150,58 @@ pub fn encode_payload(p: &CkptPayload) -> Vec<u8> {
 /// falls back to the next-older image (then to full journal replay).
 pub fn decode_payload(bytes: &[u8]) -> Option<CkptPayload> {
     let mut b = bytes;
-    let covered = get_u64(&mut b)?;
-    let covered_through = match get_u8(&mut b)? {
-        0 => None,
-        1 => Some(get_u64(&mut b)?),
-        _ => return None,
-    };
-    let view = get_u64(&mut b)?;
-    let n = get_count(&mut b, 16)?;
+    let payload = decode_payload_from(&mut b).ok()?;
+    // Trailing garbage: not an image we wrote.
+    b.is_empty().then_some(payload)
+}
+
+fn decode_payload_from(b: &mut &[u8]) -> Result<CkptPayload, WireError> {
+    let covered = get_u64(b)?;
+    let covered_through = get_u64_opt(b)?;
+    let view = get_u64(b)?;
+    let n = get_count(b, 16)?;
     let mut frontier = Vec::with_capacity(n);
     for _ in 0..n {
-        frontier.push((get_u64(&mut b)?, get_u64(&mut b)?));
+        frontier.push((get_u64(b)?, get_u64(b)?));
     }
-    let n = get_count(&mut b, 8)?;
+    let n = get_count(b, 8)?;
     let mut journaled = Vec::with_capacity(n);
     for _ in 0..n {
-        journaled.push(EtId::new(get_u64(&mut b)?));
+        journaled.push(EtId::new(get_u64(b)?));
     }
-    let n = get_count(&mut b, 24)?;
+    let n = get_count(b, 24)?;
     let mut client_table = Vec::with_capacity(n);
     for _ in 0..n {
-        client_table.push((get_u64(&mut b)?, get_u64(&mut b)?, EtId::new(get_u64(&mut b)?)));
+        client_table.push((get_u64(b)?, get_u64(b)?, EtId::new(get_u64(b)?)));
     }
-    let n = get_count(&mut b, 9)?;
+    let n = get_count(b, 9)?;
     let mut applied_log = Vec::with_capacity(n);
     for _ in 0..n {
-        let et = EtId::new(get_u64(&mut b)?);
-        applied_log.push((et, get_version_opt(&mut b)?));
+        let et = EtId::new(get_u64(b)?);
+        applied_log.push((et, decode_version_opt(b)?));
     }
-    let n = get_count(&mut b, 8)?;
+    let n = get_count(b, 8)?;
     let mut completed = Vec::with_capacity(n);
     for _ in 0..n {
-        completed.push(EtId::new(get_u64(&mut b)?));
+        completed.push(EtId::new(get_u64(b)?));
     }
-    let n = get_count(&mut b, 9)?;
+    let n = get_count(b, 9)?;
     let mut decisions = Vec::with_capacity(n);
     for _ in 0..n {
-        let et = EtId::new(get_u64(&mut b)?);
-        let commit = match get_u8(&mut b)? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        decisions.push((et, commit));
+        let et = EtId::new(get_u64(b)?);
+        decisions.push((et, decode_bool(b)?));
     }
-    let vtnc = get_version_opt(&mut b)?;
-    let n = get_count(&mut b, 10)?;
+    let vtnc = decode_version_opt(b)?;
+    let n = get_count(b, 10)?;
     let mut held = Vec::with_capacity(n);
     for _ in 0..n {
-        let et = EtId::new(get_u64(&mut b)?);
-        let version = get_version_opt(&mut b)?;
-        let seq = match get_u8(&mut b)? {
-            0 => None,
-            1 => Some(get_u64(&mut b)?),
-            _ => return None,
-        };
-        held.push((et, version, seq));
+        let et = EtId::new(get_u64(b)?);
+        held.push((et, decode_version_opt(b)?, get_u64_opt(b)?));
     }
-    let site_len = get_count(&mut b, 1)?;
+    let site_len = get_count(b, 1)?;
     let (site_bytes, rest) = b.split_at(site_len);
-    let site = decode_site_ckpt(site_bytes).ok()?;
-    if !rest.is_empty() {
-        return None; // trailing garbage: not an image we wrote
-    }
-    Some(CkptPayload {
+    *b = rest;
+    Ok(CkptPayload {
         covered,
         covered_through,
         view,
@@ -275,15 +213,15 @@ pub fn decode_payload(bytes: &[u8]) -> Option<CkptPayload> {
         decisions,
         vtnc,
         held,
-        site,
+        site: decode_site_ckpt(site_bytes)?,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esr_core::ids::SeqNo;
-    use esr_replica::ckpt::{CommuCkpt, OrdupCkpt, RituMvCkpt};
+    use crate::ckpt::{CommuCkpt, OrdupCkpt, RituMvCkpt};
+    use esr_core::ids::{ClientId, SeqNo};
 
     fn sample() -> CkptPayload {
         CkptPayload {

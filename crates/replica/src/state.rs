@@ -1,23 +1,26 @@
-//! The method-dispatched site state machine shared by every runtime.
+//! The method-dispatched site state machine shared by every executor.
 //!
-//! [`SiteState`] wraps one of the five replica-control site
-//! implementations behind a uniform surface; the control core
+//! [`SiteState`] wraps one of the replica-control site implementations
+//! behind a uniform surface; the control core
 //! ([`crate::ctrl::NodeCore`]) owns one and is the only code that
-//! drives it, whichever executor — thread cluster ([`crate::cluster`]),
-//! networked daemon ([`crate::daemon`]), model checker — runs the core.
+//! drives it, whichever executor — the simulator
+//! ([`crate::cluster::SimCluster`]), the thread cluster and the
+//! networked daemon of `esr-runtime`, the model checker — runs the
+//! core.
 
 use std::collections::BTreeMap;
 
 use esr_core::divergence::InconsistencyCounter;
 use esr_core::ids::{EtId, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::value::Value;
-use esr_replica::ckpt::SiteCkpt;
-use esr_replica::commu::CommuSite;
-use esr_replica::compe::{CompeEvent, CompeSite};
-use esr_replica::mset::MSet;
-use esr_replica::ordup::OrdupSite;
-use esr_replica::ritu::{RituMvSite, RituOverwriteSite};
-use esr_replica::site::{QueryOutcome, ReplicaSite};
+
+use crate::ckpt::SiteCkpt;
+use crate::commu::CommuSite;
+use crate::compe::{CompeEvent, CompeSite};
+use crate::mset::MSet;
+use crate::ordup::{OrdupLamportSite, OrdupSite};
+use crate::ritu::{RituMvSite, RituOverwriteSite};
+use crate::site::{QueryOutcome, ReplicaSite};
 
 /// Replica control methods available in the runtimes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,9 +108,15 @@ pub struct SiteAudit {
 }
 
 /// One site's protocol state machine, dispatching over the method.
+#[derive(Debug)]
 pub enum SiteState {
     /// ORDUP site.
     Ordup(OrdupSite),
+    /// ORDUP site ordering by Lamport timestamps instead of a sequencer
+    /// — the simulator's distributed variant. It rides
+    /// [`RtMethod::Ordup`] through the core (same hold-back contract,
+    /// no completion plane) and has no checkpoint image.
+    OrdupLamport(OrdupLamportSite),
     /// COMMU site.
     Commu(CommuSite),
     /// RITU last-writer-wins site.
@@ -130,15 +139,23 @@ impl SiteState {
         }
     }
 
-    /// Dumps the method state machine into a checkpoint image.
-    pub fn to_ckpt(&self) -> SiteCkpt {
-        match self {
+    /// A fresh ORDUP site ordering the updates of `origins` by Lamport
+    /// timestamp.
+    pub fn ordup_lamport(id: SiteId, origins: Vec<SiteId>) -> Self {
+        SiteState::OrdupLamport(OrdupLamportSite::new(id, origins))
+    }
+
+    /// Dumps the method state machine into a checkpoint image (`None`
+    /// for the Lamport site, which has none).
+    pub fn to_ckpt(&self) -> Option<SiteCkpt> {
+        Some(match self {
             SiteState::Ordup(s) => SiteCkpt::Ordup(s.to_ckpt()),
+            SiteState::OrdupLamport(_) => return None,
             SiteState::Commu(s) => SiteCkpt::Commu(s.to_ckpt()),
             SiteState::Ritu(s) => SiteCkpt::Ritu(s.to_ckpt()),
             SiteState::RituMv(s) => SiteCkpt::RituMv(s.to_ckpt()),
             SiteState::Compe(s) => SiteCkpt::Compe(s.to_ckpt()),
-        }
+        })
     }
 
     /// Rebuilds a site from a checkpoint image. The variant fixes the
@@ -158,6 +175,7 @@ impl SiteState {
     pub fn deliver(&mut self, mset: MSet) {
         match self {
             SiteState::Ordup(s) => s.deliver(mset),
+            SiteState::OrdupLamport(s) => s.deliver(mset),
             SiteState::Commu(s) => s.deliver(mset),
             SiteState::Ritu(s) => s.deliver(mset),
             SiteState::RituMv(s) => s.deliver(mset),
@@ -169,6 +187,7 @@ impl SiteState {
     pub fn deliver_batch(&mut self, msets: Vec<MSet>) {
         match self {
             SiteState::Ordup(s) => s.deliver_batch(msets),
+            SiteState::OrdupLamport(s) => s.deliver_batch(msets),
             SiteState::Commu(s) => s.deliver_batch(msets),
             SiteState::Ritu(s) => s.deliver_batch(msets),
             SiteState::RituMv(s) => s.deliver_batch(msets),
@@ -180,6 +199,7 @@ impl SiteState {
     pub fn query(&mut self, rs: &[ObjectId], c: &mut InconsistencyCounter) -> QueryOutcome {
         match self {
             SiteState::Ordup(s) => s.query(rs, c),
+            SiteState::OrdupLamport(s) => s.query(rs, c),
             SiteState::Commu(s) => s.query(rs, c),
             SiteState::Ritu(s) => s.query(rs, c),
             SiteState::RituMv(s) => s.query(rs, c),
@@ -191,6 +211,7 @@ impl SiteState {
     pub fn snapshot(&self) -> BTreeMap<ObjectId, Value> {
         match self {
             SiteState::Ordup(s) => s.snapshot(),
+            SiteState::OrdupLamport(s) => s.snapshot(),
             SiteState::Commu(s) => s.snapshot(),
             SiteState::Ritu(s) => s.snapshot(),
             SiteState::RituMv(s) => s.snapshot(),
@@ -198,14 +219,24 @@ impl SiteState {
         }
     }
 
+    /// MSets delivered but not yet applied (hold-back queues).
+    pub fn backlog(&self) -> usize {
+        match self {
+            SiteState::Ordup(s) => s.backlog(),
+            SiteState::OrdupLamport(s) => s.backlog(),
+            SiteState::Commu(s) => s.backlog(),
+            SiteState::Ritu(s) => s.backlog(),
+            SiteState::RituMv(s) => s.backlog(),
+            SiteState::Compe(s) => s.backlog(),
+        }
+    }
+
     /// Is this site settled (nothing held back, nothing at risk)?
     pub fn settled(&self) -> bool {
         match self {
-            SiteState::Ordup(s) => s.backlog() == 0,
             SiteState::Commu(s) => s.quiescent(),
-            SiteState::Ritu(s) => s.backlog() == 0,
-            SiteState::RituMv(s) => s.backlog() == 0,
             SiteState::Compe(s) => s.at_risk() == 0,
+            _ => self.backlog() == 0,
         }
     }
 
@@ -213,6 +244,7 @@ impl SiteState {
     pub fn has_applied(&self, et: EtId) -> bool {
         match self {
             SiteState::Ordup(s) => s.has_applied(et),
+            SiteState::OrdupLamport(s) => s.has_applied(et),
             SiteState::Commu(s) => s.has_applied(et),
             SiteState::Ritu(s) => s.has_applied(et),
             SiteState::RituMv(s) => s.has_applied(et),
@@ -224,6 +256,7 @@ impl SiteState {
     pub fn redelivered(&self) -> u64 {
         match self {
             SiteState::Ordup(s) => s.redelivered(),
+            SiteState::OrdupLamport(s) => s.redelivered(),
             SiteState::Commu(s) => s.redelivered(),
             SiteState::Ritu(s) => s.redelivered(),
             SiteState::RituMv(s) => s.redelivered(),
@@ -236,6 +269,7 @@ impl SiteState {
     pub fn attach_metrics(&mut self, obs: esr_obs::SiteInstruments) {
         match self {
             SiteState::Ordup(s) => s.attach_metrics(obs),
+            SiteState::OrdupLamport(s) => s.attach_metrics(obs),
             SiteState::Commu(s) => s.attach_metrics(obs),
             SiteState::Ritu(s) => s.attach_metrics(obs),
             SiteState::RituMv(s) => s.attach_metrics(obs),
@@ -243,10 +277,11 @@ impl SiteState {
         }
     }
 
-    /// Turns on the per-method audit log.
+    /// Turns on the per-method audit log (the Lamport site keeps none).
     pub fn enable_audit(&mut self) {
         match self {
             SiteState::Ordup(s) => s.enable_audit(),
+            SiteState::OrdupLamport(_) => {}
             SiteState::Commu(s) => s.enable_audit(),
             SiteState::Ritu(s) => s.enable_audit(),
             SiteState::RituMv(s) => s.enable_audit(),
@@ -260,6 +295,7 @@ impl SiteState {
         let mut a = SiteAudit::default();
         match self {
             SiteState::Ordup(s) => a.ordup_order = s.audit_log().to_vec(),
+            SiteState::OrdupLamport(_) => {}
             SiteState::Commu(s) => a.commu_order = s.audit_log().to_vec(),
             SiteState::Ritu(s) => a.ritu_installs = s.audit_log().to_vec(),
             SiteState::RituMv(s) => {

@@ -1,12 +1,15 @@
-//! # esr-runtime — one protocol core, three executors
+//! # esr-runtime — the protocol core's real-world executors
 //!
-//! The replica control methods of [`esr_replica`] behind one pure
-//! control core, [`ctrl::NodeCore`] / [`ctrl::CoordCore`]: ORDUP
-//! hold-back, completion tracking (COMMU/RITU lock-counter release),
-//! VTNC certification, COMPE decisions, recovery and coordinator
-//! election are side-effect-free steps returning ordered
-//! [`ctrl::Effect`]s. Everything else in this crate *executes* those
-//! effects:
+//! The replica control methods of [`esr_replica`] are coordinated by
+//! one pure control core, [`ctrl::NodeCore`] / [`ctrl::CoordCore`]:
+//! ORDUP hold-back, completion tracking (COMMU/RITU lock-counter
+//! release), VTNC certification, COMPE decisions, recovery and
+//! coordinator election are side-effect-free steps returning ordered
+//! [`ctrl::Effect`]s. The core lives in `esr-replica` (so the
+//! simulator, [`esr_replica::SimCluster`], can execute it under
+//! virtual time) and is re-exported here under its historical paths
+//! [`ctrl`], [`state`] and [`ckpt`]. This crate holds the executors
+//! that perform those effects against the real world:
 //!
 //! * [`cluster::Cluster`] — one core per OS thread, crossbeam channels
 //!   as the links, an atomic global sequencer for ORDUP and an atomic
@@ -20,22 +23,24 @@
 //! * [`daemon::Daemon`] (`esrd`) — the same core behind real sockets,
 //!   an on-disk journal, durable TCP links, checkpoints and spans;
 //!   [`proc_cluster::ProcCluster`] drives N of them as OS processes.
-//! * the `esr-model` checker (`crates/check`) — the same core against
-//!   in-memory queues, every interleaving explored.
+//!
+//! The fourth executor, the `esr-model` checker (`crates/check`), runs
+//! the same core against in-memory queues, every interleaving explored.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod chaos;
-pub mod ckpt;
 pub mod client;
 pub mod cluster;
-pub mod ctrl;
 pub mod daemon;
 pub mod proc_cluster;
 pub mod recovery;
 pub mod spans;
-pub mod state;
+
+// The pure core lives in esr-replica (the simulator owns one too); it
+// keeps its historical paths here.
+pub use esr_replica::{ctrl, node_ckpt as ckpt, state};
 
 pub use chaos::{render_trace, ChaosStats, FaultPlan, TraceEvent};
 pub use ckpt::{decode_payload, encode_payload, CkptPayload};

@@ -67,19 +67,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|s| (s.at, s.payload))
     }
 
-    /// Removes and returns the earliest event only when `pred` accepts
-    /// it; otherwise leaves the queue untouched. Lets a handler drain a
-    /// run of matching events (e.g. all same-instant deliveries to one
-    /// site) without disturbing anything behind them.
-    pub fn pop_if(&mut self, pred: impl FnOnce(VirtualTime, &E) -> bool) -> Option<(VirtualTime, E)> {
-        let head = self.heap.peek_mut()?;
-        if !pred(head.at, &head.payload) {
-            return None;
-        }
-        let s = std::collections::binary_heap::PeekMut::pop(head);
-        Some((s.at, s.payload))
-    }
-
     /// The fire time of the earliest pending event.
     pub fn peek_time(&self) -> Option<VirtualTime> {
         self.heap.peek().map(|s| s.at)
@@ -134,20 +121,6 @@ mod tests {
         assert_eq!(q.peek_time(), Some(VirtualTime(3)));
         q.pop();
         assert_eq!(q.peek_time(), Some(VirtualTime(7)));
-    }
-
-    #[test]
-    fn pop_if_only_takes_matching_head() {
-        let mut q = EventQueue::new();
-        q.schedule_at(VirtualTime(5), "a");
-        q.schedule_at(VirtualTime(5), "b");
-        q.schedule_at(VirtualTime(9), "c");
-        assert_eq!(q.pop_if(|_, e| *e == "x"), None);
-        assert_eq!(q.len(), 3, "a miss leaves the queue untouched");
-        assert_eq!(q.pop_if(|t, e| t == VirtualTime(5) && *e == "a").unwrap().1, "a");
-        assert_eq!(q.pop_if(|t, _| t == VirtualTime(5)).unwrap().1, "b");
-        assert_eq!(q.pop_if(|t, _| t == VirtualTime(5)), None, "head is now at 9");
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

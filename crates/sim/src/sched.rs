@@ -91,24 +91,6 @@ impl<E> Scheduler<E> {
         self.next_event()
     }
 
-    /// Pops the next event only when `pred` accepts it (handed the
-    /// event's fire time and a reference to its payload). On a match the
-    /// clock advances exactly as [`Scheduler::next_event`] would; on a
-    /// miss nothing changes. The batching hook: a handler drains the run
-    /// of events it can absorb in one step, stopping at the first one it
-    /// cannot.
-    pub fn next_event_if(
-        &mut self,
-        pred: impl FnOnce(VirtualTime, &E) -> bool,
-    ) -> Option<(VirtualTime, E)> {
-        let now = self.now;
-        let (at, e) = self.queue.pop_if(|at, e| pred(at.max(now), e))?;
-        let fire = at.max(self.now);
-        self.now = fire;
-        self.processed += 1;
-        Some((fire, e))
-    }
-
     /// Number of pending events.
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -206,26 +188,6 @@ mod tests {
         });
         assert_eq!(n, 4, "3 → 2 → 1 → 0");
         assert_eq!(s.now().as_millis(), 3);
-    }
-
-    #[test]
-    fn next_event_if_drains_a_matching_run() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        s.schedule_in(Duration::from_millis(5), 1);
-        s.schedule_in(Duration::from_millis(5), 2);
-        s.schedule_in(Duration::from_millis(5), 7);
-        s.schedule_in(Duration::from_millis(9), 3);
-        let (t, first) = s.next_event().unwrap();
-        assert_eq!((t.as_millis(), first), (5, 1));
-        // Drain the same-instant run of small events.
-        let mut batch = vec![first];
-        while let Some((_, e)) = s.next_event_if(|at, e| at == t && *e < 5) {
-            batch.push(e);
-        }
-        assert_eq!(batch, vec![1, 2]);
-        assert_eq!(s.pending(), 2, "7 (non-matching) and 3 remain");
-        assert_eq!(s.processed(), 2);
-        assert_eq!(s.next_event().unwrap().1, 7);
     }
 
     #[test]

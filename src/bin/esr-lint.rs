@@ -8,11 +8,11 @@
 //! this lint scans the source:
 //!
 //! * **nondeterministic-time** — `SystemTime` and `Instant::now` are
-//!   rejected in `crates/sim`, `crates/replica`, and the pure
-//!   control-plane step machine `crates/runtime/src/ctrl.rs`
-//!   (simulated time comes from `VirtualClock`; the step function is
-//!   replayed verbatim by `esr-model`, so *any* ambient input breaks
-//!   the checker's fidelity guarantee).
+//!   rejected in `crates/sim` and `crates/replica` — which holds the
+//!   pure control-plane step machine `ctrl.rs` (simulated time comes
+//!   from `VirtualClock`; the step function is replayed verbatim by
+//!   `esr-model`, so *any* ambient input breaks the checker's fidelity
+//!   guarantee).
 //! * **thread-rng** — `thread_rng`/`ThreadRng`/`from_entropy` likewise
 //!   (randomness comes from `DetRng` seeds).
 //! * **protocol scope** (`crates/net`) — the transport may read real
@@ -39,11 +39,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Paths where wall-clock and OS randomness are banned outright.
-const TIME_RNG_SCOPES: [&str; 3] = [
-    "crates/sim/src",
-    "crates/replica/src",
-    "crates/runtime/src/ctrl.rs",
-];
+const TIME_RNG_SCOPES: [&str; 2] = ["crates/sim/src", "crates/replica/src"];
 
 /// Paths where protocol state must stay deterministic but I/O timing
 /// is real: `SystemTime` and ambient RNGs are banned, `Instant::now`
@@ -393,7 +389,7 @@ mod tests {
     #[test]
     fn pure_step_machine_bans_even_monotonic_time() {
         let hits = scan_str(
-            "crates/runtime/src/ctrl.rs",
+            "crates/replica/src/ctrl.rs",
             "fn step() {\n    let t = std::time::Instant::now();\n}\n",
         );
         assert_eq!(hits, ["nondeterministic-time:2"]);

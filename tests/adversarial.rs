@@ -2,6 +2,10 @@
 //! repeated partitions, and byte-starved links. ESR's promise is
 //! convergence *whenever the MSets eventually arrive* — these tests make
 //! "eventually" as painful as the substrate allows.
+//!
+//! The simulator executes the model-checked control core, so each
+//! scenario also hands its per-site event logs to the trace certifier
+//! `esrd` runs answer to: what is checked is what ran.
 
 use std::collections::BTreeSet;
 
@@ -11,6 +15,7 @@ use esr::net::latency::LatencyModel;
 use esr::net::topology::LinkConfig;
 use esr::replica::cluster::{ClusterConfig, Method, SimCluster};
 use esr::sim::time::{Duration, VirtualTime};
+use esr_check::certify::{certify, SiteTrace};
 
 fn submit_mixed(cluster: &mut SimCluster, method: Method, n: u64) {
     for i in 0..n {
@@ -35,6 +40,27 @@ fn submit_mixed(cluster: &mut SimCluster, method: Method, n: u64) {
             }
         }
     }
+}
+
+/// Certifies a finished run's event logs against the method's spec.
+/// ORDUP-L is skipped: its quiescence heartbeat applies the tail
+/// outside the core, so those applies have no event to certify.
+fn assert_certified(cluster: &SimCluster, method: Method, scenario: &str) {
+    if method == Method::OrdupLamport {
+        return;
+    }
+    let traces: Vec<SiteTrace> = cluster
+        .site_ids()
+        .into_iter()
+        .map(|site| SiteTrace::from_dump(site.raw(), 0, cluster.events_of(site)))
+        .collect();
+    assert!(traces.iter().all(|t| !t.events.is_empty()));
+    let findings = certify(method.rt(), &traces);
+    assert!(
+        findings.is_empty(),
+        "{} under {scenario}: {findings:#?}",
+        method.name()
+    );
 }
 
 #[test]
@@ -62,6 +88,7 @@ fn ninety_percent_loss_still_converges() {
             cluster.net_stats().dropped_attempts > 50,
             "the loss injection must actually bite"
         );
+        assert_certified(&cluster, method, "90% loss");
     }
 }
 
@@ -86,6 +113,7 @@ fn duplicate_storm_is_fully_idempotent() {
         if method != Method::OrdupLamport && method != Method::Compe {
             assert!(cluster.matches_oracle(), "{}: duplicates double-applied", method.name());
         }
+        assert_certified(&cluster, method, "a duplicate storm");
     }
 }
 
@@ -117,6 +145,7 @@ fn flapping_partitions_heal_to_the_oracle() {
         assert!(cluster.converged(), "{}", method.name());
         assert!(cluster.matches_oracle(), "{}", method.name());
         assert!(cluster.net_stats().partition_blocked > 0);
+        assert_certified(&cluster, method, "flapping partitions");
     }
 }
 

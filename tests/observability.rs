@@ -1,7 +1,7 @@
 //! End-to-end observability: the `esr-obs` registry threaded through
 //! the simulated cluster and the thread runtime.
 //!
-//! Three guarantees under test:
+//! Four guarantees under test:
 //!
 //! 1. **Determinism** — a simulated run reads only the virtual clock, so
 //!    the same seed must produce a *byte-identical* metrics snapshot.
@@ -12,6 +12,9 @@
 //! 3. **Recovery** — on the thread runtime a crash/restart run must end
 //!    with zero divergence while the replay counter proves the journal
 //!    recovery actually fired.
+//! 4. **One event plane** — the simulator's per-site event logs are the
+//!    same typed events the daemon records, so they merge into one
+//!    causal per-ET timeline through the same `merge_timeline`.
 
 use std::path::PathBuf;
 
@@ -188,6 +191,36 @@ fn delivery_counters_match_the_run() {
         Some(1000),
         "quiescence progress must read 1000 permille after run_until_quiescent"
     );
+}
+
+#[test]
+fn sim_event_logs_merge_into_one_causal_timeline() {
+    use esr::replica::span::SpanStage;
+    use esr::runtime::spans::{merge_timeline, span_records};
+
+    let mut cluster = SimCluster::new(ClusterConfig::new(Method::Commu).with_sites(3));
+    cluster.submit_update(SiteId(0), vec![ObjectOp::new(ObjectId(0), Operation::Incr(1))]);
+    let et = cluster.submit_update(SiteId(1), vec![ObjectOp::new(ObjectId(0), Operation::Incr(2))]);
+    cluster.run_until_quiescent();
+    let per_site: Vec<_> = cluster
+        .site_ids()
+        .into_iter()
+        .map(|site| (site, span_records(cluster.events_of(site))))
+        .collect();
+    let timeline = merge_timeline(&per_site, et);
+    let first = |stage| timeline.iter().position(|s| s.rec.stage == stage);
+    let last = |stage| timeline.iter().rposition(|s| s.rec.stage == stage);
+    let count = |stage| timeline.iter().filter(|s| s.rec.stage == stage).count();
+    assert_eq!(first(SpanStage::Submit), Some(0), "{timeline:#?}");
+    assert_eq!(timeline[0].site, SiteId(1), "the origin recorded the submit");
+    assert_eq!(count(SpanStage::Enqueue), 2);
+    for stage in [SpanStage::Deliver, SpanStage::Apply, SpanStage::Complete] {
+        assert_eq!(count(stage), 3, "{stage} at every site: {timeline:#?}");
+    }
+    assert!(last(SpanStage::Submit) < first(SpanStage::Enqueue));
+    assert!(last(SpanStage::Enqueue) < first(SpanStage::Deliver));
+    assert!(last(SpanStage::Deliver) < first(SpanStage::Apply));
+    assert!(last(SpanStage::Apply) < first(SpanStage::Complete));
 }
 
 /// A unique private directory for one thread-runtime cluster.
