@@ -428,7 +428,7 @@ impl<'a> World<'a> {
     /// probed only where redelivery reaches protocol logic: updates
     /// (journal dedup) and decisions (coordinator/peer dedup);
     /// completion-plane frames are re-sent wholesale in every
-    /// `ControlSnapshot`, which recovery schedules already exercise.
+    /// `StartView` snapshot, which recovery schedules already exercise.
     pub fn enabled(&self) -> Vec<Tx> {
         let mut txs = Vec::new();
         let policy = self.cfg.crash_policy;

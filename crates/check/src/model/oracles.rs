@@ -22,6 +22,7 @@ use std::collections::BTreeSet;
 use esr_core::ids::{ObjectId, SiteId};
 use esr_core::value::Value;
 use esr_replica::compe::CompeEvent;
+use esr_replica::mset::MSet;
 use esr_replica::span::{Event, SpanRec, SpanStage};
 use esr_runtime::state::SiteState;
 use std::collections::BTreeMap;
@@ -215,18 +216,19 @@ pub fn check_safety(cfg: &ModelCfg, world: &World<'_>, phase: &str) -> Vec<Model
         let expected = cfg
             .workload
             .iter()
-            .filter_map(esr_runtime::ctrl::max_version)
+            .filter_map(MSet::max_version)
             .map(|v| v.time)
             .max();
         // The role may have moved: read the horizon from the acting
-        // coordinator — the highest-view node holding a CoordCore (a
-        // split-brain pair is flagged by its own oracle above).
+        // coordinator's ledger — the highest-view node holding a
+        // CoordCore (a split-brain pair is flagged by its own oracle
+        // above).
         let horizon = world
             .nodes
             .iter()
             .filter(|n| n.core.coord.is_some())
             .max_by_key(|n| n.core.view)
-            .and_then(|n| n.core.coord.as_ref().and_then(|c| c.vtnc_horizon()))
+            .and_then(|n| n.core.evidence().vtnc())
             .map(|v| v.time);
         if horizon < expected {
             findings.push(finding(

@@ -179,7 +179,7 @@ fn restore_plus_suffix_matches_full_replay_at_every_cut() {
                     .expect("method matches");
             // Control frames past the cut are not journalled; the live
             // reference saw them, so re-deliver (idempotent, like the
-            // coordinator's ControlSnapshot at rejoin).
+            // coordinator's StartView snapshot at rejoin).
             for (after, f) in &w.control {
                 if *after > cut {
                     restored.step(NodeEvent::PeerFrame(f.clone()));

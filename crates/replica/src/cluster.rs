@@ -53,7 +53,7 @@ use esr_sim::sched::Scheduler;
 use esr_sim::time::{Duration, VirtualTime};
 use esr_storage::store::ObjectStore;
 
-use crate::ctrl::{coordinator_of, max_version, Effect, NodeCore, NodeEvent};
+use crate::ctrl::{coordinator_of, Effect, NodeCore, NodeEvent};
 use crate::mset::{MSet, OrderTag};
 use crate::site::QueryOutcome;
 use crate::span::{Event, SpanStage};
@@ -594,7 +594,7 @@ impl SimCluster {
             }
             _ => {}
         }
-        let version = max_version(&mset);
+        let version = mset.max_version();
         self.send(now, origin, entry, Frame::Submit(mset));
 
         self.global_counters.begin_update(

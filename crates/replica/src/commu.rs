@@ -28,7 +28,7 @@ use esr_storage::shard::FastIdMap;
 use esr_storage::store::ObjectStore;
 
 use crate::mset::MSet;
-use crate::site::{QueryOutcome, ReplicaSite};
+use crate::site::{Delivered, Delivery, QueryOutcome, ReplicaSite};
 
 /// A COMMU replica site.
 #[derive(Debug)]
@@ -163,11 +163,11 @@ impl ReplicaSite for CommuSite {
     }
 
     #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
-    fn deliver(&mut self, mset: MSet) {
+    fn deliver(&mut self, mset: MSet) -> Delivery {
         if self.applied_ets.contains_key(&mset.et) {
             self.redelivered += 1;
             self.obs.delivered(1, 0, 1);
-            return; // duplicate delivery
+            return Delivered::Duplicate.into();
         }
         for op in &mset.ops {
             self.store
@@ -182,6 +182,7 @@ impl ReplicaSite for CommuSite {
         self.applied_ets.insert(mset.et, ());
         self.applied += 1;
         self.obs.delivered(1, 1, 0);
+        Delivered::Applied.into()
     }
 
     /// Batch fast path: commuting operations are folded per object

@@ -27,7 +27,7 @@ use esr_storage::recovery_log::{RecoveryLog, RollbackReport, RollbackStrategy};
 use esr_storage::store::ObjectStore;
 
 use crate::mset::MSet;
-use crate::site::{QueryOutcome, ReplicaSite};
+use crate::site::{Delivered, Delivery, QueryOutcome, ReplicaSite};
 
 /// A COMPE replica site.
 #[derive(Debug)]
@@ -310,16 +310,15 @@ impl ReplicaSite for CompeSite {
     }
 
     #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
-    fn deliver(&mut self, mset: MSet) {
-        let (before_applied, before_redelivered) = (self.applied, self.redelivered);
-        match self.seen.get(&mset.et) {
+    fn deliver(&mut self, mset: MSet) -> Delivery {
+        let outcome = match self.seen.get(&mset.et) {
             None => {
                 self.log
                     .apply_mset(&mut self.store, mset.et, &mset.ops)
                     .expect("optimistic MSet must apply cleanly");
                 self.seen.insert(mset.et, Disposition::AtRisk);
-                self.applied += 1;
                 self.note(mset.et, CompeEvent::Applied);
+                Delivered::Applied
             }
             Some(Disposition::CommitPending) => {
                 // Already committed globally: apply without logging.
@@ -329,21 +328,20 @@ impl ReplicaSite for CompeSite {
                         .expect("committed MSet must apply cleanly");
                 }
                 self.seen.insert(mset.et, Disposition::Committed);
-                self.applied += 1;
                 self.note(mset.et, CompeEvent::Applied);
                 self.note(mset.et, CompeEvent::Committed);
+                Delivered::Applied
             }
-            Some(Disposition::AtRisk) | Some(Disposition::Committed) => {
-                self.redelivered += 1; // duplicate of an applied MSet
-            }
-            Some(Disposition::Aborted) => {} // abort arrived first: suppress
-        }
-        self.obs.delivered(
-            1,
-            self.applied - before_applied,
-            self.redelivered - before_redelivered,
-        );
+            Some(Disposition::AtRisk) | Some(Disposition::Committed) => Delivered::Duplicate,
+            Some(Disposition::Aborted) => Delivered::Suppressed, // abort arrived first
+        };
+        let applied = u64::from(outcome == Delivered::Applied);
+        let redelivered = u64::from(outcome == Delivered::Duplicate);
+        self.applied += applied;
+        self.redelivered += redelivered;
+        self.obs.delivered(1, applied, redelivered);
         self.obs.set_at_risk(self.log.at_risk() as u64);
+        outcome.into()
     }
 
     /// Batch fast path: consecutive at-risk MSets are logged and applied

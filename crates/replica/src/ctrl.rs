@@ -34,6 +34,22 @@
 //! view is sent, and every site re-announces its applied ETs to the new
 //! coordinator, so completion evidence survives the handoff.
 //!
+//! ## Each control-plane fact is stored once
+//!
+//! What a site has *learned* — completion notices, COMPE decisions, the
+//! VTNC horizon — lives in one [`Evidence`] ledger per [`NodeCore`].
+//! That one value is the idempotency guard for re-broadcast control
+//! frames, the coordinator's "already broadcast" guard, the payload of
+//! `DoViewChange` / `StartView` (a handoff is a union of ledgers, a
+//! `Hello` is answered with the ledger) and the control section of a
+//! checkpoint. [`CoordCore`] keeps only what no other site could tell
+//! it: apply reports still short of a quorum and the RITU-MV
+//! dense-prefix scan. Hold-back is likewise single-owned, by the method
+//! state machine: [`SiteState::deliver`] *returns* what a delivery did
+//! ([`crate::site::Delivery`]), and the core emits its events and
+//! `Applied` reports from that — it never probes the site or mirrors
+//! its queue.
+//!
 //! ## Effect ordering is part of the contract
 //!
 //! Effects must be executed in the order returned. In particular an
@@ -66,10 +82,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-use esr_core::ids::{ClientId, EtId, SeqNo, SiteId, VersionTs};
-use esr_core::op::Operation;
-use crate::mset::{MSet, OrderTag};
+use esr_core::ids::{ClientId, EtId, SiteId, VersionTs};
+use crate::mset::MSet;
 use crate::node_ckpt::CkptPayload;
+use crate::site::{Delivered, Released};
 use crate::span::{Event, SpanRec, SpanStage};
 use crate::state::{RtMethod, SiteState};
 use crate::wire::Frame;
@@ -199,9 +215,107 @@ pub fn coordinator_of(view: u64, sites: usize) -> SiteId {
 /// backoff on a loaded CI machine, far below test quiesce budgets.
 pub const SUSPECT_AFTER: u32 = 12;
 
-/// The coordinator's completion/certification state (held by the
-/// coordinator of the current view) — the pure core of what used to
-/// live inside the daemon.
+/// An insertion-ordered map keyed by ET: first-seen order for the wire
+/// and the checkpoint, constant-time membership for the dedup guards.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Seen<V> {
+    order: Vec<(EtId, V)>,
+    index: HashSet<EtId>,
+}
+
+impl<V> Seen<V> {
+    /// Records `et -> v` unless `et` is already known; `true` = news.
+    fn insert(&mut self, et: EtId, v: V) -> bool {
+        let news = self.index.insert(et);
+        if news {
+            self.order.push((et, v));
+        }
+        news
+    }
+}
+
+/// The control-plane ledger: every coordination result a site has
+/// learned — completion notices and COMPE decisions in first-seen
+/// order, and the furthest VTNC horizon. A [`NodeCore`] owns exactly
+/// one; the same value is the payload of `DoViewChange` / `StartView`
+/// and the control section of a checkpoint, so each fact is stored once
+/// and a coordinator handoff is a union of ledgers.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Evidence {
+    completed: Seen<()>,
+    decisions: Seen<bool>,
+    vtnc: Option<VersionTs>,
+}
+
+impl Evidence {
+    /// Records that `et` completed; `true` when that is news.
+    pub fn complete(&mut self, et: EtId) -> bool {
+        self.completed.insert(et, ())
+    }
+
+    /// Records the decision for `et` (the first outcome seen stands);
+    /// `true` when that is news.
+    pub fn decide(&mut self, et: EtId, commit: bool) -> bool {
+        self.decisions.insert(et, commit)
+    }
+
+    /// Raises the VTNC horizon to `ts`; `true` when it advanced.
+    pub fn advance_vtnc(&mut self, ts: VersionTs) -> bool {
+        let news = self.vtnc.is_none_or(|m| ts > m);
+        if news {
+            self.vtnc = Some(ts);
+        }
+        news
+    }
+
+    /// Union: absorbs everything `other` knows, keeping this ledger's
+    /// first-seen order and appending what is new in `other`'s order.
+    /// Idempotent; `true` when anything was news.
+    pub fn absorb(&mut self, other: &Evidence) -> bool {
+        let mut news = false;
+        for et in other.completed() {
+            news |= self.complete(et);
+        }
+        for (et, commit) in other.decisions() {
+            news |= self.decide(et, commit);
+        }
+        if let Some(ts) = other.vtnc {
+            news |= self.advance_vtnc(ts);
+        }
+        news
+    }
+
+    /// Completed ETs in first-seen order.
+    pub fn completed(&self) -> impl ExactSizeIterator<Item = EtId> + '_ {
+        self.completed.order.iter().map(|&(et, ())| et)
+    }
+
+    /// COMPE decisions `(et, commit)` in first-seen order.
+    pub fn decisions(&self) -> impl ExactSizeIterator<Item = (EtId, bool)> + '_ {
+        self.decisions.order.iter().copied()
+    }
+
+    /// The furthest VTNC horizon seen.
+    pub fn vtnc(&self) -> Option<VersionTs> {
+        self.vtnc
+    }
+
+    /// Has `et`'s completion been seen?
+    pub fn is_completed(&self, et: EtId) -> bool {
+        self.completed.index.contains(&et)
+    }
+
+    /// Has a decision for `et` been seen?
+    pub fn is_decided(&self, et: EtId) -> bool {
+        self.decisions.index.contains(&et)
+    }
+}
+
+/// What only the coordinator of the current view keeps: the apply
+/// reports still short of a quorum and the RITU-MV dense-prefix scan.
+/// Every *result* — completions, decisions, the certified horizon —
+/// lives in the owning node's [`Evidence`] ledger, which the
+/// coordinator reads as its dedup guard.
 #[derive(Debug)]
 pub struct CoordCore {
     n: usize,
@@ -209,19 +323,14 @@ pub struct CoordCore {
     /// Per-ET apply evidence: which sites reported, and the max
     /// timestamped-write version seen (for VTNC).
     counts: BTreeMap<EtId, (HashSet<SiteId>, Option<VersionTs>)>,
-    /// ETs whose completion already broadcast — late or duplicate
-    /// `Applied` reports (redelivery, restart re-announcements) land
-    /// here and are dropped.
+    /// RITU-MV ETs already fed to the prefix scan: no `Complete` is
+    /// minted for them, so the ledger cannot absorb their late or
+    /// duplicate `Applied` reports — this set does.
     done: HashSet<EtId>,
-    /// Broadcast log, replayed to recovering peers as a snapshot.
-    completed_log: Vec<EtId>,
-    decided: HashSet<EtId>,
-    decisions_log: Vec<(EtId, bool)>,
     /// VTNC certification: fully-installed version times awaiting the
     /// dense-prefix scan (the version clock hands out 1, 2, 3, …).
     fully_installed: BTreeMap<u64, VersionTs>,
     next_time: u64,
-    vtnc_max: Option<VersionTs>,
     /// First Hello epoch seen per site — only consulted by the
     /// [`CtrlCanary::HelloEpochPinned`] defect.
     greeted: BTreeMap<SiteId, u64>,
@@ -236,76 +345,27 @@ impl CoordCore {
             method,
             counts: BTreeMap::new(),
             done: HashSet::new(),
-            completed_log: Vec::new(),
-            decided: HashSet::new(),
-            decisions_log: Vec::new(),
             fully_installed: BTreeMap::new(),
             next_time: 1,
-            vtnc_max: None,
             greeted: BTreeMap::new(),
             canary,
         }
     }
 
-    /// A coordinator seeded from merged `DoViewChange` evidence: every
-    /// completion and decision the majority remembers is treated as
-    /// already broadcast (the installer re-broadcasts them in its
-    /// `StartView`), and the VTNC clock resumes *after* the merged
-    /// horizon so the new coordinator never re-certifies below it.
-    pub fn from_handoff(
-        n: usize,
-        method: RtMethod,
-        canary: Option<CtrlCanary>,
-        completed: Vec<EtId>,
-        decisions: Vec<(EtId, bool)>,
-        vtnc_max: Option<VersionTs>,
-    ) -> Self {
-        let mut core = Self::new(n, method, canary);
-        core.done = completed.iter().copied().collect();
-        core.completed_log = completed;
-        core.decided = decisions.iter().map(|(et, _)| *et).collect();
-        core.decisions_log = decisions;
-        core.next_time = vtnc_max.map_or(1, |v| v.time + 1);
-        core.vtnc_max = vtnc_max;
-        core
-    }
-
-    /// Absorbs a completion broadcast observed from another (stale)
-    /// coordinator, so this coordinator's snapshots carry it and a late
-    /// `Applied` quorum for the same ET stays silent.
-    fn note_external_complete(&mut self, et: EtId) {
-        if self.done.insert(et) {
-            self.completed_log.push(et);
-            self.counts.remove(&et);
-        }
-    }
-
-    /// Absorbs a decision broadcast observed from another (stale)
-    /// coordinator (recorded, never re-broadcast).
-    fn note_external_decision(&mut self, et: EtId, commit: bool) {
-        if self.decided.insert(et) {
-            self.decisions_log.push((et, commit));
-        }
-    }
-
-    /// Absorbs a VTNC broadcast observed from another (stale)
-    /// coordinator: the horizon and the dense-prefix clock both move
-    /// past it so certification never runs backwards.
-    fn note_external_vtnc(&mut self, ts: VersionTs) {
-        self.vtnc_max = Some(self.vtnc_max.map_or(ts, |m| m.max(ts)));
-        self.next_time = self.next_time.max(ts.time + 1);
-    }
-
-    /// Absorbs one apply report; returns the control broadcasts it
-    /// triggers.
+    /// Absorbs one apply report against the node's `ledger`; returns
+    /// the control broadcast it triggers, if any.
     pub fn on_applied(
         &mut self,
+        ledger: &Evidence,
         site: SiteId,
         et: EtId,
         version: Option<VersionTs>,
-    ) -> Vec<Frame> {
-        if !self.method.tracks_completion() || self.done.contains(&et) {
-            return Vec::new();
+    ) -> Option<Frame> {
+        // Late or duplicate reports (redelivery, restart and handoff
+        // re-announcements) for a finished ET are dropped here.
+        if !self.method.tracks_completion() || ledger.is_completed(et) || self.done.contains(&et)
+        {
+            return None;
         }
         let e = self.counts.entry(et).or_insert_with(|| (HashSet::new(), None));
         e.0.insert(site);
@@ -319,61 +379,25 @@ impl CoordCore {
             self.n
         };
         if e.0.len() < quorum {
-            return Vec::new();
+            return None;
         }
         let version = self.counts.remove(&et).and_then(|(_, v)| v);
+        if self.method != RtMethod::RituMv {
+            return Some(Frame::Complete { et });
+        }
         self.done.insert(et);
-        if self.method == RtMethod::RituMv {
-            let Some(v) = version else { return Vec::new() };
-            self.fully_installed.insert(v.time, v);
-            let mut horizon = None;
-            while let Some(v) = self.fully_installed.remove(&self.next_time) {
-                horizon = Some(v);
-                self.next_time += 1;
-            }
-            match horizon {
-                Some(h) => {
-                    self.vtnc_max = Some(self.vtnc_max.map_or(h, |m| m.max(h)));
-                    vec![Frame::Vtnc { ts: h }]
-                }
-                None => Vec::new(),
-            }
-        } else {
-            self.completed_log.push(et);
-            vec![Frame::Complete { et }]
+        let installed = version?;
+        self.fully_installed.insert(installed.time, installed);
+        // The scan never runs behind the ledger's horizon (a handoff's
+        // merged evidence, a stale coordinator's broadcast), so
+        // certification never moves backwards.
+        self.next_time = self.next_time.max(ledger.vtnc().map_or(1, |h| h.time + 1));
+        let mut horizon = None;
+        while let Some(v) = self.fully_installed.remove(&self.next_time) {
+            horizon = Some(v);
+            self.next_time += 1;
         }
-    }
-
-    /// Absorbs a COMPE decision; returns the broadcast (once per ET).
-    pub fn on_decision(&mut self, et: EtId, commit: bool) -> Vec<Frame> {
-        if !self.decided.insert(et) {
-            return Vec::new();
-        }
-        self.decisions_log.push((et, commit));
-        vec![Frame::Decision { et, commit }]
-    }
-
-    /// The recovery snapshot sent to a (re)connecting peer.
-    pub fn control_state(&self) -> Frame {
-        Frame::ControlSnapshot {
-            completed: self.completed_log.clone(),
-            decisions: self.decisions_log.clone(),
-            vtnc_max: self.vtnc_max,
-        }
-    }
-
-    /// The recovery snapshot as a `StartView` for view `view`: carries
-    /// the same evidence as [`Self::control_state`] and additionally
-    /// pins the receiver to this coordinator's view (a receiver at a
-    /// lower view installs it; one at the same view absorbs the
-    /// evidence idempotently).
-    pub fn view_snapshot(&self, view: u64) -> Frame {
-        Frame::StartView {
-            view,
-            completed: self.completed_log.clone(),
-            decisions: self.decisions_log.clone(),
-            vtnc_max: self.vtnc_max,
-        }
+        horizon.map(|ts| Frame::Vtnc { ts })
     }
 
     /// Should this Hello be answered with a control snapshot? Always,
@@ -387,41 +411,6 @@ impl CoordCore {
         let pinned = *self.greeted.entry(site).or_insert(epoch);
         pinned == epoch
     }
-
-    /// The furthest VTNC horizon certified so far.
-    pub fn vtnc_horizon(&self) -> Option<VersionTs> {
-        self.vtnc_max
-    }
-
-    /// ETs whose completion has been broadcast, in broadcast order.
-    pub fn completed(&self) -> &[EtId] {
-        &self.completed_log
-    }
-
-    /// COMPE decisions broadcast so far, in order.
-    pub fn decisions(&self) -> &[(EtId, bool)] {
-        &self.decisions_log
-    }
-}
-
-/// The max timestamped-write version in an MSet (the VTNC install
-/// evidence an `Applied` report carries).
-pub fn max_version(mset: &MSet) -> Option<VersionTs> {
-    mset.ops
-        .iter()
-        .filter_map(|o| match &o.op {
-            Operation::TimestampedWrite(ts, _) => Some(*ts),
-            _ => None,
-        })
-        .max()
-}
-
-/// The ORDUP global sequence number of an MSet, if it carries one.
-fn seq_of(mset: &MSet) -> Option<u64> {
-    match mset.order {
-        OrderTag::Sequenced(s) => Some(s.0),
-        _ => None,
-    }
 }
 
 /// The event effect for one lifecycle hop.
@@ -433,11 +422,6 @@ fn span(rec: SpanRec) -> Effect {
 /// fresh identity (bypassing per-ET idempotency guards), far outside
 /// any id a workload would mint.
 const CANARY_ET_BIT: u64 = 1 << 60;
-
-/// The volatile coordinator knowledge a `DoViewChange` ships to the
-/// coordinator-to-be: completions in first-seen order, COMPE decisions
-/// in first-seen order, and the furthest VTNC horizon observed.
-type HandoffEvidence = (Vec<EtId>, Vec<(EtId, bool)>, Option<VersionTs>);
 
 /// One site's complete control-plane state machine: the replica state,
 /// the journalled-ET set, the view-change election machine, and (on
@@ -467,28 +451,11 @@ pub struct NodeCore {
     /// propagation frontier, reported in status and captured by
     /// checkpoints.
     frontier: BTreeMap<u64, u64>,
-    /// ETs delivered but still held back (ORDUP sequence gaps), with
-    /// the version/seq metadata their eventual apply trace needs: an
-    /// in-order arrival can release a whole run of held successors,
-    /// and each release must still be traced and reported.
-    held: BTreeMap<EtId, (Option<VersionTs>, Option<u64>)>,
-    /// COMPE decisions this site has seen, with the decided outcome —
-    /// the idempotency guard for redelivered/re-broadcast decisions and
-    /// this site's decision evidence for `DoViewChange`.
-    decisions_seen: BTreeSet<EtId>,
-    /// Decision evidence in first-seen order (what `DoViewChange`
-    /// ships).
-    decisions_order: Vec<(EtId, bool)>,
-    /// Completions this site has seen (dedupe guard for re-broadcasts
-    /// from a recovered or newly-elected coordinator).
-    completed_seen: BTreeSet<EtId>,
-    /// Completion evidence in first-seen order (what `DoViewChange`
-    /// ships).
-    completed_order: Vec<EtId>,
-    /// The furthest VTNC horizon observed (evidence for `DoViewChange`;
-    /// also suppresses re-tracing when a recovered coordinator
-    /// re-certifies an old horizon).
-    vtnc_seen: Option<VersionTs>,
+    /// Every completion, COMPE decision and VTNC horizon this site has
+    /// seen — the idempotency guard for redelivered or re-broadcast
+    /// control frames, the coordinator's dedup guard, and what
+    /// `DoViewChange`, `StartView` and checkpoints carry.
+    evidence: Evidence,
     /// Every ET this site has applied, with its max install version —
     /// re-announced wholesale to a newly-elected (or freshly-recovered)
     /// coordinator so completion tracking survives the handoff.
@@ -505,11 +472,12 @@ pub struct NodeCore {
     vc_target: u64,
     /// Sites (including self) seen to start the pending view change.
     svc_from: BTreeSet<SiteId>,
-    /// `DoViewChange` evidence collected by the pending view's
+    /// Peers' `DoViewChange` ledgers collected by the pending view's
     /// coordinator-to-be, keyed by sender.
-    dvc: BTreeMap<SiteId, HandoffEvidence>,
+    dvc: BTreeMap<SiteId, Evidence>,
     /// Whether this site already sent its `DoViewChange` for
-    /// `vc_target`.
+    /// `vc_target` — or, as the coordinator-to-be, cast it (its own
+    /// ledger is the vote).
     dvc_sent: bool,
     /// Ticks the pending view change has been stalled (escalates to
     /// `vc_target + 1` when the coordinator-to-be is dead too).
@@ -556,12 +524,7 @@ impl NodeCore {
             view,
             journaled: BTreeSet::new(),
             frontier: BTreeMap::new(),
-            held: BTreeMap::new(),
-            decisions_seen: BTreeSet::new(),
-            decisions_order: Vec::new(),
-            completed_seen: BTreeSet::new(),
-            completed_order: Vec::new(),
-            vtnc_seen: None,
+            evidence: Evidence::default(),
             applied_log: BTreeMap::new(),
             client_table: BTreeMap::new(),
             missed_pings: 0,
@@ -642,7 +605,7 @@ impl NodeCore {
                 let t0 = mset.t0;
                 let mut effects: Vec<Effect> = vec![span(
                     SpanRec::new(SpanStage::Submit, mset.et)
-                        .with_gseq(seq_of(&mset).map(SeqNo))
+                        .with_gseq(mset.gseq())
                         .with_t0(t0),
                 )];
                 for to in self.peers().collect::<Vec<_>>() {
@@ -698,14 +661,7 @@ impl NodeCore {
                 .map(|(&(c, s), &et)| (c, s, et))
                 .collect(),
             applied_log: self.applied_log.iter().map(|(&et, &v)| (et, v)).collect(),
-            completed: self.completed_order.clone(),
-            decisions: self.decisions_order.clone(),
-            vtnc: self.vtnc_seen,
-            held: self
-                .held
-                .iter()
-                .map(|(&et, &(v, s))| (et, v, s))
-                .collect(),
+            evidence: self.evidence.clone(),
             site: self.state.to_ckpt()?,
         })
     }
@@ -746,16 +702,7 @@ impl NodeCore {
             .map(|(c, s, et)| ((c, s), et))
             .collect();
         core.applied_log = payload.applied_log.into_iter().collect();
-        core.completed_seen = payload.completed.iter().copied().collect();
-        core.completed_order = payload.completed;
-        core.decisions_seen = payload.decisions.iter().map(|(et, _)| *et).collect();
-        core.decisions_order = payload.decisions;
-        core.vtnc_seen = payload.vtnc;
-        core.held = payload
-            .held
-            .into_iter()
-            .map(|(et, v, s)| (et, (v, s)))
-            .collect();
+        core.evidence = payload.evidence;
         let mut effects = vec![Effect::Event(Event::CkptRestore {
             covered: payload.covered,
             view: core.view,
@@ -791,40 +738,29 @@ impl NodeCore {
         effects: &mut Vec<Effect>,
         recovered: &mut Vec<(EtId, Option<VersionTs>)>,
     ) {
-        let et = mset.et;
-        let version = max_version(&mset);
-        let seq = seq_of(&mset);
-        if self.journaled.insert(et) {
+        let own = Released::of(&mset);
+        if self.journaled.insert(own.et) {
             *self.frontier.entry(mset.origin.raw()).or_insert(0) += 1;
         }
         if let Some((cid, cseq)) = mset.client {
-            self.client_table.insert((cid.raw(), cseq), et);
+            self.client_table.insert((cid.raw(), cseq), own.et);
         }
         if self.canary == Some(CtrlCanary::DecisionReplayReapplies) {
-            self.canary_msets.insert(et, mset.clone());
+            self.canary_msets.insert(own.et, mset.clone());
         }
-        let before = self.state.has_applied(et);
-        self.state.deliver(mset);
-        let mut newly = Vec::new();
-        if self.state.has_applied(et) {
-            if !before {
-                newly.push((et, version, seq));
-            }
-        } else if self.method == RtMethod::Ordup {
-            self.held.insert(et, (version, seq));
-        }
-        newly.extend(self.take_unblocked());
-        for (et, version, seq) in newly {
+        let delivery = self.state.deliver(mset);
+        let own = (delivery.outcome == Delivered::Applied).then_some(own);
+        for r in own.into_iter().chain(delivery.released) {
             // The in-memory event ring died with the previous
             // incarnation; the replay span is the durable trace of
             // this site's apply, so post-crash timelines still stitch
             // and the certifier still sees the apply.
             effects.push(span(
-                SpanRec::new(SpanStage::Replay, et)
-                    .with_version(version)
-                    .with_gseq(seq.map(SeqNo)),
+                SpanRec::new(SpanStage::Replay, r.et)
+                    .with_version(r.version)
+                    .with_gseq(r.seq),
             ));
-            recovered.push((et, version));
+            recovered.push((r.et, r.version));
         }
     }
 
@@ -918,14 +854,8 @@ impl NodeCore {
         }
         self.dvc_sent = true;
         let target = self.vc_target;
-        let evidence = (
-            self.completed_order.clone(),
-            self.decisions_order.clone(),
-            self.vtnc_seen,
-        );
         let next_coord = coordinator_of(target, self.sites);
         if next_coord == self.site {
-            self.dvc.insert(self.site, evidence);
             self.maybe_install_view()
         } else {
             vec![Effect::Send {
@@ -933,58 +863,31 @@ impl NodeCore {
                 frame: Frame::DoViewChange {
                     view: target,
                     from: self.site,
-                    completed: evidence.0,
-                    decisions: evidence.1,
-                    vtnc_max: evidence.2,
+                    evidence: Box::new(self.evidence.clone()),
                 },
             }]
         }
     }
 
     /// Installs `vc_target` as its coordinator once a majority's
-    /// `DoViewChange` evidence is in: merge the evidence, seed a
-    /// [`CoordCore`] from it, durably record the view, tell everyone,
-    /// and feed this site's own applies into the new coordinator.
+    /// `DoViewChange` votes are in (this site's own included): union
+    /// the peers' ledgers into ours, take a fresh [`CoordCore`],
+    /// durably record the view, tell everyone, and feed this site's own
+    /// applies into the new coordinator.
     fn maybe_install_view(&mut self) -> Vec<Effect> {
-        if self.vc_target <= self.view || self.dvc.len() < self.majority() {
+        let votes = self.dvc.len() + usize::from(self.dvc_sent);
+        if self.vc_target <= self.view || votes < self.majority() {
             return Vec::new();
         }
         let w = self.vc_target;
-        // Merge: completions and decisions are unions keyed by ET (any
-        // single site's log is a prefix-consistent view of the old
-        // coordinator's broadcast order), the VTNC horizon is the max.
-        let mut completed: Vec<EtId> = Vec::new();
-        let mut decisions: Vec<(EtId, bool)> = Vec::new();
-        let mut vtnc_max: Option<VersionTs> = None;
-        for (c, d, v) in self.dvc.values() {
-            for et in c {
-                if !completed.contains(et) {
-                    completed.push(*et);
-                }
-            }
-            for (et, commit) in d {
-                if !decisions.iter().any(|(e, _)| e == et) {
-                    decisions.push((*et, *commit));
-                }
-            }
-            vtnc_max = vtnc_max.max(*v);
-        }
+        let reports = std::mem::take(&mut self.dvc);
         self.view = w;
         self.clear_election();
-        let mut coord = CoordCore::from_handoff(
-            self.sites,
-            self.method,
-            self.canary,
-            completed.clone(),
-            decisions.clone(),
-            vtnc_max,
-        );
+        let mut coord = CoordCore::new(self.sites, self.method, self.canary);
         // Defect: the installer marks its own applied-but-uncompleted
         // ETs as done, so their completions are never re-driven.
         if self.canary == Some(CtrlCanary::HandoffDropsCompletions) {
-            for et in self.applied_log.keys() {
-                coord.done.insert(*et);
-            }
+            coord.done.extend(self.applied_log.keys());
         }
         self.coord = Some(coord);
         let mut effects = vec![
@@ -994,18 +897,15 @@ impl NodeCore {
                 coordinator: self.site,
             }),
         ];
-        effects.extend(self.absorb_evidence(&completed, &decisions, vtnc_max));
-        for to in self.peers() {
-            effects.push(Effect::Send {
-                to,
-                frame: Frame::StartView {
-                    view: w,
-                    completed: completed.clone(),
-                    decisions: decisions.clone(),
-                    vtnc_max,
-                },
-            });
+        // The handoff is a ledger union: any single site's ledger is a
+        // prefix-consistent view of the old coordinator's broadcast
+        // order, so absorbing the majority's in turn loses nothing, and
+        // the ledger's guards make the new coordinator treat all of it
+        // as already broadcast.
+        for evidence in reports.values() {
+            effects.extend(self.absorb_evidence(evidence));
         }
+        effects.extend(self.relay(self.start_view()));
         // Count our own applies toward completion in the new view (the
         // peers re-announce theirs on receiving StartView).
         let applied: Vec<(EtId, Option<VersionTs>)> =
@@ -1026,23 +926,57 @@ impl NodeCore {
         self.missed_pings = 0;
     }
 
-    /// Applies snapshot/handoff evidence idempotently (dedup guards
-    /// absorb anything this site has already seen).
-    fn absorb_evidence(
-        &mut self,
-        completed: &[EtId],
-        decisions: &[(EtId, bool)],
-        vtnc_max: Option<VersionTs>,
-    ) -> Vec<Effect> {
+    /// Applies snapshot/handoff evidence idempotently (the ledger
+    /// absorbs anything this site has already seen).
+    fn absorb_evidence(&mut self, evidence: &Evidence) -> Vec<Effect> {
         let mut effects = Vec::new();
-        for et in completed {
-            effects.extend(self.apply_complete(*et));
+        for et in evidence.completed() {
+            effects.extend(self.apply_complete(et));
         }
-        for (et, commit) in decisions {
-            effects.extend(self.apply_decision(*et, *commit));
+        for (et, commit) in evidence.decisions() {
+            effects.extend(self.apply_decision(et, commit));
         }
-        if let Some(v) = vtnc_max {
+        if let Some(v) = evidence.vtnc() {
             effects.extend(self.apply_vtnc(v));
+        }
+        effects
+    }
+
+    /// This site's view and ledger as a `StartView`: the new
+    /// coordinator's announcement, its answer to every peer
+    /// (re)handshake, and any site's answer to a stale pinger. A
+    /// receiver at a lower view installs it; one at the same view
+    /// absorbs the evidence idempotently.
+    fn start_view(&self) -> Frame {
+        Frame::StartView {
+            view: self.view,
+            evidence: Box::new(self.evidence.clone()),
+        }
+    }
+
+    /// Re-announces to `to` — a newly elected or rebooted coordinator —
+    /// what it may not know: this site's applies (its guards absorb
+    /// what already completed) and the decisions seen here (absorbed
+    /// idempotently, then rebroadcast).
+    fn reannounce(&self, to: SiteId) -> Vec<Effect> {
+        let mut effects = Vec::new();
+        if self.method.tracks_completion() {
+            for (&et, &version) in &self.applied_log {
+                effects.push(Effect::Send {
+                    to,
+                    frame: Frame::Applied {
+                        site: self.site,
+                        et,
+                        version,
+                    },
+                });
+            }
+        }
+        for (et, commit) in self.evidence.decisions() {
+            effects.push(Effect::Send {
+                to,
+                frame: Frame::ForwardDecision { et, commit },
+            });
         }
         effects
     }
@@ -1058,85 +992,37 @@ impl NodeCore {
                     if coord.answer_hello(site, epoch) {
                         effects.push(Effect::Send {
                             to: site,
-                            frame: coord.view_snapshot(self.view),
+                            frame: self.start_view(),
                         });
                     }
                 } else if site == coordinator_of(self.view, self.sites) {
-                    // Our coordinator rebooted: its in-memory evidence
-                    // died with it, so re-announce everything this site
-                    // knows — applies (its `done` set absorbs what was
-                    // already completed) and decisions (absorbed
-                    // idempotently, then rebroadcast).
-                    if self.method.tracks_completion() {
-                        for (et, version) in &self.applied_log {
-                            effects.push(Effect::Send {
-                                to: site,
-                                frame: Frame::Applied {
-                                    site: self.site,
-                                    et: *et,
-                                    version: *version,
-                                },
-                            });
-                        }
-                    }
-                    for &(et, commit) in &self.decisions_order {
-                        effects.push(Effect::Send {
-                            to: site,
-                            frame: Frame::ForwardDecision { et, commit },
-                        });
-                    }
+                    // Our coordinator rebooted: whatever its journal or
+                    // image did not hold died with it.
+                    effects.extend(self.reannounce(site));
                 }
                 effects
             }
             Frame::MSet(mset) => self.accept_mset(mset),
-            Frame::Applied { site, et, version } => {
-                let broadcasts = match &mut self.coord {
-                    Some(c) => c.on_applied(site, et, version),
-                    None => Vec::new(),
-                };
-                self.broadcast_all(broadcasts)
-            }
+            Frame::Applied { site, et, version } => self.tally(site, et, version),
+            // A control broadcast minted by another coordinator (an
+            // older view's catching up with us). If we hold the role
+            // and it is news, our followers may have missed the
+            // original (a crash can consume it, and the old view's
+            // snapshots are now stale), so relay it — receivers dedup.
             Frame::Complete { et } => {
-                // A completion minted by another coordinator (an older
-                // view's broadcast catching up with us). If we hold
-                // the role and this is news, our followers may have
-                // missed the original broadcast (a crash can consume
-                // it, and the old view's snapshots are now stale), so
-                // relay it — receivers dedup.
-                let news = !self.completed_seen.contains(&et);
                 if let Some(c) = &mut self.coord {
-                    c.note_external_complete(et);
+                    c.counts.remove(&et);
                 }
-                let mut effects = self.apply_complete(et);
-                if news && self.coord.is_some() {
-                    effects.extend(self.relay(Frame::Complete { et }));
-                }
-                effects
+                let learned = self.apply_complete(et);
+                self.relay_news(learned, Frame::Complete { et })
             }
             Frame::Vtnc { ts } => {
-                let news = self.vtnc_seen.is_none_or(|m| ts > m);
-                if let Some(c) = &mut self.coord {
-                    c.note_external_vtnc(ts);
-                }
-                let mut effects = self.apply_vtnc(ts);
-                if news && self.coord.is_some() {
-                    effects.extend(self.relay(Frame::Vtnc { ts }));
-                }
-                effects
+                let learned = self.apply_vtnc(ts);
+                self.relay_news(learned, Frame::Vtnc { ts })
             }
             Frame::Decision { et, commit } => {
-                // The coordinator's broadcast. If *we* hold the role
-                // (their view was older), record it and relay it for
-                // the same reason as `Complete` above.
-                let news = !self.decisions_seen.contains(&et);
-                if let Some(c) = &mut self.coord {
-                    c.note_external_decision(et, commit);
-                }
-                let mut effects = self.apply_decision(et, commit);
-                if news && self.coord.is_some() {
-                    effects.extend(self.relay(Frame::Decision { et, commit }));
-                }
-                effects
+                let learned = self.apply_decision(et, commit);
+                self.relay_news(learned, Frame::Decision { et, commit })
             }
             Frame::ForwardDecision { et, commit } => {
                 if self.coord.is_some() {
@@ -1152,11 +1038,6 @@ impl NodeCore {
                     }]
                 }
             }
-            Frame::ControlSnapshot {
-                completed,
-                decisions,
-                vtnc_max,
-            } => self.absorb_evidence(&completed, &decisions, vtnc_max),
             Frame::Ping { view, from } => {
                 if view == self.view {
                     if from == coordinator_of(self.view, self.sites) {
@@ -1169,12 +1050,7 @@ impl NodeCore {
                     // waiting for the durable StartView to drain.
                     vec![Effect::Send {
                         to: from,
-                        frame: Frame::StartView {
-                            view: self.view,
-                            completed: self.completed_order.clone(),
-                            decisions: self.decisions_order.clone(),
-                            vtnc_max: self.vtnc_seen,
-                        },
+                        frame: self.start_view(),
                     }]
                 } else {
                     // A view ahead of ours: its durable StartView is
@@ -1198,9 +1074,7 @@ impl NodeCore {
             Frame::DoViewChange {
                 view,
                 from,
-                completed,
-                decisions,
-                vtnc_max,
+                evidence,
             } => {
                 if view <= self.view || coordinator_of(view, self.sites) != self.site {
                     return Vec::new();
@@ -1215,26 +1089,13 @@ impl NodeCore {
                     self.vc_ticks = 0;
                 }
                 if view == self.vc_target {
-                    self.dvc.insert(from, (completed, decisions, vtnc_max));
-                    if !self.dvc.contains_key(&self.site) {
-                        let own = (
-                            self.completed_order.clone(),
-                            self.decisions_order.clone(),
-                            self.vtnc_seen,
-                        );
-                        self.dvc.insert(self.site, own);
-                    }
+                    self.dvc.insert(from, *evidence);
                     self.dvc_sent = true;
                     return self.maybe_install_view();
                 }
                 Vec::new()
             }
-            Frame::StartView {
-                view,
-                completed,
-                decisions,
-                vtnc_max,
-            } => {
+            Frame::StartView { view, evidence } => {
                 if view < self.view {
                     return Vec::new();
                 }
@@ -1253,31 +1114,13 @@ impl NodeCore {
                         coordinator: coordinator_of(view, self.sites),
                     }));
                 }
-                effects.extend(self.absorb_evidence(&completed, &decisions, vtnc_max));
-                if install && coordinator_of(view, self.sites) != self.site {
-                    // Re-announce local knowledge to the new
-                    // coordinator: its evidence counts start from the
-                    // merged DVC majority, and a minority site may hold
+                effects.extend(self.absorb_evidence(&evidence));
+                let coordinator = coordinator_of(view, self.sites);
+                if install && coordinator != self.site {
+                    // The new coordinator's counts start from the DVC
+                    // majority's ledgers, and a minority site may hold
                     // applies or decisions that majority never saw.
-                    let to = coordinator_of(view, self.sites);
-                    if self.method.tracks_completion() {
-                        for (et, version) in &self.applied_log {
-                            effects.push(Effect::Send {
-                                to,
-                                frame: Frame::Applied {
-                                    site: self.site,
-                                    et: *et,
-                                    version: *version,
-                                },
-                            });
-                        }
-                    }
-                    for &(et, commit) in &self.decisions_order {
-                        effects.push(Effect::Send {
-                            to,
-                            frame: Frame::ForwardDecision { et, commit },
-                        });
-                    }
+                    effects.extend(self.reannounce(coordinator));
                 }
                 effects
             }
@@ -1291,13 +1134,14 @@ impl NodeCore {
     /// path every update takes, whether it arrived from a client
     /// (origin) or a peer link (propagation).
     fn accept_mset(&mut self, mset: MSet) -> Vec<Effect> {
-        let et = mset.et;
-        let version = max_version(&mset);
-        let seq = seq_of(&mset);
+        // The arriving MSet's own (et, seq, version), in the shape the
+        // site reports releases in: both are traced the same way.
+        let own = Released::of(&mset);
+        let et = own.et;
         let t0 = mset.t0;
         let mut effects = vec![span(
             SpanRec::new(SpanStage::Deliver, et)
-                .with_gseq(seq.map(SeqNo))
+                .with_gseq(own.seq)
                 .with_t0(t0),
         )];
         if self.journaled.insert(et) {
@@ -1310,59 +1154,36 @@ impl NodeCore {
         if self.canary == Some(CtrlCanary::DecisionReplayReapplies) {
             self.canary_msets.insert(et, mset.clone());
         }
-        let before = self.state.has_applied(et);
-        self.state.deliver(mset);
-        if before {
+        let delivery = self.state.deliver(mset);
+        match delivery.outcome {
+            Delivered::Applied => effects.extend(self.applied(own, t0)),
+            // Parked behind an ORDUP sequence gap.
+            Delivered::Held => effects.push(span(
+                SpanRec::new(SpanStage::Held, et).with_gseq(own.seq),
+            )),
             // A redelivery: its lifecycle was recorded the first time.
-            effects.push(Effect::Event(Event::DuplicateDelivery { et }));
-        } else if self.state.has_applied(et) {
-            effects.push(span(
-                SpanRec::new(SpanStage::Apply, et)
-                    .with_version(version)
-                    .with_gseq(seq.map(SeqNo))
-                    .with_t0(t0),
-            ));
-            effects.extend(self.report_applied(et, version));
-        } else if self.method == RtMethod::Ordup {
-            // Parked behind a sequence gap. Only ORDUP holds back: the
-            // other way to get here is a COMPE MSet its abort outran,
-            // which the site suppressed for good.
-            self.held.insert(et, (version, seq));
-            effects.push(span(
-                SpanRec::new(SpanStage::Held, et).with_gseq(seq.map(SeqNo)),
-            ));
+            Delivered::Duplicate => effects.push(Effect::Event(Event::DuplicateDelivery { et })),
+            // A COMPE MSet its abort outran: neither held nor applied.
+            Delivered::Suppressed => {}
         }
         // An in-order arrival may have released held successors: they
         // are applied *now*, so they are traced and reported now.
-        for (et, version, seq) in self.take_unblocked() {
-            effects.push(span(
-                SpanRec::new(SpanStage::Apply, et)
-                    .with_version(version)
-                    .with_gseq(seq.map(SeqNo)),
-            ));
-            effects.extend(self.report_applied(et, version));
+        for r in delivery.released {
+            effects.extend(self.applied(r, None));
         }
         effects
     }
 
-    /// Drains every held ET the last delivery unblocked, in sequence
-    /// order (a run of held successors applies lowest-seq first).
-    fn take_unblocked(&mut self) -> Vec<(EtId, Option<VersionTs>, Option<u64>)> {
-        let released: Vec<EtId> = self
-            .held
-            .keys()
-            .filter(|et| self.state.has_applied(**et))
-            .copied()
-            .collect();
-        let mut out: Vec<(EtId, Option<VersionTs>, Option<u64>)> = released
-            .into_iter()
-            .filter_map(|et| {
-                let (version, seq) = self.held.remove(&et)?;
-                Some((et, version, seq))
-            })
-            .collect();
-        out.sort_by_key(|(et, _, seq)| (*seq, *et));
-        out
+    /// The apply span of one ET plus its report toward the coordinator.
+    fn applied(&mut self, r: Released, t0: Option<u64>) -> Vec<Effect> {
+        let mut effects = vec![span(
+            SpanRec::new(SpanStage::Apply, r.et)
+                .with_version(r.version)
+                .with_gseq(r.seq)
+                .with_t0(t0),
+        )];
+        effects.extend(self.report_applied(r.et, r.version));
+        effects
     }
 
     /// Routes apply evidence to the current view's coordinator (inline
@@ -1373,46 +1194,48 @@ impl NodeCore {
             return Vec::new();
         }
         self.applied_log.insert(et, version);
-        match &mut self.coord {
-            Some(c) => {
-                let broadcasts = c.on_applied(self.site, et, version);
-                self.broadcast_all(broadcasts)
-            }
-            None => vec![Effect::Send {
-                to: coordinator_of(self.view, self.sites),
-                frame: Frame::Applied {
-                    site: self.site,
-                    et,
-                    version,
-                },
-            }],
+        if self.coord.is_some() {
+            return self.tally(self.site, et, version);
+        }
+        vec![Effect::Send {
+            to: coordinator_of(self.view, self.sites),
+            frame: Frame::Applied {
+                site: self.site,
+                et,
+                version,
+            },
+        }]
+    }
+
+    /// Counts one apply report (a coordinator duty; a no-op elsewhere)
+    /// and broadcasts whatever it completes.
+    fn tally(&mut self, site: SiteId, et: EtId, version: Option<VersionTs>) -> Vec<Effect> {
+        let broadcast = self
+            .coord
+            .as_mut()
+            .and_then(|c| c.on_applied(&self.evidence, site, et, version));
+        match broadcast {
+            Some(frame) => self.broadcast_control(frame),
+            None => Vec::new(),
         }
     }
 
-    /// A COMPE commit/abort decision. The coordinator logs and
-    /// broadcasts it; any other site forwards it toward the current
-    /// view's coordinator over its durable link (the broadcast will
-    /// come back around; a receiver that is no longer the coordinator
-    /// re-forwards it).
+    /// A COMPE commit/abort decision. The coordinator records and
+    /// broadcasts it, once per ET; any other site forwards it toward
+    /// the current view's coordinator over its durable link (the
+    /// broadcast will come back around; a receiver that is no longer
+    /// the coordinator re-forwards it).
     fn decide(&mut self, et: EtId, commit: bool) -> Vec<Effect> {
-        match &mut self.coord {
-            Some(c) => {
-                let broadcasts = c.on_decision(et, commit);
-                self.broadcast_all(broadcasts)
-            }
-            None => vec![Effect::Send {
+        if self.coord.is_none() {
+            vec![Effect::Send {
                 to: coordinator_of(self.view, self.sites),
                 frame: Frame::ForwardDecision { et, commit },
-            }],
+            }]
+        } else if self.evidence.is_decided(et) {
+            Vec::new()
+        } else {
+            self.broadcast_control(Frame::Decision { et, commit })
         }
-    }
-
-    fn broadcast_all(&mut self, frames: Vec<Frame>) -> Vec<Effect> {
-        let mut effects = Vec::new();
-        for frame in frames {
-            effects.extend(self.broadcast_control(frame));
-        }
-        effects
     }
 
     /// Applies a control broadcast locally and enqueues it to every
@@ -1451,10 +1274,9 @@ impl NodeCore {
         // re-driving its log, snapshot replay) are absorbed silently:
         // a duplicate `complete` event would itself be a certifier
         // finding.
-        if !self.completed_seen.insert(et) {
+        if !self.evidence.complete(et) {
             return Vec::new();
         }
-        self.completed_order.push(et);
         self.state.complete(et);
         vec![span(SpanRec::new(SpanStage::Complete, et))]
     }
@@ -1464,20 +1286,15 @@ impl NodeCore {
         // actual advance is traced, so a recovered coordinator
         // re-certifying old horizons can't make a site's trace run
         // backwards.
-        let advanced = self.vtnc_seen.is_none_or(|m| ts > m);
         self.state.advance_vtnc(ts);
-        if !advanced {
+        if !self.evidence.advance_vtnc(ts) {
             return Vec::new();
         }
-        self.vtnc_seen = Some(ts);
         vec![span(SpanRec::vtnc(SpanStage::Vtnc, ts))]
     }
 
     fn apply_decision(&mut self, et: EtId, commit: bool) -> Vec<Effect> {
-        let duplicate = !self.decisions_seen.insert(et);
-        if !duplicate {
-            self.decisions_order.push((et, commit));
-        }
+        let duplicate = !self.evidence.decide(et, commit);
         if commit {
             self.state.commit(et);
         } else {
@@ -1504,6 +1321,16 @@ impl NodeCore {
         )]
     }
 
+    /// Finishes a control broadcast received from another coordinator:
+    /// `learned` is what applying it locally produced, and when that is
+    /// non-empty (it was news) and we hold the role, it is relayed.
+    fn relay_news(&self, mut learned: Vec<Effect>, frame: Frame) -> Vec<Effect> {
+        if !learned.is_empty() && self.coord.is_some() {
+            learned.extend(self.relay(frame));
+        }
+        learned
+    }
+
     /// Enqueues `frame` to every peer without applying it locally —
     /// the relay path, where the local apply already happened.
     fn relay(&self, frame: Frame) -> Vec<Effect> {
@@ -1521,6 +1348,11 @@ impl NodeCore {
         (0..self.sites as u64).map(SiteId).filter(move |s| *s != me)
     }
 
+    /// The control-plane results this site has seen.
+    pub fn evidence(&self) -> &Evidence {
+        &self.evidence
+    }
+
     /// Number of distinct ETs journalled at this site.
     pub fn journaled_count(&self) -> u64 {
         self.journaled.len() as u64
@@ -1536,8 +1368,8 @@ impl NodeCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esr_core::op::ObjectOp;
-    use esr_core::ids::ObjectId;
+    use esr_core::ids::{ObjectId, SeqNo};
+    use esr_core::op::{ObjectOp, Operation};
 
     fn incr(et: u64, origin: u64) -> MSet {
         MSet::new(
@@ -1652,8 +1484,7 @@ mod tests {
             "a suppressed MSet is neither held nor applied: {effects:?}"
         );
         assert!(!core.state.has_applied(EtId(1)));
-        let payload = core.ckpt_payload(None).expect("COMPE has an image");
-        assert!(payload.held.is_empty(), "held forever: {:?}", payload.held);
+        assert_eq!(core.state.backlog(), 0, "held forever");
         assert!(core.state.settled());
     }
 
@@ -1877,7 +1708,7 @@ mod tests {
         let submit = cores[1].step(NodeEvent::ClientSubmit(incr(7, 1)));
         pump(&mut cores, submit);
         for core in &cores {
-            assert!(core.completed_seen.contains(&EtId(7)), "pre-handoff complete");
+            assert!(core.evidence().is_completed(EtId(7)), "pre-handoff complete");
         }
         // A false suspicion (everyone alive) hands the role to site 1.
         let kick = cores[2].step(NodeEvent::SuspectCoordinator);
@@ -1890,7 +1721,7 @@ mod tests {
         );
         // The new coordinator's snapshot carries the old completion,
         // and new submits still complete (evidence tracking moved).
-        assert!(cores[1].coord.as_ref().unwrap().completed().contains(&EtId(7)));
+        assert!(cores[1].coord.is_some() && cores[1].evidence().is_completed(EtId(7)));
         let submit = cores[2].step(NodeEvent::ClientSubmit(incr(8, 2)));
         let all = pump(&mut cores, submit);
         assert!(
@@ -2018,6 +1849,164 @@ mod tests {
         .expect("method matches");
         assert_eq!(re2.state.snapshot(), full.state.snapshot());
         assert_eq!(re2.journaled_count(), full.journaled_count());
+    }
+
+    /// The `StartView` sent to `to`, if any.
+    fn start_view_to(effects: &[Effect], to: SiteId) -> Option<&Evidence> {
+        sends(effects).into_iter().find_map(|(t, f)| match f {
+            Frame::StartView { evidence, .. } if t == to => Some(&**evidence),
+            _ => None,
+        })
+    }
+
+    #[test]
+    fn a_restored_coordinator_answers_hello_with_what_its_image_knows() {
+        let mut coordinator = NodeCore::fresh(
+            SiteState::new(RtMethod::Commu, SiteId(0)),
+            RtMethod::Commu,
+            SiteId(0),
+            3,
+            None,
+        );
+        for et in 1..=3 {
+            coordinator.step(NodeEvent::ClientSubmit(incr(et, 0)));
+            for site in [SiteId(1), SiteId(2)] {
+                coordinator.step(NodeEvent::PeerFrame(Frame::Applied {
+                    site,
+                    et: EtId(et),
+                    version: None,
+                }));
+            }
+        }
+        let payload = coordinator.ckpt_payload(None).expect("COMMU has an image");
+        let known: Vec<EtId> = payload.evidence.completed().collect();
+        assert_eq!(known, vec![EtId(1), EtId(2), EtId(3)]);
+        let (mut restored, _) =
+            NodeCore::restore(RtMethod::Commu, SiteId(0), 3, None, 0, payload, vec![])
+                .expect("method matches");
+        assert!(restored.coord.is_some(), "view 0 maps to site 0");
+        let reply = restored.step(NodeEvent::PeerFrame(Frame::Hello {
+            site: SiteId(1),
+            epoch: 2,
+        }));
+        let evidence = start_view_to(&reply, SiteId(1)).expect("Hello is answered");
+        for et in known {
+            assert!(evidence.is_completed(et), "the answer forgot {et}");
+        }
+    }
+
+    #[test]
+    fn a_view_installs_from_three_large_overlapping_ledgers_in_first_seen_order() {
+        // Seven sites, so site 1 needs its own vote plus three
+        // DoViewChanges to install view 1. Each carries 100 000
+        // completions — the size a long-lived coordinator reaches —
+        // overlapping the others, each in a different order.
+        const N: u64 = 100_000;
+        let ledger = |ets: &mut dyn Iterator<Item = u64>| {
+            let mut e = Box::<Evidence>::default();
+            for et in ets {
+                e.complete(EtId(et));
+            }
+            e
+        };
+        let reports = [
+            (SiteId(0), ledger(&mut (0..N))),
+            (SiteId(2), ledger(&mut (N / 2..N / 2 + N).rev())),
+            // 7 is coprime to N: a full-cycle stride permutation.
+            (SiteId(3), ledger(&mut (0..N).map(|i| N / 4 + (i * 7) % N))),
+        ];
+        let mut core = NodeCore::fresh(
+            SiteState::new(RtMethod::Commu, SiteId(1)),
+            RtMethod::Commu,
+            SiteId(1),
+            7,
+            None,
+        );
+        let mut expected = Vec::new();
+        let mut seen = HashSet::new();
+        let mut effects = Vec::new();
+        for (from, evidence) in reports {
+            assert_eq!(core.view, 0, "installed before the majority was in");
+            expected.extend(evidence.completed().filter(|et| seen.insert(*et)));
+            effects = core.step(NodeEvent::PeerFrame(Frame::DoViewChange {
+                view: 1,
+                from,
+                evidence,
+            }));
+        }
+        assert_eq!(core.view, 1);
+        assert_eq!(expected.len() as u64, N / 2 + N);
+        let merged: Vec<EtId> = core.evidence().completed().collect();
+        assert!(merged == expected, "merged order is not first-seen");
+        for to in [0, 2, 3, 4, 5, 6].map(SiteId) {
+            let sent = start_view_to(&effects, to).expect("every peer is told");
+            assert!(sent == core.evidence(), "StartView to {to} is not the ledger");
+        }
+    }
+
+    /// A ledger built fact by fact; a decision's outcome is a function
+    /// of its ET, as in the protocol (one decision per ET).
+    fn ledger_of(facts: &[(u8, u64)]) -> Evidence {
+        let mut e = Evidence::default();
+        for &(kind, n) in facts {
+            match kind % 3 {
+                0 => e.complete(EtId(n)),
+                1 => e.decide(EtId(n), n % 2 == 0),
+                _ => e.advance_vtnc(VersionTs::new(n, ClientId(n % 3))),
+            };
+        }
+        e
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn evidence_absorb_is_an_ordered_idempotent_union(
+            a in proptest::collection::vec((0u8..3, 0u64..24), 0..40),
+            b in proptest::collection::vec((0u8..3, 0u64..24), 0..40),
+        ) {
+            let (a, b) = (ledger_of(&a), ledger_of(&b));
+            let mut ab = a.clone();
+            ab.absorb(&b);
+            // Idempotent: nothing absorbed twice is news.
+            let once = ab.clone();
+            proptest::prop_assert!(!ab.absorb(&b) && !ab.absorb(&a));
+            proptest::prop_assert_eq!(&ab, &once);
+            // First-seen order as a list: ours, then what was new.
+            let expected: Vec<EtId> = a
+                .completed()
+                .chain(b.completed().filter(|et| !a.is_completed(*et)))
+                .collect();
+            proptest::prop_assert_eq!(ab.completed().collect::<Vec<_>>(), expected);
+            let expected: Vec<(EtId, bool)> = a
+                .decisions()
+                .chain(b.decisions().filter(|(et, _)| !a.is_decided(*et)))
+                .collect();
+            proptest::prop_assert_eq!(ab.decisions().collect::<Vec<_>>(), expected);
+            // Order-insensitive as a set.
+            let mut ba = b.clone();
+            ba.absorb(&a);
+            proptest::prop_assert_eq!(
+                ab.completed().collect::<BTreeSet<_>>(),
+                ba.completed().collect::<BTreeSet<_>>()
+            );
+            proptest::prop_assert_eq!(
+                ab.decisions().collect::<BTreeSet<_>>(),
+                ba.decisions().collect::<BTreeSet<_>>()
+            );
+            proptest::prop_assert_eq!(ab.vtnc(), ba.vtnc());
+            proptest::prop_assert_eq!(ab.vtnc(), a.vtnc().max(b.vtnc()));
+            // Survives both codecs that carry it.
+            let frame = Frame::StartView { view: 3, evidence: Box::new(ab.clone()) };
+            proptest::prop_assert_eq!(
+                crate::wire::decode_frame(&crate::wire::encode_frame(&frame)),
+                Ok(frame)
+            );
+            let mut node = cluster3(RtMethod::Commu).remove(0);
+            node.evidence = ab;
+            let payload = node.ckpt_payload(None).expect("COMMU has an image");
+            let bytes = crate::node_ckpt::encode_payload(&payload);
+            proptest::prop_assert_eq!(crate::node_ckpt::decode_payload(&bytes), Some(payload));
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use esr_core::ids::{ClientId, EtId, LamportTs, ObjectId, SeqNo, SiteId};
-use esr_core::op::ObjectOp;
+use esr_core::ids::{ClientId, EtId, LamportTs, ObjectId, SeqNo, SiteId, VersionTs};
+use esr_core::op::{ObjectOp, Operation};
 
 /// Ordering information carried by an MSet, specific to the replica
 /// control method in force.
@@ -107,6 +107,26 @@ impl MSet {
     pub fn lamport(mut self, ts: LamportTs, fifo: SeqNo) -> Self {
         self.order = OrderTag::Lamport { ts, fifo };
         self
+    }
+
+    /// The ORDUP global sequence number, if this MSet carries one.
+    pub fn gseq(&self) -> Option<SeqNo> {
+        match self.order {
+            OrderTag::Sequenced(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The max timestamped-write version in this MSet (the VTNC install
+    /// evidence an `Applied` report carries).
+    pub fn max_version(&self) -> Option<VersionTs> {
+        self.ops
+            .iter()
+            .filter_map(|o| match &o.op {
+                Operation::TimestampedWrite(ts, _) => Some(*ts),
+                _ => None,
+            })
+            .max()
     }
 
     /// The objects this MSet writes.

@@ -2,12 +2,14 @@
 //!
 //! A checkpoint captures everything [`crate::ctrl::NodeCore`] would
 //! otherwise rebuild by replaying the journal from its first entry: the
-//! method state machine (via [`crate::ckpt`]), the node's
-//! idempotency/ordering bookkeeping, and the control-plane results it
-//! has observed (completions, decisions, the VTNC horizon). Restoring a
-//! payload and replaying only the journal *suffix* past the cut must be
-//! indistinguishable from a full replay — `crates/check` tests exactly
-//! that equivalence.
+//! method state machine (via [`crate::ckpt`] — hold-back queue
+//! included, so nothing about held MSets is recorded a second time
+//! here), the node's idempotency bookkeeping, and its control-plane
+//! ledger ([`Evidence`]: completions, decisions, the VTNC horizon —
+//! each result recorded once, in the same encoding `StartView`
+//! carries). Restoring a payload and replaying only the journal
+//! *suffix* past the cut must be indistinguishable from a full replay —
+//! `crates/check` tests exactly that equivalence.
 //!
 //! Like every codec in this workspace the decoder is *total*: any byte
 //! slice either yields a payload or `None`, never a panic — corrupt
@@ -17,9 +19,11 @@ use bytes::{BufMut, BytesMut};
 use esr_core::ids::{EtId, VersionTs};
 
 use crate::ckpt::{decode_site_ckpt, encode_site_ckpt, SiteCkpt};
+use crate::ctrl::Evidence;
 use crate::state::RtMethod;
 use crate::wire::{
-    decode_bool, decode_version_opt, encode_version_opt, get_count, get_u64, get_u8, WireError,
+    decode_evidence, decode_u64_opt, decode_version_opt, encode_evidence, encode_u64_opt,
+    encode_version_opt, get_count, get_u64, WireError,
 };
 
 /// One consistent checkpoint of a daemon node, cut while the core lock
@@ -49,15 +53,10 @@ pub struct CkptPayload {
     /// version for RITU-family methods (the coordinator re-announce
     /// set).
     pub applied_log: Vec<(EtId, Option<VersionTs>)>,
-    /// Completion notices observed, in arrival order.
-    pub completed: Vec<EtId>,
-    /// COMPE decisions observed, in arrival order (`true` = commit).
-    pub decisions: Vec<(EtId, bool)>,
-    /// Highest VTNC certificate observed.
-    pub vtnc: Option<VersionTs>,
-    /// ETs journalled but still held back by the method at the cut:
-    /// `(et, version, seq)` mirroring the node's held map.
-    pub held: Vec<(EtId, Option<VersionTs>, Option<u64>)>,
+    /// The control-plane ledger at the cut: completion notices and
+    /// COMPE decisions in arrival order, and the highest VTNC
+    /// certificate.
+    pub evidence: Evidence,
     /// The method state machine image.
     pub site: SiteCkpt,
 }
@@ -79,30 +78,12 @@ impl CkptPayload {
 
 // ---- payload codec -----------------------------------------------------
 
-fn put_u64_opt(out: &mut BytesMut, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            out.put_u8(1);
-            out.put_u64(v);
-        }
-        None => out.put_u8(0),
-    }
-}
-
-fn get_u64_opt(b: &mut &[u8]) -> Result<Option<u64>, WireError> {
-    match get_u8(b)? {
-        0 => Ok(None),
-        1 => Ok(Some(get_u64(b)?)),
-        tag => Err(WireError::BadTag { field: "option", tag }),
-    }
-}
-
 /// Encodes a payload for [`esr_storage::snapshot::install`].
 pub fn encode_payload(p: &CkptPayload) -> Vec<u8> {
     let site = encode_site_ckpt(&p.site);
     let mut out = BytesMut::with_capacity(128 + site.len());
     out.put_u64(p.covered);
-    put_u64_opt(&mut out, p.covered_through);
+    encode_u64_opt(&mut out, p.covered_through);
     out.put_u64(p.view);
     out.put_u32(p.frontier.len() as u32);
     for &(site_id, count) in &p.frontier {
@@ -124,22 +105,7 @@ pub fn encode_payload(p: &CkptPayload) -> Vec<u8> {
         out.put_u64(et.raw());
         encode_version_opt(&mut out, &version);
     }
-    out.put_u32(p.completed.len() as u32);
-    for et in &p.completed {
-        out.put_u64(et.raw());
-    }
-    out.put_u32(p.decisions.len() as u32);
-    for &(et, commit) in &p.decisions {
-        out.put_u64(et.raw());
-        out.put_u8(u8::from(commit));
-    }
-    encode_version_opt(&mut out, &p.vtnc);
-    out.put_u32(p.held.len() as u32);
-    for &(et, version, seq) in &p.held {
-        out.put_u64(et.raw());
-        encode_version_opt(&mut out, &version);
-        put_u64_opt(&mut out, seq);
-    }
+    encode_evidence(&mut out, &p.evidence);
     out.put_u32(site.len() as u32);
     out.put_slice(&site);
     out.to_vec()
@@ -157,7 +123,7 @@ pub fn decode_payload(bytes: &[u8]) -> Option<CkptPayload> {
 
 fn decode_payload_from(b: &mut &[u8]) -> Result<CkptPayload, WireError> {
     let covered = get_u64(b)?;
-    let covered_through = get_u64_opt(b)?;
+    let covered_through = decode_u64_opt(b)?;
     let view = get_u64(b)?;
     let n = get_count(b, 16)?;
     let mut frontier = Vec::with_capacity(n);
@@ -180,24 +146,7 @@ fn decode_payload_from(b: &mut &[u8]) -> Result<CkptPayload, WireError> {
         let et = EtId::new(get_u64(b)?);
         applied_log.push((et, decode_version_opt(b)?));
     }
-    let n = get_count(b, 8)?;
-    let mut completed = Vec::with_capacity(n);
-    for _ in 0..n {
-        completed.push(EtId::new(get_u64(b)?));
-    }
-    let n = get_count(b, 9)?;
-    let mut decisions = Vec::with_capacity(n);
-    for _ in 0..n {
-        let et = EtId::new(get_u64(b)?);
-        decisions.push((et, decode_bool(b)?));
-    }
-    let vtnc = decode_version_opt(b)?;
-    let n = get_count(b, 10)?;
-    let mut held = Vec::with_capacity(n);
-    for _ in 0..n {
-        let et = EtId::new(get_u64(b)?);
-        held.push((et, decode_version_opt(b)?, get_u64_opt(b)?));
-    }
+    let evidence = decode_evidence(b)?;
     let site_len = get_count(b, 1)?;
     let (site_bytes, rest) = b.split_at(site_len);
     *b = rest;
@@ -209,10 +158,7 @@ fn decode_payload_from(b: &mut &[u8]) -> Result<CkptPayload, WireError> {
         journaled,
         client_table,
         applied_log,
-        completed,
-        decisions,
-        vtnc,
-        held,
+        evidence,
         site: decode_site_ckpt(site_bytes)?,
     })
 }
@@ -224,6 +170,11 @@ mod tests {
     use esr_core::ids::{ClientId, SeqNo};
 
     fn sample() -> CkptPayload {
+        let mut evidence = Evidence::default();
+        evidence.complete(EtId::new(1));
+        evidence.decide(EtId::new(2), true);
+        evidence.decide(EtId::new(9), false);
+        evidence.advance_vtnc(VersionTs::new(10, ClientId::new(5)));
         CkptPayload {
             covered: 7,
             covered_through: Some(41),
@@ -235,13 +186,7 @@ mod tests {
                 (EtId::new(1), None),
                 (EtId::new(2), Some(VersionTs::new(10, ClientId::new(5)))),
             ],
-            completed: vec![EtId::new(1)],
-            decisions: vec![(EtId::new(2), true), (EtId::new(9), false)],
-            vtnc: Some(VersionTs::new(10, ClientId::new(5))),
-            held: vec![
-                (EtId::new(9), None, Some(12)),
-                (EtId::new(11), Some(VersionTs::new(11, ClientId::new(6))), None),
-            ],
+            evidence,
             site: SiteCkpt::RituMv(RituMvCkpt {
                 versions: vec![],
                 vtnc: VersionTs::new(10, ClientId::new(5)),
@@ -265,10 +210,7 @@ mod tests {
                 journaled: vec![],
                 client_table: vec![],
                 applied_log: vec![],
-                completed: vec![],
-                decisions: vec![],
-                vtnc: None,
-                held: vec![],
+                evidence: Evidence::default(),
                 site: SiteCkpt::Commu(CommuCkpt {
                     values: vec![],
                     held: vec![],
@@ -323,12 +265,7 @@ mod tests {
 
     #[test]
     fn bad_decision_tag_is_rejected() {
-        let p = CkptPayload {
-            decisions: vec![(EtId::new(2), true)],
-            held: vec![],
-            ..sample()
-        };
-        let bytes = encode_payload(&p);
+        let bytes = encode_payload(&sample());
         // Locate the decision bool: scan for a mutation that flips only
         // that byte by brute force — corrupting any single byte must
         // never panic, and corrupting the tag byte must be rejected.

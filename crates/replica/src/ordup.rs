@@ -35,7 +35,7 @@ use esr_storage::store::ObjectStore;
 use esr_storage::shard::FastIdSet;
 
 use crate::mset::{MSet, OrderTag};
-use crate::site::{QueryOutcome, ReplicaSite};
+use crate::site::{Delivered, Delivery, QueryOutcome, Released, ReplicaSite};
 
 /// ORDUP site using sequencer-assigned global order.
 #[derive(Debug)]
@@ -220,8 +220,11 @@ impl OrdupSite {
         self.applied += 1;
     }
 
-    fn drain(&mut self) {
+    /// Applies the run of parked successors the last in-order apply
+    /// unblocked, handing each to `released` first.
+    fn drain(&mut self, mut released: impl FnMut(&MSet)) {
         while let Some(mset) = self.holdback.remove(&self.next_seq) {
+            released(&mset);
             self.apply_next(mset);
         }
     }
@@ -236,29 +239,34 @@ impl ReplicaSite for OrdupSite {
         self.site
     }
 
-    fn deliver(&mut self, mset: MSet) {
+    fn deliver(&mut self, mset: MSet) -> Delivery {
         let OrderTag::Sequenced(seq) = mset.order else {
             panic!("ORDUP sequencer site received non-sequenced MSet {mset}");
         };
-        let (before_applied, before_redelivered) = (self.applied, self.redelivered);
-        if seq < self.next_seq {
-            self.redelivered += 1; // duplicate of an already-applied MSet
+        let before_applied = self.applied;
+        let mut released = Vec::new();
+        let outcome = if seq < self.next_seq {
+            Delivered::Duplicate // of an already-applied MSet
         } else if seq == self.next_seq {
             self.apply_next(mset);
             if !self.holdback.is_empty() {
-                self.drain(); // this was a gap-filler: successors may unblock
+                // This was a gap-filler: successors may unblock.
+                self.drain(|m| released.push(Released::of(m)));
             }
+            Delivered::Applied
         } else if self.holdback.insert(seq, mset).is_some() {
             // Same seq = same MSet (the sequencer never reuses a number),
             // so replacing the held-back copy with its duplicate is a no-op.
-            self.redelivered += 1;
-        }
-        self.obs.delivered(
-            1,
-            self.applied - before_applied,
-            self.redelivered - before_redelivered,
-        );
+            Delivered::Duplicate
+        } else {
+            Delivered::Held
+        };
+        let redelivered = u64::from(outcome == Delivered::Duplicate);
+        self.redelivered += redelivered;
+        self.obs
+            .delivered(1, self.applied - before_applied, redelivered);
         self.obs.set_backlog(self.holdback.len() as u64);
+        Delivery { outcome, released }
     }
 
     /// Batch fast path: the dense in-order prefix of the batch is applied
@@ -280,7 +288,7 @@ impl ReplicaSite for OrdupSite {
             if seq == self.next_seq {
                 self.apply_next(mset);
                 if !self.holdback.is_empty() {
-                    self.drain();
+                    self.drain(|_| {});
                 }
             } else if self.holdback.insert(seq, mset).is_some() {
                 self.redelivered += 1; // duplicate of a held-back MSet
@@ -399,7 +407,7 @@ impl OrdupLamportSite {
         if ts > *e {
             *e = ts;
         }
-        self.drain_stable();
+        self.drain_stable(|_| {});
         self.obs.delivered(0, self.applied - before_applied, 0);
         self.obs
             .set_backlog((self.holdback.len() + self.fifo_buffer.len()) as u64);
@@ -407,20 +415,17 @@ impl OrdupLamportSite {
 
     /// FIFO-reassembles one delivered MSet into the timestamp hold-back
     /// without draining — the shared front half of [`ReplicaSite::deliver`]
-    /// and [`ReplicaSite::deliver_batch`].
-    fn ingest(&mut self, mset: MSet) {
+    /// and [`ReplicaSite::deliver_batch`]. Returns `false` for a
+    /// duplicate, which is counted and dropped.
+    fn ingest(&mut self, mset: MSet) -> bool {
         let OrderTag::Lamport { ts, fifo } = mset.order else {
             panic!("ORDUP-Lamport site received non-Lamport MSet {mset}");
         };
         let origin = mset.origin;
         let mut cursor = *self.fifo_next.entry(origin).or_insert(SeqNo::ZERO);
-        if fifo < cursor {
+        if fifo < cursor || self.fifo_buffer.contains_key(&(origin, fifo)) {
             self.redelivered += 1;
-            return; // duplicate
-        }
-        if self.fifo_buffer.contains_key(&(origin, fifo)) {
-            self.redelivered += 1;
-            return; // duplicate of a buffered MSet
+            return false; // duplicate of a reassembled or buffered MSet
         }
         self.fifo_buffer.insert((origin, fifo), mset);
         // Reassemble this origin's FIFO order.
@@ -437,6 +442,7 @@ impl OrdupLamportSite {
         }
         self.fifo_next.insert(origin, cursor);
         let _ = ts;
+        true
     }
 
     fn stable_horizon(&self) -> Option<LamportTs> {
@@ -451,7 +457,7 @@ impl OrdupLamportSite {
     }
 
     #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
-    fn drain_stable(&mut self) {
+    fn drain_stable(&mut self, mut released: impl FnMut(&MSet)) {
         let Some(horizon) = self.stable_horizon() else {
             return;
         };
@@ -460,6 +466,7 @@ impl OrdupLamportSite {
                 break;
             }
             let mset = entry.remove();
+            released(&mset);
             for op in &mset.ops {
                 self.store
                     .apply(op)
@@ -480,10 +487,24 @@ impl ReplicaSite for OrdupLamportSite {
         self.site
     }
 
-    fn deliver(&mut self, mset: MSet) {
+    fn deliver(&mut self, mset: MSet) -> Delivery {
         let (before_applied, before_redelivered) = (self.applied, self.redelivered);
-        self.ingest(mset);
-        self.drain_stable();
+        let et = mset.et;
+        let mut released = Vec::new();
+        let outcome = if self.ingest(mset) {
+            // Stability may release the new arrival along with (or
+            // instead of) its timestamp predecessors.
+            self.drain_stable(|m| released.push(Released::of(m)));
+            match released.iter().position(|r| r.et == et) {
+                Some(own) => {
+                    released.remove(own);
+                    Delivered::Applied
+                }
+                None => Delivered::Held,
+            }
+        } else {
+            Delivered::Duplicate
+        };
         self.obs.delivered(
             1,
             self.applied - before_applied,
@@ -491,6 +512,7 @@ impl ReplicaSite for OrdupLamportSite {
         );
         self.obs
             .set_backlog((self.holdback.len() + self.fifo_buffer.len()) as u64);
+        Delivery { outcome, released }
     }
 
     /// Batch fast path: ingest (FIFO-reassemble) every MSet first, then
@@ -503,7 +525,7 @@ impl ReplicaSite for OrdupLamportSite {
         for mset in msets {
             self.ingest(mset);
         }
-        self.drain_stable();
+        self.drain_stable(|_| {});
         self.obs.batch(batch_len);
         self.obs.delivered(
             batch_len,

@@ -28,7 +28,7 @@ use esr_storage::shard::FastIdMap;
 use esr_storage::store::{LwwOutcome, LwwStore};
 
 use crate::mset::MSet;
-use crate::site::{QueryOutcome, ReplicaSite};
+use crate::site::{Delivered, Delivery, QueryOutcome, ReplicaSite};
 
 /// RITU in overwrite (last-writer-wins) mode.
 #[derive(Debug)]
@@ -152,11 +152,11 @@ impl ReplicaSite for RituOverwriteSite {
     }
 
     #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
-    fn deliver(&mut self, mset: MSet) {
+    fn deliver(&mut self, mset: MSet) -> Delivery {
         if self.applied_ets.contains_key(&mset.et) {
             self.redelivered += 1;
             self.obs.delivered(1, 0, 1);
-            return;
+            return Delivered::Duplicate.into();
         }
         for op in &mset.ops {
             debug_assert!(
@@ -181,6 +181,7 @@ impl ReplicaSite for RituOverwriteSite {
         self.applied_ets.insert(mset.et, ());
         self.applied += 1;
         self.obs.delivered(1, 1, 0);
+        Delivered::Applied.into()
     }
 
     /// Batch fast path: the batch's timestamped writes are reduced to
@@ -503,11 +504,11 @@ impl ReplicaSite for RituMvSite {
         self.site
     }
 
-    fn deliver(&mut self, mset: MSet) {
+    fn deliver(&mut self, mset: MSet) -> Delivery {
         if self.applied_ets.contains_key(&mset.et) {
             self.redelivered += 1;
             self.obs.delivered(1, 0, 1);
-            return;
+            return Delivered::Duplicate.into();
         }
         for op in &mset.ops {
             match &op.op {
@@ -526,6 +527,7 @@ impl ReplicaSite for RituMvSite {
         self.applied += 1;
         self.obs.delivered(1, 1, 0);
         self.tick_vtnc_gauges();
+        Delivered::Applied.into()
     }
 
     /// Batch fast path: the batch's installs are grouped by object so

@@ -5,11 +5,17 @@
 //! ("MSet processing"), how it serves query ETs, and when it considers
 //! itself caught up. The cluster driver owns delivery timing
 //! ("MSet delivery") and the shared divergence-control services.
+//!
+//! A site is the only owner of its hold-back state, so it *reports*
+//! what a delivery did ([`Delivery`]) instead of being probed for it:
+//! the control core ([`crate::ctrl::NodeCore`]) emits its apply / held /
+//! duplicate events and its `Applied` reports from that return value
+//! and keeps no shadow of the hold-back queue.
 
 use std::collections::BTreeMap;
 
 use esr_core::divergence::InconsistencyCounter;
-use esr_core::ids::{ObjectId, SiteId};
+use esr_core::ids::{EtId, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::value::Value;
 
 use crate::mset::MSet;
@@ -39,6 +45,61 @@ impl QueryOutcome {
     }
 }
 
+/// What a site did with the MSet it was just handed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Delivered {
+    /// Applied to the store (optimistically, under COMPE).
+    Applied,
+    /// Parked behind an ordering gap (ORDUP hold-back).
+    Held,
+    /// A redelivery of an MSet already applied or parked here; absorbed.
+    Duplicate,
+    /// Dropped for good: its COMPE abort arrived first.
+    Suppressed,
+}
+
+/// A parked MSet that a later delivery unblocked, with what the control
+/// core needs to trace and report its apply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Released {
+    /// The released update ET.
+    pub et: EtId,
+    /// Its ORDUP global sequence number, if it carries one.
+    pub seq: Option<SeqNo>,
+    /// Its max timestamped-write version.
+    pub version: Option<VersionTs>,
+}
+
+impl Released {
+    /// The release record of `mset`.
+    pub fn of(mset: &MSet) -> Self {
+        Self {
+            et: mset.et,
+            seq: mset.gseq(),
+            version: mset.max_version(),
+        }
+    }
+}
+
+/// The outcome of one [`ReplicaSite::deliver`] call.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Delivery {
+    /// What happened to the delivered MSet itself.
+    pub outcome: Delivered,
+    /// Parked MSets this delivery unblocked, in the order they were
+    /// applied (always empty for methods that never hold back).
+    pub released: Vec<Released>,
+}
+
+impl From<Delivered> for Delivery {
+    fn from(outcome: Delivered) -> Self {
+        Self {
+            outcome,
+            released: Vec::new(),
+        }
+    }
+}
+
 /// One site's replica control state machine.
 pub trait ReplicaSite {
     /// The method's name, used in reports ("ORDUP", "COMMU", …).
@@ -49,8 +110,10 @@ pub trait ReplicaSite {
 
     /// Handles one delivered update MSet. The site may apply it
     /// immediately, hold it back for ordering, or apply it optimistically
-    /// pending commit. Duplicate deliveries must be idempotent.
-    fn deliver(&mut self, mset: MSet);
+    /// pending commit. Duplicate deliveries must be idempotent. The
+    /// return value says which of those happened, and which parked
+    /// MSets the delivery released.
+    fn deliver(&mut self, mset: MSet) -> Delivery;
 
     /// Handles a batch of update MSets delivered together (e.g. drained
     /// from a site's inbound queue in one step). Must be observably
@@ -74,7 +137,7 @@ pub trait ReplicaSite {
 
     /// Has the MSet of `et` been fully applied to this replica's store?
     /// (Held-back and suppressed MSets answer `false`.)
-    fn has_applied(&self, et: esr_core::ids::EtId) -> bool;
+    fn has_applied(&self, et: EtId) -> bool;
 
     /// The values this replica would expose if queried for everything —
     /// used for convergence checks between replicas at quiescence.

@@ -214,8 +214,9 @@ impl fmt::Display for SpanRec {
 pub enum Event {
     /// One hop of an ET's lifecycle.
     Span(SpanRec),
-    /// An MSet redelivered after its ET had already been applied here;
-    /// absorbed by the replica's idempotency guard.
+    /// An MSet redelivered after its ET had already been applied (or
+    /// parked in the hold-back queue) here; absorbed by the replica's
+    /// idempotency guard.
     DuplicateDelivery {
         /// The redelivered ET.
         et: EtId,

@@ -20,7 +20,7 @@ use crate::compe::{CompeEvent, CompeSite};
 use crate::mset::MSet;
 use crate::ordup::{OrdupLamportSite, OrdupSite};
 use crate::ritu::{RituMvSite, RituOverwriteSite};
-use crate::site::{QueryOutcome, ReplicaSite};
+use crate::site::{Delivery, QueryOutcome, ReplicaSite};
 
 /// Replica control methods available in the runtimes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,8 +171,9 @@ impl SiteState {
         }
     }
 
-    /// Delivers one MSet (idempotent under redelivery).
-    pub fn deliver(&mut self, mset: MSet) {
+    /// Delivers one MSet (idempotent under redelivery) and reports what
+    /// the site did with it.
+    pub fn deliver(&mut self, mset: MSet) -> Delivery {
         match self {
             SiteState::Ordup(s) => s.deliver(mset),
             SiteState::OrdupLamport(s) => s.deliver(mset),

@@ -21,6 +21,7 @@ use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
 
 use crate::compe::CompeEvent;
+use crate::ctrl::Evidence;
 use crate::mset::{MSet, OrderTag};
 use crate::site::QueryOutcome;
 use crate::span::{Event, SpanRec, SpanStage};
@@ -328,7 +329,8 @@ const FRAME_APPLIED: u8 = 0x04;
 const FRAME_COMPLETE: u8 = 0x05;
 const FRAME_VTNC: u8 = 0x06;
 const FRAME_DECISION: u8 = 0x07;
-const FRAME_CONTROL_SNAPSHOT: u8 = 0x08;
+// 0x08 is retired (the pre-failover control snapshot) and must keep
+// decoding to `BadTag`.
 const FRAME_PING: u8 = 0x09;
 const FRAME_START_VIEW_CHANGE: u8 = 0x0A;
 const FRAME_DO_VIEW_CHANGE: u8 = 0x0B;
@@ -385,7 +387,7 @@ pub struct WireAudit {
 
 /// One message of the esr-rpc protocol.
 ///
-/// Peer-plane frames (`Hello` through `ControlSnapshot`) travel between
+/// Peer-plane frames (`Hello` through `SnapshotChunk`) travel between
 /// `esrd` daemons over durable per-link queues; client-plane frames
 /// (`Submit` onward) are request/reply pairs between `esrctl` (or the
 /// client library) and one daemon.
@@ -438,17 +440,6 @@ pub enum Frame {
         /// `true` = commit, `false` = abort (compensate).
         commit: bool,
     },
-    /// Control-plane recovery snapshot, sent by the coordinator to a
-    /// (re)connecting site: the broadcasts a crashed incarnation may
-    /// have lost with its process. All replay is idempotent.
-    ControlSnapshot {
-        /// ETs whose completion notice has been broadcast.
-        completed: Vec<EtId>,
-        /// COMPE decisions in broadcast order (`(et, commit)`).
-        decisions: Vec<(EtId, bool)>,
-        /// The furthest certified VTNC horizon.
-        vtnc_max: Option<VersionTs>,
-    },
     /// Coordinator heartbeat: the coordinator of `view` is alive.
     /// Followers count missed pings to drive failure suspicion; a
     /// receiver that is *ahead* of the pinger replies with its view
@@ -477,26 +468,20 @@ pub enum Frame {
         view: u64,
         /// The reporting site.
         from: SiteId,
-        /// ETs whose completion `from` has observed, in order.
-        completed: Vec<EtId>,
-        /// COMPE decisions `from` has observed, in order.
-        decisions: Vec<(EtId, bool)>,
-        /// The furthest VTNC horizon `from` has observed.
-        vtnc_max: Option<VersionTs>,
+        /// Every completion, decision and horizon `from` has seen
+        /// (boxed so a ledger does not set the size of every frame).
+        evidence: Box<Evidence>,
     },
     /// View-change phase 3 (and the coordinator's Hello answer): the
-    /// new coordinator announces `view` together with the merged
-    /// control-plane evidence. Receivers at a lower view install it,
-    /// drop any coordinator role, and re-announce their applied ETs.
+    /// new coordinator announces `view` together with its ledger — the
+    /// union of the majority's. Receivers at a lower view install it,
+    /// drop any coordinator role, and re-announce their applied ETs;
+    /// all replay is idempotent.
     StartView {
         /// The established view.
         view: u64,
-        /// Merged completion evidence.
-        completed: Vec<EtId>,
-        /// Merged COMPE decisions.
-        decisions: Vec<(EtId, bool)>,
-        /// Merged VTNC horizon.
-        vtnc_max: Option<VersionTs>,
+        /// The sender's control-plane ledger.
+        evidence: Box<Evidence>,
     },
     /// A client's COMPE decision being forwarded toward the coordinator
     /// of the sender's current view. Unlike the `Decision` broadcast, a
@@ -686,7 +671,7 @@ fn span_stage_tag(stage: SpanStage) -> u8 {
         .unwrap_or_default() as u8
 }
 
-fn encode_u64_opt(b: &mut BytesMut, v: Option<u64>) {
+pub(crate) fn encode_u64_opt(b: &mut BytesMut, v: Option<u64>) {
     match v {
         None => b.put_u8(0),
         Some(v) => {
@@ -696,7 +681,7 @@ fn encode_u64_opt(b: &mut BytesMut, v: Option<u64>) {
     }
 }
 
-fn decode_u64_opt(b: &mut &[u8]) -> Result<Option<u64>, WireError> {
+pub(crate) fn decode_u64_opt(b: &mut &[u8]) -> Result<Option<u64>, WireError> {
     match get_u8(b)? {
         0 => Ok(None),
         1 => Ok(Some(get_u64(b)?)),
@@ -889,42 +874,36 @@ pub(crate) fn get_count(b: &mut &[u8], min_elem: usize) -> Result<usize, WireErr
     Ok(n)
 }
 
-/// Encodes the `(completed, decisions, vtnc_max)` evidence triple shared
-/// by `ControlSnapshot`, `DoViewChange`, and `StartView`.
-fn encode_evidence(
-    b: &mut BytesMut,
-    completed: &[EtId],
-    decisions: &[(EtId, bool)],
-    vtnc_max: &Option<VersionTs>,
-) {
+/// Encodes a control-plane ledger: the payload of `DoViewChange` and
+/// `StartView`, and the control section of a checkpoint image.
+pub(crate) fn encode_evidence(b: &mut BytesMut, evidence: &Evidence) {
+    let completed = evidence.completed();
     b.put_u32(completed.len() as u32);
     for et in completed {
         b.put_u64(et.raw());
     }
+    let decisions = evidence.decisions();
     b.put_u32(decisions.len() as u32);
     for (et, commit) in decisions {
         b.put_u64(et.raw());
-        b.put_u8(u8::from(*commit));
+        b.put_u8(u8::from(commit));
     }
-    encode_version_opt(b, vtnc_max);
+    encode_version_opt(b, &evidence.vtnc());
 }
 
-type Evidence = (Vec<EtId>, Vec<(EtId, bool)>, Option<VersionTs>);
-
-fn decode_evidence(b: &mut &[u8]) -> Result<Evidence, WireError> {
-    let n = get_count(b, 8)?;
-    let mut completed = Vec::with_capacity(n);
-    for _ in 0..n {
-        completed.push(EtId(get_u64(b)?));
+pub(crate) fn decode_evidence(b: &mut &[u8]) -> Result<Evidence, WireError> {
+    let mut evidence = Evidence::default();
+    for _ in 0..get_count(b, 8)? {
+        evidence.complete(EtId(get_u64(b)?));
     }
-    let n = get_count(b, 9)?;
-    let mut decisions = Vec::with_capacity(n);
-    for _ in 0..n {
+    for _ in 0..get_count(b, 9)? {
         let et = EtId(get_u64(b)?);
-        decisions.push((et, decode_bool(b)?));
+        evidence.decide(et, decode_bool(b)?);
     }
-    let vtnc_max = decode_version_opt(b)?;
-    Ok((completed, decisions, vtnc_max))
+    if let Some(ts) = decode_version_opt(b)? {
+        evidence.advance_vtnc(ts);
+    }
+    Ok(evidence)
 }
 
 /// Encodes a frame into a self-contained byte payload.
@@ -964,14 +943,6 @@ pub fn encode_frame(frame: &Frame) -> Bytes {
             b.put_u64(et.raw());
             b.put_u8(u8::from(*commit));
         }
-        Frame::ControlSnapshot {
-            completed,
-            decisions,
-            vtnc_max,
-        } => {
-            b.put_u8(FRAME_CONTROL_SNAPSHOT);
-            encode_evidence(&mut b, completed, decisions, vtnc_max);
-        }
         Frame::Ping { view, from } => {
             b.put_u8(FRAME_PING);
             b.put_u64(*view);
@@ -985,24 +956,17 @@ pub fn encode_frame(frame: &Frame) -> Bytes {
         Frame::DoViewChange {
             view,
             from,
-            completed,
-            decisions,
-            vtnc_max,
+            evidence,
         } => {
             b.put_u8(FRAME_DO_VIEW_CHANGE);
             b.put_u64(*view);
             b.put_u64(from.raw());
-            encode_evidence(&mut b, completed, decisions, vtnc_max);
+            encode_evidence(&mut b, evidence);
         }
-        Frame::StartView {
-            view,
-            completed,
-            decisions,
-            vtnc_max,
-        } => {
+        Frame::StartView { view, evidence } => {
             b.put_u8(FRAME_START_VIEW);
             b.put_u64(*view);
-            encode_evidence(&mut b, completed, decisions, vtnc_max);
+            encode_evidence(&mut b, evidence);
         }
         Frame::ForwardDecision { et, commit } => {
             b.put_u8(FRAME_FORWARD_DECISION);
@@ -1192,14 +1156,6 @@ pub fn decode_frame(payload: &Bytes) -> Result<Frame, WireError> {
             et: EtId(get_u64(&mut b)?),
             commit: decode_bool(&mut b)?,
         },
-        FRAME_CONTROL_SNAPSHOT => {
-            let (completed, decisions, vtnc_max) = decode_evidence(&mut b)?;
-            Frame::ControlSnapshot {
-                completed,
-                decisions,
-                vtnc_max,
-            }
-        }
         FRAME_PING => Frame::Ping {
             view: get_u64(&mut b)?,
             from: SiteId(get_u64(&mut b)?),
@@ -1208,28 +1164,15 @@ pub fn decode_frame(payload: &Bytes) -> Result<Frame, WireError> {
             view: get_u64(&mut b)?,
             from: SiteId(get_u64(&mut b)?),
         },
-        FRAME_DO_VIEW_CHANGE => {
-            let view = get_u64(&mut b)?;
-            let from = SiteId(get_u64(&mut b)?);
-            let (completed, decisions, vtnc_max) = decode_evidence(&mut b)?;
-            Frame::DoViewChange {
-                view,
-                from,
-                completed,
-                decisions,
-                vtnc_max,
-            }
-        }
-        FRAME_START_VIEW => {
-            let view = get_u64(&mut b)?;
-            let (completed, decisions, vtnc_max) = decode_evidence(&mut b)?;
-            Frame::StartView {
-                view,
-                completed,
-                decisions,
-                vtnc_max,
-            }
-        }
+        FRAME_DO_VIEW_CHANGE => Frame::DoViewChange {
+            view: get_u64(&mut b)?,
+            from: SiteId(get_u64(&mut b)?),
+            evidence: Box::new(decode_evidence(&mut b)?),
+        },
+        FRAME_START_VIEW => Frame::StartView {
+            view: get_u64(&mut b)?,
+            evidence: Box::new(decode_evidence(&mut b)?),
+        },
         FRAME_FORWARD_DECISION => Frame::ForwardDecision {
             et: EtId(get_u64(&mut b)?),
             commit: decode_bool(&mut b)?,
@@ -1351,9 +1294,10 @@ pub fn decode_frame(payload: &Bytes) -> Result<Frame, WireError> {
         },
         FRAME_EVENT_OK => {
             let dropped = get_u64(&mut b)?;
-            // Each event is at least 25 bytes (two u64s, its tag, and
-            // one u64 field).
-            let n = get_count(&mut b, 25)?;
+            // Each event is at least 24 bytes: two u64s, its tag, and
+            // the smallest body — a span with every option absent
+            // (stage byte + six absent-option bytes).
+            let n = get_count(&mut b, 24)?;
             let mut events = Vec::with_capacity(n);
             for _ in 0..n {
                 let seq = get_u64(&mut b)?;
@@ -1570,6 +1514,24 @@ mod tests {
             .collect()
     }
 
+    fn evidence(
+        completed: &[u64],
+        decisions: &[(u64, bool)],
+        vtnc: Option<VersionTs>,
+    ) -> Box<Evidence> {
+        let mut e = Box::<Evidence>::default();
+        for &et in completed {
+            e.complete(EtId(et));
+        }
+        for &(et, commit) in decisions {
+            e.decide(EtId(et), commit);
+        }
+        if let Some(ts) = vtnc {
+            e.advance_vtnc(ts);
+        }
+        e
+    }
+
     fn sample_mset() -> MSet {
         MSet::new(
             EtId(12),
@@ -1615,16 +1577,6 @@ mod tests {
                 et: EtId(13),
                 commit: true,
             },
-            Frame::ControlSnapshot {
-                completed: vec![EtId(1), EtId(2)],
-                decisions: vec![(EtId(3), true), (EtId(4), false)],
-                vtnc_max: Some(VersionTs::new(9, ClientId(2))),
-            },
-            Frame::ControlSnapshot {
-                completed: vec![],
-                decisions: vec![],
-                vtnc_max: None,
-            },
             Frame::Ping {
                 view: 3,
                 from: SiteId(0),
@@ -1636,22 +1588,20 @@ mod tests {
             Frame::DoViewChange {
                 view: 4,
                 from: SiteId(1),
-                completed: vec![EtId(1), EtId(5)],
-                decisions: vec![(EtId(2), false)],
-                vtnc_max: Some(VersionTs::new(6, ClientId(1))),
+                evidence: evidence(
+                    &[5, 1],
+                    &[(2, false)],
+                    Some(VersionTs::new(6, ClientId(1))),
+                ),
             },
             Frame::DoViewChange {
                 view: 1,
                 from: SiteId(2),
-                completed: vec![],
-                decisions: vec![],
-                vtnc_max: None,
+                evidence: Box::default(),
             },
             Frame::StartView {
                 view: 4,
-                completed: vec![EtId(1)],
-                decisions: vec![(EtId(2), true)],
-                vtnc_max: None,
+                evidence: evidence(&[1], &[(2, true)], None),
             },
             Frame::ForwardDecision {
                 et: EtId(8),
@@ -1735,6 +1685,24 @@ mod tests {
                 dropped: 0,
                 events: vec![],
             },
+            // The smallest event there is: a span with every option
+            // absent must clear the decoder's per-element size floor.
+            Frame::EventOk {
+                dropped: 0,
+                events: vec![(
+                    0,
+                    0,
+                    Event::Span(SpanRec {
+                        stage: SpanStage::Submit,
+                        et: None,
+                        peer: None,
+                        version: None,
+                        gseq: None,
+                        t0: None,
+                        commit: None,
+                    }),
+                )],
+            },
         ];
         for frame in &frames {
             roundtrip_frame(frame);
@@ -1744,23 +1712,14 @@ mod tests {
     #[test]
     fn frame_truncation_at_any_prefix_is_an_error_not_a_panic() {
         let frames = [
-            Frame::ControlSnapshot {
-                completed: vec![EtId(1)],
-                decisions: vec![(EtId(2), false)],
-                vtnc_max: Some(VersionTs::new(4, ClientId(1))),
-            },
             Frame::DoViewChange {
                 view: 2,
                 from: SiteId(1),
-                completed: vec![EtId(1)],
-                decisions: vec![(EtId(2), true)],
-                vtnc_max: Some(VersionTs::new(3, ClientId(0))),
+                evidence: evidence(&[1], &[(2, true)], Some(VersionTs::new(3, ClientId(0)))),
             },
             Frame::StartView {
                 view: 2,
-                completed: vec![EtId(1)],
-                decisions: vec![],
-                vtnc_max: None,
+                evidence: evidence(&[1], &[], None),
             },
             Frame::Submit(sample_mset().from_client(ClientId(2), 5)),
             Frame::MetricsOk {
@@ -1801,11 +1760,14 @@ mod tests {
 
     #[test]
     fn unknown_frame_tag_is_rejected() {
-        let raw = Bytes::from(vec![0xEEu8, 0, 0, 0]);
-        assert!(matches!(
-            decode_frame(&raw),
-            Err(WireError::BadTag { field: "frame", .. })
-        ));
+        // 0x08 is the retired control-snapshot tag: never reassigned.
+        for tag in [0xEEu8, 0x08] {
+            let raw = Bytes::from(vec![tag, 0, 0, 0]);
+            assert_eq!(
+                decode_frame(&raw),
+                Err(WireError::BadTag { field: "frame", tag })
+            );
+        }
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! `divergent_updates` and `missing_updates` are functions of the
 //! submission table and per-site `has_applied` alone, so agreement here
 //! is agreement there for any read set.
+//!
+//! The sequential side doubles as the check on what `deliver` *says* it
+//! did: every returned [`Delivery`] must agree with the `has_applied` /
+//! `backlog` deltas an observer probing the site around the call would
+//! see (the control core acts on the return value and never probes).
 
 use esr_core::ids::{ClientId, EtId, LamportTs, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
@@ -21,7 +26,7 @@ use esr_replica::compe::CompeSite;
 use esr_replica::mset::MSet;
 use esr_replica::ordup::{OrdupLamportSite, OrdupSite};
 use esr_replica::ritu::{RituMvSite, RituOverwriteSite};
-use esr_replica::site::ReplicaSite;
+use esr_replica::site::{Delivered, Delivery, ReplicaSite};
 use proptest::prelude::*;
 
 /// Deterministic generator for stream shaping (splitmix64).
@@ -106,6 +111,47 @@ impl Gen {
     }
 }
 
+/// Delivers `m` and checks the returned [`Delivery`] against the
+/// observable deltas: the ETs that flipped to applied are exactly the
+/// delivered one (iff `Applied`) plus the released ones, the backlog
+/// moved by one parked MSet minus the released ones, and a duplicate or
+/// suppressed delivery changed nothing.
+fn deliver_checked<S: ReplicaSite>(
+    site: &mut S,
+    m: &MSet,
+    all_ets: &[EtId],
+) -> Result<Delivery, proptest::test_runner::TestCaseError> {
+    let applied_before: Vec<EtId> =
+        all_ets.iter().copied().filter(|et| site.has_applied(*et)).collect();
+    let backlog_before = site.backlog();
+    let d = site.deliver(m.clone());
+    let mut newly: Vec<EtId> = all_ets
+        .iter()
+        .copied()
+        .filter(|et| site.has_applied(*et) && !applied_before.contains(et))
+        .collect();
+    let mut reported: Vec<EtId> = d.released.iter().map(|r| r.et).collect();
+    if d.outcome == Delivered::Applied {
+        reported.push(m.et);
+    }
+    newly.sort_unstable();
+    newly.dedup();
+    reported.sort_unstable();
+    prop_assert_eq!(&newly, &reported, "{:?} for {}", d, m);
+    let parked = usize::from(d.outcome == Delivered::Held);
+    prop_assert_eq!(
+        site.backlog() + d.released.len(),
+        backlog_before + parked,
+        "{:?} for {}",
+        d,
+        m
+    );
+    if matches!(d.outcome, Delivered::Duplicate | Delivered::Suppressed) {
+        prop_assert!(d.released.is_empty(), "{:?} for {}", d, m);
+    }
+    Ok(d)
+}
+
 /// Drives `single` one MSet at a time and `batched` through
 /// `deliver_batch` chunks of the same stream, asserting observable
 /// equality at every chunk boundary.
@@ -119,7 +165,7 @@ fn assert_equivalent<S: ReplicaSite>(
     for w in cuts.windows(2) {
         let chunk = &stream[w[0]..w[1]];
         for m in chunk {
-            single.deliver(m.clone());
+            deliver_checked(&mut single, m, &all_ets)?;
         }
         batched.deliver_batch(chunk.to_vec());
         prop_assert_eq!(single.snapshot(), batched.snapshot());
@@ -239,20 +285,35 @@ proptest! {
         g.shuffle(&mut stream);
         g.sprinkle_duplicates(&mut stream);
         let cuts = g.cuts(stream.len());
+        let all_ets: Vec<EtId> = (0..n as u64).map(EtId).collect();
         let mut single = CompeSite::new(SiteId(0));
         let mut batched = CompeSite::new(SiteId(1));
         // Some commit notices race ahead of their MSets: both paths
-        // must apply those directly as committed state.
+        // must apply those directly as committed state. Some aborts do
+        // too: those MSets are suppressed for good, never redelivered.
+        let mut aborted_early = Vec::new();
         for i in 0..n as u64 {
-            if g.below(5) == 0 {
-                single.commit(EtId(i));
-                batched.commit(EtId(i));
+            match g.below(10) {
+                0 | 1 => {
+                    single.commit(EtId(i));
+                    batched.commit(EtId(i));
+                }
+                2 => {
+                    single.abort(EtId(i));
+                    batched.abort(EtId(i));
+                    aborted_early.push(EtId(i));
+                }
+                _ => {}
             }
         }
         for w in cuts.windows(2) {
             let chunk = &stream[w[0]..w[1]];
             for m in chunk {
-                single.deliver(m.clone());
+                let d = deliver_checked(&mut single, m, &all_ets)?;
+                prop_assert_eq!(
+                    d.outcome == Delivered::Suppressed,
+                    aborted_early.contains(&m.et)
+                );
             }
             batched.deliver_batch(chunk.to_vec());
             prop_assert_eq!(single.snapshot(), batched.snapshot());

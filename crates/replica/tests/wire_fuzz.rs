@@ -23,6 +23,7 @@ use bytes::Bytes;
 use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
+use esr_replica::ctrl::Evidence;
 use esr_replica::mset::MSet;
 use esr_replica::site::QueryOutcome;
 use esr_replica::span::{Event, SpanRec, SpanStage};
@@ -46,6 +47,22 @@ impl Rng {
     fn below(&mut self, n: usize) -> usize {
         (self.next() % n.max(1) as u64) as usize
     }
+}
+
+/// A seed-shaped control-plane ledger (the `DoViewChange` / `StartView`
+/// payload).
+fn evidence(seed: u64, ts: VersionTs) -> Box<Evidence> {
+    let mut e = Box::<Evidence>::default();
+    for i in 0..seed % 4 {
+        e.complete(EtId(i));
+    }
+    for i in 0..seed % 3 {
+        e.decide(EtId(i), i % 2 == 0);
+    }
+    if seed.is_multiple_of(3) {
+        e.advance_vtnc(ts);
+    }
+    e
 }
 
 /// The corpus generator: one representative of every frame family,
@@ -90,11 +107,6 @@ fn corpus(seed: u64) -> Vec<Frame> {
         Frame::Decision {
             et,
             commit: seed.is_multiple_of(2),
-        },
-        Frame::ControlSnapshot {
-            completed: (0..seed % 4).map(EtId).collect(),
-            decisions: (0..seed % 3).map(|i| (EtId(i), i % 2 == 0)).collect(),
-            vtnc_max: if seed.is_multiple_of(3) { Some(ts) } else { None },
         },
         Frame::Submit(mset),
         Frame::SubmitOk { et },
@@ -143,15 +155,11 @@ fn corpus(seed: u64) -> Vec<Frame> {
         Frame::DoViewChange {
             view: seed % 9,
             from: site,
-            completed: (0..seed % 4).map(EtId).collect(),
-            decisions: (0..seed % 3).map(|i| (EtId(i), i % 2 == 0)).collect(),
-            vtnc_max: if seed.is_multiple_of(3) { Some(ts) } else { None },
+            evidence: evidence(seed, ts),
         },
         Frame::StartView {
             view: seed % 9,
-            completed: (0..seed % 4).map(EtId).collect(),
-            decisions: (0..seed % 3).map(|i| (EtId(i), i % 2 == 0)).collect(),
-            vtnc_max: if seed.is_multiple_of(3) { Some(ts) } else { None },
+            evidence: evidence(seed, ts),
         },
         Frame::ForwardDecision {
             et,

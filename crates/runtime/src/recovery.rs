@@ -28,17 +28,10 @@ pub struct ApplyJournal {
     entries: u64,
 }
 
-/// Auto-compact a journal once this many bytes belong to retired
-/// (checkpoint-covered) records. Small enough that the checkpoint-smoke
-/// CI job sees the file actually shrink; large enough that a compaction
-/// rewrite never dominates steady-state appends.
-const JOURNAL_COMPACT_DEAD_BYTES: u64 = 64 * 1024;
-
 impl ApplyJournal {
     /// Opens (or reopens after a crash) the journal at `path`.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let mut queue = FileQueue::open(path)?;
-        queue.set_auto_compact(JOURNAL_COMPACT_DEAD_BYTES);
+        let queue = FileQueue::open(path)?;
         let entries = queue.len() as u64;
         Ok(Self { queue, entries })
     }
@@ -86,7 +79,7 @@ impl ApplyJournal {
     /// Retires every entry with id `<= through`: the installed
     /// checkpoint covers them, so replay no longer needs them.
     /// Retirement is an ack, not a delete — the bytes are reclaimed by
-    /// the queue's auto-compaction once enough accumulate. Returns the
+    /// the queue's compaction once enough accumulate. Returns the
     /// number of entries retired.
     pub fn retire_through(&mut self, through: u64) -> u64 {
         let covered: Vec<EntryId> = self
@@ -110,9 +103,10 @@ impl ApplyJournal {
         self.queue.len() as u64
     }
 
-    /// Bytes currently occupied by the journal file.
+    /// Bytes currently occupied by the journal file (the queue's own
+    /// running count — no filesystem call).
     pub fn file_bytes(&self) -> u64 {
-        std::fs::metadata(self.queue.path()).map_or(0, |m| m.len())
+        self.queue.file_len()
     }
 
     /// Number of MSets journalled this incarnation (live entries at
@@ -149,9 +143,11 @@ mod tests {
             j.record(&m1);
             j.record(&m2);
             assert_eq!(j.entries(), 2);
+            assert_eq!(j.file_bytes(), std::fs::metadata(&path).unwrap().len());
         } // "crash": journal dropped without ceremony
         let j = ApplyJournal::open(&path).unwrap();
         assert_eq!(j.entries(), 2);
+        assert_eq!(j.file_bytes(), std::fs::metadata(&path).unwrap().len());
         let replayed = j.replay();
         assert_eq!(replayed.len(), 2);
         assert_eq!(replayed[0].et, EtId(1));
@@ -184,6 +180,7 @@ mod tests {
         assert_eq!(j.retire_through(2), 3);
         assert_eq!(j.retire_through(2), 0, "retirement is idempotent");
         assert_eq!(j.live_entries(), 2);
+        assert_eq!(j.file_bytes(), std::fs::metadata(&path).unwrap().len());
         let left: Vec<(u64, EtId)> = j
             .replay_entries()
             .into_iter()

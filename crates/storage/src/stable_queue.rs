@@ -148,6 +148,13 @@ const TAG_ENQUEUE: u8 = 1;
 const TAG_ACK: u8 = 2;
 const TAG_NEXT_ID: u8 = 3;
 
+/// After an ack, once this many bytes of the log belong to acknowledged
+/// records, the file is rewritten with only the live entries. Small
+/// enough that a journal or link file visibly shrinks (and never makes
+/// the next boot re-read a history of dead records); large enough that
+/// a rewrite never dominates steady-state appends.
+const COMPACT_DEAD_BYTES: u64 = 64 * 1024;
+
 /// File-backed stable queue: an append-only log of enqueue/ack records.
 #[derive(Debug)]
 pub struct FileQueue {
@@ -156,10 +163,11 @@ pub struct FileQueue {
     entries: BTreeMap<EntryId, Entry>,
     next_id: u64,
     /// Bytes of the log occupied by acknowledged records (the dead
-    /// enqueue plus its ack record). Drives opt-in auto-compaction.
+    /// enqueue plus its ack record) since the last rewrite.
     dead_bytes: u64,
-    /// Compact automatically once `dead_bytes` exceeds this.
-    auto_compact: Option<u64>,
+    /// Length of the backing file: the valid prefix found at open, plus
+    /// every record appended since, reset by each compaction rewrite.
+    file_len: u64,
 }
 
 impl FileQueue {
@@ -176,13 +184,13 @@ impl FileQueue {
         let path = path.as_ref().to_path_buf();
         let mut entries = BTreeMap::new();
         let mut next_id = 0u64;
+        // Byte offset of the end of the last record replayed intact.
+        let mut valid_len = 0u64;
         if path.exists() {
             let mut buf = Vec::new();
             File::open(&path)?.read_to_end(&mut buf)?;
             let total = buf.len() as u64;
             let mut cursor = Bytes::from(buf);
-            // Byte offset of the end of the last record replayed intact.
-            let mut valid_len = 0u64;
             loop {
                 if cursor.remaining() < 9 {
                     break;
@@ -238,7 +246,7 @@ impl FileQueue {
             entries,
             next_id,
             dead_bytes: 0,
-            auto_compact: None,
+            file_len: valid_len,
         })
     }
 
@@ -254,27 +262,29 @@ impl FileQueue {
         self.next_id
     }
 
-    /// Enables auto-compaction: after an ack, once at least
-    /// `dead_bytes` bytes of the log belong to acknowledged records,
-    /// the file is rewritten with only the live entries. Entry ids are
-    /// stable across compaction, so `pending_after` cursors held by
-    /// senders survive. Compaction failure is ignored (the log stays
-    /// append-only correct, just longer than asked).
-    pub fn set_auto_compact(&mut self, dead_bytes: u64) {
-        self.auto_compact = Some(dead_bytes);
+    /// Bytes currently occupied by the backing file, tracked without
+    /// touching the filesystem.
+    pub fn file_len(&self) -> u64 {
+        self.file_len
     }
 
-    /// Forces buffered records to the OS (called after every mutation; a
-    /// real system would also fsync here).
-    fn flush(&mut self) -> io::Result<()> {
-        self.writer.flush()
+    /// Appends one record and forces it to the OS (a real system would
+    /// also fsync here).
+    fn append(&mut self, rec: &[u8]) -> io::Result<()> {
+        self.writer.write_all(rec)?;
+        self.writer.flush()?;
+        self.file_len += rec.len() as u64;
+        Ok(())
     }
 
     /// Compacts the log: rewrites the file with only the live entries
     /// (plus a NEXT_ID record pinning the id allocator, so a fully
     /// acknowledged queue does not restart ids from zero on reopen).
+    /// Entry ids are stable across compaction, so `pending_after`
+    /// cursors held by senders survive.
     pub fn compact(&mut self) -> io::Result<()> {
         let tmp = self.path.with_extension("compact");
+        let mut len = 9;
         {
             let mut out = BufWriter::new(File::create(&tmp)?);
             let mut pin = BytesMut::with_capacity(9);
@@ -288,6 +298,7 @@ impl FileQueue {
                 rec.put_u32(e.payload.len() as u32);
                 rec.put_slice(&e.payload);
                 out.write_all(&rec)?;
+                len += rec.len() as u64;
             }
             out.flush()?;
         }
@@ -295,6 +306,7 @@ impl FileQueue {
         let file = OpenOptions::new().append(true).open(&self.path)?;
         self.writer = BufWriter::new(file);
         self.dead_bytes = 0;
+        self.file_len = len;
         Ok(())
     }
 }
@@ -309,8 +321,7 @@ impl StableQueue for FileQueue {
         rec.put_u64(id.0);
         rec.put_u32(payload.len() as u32);
         rec.put_slice(&payload);
-        self.writer.write_all(&rec).expect("queue file write");
-        self.flush().expect("queue file flush");
+        self.append(&rec).expect("queue file append");
         self.entries.insert(
             id,
             Entry {
@@ -347,12 +358,17 @@ impl StableQueue for FileQueue {
         let mut rec = BytesMut::with_capacity(9);
         rec.put_u8(TAG_ACK);
         rec.put_u64(id.0);
-        self.writer.write_all(&rec).expect("queue file write");
-        self.flush().expect("queue file flush");
+        self.append(&rec).expect("queue file append");
         // The entry's enqueue record (13 + payload) and this ack are
         // both dead weight now.
         self.dead_bytes += 13 + e.payload.len() as u64 + 9;
-        if self.auto_compact.is_some_and(|limit| self.dead_bytes >= limit) {
+        // Rewrite only once the dead records also outweigh the live
+        // ones, so draining a long backlog (a peer back from an outage,
+        // a checkpoint retiring a long prefix) costs rewrites linear in
+        // the backlog rather than one full rewrite per threshold. A
+        // failed compaction is ignored: the log stays append-only
+        // correct, just longer than asked.
+        if self.dead_bytes >= COMPACT_DEAD_BYTES.max(self.file_len / 2) {
             let _ = self.compact();
         }
         true
@@ -539,9 +555,11 @@ mod tests {
             q.ack(*id);
         }
         let before = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(q.file_len(), before);
         q.compact().unwrap();
         let after = std::fs::metadata(&path).unwrap().len();
         assert!(after < before, "compaction shrank {before} → {after}");
+        assert_eq!(q.file_len(), after);
         assert_eq!(q.len(), 1);
         // And the compacted file still recovers correctly.
         drop(q);
@@ -575,31 +593,60 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    fn on_disk(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
+    }
+
     #[test]
-    fn file_queue_auto_compacts_past_dead_byte_threshold() {
+    fn file_queue_compacts_itself_and_knows_its_length() {
         let path = tmpdir().join("auto-compact.q");
         let _ = std::fs::remove_file(&path);
         let mut q = FileQueue::open(&path).unwrap();
-        q.set_auto_compact(64);
         let keep = q.enqueue(Bytes::from_static(b"keep"));
-        let ids: Vec<EntryId> = (0..8)
-            .map(|i| q.enqueue(Bytes::from(format!("dead-payload-{i}"))))
-            .collect();
-        let grown = std::fs::metadata(&path).unwrap().len();
-        for id in &ids {
-            q.ack(*id);
+        let mut last = keep;
+        for i in 0..10_000 {
+            last = q.enqueue(Bytes::from(format!("dead-payload-{i}")));
+            q.ack(last);
+            if i % 1_000 == 0 {
+                assert_eq!(q.file_len(), on_disk(&path), "cycle {i}");
+            }
         }
-        let after = std::fs::metadata(&path).unwrap().len();
-        assert!(
-            after < grown,
-            "acks past the threshold should have compacted ({grown} → {after})"
-        );
+        // ~400 KiB went through; the dead records were reclaimed.
+        assert_eq!(q.file_len(), on_disk(&path));
+        assert!(q.file_len() < 128 * 1024, "file is {} bytes", q.file_len());
         // Live entry, its id, and the allocator all survive.
         assert_eq!(q.pending(10), vec![(keep, Bytes::from_static(b"keep"))]);
+        q.ack(keep);
+        let next = q.next_id();
+        assert_eq!(next, last.0 + 1);
         drop(q);
-        let mut q2 = FileQueue::open(&path).unwrap();
-        assert_eq!(q2.len(), 1);
-        assert!(q2.enqueue(Bytes::from_static(b"x")) > ids[7]);
+        let q2 = FileQueue::open(&path).unwrap();
+        assert_eq!(q2.len(), 0);
+        assert_eq!(q2.next_id(), next);
+        assert_eq!(q2.file_len(), on_disk(&path));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn draining_a_backlog_costs_a_logarithmic_number_of_rewrites() {
+        let path = tmpdir().join("backlog.q");
+        let _ = std::fs::remove_file(&path);
+        let mut q = FileQueue::open(&path).unwrap();
+        // A peer was down for 20 000 updates (~2.2 MiB), then drains.
+        let ids: Vec<EntryId> = (0..20_000)
+            .map(|_| q.enqueue(Bytes::from(vec![7u8; 100])))
+            .collect();
+        let mut rewrites = 0;
+        for id in ids {
+            let before = q.file_len();
+            q.ack(id);
+            rewrites += u32::from(q.file_len() < before);
+        }
+        // A rewrite per 64 KiB of dead records would be ~40, each
+        // copying the whole remaining backlog.
+        assert!((1..=8).contains(&rewrites), "{rewrites} rewrites");
+        assert!(q.is_empty());
+        assert_eq!(q.file_len(), on_disk(&path));
         std::fs::remove_file(&path).unwrap();
     }
 
