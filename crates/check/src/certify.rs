@@ -5,7 +5,8 @@
 //! [`Event`]s (the `Effect::Event`s of `esr_runtime::ctrl` plus the
 //! daemon's checkpoint-chain notes); this module replays a set of
 //! per-site dumps against the per-method visibility and convergence
-//! specs, turning any chaos or proc-cluster run into a *checked*
+//! specs, turning any simulated crash scenario (`SimCluster::events_of`)
+//! or proc-cluster run (`ProcCluster::trace_of`) into a *checked*
 //! execution. The spec style follows Enea et al.'s replication-aware
 //! linearizability — per-replica causal histories checked against the
 //! method's visibility contract — and Perrin et al.'s update

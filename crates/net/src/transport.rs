@@ -35,7 +35,7 @@ pub struct Delivery {
 /// Counters describing everything the network did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetStats {
-    /// Messages handed to `plan_send` / `plan_send_unreliable`.
+    /// Messages handed to `plan_send`.
     pub sent: u64,
     /// Copies that will arrive.
     pub delivered: u64,
@@ -45,9 +45,14 @@ pub struct NetStats {
     pub partition_blocked: u64,
     /// Extra copies from duplication.
     pub duplicated: u64,
-    /// Unreliable sends that were lost outright.
-    pub lost: u64,
 }
+
+/// How long a stable queue waits before retrying a failed attempt.
+const RETRY_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Attempts after which a send is declared stuck — over 80 virtual
+/// minutes of continuous partition, i.e. a misconfigured experiment.
+const MAX_ATTEMPTS: u32 = 100_000;
 
 /// The simulated network.
 ///
@@ -74,8 +79,6 @@ pub struct Network {
     topology: Topology,
     partitions: PartitionSchedule,
     rng: DetRng,
-    retry_interval: Duration,
-    max_attempts: u32,
     next_msg: u64,
     /// Per-directed-link transmitter occupancy: a bandwidth-limited link
     /// serializes one message at a time, so later sends queue.
@@ -84,15 +87,12 @@ pub struct Network {
 }
 
 impl Network {
-    /// A network over `topology` with no partitions, seeded RNG, and a
-    /// 50 ms retry interval.
+    /// A network over `topology` with no partitions and a seeded RNG.
     pub fn new(topology: Topology, rng: DetRng) -> Self {
         Self {
             topology,
             partitions: PartitionSchedule::none(),
             rng,
-            retry_interval: Duration::from_millis(50),
-            max_attempts: 100_000,
             next_msg: 0,
             busy_until: BTreeMap::new(),
             stats: NetStats::default(),
@@ -102,23 +102,6 @@ impl Network {
     /// Installs a partition schedule.
     pub fn with_partitions(mut self, partitions: PartitionSchedule) -> Self {
         self.partitions = partitions;
-        self
-    }
-
-    /// Overrides the stable-queue retry interval.
-    pub fn with_retry_interval(mut self, interval: Duration) -> Self {
-        self.retry_interval = interval;
-        self
-    }
-
-    /// Overrides the reliable-send attempt cap. The chaos runtime plans
-    /// fates in *logical tick* time (one tick per queue entry) where
-    /// partition windows span a handful of ticks, so it lowers the cap
-    /// to fail fast on a misconfigured plan instead of spinning through
-    /// the default 100 000 attempts.
-    pub fn with_max_attempts(mut self, max_attempts: u32) -> Self {
-        assert!(max_attempts > 0);
-        self.max_attempts = max_attempts;
         self
     }
 
@@ -147,9 +130,8 @@ impl Network {
     /// retries through drops and partitions until an attempt succeeds.
     /// Returns one arrival, or two when the link duplicates.
     ///
-    /// Panics if the link stays unavailable for `max_attempts` retries —
-    /// with the default settings that is >80 virtual minutes of
-    /// continuous partition, which indicates a misconfigured experiment.
+    /// Panics if the link stays unavailable for [`MAX_ATTEMPTS`]
+    /// retries.
     pub fn plan_send(&mut self, from: SiteId, to: SiteId, now: VirtualTime) -> Vec<Delivery> {
         self.plan_send_sized(from, to, now, 0)
     }
@@ -189,9 +171,8 @@ impl Network {
         loop {
             attempts += 1;
             assert!(
-                attempts <= self.max_attempts,
-                "message {msg} from {from} to {to} exceeded {} attempts",
-                self.max_attempts
+                attempts <= MAX_ATTEMPTS,
+                "message {msg} from {from} to {to} exceeded {MAX_ATTEMPTS} attempts"
             );
             if !self.partitions.connected(from, to, attempt_time) {
                 self.stats.partition_blocked += 1;
@@ -200,13 +181,13 @@ impl Network {
                 attempt_time = self
                     .partitions
                     .next_connected(from, to, attempt_time, VirtualTime::MAX)
-                    .unwrap_or(attempt_time + self.retry_interval)
-                    .max(attempt_time + self.retry_interval);
+                    .unwrap_or(attempt_time + RETRY_INTERVAL)
+                    .max(attempt_time + RETRY_INTERVAL);
                 continue;
             }
             if self.rng.chance(link.drop_prob) {
                 self.stats.dropped_attempts += 1;
-                attempt_time += self.retry_interval;
+                attempt_time += RETRY_INTERVAL;
                 continue;
             }
             break;
@@ -231,37 +212,6 @@ impl Network {
             self.stats.delivered += 1;
         }
         deliveries
-    }
-
-    /// Plans a **single-attempt** send: lost to a drop or a partition is
-    /// lost forever. Used by the synchronous baselines, whose commit
-    /// protocol carries its own timeout/retry logic.
-    pub fn plan_send_unreliable(
-        &mut self,
-        from: SiteId,
-        to: SiteId,
-        now: VirtualTime,
-    ) -> Option<Delivery> {
-        self.stats.sent += 1;
-        let msg = self.fresh_msg();
-        let link = self.topology.link(from, to);
-        if !self.partitions.connected(from, to, now) {
-            self.stats.partition_blocked += 1;
-            self.stats.lost += 1;
-            return None;
-        }
-        if self.rng.chance(link.drop_prob) {
-            self.stats.dropped_attempts += 1;
-            self.stats.lost += 1;
-            return None;
-        }
-        self.stats.delivered += 1;
-        Some(Delivery {
-            msg,
-            at: now + link.latency.sample(&mut self.rng),
-            attempts: 1,
-            duplicate: false,
-        })
     }
 }
 
@@ -336,25 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn unreliable_send_lost_in_partition() {
-        let link = LinkConfig::reliable(LatencyModel::Constant(Duration::from_millis(1)));
-        let mut net = mesh(2, link).with_partitions(PartitionSchedule::new(vec![
-            PartitionWindow::split(t(0), t(100), [SiteId(0)], [SiteId(1)]),
-        ]));
-        assert!(net.plan_send_unreliable(SiteId(0), SiteId(1), t(50)).is_none());
-        assert_eq!(net.stats().lost, 1);
-        // After heal it succeeds.
-        assert!(net.plan_send_unreliable(SiteId(0), SiteId(1), t(150)).is_some());
-    }
-
-    #[test]
-    fn unreliable_send_may_drop() {
-        let link = LinkConfig::lossy(LatencyModel::Constant(Duration::from_millis(1)), 1.0);
-        let mut net = mesh(2, link);
-        assert!(net.plan_send_unreliable(SiteId(0), SiteId(1), t(0)).is_none());
-    }
-
-    #[test]
     fn message_ids_are_unique() {
         let mut net = mesh(2, LinkConfig::default());
         let a = net.plan_send(SiteId(0), SiteId(1), t(0))[0].msg;
@@ -419,12 +350,12 @@ mod tests {
     #[test]
     fn retry_interval_is_respected() {
         let link = LinkConfig::lossy(LatencyModel::Constant(Duration::ZERO), 0.9);
-        let mut net = mesh(2, link).with_retry_interval(Duration::from_millis(100));
-        // Find a plan that took k attempts; its arrival must be at least
-        // (k-1) * 100ms after the send.
+        let mut net = mesh(2, link);
+        // A plan that took k attempts arrives at least (k-1) retry
+        // intervals after the send.
         for i in 0..100 {
             let d = net.plan_send(SiteId(0), SiteId(1), t(i * 10));
-            let min = t(i * 10) + Duration::from_millis(100).saturating_mul(u64::from(d[0].attempts - 1));
+            let min = t(i * 10) + RETRY_INTERVAL.saturating_mul(u64::from(d[0].attempts - 1));
             assert!(d[0].at >= min);
         }
     }

@@ -10,11 +10,21 @@
 //! simulated [`Network`] (latency, loss, duplication, partitions,
 //! bandwidth — and therefore *reordering*) and becomes one scheduled
 //! arrival per planned copy, an `Event` lands in the site's in-memory
-//! event log, and journal / view / checkpoint effects are dropped (no
-//! site ever crashes here, and no `Tick` is injected, so site 0
-//! coordinates view 0 for the whole run). ORDUP hold-back, completion
-//! tracking, VTNC certification and COMPE decision broadcast are the
-//! core's; none of them is written here.
+//! event log, a `Journal` is pushed on the site's in-memory journal,
+//! and view / checkpoint effects are dropped (no `Tick` is injected, so
+//! site 0 coordinates view 0 for the whole run). ORDUP hold-back,
+//! completion tracking, VTNC certification and COMPE decision broadcast
+//! are the core's; none of them is written here.
+//!
+//! It is also the repository's one **seeded fault harness**:
+//! [`SimCluster::crash`] discards a site's core and event log between
+//! two steps, and [`SimCluster::restart`] rebuilds it from the journal
+//! through [`NodeCore::recover`] and greets every peer with a `Hello` —
+//! the recovery `esrd` performs after a `kill -9`, here under loss,
+//! duplication, partitions *and* reordering (DESIGN.md §10). What
+//! survives a crash is what survives one in `esrd`: the journal, and
+//! the senders' queues — an arrival that finds its site down waits for
+//! the restart.
 //!
 //! What stays in the simulator is what a *client* or an *omniscient
 //! observer* does:
@@ -202,8 +212,9 @@ struct Submission {
     version: Option<VersionTs>,
     /// ORDUP-seq: the assigned global sequence number.
     seq: Option<SeqNo>,
-    /// COMPE: sites that have recorded the decision.
-    decided: usize,
+    /// COMPE: sites that have recorded the decision (a set: a
+    /// restarted site records it a second time).
+    decided: BTreeSet<SiteId>,
 }
 
 /// Aggregate statistics of a run.
@@ -232,6 +243,9 @@ pub struct ClusterStats {
     /// every replica applied), for the methods whose completion the core
     /// certifies per ET (COMMU, RITU).
     pub completion_latencies: Vec<Duration>,
+    /// Arrivals that found their site down and waited for its restart
+    /// — what the senders' stable queues had to re-send.
+    pub redelivered: u64,
 }
 
 /// A query's result, as observed by the experiment driver.
@@ -268,10 +282,20 @@ pub struct SpatialQueryOutcome {
 /// One simulated site: the pure core plus what its effects act on.
 #[derive(Debug)]
 struct Site {
+    /// While the site is down, a blank core nothing steps: a crashed
+    /// site has applied nothing and answers nothing.
     core: NodeCore,
-    /// Every [`Effect::Event`] the core emitted, stamped with the
-    /// virtual time of the step.
+    /// Every [`Effect::Event`] the current incarnation's core emitted,
+    /// stamped with the virtual time of the step.
     events: Vec<(VirtualTime, Event)>,
+    /// Every [`Effect::Journal`], in order — all of the site's own
+    /// state that survives a crash.
+    journal: Vec<MSet>,
+    /// `Some` while the site is down: the arrivals that found it so,
+    /// waiting as they would in their senders' stable queues.
+    down: Option<Vec<Arrival>>,
+    /// Boot count, carried by the restart `Hello`.
+    epoch: u64,
     /// A clone of the site's instrument bundle, so the cluster can set
     /// the authoritative per-query epsilon gauges (the admission
     /// decision for most methods happens here, not in the site).
@@ -340,15 +364,14 @@ impl SimCluster {
         let sites = site_ids
             .iter()
             .map(|&id| {
-                let mut state = match config.method {
-                    Method::OrdupLamport => SiteState::ordup_lamport(id, site_ids.clone()),
-                    _ => SiteState::new(method, id),
-                };
                 let obs = SiteInstruments::for_site(&metrics, config.method.name(), id.raw());
-                state.attach_metrics(obs.clone());
+                let state = Self::fresh_state(&config, &obs, id);
                 Site {
                     core: NodeCore::fresh(state, method, id, config.sites, None),
                     events: Vec::new(),
+                    journal: Vec::new(),
+                    down: None,
+                    epoch: 1,
                     obs,
                 }
             })
@@ -382,6 +405,73 @@ impl SimCluster {
             obs_overlap_inflight,
             obs_quiescence,
             config,
+        }
+    }
+
+    /// An empty replica for site `id`, reporting to the site's series.
+    fn fresh_state(config: &ClusterConfig, obs: &SiteInstruments, id: SiteId) -> SiteState {
+        let mut state = match config.method {
+            Method::OrdupLamport => {
+                let origins = (0..config.sites as u64).map(SiteId).collect();
+                SiteState::ordup_lamport(id, origins)
+            }
+            method => SiteState::new(method.rt(), id),
+        };
+        state.attach_metrics(obs.clone());
+        state
+    }
+
+    /// Crashes `site` at the current virtual time, between two steps:
+    /// its core and event log are gone, its journal stays, and every
+    /// arrival from now on — peer frames and its own client plane
+    /// alike — waits for [`SimCluster::restart`]. Frames it sent before
+    /// the crash stay in flight: links are durable on the sender's side.
+    pub fn crash(&mut self, site: SiteId) {
+        let config = &self.config;
+        let s = &mut self.sites[site.raw() as usize];
+        assert!(s.down.is_none(), "crash of {site}, which is already down");
+        let blank = Self::fresh_state(config, &s.obs, site);
+        s.core = NodeCore::fresh(blank, config.method.rt(), site, config.sites, None);
+        s.events.clear();
+        s.down = Some(Vec::new());
+    }
+
+    /// Restarts a crashed `site` the way `esrd` boots: replay the
+    /// journal through [`NodeCore::recover`], perform what recovery
+    /// asks for, greet every peer with a `Hello` — which travels the
+    /// simulated network like any other frame — and then take the
+    /// arrivals that waited.
+    #[expect(clippy::expect_used, reason = "restarting a running site is a caller bug; the panic is the documented contract")]
+    pub fn restart(&mut self, site: SiteId) {
+        let config = &self.config;
+        let s = &mut self.sites[site.raw() as usize];
+        let waiting = s.down.take().expect("restart of a site that is not down");
+        s.epoch += 1;
+        let epoch = s.epoch;
+        self.metrics
+            .counter("esr_recovery_replays_total", &[("site", &site.raw().to_string())])
+            .add(s.journal.len() as u64);
+        let state = Self::fresh_state(config, &s.obs, site);
+        // View 0: no `Tick` is injected, so no other view was recorded.
+        let (core, mut effects) = NodeCore::recover(
+            state,
+            config.method.rt(),
+            site,
+            config.sites,
+            None,
+            0,
+            s.journal.clone(),
+        );
+        s.core = core;
+        let peers = self.site_ids().into_iter().filter(|p| *p != site);
+        effects.extend(peers.map(|to| Effect::Send {
+            to,
+            frame: Frame::Hello { site, epoch },
+        }));
+        let now = self.now();
+        self.perform(now, site, effects);
+        for arrival in waiting {
+            self.sched.schedule_at(now, arrival);
         }
     }
 
@@ -612,7 +702,7 @@ impl SimCluster {
                 commit,
                 version,
                 seq,
-                decided: 0,
+                decided: BTreeSet::new(),
             },
         );
         self.stats.updates += 1;
@@ -662,7 +752,13 @@ impl SimCluster {
 
     /// Steps the receiving site's core with one arrived frame and
     /// performs the effects.
-    fn arrive(&mut self, now: VirtualTime, Arrival { from, to, frame }: Arrival) {
+    fn arrive(&mut self, now: VirtualTime, arrival: Arrival) {
+        if let Some(waiting) = &mut self.sites[arrival.to.raw() as usize].down {
+            waiting.push(arrival);
+            self.stats.redelivered += 1;
+            return;
+        }
+        let Arrival { from, to, frame } = arrival;
         if let Frame::MSet(m) | Frame::Submit(m) = &frame {
             if let OrderTag::Lamport { ts, .. } = m.order {
                 self.send_clocks[to.raw() as usize].observe(ts);
@@ -685,25 +781,27 @@ impl SimCluster {
             match effect {
                 Effect::Send { to, frame } => self.send(now, site, to, frame),
                 Effect::Event(event) => {
-                    self.observe(now, &event);
+                    self.observe(now, site, &event);
                     self.sites[site.raw() as usize].events.push((now, event));
                 }
-                // No site ever crashes and no view past 0 is ever
-                // installed: nothing to journal, record or checkpoint.
-                Effect::Journal(_) | Effect::RecordView(_) | Effect::Checkpoint(_) => {}
+                Effect::Journal(mset) => self.sites[site.raw() as usize].journal.push(mset),
+                // No `Tick` is injected, so no view past 0 is ever
+                // installed; checkpoint cuts have no consumer here.
+                Effect::RecordView(_) | Effect::Checkpoint(_) => {}
             }
         }
     }
 
     /// The measurement side's only input: the events the cores emit.
-    fn observe(&mut self, now: VirtualTime, event: &Event) {
+    fn observe(&mut self, now: VirtualTime, site: SiteId, event: &Event) {
         let Event::Span(rec) = event else { return };
         let Some(et) = rec.et else { return };
         match rec.stage {
-            SpanStage::Apply => self.release_if_resolved(et),
+            // A replay is the restarted site's apply.
+            SpanStage::Apply | SpanStage::Replay => self.release_if_resolved(et),
             SpanStage::Decision => {
                 if let Some(sub) = self.submissions.get_mut(&et) {
-                    sub.decided += 1;
+                    sub.decided.insert(site);
                 }
                 if rec.commit == Some(false) {
                     self.refresh_rollback_stats();
@@ -730,7 +828,8 @@ impl SimCluster {
             return;
         };
         let resolved = if self.config.method == Method::Compe {
-            sub.decided == self.config.sites && (!sub.commit || self.applied_everywhere(et))
+            sub.decided.len() == self.config.sites
+                && (!sub.commit || self.applied_everywhere(et))
         } else {
             self.applied_everywhere(et)
         };
@@ -1240,6 +1339,70 @@ mod tests {
             slow > fast,
             "bandwidth limit must delay quiescence: {slow} vs {fast}"
         );
+    }
+
+    #[test]
+    fn a_restarted_site_recording_a_decision_again_still_releases_the_counters() {
+        // A starved link delays the MSet (≈ 40 bytes at 1 kB/s) far
+        // behind its zero-byte commit decision, so every follower
+        // records the decision first; site 1 then restarts with an empty
+        // journal and records it a second time — a fourth record on
+        // three sites — before anyone but the origin has applied.
+        let link = LinkConfig::reliable(LatencyModel::Constant(Duration::from_millis(5)))
+            .with_bandwidth(1_000);
+        let mut c = SimCluster::new(
+            ClusterConfig::new(Method::Compe)
+                .with_sites(3)
+                .with_link(link),
+        );
+        let et = c.submit_update_pending(SiteId(0), incr_op(7));
+        c.resolve(et, true);
+        c.advance_to(VirtualTime::from_millis(10));
+        c.crash(SiteId(1));
+        c.restart(SiteId(1));
+        c.run_until_quiescent();
+        let decisions = |site| {
+            let log = c.events_of(site);
+            let is_decision =
+                |e: &Event| matches!(e, Event::Span(r) if r.stage == SpanStage::Decision);
+            log.iter().filter(|(_, _, e)| is_decision(e)).count()
+        };
+        assert_eq!(decisions(SiteId(1)), 1, "the new incarnation re-learned it");
+        assert!(c.converged() && c.matches_oracle());
+        let out = c.try_query(SiteId(2), &[X], EpsilonSpec::STRICT);
+        assert!(out.admitted, "the update is resolved everywhere, yet still charged");
+        assert_eq!(out.values, vec![Value::Int(7)]);
+    }
+
+    #[test]
+    fn a_replayed_update_stops_being_charged() {
+        // Site 2 applies only after site 1 has crashed; site 1's apply
+        // comes back as a replay, which must release the counters.
+        let link = LinkConfig::reliable(LatencyModel::Constant(Duration::from_millis(5)));
+        let cut = esr_net::PartitionWindow::isolate(
+            VirtualTime::ZERO,
+            VirtualTime::from_millis(100),
+            SiteId(2),
+            [SiteId(0), SiteId(1)],
+        );
+        let mut c = SimCluster::new(
+            ClusterConfig::new(Method::Commu)
+                .with_sites(3)
+                .with_link(link)
+                .with_partitions(PartitionSchedule::new(vec![cut])),
+        );
+        c.submit_update(SiteId(0), incr_op(7));
+        c.advance_to(VirtualTime::from_millis(10));
+        c.crash(SiteId(1));
+        c.advance_to(VirtualTime::from_millis(200));
+        assert_eq!(c.missing_updates(SiteId(1), &[X]), 1, "a down site holds nothing");
+        let down = c.try_query(SiteId(0), &[X], EpsilonSpec::STRICT);
+        assert!(!down.admitted, "site 1 has not (re)applied it yet");
+        c.restart(SiteId(1));
+        let out = c.try_query(SiteId(0), &[X], EpsilonSpec::STRICT);
+        assert!(out.admitted && out.charged == 0);
+        c.run_until_quiescent();
+        assert!(c.converged() && c.matches_oracle());
     }
 
     #[test]

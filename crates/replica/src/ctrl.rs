@@ -9,10 +9,10 @@
 //! [`NodeEvent`] and returns the ordered list of [`Effect`]s it
 //! implies. The daemon executes those effects against the real world
 //! (fsync'd journal, durable TCP links, the esr-obs event ring); the
-//! thread cluster executes them against channels (or, under chaos,
-//! fault-injecting durable relays and a file journal); the simulator
+//! thread cluster executes them against channels; the simulator
 //! executes them against a virtual-time network that drops,
-//! duplicates and *reorders*; the model checker in `crates/check`
+//! duplicates and *reorders*, and an in-memory journal it crashes and
+//! restarts sites from; the model checker in `crates/check`
 //! executes them against in-memory FIFO queues and explores every
 //! interleaving. Because all of them run *this* code, the experiments,
 //! the runtimes and the model cannot drift (DESIGN.md §14). The core
@@ -482,6 +482,11 @@ pub struct NodeCore {
     /// Ticks the pending view change has been stalled (escalates to
     /// `vc_target + 1` when the coordinator-to-be is dead too).
     vc_ticks: u32,
+    /// This view's coordinator has greeted us from a reboot (`Hello`
+    /// epoch past 1): what it broadcast before dying it has forgotten,
+    /// and its `Hello` may have overtaken it on the way here, so every
+    /// decision learned from now on is echoed back to it.
+    coordinator_rebooted: bool,
     /// Journalled MSets stashed for canary re-application (empty unless
     /// a canary that re-applies updates is armed).
     canary_msets: BTreeMap<EtId, MSet>,
@@ -533,6 +538,7 @@ impl NodeCore {
             dvc: BTreeMap::new(),
             dvc_sent: false,
             vc_ticks: 0,
+            coordinator_rebooted: false,
             canary_msets: BTreeMap::new(),
             canary,
         }
@@ -924,6 +930,7 @@ impl NodeCore {
         self.dvc_sent = false;
         self.vc_ticks = 0;
         self.missed_pings = 0;
+        self.coordinator_rebooted = false;
     }
 
     /// Applies snapshot/handoff evidence idempotently (the ledger
@@ -998,6 +1005,7 @@ impl NodeCore {
                 } else if site == coordinator_of(self.view, self.sites) {
                     // Our coordinator rebooted: whatever its journal or
                     // image did not hold died with it.
+                    self.coordinator_rebooted |= epoch > 1;
                     effects.extend(self.reannounce(site));
                 }
                 effects
@@ -1021,7 +1029,18 @@ impl NodeCore {
                 self.relay_news(learned, Frame::Vtnc { ts })
             }
             Frame::Decision { et, commit } => {
-                let learned = self.apply_decision(et, commit);
+                let mut learned = self.apply_decision(et, commit);
+                // News that reached us after the rebooted coordinator's
+                // `Hello` was not in our re-announcement, and may be a
+                // broadcast of its previous life (links are not FIFO
+                // across a reboot): hand it back. A coordinator that
+                // knows it absorbs the echo silently.
+                if !learned.is_empty() && self.coord.is_none() && self.coordinator_rebooted {
+                    learned.push(Effect::Send {
+                        to: coordinator_of(self.view, self.sites),
+                        frame: Frame::ForwardDecision { et, commit },
+                    });
+                }
                 self.relay_news(learned, Frame::Decision { et, commit })
             }
             Frame::ForwardDecision { et, commit } => {
@@ -1662,6 +1681,68 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// ROADMAP 3(d): links are not FIFO across a reboot — `esrd` sends
+    /// the `Hello` on reconnect ahead of whatever its durable queue
+    /// still holds, the simulator reorders freely — so a rebooted
+    /// coordinator's `Hello` can reach a follower before the `Decision`
+    /// it broadcast just before dying. The follower's re-announcement
+    /// then misses that decision, and the coordinator, whose copy died
+    /// with it, would keep the ET at risk for good.
+    #[test]
+    fn a_rebooted_coordinator_relearns_the_decision_its_hello_overtook() {
+        let mut cores = cluster3(RtMethod::Compe);
+        let submit = cores[1].step(NodeEvent::ClientSubmit(incr(1, 1)));
+        pump(&mut cores, submit);
+        // The client aborts at the origin; the coordinator decides and
+        // broadcasts — and the broadcast stays in flight.
+        let forward = cores[1].step(NodeEvent::ClientDecision {
+            et: EtId(1),
+            commit: false,
+        });
+        let (to, forward) = sends(&forward)[0];
+        assert_eq!(to, SiteId(0));
+        let decided = cores[0].step(NodeEvent::PeerFrame(forward.clone()));
+        let in_flight: Vec<(SiteId, Frame)> = sends(&decided)
+            .into_iter()
+            .map(|(to, f)| (to, f.clone()))
+            .collect();
+        assert_eq!(in_flight.len(), 2, "one Decision per follower");
+        // The coordinator dies and reboots from its journal: the MSet is
+        // back at risk, the decision is gone.
+        let (rebooted, boot) = NodeCore::recover(
+            SiteState::new(RtMethod::Compe, SiteId(0)),
+            RtMethod::Compe,
+            SiteId(0),
+            3,
+            None,
+            0,
+            vec![incr(1, 1)],
+        );
+        cores[0] = rebooted;
+        assert!(!cores[0].evidence().is_decided(EtId(1)));
+        pump(&mut cores, boot);
+        // Its Hello overtakes the broadcast at both followers …
+        for follower in [1, 2] {
+            let hello = Frame::Hello {
+                site: SiteId(0),
+                epoch: 2,
+            };
+            let answer = cores[follower].step(NodeEvent::PeerFrame(hello));
+            pump(&mut cores, answer);
+        }
+        assert!(!cores[0].evidence().is_decided(EtId(1)), "nobody knew it yet");
+        // … which then lands.
+        for (to, frame) in in_flight {
+            let learned = cores[to.raw() as usize].step(NodeEvent::PeerFrame(frame));
+            pump(&mut cores, learned);
+        }
+        for core in &cores {
+            assert!(core.evidence().is_decided(EtId(1)), "{} never learned it", core.site);
+            assert!(core.state.settled(), "{} keeps the ET at risk", core.site);
+            assert_eq!(core.state.snapshot(), cores[1].state.snapshot());
+        }
     }
 
     #[test]

@@ -74,9 +74,8 @@ impl RtMethod {
 }
 
 /// Per-site oracle evidence extracted after a run. The protocol logs
-/// are populated only when audits are enabled; the chaos counters
-/// (`redelivered`, `journaled`, `link_*`) are live on chaos clusters,
-/// proving the injected faults actually fired.
+/// are populated only when audits are enabled; `redelivered` and
+/// `journaled` are always live.
 #[derive(Debug, Clone, Default)]
 pub struct SiteAudit {
     /// ORDUP: `(et, seq)` in application order.
@@ -95,16 +94,9 @@ pub struct SiteAudit {
     pub compe_events: Vec<(EtId, CompeEvent)>,
     /// Duplicate deliveries this site's idempotency guards suppressed.
     pub redelivered: u64,
-    /// MSets durably journalled at this site (chaos/process runtimes).
+    /// MSets durably journalled at this site (filled by `esrd`; 0 in
+    /// the thread runtime, which journals nothing).
     pub journaled: u64,
-    /// Planned retry attempts on links into this site (chaos only).
-    pub link_retries: u64,
-    /// Ack-timeout re-sends on links into this site (chaos only).
-    pub link_resends: u64,
-    /// Attempts dropped on links into this site (chaos only).
-    pub link_dropped: u64,
-    /// Planned duplicate copies on links into this site (chaos only).
-    pub link_duplicated: u64,
 }
 
 /// One site's protocol state machine, dispatching over the method.

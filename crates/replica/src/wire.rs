@@ -1,6 +1,6 @@
 //! Wire codec for [`MSet`]s.
 //!
-//! The chaos runtime backs outbound delivery with durable
+//! `esrd` backs outbound delivery with durable
 //! [`esr_storage::stable_queue::FileQueue`]s whose payloads are opaque
 //! bytes, and each site keeps a durable apply journal of the MSets it has
 //! applied. Both need a complete, self-describing MSet encoding — every
@@ -361,10 +361,8 @@ const COMPE_COMMITTED: u8 = 1;
 const COMPE_COMPENSATED: u8 = 2;
 const COMPE_SUPPRESSED: u8 = 3;
 
-/// The wire form of a site's oracle audit (the subset of
-/// `esr_runtime::SiteAudit` a daemon can answer for itself: its protocol
-/// logs and durability counters; relay-side link counters live with the
-/// sender).
+/// The wire form of a site's oracle audit (`esr_runtime::SiteAudit`): a
+/// daemon's protocol logs and durability counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WireAudit {
     /// ORDUP: `(et, seq)` in application order.

@@ -155,8 +155,7 @@ impl RpcClient {
     }
 
     /// The site's oracle audit (protocol logs, redelivery and journal
-    /// counters; the link counters stay zero — they are a
-    /// chaos-transport concept).
+    /// counters).
     pub fn audit(&mut self) -> io::Result<SiteAudit> {
         match self.call(&Frame::Audit)? {
             Frame::AuditOk(w) => Ok(SiteAudit {
@@ -168,7 +167,6 @@ impl RpcClient {
                 compe_events: w.compe_events,
                 redelivered: w.redelivered,
                 journaled: w.journaled,
-                ..SiteAudit::default()
             }),
             other => Err(bad_reply(&other)),
         }

@@ -5,8 +5,8 @@
 //! [`NodeCore`] — the pure control core `esrd` executes and `esr-model`
 //! checks — per OS thread, connected by channels. The cluster is only
 //! an **effect executor**: a site thread feeds inbound frames to
-//! `core.step` and performs the returned [`Effect`]s in order (journal
-//! append, sends to peers, event-log records); ORDUP hold-back, completion
+//! `core.step` and performs the returned [`Effect`]s in order (sends to
+//! peers, event-log records); ORDUP hold-back, completion
 //! tracking, VTNC certification and COMPE decisions are decided in
 //! `ctrl.rs` and nowhere else. Site 0 holds the coordinator role
 //! (view 0; no heartbeat tick is ever injected, so the role never
@@ -16,23 +16,20 @@
 //! system to settle — at which point all replicas are identical, the
 //! ESR convergence guarantee.
 //!
-//! Clusters built with [`Cluster::chaos`] route every frame — client
-//! submits included — through the durable fault-injection relays of
-//! [`crate::chaos`] (seeded drops, duplicates and partition windows for
-//! update-carrying frames, at-least-once for everything) and support
-//! [`Cluster::crash`] / [`Cluster::restart`] of any site, the
-//! coordinator included: a restart replays the site's journal through
-//! [`NodeCore::recover`] and greets every peer with a `Hello`, the
-//! same recovery `esrd` performs after a `kill -9`.
+//! This is the plain in-process runtime — what `examples/`, the stress
+//! tests and `esr-check`'s schedule explorer run. Its links are
+//! channels and its sites never die, so nothing is journalled; faults
+//! (loss, duplication, partitions, reordering, crash and restart) are
+//! injected under virtual time by [`esr_replica::SimCluster`], and real
+//! files and real processes under `kill -9` are
+//! [`crate::ProcCluster`]'s.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::atomic::AtomicCell;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use parking_lot::RwLock;
 
 use esr_core::divergence::{EpsilonSpec, InconsistencyCounter};
 use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId, VersionTs};
@@ -41,13 +38,10 @@ use esr_core::value::Value;
 use esr_obs::{GaugeFamily, MetricsRegistry, SiteInstruments};
 use esr_replica::mset::MSet;
 use esr_replica::site::QueryOutcome;
-use esr_replica::wire::{encode_frame, Frame};
+use esr_replica::wire::Frame;
 use esr_sim::probe;
-use esr_storage::stable_queue::EntryId;
 
-use crate::chaos::{self, ChaosStats, FaultPlan, RelayHandle, RelayMsg, TraceEvent};
 use crate::ctrl::{CtrlCanary, Effect, NodeCore, NodeEvent};
-use crate::recovery::ApplyJournal;
 use crate::spans::{EventLog, RawEvent, SPAN_QUERY_ALL};
 use crate::state::{RtMethod, SiteAudit, SiteState};
 
@@ -130,57 +124,24 @@ pub enum RtCanary {
 enum SiteMsg {
     /// A wire frame for the site's core. A frame whose sender is the
     /// site itself arrived on its client plane (`Submit`, `Decision`);
-    /// any other sender is a peer link. Under chaos the frame came
-    /// through a relay, which is acked once every effect of the step
-    /// it caused has been performed.
-    Frame {
-        from: SiteId,
-        frame: Frame,
-        ack: Option<(EntryId, Sender<RelayMsg>)>,
-    },
+    /// any other sender is a peer link.
+    Frame { from: SiteId, frame: Frame },
     /// A rendezvous with the site thread (query / snapshot / settled /
     /// has-applied / audit), answered from the live core — its public
     /// `state` — the way `esrd` answers its client plane.
     Inspect(Box<dyn FnOnce(&mut Site) + Send>),
-    /// Tear the site thread down (shutdown, or mid-stream by
-    /// [`Cluster::crash`]): everything still in the channel is lost,
-    /// exactly like a process kill; durable state (journal) survives
-    /// for [`Cluster::restart`].
+    /// Tear the site thread down.
     Stop,
 }
 
-type SharedSenders = Arc<RwLock<Vec<Sender<SiteMsg>>>>;
-
-/// How frames travel between sites (and from the cluster's client
-/// plane to a site): the executor of [`Effect::Send`].
+/// Every site's inbox — how frames travel between sites (and from the
+/// cluster's client plane to a site): the executor of [`Effect::Send`].
 #[derive(Clone)]
-enum Wiring {
-    /// Plain cluster: straight into the destination's inbox.
-    Direct(SharedSenders),
-    /// Chaos cluster: encoded onto the durable `from -> to` relay
-    /// (`relays[from][to]`); sites journal under `dir`.
-    Relayed {
-        relays: Arc<Vec<Vec<Sender<RelayMsg>>>>,
-        dir: PathBuf,
-    },
-}
+struct Inboxes(Arc<Vec<Sender<SiteMsg>>>);
 
-impl Wiring {
+impl Inboxes {
     fn send(&self, from: SiteId, to: SiteId, frame: Frame) {
-        match self {
-            Wiring::Direct(senders) => {
-                let msg = SiteMsg::Frame {
-                    from,
-                    frame,
-                    ack: None,
-                };
-                let _ = senders.read()[to.raw() as usize].send(msg);
-            }
-            Wiring::Relayed { relays, .. } => {
-                let relay = &relays[from.raw() as usize][to.raw() as usize];
-                let _ = relay.send(RelayMsg::Send(encode_frame(&frame)));
-            }
-        }
+        let _ = self.0[to.raw() as usize].send(SiteMsg::Frame { from, frame });
     }
 }
 
@@ -189,39 +150,22 @@ fn peers(me: SiteId, n: usize) -> impl Iterator<Item = SiteId> {
     (0..n as u64).map(SiteId).filter(move |s| *s != me)
 }
 
-/// Everything a site thread needs besides its receiver; bundled so
-/// [`Cluster::restart`] can respawn a site with identical wiring.
+/// Everything a site thread needs besides its receiver.
 #[derive(Clone)]
 struct SiteSpawn {
     method: RtMethod,
     n: usize,
     audit: bool,
     canary: RtCanary,
-    wiring: Wiring,
-    /// Shared registry: each incarnation of a site re-registers the same
-    /// series (same labels → same cells), so counters survive
-    /// crash/restart cycles.
+    inboxes: Inboxes,
     metrics: MetricsRegistry,
 }
 
 /// The cluster's handle on one site.
 struct SiteSlot {
-    /// `None` while the site is crashed (or after shutdown).
+    /// `None` after shutdown.
     thread: Option<JoinHandle<()>>,
-    /// The current incarnation's event log (a restart starts a fresh
-    /// one: the log dies with the "process").
     events: EventLog,
-    /// Boot count, echoed in the restart `Hello`.
-    epoch: u64,
-}
-
-/// The chaos machinery attached to a cluster built with
-/// [`Cluster::chaos`].
-struct ChaosRuntime {
-    /// Relay per directed link, indexed `from * n + to`.
-    relays: Vec<RelayHandle>,
-    crashes: u64,
-    restarts: u64,
 }
 
 /// A running thread-per-site cluster.
@@ -241,9 +185,6 @@ struct ChaosRuntime {
 /// assert_eq!(out.values, vec![Value::Int(5)]);
 /// ```
 pub struct Cluster {
-    /// Senders shared with the sites and the relays so
-    /// [`Cluster::restart`] can swap a crashed site's channel in place.
-    site_senders: SharedSenders,
     sites: Vec<SiteSlot>,
     sequencer: AtomicCell,
     version_clock: AtomicCell,
@@ -253,7 +194,6 @@ pub struct Cluster {
     next_et: AtomicCell,
     n: usize,
     spawn_cfg: SiteSpawn,
-    chaos: Option<ChaosRuntime>,
     /// `esr_divergence{site}`: objects where the site's quiesced value
     /// disagrees with the cluster consensus (see
     /// [`Cluster::refresh_metrics`]).
@@ -266,22 +206,14 @@ pub struct Cluster {
 /// One site thread's world: the pure core plus what its effects act on.
 struct Site {
     core: NodeCore,
-    /// The write-ahead journal [`Effect::Journal`] appends to; `Some`
-    /// only under chaos (a plain cluster never restarts a site).
-    journal: Option<ApplyJournal>,
-    wiring: Wiring,
+    inboxes: Inboxes,
     events: EventLog,
     canary: RtCanary,
 }
 
 impl Site {
-    /// Boots a site: a fresh core on a plain cluster; under chaos the
-    /// journal replay through [`NodeCore::recover`] followed by the
-    /// link handshake — a `Hello` to every peer, which makes the
-    /// coordinator answer with its control snapshot and (when the
-    /// recovering site *is* the coordinator) the followers re-announce
-    /// their applies and decisions.
-    fn boot(i: usize, cfg: SiteSpawn, events: EventLog, epoch: u64) -> Self {
+    /// Boots a site around a fresh core.
+    fn boot(i: usize, cfg: SiteSpawn, events: EventLog) -> Self {
         let SiteSpawn { method, n, .. } = cfg;
         let id = SiteId(i as u64);
         let mut state = SiteState::new(method, id);
@@ -291,38 +223,12 @@ impl Site {
         }
         let ctrl_canary =
             (cfg.canary == RtCanary::VtncEagerCertify).then_some(CtrlCanary::StaleVtncCert);
-        let (core, journal, boot_effects) = match &cfg.wiring {
-            Wiring::Direct(_) => (
-                NodeCore::fresh(state, method, id, n, ctrl_canary),
-                None,
-                Vec::new(),
-            ),
-            Wiring::Relayed { dir, .. } => {
-                let path = dir.join(format!("site-{i}.journal"));
-                let journal = ApplyJournal::open(&path)
-                    .unwrap_or_else(|e| panic!("open site journal {}: {e}", path.display()));
-                let entries = journal.replay();
-                cfg.metrics
-                    .counter("esr_recovery_replays_total", &[("site", &i.to_string())])
-                    .add(entries.len() as u64);
-                let (core, mut effects) =
-                    NodeCore::recover(state, method, id, n, ctrl_canary, 0, entries);
-                effects.extend(peers(id, n).map(|to| Effect::Send {
-                    to,
-                    frame: Frame::Hello { site: id, epoch },
-                }));
-                (core, Some(journal), effects)
-            }
-        };
-        let mut site = Self {
-            core,
-            journal,
-            wiring: cfg.wiring,
+        Self {
+            core: NodeCore::fresh(state, method, id, n, ctrl_canary),
+            inboxes: cfg.inboxes,
             events,
             canary: cfg.canary,
-        };
-        site.perform(boot_effects);
-        site
+        }
     }
 
     /// Steps the core with one inbound frame and performs the effects.
@@ -338,7 +244,7 @@ impl Site {
                 s.apply_unchecked(m.clone());
                 if from == me {
                     for to in peers(me, self.core.sites) {
-                        self.wiring.send(me, to, Frame::MSet(m.clone()));
+                        self.inboxes.send(me, to, Frame::MSet(m.clone()));
                     }
                 }
                 return;
@@ -357,48 +263,37 @@ impl Site {
         self.perform(effects);
     }
 
-    /// Executes core effects strictly in order — the write-ahead rule
-    /// `Daemon::perform` follows: a step's journal append lands before
-    /// the sends that announce it, and (in the site loop) the inbound
-    /// relay entry is acked only after all of them.
+    /// Executes core effects strictly in order.
     fn perform(&mut self, effects: Vec<Effect>) {
         for effect in effects {
             match effect {
-                Effect::Journal(mset) => {
-                    if let Some(j) = &mut self.journal {
-                        j.record(&mset);
-                    }
-                }
-                Effect::Send { to, frame } => self.wiring.send(self.core.site, to, frame),
+                Effect::Send { to, frame } => self.inboxes.send(self.core.site, to, frame),
                 Effect::Event(event) => self.events.record(event),
-                // No heartbeat tick is ever injected, so no view past 0
-                // is ever installed; checkpoint cuts have no consumer
-                // in this runtime.
-                Effect::RecordView(_) | Effect::Checkpoint(_) => {}
+                // A site thread never dies and no heartbeat tick is
+                // ever injected: nothing to journal, no view past 0 to
+                // record, no consumer for a checkpoint cut.
+                Effect::Journal(_) | Effect::RecordView(_) | Effect::Checkpoint(_) => {}
             }
         }
     }
 }
 
-/// Spawns incarnation `epoch` of site `i` with a fresh event log.
-fn spawn_site(i: usize, rx: Receiver<SiteMsg>, cfg: SiteSpawn, epoch: u64) -> SiteSlot {
+/// Spawns site `i`'s thread.
+fn spawn_site(i: usize, rx: Receiver<SiteMsg>, cfg: SiteSpawn) -> SiteSlot {
     let events = EventLog::start();
     let site_events = events.clone();
     let thread = std::thread::Builder::new()
         .name(format!("esr-site-{i}"))
         .spawn(move || {
-            let mut site = Site::boot(i, cfg, site_events, epoch);
+            let mut site = Site::boot(i, cfg, site_events);
             // Logical location of this site's protocol state for
             // the race detector: only this thread may touch it.
             let state_loc = SITE_STATE_LOC + i as u64;
             while let Ok(msg) = rx.recv() {
                 match msg {
-                    SiteMsg::Frame { from, frame, ack } => {
+                    SiteMsg::Frame { from, frame } => {
                         probe::mem_write(state_loc);
                         site.on_frame(from, frame);
-                        if let Some((entry, relay)) = ack {
-                            let _ = relay.send(RelayMsg::Ack { entry });
-                        }
                     }
                     SiteMsg::Inspect(ask) => {
                         probe::mem_write(state_loc);
@@ -412,14 +307,13 @@ fn spawn_site(i: usize, rx: Receiver<SiteMsg>, cfg: SiteSpawn, epoch: u64) -> Si
     SiteSlot {
         thread: Some(thread),
         events,
-        epoch,
     }
 }
 
 impl Cluster {
     /// Spawns `n` site threads running `method`.
     pub fn new(method: RtMethod, n: usize) -> Self {
-        Self::build(method, n, false, RtCanary::None, None)
+        Self::build(method, n, false, RtCanary::None)
     }
 
     /// Spawns a cluster with per-site oracle audits enabled and an
@@ -427,98 +321,28 @@ impl Cluster {
     /// drives. Pass [`RtCanary::None`] for a faithful (audited but
     /// unmutated) cluster.
     pub fn checked(method: RtMethod, n: usize, canary: RtCanary) -> Self {
-        Self::build(method, n, true, canary, None)
+        Self::build(method, n, true, canary)
     }
 
-    /// Spawns a chaos cluster: every frame travels through a durable
-    /// per-link relay that injects the seeded faults of `plan` into the
-    /// update-carrying ones, and sites journal accepted MSets under
-    /// `dir` so [`Cluster::crash`] / [`Cluster::restart`] can lose and
-    /// rebuild a site mid-run. `dir` is created if missing and must be
-    /// private to this cluster (queue and journal files are keyed by
-    /// site index).
-    pub fn chaos(method: RtMethod, n: usize, plan: FaultPlan, dir: impl AsRef<Path>) -> Self {
-        Self::build(method, n, false, RtCanary::None, Some((plan, dir.as_ref().to_path_buf())))
-    }
-
-    fn build(
-        method: RtMethod,
-        n: usize,
-        audit: bool,
-        canary: RtCanary,
-        chaos: Option<(FaultPlan, PathBuf)>,
-    ) -> Self {
+    fn build(method: RtMethod, n: usize, audit: bool, canary: RtCanary) -> Self {
         assert!(n > 0);
         let (senders, receivers): (Vec<_>, Vec<Receiver<SiteMsg>>) =
             (0..n).map(|_| unbounded()).unzip();
-        let site_senders: SharedSenders = Arc::new(RwLock::new(senders));
-
-        // Relays: one durable queue + fate planner per directed link.
-        // The self-link `i -> i` is site `i`'s client plane: submits
-        // (and, at site 0, COMPE decisions) ride it, so a submit to a
-        // crashed origin waits in the never-crashing relay — fault-
-        // planned like any update, just never partitioned. The relays
-        // come up before the sites, which send on them while booting.
-        let mut chaos_rt = None;
-        let wiring = match chaos {
-            None => Wiring::Direct(Arc::clone(&site_senders)),
-            Some((plan, dir)) => {
-                std::fs::create_dir_all(&dir)
-                    .unwrap_or_else(|e| panic!("create chaos dir {}: {e}", dir.display()));
-                let relays: Vec<RelayHandle> = (0..n * n)
-                    .map(|link| {
-                        let (from, to) = (link / n, link % n);
-                        let senders = Arc::clone(&site_senders);
-                        let deliver = move |frame: Frame, ack: (EntryId, Sender<RelayMsg>)| {
-                            let site = { senders.read()[to].clone() };
-                            site.send(SiteMsg::Frame {
-                                from: SiteId(from as u64),
-                                frame,
-                                ack: Some(ack),
-                            })
-                            .is_ok()
-                        };
-                        chaos::spawn_relay(
-                            SiteId(from as u64),
-                            SiteId(to as u64),
-                            n,
-                            plan.clone(),
-                            dir.join(format!("link-{from}-{to}.queue")),
-                            deliver,
-                        )
-                    })
-                    .collect();
-                let senders = relays
-                    .chunks(n)
-                    .map(|row| row.iter().map(|r| r.sender.clone()).collect())
-                    .collect();
-                chaos_rt = Some(ChaosRuntime {
-                    relays,
-                    crashes: 0,
-                    restarts: 0,
-                });
-                Wiring::Relayed {
-                    relays: Arc::new(senders),
-                    dir,
-                }
-            }
-        };
         let spawn_cfg = SiteSpawn {
             method,
             n,
             audit,
             canary,
-            wiring,
+            inboxes: Inboxes(Arc::new(senders)),
             metrics: MetricsRegistry::new(),
         };
         let sites = receivers
             .into_iter()
             .enumerate()
-            .map(|(i, rx)| spawn_site(i, rx, spawn_cfg.clone(), 1))
+            .map(|(i, rx)| spawn_site(i, rx, spawn_cfg.clone()))
             .collect();
 
         Self {
-            site_senders,
             sites,
             sequencer: AtomicCell::new(0),
             version_clock: AtomicCell::new(0),
@@ -527,7 +351,6 @@ impl Cluster {
             divergence_gauge: GaugeFamily::new(&spawn_cfg.metrics, "esr_divergence"),
             queue_depth_gauge: GaugeFamily::new(&spawn_cfg.metrics, "esr_site_queue_depth"),
             spawn_cfg,
-            chaos: chaos_rt,
         }
     }
 
@@ -545,17 +368,14 @@ impl Cluster {
         EtId(self.next_et.fetch_add(1))
     }
 
-    fn sender_of(&self, site: SiteId) -> Sender<SiteMsg> {
-        self.site_senders.read()[site.raw() as usize].clone()
+    fn inboxes(&self) -> &[Sender<SiteMsg>] {
+        &self.spawn_cfg.inboxes.0
     }
 
     /// Submits an update ET originating at `origin`: stamped here (ET id,
     /// ORDUP sequence), handed to the origin's core as a client submit,
     /// and fanned out to every site by the core. Returns immediately
-    /// with the ET id. On a chaos cluster the submit rides the origin's
-    /// durable self-link relay, so it survives the origin being down;
-    /// the client stamp lets the core absorb the relay's re-sends
-    /// instead of fanning out twice.
+    /// with the ET id.
     pub fn submit_update(&self, origin: SiteId, ops: Vec<ObjectOp>) -> EtId {
         let et = self.fresh_et();
         let mset = match self.spawn_cfg.method {
@@ -567,7 +387,7 @@ impl Cluster {
         }
         .from_client(ClientId(0), et.0);
         self.spawn_cfg
-            .wiring
+            .inboxes
             .send(origin, origin, Frame::Submit(mset));
         et
     }
@@ -583,9 +403,7 @@ impl Cluster {
     }
 
     /// COMPE: issues a commit decision for `et` at the coordinator
-    /// (site 0), which broadcasts it. Under chaos the decision rides
-    /// site 0's durable client plane and the broadcast the durable
-    /// links (at-least-once, not fault-injected).
+    /// (site 0), which broadcasts it.
     pub fn commit(&self, et: EtId) {
         self.decide(et, true);
     }
@@ -599,54 +417,14 @@ impl Cluster {
     fn decide(&self, et: EtId, commit: bool) {
         let coordinator = SiteId(0);
         self.spawn_cfg
-            .wiring
+            .inboxes
             .send(coordinator, coordinator, Frame::Decision { et, commit });
-    }
-
-    /// Crashes a site: the thread is torn down mid-stream and every
-    /// message still in its channel — deliveries, control frames,
-    /// pending acks — is lost along with the core's volatile state, as
-    /// in a process kill. Durable state (the site's journal) survives.
-    /// Only meaningful on chaos clusters; relays keep retrying the dead
-    /// site until [`Cluster::restart`].
-    pub fn crash(&mut self, site: SiteId) {
-        assert!(self.chaos.is_some(), "crash() requires a chaos cluster");
-        let sender = self.sender_of(site);
-        let _ = sender.send(SiteMsg::Stop);
-        if let Some(h) = self.sites[site.raw() as usize].thread.take() {
-            let _ = h.join();
-        }
-        if let Some(c) = &mut self.chaos {
-            c.crashes += 1;
-        }
-    }
-
-    /// Restarts a crashed site: a fresh thread replays the durable
-    /// journal through [`NodeCore::recover`], greets every peer with a
-    /// `Hello` (recovering completions, VTNC horizons and decisions
-    /// through the core's own exchange), and catches up on everything
-    /// it missed through the relays' ack-timeout re-sends. The new
-    /// channel is swapped into the shared sender table so the relays
-    /// reach the new incarnation.
-    pub fn restart(&mut self, site: SiteId) {
-        assert!(self.chaos.is_some(), "restart() requires a chaos cluster");
-        let i = site.raw() as usize;
-        assert!(
-            self.sites[i].thread.is_none(),
-            "restart() of a site that is still running"
-        );
-        let (tx, rx) = unbounded();
-        self.site_senders.write()[i] = tx;
-        self.sites[i] = spawn_site(i, rx, self.spawn_cfg.clone(), self.sites[i].epoch + 1);
-        if let Some(c) = &mut self.chaos {
-            c.restarts += 1;
-        }
     }
 
     /// One request/reply rendezvous with a site thread: `ask` runs on
     /// the site's thread against its live state. Degrades instead of
-    /// panicking when the site is already down (shutdown or crash raced
-    /// the caller): `fallback` supplies the answer a dead site gives.
+    /// panicking when the site is already down (shutdown raced the
+    /// caller): `fallback` supplies the answer a dead site gives.
     fn rendezvous<T: Send + 'static>(
         &self,
         site: SiteId,
@@ -657,7 +435,7 @@ impl Cluster {
         let msg = SiteMsg::Inspect(Box::new(move |s| {
             let _ = tx.send(ask(s));
         }));
-        if self.sender_of(site).send(msg).is_err() {
+        if self.inboxes()[site.raw() as usize].send(msg).is_err() {
             return fallback();
         }
         rx.recv().unwrap_or_else(|_| fallback())
@@ -711,27 +489,9 @@ impl Cluster {
     }
 
     /// The oracle audit of one site. Protocol logs are meaningful only
-    /// on clusters built with [`Cluster::checked`]; the chaos counters
-    /// (`redelivered`, `journaled`, and the `link_*` fields aggregated
-    /// over this site's inbound relays) are live on any chaos cluster.
+    /// on clusters built with [`Cluster::checked`].
     pub fn audit_of(&self, site: SiteId) -> SiteAudit {
-        let ask = |s: &mut Site| {
-            let mut a = s.core.state.audit();
-            a.journaled = s.journal.as_ref().map_or(0, ApplyJournal::entries);
-            a
-        };
-        let mut a = self.rendezvous(site, ask, SiteAudit::default);
-        if let Some(c) = &self.chaos {
-            for r in c.relays.iter().filter(|r| r.to == site) {
-                if let Some(s) = r.status() {
-                    a.link_retries += s.retries;
-                    a.link_resends += s.resends;
-                    a.link_dropped += s.stats.dropped_attempts;
-                    a.link_duplicated += s.stats.duplicated;
-                }
-            }
-        }
-        a
+        self.rendezvous(site, |s| s.core.state.audit(), SiteAudit::default)
     }
 
     /// Has `site` applied `et` yet? (`false` once shut down.)
@@ -739,57 +499,20 @@ impl Cluster {
         self.rendezvous(site, move |s| s.core.state.has_applied(et), || false)
     }
 
-    /// Dumps a site's event log — every `Effect::Event` of its current
-    /// incarnation, as `(dropped, events)` in the shape
-    /// [`crate::ProcCluster::trace_of`] returns (a restart starts a
-    /// fresh log, like a daemon process).
+    /// Dumps a site's event log — every `Effect::Event` so far, as
+    /// `(dropped, events)` in the shape [`crate::ProcCluster::trace_of`]
+    /// returns.
     pub fn trace_of(&self, site: SiteId) -> (u64, Vec<RawEvent>) {
         self.sites[site.raw() as usize]
             .events
             .query(SPAN_QUERY_ALL)
     }
 
-    /// Aggregated fault counters across every relay, plus crash/restart
-    /// counts. Zeroes on non-chaos clusters.
-    pub fn chaos_stats(&self) -> ChaosStats {
-        let mut agg = ChaosStats::default();
-        if let Some(c) = &self.chaos {
-            for r in &c.relays {
-                if let Some(s) = r.status() {
-                    agg.absorb(&s);
-                }
-            }
-            agg.crashes = c.crashes;
-            agg.restarts = c.restarts;
-        }
-        agg
-    }
-
-    /// The deterministic fault trace: every planned link-level fate of
-    /// an update-carrying frame, sorted by (from, to, k-th update). Two runs with the same
-    /// [`FaultPlan`] and submission order produce identical traces
-    /// regardless of thread scheduling. Empty on non-chaos clusters.
-    pub fn fault_trace(&self) -> Vec<TraceEvent> {
-        let mut events = Vec::new();
-        if let Some(c) = &self.chaos {
-            for r in &c.relays {
-                if let Some(s) = r.status() {
-                    events.extend(s.trace);
-                }
-            }
-        }
-        events.sort_unstable();
-        events
-    }
-
     /// Blocks until every site reports settled twice in a row (no
     /// backlog, no in-flight updates) — the quiescent state at which ESR
-    /// guarantees all replicas are identical. On a chaos cluster this
-    /// additionally requires every relay queue to be drained (all
-    /// entries acked), so call [`Cluster::restart`] for any crashed
-    /// site first: a dead site can never ack and quiesce would spin.
-    /// Dead sites on a *shut-down* cluster count as settled, so shutdown
-    /// paths always terminate.
+    /// guarantees all replicas are identical. Dead sites on a
+    /// *shut-down* cluster count as settled, so shutdown paths always
+    /// terminate.
     ///
     /// Panics if the cluster fails to settle within a generous default
     /// deadline (two minutes) — use [`Cluster::quiesce_within`] to
@@ -801,8 +524,8 @@ impl Cluster {
 
     /// [`Cluster::quiesce`] with an explicit deadline: returns
     /// `Err(QuiesceTimeout)` instead of spinning forever when the
-    /// cluster cannot settle (a crashed-and-never-restarted site, a
-    /// partition window outlasting the deadline, a protocol bug).
+    /// cluster cannot settle (a protocol bug, an undecided COMPE
+    /// update).
     pub fn quiesce_within(&self, deadline: std::time::Duration) -> Result<(), QuiesceTimeout> {
         let start = std::time::Instant::now();
         let mut stable_rounds = 0;
@@ -815,22 +538,12 @@ impl Cluster {
                 });
             }
             self.sample_queue_depths();
-            let relays_drained = match &self.chaos {
-                Some(c) => c
-                    .relays
-                    .iter()
-                    .all(|r| r.status().is_none_or(|s| s.pending == 0)),
-                None => true,
-            };
-            let all_settled = relays_drained
-                && (0..self.n as u64)
-                    .all(|i| self.rendezvous(SiteId(i), |s| s.core.state.settled(), || true));
+            let all_settled = (0..self.n as u64)
+                .all(|i| self.rendezvous(SiteId(i), |s| s.core.state.settled(), || true));
             if all_settled {
                 stable_rounds += 1;
             } else {
                 stable_rounds = 0;
-                // A short sleep, not a hot yield: on a chaos cluster the
-                // status polls would otherwise flood the relay channels.
                 std::thread::sleep(std::time::Duration::from_micros(500));
             }
         }
@@ -857,8 +570,7 @@ impl Cluster {
     /// * `esr_divergence{site}` — objects whose value at the site
     ///   differs from the cluster consensus (the snapshot the largest
     ///   number of sites agree on, zero values stripped). 0 everywhere
-    ///   once the cluster has quiesced and converged — including after
-    ///   crash/restart recovery.
+    ///   once the cluster has quiesced and converged.
     /// * `esr_site_queue_depth{site}` — current inbox depth.
     pub fn refresh_metrics(&self) {
         fn normalize(m: BTreeMap<ObjectId, Value>) -> BTreeMap<ObjectId, Value> {
@@ -887,8 +599,7 @@ impl Cluster {
     /// Samples every site's inbox depth into `esr_site_queue_depth` and
     /// returns the depths.
     fn sample_queue_depths(&self) -> Vec<Option<u64>> {
-        self.site_senders
-            .read()
+        self.inboxes()
             .iter()
             .enumerate()
             .map(|(i, s)| {
@@ -900,20 +611,9 @@ impl Cluster {
             .collect()
     }
 
-    /// Stops all threads. Called automatically on drop. Relays go down
-    /// first so no new deliveries race the site shutdown.
+    /// Stops all threads. Called automatically on drop.
     pub fn shutdown(&mut self) {
-        if let Some(c) = &mut self.chaos {
-            for r in &c.relays {
-                let _ = r.sender.send(RelayMsg::Shutdown);
-            }
-            for r in &mut c.relays {
-                if let Some(h) = r.thread.take() {
-                    let _ = h.join();
-                }
-            }
-        }
-        for s in self.site_senders.read().iter() {
+        for s in self.inboxes() {
             let _ = s.send(SiteMsg::Stop);
         }
         for slot in &mut self.sites {
@@ -1079,17 +779,6 @@ mod tests {
         c.shutdown();
     }
 
-    #[test]
-    fn non_chaos_cluster_reports_zero_chaos_stats() {
-        let c = Cluster::new(RtMethod::Commu, 2);
-        c.submit_update(SiteId(0), incr(1));
-        c.quiesce();
-        assert_eq!(c.chaos_stats(), ChaosStats::default());
-        assert!(c.fault_trace().is_empty());
-        let a = c.audit_of(SiteId(0));
-        assert_eq!(a.journaled, 0);
-        assert_eq!(a.redelivered, 0);
-    }
 }
 
 #[cfg(test)]

@@ -16,21 +16,23 @@
 //!   version clock for RITU at the submit side. The paper's repro hint
 //!   calls for "async replicas"; this is exactly that with the crates
 //!   available in this workspace (threads + channels instead of an
-//!   async executor). [`chaos`] swaps the channels for seeded
-//!   fault-injecting durable relays and [`recovery`] adds the
-//!   write-ahead journal behind [`Cluster::crash`] /
-//!   [`Cluster::restart`].
+//!   async executor). It is the plain in-process runtime of the
+//!   examples, the stress tests and `esr-check`'s schedule explorer:
+//!   reliable links, sites that never die, nothing journalled.
 //! * [`daemon::Daemon`] (`esrd`) — the same core behind real sockets,
-//!   an on-disk journal, durable TCP links, checkpoints and spans;
-//!   [`proc_cluster::ProcCluster`] drives N of them as OS processes.
+//!   an on-disk journal ([`recovery`]), durable TCP links, checkpoints
+//!   and spans; [`proc_cluster::ProcCluster`] drives N of them as OS
+//!   processes, `kill -9` included.
 //!
-//! The fourth executor, the `esr-model` checker (`crates/check`), runs
-//! the same core against in-memory queues, every interleaving explored.
+//! Seeded fault injection — loss, duplication, partitions, reordering,
+//! crash and restart — has one home, the simulator
+//! ([`esr_replica::SimCluster::crash`] / `restart`, DESIGN.md §10). The
+//! fourth executor, the `esr-model` checker (`crates/check`), runs the
+//! same core against in-memory queues, every interleaving explored.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod chaos;
 pub mod client;
 pub mod cluster;
 pub mod daemon;
@@ -42,7 +44,6 @@ pub mod spans;
 // keeps its historical paths here.
 pub use esr_replica::{ctrl, node_ckpt as ckpt, state};
 
-pub use chaos::{render_trace, ChaosStats, FaultPlan, TraceEvent};
 pub use ckpt::{decode_payload, encode_payload, CkptPayload};
 pub use client::RpcClient;
 pub use cluster::{Cluster, QuiesceTimeout, RtCanary};

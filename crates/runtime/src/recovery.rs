@@ -9,8 +9,8 @@
 //! re-announces the recovered applies; the control-plane state that is
 //! *not* journalled (completion notices, VTNC horizons, COMPE
 //! decisions) comes back over the durable links via the core's Hello
-//! exchange. The `esrd` daemon and the thread runtime's chaos clusters
-//! share this journal and that recovery path. See DESIGN.md §10.
+//! exchange. This is `esrd`'s journal; the simulator runs the same
+//! recovery path over an in-memory one (DESIGN.md §10).
 
 use std::path::Path;
 
@@ -37,7 +37,7 @@ impl ApplyJournal {
     }
 
     /// Durably records an accepted MSet. Must be called before the MSet
-    /// is applied (write-ahead), and before the relay is acked. Returns
+    /// is applied (write-ahead), and before the envelope is acked. Returns
     /// the approximate bytes appended, for checkpoint-policy
     /// accounting.
     pub fn record(&mut self, mset: &MSet) -> u64 {

@@ -6,8 +6,9 @@
 //! queues buffer everything), restarts it, and then requires the full
 //! ESR guarantee: at quiescence all replicas are identical and equal to
 //! what a fault-free single-site run produces. This is the same oracle
-//! as the thread-runtime chaos tests — the transport is the only thing
-//! that changed, and that is the point.
+//! as the simulator's crash scenarios (`tests/adversarial.rs`) — real
+//! files, sockets and `kill -9` are the only things that changed, and
+//! that is the point.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -40,7 +41,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 /// Submits update `i`, originating it at one of `origins` (phase 2
 /// passes only the living sites — a killed daemon cannot accept
-/// submissions, unlike the thread runtime where submission bypasses the
+/// submissions, unlike the simulator, where a submit waits for the
 /// site). Ops are chosen per method so the final state is independent
 /// of delivery order.
 fn submit(c: &ProcCluster, method: RtMethod, i: u64, origins: &[u64]) -> EtId {
@@ -237,6 +238,30 @@ fn journal_replay_alone_restores_acknowledged_state() {
     );
     assert!(c.converged().expect("converged"));
     certify_cluster(&c, RtMethod::Commu, N);
+    c.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn quiesce_timeout_reports_per_site_queue_depths() {
+    // A killed, never-restarted site wedges the quiesce: the survivors'
+    // queues to it cannot drain. The error says where the work sits.
+    let dir = fresh_dir("timeout");
+    let mut c = ProcCluster::spawn(esrd(), &dir, RtMethod::Commu, N).expect("spawn");
+    submit(&c, RtMethod::Commu, 0, &[0]);
+    c.kill(SiteId(2));
+    submit(&c, RtMethod::Commu, 1, &[0]);
+    let err = c
+        .quiesce_within(Duration::from_millis(300))
+        .expect_err("a cluster with a dead site cannot quiesce");
+    assert_eq!(err.site_queues.len(), N, "one queue-depth slot per site");
+    assert!(err.site_queues[0].is_some() && err.site_queues[1].is_some());
+    assert_eq!(err.site_queues[2], None, "the dead site cannot be reached");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("per-site queue depths") && msg.contains("site 2: unreachable"),
+        "timeout error must carry the queue depths: {msg}"
+    );
     c.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
