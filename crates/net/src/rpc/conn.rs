@@ -133,9 +133,15 @@ impl Link {
     /// the bytes are in the stable queue — delivery happens (and keeps
     /// being retried) in the background.
     pub fn send(&self, payload: Bytes) -> EntryId {
-        let id = lock_queue(&self.queue).enqueue(payload);
+        self.send_batch(vec![payload])[0]
+    }
+
+    /// [`Link::send`] for several payloads at once: one queue append,
+    /// one nudge, delivery in the order given.
+    pub fn send_batch(&self, payloads: Vec<Bytes>) -> Vec<EntryId> {
+        let ids = lock_queue(&self.queue).enqueue_batch(payloads);
         self.reactor.nudge(self.token);
-        id
+        ids
     }
 
     /// Entries enqueued but not yet acknowledged by the peer.

@@ -26,14 +26,23 @@
 //! A self-pipe carries wake-ups from other threads (new commands, new
 //! queue entries), so the loop blocks in `poll` with no periodic tick
 //! when idle.
+//!
+//! A readiness cycle has three phases. **Dispatch**: every ready
+//! connection's envelopes go to [`RpcService::handle_batch`], replies
+//! and acks accumulating in its write buffer. **Commit**: each service
+//! dispatched to gets one [`RpcService::commit`] call, where it makes
+//! durable whatever the batches implied. **Write**: only then are the
+//! write buffers flushed, and the links the commit enqueued on are
+//! pumped at the top of the next cycle, before it polls — the commit's
+//! nudges come from this thread, so they skip the wake pipe.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -85,11 +94,18 @@ pub enum ConnKind {
 /// `envs` holds every complete envelope decoded in one readiness cycle
 /// (bounded, in arrival order); replies and acknowledgements are
 /// appended to `out` as already-framed bytes, which the reactor flushes
-/// through the connection's coalescing write buffer. Returning `false`
-/// closes the connection after a best-effort flush.
+/// through the connection's coalescing write buffer — after the
+/// cycle's [`RpcService::commit`]. Returning `false` closes the
+/// connection after that flush.
 pub trait RpcService: Send + Sync + 'static {
     /// Handles one batch of inbound envelopes from a single connection.
     fn handle_batch(&self, kind: ConnKind, envs: Vec<Envelope>, out: &mut Vec<u8>) -> bool;
+
+    /// Called once per readiness cycle, after every ready connection's
+    /// `handle_batch` and before any byte those calls appended to `out`
+    /// reaches a socket: whatever the replies and acks certify must be
+    /// durable when this returns.
+    fn commit(&self) {}
 }
 
 /// Everything the reactor needs to run one outbound durable link.
@@ -118,6 +134,8 @@ struct Ctrl {
     cmds: Mutex<Vec<Cmd>>,
     wake_tx: UnixStream,
     next_token: AtomicU64,
+    /// The reactor thread, once it runs.
+    thread: OnceLock<ThreadId>,
 }
 
 impl Ctrl {
@@ -125,6 +143,13 @@ impl Ctrl {
         match self.cmds.lock() {
             Ok(mut q) => q.push(cmd),
             Err(poisoned) => poisoned.into_inner().push(cmd),
+        }
+        // The loop drains commands at the top of every cycle, before it
+        // polls, so one queued from the reactor thread itself (a service
+        // enqueueing on a link while it handles or commits a batch)
+        // needs no wake-up.
+        if self.thread.get() == Some(&std::thread::current().id()) {
+            return;
         }
         // Nonblocking self-pipe: a full pipe already guarantees a
         // pending wake-up, so WouldBlock is success.
@@ -199,6 +224,7 @@ impl Reactor {
             cmds: Mutex::new(Vec::new()),
             wake_tx,
             next_token: AtomicU64::new(0),
+            thread: OnceLock::new(),
         });
         let handle = ReactorHandle {
             ctrl: Arc::clone(&ctrl),
@@ -538,21 +564,18 @@ fn reap_link(l: &mut LinkConn, scratch: &mut [u8]) -> bool {
     if rbuf.drain_envelopes(&mut envs, usize::MAX).is_err() {
         return false;
     }
-    let mut acked = 0u64;
-    {
-        let mut q = lock_queue(&l.spec.queue);
-        for env in &envs {
-            if let Some(ids) = env.ack_ids() {
-                for id in ids {
-                    if q.ack(EntryId(id)) {
-                        acked += 1;
-                    }
-                }
-            }
+    // Every id this read delivered retires with one queue append.
+    let ids: Vec<EntryId> = envs
+        .iter()
+        .filter_map(Envelope::ack_ids)
+        .flatten()
+        .map(EntryId)
+        .collect();
+    if !ids.is_empty() {
+        let acked = lock_queue(&l.spec.queue).ack_batch(&ids) as u64;
+        if acked > 0 {
+            l.spec.obs.acked(acked);
         }
-    }
-    if acked > 0 {
-        l.spec.obs.acked(acked);
     }
     alive
 }
@@ -581,10 +604,10 @@ fn link_tick(l: &mut LinkConn, now: Instant) -> Option<Instant> {
     }
 }
 
-/// Pumps one inbound connection: optional socket fill, then decode and
-/// dispatch envelope batches until the write buffer hits its cap.
-/// Returns `false` when the connection should close.
-fn service_inbound(c: &mut Inbound, scratch: &mut [u8]) -> bool {
+/// Reads what an inbound connection's socket holds and learns its
+/// plane from the first byte. Returns `false` when the peer hung up or
+/// spoke no known plane (envelopes that did arrive are still served).
+fn read_inbound(c: &mut Inbound, scratch: &mut [u8]) -> bool {
     let mut alive = true;
     // Skip the fill when a previous cycle already left a large backlog
     // of decodable bytes (a backpressured connection drains first). A
@@ -603,24 +626,33 @@ fn service_inbound(c: &mut Inbound, scratch: &mut [u8]) -> bool {
             _ => return false,
         };
     }
-    let Some(kind) = c.kind else { return alive };
+    alive
+}
+
+/// Decodes and dispatches an inbound connection's buffered envelopes
+/// until its write buffer hits the cap. Nothing is flushed here: the
+/// replies leave after the cycle's commit. Returns whether the service
+/// was handed any batch (and so is owed a commit); clears `alive` when
+/// the connection should close once its replies have left.
+fn dispatch_inbound(c: &mut Inbound, alive: &mut bool) -> bool {
+    let Some(kind) = c.kind else { return false };
+    let mut handled = false;
     while c.wbuf.pending() < WRITE_BUF_CAP {
         let mut envs = Vec::new();
         if c.rbuf.drain_envelopes(&mut envs, ENV_BATCH).is_err() {
-            return false;
+            *alive = false;
+            break;
         }
         if envs.is_empty() {
             break;
         }
+        handled = true;
         if !c.service.handle_batch(kind, envs, &mut c.wbuf.buf) {
-            let _ = c.wbuf.flush(&mut c.stream);
-            return false;
-        }
-        if c.wbuf.flush(&mut c.stream).is_err() {
-            return false;
+            *alive = false;
+            break;
         }
     }
-    alive
+    handled
 }
 
 struct Slots {
@@ -665,6 +697,7 @@ impl Slots {
 }
 
 fn run(ctrl: &Ctrl, wake_rx: &UnixStream, obs: &ReactorInstruments) {
+    let _ = ctrl.thread.set(std::thread::current().id());
     let mut st = Slots {
         slots: Vec::new(),
         free: Vec::new(),
@@ -782,6 +815,10 @@ fn run(ctrl: &Ctrl, wake_rx: &UnixStream, obs: &ReactorInstruments) {
         // the loop so a freed index can't be reused while stale
         // revents still reference it.
         let mut accepted: Vec<(TcpStream, Arc<dyn RpcService>)> = Vec::new();
+        // Inbound connections whose envelopes reached their service
+        // this cycle, with whether each outlives the flush of what it
+        // was answered.
+        let mut dispatched: Vec<(usize, bool)> = Vec::new();
         for (k, pfd) in pollfds.iter().enumerate().skip(1) {
             if pfd.revents == 0 {
                 continue;
@@ -812,12 +849,14 @@ fn run(ctrl: &Ctrl, wake_rx: &UnixStream, obs: &ReactorInstruments) {
                     // may unblock a backpressured connection's undecoded
                     // backlog) is a chance to read and dispatch — unless
                     // the connection still owes the peer too much.
-                    if alive {
-                        if c.wbuf.pending() < WRITE_BUF_CAP {
-                            alive = service_inbound(c, &mut scratch);
-                        } else if pfd.revents & (POLLERR | POLLHUP) != 0 {
-                            alive = false;
+                    if alive && c.wbuf.pending() < WRITE_BUF_CAP {
+                        alive = read_inbound(c, &mut scratch);
+                        if dispatch_inbound(c, &mut alive) {
+                            dispatched.push((i, alive));
+                            continue;
                         }
+                    } else if pfd.revents & (POLLERR | POLLHUP) != 0 {
+                        alive = false;
                     }
                     if !alive {
                         st.remove(i);
@@ -856,6 +895,42 @@ fn run(ctrl: &Ctrl, wake_rx: &UnixStream, obs: &ReactorInstruments) {
                 }
             }
         }
+
+        // 6. Commit, then write. What the handlers staged becomes
+        // durable before any reply or ack they produced reaches a
+        // socket. A connection the flush leaves with decodable frames
+        // and room in its write buffer is dispatched again at once — no
+        // socket event will ever announce that backlog — and its
+        // replies wait for the next round's commit.
+        while !dispatched.is_empty() {
+            let mut services: Vec<&Arc<dyn RpcService>> = Vec::new();
+            for (i, _) in &dispatched {
+                if let Some(Slot::Inbound(c)) = st.slots[*i].as_ref() {
+                    if !services.iter().any(|s| Arc::ptr_eq(s, &c.service)) {
+                        services.push(&c.service);
+                    }
+                }
+            }
+            for service in services {
+                service.commit();
+            }
+            let mut again = Vec::new();
+            for (i, alive) in dispatched.drain(..) {
+                let Some(Slot::Inbound(c)) = st.slots[i].as_mut() else {
+                    continue;
+                };
+                if c.wbuf.flush(&mut c.stream).is_err() || !alive {
+                    st.remove(i);
+                    obs.connection_closed();
+                } else if c.wbuf.pending() < WRITE_BUF_CAP && c.rbuf.has_complete_frame() {
+                    let mut alive = true;
+                    dispatch_inbound(c, &mut alive);
+                    again.push((i, alive));
+                }
+            }
+            dispatched = again;
+        }
+
         for (stream, service) in accepted {
             st.insert(Slot::Inbound(Inbound {
                 stream,
@@ -964,6 +1039,95 @@ mod tests {
         }
         assert_eq!(acked, vec![7, 8]);
         assert_eq!(*service.0.lock().unwrap(), vec![BIG, 4]);
+    }
+
+    /// Echoes every envelope but `bad`, which it refuses; `commit`
+    /// reports in and then blocks until the test lets it go.
+    struct Gated {
+        entered: Mutex<std::sync::mpsc::Sender<()>>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl RpcService for Gated {
+        fn handle_batch(&self, _kind: ConnKind, envs: Vec<Envelope>, out: &mut Vec<u8>) -> bool {
+            for env in envs {
+                if env.payload == b"bad" {
+                    return false;
+                }
+                let _ = write_frame(out, &seal(NO_ENTRY, &env.payload));
+            }
+            true
+        }
+
+        fn commit(&self) {
+            let _ = self.entered.lock().unwrap().send(());
+            let _ = self.release.lock().unwrap().recv();
+        }
+    }
+
+    #[test]
+    fn replies_leave_only_after_the_commit_even_when_the_batch_closes_the_connection() {
+        use super::super::frame::{read_frame, unseal};
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let reactor = Reactor::new().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        reactor.serve(
+            listener,
+            Arc::new(Gated {
+                entered: Mutex::new(entered_tx),
+                release: Mutex::new(release_rx),
+            }),
+        );
+
+        // One write, so one readiness batch: a request, then the frame
+        // that makes the service hang up.
+        let mut client = TcpStream::connect(addr).unwrap();
+        let mut bytes = vec![KIND_CLIENT];
+        write_frame(&mut bytes, &seal(NO_ENTRY, b"ping")).unwrap();
+        write_frame(&mut bytes, &seal(NO_ENTRY, b"bad")).unwrap();
+        client.write_all(&bytes).unwrap();
+
+        // The reactor is now inside `commit`: the reply exists, and
+        // must not have reached the socket.
+        entered.recv_timeout(Duration::from_secs(10)).expect("commit called");
+        client.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+        let early = client.read(&mut [0u8; 1]);
+        assert!(
+            matches!(&early, Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)),
+            "a reply overtook the commit: {early:?}"
+        );
+
+        // Commit returns: the earlier reply is flushed, then the close.
+        drop(release);
+        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let reply = unseal(read_frame(&mut client).expect("reply after commit")).unwrap();
+        assert_eq!(reply.payload, b"ping");
+        assert!(read_frame(&mut client).is_err(), "connection closed after the flush");
+    }
+
+    #[test]
+    fn a_command_from_the_reactor_thread_skips_the_wake_pipe() {
+        let (wake_tx, mut wake_rx) = UnixStream::pair().unwrap();
+        wake_tx.set_nonblocking(true).unwrap();
+        wake_rx.set_nonblocking(true).unwrap();
+        let ctrl = Arc::new(Ctrl {
+            cmds: Mutex::new(Vec::new()),
+            wake_tx,
+            next_token: AtomicU64::new(0),
+            thread: OnceLock::new(),
+        });
+        // This thread plays the reactor.
+        ctrl.thread.set(std::thread::current().id()).unwrap();
+        ctrl.push(Cmd::Nudge(7));
+        assert!(wake_rx.read(&mut [0u8; 8]).is_err(), "self-nudge wrote a wake byte");
+        // Any other thread still wakes it.
+        let other = Arc::clone(&ctrl);
+        std::thread::spawn(move || other.push(Cmd::Nudge(8))).join().unwrap();
+        assert_eq!(wake_rx.read(&mut [0u8; 8]).unwrap(), 1);
+        // Both commands are queued for the top of the next cycle.
+        assert_eq!(take_cmds(&ctrl).len(), 2);
     }
 
     #[test]

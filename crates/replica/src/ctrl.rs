@@ -60,7 +60,11 @@
 //! whatever was acked is journalled, whatever wasn't acked will be
 //! retransmitted by the peer's at-least-once queue. The same rule
 //! covers [`Effect::RecordView`]: a view is durable before the first
-//! send that presumes it.
+//! send that presumes it. An executor may batch as long as those edges
+//! hold: `esrd` stages the `Journal` and `Send` effects of a whole
+//! reactor cycle and writes them once, submit fan-out first, then the
+//! journal records, then every other send, and acknowledges nothing of
+//! the cycle before that (`esr_runtime::commit`, DESIGN.md §13.1).
 //!
 //! ## One observational effect per protocol point
 //!

@@ -12,10 +12,22 @@
 //! scales to thousands of concurrent sockets. A peer connection's
 //! envelopes are dispatched in readiness-cycle batches and answered
 //! with a single batched ack frame. Every accepted update MSet is
-//! write-ahead journalled *before* it is applied or acknowledged, so a
-//! `kill -9` never loses an acked update: the next incarnation replays
-//! the journal, re-announces its applies, and catches up on everything
-//! it missed through the peers' at-least-once queues.
+//! journalled *before* it is acknowledged, so a `kill -9` never loses
+//! an acked update: the next incarnation replays the journal,
+//! re-announces its applies, and catches up on everything it missed
+//! through the peers' at-least-once queues.
+//!
+//! ## Tick commit
+//!
+//! A reactor cycle is the unit of durability. Stepping the core writes
+//! nothing: the journal records and link sends of every step of a
+//! cycle are staged ([`crate::commit::Staged`]), and the reactor calls
+//! [`RpcService::commit`] once, after the last step and before any
+//! reply or ack of the cycle reaches a socket. The commit is one
+//! append per link for the submits' fan-out, then one journal append,
+//! then one append per link for everything else — the order
+//! `crate::commit` argues. Steps made off the reactor thread (the
+//! heartbeat timer, boot recovery) commit as soon as they are staged.
 //!
 //! ## Topology and the coordinator
 //!
@@ -79,6 +91,7 @@ use esr_storage::stable_queue::FileQueue;
 
 use crate::ckpt::{decode_payload, encode_payload, CkptPayload};
 use crate::client::RpcClient;
+use crate::commit::{Staged, Write};
 use crate::ctrl::{Effect, NodeCore, NodeEvent};
 use crate::recovery::ApplyJournal;
 use crate::spans::EventLog;
@@ -132,8 +145,16 @@ pub struct Daemon {
     /// set, view-change machine, and — on the current view's
     /// coordinator — the coordinator core).
     core: Mutex<NodeCore>,
-    /// The on-disk write-ahead journal the core's `Effect::Journal`
-    /// effects append to. Lock order: `core` before `journal`.
+    /// Journal records and link sends stepped but not yet written.
+    /// [`Daemon::commit`] holds this lock across its writes, so commits
+    /// are serialised: a second committer (the heartbeat thread racing
+    /// the reactor) blocks until the first has written, and can never
+    /// return — releasing its cycle's acks — while records the first
+    /// took are still in flight. Lock order: `core`, `staged`,
+    /// `journal`, then a link's queue.
+    staged: Mutex<Staged>,
+    /// The on-disk journal a commit appends the core's
+    /// `Effect::Journal` effects to.
     journal: Mutex<ApplyJournal>,
     /// Durable outbound links, indexed by target site (`None` at our
     /// own slot).
@@ -150,10 +171,21 @@ pub struct Daemon {
     /// the core plus the daemon's own boot and checkpoint-chain notes;
     /// scraped via [`Frame::EventQuery`].
     events: EventLog,
-    /// Wall-clock journal+apply latency per accepted MSet.
+    /// Wall-clock latency of the core step that accepts an MSet
+    /// (apply and staging; its journal write is the cycle's commit).
     apply_latency: Histogram,
     /// Wall-clock client-plane request handling latency.
     rpc_latency: Histogram,
+    /// Journal records plus link frames written per non-empty commit
+    /// (`esr_commit_records`): the batching a cycle achieved.
+    commit_records: Histogram,
+    /// Wall-clock latency of a non-empty commit
+    /// (`esr_commit_latency_micros`).
+    commit_latency: Histogram,
+    /// Peer frames that failed to decode — acked so a poisoned entry is
+    /// not retransmitted forever, and dropped
+    /// (`esr_peer_frames_rejected_total`).
+    peer_frames_rejected: Counter,
     /// The currently installed view (`esr_view`).
     view_gauge: Gauge,
     /// Whether this site holds the coordinator role (`esr_coordinator`).
@@ -482,6 +514,11 @@ impl Daemon {
         let apply_latency =
             metrics.histogram("esr_apply_latency_micros", &[("site", &site_label)]);
         let rpc_latency = metrics.histogram("esr_rpc_latency_micros", &[("site", &site_label)]);
+        let commit_records = metrics.histogram("esr_commit_records", &[("site", &site_label)]);
+        let commit_latency =
+            metrics.histogram("esr_commit_latency_micros", &[("site", &site_label)]);
+        let peer_frames_rejected =
+            metrics.counter("esr_peer_frames_rejected_total", &[("site", &site_label)]);
         let view_gauge = metrics.gauge("esr_view", &[("site", &site_label)]);
         view_gauge.set(core.view as i64);
         let coordinator_gauge = metrics.gauge("esr_coordinator", &[("site", &site_label)]);
@@ -494,6 +531,7 @@ impl Daemon {
             epoch,
             addr,
             core: Mutex::new(core),
+            staged: Mutex::new(Staged::default()),
             journal: Mutex::new(journal),
             links,
             reactor,
@@ -503,6 +541,9 @@ impl Daemon {
             events,
             apply_latency,
             rpc_latency,
+            commit_records,
+            commit_latency,
+            peer_frames_rejected,
             view_gauge,
             coordinator_gauge,
             elections,
@@ -534,6 +575,7 @@ impl Daemon {
         // re-announcement of recovered applies (the coordinator
         // deduplicates).
         daemon.perform(recovery_effects);
+        daemon.commit();
 
         // Publish last: a resolvable address implies a daemon ready to
         // accept.
@@ -557,7 +599,10 @@ impl Daemon {
                 let Some(daemon) = tick_target.upgrade() else {
                     break;
                 };
+                // No reactor cycle follows a step made on this thread:
+                // commit it here (the links nudge the reactor).
                 daemon.dispatch(NodeEvent::Tick);
+                daemon.commit();
             })?;
 
         Ok(daemon)
@@ -573,10 +618,10 @@ impl Daemon {
         self.epoch
     }
 
-    /// Feeds one event through the pure core and executes its effects
-    /// in order. The core lock is held across effect execution so that
-    /// a duplicate delivery racing this step cannot be acknowledged
-    /// before this step's journal append is durable.
+    /// Feeds one event through the pure core and executes its effects:
+    /// the immediate ones now, in order; journal records and sends are
+    /// staged for the next [`Daemon::commit`]. Staging happens under
+    /// the core lock, so a commit always sees whole steps.
     fn dispatch(&self, event: NodeEvent) {
         let mut core = self.core.lock();
         let effects = core.step(event);
@@ -587,23 +632,72 @@ impl Daemon {
         // far. The cut itself is cheap (a clone of the bookkeeping);
         // encoding and fsync happen on the writer thread.
         if self.ckpt_due.swap(false, Ordering::Relaxed) {
-            let through = self.journal.lock().last_id();
-            let effects = core.step(NodeEvent::Checkpoint { through });
+            let effects = self.cut(&mut core);
             self.perform(effects);
         }
         self.coordinator_gauge.set(i64::from(coordinator));
     }
 
-    /// Executes core effects against the real world, strictly in
-    /// order: journal appends hit disk, view records land durably,
-    /// sends enqueue on the durable links, events land in the log.
+    /// Cuts a checkpoint of the (locked) core. The image holds every
+    /// step made so far and names the journal's last id as its cut, so
+    /// what those steps staged is committed first: `covered_through`
+    /// is then the last record the image contains.
+    fn cut(&self, core: &mut NodeCore) -> Vec<Effect> {
+        self.commit();
+        let through = self.journal.lock().last_id();
+        core.step(NodeEvent::Checkpoint { through })
+    }
+
+    /// Executes one step's effects: view records land durably and
+    /// events land in the log at once, in order; journal appends and
+    /// link sends are staged for the commit.
     fn perform(&self, effects: Vec<Effect>) {
-        for effect in effects {
+        // The first StartViewChange of an election marks its start for
+        // the latency histogram.
+        let starts_election = effects.iter().any(|e| {
+            matches!(e, Effect::Send { frame: Frame::StartViewChange { .. }, .. })
+        });
+        if starts_election {
+            let mut started = self.election_started.lock();
+            if started.is_none() {
+                *started = Some(Instant::now());
+                self.elections.inc();
+            }
+        }
+        let now = self.staged.lock().stage(effects);
+        for effect in now {
             match effect {
-                Effect::Journal(mset) => {
+                Effect::Checkpoint(payload) => {
+                    let _ = self.ckpt_tx.lock().send(payload);
+                }
+                Effect::RecordView(view) => self.record_view(view),
+                Effect::Event(event) => self.events.record(event),
+                // Staged above.
+                Effect::Journal(_) | Effect::Send { .. } => {}
+            }
+        }
+    }
+
+    /// Writes everything staged, in the order [`crate::commit`] plans:
+    /// fan-out sends, the journal records, every other send — one
+    /// append per file. The reactor calls it once per cycle
+    /// ([`RpcService::commit`]); a step made on any other thread calls
+    /// it right after staging. Serialised by the `staged` lock, which is
+    /// held until the last byte is written.
+    fn commit(&self) {
+        let mut staged = self.staged.lock();
+        if staged.is_empty() {
+            return;
+        }
+        let started = Instant::now();
+        let mut records = 0;
+        for write in staged.plan() {
+            records += write.records() as u64;
+            match write {
+                Write::Journal(msets) => {
                     let (bytes, file_bytes, live) = {
                         let mut journal = self.journal.lock();
-                        let bytes = journal.record(&mset);
+                        let bytes = journal.record_batch(&msets);
                         (bytes, journal.file_bytes(), journal.live_entries())
                     };
                     self.ckpt_obs.journal(file_bytes, live);
@@ -616,30 +710,22 @@ impl Daemon {
                         }
                     }
                 }
-                Effect::Checkpoint(payload) => {
-                    let _ = self.ckpt_tx.lock().send(payload);
-                }
-                Effect::RecordView(view) => self.record_view(view),
-                Effect::Send { to, frame } => {
-                    // The first StartViewChange of an election marks
-                    // its start for the latency histogram.
-                    if matches!(frame, Frame::StartViewChange { .. }) {
-                        let mut started = self.election_started.lock();
-                        if started.is_none() {
-                            *started = Some(Instant::now());
-                            self.elections.inc();
-                        }
+                Write::Link { to, frames } => {
+                    if let Some(Some(link)) = self.links.get(to.raw() as usize) {
+                        link.send_batch(frames.iter().map(encode_frame).collect());
                     }
-                    self.send_bytes(to, encode_frame(&frame));
                 }
-                Effect::Event(event) => self.events.record(event),
             }
         }
+        self.commit_records.record(records);
+        self.commit_latency
+            .record(started.elapsed().as_micros() as u64);
     }
 
     /// Durably installs a view: atomic file write (the same tmp+rename
-    /// publish as the address file — ordered before any send of the new
-    /// view by `perform`'s in-order execution), then the obs gauges.
+    /// publish as the address file — executed by `perform` at once, so
+    /// before the commit that writes any send of the new view), then
+    /// the obs gauges.
     fn record_view(&self, view: u64) {
         let _ = publish(
             &view_path(&self.cfg.dir, self.cfg.site),
@@ -703,14 +789,18 @@ impl Daemon {
                     (core.state.settled(), core.view, core.coord.is_some())
                 };
                 let (ckpt_seq, ckpt_covered) = self.ckpt_status();
+                // Sends staged earlier in this very cycle are outbound
+                // work like any queue entry (quiesce relies on it). The
+                // lock also waits out a commit in flight, whose sends
+                // are in neither place for a moment.
+                let outbound_pending = {
+                    let staged = self.staged.lock();
+                    let queued: usize = self.links.iter().flatten().map(Link::pending).sum();
+                    (staged.sends() + queued) as u64
+                };
                 Frame::StatusOk {
                     settled,
-                    outbound_pending: self
-                        .links
-                        .iter()
-                        .flatten()
-                        .map(|l| l.pending() as u64)
-                        .sum(),
+                    outbound_pending,
                     epoch: self.epoch,
                     view,
                     coordinator,
@@ -788,8 +878,7 @@ impl Daemon {
     fn take_checkpoint(&self) -> (u64, u64) {
         let payload = {
             let mut core = self.core.lock();
-            let through = self.journal.lock().last_id();
-            let effects = core.step(NodeEvent::Checkpoint { through });
+            let effects = self.cut(&mut core);
             let mut payload = None;
             for effect in effects {
                 match effect {
@@ -859,12 +948,6 @@ impl Daemon {
         let _ = snapshot::retain(&self.cfg.dir, &prefix, 2);
         (st.seq, st.covered)
     }
-
-    fn send_bytes(&self, to: SiteId, bytes: Bytes) {
-        if let Some(Some(link)) = self.links.get(to.raw() as usize) {
-            link.send(bytes);
-        }
-    }
 }
 
 /// The daemon's inbound planes, dispatched in batches on the reactor
@@ -873,20 +956,19 @@ impl RpcService for Daemon {
     fn handle_batch(&self, kind: ConnKind, envs: Vec<Envelope>, out: &mut Vec<u8>) -> bool {
         match kind {
             // Peer plane: durable envelopes in, one batched ack frame
-            // out. The ack is written only after journal + apply, so
-            // the sender retires an entry only once its effect is
-            // crash-durable here.
+            // out. The reactor sends the ack only after this cycle's
+            // commit, so the sender retires an entry only once its
+            // effect is crash-durable here.
             ConnKind::Peer => {
                 let mut acks = Vec::with_capacity(envs.len());
                 for env in envs {
                     let entry = env.entry;
                     match decode_frame(&Bytes::from(env.payload)) {
                         Ok(f) => self.handle_peer_frame(f),
-                        Err(_) => {
-                            // A corrupt frame is dropped; acking it
-                            // anyway prevents an infinite retransmit of
-                            // a poisoned entry.
-                        }
+                        // A corrupt frame is dropped; acking it anyway
+                        // prevents an infinite retransmit of a
+                        // poisoned entry.
+                        Err(_) => self.peer_frames_rejected.inc(),
                     }
                     if entry != NO_ENTRY {
                         acks.push(entry);
@@ -915,5 +997,141 @@ impl RpcService for Daemon {
                 true
             }
         }
+    }
+
+    fn commit(&self) {
+        Daemon::commit(self);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use esr_core::ids::{EtId, ObjectId};
+    use esr_core::op::{ObjectOp, Operation};
+    use esr_net::rpc::{read_frame, unseal};
+
+    fn start(tag: &str, site: u64, sites: usize, ckpt_bytes: Option<u64>) -> Arc<Daemon> {
+        let dir = std::env::temp_dir().join(format!("esr-daemon-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Daemon::start(DaemonConfig {
+            site: SiteId(site),
+            sites,
+            method: RtMethod::Commu,
+            dir,
+            ckpt_bytes,
+        })
+        .unwrap()
+    }
+
+    fn incr(et: u64, origin: u64) -> MSet {
+        MSet::new(
+            EtId(et),
+            SiteId(origin),
+            vec![ObjectOp::new(ObjectId(0), Operation::Incr(1))],
+        )
+    }
+
+    /// One readiness batch of client requests, handled exactly as the
+    /// reactor would — minus the commit, which is the caller's to make.
+    fn batch(daemon: &Daemon, requests: &[Frame]) -> Vec<Frame> {
+        let envs = requests
+            .iter()
+            .map(|f| Envelope {
+                entry: NO_ENTRY,
+                payload: encode_frame(f).to_vec(),
+            })
+            .collect();
+        let mut out = Vec::new();
+        assert!(daemon.handle_batch(ConnKind::Client, envs, &mut out));
+        let mut replies = std::io::Cursor::new(out);
+        (0..requests.len())
+            .map(|_| {
+                let env = unseal(read_frame(&mut replies).unwrap()).unwrap();
+                decode_frame(&Bytes::from(env.payload)).unwrap()
+            })
+            .collect()
+    }
+
+    fn outbound_pending(reply: &Frame) -> u64 {
+        match reply {
+            Frame::StatusOk {
+                outbound_pending, ..
+            } => *outbound_pending,
+            other => panic!("expected StatusOk, got {other:?}"),
+        }
+    }
+
+    /// DESIGN §11's quiesce argument: every consequence of a handled
+    /// frame is visible as outbound work before its ack leaves. A
+    /// follower with both peers down keeps everything it sends queued,
+    /// so the count is exact: two fan-out MSets and one `Applied`.
+    #[test]
+    fn a_status_in_the_cycle_of_a_submit_counts_its_staged_sends() {
+        let daemon = start("staged-status", 1, 3, None);
+        let replies = batch(&daemon, &[Frame::Submit(incr(1, 1)), Frame::Status]);
+        assert!(matches!(replies[0], Frame::SubmitOk { et } if et == EtId(1)));
+        assert_eq!(outbound_pending(&replies[1]), 3, "staged sends are outbound work");
+        RpcService::commit(&*daemon);
+        assert!(daemon.staged.lock().is_empty());
+        assert_eq!(daemon.journal.lock().entries(), 1);
+        assert_eq!(outbound_pending(&batch(&daemon, &[Frame::Status])[0]), 3);
+    }
+
+    fn newest_image(daemon: &Daemon) -> CkptPayload {
+        let prefix = snap_prefix(daemon.cfg.site);
+        let (_, bytes) = snapshot::load_newest(&daemon.cfg.dir, &prefix)
+            .unwrap()
+            .expect("a snapshot");
+        decode_payload(&bytes).unwrap()
+    }
+
+    /// A cut names the journal's last id, and its image holds every
+    /// step so far — so what those steps staged is written first.
+    #[test]
+    fn a_checkpoint_cut_commits_what_is_staged_before_naming_the_journal_id() {
+        // On demand, in the very cycle of the submit it must cover.
+        let daemon = start("staged-cut", 0, 1, None);
+        let replies = batch(&daemon, &[Frame::Submit(incr(1, 0)), Frame::Checkpoint]);
+        assert!(matches!(replies[1], Frame::CheckpointOk { seq: 1, covered: 1 }));
+        let image = newest_image(&daemon);
+        assert_eq!((image.covered, image.covered_through), (1, Some(0)));
+
+        // By policy: the first commit trips the byte limit, the next
+        // step cuts — after its own record is in the journal. (Should
+        // the heartbeat's step get to the cut first it covers one
+        // record, not two; the image must name its last record either
+        // way.)
+        let daemon = start("staged-policy-cut", 0, 1, Some(1));
+        batch(&daemon, &[Frame::Submit(incr(1, 0))]);
+        RpcService::commit(&*daemon);
+        batch(&daemon, &[Frame::Submit(incr(2, 0))]);
+        // The writer thread installs the image off the apply path.
+        for _ in 0..500 {
+            if daemon.ckpt_status().0 > 0 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let image = newest_image(&daemon);
+        assert!(image.covered >= 1);
+        assert_eq!(image.covered_through, Some(image.covered - 1));
+    }
+
+    #[test]
+    fn a_corrupt_peer_frame_is_acked_dropped_and_counted() {
+        let daemon = start("rejected", 1, 3, None);
+        let envs = vec![Envelope {
+            entry: 5,
+            payload: vec![0xFF; 3],
+        }];
+        let mut out = Vec::new();
+        assert!(daemon.handle_batch(ConnKind::Peer, envs, &mut out));
+        let ack = unseal(read_frame(&mut std::io::Cursor::new(out)).unwrap()).unwrap();
+        assert_eq!(ack.ack_ids().unwrap().collect::<Vec<_>>(), vec![5]);
+        assert!(daemon
+            .metrics
+            .render()
+            .contains("esr_peer_frames_rejected_total{site=\"1\"} 1"));
     }
 }

@@ -35,6 +35,7 @@
 
 pub mod client;
 pub mod cluster;
+pub mod commit;
 pub mod daemon;
 pub mod proc_cluster;
 pub mod recovery;

@@ -1,10 +1,11 @@
 //! Crash/restart support: the per-site write-ahead apply journal.
 //!
 //! A site persists every MSet it accepts to an append-only
-//! [`FileQueue`] journal *before* applying it — the executor's half of
-//! [`crate::ctrl::Effect::Journal`] — and acknowledges the inbound
-//! envelope only afterwards, so a crash can lose channel contents but
-//! never an acknowledged update. Restart replays the journal through
+//! [`FileQueue`] journal — the executor's half of
+//! [`crate::ctrl::Effect::Journal`], written by the reactor cycle's
+//! commit ([`crate::commit`]) — and acknowledges the inbound envelope
+//! only afterwards, so a crash can lose channel contents but never an
+//! acknowledged update. Restart replays the journal through
 //! [`crate::ctrl::NodeCore::recover`], which rebuilds the replica and
 //! re-announces the recovered applies; the control-plane state that is
 //! *not* journalled (completion notices, VTNC horizons, COMPE
@@ -36,15 +37,23 @@ impl ApplyJournal {
         Ok(Self { queue, entries })
     }
 
-    /// Durably records an accepted MSet. Must be called before the MSet
-    /// is applied (write-ahead), and before the envelope is acked. Returns
-    /// the approximate bytes appended, for checkpoint-policy
-    /// accounting.
+    /// Durably records an accepted MSet: [`ApplyJournal::record_batch`]
+    /// of one. Must be called before the envelope that carried the MSet
+    /// is acked. Returns the approximate bytes appended, for
+    /// checkpoint-policy accounting.
     pub fn record(&mut self, mset: &MSet) -> u64 {
-        let encoded = encode_mset(mset);
-        let bytes = 13 + encoded.len() as u64; // record framing + payload
-        self.queue.enqueue(encoded);
-        self.entries += 1;
+        self.record_batch(std::slice::from_ref(mset))
+    }
+
+    /// Durably records every MSet of a commit, in order, with one
+    /// append (a crash mid-write leaves a whole-record prefix). Returns
+    /// the approximate bytes appended.
+    pub fn record_batch(&mut self, msets: &[MSet]) -> u64 {
+        let encoded: Vec<_> = msets.iter().map(encode_mset).collect();
+        // Record framing + payload, per record.
+        let bytes = encoded.iter().map(|e| 13 + e.len() as u64).sum();
+        self.queue.enqueue_batch(encoded);
+        self.entries += msets.len() as u64;
         bytes
     }
 
@@ -89,13 +98,7 @@ impl ApplyJournal {
             .map(|(id, _)| id)
             .filter(|id| id.0 <= through)
             .collect();
-        let mut retired = 0;
-        for id in covered {
-            if self.queue.ack(id) {
-                retired += 1;
-            }
-        }
-        retired
+        self.queue.ack_batch(&covered) as u64
     }
 
     /// Number of live (unretired) journal entries.
@@ -154,6 +157,33 @@ mod tests {
         assert_eq!(replayed[1].et, EtId(2));
         assert_eq!(replayed[1].ops, m2.ops);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_batch_is_the_same_journal_as_its_records_one_by_one() {
+        let dir = std::env::temp_dir().join(format!("esr-journal-batch-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (single, batch) = (dir.join("single.log"), dir.join("batch.log"));
+        let _ = std::fs::remove_file(&single);
+        let _ = std::fs::remove_file(&batch);
+        let msets: Vec<MSet> = (1..=3)
+            .map(|et| {
+                MSet::new(
+                    EtId(et),
+                    SiteId(et % 2),
+                    vec![ObjectOp::new(ObjectId(et), Operation::Incr(et as i64))],
+                )
+            })
+            .collect();
+        let mut j1 = ApplyJournal::open(&single).unwrap();
+        let bytes: u64 = msets.iter().map(|m| j1.record(m)).sum();
+        let mut jn = ApplyJournal::open(&batch).unwrap();
+        assert_eq!(jn.record_batch(&msets), bytes);
+        assert_eq!(jn.record_batch(&[]), 0, "an empty batch writes nothing");
+        assert_eq!((jn.entries(), jn.last_id()), (3, Some(2)));
+        assert_eq!(std::fs::read(&batch).unwrap(), std::fs::read(&single).unwrap());
+        assert_eq!(jn.replay(), msets);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

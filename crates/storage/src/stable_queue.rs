@@ -32,6 +32,14 @@ pub trait StableQueue {
     /// Appends a payload; returns its stable id.
     fn enqueue(&mut self, payload: Bytes) -> EntryId;
 
+    /// Appends every payload, in order; returns their stable ids. A
+    /// durable implementation makes the whole batch one write whose
+    /// bytes equal those of the single calls, so a crash mid-batch
+    /// leaves a whole-record prefix.
+    fn enqueue_batch(&mut self, payloads: Vec<Bytes>) -> Vec<EntryId> {
+        payloads.into_iter().map(|p| self.enqueue(p)).collect()
+    }
+
     /// The unacknowledged entries, oldest first, up to `max`.
     fn pending(&self, max: usize) -> Vec<(EntryId, Bytes)>;
 
@@ -50,6 +58,12 @@ pub trait StableQueue {
     /// Acknowledges (removes) a delivered entry. Returns `false` when the
     /// entry was unknown (e.g. duplicate ack).
     fn ack(&mut self, id: EntryId) -> bool;
+
+    /// Acknowledges every listed entry (one write, like
+    /// [`StableQueue::enqueue_batch`]); returns how many were known.
+    fn ack_batch(&mut self, ids: &[EntryId]) -> usize {
+        ids.iter().filter(|id| self.ack(**id)).count()
+    }
 
     /// Number of unacknowledged entries.
     fn len(&self) -> usize;
@@ -159,7 +173,7 @@ const COMPACT_DEAD_BYTES: u64 = 64 * 1024;
 #[derive(Debug)]
 pub struct FileQueue {
     path: PathBuf,
-    writer: BufWriter<File>,
+    file: File,
     entries: BTreeMap<EntryId, Entry>,
     next_id: u64,
     /// Bytes of the log occupied by acknowledged records (the dead
@@ -242,7 +256,7 @@ impl FileQueue {
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Self {
             path,
-            writer: BufWriter::new(file),
+            file,
             entries,
             next_id,
             dead_bytes: 0,
@@ -268,12 +282,12 @@ impl FileQueue {
         self.file_len
     }
 
-    /// Appends one record and forces it to the OS (a real system would
-    /// also fsync here).
-    fn append(&mut self, rec: &[u8]) -> io::Result<()> {
-        self.writer.write_all(rec)?;
-        self.writer.flush()?;
-        self.file_len += rec.len() as u64;
+    /// Appends whole records with one `write` straight to the file, so
+    /// they are with the OS on return (a real system would also fsync
+    /// here).
+    fn append(&mut self, recs: &[u8]) -> io::Result<()> {
+        self.file.write_all(recs)?;
+        self.file_len += recs.len() as u64;
         Ok(())
     }
 
@@ -303,8 +317,7 @@ impl FileQueue {
             out.flush()?;
         }
         std::fs::rename(&tmp, &self.path)?;
-        let file = OpenOptions::new().append(true).open(&self.path)?;
-        self.writer = BufWriter::new(file);
+        self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.dead_bytes = 0;
         self.file_len = len;
         Ok(())
@@ -312,24 +325,36 @@ impl FileQueue {
 }
 
 impl StableQueue for FileQueue {
-    #[expect(clippy::expect_used, reason = "a failed append to the backing file leaves the queue unusable; panicking is the recovery story")]
     fn enqueue(&mut self, payload: Bytes) -> EntryId {
-        let id = EntryId(self.next_id);
-        self.next_id += 1;
-        let mut rec = BytesMut::with_capacity(13 + payload.len());
-        rec.put_u8(TAG_ENQUEUE);
-        rec.put_u64(id.0);
-        rec.put_u32(payload.len() as u32);
-        rec.put_slice(&payload);
-        self.append(&rec).expect("queue file append");
-        self.entries.insert(
-            id,
-            Entry {
-                payload,
-                attempts: 0,
-            },
-        );
-        id
+        self.enqueue_batch(vec![payload])[0]
+    }
+
+    #[expect(clippy::expect_used, reason = "a failed append to the backing file leaves the queue unusable; panicking is the recovery story")]
+    fn enqueue_batch(&mut self, payloads: Vec<Bytes>) -> Vec<EntryId> {
+        let bytes: usize = payloads.iter().map(|p| 13 + p.len()).sum();
+        let mut recs = BytesMut::with_capacity(bytes);
+        for (i, payload) in payloads.iter().enumerate() {
+            recs.put_u8(TAG_ENQUEUE);
+            recs.put_u64(self.next_id + i as u64);
+            recs.put_u32(payload.len() as u32);
+            recs.put_slice(payload);
+        }
+        self.append(&recs).expect("queue file append");
+        payloads
+            .into_iter()
+            .map(|payload| {
+                let id = EntryId(self.next_id);
+                self.next_id += 1;
+                self.entries.insert(
+                    id,
+                    Entry {
+                        payload,
+                        attempts: 0,
+                    },
+                );
+                id
+            })
+            .collect()
     }
 
     fn pending(&self, max: usize) -> Vec<(EntryId, Bytes)> {
@@ -350,18 +375,29 @@ impl StableQueue for FileQueue {
         Some(e.attempts)
     }
 
-    #[expect(clippy::expect_used, reason = "a failed append to the backing file leaves the queue unusable; panicking is the recovery story")]
     fn ack(&mut self, id: EntryId) -> bool {
-        let Some(e) = self.entries.remove(&id) else {
-            return false;
-        };
-        let mut rec = BytesMut::with_capacity(9);
-        rec.put_u8(TAG_ACK);
-        rec.put_u64(id.0);
-        self.append(&rec).expect("queue file append");
-        // The entry's enqueue record (13 + payload) and this ack are
-        // both dead weight now.
-        self.dead_bytes += 13 + e.payload.len() as u64 + 9;
+        self.ack_batch(&[id]) == 1
+    }
+
+    #[expect(clippy::expect_used, reason = "a failed append to the backing file leaves the queue unusable; panicking is the recovery story")]
+    fn ack_batch(&mut self, ids: &[EntryId]) -> usize {
+        let mut recs = BytesMut::with_capacity(9 * ids.len());
+        let mut dead = 0;
+        for id in ids {
+            let Some(e) = self.entries.remove(id) else {
+                continue;
+            };
+            recs.put_u8(TAG_ACK);
+            recs.put_u64(id.0);
+            // The entry's enqueue record (13 + payload) and its ack are
+            // both dead weight now.
+            dead += 13 + e.payload.len() as u64 + 9;
+        }
+        if recs.is_empty() {
+            return 0;
+        }
+        self.append(&recs).expect("queue file append");
+        self.dead_bytes += dead;
         // Rewrite only once the dead records also outweigh the live
         // ones, so draining a long backlog (a peer back from an outage,
         // a checkpoint retiring a long prefix) costs rewrites linear in
@@ -371,7 +407,7 @@ impl StableQueue for FileQueue {
         if self.dead_bytes >= COMPACT_DEAD_BYTES.max(self.file_len / 2) {
             let _ = self.compact();
         }
-        true
+        recs.len() / 9
     }
 
     fn len(&self) -> usize {
@@ -648,6 +684,46 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.file_len(), on_disk(&path));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn batch_calls_leave_the_file_byte_identical_to_single_calls() {
+        let payloads: Vec<Bytes> = (0..5u8)
+            .map(|i| Bytes::from(vec![i; 3 + i as usize]))
+            .collect();
+        let single = tmpdir().join("single.q");
+        let batch = tmpdir().join("batch.q");
+        let _ = std::fs::remove_file(&single);
+        let _ = std::fs::remove_file(&batch);
+
+        let mut q1 = FileQueue::open(&single).unwrap();
+        let ids1: Vec<EntryId> = payloads.iter().map(|p| q1.enqueue(p.clone())).collect();
+        let mut qn = FileQueue::open(&batch).unwrap();
+        let idsn = qn.enqueue_batch(payloads.clone());
+        assert_eq!(idsn, ids1);
+        assert_eq!(qn.file_len(), on_disk(&batch));
+        assert_eq!(std::fs::read(&batch).unwrap(), std::fs::read(&single).unwrap());
+
+        // Acks likewise; an unknown id in the batch writes nothing.
+        for id in &ids1[1..4] {
+            assert!(q1.ack(*id));
+        }
+        let mut acked = ids1[1..4].to_vec();
+        acked.insert(1, EntryId(99));
+        assert_eq!(qn.ack_batch(&acked), 3);
+        assert_eq!(qn.ack_batch(&acked), 0, "a duplicate batch appends nothing");
+        assert_eq!(qn.file_len(), on_disk(&batch));
+        assert_eq!(std::fs::read(&batch).unwrap(), std::fs::read(&single).unwrap());
+        assert_eq!(qn.pending(10), q1.pending(10));
+        assert_eq!(qn.next_id(), q1.next_id());
+
+        // The defaults every other queue inherits agree with it.
+        let mut mem = MemQueue::new();
+        assert_eq!(mem.enqueue_batch(payloads), ids1);
+        assert_eq!(mem.ack_batch(&acked), 3);
+        assert_eq!(mem.pending(10), q1.pending(10));
+        std::fs::remove_file(&single).unwrap();
+        std::fs::remove_file(&batch).unwrap();
     }
 
     #[test]

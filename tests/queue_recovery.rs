@@ -357,6 +357,40 @@ mod crash_points {
         std::fs::remove_file(&path).ok();
     }
 
+    /// One batched append is still a run of whole records: a cut inside
+    /// its third record keeps the first two, drops the rest, and the
+    /// allocator continues after the survivors.
+    #[test]
+    fn batched_append_cut_mid_record_recovers_the_whole_record_prefix() {
+        let path = unique_path("batch");
+        let _ = std::fs::remove_file(&path);
+        let payloads: Vec<Bytes> = (1..=4u64).map(|et| encode(&sample_mset(et))).collect();
+        let head;
+        let ids;
+        {
+            let mut q = FileQueue::open(&path).unwrap();
+            head = q.enqueue(encode(&sample_mset(9)));
+            ids = q.enqueue_batch(payloads.clone());
+        }
+        let third_starts: u64 = 13 + encode(&sample_mset(9)).len() as u64
+            + payloads[..2].iter().map(|p| 13 + p.len() as u64).sum::<u64>();
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.set_len(third_starts + 13 + payloads[2].len() as u64 / 2).unwrap();
+        drop(f);
+        let mut q = FileQueue::open(&path).unwrap();
+        let pending: Vec<EntryId> = q.pending(10).into_iter().map(|(id, _)| id).collect();
+        assert_eq!(pending, vec![head, ids[0], ids[1]]);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), third_starts);
+        // The lost ids were never acknowledged to anyone, so they are
+        // free again — but nothing that survived is reissued.
+        assert_eq!(q.enqueue_batch(payloads[2..].to_vec()), vec![ids[2], ids[3]]);
+        drop(q);
+        let q = FileQueue::open(&path).unwrap();
+        let ets: Vec<u64> = q.pending(10).iter().map(|(_, p)| decode(p).et.raw()).collect();
+        assert_eq!(ets, vec![9, 1, 2, 3, 4]);
+        std::fs::remove_file(&path).ok();
+    }
+
     /// A cut in the middle of an enqueue record discards that record
     /// entirely — half an MSet never reaches a replica.
     #[test]
