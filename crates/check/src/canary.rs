@@ -225,7 +225,7 @@ pub const RT_CANARIES: [RtCanaryCase; 3] = [
         name: "eager VTNC certification",
         canary: RtCanary::VtncEagerCertify,
         method: RtMethod::RituMv,
-        oracle: "vtnc-safety",
+        oracle: "vtnc-visibility",
     },
 ];
 

@@ -1,12 +1,15 @@
 //! Replication-aware trace certification over per-site event-log
 //! dumps.
 //!
-//! A live site records its protocol decisions as typed
-//! [`Event`]s (the `Effect::Event`s of `esr_runtime::ctrl` plus the
-//! daemon's checkpoint-chain notes); this module replays a set of
-//! per-site dumps against the per-method visibility and convergence
-//! specs, turning any simulated crash scenario (`SimCluster::events_of`)
-//! or proc-cluster run (`ProcCluster::trace_of`) into a *checked*
+//! A site records its protocol decisions as typed [`Event`]s (the
+//! `Effect::Event`s of `esr_runtime::ctrl` plus the daemon's
+//! checkpoint-chain notes) — the only observation plane there is; this
+//! module replays a set of per-site dumps against the per-method
+//! visibility and convergence specs, turning any simulated crash
+//! scenario (`SimCluster::events_of`), proc-cluster run
+//! (`ProcCluster::trace_of`), explored thread-cluster schedule
+//! (`Cluster::trace_of`, via [`crate::oracles::check`]) or model
+//! terminal ([`crate::model::oracles::check_safety`]) into a *checked*
 //! execution. The spec style follows Enea et al.'s replication-aware
 //! linearizability — per-replica causal histories checked against the
 //! method's visibility contract — and Perrin et al.'s update
@@ -40,8 +43,10 @@
 //! 3. **VTNC monotonicity** (RITU-MV): certified horizons never
 //!    regress.
 //! 4. **VTNC visibility** (RITU-MV): when the horizon reaches `T`,
-//!    this site has already installed a version `>= T` (the
-//!    coordinator only certifies what every site reported installed).
+//!    this site has already applied every version time `1..=T.time` —
+//!    the dense prefix `CoordCore`'s `next_time` scan certifies by
+//!    (version times are minted densely from 1, and the coordinator
+//!    only certifies a time every site reported installed, in order).
 //! 5. **ORDUP order**: sequenced applies appear in increasing global
 //!    sequence order.
 //! 6. **decision conflict** (COMPE): no ET both commits and aborts at
@@ -121,6 +126,17 @@ pub struct CertFinding {
     pub detail: String,
 }
 
+impl CertFinding {
+    /// What the certifier saw, prefixed by the offending site when the
+    /// finding has one.
+    pub fn located(&self) -> String {
+        match self.site {
+            Some(site) => format!("site {site}: {}", self.detail),
+            None => self.detail.clone(),
+        }
+    }
+}
+
 /// Per-site digest accumulated while replaying a trace.
 #[derive(Debug, Default)]
 struct SiteDigest {
@@ -154,7 +170,10 @@ pub fn certify(method: RtMethod, traces: &[SiteTrace]) -> Vec<CertFinding> {
             .any(|e| matches!(e, Event::CkptRestore { .. }));
         any_restore |= restored;
         let lossless = trace.dropped == 0 && !restored;
-        let mut max_installed: Option<VersionTs> = None;
+        // Applied version times above `dense`, the largest `t` with
+        // every time in `1..=t` applied at this site.
+        let mut sparse: BTreeSet<u64> = BTreeSet::new();
+        let mut dense = 0u64;
         let mut vtnc_last: Option<VersionTs> = None;
         let mut last_seq: Option<SeqNo> = None;
         let mut ckpt_seq_last: Option<u64> = None;
@@ -169,7 +188,12 @@ pub fn certify(method: RtMethod, traces: &[SiteTrace]) -> Vec<CertFinding> {
                         if !d.applied.insert(et) {
                             flag("no-double-apply", format!("{et} effectively applied twice"));
                         }
-                        max_installed = max_installed.max(r.version);
+                        if let Some(v) = r.version {
+                            sparse.insert(v.time);
+                            while sparse.remove(&(dense + 1)) {
+                                dense += 1;
+                            }
+                        }
                         if let Some(s) = r.gseq {
                             if last_seq.is_some_and(|p| p >= s) {
                                 flag(
@@ -203,12 +227,13 @@ pub fn certify(method: RtMethod, traces: &[SiteTrace]) -> Vec<CertFinding> {
                             );
                         }
                         vtnc_last = Some(t);
-                        if lossless && max_installed.is_none_or(|m| m < t) {
+                        if lossless && t.time > dense {
                             flag(
                                 "vtnc-visibility",
                                 format!(
-                                    "horizon {t} certified but max installed version is \
-                                     {max_installed:?}"
+                                    "horizon {t} certified but the version prefix applied \
+                                     here is dense only through time {dense} (sparse above: \
+                                     {sparse:?})"
                                 ),
                             );
                         }
@@ -490,6 +515,49 @@ mod tests {
     fn vtnc_ahead_of_install_is_flagged() {
         let traces = vec![site(2, vec![vtnc(2), applied_v(1, 2)])];
         assert!(fired(RtMethod::RituMv, &traces, "vtnc-visibility"));
+    }
+
+    #[test]
+    fn vtnc_over_a_version_gap_is_flagged() {
+        // Version 3 is installed, so "some version >= the horizon"
+        // holds; the dense prefix stops at 1.
+        let traces = vec![site(2, vec![applied_v(1, 1), applied_v(3, 3), vtnc(3)])];
+        assert!(fired(RtMethod::RituMv, &traces, "vtnc-visibility"));
+    }
+
+    #[test]
+    fn vtnc_over_a_dense_prefix_is_clean_in_any_apply_order() {
+        let traces = vec![site(
+            2,
+            vec![applied_v(3, 3), applied_v(1, 1), vtnc(1), applied_v(2, 2), vtnc(3)],
+        )];
+        assert!(certify(RtMethod::RituMv, &traces).is_empty());
+    }
+
+    #[test]
+    fn replayed_versions_count_toward_the_dense_prefix() {
+        let replayed_v =
+            |et, time| Event::Span(span(SpanStage::Replay, et).with_version(Some(v(time))));
+        let traces = vec![site(
+            2,
+            vec![replayed_v(1, 1), replayed_v(2, 2), applied_v(3, 3), vtnc(3)],
+        )];
+        assert!(certify(RtMethod::RituMv, &traces).is_empty());
+    }
+
+    #[test]
+    fn lossy_traces_skip_the_dense_prefix_rule() {
+        // The covered prefix is legitimately absent from a restored or
+        // overflowed trace.
+        let restored = site(0, vec![restore(2), applied_v(3, 3), vtnc(3)]);
+        let overflowed = SiteTrace {
+            site: 1,
+            dropped: 2,
+            events: vec![applied_v(3, 3), vtnc(3)],
+        };
+        for trace in [restored, overflowed] {
+            assert!(!fired(RtMethod::RituMv, &[trace], "vtnc-visibility"));
+        }
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //!    the real [`esr_runtime::Cluster`] through hundreds of distinct,
 //!    seed-deterministic interleavings.
 //! 3. **ESR safety oracles** ([`oracles`]) — per-run judgments of the
-//!    method-specific ESR guarantees (ORDUP order conformance, COMMU
-//!    commutativity closure, RITU monotonicity, VTNC horizon safety,
-//!    COMPE resolution, epsilon accounting, replica convergence).
+//!    ESR guarantees: replica convergence and epsilon accounting from
+//!    snapshots and query records, and every property of a site's
+//!    history of MSet applications (ORDUP order, applied-set agreement,
+//!    VTNC visibility, one COMPE outcome per ET, …) from the layer-5
+//!    certifier over the cluster's event-log dumps.
 //!
 //! [`canary`] holds the seeded-defect self-tests that gate the clean
 //! sweep: the checker first proves it *can* catch each defect class,
@@ -24,13 +26,15 @@
 //! 4. **Exhaustive model checker** ([`model`]) — a stateless
 //!    sleep-set DFS over every delivery/crash/duplication interleaving
 //!    of a 3-site world running the pure [`esr_runtime::ctrl`] step
-//!    functions, with frame-aware fault injection and per-method
-//!    terminal oracles plus recovery idempotence. Its own seeded
+//!    functions, with frame-aware fault injection, terminal oracles
+//!    (state-derived ones plus the layer-5 certifier over every
+//!    terminal's traces) and recovery idempotence. Its own seeded
 //!    canaries live in [`model::canary`].
-//! 5. **Trace certifier** ([`certify`]) — replication-aware
-//!    certification of typed event-log dumps from live `esrd` sites
-//!    and thread-cluster sites: per-site apply/complete/VTNC/decision causality and
-//!    cross-site agreement, degrading gracefully on ring overflow.
+//! 5. **Trace certifier** ([`certify`]) — the one judge of typed
+//!    event-log dumps, whichever executor recorded them (live `esrd`
+//!    sites, the simulator, thread-cluster sites, model nodes):
+//!    per-site apply/complete/VTNC/decision causality and cross-site
+//!    agreement, degrading gracefully on ring overflow.
 //!
 //! The probe hub is process-global, so explorations must not overlap;
 //! the binary runs them sequentially and tests serialize on a mutex.

@@ -10,7 +10,8 @@
 //! controls, three runtime fault injections). Phase 2 sweeps the
 //! unmutated runtime across `N` schedules split over the five
 //! replica-control methods, running the race and lock-order detectors
-//! on every trace and the ESR oracles on every run. Exit code 0 means
+//! on every trace and the ESR oracles — the trace certifier among
+//! them — on every run. Exit code 0 means
 //! every canary was caught and the sweep was clean; the summary ends
 //! with a digest that is a pure function of `(--seed, --schedules)`.
 //!
@@ -274,8 +275,9 @@ fn run_model(budget: u64) -> ExitCode {
     }
     // The failover sweep: one update racing one coordinator suspicion
     // (plus a volatile-loss crash), exercising the whole
-    // view-change/handoff machinery under the split-brain,
-    // view-monotonicity and duplicate-complete oracles. Run for COMMU
+    // view-change/handoff machinery under the split-brain and
+    // view-monotonicity oracles and the certifier's
+    // no-duplicate-complete clause. Run for COMMU
     // only: elections interleave so richly that one method is minutes
     // of search, and COMMU's config is the one the canary discipline
     // requires clean (both failover canaries hunt in it). The

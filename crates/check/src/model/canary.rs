@@ -56,7 +56,7 @@ pub const CTRL_CANARIES: [CtrlCanaryCase; 7] = [
         name: "stale-vtnc-cert",
         canary: CtrlCanary::StaleVtncCert,
         method: RtMethod::RituMv,
-        oracle: "vtnc-safety",
+        oracle: "vtnc-visibility",
         needs_view_change: false,
     },
     CtrlCanaryCase {

@@ -353,12 +353,6 @@ pub struct World<'a> {
     suspects_left: usize,
 }
 
-fn fresh_state(method: RtMethod, site: SiteId) -> SiteState {
-    let mut s = SiteState::new(method, site);
-    s.enable_audit();
-    s
-}
-
 impl<'a> World<'a> {
     /// The initial world: fresh cores, empty journals, and each site's
     /// boot Hello already queued to the coordinator (links send their
@@ -370,7 +364,7 @@ impl<'a> World<'a> {
                 let site = SiteId(i as u64);
                 ModelNode {
                     core: NodeCore::fresh(
-                        fresh_state(cfg.method, site),
+                        SiteState::new(cfg.method, site),
                         cfg.method,
                         site,
                         cfg.sites,
@@ -660,7 +654,7 @@ impl<'a> World<'a> {
         node.trace.clear();
         let view = node.durable_view;
         let (core, effects) = NodeCore::recover(
-            fresh_state(cfg.method, SiteId(site as u64)),
+            SiteState::new(cfg.method, SiteId(site as u64)),
             cfg.method,
             SiteId(site as u64),
             cfg.sites,

@@ -9,25 +9,27 @@
 //! must equal the reference produced by one sequential application of
 //! the workload.
 //!
-//! Since views made the coordinator role movable, three more oracles
+//! Everything that is a property of a site's history of MSet
+//! applications — ORDUP order, VTNC visibility, one COMPE outcome per
+//! ET, one completion announcement per incarnation, cross-site
+//! agreement — is judged by [`certify`] over each node's current
+//! incarnation trace, at every terminal and again after recovery; its
+//! findings keep their clause names.
+//!
+//! Since views made the coordinator role movable, two more oracles
 //! guard the handoff itself: at most one site may hold the coordinator
-//! role for its installed view (`split-brain`), a site's durable view
-//! register may only advance (`view-monotonicity`), and no incarnation
-//! may announce the same completion twice (`duplicate-complete` —
-//! completions crossing a handoff must be absorbed as evidence, not
-//! replayed as fresh events).
+//! role for its installed view (`split-brain`), and a site's durable
+//! view register may only advance (`view-monotonicity`).
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 use esr_core::ids::{ObjectId, SiteId};
 use esr_core::value::Value;
-use esr_replica::compe::CompeEvent;
 use esr_replica::mset::MSet;
-use esr_replica::span::{Event, SpanRec, SpanStage};
 use esr_runtime::state::SiteState;
-use std::collections::BTreeMap;
 
 use super::{ModelCfg, World};
+use crate::certify::{certify, SiteTrace};
 
 /// One oracle violation.
 #[derive(Debug, Clone)]
@@ -121,45 +123,6 @@ pub fn check_safety(cfg: &ModelCfg, world: &World<'_>, phase: &str) -> Vec<Model
                 format!("{phase}site {i} not settled at quiescence"),
             ));
         }
-        let audit = node.core.state.audit();
-        // ORDUP: application order must follow the global sequence.
-        let seqs: Vec<u64> = audit.ordup_order.iter().map(|(_, s)| s.0).collect();
-        if seqs.windows(2).any(|w| w[0] >= w[1]) {
-            findings.push(finding(
-                "ordup-order",
-                format!("{phase}site {i} applied out of sequence: {seqs:?}"),
-            ));
-        }
-        // RITU-MV: no VTNC advance may ever exceed the locally
-        // installed contiguous prefix.
-        if audit.vtnc_violations > 0 {
-            findings.push(finding(
-                "vtnc-safety",
-                format!(
-                    "{phase}site {i} saw {} VTNC horizon violations",
-                    audit.vtnc_violations
-                ),
-            ));
-        }
-        // COMPE: one outcome per ET at each site.
-        let committed: BTreeSet<_> = audit
-            .compe_events
-            .iter()
-            .filter(|(_, e)| matches!(e, CompeEvent::Committed))
-            .map(|(et, _)| *et)
-            .collect();
-        let compensated: BTreeSet<_> = audit
-            .compe_events
-            .iter()
-            .filter(|(_, e)| matches!(e, CompeEvent::Compensated))
-            .map(|(et, _)| *et)
-            .collect();
-        if let Some(et) = committed.intersection(&compensated).next() {
-            findings.push(finding(
-                "compe-conflict",
-                format!("{phase}site {i} both committed and compensated {et}"),
-            ));
-        }
         // View changes: the coordinator role belongs to exactly the
         // site its installed view elects — a node holding a CoordCore
         // anywhere else (or an elected node without one) is the
@@ -189,25 +152,21 @@ pub fn check_safety(cfg: &ModelCfg, world: &World<'_>, phase: &str) -> Vec<Model
                 ),
             ));
         }
-        // A completion is announced at most once per incarnation: a
-        // handoff must absorb prior completions as evidence, never
-        // replay them as fresh `complete` events.
-        let mut announced = BTreeSet::new();
-        for event in &node.trace {
-            if let Event::Span(SpanRec {
-                stage: SpanStage::Complete,
-                et: Some(et),
-                ..
-            }) = event
-            {
-                if !announced.insert(*et) {
-                    findings.push(finding(
-                        "duplicate-complete",
-                        format!("{phase}site {i} completed {et} twice in one incarnation"),
-                    ));
-                }
-            }
-        }
+    }
+
+    // The histories of MSet applications, per site and across sites.
+    let traces: Vec<SiteTrace> = world
+        .nodes
+        .iter()
+        .enumerate()
+        .map(|(i, node)| SiteTrace {
+            site: i as u64,
+            dropped: 0,
+            events: node.trace.clone(),
+        })
+        .collect();
+    for f in certify(cfg.method, &traces) {
+        findings.push(finding(f.check, format!("{phase}{}", f.located())));
     }
 
     // RITU-MV liveness floor: with every install report delivered, the

@@ -2,22 +2,19 @@
 //!
 //! Each explored run executes a fixed per-method workload against a
 //! [`Cluster::checked`] cluster, collects *evidence* (final snapshots,
-//! per-site audit logs, per-query epsilon accounting), and the oracle
-//! pass judges it:
+//! per-site event-log dumps, per-query epsilon accounting), and the
+//! oracle pass judges it:
 //!
-//! * **ORDUP** — every site applied the same ETs in strictly increasing,
-//!   identical global sequence order (order conformance).
-//! * **COMMU** — sites may apply in different orders, but the applied ET
-//!   multisets and the final states must be identical (commutativity
-//!   closure: any order converges).
-//! * **RITU** — per object, the winning install versions at each site
-//!   are strictly increasing (timestamp monotonicity of the LWW store).
-//! * **VTNC** — the certified horizon at each site only ever advanced
-//!   through versions already installed locally, and targets are
-//!   monotone (horizon safety).
-//! * **COMPE** — every optimistically applied MSet was eventually
-//!   resolved (committed or compensated); no unresolved risk survives
-//!   quiesce.
+//! * **[`certify`]** — the one judge of a site's history of MSet
+//!   applications: every per-method guarantee (ORDUP's global order,
+//!   applied-set agreement, VTNC monotonicity and visibility, COMPE's
+//!   one outcome per ET, no double apply, …) is a certifier clause over
+//!   the typed event plane; its findings keep their clause names.
+//! * **apply-count** — every site recorded exactly one `Apply` span per
+//!   submitted update (COMPE excepted: an abort that outruns its MSet
+//!   suppresses the apply). Unresolved COMPE risk cannot reach the
+//!   oracles at all: [`Cluster::quiesce`] returns only once every site
+//!   holds no at-risk MSet.
 //! * **epsilon** — no admitted query imported more inconsistency than
 //!   its declared [`EpsilonSpec`] allows.
 //! * **convergence** — after quiesce, all replicas expose identical
@@ -33,8 +30,10 @@ use esr_core::divergence::EpsilonSpec;
 use esr_core::ids::{ObjectId, SiteId};
 use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
-use esr_replica::compe::CompeEvent;
-use esr_runtime::{Cluster, RtCanary, RtMethod, SiteAudit};
+use esr_replica::span::{Event, SpanStage};
+use esr_runtime::{Cluster, RtCanary, RtMethod};
+
+use crate::certify::{certify, SiteTrace};
 
 /// Sites per explored cluster.
 pub const SITES: usize = 3;
@@ -77,8 +76,8 @@ pub struct RunEvidence {
     pub method: RtMethod,
     /// Final snapshot per site (post-quiesce).
     pub snapshots: Vec<BTreeMap<ObjectId, Value>>,
-    /// Audit log per site.
-    pub audits: Vec<SiteAudit>,
+    /// Event-log dump per site (post-quiesce).
+    pub traces: Vec<SiteTrace>,
     /// Query accounting records.
     pub queries: Vec<QueryRecord>,
     /// Update ETs submitted.
@@ -205,14 +204,17 @@ pub fn run_workload(method: RtMethod, canary: RtCanary) -> (RunEvidence, Box<dyn
     let snapshots = (0..SITES)
         .map(|i| cluster.snapshot_of(SiteId(i as u64)))
         .collect();
-    let audits = (0..SITES)
-        .map(|i| cluster.audit_of(SiteId(i as u64)))
+    let traces = (0..SITES as u64)
+        .map(|i| {
+            let (dropped, events) = cluster.trace_of(SiteId(i));
+            SiteTrace::from_dump(i, dropped, events)
+        })
         .collect();
 
     let evidence = RunEvidence {
         method,
         snapshots,
-        audits,
+        traces,
         queries,
         submitted,
     };
@@ -231,12 +233,12 @@ pub fn check(e: &RunEvidence) -> Vec<OracleFinding> {
     let mut out = Vec::new();
     convergence_oracle(e, &mut out);
     epsilon_oracle(e, &mut out);
-    match e.method {
-        RtMethod::Ordup => ordup_oracle(e, &mut out),
-        RtMethod::Commu => commu_oracle(e, &mut out),
-        RtMethod::Ritu => ritu_oracle(e, &mut out),
-        RtMethod::RituMv => vtnc_oracle(e, &mut out),
-        RtMethod::Compe => compe_oracle(e, &mut out),
+    out.extend(certify(e.method, &e.traces).iter().map(|f| OracleFinding {
+        oracle: f.check,
+        detail: f.located(),
+    }));
+    if e.method != RtMethod::Compe {
+        apply_count_oracle(e, &mut out);
     }
     out
 }
@@ -269,118 +271,19 @@ fn epsilon_oracle(e: &RunEvidence, out: &mut Vec<OracleFinding>) {
     }
 }
 
-fn ordup_oracle(e: &RunEvidence, out: &mut Vec<OracleFinding>) {
-    for (i, a) in e.audits.iter().enumerate() {
-        let seqs: Vec<u64> = a.ordup_order.iter().map(|(_, s)| s.raw()).collect();
-        if !seqs.windows(2).all(|w| w[0] < w[1]) {
+fn apply_count_oracle(e: &RunEvidence, out: &mut Vec<OracleFinding>) {
+    for t in &e.traces {
+        let applies = t
+            .events
+            .iter()
+            .filter(|ev| matches!(ev, Event::Span(r) if r.stage == SpanStage::Apply))
+            .count();
+        if applies != e.submitted {
             out.push(OracleFinding {
-                oracle: "ordup-order",
-                detail: format!("site {i} applied out of global sequence order: {seqs:?}"),
-            });
-        }
-        if a.ordup_order.len() != e.submitted {
-            out.push(OracleFinding {
-                oracle: "ordup-order",
+                oracle: "apply-count",
                 detail: format!(
-                    "site {i} applied {} of {} submitted updates",
-                    a.ordup_order.len(),
-                    e.submitted
-                ),
-            });
-        }
-        if a.ordup_order != e.audits[0].ordup_order {
-            out.push(OracleFinding {
-                oracle: "ordup-order",
-                detail: format!(
-                    "site {i} application order differs from site 0: {:?} vs {:?}",
-                    a.ordup_order, e.audits[0].ordup_order
-                ),
-            });
-        }
-    }
-}
-
-fn commu_oracle(e: &RunEvidence, out: &mut Vec<OracleFinding>) {
-    let mut reference: Vec<_> = e.audits[0].commu_order.clone();
-    reference.sort_unstable();
-    for (i, a) in e.audits.iter().enumerate() {
-        let mut ets = a.commu_order.clone();
-        ets.sort_unstable();
-        if ets != reference || ets.len() != e.submitted {
-            out.push(OracleFinding {
-                oracle: "commu-closure",
-                detail: format!(
-                    "site {i} applied ET multiset {ets:?}, expected the same {} ETs at every site",
-                    e.submitted
-                ),
-            });
-        }
-    }
-}
-
-fn ritu_oracle(e: &RunEvidence, out: &mut Vec<OracleFinding>) {
-    for (i, a) in e.audits.iter().enumerate() {
-        let mut last: BTreeMap<ObjectId, esr_core::ids::VersionTs> = BTreeMap::new();
-        for &(obj, ts) in &a.ritu_installs {
-            if let Some(prev) = last.get(&obj) {
-                if ts <= *prev {
-                    out.push(OracleFinding {
-                        oracle: "ritu-monotone",
-                        detail: format!(
-                            "site {i} installed {obj:?} at version {ts:?} after {prev:?} \
-                             (winning installs must be strictly increasing)"
-                        ),
-                    });
-                }
-            }
-            last.insert(obj, ts);
-        }
-    }
-}
-
-fn vtnc_oracle(e: &RunEvidence, out: &mut Vec<OracleFinding>) {
-    for (i, a) in e.audits.iter().enumerate() {
-        if a.vtnc_violations > 0 {
-            out.push(OracleFinding {
-                oracle: "vtnc-safety",
-                detail: format!(
-                    "site {i} saw {} VTNC advance(s) past its locally installed prefix",
-                    a.vtnc_violations
-                ),
-            });
-        }
-        if !a.vtnc_targets.windows(2).all(|w| w[0] <= w[1]) {
-            out.push(OracleFinding {
-                oracle: "vtnc-safety",
-                detail: format!(
-                    "site {i} received non-monotone VTNC targets: {:?}",
-                    a.vtnc_targets
-                ),
-            });
-        }
-    }
-}
-
-fn compe_oracle(e: &RunEvidence, out: &mut Vec<OracleFinding>) {
-    for (i, a) in e.audits.iter().enumerate() {
-        let mut unresolved: BTreeMap<esr_core::ids::EtId, ()> = BTreeMap::new();
-        for &(et, ev) in &a.compe_events {
-            match ev {
-                CompeEvent::Applied => {
-                    unresolved.insert(et, ());
-                }
-                CompeEvent::Committed | CompeEvent::Compensated => {
-                    unresolved.remove(&et);
-                }
-                CompeEvent::Suppressed => {}
-            }
-        }
-        if !unresolved.is_empty() {
-            out.push(OracleFinding {
-                oracle: "compe-resolution",
-                detail: format!(
-                    "site {i} still has unresolved optimistic applies after quiesce: {:?}",
-                    unresolved.keys().collect::<Vec<_>>()
+                    "site {} applied {applies} of {} submitted updates",
+                    t.site, e.submitted
                 ),
             });
         }

@@ -1,11 +1,11 @@
 //! `esr-model` end-to-end: the seven control-plane canaries must be
-//! caught, the unmutated protocol must sweep clean for every method,
-//! and the traces the model emits must certify.
+//! caught and the unmutated protocol must sweep clean for every method
+//! (every terminal's traces pass the certifier — it is one of the
+//! terminal oracles).
 
-use esr_check::certify::{certify, SiteTrace};
 use esr_check::model::canary::{canary_cfg, expose, CTRL_CANARIES};
 use esr_check::model::explore::{explore, Sweep};
-use esr_check::model::{ModelCfg, World};
+use esr_check::model::ModelCfg;
 use esr_runtime::state::RtMethod;
 
 const METHODS: [RtMethod; 5] = [
@@ -159,30 +159,4 @@ fn view_change_configs_sweep_clean() {
     let mut enriched = ModelCfg::view_change(RtMethod::Commu);
     enriched.max_crashes = 1;
     judge("Commu crash-enriched", &enriched, VC_ENRICHED_BUDGET);
-}
-
-#[test]
-fn model_traces_certify() {
-    // A fault-free run of the standard workload, traced by the model's
-    // per-site rings, must pass the trace certifier for every method.
-    for method in METHODS {
-        let cfg = ModelCfg::standard(method);
-        let mut world = World::new(&cfg);
-        for tx in world.client_schedule() {
-            world.execute(tx);
-            assert!(world.drain(), "{method:?}: failed to drain");
-        }
-        let traces: Vec<SiteTrace> = world
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| SiteTrace {
-                site: i as u64,
-                dropped: 0,
-                events: n.trace.clone(),
-            })
-            .collect();
-        let findings = certify(method, &traces);
-        assert!(findings.is_empty(), "{method:?}: {findings:?}");
-    }
 }

@@ -16,10 +16,9 @@
 //! peer address on every attempt, so a daemon that restarts on a new
 //! ephemeral port is picked up as soon as it republishes its address.
 //!
-//! A standalone `spawn` owns a private single-link reactor (one thread,
-//! as before); a daemon instead runs all of its links *and* its RPC
-//! plane on one shared reactor via [`Link::attach`] — one I/O thread
-//! total, regardless of cluster size or client fan-in.
+//! A daemon runs all of its links *and* its RPC plane on one shared
+//! reactor via [`Link::attach`] — one I/O thread total, regardless of
+//! cluster size or client fan-in.
 
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
@@ -58,52 +57,16 @@ pub struct Link {
     queue: SharedQueue,
     reactor: ReactorHandle,
     token: u64,
-    /// A private reactor when this link was spawned standalone; shared-
-    /// reactor links (daemons) leave this empty. Declared last so the
-    /// token is deregistered before the owned thread joins.
-    owned: Option<Reactor>,
 }
 
 impl Link {
-    /// Spawns a standalone link on its own reactor. `hello` is sent
-    /// (outside the durable contract) every time a connection is
-    /// established, so the receiver learns who is dialing before any
-    /// queued traffic.
-    pub fn spawn(queue: Box<dyn StableQueue + Send>, resolve: Resolver, hello: Bytes) -> Self {
-        Self::spawn_with(queue, resolve, hello, Backoff::default())
-    }
-
-    /// [`Link::spawn`] with an explicit backoff shape (tests tighten it).
-    pub fn spawn_with(
-        queue: Box<dyn StableQueue + Send>,
-        resolve: Resolver,
-        hello: Bytes,
-        backoff: Backoff,
-    ) -> Self {
-        Self::spawn_observed(queue, resolve, hello, backoff, LinkInstruments::default())
-    }
-
-    /// [`Link::spawn_with`] plus a metrics bundle: the reactor ticks
-    /// dials, sends, retransmits, and acks, and keeps the queue
-    /// depth/age gauges current (wall-clock age — the reactor lives in
-    /// real time).
-    pub fn spawn_observed(
-        queue: Box<dyn StableQueue + Send>,
-        resolve: Resolver,
-        hello: Bytes,
-        backoff: Backoff,
-        obs: LinkInstruments,
-    ) -> Self {
-        let reactor =
-            Reactor::new().unwrap_or_else(|e| panic!("spawn link reactor: {e}"));
-        let mut link = Self::attach(&reactor, queue, resolve, hello, backoff, obs);
-        link.owned = Some(reactor);
-        link
-    }
-
-    /// Registers this link on an existing reactor instead of spawning
-    /// one — the daemon multiplexes every link and its whole RPC plane
-    /// on a single reactor thread.
+    /// Registers a link on `reactor` — the daemon multiplexes every
+    /// link and its whole RPC plane on a single reactor thread. `hello`
+    /// is sent (outside the durable contract) every time a connection
+    /// is established, so the receiver learns who is dialing before any
+    /// queued traffic. The reactor ticks `obs` on dials, sends,
+    /// retransmits and acks, and keeps its queue depth/age gauges
+    /// current (wall-clock age — the reactor lives in real time).
     pub fn attach(
         reactor: &Reactor,
         queue: Box<dyn StableQueue + Send>,
@@ -125,7 +88,6 @@ impl Link {
             queue,
             reactor: handle,
             token,
-            owned: None,
         }
     }
 
@@ -149,8 +111,7 @@ impl Link {
         lock_queue(&self.queue).len()
     }
 
-    /// Deregisters the link (queued entries stay durable). A standalone
-    /// link's private reactor is joined before returning.
+    /// Deregisters the link (queued entries stay durable).
     pub fn shutdown(self) {
         drop(self);
     }
@@ -159,7 +120,6 @@ impl Link {
 impl Drop for Link {
     fn drop(&mut self) {
         self.reactor.remove(self.token);
-        // `owned` (if any) drops after this: shutdown + join.
     }
 }
 
@@ -170,11 +130,19 @@ mod tests {
     use esr_storage::stable_queue::MemQueue;
     use std::net::{Shutdown, TcpListener, TcpStream};
 
-    fn tight_backoff() -> Backoff {
-        Backoff {
-            initial: Duration::from_millis(5),
-            max: Duration::from_millis(40),
-        }
+    /// A link to `addr` on `reactor` with a tight redial backoff.
+    fn link_to(reactor: &Reactor, addr: SocketAddr, hello: &'static [u8]) -> Link {
+        Link::attach(
+            reactor,
+            Box::new(MemQueue::new()),
+            Box::new(move || Some(addr)),
+            Bytes::from_static(hello),
+            Backoff {
+                initial: Duration::from_millis(5),
+                max: Duration::from_millis(40),
+            },
+            LinkInstruments::default(),
+        )
     }
 
     /// Accepts one connection, checks the handshake, and returns the
@@ -203,12 +171,8 @@ mod tests {
     fn delivers_and_retires_on_ack() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let link = Link::spawn_with(
-            Box::new(MemQueue::new()),
-            Box::new(move || Some(addr)),
-            Bytes::from_static(b"hi"),
-            tight_backoff(),
-        );
+        let reactor = Reactor::new().unwrap();
+        let link = link_to(&reactor, addr, b"hi");
         link.send(Bytes::from_static(b"alpha"));
         link.send(Bytes::from_static(b"beta"));
 
@@ -227,12 +191,8 @@ mod tests {
     fn retransmits_unacked_entries_after_reconnect() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let link = Link::spawn_with(
-            Box::new(MemQueue::new()),
-            Box::new(move || Some(addr)),
-            Bytes::from_static(b"h"),
-            tight_backoff(),
-        );
+        let reactor = Reactor::new().unwrap();
+        let link = link_to(&reactor, addr, b"h");
         link.send(Bytes::from_static(b"one"));
         link.send(Bytes::from_static(b"two"));
 
@@ -265,12 +225,8 @@ mod tests {
         let addr = probe.local_addr().unwrap();
         drop(probe);
 
-        let link = Link::spawn_with(
-            Box::new(MemQueue::new()),
-            Box::new(move || Some(addr)),
-            Bytes::from_static(b"h"),
-            tight_backoff(),
-        );
+        let reactor = Reactor::new().unwrap();
+        let link = link_to(&reactor, addr, b"h");
         link.send(Bytes::from_static(b"late"));
         std::thread::sleep(Duration::from_millis(60));
         assert_eq!(link.pending(), 1);
@@ -288,12 +244,8 @@ mod tests {
     fn batched_ack_retires_many_entries_at_once() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let link = Link::spawn_with(
-            Box::new(MemQueue::new()),
-            Box::new(move || Some(addr)),
-            Bytes::from_static(b"hi"),
-            tight_backoff(),
-        );
+        let reactor = Reactor::new().unwrap();
+        let link = link_to(&reactor, addr, b"hi");
         let ids: Vec<u64> = (0..5)
             .map(|i| link.send(Bytes::from(vec![i])).0)
             .collect();

@@ -12,9 +12,8 @@
 //! never a panic, so a torn or hostile snapshot file can at worst be
 //! skipped.
 //!
-//! Deliberately excluded from the image: audit logs (an oracle aid the
-//! checker re-arms per run) and metrics bundles (re-attached by the
-//! daemon after restore).
+//! Deliberately excluded from the image: metrics bundles (re-attached
+//! by the daemon after restore).
 
 use bytes::{BufMut, Bytes, BytesMut};
 

@@ -40,8 +40,6 @@ pub struct CommuSite {
     applied_ets: FastIdMap<EtId, ()>,
     applied: u64,
     redelivered: u64,
-    /// Opt-in oracle audit: ETs in application order.
-    audit: Option<Vec<EtId>>,
     /// Metrics bundle (no-op until attached).
     obs: SiteInstruments,
 }
@@ -56,7 +54,6 @@ impl CommuSite {
             applied_ets: FastIdMap::default(),
             applied: 0,
             redelivered: 0,
-            audit: None,
             obs: SiteInstruments::default(),
         }
     }
@@ -78,22 +75,10 @@ impl CommuSite {
         self.redelivered
     }
 
-    /// Turns on the audit log consumed by the `esr-check` COMMU
-    /// commutativity oracle: ETs recorded in application order.
-    pub fn enable_audit(&mut self) {
-        self.audit.get_or_insert_with(Vec::new);
-    }
-
-    /// The audit log (empty unless [`CommuSite::enable_audit`] was
-    /// called before deliveries began).
-    pub fn audit_log(&self) -> &[EtId] {
-        self.audit.as_deref().unwrap_or(&[])
-    }
-
     /// Captures the site's full protocol state as a checkpoint image:
     /// store contents, the in-flight updates still holding
-    /// lock-counters, and the duplicate-suppression set. Audit logs and
-    /// metrics bundles are excluded (re-armed after restore).
+    /// lock-counters, and the duplicate-suppression set. The metrics
+    /// bundle is excluded (re-attached after restore).
     pub fn to_ckpt(&self) -> crate::ckpt::CommuCkpt {
         let mut applied_ets: Vec<EtId> = self.applied_ets.keys().copied().collect();
         applied_ets.sort_unstable();
@@ -120,7 +105,6 @@ impl CommuSite {
             applied_ets: c.applied_ets.into_iter().map(|et| (et, ())).collect(),
             applied: c.applied,
             redelivered: c.redelivered,
-            audit: None,
             obs: SiteInstruments::default(),
         }
     }
@@ -176,9 +160,6 @@ impl ReplicaSite for CommuSite {
         }
         let high_water = self.counters.begin_update(mset.et, mset.write_set());
         self.obs.lock_counter_high_water(high_water);
-        if let Some(log) = &mut self.audit {
-            log.push(mset.et);
-        }
         self.applied_ets.insert(mset.et, ());
         self.applied += 1;
         self.obs.delivered(1, 1, 0);
@@ -233,9 +214,6 @@ impl ReplicaSite for CommuSite {
                         }
                     },
                 }
-            }
-            if let Some(log) = &mut self.audit {
-                log.push(mset.et);
             }
             self.applied_ets.insert(mset.et, ());
             self.applied += 1;

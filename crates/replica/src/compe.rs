@@ -42,15 +42,13 @@ pub struct CompeSite {
     compensations: u64,
     rollbacks: RollbackTotals,
     redelivered: u64,
-    /// Opt-in oracle audit: lifecycle events in the order they happened.
-    audit: Option<Vec<(EtId, CompeEvent)>>,
     /// Metrics bundle (no-op until attached).
     obs: SiteInstruments,
 }
 
 /// Cumulative cost of the rollbacks a site has run (experiment E8's
-/// columns), summed over its [`RollbackReport`]s. Like the audit log,
-/// not part of the checkpoint image: it counts this incarnation.
+/// columns), summed over its [`RollbackReport`]s. Not part of the
+/// checkpoint image: it counts this incarnation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RollbackTotals {
     /// Compensations taken via the commutative fast path.
@@ -61,20 +59,6 @@ pub struct RollbackTotals {
     pub ops_undone: u64,
     /// Operations replayed across all rollbacks.
     pub ops_replayed: u64,
-}
-
-/// One lifecycle event on the COMPE audit log (see
-/// [`CompeSite::enable_audit`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompeEvent {
-    /// MSet applied optimistically (entered the risk window).
-    Applied,
-    /// Commit notice resolved an at-risk MSet.
-    Committed,
-    /// Abort notice compensated an at-risk MSet.
-    Compensated,
-    /// Late MSet dropped because its abort arrived first.
-    Suppressed,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,7 +109,6 @@ impl CompeSite {
             compensations: 0,
             rollbacks: RollbackTotals::default(),
             redelivered: 0,
-            audit: None,
             obs: SiteInstruments::default(),
         }
     }
@@ -134,27 +117,6 @@ impl CompeSite {
     /// queries tick its series (a detached bundle costs one branch).
     pub fn attach_metrics(&mut self, obs: SiteInstruments) {
         self.obs = obs;
-    }
-
-    /// Turns on the audit log consumed by the `esr-check` COMPE
-    /// compensability oracle: every apply / commit / compensate /
-    /// suppress is recorded in order, so the oracle can check each
-    /// optimistic apply was eventually resolved and each abort either
-    /// compensated or suppressed.
-    pub fn enable_audit(&mut self) {
-        self.audit.get_or_insert_with(Vec::new);
-    }
-
-    /// The audit log (empty unless [`CompeSite::enable_audit`] was
-    /// called before traffic began).
-    pub fn audit_log(&self) -> &[(EtId, CompeEvent)] {
-        self.audit.as_deref().unwrap_or(&[])
-    }
-
-    fn note(&mut self, et: EtId, ev: CompeEvent) {
-        if let Some(log) = &mut self.audit {
-            log.push((et, ev));
-        }
     }
 
     /// Total MSets applied optimistically.
@@ -222,7 +184,6 @@ impl CompeSite {
             compensations: c.compensations,
             rollbacks: RollbackTotals::default(),
             redelivered: c.redelivered,
-            audit: None,
             obs: SiteInstruments::default(),
         }
     }
@@ -235,7 +196,6 @@ impl CompeSite {
             Some(d @ Disposition::AtRisk) => {
                 *d = Disposition::Committed;
                 self.log.commit(et);
-                self.note(et, CompeEvent::Committed);
                 self.obs.set_at_risk(self.log.at_risk() as u64);
             }
             Some(_) => {}
@@ -258,7 +218,6 @@ impl CompeSite {
                 // Abort raced ahead of the MSet: remember so the MSet is
                 // dropped on arrival.
                 self.seen.insert(et, Disposition::Aborted);
-                self.note(et, CompeEvent::Suppressed);
                 return None;
             }
         }
@@ -275,7 +234,6 @@ impl CompeSite {
         }
         self.rollbacks.ops_undone += report.ops_undone as u64;
         self.rollbacks.ops_replayed += report.ops_replayed as u64;
-        self.note(et, CompeEvent::Compensated);
         self.obs.compensations(1);
         self.obs.set_at_risk(self.log.at_risk() as u64);
         Some(report)
@@ -317,7 +275,6 @@ impl ReplicaSite for CompeSite {
                     .apply_mset(&mut self.store, mset.et, &mset.ops)
                     .expect("optimistic MSet must apply cleanly");
                 self.seen.insert(mset.et, Disposition::AtRisk);
-                self.note(mset.et, CompeEvent::Applied);
                 Delivered::Applied
             }
             Some(Disposition::CommitPending) => {
@@ -328,8 +285,6 @@ impl ReplicaSite for CompeSite {
                         .expect("committed MSet must apply cleanly");
                 }
                 self.seen.insert(mset.et, Disposition::Committed);
-                self.note(mset.et, CompeEvent::Applied);
-                self.note(mset.et, CompeEvent::Committed);
                 Delivered::Applied
             }
             Some(Disposition::AtRisk) | Some(Disposition::Committed) => Delivered::Duplicate,
@@ -360,7 +315,6 @@ impl ReplicaSite for CompeSite {
                 None => {
                     self.seen.insert(mset.et, Disposition::AtRisk);
                     self.applied += 1;
-                    self.note(mset.et, CompeEvent::Applied);
                     run.push(mset);
                 }
                 Some(Disposition::CommitPending) => {
@@ -374,8 +328,6 @@ impl ReplicaSite for CompeSite {
                     }
                     self.seen.insert(mset.et, Disposition::Committed);
                     self.applied += 1;
-                    self.note(mset.et, CompeEvent::Applied);
-                    self.note(mset.et, CompeEvent::Committed);
                 }
                 Some(Disposition::AtRisk) | Some(Disposition::Committed) => {
                     self.redelivered += 1; // duplicate of an applied MSet

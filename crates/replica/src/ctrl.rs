@@ -499,8 +499,8 @@ pub struct NodeCore {
 
 impl NodeCore {
     /// A fresh core around an already-prepared replica state (the
-    /// caller enables audits / attaches metrics first so recovery
-    /// replays are observable).
+    /// caller attaches metrics first so recovery replays are
+    /// observable).
     pub fn fresh(
         state: SiteState,
         method: RtMethod,

@@ -51,6 +51,6 @@ pub use saga::{SagaCoordinator, SagaId, SagaState};
 pub use quorum::{QuorumCluster, QuorumReport};
 pub use site::{QueryOutcome, ReplicaSite};
 pub use span::{SpanRec, SpanStage};
-pub use state::{RtMethod, SiteAudit, SiteState};
+pub use state::{RtMethod, SiteState};
 pub use sync2pc::{TwoPcCluster, TwoPcReport};
 pub use wire::{decode_mset, encode_mset, WireError};

@@ -53,8 +53,6 @@ pub struct OrdupSite {
     /// Duplicate deliveries recognized and suppressed (at-least-once
     /// transport makes these routine, not errors).
     redelivered: u64,
-    /// Opt-in oracle audit: `(et, seq)` in actual application order.
-    audit: Option<Vec<(esr_core::ids::EtId, SeqNo)>>,
     /// Metrics bundle (no-op until attached).
     obs: SiteInstruments,
 }
@@ -70,7 +68,6 @@ impl OrdupSite {
             applied_ets: FastIdSet::default(),
             applied: 0,
             redelivered: 0,
-            audit: None,
             obs: SiteInstruments::default(),
         }
     }
@@ -81,51 +78,38 @@ impl OrdupSite {
         self.obs = obs;
     }
 
-    /// Turns on the audit log consumed by the `esr-check` ORDUP
-    /// global-order oracle: every applied MSet is recorded as
-    /// `(et, seq)` in the order it reached the store.
-    pub fn enable_audit(&mut self) {
-        self.audit.get_or_insert_with(Vec::new);
-    }
-
-    /// The audit log (empty unless [`OrdupSite::enable_audit`] was
-    /// called before deliveries began).
-    pub fn audit_log(&self) -> &[(esr_core::ids::EtId, SeqNo)] {
-        self.audit.as_deref().unwrap_or(&[])
-    }
-
     /// **Fault injection for `esr-check` canaries** ("the sequencer
     /// check disabled"): applies the MSet immediately in arrival order,
-    /// bypassing the hold-back queue entirely. The audit log keeps the
-    /// MSet's real sequence number, so the global-order oracle sees the
-    /// out-of-order application this shortcut causes. Never call this
-    /// outside a checker run.
+    /// bypassing the hold-back queue entirely, and reports whether it
+    /// was applied (`false` for a duplicate). The caller records the
+    /// apply event with the MSet's real sequence number, so the
+    /// certifier's `ordup-order` clause sees the out-of-order
+    /// application this shortcut causes. Never call this outside a
+    /// checker run.
     #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
-    pub fn apply_unchecked(&mut self, mset: MSet) {
-        let OrderTag::Sequenced(seq) = mset.order else {
+    pub fn apply_unchecked(&mut self, mset: MSet) -> bool {
+        let OrderTag::Sequenced(_) = mset.order else {
             panic!("ORDUP sequencer site received non-sequenced MSet {mset}");
         };
         if self.applied_ets.contains(&mset.et) {
             self.redelivered += 1;
-            return;
+            return false;
         }
         for op in &mset.ops {
             self.store
                 .apply(op)
                 .expect("update MSet must apply cleanly at every replica");
         }
-        if let Some(log) = &mut self.audit {
-            log.push((mset.et, seq));
-        }
         self.applied_ets.insert(mset.et);
         self.applied += 1;
+        true
     }
 
     /// Captures the site's full protocol state as a checkpoint image:
     /// store contents, the hold-back queue, the next expected sequence
-    /// number, and the duplicate-suppression set. Audit logs and
-    /// metrics bundles are deliberately excluded (the checker and
-    /// daemon re-arm them after restore).
+    /// number, and the duplicate-suppression set. The metrics
+    /// bundle is deliberately excluded (the daemon re-attaches it after
+    /// restore).
     pub fn to_ckpt(&self) -> crate::ckpt::OrdupCkpt {
         let mut applied_ets: Vec<esr_core::ids::EtId> =
             self.applied_ets.iter().copied().collect();
@@ -166,7 +150,6 @@ impl OrdupSite {
             applied_ets: c.applied_ets.into_iter().collect(),
             applied: c.applied,
             redelivered: c.redelivered,
-            audit: None,
             obs: SiteInstruments::default(),
         }
     }
@@ -211,9 +194,6 @@ impl OrdupSite {
             self.store
                 .apply(op)
                 .expect("update MSet must apply cleanly at every replica");
-        }
-        if let Some(log) = &mut self.audit {
-            log.push((mset.et, self.next_seq));
         }
         self.applied_ets.insert(mset.et);
         self.next_seq = self.next_seq.next();

@@ -25,7 +25,7 @@ use esr_core::value::Value;
 use esr_obs::SiteInstruments;
 use esr_storage::mvstore::MvStore;
 use esr_storage::shard::FastIdMap;
-use esr_storage::store::{LwwOutcome, LwwStore};
+use esr_storage::store::LwwStore;
 
 use crate::mset::MSet;
 use crate::site::{Delivered, Delivery, QueryOutcome, ReplicaSite};
@@ -39,9 +39,6 @@ pub struct RituOverwriteSite {
     applied_ets: FastIdMap<EtId, ()>,
     applied: u64,
     redelivered: u64,
-    /// Opt-in oracle audit: winning installs `(object, version)` in the
-    /// order they reached the store.
-    audit: Option<Vec<(ObjectId, VersionTs)>>,
     /// Metrics bundle (no-op until attached).
     obs: SiteInstruments,
 }
@@ -56,7 +53,6 @@ impl RituOverwriteSite {
             applied_ets: FastIdMap::default(),
             applied: 0,
             redelivered: 0,
-            audit: None,
             obs: SiteInstruments::default(),
         }
     }
@@ -76,21 +72,6 @@ impl RituOverwriteSite {
     /// idempotency guard fired under at-least-once delivery).
     pub fn redelivered(&self) -> u64 {
         self.redelivered
-    }
-
-    /// Turns on the audit log consumed by the `esr-check` RITU
-    /// timestamp-monotonicity oracle: every *winning* install is
-    /// recorded as `(object, version)` in store order — losers
-    /// (older-version writes the LWW arbitration ignores) never appear,
-    /// so per-object versions must be strictly increasing.
-    pub fn enable_audit(&mut self) {
-        self.audit.get_or_insert_with(Vec::new);
-    }
-
-    /// The audit log (empty unless [`RituOverwriteSite::enable_audit`]
-    /// was called before deliveries began).
-    pub fn audit_log(&self) -> &[(ObjectId, VersionTs)] {
-        self.audit.as_deref().unwrap_or(&[])
     }
 
     /// Completion notice (see [`crate::commu::CommuSite::complete`]).
@@ -136,7 +117,6 @@ impl RituOverwriteSite {
             applied_ets: c.applied_ets.into_iter().map(|et| (et, ())).collect(),
             applied: c.applied,
             redelivered: c.redelivered,
-            audit: None,
             obs: SiteInstruments::default(),
         }
     }
@@ -165,10 +145,7 @@ impl ReplicaSite for RituOverwriteSite {
             );
             match &op.op {
                 Operation::TimestampedWrite(ts, v) => {
-                    let outcome = self.store.apply_timestamped(op.object, *ts, v.clone());
-                    if let (LwwOutcome::Applied, Some(log)) = (outcome, &mut self.audit) {
-                        log.push((op.object, *ts));
-                    }
+                    let _ = self.store.apply_timestamped(op.object, *ts, v.clone());
                 }
                 Operation::Read => {}
                 _ => {
@@ -236,10 +213,7 @@ impl ReplicaSite for RituOverwriteSite {
         let high_water = self.counters.begin_updates(regs);
         self.obs.lock_counter_high_water(high_water);
         for (object, (ts, value)) in best {
-            let outcome = self.store.apply_timestamped(object, ts, value.clone());
-            if let (LwwOutcome::Applied, Some(log)) = (outcome, &mut self.audit) {
-                log.push((object, ts));
-            }
+            let _ = self.store.apply_timestamped(object, ts, value.clone());
         }
         self.obs.batch(batch_len);
         self.obs.delivered(
@@ -280,41 +254,6 @@ impl ReplicaSite for RituOverwriteSite {
     }
 }
 
-/// Audit state for the `esr-check` VTNC-safety oracle (opt-in via
-/// [`RituMvSite::enable_audit`]).
-#[derive(Debug, Default)]
-struct MvAudit {
-    /// Global version times installed locally (the cluster driver mints
-    /// them densely from 1 via its version clock).
-    installed: std::collections::BTreeSet<u64>,
-    /// Largest `t` such that every time in `1..=t` is installed locally.
-    contig: u64,
-    /// Every VTNC target this site was asked to advance to, in arrival
-    /// order (before monotone clamping by the store).
-    vtnc_log: Vec<VersionTs>,
-    /// Advances whose target exceeded the locally installed contiguous
-    /// prefix — unsafe certifications: a version at or below the new
-    /// horizon had not yet been installed here, so a "stable" read could
-    /// miss it.
-    vtnc_violations: u64,
-}
-
-impl MvAudit {
-    fn note_install(&mut self, ts: VersionTs) {
-        self.installed.insert(ts.time);
-        while self.installed.contains(&(self.contig + 1)) {
-            self.contig += 1;
-        }
-    }
-
-    fn note_advance(&mut self, to: VersionTs) {
-        self.vtnc_log.push(to);
-        if to.time > self.contig {
-            self.vtnc_violations += 1;
-        }
-    }
-}
-
 /// RITU in multiversion mode with VTNC visibility control.
 #[derive(Debug)]
 pub struct RituMvSite {
@@ -325,7 +264,6 @@ pub struct RituMvSite {
     redelivered: u64,
     /// Largest version time installed locally (for the lag gauge).
     newest_installed: u64,
-    audit: Option<MvAudit>,
     /// Metrics bundle (no-op until attached).
     obs: SiteInstruments,
 }
@@ -340,7 +278,6 @@ impl RituMvSite {
             applied: 0,
             redelivered: 0,
             newest_installed: 0,
-            audit: None,
             obs: SiteInstruments::default(),
         }
     }
@@ -393,7 +330,6 @@ impl RituMvSite {
             applied: c.applied,
             redelivered: c.redelivered,
             newest_installed: c.newest_installed,
-            audit: None,
             obs: SiteInstruments::default(),
         }
     }
@@ -418,34 +354,8 @@ impl RituMvSite {
     /// every version at or below `to` is installed at every replica and
     /// no smaller version can ever be created.
     pub fn advance_vtnc(&mut self, to: VersionTs) {
-        if let Some(audit) = &mut self.audit {
-            audit.note_advance(to);
-        }
         self.store.advance_vtnc(to);
         self.tick_vtnc_gauges();
-    }
-
-    /// Turns on the audit consumed by the `esr-check` VTNC-safety
-    /// oracle: installs are tracked against the dense global version
-    /// times so each `advance_vtnc` can be judged safe (target within
-    /// the locally installed contiguous prefix) or not.
-    pub fn enable_audit(&mut self) {
-        if self.audit.is_none() {
-            self.audit = Some(MvAudit::default());
-        }
-    }
-
-    /// Number of VTNC advances whose target exceeded the locally
-    /// installed contiguous version prefix (0 unless
-    /// [`RituMvSite::enable_audit`] was called before traffic began).
-    pub fn vtnc_violations(&self) -> u64 {
-        self.audit.as_ref().map_or(0, |a| a.vtnc_violations)
-    }
-
-    /// Every VTNC target received, in arrival order (empty without
-    /// audit). The oracle checks this sequence is non-decreasing.
-    pub fn vtnc_targets(&self) -> &[VersionTs] {
-        self.audit.as_ref().map_or(&[], |a| a.vtnc_log.as_slice())
     }
 
     /// Direct access to the underlying multiversion store (for COMPE
@@ -515,9 +425,6 @@ impl ReplicaSite for RituMvSite {
                 Operation::TimestampedWrite(ts, v) => {
                     self.store.install(op.object, *ts, v.clone());
                     self.newest_installed = self.newest_installed.max(ts.time);
-                    if let Some(audit) = &mut self.audit {
-                        audit.note_install(*ts);
-                    }
                 }
                 Operation::Read => {}
                 other => panic!("RITU-MV MSet carries non-timestamped write {other}"),
@@ -558,9 +465,6 @@ impl ReplicaSite for RituMvSite {
             for op in mset.ops {
                 match op.op {
                     Operation::TimestampedWrite(ts, v) => {
-                        if let Some(audit) = &mut self.audit {
-                            audit.note_install(ts);
-                        }
                         self.newest_installed = self.newest_installed.max(ts.time);
                         let idx = arena.len() as u32;
                         arena.push((ts, Some(v), GROUP_NIL));

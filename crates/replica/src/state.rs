@@ -11,12 +11,12 @@
 use std::collections::BTreeMap;
 
 use esr_core::divergence::InconsistencyCounter;
-use esr_core::ids::{EtId, ObjectId, SeqNo, SiteId, VersionTs};
+use esr_core::ids::{EtId, ObjectId, SiteId, VersionTs};
 use esr_core::value::Value;
 
 use crate::ckpt::SiteCkpt;
 use crate::commu::CommuSite;
-use crate::compe::{CompeEvent, CompeSite};
+use crate::compe::CompeSite;
 use crate::mset::MSet;
 use crate::ordup::{OrdupLamportSite, OrdupSite};
 use crate::ritu::{RituMvSite, RituOverwriteSite};
@@ -73,32 +73,6 @@ impl RtMethod {
     }
 }
 
-/// Per-site oracle evidence extracted after a run. The protocol logs
-/// are populated only when audits are enabled; `redelivered` and
-/// `journaled` are always live.
-#[derive(Debug, Clone, Default)]
-pub struct SiteAudit {
-    /// ORDUP: `(et, seq)` in application order.
-    pub ordup_order: Vec<(EtId, SeqNo)>,
-    /// COMMU: ETs in application order.
-    pub commu_order: Vec<EtId>,
-    /// RITU overwrite: winning installs `(object, version)` in store
-    /// order.
-    pub ritu_installs: Vec<(ObjectId, VersionTs)>,
-    /// RITU-MV: every VTNC target received, in arrival order.
-    pub vtnc_targets: Vec<VersionTs>,
-    /// RITU-MV: advances whose target exceeded the locally installed
-    /// contiguous version prefix.
-    pub vtnc_violations: u64,
-    /// COMPE: lifecycle events in order.
-    pub compe_events: Vec<(EtId, CompeEvent)>,
-    /// Duplicate deliveries this site's idempotency guards suppressed.
-    pub redelivered: u64,
-    /// MSets durably journalled at this site (filled by `esrd`; 0 in
-    /// the thread runtime, which journals nothing).
-    pub journaled: u64,
-}
-
 /// One site's protocol state machine, dispatching over the method.
 #[derive(Debug)]
 pub enum SiteState {
@@ -151,8 +125,8 @@ impl SiteState {
     }
 
     /// Rebuilds a site from a checkpoint image. The variant fixes the
-    /// method; audit logs and metrics bundles are *not* checkpointed —
-    /// re-enable them after restore if wanted.
+    /// method; the metrics bundle is *not* checkpointed — re-attach it
+    /// after restore if wanted.
     pub fn from_ckpt(id: SiteId, c: SiteCkpt) -> Self {
         match c {
             SiteCkpt::Ordup(c) => SiteState::Ordup(OrdupSite::from_ckpt(id, c)),
@@ -245,18 +219,6 @@ impl SiteState {
         }
     }
 
-    /// Duplicate deliveries suppressed so far.
-    pub fn redelivered(&self) -> u64 {
-        match self {
-            SiteState::Ordup(s) => s.redelivered(),
-            SiteState::OrdupLamport(s) => s.redelivered(),
-            SiteState::Commu(s) => s.redelivered(),
-            SiteState::Ritu(s) => s.redelivered(),
-            SiteState::RituMv(s) => s.redelivered(),
-            SiteState::Compe(s) => s.redelivered(),
-        }
-    }
-
     /// Attaches a per-site metrics bundle; the site ticks its delivery,
     /// backlog, and epsilon series from then on.
     pub fn attach_metrics(&mut self, obs: esr_obs::SiteInstruments) {
@@ -268,37 +230,6 @@ impl SiteState {
             SiteState::RituMv(s) => s.attach_metrics(obs),
             SiteState::Compe(s) => s.attach_metrics(obs),
         }
-    }
-
-    /// Turns on the per-method audit log (the Lamport site keeps none).
-    pub fn enable_audit(&mut self) {
-        match self {
-            SiteState::Ordup(s) => s.enable_audit(),
-            SiteState::OrdupLamport(_) => {}
-            SiteState::Commu(s) => s.enable_audit(),
-            SiteState::Ritu(s) => s.enable_audit(),
-            SiteState::RituMv(s) => s.enable_audit(),
-            SiteState::Compe(s) => s.enable_audit(),
-        }
-    }
-
-    /// Extracts the oracle audit (protocol logs + redelivery counter;
-    /// the caller fills in transport-side fields).
-    pub fn audit(&self) -> SiteAudit {
-        let mut a = SiteAudit::default();
-        match self {
-            SiteState::Ordup(s) => a.ordup_order = s.audit_log().to_vec(),
-            SiteState::OrdupLamport(_) => {}
-            SiteState::Commu(s) => a.commu_order = s.audit_log().to_vec(),
-            SiteState::Ritu(s) => a.ritu_installs = s.audit_log().to_vec(),
-            SiteState::RituMv(s) => {
-                a.vtnc_targets = s.vtnc_targets().to_vec();
-                a.vtnc_violations = s.vtnc_violations();
-            }
-            SiteState::Compe(s) => a.compe_events = s.audit_log().to_vec(),
-        }
-        a.redelivered = self.redelivered();
-        a
     }
 
     /// Completion notice: every site has applied `et` (releases the

@@ -20,7 +20,6 @@ use esr_core::ids::{ClientId, EtId, LamportTs, ObjectId, SeqNo, SiteId, VersionT
 use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
 
-use crate::compe::CompeEvent;
 use crate::ctrl::Evidence;
 use crate::mset::{MSet, OrderTag};
 use crate::site::QueryOutcome;
@@ -346,8 +345,8 @@ const FRAME_SNAPSHOT: u8 = 0x14;
 const FRAME_SNAPSHOT_OK: u8 = 0x15;
 const FRAME_STATUS: u8 = 0x16;
 const FRAME_STATUS_OK: u8 = 0x17;
-const FRAME_AUDIT: u8 = 0x18;
-const FRAME_AUDIT_OK: u8 = 0x19;
+// 0x18/0x19 are retired (the audit-log request and reply) and must
+// keep decoding to `BadTag`.
 const FRAME_DECISION_OK: u8 = 0x1A;
 const FRAME_METRICS: u8 = 0x1B;
 const FRAME_METRICS_OK: u8 = 0x1C;
@@ -355,33 +354,6 @@ const FRAME_CHECKPOINT: u8 = 0x1F;
 const FRAME_CHECKPOINT_OK: u8 = 0x20;
 const FRAME_EVENT_QUERY: u8 = 0x21;
 const FRAME_EVENT_OK: u8 = 0x22;
-
-const COMPE_APPLIED: u8 = 0;
-const COMPE_COMMITTED: u8 = 1;
-const COMPE_COMPENSATED: u8 = 2;
-const COMPE_SUPPRESSED: u8 = 3;
-
-/// The wire form of a site's oracle audit (`esr_runtime::SiteAudit`): a
-/// daemon's protocol logs and durability counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WireAudit {
-    /// ORDUP: `(et, seq)` in application order.
-    pub ordup_order: Vec<(EtId, SeqNo)>,
-    /// COMMU: ETs in application order.
-    pub commu_order: Vec<EtId>,
-    /// RITU overwrite: winning installs `(object, version)`.
-    pub ritu_installs: Vec<(ObjectId, VersionTs)>,
-    /// RITU-MV: every VTNC target received, in arrival order.
-    pub vtnc_targets: Vec<VersionTs>,
-    /// RITU-MV: advances past the locally installed prefix.
-    pub vtnc_violations: u64,
-    /// COMPE: lifecycle events in order.
-    pub compe_events: Vec<(EtId, CompeEvent)>,
-    /// Duplicate deliveries suppressed by idempotency guards.
-    pub redelivered: u64,
-    /// MSets durably journalled at this site.
-    pub journaled: u64,
-}
 
 /// One message of the esr-rpc protocol.
 ///
@@ -553,10 +525,6 @@ pub enum Frame {
         /// Journalled MSets that checkpoint covers.
         ckpt_covered: u64,
     },
-    /// Client → daemon: request the site's audit.
-    Audit,
-    /// Reply to [`Frame::Audit`].
-    AuditOk(WireAudit),
     /// Reply to [`Frame::Decision`] on the client plane.
     DecisionOk {
         /// The decided ET.
@@ -1046,45 +1014,6 @@ pub fn encode_frame(frame: &Frame) -> Bytes {
             b.put_u64(*ckpt_seq);
             b.put_u64(*ckpt_covered);
         }
-        Frame::Audit => {
-            b.put_u8(FRAME_AUDIT);
-        }
-        Frame::AuditOk(a) => {
-            b.put_u8(FRAME_AUDIT_OK);
-            b.put_u32(a.ordup_order.len() as u32);
-            for (et, seq) in &a.ordup_order {
-                b.put_u64(et.raw());
-                b.put_u64(seq.raw());
-            }
-            b.put_u32(a.commu_order.len() as u32);
-            for et in &a.commu_order {
-                b.put_u64(et.raw());
-            }
-            b.put_u32(a.ritu_installs.len() as u32);
-            for (o, ts) in &a.ritu_installs {
-                b.put_u64(o.raw());
-                b.put_u64(ts.time);
-                b.put_u64(ts.client.raw());
-            }
-            b.put_u32(a.vtnc_targets.len() as u32);
-            for ts in &a.vtnc_targets {
-                b.put_u64(ts.time);
-                b.put_u64(ts.client.raw());
-            }
-            b.put_u64(a.vtnc_violations);
-            b.put_u32(a.compe_events.len() as u32);
-            for (et, ev) in &a.compe_events {
-                b.put_u64(et.raw());
-                b.put_u8(match ev {
-                    CompeEvent::Applied => COMPE_APPLIED,
-                    CompeEvent::Committed => COMPE_COMMITTED,
-                    CompeEvent::Compensated => COMPE_COMPENSATED,
-                    CompeEvent::Suppressed => COMPE_SUPPRESSED,
-                });
-            }
-            b.put_u64(a.redelivered);
-            b.put_u64(a.journaled);
-        }
         Frame::DecisionOk { et } => {
             b.put_u8(FRAME_DECISION_OK);
             b.put_u64(et.raw());
@@ -1233,48 +1162,6 @@ pub fn decode_frame(payload: &Bytes) -> Result<Frame, WireError> {
             ckpt_seq: get_u64(&mut b)?,
             ckpt_covered: get_u64(&mut b)?,
         },
-        FRAME_AUDIT => Frame::Audit,
-        FRAME_AUDIT_OK => {
-            let mut a = WireAudit::default();
-            let n = get_count(&mut b, 16)?;
-            for _ in 0..n {
-                let et = EtId(get_u64(&mut b)?);
-                a.ordup_order.push((et, SeqNo(get_u64(&mut b)?)));
-            }
-            let n = get_count(&mut b, 8)?;
-            for _ in 0..n {
-                a.commu_order.push(EtId(get_u64(&mut b)?));
-            }
-            let n = get_count(&mut b, 24)?;
-            for _ in 0..n {
-                let o = ObjectId(get_u64(&mut b)?);
-                let time = get_u64(&mut b)?;
-                let client = ClientId(get_u64(&mut b)?);
-                a.ritu_installs.push((o, VersionTs::new(time, client)));
-            }
-            let n = get_count(&mut b, 16)?;
-            for _ in 0..n {
-                let time = get_u64(&mut b)?;
-                let client = ClientId(get_u64(&mut b)?);
-                a.vtnc_targets.push(VersionTs::new(time, client));
-            }
-            a.vtnc_violations = get_u64(&mut b)?;
-            let n = get_count(&mut b, 9)?;
-            for _ in 0..n {
-                let et = EtId(get_u64(&mut b)?);
-                let ev = match get_u8(&mut b)? {
-                    COMPE_APPLIED => CompeEvent::Applied,
-                    COMPE_COMMITTED => CompeEvent::Committed,
-                    COMPE_COMPENSATED => CompeEvent::Compensated,
-                    COMPE_SUPPRESSED => CompeEvent::Suppressed,
-                    tag => return Err(WireError::BadTag { field: "compe", tag }),
-                };
-                a.compe_events.push((et, ev));
-            }
-            a.redelivered = get_u64(&mut b)?;
-            a.journaled = get_u64(&mut b)?;
-            Frame::AuditOk(a)
-        }
         FRAME_DECISION_OK => Frame::DecisionOk {
             et: EtId(get_u64(&mut b)?),
         },
@@ -1648,23 +1535,6 @@ mod tests {
                 seq: 3,
                 covered: 812,
             },
-            Frame::Audit,
-            Frame::AuditOk(WireAudit {
-                ordup_order: vec![(EtId(1), SeqNo(0)), (EtId(2), SeqNo(1))],
-                commu_order: vec![EtId(3)],
-                ritu_installs: vec![(ObjectId(7), VersionTs::new(3, ClientId(1)))],
-                vtnc_targets: vec![VersionTs::new(3, ClientId(1))],
-                vtnc_violations: 1,
-                compe_events: vec![
-                    (EtId(4), CompeEvent::Applied),
-                    (EtId(4), CompeEvent::Committed),
-                    (EtId(5), CompeEvent::Compensated),
-                    (EtId(6), CompeEvent::Suppressed),
-                ],
-                redelivered: 2,
-                journaled: 8,
-            }),
-            Frame::AuditOk(WireAudit::default()),
             Frame::DecisionOk { et: EtId(13) },
             Frame::Metrics,
             Frame::MetricsOk {
@@ -1758,8 +1628,9 @@ mod tests {
 
     #[test]
     fn unknown_frame_tag_is_rejected() {
-        // 0x08 is the retired control-snapshot tag: never reassigned.
-        for tag in [0xEEu8, 0x08] {
+        // 0x08 (control snapshot) and 0x18/0x19 (audit request/reply)
+        // are retired tags: never reassigned.
+        for tag in [0xEEu8, 0x08, 0x18, 0x19] {
             let raw = Bytes::from(vec![tag, 0, 0, 0]);
             assert_eq!(
                 decode_frame(&raw),

@@ -27,7 +27,7 @@ use esr_replica::ctrl::Evidence;
 use esr_replica::mset::MSet;
 use esr_replica::site::QueryOutcome;
 use esr_replica::span::{Event, SpanRec, SpanStage};
-use esr_replica::wire::{decode_frame, decode_mset, encode_frame, Frame, WireAudit};
+use esr_replica::wire::{decode_frame, decode_mset, encode_frame, Frame, WireError};
 
 /// xorshift64* — deterministic, dependency-free.
 struct Rng(u64);
@@ -133,16 +133,6 @@ fn corpus(seed: u64) -> Vec<Frame> {
             ckpt_seq: seed % 13,
             ckpt_covered: seed % 29,
         },
-        Frame::AuditOk(WireAudit {
-            ordup_order: (0..seed % 3).map(|i| (EtId(i), SeqNo(i))).collect(),
-            commu_order: (0..seed % 4).map(EtId).collect(),
-            ritu_installs: vec![(ObjectId(seed % 13), ts)],
-            vtnc_targets: vec![ts],
-            vtnc_violations: seed % 3,
-            compe_events: vec![],
-            redelivered: seed % 5,
-            journaled: seed % 31,
-        }),
         Frame::DecisionOk { et },
         Frame::Ping {
             view: seed % 9,
@@ -353,6 +343,23 @@ fn corpus_round_trips() {
         for frame in corpus(seed) {
             let enc = encode_frame(&frame);
             assert_eq!(decode_frame(&enc), Ok(frame));
+        }
+    }
+}
+
+/// 0x18/0x19 carried the audit-log request and reply. Retagging every
+/// corpus body with them must yield `BadTag` — never a frame, never a
+/// panic.
+#[test]
+fn retired_audit_tags_reject_every_corpus_body() {
+    for frame in corpus(7) {
+        let mut raw = encode_frame(&frame).to_vec();
+        for tag in [0x18u8, 0x19] {
+            raw[0] = tag;
+            assert_eq!(
+                decode_frame(&Bytes::copy_from_slice(&raw)),
+                Err(WireError::BadTag { field: "frame", tag })
+            );
         }
     }
 }

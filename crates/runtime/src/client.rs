@@ -28,7 +28,6 @@ use esr_replica::wire::{decode_frame, encode_frame, Frame};
 
 use crate::daemon::resolve_addr;
 use crate::spans::{span_records, RawEvent, RawSpan, SPAN_QUERY_ALL};
-use crate::state::SiteAudit;
 
 /// A daemon's health summary, as reported by a `Status` round trip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,24 +148,6 @@ impl RpcClient {
                 coordinator,
                 ckpt_seq,
                 ckpt_covered,
-            }),
-            other => Err(bad_reply(&other)),
-        }
-    }
-
-    /// The site's oracle audit (protocol logs, redelivery and journal
-    /// counters).
-    pub fn audit(&mut self) -> io::Result<SiteAudit> {
-        match self.call(&Frame::Audit)? {
-            Frame::AuditOk(w) => Ok(SiteAudit {
-                ordup_order: w.ordup_order,
-                commu_order: w.commu_order,
-                ritu_installs: w.ritu_installs,
-                vtnc_targets: w.vtnc_targets,
-                vtnc_violations: w.vtnc_violations,
-                compe_events: w.compe_events,
-                redelivered: w.redelivered,
-                journaled: w.journaled,
             }),
             other => Err(bad_reply(&other)),
         }

@@ -38,12 +38,13 @@ use esr_core::value::Value;
 use esr_obs::{GaugeFamily, MetricsRegistry, SiteInstruments};
 use esr_replica::mset::MSet;
 use esr_replica::site::QueryOutcome;
+use esr_replica::span::{Event, SpanRec, SpanStage};
 use esr_replica::wire::Frame;
 use esr_sim::probe;
 
 use crate::ctrl::{CtrlCanary, Effect, NodeCore, NodeEvent};
 use crate::spans::{EventLog, RawEvent, SPAN_QUERY_ALL};
-use crate::state::{RtMethod, SiteAudit, SiteState};
+use crate::state::{RtMethod, SiteState};
 
 /// Logical shared-memory location namespace for the per-site protocol
 /// state, annotated via [`probe::mem_read`] / [`probe::mem_write`] so
@@ -107,8 +108,8 @@ pub enum RtCanary {
     #[default]
     None,
     /// ORDUP sites apply MSets in arrival order, bypassing the core and
-    /// its sequencer hold-back — the ORDUP global-order oracle must
-    /// flag out-of-order applications.
+    /// its sequencer hold-back — the certifier's `ordup-order` clause
+    /// must flag out-of-order applications.
     OrdupSequencerDisabled,
     /// Sites answer queries with an unbounded budget regardless of the
     /// declared `EpsilonSpec` — the epsilon-accounting oracle must flag
@@ -116,8 +117,9 @@ pub enum RtCanary {
     EpsilonIgnored,
     /// The coordinator certifies a VTNC advance on the *first* install
     /// report instead of waiting for all sites (the control core's own
-    /// [`CtrlCanary::StaleVtncCert`]) — the VTNC-safety oracle must
-    /// flag advances past a site's installed prefix.
+    /// [`CtrlCanary::StaleVtncCert`]) — the certifier's
+    /// `vtnc-visibility` clause must flag advances past a site's
+    /// installed prefix.
     VtncEagerCertify,
 }
 
@@ -127,7 +129,7 @@ enum SiteMsg {
     /// any other sender is a peer link.
     Frame { from: SiteId, frame: Frame },
     /// A rendezvous with the site thread (query / snapshot / settled /
-    /// has-applied / audit), answered from the live core — its public
+    /// has-applied), answered from the live core — its public
     /// `state` — the way `esrd` answers its client plane.
     Inspect(Box<dyn FnOnce(&mut Site) + Send>),
     /// Tear the site thread down.
@@ -155,7 +157,6 @@ fn peers(me: SiteId, n: usize) -> impl Iterator<Item = SiteId> {
 struct SiteSpawn {
     method: RtMethod,
     n: usize,
-    audit: bool,
     canary: RtCanary,
     inboxes: Inboxes,
     metrics: MetricsRegistry,
@@ -218,9 +219,6 @@ impl Site {
         let id = SiteId(i as u64);
         let mut state = SiteState::new(method, id);
         state.attach_metrics(SiteInstruments::for_site(&cfg.metrics, method.name(), id.raw()));
-        if cfg.audit {
-            state.enable_audit();
-        }
         let ctrl_canary =
             (cfg.canary == RtCanary::VtncEagerCertify).then_some(CtrlCanary::StaleVtncCert);
         Self {
@@ -235,13 +233,17 @@ impl Site {
     fn on_frame(&mut self, from: SiteId, frame: Frame) {
         let me = self.core.site;
         // Canary: apply in raw arrival order, bypassing the core and
-        // with it the ORDUP hold-back — the global-order oracle must
-        // flag the resulting sequence gaps.
+        // with it the ORDUP hold-back, and record the apply span the
+        // core would have — the certifier's `ordup-order` clause must
+        // flag the resulting sequence inversions.
         if self.canary == RtCanary::OrdupSequencerDisabled {
             if let (SiteState::Ordup(s), Frame::MSet(m) | Frame::Submit(m)) =
                 (&mut self.core.state, &frame)
             {
-                s.apply_unchecked(m.clone());
+                if s.apply_unchecked(m.clone()) {
+                    let apply = SpanRec::new(SpanStage::Apply, m.et).with_gseq(m.gseq());
+                    self.events.record(Event::Span(apply));
+                }
                 if from == me {
                     for to in peers(me, self.core.sites) {
                         self.inboxes.send(me, to, Frame::MSet(m.clone()));
@@ -313,25 +315,18 @@ fn spawn_site(i: usize, rx: Receiver<SiteMsg>, cfg: SiteSpawn) -> SiteSlot {
 impl Cluster {
     /// Spawns `n` site threads running `method`.
     pub fn new(method: RtMethod, n: usize) -> Self {
-        Self::build(method, n, false, RtCanary::None)
+        Self::checked(method, n, RtCanary::None)
     }
 
-    /// Spawns a cluster with per-site oracle audits enabled and an
-    /// optional canary fault injected — the constructor `esr-check`
-    /// drives. Pass [`RtCanary::None`] for a faithful (audited but
-    /// unmutated) cluster.
+    /// Spawns a cluster with an optional canary fault injected — the
+    /// constructor `esr-check` drives.
     pub fn checked(method: RtMethod, n: usize, canary: RtCanary) -> Self {
-        Self::build(method, n, true, canary)
-    }
-
-    fn build(method: RtMethod, n: usize, audit: bool, canary: RtCanary) -> Self {
         assert!(n > 0);
         let (senders, receivers): (Vec<_>, Vec<Receiver<SiteMsg>>) =
             (0..n).map(|_| unbounded()).unzip();
         let spawn_cfg = SiteSpawn {
             method,
             n,
-            audit,
             canary,
             inboxes: Inboxes(Arc::new(senders)),
             metrics: MetricsRegistry::new(),
@@ -486,12 +481,6 @@ impl Cluster {
     /// A site's full snapshot (empty once the cluster is shut down).
     pub fn snapshot_of(&self, site: SiteId) -> BTreeMap<ObjectId, Value> {
         self.rendezvous(site, |s| s.core.state.snapshot(), BTreeMap::new)
-    }
-
-    /// The oracle audit of one site. Protocol logs are meaningful only
-    /// on clusters built with [`Cluster::checked`].
-    pub fn audit_of(&self, site: SiteId) -> SiteAudit {
-        self.rendezvous(site, |s| s.core.state.audit(), SiteAudit::default)
     }
 
     /// Has `site` applied `et` yet? (`false` once shut down.)

@@ -85,7 +85,7 @@ use esr_obs::{
 };
 use esr_replica::mset::MSet;
 use esr_replica::span::Event;
-use esr_replica::wire::{decode_frame, encode_frame, Frame, WireAudit};
+use esr_replica::wire::{decode_frame, encode_frame, Frame};
 use esr_storage::snapshot;
 use esr_storage::stable_queue::FileQueue;
 
@@ -306,19 +306,6 @@ pub fn resolve_addr(dir: &Path, site: SiteId) -> Option<SocketAddr> {
         .ok()
 }
 
-fn wire_audit(a: crate::state::SiteAudit, journaled: u64) -> WireAudit {
-    WireAudit {
-        ordup_order: a.ordup_order,
-        commu_order: a.commu_order,
-        ritu_installs: a.ritu_installs,
-        vtnc_targets: a.vtnc_targets,
-        vtnc_violations: a.vtnc_violations,
-        compe_events: a.compe_events,
-        redelivered: a.redelivered,
-        journaled,
-    }
-}
-
 impl Daemon {
     /// Boots the daemon: bumps the epoch, replays the journal, spawns
     /// the reactor, attaches the outbound links to it, binds a loopback
@@ -404,9 +391,8 @@ impl Daemon {
                     suffix,
                 ) {
                     ckpt_obs.suffix_replay(started.elapsed().as_micros() as u64);
-                    // Audit logs and metrics bundles are not part of
-                    // the checkpoint image; re-attach them now.
-                    core.state.enable_audit();
+                    // The metrics bundle is not part of the
+                    // checkpoint image; re-attach it now.
                     core.state.attach_metrics(SiteInstruments::for_site(
                         &metrics,
                         cfg.method.name(),
@@ -434,7 +420,6 @@ impl Daemon {
             Some(r) => r,
             None => {
                 let mut state = SiteState::new(cfg.method, cfg.site);
-                state.enable_audit();
                 state.attach_metrics(SiteInstruments::for_site(
                     &metrics,
                     cfg.method.name(),
@@ -808,11 +793,6 @@ impl Daemon {
                     ckpt_covered,
                 }
             }
-            Frame::Audit => {
-                let a = self.core.lock().state.audit();
-                let journaled = self.journal.lock().entries();
-                Frame::AuditOk(wire_audit(a, journaled))
-            }
             Frame::Decision { et, commit } => {
                 self.dispatch(NodeEvent::ClientDecision { et, commit });
                 Frame::DecisionOk { et }
@@ -981,7 +961,11 @@ impl RpcService for Daemon {
                 true
             }
             // Client plane: one request frame in, one reply frame out,
-            // in order. A malformed request closes the connection.
+            // in order. A malformed request closes the connection, and
+            // so does a reply no frame can carry (a `SnapshotOk` past
+            // `MAX_FRAME`): skipping it would leave the client blocked
+            // on a reply that never comes, closing shows it EOF after
+            // the cycle's earlier replies.
             ConnKind::Client => {
                 for env in envs {
                     let Ok(request) = decode_frame(&Bytes::from(env.payload)) else {
@@ -992,7 +976,9 @@ impl RpcService for Daemon {
                     self.rpc_latency
                         .record(started.elapsed().as_micros() as u64);
                     let bytes = encode_frame(&reply);
-                    let _ = write_frame(out, &seal(NO_ENTRY, &bytes));
+                    if write_frame(out, &seal(NO_ENTRY, &bytes)).is_err() {
+                        return false;
+                    }
                 }
                 true
             }
@@ -1007,17 +993,24 @@ impl RpcService for Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esr_core::ids::{EtId, ObjectId};
+    use esr_core::ids::{EtId, ObjectId, SeqNo};
     use esr_core::op::{ObjectOp, Operation};
+    use esr_core::value::Value;
     use esr_net::rpc::{read_frame, unseal};
 
-    fn start(tag: &str, site: u64, sites: usize, ckpt_bytes: Option<u64>) -> Arc<Daemon> {
+    fn start(
+        tag: &str,
+        method: RtMethod,
+        site: u64,
+        sites: usize,
+        ckpt_bytes: Option<u64>,
+    ) -> Arc<Daemon> {
         let dir = std::env::temp_dir().join(format!("esr-daemon-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         Daemon::start(DaemonConfig {
             site: SiteId(site),
             sites,
-            method: RtMethod::Commu,
+            method,
             dir,
             ckpt_bytes,
         })
@@ -1034,7 +1027,8 @@ mod tests {
 
     /// One readiness batch of client requests, handled exactly as the
     /// reactor would — minus the commit, which is the caller's to make.
-    fn batch(daemon: &Daemon, requests: &[Frame]) -> Vec<Frame> {
+    /// Returns whether the connection stays open, and the replies.
+    fn try_batch(daemon: &Daemon, requests: &[Frame]) -> (bool, Vec<Frame>) {
         let envs = requests
             .iter()
             .map(|f| Envelope {
@@ -1043,14 +1037,23 @@ mod tests {
             })
             .collect();
         let mut out = Vec::new();
-        assert!(daemon.handle_batch(ConnKind::Client, envs, &mut out));
-        let mut replies = std::io::Cursor::new(out);
-        (0..requests.len())
-            .map(|_| {
-                let env = unseal(read_frame(&mut replies).unwrap()).unwrap();
-                decode_frame(&Bytes::from(env.payload)).unwrap()
-            })
-            .collect()
+        let open = daemon.handle_batch(ConnKind::Client, envs, &mut out);
+        let end = out.len() as u64;
+        let mut out = std::io::Cursor::new(out);
+        let mut replies = Vec::new();
+        while out.position() < end {
+            let env = unseal(read_frame(&mut out).unwrap()).unwrap();
+            replies.push(decode_frame(&Bytes::from(env.payload)).unwrap());
+        }
+        (open, replies)
+    }
+
+    /// A [`try_batch`] every request of which is answered.
+    fn batch(daemon: &Daemon, requests: &[Frame]) -> Vec<Frame> {
+        let (open, replies) = try_batch(daemon, requests);
+        assert!(open);
+        assert_eq!(replies.len(), requests.len());
+        replies
     }
 
     fn outbound_pending(reply: &Frame) -> u64 {
@@ -1068,7 +1071,7 @@ mod tests {
     /// so the count is exact: two fan-out MSets and one `Applied`.
     #[test]
     fn a_status_in_the_cycle_of_a_submit_counts_its_staged_sends() {
-        let daemon = start("staged-status", 1, 3, None);
+        let daemon = start("staged-status", RtMethod::Commu, 1, 3, None);
         let replies = batch(&daemon, &[Frame::Submit(incr(1, 1)), Frame::Status]);
         assert!(matches!(replies[0], Frame::SubmitOk { et } if et == EtId(1)));
         assert_eq!(outbound_pending(&replies[1]), 3, "staged sends are outbound work");
@@ -1091,7 +1094,7 @@ mod tests {
     #[test]
     fn a_checkpoint_cut_commits_what_is_staged_before_naming_the_journal_id() {
         // On demand, in the very cycle of the submit it must cover.
-        let daemon = start("staged-cut", 0, 1, None);
+        let daemon = start("staged-cut", RtMethod::Commu, 0, 1, None);
         let replies = batch(&daemon, &[Frame::Submit(incr(1, 0)), Frame::Checkpoint]);
         assert!(matches!(replies[1], Frame::CheckpointOk { seq: 1, covered: 1 }));
         let image = newest_image(&daemon);
@@ -1102,7 +1105,7 @@ mod tests {
         // the heartbeat's step get to the cut first it covers one
         // record, not two; the image must name its last record either
         // way.)
-        let daemon = start("staged-policy-cut", 0, 1, Some(1));
+        let daemon = start("staged-policy-cut", RtMethod::Commu, 0, 1, Some(1));
         batch(&daemon, &[Frame::Submit(incr(1, 0))]);
         RpcService::commit(&*daemon);
         batch(&daemon, &[Frame::Submit(incr(2, 0))]);
@@ -1118,9 +1121,30 @@ mod tests {
         assert_eq!(image.covered_through, Some(image.covered - 1));
     }
 
+    /// A reply no frame can carry must not be skipped: the client has
+    /// no read timeout and would wait for it forever. Two ≈ 9 MiB
+    /// values make the snapshot pass `MAX_FRAME` while each submit
+    /// still fits.
+    #[test]
+    fn a_reply_over_max_frame_closes_the_connection_after_the_earlier_replies() {
+        let daemon = start("oversized-reply", RtMethod::Ordup, 0, 1, None);
+        let big = |et: u64| {
+            let text = Value::Text("x".repeat(9 << 20));
+            let write = ObjectOp::new(ObjectId(et), Operation::Write(text));
+            Frame::Submit(MSet::new(EtId(et), SiteId(0), vec![write]).sequenced(SeqNo(et - 1)))
+        };
+        let (open, replies) = try_batch(&daemon, &[big(1), big(2), Frame::Snapshot]);
+        assert!(!open, "the oversized SnapshotOk must close the connection");
+        assert!(
+            matches!(replies[..], [Frame::SubmitOk { et: EtId(1) }, Frame::SubmitOk { et: EtId(2) }]),
+            "{} replies",
+            replies.len()
+        );
+    }
+
     #[test]
     fn a_corrupt_peer_frame_is_acked_dropped_and_counted() {
-        let daemon = start("rejected", 1, 3, None);
+        let daemon = start("rejected", RtMethod::Commu, 1, 3, None);
         let envs = vec![Envelope {
             entry: 5,
             payload: vec![0xFF; 3],

@@ -55,4 +55,4 @@ pub use recovery::ApplyJournal;
 pub use spans::{
     critical_path, merge_timeline, render_timeline, RawSpan, SiteSpan, SPAN_QUERY_ALL,
 };
-pub use state::{RtMethod, SiteAudit, SiteState};
+pub use state::{RtMethod, SiteState};

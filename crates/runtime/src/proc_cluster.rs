@@ -32,7 +32,7 @@ use esr_replica::mset::MSet;
 use crate::client::{DaemonStatus, RpcClient};
 use crate::cluster::QuiesceTimeout;
 use crate::spans::{RawEvent, RawSpan};
-use crate::state::{RtMethod, SiteAudit};
+use crate::state::RtMethod;
 
 /// How long to wait for a daemon to come up / answer before calling it
 /// unreachable.
@@ -356,11 +356,6 @@ impl ProcCluster {
     /// The full replica snapshot at `site`.
     pub fn snapshot_of(&self, site: SiteId) -> io::Result<BTreeMap<ObjectId, Value>> {
         self.client(site)?.snapshot()
-    }
-
-    /// The oracle audit at `site`.
-    pub fn audit_of(&self, site: SiteId) -> io::Result<SiteAudit> {
-        self.client(site)?.audit()
     }
 
     /// Scrapes `site`'s metrics in Prometheus text format.

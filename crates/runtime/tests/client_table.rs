@@ -66,8 +66,7 @@ impl Net {
         let cores = (0..SITES)
             .map(|i| {
                 let site = SiteId(i as u64);
-                let mut state = SiteState::new(method, site);
-                state.enable_audit();
+                let state = SiteState::new(method, site);
                 NodeCore::fresh(state, method, site, SITES, None)
             })
             .collect();
@@ -255,8 +254,7 @@ fn check_schedule(method: RtMethod, n: usize, retries: usize, suspect: usize, se
     // journal-replay restart at its durable view, every site still
     // answers every request from the cache.
     for i in 0..SITES {
-        let mut state = SiteState::new(method, SiteId(i as u64));
-        state.enable_audit();
+        let state = SiteState::new(method, SiteId(i as u64));
         let (recovered, _) = NodeCore::recover(
             state,
             method,

@@ -4,7 +4,6 @@
 //! esrctl --dir /tmp/cluster --site 0 status
 //! esrctl --dir /tmp/cluster --site 0 submit --et 1 7 incr 5
 //! esrctl --dir /tmp/cluster --site 0 query 7
-//! esrctl --dir /tmp/cluster --site 0 audit
 //! esrctl --dir /tmp/cluster --site 0 decide 1 commit
 //! esrctl --dir /tmp/cluster --site 0 metrics
 //! esrctl --dir /tmp/cluster --site 0 trace
@@ -12,9 +11,10 @@
 //!
 //! Talks the client plane of the wire protocol via
 //! [`esr_runtime::RpcClient`]: submit update ETs, run bounded-epsilon
-//! queries, dump replica snapshots, read the site's oracle audit, and
-//! issue COMPE decisions. ET/sequence stamping is the caller's job
-//! (`--et`, `--seq`): the daemons are deliberately stamp-agnostic.
+//! queries, dump replica snapshots, scrape the site's metrics and typed
+//! event ring, and issue COMPE decisions. ET/sequence stamping is the
+//! caller's job (`--et`, `--seq`): the daemons are deliberately
+//! stamp-agnostic.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -33,7 +33,6 @@ commands:
   status
   snapshot
   checkpoint
-  audit
   metrics
   trace
   spans <et> [--skeleton]
@@ -215,33 +214,6 @@ fn run(client: &mut RpcClient, command: &str, args: &[String]) -> std::io::Resul
             let mut out = std::io::stdout().lock();
             for (seq, micros, event) in events {
                 writeln!(out, "{seq}\t+{:>8}us\t{event}", micros - base)?;
-            }
-        }
-        "audit" => {
-            let a = client.audit()?;
-            println!("redelivered={} journaled={}", a.redelivered, a.journaled);
-            for (et, seq) in &a.ordup_order {
-                println!("ordup\tet={}\tseq={}", et.raw(), seq.0);
-            }
-            for et in &a.commu_order {
-                println!("commu\tet={}", et.raw());
-            }
-            for (object, ts) in &a.ritu_installs {
-                println!(
-                    "ritu\tobject={}\tts={}:{}",
-                    object.raw(),
-                    ts.time,
-                    ts.client.raw()
-                );
-            }
-            for ts in &a.vtnc_targets {
-                println!("vtnc\tts={}:{}", ts.time, ts.client.raw());
-            }
-            if a.vtnc_violations > 0 {
-                println!("vtnc_violations={}", a.vtnc_violations);
-            }
-            for (et, event) in &a.compe_events {
-                println!("compe\tet={}\t{event:?}", et.raw());
             }
         }
         "query" => {

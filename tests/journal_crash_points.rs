@@ -72,8 +72,7 @@ fn workload(method: RtMethod) -> Vec<MSet> {
 /// returns the recovered core plus its recovery effects.
 fn recover(method: RtMethod, entries: Vec<MSet>) -> (NodeCore, Vec<Effect>) {
     let site = SiteId(1);
-    let mut state = SiteState::new(method, site);
-    state.enable_audit();
+    let state = SiteState::new(method, site);
     NodeCore::recover(state, method, site, 3, None, 0, entries)
 }
 

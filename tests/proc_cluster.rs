@@ -177,13 +177,15 @@ fn assert_proc_scenario(method: RtMethod, tag: &str) {
     let status = c.status_of(SiteId(1)).expect("status of revived site");
     assert_eq!(status.epoch, 2, "{method:?}: restart did not bump the epoch");
     for i in 0..N {
-        let audit = c
-            .audit_of(SiteId(i as u64))
-            .unwrap_or_else(|e| panic!("{method:?}: audit {i}: {e}"));
-        assert_eq!(
-            audit.journaled,
-            2 * PHASE,
-            "{method:?}: site {i} journal incomplete"
+        // No checkpoint policy is set here, so nothing is retired: the
+        // live-entry gauge is the journal's full record count.
+        let text = c
+            .metrics_of(SiteId(i as u64))
+            .unwrap_or_else(|e| panic!("{method:?}: metrics {i}: {e}"));
+        let journaled = format!("esr_journal_live_entries{{site=\"{i}\"}} {}\n", 2 * PHASE);
+        assert!(
+            text.contains(&journaled),
+            "{method:?}: site {i} journal incomplete:\n{text}"
         );
     }
     certify_cluster(&c, method, N);
@@ -267,10 +269,11 @@ fn quiesce_timeout_reports_per_site_queue_depths() {
 }
 
 #[test]
-fn esrctl_submits_and_audits_a_live_daemon() {
+fn esrctl_submits_and_traces_a_live_daemon() {
     // The CLI end of the acceptance criteria: drive a 2-site cluster
     // purely through the esrctl binary — submit at site 0, watch the
-    // update propagate to site 1, and read its audit log back.
+    // update propagate to site 1, and read its applies and journal
+    // count back.
     let esrctl = env!("CARGO_BIN_EXE_esrctl");
     let dir = fresh_dir("esrctl");
     let mut c = ProcCluster::spawn(esrd(), &dir, RtMethod::Commu, 2).expect("spawn");
@@ -299,10 +302,15 @@ fn esrctl_submits_and_audits_a_live_daemon() {
     c.quiesce_within(QUIESCE).expect("quiesce");
     let snapshot = ctl(&["--site", "1", "snapshot"]);
     assert_eq!(snapshot.trim(), "7\tInt(8)");
-    let audit = ctl(&["--site", "1", "audit"]);
+    let trace = ctl(&["--site", "1", "trace"]);
     assert!(
-        audit.contains("journaled=2") && audit.contains("commu\tet=1"),
-        "unexpected audit output:\n{audit}"
+        trace.contains("apply et1") && trace.contains("apply et2"),
+        "unexpected trace output:\n{trace}"
+    );
+    let metrics = ctl(&["--site", "1", "metrics"]);
+    assert!(
+        metrics.contains("esr_journal_live_entries{site=\"1\"} 2\n"),
+        "unexpected metrics output:\n{metrics}"
     );
     let query = ctl(&["--site", "1", "query", "7"]);
     assert!(query.contains("admitted=true"), "query rejected:\n{query}");
