@@ -5,12 +5,10 @@
 //! LWW arbitration vs RITU-MV's version install vs COMPE's before-image
 //! logging. This is the "MSet processing" step of §2.4 in isolation.
 //!
-//! Each method is measured twice: `deliver` feeds MSets one at a time
-//! (the seed behaviour), `deliver_batch` feeds the same stream in
-//! [`BATCH`]-sized chunks, exercising the coalescing fast paths — COMMU
-//! folds commuting ops per object, RITU-LWW reduces each object to its
-//! max-timestamp write, RITU-MV installs versions in grouped runs, and
-//! ORDUP drains its hold-back once per chunk.
+//! Every case feeds [`ReplicaSite::deliver`] one MSet at a time — the
+//! method's one apply rule, the path every executor runs. ORDUP is
+//! measured twice: in sequence order (the dense hot path) and fully
+//! reversed (everything parked until the first MSet arrives).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -28,21 +26,19 @@ const N: u64 = 16_384;
 /// Operations per update MSet — a multi-object update ET, the shape §2.2
 /// assumes (an MSet is a *set* of replica maintenance operations).
 const OPS_PER_MSET: u64 = 16;
-/// Chunk size for the batched variants — the backlog a site drains in
-/// one step when it falls behind (or catches up after a partition).
-const BATCH: usize = 2048;
-/// Each BATCH-sized window of update ETs works over its own REGION of
+/// Each WINDOW of consecutive update ETs works over its own REGION of
 /// the keyspace — the temporal locality a shifting hot set produces. The
-/// store grows to N/BATCH × REGION objects (16 K here, past cache-resident
-/// size), while every chunk still carries BATCH × OPS_PER_MSET / REGION
-/// ≈ 16 same-object repetitions for the coalescing fast paths to fold.
+/// store grows to N/WINDOW × REGION objects (16 K here, past
+/// cache-resident size), and every object is written
+/// WINDOW × OPS_PER_MSET / REGION ≈ 16 times while its window lasts.
+const WINDOW: u64 = 2048;
 const REGION: u64 = 2048;
 
 fn object_for(i: u64, j: u64) -> ObjectId {
     // Fibonacci-hash scramble: objects within a window are drawn
     // pseudo-randomly from its REGION (an update ET writes scattered
     // keys, not a consecutive range), deterministically across runs.
-    let window = i / BATCH as u64;
+    let window = i / WINDOW;
     let k = (i * OPS_PER_MSET + j).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     ObjectId(window * REGION + (k >> 32) % REGION)
 }
@@ -154,84 +150,6 @@ fn bench_apply(c: &mut Criterion) {
                 s.deliver(black_box(m.clone()));
             }
             // Commit everything so the log drains like a healthy run.
-            for i in 0..N {
-                s.commit(EtId(i));
-            }
-            black_box(s.applied())
-        })
-    });
-
-    group.bench_function(BenchmarkId::new("deliver_batch", "ORDUP-inorder"), |b| {
-        let msets: Vec<MSet> = inc_msets()
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| m.sequenced(SeqNo(i as u64)))
-            .collect();
-        b.iter(|| {
-            let mut s = OrdupSite::new(SiteId(0));
-            for chunk in msets.chunks(BATCH) {
-                s.deliver_batch(black_box(chunk.to_vec()));
-            }
-            black_box(s.applied())
-        })
-    });
-
-    group.bench_function(BenchmarkId::new("deliver_batch", "ORDUP-reversed"), |b| {
-        let mut msets: Vec<MSet> = inc_msets()
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| m.sequenced(SeqNo(i as u64)))
-            .collect();
-        msets.reverse();
-        b.iter(|| {
-            let mut s = OrdupSite::new(SiteId(0));
-            for chunk in msets.chunks(BATCH) {
-                s.deliver_batch(black_box(chunk.to_vec()));
-            }
-            black_box(s.applied())
-        })
-    });
-
-    group.bench_function(BenchmarkId::new("deliver_batch", "COMMU"), |b| {
-        let msets = inc_msets();
-        b.iter(|| {
-            let mut s = CommuSite::new(SiteId(0));
-            for chunk in msets.chunks(BATCH) {
-                s.deliver_batch(black_box(chunk.to_vec()));
-            }
-            black_box(s.applied())
-        })
-    });
-
-    group.bench_function(BenchmarkId::new("deliver_batch", "RITU-lww"), |b| {
-        let msets = tw_msets();
-        b.iter(|| {
-            let mut s = RituOverwriteSite::new(SiteId(0));
-            for chunk in msets.chunks(BATCH) {
-                s.deliver_batch(black_box(chunk.to_vec()));
-            }
-            black_box(s.applied())
-        })
-    });
-
-    group.bench_function(BenchmarkId::new("deliver_batch", "RITU-mv"), |b| {
-        let msets = tw_msets();
-        b.iter(|| {
-            let mut s = RituMvSite::new(SiteId(0));
-            for chunk in msets.chunks(BATCH) {
-                s.deliver_batch(black_box(chunk.to_vec()));
-            }
-            black_box(s.applied())
-        })
-    });
-
-    group.bench_function(BenchmarkId::new("deliver_batch", "COMPE"), |b| {
-        let msets = inc_msets();
-        b.iter(|| {
-            let mut s = CompeSite::new(SiteId(0));
-            for chunk in msets.chunks(BATCH) {
-                s.deliver_batch(black_box(chunk.to_vec()));
-            }
             for i in 0..N {
                 s.commit(EtId(i));
             }

@@ -1,10 +1,10 @@
-//! Instrumentation overhead on the hottest path in the workspace.
+//! Instrumentation overhead on the apply path esrd runs.
 //!
-//! The `esr-obs` contract is "a constant number of relaxed atomics per
-//! *batch*, one branch per call when detached" — cheap enough to leave
-//! attached everywhere, including the batched COMMU apply path that
-//! PR 1 optimised. This bench measures exactly that claim: the same
-//! [`CommuSite::deliver_batch`] stream as `apply_path`, once with a
+//! The `esr-obs` contract is "a few relaxed atomics per delivered
+//! MSet, one branch per call when detached" — cheap enough to leave
+//! attached everywhere. This bench measures exactly that claim: the
+//! same COMMU stream as `apply_path`, fed to [`ReplicaSite::deliver`]
+//! one MSet at a time (what an attached esrd pays), once with a
 //! detached (default) bundle and once attached to a live registry. The
 //! acceptance bar is <5% overhead on the instrumented variant.
 
@@ -20,11 +20,11 @@ use esr_replica::site::ReplicaSite;
 // Mirrors apply_path.rs so the two benches are comparable.
 const N: u64 = 16_384;
 const OPS_PER_MSET: u64 = 16;
-const BATCH: usize = 2048;
+const WINDOW: u64 = 2048;
 const REGION: u64 = 2048;
 
 fn object_for(i: u64, j: u64) -> ObjectId {
-    let window = i / BATCH as u64;
+    let window = i / WINDOW;
     let k = (i * OPS_PER_MSET + j).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     ObjectId(window * REGION + (k >> 32) % REGION)
 }
@@ -40,9 +40,9 @@ fn inc_msets() -> Vec<MSet> {
         .collect()
 }
 
-fn run_batched(mut site: CommuSite, chunks: &[Vec<MSet>]) -> u64 {
-    for chunk in chunks {
-        site.deliver_batch(black_box(chunk.clone()));
+fn run(mut site: CommuSite, msets: &[MSet]) -> u64 {
+    for m in msets {
+        site.deliver(black_box(m.clone()));
     }
     site.applied()
 }
@@ -51,26 +51,23 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_overhead");
     group.throughput(criterion::Throughput::Elements(N * OPS_PER_MSET));
 
-    let chunks: Vec<Vec<MSet>> = inc_msets().chunks(BATCH).map(<[MSet]>::to_vec).collect();
+    let msets = inc_msets();
 
-    group.bench_function(
-        BenchmarkId::new("COMMU-batched", "uninstrumented"),
-        |b| {
-            b.iter(|| {
-                // Default bundle: detached, one branch per batch.
-                black_box(run_batched(CommuSite::new(SiteId(0)), &chunks))
-            })
-        },
-    );
+    group.bench_function(BenchmarkId::new("COMMU", "uninstrumented"), |b| {
+        b.iter(|| {
+            // Default bundle: detached, one branch per call.
+            black_box(run(CommuSite::new(SiteId(0)), &msets))
+        })
+    });
 
-    group.bench_function(BenchmarkId::new("COMMU-batched", "instrumented"), |b| {
+    group.bench_function(BenchmarkId::new("COMMU", "instrumented"), |b| {
         let registry = MetricsRegistry::new();
         b.iter(|| {
             let mut site = CommuSite::new(SiteId(0));
             // Re-attaching returns the same registered cells each
             // iteration, exactly like a restarting site.
             site.attach_metrics(SiteInstruments::for_site(&registry, "COMMU", 0));
-            black_box(run_batched(site, &chunks))
+            black_box(run(site, &msets))
         })
     });
 

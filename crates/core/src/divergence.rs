@@ -146,55 +146,32 @@ impl LockCounters {
         Self::default()
     }
 
-    /// Raises the counter of every object in `write_set` on behalf of
-    /// update ET `et`. Returns the highest counter value reached.
-    pub fn begin_update(&mut self, et: EtId, write_set: impl IntoIterator<Item = ObjectId>) -> u64 {
-        let objs: Vec<ObjectId> = write_set.into_iter().collect();
-        self.begin_updates(std::iter::once((et, objs)))
+    /// Rebuilds a table from a [`LockCounters::held_sets`] dump (the
+    /// checkpoint-restore constructor): the held table is the dump, the
+    /// counters are the sums over it.
+    pub fn from_held_sets(held: impl IntoIterator<Item = (EtId, Vec<ObjectId>)>) -> Self {
+        let held: BTreeMap<EtId, Vec<ObjectId>> = held.into_iter().collect();
+        let mut counters = BTreeMap::new();
+        for o in held.values().flatten() {
+            *counters.entry(*o).or_insert(0) += 1;
+        }
+        Self { counters, held }
     }
 
-    /// Registers a batch of updates at once — equivalent to calling
-    /// [`LockCounters::begin_update`] per entry, but cheaper two ways:
-    /// each write-set vector is installed directly into the held table
-    /// (no collect-and-copy), and the counter increments are aggregated
-    /// across the whole batch — one sort plus one counter-table entry
-    /// per *distinct* object, instead of one entry per (update, object)
-    /// pair. Correct because counters are plain sums: `+= k` for `k`
-    /// registrations of the same object commutes with any interleaving
-    /// of the per-update calls.
-    ///
-    /// Returns the highest counter value reached across the touched
-    /// objects (0 for an empty batch) — the batch's lock-counter
-    /// high-water mark, available here for free because every updated
-    /// counter passes through this loop anyway.
-    pub fn begin_updates(
-        &mut self,
-        updates: impl IntoIterator<Item = (EtId, Vec<ObjectId>)>,
-    ) -> u64 {
-        use std::collections::btree_map::Entry;
-        let mut touched: Vec<ObjectId> = Vec::new();
-        for (et, objs) in updates {
-            touched.extend_from_slice(&objs);
-            match self.held.entry(et) {
-                Entry::Vacant(slot) => {
-                    slot.insert(objs);
-                }
-                Entry::Occupied(mut slot) => slot.get_mut().extend(objs),
-            }
-        }
-        touched.sort_unstable();
+    /// Raises the counter of every object in `write_set` on behalf of
+    /// update ET `et` (a second call for the same ET extends its held
+    /// set — a saga step adding objects). Returns the highest counter
+    /// value reached among the objects it raised, 0 for an empty write
+    /// set — the lock-counter high-water mark, free here because every
+    /// raised counter passes through this loop anyway.
+    pub fn begin_update(&mut self, et: EtId, write_set: impl IntoIterator<Item = ObjectId>) -> u64 {
+        let held = self.held.entry(et).or_default();
         let mut high_water = 0;
-        let mut i = 0;
-        while i < touched.len() {
-            let o = touched[i];
-            let mut end = i + 1;
-            while end < touched.len() && touched[end] == o {
-                end += 1;
-            }
+        for o in write_set {
+            held.push(o);
             let c = self.counters.entry(o).or_insert(0);
-            *c += (end - i) as u64;
+            *c += 1;
             high_water = high_water.max(*c);
-            i = end;
         }
         high_water
     }
@@ -236,10 +213,9 @@ impl LockCounters {
     }
 
     /// The held write-sets, per in-flight update, in deterministic ET
-    /// order — the checkpoint image. Feeding the dump back through
-    /// [`LockCounters::begin_updates`] on a fresh table rebuilds both
-    /// the held table and the counters (counters are pure sums over the
-    /// held sets).
+    /// order — the checkpoint image. [`LockCounters::from_held_sets`]
+    /// rebuilds both the held table and the counters from it (counters
+    /// are pure sums over the held sets).
     pub fn held_sets(&self) -> Vec<(EtId, Vec<ObjectId>)> {
         self.held
             .iter()
@@ -339,6 +315,28 @@ mod tests {
         assert_eq!(lc.inconsistency_of(ObjectId(0)), 1);
         assert_eq!(lc.inconsistency_of(ObjectId(1)), 1);
         lc.end_update(EtId(1));
+        assert!(lc.quiescent());
+    }
+
+    #[test]
+    fn begin_update_reports_high_water_and_extends_a_held_set() {
+        let mut lc = LockCounters::new();
+        assert_eq!(lc.begin_update(EtId(1), [ObjectId(0), ObjectId(1)]), 1);
+        assert_eq!(lc.begin_update(EtId(2), [ObjectId(1), ObjectId(2)]), 2, "shared object");
+        assert_eq!(lc.begin_update(EtId(3), []), 0, "empty write set raises nothing");
+        // A second registration for ET 1 extends what it holds.
+        assert_eq!(lc.begin_update(EtId(1), [ObjectId(2)]), 2);
+        assert_eq!(
+            lc.held_sets()[0],
+            (EtId(1), vec![ObjectId(0), ObjectId(1), ObjectId(2)])
+        );
+        assert_eq!(lc.in_flight(), 3);
+        // The dump rebuilds the same table: held sets and counters.
+        assert_eq!(LockCounters::from_held_sets(lc.held_sets()), lc);
+        lc.end_update(EtId(1));
+        assert_eq!(lc.inconsistency_of(ObjectId(2)), 1, "ET 2 still holds it");
+        lc.end_update(EtId(2));
+        lc.end_update(EtId(3));
         assert!(lc.quiescent());
     }
 }

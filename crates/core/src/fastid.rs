@@ -5,8 +5,8 @@
 //! paths is pure overhead. [`FastIdHasher`] mixes a fixed-width integer
 //! with one Fibonacci multiply plus an xorshift — enough to spread
 //! dense counters over hash buckets. Not DoS-resistant: use only for
-//! transient internal maps (batch accumulators, metric label caches),
-//! never for anything fed by a network peer.
+//! transient internal maps (metric label caches and the like), never
+//! for anything fed by a network peer.
 //!
 //! Moved here from `esr-storage` so that crates below the storage
 //! layer (notably `esr-obs`) can share it; `esr_storage::shard`

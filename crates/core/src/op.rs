@@ -134,59 +134,6 @@ impl Operation {
         }
     }
 
-    /// Folds two operations applied back-to-back *on the same object*
-    /// into one equivalent operation, when an exact fold exists:
-    ///
-    /// * additive: `Incr(a)·Incr(b) = Incr(a+b)` (likewise any `Incr`/
-    ///   `Decr` mix — the net delta is exact);
-    /// * multiplicative: `MulBy(a)·MulBy(b) = MulBy(a·b)` (`DivBy` is
-    ///   excluded: truncation makes `Mul·Div` inexact);
-    /// * overwrites: `Write(_)·Write(v) = Write(v)` (the later write
-    ///   clobbers the earlier);
-    /// * LWW: two `TimestampedWrite`s fold to the max-timestamp one
-    ///   (ties keep the *earlier* operand, matching store arbitration,
-    ///   which ignores equal-version re-writes).
-    ///
-    /// Folds whose constant would overflow `i64` return `None` (the
-    /// caller applies the operations unfolded). The fold is exact on the
-    /// success path: for any starting value on which the unfolded pair
-    /// applies cleanly, the folded operation produces the same result.
-    /// Error behavior may differ — a pair whose *intermediate* result
-    /// overflows can fold into an operation that doesn't — which batched
-    /// apply paths accept, since update MSets are required to apply
-    /// cleanly at every replica.
-    pub fn fold_with(&self, next: &Operation) -> Option<Operation> {
-        use Operation::*;
-        let additive = |op: &Operation| match op {
-            Incr(n) => Some(*n as i128),
-            Decr(n) => Some(-(*n as i128)),
-            _ => None,
-        };
-        if let (Some(a), Some(b)) = (additive(self), additive(next)) {
-            let net = a + b; // i128: cannot overflow for two i64 terms
-            return if net >= 0 {
-                i64::try_from(net).ok().map(Incr)
-            } else {
-                i64::try_from(-net).ok().map(Decr)
-            };
-        }
-        match (self, next) {
-            (MulBy(a), MulBy(b)) => (*a as i128)
-                .checked_mul(*b as i128)
-                .and_then(|p| i64::try_from(p).ok())
-                .map(MulBy),
-            (Write(_), Write(v)) => Some(Write(v.clone())),
-            (TimestampedWrite(t1, v1), TimestampedWrite(t2, v2)) => {
-                if t2 > t1 {
-                    Some(TimestampedWrite(*t2, v2.clone()))
-                } else {
-                    Some(TimestampedWrite(*t1, v1.clone()))
-                }
-            }
-            _ => None,
-        }
-    }
-
     /// Applies the operation to a value, producing the new value.
     ///
     /// `Read` leaves the value unchanged. `object` is used only for error
@@ -268,32 +215,6 @@ impl Operation {
             },
         }
     }
-}
-
-/// Coalesces a same-object operation sequence by folding adjacent pairs
-/// via [`Operation::fold_with`]. The per-object application order is
-/// preserved, so the result is state-equivalent to applying `ops` one at
-/// a time (see `fold_with` for the overflow caveat). `Read`s are dropped:
-/// inside a batch apply nothing observes their return value.
-///
-/// This is the legality core of the batched apply pipeline: COMMU folds
-/// long `Incr`/`Decr` runs into one store write, RITU-LWW reduces each
-/// object's batch to its max-timestamp write.
-pub fn coalesce_ops(ops: &[Operation]) -> Vec<Operation> {
-    let mut out: Vec<Operation> = Vec::with_capacity(ops.len().min(8));
-    for op in ops {
-        if matches!(op, Operation::Read) {
-            continue;
-        }
-        if let Some(last) = out.last() {
-            if let Some(folded) = last.fold_with(op) {
-                *out.last_mut().expect("non-empty") = folded;
-                continue;
-            }
-        }
-        out.push(op.clone());
-    }
-    out
 }
 
 impl fmt::Display for Operation {
@@ -550,100 +471,6 @@ mod tests {
         assert!(!a.conflicts_with(&c), "different objects never conflict");
         let d = ObjectOp::new(X, Operation::Incr(5));
         assert!(!a.conflicts_with(&d), "commuting ops don't conflict");
-    }
-
-    #[test]
-    fn fold_additive_nets_out() {
-        assert_eq!(
-            Operation::Incr(5).fold_with(&Operation::Incr(3)),
-            Some(Operation::Incr(8))
-        );
-        assert_eq!(
-            Operation::Incr(5).fold_with(&Operation::Decr(8)),
-            Some(Operation::Decr(3))
-        );
-        assert_eq!(
-            Operation::Decr(2).fold_with(&Operation::Incr(2)),
-            Some(Operation::Incr(0))
-        );
-        // Overflowing folds are refused, not wrapped.
-        assert_eq!(Operation::Incr(i64::MAX).fold_with(&Operation::Incr(1)), None);
-        // ... but a net that fits still folds.
-        assert_eq!(
-            Operation::Incr(i64::MAX).fold_with(&Operation::Decr(i64::MAX)),
-            Some(Operation::Incr(0))
-        );
-    }
-
-    #[test]
-    fn fold_multiplicative_and_overwrites() {
-        assert_eq!(
-            Operation::MulBy(3).fold_with(&Operation::MulBy(4)),
-            Some(Operation::MulBy(12))
-        );
-        assert_eq!(Operation::MulBy(i64::MAX).fold_with(&Operation::MulBy(2)), None);
-        assert_eq!(
-            Operation::DivBy(2).fold_with(&Operation::MulBy(2)),
-            None,
-            "truncating division never folds"
-        );
-        assert_eq!(
-            Operation::Write(Value::Int(1)).fold_with(&Operation::Write(Value::Int(2))),
-            Some(Operation::Write(Value::Int(2)))
-        );
-        assert_eq!(Operation::Incr(1).fold_with(&Operation::MulBy(2)), None);
-    }
-
-    #[test]
-    fn fold_timestamped_keeps_max_and_breaks_ties_left() {
-        let c = ClientId::new(0);
-        let old = Operation::TimestampedWrite(VersionTs::new(1, c), Value::Int(10));
-        let new = Operation::TimestampedWrite(VersionTs::new(2, c), Value::Int(20));
-        assert_eq!(old.fold_with(&new), Some(new.clone()));
-        assert_eq!(new.fold_with(&old), Some(new.clone()));
-        let dup = Operation::TimestampedWrite(VersionTs::new(2, c), Value::Int(99));
-        assert_eq!(
-            new.fold_with(&dup),
-            Some(new.clone()),
-            "equal versions keep the first write, matching LWW arbitration"
-        );
-    }
-
-    #[test]
-    fn coalesce_preserves_sequential_semantics() {
-        let runs: Vec<Vec<Operation>> = vec![
-            vec![Operation::Incr(1); 10],
-            vec![
-                Operation::Incr(5),
-                Operation::Decr(2),
-                Operation::MulBy(3),
-                Operation::MulBy(2),
-                Operation::Incr(1),
-                Operation::Read,
-                Operation::Decr(4),
-            ],
-            vec![
-                Operation::Write(Value::Int(7)),
-                Operation::Write(Value::Int(9)),
-                Operation::Incr(1),
-            ],
-        ];
-        for ops in runs {
-            let mut sequential = Value::Int(100);
-            for op in &ops {
-                sequential = op.apply(X, &sequential).unwrap();
-            }
-            let coalesced = coalesce_ops(&ops);
-            assert!(coalesced.len() <= ops.len());
-            let mut folded = Value::Int(100);
-            for op in &coalesced {
-                folded = op.apply(X, &folded).unwrap();
-            }
-            assert_eq!(sequential, folded, "ops {ops:?}");
-        }
-        // A pure-Incr run folds to a single op.
-        assert_eq!(coalesce_ops(&vec![Operation::Incr(1); 10]).len(), 1);
-        assert!(coalesce_ops(&[Operation::Read]).is_empty());
     }
 
     #[test]

@@ -31,8 +31,6 @@ struct SiteCells {
     msets_delivered: Counter,
     msets_applied: Counter,
     redelivered: Counter,
-    batches: Counter,
-    batch_msets: Counter,
     backlog: Gauge,
     at_risk: Gauge,
     compensations: Counter,
@@ -65,8 +63,6 @@ impl SiteInstruments {
                 msets_delivered: registry.counter("esr_msets_delivered_total", l),
                 msets_applied: registry.counter("esr_msets_applied_total", l),
                 redelivered: registry.counter("esr_redelivered_total", l),
-                batches: registry.counter("esr_batches_total", l),
-                batch_msets: registry.counter("esr_batch_msets_total", l),
                 backlog: registry.gauge("esr_backlog", l),
                 at_risk: registry.gauge("esr_at_risk", l),
                 compensations: registry.counter("esr_compensations_total", l),
@@ -88,10 +84,10 @@ impl SiteInstruments {
         self.cells.is_some()
     }
 
-    /// One delivery call carrying `msets` MSets, of which `applied`
-    /// were newly applied and `redelivered` were duplicate-suppressed.
-    /// Call once per batch with aggregated counts — the whole point is
-    /// a constant number of atomic ops per batch.
+    /// One delivery call carrying `msets` MSets (1 for a `deliver`, 0
+    /// for an ORDUP-L heartbeat that only drains), of which `applied`
+    /// were newly applied — parked MSets the call released included —
+    /// and `redelivered` were duplicate-suppressed.
     #[inline]
     pub fn delivered(&self, msets: u64, applied: u64, redelivered: u64) {
         if let Some(c) = &self.cells {
@@ -100,16 +96,6 @@ impl SiteInstruments {
             if redelivered > 0 {
                 c.redelivered.add(redelivered);
             }
-        }
-    }
-
-    /// One batched delivery of `msets` MSets (feeds the coalesce-ratio
-    /// series `esr_batch_msets_total / esr_batches_total`).
-    #[inline]
-    pub fn batch(&self, msets: u64) {
-        if let Some(c) = &self.cells {
-            c.batches.inc();
-            c.batch_msets.add(msets);
         }
     }
 
@@ -532,8 +518,6 @@ mod tests {
             "esr_msets_delivered_total",
             "esr_msets_applied_total",
             "esr_redelivered_total",
-            "esr_batches_total",
-            "esr_batch_msets_total",
             "esr_backlog",
             "esr_at_risk",
             "esr_compensations_total",
@@ -558,7 +542,6 @@ mod tests {
         let r = MetricsRegistry::new();
         let s = SiteInstruments::for_site(&r, "ORDUP", 2);
         s.delivered(5, 4, 1);
-        s.batch(5);
         s.set_backlog(3);
         s.query(2, 10, true);
         s.query(11, 10, false);
@@ -567,7 +550,6 @@ mod tests {
         assert_eq!(snap.value("esr_msets_delivered_total", l), Some(5));
         assert_eq!(snap.value("esr_msets_applied_total", l), Some(4));
         assert_eq!(snap.value("esr_redelivered_total", l), Some(1));
-        assert_eq!(snap.value("esr_batch_msets_total", l), Some(5));
         assert_eq!(snap.value("esr_backlog", l), Some(3));
         assert_eq!(snap.value("esr_epsilon_charged_total", l), Some(2));
         assert_eq!(snap.value("esr_queries_admitted_total", l), Some(1));

@@ -10,10 +10,11 @@
 //! * [`MetricsRegistry`] — a lock-cheap registry of counters, gauges,
 //!   and histograms. Registration takes a mutex (rare); every handle is
 //!   a plain atomic afterwards, so the apply hot path pays a few
-//!   relaxed atomic ops per *batch*. Snapshots are deterministic: the
-//!   series map is ordered, the rendering is integer-only, and nothing
-//!   in the registry reads a wall clock — under the sim's virtual clock
-//!   the same seed yields a byte-identical [`MetricsSnapshot`].
+//!   relaxed atomic ops per delivered MSet. Snapshots are
+//!   deterministic: the series map is ordered, the rendering is
+//!   integer-only, and nothing in the registry reads a wall clock —
+//!   under the sim's virtual clock the same seed yields a
+//!   byte-identical [`MetricsSnapshot`].
 //! * [`SiteInstruments`] / [`LinkInstruments`] — pre-registered handle
 //!   bundles threaded through the five replica-site implementations and
 //!   the TCP link manager. Both are no-ops when detached (`Default`),

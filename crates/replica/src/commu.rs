@@ -21,7 +21,6 @@ use std::collections::BTreeMap;
 
 use esr_core::divergence::{InconsistencyCounter, LockCounters};
 use esr_core::ids::{EtId, ObjectId, SiteId};
-use esr_core::op::Operation;
 use esr_core::value::Value;
 use esr_obs::SiteInstruments;
 use esr_storage::shard::FastIdMap;
@@ -96,8 +95,7 @@ impl CommuSite {
     /// the cut, so queries keep being charged for in-flight updates and
     /// late completion notices land correctly.
     pub fn from_ckpt(site: SiteId, c: crate::ckpt::CommuCkpt) -> Self {
-        let mut counters = LockCounters::new();
-        counters.begin_updates(c.held);
+        let counters = LockCounters::from_held_sets(c.held);
         Self {
             site,
             store: ObjectStore::with_values(c.values),
@@ -164,73 +162,6 @@ impl ReplicaSite for CommuSite {
         self.applied += 1;
         self.obs.delivered(1, 1, 0);
         Delivered::Applied.into()
-    }
-
-    /// Batch fast path: commuting operations are folded per object
-    /// before the store is touched. A per-object accumulator streams the
-    /// batch in delivery order — N `Incr`s on one object become one net
-    /// `Incr` held in the accumulator (the greedy adjacent fold of
-    /// `coalesce_ops`, applied per object's subsequence); a non-foldable
-    /// successor flushes the pending op to the store first, preserving
-    /// per-object order. The drain then touches each object's slot once
-    /// per batch instead of once per operation. Lock-counter bookkeeping
-    /// is registered in bulk through [`LockCounters::begin_updates`].
-    ///
-    /// Equivalence: COMMU admits reordering *across* MSets by
-    /// definition, and the store's per-op effects are confined to
-    /// `op.object`, so regrouping by object is exact; per-object order
-    /// is kept for the non-commuting pairs an MSet may legally carry
-    /// internally. Lock-counter bookkeeping stays per MSet.
-    #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
-    fn deliver_batch(&mut self, msets: Vec<MSet>) {
-        use std::collections::hash_map::Entry;
-        let (before_applied, before_redelivered) = (self.applied, self.redelivered);
-        let batch_len = msets.len() as u64;
-        let mut acc: FastIdMap<ObjectId, Operation> = FastIdMap::default();
-        let mut regs: Vec<(EtId, Vec<ObjectId>)> = Vec::new();
-        for mset in &msets {
-            if self.applied_ets.contains_key(&mset.et) {
-                self.redelivered += 1;
-                continue; // duplicate (earlier delivery or earlier in batch)
-            }
-            regs.push((mset.et, mset.write_set_vec()));
-            for op in &mset.ops {
-                if matches!(op.op, Operation::Read) {
-                    continue;
-                }
-                match acc.entry(op.object) {
-                    Entry::Vacant(slot) => {
-                        slot.insert(op.op.clone());
-                    }
-                    Entry::Occupied(mut slot) => match slot.get().fold_with(&op.op) {
-                        Some(folded) => {
-                            slot.insert(folded);
-                        }
-                        None => {
-                            let prev = slot.insert(op.op.clone());
-                            self.store
-                                .apply_op_run(op.object, std::iter::once(&prev))
-                                .expect("commutative MSet must apply cleanly");
-                        }
-                    },
-                }
-            }
-            self.applied_ets.insert(mset.et, ());
-            self.applied += 1;
-        }
-        let high_water = self.counters.begin_updates(regs);
-        self.obs.lock_counter_high_water(high_water);
-        for (object, op) in acc {
-            self.store
-                .apply_op_run(object, std::iter::once(&op))
-                .expect("commutative MSet must apply cleanly");
-        }
-        self.obs.batch(batch_len);
-        self.obs.delivered(
-            batch_len,
-            self.applied - before_applied,
-            self.redelivered - before_redelivered,
-        );
     }
 
     fn has_applied(&self, et: EtId) -> bool {
@@ -320,11 +251,6 @@ mod tests {
         assert_eq!(s.applied(), 3);
         assert_eq!(s.redelivered(), 6);
         assert_eq!(s.lock_counter(X), 2, "counters raised once per ET");
-        // Batch path counts duplicates too.
-        let mut b = CommuSite::new(SiteId(1));
-        b.deliver_batch(msets.iter().chain(msets.iter()).cloned().collect());
-        assert_eq!(b.snapshot(), s.snapshot());
-        assert_eq!(b.redelivered(), 3);
     }
 
     #[test]

@@ -238,24 +238,6 @@ impl CompeSite {
         self.obs.set_at_risk(self.log.at_risk() as u64);
         Some(report)
     }
-
-    /// Applies and logs a buffered run of at-risk MSets in one
-    /// [`RecoveryLog::apply_msets`] call (reserving log storage once),
-    /// keeping one record per ET so individual aborts stay
-    /// compensatable.
-    #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
-    fn flush_at_risk(&mut self, run: &mut Vec<MSet>) {
-        if run.is_empty() {
-            return;
-        }
-        self.log
-            .apply_msets(
-                &mut self.store,
-                run.iter().map(|m| (m.et, m.ops.as_slice())),
-            )
-            .expect("optimistic MSet must apply cleanly");
-        run.clear();
-    }
 }
 
 impl ReplicaSite for CompeSite {
@@ -297,52 +279,6 @@ impl ReplicaSite for CompeSite {
         self.obs.delivered(1, applied, redelivered);
         self.obs.set_at_risk(self.log.at_risk() as u64);
         outcome.into()
-    }
-
-    /// Batch fast path: consecutive at-risk MSets are logged and applied
-    /// through one batch-wise recovery-log call. The log keeps one
-    /// record per ET (aborts target individual ETs) and before-images
-    /// are recorded in exact delivery order — a commit-pending MSet in
-    /// the middle of the batch flushes the buffered run first so the
-    /// log's history stays faithful.
-    #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
-    fn deliver_batch(&mut self, msets: Vec<MSet>) {
-        let (before_applied, before_redelivered) = (self.applied, self.redelivered);
-        let batch_len = msets.len() as u64;
-        let mut run: Vec<MSet> = Vec::new();
-        for mset in msets {
-            match self.seen.get(&mset.et) {
-                None => {
-                    self.seen.insert(mset.et, Disposition::AtRisk);
-                    self.applied += 1;
-                    run.push(mset);
-                }
-                Some(Disposition::CommitPending) => {
-                    // Keep store/log application order identical to
-                    // sequential delivery.
-                    self.flush_at_risk(&mut run);
-                    for op in &mset.ops {
-                        self.store
-                            .apply(op)
-                            .expect("committed MSet must apply cleanly");
-                    }
-                    self.seen.insert(mset.et, Disposition::Committed);
-                    self.applied += 1;
-                }
-                Some(Disposition::AtRisk) | Some(Disposition::Committed) => {
-                    self.redelivered += 1; // duplicate of an applied MSet
-                }
-                Some(Disposition::Aborted) => {} // abort arrived first
-            }
-        }
-        self.flush_at_risk(&mut run);
-        self.obs.batch(batch_len);
-        self.obs.delivered(
-            batch_len,
-            self.applied - before_applied,
-            self.redelivered - before_redelivered,
-        );
-        self.obs.set_at_risk(self.log.at_risk() as u64);
     }
 
     fn has_applied(&self, et: EtId) -> bool {

@@ -138,20 +138,6 @@ impl MSet {
             .collect()
     }
 
-    /// The objects this MSet writes, as a sorted deduplicated vector —
-    /// one allocation, for the batch delivery path's bookkeeping.
-    pub fn write_set_vec(&self) -> Vec<ObjectId> {
-        let mut objs: Vec<ObjectId> = self
-            .ops
-            .iter()
-            .filter(|o| o.op.is_write())
-            .map(|o| o.object)
-            .collect();
-        objs.sort_unstable();
-        objs.dedup();
-        objs
-    }
-
     /// Does this MSet write any object in `objects`?
     pub fn touches(&self, objects: &[ObjectId]) -> bool {
         self.ops

@@ -249,40 +249,6 @@ impl ReplicaSite for OrdupSite {
         Delivery { outcome, released }
     }
 
-    /// Batch fast path: the dense in-order prefix of the batch is applied
-    /// inline (no hold-back traffic at all); only MSets arriving ahead of
-    /// a gap are parked, and each gap-filler drains whatever it unblocks.
-    /// The sequence numbers are consumed in exactly the dense order the
-    /// one-at-a-time path would consume them.
-    fn deliver_batch(&mut self, msets: Vec<MSet>) {
-        let (before_applied, before_redelivered) = (self.applied, self.redelivered);
-        let batch_len = msets.len() as u64;
-        for mset in msets {
-            let OrderTag::Sequenced(seq) = mset.order else {
-                panic!("ORDUP sequencer site received non-sequenced MSet {mset}");
-            };
-            if seq < self.next_seq {
-                self.redelivered += 1;
-                continue; // duplicate of an already-applied MSet
-            }
-            if seq == self.next_seq {
-                self.apply_next(mset);
-                if !self.holdback.is_empty() {
-                    self.drain(|_| {});
-                }
-            } else if self.holdback.insert(seq, mset).is_some() {
-                self.redelivered += 1; // duplicate of a held-back MSet
-            }
-        }
-        self.obs.batch(batch_len);
-        self.obs.delivered(
-            batch_len,
-            self.applied - before_applied,
-            self.redelivered - before_redelivered,
-        );
-        self.obs.set_backlog(self.holdback.len() as u64);
-    }
-
     fn has_applied(&self, et: esr_core::ids::EtId) -> bool {
         self.applied_ets.contains(&et)
     }
@@ -394,9 +360,8 @@ impl OrdupLamportSite {
     }
 
     /// FIFO-reassembles one delivered MSet into the timestamp hold-back
-    /// without draining — the shared front half of [`ReplicaSite::deliver`]
-    /// and [`ReplicaSite::deliver_batch`]. Returns `false` for a
-    /// duplicate, which is counted and dropped.
+    /// without draining — the front half of [`ReplicaSite::deliver`].
+    /// Returns `false` for a duplicate, which is counted and dropped.
     fn ingest(&mut self, mset: MSet) -> bool {
         let OrderTag::Lamport { ts, fifo } = mset.order else {
             panic!("ORDUP-Lamport site received non-Lamport MSet {mset}");
@@ -493,27 +458,6 @@ impl ReplicaSite for OrdupLamportSite {
         self.obs
             .set_backlog((self.holdback.len() + self.fifo_buffer.len()) as u64);
         Delivery { outcome, released }
-    }
-
-    /// Batch fast path: ingest (FIFO-reassemble) every MSet first, then
-    /// run stability once. Ingestion only ever *raises* the stable
-    /// horizon, so a single drain at the end applies exactly the MSets
-    /// the per-delivery drains would have, in the same timestamp order.
-    fn deliver_batch(&mut self, msets: Vec<MSet>) {
-        let (before_applied, before_redelivered) = (self.applied, self.redelivered);
-        let batch_len = msets.len() as u64;
-        for mset in msets {
-            self.ingest(mset);
-        }
-        self.drain_stable(|_| {});
-        self.obs.batch(batch_len);
-        self.obs.delivered(
-            batch_len,
-            self.applied - before_applied,
-            self.redelivered - before_redelivered,
-        );
-        self.obs
-            .set_backlog((self.holdback.len() + self.fifo_buffer.len()) as u64);
     }
 
     fn has_applied(&self, et: esr_core::ids::EtId) -> bool {

@@ -15,7 +15,6 @@
 //!   query whose budget is exhausted falls back to the stable VTNC
 //!   version instead of being rejected.
 
-use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
 use esr_core::divergence::{InconsistencyCounter, LockCounters};
@@ -108,8 +107,7 @@ impl RituOverwriteSite {
         for (object, ts, value) in c.values {
             let _ = store.apply_timestamped(object, ts, value);
         }
-        let mut counters = LockCounters::new();
-        counters.begin_updates(c.held);
+        let counters = LockCounters::from_held_sets(c.held);
         Self {
             site,
             store,
@@ -159,68 +157,6 @@ impl ReplicaSite for RituOverwriteSite {
         self.applied += 1;
         self.obs.delivered(1, 1, 0);
         Delivered::Applied.into()
-    }
-
-    /// Batch fast path: the batch's timestamped writes are reduced to
-    /// the maximum-version write per object before the store is touched,
-    /// so each object is arbitrated once per batch instead of once per
-    /// write. Exact because LWW arbitration is an idempotent,
-    /// commutative max — any application order, including pre-reduction,
-    /// converges to the same (version, value) pair. Lock-counter
-    /// bookkeeping stays per MSet.
-    fn deliver_batch(&mut self, msets: Vec<MSet>) {
-        // Reduce the batch to the max-version write per object *by
-        // reference* — values are cloned only for the winners that
-        // actually reach the store, one per object instead of one per
-        // write. Within-batch ties keep the earlier write, matching the
-        // strict-`>` arbitration of the one-at-a-time path.
-        let (before_applied, before_redelivered) = (self.applied, self.redelivered);
-        let batch_len = msets.len() as u64;
-        let mut best: FastIdMap<ObjectId, (VersionTs, &Value)> = FastIdMap::default();
-        let mut regs: Vec<(EtId, Vec<ObjectId>)> = Vec::new();
-        let mut fresh: Vec<bool> = Vec::with_capacity(msets.len());
-        for mset in &msets {
-            let new = !self.applied_ets.contains_key(&mset.et);
-            fresh.push(new);
-            if !new {
-                self.redelivered += 1;
-                continue; // duplicate (earlier delivery or earlier in batch)
-            }
-            regs.push((mset.et, mset.write_set_vec()));
-            self.applied_ets.insert(mset.et, ());
-            self.applied += 1;
-        }
-        for (mset, _) in msets.iter().zip(&fresh).filter(|(_, f)| **f) {
-            for op in &mset.ops {
-                debug_assert!(
-                    matches!(op.op, Operation::TimestampedWrite(_, _) | Operation::Read),
-                    "RITU MSets carry only timestamped writes, got {op}"
-                );
-                if let Operation::TimestampedWrite(ts, v) = &op.op {
-                    match best.entry(op.object) {
-                        Entry::Occupied(mut slot) => {
-                            if *ts > slot.get().0 {
-                                slot.insert((*ts, v));
-                            }
-                        }
-                        Entry::Vacant(slot) => {
-                            slot.insert((*ts, v));
-                        }
-                    }
-                }
-            }
-        }
-        let high_water = self.counters.begin_updates(regs);
-        self.obs.lock_counter_high_water(high_water);
-        for (object, (ts, value)) in best {
-            let _ = self.store.apply_timestamped(object, ts, value.clone());
-        }
-        self.obs.batch(batch_len);
-        self.obs.delivered(
-            batch_len,
-            self.applied - before_applied,
-            self.redelivered - before_redelivered,
-        );
     }
 
     fn has_applied(&self, et: EtId) -> bool {
@@ -321,7 +257,9 @@ impl RituMvSite {
     /// so post-restore queries see the same stable horizon.
     pub fn from_ckpt(site: SiteId, c: crate::ckpt::RituMvCkpt) -> Self {
         let mut store = MvStore::new();
-        store.install_batch(c.versions);
+        for (object, ts, value) in c.versions {
+            store.install(object, ts, value);
+        }
         store.advance_vtnc(c.vtnc);
         Self {
             site,
@@ -370,41 +308,6 @@ impl RituMvSite {
     }
 }
 
-/// Sentinel "no next install" link in [`GroupedInstalls`]' arena.
-const GROUP_NIL: u32 = u32::MAX;
-
-/// Streams one batch's installs grouped by object, walking the
-/// per-object linked chains [`RituMvSite::deliver_batch`] threaded
-/// through its flat arena. Each object's installs come out contiguously
-/// and in arrival order, which is exactly what
-/// [`MvStore::install_batch`]'s run detection wants.
-struct GroupedInstalls {
-    /// `(timestamp, value, next-link)` per install; `value` is taken
-    /// when the install is yielded.
-    arena: Vec<(VersionTs, Option<Value>, u32)>,
-    /// First install of each object, in first-touch order.
-    heads: std::vec::IntoIter<(ObjectId, u32)>,
-    object: ObjectId,
-    cursor: u32,
-}
-
-impl Iterator for GroupedInstalls {
-    type Item = (ObjectId, VersionTs, Value);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.cursor == GROUP_NIL {
-            let (object, head) = self.heads.next()?;
-            self.object = object;
-            self.cursor = head;
-        }
-        let slot = &mut self.arena[self.cursor as usize];
-        let (ts, next) = (slot.0, slot.2);
-        let value = slot.1.take()?;
-        self.cursor = next;
-        Some((self.object, ts, value))
-    }
-}
-
 impl ReplicaSite for RituMvSite {
     fn method_name(&self) -> &'static str {
         "RITU-MV"
@@ -435,70 +338,6 @@ impl ReplicaSite for RituMvSite {
         self.obs.delivered(1, 1, 0);
         self.tick_vtnc_gauges();
         Delivered::Applied.into()
-    }
-
-    /// Batch fast path: the batch's installs are grouped by object so
-    /// each object's version chain is located once per batch. Installs
-    /// are keyed by version timestamp and idempotent, so regrouping is
-    /// exact. The VTNC is untouched — visibility advances arrive as
-    /// separate certification messages.
-    fn deliver_batch(&mut self, msets: Vec<MSet>) {
-        // Installs are threaded into per-object linked chains inside one
-        // flat arena — no sort, no per-object Vec allocations, and
-        // per-object arrival order is preserved, so duplicate-timestamp
-        // resolution stays deterministic (first install of a timestamp
-        // wins, as in the one-at-a-time path). Grouping this way costs
-        // one hash probe per op; the payoff is one chain lookup per
-        // *object* (instead of per op) inside the store.
-        let (before_applied, before_redelivered) = (self.applied, self.redelivered);
-        let batch_len = msets.len() as u64;
-        let total_ops: usize = msets.iter().map(|m| m.ops.len()).sum();
-        assert!(total_ops < GROUP_NIL as usize, "batch exceeds arena index width");
-        let mut arena: Vec<(VersionTs, Option<Value>, u32)> = Vec::with_capacity(total_ops);
-        let mut tails: FastIdMap<ObjectId, u32> = FastIdMap::default();
-        let mut heads: Vec<(ObjectId, u32)> = Vec::new();
-        for mset in msets {
-            if self.applied_ets.contains_key(&mset.et) {
-                self.redelivered += 1;
-                continue; // duplicate (earlier delivery or earlier in batch)
-            }
-            for op in mset.ops {
-                match op.op {
-                    Operation::TimestampedWrite(ts, v) => {
-                        self.newest_installed = self.newest_installed.max(ts.time);
-                        let idx = arena.len() as u32;
-                        arena.push((ts, Some(v), GROUP_NIL));
-                        match tails.entry(op.object) {
-                            Entry::Occupied(mut tail) => {
-                                arena[*tail.get() as usize].2 = idx;
-                                *tail.get_mut() = idx;
-                            }
-                            Entry::Vacant(slot) => {
-                                slot.insert(idx);
-                                heads.push((op.object, idx));
-                            }
-                        }
-                    }
-                    Operation::Read => {}
-                    other => panic!("RITU-MV MSet carries non-timestamped write {other}"),
-                }
-            }
-            self.applied_ets.insert(mset.et, ());
-            self.applied += 1;
-        }
-        self.store.install_batch(GroupedInstalls {
-            arena,
-            heads: heads.into_iter(),
-            object: ObjectId(0),
-            cursor: GROUP_NIL,
-        });
-        self.obs.batch(batch_len);
-        self.obs.delivered(
-            batch_len,
-            self.applied - before_applied,
-            self.redelivered - before_redelivered,
-        );
-        self.tick_vtnc_gauges();
     }
 
     fn has_applied(&self, et: EtId) -> bool {

@@ -113,20 +113,11 @@ pub trait ReplicaSite {
     /// pending commit. Duplicate deliveries must be idempotent. The
     /// return value says which of those happened, and which parked
     /// MSets the delivery released.
+    ///
+    /// This is the method's one apply rule: every executor (esrd, the
+    /// simulator, the thread cluster, the model) reaches a store only
+    /// through it, one MSet at a time.
     fn deliver(&mut self, mset: MSet) -> Delivery;
-
-    /// Handles a batch of update MSets delivered together (e.g. drained
-    /// from a site's inbound queue in one step). Must be observably
-    /// equivalent to calling [`ReplicaSite::deliver`] on each MSet in
-    /// order — the default does exactly that. Methods override this to
-    /// exploit batch structure: draining the hold-back once, coalescing
-    /// commuting operations per object, or reducing each object's writes
-    /// to the newest version before touching the store.
-    fn deliver_batch(&mut self, msets: Vec<MSet>) {
-        for mset in msets {
-            self.deliver(mset);
-        }
-    }
 
     /// Serves a query ET over `read_set`, charging imported inconsistency
     /// to `counter`. A site that cannot serve the query within the

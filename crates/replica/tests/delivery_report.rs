@@ -1,22 +1,14 @@
-//! Batch/single delivery equivalence properties.
+//! What `deliver` reports is what `deliver` did.
 //!
-//! For every replica control method, `deliver_batch` is an optimization,
-//! not a semantic change: partitioning an MSet stream into *any* sequence
-//! of batches must leave a site in exactly the state one-at-a-time
-//! delivery produces. The properties below drive a batched site and a
-//! sequential site through the same randomized stream (shuffles,
-//! duplicates, gaps) under a random partition, and after **every** chunk
-//! compare the full observable state: the store snapshot, the hold-back
-//! backlog, and `has_applied` for every ET. The `has_applied` check is
-//! what makes the cluster-level divergence metrics line up — both
-//! `divergent_updates` and `missing_updates` are functions of the
-//! submission table and per-site `has_applied` alone, so agreement here
-//! is agreement there for any read set.
-//!
-//! The sequential side doubles as the check on what `deliver` *says* it
-//! did: every returned [`Delivery`] must agree with the `has_applied` /
-//! `backlog` deltas an observer probing the site around the call would
-//! see (the control core acts on the return value and never probes).
+//! A site is the only owner of its hold-back state, and the control
+//! core acts on the [`Delivery`] a site returns — it emits its apply /
+//! held / duplicate events and its `Applied` reports from that value
+//! and never probes the site. So for every replica control method the
+//! properties below drive one site through a randomized stream
+//! (shuffles, ~25 % duplicates, sequence gaps while the shuffle lasts,
+//! COMPE decisions racing ahead of their MSets) and check every
+//! returned `Delivery` against the `has_applied` / `backlog` deltas an
+//! observer probing the site around the call would see.
 
 use esr_core::ids::{ClientId, EtId, LamportTs, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
@@ -54,7 +46,7 @@ impl Gen {
 
     /// Appends duplicates of ~25% of the stream's elements at random
     /// positions — redelivery is normal under at-least-once transport
-    /// and both paths must suppress it identically.
+    /// and must be reported as such.
     fn sprinkle_duplicates(&mut self, stream: &mut Vec<MSet>) {
         for _ in 0..stream.len() / 4 {
             let src = self.below(stream.len() as u64) as usize;
@@ -64,20 +56,8 @@ impl Gen {
         }
     }
 
-    /// Cuts `n` items into random contiguous chunks (some possibly
-    /// empty is fine — an empty batch must be a no-op).
-    fn cuts(&mut self, n: usize) -> Vec<usize> {
-        let mut cuts = vec![0, n];
-        for _ in 0..self.below(6) {
-            cuts.push(self.below(n as u64 + 1) as usize);
-        }
-        cuts.sort_unstable();
-        cuts
-    }
-
     /// A mixed op on an integer-valued object: additive and
-    /// multiplicative families plus blind overwrites, so streams carry
-    /// both foldable runs and fold boundaries for the coalescers.
+    /// multiplicative families plus blind overwrites and reads.
     fn int_op(&mut self) -> Operation {
         match self.below(5) {
             0 => Operation::Incr(self.below(9) as i64 - 4),
@@ -152,34 +132,14 @@ fn deliver_checked<S: ReplicaSite>(
     Ok(d)
 }
 
-/// Drives `single` one MSet at a time and `batched` through
-/// `deliver_batch` chunks of the same stream, asserting observable
-/// equality at every chunk boundary.
-fn assert_equivalent<S: ReplicaSite>(
-    mut single: S,
-    mut batched: S,
+/// [`deliver_checked`] over a whole stream.
+fn check_stream<S: ReplicaSite>(
+    mut site: S,
     stream: &[MSet],
-    cuts: &[usize],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let all_ets: Vec<EtId> = stream.iter().map(|m| m.et).collect();
-    for w in cuts.windows(2) {
-        let chunk = &stream[w[0]..w[1]];
-        for m in chunk {
-            deliver_checked(&mut single, m, &all_ets)?;
-        }
-        batched.deliver_batch(chunk.to_vec());
-        prop_assert_eq!(single.snapshot(), batched.snapshot());
-        prop_assert_eq!(single.backlog(), batched.backlog());
-        for &et in &all_ets {
-            prop_assert_eq!(
-                single.has_applied(et),
-                batched.has_applied(et),
-                "has_applied({:?}) diverged after chunk {}..{}",
-                et,
-                w[0],
-                w[1]
-            );
-        }
+    for m in stream {
+        deliver_checked(&mut site, m, &all_ets)?;
     }
     Ok(())
 }
@@ -190,24 +150,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn ordup_batch_equivalence(seed in 0u64..u64::MAX, n in 1usize..40) {
+    fn ordup_delivery_report(seed in 0u64..u64::MAX, n in 1usize..40) {
         let mut g = Gen(seed);
         let mut stream: Vec<MSet> = (0..n as u64)
             .map(|i| g.int_mset(i, OBJECTS).sequenced(SeqNo(i)))
             .collect();
         g.shuffle(&mut stream);
         g.sprinkle_duplicates(&mut stream);
-        let cuts = g.cuts(stream.len());
-        assert_equivalent(
-            OrdupSite::new(SiteId(0)),
-            OrdupSite::new(SiteId(1)),
-            &stream,
-            &cuts,
-        )?;
+        check_stream(OrdupSite::new(SiteId(0)), &stream)?;
     }
 
     #[test]
-    fn ordup_lamport_batch_equivalence(seed in 0u64..u64::MAX, n in 1usize..20) {
+    fn ordup_lamport_delivery_report(seed in 0u64..u64::MAX, n in 1usize..20) {
         let mut g = Gen(seed);
         let origins = [SiteId(0), SiteId(1)];
         // Each origin emits a FIFO run with strictly increasing Lamport
@@ -224,119 +178,73 @@ proptest! {
         }
         g.shuffle(&mut stream);
         g.sprinkle_duplicates(&mut stream);
-        let cuts = g.cuts(stream.len());
-        assert_equivalent(
-            OrdupLamportSite::new(SiteId(7), origins.to_vec()),
-            OrdupLamportSite::new(SiteId(8), origins.to_vec()),
-            &stream,
-            &cuts,
-        )?;
+        check_stream(OrdupLamportSite::new(SiteId(7), origins.to_vec()), &stream)?;
     }
 
     #[test]
-    fn commu_batch_equivalence(seed in 0u64..u64::MAX, n in 1usize..40) {
+    fn commu_delivery_report(seed in 0u64..u64::MAX, n in 1usize..40) {
         let mut g = Gen(seed);
         let mut stream: Vec<MSet> = (0..n as u64).map(|i| g.int_mset(i, OBJECTS)).collect();
         g.shuffle(&mut stream);
         g.sprinkle_duplicates(&mut stream);
-        let cuts = g.cuts(stream.len());
-        assert_equivalent(
-            CommuSite::new(SiteId(0)),
-            CommuSite::new(SiteId(1)),
-            &stream,
-            &cuts,
-        )?;
+        check_stream(CommuSite::new(SiteId(0)), &stream)?;
     }
 
     #[test]
-    fn ritu_lww_batch_equivalence(seed in 0u64..u64::MAX, n in 1usize..40) {
+    fn ritu_lww_delivery_report(seed in 0u64..u64::MAX, n in 1usize..40) {
         let mut g = Gen(seed);
         let mut stream: Vec<MSet> = (0..n as u64).map(|i| g.tw_mset(i, OBJECTS)).collect();
         g.shuffle(&mut stream);
         g.sprinkle_duplicates(&mut stream);
-        let cuts = g.cuts(stream.len());
-        assert_equivalent(
-            RituOverwriteSite::new(SiteId(0)),
-            RituOverwriteSite::new(SiteId(1)),
-            &stream,
-            &cuts,
-        )?;
+        check_stream(RituOverwriteSite::new(SiteId(0)), &stream)?;
     }
 
     #[test]
-    fn ritu_mv_batch_equivalence(seed in 0u64..u64::MAX, n in 1usize..40) {
+    fn ritu_mv_delivery_report(seed in 0u64..u64::MAX, n in 1usize..40) {
         let mut g = Gen(seed);
         let mut stream: Vec<MSet> = (0..n as u64).map(|i| g.tw_mset(i, OBJECTS)).collect();
         g.shuffle(&mut stream);
         g.sprinkle_duplicates(&mut stream);
-        let cuts = g.cuts(stream.len());
-        assert_equivalent(
-            RituMvSite::new(SiteId(0)),
-            RituMvSite::new(SiteId(1)),
-            &stream,
-            &cuts,
-        )?;
+        check_stream(RituMvSite::new(SiteId(0)), &stream)?;
     }
 
     #[test]
-    fn compe_batch_equivalence(seed in 0u64..u64::MAX, n in 1usize..30) {
+    fn compe_delivery_report(seed in 0u64..u64::MAX, n in 1usize..30) {
         let mut g = Gen(seed);
         let mut stream: Vec<MSet> = (0..n as u64).map(|i| g.int_mset(i, OBJECTS)).collect();
         g.shuffle(&mut stream);
         g.sprinkle_duplicates(&mut stream);
-        let cuts = g.cuts(stream.len());
         let all_ets: Vec<EtId> = (0..n as u64).map(EtId).collect();
-        let mut single = CompeSite::new(SiteId(0));
-        let mut batched = CompeSite::new(SiteId(1));
-        // Some commit notices race ahead of their MSets: both paths
-        // must apply those directly as committed state. Some aborts do
-        // too: those MSets are suppressed for good, never redelivered.
+        let mut site = CompeSite::new(SiteId(0));
+        // Some commit notices race ahead of their MSets: those apply
+        // directly as committed state. Some aborts do too: those MSets
+        // are suppressed for good, never applied on redelivery.
         let mut aborted_early = Vec::new();
         for i in 0..n as u64 {
             match g.below(10) {
-                0 | 1 => {
-                    single.commit(EtId(i));
-                    batched.commit(EtId(i));
-                }
+                0 | 1 => site.commit(EtId(i)),
                 2 => {
-                    single.abort(EtId(i));
-                    batched.abort(EtId(i));
+                    site.abort(EtId(i));
                     aborted_early.push(EtId(i));
                 }
                 _ => {}
             }
         }
-        for w in cuts.windows(2) {
-            let chunk = &stream[w[0]..w[1]];
-            for m in chunk {
-                let d = deliver_checked(&mut single, m, &all_ets)?;
-                prop_assert_eq!(
-                    d.outcome == Delivered::Suppressed,
-                    aborted_early.contains(&m.et)
-                );
-            }
-            batched.deliver_batch(chunk.to_vec());
-            prop_assert_eq!(single.snapshot(), batched.snapshot());
-            prop_assert_eq!(single.at_risk(), batched.at_risk());
+        for m in &stream {
+            let d = deliver_checked(&mut site, m, &all_ets)?;
+            prop_assert_eq!(
+                d.outcome == Delivered::Suppressed,
+                aborted_early.contains(&m.et)
+            );
         }
-        // Resolve every ET the same way on both sites: the surviving
-        // state and the compensation count must agree.
+        // Resolve every ET: nothing stays at risk.
         for i in 0..n as u64 {
             if g.below(3) == 0 {
-                let a = single.abort(EtId(i));
-                let b = batched.abort(EtId(i));
-                prop_assert_eq!(a.is_some(), b.is_some());
+                site.abort(EtId(i));
             } else {
-                single.commit(EtId(i));
-                batched.commit(EtId(i));
+                site.commit(EtId(i));
             }
         }
-        prop_assert_eq!(single.snapshot(), batched.snapshot());
-        prop_assert_eq!(single.at_risk(), 0);
-        prop_assert_eq!(batched.at_risk(), 0);
-        prop_assert_eq!(single.compensations(), batched.compensations());
-        for i in 0..n as u64 {
-            prop_assert_eq!(single.has_applied(EtId(i)), batched.has_applied(EtId(i)));
-        }
+        prop_assert_eq!(site.at_risk(), 0);
     }
 }

@@ -733,9 +733,16 @@ impl Daemon {
         }
     }
 
-    fn handle_client_request(&self, request: Frame) -> Frame {
-        match request {
+    /// The reply to one client request; `None` for a request that
+    /// decodes but is malformed — an MSet of a shape this site's method
+    /// cannot take ([`SiteState::accepts`]) — which closes the
+    /// connection without stepping the core.
+    fn handle_client_request(&self, request: Frame) -> Option<Frame> {
+        Some(match request {
             Frame::Submit(mset) => {
+                if !self.core.lock().state.accepts(&mset) {
+                    return None;
+                }
                 // Exactly-once: a retried request (same client id +
                 // request seq) is answered from the client table with
                 // the *original* ET — byte-identical to the first
@@ -747,7 +754,7 @@ impl Daemon {
                             seq,
                             et,
                         });
-                        return Frame::SubmitOk { et };
+                        return Some(Frame::SubmitOk { et });
                     }
                 }
                 let et = mset.et;
@@ -842,7 +849,7 @@ impl Daemon {
                 ckpt_seq: 0,
                 ckpt_covered: 0,
             },
-        }
+        })
     }
 
     /// The newest installed snapshot's (seq, covered frontier).
@@ -944,10 +951,14 @@ impl RpcService for Daemon {
                 for env in envs {
                     let entry = env.entry;
                     match decode_frame(&Bytes::from(env.payload)) {
+                        // A corrupt frame — undecodable, or an MSet of
+                        // a shape this method's `deliver` panics on —
+                        // is dropped; acking it anyway prevents an
+                        // infinite retransmit of a poisoned entry.
+                        Ok(Frame::MSet(m)) if !self.core.lock().state.accepts(&m) => {
+                            self.peer_frames_rejected.inc()
+                        }
                         Ok(f) => self.handle_peer_frame(f),
-                        // A corrupt frame is dropped; acking it anyway
-                        // prevents an infinite retransmit of a
-                        // poisoned entry.
                         Err(_) => self.peer_frames_rejected.inc(),
                     }
                     if entry != NO_ENTRY {
@@ -961,8 +972,9 @@ impl RpcService for Daemon {
                 true
             }
             // Client plane: one request frame in, one reply frame out,
-            // in order. A malformed request closes the connection, and
-            // so does a reply no frame can carry (a `SnapshotOk` past
+            // in order. A malformed request (undecodable, or a submit
+            // its method cannot take) closes the connection, and so
+            // does a reply no frame can carry (a `SnapshotOk` past
             // `MAX_FRAME`): skipping it would leave the client blocked
             // on a reply that never comes, closing shows it EOF after
             // the cycle's earlier replies.
@@ -972,7 +984,9 @@ impl RpcService for Daemon {
                         return false;
                     };
                     let started = Instant::now();
-                    let reply = self.handle_client_request(request);
+                    let Some(reply) = self.handle_client_request(request) else {
+                        return false;
+                    };
                     self.rpc_latency
                         .record(started.elapsed().as_micros() as u64);
                     let bytes = encode_frame(&reply);
@@ -1142,20 +1156,54 @@ mod tests {
         );
     }
 
+    /// A submit that decodes but has a shape its method's `deliver`
+    /// panics on is a malformed request like an undecodable one: the
+    /// connection closes, the core is not stepped, and the daemon goes
+    /// on serving.
+    #[test]
+    fn a_submit_of_the_wrong_shape_closes_the_connection_and_steps_nothing() {
+        let unsequenced = start("unsequenced", RtMethod::Ordup, 0, 1, None);
+        let (open, replies) =
+            try_batch(&unsequenced, &[Frame::Submit(incr(1, 0)), Frame::Status]);
+        assert!(!open, "ORDUP takes only sequenced MSets");
+        assert!(replies.is_empty(), "nothing after the malformed request is answered");
+
+        let untimestamped = start("untimestamped", RtMethod::RituMv, 0, 1, None);
+        let (open, _) = try_batch(&untimestamped, &[Frame::Submit(incr(1, 0))]);
+        assert!(!open, "RITU-MV takes only timestamped writes");
+
+        for daemon in [unsequenced, untimestamped] {
+            assert!(daemon.staged.lock().is_empty());
+            RpcService::commit(&*daemon);
+            assert_eq!(daemon.journal.lock().entries(), 0);
+            let status = batch(&daemon, &[Frame::Status]);
+            assert_eq!(outbound_pending(&status[0]), 0);
+        }
+    }
+
+    /// Undecodable bytes and a decodable MSet its method cannot take
+    /// (ORDUP, no sequencer stamp) go the same way on the peer plane.
     #[test]
     fn a_corrupt_peer_frame_is_acked_dropped_and_counted() {
-        let daemon = start("rejected", RtMethod::Commu, 1, 3, None);
-        let envs = vec![Envelope {
-            entry: 5,
-            payload: vec![0xFF; 3],
-        }];
+        let daemon = start("rejected", RtMethod::Ordup, 1, 3, None);
+        let envs = vec![
+            Envelope {
+                entry: 5,
+                payload: vec![0xFF; 3],
+            },
+            Envelope {
+                entry: 6,
+                payload: encode_frame(&Frame::MSet(incr(1, 0))).to_vec(),
+            },
+        ];
         let mut out = Vec::new();
         assert!(daemon.handle_batch(ConnKind::Peer, envs, &mut out));
         let ack = unseal(read_frame(&mut std::io::Cursor::new(out)).unwrap()).unwrap();
-        assert_eq!(ack.ack_ids().unwrap().collect::<Vec<_>>(), vec![5]);
+        assert_eq!(ack.ack_ids().unwrap().collect::<Vec<_>>(), vec![5, 6]);
         assert!(daemon
             .metrics
             .render()
-            .contains("esr_peer_frames_rejected_total{site=\"1\"} 1"));
+            .contains("esr_peer_frames_rejected_total{site=\"1\"} 2"));
+        assert!(daemon.staged.lock().is_empty(), "the core was not stepped");
     }
 }

@@ -238,6 +238,17 @@ impl ProcCluster {
         }
     }
 
+    /// Has `site`'s daemon ended by itself (a panic aborts the process)?
+    /// Never blocks. An exited child is reaped and forgotten, so the
+    /// site can be [`ProcCluster::restart`]ed like a killed one.
+    pub fn has_exited(&mut self, site: SiteId) -> bool {
+        let slot = &mut self.children[site.raw() as usize];
+        if matches!(slot.as_mut().map(Child::try_wait), Some(Ok(Some(_)))) {
+            *slot = None;
+        }
+        slot.is_none()
+    }
+
     /// Destroys a killed site's entire local disk state — journal,
     /// snapshots, durable view/epoch, address file, and its *outbound*
     /// link queues. Peers' queues toward the site survive (they live in

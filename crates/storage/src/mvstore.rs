@@ -95,29 +95,6 @@ impl MvStore {
             .or_insert(value);
     }
 
-    /// Installs a batch of versions grouped by object, so each object's
-    /// chain is located once per batch rather than once per write.
-    /// `installs` must be sorted (or at least grouped) by object for the
-    /// grouping to take effect; ungrouped input is still correct, just
-    /// not faster. Duplicate timestamps are ignored as in
-    /// [`MvStore::install`].
-    pub fn install_batch(
-        &mut self,
-        installs: impl IntoIterator<Item = (ObjectId, VersionTs, Value)>,
-    ) {
-        // Stream consecutive same-object runs straight into the chain —
-        // no intermediate per-run vectors; each run locates its chain
-        // exactly once.
-        let mut it = installs.into_iter().peekable();
-        while let Some((object, ts, value)) = it.next() {
-            let chain = self.chains.entry(object).or_default();
-            chain.entry(ts).or_insert(value);
-            while let Some((_, ts, value)) = it.next_if(|&(next, _, _)| next == object) {
-                chain.entry(ts).or_insert(value);
-            }
-        }
-    }
-
     /// COMPE support: removes the version installed at `ts`, as if the
     /// update never ran. Returns the removed value.
     pub fn remove_version(&mut self, object: ObjectId, ts: VersionTs) -> Option<Value> {
@@ -322,27 +299,6 @@ mod tests {
         }
         assert_eq!(a.snapshot_latest(), b.snapshot_latest());
         assert_eq!(a.versions(X), b.versions(X));
-    }
-
-    #[test]
-    fn install_batch_matches_sequential_installs() {
-        let y = ObjectId(1);
-        let batch = [
-            (X, vts(2), Value::Int(20)),
-            (X, vts(1), Value::Int(10)),
-            (y, vts(5), Value::Int(50)),
-            (X, vts(2), Value::Int(99)), // duplicate ts: ignored
-        ];
-        let mut seq = MvStore::new();
-        for (o, t, v) in batch.iter() {
-            seq.install(*o, *t, v.clone());
-        }
-        let mut batched = MvStore::new();
-        batched.install_batch(batch.iter().cloned());
-        assert_eq!(batched.snapshot_latest(), seq.snapshot_latest());
-        assert_eq!(batched.versions(X), seq.versions(X));
-        assert_eq!(batched.version_count(X), 2);
-        assert_eq!(batched.read_latest(y).value, Value::Int(50));
     }
 
     #[test]

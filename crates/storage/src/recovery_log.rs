@@ -156,25 +156,6 @@ impl RecoveryLog {
         self.apply_internal(store, et, ops, false)
     }
 
-    /// Applies a batch of MSets in delivery order, reserving log storage
-    /// up front. One record is kept **per MSet** — compensation targets
-    /// individual ETs, so batching must not merge records. Each MSet
-    /// keeps [`RecoveryLog::apply_mset`]'s error semantics; a failing
-    /// MSet stops the batch with earlier MSets applied and logged,
-    /// exactly like sequential delivery.
-    pub fn apply_msets<'a>(
-        &mut self,
-        store: &mut ObjectStore,
-        msets: impl IntoIterator<Item = (EtId, &'a [ObjectOp])>,
-    ) -> CoreResult<()> {
-        let msets = msets.into_iter();
-        self.records.reserve(msets.size_hint().0);
-        for (et, ops) in msets {
-            self.apply_internal(store, et, ops, false)?;
-        }
-        Ok(())
-    }
-
     fn apply_internal(
         &mut self,
         store: &mut ObjectStore,
@@ -430,39 +411,6 @@ mod tests {
         assert!(err.is_err());
         assert_eq!(store.get(X), Value::Int(0), "prefix undone");
         assert!(log.is_empty());
-    }
-
-    #[test]
-    fn batch_apply_keeps_per_et_records_compensatable() {
-        let mut store = ObjectStore::new();
-        let mut log = RecoveryLog::new();
-        let m1 = [op(X, Operation::Incr(10))];
-        let m2 = [op(X, Operation::Incr(5))];
-        let m3 = [op(Y, Operation::Incr(1))];
-        log.apply_msets(
-            &mut store,
-            [(EtId(1), &m1[..]), (EtId(2), &m2[..]), (EtId(3), &m3[..])],
-        )
-        .unwrap();
-        assert_eq!(log.len(), 3, "one record per MSet");
-        assert_eq!(store.get(X), Value::Int(15));
-        // A batched ET can still be aborted individually.
-        log.compensate(&mut store, EtId(1)).unwrap().unwrap();
-        assert_eq!(store.get(X), Value::Int(5));
-        assert_eq!(store.get(Y), Value::Int(1));
-    }
-
-    #[test]
-    fn batch_apply_error_keeps_earlier_msets() {
-        let mut store = ObjectStore::new();
-        store.put(Y, Value::from("text"));
-        let mut log = RecoveryLog::new();
-        let m1 = [op(X, Operation::Incr(10))];
-        let m2 = [op(Y, Operation::Incr(1))];
-        let err = log.apply_msets(&mut store, [(EtId(1), &m1[..]), (EtId(2), &m2[..])]);
-        assert!(err.is_err());
-        assert_eq!(store.get(X), Value::Int(10), "earlier MSet stays applied");
-        assert_eq!(log.len(), 1, "only the failing MSet is unlogged");
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //!   any delivery order.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use esr_core::ids::{ObjectId, VersionTs};
-use esr_core::op::{coalesce_ops, ObjectOp, Operation};
+use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
 use esr_core::CoreResult;
 
@@ -55,133 +55,6 @@ impl ObjectStore {
             self.values.insert(op.object, next.clone());
         }
         Ok(next)
-    }
-
-    /// Applies a slice of bound operations in delivery order. Equivalent
-    /// to calling [`ObjectStore::apply`] on each; stops at the first
-    /// error, leaving earlier writes installed exactly like the
-    /// one-at-a-time path.
-    pub fn apply_batch(&mut self, ops: &[ObjectOp]) -> CoreResult<()> {
-        for op in ops {
-            self.apply(op)?;
-        }
-        Ok(())
-    }
-
-    /// Applies a run of operations against one object with coalescing:
-    /// the run is folded through [`coalesce_ops`] (N commuting `Incr`s
-    /// become one net `Incr`, overwritten writes drop out), then the
-    /// folded ops transform a cached copy of the value and the object's
-    /// slot is written back once.
-    ///
-    /// State equivalence with the sequential path holds whenever the run
-    /// applies cleanly. On error nothing is installed (the sequential
-    /// path would install the successful prefix) — callers on this path
-    /// treat apply errors as fatal, so the difference is unobservable.
-    pub fn apply_object_run(&mut self, object: ObjectId, ops: &[Operation]) -> CoreResult<Value> {
-        let folded = coalesce_ops(ops);
-        let mut current = self.get(object);
-        let mut wrote = false;
-        for op in &folded {
-            current = op.apply(object, &current)?;
-            wrote |= op.is_write();
-        }
-        if wrote {
-            self.values.insert(object, current.clone());
-        }
-        Ok(current)
-    }
-
-    /// Applies a vector of `(object, operation)` pairs **pre-sorted by
-    /// object** (stable, so each object's internal order is the delivery
-    /// order), streaming each object's run through the pairwise fold of
-    /// [`coalesce_ops`] without materializing per-object vectors: reads
-    /// are dropped, adjacent foldable operations collapse, and each
-    /// object's slot is read and written at most once per batch.
-    ///
-    /// Error semantics match [`ObjectStore::apply_object_run`]: an error
-    /// leaves the failing object uninstalled while earlier objects keep
-    /// their runs — callers treat apply errors as fatal.
-    pub fn apply_sorted_pairs(&mut self, pairs: &[(ObjectId, Operation)]) -> CoreResult<()> {
-        let mut i = 0;
-        while i < pairs.len() {
-            let object = pairs[i].0;
-            let mut end = i + 1;
-            while end < pairs.len() && pairs[end].0 == object {
-                end += 1;
-            }
-            self.apply_op_run(object, pairs[i..end].iter().map(|(_, op)| op))?;
-            i = end;
-        }
-        Ok(())
-    }
-
-    /// Applies one object's run of operations, streamed by reference in
-    /// delivery order, through the pairwise fold of [`coalesce_ops`]:
-    /// reads are dropped, adjacent foldable operations collapse, and the
-    /// object's slot is read and written at most once. Operations are
-    /// cloned only when a fold boundary forces one into the accumulator,
-    /// so a fully-foldable run of N ops costs one clone, not N.
-    ///
-    /// Error semantics match [`ObjectStore::apply_object_run`]: on error
-    /// nothing is installed; callers on this path treat apply errors as
-    /// fatal.
-    pub fn apply_op_run<'a>(
-        &mut self,
-        object: ObjectId,
-        ops: impl IntoIterator<Item = &'a Operation>,
-    ) -> CoreResult<Value> {
-        // Fold first, touch the store after: the whole run is coalesced
-        // before the object's slot is even located, so a run costs one
-        // slot lookup (plus one insert when the object is new), not one
-        // get-plus-insert per operation.
-        // `overflow` stays unallocated unless the run actually contains
-        // a non-foldable boundary — the common fully-foldable run costs
-        // one clone and zero heap traffic before the store is touched.
-        let mut overflow: Vec<Operation> = Vec::new();
-        let mut acc: Option<Operation> = None;
-        for op in ops {
-            if matches!(op, Operation::Read) {
-                continue;
-            }
-            acc = match acc.take() {
-                None => Some(op.clone()),
-                Some(prev) => match prev.fold_with(op) {
-                    Some(folded) => Some(folded),
-                    None => {
-                        overflow.push(prev);
-                        Some(op.clone())
-                    }
-                },
-            };
-        }
-        let Some(last) = acc else {
-            return Ok(self.get(object)); // all reads: store untouched
-        };
-        let apply_all = |mut current: Value| -> CoreResult<(Value, bool)> {
-            let mut wrote = false;
-            for op in &overflow {
-                current = op.apply(object, &current)?;
-                wrote |= op.is_write();
-            }
-            current = last.apply(object, &current)?;
-            wrote |= last.is_write();
-            Ok((current, wrote))
-        };
-        if let Some(slot) = self.values.get_mut(object) {
-            // On error the `?` leaves the taken slot zeroed — callers on
-            // this path treat apply errors as fatal, so the difference
-            // is unobservable (documented above).
-            let (current, _) = apply_all(std::mem::take(slot))?;
-            *slot = current.clone();
-            Ok(current)
-        } else {
-            let (current, wrote) = apply_all(Value::default())?;
-            if wrote {
-                self.values.insert(object, current.clone());
-            }
-            Ok(current)
-        }
     }
 
     /// Overwrites an object directly (used by recovery to restore
@@ -267,39 +140,6 @@ impl LwwStore {
                 LwwOutcome::Applied
             }
         }
-    }
-
-    /// Applies a batch of timestamped writes, reducing each object's
-    /// candidates to the maximum-version one before touching the store,
-    /// so each object's slot is arbitrated exactly once per batch.
-    ///
-    /// Within-batch ties keep the earlier write, matching the strict-`>`
-    /// arbitration the one-at-a-time path performs. Returns the number
-    /// of objects whose value changed.
-    pub fn apply_timestamped_batch(
-        &mut self,
-        writes: impl IntoIterator<Item = (ObjectId, VersionTs, Value)>,
-    ) -> usize {
-        let mut best: HashMap<ObjectId, (VersionTs, Value)> = HashMap::new();
-        for (object, ts, value) in writes {
-            match best.entry(object) {
-                Entry::Occupied(mut slot) => {
-                    if ts > slot.get().0 {
-                        slot.insert((ts, value));
-                    }
-                }
-                Entry::Vacant(slot) => {
-                    slot.insert((ts, value));
-                }
-            }
-        }
-        let mut applied = 0;
-        for (object, (ts, value)) in best {
-            if self.apply_timestamped(object, ts, value) == LwwOutcome::Applied {
-                applied += 1;
-            }
-        }
-        applied
     }
 
     /// Applies any operation: timestamped writes go through LWW
@@ -468,81 +308,6 @@ mod tests {
         }
         assert_eq!(forward.snapshot(), reverse.snapshot());
         assert_eq!(forward.get(X), Value::Int(30));
-    }
-
-    #[test]
-    fn apply_object_run_matches_sequential() {
-        let ops = [
-            Operation::Incr(5),
-            Operation::Incr(7),
-            Operation::Read,
-            Operation::MulBy(2),
-            Operation::Decr(4),
-            Operation::Write(Value::Int(100)),
-            Operation::Incr(1),
-        ];
-        let mut seq = ObjectStore::new();
-        for op in &ops {
-            seq.apply(&ObjectOp::new(X, op.clone())).unwrap();
-        }
-        let mut run = ObjectStore::new();
-        let v = run.apply_object_run(X, &ops).unwrap();
-        assert_eq!(v, Value::Int(101));
-        assert_eq!(run.snapshot(), seq.snapshot());
-    }
-
-    #[test]
-    fn apply_object_run_of_reads_installs_nothing() {
-        let mut s = ObjectStore::new();
-        let v = s
-            .apply_object_run(X, &[Operation::Read, Operation::Read])
-            .unwrap();
-        assert_eq!(v, Value::ZERO);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn apply_batch_stops_at_first_error_keeping_prefix() {
-        let mut s = ObjectStore::new();
-        let ops = [
-            ObjectOp::new(X, Operation::Write(Value::Int(1))),
-            ObjectOp::new(Y, Operation::Write(Value::from("text"))),
-            ObjectOp::new(Y, Operation::Incr(1)),
-            ObjectOp::new(X, Operation::Write(Value::Int(2))),
-        ];
-        assert!(s.apply_batch(&ops).is_err());
-        assert_eq!(s.get(X), Value::Int(1), "prefix stays installed");
-        assert_eq!(s.get(Y), Value::from("text"));
-    }
-
-    #[test]
-    fn lww_batch_reduces_per_object_and_ties_keep_first() {
-        let batch = [
-            (X, vts(3), Value::Int(30)),
-            (X, vts(7), Value::Int(70)),
-            (X, vts(7), Value::Int(71)), // tie: first max-ts write wins
-            (Y, vts(1), Value::Int(10)),
-            (X, vts(2), Value::Int(20)),
-        ];
-        let mut seq = LwwStore::new();
-        for (o, ts, v) in batch.iter() {
-            seq.apply_timestamped(*o, *ts, v.clone());
-        }
-        let mut batched = LwwStore::new();
-        let applied = batched.apply_timestamped_batch(batch.iter().cloned());
-        assert_eq!(applied, 2, "one install per touched object");
-        assert_eq!(batched.snapshot(), seq.snapshot());
-        assert_eq!(batched.get(X), Value::Int(70));
-        assert_eq!(batched.version(X), vts(7));
-    }
-
-    #[test]
-    fn lww_batch_respects_already_stored_newer_version() {
-        let mut s = LwwStore::new();
-        s.apply_timestamped(X, vts(50), Value::Int(5));
-        let applied = s.apply_timestamped_batch([(X, vts(10), Value::Int(1))]);
-        assert_eq!(applied, 0);
-        assert_eq!(s.get(X), Value::Int(5));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! Boots [`esr_runtime::Daemon`] for the given site and serves forever:
 //! peers and clients find it through the address file it publishes
 //! under the cluster directory. Kill it with `SIGKILL` whenever you
-//! like — that is the point. On the next start it bumps its boot epoch,
+//! like — that is the point — and it ends itself the same way when one
+//! of its threads panics. On the next start it bumps its boot epoch,
 //! replays its write-ahead journal, re-announces its applies to the
 //! coordinator, and drains whatever its peers queued for it while it
 //! was dead.
@@ -35,6 +36,17 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
+    // A panic on any thread ends the process: main only parks, so a
+    // dead reactor would otherwise leave the listener bound and every
+    // client blocked on a daemon that can no longer answer. A dead
+    // process is what the journal, the peers' links and a supervisor
+    // recover from.
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        report(info);
+        std::process::abort();
+    }));
+
     let mut site: Option<u64> = None;
     let mut sites: Option<usize> = None;
     let mut method: Option<RtMethod> = None;

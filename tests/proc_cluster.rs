@@ -245,6 +245,36 @@ fn journal_replay_alone_restores_acknowledged_state() {
 }
 
 #[test]
+fn a_panicking_daemon_exits_and_recovers_from_its_journal() {
+    // The second increment overflows at its origin: the apply error
+    // panics the reactor thread before anything of that step is staged.
+    // A daemon whose reactor is gone must not linger (bound listener,
+    // parked main, clients blocked for good): the process ends, which
+    // a restart — journal replay — recovers from like from a SIGKILL.
+    let dir = fresh_dir("panic");
+    let mut c = ProcCluster::spawn(esrd(), &dir, RtMethod::Commu, N).expect("spawn");
+    let overflow = || c.submit_update(SiteId(0), vec![ObjectOp::new(X, Operation::Incr(i64::MAX))]);
+    overflow().expect("the first increment fits");
+    overflow().expect_err("the second one ends the daemon before it answers");
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    while !c.has_exited(SiteId(0)) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a daemon whose reactor panicked must exit"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    c.restart(SiteId(0)).expect("restart");
+    c.quiesce_within(QUIESCE).expect("quiesce after restart");
+    assert!(c.converged().expect("converged"));
+    let expected = BTreeMap::from([(X, Value::Int(i64::MAX))]);
+    assert_eq!(c.snapshot_of(SiteId(0)).expect("snapshot"), expected);
+    certify_cluster(&c, RtMethod::Commu, N);
+    c.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn quiesce_timeout_reports_per_site_queue_depths() {
     // A killed, never-restarted site wedges the quiesce: the survivors'
     // queues to it cannot drain. The error says where the work sits.
