@@ -7,9 +7,8 @@
 //! module replays a set of per-site dumps against the per-method
 //! visibility and convergence specs, turning any simulated crash
 //! scenario (`SimCluster::events_of`), proc-cluster run
-//! (`ProcCluster::trace_of`), explored thread-cluster schedule
-//! (`Cluster::trace_of`, via [`crate::oracles::check`]) or model
-//! terminal ([`crate::model::oracles::check_safety`]) into a *checked*
+//! (`ProcCluster::trace_of`) or model terminal
+//! ([`crate::model::oracles::check_safety`]) into a *checked*
 //! execution. The spec style follows Enea et al.'s replication-aware
 //! linearizability — per-replica causal histories checked against the
 //! method's visibility contract — and Perrin et al.'s update

@@ -97,10 +97,10 @@ fn canary_free_configs_sweep_clean_at_canary_size() {
 /// The full two-update sweeps, split into single-fault passes (one
 /// crash XOR one dup per execution; the crash×dup cross-product is
 /// exhausted at canary size above). ~5 minutes in release, so CI runs
-/// this through `esr-check --model`; locally:
+/// this through `esr-check`; locally:
 /// `cargo test -p esr-check --release --test model_check -- --ignored`.
 #[test]
-#[ignore = "full sweep; run in release via esr-check --model or -- --ignored"]
+#[ignore = "full sweep; run in release via esr-check or -- --ignored"]
 fn standard_configs_sweep_clean() {
     for method in METHODS {
         for (crashes, dups) in [(1, 0), (0, 1)] {

@@ -5,14 +5,6 @@
 //! be "robust in face of very slow links, network partitions, and site
 //! failures" (§2.2); experiments E6 and E10 drive partitions through this
 //! module.
-//!
-//! The time axis need not be the simulator's clock: any monotone logical
-//! scale works. The thread runtime's chaos layer (`esr-runtime`) reuses
-//! these schedules with **logical ticks** — virtual-millisecond `t` is
-//! read as "queue entry `e` on delivery attempt `k`" via `t = e + k` —
-//! so a window `[lo, hi)` deterministically blocks the cross-cut entries
-//! enqueued before `hi`, healing as their retry attempts advance the
-//! tick, with no wall-clock dependence at all.
 
 use std::collections::BTreeSet;
 

@@ -1,8 +1,7 @@
 //! A bounded ring of causally ordered events.
 //!
-//! The flight recorder of an executor (the `esrd` daemon, a thread
-//! `Cluster` site): every protocol point the control core reports — an
-//! ET lifecycle hop, an absorbed duplicate, a view change, a
+//! The flight recorder of the `esrd` daemon: every protocol point the
+//! control core reports — an ET lifecycle hop, an absorbed duplicate, a view change, a
 //! checkpoint cut — drops one typed event here. The ring is bounded so
 //! a long-lived daemon never grows without bound; old events are
 //! evicted and counted. Each event carries a monotone sequence number

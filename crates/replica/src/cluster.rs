@@ -2,8 +2,8 @@
 //! deterministic virtual-time network.
 //!
 //! `SimCluster` is an **effect executor** around one
-//! [`NodeCore`] per site — the same pure core `esrd` and the thread
-//! `Cluster` of `esr-runtime` execute and `esr-model` checks. One
+//! [`NodeCore`] per site — the same pure core `esrd` executes and
+//! `esr-model` checks. One
 //! scheduler event kind carries a [`wire::Frame`](crate::wire::Frame)
 //! to a site; the site's core steps on it, and the simulator performs
 //! the returned [`Effect`]s in order: a `Send` is planned through the
@@ -129,8 +129,8 @@ impl Method {
 }
 
 /// The one simulation event: `frame` arrives at `to`. A sender equal to
-/// the receiver marks the site's client plane (`Submit`, `Decision`),
-/// as in the thread runtime; any other sender is a peer link.
+/// the receiver marks the site's client plane (`Submit`, `Decision`);
+/// any other sender is a peer link.
 #[derive(Debug, Clone)]
 struct Arrival {
     from: SiteId,
@@ -507,8 +507,7 @@ impl SimCluster {
 
     /// One site's event log: every event its core emitted, as
     /// `(seq, virtual micros, event)` in emission order — the dump shape
-    /// of the thread and process clusters' `trace_of`, holding the same
-    /// typed [`Event`]s, ready for the trace certifier and the span
+    /// of `ProcCluster::trace_of`, holding the same typed [`Event`]s, ready for the trace certifier and the span
     /// merger.
     pub fn events_of(&self, site: SiteId) -> Vec<(u64, u64, Event)> {
         let log = self.site(site).events.iter().enumerate();

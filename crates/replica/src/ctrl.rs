@@ -1,6 +1,6 @@
 //! The pure control-plane core shared by every executor: the
-//! simulator's [`crate::cluster::SimCluster`], the thread `Cluster` and
-//! the `esrd` daemon of `esr-runtime`, and the `esr-model` checker.
+//! simulator's [`crate::cluster::SimCluster`], the `esrd` daemon of
+//! `esr-runtime`, and the `esr-model` checker.
 //!
 //! Everything a site does to protocol state — journal append +
 //! replay, coordinator completion/VTNC/decision tracking, view-change
@@ -9,13 +9,12 @@
 //! [`NodeEvent`] and returns the ordered list of [`Effect`]s it
 //! implies. The daemon executes those effects against the real world
 //! (fsync'd journal, durable TCP links, the esr-obs event ring); the
-//! thread cluster executes them against channels; the simulator
-//! executes them against a virtual-time network that drops,
+//! simulator executes them against a virtual-time network that drops,
 //! duplicates and *reorders*, and an in-memory journal it crashes and
 //! restarts sites from; the model checker in `crates/check`
 //! executes them against in-memory FIFO queues and explores every
-//! interleaving. Because all of them run *this* code, the experiments,
-//! the runtimes and the model cannot drift (DESIGN.md §14). The core
+//! interleaving. Because all three run *this* code, the experiments,
+//! the daemon and the model cannot drift (DESIGN.md §14). The core
 //! lives in `esr-replica` so the simulator can own it; `esr-runtime`
 //! re-exports this module under its historical path.
 //!
@@ -73,8 +72,8 @@
 //! [`crate::span::Event`] *is* the record — the apply span the
 //! timeline merges is the apply the trace certifier checks. Events
 //! carry no protocol meaning: an executor may stamp and keep them (the
-//! daemon, the thread cluster), keep them unstamped (the model) or
-//! drop them, and must never derive a reply or a decision from one.
+//! daemon, the simulator), keep them unstamped (the model) or drop
+//! them, and must never derive a reply or a decision from one.
 //!
 //! ## Seeded defects
 //!
@@ -161,9 +160,9 @@ pub enum Effect {
     Checkpoint(Box<CkptPayload>),
     /// Record one typed event: an ET lifecycle hop ([`SpanRec`]) or a
     /// control-plane note. Non-durable and purely observational: the
-    /// daemon and the thread cluster stamp it with wall-clock micros
-    /// and append it to their bounded event ring, the model checker
-    /// keeps it as certifier food. Never carries protocol meaning —
+    /// daemon stamps it with wall-clock micros and appends it to its
+    /// bounded event ring, the simulator stamps it with virtual time,
+    /// the model checker keeps it as certifier food. Never carries protocol meaning —
     /// dropping every `Event` effect must leave behaviour unchanged.
     Event(Event),
 }

@@ -78,33 +78,6 @@ impl OrdupSite {
         self.obs = obs;
     }
 
-    /// **Fault injection for `esr-check` canaries** ("the sequencer
-    /// check disabled"): applies the MSet immediately in arrival order,
-    /// bypassing the hold-back queue entirely, and reports whether it
-    /// was applied (`false` for a duplicate). The caller records the
-    /// apply event with the MSet's real sequence number, so the
-    /// certifier's `ordup-order` clause sees the out-of-order
-    /// application this shortcut causes. Never call this outside a
-    /// checker run.
-    #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
-    pub fn apply_unchecked(&mut self, mset: MSet) -> bool {
-        let OrderTag::Sequenced(_) = mset.order else {
-            panic!("ORDUP sequencer site received non-sequenced MSet {mset}");
-        };
-        if self.applied_ets.contains(&mset.et) {
-            self.redelivered += 1;
-            return false;
-        }
-        for op in &mset.ops {
-            self.store
-                .apply(op)
-                .expect("update MSet must apply cleanly at every replica");
-        }
-        self.applied_ets.insert(mset.et);
-        self.applied += 1;
-        true
-    }
-
     /// Captures the site's full protocol state as a checkpoint image:
     /// store contents, the hold-back queue, the next expected sequence
     /// number, and the duplicate-suppression set. The metrics

@@ -115,8 +115,8 @@ pub trait ReplicaSite {
     /// MSets the delivery released.
     ///
     /// This is the method's one apply rule: every executor (esrd, the
-    /// simulator, the thread cluster, the model) reaches a store only
-    /// through it, one MSet at a time.
+    /// simulator, the model) reaches a store only through it, one MSet
+    /// at a time.
     fn deliver(&mut self, mset: MSet) -> Delivery;
 
     /// Serves a query ET over `read_set`, charging imported inconsistency

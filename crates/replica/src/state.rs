@@ -4,9 +4,8 @@
 //! behind a uniform surface; the control core
 //! ([`crate::ctrl::NodeCore`]) owns one and is the only code that
 //! drives it, whichever executor — the simulator
-//! ([`crate::cluster::SimCluster`]), the thread cluster and the
-//! networked daemon of `esr-runtime`, the model checker — runs the
-//! core.
+//! ([`crate::cluster::SimCluster`]), the networked daemon of
+//! `esr-runtime`, the model checker — runs the core.
 
 use std::collections::BTreeMap;
 

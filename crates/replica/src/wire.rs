@@ -373,7 +373,7 @@ pub enum Frame {
         epoch: u64,
     },
     /// Update propagation: one MSet, exactly as the simulator and the
-    /// thread runtime ship it.
+    /// model ship it.
     MSet(MSet),
     /// Durable-link acknowledgement: the receiver journalled and applied
     /// the frame carried by queue entry `entry`; the sender may retire it.

@@ -8,33 +8,26 @@
 //! [`ctrl::Effect`]s. The core lives in `esr-replica` (so the
 //! simulator, [`esr_replica::SimCluster`], can execute it under
 //! virtual time) and is re-exported here under its historical paths
-//! [`ctrl`], [`state`] and [`ckpt`]. This crate holds the executors
-//! that perform those effects against the real world:
+//! [`ctrl`], [`state`] and [`ckpt`]. This crate holds the executor
+//! that performs those effects against the real world, and its harness:
 //!
-//! * [`cluster::Cluster`] — one core per OS thread, crossbeam channels
-//!   as the links, an atomic global sequencer for ORDUP and an atomic
-//!   version clock for RITU at the submit side. The paper's repro hint
-//!   calls for "async replicas"; this is exactly that with the crates
-//!   available in this workspace (threads + channels instead of an
-//!   async executor). It is the plain in-process runtime of the
-//!   examples, the stress tests and `esr-check`'s schedule explorer:
-//!   reliable links, sites that never die, nothing journalled.
-//! * [`daemon::Daemon`] (`esrd`) — the same core behind real sockets,
-//!   an on-disk journal ([`recovery`]), durable TCP links, checkpoints
-//!   and spans; [`proc_cluster::ProcCluster`] drives N of them as OS
-//!   processes, `kill -9` included.
+//! * [`daemon::Daemon`] (`esrd`) — the core behind real sockets, an
+//!   on-disk journal ([`recovery`]), durable TCP links, checkpoints and
+//!   spans;
+//! * [`proc_cluster::ProcCluster`] — N `esrd` OS processes on loopback
+//!   driven through the client plane by any number of client threads,
+//!   `kill -9` included.
 //!
 //! Seeded fault injection — loss, duplication, partitions, reordering,
 //! crash and restart — has one home, the simulator
 //! ([`esr_replica::SimCluster::crash`] / `restart`, DESIGN.md §10). The
-//! fourth executor, the `esr-model` checker (`crates/check`), runs the
+//! third executor, the `esr-model` checker (`crates/check`), runs the
 //! same core against in-memory queues, every interleaving explored.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod client;
-pub mod cluster;
 pub mod commit;
 pub mod daemon;
 pub mod proc_cluster;
@@ -47,10 +40,9 @@ pub use esr_replica::{ctrl, node_ckpt as ckpt, state};
 
 pub use ckpt::{decode_payload, encode_payload, CkptPayload};
 pub use client::RpcClient;
-pub use cluster::{Cluster, QuiesceTimeout, RtCanary};
 pub use ctrl::{CoordCore, CtrlCanary, Effect, NodeCore, NodeEvent};
 pub use daemon::{Daemon, DaemonConfig};
-pub use proc_cluster::ProcCluster;
+pub use proc_cluster::{ProcCluster, QuiesceTimeout};
 pub use recovery::ApplyJournal;
 pub use spans::{
     critical_path, merge_timeline, render_timeline, RawSpan, SiteSpan, SPAN_QUERY_ALL,

@@ -1,19 +1,20 @@
 //! Multi-process cluster harness: N real `esrd` daemons on loopback.
 //!
-//! [`ProcCluster`] is the process-level analogue of
-//! [`crate::cluster::Cluster`]: it spawns one `esrd` OS process per
-//! site (all sharing a cluster directory for discovery, journals, and
-//! durable link queues), stamps and submits ETs through the client
-//! plane, and reuses the same convergence oracles — quiesce until every
-//! site reports settled with drained queues, then compare full replica
-//! snapshots. Because the sites are real processes, [`ProcCluster::kill`]
-//! is a genuine `SIGKILL`: no destructors, no flushes, exactly the
-//! failure model the paper's stable-queue argument is about.
+//! [`ProcCluster`] spawns one `esrd` OS process per site (all sharing
+//! a cluster directory for discovery, journals, and durable link
+//! queues), stamps and submits ETs through the client plane, and
+//! offers the convergence oracle every harness uses — quiesce until
+//! every site reports settled with drained queues, then compare full
+//! replica snapshots. Because the sites are real processes,
+//! [`ProcCluster::kill`] is a genuine `SIGKILL`: no destructors, no
+//! flushes, exactly the failure model the paper's stable-queue argument
+//! is about.
 //!
-//! Client-side stamping mirrors the thread runtime's atomics: ET ids
-//! from 1, the ORDUP sequencer from 0, the RITU version clock handing
-//! out 1, 2, 3, … — a single-harness (single-client) assumption that is
-//! an explicit non-goal to lift at this layer (DESIGN.md §11).
+//! Client-side stamping is three atomics shared by every thread that
+//! holds the harness: ET ids from 1, the ORDUP sequencer from 0, the
+//! RITU version clock handing out 1, 2, 3, … — a single-harness
+//! assumption that is an explicit non-goal to lift at this layer
+//! (DESIGN.md §11).
 
 use std::collections::BTreeMap;
 use std::io;
@@ -30,13 +31,55 @@ use esr_core::value::Value;
 use esr_replica::mset::MSet;
 
 use crate::client::{DaemonStatus, RpcClient};
-use crate::cluster::QuiesceTimeout;
 use crate::spans::{RawEvent, RawSpan};
 use crate::state::RtMethod;
 
 /// How long to wait for a daemon to come up / answer before calling it
 /// unreachable.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// A quiesce wait that did not settle before its deadline.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QuiesceTimeout {
+    /// How long the wait actually lasted.
+    pub waited: Duration,
+    /// Pending work per site at the deadline: the daemon's outbound
+    /// durable-queue depth. `None` when the site could not be reached —
+    /// usually the site that is wedging the quiesce.
+    pub site_queues: Vec<Option<u64>>,
+    /// Which site's `status` reported holding the coordinator role at
+    /// the deadline. A timeout with no reachable coordinator usually
+    /// means the killed coordinator was never restarted and no
+    /// surviving site suspected it yet.
+    pub coordinator: Option<SiteId>,
+}
+
+impl std::fmt::Display for QuiesceTimeout {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "cluster did not quiesce within {:.1}s (crashed site never restarted, \
+             partition outlasting the deadline, or a protocol bug); per-site queue depths: [",
+            self.waited.as_secs_f64()
+        )?;
+        for (i, q) in self.site_queues.iter().enumerate() {
+            if i > 0 {
+                write!(f, ", ")?;
+            }
+            match q {
+                Some(d) => write!(f, "site {i}: {d}")?,
+                None => write!(f, "site {i}: unreachable")?,
+            }
+        }
+        write!(f, "]; coordinator role held by ")?;
+        match self.coordinator {
+            Some(s) => write!(f, "site {}", s.raw()),
+            None => write!(f, "no reachable site"),
+        }
+    }
+}
+
+impl std::error::Error for QuiesceTimeout {}
 
 /// A running cluster of `esrd` processes.
 pub struct ProcCluster {
@@ -307,48 +350,52 @@ impl ProcCluster {
     /// One status round trip against `site` (fresh connection, so this
     /// also doubles as a liveness probe after restarts).
     pub fn status_of(&self, site: SiteId) -> io::Result<DaemonStatus> {
-        self.client(site)?.status()
+        self.probe(site, CONNECT_TIMEOUT)
+    }
+
+    /// One status round trip that gives up on an unreachable site after
+    /// `patience` (a single connect attempt when it is zero).
+    fn probe(&self, site: SiteId, patience: Duration) -> io::Result<DaemonStatus> {
+        RpcClient::connect_dir(&self.dir, site, patience.min(CONNECT_TIMEOUT))?.status()
     }
 
     /// Blocks until every site reports settled protocol state and
     /// empty outbound queues for two consecutive polls, or the deadline
-    /// passes. Mirrors [`crate::cluster::Cluster::quiesce_within`].
+    /// passes. A poll never waits for an unreachable site longer than
+    /// the time that is left, so the call returns within the deadline
+    /// plus one probe.
     pub fn quiesce_within(&self, deadline: Duration) -> Result<(), QuiesceTimeout> {
         let start = Instant::now();
+        let sites = || (0..self.n as u64).map(SiteId);
         let mut stable_rounds = 0;
         loop {
-            let mut quiet = true;
-            for i in 0..self.n {
-                match self.status_of(SiteId(i as u64)) {
-                    Ok(s) if s.settled && s.outbound_pending == 0 => {}
-                    _ => {
-                        quiet = false;
-                        break;
-                    }
-                }
-            }
+            let quiet = sites().all(|site| {
+                let left = deadline.saturating_sub(start.elapsed());
+                matches!(self.probe(site, left), Ok(s) if s.settled && s.outbound_pending == 0)
+            });
             stable_rounds = if quiet { stable_rounds + 1 } else { 0 };
             if stable_rounds >= 2 {
                 return Ok(());
             }
-            if start.elapsed() >= deadline {
+            let waited = start.elapsed();
+            if waited >= deadline {
                 // Per-site pending work at the deadline: the daemon's
                 // outbound durable-queue depth, or None for a site that
                 // no longer answers (the usual wedge) — plus which site
                 // reports holding the coordinator role, since a dead
                 // never-restarted coordinator is the other usual wedge.
                 let mut coordinator = None;
-                let site_queues = (0..self.n)
-                    .map(|i| {
-                        let status = self.status_of(SiteId(i as u64)).ok();
+                let site_queues = sites()
+                    .map(|site| {
+                        let status = self.probe(site, Duration::ZERO).ok();
                         if status.is_some_and(|s| s.coordinator) {
-                            coordinator = Some(SiteId(i as u64));
+                            coordinator = Some(site);
                         }
                         status.map(|s| s.outbound_pending)
                     })
                     .collect();
                 return Err(QuiesceTimeout {
-                    waited: start.elapsed(),
+                    waited,
                     site_queues,
                     coordinator,
                 });

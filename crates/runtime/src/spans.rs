@@ -1,7 +1,7 @@
 //! esr-trace: the per-site event log and the cross-site timeline
 //! merge.
 //!
-//! Each executor (the daemon, a thread-cluster site) stamps every
+//! The daemon stamps every
 //! [`Effect::Event`](crate::ctrl::Effect) its core emits with wall
 //! micros and appends it to one bounded [`EventLog`] — the flight
 //! recorder `esrctl trace` dumps whole and the trace certifier reads.

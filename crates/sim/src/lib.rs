@@ -11,16 +11,12 @@
 
 pub mod clock;
 pub mod event;
-pub mod probe;
 pub mod rng;
 pub mod sched;
 pub mod time;
-pub mod vclock;
 
 pub use clock::LamportClock;
 pub use event::EventQueue;
-pub use probe::{SyncEvent, SyncOp};
 pub use rng::DetRng;
 pub use sched::Scheduler;
 pub use time::{Duration, VirtualTime};
-pub use vclock::{Epoch, VectorClock};

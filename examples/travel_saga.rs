@@ -13,7 +13,6 @@
 
 use esr::core::{EpsilonSpec, ObjectId, ObjectOp, Operation, SiteId};
 use esr::replica::cluster::{ClusterConfig, Method, SimCluster};
-use esr::runtime::{Cluster, RtMethod};
 use esr::sim::time::VirtualTime;
 
 const FLIGHT_SEATS: ObjectId = ObjectId(0);
@@ -71,26 +70,33 @@ fn main() {
     );
 
     println!();
-    println!("== thread runtime: the client drives commit/abort ==");
-    let rt = Cluster::new(RtMethod::Compe, 3);
-    let holiday = rt.submit_update(
+    println!("== the client drives commit/abort ==");
+    let mut desk = SimCluster::new(
+        ClusterConfig::new(Method::Compe)
+            .with_sites(3)
+            .with_seed(32),
+    );
+    let holiday = desk.submit_update_pending(
         SiteId(0),
         vec![
             ObjectOp::new(FLIGHT_SEATS, Operation::Decr(2)),
             ObjectOp::new(HOTEL_ROOMS, Operation::Decr(1)),
         ],
     );
-    let business = rt.submit_update(
+    desk.advance_to(VirtualTime::from_millis(1));
+    let business = desk.submit_update_pending(
         SiteId(1),
         vec![ObjectOp::new(FLIGHT_SEATS, Operation::Decr(1))],
     );
     // Payment clears for the holiday, bounces for the business trip.
-    rt.commit(holiday);
-    rt.abort(business);
-    rt.quiesce();
-    assert!(rt.converged());
-    let seats = rt.snapshot_of(SiteId(2))[&FLIGHT_SEATS].clone();
-    let rooms = rt.snapshot_of(SiteId(2))[&HOTEL_ROOMS].clone();
+    desk.advance_to(VirtualTime::from_millis(2));
+    desk.resolve(holiday, true);
+    desk.advance_to(VirtualTime::from_millis(3));
+    desk.resolve(business, false);
+    desk.run_until_quiescent();
+    assert!(desk.converged());
+    let snap = desk.snapshot_of(SiteId(2));
+    let (seats, rooms) = (&snap[&FLIGHT_SEATS], &snap[&HOTEL_ROOMS]);
     println!("after commit(holiday) + abort(business): seats={seats} rooms={rooms}");
     assert_eq!(seats.as_int(), Some(-2), "only the holiday's 2 seats held");
     assert_eq!(rooms.as_int(), Some(-1));

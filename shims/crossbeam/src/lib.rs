@@ -1,379 +1,7 @@
-//! Offline shim for `crossbeam` (channel and atomic modules).
+//! Offline shim for `crossbeam` — empty: nothing in the workspace uses it.
 //!
-//! Backed by `std::sync::mpsc`. The one semantic difference: `bounded(n)`
-//! returns an unbounded channel, i.e. sends never block on capacity. The
-//! workspace only uses `bounded(1)` for single-shot reply channels, where
-//! the distinction is unobservable.
-//!
-//! **Checked mode.** The shim is instrumented for `esr-check`: when the
-//! global probe (`esr_sim::probe`) is recording, every send and receive
-//! logs a happens-before edge (channel id + message number, the number
-//! travelling with the message so pairing is exact under any
-//! interleaving), and when a scheduler gate is installed each operation
-//! first parks until the explorer grants the thread its turn. With the
-//! probe off the only overhead is one relaxed atomic load per operation
-//! and one `u64` stamp per message.
-
-pub mod channel {
-    use std::sync::atomic::AtomicU64;
-    use std::sync::{mpsc, Arc};
-
-    pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError};
-
-    use esr_sim::probe;
-    use esr_sim::probe::{IdClass, SyncOp};
-
-    /// Per-channel instrumentation state shared by all handles.
-    #[derive(Debug)]
-    struct ChanMeta {
-        /// Epoch-tagged channel id (assigned lazily per checked run).
-        id: AtomicU64,
-        /// Epoch-tagged message counter (dense from 1 per checked run).
-        msgs: AtomicU64,
-        /// Messages sent but not yet received (crossbeam's `len()`).
-        depth: AtomicU64,
-    }
-
-    impl ChanMeta {
-        fn new() -> Self {
-            Self {
-                id: AtomicU64::new(0),
-                msgs: AtomicU64::new(0),
-                depth: AtomicU64::new(0),
-            }
-        }
-
-        fn id(&self) -> u64 {
-            probe::object_id(IdClass::Channel, &self.id)
-        }
-    }
-
-    /// The sending half of a channel.
-    #[derive(Debug)]
-    pub struct Sender<T> {
-        inner: mpsc::Sender<(u64, T)>,
-        meta: Arc<ChanMeta>,
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Self {
-                inner: self.inner.clone(),
-                meta: Arc::clone(&self.meta),
-            }
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Messages currently queued (sent but not yet received). Like
-        /// crossbeam's `Sender::len`, a racy snapshot.
-        pub fn len(&self) -> usize {
-            self.meta.depth.load(std::sync::atomic::Ordering::Relaxed) as usize
-        }
-
-        /// Whether the queue is currently empty (racy snapshot).
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            if !probe::recording() {
-                let r = self.inner.send((0, msg)).map_err(|e| SendError(e.0 .1));
-                if r.is_ok() {
-                    self.meta
-                        .depth
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-                return r;
-            }
-            probe::reach();
-            let chan = self.meta.id();
-            let stamp = probe::epoch_counter_next(&self.meta.msgs);
-            let result = self
-                .inner
-                .send((stamp, msg))
-                .map_err(|e| SendError(e.0 .1));
-            if result.is_ok() {
-                self.meta
-                    .depth
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                probe::record(SyncOp::ChanSend { chan, msg: stamp });
-            }
-            result
-        }
-    }
-
-    /// The receiving half of a channel.
-    #[derive(Debug)]
-    pub struct Receiver<T> {
-        inner: mpsc::Receiver<(u64, T)>,
-        meta: Arc<ChanMeta>,
-    }
-
-    impl<T> Receiver<T> {
-        fn note_recv(&self, stamp: u64) {
-            // Saturating: a receiver handed a message sent before this
-            // shim tracked depth must not wrap the counter.
-            let _ = self.meta.depth.fetch_update(
-                std::sync::atomic::Ordering::Relaxed,
-                std::sync::atomic::Ordering::Relaxed,
-                |d| Some(d.saturating_sub(1)),
-            );
-            if probe::recording() {
-                probe::record(SyncOp::ChanRecv {
-                    chan: self.meta.id(),
-                    msg: stamp,
-                });
-            }
-        }
-
-        pub fn recv(&self) -> Result<T, RecvError> {
-            while probe::scheduling() {
-                probe::reach();
-                match self.inner.try_recv() {
-                    Ok((stamp, v)) => {
-                        self.note_recv(stamp);
-                        return Ok(v);
-                    }
-                    Err(TryRecvError::Empty) => probe::yield_blocked(),
-                    Err(TryRecvError::Disconnected) => return Err(RecvError),
-                }
-            }
-            let (stamp, v) = self.inner.recv()?;
-            self.note_recv(stamp);
-            Ok(v)
-        }
-
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            probe::reach();
-            let (stamp, v) = self.inner.try_recv()?;
-            self.note_recv(stamp);
-            Ok(v)
-        }
-
-        pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<T, RecvTimeoutError> {
-            if probe::scheduling() {
-                // Under the explorer real time is meaningless; poll a
-                // bounded, deterministic number of turns instead.
-                for _ in 0..1024 {
-                    if !probe::scheduling() {
-                        break;
-                    }
-                    probe::reach();
-                    match self.inner.try_recv() {
-                        Ok((stamp, v)) => {
-                            self.note_recv(stamp);
-                            return Ok(v);
-                        }
-                        Err(TryRecvError::Empty) => probe::yield_blocked(),
-                        Err(TryRecvError::Disconnected) => {
-                            return Err(RecvTimeoutError::Disconnected)
-                        }
-                    }
-                }
-                return Err(RecvTimeoutError::Timeout);
-            }
-            let (stamp, v) = self.inner.recv_timeout(timeout)?;
-            self.note_recv(stamp);
-            Ok(v)
-        }
-
-        /// Non-blocking iterator over the messages currently queued.
-        pub fn try_iter(&self) -> TryIter<'_, T> {
-            TryIter { rx: self }
-        }
-
-        /// Blocking iterator that ends when all senders disconnect.
-        pub fn iter(&self) -> Iter<'_, T> {
-            Iter { rx: self }
-        }
-    }
-
-    /// Iterator over currently queued messages (see [`Receiver::try_iter`]).
-    #[derive(Debug)]
-    pub struct TryIter<'a, T> {
-        rx: &'a Receiver<T>,
-    }
-
-    impl<T> Iterator for TryIter<'_, T> {
-        type Item = T;
-        fn next(&mut self) -> Option<T> {
-            self.rx.try_recv().ok()
-        }
-    }
-
-    /// Blocking iterator (see [`Receiver::iter`]).
-    #[derive(Debug)]
-    pub struct Iter<'a, T> {
-        rx: &'a Receiver<T>,
-    }
-
-    impl<T> Iterator for Iter<'_, T> {
-        type Item = T;
-        fn next(&mut self) -> Option<T> {
-            self.rx.recv().ok()
-        }
-    }
-
-    /// Creates a channel of unbounded capacity.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        let meta = Arc::new(ChanMeta::new());
-        (
-            Sender {
-                inner: tx,
-                meta: Arc::clone(&meta),
-            },
-            Receiver { inner: rx, meta },
-        )
-    }
-
-    /// Creates a "bounded" channel. Capacity is not enforced by this shim
-    /// (sends never block); see the crate docs.
-    pub fn bounded<T>(_cap: usize) -> (Sender<T>, Receiver<T>) {
-        unbounded()
-    }
-}
-
-pub mod atomic {
-    //! Instrumented atomics (the `crossbeam::atomic::AtomicCell` subset
-    //! this workspace uses, `u64` payloads only).
-
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    use esr_sim::probe;
-    use esr_sim::probe::{IdClass, SyncOp};
-
-    /// A lock-free atomic cell holding a `u64`, instrumented for checked
-    /// runs: loads, stores, and read-modify-writes are recorded as
-    /// synchronization events (SeqCst, so the trace order is the
-    /// modification order under the explorer's serialized schedules).
-    #[derive(Debug, Default)]
-    pub struct AtomicCell {
-        value: AtomicU64,
-        /// Epoch-tagged cell id for the probe.
-        id: AtomicU64,
-    }
-
-    impl AtomicCell {
-        /// A cell starting at `value`.
-        pub const fn new(value: u64) -> Self {
-            Self {
-                value: AtomicU64::new(value),
-                id: AtomicU64::new(0),
-            }
-        }
-
-        fn id(&self) -> u64 {
-            probe::object_id(IdClass::Cell, &self.id)
-        }
-
-        /// Atomic load.
-        pub fn load(&self) -> u64 {
-            if probe::recording() {
-                probe::reach();
-                let v = self.value.load(Ordering::SeqCst);
-                probe::record(SyncOp::AtomicLoad { cell: self.id() });
-                v
-            } else {
-                self.value.load(Ordering::SeqCst)
-            }
-        }
-
-        /// Atomic store.
-        pub fn store(&self, v: u64) {
-            if probe::recording() {
-                probe::reach();
-                self.value.store(v, Ordering::SeqCst);
-                probe::record(SyncOp::AtomicStore { cell: self.id() });
-            } else {
-                self.value.store(v, Ordering::SeqCst);
-            }
-        }
-
-        /// Atomic fetch-add; returns the previous value.
-        pub fn fetch_add(&self, v: u64) -> u64 {
-            if probe::recording() {
-                probe::reach();
-                let prev = self.value.fetch_add(v, Ordering::SeqCst);
-                probe::record(SyncOp::AtomicRmw { cell: self.id() });
-                prev
-            } else {
-                self.value.fetch_add(v, Ordering::SeqCst)
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::channel::{bounded, unbounded};
-    use super::atomic::AtomicCell;
-
-    #[test]
-    fn round_trip_and_try_iter() {
-        let (tx, rx) = unbounded();
-        for i in 0..5 {
-            tx.send(i).unwrap();
-        }
-        assert_eq!(rx.recv().unwrap(), 0);
-        let rest: Vec<i32> = rx.try_iter().collect();
-        assert_eq!(rest, vec![1, 2, 3, 4]);
-        assert!(rx.try_iter().next().is_none());
-    }
-
-    #[test]
-    fn bounded_reply_channel() {
-        let (tx, rx) = bounded(1);
-        let t = std::thread::spawn(move || tx.send(42u64).unwrap());
-        assert_eq!(rx.recv().unwrap(), 42);
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn atomic_cell_fetch_add() {
-        let c = AtomicCell::new(5);
-        assert_eq!(c.fetch_add(3), 5);
-        assert_eq!(c.load(), 8);
-        c.store(1);
-        assert_eq!(c.load(), 1);
-    }
-
-    #[test]
-    fn send_after_receiver_drop_returns_value() {
-        let (tx, rx) = unbounded();
-        drop(rx);
-        let err = tx.send(7i32).unwrap_err();
-        assert_eq!(err.0, 7, "SendError carries the unsent value");
-    }
-
-    #[test]
-    fn recorded_sends_and_recvs_pair_up() {
-        use esr_sim::probe::{self, SyncOp};
-        probe::start_recording();
-        let (tx, rx) = unbounded();
-        tx.send(1u8).unwrap();
-        tx.send(2u8).unwrap();
-        rx.recv().unwrap();
-        rx.recv().unwrap();
-        let events = probe::stop();
-        // Other tests in this binary may run concurrently and traffic
-        // their own channels while recording is on; identify ours as the
-        // one whose first message number is 1 and which saw two sends.
-        let mut per_chan: std::collections::BTreeMap<u64, (Vec<u64>, Vec<u64>)> =
-            std::collections::BTreeMap::new();
-        for e in &events {
-            match e.op {
-                SyncOp::ChanSend { chan, msg } => per_chan.entry(chan).or_default().0.push(msg),
-                SyncOp::ChanRecv { chan, msg } => per_chan.entry(chan).or_default().1.push(msg),
-                _ => {}
-            }
-        }
-        assert!(
-            per_chan
-                .values()
-                .any(|(s, r)| s == &vec![1, 2] && r == &vec![1, 2]),
-            "some channel recorded two paired send/recv events: {per_chan:?}"
-        );
-    }
-}
+//! Its channel and atomic modules carried the thread-per-site runtime and
+//! `esr-check`'s interleaving explorer, both retired. The package (and the
+//! `esr-runtime → crossbeam` manifest edge) stays only because
+//! `benchmark/Cargo.lock` pins esrbench's dependency graph; the next
+//! `benchmark` PR's lock refresh may delete it outright (ROADMAP item 1).

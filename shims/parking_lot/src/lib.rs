@@ -1,284 +1,28 @@
-//! Offline shim for `parking_lot`.
+//! Offline shim for `parking_lot`: the one piece of its API this
+//! workspace uses, a non-poisoning [`Mutex`] over `std::sync`.
 //!
-//! Wraps `std::sync` primitives behind the parking_lot API surface this
-//! workspace uses: non-poisoning `lock()` / `read()` / `write()` that
-//! return guards directly instead of `Result`s. Poisoned locks are
-//! recovered by taking the inner guard — a panicked critical section in
-//! a test should not cascade into unrelated poisoning failures.
-//!
-//! **Checked mode.** Locks are instrumented for `esr-check`: when the
-//! global probe (`esr_sim::probe`) is recording, every acquire and
-//! release is logged with a per-run lock id (feeding the happens-before
-//! race detector and the lock-order-inversion detector), and when a
-//! scheduler gate is installed each acquire parks at the gate and
-//! contends via `try_lock` + yield so the explorer stays in control.
-//! With the probe off the only overhead is one relaxed atomic load per
-//! operation.
+//! `lock()` returns the guard directly instead of a `Result`; a lock
+//! poisoned by a panicked critical section is recovered by taking the
+//! inner guard, so one panic does not cascade into unrelated poisoning
+//! failures.
 
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::AtomicU64;
-use std::sync::{self, TryLockError};
+use std::sync;
 
-use esr_sim::probe;
-use esr_sim::probe::{IdClass, SyncOp};
+pub use std::sync::MutexGuard;
 
 /// A mutual exclusion primitive (std-backed, non-poisoning API).
 #[derive(Debug, Default)]
-pub struct Mutex<T: ?Sized> {
-    id: AtomicU64,
-    inner: sync::Mutex<T>,
-}
+pub struct Mutex<T: ?Sized>(sync::Mutex<T>);
 
 impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
-        Self {
-            id: AtomicU64::new(0),
-            inner: sync::Mutex::new(value),
-        }
-    }
-
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
+        Self(sync::Mutex::new(value))
     }
 }
 
 impl<T: ?Sized> Mutex<T> {
-    fn probe_id(&self) -> u64 {
-        probe::object_id(IdClass::Lock, &self.id)
-    }
-
-    fn raw_try_lock(&self) -> Option<sync::MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        if !probe::recording() {
-            let g = match self.inner.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            return MutexGuard { inner: g, lock: 0 };
-        }
-        let lock = self.probe_id();
-        let g = loop {
-            probe::reach();
-            if let Some(g) = self.raw_try_lock() {
-                break g;
-            }
-            if probe::scheduling() {
-                probe::yield_blocked();
-            } else {
-                std::thread::yield_now();
-            }
-        };
-        probe::record(SyncOp::LockAcquire { lock });
-        MutexGuard { inner: g, lock }
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        if !probe::recording() {
-            return self
-                .raw_try_lock()
-                .map(|g| MutexGuard { inner: g, lock: 0 });
-        }
-        probe::reach();
-        let lock = self.probe_id();
-        let g = self.raw_try_lock()?;
-        probe::record(SyncOp::LockAcquire { lock });
-        Some(MutexGuard { inner: g, lock })
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
-/// RAII guard for [`Mutex`]; records the release when instrumented.
-#[derive(Debug)]
-pub struct MutexGuard<'a, T: ?Sized> {
-    inner: sync::MutexGuard<'a, T>,
-    /// Probe lock id, 0 when the acquire was not recorded.
-    lock: u64,
-}
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        if self.lock != 0 && probe::recording() {
-            probe::record(SyncOp::LockRelease { lock: self.lock });
-        }
-    }
-}
-
-/// A reader-writer lock (std-backed, non-poisoning API).
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    id: AtomicU64,
-    inner: sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    pub const fn new(value: T) -> Self {
-        Self {
-            id: AtomicU64::new(0),
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    fn probe_id(&self) -> u64 {
-        probe::object_id(IdClass::Lock, &self.id)
-    }
-
-    fn raw_try_read(&self) -> Option<sync::RwLockReadGuard<'_, T>> {
-        match self.inner.try_read() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    fn raw_try_write(&self) -> Option<sync::RwLockWriteGuard<'_, T>> {
-        match self.inner.try_write() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        if !probe::recording() {
-            let g = match self.inner.read() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            return RwLockReadGuard { inner: g, lock: 0 };
-        }
-        let lock = self.probe_id();
-        let g = loop {
-            probe::reach();
-            if let Some(g) = self.raw_try_read() {
-                break g;
-            }
-            if probe::scheduling() {
-                probe::yield_blocked();
-            } else {
-                std::thread::yield_now();
-            }
-        };
-        probe::record(SyncOp::RwReadAcquire { lock });
-        RwLockReadGuard { inner: g, lock }
-    }
-
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        if !probe::recording() {
-            let g = match self.inner.write() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            return RwLockWriteGuard { inner: g, lock: 0 };
-        }
-        let lock = self.probe_id();
-        let g = loop {
-            probe::reach();
-            if let Some(g) = self.raw_try_write() {
-                break g;
-            }
-            if probe::scheduling() {
-                probe::yield_blocked();
-            } else {
-                std::thread::yield_now();
-            }
-        };
-        probe::record(SyncOp::LockAcquire { lock });
-        RwLockWriteGuard { inner: g, lock }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
-/// RAII read guard for [`RwLock`]; records the release when instrumented.
-#[derive(Debug)]
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: sync::RwLockReadGuard<'a, T>,
-    lock: u64,
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        if self.lock != 0 && probe::recording() {
-            probe::record(SyncOp::RwReadRelease { lock: self.lock });
-        }
-    }
-}
-
-/// RAII write guard for [`RwLock`]; records the release when instrumented.
-#[derive(Debug)]
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: sync::RwLockWriteGuard<'a, T>,
-    lock: u64,
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        if self.lock != 0 && probe::recording() {
-            probe::record(SyncOp::LockRelease { lock: self.lock });
-        }
+        self.0.lock().unwrap_or_else(sync::PoisonError::into_inner)
     }
 }
 
@@ -291,22 +35,17 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert_eq!(m.into_inner(), 2);
     }
 
     #[test]
-    fn rwlock_round_trip() {
-        let l = RwLock::new(vec![1, 2]);
-        l.write().push(3);
-        assert_eq!(l.read().len(), 3);
-    }
-
-    #[test]
-    fn try_lock_contended_returns_none() {
-        let m = Mutex::new(0u8);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
+    fn lock_recovers_from_poison() {
+        let m = std::sync::Arc::new(Mutex::new(7));
+        let m2 = std::sync::Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = m2.lock();
+            panic!("poison the lock");
+        })
+        .join();
+        assert_eq!(*m.lock(), 7);
     }
 }

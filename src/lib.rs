@@ -13,7 +13,7 @@
 //!   recovery log;
 //! * [`replica`] — the four replica-control methods (ORDUP, COMMU, RITU,
 //!   COMPE) plus synchronous baselines (2PC write-all, weighted voting);
-//! * [`runtime`] — thread-per-site runtime with real concurrency;
+//! * [`runtime`] — the `esrd` daemon and its multi-process harness;
 //! * [`obs`] — zero-dependency metrics registry and event tracing;
 //! * [`workload`] — generators, metrics, and experiment drivers.
 

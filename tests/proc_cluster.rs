@@ -283,9 +283,15 @@ fn quiesce_timeout_reports_per_site_queue_depths() {
     submit(&c, RtMethod::Commu, 0, &[0]);
     c.kill(SiteId(2));
     submit(&c, RtMethod::Commu, 1, &[0]);
+    let asked = std::time::Instant::now();
     let err = c
         .quiesce_within(Duration::from_millis(300))
         .expect_err("a cluster with a dead site cannot quiesce");
+    // The deadline is honoured: no probe of the dead site may wait out
+    // the connect timeout (10 s) past it.
+    let took = asked.elapsed();
+    assert!(took < Duration::from_secs(3), "a 300 ms deadline took {took:?}");
+    assert!(err.waited < Duration::from_secs(3), "reported wait {:?}", err.waited);
     assert_eq!(err.site_queues.len(), N, "one queue-depth slot per site");
     assert!(err.site_queues[0].is_some() && err.site_queues[1].is_some());
     assert_eq!(err.site_queues[2], None, "the dead site cannot be reached");
