@@ -1,11 +1,13 @@
-//! Instrumentation overhead on the apply path esrd runs.
+//! Instrumentation overhead on the step esrd runs.
 //!
-//! The `esr-obs` contract is "a few relaxed atomics per delivered
-//! MSet, one branch per call when detached" — cheap enough to leave
-//! attached everywhere. This bench measures exactly that claim: the
-//! same COMMU stream as `apply_path`, fed to [`ReplicaSite::deliver`]
-//! one MSet at a time (what an attached esrd pays), once with a
-//! detached (default) bundle and once attached to a live registry. The
+//! The replica sites carry no instruments: an executor that owns a
+//! registry feeds the per-site counters from the events its core
+//! emits ([`Event::count`] — one match per event, a relaxed atomic add
+//! for the three stages and one variant that count). This bench
+//! measures exactly that: the same COMMU stream as `apply_path`, fed
+//! one `PeerFrame(MSet)` at a time to [`NodeCore::step`] on a follower
+//! — the step esrd runs per propagated update — once with every
+//! returned event dropped and once with the fold applied to each. The
 //! acceptance bar is <5% overhead on the instrumented variant.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -13,9 +15,11 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use esr_core::ids::{EtId, ObjectId, SiteId};
 use esr_core::op::{ObjectOp, Operation};
 use esr_obs::{MetricsRegistry, SiteInstruments};
-use esr_replica::commu::CommuSite;
+use esr_replica::ctrl::{Effect, NodeCore, NodeEvent};
 use esr_replica::mset::MSet;
-use esr_replica::site::ReplicaSite;
+use esr_replica::span::Event;
+use esr_replica::state::{RtMethod, SiteState};
+use esr_replica::wire::Frame;
 
 // Mirrors apply_path.rs so the two benches are comparable.
 const N: u64 = 16_384;
@@ -40,11 +44,21 @@ fn inc_msets() -> Vec<MSet> {
         .collect()
 }
 
-fn run(mut site: CommuSite, msets: &[MSet]) -> u64 {
+/// Steps a fresh follower core through the stream, handing every
+/// event the steps return to `fold`.
+fn run(msets: &[MSet], mut fold: impl FnMut(&Event)) -> u64 {
+    let me = SiteId(2);
+    let state = SiteState::new(RtMethod::Commu, me);
+    let mut core = NodeCore::fresh(state, RtMethod::Commu, me, 3, None);
     for m in msets {
-        site.deliver(black_box(m.clone()));
+        let frame = Frame::MSet(black_box(m.clone()));
+        for effect in core.step(NodeEvent::PeerFrame(frame)) {
+            if let Effect::Event(event) = effect {
+                fold(&event);
+            }
+        }
     }
-    site.applied()
+    core.journaled_count()
 }
 
 fn bench_obs_overhead(c: &mut Criterion) {
@@ -55,20 +69,18 @@ fn bench_obs_overhead(c: &mut Criterion) {
 
     group.bench_function(BenchmarkId::new("COMMU", "uninstrumented"), |b| {
         b.iter(|| {
-            // Default bundle: detached, one branch per call.
-            black_box(run(CommuSite::new(SiteId(0)), &msets))
+            black_box(run(&msets, |event| {
+                black_box(event);
+            }))
         })
     });
 
     group.bench_function(BenchmarkId::new("COMMU", "instrumented"), |b| {
         let registry = MetricsRegistry::new();
-        b.iter(|| {
-            let mut site = CommuSite::new(SiteId(0));
-            // Re-attaching returns the same registered cells each
-            // iteration, exactly like a restarting site.
-            site.attach_metrics(SiteInstruments::for_site(&registry, "COMMU", 0));
-            black_box(run(site, &msets))
-        })
+        // The same registered cells every iteration, exactly like a
+        // restarting daemon.
+        let obs = SiteInstruments::for_site(&registry, "commu", 2);
+        b.iter(|| black_box(run(&msets, |event| event.count(&obs))))
     });
 
     group.finish();

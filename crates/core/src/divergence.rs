@@ -138,6 +138,9 @@ pub struct LockCounters {
     /// Objects currently held per in-flight update, so `end_update` can
     /// release exactly what was taken.
     held: BTreeMap<EtId, Vec<ObjectId>>,
+    /// The highest value any counter has reached in this table's
+    /// lifetime.
+    high_water: u64,
 }
 
 impl LockCounters {
@@ -148,32 +151,40 @@ impl LockCounters {
 
     /// Rebuilds a table from a [`LockCounters::held_sets`] dump (the
     /// checkpoint-restore constructor): the held table is the dump, the
-    /// counters are the sums over it.
+    /// counters are the sums over it, and the high-water mark restarts
+    /// at the highest of them.
     pub fn from_held_sets(held: impl IntoIterator<Item = (EtId, Vec<ObjectId>)>) -> Self {
         let held: BTreeMap<EtId, Vec<ObjectId>> = held.into_iter().collect();
         let mut counters = BTreeMap::new();
         for o in held.values().flatten() {
             *counters.entry(*o).or_insert(0) += 1;
         }
-        Self { counters, held }
+        Self {
+            high_water: counters.values().copied().max().unwrap_or(0),
+            counters,
+            held,
+        }
     }
 
     /// Raises the counter of every object in `write_set` on behalf of
     /// update ET `et` (a second call for the same ET extends its held
-    /// set — a saga step adding objects). Returns the highest counter
-    /// value reached among the objects it raised, 0 for an empty write
-    /// set — the lock-counter high-water mark, free here because every
-    /// raised counter passes through this loop anyway.
-    pub fn begin_update(&mut self, et: EtId, write_set: impl IntoIterator<Item = ObjectId>) -> u64 {
+    /// set — a saga step adding objects), keeping the running
+    /// high-water mark ([`LockCounters::high_water`]) — free here
+    /// because every raised counter passes through this loop anyway.
+    pub fn begin_update(&mut self, et: EtId, write_set: impl IntoIterator<Item = ObjectId>) {
         let held = self.held.entry(et).or_default();
-        let mut high_water = 0;
         for o in write_set {
             held.push(o);
             let c = self.counters.entry(o).or_insert(0);
             *c += 1;
-            high_water = high_water.max(*c);
+            self.high_water = self.high_water.max(*c);
         }
-        high_water
+    }
+
+    /// The highest value any object's counter has reached so far (the
+    /// paper's Table 2 bound on what one read can import).
+    pub fn high_water(&self) -> u64 {
+        self.high_water
     }
 
     /// Lowers the counters raised by `et`. Idempotent: a second call for
@@ -319,13 +330,17 @@ mod tests {
     }
 
     #[test]
-    fn begin_update_reports_high_water_and_extends_a_held_set() {
+    fn begin_update_keeps_high_water_and_extends_a_held_set() {
         let mut lc = LockCounters::new();
-        assert_eq!(lc.begin_update(EtId(1), [ObjectId(0), ObjectId(1)]), 1);
-        assert_eq!(lc.begin_update(EtId(2), [ObjectId(1), ObjectId(2)]), 2, "shared object");
-        assert_eq!(lc.begin_update(EtId(3), []), 0, "empty write set raises nothing");
+        lc.begin_update(EtId(3), []);
+        assert_eq!(lc.high_water(), 0, "empty write set raises nothing");
+        lc.begin_update(EtId(1), [ObjectId(0), ObjectId(1)]);
+        assert_eq!(lc.high_water(), 1);
+        lc.begin_update(EtId(2), [ObjectId(1), ObjectId(2)]);
+        assert_eq!(lc.high_water(), 2, "shared object");
         // A second registration for ET 1 extends what it holds.
-        assert_eq!(lc.begin_update(EtId(1), [ObjectId(2)]), 2);
+        lc.begin_update(EtId(1), [ObjectId(2)]);
+        assert_eq!(lc.high_water(), 2);
         assert_eq!(
             lc.held_sets()[0],
             (EtId(1), vec![ObjectId(0), ObjectId(1), ObjectId(2)])
@@ -338,5 +353,6 @@ mod tests {
         lc.end_update(EtId(2));
         lc.end_update(EtId(3));
         assert!(lc.quiescent());
+        assert_eq!(lc.high_water(), 2, "the mark outlives the updates");
     }
 }

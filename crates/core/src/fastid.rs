@@ -4,13 +4,14 @@
 //! counters, so SipHash's per-call cost on the hot apply and metrics
 //! paths is pure overhead. [`FastIdHasher`] mixes a fixed-width integer
 //! with one Fibonacci multiply plus an xorshift — enough to spread
-//! dense counters over hash buckets. Not DoS-resistant: use only for
-//! transient internal maps (metric label caches and the like), never
-//! for anything fed by a network peer.
+//! dense counters over hash buckets. Not DoS-resistant: it keys the
+//! stores, the sites' duplicate-suppression sets and the metric label
+//! caches by ids the deployment's own clients and sites mint (a closed
+//! cluster, DESIGN §11); a map keyed by bytes from outside that
+//! boundary keeps SipHash.
 //!
-//! Moved here from `esr-storage` so that crates below the storage
-//! layer (notably `esr-obs`) can share it; `esr_storage::shard`
-//! re-exports these names for existing callers.
+//! It lives here, below the storage layer, so that `esr-obs` can
+//! share it with the stores and the replica sites.
 
 /// A multiply-xorshift hasher for id-keyed internal maps. Ids are plain
 /// counters (already uniform after a Fibonacci multiply), so one

@@ -489,9 +489,6 @@ fn finish_connect(l: &mut LinkConn, now: Instant) {
 
 /// Refreshes the link's queue depth/age gauges.
 fn refresh_queue_gauge(l: &mut LinkConn, depth: usize, now: Instant) {
-    if !l.spec.obs.is_attached() {
-        return;
-    }
     if depth == 0 {
         l.backlog_since = None;
     } else if l.backlog_since.is_none() {

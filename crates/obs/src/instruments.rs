@@ -1,16 +1,20 @@
 //! Pre-registered instrument bundles for the hot paths.
 //!
-//! A [`SiteInstruments`] bundles every per-site series one replica site
-//! implementation updates, so the apply path never touches the
-//! registry mutex — just the handles' relaxed atomics. The bundle is an
-//! `Option<Arc<…>>`: `Default` gives a detached no-op (one branch per
-//! call), which is what every site starts with until a cluster or
-//! daemon attaches metrics.
+//! A [`SiteInstruments`] bundles every per-site series, so feeding
+//! them never touches the registry mutex — just the handles' relaxed
+//! atomics. The replica sites know nothing of it: the executor that
+//! owns a registry (esrd, the simulator) holds the bundle and feeds it
+//! from the events its core emits, from each query outcome, and from
+//! the site's state when the registry is read.
 //!
 //! [`LinkInstruments`] does the same for one directed TCP link,
-//! [`ReactorInstruments`] for a daemon's poll-driven I/O reactor, and
-//! [`GaugeFamily`] lazily registers one gauge per site id (divergence,
-//! VTNC lag) keyed through the shared [`esr_core::fastid`] hasher.
+//! [`ReactorInstruments`] for a daemon's poll-driven I/O reactor and
+//! [`CkptInstruments`] for its checkpoint chain; those three are an
+//! `Option<Arc<…>>` whose `Default` is a detached no-op (one branch per
+//! call), which is what a link or reactor built without a registry
+//! runs with. [`GaugeFamily`] lazily registers one gauge per site id
+//! (divergence, VTNC lag) keyed through the shared
+//! [`esr_core::fastid`] hasher.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -44,10 +48,11 @@ struct SiteCells {
     queries_rejected: Counter,
 }
 
-/// Per-site instrument bundle (no-op until attached).
-#[derive(Debug, Clone, Default)]
+/// Per-site instrument bundle, held by the executor that owns the
+/// registry — never by a site.
+#[derive(Debug, Clone)]
 pub struct SiteInstruments {
-    cells: Option<Arc<SiteCells>>,
+    cells: Arc<SiteCells>,
 }
 
 impl SiteInstruments {
@@ -59,7 +64,7 @@ impl SiteInstruments {
         let site = site.to_string();
         let l: &[(&str, &str)] = &[("method", method), ("site", &site)];
         Self {
-            cells: Some(Arc::new(SiteCells {
+            cells: Arc::new(SiteCells {
                 msets_delivered: registry.counter("esr_msets_delivered_total", l),
                 msets_applied: registry.counter("esr_msets_applied_total", l),
                 redelivered: registry.counter("esr_redelivered_total", l),
@@ -75,94 +80,26 @@ impl SiteInstruments {
                 epsilon_charged_total: registry.counter("esr_epsilon_charged_total", l),
                 queries_admitted: registry.counter("esr_queries_admitted_total", l),
                 queries_rejected: registry.counter("esr_queries_rejected_total", l),
-            })),
+            }),
         }
     }
 
-    /// Whether this bundle is attached to a registry.
-    pub fn is_attached(&self) -> bool {
-        self.cells.is_some()
-    }
-
-    /// One delivery call carrying `msets` MSets (1 for a `deliver`, 0
-    /// for an ORDUP-L heartbeat that only drains), of which `applied`
-    /// were newly applied — parked MSets the call released included —
-    /// and `redelivered` were duplicate-suppressed.
+    /// One MSet handed to the site (duplicates included).
     #[inline]
-    pub fn delivered(&self, msets: u64, applied: u64, redelivered: u64) {
-        if let Some(c) = &self.cells {
-            c.msets_delivered.add(msets);
-            c.msets_applied.add(applied);
-            if redelivered > 0 {
-                c.redelivered.add(redelivered);
-            }
-        }
+    pub fn delivered(&self) {
+        self.cells.msets_delivered.inc();
     }
 
-    /// Current hold-back backlog (ORDUP) — 0 for methods that apply
-    /// immediately.
+    /// One MSet newly applied — on arrival, or released from hold-back.
     #[inline]
-    pub fn set_backlog(&self, n: u64) {
-        if let Some(c) = &self.cells {
-            c.backlog.set(as_gauge(n));
-        }
+    pub fn applied(&self) {
+        self.cells.msets_applied.inc();
     }
 
-    /// Current at-risk set size (COMPE: applied but undecided ETs).
+    /// One duplicate delivery absorbed.
     #[inline]
-    pub fn set_at_risk(&self, n: u64) {
-        if let Some(c) = &self.cells {
-            c.at_risk.set(as_gauge(n));
-        }
-    }
-
-    /// Compensations executed (COMPE aborts rolled back).
-    #[inline]
-    pub fn compensations(&self, n: u64) {
-        if let Some(c) = &self.cells {
-            c.compensations.add(n);
-        }
-    }
-
-    /// Raises the COMMU per-object lock-counter high-water mark.
-    #[inline]
-    pub fn lock_counter_high_water(&self, v: u64) {
-        if let Some(c) = &self.cells {
-            c.lock_counter_high_water.set_max(as_gauge(v));
-        }
-    }
-
-    /// The site's current certified VTNC horizon (RITU-MV).
-    #[inline]
-    pub fn set_vtnc(&self, time: u64) {
-        if let Some(c) = &self.cells {
-            c.vtnc_time.set(as_gauge(time));
-        }
-    }
-
-    /// RITU-MV: how far certified visibility trails the newest version
-    /// this site has installed (0 once the horizon catches up). The sim
-    /// cluster additionally publishes a globally-computed
-    /// `esr_vtnc_lag{site}` that also counts versions not yet delivered
-    /// here.
-    #[inline]
-    pub fn set_vtnc_lag(&self, lag: u64) {
-        if let Some(c) = &self.cells {
-            c.vtnc_lag.set(as_gauge(lag));
-        }
-    }
-
-    /// Overrides the last-query epsilon gauges without touching the
-    /// admitted/rejected totals — for a wrapper (the sim cluster) whose
-    /// admission decision happens outside the site's `query` call, so
-    /// the authoritative charge and limit arrive after the site already
-    /// ticked its own view.
-    #[inline]
-    pub fn query_gauges(&self, charged: u64, limit: u64) {
-        if let Some(c) = &self.cells {
-            c.query_epsilon_charged.set(as_gauge(charged));
-            c.query_epsilon_limit.set(as_gauge(limit));
-        }
+    pub fn redelivered(&self) {
+        self.cells.redelivered.inc();
     }
 
     /// One query outcome: epsilon `charged` against `limit`,
@@ -170,16 +107,45 @@ impl SiteInstruments {
     /// running totals.
     #[inline]
     pub fn query(&self, charged: u64, limit: u64, admitted: bool) {
-        if let Some(c) = &self.cells {
-            c.query_epsilon_charged.set(as_gauge(charged));
-            c.query_epsilon_limit.set(as_gauge(limit));
-            if admitted {
-                c.epsilon_charged_total.add(charged);
-                c.queries_admitted.inc();
-            } else {
-                c.queries_rejected.inc();
-            }
+        let c = &self.cells;
+        c.query_epsilon_charged.set(as_gauge(charged));
+        c.query_epsilon_limit.set(as_gauge(limit));
+        if admitted {
+            c.epsilon_charged_total.add(charged);
+            c.queries_admitted.inc();
+        } else {
+            c.queries_rejected.inc();
         }
+    }
+
+    /// Hold-back depth (ORDUP) and at-risk set size (COMPE: applied but
+    /// undecided ETs), as the site holds them now.
+    pub fn set_pending(&self, backlog: u64, at_risk: u64) {
+        self.cells.backlog.set(as_gauge(backlog));
+        self.cells.at_risk.set(as_gauge(at_risk));
+    }
+
+    /// The site's cumulative compensation count (COMPE aborts rolled
+    /// back). The series never moves backwards: a lower reading (a
+    /// simulated site between crash and replay) leaves it where it was.
+    pub fn set_compensations(&self, total: u64) {
+        self.cells.compensations.raise_to(total);
+    }
+
+    /// The highest per-object lock-counter the site has seen (COMMU,
+    /// RITU overwrite).
+    pub fn set_lock_counter_high_water(&self, v: u64) {
+        self.cells.lock_counter_high_water.set(as_gauge(v));
+    }
+
+    /// RITU-MV: the certified VTNC horizon, and how far it trails the
+    /// newest version this site has installed (0 once the horizon
+    /// catches up). The sim cluster additionally publishes a
+    /// globally-computed `esr_vtnc_lag{site}` that also counts versions
+    /// not yet delivered here.
+    pub fn set_vtnc(&self, time: u64, lag: u64) {
+        self.cells.vtnc_time.set(as_gauge(time));
+        self.cells.vtnc_lag.set(as_gauge(lag));
     }
 }
 
@@ -215,11 +181,6 @@ impl LinkInstruments {
                 acks: registry.counter("esr_link_acks_total", l),
             })),
         }
-    }
-
-    /// Whether this bundle is attached to a registry.
-    pub fn is_attached(&self) -> bool {
-        self.cells.is_some()
     }
 
     /// Updates the queue gauges: current `depth` and the age in
@@ -294,11 +255,6 @@ impl ReactorInstruments {
                 ack_batch: registry.histogram("esr_ack_batch_size", &[]),
             })),
         }
-    }
-
-    /// Whether this bundle is attached to a registry.
-    pub fn is_attached(&self) -> bool {
-        self.cells.is_some()
     }
 
     /// One accepted connection entered the readiness loop.
@@ -380,11 +336,6 @@ impl CkptInstruments {
                 replay_latency: registry.histogram("esr_suffix_replay_latency_micros", l),
             })),
         }
-    }
-
-    /// Whether this bundle is attached to a registry.
-    pub fn is_attached(&self) -> bool {
-        self.cells.is_some()
     }
 
     /// One snapshot installed: its container size and how long the
@@ -473,16 +424,10 @@ mod tests {
 
     #[test]
     fn detached_bundles_are_noops() {
-        let s = SiteInstruments::default();
-        assert!(!s.is_attached());
-        s.delivered(10, 10, 0);
-        s.query(3, 5, true);
         let link = LinkInstruments::default();
-        assert!(!link.is_attached());
         link.queue(4, 100);
         link.sent(2);
         let reactor = ReactorInstruments::default();
-        assert!(!reactor.is_attached());
         reactor.connection_opened();
         reactor.wakeup();
         reactor.poll_tick(5);
@@ -493,7 +438,6 @@ mod tests {
     fn reactor_bundle_updates_series() {
         let r = MetricsRegistry::new();
         let obs = ReactorInstruments::for_registry(&r);
-        assert!(obs.is_attached());
         obs.connection_opened();
         obs.connection_opened();
         obs.connection_closed();
@@ -511,8 +455,7 @@ mod tests {
     #[test]
     fn site_bundle_registers_full_catalogue_at_zero() {
         let r = MetricsRegistry::new();
-        let s = SiteInstruments::for_site(&r, "COMMU", 0);
-        assert!(s.is_attached());
+        SiteInstruments::for_site(&r, "COMMU", 0);
         let snap = r.snapshot();
         for name in [
             "esr_msets_delivered_total",
@@ -523,6 +466,7 @@ mod tests {
             "esr_compensations_total",
             "esr_commu_lock_counter_high_water",
             "esr_vtnc_time",
+            "esr_vtnc_lag",
             "esr_query_epsilon_charged",
             "esr_query_epsilon_limit",
             "esr_epsilon_charged_total",
@@ -541,8 +485,18 @@ mod tests {
     fn site_bundle_updates_series() {
         let r = MetricsRegistry::new();
         let s = SiteInstruments::for_site(&r, "ORDUP", 2);
-        s.delivered(5, 4, 1);
-        s.set_backlog(3);
+        for _ in 0..5 {
+            s.delivered();
+        }
+        for _ in 0..4 {
+            s.applied();
+        }
+        s.redelivered();
+        s.set_pending(3, 1);
+        s.set_compensations(2);
+        s.set_compensations(1);
+        s.set_lock_counter_high_water(4);
+        s.set_vtnc(7, 2);
         s.query(2, 10, true);
         s.query(11, 10, false);
         let l = &[("method", "ORDUP"), ("site", "2")];
@@ -551,6 +505,11 @@ mod tests {
         assert_eq!(snap.value("esr_msets_applied_total", l), Some(4));
         assert_eq!(snap.value("esr_redelivered_total", l), Some(1));
         assert_eq!(snap.value("esr_backlog", l), Some(3));
+        assert_eq!(snap.value("esr_at_risk", l), Some(1));
+        assert_eq!(snap.value("esr_compensations_total", l), Some(2), "never backwards");
+        assert_eq!(snap.value("esr_commu_lock_counter_high_water", l), Some(4));
+        assert_eq!(snap.value("esr_vtnc_time", l), Some(7));
+        assert_eq!(snap.value("esr_vtnc_lag", l), Some(2));
         assert_eq!(snap.value("esr_epsilon_charged_total", l), Some(2));
         assert_eq!(snap.value("esr_queries_admitted_total", l), Some(1));
         assert_eq!(snap.value("esr_queries_rejected_total", l), Some(1));
@@ -574,7 +533,6 @@ mod tests {
     fn ckpt_bundle_updates_series() {
         let r = MetricsRegistry::new();
         let c = CkptInstruments::for_site(&r, 1);
-        assert!(c.is_attached());
         c.installed(2048, 150);
         c.journal(4096, 17);
         c.truncated(9);
@@ -590,7 +548,6 @@ mod tests {
         assert_eq!(snap.value("esr_suffix_replay_latency_micros", l), Some(1));
         // Detached bundle is a no-op.
         let d = CkptInstruments::default();
-        assert!(!d.is_attached());
         d.installed(1, 1);
         d.journal(1, 1);
         d.truncated(1);

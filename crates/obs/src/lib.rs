@@ -16,9 +16,11 @@
 //!   under the sim's virtual clock the same seed yields a
 //!   byte-identical [`MetricsSnapshot`].
 //! * [`SiteInstruments`] / [`LinkInstruments`] — pre-registered handle
-//!   bundles threaded through the five replica-site implementations and
-//!   the TCP link manager. Both are no-ops when detached (`Default`),
-//!   so uninstrumented paths pay one branch.
+//!   bundles. The per-site one is held by the executor that owns the
+//!   registry and fed from the typed event plane, each query outcome
+//!   and the site's state at scrape time; the replica sites never see
+//!   it. The link bundle is threaded through the TCP link manager and
+//!   is a no-op when detached (`Default`).
 //! * [`EventRing`] — a bounded in-memory ring of causally ordered,
 //!   caller-stamped events, generic over the event type (the runtimes'
 //!   flight recorder; `esrctl trace` / `esrctl spans` dump it over the

@@ -83,6 +83,13 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raises the counter to `total` if it is below it — for a total
+    /// that is kept elsewhere and copied in when the registry is read.
+    #[inline]
+    pub fn raise_to(&self, total: u64) {
+        self.0.fetch_max(total, Ordering::Relaxed);
+    }
+
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
@@ -107,12 +114,6 @@ impl Gauge {
     #[inline]
     pub fn add(&self, d: i64) {
         self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    /// Raises the gauge to `v` if `v` is larger (high-water marks).
-    #[inline]
-    pub fn set_max(&self, v: i64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -539,14 +540,15 @@ mod tests {
         let c2 = r.counter("hits_total", &[("site", "0")]);
         c2.inc();
         assert_eq!(c.get(), 6);
+        c.raise_to(4);
+        assert_eq!(c.get(), 6, "never backwards");
+        c.raise_to(9);
+        assert_eq!(c2.get(), 9);
 
         let g = r.gauge("depth", &[]);
         g.set(3);
         g.add(-1);
         assert_eq!(g.get(), 2);
-        g.set_max(10);
-        g.set_max(7);
-        assert_eq!(g.get(), 10);
     }
 
     #[test]

@@ -66,7 +66,7 @@ use esr_storage::store::ObjectStore;
 use crate::ctrl::{coordinator_of, Effect, NodeCore, NodeEvent};
 use crate::mset::{MSet, OrderTag};
 use crate::site::QueryOutcome;
-use crate::span::{Event, SpanStage};
+use crate::span::{publish_readings, Event, SpanRec, SpanStage};
 use crate::state::{RtMethod, SiteState};
 use crate::wire::Frame;
 
@@ -296,9 +296,10 @@ struct Site {
     down: Option<Vec<Arrival>>,
     /// Boot count, carried by the restart `Hello`.
     epoch: u64,
-    /// A clone of the site's instrument bundle, so the cluster can set
-    /// the authoritative per-query epsilon gauges (the admission
-    /// decision for most methods happens here, not in the site).
+    /// The site's series in the cluster registry, fed by
+    /// [`SimCluster::perform`] (counters), [`SimCluster::try_query`] and
+    /// [`SimCluster::refresh_metrics`] (gauges). Outlives the core: a
+    /// restarted incarnation reports to the same series.
     obs: SiteInstruments,
 }
 
@@ -365,7 +366,7 @@ impl SimCluster {
             .iter()
             .map(|&id| {
                 let obs = SiteInstruments::for_site(&metrics, config.method.name(), id.raw());
-                let state = Self::fresh_state(&config, &obs, id);
+                let state = Self::fresh_state(&config, id);
                 Site {
                     core: NodeCore::fresh(state, method, id, config.sites, None),
                     events: Vec::new(),
@@ -408,17 +409,15 @@ impl SimCluster {
         }
     }
 
-    /// An empty replica for site `id`, reporting to the site's series.
-    fn fresh_state(config: &ClusterConfig, obs: &SiteInstruments, id: SiteId) -> SiteState {
-        let mut state = match config.method {
+    /// An empty replica for site `id`.
+    fn fresh_state(config: &ClusterConfig, id: SiteId) -> SiteState {
+        match config.method {
             Method::OrdupLamport => {
                 let origins = (0..config.sites as u64).map(SiteId).collect();
                 SiteState::ordup_lamport(id, origins)
             }
             method => SiteState::new(method.rt(), id),
-        };
-        state.attach_metrics(obs.clone());
-        state
+        }
     }
 
     /// Crashes `site` at the current virtual time, between two steps:
@@ -430,7 +429,7 @@ impl SimCluster {
         let config = &self.config;
         let s = &mut self.sites[site.raw() as usize];
         assert!(s.down.is_none(), "crash of {site}, which is already down");
-        let blank = Self::fresh_state(config, &s.obs, site);
+        let blank = Self::fresh_state(config, site);
         s.core = NodeCore::fresh(blank, config.method.rt(), site, config.sites, None);
         s.events.clear();
         s.down = Some(Vec::new());
@@ -451,7 +450,7 @@ impl SimCluster {
         self.metrics
             .counter("esr_recovery_replays_total", &[("site", &site.raw().to_string())])
             .add(s.journal.len() as u64);
-        let state = Self::fresh_state(config, &s.obs, site);
+        let state = Self::fresh_state(config, site);
         // View 0: no `Tick` is injected, so no other view was recorded.
         let (core, mut effects) = NodeCore::recover(
             state,
@@ -515,9 +514,11 @@ impl SimCluster {
             .collect()
     }
 
-    /// The cluster's metrics registry. Per-site series update live on
-    /// the apply/query paths; the cluster-computed gauges (divergence,
-    /// VTNC lag, overlap, quiescence progress) update on
+    /// The cluster's metrics registry. The per-site counters and query
+    /// series update live, as events are recorded and queries answered;
+    /// every gauge read from state — the sites' own (backlog, at-risk,
+    /// VTNC, …) and the cluster-computed ones (divergence, VTNC lag,
+    /// overlap, quiescence progress) — updates on
     /// [`SimCluster::refresh_metrics`], which
     /// [`SimCluster::run_until_quiescent`] calls at the end of a run.
     /// Snapshots are deterministic: same seed, same workload —
@@ -526,7 +527,9 @@ impl SimCluster {
         &self.metrics
     }
 
-    /// Recomputes the cluster-derived gauges at the current instant:
+    /// Publishes every site's state-held gauges
+    /// ([`SiteState::readings`]) and recomputes the cluster-derived ones
+    /// at the current instant:
     ///
     /// * `esr_divergence{site}` — updates whose disposition at the site
     ///   disagrees with the global outcome (the true per-site error,
@@ -548,6 +551,8 @@ impl SimCluster {
             .into_iter()
             .collect();
         for id in self.site_ids() {
+            let site = self.site(id);
+            publish_readings(site.core.state.readings(), &site.obs);
             let d = self.divergent_updates(id, &objects);
             self.divergence_gauge
                 .set(id.raw(), i64::try_from(d).unwrap_or(i64::MAX));
@@ -781,7 +786,9 @@ impl SimCluster {
                 Effect::Send { to, frame } => self.send(now, site, to, frame),
                 Effect::Event(event) => {
                     self.observe(now, site, &event);
-                    self.sites[site.raw() as usize].events.push((now, event));
+                    let s = &mut self.sites[site.raw() as usize];
+                    event.count(&s.obs);
+                    s.events.push((now, event));
                 }
                 Effect::Journal(mset) => self.sites[site.raw() as usize].journal.push(mset),
                 // No `Tick` is injected, so no view past 0 is ever
@@ -881,18 +888,23 @@ impl SimCluster {
                     (c.site(), ts)
                 })
                 .collect();
-            for site in &mut self.sites {
-                if let SiteState::OrdupLamport(s) = &mut site.core.state {
-                    for (origin, ts) in &beats {
-                        s.heartbeat(*origin, *ts);
-                    }
-                }
-            }
-            // The flush applied the tail without a core step, so no
-            // apply event announced it: settle the in-flight set
-            // directly.
-            for (et, _) in self.global_counters.held_sets() {
-                self.release_if_resolved(et);
+            let now = self.now();
+            for id in self.site_ids() {
+                let SiteState::OrdupLamport(s) = &mut self.sites[id.raw() as usize].core.state
+                else {
+                    continue;
+                };
+                // The flush applies the tail without a core step, so
+                // this executor records the applies it caused.
+                let applies = beats
+                    .iter()
+                    .flat_map(|(origin, ts)| s.heartbeat(*origin, *ts))
+                    .map(|r| {
+                        let rec = SpanRec::new(SpanStage::Apply, r.et);
+                        Effect::Event(Event::Span(rec.with_version(r.version).with_gseq(r.seq)))
+                    })
+                    .collect();
+                self.perform(now, id, applies);
             }
         }
         self.refresh_metrics();
@@ -925,9 +937,7 @@ impl SimCluster {
         } else {
             // The admission decision is made here, against the *global*
             // divergence control — the site only ever sees an unbounded
-            // wrapper. Stamp the authoritative charge and limit onto the
-            // site's epsilon gauges (last write wins over the site's
-            // internal view), and count rejections the site never saw.
+            // wrapper, and what it would have charged is discarded.
             let charge = match &core.state {
                 SiteState::Ordup(s) => s.gap_to(self.next_seq),
                 _ => self
@@ -937,17 +947,16 @@ impl SimCluster {
             if counter.charge(charge).is_admitted() {
                 let mut unbounded = InconsistencyCounter::new(EpsilonSpec::UNBOUNDED);
                 let values = core.state.query(read_set, &mut unbounded).values;
-                obs.query_gauges(charge, epsilon.limit);
                 QueryOutcome {
                     values,
                     charged: charge,
                     admitted: true,
                 }
             } else {
-                obs.query(charge, epsilon.limit, false);
                 QueryOutcome::rejected()
             }
         };
+        obs.query(out.charged, epsilon.limit, out.admitted);
         if out.admitted {
             self.stats.queries_served += 1;
             self.stats.total_charged += out.charged;

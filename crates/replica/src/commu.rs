@@ -20,10 +20,9 @@
 use std::collections::BTreeMap;
 
 use esr_core::divergence::{InconsistencyCounter, LockCounters};
+use esr_core::fastid::FastIdMap;
 use esr_core::ids::{EtId, ObjectId, SiteId};
 use esr_core::value::Value;
-use esr_obs::SiteInstruments;
-use esr_storage::shard::FastIdMap;
 use esr_storage::store::ObjectStore;
 
 use crate::mset::MSet;
@@ -32,35 +31,24 @@ use crate::site::{Delivered, Delivery, QueryOutcome, ReplicaSite};
 /// A COMMU replica site.
 #[derive(Debug)]
 pub struct CommuSite {
-    site: SiteId,
     store: ObjectStore,
     counters: LockCounters,
     /// ETs applied at this site (for duplicate suppression).
     applied_ets: FastIdMap<EtId, ()>,
     applied: u64,
     redelivered: u64,
-    /// Metrics bundle (no-op until attached).
-    obs: SiteInstruments,
 }
 
 impl CommuSite {
     /// A fresh site.
-    pub fn new(site: SiteId) -> Self {
+    pub fn new(_site: SiteId) -> Self {
         Self {
-            site,
             store: ObjectStore::new(),
             counters: LockCounters::new(),
             applied_ets: FastIdMap::default(),
             applied: 0,
             redelivered: 0,
-            obs: SiteInstruments::default(),
         }
-    }
-
-    /// Attaches a metrics bundle: subsequent deliveries and queries
-    /// tick its series (a detached bundle costs one branch).
-    pub fn attach_metrics(&mut self, obs: SiteInstruments) {
-        self.obs = obs;
     }
 
     /// Total MSets applied.
@@ -76,8 +64,7 @@ impl CommuSite {
 
     /// Captures the site's full protocol state as a checkpoint image:
     /// store contents, the in-flight updates still holding
-    /// lock-counters, and the duplicate-suppression set. The metrics
-    /// bundle is excluded (re-attached after restore).
+    /// lock-counters, and the duplicate-suppression set.
     pub fn to_ckpt(&self) -> crate::ckpt::CommuCkpt {
         let mut applied_ets: Vec<EtId> = self.applied_ets.keys().copied().collect();
         applied_ets.sort_unstable();
@@ -94,16 +81,14 @@ impl CommuSite {
     /// write sets re-raise exactly the lock-counters that were up at
     /// the cut, so queries keep being charged for in-flight updates and
     /// late completion notices land correctly.
-    pub fn from_ckpt(site: SiteId, c: crate::ckpt::CommuCkpt) -> Self {
+    pub fn from_ckpt(_site: SiteId, c: crate::ckpt::CommuCkpt) -> Self {
         let counters = LockCounters::from_held_sets(c.held);
         Self {
-            site,
             store: ObjectStore::with_values(c.values),
             counters,
             applied_ets: c.applied_ets.into_iter().map(|et| (et, ())).collect(),
             applied: c.applied,
             redelivered: c.redelivered,
-            obs: SiteInstruments::default(),
         }
     }
 
@@ -117,6 +102,11 @@ impl CommuSite {
     /// The lock-counter value of one object (visible inconsistency).
     pub fn lock_counter(&self, object: ObjectId) -> u64 {
         self.counters.inconsistency_of(object)
+    }
+
+    /// The highest lock-counter value any object has reached here.
+    pub fn lock_counter_high_water(&self) -> u64 {
+        self.counters.high_water()
     }
 
     /// True when applying an update over `write_set` would push any
@@ -136,19 +126,10 @@ impl CommuSite {
 }
 
 impl ReplicaSite for CommuSite {
-    fn method_name(&self) -> &'static str {
-        "COMMU"
-    }
-
-    fn site_id(&self) -> SiteId {
-        self.site
-    }
-
     #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
     fn deliver(&mut self, mset: MSet) -> Delivery {
         if self.applied_ets.contains_key(&mset.et) {
             self.redelivered += 1;
-            self.obs.delivered(1, 0, 1);
             return Delivered::Duplicate.into();
         }
         for op in &mset.ops {
@@ -156,11 +137,9 @@ impl ReplicaSite for CommuSite {
                 .apply(op)
                 .expect("commutative MSet must apply cleanly");
         }
-        let high_water = self.counters.begin_update(mset.et, mset.write_set());
-        self.obs.lock_counter_high_water(high_water);
+        self.counters.begin_update(mset.et, mset.write_set());
         self.applied_ets.insert(mset.et, ());
         self.applied += 1;
-        self.obs.delivered(1, 1, 0);
         Delivered::Applied.into()
     }
 
@@ -175,10 +154,8 @@ impl ReplicaSite for CommuSite {
     ) -> QueryOutcome {
         let charge = self.counters.inconsistency_of_set(read_set.iter().copied());
         if !counter.charge(charge).is_admitted() {
-            self.obs.query(charge, counter.spec().limit, false);
             return QueryOutcome::rejected();
         }
-        self.obs.query(charge, counter.spec().limit, true);
         QueryOutcome {
             values: read_set.iter().map(|&o| self.store.get(o)).collect(),
             charged: charge,

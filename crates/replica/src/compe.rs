@@ -22,7 +22,6 @@ use std::collections::BTreeMap;
 use esr_core::divergence::InconsistencyCounter;
 use esr_core::ids::{EtId, ObjectId, SiteId};
 use esr_core::value::Value;
-use esr_obs::SiteInstruments;
 use esr_storage::recovery_log::{RecoveryLog, RollbackReport, RollbackStrategy};
 use esr_storage::store::ObjectStore;
 
@@ -32,7 +31,6 @@ use crate::site::{Delivered, Delivery, QueryOutcome, ReplicaSite};
 /// A COMPE replica site.
 #[derive(Debug)]
 pub struct CompeSite {
-    site: SiteId,
     store: ObjectStore,
     log: RecoveryLog,
     /// Every ET ever applied here (duplicate suppression), with its
@@ -42,8 +40,6 @@ pub struct CompeSite {
     compensations: u64,
     rollbacks: RollbackTotals,
     redelivered: u64,
-    /// Metrics bundle (no-op until attached).
-    obs: SiteInstruments,
 }
 
 /// Cumulative cost of the rollbacks a site has run (experiment E8's
@@ -99,9 +95,8 @@ impl Disposition {
 
 impl CompeSite {
     /// A fresh site.
-    pub fn new(site: SiteId) -> Self {
+    pub fn new(_site: SiteId) -> Self {
         Self {
-            site,
             store: ObjectStore::new(),
             log: RecoveryLog::new(),
             seen: BTreeMap::new(),
@@ -109,14 +104,7 @@ impl CompeSite {
             compensations: 0,
             rollbacks: RollbackTotals::default(),
             redelivered: 0,
-            obs: SiteInstruments::default(),
         }
-    }
-
-    /// Attaches a metrics bundle: subsequent deliveries, decisions, and
-    /// queries tick its series (a detached bundle costs one branch).
-    pub fn attach_metrics(&mut self, obs: SiteInstruments) {
-        self.obs = obs;
     }
 
     /// Total MSets applied optimistically.
@@ -170,9 +158,8 @@ impl CompeSite {
     /// MSets stay compensatable (their before-images survive in the
     /// restored recovery log) and pending-commit races resume where the
     /// cut left them.
-    pub fn from_ckpt(site: SiteId, c: crate::ckpt::CompeCkpt) -> Self {
+    pub fn from_ckpt(_site: SiteId, c: crate::ckpt::CompeCkpt) -> Self {
         Self {
-            site,
             store: ObjectStore::with_values(c.values),
             log: RecoveryLog::from_records(c.log),
             seen: c
@@ -184,7 +171,6 @@ impl CompeSite {
             compensations: c.compensations,
             rollbacks: RollbackTotals::default(),
             redelivered: c.redelivered,
-            obs: SiteInstruments::default(),
         }
     }
 
@@ -196,7 +182,6 @@ impl CompeSite {
             Some(d @ Disposition::AtRisk) => {
                 *d = Disposition::Committed;
                 self.log.commit(et);
-                self.obs.set_at_risk(self.log.at_risk() as u64);
             }
             Some(_) => {}
             None => {
@@ -234,21 +219,11 @@ impl CompeSite {
         }
         self.rollbacks.ops_undone += report.ops_undone as u64;
         self.rollbacks.ops_replayed += report.ops_replayed as u64;
-        self.obs.compensations(1);
-        self.obs.set_at_risk(self.log.at_risk() as u64);
         Some(report)
     }
 }
 
 impl ReplicaSite for CompeSite {
-    fn method_name(&self) -> &'static str {
-        "COMPE"
-    }
-
-    fn site_id(&self) -> SiteId {
-        self.site
-    }
-
     #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
     fn deliver(&mut self, mset: MSet) -> Delivery {
         let outcome = match self.seen.get(&mset.et) {
@@ -272,12 +247,8 @@ impl ReplicaSite for CompeSite {
             Some(Disposition::AtRisk) | Some(Disposition::Committed) => Delivered::Duplicate,
             Some(Disposition::Aborted) => Delivered::Suppressed, // abort arrived first
         };
-        let applied = u64::from(outcome == Delivered::Applied);
-        let redelivered = u64::from(outcome == Delivered::Duplicate);
-        self.applied += applied;
-        self.redelivered += redelivered;
-        self.obs.delivered(1, applied, redelivered);
-        self.obs.set_at_risk(self.log.at_risk() as u64);
+        self.applied += u64::from(outcome == Delivered::Applied);
+        self.redelivered += u64::from(outcome == Delivered::Duplicate);
         outcome.into()
     }
 
@@ -306,10 +277,8 @@ impl ReplicaSite for CompeSite {
             })
             .count() as u64;
         if !counter.charge(charge).is_admitted() {
-            self.obs.query(charge, counter.spec().limit, false);
             return QueryOutcome::rejected();
         }
-        self.obs.query(charge, counter.spec().limit, true);
         QueryOutcome {
             values: read_set.iter().map(|&o| self.store.get(o)).collect(),
             charged: charge,

@@ -27,12 +27,10 @@
 use std::collections::BTreeMap;
 
 use esr_core::divergence::InconsistencyCounter;
+use esr_core::fastid::FastIdSet;
 use esr_core::ids::{LamportTs, ObjectId, SeqNo, SiteId};
 use esr_core::value::Value;
-use esr_obs::SiteInstruments;
 use esr_storage::store::ObjectStore;
-
-use esr_storage::shard::FastIdSet;
 
 use crate::mset::{MSet, OrderTag};
 use crate::site::{Delivered, Delivery, QueryOutcome, Released, ReplicaSite};
@@ -40,7 +38,6 @@ use crate::site::{Delivered, Delivery, QueryOutcome, Released, ReplicaSite};
 /// ORDUP site using sequencer-assigned global order.
 #[derive(Debug)]
 pub struct OrdupSite {
-    site: SiteId,
     store: ObjectStore,
     /// The next sequence number this site will apply.
     next_seq: SeqNo,
@@ -53,36 +50,24 @@ pub struct OrdupSite {
     /// Duplicate deliveries recognized and suppressed (at-least-once
     /// transport makes these routine, not errors).
     redelivered: u64,
-    /// Metrics bundle (no-op until attached).
-    obs: SiteInstruments,
 }
 
 impl OrdupSite {
     /// A fresh site.
-    pub fn new(site: SiteId) -> Self {
+    pub fn new(_site: SiteId) -> Self {
         Self {
-            site,
             store: ObjectStore::new(),
             next_seq: SeqNo::ZERO,
             holdback: BTreeMap::new(),
             applied_ets: FastIdSet::default(),
             applied: 0,
             redelivered: 0,
-            obs: SiteInstruments::default(),
         }
-    }
-
-    /// Attaches a metrics bundle: subsequent deliveries and queries
-    /// tick its series (a detached bundle costs one branch).
-    pub fn attach_metrics(&mut self, obs: SiteInstruments) {
-        self.obs = obs;
     }
 
     /// Captures the site's full protocol state as a checkpoint image:
     /// store contents, the hold-back queue, the next expected sequence
-    /// number, and the duplicate-suppression set. The metrics
-    /// bundle is deliberately excluded (the daemon re-attaches it after
-    /// restore).
+    /// number, and the duplicate-suppression set.
     pub fn to_ckpt(&self) -> crate::ckpt::OrdupCkpt {
         let mut applied_ets: Vec<esr_core::ids::EtId> =
             self.applied_ets.iter().copied().collect();
@@ -107,7 +92,7 @@ impl OrdupSite {
     /// If a held-back MSet in the image is not `Sequenced` — the codec
     /// cannot produce one from an image written by [`Self::to_ckpt`],
     /// so this indicates a hand-built image.
-    pub fn from_ckpt(site: SiteId, c: crate::ckpt::OrdupCkpt) -> Self {
+    pub fn from_ckpt(_site: SiteId, c: crate::ckpt::OrdupCkpt) -> Self {
         let mut holdback = BTreeMap::new();
         for m in c.holdback {
             let OrderTag::Sequenced(seq) = m.order else {
@@ -116,14 +101,12 @@ impl OrdupSite {
             holdback.insert(seq, m);
         }
         Self {
-            site,
             store: ObjectStore::with_values(c.values),
             next_seq: c.next_seq,
             holdback,
             applied_ets: c.applied_ets.into_iter().collect(),
             applied: c.applied,
             redelivered: c.redelivered,
-            obs: SiteInstruments::default(),
         }
     }
 
@@ -184,19 +167,10 @@ impl OrdupSite {
 }
 
 impl ReplicaSite for OrdupSite {
-    fn method_name(&self) -> &'static str {
-        "ORDUP"
-    }
-
-    fn site_id(&self) -> SiteId {
-        self.site
-    }
-
     fn deliver(&mut self, mset: MSet) -> Delivery {
         let OrderTag::Sequenced(seq) = mset.order else {
             panic!("ORDUP sequencer site received non-sequenced MSet {mset}");
         };
-        let before_applied = self.applied;
         let mut released = Vec::new();
         let outcome = if seq < self.next_seq {
             Delivered::Duplicate // of an already-applied MSet
@@ -214,11 +188,7 @@ impl ReplicaSite for OrdupSite {
         } else {
             Delivered::Held
         };
-        let redelivered = u64::from(outcome == Delivered::Duplicate);
-        self.redelivered += redelivered;
-        self.obs
-            .delivered(1, self.applied - before_applied, redelivered);
-        self.obs.set_backlog(self.holdback.len() as u64);
+        self.redelivered += u64::from(outcome == Delivered::Duplicate);
         Delivery { outcome, released }
     }
 
@@ -239,10 +209,8 @@ impl ReplicaSite for OrdupSite {
             .filter(|m| m.touches(read_set))
             .count() as u64;
         if !counter.charge(charge).is_admitted() {
-            self.obs.query(charge, counter.spec().limit, false);
             return QueryOutcome::rejected();
         }
-        self.obs.query(charge, counter.spec().limit, true);
         QueryOutcome {
             values: read_set.iter().map(|&o| self.store.get(o)).collect(),
             charged: charge,
@@ -262,7 +230,6 @@ impl ReplicaSite for OrdupSite {
 /// ORDUP site using distributed Lamport-timestamp ordering.
 #[derive(Debug)]
 pub struct OrdupLamportSite {
-    site: SiteId,
     store: ObjectStore,
     /// All origins that may send updates (needed for stability).
     origins: Vec<SiteId>,
@@ -277,15 +244,12 @@ pub struct OrdupLamportSite {
     applied_ets: FastIdSet<esr_core::ids::EtId>,
     applied: u64,
     redelivered: u64,
-    /// Metrics bundle (no-op until attached).
-    obs: SiteInstruments,
 }
 
 impl OrdupLamportSite {
     /// A fresh site that expects updates from `origins`.
-    pub fn new(site: SiteId, origins: Vec<SiteId>) -> Self {
+    pub fn new(_site: SiteId, origins: Vec<SiteId>) -> Self {
         Self {
-            site,
             store: ObjectStore::new(),
             origins,
             fifo_next: BTreeMap::new(),
@@ -295,14 +259,7 @@ impl OrdupLamportSite {
             applied_ets: FastIdSet::default(),
             applied: 0,
             redelivered: 0,
-            obs: SiteInstruments::default(),
         }
-    }
-
-    /// Attaches a metrics bundle: subsequent deliveries and queries
-    /// tick its series (a detached bundle costs one branch).
-    pub fn attach_metrics(&mut self, obs: SiteInstruments) {
-        self.obs = obs;
     }
 
     /// Total MSets applied.
@@ -319,17 +276,17 @@ impl OrdupLamportSite {
     /// Records a heartbeat from `origin` carrying its current clock:
     /// raises the stability horizon so held-back MSets can apply even
     /// when `origin` has gone quiet. The cluster driver broadcasts
-    /// heartbeats during quiesce.
-    pub fn heartbeat(&mut self, origin: SiteId, ts: LamportTs) {
-        let before_applied = self.applied;
+    /// heartbeats during quiesce. Returns the parked MSets the
+    /// heartbeat released, in the order they were applied — no core
+    /// step ran, so the caller is the one to record those applies.
+    pub fn heartbeat(&mut self, origin: SiteId, ts: LamportTs) -> Vec<Released> {
         let e = self.last_seen.entry(origin).or_insert(ts);
         if ts > *e {
             *e = ts;
         }
-        self.drain_stable(|_| {});
-        self.obs.delivered(0, self.applied - before_applied, 0);
-        self.obs
-            .set_backlog((self.holdback.len() + self.fifo_buffer.len()) as u64);
+        let mut released = Vec::new();
+        self.drain_stable(|m| released.push(Released::of(m)));
+        released
     }
 
     /// FIFO-reassembles one delivered MSet into the timestamp hold-back
@@ -397,16 +354,7 @@ impl OrdupLamportSite {
 }
 
 impl ReplicaSite for OrdupLamportSite {
-    fn method_name(&self) -> &'static str {
-        "ORDUP-L"
-    }
-
-    fn site_id(&self) -> SiteId {
-        self.site
-    }
-
     fn deliver(&mut self, mset: MSet) -> Delivery {
-        let (before_applied, before_redelivered) = (self.applied, self.redelivered);
         let et = mset.et;
         let mut released = Vec::new();
         let outcome = if self.ingest(mset) {
@@ -423,13 +371,6 @@ impl ReplicaSite for OrdupLamportSite {
         } else {
             Delivered::Duplicate
         };
-        self.obs.delivered(
-            1,
-            self.applied - before_applied,
-            self.redelivered - before_redelivered,
-        );
-        self.obs
-            .set_backlog((self.holdback.len() + self.fifo_buffer.len()) as u64);
         Delivery { outcome, released }
     }
 
@@ -448,10 +389,8 @@ impl ReplicaSite for OrdupLamportSite {
             .filter(|m| m.touches(read_set))
             .count() as u64;
         if !counter.charge(charge).is_admitted() {
-            self.obs.query(charge, counter.spec().limit, false);
             return QueryOutcome::rejected();
         }
-        self.obs.query(charge, counter.spec().limit, true);
         QueryOutcome {
             values: read_set.iter().map(|&o| self.store.get(o)).collect(),
             charged: charge,

@@ -18,12 +18,11 @@
 use std::collections::BTreeMap;
 
 use esr_core::divergence::{InconsistencyCounter, LockCounters};
+use esr_core::fastid::FastIdMap;
 use esr_core::ids::{EtId, ObjectId, SiteId, VersionTs};
 use esr_core::op::Operation;
 use esr_core::value::Value;
-use esr_obs::SiteInstruments;
 use esr_storage::mvstore::MvStore;
-use esr_storage::shard::FastIdMap;
 use esr_storage::store::LwwStore;
 
 use crate::mset::MSet;
@@ -32,34 +31,23 @@ use crate::site::{Delivered, Delivery, QueryOutcome, ReplicaSite};
 /// RITU in overwrite (last-writer-wins) mode.
 #[derive(Debug)]
 pub struct RituOverwriteSite {
-    site: SiteId,
     store: LwwStore,
     counters: LockCounters,
     applied_ets: FastIdMap<EtId, ()>,
     applied: u64,
     redelivered: u64,
-    /// Metrics bundle (no-op until attached).
-    obs: SiteInstruments,
 }
 
 impl RituOverwriteSite {
     /// A fresh site.
-    pub fn new(site: SiteId) -> Self {
+    pub fn new(_site: SiteId) -> Self {
         Self {
-            site,
             store: LwwStore::new(),
             counters: LockCounters::new(),
             applied_ets: FastIdMap::default(),
             applied: 0,
             redelivered: 0,
-            obs: SiteInstruments::default(),
         }
-    }
-
-    /// Attaches a metrics bundle: subsequent deliveries and queries
-    /// tick its series (a detached bundle costs one branch).
-    pub fn attach_metrics(&mut self, obs: SiteInstruments) {
-        self.obs = obs;
     }
 
     /// Total MSets applied.
@@ -83,6 +71,11 @@ impl RituOverwriteSite {
         self.store.version(object)
     }
 
+    /// The highest lock-counter value any object has reached here.
+    pub fn lock_counter_high_water(&self) -> u64 {
+        self.counters.high_water()
+    }
+
     /// Captures the site's full protocol state as a checkpoint image:
     /// store contents *with* the winning version per object (the LWW
     /// arbitration state), in-flight lock-counter holders, and the
@@ -102,38 +95,27 @@ impl RituOverwriteSite {
     /// Rebuilds a site from a checkpoint image, mid-protocol: restored
     /// versions keep arbitrating against late timestamped writes, so an
     /// older write redelivered after the restart still loses.
-    pub fn from_ckpt(site: SiteId, c: crate::ckpt::RituCkpt) -> Self {
+    pub fn from_ckpt(_site: SiteId, c: crate::ckpt::RituCkpt) -> Self {
         let mut store = LwwStore::new();
         for (object, ts, value) in c.values {
             let _ = store.apply_timestamped(object, ts, value);
         }
         let counters = LockCounters::from_held_sets(c.held);
         Self {
-            site,
             store,
             counters,
             applied_ets: c.applied_ets.into_iter().map(|et| (et, ())).collect(),
             applied: c.applied,
             redelivered: c.redelivered,
-            obs: SiteInstruments::default(),
         }
     }
 }
 
 impl ReplicaSite for RituOverwriteSite {
-    fn method_name(&self) -> &'static str {
-        "RITU"
-    }
-
-    fn site_id(&self) -> SiteId {
-        self.site
-    }
-
     #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
     fn deliver(&mut self, mset: MSet) -> Delivery {
         if self.applied_ets.contains_key(&mset.et) {
             self.redelivered += 1;
-            self.obs.delivered(1, 0, 1);
             return Delivered::Duplicate.into();
         }
         for op in &mset.ops {
@@ -151,11 +133,9 @@ impl ReplicaSite for RituOverwriteSite {
                 }
             }
         }
-        let high_water = self.counters.begin_update(mset.et, mset.write_set());
-        self.obs.lock_counter_high_water(high_water);
+        self.counters.begin_update(mset.et, mset.write_set());
         self.applied_ets.insert(mset.et, ());
         self.applied += 1;
-        self.obs.delivered(1, 1, 0);
         Delivered::Applied.into()
     }
 
@@ -170,10 +150,8 @@ impl ReplicaSite for RituOverwriteSite {
     ) -> QueryOutcome {
         let charge = self.counters.inconsistency_of_set(read_set.iter().copied());
         if !counter.charge(charge).is_admitted() {
-            self.obs.query(charge, counter.spec().limit, false);
             return QueryOutcome::rejected();
         }
-        self.obs.query(charge, counter.spec().limit, true);
         QueryOutcome {
             values: read_set.iter().map(|&o| self.store.get(o)).collect(),
             charged: charge,
@@ -193,46 +171,23 @@ impl ReplicaSite for RituOverwriteSite {
 /// RITU in multiversion mode with VTNC visibility control.
 #[derive(Debug)]
 pub struct RituMvSite {
-    site: SiteId,
     store: MvStore,
     applied_ets: FastIdMap<EtId, ()>,
     applied: u64,
     redelivered: u64,
-    /// Largest version time installed locally (for the lag gauge).
+    /// Largest version time installed locally (for the lag reading).
     newest_installed: u64,
-    /// Metrics bundle (no-op until attached).
-    obs: SiteInstruments,
 }
 
 impl RituMvSite {
     /// A fresh site.
-    pub fn new(site: SiteId) -> Self {
+    pub fn new(_site: SiteId) -> Self {
         Self {
-            site,
             store: MvStore::new(),
             applied_ets: FastIdMap::default(),
             applied: 0,
             redelivered: 0,
             newest_installed: 0,
-            obs: SiteInstruments::default(),
-        }
-    }
-
-    /// Attaches a metrics bundle: subsequent deliveries, VTNC advances,
-    /// and queries tick its series (a detached bundle costs one branch).
-    pub fn attach_metrics(&mut self, obs: SiteInstruments) {
-        obs.set_vtnc(self.store.vtnc().time);
-        obs.set_vtnc_lag(self.newest_installed.saturating_sub(self.store.vtnc().time));
-        self.obs = obs;
-    }
-
-    /// Re-ticks the horizon and lag gauges after an install or advance.
-    fn tick_vtnc_gauges(&self) {
-        if self.obs.is_attached() {
-            let horizon = self.store.vtnc().time;
-            self.obs.set_vtnc(horizon);
-            self.obs
-                .set_vtnc_lag(self.newest_installed.saturating_sub(horizon));
         }
     }
 
@@ -255,20 +210,18 @@ impl RituMvSite {
     /// Rebuilds a site from a checkpoint image, mid-protocol: the
     /// version chains and VTNC resume exactly where the cut left them,
     /// so post-restore queries see the same stable horizon.
-    pub fn from_ckpt(site: SiteId, c: crate::ckpt::RituMvCkpt) -> Self {
+    pub fn from_ckpt(_site: SiteId, c: crate::ckpt::RituMvCkpt) -> Self {
         let mut store = MvStore::new();
         for (object, ts, value) in c.versions {
             store.install(object, ts, value);
         }
         store.advance_vtnc(c.vtnc);
         Self {
-            site,
             store,
             applied_ets: c.applied_ets.into_iter().map(|et| (et, ())).collect(),
             applied: c.applied,
             redelivered: c.redelivered,
             newest_installed: c.newest_installed,
-            obs: SiteInstruments::default(),
         }
     }
 
@@ -288,12 +241,17 @@ impl RituMvSite {
         self.store.vtnc()
     }
 
+    /// How far certified visibility trails the newest version installed
+    /// here, in version-clock ticks (0 once the horizon catches up).
+    pub fn vtnc_lag(&self) -> u64 {
+        self.newest_installed.saturating_sub(self.store.vtnc().time)
+    }
+
     /// Advances the VTNC: the certification service has determined that
     /// every version at or below `to` is installed at every replica and
     /// no smaller version can ever be created.
     pub fn advance_vtnc(&mut self, to: VersionTs) {
         self.store.advance_vtnc(to);
-        self.tick_vtnc_gauges();
     }
 
     /// Direct access to the underlying multiversion store (for COMPE
@@ -309,18 +267,9 @@ impl RituMvSite {
 }
 
 impl ReplicaSite for RituMvSite {
-    fn method_name(&self) -> &'static str {
-        "RITU-MV"
-    }
-
-    fn site_id(&self) -> SiteId {
-        self.site
-    }
-
     fn deliver(&mut self, mset: MSet) -> Delivery {
         if self.applied_ets.contains_key(&mset.et) {
             self.redelivered += 1;
-            self.obs.delivered(1, 0, 1);
             return Delivered::Duplicate.into();
         }
         for op in &mset.ops {
@@ -335,8 +284,6 @@ impl ReplicaSite for RituMvSite {
         }
         self.applied_ets.insert(mset.et, ());
         self.applied += 1;
-        self.obs.delivered(1, 1, 0);
-        self.tick_vtnc_gauges();
         Delivered::Applied.into()
     }
 
@@ -368,7 +315,6 @@ impl ReplicaSite for RituMvSite {
                 values.push(latest.value);
             }
         }
-        self.obs.query(charged, counter.spec().limit, true);
         QueryOutcome {
             values,
             charged,

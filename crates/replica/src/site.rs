@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use esr_core::divergence::InconsistencyCounter;
-use esr_core::ids::{EtId, ObjectId, SeqNo, SiteId, VersionTs};
+use esr_core::ids::{EtId, ObjectId, SeqNo, VersionTs};
 use esr_core::value::Value;
 
 use crate::mset::MSet;
@@ -100,14 +100,28 @@ impl From<Delivered> for Delivery {
     }
 }
 
+/// The quantities a site holds that an executor publishes as gauges
+/// when its registry is read — what is pending, what compensation has
+/// cost, how high the lock-counters went, where visibility stands.
+/// All zero for a method the field does not apply to.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SiteReadings {
+    /// Delivered-but-unapplied MSets ([`ReplicaSite::backlog`]).
+    pub backlog: u64,
+    /// COMPE: applied-but-undecided MSets.
+    pub at_risk: u64,
+    /// COMPE: aborts compensated so far.
+    pub compensations: u64,
+    /// COMMU / RITU overwrite: the highest per-object lock-counter seen.
+    pub lock_counter_high_water: u64,
+    /// RITU-MV: the certified VTNC horizon.
+    pub vtnc_time: u64,
+    /// RITU-MV: newest locally installed version time minus the horizon.
+    pub vtnc_lag: u64,
+}
+
 /// One site's replica control state machine.
 pub trait ReplicaSite {
-    /// The method's name, used in reports ("ORDUP", "COMMU", …).
-    fn method_name(&self) -> &'static str;
-
-    /// This site's identity.
-    fn site_id(&self) -> SiteId;
-
     /// Handles one delivered update MSet. The site may apply it
     /// immediately, hold it back for ordering, or apply it optimistically
     /// pending commit. Duplicate deliveries must be idempotent. The

@@ -20,12 +20,21 @@
 //! step machines stay deterministic), and the client-submit wall stamp
 //! `t0` rides inside the MSet so every site can report queueing delay
 //! against the same epoch.
+//!
+//! The metrics registry is one more consumer: an executor that owns
+//! one feeds the per-site counters from the events it records
+//! ([`Event::count`]) and the per-site gauges from the site's state
+//! when the registry is read ([`publish_readings`]). The sites and the
+//! core hold no instrument.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use esr_core::ids::{ClientId, EtId, SeqNo, SiteId, VersionTs};
+use esr_obs::SiteInstruments;
+
+use crate::site::SiteReadings;
 
 /// A protocol hop in an ET's distributed lifecycle.
 ///
@@ -306,6 +315,40 @@ pub enum Event {
     },
 }
 
+impl Event {
+    /// Feeds the per-site delivery counters from this event — the only
+    /// mapping from the event plane to `esr_msets_delivered_total`,
+    /// `esr_msets_applied_total` and `esr_redelivered_total`; an
+    /// executor calls it where it records the event. A `Replay` is the
+    /// restarted site's delivery and apply in one. A journal record the
+    /// restored image already covers emits no event and counts as
+    /// nothing: the image, not a delivery, put it there.
+    pub fn count(&self, obs: &SiteInstruments) {
+        match self {
+            Event::Span(rec) => match rec.stage {
+                SpanStage::Deliver => obs.delivered(),
+                SpanStage::Apply => obs.applied(),
+                SpanStage::Replay => {
+                    obs.delivered();
+                    obs.applied();
+                }
+                _ => {}
+            },
+            Event::DuplicateDelivery { .. } => obs.redelivered(),
+            _ => {}
+        }
+    }
+}
+
+/// Copies what a site holds ([`crate::state::SiteState::readings`])
+/// into its gauges — called when a registry is about to be read.
+pub fn publish_readings(r: SiteReadings, obs: &SiteInstruments) {
+    obs.set_pending(r.backlog, r.at_risk);
+    obs.set_compensations(r.compensations);
+    obs.set_lock_counter_high_water(r.lock_counter_high_water);
+    obs.set_vtnc(r.vtnc_time, r.vtnc_lag);
+}
+
 /// Renders the `component<TAB>message` columns of an `esrctl trace`
 /// line.
 impl fmt::Display for Event {
@@ -385,6 +428,33 @@ mod tests {
         assert!(s.starts_with("apply"), "{s}");
         assert!(s.contains("et7"), "{s}");
         assert!(s.contains("seq=#2"), "{s}");
+    }
+
+    /// The whole event → counter table: three stages and one variant
+    /// count, everything else is silent.
+    #[test]
+    fn count_feeds_exactly_the_delivery_counters() {
+        let registry = esr_obs::MetricsRegistry::new();
+        let obs = SiteInstruments::for_site(&registry, "commu", 0);
+        let span = |stage| Event::Span(SpanRec::new(stage, EtId(1)));
+        for event in [
+            span(SpanStage::Submit),
+            span(SpanStage::Deliver),
+            span(SpanStage::Held),
+            span(SpanStage::Deliver),
+            Event::DuplicateDelivery { et: EtId(1) },
+            span(SpanStage::Apply),
+            span(SpanStage::Replay),
+            span(SpanStage::Complete),
+            Event::CkptCut { covered: 1 },
+        ] {
+            event.count(&obs);
+        }
+        let snap = registry.snapshot();
+        let read = |name| snap.value(name, &[("method", "commu"), ("site", "0")]);
+        assert_eq!(read("esr_msets_delivered_total"), Some(3), "two arrivals + one replay");
+        assert_eq!(read("esr_msets_applied_total"), Some(2), "one apply + one replay");
+        assert_eq!(read("esr_redelivered_total"), Some(1));
     }
 
     #[test]

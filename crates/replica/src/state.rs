@@ -20,7 +20,7 @@ use crate::compe::CompeSite;
 use crate::mset::{MSet, OrderTag};
 use crate::ordup::{OrdupLamportSite, OrdupSite};
 use crate::ritu::{RituMvSite, RituOverwriteSite};
-use crate::site::{Delivery, QueryOutcome, ReplicaSite};
+use crate::site::{Delivery, QueryOutcome, ReplicaSite, SiteReadings};
 
 /// Replica control methods available in the runtimes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,8 +125,7 @@ impl SiteState {
     }
 
     /// Rebuilds a site from a checkpoint image. The variant fixes the
-    /// method; the metrics bundle is *not* checkpointed — re-attach it
-    /// after restore if wanted.
+    /// method.
     pub fn from_ckpt(id: SiteId, c: SiteCkpt) -> Self {
         match c {
             SiteCkpt::Ordup(c) => SiteState::Ordup(OrdupSite::from_ckpt(id, c)),
@@ -234,17 +233,27 @@ impl SiteState {
         }
     }
 
-    /// Attaches a per-site metrics bundle; the site ticks its delivery,
-    /// backlog, and epsilon series from then on.
-    pub fn attach_metrics(&mut self, obs: esr_obs::SiteInstruments) {
+    /// What this site holds that a scrape publishes as gauges — the one
+    /// place an executor reads them from.
+    pub fn readings(&self) -> SiteReadings {
+        let mut r = SiteReadings {
+            backlog: self.backlog() as u64,
+            ..SiteReadings::default()
+        };
         match self {
-            SiteState::Ordup(s) => s.attach_metrics(obs),
-            SiteState::OrdupLamport(s) => s.attach_metrics(obs),
-            SiteState::Commu(s) => s.attach_metrics(obs),
-            SiteState::Ritu(s) => s.attach_metrics(obs),
-            SiteState::RituMv(s) => s.attach_metrics(obs),
-            SiteState::Compe(s) => s.attach_metrics(obs),
+            SiteState::Ordup(_) | SiteState::OrdupLamport(_) => {}
+            SiteState::Commu(s) => r.lock_counter_high_water = s.lock_counter_high_water(),
+            SiteState::Ritu(s) => r.lock_counter_high_water = s.lock_counter_high_water(),
+            SiteState::RituMv(s) => {
+                r.vtnc_time = s.vtnc().time;
+                r.vtnc_lag = s.vtnc_lag();
+            }
+            SiteState::Compe(s) => {
+                r.at_risk = s.at_risk() as u64;
+                r.compensations = s.compensations();
+            }
         }
+        r
     }
 
     /// Completion notice: every site has applied `et` (releases the

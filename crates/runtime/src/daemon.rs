@@ -84,7 +84,7 @@ use esr_obs::{
     ReactorInstruments, SiteInstruments,
 };
 use esr_replica::mset::MSet;
-use esr_replica::span::Event;
+use esr_replica::span::{publish_readings, Event};
 use esr_replica::wire::{decode_frame, encode_frame, Frame};
 use esr_storage::snapshot;
 use esr_storage::stable_queue::FileQueue;
@@ -167,6 +167,10 @@ pub struct Daemon {
     robs: ReactorInstruments,
     /// This incarnation's metrics; scraped via [`Frame::Metrics`].
     metrics: MetricsRegistry,
+    /// This site's replica series: counters fed from the core's events
+    /// in [`Daemon::perform`], the query series in the client plane,
+    /// the state-held gauges when a scrape is answered.
+    site_obs: SiteInstruments,
     /// This incarnation's bounded event log: every `Effect::Event` of
     /// the core plus the daemon's own boot and checkpoint-chain notes;
     /// scraped via [`Frame::EventQuery`].
@@ -335,6 +339,7 @@ impl Daemon {
         let site_label = cfg.site.raw().to_string();
         let replays = metrics.counter("esr_recovery_replays_total", &[("site", &site_label)]);
         let ckpt_obs = CkptInstruments::for_site(&metrics, cfg.site.raw());
+        let site_obs = SiteInstruments::for_site(&metrics, cfg.method.name(), cfg.site.raw());
         let journal = ApplyJournal::open(journal_path(&cfg.dir, cfg.site))?;
         let prefix = snap_prefix(cfg.site);
 
@@ -363,7 +368,7 @@ impl Daemon {
         // replay when there is no snapshot or every snapshot is
         // corrupt. Either path runs the pure recovery code the model
         // checker explores.
-        let mut restored: Option<(NodeCore, Vec<Effect>, CkptState)> = None;
+        let mut restored: Option<(NodeCore, Vec<Effect>, CkptState, u64)> = None;
         if let Some((snap_seq, payload_bytes)) =
             snapshot::load_newest(&cfg.dir, &prefix).ok().flatten()
         {
@@ -381,7 +386,7 @@ impl Daemon {
                     covered_through: payload.covered_through,
                 };
                 let started = Instant::now();
-                if let Some((mut core, effects)) = NodeCore::restore(
+                if let Some((core, effects)) = NodeCore::restore(
                     cfg.method,
                     cfg.site,
                     cfg.sites,
@@ -391,23 +396,7 @@ impl Daemon {
                     suffix,
                 ) {
                     ckpt_obs.suffix_replay(started.elapsed().as_micros() as u64);
-                    // The metrics bundle is not part of the
-                    // checkpoint image; re-attach it now.
-                    core.state.attach_metrics(SiteInstruments::for_site(
-                        &metrics,
-                        cfg.method.name(),
-                        cfg.site.raw(),
-                    ));
-                    for _ in 0..replayed {
-                        replays.inc();
-                    }
-                    events.record(Event::Boot {
-                        epoch,
-                        snapshot: Some((snap_seq, chain.covered)),
-                        replayed,
-                        view: core.view,
-                    });
-                    restored = Some((core, effects, chain));
+                    restored = Some((core, effects, chain, replayed));
                 } else {
                     events.record(Event::CkptFailed {
                         seq: snap_seq,
@@ -416,27 +405,13 @@ impl Daemon {
                 }
             }
         }
-        let (core, recovery_effects, mut ckpt_state) = match restored {
+        let (core, recovery_effects, mut ckpt_state, replayed) = match restored {
             Some(r) => r,
             None => {
-                let mut state = SiteState::new(cfg.method, cfg.site);
-                state.attach_metrics(SiteInstruments::for_site(
-                    &metrics,
-                    cfg.method.name(),
-                    cfg.site.raw(),
-                ));
                 let entries = journal.replay();
-                for _ in &entries {
-                    replays.inc();
-                }
-                events.record(Event::Boot {
-                    epoch,
-                    snapshot: None,
-                    replayed: entries.len() as u64,
-                    view,
-                });
+                let replayed = entries.len() as u64;
                 let (core, effects) = NodeCore::recover(
-                    state,
+                    SiteState::new(cfg.method, cfg.site),
                     cfg.method,
                     cfg.site,
                     cfg.sites,
@@ -444,9 +419,19 @@ impl Daemon {
                     view,
                     entries,
                 );
-                (core, effects, CkptState::default())
+                (core, effects, CkptState::default(), replayed)
             }
         };
+        // One account of the boot, whichever branch ran: the records
+        // handed to the replay here, the `Replay` spans among the
+        // recovery effects counted when `perform` executes them below.
+        replays.add(replayed);
+        events.record(Event::Boot {
+            epoch,
+            snapshot: (ckpt_state.seq > 0).then_some((ckpt_state.seq, ckpt_state.covered)),
+            replayed,
+            view: core.view,
+        });
         // Never re-issue a sequence number an on-disk container already
         // claims, even a corrupt one load_newest skipped.
         if let Some(newest) = snapshot::list(&cfg.dir, &prefix)
@@ -523,6 +508,7 @@ impl Daemon {
             robs,
             cfg,
             metrics,
+            site_obs,
             events,
             apply_latency,
             rpc_latency,
@@ -556,7 +542,8 @@ impl Daemon {
                 }
             })?;
 
-        // Execute the recovery effects: replay events plus the
+        // Execute the recovery effects: replay events (counted like any
+        // other, whichever branch produced them) plus the
         // re-announcement of recovered applies (the coordinator
         // deduplicates).
         daemon.perform(recovery_effects);
@@ -656,7 +643,10 @@ impl Daemon {
                     let _ = self.ckpt_tx.lock().send(payload);
                 }
                 Effect::RecordView(view) => self.record_view(view),
-                Effect::Event(event) => self.events.record(event),
+                Effect::Event(event) => {
+                    event.count(&self.site_obs);
+                    self.events.record(event);
+                }
                 // Staged above.
                 Effect::Journal(_) | Effect::Send { .. } => {}
             }
@@ -770,7 +760,9 @@ impl Daemon {
             } => {
                 let mut counter =
                     InconsistencyCounter::new(EpsilonSpec::bounded(epsilon_limit));
-                Frame::QueryOk(self.core.lock().state.query(&read_set, &mut counter))
+                let out = self.core.lock().state.query(&read_set, &mut counter);
+                self.site_obs.query(out.charged, epsilon_limit, out.admitted);
+                Frame::QueryOk(out)
             }
             Frame::Snapshot => Frame::SnapshotOk {
                 entries: self.core.lock().state.snapshot().into_iter().collect(),
@@ -831,9 +823,12 @@ impl Daemon {
                     },
                 }
             }
-            Frame::Metrics => Frame::MetricsOk {
-                text: self.metrics.render(),
-            },
+            Frame::Metrics => {
+                publish_readings(self.core.lock().state.readings(), &self.site_obs);
+                Frame::MetricsOk {
+                    text: self.metrics.render(),
+                }
+            }
             Frame::EventQuery { et } => {
                 let (dropped, events) = self.events.query(et);
                 Frame::EventOk { dropped, events }

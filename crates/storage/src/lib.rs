@@ -19,13 +19,11 @@
 
 pub mod mvstore;
 pub mod recovery_log;
-pub mod shard;
 pub mod snapshot;
 pub mod stable_queue;
 pub mod store;
 
 pub use mvstore::{MvStore, VersionedRead};
-pub use shard::{ShardMap, SHARD_COUNT};
 pub use recovery_log::{AppliedOp, LogRecord, RecoveryLog, RollbackReport, RollbackStrategy};
 pub use stable_queue::{EntryId, FileQueue, MemQueue, StableQueue};
 pub use store::{LwwOutcome, LwwStore, ObjectStore};

@@ -10,10 +10,11 @@
 
 use std::collections::BTreeMap;
 
+use esr_core::fastid::FastIdMap;
 use esr_core::ids::{ObjectId, VersionTs};
 use esr_core::value::Value;
 
-use crate::shard::ShardMap;
+use crate::store::to_btree;
 
 /// A read served by the multiversion store.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,9 +51,9 @@ pub struct VersionedRead {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MvStore {
     /// Per-object version chains, ordered by version timestamp. The
-    /// outer map is sharded (hot on the apply path); each chain stays a
+    /// outer map is hashed (hot on the apply path); each chain stays a
     /// `BTreeMap` because reads range-scan it by version.
-    chains: ShardMap<BTreeMap<VersionTs, Value>>,
+    chains: FastIdMap<ObjectId, BTreeMap<VersionTs, Value>>,
     /// Visibility horizon: versions `<= vtnc` are stable.
     vtnc: VersionTs,
 }
@@ -60,7 +61,7 @@ pub struct MvStore {
 impl Default for MvStore {
     fn default() -> Self {
         Self {
-            chains: ShardMap::new(),
+            chains: FastIdMap::default(),
             vtnc: VersionTs::MIN,
         }
     }
@@ -98,10 +99,10 @@ impl MvStore {
     /// COMPE support: removes the version installed at `ts`, as if the
     /// update never ran. Returns the removed value.
     pub fn remove_version(&mut self, object: ObjectId, ts: VersionTs) -> Option<Value> {
-        let chain = self.chains.get_mut(object)?;
+        let chain = self.chains.get_mut(&object)?;
         let removed = chain.remove(&ts);
         if chain.is_empty() {
-            self.chains.remove(object);
+            self.chains.remove(&object);
         }
         removed
     }
@@ -109,7 +110,7 @@ impl MvStore {
     /// COMPE's alternative compensation: overwrite the version at `ts`
     /// with the previous value, keeping the timestamp.
     pub fn replace_version(&mut self, object: ObjectId, ts: VersionTs, value: Value) -> bool {
-        match self.chains.get_mut(object).and_then(|c| c.get_mut(&ts)) {
+        match self.chains.get_mut(&object).and_then(|c| c.get_mut(&ts)) {
             Some(slot) => {
                 *slot = value;
                 true
@@ -129,7 +130,7 @@ impl MvStore {
     pub fn read_at(&self, object: ObjectId, horizon: VersionTs) -> VersionedRead {
         let found = self
             .chains
-            .get(object)
+            .get(&object)
             .and_then(|c| c.range(..=horizon).next_back())
             .map(|(ts, v)| (*ts, v.clone()));
         match found {
@@ -152,7 +153,7 @@ impl MvStore {
     pub fn read_latest(&self, object: ObjectId) -> VersionedRead {
         let found = self
             .chains
-            .get(object)
+            .get(&object)
             .and_then(|c| c.iter().next_back())
             .map(|(ts, v)| (*ts, v.clone()));
         match found {
@@ -171,13 +172,13 @@ impl MvStore {
 
     /// Number of versions held for `object`.
     pub fn version_count(&self, object: ObjectId) -> usize {
-        self.chains.get(object).map_or(0, |c| c.len())
+        self.chains.get(&object).map_or(0, |c| c.len())
     }
 
     /// All versions of `object`, oldest first.
     pub fn versions(&self, object: ObjectId) -> Vec<(VersionTs, Value)> {
         self.chains
-            .get(object)
+            .get(&object)
             .map(|c| c.iter().map(|(t, v)| (*t, v.clone())).collect())
             .unwrap_or_default()
     }
@@ -217,10 +218,12 @@ impl MvStore {
 
     /// Latest-value snapshot (for replica convergence comparison).
     pub fn snapshot_latest(&self) -> BTreeMap<ObjectId, Value> {
-        self.chains
-            .iter()
-            .filter_map(|(o, c)| c.iter().next_back().map(|(_, v)| (*o, v.clone())))
-            .collect()
+        // A chain is never empty: `install` creates it with its first
+        // version, `remove_version` drops it with its last, pruning
+        // keeps the newest stable one.
+        to_btree(&self.chains, |c| {
+            c.values().next_back().cloned().unwrap_or_default()
+        })
     }
 }
 

@@ -13,18 +13,28 @@
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
+use esr_core::fastid::FastIdMap;
 use esr_core::ids::{ObjectId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
 use esr_core::CoreResult;
 
-use crate::shard::ShardMap;
+/// Deterministically ordered copy of an object-keyed hash map — where
+/// a store's hash order ends: everything user-visible or compared
+/// across replicas (snapshots, dumps) goes through here, never the
+/// apply path.
+pub(crate) fn to_btree<V, U>(
+    map: &FastIdMap<ObjectId, V>,
+    mut f: impl FnMut(&V) -> U,
+) -> BTreeMap<ObjectId, U> {
+    map.iter().map(|(k, v)| (*k, f(v))).collect()
+}
 
 /// A plain object store: one current value per object. Missing objects
 /// read as [`Value::ZERO`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObjectStore {
-    values: ShardMap<Value>,
+    values: FastIdMap<ObjectId, Value>,
 }
 
 impl ObjectStore {
@@ -42,7 +52,7 @@ impl ObjectStore {
 
     /// Reads the current value of `object` (zero if never written).
     pub fn get(&self, object: ObjectId) -> Value {
-        self.values.get(object).cloned().unwrap_or_default()
+        self.values.get(&object).cloned().unwrap_or_default()
     }
 
     /// Applies one bound operation. Reads leave the store unchanged and
@@ -66,7 +76,7 @@ impl ObjectStore {
     /// A snapshot of all explicitly written objects, in deterministic
     /// object order.
     pub fn snapshot(&self) -> BTreeMap<ObjectId, Value> {
-        self.values.to_btree(Value::clone)
+        to_btree(&self.values, Value::clone)
     }
 
     /// Number of objects holding an explicit value.
@@ -84,7 +94,7 @@ impl ObjectStore {
 /// the version of the write that produced its current value.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LwwStore {
-    values: ShardMap<(VersionTs, Value)>,
+    values: FastIdMap<ObjectId, (VersionTs, Value)>,
 }
 
 /// What [`LwwStore::apply_timestamped`] did with a write.
@@ -105,7 +115,7 @@ impl LwwStore {
     /// Reads the current value (zero if never written).
     pub fn get(&self, object: ObjectId) -> Value {
         self.values
-            .get(object)
+            .get(&object)
             .map(|(_, v)| v.clone())
             .unwrap_or_default()
     }
@@ -114,7 +124,7 @@ impl LwwStore {
     /// written).
     pub fn version(&self, object: ObjectId) -> VersionTs {
         self.values
-            .get(object)
+            .get(&object)
             .map(|(ts, _)| *ts)
             .unwrap_or(VersionTs::MIN)
     }
@@ -165,7 +175,7 @@ impl LwwStore {
     /// Snapshot of values only (versions stripped), in deterministic
     /// object order, for convergence comparison between replicas.
     pub fn snapshot(&self) -> BTreeMap<ObjectId, Value> {
-        self.values.to_btree(|(_, v)| v.clone())
+        to_btree(&self.values, |(_, v)| v.clone())
     }
 
     /// Full versioned dump in deterministic object order — the
@@ -173,8 +183,7 @@ impl LwwStore {
     /// through [`LwwStore::apply_timestamped`] restores both values and
     /// arbitration state.
     pub fn versioned_dump(&self) -> Vec<(ObjectId, VersionTs, Value)> {
-        self.values
-            .to_btree(Clone::clone)
+        to_btree(&self.values, Clone::clone)
             .into_iter()
             .map(|(object, (ts, value))| (object, ts, value))
             .collect()

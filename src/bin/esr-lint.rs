@@ -29,7 +29,7 @@
 //!   `serialize*`, `to_bytes*`, `encode*`, `digest*`) in any workspace
 //!   crate: hash order varies per process, so anything user-visible or
 //!   compared across replicas must round through a `BTreeMap` (see
-//!   `ShardMap::to_btree`).
+//!   `esr_storage::store::to_btree`).
 //!
 //! A finding is suppressed by a `// lint: allow(<rule>)` comment on the
 //! same line or the line directly above. Exit status is non-zero when

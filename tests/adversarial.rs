@@ -50,13 +50,10 @@ fn submit_mixed(cluster: &mut SimCluster, method: Method, n: u64) {
     }
 }
 
-/// Certifies a finished run's event logs against the method's spec.
-/// ORDUP-L is skipped: its quiescence heartbeat applies the tail
-/// outside the core, so those applies have no event to certify.
+/// Certifies a finished run's event logs against the method's spec —
+/// ORDUP-L included: the simulator records the applies its quiescence
+/// heartbeat causes, so the tail is in the dump.
 fn assert_certified(cluster: &SimCluster, method: Method, scenario: &str) {
-    if method == Method::OrdupLamport {
-        return;
-    }
     let traces: Vec<SiteTrace> = cluster
         .site_ids()
         .into_iter()

@@ -2,7 +2,7 @@
 //! consistent snapshots, truncating their journals, recovering from
 //! snapshot + suffix replay, and re-seeding a wiped site over the wire.
 //!
-//! Three scenarios:
+//! Four scenarios:
 //!
 //! 1. **Restart from snapshot** — after two on-demand checkpoints (the
 //!    second triggers lag-by-one truncation of the first's covered
@@ -16,6 +16,9 @@
 //!    converges on subsequent traffic. Trace-certified.
 //! 3. **Byte policy** — with `--ckpt-bytes` set low, sustained traffic
 //!    makes the daemons cut checkpoints and truncate on their own.
+//! 4. **One answer for replays** — two sites with the same history, one
+//!    booting from a snapshot and one from its whole journal, count a
+//!    replayed record the same way.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -143,6 +146,55 @@ fn restart_recovers_from_snapshot_replaying_only_the_suffix() {
     let status = c.status_of(SiteId(1)).expect("status after restart");
     assert_eq!(status.ckpt_seq, 2, "restored chain should resume at seq 2");
     assert_eq!(status.ckpt_covered, 8);
+
+    certify_cluster(&c);
+    c.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_replay_counts_as_an_apply_with_and_without_a_snapshot() {
+    let dir = fresh_dir("replays");
+    let mut c = ProcCluster::spawn(esrd(), &dir, RtMethod::Commu, N).expect("spawn");
+    let submit_range = |c: &ProcCluster, range: std::ops::Range<u64>, then: &str| {
+        for i in range {
+            submit(c, i, &[0, 1, 2]);
+        }
+        c.quiesce_within(QUIESCE).unwrap_or_else(|e| panic!("quiesce {then}: {e}"));
+    };
+    submit_range(&c, 0..8, "before the checkpoint");
+    // Only site 1 snapshots: its image covers the first 8 updates.
+    assert_eq!(c.checkpoint_at(SiteId(1)).expect("checkpoint"), (1, 8));
+    submit_range(&c, 8..12, "before the kills");
+
+    // Same history, two boots: site 1 restores the image and replays a
+    // 4-record suffix, site 2 replays all 12 records.
+    c.kill(SiteId(1));
+    c.kill(SiteId(2));
+    c.restart(SiteId(1)).expect("restart site 1");
+    c.restart(SiteId(2)).expect("restart site 2");
+    c.quiesce_within(QUIESCE).expect("quiesce after the restarts");
+    submit_range(&c, 12..15, "after live traffic");
+    assert!(c.converged().expect("converged"));
+
+    for (site, replays) in [(1u64, 4i64), (2, 12)] {
+        let text = c.metrics_of(SiteId(site)).expect("metrics after restart");
+        assert_eq!(
+            metric(&text, &format!("esr_recovery_replays_total{{site=\"{site}\"}}")),
+            Some(replays),
+            "site {site} replayed the wrong number of records:\n{text}"
+        );
+        // A replayed record the image does not cover is this
+        // incarnation's apply of it, whichever boot ran; the 8 records
+        // site 1's image covers were put there by the image, not by a
+        // delivery. The 3 live updates count once each on top.
+        let labels = format!("{{method=\"commu\",site=\"{site}\"}}");
+        assert_eq!(
+            metric(&text, &format!("esr_msets_applied_total{labels}")),
+            Some(replays + 3),
+            "site {site}: applied != image-uncovered replays + live applies:\n{text}"
+        );
+    }
 
     certify_cluster(&c);
     c.shutdown();

@@ -1,7 +1,7 @@
 //! End-to-end observability: the `esr-obs` registry threaded through
 //! the simulated cluster.
 //!
-//! Four guarantees under test:
+//! Five guarantees under test:
 //!
 //! 1. **Determinism** — a simulated run reads only the virtual clock, so
 //!    the same seed must produce a *byte-identical* metrics snapshot.
@@ -15,11 +15,14 @@
 //! 4. **One event plane** — the simulator's per-site event logs are the
 //!    same typed events the daemon records, so they merge into one
 //!    causal per-ET timeline through the same `merge_timeline`.
+//! 5. **One fold** — the per-site delivery counters are a function of
+//!    the site's event dump and nothing else.
 
 use esr::core::{EpsilonSpec, ObjectId, ObjectOp, Operation, SiteId, Value};
 use esr::net::latency::LatencyModel;
 use esr::net::topology::LinkConfig;
 use esr::replica::cluster::{ClusterConfig, Method, SimCluster};
+use esr::replica::span::{Event, SpanStage};
 use esr::sim::time::Duration;
 
 const SITES: u64 = 3;
@@ -188,6 +191,59 @@ fn delivery_counters_match_the_run() {
         Some(1000),
         "quiescence progress must read 1000 permille after run_until_quiescent"
     );
+}
+
+#[test]
+fn registry_equals_the_fold_of_the_event_dump() {
+    // Loss + duplication + reordering, no crash — so no event log is
+    // lost and the dump is the site's whole history.
+    for method in Method::ALL {
+        let cluster = run_scenario(method, 0xF01D);
+        let snap = cluster.metrics().snapshot();
+        for s in 0..SITES {
+            let site = s.to_string();
+            let labels: &[(&str, &str)] = &[("method", method.name()), ("site", &site)];
+            let read = |name: &str| {
+                snap.value(name, labels)
+                    .unwrap_or_else(|| panic!("{}: site {s} has no {name}", method.name()))
+            };
+            let (mut delivered, mut applied, mut redelivered) = (0i64, 0i64, 0i64);
+            let mut arrived = std::collections::BTreeSet::new();
+            let mut applied_ets = std::collections::BTreeSet::new();
+            for (_, _, event) in cluster.events_of(SiteId(s)) {
+                match event {
+                    Event::Span(rec) if rec.stage == SpanStage::Deliver => {
+                        delivered += 1;
+                        arrived.insert(rec.et);
+                    }
+                    Event::Span(rec) if rec.stage == SpanStage::Apply => {
+                        applied += 1;
+                        applied_ets.insert(rec.et);
+                    }
+                    Event::DuplicateDelivery { .. } => redelivered += 1,
+                    _ => {}
+                }
+            }
+            let what = format!("{} site {s}", method.name());
+            assert_eq!(read("esr_msets_delivered_total"), delivered, "{what}: delivered");
+            assert_eq!(read("esr_msets_applied_total"), applied, "{what}: applied");
+            assert_eq!(read("esr_redelivered_total"), redelivered, "{what}: redelivered");
+            assert!(delivered > 0 && applied > 0, "{what}: the run did nothing");
+            // Every first arrival is applied or still parked — ORDUP-L's
+            // heartbeat tail included — except a COMPE MSet its abort
+            // outran, which is delivered and dropped for good.
+            let suppressed = arrived.difference(&applied_ets).count() as i64;
+            assert!(
+                suppressed == 0 || method == Method::Compe,
+                "{what}: {suppressed} delivered MSets were never applied"
+            );
+            assert_eq!(
+                delivered - redelivered - read("esr_backlog"),
+                applied + suppressed,
+                "{what}: delivered - redelivered - backlog != applied"
+            );
+        }
+    }
 }
 
 #[test]

@@ -133,6 +133,31 @@ fn certify_cluster(c: &ProcCluster, method: RtMethod, n: usize) {
     );
 }
 
+/// The registry equals the fold of the dump: a site's delivery
+/// counters as a `metrics` scrape shows them, recomputed from the lines
+/// of the same site's `trace` dump (the events' `Display` text, as
+/// `esrctl trace` prints it). Only meaningful for a ring that has
+/// dropped nothing, and once the site has gone quiet.
+fn assert_counters_match_trace(what: &str, site_labels: &str, metrics: &str, trace: &str) {
+    let count = |pred: &dyn Fn(&str) -> bool| trace.lines().filter(|l| pred(l)).count() as u64;
+    let deliver = count(&|l| l.contains("\tspan\tdeliver "));
+    let apply = count(&|l| l.contains("\tspan\tapply "));
+    let replay = count(&|l| l.contains("\tspan\treplay "));
+    let duplicate = count(&|l| l.contains("\tapply\tet ") && l.ends_with(" duplicate"));
+    let read = |series: &str| -> u64 {
+        let prefix = format!("{series}{site_labels} ");
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(&prefix))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("{what}: no {series} in the scrape:\n{metrics}"))
+    };
+    assert!(apply + replay > 0, "{what}: the dump shows no apply:\n{trace}");
+    assert_eq!(read("esr_msets_delivered_total"), deliver + replay, "{what}: delivered\n{trace}");
+    assert_eq!(read("esr_msets_applied_total"), apply + replay, "{what}: applied\n{trace}");
+    assert_eq!(read("esr_redelivered_total"), duplicate, "{what}: redelivered\n{trace}");
+}
+
 /// The full scenario: phase 1, `SIGKILL` site 1, phase 2 through the
 /// survivors, restart, COMPE decisions, quiesce, converge, compare.
 fn assert_proc_scenario(method: RtMethod, tag: &str) {
@@ -187,6 +212,13 @@ fn assert_proc_scenario(method: RtMethod, tag: &str) {
             text.contains(&journaled),
             "{method:?}: site {i} journal incomplete:\n{text}"
         );
+        // The revived site's ring and registry both began at its boot,
+        // so its journal replay is in the fold like everyone's applies.
+        let (dropped, events) = c.trace_of(SiteId(i as u64)).expect("trace");
+        assert_eq!(dropped, 0, "{method:?}: site {i} ring overflowed");
+        let trace: Vec<String> = events.iter().map(|(seq, _, e)| format!("{seq}\t{e}")).collect();
+        let labels = format!("{{method=\"{}\",site=\"{i}\"}}", method.name());
+        assert_counters_match_trace(&format!("{method:?} site {i}"), &labels, &text, &trace.join("\n"));
     }
     certify_cluster(&c, method, N);
     c.shutdown();
@@ -449,6 +481,7 @@ fn esrctl_metrics_scrapes_live_series_from_every_site() {
             trace.contains("boot") && trace.contains("apply"),
             "site {s}: trace ring missing boot/apply events:\n{trace}"
         );
+        assert_counters_match_trace(&format!("esrctl site {s}"), &site_labels, &text, &trace);
     }
     certify_cluster(&c, RtMethod::RituMv, N);
     c.shutdown();
