@@ -9,7 +9,7 @@
 //! TCP, retransmitting every unacknowledged entry each time the
 //! connection is (re)established — at-least-once delivery, with the
 //! receiver responsible for idempotency. Acknowledgements (envelopes
-//! echoing one or more entry ids, [`super::frame::seal_acks`]) retire
+//! echoing one or more entry ids, [`super::frame::put_acks`]) retire
 //! queue entries.
 //!
 //! Reconnection uses capped exponential backoff and re-resolves the
@@ -125,7 +125,7 @@ impl Drop for Link {
 
 #[cfg(test)]
 mod tests {
-    use super::super::frame::{read_frame, unseal, write_frame, KIND_PEER, NO_ENTRY};
+    use super::super::frame::{put_acks, read_frame, unseal, write_envelope, KIND_PEER, NO_ENTRY};
     use super::*;
     use esr_storage::stable_queue::MemQueue;
     use std::net::{Shutdown, TcpListener, TcpStream};
@@ -181,7 +181,7 @@ mod tests {
         for expect in [b"alpha".as_slice(), b"beta".as_slice()] {
             let env = unseal(read_frame(&mut s).unwrap()).unwrap();
             assert_eq!(env.payload, expect);
-            write_frame(&mut s, &super::super::frame::seal_ack(env.entry)).unwrap();
+            write_envelope(&mut s, env.entry, &[]).unwrap();
         }
         wait_until(|| link.pending() == 0);
         link.shutdown();
@@ -202,7 +202,7 @@ mod tests {
             let first = unseal(read_frame(&mut s).unwrap()).unwrap();
             assert_eq!(first.payload, b"one");
             let _second = read_frame(&mut s).unwrap();
-            write_frame(&mut s, &super::super::frame::seal_ack(first.entry)).unwrap();
+            write_envelope(&mut s, first.entry, &[]).unwrap();
             // Give the ack a moment to land before the drop closes us.
             wait_until(|| link.pending() == 1);
             let _ = s.shutdown(Shutdown::Both);
@@ -212,7 +212,7 @@ mod tests {
         let (mut s, _) = accept_peer(&listener);
         let env = unseal(read_frame(&mut s).unwrap()).unwrap();
         assert_eq!(env.payload, b"two");
-        write_frame(&mut s, &super::super::frame::seal_ack(env.entry)).unwrap();
+        write_envelope(&mut s, env.entry, &[]).unwrap();
         wait_until(|| link.pending() == 0);
         link.shutdown();
     }
@@ -235,7 +235,7 @@ mod tests {
         let (mut s, _) = accept_peer(&listener);
         let env = unseal(read_frame(&mut s).unwrap()).unwrap();
         assert_eq!(env.payload, b"late");
-        write_frame(&mut s, &super::super::frame::seal_ack(env.entry)).unwrap();
+        write_envelope(&mut s, env.entry, &[]).unwrap();
         wait_until(|| link.pending() == 0);
         link.shutdown();
     }
@@ -254,7 +254,9 @@ mod tests {
         for _ in 0..5 {
             read_frame(&mut s).unwrap();
         }
-        write_frame(&mut s, &super::super::frame::seal_acks(&ids)).unwrap();
+        let mut acks = Vec::new();
+        put_acks(&mut acks, &ids).unwrap();
+        std::io::Write::write_all(&mut s, &acks).unwrap();
         wait_until(|| link.pending() == 0);
         link.shutdown();
     }

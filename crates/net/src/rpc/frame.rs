@@ -18,6 +18,14 @@
 //! Immediately after connecting, a dialer writes a single connection
 //! kind byte ([`KIND_PEER`] or [`KIND_CLIENT`]) so the accepting daemon
 //! knows which plane the stream belongs to before any frame arrives.
+//!
+//! **One write per frame.** A frame is assembled contiguously —
+//! [`put_frame`] / [`put_acks`] append `len ‖ entry ‖ payload` straight
+//! into a caller's buffer, [`write_frame`] / [`write_envelope`] hand one
+//! buffer to one `write_all` — so on a `TCP_NODELAY` stream it leaves as
+//! one `send` and one segment, never a 4-byte prefix segment followed by
+//! its body. Only the syscall count differs from the two-write form: the
+//! bytes on the wire are the same, so old and new peers interoperate.
 
 use std::io::{self, Read, Write};
 
@@ -34,16 +42,34 @@ pub const KIND_PEER: u8 = b'P';
 /// Connection kind byte: a client (library or `esrctl`) request stream.
 pub const KIND_CLIENT: u8 = b'C';
 
-/// Writes one length-prefixed frame and flushes.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME {
+/// The `u32` length prefix of a frame whose payload is `len` bytes,
+/// refusing one past [`MAX_FRAME`].
+fn length_prefix(len: usize) -> io::Result<[u8; 4]> {
+    if len > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
+            format!("frame of {len} bytes exceeds MAX_FRAME"),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    Ok((len as u32).to_be_bytes())
+}
+
+/// Writes one length-prefixed frame — prefix and payload in one
+/// `write_all` — and flushes.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(4 + payload.len());
+    buf.extend_from_slice(&length_prefix(payload.len())?);
+    buf.extend_from_slice(payload);
+    w.write_all(&buf)?;
+    w.flush()
+}
+
+/// Writes one envelope frame ([`put_frame`]) in one `write_all` and
+/// flushes.
+pub fn write_envelope(w: &mut impl Write, entry: u64, payload: &[u8]) -> io::Result<()> {
+    let mut buf = Vec::new();
+    put_frame(&mut buf, entry, payload)?;
+    w.write_all(&buf)?;
     w.flush()
 }
 
@@ -85,7 +111,7 @@ impl Envelope {
 
     /// The queue entries this envelope acknowledges: the carried entry
     /// id plus any batched ids packed into the payload as big-endian
-    /// `u64`s ([`seal_acks`]). `None` when the envelope is not an
+    /// `u64`s ([`put_acks`]). `None` when the envelope is not an
     /// acknowledgement (no entry id, or a payload that is not a whole
     /// number of ids).
     pub fn ack_ids(&self) -> Option<impl Iterator<Item = u64> + '_> {
@@ -101,36 +127,48 @@ impl Envelope {
     }
 }
 
-/// Wraps message bytes in a link envelope.
-pub fn seal(entry: u64, payload: &[u8]) -> Vec<u8> {
+/// Wraps message bytes in a link envelope: the frame payload [`unseal`]
+/// splits. Tests only — [`put_frame`] writes the same bytes behind their
+/// length prefix without this intermediate copy.
+#[cfg(test)]
+pub(crate) fn seal(entry: u64, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(8 + payload.len());
     buf.extend_from_slice(&entry.to_be_bytes());
     buf.extend_from_slice(payload);
     buf
 }
 
-/// Builds the transport acknowledgement for queue entry `entry`.
-pub fn seal_ack(entry: u64) -> Vec<u8> {
-    seal(entry, &[])
+/// Appends one envelope frame — `len ‖ entry ‖ payload`, the length
+/// counting the 8-byte entry id — to `out`. Appends nothing when the
+/// frame would pass [`MAX_FRAME`].
+pub fn put_frame(out: &mut Vec<u8>, entry: u64, payload: &[u8]) -> io::Result<()> {
+    let prefix = length_prefix(8 + payload.len())?;
+    out.reserve(12 + payload.len());
+    out.extend_from_slice(&prefix);
+    out.extend_from_slice(&entry.to_be_bytes());
+    out.extend_from_slice(payload);
+    Ok(())
 }
 
-/// Builds one transport acknowledgement covering every entry in `ids`:
-/// the envelope rides the last id and the remaining ids are packed into
-/// the payload as big-endian `u64`s, so N applied entries cost one
-/// frame instead of N. A single-id batch is byte-identical to
-/// [`seal_ack`], and [`Envelope::ack_ids`] recovers the full set on the
-/// other side. An empty batch degenerates to a [`NO_ENTRY`] ack, which
-/// every receiver ignores.
-pub fn seal_acks(ids: &[u64]) -> Vec<u8> {
+/// Appends one transport acknowledgement frame covering every entry in
+/// `ids`: the envelope rides the last id and the remaining ids are
+/// packed into the payload as big-endian `u64`s, so N applied entries
+/// cost one frame instead of N. A single-id batch is the empty envelope
+/// `put_frame(out, id, &[])`, and [`Envelope::ack_ids`] recovers the
+/// full set on the other side. An empty batch degenerates to a
+/// [`NO_ENTRY`] ack, which every receiver ignores.
+pub fn put_acks(out: &mut Vec<u8>, ids: &[u64]) -> io::Result<()> {
     let Some((&last, rest)) = ids.split_last() else {
-        return seal_ack(NO_ENTRY);
+        return put_frame(out, NO_ENTRY, &[]);
     };
-    let mut buf = Vec::with_capacity(8 + 8 * rest.len());
-    buf.extend_from_slice(&last.to_be_bytes());
+    let prefix = length_prefix(8 * ids.len())?;
+    out.reserve(4 + 8 * ids.len());
+    out.extend_from_slice(&prefix);
+    out.extend_from_slice(&last.to_be_bytes());
     for id in rest {
-        buf.extend_from_slice(&id.to_be_bytes());
+        out.extend_from_slice(&id.to_be_bytes());
     }
-    buf
+    Ok(())
 }
 
 /// Splits a frame back into its link envelope.
@@ -183,19 +221,105 @@ mod tests {
         );
     }
 
+    /// The envelope one `put_*` call appended, read back as a receiver
+    /// would.
+    fn envelope(put: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> Envelope {
+        let mut out = Vec::new();
+        put(&mut out).unwrap();
+        let mut r = Cursor::new(out);
+        let env = unseal(read_frame(&mut r).unwrap()).unwrap();
+        assert_eq!(r.position() as usize, r.get_ref().len(), "exactly one frame");
+        env
+    }
+
+    #[test]
+    fn envelope_bytes_are_the_wire_format() {
+        // `len ‖ entry ‖ payload`, big-endian, the length counting the
+        // entry id: the bytes every peer since PR 4 reads.
+        let mut out = Vec::new();
+        put_frame(&mut out, 42, b"payload").unwrap();
+        let mut want = 15u32.to_be_bytes().to_vec();
+        want.extend_from_slice(&42u64.to_be_bytes());
+        want.extend_from_slice(b"payload");
+        assert_eq!(out, want);
+        let mut two_step = Vec::new();
+        write_frame(&mut two_step, &seal(42, b"payload")).unwrap();
+        assert_eq!(out, two_step, "same bytes as sealing, then framing");
+
+        // A batched ack rides the last id and packs the rest in order.
+        out.clear();
+        put_acks(&mut out, &[3, 9, 27]).unwrap();
+        let mut want = 24u32.to_be_bytes().to_vec();
+        for id in [27u64, 3, 9] {
+            want.extend_from_slice(&id.to_be_bytes());
+        }
+        assert_eq!(out, want);
+
+        // A stream write is the same bytes as the buffer append.
+        let mut streamed = Vec::new();
+        write_envelope(&mut streamed, 42, b"payload").unwrap();
+        let mut appended = Vec::new();
+        put_frame(&mut appended, 42, b"payload").unwrap();
+        assert_eq!(streamed, appended);
+    }
+
+    #[test]
+    fn an_envelope_past_max_frame_appends_nothing() {
+        let mut out = b"earlier".to_vec();
+        let err = put_frame(&mut out, 1, &vec![0; MAX_FRAME - 7]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(out, b"earlier", "the buffer keeps only whole frames");
+        // The largest envelope that fits still goes out.
+        put_frame(&mut out, 1, &vec![0; MAX_FRAME - 8]).unwrap();
+    }
+
+    /// Accepts every byte and counts the `write` calls that carried them.
+    #[derive(Default)]
+    struct CountingWrite {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_leaves_in_one_write() {
+        let mut w = CountingWrite::default();
+        write_envelope(&mut w, 7, b"request").unwrap();
+        assert_eq!(w.writes, 1, "envelope: prefix and body in one write");
+        write_envelope(&mut w, 8, b"").unwrap();
+        assert_eq!(w.writes, 2, "an empty envelope too");
+        write_frame(&mut w, b"raw").unwrap();
+        assert_eq!(w.writes, 3, "raw frame: prefix and body in one write");
+
+        let mut r = Cursor::new(w.bytes);
+        assert_eq!(unseal(read_frame(&mut r).unwrap()).unwrap().payload, b"request");
+        assert_eq!(unseal(read_frame(&mut r).unwrap()).unwrap().entry, 8);
+        assert_eq!(read_frame(&mut r).unwrap(), b"raw");
+    }
+
     #[test]
     fn envelope_roundtrip_and_ack_shape() {
-        let sealed = seal(42, b"payload");
-        let env = unseal(sealed).unwrap();
+        let env = envelope(|out| put_frame(out, 42, b"payload"));
         assert_eq!(env.entry, 42);
         assert_eq!(env.payload, b"payload");
         assert!(!env.is_ack());
 
-        let ack = unseal(seal_ack(42)).unwrap();
+        let ack = envelope(|out| put_frame(out, 42, &[]));
         assert!(ack.is_ack());
         assert_eq!(ack.entry, 42);
 
-        let hello = unseal(seal(NO_ENTRY, b"h")).unwrap();
+        let hello = envelope(|out| put_frame(out, NO_ENTRY, b"h"));
         assert!(!hello.is_ack());
 
         assert!(unseal(vec![1, 2, 3]).is_err());
@@ -203,25 +327,28 @@ mod tests {
 
     #[test]
     fn batched_acks_pack_and_recover_every_id() {
-        // One id: byte-identical to the legacy single ack.
-        assert_eq!(seal_acks(&[7]), seal_ack(7));
+        // One id: byte-identical to the single empty-envelope ack.
+        let (mut one, mut single) = (Vec::new(), Vec::new());
+        put_acks(&mut one, &[7]).unwrap();
+        put_frame(&mut single, 7, &[]).unwrap();
+        assert_eq!(one, single);
 
-        let env = unseal(seal_acks(&[3, 9, 27])).unwrap();
+        let env = envelope(|out| put_acks(out, &[3, 9, 27]));
         assert_eq!(env.entry, 27, "envelope rides the last id");
         let ids: Vec<u64> = env.ack_ids().unwrap().collect();
         assert_eq!(ids, vec![3, 9, 27]);
 
-        // A legacy single ack still parses through ack_ids.
-        let single = unseal(seal_ack(42)).unwrap();
+        // A single ack parses through ack_ids.
+        let single = envelope(|out| put_frame(out, 42, &[]));
         assert_eq!(single.ack_ids().unwrap().collect::<Vec<_>>(), vec![42]);
 
         // Non-ack envelopes yield nothing.
-        assert!(unseal(seal(NO_ENTRY, b"hello")).unwrap().ack_ids().is_none());
-        let odd = unseal(seal(5, b"xyz")).unwrap();
+        assert!(envelope(|out| put_frame(out, NO_ENTRY, b"hello")).ack_ids().is_none());
+        let odd = envelope(|out| put_frame(out, 5, b"xyz"));
         assert!(odd.ack_ids().is_none(), "payload not a whole set of ids");
 
         // The empty-batch degenerate form is ignored by every receiver.
-        let empty = unseal(seal_acks(&[])).unwrap();
+        let empty = envelope(|out| put_acks(out, &[]));
         assert!(empty.ack_ids().is_none());
         assert!(!empty.is_ack());
     }

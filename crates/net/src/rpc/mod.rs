@@ -17,7 +17,7 @@ pub mod sys;
 
 pub use conn::{Backoff, Link, Resolver};
 pub use frame::{
-    read_frame, seal, seal_ack, seal_acks, unseal, write_frame, Envelope, KIND_CLIENT, KIND_PEER,
-    MAX_FRAME, NO_ENTRY,
+    put_acks, put_frame, read_frame, unseal, write_envelope, write_frame, Envelope, KIND_CLIENT,
+    KIND_PEER, MAX_FRAME, NO_ENTRY,
 };
 pub use reactor::{ConnKind, Reactor, ReactorHandle, RpcService, WRITE_BUF_CAP};

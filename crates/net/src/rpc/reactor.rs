@@ -13,7 +13,7 @@
 //!   length-prefixed frames incrementally, dispatching every complete
 //!   envelope of a readiness cycle to the [`RpcService`] in one batch
 //!   (peer planes answer N entries with one batched ack frame —
-//!   [`super::frame::seal_acks`]). Replies coalesce into a per-connection
+//!   [`super::frame::put_acks`]). Replies coalesce into a per-connection
 //!   write buffer flushed on write readiness; a connection whose buffer
 //!   exceeds [`WRITE_BUF_CAP`] stops being read until the peer drains
 //!   it (backpressure instead of unbounded memory).
@@ -26,6 +26,14 @@
 //! A self-pipe carries wake-ups from other threads (new commands, new
 //! queue entries), so the loop blocks in `poll` with no periodic tick
 //! when idle.
+//!
+//! A readiness event costs as few syscalls as its bytes need. Every
+//! socket — and the wake pipe — is read until a *short* read (or the
+//! per-cycle cap), never on to the `read` that returns `EAGAIN`:
+//! `poll(2)` is level-triggered, so bytes that land after the short read
+//! are reported next cycle. Every frame goes straight into its
+//! connection's write buffer ([`super::frame::put_frame`]), so a cycle's
+//! replies, acks and link entries leave in one `write` per socket.
 //!
 //! A readiness cycle has three phases. **Dispatch**: every ready
 //! connection's envelopes go to [`RpcService::handle_batch`], replies
@@ -49,7 +57,7 @@ use bytes::Bytes;
 use esr_obs::{LinkInstruments, ReactorInstruments};
 use esr_storage::stable_queue::{EntryId, StableQueue};
 
-use super::frame::{seal, write_frame, Envelope, KIND_CLIENT, KIND_PEER, MAX_FRAME, NO_ENTRY};
+use super::frame::{put_frame, Envelope, KIND_CLIENT, KIND_PEER, MAX_FRAME, NO_ENTRY};
 use super::sys::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 
 use super::conn::{Backoff, Resolver};
@@ -307,7 +315,11 @@ struct RecvBuf {
 }
 
 impl RecvBuf {
-    /// Reads until `WouldBlock` (or `max_bytes`); `Ok(false)` on EOF.
+    /// Reads until a short read (or `max_bytes`); `Ok(false)` on EOF.
+    /// A read that did not fill `scratch` emptied the socket, and
+    /// `poll(2)` is level-triggered — bytes that land after it are
+    /// reported next cycle — so chasing them with one more `read` would
+    /// only collect an `EAGAIN`.
     fn fill(&mut self, stream: &mut TcpStream, scratch: &mut [u8], max_bytes: usize) -> io::Result<bool> {
         let mut taken = 0;
         while taken < max_bytes {
@@ -316,6 +328,9 @@ impl RecvBuf {
                 Ok(n) => {
                     self.buf.extend_from_slice(&scratch[..n]);
                     taken += n;
+                    if n < scratch.len() {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -462,7 +477,7 @@ impl LinkConn {
         let _ = stream.set_nodelay(true);
         let mut wbuf = WriteBuf::default();
         wbuf.buf.push(KIND_PEER);
-        let _ = write_frame(&mut wbuf.buf, &seal(NO_ENTRY, &self.spec.hello));
+        let _ = put_frame(&mut wbuf.buf, NO_ENTRY, &self.spec.hello);
         self.delay = self.spec.backoff.initial;
         self.spec.obs.dialed();
         self.phase = LinkPhase::Up {
@@ -527,7 +542,7 @@ fn pump_link(l: &mut LinkConn, now: Instant) {
                 break;
             }
             for (id, payload) in &batch {
-                let _ = write_frame(&mut wbuf.buf, &seal(id.0, payload));
+                let _ = put_frame(&mut wbuf.buf, id.0, payload);
                 if l.sent_ever.is_some_and(|h| id.0 <= h.0) {
                     l.spec.obs.retransmitted(1);
                 } else {
@@ -799,10 +814,11 @@ fn run(ctrl: &Ctrl, wake_rx: &UnixStream, obs: &ReactorInstruments) {
         }
 
         if pollfds[0].revents & POLLIN != 0 {
-            // Drain the wake pipe; commands are picked up next cycle.
+            // Drain the wake pipe, up to a short read like any socket;
+            // commands are picked up next cycle.
             let mut pipe = wake_rx;
             while let Ok(n) = pipe.read(&mut scratch[..64]) {
-                if n == 0 {
+                if n < 64 {
                     break;
                 }
             }
@@ -943,8 +959,10 @@ fn run(ctrl: &Ctrl, wake_rx: &UnixStream, obs: &ReactorInstruments) {
 
 #[cfg(test)]
 mod tests {
+    use super::super::frame::{put_acks, read_frame, seal, unseal, write_envelope, write_frame};
     use super::*;
     use std::io::Cursor;
+    use std::net::Shutdown;
 
     #[test]
     fn write_buf_tracks_pending_and_resets_when_drained() {
@@ -1001,7 +1019,7 @@ mod tests {
         fn handle_batch(&self, _kind: ConnKind, envs: Vec<Envelope>, out: &mut Vec<u8>) -> bool {
             let ids: Vec<u64> = envs.iter().map(|e| e.entry).collect();
             self.0.lock().unwrap().extend(envs.iter().map(|e| e.payload.len()));
-            write_frame(out, &super::super::frame::seal_acks(&ids)).is_ok()
+            put_acks(out, &ids).is_ok()
         }
     }
 
@@ -1051,7 +1069,7 @@ mod tests {
                 if env.payload == b"bad" {
                     return false;
                 }
-                let _ = write_frame(out, &seal(NO_ENTRY, &env.payload));
+                let _ = put_frame(out, NO_ENTRY, &env.payload);
             }
             true
         }
@@ -1141,5 +1159,71 @@ mod tests {
         out.clear();
         rb.drain_envelopes(&mut out, usize::MAX).unwrap();
         assert_eq!(out.len(), 6, "remaining frames decode next call");
+    }
+
+    /// Answers every client envelope with its own payload.
+    struct Echo;
+
+    impl RpcService for Echo {
+        fn handle_batch(&self, _kind: ConnKind, envs: Vec<Envelope>, out: &mut Vec<u8>) -> bool {
+            envs.iter().all(|env| put_frame(out, NO_ENTRY, &env.payload).is_ok())
+        }
+    }
+
+    /// A reactor serving `service`, and a blocking connection to it that
+    /// has announced its plane with `kind`.
+    fn dial(service: Arc<dyn RpcService>, kind: u8) -> (Reactor, TcpStream) {
+        let reactor = Reactor::new().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        reactor.serve(listener, service);
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream.write_all(&[kind]).unwrap();
+        (reactor, stream)
+    }
+
+    /// Sends one envelope frame as two segments 50 ms apart: its length
+    /// prefix, then its body — so the first readiness cycle reads a
+    /// short, incomplete frame.
+    fn send_split(stream: &mut TcpStream, entry: u64, payload: &[u8]) {
+        let mut frame = Vec::new();
+        put_frame(&mut frame, entry, payload).unwrap();
+        stream.write_all(&frame[..4]).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        stream.write_all(&frame[4..]).unwrap();
+    }
+
+    #[test]
+    fn a_request_split_after_its_length_prefix_is_answered() {
+        let (_reactor, mut client) = dial(Arc::new(Echo), KIND_CLIENT);
+        send_split(&mut client, NO_ENTRY, b"ping");
+        let reply = unseal(read_frame(&mut client).expect("reply")).unwrap();
+        assert_eq!(reply.payload, b"ping");
+    }
+
+    #[test]
+    fn a_peer_envelope_split_after_its_length_prefix_is_acked() {
+        let service = Arc::new(SizeRecorder(Mutex::new(Vec::new())));
+        let (_reactor, mut peer) = dial(Arc::clone(&service) as Arc<dyn RpcService>, KIND_PEER);
+        send_split(&mut peer, 7, b"entry");
+        let ack = unseal(read_frame(&mut peer).expect("ack")).unwrap();
+        assert_eq!(ack.ack_ids().expect("an ack envelope").collect::<Vec<_>>(), vec![7]);
+        assert_eq!(*service.0.lock().unwrap(), vec![5]);
+    }
+
+    #[test]
+    fn a_request_followed_by_eof_is_answered_before_the_close() {
+        // The request and the FIN can land in one readiness cycle: the
+        // short read that takes the request must not lose the EOF behind
+        // it, nor the EOF the reply.
+        let (_reactor, mut client) = dial(Arc::new(Echo), KIND_CLIENT);
+        write_envelope(&mut client, NO_ENTRY, b"last").unwrap();
+        client.shutdown(Shutdown::Write).unwrap();
+        let reply = unseal(read_frame(&mut client).expect("reply before the close")).unwrap();
+        assert_eq!(reply.payload, b"last");
+        let closed = read_frame(&mut client).unwrap_err();
+        assert_eq!(closed.kind(), io::ErrorKind::UnexpectedEof, "then the close");
     }
 }

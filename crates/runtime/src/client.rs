@@ -10,9 +10,19 @@
 //! Connections are cheap loopback sockets; harness code opens a fresh
 //! client per request so a daemon restart (new port, republished
 //! address file) never wedges a cached connection.
+//!
+//! A round trip costs one `write` and, typically, one `read`: the
+//! request leaves as one contiguous frame
+//! ([`esr_net::rpc::write_envelope`]), and replies are read through a
+//! [`RECV_BUF`]-byte buffer, so the length prefix and body of a small
+//! reply come off the socket together. A reply larger than the buffer
+//! is read straight into its payload. The buffer is small because a
+//! client is one of thousands a daemon may hold open (`reactor_fanin`
+//! keeps 10k), and bytes past one reply stay buffered for the next —
+//! the daemon answers in order, one reply per request.
 
 use std::collections::BTreeMap;
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -21,7 +31,7 @@ use bytes::Bytes;
 
 use esr_core::ids::{EtId, ObjectId, SiteId};
 use esr_core::value::Value;
-use esr_net::rpc::{read_frame, seal, unseal, write_frame, KIND_CLIENT, NO_ENTRY};
+use esr_net::rpc::{read_frame, unseal, write_envelope, KIND_CLIENT, NO_ENTRY};
 use esr_replica::mset::MSet;
 use esr_replica::site::QueryOutcome;
 use esr_replica::wire::{decode_frame, encode_frame, Frame};
@@ -49,9 +59,15 @@ pub struct DaemonStatus {
     pub ckpt_covered: u64,
 }
 
+/// Receive-buffer bytes per client: room for any `SubmitOk`, `QueryOk`
+/// or `StatusOk` in one `read`.
+const RECV_BUF: usize = 4 * 1024;
+
 /// A connected client-plane session with one daemon.
 pub struct RpcClient {
-    stream: TcpStream,
+    /// The connection, read through the reply buffer; requests are
+    /// written to the socket underneath it.
+    stream: BufReader<TcpStream>,
 }
 
 fn bad_reply(got: &Frame) -> io::Error {
@@ -67,7 +83,19 @@ impl RpcClient {
         let mut stream = TcpStream::connect_timeout(&addr, Duration::from_millis(500))?;
         stream.set_nodelay(true)?;
         stream.write_all(&[KIND_CLIENT])?;
-        Ok(Self { stream })
+        Ok(Self {
+            stream: BufReader::with_capacity(RECV_BUF, stream),
+        })
+    }
+
+    /// Bounds every later read and write on this connection by
+    /// `timeout`: a call that would block past it fails with
+    /// `WouldBlock` / `TimedOut` instead of waiting forever on a peer
+    /// that accepted but never answers.
+    pub(crate) fn set_timeout(&self, timeout: Duration) -> io::Result<()> {
+        let stream = self.stream.get_ref();
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))
     }
 
     /// Resolves site `site`'s published address under `dir` — waiting
@@ -93,8 +121,7 @@ impl RpcClient {
     }
 
     fn call(&mut self, request: &Frame) -> io::Result<Frame> {
-        let bytes = encode_frame(request);
-        write_frame(&mut self.stream, &seal(NO_ENTRY, &bytes))?;
+        write_envelope(self.stream.get_mut(), NO_ENTRY, &encode_frame(request))?;
         let env = unseal(read_frame(&mut self.stream)?)?;
         decode_frame(&Bytes::from(env.payload))
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))
@@ -238,5 +265,116 @@ impl RpcClient {
                 other => return Err(bad_reply(&other)),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use esr_net::rpc::put_frame;
+    use std::io::Read;
+    use std::net::TcpListener;
+    use std::thread::JoinHandle;
+
+    /// The bytes a daemon sends to answer with `reply`.
+    fn framed(reply: &Frame) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_frame(&mut out, NO_ENTRY, &encode_frame(reply)).unwrap();
+        out
+    }
+
+    /// A one-connection stand-in for a daemon. For each step of `script`
+    /// it reads one request, then writes the step's segments — one
+    /// `write_all` each, 20 ms apart. Returns the requests it read.
+    fn fake_daemon(script: Vec<Vec<Vec<u8>>>) -> (SocketAddr, JoinHandle<Vec<Frame>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let daemon = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            s.set_nodelay(true).unwrap();
+            let mut kind = [0u8; 1];
+            s.read_exact(&mut kind).unwrap();
+            assert_eq!(kind[0], KIND_CLIENT);
+            let mut requests = Vec::new();
+            for segments in script {
+                let env = unseal(read_frame(&mut s).unwrap()).unwrap();
+                requests.push(decode_frame(&Bytes::from(env.payload)).unwrap());
+                for (i, segment) in segments.iter().enumerate() {
+                    if i > 0 {
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                    s.write_all(segment).unwrap();
+                }
+            }
+            requests
+        });
+        (addr, daemon)
+    }
+
+    fn status_ok(epoch: u64) -> Frame {
+        Frame::StatusOk {
+            settled: true,
+            outbound_pending: 3,
+            epoch,
+            view: 1,
+            coordinator: false,
+            ckpt_seq: 2,
+            ckpt_covered: 5,
+        }
+    }
+
+    /// A replica image whose `SnapshotOk` is many times [`RECV_BUF`].
+    fn big_image() -> Vec<(ObjectId, Value)> {
+        (0..200)
+            .map(|i| (ObjectId(i), Value::Text(format!("{i:0>200}"))))
+            .collect()
+    }
+
+    #[test]
+    fn a_reply_arriving_in_three_segments_decodes() {
+        let reply = framed(&status_ok(7));
+        // Half a length prefix, the rest of it plus a little body, the
+        // remainder.
+        let segments = vec![reply[..2].to_vec(), reply[2..9].to_vec(), reply[9..].to_vec()];
+        let (addr, daemon) = fake_daemon(vec![segments]);
+        let mut client = RpcClient::connect(addr).unwrap();
+        let status = client.status().unwrap();
+        assert_eq!((status.epoch, status.outbound_pending, status.ckpt_covered), (7, 3, 5));
+        assert_eq!(daemon.join().unwrap(), vec![Frame::Status]);
+    }
+
+    #[test]
+    fn a_reply_larger_than_the_receive_buffer_decodes() {
+        let image = big_image();
+        let reply = framed(&Frame::SnapshotOk {
+            entries: image.clone(),
+        });
+        assert!(reply.len() > 8 * RECV_BUF);
+        let (addr, daemon) = fake_daemon(vec![vec![reply]]);
+        let mut client = RpcClient::connect(addr).unwrap();
+        assert_eq!(client.snapshot().unwrap(), image.into_iter().collect());
+        daemon.join().unwrap();
+    }
+
+    #[test]
+    fn back_to_back_calls_read_exactly_their_own_reply() {
+        // The daemon answers the first request with its reply *and* the
+        // next one in a single write, so the first call's reads pull in
+        // bytes that belong to the second: they must wait in the buffer,
+        // not leak into (or be lost from) either reply.
+        let image = big_image();
+        let first = framed(&Frame::SnapshotOk {
+            entries: image.clone(),
+        });
+        let both = [first, framed(&status_ok(9))].concat();
+        let (addr, daemon) = fake_daemon(vec![vec![both], vec![], vec![framed(&status_ok(10))]]);
+        let mut client = RpcClient::connect(addr).unwrap();
+        assert_eq!(client.snapshot().unwrap(), image.into_iter().collect());
+        assert_eq!(client.status().unwrap().epoch, 9);
+        assert_eq!(client.status().unwrap().epoch, 10);
+        assert_eq!(
+            daemon.join().unwrap(),
+            vec![Frame::Snapshot, Frame::Status, Frame::Status]
+        );
     }
 }

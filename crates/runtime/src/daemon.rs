@@ -76,8 +76,7 @@ use parking_lot::Mutex;
 use esr_core::divergence::{EpsilonSpec, InconsistencyCounter};
 use esr_core::ids::SiteId;
 use esr_net::rpc::{
-    seal, seal_acks, write_frame, Backoff, ConnKind, Envelope, Link, Reactor, RpcService,
-    NO_ENTRY,
+    put_acks, put_frame, Backoff, ConnKind, Envelope, Link, Reactor, RpcService, NO_ENTRY,
 };
 use esr_obs::{
     CkptInstruments, Counter, Gauge, Histogram, LinkInstruments, MetricsRegistry,
@@ -226,6 +225,11 @@ const TICK_INTERVAL: Duration = Duration::from_millis(250);
 /// Snapshot chunk size served per [`Frame::SnapshotRequest`].
 const SNAP_CHUNK: usize = 256 * 1024;
 
+/// How long a wiped site's boot waits on a peer — to come up, and then
+/// for each read or write of the snapshot download — before trying the
+/// next one.
+const CATCH_UP_BUDGET: Duration = Duration::from_millis(300);
+
 /// The snapshot filename prefix for site `site` (containers land at
 /// `<dir>/site-<i>.ckpt-<seq>.snap`).
 fn snap_prefix(site: SiteId) -> String {
@@ -237,17 +241,21 @@ fn snap_prefix(site: SiteId) -> String {
 /// refers to the *peer's* journal ids, so it is rebased to `None`
 /// before the local install; our own journal is empty, so restore
 /// replays nothing on top. Best-effort: an unreachable cluster just
-/// means a cold boot.
+/// means a cold boot — and so does a peer that accepts but never
+/// answers (a frozen process whose kernel still completes handshakes
+/// into its listen backlog), which every call gives [`CATCH_UP_BUDGET`].
 fn catch_up_from_peers(cfg: &DaemonConfig, prefix: &str, events: &EventLog) {
     for j in 0..cfg.sites {
         let peer = SiteId(j as u64);
         if peer == cfg.site {
             continue;
         }
-        let Ok(mut client) = RpcClient::connect_dir(&cfg.dir, peer, Duration::from_millis(300))
-        else {
+        let Ok(mut client) = RpcClient::connect_dir(&cfg.dir, peer, CATCH_UP_BUDGET) else {
             continue;
         };
+        if client.set_timeout(CATCH_UP_BUDGET).is_err() {
+            continue;
+        }
         let Ok(Some(raw)) = client.fetch_snapshot() else {
             continue;
         };
@@ -962,7 +970,7 @@ impl RpcService for Daemon {
                 }
                 if !acks.is_empty() {
                     self.robs.ack_batch(acks.len() as u64);
-                    let _ = write_frame(out, &seal_acks(&acks));
+                    let _ = put_acks(out, &acks);
                 }
                 true
             }
@@ -985,7 +993,7 @@ impl RpcService for Daemon {
                     self.rpc_latency
                         .record(started.elapsed().as_micros() as u64);
                     let bytes = encode_frame(&reply);
-                    if write_frame(out, &seal(NO_ENTRY, &bytes)).is_err() {
+                    if put_frame(out, NO_ENTRY, &bytes).is_err() {
                         return false;
                     }
                 }
@@ -1174,6 +1182,55 @@ mod tests {
             let status = batch(&daemon, &[Frame::Status]);
             assert_eq!(outbound_pending(&status[0]), 0);
         }
+    }
+
+    /// A wiped site's catch-up must not hang on a peer that accepts but
+    /// never answers: the kernel completes the handshake into a frozen
+    /// process's listen backlog, so the connect succeeds and only the
+    /// reply never comes.
+    #[test]
+    fn catch_up_from_a_peer_that_never_answers_falls_back_to_a_cold_boot() {
+        let dir = std::env::temp_dir().join(format!("esr-daemon-frozen-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let frozen = TcpListener::bind("127.0.0.1:0").unwrap(); // never accepts
+        publish(&addr_path(&dir, SiteId(1)), &frozen.local_addr().unwrap().to_string()).unwrap();
+
+        let started = Instant::now();
+        let (booted_tx, booted) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = booted_tx.send(Daemon::start(DaemonConfig {
+                site: SiteId(0),
+                sites: 2,
+                method: RtMethod::Commu,
+                dir,
+                ckpt_bytes: Some(1 << 20),
+            }));
+        });
+        let daemon = booted
+            .recv_timeout(Duration::from_secs(20))
+            .expect("boot still blocked on the frozen peer after 20 s")
+            .unwrap();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(2), "boot took {took:?}");
+
+        let (_, events) = daemon.events.query(crate::spans::SPAN_QUERY_ALL);
+        assert!(
+            !events.iter().any(|(_, _, e)| matches!(e, Event::CkptCatchUp { .. })),
+            "nothing was caught up: {events:?}"
+        );
+        assert!(
+            events.iter().any(|(_, _, e)| matches!(
+                e,
+                Event::Boot {
+                    snapshot: None,
+                    replayed: 0,
+                    ..
+                }
+            )),
+            "a cold boot: {events:?}"
+        );
+        drop(frozen);
     }
 
     /// Undecodable bytes and a decodable MSet its method cannot take

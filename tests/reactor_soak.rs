@@ -26,7 +26,7 @@ use bytes::Bytes;
 
 use esr::core::ids::{ClientId, VersionTs};
 use esr::core::{EtId, ObjectId, ObjectOp, Operation, SiteId, Value};
-use esr::net::rpc::{read_frame, seal, unseal, write_frame, KIND_CLIENT, NO_ENTRY};
+use esr::net::rpc::{read_frame, unseal, write_envelope, KIND_CLIENT, NO_ENTRY};
 use esr::replica::mset::MSet;
 use esr::replica::wire::{decode_frame, encode_frame, Frame};
 use esr::runtime::{Daemon, DaemonConfig, RpcClient, RtMethod};
@@ -195,9 +195,9 @@ fn slow_reader_is_backpressured_while_daemon_stays_responsive() {
     let mut stalled = TcpStream::connect(addr).expect("connect stalled client");
     stalled.set_nodelay(true).expect("nodelay");
     stalled.write_all(&[KIND_CLIENT]).expect("kind byte");
-    let request = seal(NO_ENTRY, &encode_frame(&Frame::Snapshot));
+    let request = encode_frame(&Frame::Snapshot);
     for _ in 0..STALLED_REQUESTS {
-        write_frame(&mut stalled, &request).expect("send stalled request");
+        write_envelope(&mut stalled, NO_ENTRY, &request).expect("send stalled request");
     }
     std::thread::sleep(Duration::from_millis(300));
 
