@@ -2,33 +2,33 @@
 //! until successful" half of the paper's stable-queue contract (§2.2),
 //! over a real TCP connection.
 //!
-//! A [`Link`] pairs a [`StableQueue`] with a connection state machine
-//! that runs on a poll-driven [`Reactor`] ([`super::reactor`]). `send`
-//! durably enqueues *before* returning, so a message survives the
-//! sender crashing right after; the reactor then drains the queue over
-//! TCP, retransmitting every unacknowledged entry each time the
-//! connection is (re)established — at-least-once delivery, with the
-//! receiver responsible for idempotency. Acknowledgements (envelopes
-//! echoing one or more entry ids, [`super::frame::put_acks`]) retire
-//! queue entries.
+//! [`Links`] holds one connection state machine per peer, each owning
+//! the [`StableQueue`] it drains, and is handed whole to a poll-driven
+//! [`Reactor`](super::reactor::Reactor) at spawn. The reactor lends it
+//! to its service on every call: [`Links::send_batch`] durably enqueues
+//! *before* returning, so a message survives the sender crashing right
+//! after, and marks the link to be pumped before the reactor next
+//! polls. The reactor drains the queue over TCP, retransmitting every
+//! unacknowledged entry each time the connection is (re)established —
+//! at-least-once delivery, with the receiver responsible for
+//! idempotency. Acknowledgements (envelopes echoing one or more entry
+//! ids, [`super::frame::put_acks`]) retire queue entries.
 //!
 //! Reconnection uses capped exponential backoff and re-resolves the
 //! peer address on every attempt, so a daemon that restarts on a new
 //! ephemeral port is picked up as soon as it republishes its address.
 //!
-//! A daemon runs all of its links *and* its RPC plane on one shared
-//! reactor via [`Link::attach`] — one I/O thread total, regardless of
-//! cluster size or client fan-in.
+//! A daemon runs all of its links *and* its RPC plane on one reactor —
+//! one I/O thread total, regardless of cluster size or client fan-in.
 
 use std::net::SocketAddr;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
 use esr_obs::LinkInstruments;
 use esr_storage::stable_queue::{EntryId, StableQueue};
 
-use super::reactor::{lock_queue, LinkSpec, Reactor, ReactorHandle, SharedQueue};
+use super::reactor::LinkConn;
 
 /// Reconnect backoff shape.
 #[derive(Debug, Clone, Copy)]
@@ -52,97 +52,109 @@ impl Default for Backoff {
 /// listen address on every boot).
 pub type Resolver = Box<dyn Fn() -> Option<SocketAddr> + Send>;
 
-/// A durable at-least-once link to one peer.
-pub struct Link {
-    queue: SharedQueue,
-    reactor: ReactorHandle,
-    token: u64,
+/// A reactor's durable at-least-once links, indexed by peer.
+#[derive(Default)]
+pub struct Links {
+    pub(crate) conns: Vec<Option<LinkConn>>,
 }
 
-impl Link {
-    /// Registers a link on `reactor` — the daemon multiplexes every
-    /// link and its whole RPC plane on a single reactor thread. `hello`
-    /// is sent (outside the durable contract) every time a connection
-    /// is established, so the receiver learns who is dialing before any
+impl Links {
+    /// Adds the link to peer `to`, draining `queue`. `hello` is sent
+    /// (outside the durable contract) every time a connection is
+    /// established, so the receiver learns who is dialing before any
     /// queued traffic. The reactor ticks `obs` on dials, sends,
     /// retransmits and acks, and keeps its queue depth/age gauges
     /// current (wall-clock age — the reactor lives in real time).
     pub fn attach(
-        reactor: &Reactor,
+        &mut self,
+        to: usize,
         queue: Box<dyn StableQueue + Send>,
         resolve: Resolver,
         hello: Bytes,
         backoff: Backoff,
         obs: LinkInstruments,
-    ) -> Self {
-        let queue: SharedQueue = Arc::new(Mutex::new(queue));
-        let handle = reactor.handle();
-        let token = handle.add_link(LinkSpec {
-            queue: Arc::clone(&queue),
-            resolve,
-            hello,
-            backoff,
-            obs,
-        });
-        Self {
-            queue,
-            reactor: handle,
-            token,
+    ) {
+        if self.conns.len() <= to {
+            self.conns.resize_with(to + 1, || None);
+        }
+        self.conns[to] = Some(LinkConn::new(queue, resolve, hello, backoff, obs));
+    }
+
+    /// Durably enqueues `payloads` on the link to `to`, in order, with
+    /// one queue append, and marks the link to be pumped before the
+    /// reactor next polls. Delivery happens (and keeps being retried)
+    /// from the reactor. A peer with no link gets nothing.
+    pub fn send_batch(&mut self, to: usize, payloads: Vec<Bytes>) -> Vec<EntryId> {
+        match self.conns.get_mut(to) {
+            Some(Some(link)) => {
+                link.dirty = true;
+                link.queue.enqueue_batch(payloads)
+            }
+            _ => Vec::new(),
         }
     }
 
-    /// Durably enqueues `payload` and nudges the reactor. Returns once
-    /// the bytes are in the stable queue — delivery happens (and keeps
-    /// being retried) in the background.
-    pub fn send(&self, payload: Bytes) -> EntryId {
-        self.send_batch(vec![payload])[0]
-    }
-
-    /// [`Link::send`] for several payloads at once: one queue append,
-    /// one nudge, delivery in the order given.
-    pub fn send_batch(&self, payloads: Vec<Bytes>) -> Vec<EntryId> {
-        let ids = lock_queue(&self.queue).enqueue_batch(payloads);
-        self.reactor.nudge(self.token);
-        ids
-    }
-
-    /// Entries enqueued but not yet acknowledged by the peer.
+    /// Entries enqueued on every link and not yet acknowledged.
     pub fn pending(&self) -> usize {
-        lock_queue(&self.queue).len()
-    }
-
-    /// Deregisters the link (queued entries stay durable).
-    pub fn shutdown(self) {
-        drop(self);
-    }
-}
-
-impl Drop for Link {
-    fn drop(&mut self) {
-        self.reactor.remove(self.token);
+        self.conns.iter().flatten().map(|l| l.queue.len()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::frame::{put_acks, read_frame, unseal, write_envelope, KIND_PEER, NO_ENTRY};
+    use super::super::frame::{
+        put_acks, read_frame, unseal, write_envelope, Envelope, KIND_PEER, NO_ENTRY,
+    };
+    use super::super::reactor::{ConnKind, Reactor, RpcService, WakePipe};
     use super::*;
+    use esr_obs::{Counter, MetricsRegistry, ReactorInstruments};
     use esr_storage::stable_queue::MemQueue;
     use std::net::{Shutdown, TcpListener, TcpStream};
 
-    /// A link to `addr` on `reactor` with a tight redial backoff.
-    fn link_to(reactor: &Reactor, addr: SocketAddr, hello: &'static [u8]) -> Link {
-        Link::attach(
-            reactor,
-            Box::new(MemQueue::new()),
+    /// Serves nothing: the reactors below only drain their link.
+    struct Idle;
+
+    impl RpcService for Idle {
+        fn handle_batch(
+            &mut self,
+            _: ConnKind,
+            _: Vec<Envelope>,
+            _: &mut Vec<u8>,
+            _: &mut Links,
+        ) -> bool {
+            false
+        }
+    }
+
+    /// A reactor whose one link drains a queue prefilled with `entries`
+    /// to `addr`, with a tight redial backoff, and that link's ack
+    /// counter.
+    fn link_to(addr: SocketAddr, hello: &'static [u8], entries: Vec<Bytes>) -> (Reactor, Counter) {
+        let mut queue = MemQueue::new();
+        queue.enqueue_batch(entries);
+        let registry = MetricsRegistry::new();
+        let obs = LinkInstruments::for_link(&registry, "0->1");
+        let mut links = Links::default();
+        links.attach(
+            1,
+            Box::new(queue),
             Box::new(move || Some(addr)),
             Bytes::from_static(hello),
             Backoff {
                 initial: Duration::from_millis(5),
                 max: Duration::from_millis(40),
             },
-            LinkInstruments::default(),
-        )
+            obs,
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let pipe = WakePipe::new().unwrap();
+        let reactor =
+            Reactor::spawn(pipe, listener, Idle, links, ReactorInstruments::default()).unwrap();
+        (reactor, registry.counter("esr_link_acks_total", &[("link", "0->1")]))
+    }
+
+    fn payloads(items: &[&'static [u8]]) -> Vec<Bytes> {
+        items.iter().map(|p| Bytes::from_static(p)).collect()
     }
 
     /// Accepts one connection, checks the handshake, and returns the
@@ -171,10 +183,7 @@ mod tests {
     fn delivers_and_retires_on_ack() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let reactor = Reactor::new().unwrap();
-        let link = link_to(&reactor, addr, b"hi");
-        link.send(Bytes::from_static(b"alpha"));
-        link.send(Bytes::from_static(b"beta"));
+        let (_reactor, acks) = link_to(addr, b"hi", payloads(&[b"alpha", b"beta"]));
 
         let (mut s, hello) = accept_peer(&listener);
         assert_eq!(hello, b"hi");
@@ -183,18 +192,14 @@ mod tests {
             assert_eq!(env.payload, expect);
             write_envelope(&mut s, env.entry, &[]).unwrap();
         }
-        wait_until(|| link.pending() == 0);
-        link.shutdown();
+        wait_until(|| acks.get() == 2);
     }
 
     #[test]
     fn retransmits_unacked_entries_after_reconnect() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let reactor = Reactor::new().unwrap();
-        let link = link_to(&reactor, addr, b"h");
-        link.send(Bytes::from_static(b"one"));
-        link.send(Bytes::from_static(b"two"));
+        let (_reactor, acks) = link_to(addr, b"h", payloads(&[b"one", b"two"]));
 
         // First incarnation: read both, ack only the first, then die.
         {
@@ -204,7 +209,7 @@ mod tests {
             let _second = read_frame(&mut s).unwrap();
             write_envelope(&mut s, first.entry, &[]).unwrap();
             // Give the ack a moment to land before the drop closes us.
-            wait_until(|| link.pending() == 1);
+            wait_until(|| acks.get() == 1);
             let _ = s.shutdown(Shutdown::Both);
         }
 
@@ -213,51 +218,43 @@ mod tests {
         let env = unseal(read_frame(&mut s).unwrap()).unwrap();
         assert_eq!(env.payload, b"two");
         write_envelope(&mut s, env.entry, &[]).unwrap();
-        wait_until(|| link.pending() == 0);
-        link.shutdown();
+        wait_until(|| acks.get() == 2);
     }
 
     #[test]
     fn survives_peer_absence_until_it_appears() {
         // Reserve an address, then close the listener so the first
-        // dials fail; entries queue durably in the meantime.
+        // dials fail; the entry stays queued in the meantime.
         let probe = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = probe.local_addr().unwrap();
         drop(probe);
 
-        let reactor = Reactor::new().unwrap();
-        let link = link_to(&reactor, addr, b"h");
-        link.send(Bytes::from_static(b"late"));
+        let (_reactor, acks) = link_to(addr, b"h", payloads(&[b"late"]));
         std::thread::sleep(Duration::from_millis(60));
-        assert_eq!(link.pending(), 1);
+        assert_eq!(acks.get(), 0);
 
         let listener = TcpListener::bind(addr).unwrap();
         let (mut s, _) = accept_peer(&listener);
         let env = unseal(read_frame(&mut s).unwrap()).unwrap();
         assert_eq!(env.payload, b"late");
         write_envelope(&mut s, env.entry, &[]).unwrap();
-        wait_until(|| link.pending() == 0);
-        link.shutdown();
+        wait_until(|| acks.get() == 1);
     }
 
     #[test]
     fn batched_ack_retires_many_entries_at_once() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let reactor = Reactor::new().unwrap();
-        let link = link_to(&reactor, addr, b"hi");
-        let ids: Vec<u64> = (0..5)
-            .map(|i| link.send(Bytes::from(vec![i])).0)
-            .collect();
+        let entries = (0..5u8).map(|i| Bytes::from(vec![i])).collect();
+        let (_reactor, acks) = link_to(addr, b"hi", entries);
 
         let (mut s, _) = accept_peer(&listener);
-        for _ in 0..5 {
-            read_frame(&mut s).unwrap();
-        }
-        let mut acks = Vec::new();
-        put_acks(&mut acks, &ids).unwrap();
-        std::io::Write::write_all(&mut s, &acks).unwrap();
-        wait_until(|| link.pending() == 0);
-        link.shutdown();
+        let ids: Vec<u64> = (0..5)
+            .map(|_| unseal(read_frame(&mut s).unwrap()).unwrap().entry)
+            .collect();
+        let mut frame = Vec::new();
+        put_acks(&mut frame, &ids).unwrap();
+        std::io::Write::write_all(&mut s, &frame).unwrap();
+        wait_until(|| acks.get() == 5);
     }
 }

@@ -15,9 +15,9 @@ pub mod frame;
 pub mod reactor;
 pub mod sys;
 
-pub use conn::{Backoff, Link, Resolver};
+pub use conn::{Backoff, Links, Resolver};
 pub use frame::{
     put_acks, put_frame, read_frame, unseal, write_envelope, write_frame, Envelope, KIND_CLIENT,
     KIND_PEER, MAX_FRAME, NO_ENTRY,
 };
-pub use reactor::{ConnKind, Reactor, ReactorHandle, RpcService, WRITE_BUF_CAP};
+pub use reactor::{ConnKind, Reactor, RpcService, WakePipe, Waker, WRITE_BUF_CAP};

@@ -7,7 +7,12 @@
 //! stack) per socket, which is what caps a thread-per-connection daemon
 //! at a few hundred clients.
 //!
-//! Each socket is a small state machine ([`Slot`]):
+//! The reactor is built whole: [`Reactor::spawn`] moves one
+//! [`RpcService`], its listener and its [`Links`] into the thread, which
+//! owns them until shutdown. The service is reached through `&mut`
+//! only from this thread, so nothing it holds needs a lock.
+//!
+//! Each socket is a small state machine:
 //!
 //! - **Inbound connections** accumulate reads into a buffer and decode
 //!   length-prefixed frames incrementally, dispatching every complete
@@ -23,9 +28,10 @@
 //!   of unacknowledged entries on every new connection, and batched
 //!   coalesced frame writes from the stable queue.
 //!
-//! A self-pipe carries wake-ups from other threads (new commands, new
-//! queue entries), so the loop blocks in `poll` with no periodic tick
-//! when idle.
+//! A self-pipe carries the only wake-ups from other threads
+//! ([`Waker`]: a background worker reporting back, and shutdown), so
+//! the loop blocks in `poll` until a socket, that pipe or its next
+//! timer needs it.
 //!
 //! A readiness event costs as few syscalls as its bytes need. Every
 //! socket — and the wake pipe — is read until a *short* read (or the
@@ -37,20 +43,20 @@
 //!
 //! A readiness cycle has three phases. **Dispatch**: every ready
 //! connection's envelopes go to [`RpcService::handle_batch`], replies
-//! and acks accumulating in its write buffer. **Commit**: each service
-//! dispatched to gets one [`RpcService::commit`] call, where it makes
-//! durable whatever the batches implied. **Write**: only then are the
-//! write buffers flushed, and the links the commit enqueued on are
-//! pumped at the top of the next cycle, before it polls — the commit's
-//! nudges come from this thread, so they skip the wake pipe.
+//! and acks accumulating in its write buffer; a due
+//! [`RpcService::tick`] runs after them — its deadline is checked on
+//! every cycle, not only when `poll` times out, so a loop that never
+//! idles still ticks. **Commit**: the service gets one
+//! [`RpcService::commit`] call, where it makes durable whatever the
+//! cycle implied. **Write**: only then are the write buffers flushed,
+//! and the links the service enqueued on are pumped at the top of the
+//! next cycle, before it polls.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::thread::{JoinHandle, ThreadId};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -60,11 +66,7 @@ use esr_storage::stable_queue::{EntryId, StableQueue};
 use super::frame::{put_frame, Envelope, KIND_CLIENT, KIND_PEER, MAX_FRAME, NO_ENTRY};
 use super::sys::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 
-use super::conn::{Backoff, Resolver};
-
-/// A stable queue shared between a link's owner (who enqueues) and the
-/// reactor (who drains it over TCP).
-pub type SharedQueue = Arc<Mutex<Box<dyn StableQueue + Send>>>;
+use super::conn::{Backoff, Links, Resolver};
 
 /// Write-buffer backpressure threshold: beyond this many buffered
 /// bytes the reactor stops reading from (and replying to) a connection
@@ -86,6 +88,11 @@ const LINK_BATCH: usize = 32;
 /// retry transmission and keep the queue gauges current.
 const BACKLOG_TICK: Duration = Duration::from_millis(100);
 
+/// Wake-pipe byte: another thread has something for the service.
+const WAKE: u8 = 1;
+/// Wake-pipe byte: the [`Reactor`] handle was dropped.
+const SHUTDOWN: u8 = 0;
+
 /// Which plane an accepted connection speaks, learned from its first
 /// byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,170 +104,127 @@ pub enum ConnKind {
     Client,
 }
 
-/// An inbound-frame handler, dispatched on the reactor thread.
+/// What a reactor serves: its owner's state, moved into the reactor
+/// thread at [`Reactor::spawn`] and called only from there.
 ///
-/// `envs` holds every complete envelope decoded in one readiness cycle
-/// (bounded, in arrival order); replies and acknowledgements are
-/// appended to `out` as already-framed bytes, which the reactor flushes
-/// through the connection's coalescing write buffer — after the
-/// cycle's [`RpcService::commit`]. Returning `false` closes the
-/// connection after that flush.
-pub trait RpcService: Send + Sync + 'static {
-    /// Handles one batch of inbound envelopes from a single connection.
-    fn handle_batch(&self, kind: ConnKind, envs: Vec<Envelope>, out: &mut Vec<u8>) -> bool;
+/// Every call is lent the reactor's [`Links`]: what the service
+/// enqueues there is pumped before the next `poll`.
+pub trait RpcService: Send + 'static {
+    /// The interval of [`RpcService::tick`] — a constant of the
+    /// service, not a setting.
+    const TICK: Duration = Duration::from_secs(1);
 
-    /// Called once per readiness cycle, after every ready connection's
-    /// `handle_batch` and before any byte those calls appended to `out`
-    /// reaches a socket: whatever the replies and acks certify must be
-    /// durable when this returns.
-    fn commit(&self) {}
+    /// Handles one batch of inbound envelopes from a single connection:
+    /// `envs` holds every complete envelope decoded in one readiness
+    /// cycle (bounded, in arrival order); replies and acknowledgements
+    /// are appended to `out` as already-framed bytes, which the reactor
+    /// flushes through the connection's coalescing write buffer — after
+    /// the cycle's [`RpcService::commit`]. Returning `false` closes the
+    /// connection after that flush.
+    fn handle_batch(
+        &mut self,
+        kind: ConnKind,
+        envs: Vec<Envelope>,
+        out: &mut Vec<u8>,
+        links: &mut Links,
+    ) -> bool;
+
+    /// Called once per cycle that handled a batch, ticked or was woken,
+    /// after every other call of the cycle and before any byte those
+    /// calls appended to `out` reaches a socket: whatever the replies
+    /// and acks certify must be durable when this returns.
+    fn commit(&mut self, _links: &mut Links) {}
+
+    /// Called every [`RpcService::TICK`], in the cycle it falls due.
+    fn tick(&mut self, _links: &mut Links) {}
+
+    /// Called in the cycle after a [`Waker::wake`] from another thread.
+    fn woken(&mut self) {}
 }
 
-/// Everything the reactor needs to run one outbound durable link.
-pub(crate) struct LinkSpec {
-    /// The durable queue this link drains.
-    pub queue: SharedQueue,
-    /// Fresh peer address before every dial.
-    pub resolve: Resolver,
-    /// Greeting sent (outside the durable contract) on every connect.
-    pub hello: Bytes,
-    /// Redial backoff shape.
-    pub backoff: Backoff,
-    /// Per-link metrics bundle.
-    pub obs: LinkInstruments,
-}
+/// Wakes a reactor from another thread: one byte on its self-pipe.
+#[derive(Debug)]
+pub struct Waker(UnixStream);
 
-enum Cmd {
-    Serve(TcpListener, Arc<dyn RpcService>),
-    AddLink(u64, LinkSpec),
-    Nudge(u64),
-    Remove(u64),
-    Shutdown,
-}
-
-struct Ctrl {
-    cmds: Mutex<Vec<Cmd>>,
-    wake_tx: UnixStream,
-    next_token: AtomicU64,
-    /// The reactor thread, once it runs.
-    thread: OnceLock<ThreadId>,
-}
-
-impl Ctrl {
-    fn push(&self, cmd: Cmd) {
-        match self.cmds.lock() {
-            Ok(mut q) => q.push(cmd),
-            Err(poisoned) => poisoned.into_inner().push(cmd),
-        }
-        // The loop drains commands at the top of every cycle, before it
-        // polls, so one queued from the reactor thread itself (a service
-        // enqueueing on a link while it handles or commits a batch)
-        // needs no wake-up.
-        if self.thread.get() == Some(&std::thread::current().id()) {
-            return;
-        }
+impl Waker {
+    /// Has the reactor call [`RpcService::woken`] in its next cycle.
+    pub fn wake(&self) {
         // Nonblocking self-pipe: a full pipe already guarantees a
         // pending wake-up, so WouldBlock is success.
-        let _ = (&self.wake_tx).write(&[1]);
+        let _ = (&self.0).write(&[WAKE]);
     }
 }
 
-fn take_cmds(ctrl: &Ctrl) -> Vec<Cmd> {
-    match ctrl.cmds.lock() {
-        Ok(mut q) => std::mem::take(&mut *q),
-        Err(poisoned) => std::mem::take(&mut *poisoned.into_inner()),
+/// A reactor's self-pipe, made before the reactor so that its owner
+/// can hand a [`Waker`] to a thread it starts first.
+#[derive(Debug)]
+pub struct WakePipe {
+    tx: UnixStream,
+    rx: UnixStream,
+}
+
+impl WakePipe {
+    /// A fresh nonblocking pipe.
+    pub fn new() -> io::Result<Self> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Self { tx, rx })
+    }
+
+    /// A waker for the reactor this pipe will be spawned with.
+    pub fn waker(&self) -> io::Result<Waker> {
+        Ok(Waker(self.tx.try_clone()?))
     }
 }
 
-/// Locks a [`SharedQueue`], recovering from poisoning (the queue's own
-/// state stays consistent — every mutation is atomic under the lock).
-pub(crate) fn lock_queue(q: &SharedQueue) -> MutexGuard<'_, Box<dyn StableQueue + Send>> {
-    match q.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Cheap clonable handle for submitting work to a running [`Reactor`].
-#[derive(Clone)]
-pub struct ReactorHandle {
-    ctrl: Arc<Ctrl>,
-}
-
-impl ReactorHandle {
-    /// Registers `listener` (switched to nonblocking) and serves every
-    /// connection it accepts through `service`.
-    pub fn serve(&self, listener: TcpListener, service: Arc<dyn RpcService>) {
-        self.ctrl.push(Cmd::Serve(listener, service));
-    }
-
-    pub(crate) fn add_link(&self, spec: LinkSpec) -> u64 {
-        let token = self.ctrl.next_token.fetch_add(1, Ordering::Relaxed);
-        self.ctrl.push(Cmd::AddLink(token, spec));
-        token
-    }
-
-    pub(crate) fn nudge(&self, token: u64) {
-        self.ctrl.push(Cmd::Nudge(token));
-    }
-
-    pub(crate) fn remove(&self, token: u64) {
-        self.ctrl.push(Cmd::Remove(token));
-    }
-}
-
-/// The reactor thread plus its control handle. Dropping shuts the
-/// thread down, closing every socket it owns (durable queues outlive
-/// it — they belong to their links).
+/// The reactor thread. Dropping it shuts the thread down and joins it,
+/// closing every socket and dropping the service it owns.
 pub struct Reactor {
-    handle: ReactorHandle,
+    shutdown: UnixStream,
     thread: Option<JoinHandle<()>>,
 }
 
 impl Reactor {
-    /// Spawns an unobserved reactor thread.
-    pub fn new() -> io::Result<Self> {
-        Self::with_instruments(ReactorInstruments::default())
-    }
-
-    /// Spawns the reactor thread with a metrics bundle.
-    pub fn with_instruments(obs: ReactorInstruments) -> io::Result<Self> {
-        let (wake_tx, wake_rx) = UnixStream::pair()?;
-        wake_tx.set_nonblocking(true)?;
-        wake_rx.set_nonblocking(true)?;
-        let ctrl = Arc::new(Ctrl {
-            cmds: Mutex::new(Vec::new()),
-            wake_tx,
-            next_token: AtomicU64::new(0),
-            thread: OnceLock::new(),
-        });
-        let handle = ReactorHandle {
-            ctrl: Arc::clone(&ctrl),
-        };
+    /// Spawns the reactor thread: it owns `service`, accepts on
+    /// `listener` (switched to nonblocking), drains `links`, and wakes
+    /// on `pipe`. `obs` is its metrics bundle.
+    pub fn spawn<S: RpcService>(
+        pipe: WakePipe,
+        listener: TcpListener,
+        service: S,
+        links: Links,
+        obs: ReactorInstruments,
+    ) -> io::Result<Self> {
+        listener.set_nonblocking(true)?;
+        let WakePipe { tx, rx } = pipe;
         let thread = std::thread::Builder::new()
             .name("esr-reactor".into())
-            .spawn(move || run(&ctrl, &wake_rx, &obs))?;
+            .spawn(move || run(&rx, &listener, service, links, &obs))?;
         Ok(Self {
-            handle,
+            shutdown: tx,
             thread: Some(thread),
         })
-    }
-
-    /// A clonable handle to this reactor.
-    pub fn handle(&self) -> ReactorHandle {
-        self.handle.clone()
-    }
-
-    /// Registers `listener` and serves accepted connections through
-    /// `service` (see [`ReactorHandle::serve`]).
-    pub fn serve(&self, listener: TcpListener, service: Arc<dyn RpcService>) {
-        self.handle.serve(listener, service);
     }
 }
 
 impl Drop for Reactor {
     fn drop(&mut self) {
-        self.handle.ctrl.push(Cmd::Shutdown);
+        // A full pipe is a loop with wake-ups still to drain: retry
+        // until the byte fits (any other error means the loop is gone).
+        loop {
+            match (&self.shutdown).write(&[SHUTDOWN]) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                    ) =>
+                {
+                    std::thread::yield_now();
+                }
+                _ => break,
+            }
+        }
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -389,7 +353,6 @@ impl RecvBuf {
 /// One accepted connection's state machine.
 struct Inbound {
     stream: TcpStream,
-    service: Arc<dyn RpcService>,
     kind: Option<ConnKind>,
     rbuf: RecvBuf,
     wbuf: WriteBuf,
@@ -411,10 +374,20 @@ enum LinkPhase {
     },
 }
 
-/// One outbound durable link's state machine.
-struct LinkConn {
-    token: u64,
-    spec: LinkSpec,
+/// One outbound durable link's state machine, with the queue it drains.
+pub(crate) struct LinkConn {
+    /// The durable queue this link drains.
+    pub(crate) queue: Box<dyn StableQueue + Send>,
+    /// Fresh peer address before every dial.
+    resolve: Resolver,
+    /// Greeting sent (outside the durable contract) on every connect.
+    hello: Bytes,
+    /// Redial backoff shape.
+    backoff: Backoff,
+    /// Per-link metrics bundle.
+    obs: LinkInstruments,
+    /// Enqueued on since the last pump: pumped before the next `poll`.
+    pub(crate) dirty: bool,
     delay: Duration,
     /// Highest entry ever transmitted on *any* connection: anything at
     /// or below it written again is a retransmit, not a first send.
@@ -425,12 +398,21 @@ struct LinkConn {
 }
 
 impl LinkConn {
-    fn new(token: u64, spec: LinkSpec) -> Self {
-        let delay = spec.backoff.initial;
+    pub(crate) fn new(
+        queue: Box<dyn StableQueue + Send>,
+        resolve: Resolver,
+        hello: Bytes,
+        backoff: Backoff,
+        obs: LinkInstruments,
+    ) -> Self {
         Self {
-            token,
-            spec,
-            delay,
+            queue,
+            resolve,
+            hello,
+            backoff,
+            obs,
+            dirty: false,
+            delay: backoff.initial,
             sent_ever: None,
             backlog_since: None,
             phase: LinkPhase::Down {
@@ -452,11 +434,11 @@ impl LinkConn {
         self.phase = LinkPhase::Down {
             retry_at: now + self.delay,
         };
-        self.delay = (self.delay * 2).min(self.spec.backoff.max);
+        self.delay = (self.delay * 2).min(self.backoff.max);
     }
 
     fn try_dial(&mut self, now: Instant) {
-        match (self.spec.resolve)() {
+        match (self.resolve)() {
             Some(addr) => match sys::connect_nonblocking(&addr) {
                 Ok(stream) => {
                     self.phase = LinkPhase::Connecting {
@@ -477,9 +459,9 @@ impl LinkConn {
         let _ = stream.set_nodelay(true);
         let mut wbuf = WriteBuf::default();
         wbuf.buf.push(KIND_PEER);
-        let _ = put_frame(&mut wbuf.buf, NO_ENTRY, &self.spec.hello);
-        self.delay = self.spec.backoff.initial;
-        self.spec.obs.dialed();
+        let _ = put_frame(&mut wbuf.buf, NO_ENTRY, &self.hello);
+        self.delay = self.backoff.initial;
+        self.obs.dialed();
         self.phase = LinkPhase::Up {
             stream,
             rbuf: RecvBuf::default(),
@@ -503,7 +485,8 @@ fn finish_connect(l: &mut LinkConn, now: Instant) {
 }
 
 /// Refreshes the link's queue depth/age gauges.
-fn refresh_queue_gauge(l: &mut LinkConn, depth: usize, now: Instant) {
+fn refresh_queue_gauge(l: &mut LinkConn, now: Instant) {
+    let depth = l.queue.len();
     if depth == 0 {
         l.backlog_since = None;
     } else if l.backlog_since.is_none() {
@@ -512,14 +495,13 @@ fn refresh_queue_gauge(l: &mut LinkConn, depth: usize, now: Instant) {
     let age = l
         .backlog_since
         .map_or(0, |t| now.duration_since(t).as_micros() as u64);
-    l.spec.obs.queue(depth as u64, age);
+    l.obs.queue(depth as u64, age);
 }
 
 /// Transmits pending queue entries into the link's write buffer
 /// (coalesced, oldest first, past the connection's high-water mark) and
 /// flushes what the socket accepts.
 fn pump_link(l: &mut LinkConn, now: Instant) {
-    let mut depth = lock_queue(&l.spec.queue).len();
     if let LinkPhase::Up {
         stream,
         wbuf,
@@ -527,39 +509,28 @@ fn pump_link(l: &mut LinkConn, now: Instant) {
         ..
     } = &mut l.phase
     {
-        let mut broken = false;
         while wbuf.pending() < WRITE_BUF_CAP {
-            let batch = {
-                let mut q = lock_queue(&l.spec.queue);
-                let batch = q.pending_after(*sent_high, LINK_BATCH);
-                for (id, _) in &batch {
-                    q.record_attempt(*id);
-                }
-                depth = q.len();
-                batch
-            };
+            let batch = l.queue.pending_after(*sent_high, LINK_BATCH);
             if batch.is_empty() {
                 break;
             }
             for (id, payload) in &batch {
+                l.queue.record_attempt(*id);
                 let _ = put_frame(&mut wbuf.buf, id.0, payload);
                 if l.sent_ever.is_some_and(|h| id.0 <= h.0) {
-                    l.spec.obs.retransmitted(1);
+                    l.obs.retransmitted(1);
                 } else {
-                    l.spec.obs.sent(1);
+                    l.obs.sent(1);
                     l.sent_ever = Some(*id);
                 }
                 *sent_high = Some(*id);
             }
         }
         if wbuf.flush(stream).is_err() {
-            broken = true;
-        }
-        if broken {
             l.drop_conn();
         }
     }
-    refresh_queue_gauge(l, depth, now);
+    refresh_queue_gauge(l, now);
 }
 
 /// Reads acknowledgement envelopes off an up link and retires their
@@ -584,9 +555,9 @@ fn reap_link(l: &mut LinkConn, scratch: &mut [u8]) -> bool {
         .map(EntryId)
         .collect();
     if !ids.is_empty() {
-        let acked = lock_queue(&l.spec.queue).ack_batch(&ids) as u64;
+        let acked = l.queue.ack_batch(&ids) as u64;
         if acked > 0 {
-            l.spec.obs.acked(acked);
+            l.obs.acked(acked);
         }
     }
     alive
@@ -609,9 +580,8 @@ fn link_tick(l: &mut LinkConn, now: Instant) -> Option<Instant> {
         LinkPhase::Down { retry_at } => Some(*retry_at),
         LinkPhase::Connecting { deadline, .. } => Some(*deadline),
         LinkPhase::Up { .. } => {
-            let depth = lock_queue(&l.spec.queue).len();
-            refresh_queue_gauge(l, depth, now);
-            (depth > 0).then(|| now + BACKLOG_TICK)
+            refresh_queue_gauge(l, now);
+            (!l.queue.is_empty()).then(|| now + BACKLOG_TICK)
         }
     }
 }
@@ -646,7 +616,12 @@ fn read_inbound(c: &mut Inbound, scratch: &mut [u8]) -> bool {
 /// replies leave after the cycle's commit. Returns whether the service
 /// was handed any batch (and so is owed a commit); clears `alive` when
 /// the connection should close once its replies have left.
-fn dispatch_inbound(c: &mut Inbound, alive: &mut bool) -> bool {
+fn dispatch_inbound<S: RpcService>(
+    c: &mut Inbound,
+    service: &mut S,
+    links: &mut Links,
+    alive: &mut bool,
+) -> bool {
     let Some(kind) = c.kind else { return false };
     let mut handled = false;
     while c.wbuf.pending() < WRITE_BUF_CAP {
@@ -659,7 +634,7 @@ fn dispatch_inbound(c: &mut Inbound, alive: &mut bool) -> bool {
             break;
         }
         handled = true;
-        if !c.service.handle_batch(kind, envs, &mut c.wbuf.buf) {
+        if !service.handle_batch(kind, envs, &mut c.wbuf.buf, links) {
             *alive = false;
             break;
         }
@@ -667,31 +642,18 @@ fn dispatch_inbound(c: &mut Inbound, alive: &mut bool) -> bool {
     handled
 }
 
-struct Slots {
-    slots: Vec<Option<Slot>>,
+/// The accepted connections, in reusable slots.
+#[derive(Default)]
+struct Conns {
+    slots: Vec<Option<Inbound>>,
     free: Vec<usize>,
 }
 
-enum Slot {
-    Listener {
-        listener: TcpListener,
-        service: Arc<dyn RpcService>,
-    },
-    Inbound(Inbound),
-    Link(Box<LinkConn>),
-}
-
-impl Slots {
-    fn insert(&mut self, slot: Slot) -> usize {
+impl Conns {
+    fn insert(&mut self, conn: Inbound) {
         match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Some(slot);
-                i
-            }
-            None => {
-                self.slots.push(Some(slot));
-                self.slots.len() - 1
-            }
+            Some(i) => self.slots[i] = Some(conn),
+            None => self.slots.push(Some(conn)),
         }
     }
 
@@ -700,106 +662,84 @@ impl Slots {
             self.free.push(i);
         }
     }
-
-    fn find_link(&mut self, token: u64) -> Option<usize> {
-        self.slots.iter().position(|s| {
-            matches!(s, Some(Slot::Link(l)) if l.token == token)
-        })
-    }
 }
 
-fn run(ctrl: &Ctrl, wake_rx: &UnixStream, obs: &ReactorInstruments) {
-    let _ = ctrl.thread.set(std::thread::current().id());
-    let mut st = Slots {
-        slots: Vec::new(),
-        free: Vec::new(),
-    };
+/// What one `pollfd` of a cycle belongs to.
+#[derive(Clone, Copy)]
+enum Owner {
+    Wake,
+    Listener,
+    Conn(usize),
+    Link(usize),
+}
+
+fn run<S: RpcService>(
+    wake_rx: &UnixStream,
+    listener: &TcpListener,
+    mut service: S,
+    mut links: Links,
+    obs: &ReactorInstruments,
+) {
+    let mut conns = Conns::default();
     let mut scratch = vec![0u8; READ_CHUNK];
     let mut pollfds: Vec<PollFd> = Vec::new();
-    let mut owners: Vec<usize> = Vec::new();
+    let mut owners: Vec<Owner> = Vec::new();
+    let mut next_tick = Instant::now() + S::TICK;
 
     loop {
-        // 1. Drain control commands.
-        for cmd in take_cmds(ctrl) {
-            match cmd {
-                Cmd::Serve(listener, service) => {
-                    let _ = listener.set_nonblocking(true);
-                    st.insert(Slot::Listener { listener, service });
-                }
-                Cmd::AddLink(token, spec) => {
-                    st.insert(Slot::Link(Box::new(LinkConn::new(token, spec))));
-                }
-                Cmd::Nudge(token) => {
-                    if let Some(i) = st.find_link(token) {
-                        if let Some(Slot::Link(l)) = st.slots[i].as_mut() {
-                            pump_link(l, Instant::now());
-                        }
-                    }
-                }
-                Cmd::Remove(token) => {
-                    if let Some(i) = st.find_link(token) {
-                        st.remove(i);
-                    }
-                }
-                Cmd::Shutdown => return,
-            }
-        }
-
-        // 2. Link timers: due redials, expired connects, backlog ticks.
+        // 1. Pump every link enqueued on since the last poll, then run
+        // the link timers: due redials, expired connects, backlog ticks.
         let now = Instant::now();
-        let mut wake_at: Option<Instant> = None;
-        for slot in st.slots.iter_mut().flatten() {
-            if let Slot::Link(l) = slot {
-                if let Some(t) = link_tick(l, now) {
-                    wake_at = Some(wake_at.map_or(t, |w| w.min(t)));
-                }
+        let mut wake_at = next_tick;
+        for l in links.conns.iter_mut().flatten() {
+            if std::mem::take(&mut l.dirty) {
+                pump_link(l, now);
+            }
+            if let Some(t) = link_tick(l, now) {
+                wake_at = wake_at.min(t);
             }
         }
 
-        // 3. Build the descriptor set. Index 0 is the wake pipe.
+        // 2. Build the descriptor set.
         pollfds.clear();
         owners.clear();
         pollfds.push(PollFd::new(wake_rx.as_raw_fd(), POLLIN));
-        owners.push(usize::MAX);
-        for (i, slot) in st.slots.iter().enumerate() {
-            let Some(slot) = slot else { continue };
-            let (fd, events) = match slot {
-                Slot::Listener { listener, .. } => (listener.as_raw_fd(), POLLIN),
-                Slot::Inbound(c) => {
-                    let mut ev = 0;
-                    if c.wbuf.pending() < WRITE_BUF_CAP {
-                        ev |= POLLIN;
-                    }
-                    if c.wbuf.pending() > 0 {
+        owners.push(Owner::Wake);
+        pollfds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
+        owners.push(Owner::Listener);
+        for (i, c) in conns.slots.iter().enumerate() {
+            let Some(c) = c else { continue };
+            let mut ev = 0;
+            if c.wbuf.pending() < WRITE_BUF_CAP {
+                ev |= POLLIN;
+            }
+            if c.wbuf.pending() > 0 {
+                ev |= POLLOUT;
+            }
+            pollfds.push(PollFd::new(c.stream.as_raw_fd(), ev));
+            owners.push(Owner::Conn(i));
+        }
+        for (j, l) in links.conns.iter().enumerate() {
+            let Some(l) = l else { continue };
+            let (fd, events) = match &l.phase {
+                LinkPhase::Down { .. } => continue,
+                LinkPhase::Connecting { stream, .. } => (stream.as_raw_fd(), POLLOUT),
+                LinkPhase::Up { stream, wbuf, .. } => {
+                    let mut ev = POLLIN;
+                    if wbuf.pending() > 0 {
                         ev |= POLLOUT;
                     }
-                    (c.stream.as_raw_fd(), ev)
+                    (stream.as_raw_fd(), ev)
                 }
-                Slot::Link(l) => match &l.phase {
-                    LinkPhase::Down { .. } => continue,
-                    LinkPhase::Connecting { stream, .. } => (stream.as_raw_fd(), POLLOUT),
-                    LinkPhase::Up { stream, wbuf, .. } => {
-                        let mut ev = POLLIN;
-                        if wbuf.pending() > 0 {
-                            ev |= POLLOUT;
-                        }
-                        (stream.as_raw_fd(), ev)
-                    }
-                },
             };
             pollfds.push(PollFd::new(fd, events));
-            owners.push(i);
+            owners.push(Owner::Link(j));
         }
 
-        // 4. Block for readiness (or the next link timer).
-        let timeout_ms = match wake_at {
-            Some(t) => {
-                // +1 rounds up so a sub-millisecond remainder can't spin.
-                let ms = t.saturating_duration_since(Instant::now()).as_millis() + 1;
-                ms.min(i32::MAX as u128) as i32
-            }
-            None => -1,
-        };
+        // 3. Block for readiness (or the next timer). +1 rounds up so a
+        // sub-millisecond remainder can't spin.
+        let ms = wake_at.saturating_duration_since(now).as_millis() + 1;
+        let timeout_ms = ms.min(i32::MAX as u128) as i32;
         let polled_at = Instant::now();
         let ready = match sys::poll(&mut pollfds, timeout_ms) {
             Ok(n) => n,
@@ -808,52 +748,56 @@ fn run(ctrl: &Ctrl, wake_rx: &UnixStream, obs: &ReactorInstruments) {
                 continue;
             }
         };
-        obs.poll_tick(polled_at.elapsed().as_micros() as u64);
+        let now = Instant::now();
+        obs.poll_tick(now.duration_since(polled_at).as_micros() as u64);
         if ready > 0 {
             obs.wakeup();
         }
 
-        if pollfds[0].revents & POLLIN != 0 {
-            // Drain the wake pipe, up to a short read like any socket;
-            // commands are picked up next cycle.
-            let mut pipe = wake_rx;
-            while let Ok(n) = pipe.read(&mut scratch[..64]) {
-                if n < 64 {
-                    break;
-                }
-            }
-        }
-
-        // 5. Dispatch readiness. Accepted sockets are registered after
+        // 4. Dispatch readiness. Accepted sockets are registered after
         // the loop so a freed index can't be reused while stale
         // revents still reference it.
-        let mut accepted: Vec<(TcpStream, Arc<dyn RpcService>)> = Vec::new();
-        // Inbound connections whose envelopes reached their service
-        // this cycle, with whether each outlives the flush of what it
-        // was answered.
+        let mut accepted: Vec<TcpStream> = Vec::new();
+        // Inbound connections whose envelopes reached the service this
+        // cycle, with whether each outlives the flush of what it was
+        // answered.
         let mut dispatched: Vec<(usize, bool)> = Vec::new();
-        for (k, pfd) in pollfds.iter().enumerate().skip(1) {
+        let mut owed = false;
+        for (pfd, owner) in pollfds.iter().zip(&owners) {
             if pfd.revents == 0 {
                 continue;
             }
-            let i = owners[k];
-            let Some(slot) = st.slots[i].as_mut() else {
-                continue;
-            };
-            match slot {
-                Slot::Listener { listener, service } => loop {
+            match *owner {
+                Owner::Wake => {
+                    // Drain the pipe, up to a short read like any socket.
+                    let mut pipe = wake_rx;
+                    while let Ok(n) = pipe.read(&mut scratch[..64]) {
+                        if scratch[..n].contains(&SHUTDOWN) {
+                            return;
+                        }
+                        if n < 64 {
+                            break;
+                        }
+                    }
+                    service.woken();
+                    owed = true;
+                }
+                Owner::Listener => loop {
                     match listener.accept() {
                         Ok((stream, _)) => {
                             let _ = stream.set_nonblocking(true);
                             let _ = stream.set_nodelay(true);
-                            accepted.push((stream, Arc::clone(service)));
+                            accepted.push(stream);
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                         Err(_) => break,
                     }
                 },
-                Slot::Inbound(c) => {
+                Owner::Conn(i) => {
+                    let Some(c) = conns.slots[i].as_mut() else {
+                        continue;
+                    };
                     let mut alive = true;
                     if pfd.revents & POLLOUT != 0 && c.wbuf.flush(&mut c.stream).is_err() {
                         alive = false;
@@ -864,7 +808,7 @@ fn run(ctrl: &Ctrl, wake_rx: &UnixStream, obs: &ReactorInstruments) {
                     // the connection still owes the peer too much.
                     if alive && c.wbuf.pending() < WRITE_BUF_CAP {
                         alive = read_inbound(c, &mut scratch);
-                        if dispatch_inbound(c, &mut alive) {
+                        if dispatch_inbound(c, &mut service, &mut links, &mut alive) {
                             dispatched.push((i, alive));
                             continue;
                         }
@@ -872,12 +816,14 @@ fn run(ctrl: &Ctrl, wake_rx: &UnixStream, obs: &ReactorInstruments) {
                         alive = false;
                     }
                     if !alive {
-                        st.remove(i);
+                        conns.remove(i);
                         obs.connection_closed();
                     }
                 }
-                Slot::Link(l) => {
-                    let now = Instant::now();
+                Owner::Link(j) => {
+                    let Some(l) = links.conns[j].as_mut() else {
+                        continue;
+                    };
                     match &l.phase {
                         LinkPhase::Connecting { .. } => {
                             finish_connect(l, now);
@@ -909,49 +855,47 @@ fn run(ctrl: &Ctrl, wake_rx: &UnixStream, obs: &ReactorInstruments) {
             }
         }
 
-        // 6. Commit, then write. What the handlers staged becomes
-        // durable before any reply or ack they produced reaches a
-        // socket. A connection the flush leaves with decodable frames
-        // and room in its write buffer is dispatched again at once — no
-        // socket event will ever announce that backlog — and its
-        // replies wait for the next round's commit.
-        while !dispatched.is_empty() {
-            let mut services: Vec<&Arc<dyn RpcService>> = Vec::new();
-            for (i, _) in &dispatched {
-                if let Some(Slot::Inbound(c)) = st.slots[*i].as_ref() {
-                    if !services.iter().any(|s| Arc::ptr_eq(s, &c.service)) {
-                        services.push(&c.service);
-                    }
-                }
-            }
-            for service in services {
-                service.commit();
-            }
+        // The tick falls due on the clock, not on a `poll` timeout.
+        if now >= next_tick {
+            service.tick(&mut links);
+            next_tick = now + S::TICK;
+            owed = true;
+        }
+
+        // 5. Commit, then write. What the cycle staged becomes durable
+        // before any reply or ack it produced reaches a socket. A
+        // connection the flush leaves with decodable frames and room in
+        // its write buffer is dispatched again at once — no socket
+        // event will ever announce that backlog — and its replies wait
+        // for the next round's commit.
+        owed |= !dispatched.is_empty();
+        while owed {
+            service.commit(&mut links);
             let mut again = Vec::new();
             for (i, alive) in dispatched.drain(..) {
-                let Some(Slot::Inbound(c)) = st.slots[i].as_mut() else {
+                let Some(c) = conns.slots[i].as_mut() else {
                     continue;
                 };
                 if c.wbuf.flush(&mut c.stream).is_err() || !alive {
-                    st.remove(i);
+                    conns.remove(i);
                     obs.connection_closed();
                 } else if c.wbuf.pending() < WRITE_BUF_CAP && c.rbuf.has_complete_frame() {
                     let mut alive = true;
-                    dispatch_inbound(c, &mut alive);
+                    dispatch_inbound(c, &mut service, &mut links, &mut alive);
                     again.push((i, alive));
                 }
             }
+            owed = !again.is_empty();
             dispatched = again;
         }
 
-        for (stream, service) in accepted {
-            st.insert(Slot::Inbound(Inbound {
+        for stream in accepted {
+            conns.insert(Inbound {
                 stream,
-                service,
                 kind: None,
                 rbuf: RecvBuf::default(),
                 wbuf: WriteBuf::default(),
-            }));
+            });
             obs.connection_opened();
         }
     }
@@ -962,7 +906,18 @@ mod tests {
     use super::super::frame::{put_acks, read_frame, seal, unseal, write_envelope, write_frame};
     use super::*;
     use std::io::Cursor;
-    use std::net::Shutdown;
+    use std::net::{Shutdown, SocketAddr};
+    use std::sync::mpsc::{self, Receiver, Sender};
+
+    /// A reactor serving `service` on a fresh loopback listener.
+    fn serve<S: RpcService>(service: S) -> (Reactor, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let pipe = WakePipe::new().unwrap();
+        let obs = ReactorInstruments::default();
+        let reactor = Reactor::spawn(pipe, listener, service, Links::default(), obs).unwrap();
+        (reactor, addr)
+    }
 
     #[test]
     fn write_buf_tracks_pending_and_resets_when_drained() {
@@ -1012,13 +967,21 @@ mod tests {
         assert!(rb.drain_envelopes(&mut Vec::new(), usize::MAX).is_err());
     }
 
-    /// Acks every peer envelope and records the payload sizes it saw.
-    struct SizeRecorder(Mutex<Vec<usize>>);
+    /// Acks every peer envelope and reports the payload sizes it saw.
+    struct SizeRecorder(Sender<usize>);
 
     impl RpcService for SizeRecorder {
-        fn handle_batch(&self, _kind: ConnKind, envs: Vec<Envelope>, out: &mut Vec<u8>) -> bool {
+        fn handle_batch(
+            &mut self,
+            _kind: ConnKind,
+            envs: Vec<Envelope>,
+            out: &mut Vec<u8>,
+            _links: &mut Links,
+        ) -> bool {
             let ids: Vec<u64> = envs.iter().map(|e| e.entry).collect();
-            self.0.lock().unwrap().extend(envs.iter().map(|e| e.payload.len()));
+            for env in &envs {
+                let _ = self.0.send(env.payload.len());
+            }
             put_acks(out, &ids).is_ok()
         }
     }
@@ -1029,11 +992,8 @@ mod tests {
         // such as a long-lived coordinator's StartView. It arrives over
         // several readiness cycles; the reactor must keep reading it.
         const BIG: usize = 3 * 1024 * 1024;
-        let reactor = Reactor::new().unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let service = Arc::new(SizeRecorder(Mutex::new(Vec::new())));
-        reactor.serve(listener, Arc::clone(&service) as Arc<dyn RpcService>);
+        let (sizes_tx, sizes) = mpsc::channel();
+        let (_reactor, addr) = serve(SizeRecorder(sizes_tx));
 
         let mut peer = TcpStream::connect(addr).unwrap();
         // A wedged reactor stops reading: fail on the timeouts, not hang.
@@ -1053,18 +1013,24 @@ mod tests {
             acked.extend(ack.ack_ids().expect("an ack envelope"));
         }
         assert_eq!(acked, vec![7, 8]);
-        assert_eq!(*service.0.lock().unwrap(), vec![BIG, 4]);
+        assert_eq!(sizes.try_iter().collect::<Vec<_>>(), vec![BIG, 4]);
     }
 
     /// Echoes every envelope but `bad`, which it refuses; `commit`
     /// reports in and then blocks until the test lets it go.
     struct Gated {
-        entered: Mutex<std::sync::mpsc::Sender<()>>,
-        release: Mutex<std::sync::mpsc::Receiver<()>>,
+        entered: Sender<()>,
+        release: Receiver<()>,
     }
 
     impl RpcService for Gated {
-        fn handle_batch(&self, _kind: ConnKind, envs: Vec<Envelope>, out: &mut Vec<u8>) -> bool {
+        fn handle_batch(
+            &mut self,
+            _kind: ConnKind,
+            envs: Vec<Envelope>,
+            out: &mut Vec<u8>,
+            _links: &mut Links,
+        ) -> bool {
             for env in envs {
                 if env.payload == b"bad" {
                     return false;
@@ -1074,27 +1040,21 @@ mod tests {
             true
         }
 
-        fn commit(&self) {
-            let _ = self.entered.lock().unwrap().send(());
-            let _ = self.release.lock().unwrap().recv();
+        fn commit(&mut self, _links: &mut Links) {
+            let _ = self.entered.send(());
+            let _ = self.release.recv();
         }
     }
 
     #[test]
     fn replies_leave_only_after_the_commit_even_when_the_batch_closes_the_connection() {
         use super::super::frame::{read_frame, unseal};
-        let (entered_tx, entered) = std::sync::mpsc::channel();
-        let (release, release_rx) = std::sync::mpsc::channel();
-        let reactor = Reactor::new().unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        reactor.serve(
-            listener,
-            Arc::new(Gated {
-                entered: Mutex::new(entered_tx),
-                release: Mutex::new(release_rx),
-            }),
-        );
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let (_reactor, addr) = serve(Gated {
+            entered: entered_tx,
+            release: release_rx,
+        });
 
         // One write, so one readiness batch: a request, then the frame
         // that makes the service hang up.
@@ -1123,29 +1083,6 @@ mod tests {
     }
 
     #[test]
-    fn a_command_from_the_reactor_thread_skips_the_wake_pipe() {
-        let (wake_tx, mut wake_rx) = UnixStream::pair().unwrap();
-        wake_tx.set_nonblocking(true).unwrap();
-        wake_rx.set_nonblocking(true).unwrap();
-        let ctrl = Arc::new(Ctrl {
-            cmds: Mutex::new(Vec::new()),
-            wake_tx,
-            next_token: AtomicU64::new(0),
-            thread: OnceLock::new(),
-        });
-        // This thread plays the reactor.
-        ctrl.thread.set(std::thread::current().id()).unwrap();
-        ctrl.push(Cmd::Nudge(7));
-        assert!(wake_rx.read(&mut [0u8; 8]).is_err(), "self-nudge wrote a wake byte");
-        // Any other thread still wakes it.
-        let other = Arc::clone(&ctrl);
-        std::thread::spawn(move || other.push(Cmd::Nudge(8))).join().unwrap();
-        assert_eq!(wake_rx.read(&mut [0u8; 8]).unwrap(), 1);
-        // Both commands are queued for the top of the next cycle.
-        assert_eq!(take_cmds(&ctrl).len(), 2);
-    }
-
-    #[test]
     fn recv_buf_honours_the_batch_limit() {
         let mut rb = RecvBuf::default();
         for i in 0..10u64 {
@@ -1165,18 +1102,21 @@ mod tests {
     struct Echo;
 
     impl RpcService for Echo {
-        fn handle_batch(&self, _kind: ConnKind, envs: Vec<Envelope>, out: &mut Vec<u8>) -> bool {
+        fn handle_batch(
+            &mut self,
+            _kind: ConnKind,
+            envs: Vec<Envelope>,
+            out: &mut Vec<u8>,
+            _links: &mut Links,
+        ) -> bool {
             envs.iter().all(|env| put_frame(out, NO_ENTRY, &env.payload).is_ok())
         }
     }
 
     /// A reactor serving `service`, and a blocking connection to it that
     /// has announced its plane with `kind`.
-    fn dial(service: Arc<dyn RpcService>, kind: u8) -> (Reactor, TcpStream) {
-        let reactor = Reactor::new().unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        reactor.serve(listener, service);
+    fn dial<S: RpcService>(service: S, kind: u8) -> (Reactor, TcpStream) {
+        let (reactor, addr) = serve(service);
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.set_nodelay(true).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -1197,7 +1137,7 @@ mod tests {
 
     #[test]
     fn a_request_split_after_its_length_prefix_is_answered() {
-        let (_reactor, mut client) = dial(Arc::new(Echo), KIND_CLIENT);
+        let (_reactor, mut client) = dial(Echo, KIND_CLIENT);
         send_split(&mut client, NO_ENTRY, b"ping");
         let reply = unseal(read_frame(&mut client).expect("reply")).unwrap();
         assert_eq!(reply.payload, b"ping");
@@ -1205,12 +1145,12 @@ mod tests {
 
     #[test]
     fn a_peer_envelope_split_after_its_length_prefix_is_acked() {
-        let service = Arc::new(SizeRecorder(Mutex::new(Vec::new())));
-        let (_reactor, mut peer) = dial(Arc::clone(&service) as Arc<dyn RpcService>, KIND_PEER);
+        let (sizes_tx, sizes) = mpsc::channel();
+        let (_reactor, mut peer) = dial(SizeRecorder(sizes_tx), KIND_PEER);
         send_split(&mut peer, 7, b"entry");
         let ack = unseal(read_frame(&mut peer).expect("ack")).unwrap();
         assert_eq!(ack.ack_ids().expect("an ack envelope").collect::<Vec<_>>(), vec![7]);
-        assert_eq!(*service.0.lock().unwrap(), vec![5]);
+        assert_eq!(sizes.try_iter().collect::<Vec<_>>(), vec![5]);
     }
 
     #[test]
@@ -1218,7 +1158,7 @@ mod tests {
         // The request and the FIN can land in one readiness cycle: the
         // short read that takes the request must not lose the EOF behind
         // it, nor the EOF the reply.
-        let (_reactor, mut client) = dial(Arc::new(Echo), KIND_CLIENT);
+        let (_reactor, mut client) = dial(Echo, KIND_CLIENT);
         write_envelope(&mut client, NO_ENTRY, b"last").unwrap();
         client.shutdown(Shutdown::Write).unwrap();
         let reply = unseal(read_frame(&mut client).expect("reply before the close")).unwrap();

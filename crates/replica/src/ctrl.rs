@@ -107,7 +107,7 @@ pub enum NodeEvent {
         /// `true` = commit, `false` = abort (compensate).
         commit: bool,
     },
-    /// One heartbeat interval elapsed. The daemon's timer thread is the
+    /// One heartbeat interval elapsed. The daemon's reactor timer is the
     /// only clock the protocol ever sees: the coordinator pings on each
     /// tick, a follower counts ticks since the last coordinator ping
     /// and starts a view change after [`SUSPECT_AFTER`] silent ones.
@@ -120,8 +120,8 @@ pub enum NodeEvent {
     /// ticks).
     SuspectCoordinator,
     /// Cut a checkpoint of this node's current state. `through` is the
-    /// journal entry-id high-water mark the caller observed *before*
-    /// taking the core lock (the daemon reads it from the journal file;
+    /// journal entry-id high-water mark the caller observed just before
+    /// the cut (the daemon reads it from the journal file;
     /// the model, which has no entry ids, passes `None`). The cut
     /// itself is pure: it returns an [`Effect::Checkpoint`] carrying
     /// the payload, and the executor decides where it lands.
@@ -653,10 +653,10 @@ impl NodeCore {
     }
 
     /// Captures a consistent checkpoint of this node. Must be called
-    /// with the core otherwise quiescent (the daemon holds the core
-    /// lock; the model steps nodes one at a time), so no effect is
-    /// half-applied across the image. `None` when the method state has
-    /// no image ([`SiteState::to_ckpt`]).
+    /// with the core otherwise quiescent (the daemon's reactor thread
+    /// cuts between steps; the model steps nodes one at a time), so no
+    /// effect is half-applied across the image. `None` when the method
+    /// state has no image ([`SiteState::to_ckpt`]).
     pub fn ckpt_payload(&self, through: Option<u64>) -> Option<CkptPayload> {
         Some(CkptPayload {
             covered: self.journaled.len() as u64,

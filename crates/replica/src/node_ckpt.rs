@@ -26,8 +26,8 @@ use crate::wire::{
     encode_version_opt, get_count, get_u64, WireError,
 };
 
-/// One consistent checkpoint of a daemon node, cut while the core lock
-/// was held (so no effect is half-applied across the image).
+/// One consistent checkpoint of a daemon node, cut between two steps
+/// (so no effect is half-applied across the image).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CkptPayload {
     /// Number of distinct MSets journalled at the cut — the payload's

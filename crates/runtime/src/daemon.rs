@@ -3,7 +3,7 @@
 //!
 //! A daemon hosts one [`SiteState`] (any of the five methods), accepts
 //! peer and client connections on a loopback TCP listener, and drives
-//! durable outbound [`Link`]s — one per peer site — that persistently
+//! durable outbound [`Links`] — one per peer site — that persistently
 //! retry delivery until acknowledged (the paper's §2.2 stable-queue
 //! contract, over a real network). All of the daemon's I/O — the
 //! listener, every accepted connection, and every outbound link —
@@ -17,6 +17,17 @@
 //! re-announces its applies, and catches up on everything it missed
 //! through the peers' at-least-once queues.
 //!
+//! ## One owner
+//!
+//! [`Daemon::start`] boots a [`Daemon`] on the calling thread — epoch,
+//! catch-up, restore or replay, journal, link queues, listener — and
+//! moves it into the reactor thread, which owns it from then on. The
+//! core, the staged writes, the journal and the links are plain values
+//! reached through `&mut`: one thread steps and commits, so there is
+//! nothing to lock. The one other thread is the checkpoint writer,
+//! which takes owned cut payloads over a channel and reports each
+//! install back over another, with a wake byte for the reactor.
+//!
 //! ## Tick commit
 //!
 //! A reactor cycle is the unit of durability. Stepping the core writes
@@ -26,8 +37,8 @@
 //! reply or ack of the cycle reaches a socket. The commit is one
 //! append per link for the submits' fan-out, then one journal append,
 //! then one append per link for everything else — the order
-//! `crate::commit` argues. Steps made off the reactor thread (the
-//! heartbeat timer, boot recovery) commit as soon as they are staged.
+//! `crate::commit` argues. Boot recovery, which runs before the
+//! reactor exists, commits once at the end of boot.
 //!
 //! ## Topology and the coordinator
 //!
@@ -42,41 +53,40 @@
 //! coordinator additionally re-sends a [`Frame::StartView`] snapshot so
 //! a recovering site converges even if its queue files were lost.
 //!
-//! The coordinator role is **movable** (DESIGN.md §15): a timer thread
+//! The coordinator role is **movable** (DESIGN.md §15): the reactor's
+//! heartbeat timer ([`RpcService::tick`], every `TICK_INTERVAL`)
 //! feeds [`NodeEvent::Tick`]s to the core, the acting coordinator
 //! heartbeats with [`Frame::Ping`], and a follower that misses enough
 //! pings elects view `v+1` via the StartViewChange / DoViewChange /
 //! StartView exchange — all of it pure [`NodeCore`] logic; this file
 //! only executes the resulting effects. An installed view is persisted
-//! to `<dir>/site-<i>.view` (atomic tmp+rename) by
-//! [`Effect::RecordView`] before any frame of the new view is sent, so
-//! a rebooted site rejoins its last view rather than view 0. `kill -9`
-//! of the acting coordinator is therefore survivable: the survivors
-//! elect the next site, re-announce their applied ETs, and the merged
-//! DoViewChange evidence carries completions/decisions/VTNC across the
-//! handoff.
+//! to `<dir>/site-<i>.view` (tmp+rename) by [`Effect::RecordView`]
+//! before any frame of the new view is sent, so a rebooted site rejoins
+//! its last view rather than view 0. `kill -9` of the acting
+//! coordinator is therefore survivable: the survivors elect the next
+//! site, re-announce their applied ETs, and the merged DoViewChange
+//! evidence carries completions/decisions/VTNC across the handoff.
 //!
 //! ## Discovery
 //!
 //! Daemons bind an ephemeral loopback port and publish it at
-//! `<dir>/site-<i>.addr` (atomic tmp+rename write). Links re-resolve
-//! the address file on every dial, so a restarted peer on a new port is
+//! `<dir>/site-<i>.addr` (tmp+rename write). Links re-resolve the
+//! address file on every dial, so a restarted peer on a new port is
 //! found as soon as it republishes. `<dir>/site-<i>.epoch` counts boots
 //! and is echoed in the handshake.
 
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use esr_core::divergence::{EpsilonSpec, InconsistencyCounter};
 use esr_core::ids::SiteId;
 use esr_net::rpc::{
-    put_acks, put_frame, Backoff, ConnKind, Envelope, Link, Reactor, RpcService, NO_ENTRY,
+    put_acks, put_frame, Backoff, ConnKind, Envelope, Links, Reactor, RpcService, WakePipe, Waker,
+    NO_ENTRY,
 };
 use esr_obs::{
     CkptInstruments, Counter, Gauge, Histogram, LinkInstruments, MetricsRegistry,
@@ -116,7 +126,7 @@ pub struct DaemonConfig {
     pub ckpt_bytes: Option<u64>,
 }
 
-/// What the daemon durably knows about its checkpoint chain.
+/// What the daemon knows about its checkpoint chain.
 #[derive(Debug, Clone, Copy, Default)]
 struct CkptState {
     /// Sequence of the newest installed snapshot (0 = none yet).
@@ -126,11 +136,54 @@ struct CkptState {
     /// That snapshot's journal entry-id cut (`None` for a catch-up
     /// image whose ids refer to a peer's journal).
     covered_through: Option<u64>,
+    /// Sequence handed to the newest cut (`>= seq`; the ones above
+    /// `seq` are with the writer or failed).
+    cut: u64,
 }
 
-/// A running site daemon. Construct with [`Daemon::start`]; one
-/// reactor thread drives all of its I/O in the background until the
-/// process exits.
+/// A snapshot the checkpoint writer installed.
+#[derive(Debug)]
+struct Installed {
+    seq: u64,
+    covered: u64,
+    covered_through: Option<u64>,
+    /// Container size on disk.
+    bytes: u64,
+    /// Encode-and-install time.
+    micros: u64,
+}
+
+/// A cut on its way to the writer: its sequence number and payload.
+type Cut = (u64, Box<CkptPayload>);
+
+/// The writer's report on one cut: the install, or its sequence and
+/// why it failed.
+type Completion = Result<Installed, (u64, String)>;
+
+/// A running daemon: what [`Daemon::start`] returns. Dropping it shuts
+/// the reactor down, which drops the [`Daemon`] it owns — closing the
+/// listener, every connection and link, and the checkpoint writer's
+/// channel.
+pub struct DaemonHandle {
+    addr: SocketAddr,
+    epoch: u64,
+    _reactor: Reactor,
+}
+
+impl DaemonHandle {
+    /// The loopback address this daemon accepts on.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// This incarnation's boot epoch.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+}
+
+/// One site daemon, booted. [`Daemon::start`] hands it to a reactor
+/// thread, which owns it and is the only caller of its methods.
 ///
 /// All protocol logic lives in the pure [`NodeCore`]
 /// (`crate::ctrl`): the daemon's job is only to feed it events and
@@ -139,28 +192,15 @@ struct CkptState {
 pub struct Daemon {
     cfg: DaemonConfig,
     epoch: u64,
-    addr: SocketAddr,
     /// The pure control-plane state machine (replica state, journalled
     /// set, view-change machine, and — on the current view's
     /// coordinator — the coordinator core).
-    core: Mutex<NodeCore>,
+    core: NodeCore,
     /// Journal records and link sends stepped but not yet written.
-    /// [`Daemon::commit`] holds this lock across its writes, so commits
-    /// are serialised: a second committer (the heartbeat thread racing
-    /// the reactor) blocks until the first has written, and can never
-    /// return — releasing its cycle's acks — while records the first
-    /// took are still in flight. Lock order: `core`, `staged`,
-    /// `journal`, then a link's queue.
-    staged: Mutex<Staged>,
+    staged: Staged,
     /// The on-disk journal a commit appends the core's
     /// `Effect::Journal` effects to.
-    journal: Mutex<ApplyJournal>,
-    /// Durable outbound links, indexed by target site (`None` at our
-    /// own slot).
-    links: Vec<Option<Link>>,
-    /// The poll-driven I/O thread every socket of this daemon runs on.
-    /// Declared after `links` so they deregister before it joins.
-    reactor: Reactor,
+    journal: ApplyJournal,
     /// Reactor metrics bundle (kept here to tick ack-batch sizes from
     /// the service dispatch).
     robs: ReactorInstruments,
@@ -200,20 +240,20 @@ pub struct Daemon {
     /// view landing durably (`esr_election_latency_micros`).
     election_latency: Histogram,
     /// When the in-progress election started (None outside elections).
-    election_started: Mutex<Option<Instant>>,
+    election_started: Option<Instant>,
     /// The checkpoint chain: newest installed snapshot seq, its covered
-    /// frontier, and its journal cut. Lock order: `ckpt` before
-    /// `journal`; never taken with `core` held by the writer thread
-    /// (the cut itself happens under `core`, the install does not).
-    ckpt: Mutex<CkptState>,
+    /// frontier and journal cut, and the newest cut's seq.
+    ckpt: CkptState,
     /// Journal bytes appended since the last policy-triggered cut.
-    ckpt_bytes_since: AtomicU64,
-    /// Set by the policy when a cut is due; consumed by `dispatch`
-    /// under the core lock so the cut is a consistent prefix.
-    ckpt_due: AtomicBool,
-    /// Hands cut payloads to the background writer thread so snapshot
+    ckpt_bytes_since: u64,
+    /// Set by the policy when a cut is due; the commit that set it cuts
+    /// once its writes are done, so the cut is a consistent prefix.
+    ckpt_due: bool,
+    /// Hands numbered cut payloads to the writer thread, so snapshot
     /// encoding + fsync never blocks the apply path.
-    ckpt_tx: Mutex<mpsc::Sender<Box<CkptPayload>>>,
+    ckpt_tx: Sender<Cut>,
+    /// The writer's reports, one per cut, in cut order.
+    ckpt_done: Receiver<Completion>,
     /// Checkpoint/journal metrics bundle.
     ckpt_obs: CkptInstruments,
 }
@@ -300,8 +340,8 @@ fn queue_path(dir: &Path, from: SiteId, to: SiteId) -> PathBuf {
     dir.join(format!("link-{}-{}.queue", from.raw(), to.raw()))
 }
 
-/// Atomic publish: write to a tmp file, then rename into place, so a
-/// concurrent reader never observes a torn address.
+/// Publishes all at once: write to a tmp file, then rename into place,
+/// so a concurrent reader never observes a torn address.
 fn publish(path: &Path, contents: &str) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, contents)?;
@@ -318,13 +358,78 @@ pub fn resolve_addr(dir: &Path, site: SiteId) -> Option<SocketAddr> {
         .ok()
 }
 
+/// Starts the checkpoint writer, the daemon's one thread besides the
+/// reactor: it encodes, installs and retains every numbered cut it is
+/// handed, off the apply path, and reports each back in cut order —
+/// then wakes the reactor, which applies the report in its next cycle.
+/// It exits when the daemon, and with it the sending half, is dropped.
+fn spawn_writer(
+    dir: PathBuf,
+    site: SiteId,
+    waker: Waker,
+) -> std::io::Result<(Sender<Cut>, Receiver<Completion>)> {
+    let (cut_tx, cuts) = mpsc::channel::<Cut>();
+    let (done_tx, done) = mpsc::channel();
+    std::thread::Builder::new()
+        .name(format!("esrd-ckpt-{}", site.raw()))
+        .spawn(move || {
+            let prefix = snap_prefix(site);
+            for (seq, payload) in cuts {
+                let started = Instant::now();
+                let bytes = encode_payload(&payload);
+                let report = match snapshot::install(&dir, &prefix, seq, &bytes) {
+                    Ok(_) => {
+                        // Keep the two newest containers: a corrupt
+                        // newest falls back to the one before it.
+                        let _ = snapshot::retain(&dir, &prefix, 2);
+                        Ok(Installed {
+                            seq,
+                            covered: payload.covered,
+                            covered_through: payload.covered_through,
+                            bytes: (bytes.len() + snapshot::SNAP_OVERHEAD) as u64,
+                            micros: started.elapsed().as_micros() as u64,
+                        })
+                    }
+                    Err(e) => Err((seq, format!("install: {e}"))),
+                };
+                if done_tx.send(report).is_err() {
+                    break;
+                }
+                waker.wake();
+            }
+        })?;
+    Ok((cut_tx, done))
+}
+
 impl Daemon {
-    /// Boots the daemon: bumps the epoch, replays the journal, spawns
-    /// the reactor, attaches the outbound links to it, binds a loopback
-    /// listener, publishes its address, and starts accepting. Returns
-    /// the running handle (the reactor thread lives until process
-    /// exit).
-    pub fn start(cfg: DaemonConfig) -> std::io::Result<Arc<Self>> {
+    /// Boots the daemon and starts its reactor: the daemon is booted on
+    /// this thread (`Daemon::boot`), then moved into the reactor
+    /// thread with its listener and links, and its address published.
+    /// The returned handle keeps it running; dropping the handle stops
+    /// it.
+    pub fn start(cfg: DaemonConfig) -> std::io::Result<DaemonHandle> {
+        let pipe = WakePipe::new()?;
+        let (daemon, links, listener) = Self::boot(cfg, pipe.waker()?)?;
+        let (addr, epoch) = (listener.local_addr()?, daemon.epoch);
+        let addr_file = addr_path(&daemon.cfg.dir, daemon.cfg.site);
+        let obs = daemon.robs.clone();
+        let reactor = Reactor::spawn(pipe, listener, daemon, links, obs)?;
+        // Publish last: a resolvable address implies a daemon ready to
+        // accept.
+        publish(&addr_file, &addr.to_string())?;
+        Ok(DaemonHandle {
+            addr,
+            epoch,
+            _reactor: reactor,
+        })
+    }
+
+    /// Boots a daemon without running it: bumps the epoch, catches up a
+    /// wiped site, restores or replays the journal, opens the link
+    /// queues, binds a loopback listener, starts the checkpoint writer
+    /// (which reports through `waker`), and commits what recovery
+    /// stepped.
+    fn boot(cfg: DaemonConfig, waker: Waker) -> std::io::Result<(Self, Links, TcpListener)> {
         assert!(cfg.sites > 0 && (cfg.site.raw() as usize) < cfg.sites);
         std::fs::create_dir_all(&cfg.dir)?;
 
@@ -392,6 +497,7 @@ impl Daemon {
                     seq: snap_seq,
                     covered: payload.covered,
                     covered_through: payload.covered_through,
+                    cut: snap_seq,
                 };
                 let started = Instant::now();
                 if let Some((core, effects)) = NodeCore::restore(
@@ -413,7 +519,7 @@ impl Daemon {
                 }
             }
         }
-        let (core, recovery_effects, mut ckpt_state, replayed) = match restored {
+        let (core, recovery_effects, mut ckpt, replayed) = match restored {
             Some(r) => r,
             None => {
                 let entries = journal.replay();
@@ -436,7 +542,7 @@ impl Daemon {
         replays.add(replayed);
         events.record(Event::Boot {
             epoch,
-            snapshot: (ckpt_state.seq > 0).then_some((ckpt_state.seq, ckpt_state.covered)),
+            snapshot: (ckpt.seq > 0).then_some((ckpt.seq, ckpt.covered)),
             replayed,
             view: core.view,
         });
@@ -446,28 +552,22 @@ impl Daemon {
             .ok()
             .and_then(|l| l.last().map(|(seq, _)| *seq))
         {
-            ckpt_state.seq = ckpt_state.seq.max(newest);
+            ckpt.seq = ckpt.seq.max(newest);
         }
+        ckpt.cut = ckpt.seq;
         ckpt_obs.journal(journal.file_bytes(), journal.live_entries());
 
-        // One reactor thread multiplexes every socket this daemon owns:
-        // the listener, each accepted connection, and each outbound
-        // link below.
-        let robs = ReactorInstruments::for_registry(&metrics);
-        let reactor = Reactor::with_instruments(robs.clone())?;
-
-        // Durable outbound links, one per peer, all sharing the
+        // Durable outbound links, one per peer, all drained by the
         // reactor. The hello frame carries our id + epoch; the
         // coordinator answers a peer hello with a control snapshot.
         let hello = encode_frame(&Frame::Hello {
             site: cfg.site,
             epoch,
         });
-        let mut links = Vec::with_capacity(cfg.sites);
+        let mut links = Links::default();
         for j in 0..cfg.sites {
             let to = SiteId(j as u64);
             if to == cfg.site {
-                links.push(None);
                 continue;
             }
             let queue = FileQueue::open(queue_path(&cfg.dir, cfg.site, to))?;
@@ -476,18 +576,17 @@ impl Daemon {
                 &metrics,
                 &format!("{}->{}", cfg.site.raw(), to.raw()),
             );
-            links.push(Some(Link::attach(
-                &reactor,
+            links.attach(
+                j,
                 Box::new(queue),
                 Box::new(move || resolve_addr(&dir, to)),
                 hello.clone(),
                 Backoff::default(),
                 link_obs,
-            )));
+            );
         }
 
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
 
         let apply_latency =
             metrics.histogram("esr_apply_latency_micros", &[("site", &site_label)]);
@@ -504,16 +603,13 @@ impl Daemon {
         let elections = metrics.counter("esr_elections_total", &[("site", &site_label)]);
         let election_latency =
             metrics.histogram("esr_election_latency_micros", &[("site", &site_label)]);
-        let (ckpt_tx, ckpt_rx) = mpsc::channel::<Box<CkptPayload>>();
-        let daemon = Arc::new(Self {
+        let (ckpt_tx, ckpt_done) = spawn_writer(cfg.dir.clone(), cfg.site, waker)?;
+        let mut daemon = Self {
             epoch,
-            addr,
-            core: Mutex::new(core),
-            staged: Mutex::new(Staged::default()),
-            journal: Mutex::new(journal),
-            links,
-            reactor,
-            robs,
+            core,
+            staged: Staged::default(),
+            journal,
+            robs: ReactorInstruments::for_registry(&metrics),
             cfg,
             metrics,
             site_obs,
@@ -527,128 +623,64 @@ impl Daemon {
             coordinator_gauge,
             elections,
             election_latency,
-            election_started: Mutex::new(None),
-            ckpt: Mutex::new(ckpt_state),
-            ckpt_bytes_since: AtomicU64::new(0),
-            ckpt_due: AtomicBool::new(false),
-            ckpt_tx: Mutex::new(ckpt_tx),
+            election_started: None,
+            ckpt,
+            ckpt_bytes_since: 0,
+            ckpt_due: false,
+            ckpt_tx,
+            ckpt_done,
             ckpt_obs,
-        });
-
-        // The checkpoint writer: encodes and fsyncs cut payloads off
-        // the apply path. Holds a Weak so a dropped daemon (in-process
-        // tests) lets the thread exit when the sender disconnects.
-        let ckpt_target = Arc::downgrade(&daemon);
-        std::thread::Builder::new()
-            .name(format!("esrd-ckpt-{}", daemon.cfg.site.raw()))
-            .spawn(move || {
-                while let Ok(payload) = ckpt_rx.recv() {
-                    let Some(daemon) = ckpt_target.upgrade() else {
-                        break;
-                    };
-                    daemon.install_ckpt(&payload);
-                }
-            })?;
+        };
 
         // Execute the recovery effects: replay events (counted like any
         // other, whichever branch produced them) plus the
         // re-announcement of recovered applies (the coordinator
         // deduplicates).
         daemon.perform(recovery_effects);
-        daemon.commit();
-
-        // Publish last: a resolvable address implies a daemon ready to
-        // accept.
-        publish(
-            &addr_path(&daemon.cfg.dir, daemon.cfg.site),
-            &addr.to_string(),
-        )?;
-
-        daemon
-            .reactor
-            .serve(listener, Arc::clone(&daemon) as Arc<dyn RpcService>);
-
-        // The heartbeat timer: the only place wall-clock time enters
-        // the protocol, and it enters as a bare tick count. Holds a
-        // Weak so a dropped daemon (in-process tests) stops ticking.
-        let tick_target = Arc::downgrade(&daemon);
-        std::thread::Builder::new()
-            .name(format!("esrd-tick-{}", daemon.cfg.site.raw()))
-            .spawn(move || loop {
-                std::thread::sleep(TICK_INTERVAL);
-                let Some(daemon) = tick_target.upgrade() else {
-                    break;
-                };
-                // No reactor cycle follows a step made on this thread:
-                // commit it here (the links nudge the reactor).
-                daemon.dispatch(NodeEvent::Tick);
-                daemon.commit();
-            })?;
-
-        Ok(daemon)
-    }
-
-    /// The loopback address this daemon accepts on.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// This incarnation's boot epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+        daemon.commit(&mut links);
+        Ok((daemon, links, listener))
     }
 
     /// Feeds one event through the pure core and executes its effects:
     /// the immediate ones now, in order; journal records and sends are
-    /// staged for the next [`Daemon::commit`]. Staging happens under
-    /// the core lock, so a commit always sees whole steps.
-    fn dispatch(&self, event: NodeEvent) {
-        let mut core = self.core.lock();
-        let effects = core.step(event);
-        let coordinator = core.coord.is_some();
+    /// staged for the cycle's commit.
+    fn dispatch(&mut self, event: NodeEvent) {
+        let effects = self.core.step(event);
         self.perform(effects);
-        // A policy-due cut happens under the same core lock, so the
-        // payload is a consistent prefix of everything journalled so
-        // far. The cut itself is cheap (a clone of the bookkeeping);
-        // encoding and fsync happen on the writer thread.
-        if self.ckpt_due.swap(false, Ordering::Relaxed) {
-            let effects = self.cut(&mut core);
-            self.perform(effects);
-        }
-        self.coordinator_gauge.set(i64::from(coordinator));
+        self.coordinator_gauge.set(i64::from(self.core.coord.is_some()));
     }
 
-    /// Cuts a checkpoint of the (locked) core. The image holds every
-    /// step made so far and names the journal's last id as its cut, so
-    /// what those steps staged is committed first: `covered_through`
-    /// is then the last record the image contains.
-    fn cut(&self, core: &mut NodeCore) -> Vec<Effect> {
-        self.commit();
-        let through = self.journal.lock().last_id();
-        core.step(NodeEvent::Checkpoint { through })
+    /// Cuts a checkpoint of the core and hands it to the writer. The
+    /// image holds every step made so far and names the journal's last
+    /// id as its cut, so what those steps staged is written first:
+    /// `covered_through` is then the last record the image contains.
+    fn cut(&mut self, links: &mut Links) {
+        self.write(links);
+        self.ckpt_due = false;
+        let through = self.journal.last_id();
+        let effects = self.core.step(NodeEvent::Checkpoint { through });
+        self.perform(effects);
     }
 
-    /// Executes one step's effects: view records land durably and
-    /// events land in the log at once, in order; journal appends and
-    /// link sends are staged for the commit.
-    fn perform(&self, effects: Vec<Effect>) {
+    /// Executes one step's effects: view records land durably, events
+    /// land in the log and a cut's payload goes to the writer at once,
+    /// in order; journal appends and link sends are staged for the
+    /// commit.
+    fn perform(&mut self, effects: Vec<Effect>) {
         // The first StartViewChange of an election marks its start for
         // the latency histogram.
         let starts_election = effects.iter().any(|e| {
             matches!(e, Effect::Send { frame: Frame::StartViewChange { .. }, .. })
         });
-        if starts_election {
-            let mut started = self.election_started.lock();
-            if started.is_none() {
-                *started = Some(Instant::now());
-                self.elections.inc();
-            }
+        if starts_election && self.election_started.is_none() {
+            self.election_started = Some(Instant::now());
+            self.elections.inc();
         }
-        let now = self.staged.lock().stage(effects);
-        for effect in now {
+        for effect in self.staged.stage(effects) {
             match effect {
                 Effect::Checkpoint(payload) => {
-                    let _ = self.ckpt_tx.lock().send(payload);
+                    self.ckpt.cut += 1;
+                    let _ = self.ckpt_tx.send((self.ckpt.cut, payload));
                 }
                 Effect::RecordView(view) => self.record_view(view),
                 Effect::Event(event) => {
@@ -663,40 +695,30 @@ impl Daemon {
 
     /// Writes everything staged, in the order [`crate::commit`] plans:
     /// fan-out sends, the journal records, every other send — one
-    /// append per file. The reactor calls it once per cycle
-    /// ([`RpcService::commit`]); a step made on any other thread calls
-    /// it right after staging. Serialised by the `staged` lock, which is
-    /// held until the last byte is written.
-    fn commit(&self) {
-        let mut staged = self.staged.lock();
-        if staged.is_empty() {
+    /// append per file.
+    fn write(&mut self, links: &mut Links) {
+        if self.staged.is_empty() {
             return;
         }
         let started = Instant::now();
         let mut records = 0;
-        for write in staged.plan() {
+        for write in self.staged.plan() {
             records += write.records() as u64;
             match write {
                 Write::Journal(msets) => {
-                    let (bytes, file_bytes, live) = {
-                        let mut journal = self.journal.lock();
-                        let bytes = journal.record_batch(&msets);
-                        (bytes, journal.file_bytes(), journal.live_entries())
-                    };
-                    self.ckpt_obs.journal(file_bytes, live);
+                    let bytes = self.journal.record_batch(&msets);
+                    self.ckpt_obs
+                        .journal(self.journal.file_bytes(), self.journal.live_entries());
                     if let Some(limit) = self.cfg.ckpt_bytes {
-                        let since =
-                            self.ckpt_bytes_since.fetch_add(bytes, Ordering::Relaxed) + bytes;
-                        if since >= limit {
-                            self.ckpt_bytes_since.store(0, Ordering::Relaxed);
-                            self.ckpt_due.store(true, Ordering::Relaxed);
+                        self.ckpt_bytes_since += bytes;
+                        if self.ckpt_bytes_since >= limit {
+                            self.ckpt_bytes_since = 0;
+                            self.ckpt_due = true;
                         }
                     }
                 }
                 Write::Link { to, frames } => {
-                    if let Some(Some(link)) = self.links.get(to.raw() as usize) {
-                        link.send_batch(frames.iter().map(encode_frame).collect());
-                    }
+                    links.send_batch(to.raw() as usize, frames.iter().map(encode_frame).collect());
                 }
             }
         }
@@ -705,23 +727,23 @@ impl Daemon {
             .record(started.elapsed().as_micros() as u64);
     }
 
-    /// Durably installs a view: atomic file write (the same tmp+rename
-    /// publish as the address file — executed by `perform` at once, so
-    /// before the commit that writes any send of the new view), then
-    /// the obs gauges.
-    fn record_view(&self, view: u64) {
+    /// Durably installs a view: file write (the same tmp+rename publish
+    /// as the address file — executed by `perform` at once, so before
+    /// the commit that writes any send of the new view), then the obs
+    /// gauges.
+    fn record_view(&mut self, view: u64) {
         let _ = publish(
             &view_path(&self.cfg.dir, self.cfg.site),
             &view.to_string(),
         );
         self.view_gauge.set(view as i64);
-        if let Some(started) = self.election_started.lock().take() {
+        if let Some(started) = self.election_started.take() {
             self.election_latency
                 .record(started.elapsed().as_micros() as u64);
         }
     }
 
-    fn handle_peer_frame(&self, frame: Frame) {
+    fn handle_peer_frame(&mut self, frame: Frame) {
         let timed = matches!(frame, Frame::MSet(_));
         let started = Instant::now();
         self.dispatch(NodeEvent::PeerFrame(frame));
@@ -735,10 +757,10 @@ impl Daemon {
     /// decodes but is malformed — an MSet of a shape this site's method
     /// cannot take ([`SiteState::accepts`]) — which closes the
     /// connection without stepping the core.
-    fn handle_client_request(&self, request: Frame) -> Option<Frame> {
+    fn handle_client_request(&mut self, request: Frame, links: &mut Links) -> Option<Frame> {
         Some(match request {
             Frame::Submit(mset) => {
-                if !self.core.lock().state.accepts(&mset) {
+                if !self.core.state.accepts(&mset) {
                     return None;
                 }
                 // Exactly-once: a retried request (same client id +
@@ -746,7 +768,7 @@ impl Daemon {
                 // the *original* ET — byte-identical to the first
                 // SubmitOk — even if the retry was re-stamped.
                 if let Some((cid, seq)) = mset.client {
-                    if let Some(et) = self.core.lock().cached_et(cid, seq) {
+                    if let Some(et) = self.core.cached_et(cid, seq) {
                         self.events.record(Event::DuplicateSubmit {
                             client: cid,
                             seq,
@@ -768,44 +790,30 @@ impl Daemon {
             } => {
                 let mut counter =
                     InconsistencyCounter::new(EpsilonSpec::bounded(epsilon_limit));
-                let out = self.core.lock().state.query(&read_set, &mut counter);
+                let out = self.core.state.query(&read_set, &mut counter);
                 self.site_obs.query(out.charged, epsilon_limit, out.admitted);
                 Frame::QueryOk(out)
             }
             Frame::Snapshot => Frame::SnapshotOk {
-                entries: self.core.lock().state.snapshot().into_iter().collect(),
+                entries: self.core.state.snapshot().into_iter().collect(),
             },
-            Frame::Status => {
-                let (settled, view, coordinator) = {
-                    let core = self.core.lock();
-                    (core.state.settled(), core.view, core.coord.is_some())
-                };
-                let (ckpt_seq, ckpt_covered) = self.ckpt_status();
+            Frame::Status => Frame::StatusOk {
+                settled: self.core.state.settled(),
                 // Sends staged earlier in this very cycle are outbound
-                // work like any queue entry (quiesce relies on it). The
-                // lock also waits out a commit in flight, whose sends
-                // are in neither place for a moment.
-                let outbound_pending = {
-                    let staged = self.staged.lock();
-                    let queued: usize = self.links.iter().flatten().map(Link::pending).sum();
-                    (staged.sends() + queued) as u64
-                };
-                Frame::StatusOk {
-                    settled,
-                    outbound_pending,
-                    epoch: self.epoch,
-                    view,
-                    coordinator,
-                    ckpt_seq,
-                    ckpt_covered,
-                }
-            }
+                // work like any queue entry (quiesce relies on it).
+                outbound_pending: (self.staged.sends() + links.pending()) as u64,
+                epoch: self.epoch,
+                view: self.core.view,
+                coordinator: self.core.coord.is_some(),
+                ckpt_seq: self.ckpt.seq,
+                ckpt_covered: self.ckpt.covered,
+            },
             Frame::Decision { et, commit } => {
                 self.dispatch(NodeEvent::ClientDecision { et, commit });
                 Frame::DecisionOk { et }
             }
             Frame::Checkpoint => {
-                let (seq, covered) = self.take_checkpoint();
+                let (seq, covered) = self.take_checkpoint(links);
                 Frame::CheckpointOk { seq, covered }
             }
             Frame::SnapshotRequest { offset } => {
@@ -832,7 +840,7 @@ impl Daemon {
                 }
             }
             Frame::Metrics => {
-                publish_readings(self.core.lock().state.readings(), &self.site_obs);
+                publish_readings(self.core.state.readings(), &self.site_obs);
                 Frame::MetricsOk {
                     text: self.metrics.render(),
                 }
@@ -855,95 +863,82 @@ impl Daemon {
         })
     }
 
-    /// The newest installed snapshot's (seq, covered frontier).
-    fn ckpt_status(&self) -> (u64, u64) {
-        let st = self.ckpt.lock();
-        (st.seq, st.covered)
-    }
-
-    /// An on-demand checkpoint (`esrctl checkpoint`): cuts a consistent
-    /// payload under the core lock, then installs it synchronously so
-    /// the reply reflects the new snapshot. Works with the byte policy
-    /// disabled.
-    fn take_checkpoint(&self) -> (u64, u64) {
-        let payload = {
-            let mut core = self.core.lock();
-            let effects = self.cut(&mut core);
-            let mut payload = None;
-            for effect in effects {
-                match effect {
-                    Effect::Checkpoint(p) => payload = Some(p),
-                    Effect::Event(event) => self.events.record(event),
-                    _ => {}
+    /// An on-demand checkpoint (`esrctl checkpoint`): cuts like the
+    /// policy does, then waits for the writer to install that cut — and
+    /// applies every report before it, which the writer sends first —
+    /// so the reply reflects the new snapshot. Works with the byte
+    /// policy disabled.
+    fn take_checkpoint(&mut self, links: &mut Links) -> (u64, u64) {
+        let before = self.ckpt.cut;
+        self.cut(links);
+        if self.ckpt.cut > before {
+            while let Ok(report) = self.ckpt_done.recv() {
+                let seq = match &report {
+                    Ok(installed) => installed.seq,
+                    Err((seq, _)) => *seq,
+                };
+                self.apply_install(report);
+                if seq == self.ckpt.cut {
+                    break;
                 }
             }
-            payload
-        };
-        match payload {
-            Some(p) => self.install_ckpt(&p),
-            None => self.ckpt_status(),
         }
+        (self.ckpt.seq, self.ckpt.covered)
     }
 
-    /// Installs a cut payload as the next snapshot in the chain, then
-    /// retires the journal prefix the *previous* snapshot covered
-    /// (lag-by-one: the newest snapshot's own prefix stays live so a
-    /// corrupt-newest fallback to snapshot N-1 still finds its suffix).
-    /// Keeps the two newest containers on disk for the same reason.
-    fn install_ckpt(&self, payload: &CkptPayload) -> (u64, u64) {
-        let mut st = self.ckpt.lock();
-        if payload.covered < st.covered {
-            // A stale cut raced a newer install; the chain only moves
-            // forward.
-            return (st.seq, st.covered);
+    /// Applies the writer's report on one cut. An install becomes the
+    /// chain's newest snapshot and retires the journal prefix the
+    /// *previous* snapshot covered (lag-by-one: the newest snapshot's
+    /// own prefix stays live so a corrupt-newest fallback to snapshot
+    /// N-1 still finds its suffix). A report older than the chain
+    /// changes nothing: `seq` and `covered` only move forward.
+    fn apply_install(&mut self, report: Completion) {
+        let installed = match report {
+            Ok(installed) => installed,
+            Err((seq, detail)) => {
+                self.events.record(Event::CkptFailed { seq, detail });
+                return;
+            }
+        };
+        if installed.seq <= self.ckpt.seq || installed.covered < self.ckpt.covered {
+            return;
         }
-        let started = Instant::now();
-        let bytes = encode_payload(payload);
-        let seq = st.seq + 1;
-        let prefix = snap_prefix(self.cfg.site);
-        if let Err(e) = snapshot::install(&self.cfg.dir, &prefix, seq, &bytes) {
-            self.events.record(Event::CkptFailed {
-                seq,
-                detail: format!("install: {e}"),
-            });
-            return (st.seq, st.covered);
-        }
-        self.ckpt_obs.installed(
-            (bytes.len() + snapshot::SNAP_OVERHEAD) as u64,
-            started.elapsed().as_micros() as u64,
-        );
+        self.ckpt_obs.installed(installed.bytes, installed.micros);
         self.events.record(Event::CkptInstall {
-            seq,
-            covered: payload.covered,
+            seq: installed.seq,
+            covered: installed.covered,
         });
-        let previous_cut = st.covered_through;
-        st.seq = seq;
-        st.covered = payload.covered;
-        st.covered_through = payload.covered_through;
+        let previous_cut = self.ckpt.covered_through;
+        self.ckpt.seq = installed.seq;
+        self.ckpt.covered = installed.covered;
+        self.ckpt.covered_through = installed.covered_through;
         if let Some(cut) = previous_cut {
-            let (retired, file_bytes, live) = {
-                let mut journal = self.journal.lock();
-                let retired = journal.retire_through(cut);
-                (retired, journal.file_bytes(), journal.live_entries())
-            };
+            let retired = self.journal.retire_through(cut);
             if retired > 0 {
                 self.ckpt_obs.truncated(retired);
-                self.ckpt_obs.journal(file_bytes, live);
+                self.ckpt_obs
+                    .journal(self.journal.file_bytes(), self.journal.live_entries());
                 self.events.record(Event::CkptTruncate {
                     through: cut,
                     retired,
                 });
             }
         }
-        let _ = snapshot::retain(&self.cfg.dir, &prefix, 2);
-        (st.seq, st.covered)
     }
 }
 
-/// The daemon's inbound planes, dispatched in batches on the reactor
-/// thread.
+/// The daemon's inbound planes, its heartbeat and its checkpoint
+/// reports, all on the reactor thread.
 impl RpcService for Daemon {
-    fn handle_batch(&self, kind: ConnKind, envs: Vec<Envelope>, out: &mut Vec<u8>) -> bool {
+    const TICK: Duration = TICK_INTERVAL;
+
+    fn handle_batch(
+        &mut self,
+        kind: ConnKind,
+        envs: Vec<Envelope>,
+        out: &mut Vec<u8>,
+        links: &mut Links,
+    ) -> bool {
         match kind {
             // Peer plane: durable envelopes in, one batched ack frame
             // out. The reactor sends the ack only after this cycle's
@@ -958,7 +953,7 @@ impl RpcService for Daemon {
                         // a shape this method's `deliver` panics on —
                         // is dropped; acking it anyway prevents an
                         // infinite retransmit of a poisoned entry.
-                        Ok(Frame::MSet(m)) if !self.core.lock().state.accepts(&m) => {
+                        Ok(Frame::MSet(m)) if !self.core.state.accepts(&m) => {
                             self.peer_frames_rejected.inc()
                         }
                         Ok(f) => self.handle_peer_frame(f),
@@ -987,7 +982,7 @@ impl RpcService for Daemon {
                         return false;
                     };
                     let started = Instant::now();
-                    let Some(reply) = self.handle_client_request(request) else {
+                    let Some(reply) = self.handle_client_request(request, links) else {
                         return false;
                     };
                     self.rpc_latency
@@ -1002,8 +997,26 @@ impl RpcService for Daemon {
         }
     }
 
-    fn commit(&self) {
-        Daemon::commit(self);
+    /// Writes the cycle's staged effects (`Daemon::write`), then cuts
+    /// a checkpoint if those writes reached the policy's byte limit.
+    fn commit(&mut self, links: &mut Links) {
+        self.write(links);
+        if self.ckpt_due {
+            self.cut(links);
+        }
+    }
+
+    /// The heartbeat: the only place wall-clock time enters the
+    /// protocol, and it enters as a bare tick count.
+    fn tick(&mut self, _links: &mut Links) {
+        self.dispatch(NodeEvent::Tick);
+    }
+
+    /// Applies the checkpoint writer's reports.
+    fn woken(&mut self) {
+        while let Ok(report) = self.ckpt_done.try_recv() {
+            self.apply_install(report);
+        }
     }
 }
 
@@ -1015,23 +1028,43 @@ mod tests {
     use esr_core::value::Value;
     use esr_net::rpc::{read_frame, unseal};
 
-    fn start(
-        tag: &str,
+    /// A booted daemon with no reactor: the test is its thread. The
+    /// pipe its writer wakes stays open as long as the daemon.
+    type Booted = (Daemon, Links, WakePipe);
+
+    fn boot_at(
+        dir: PathBuf,
         method: RtMethod,
         site: u64,
         sites: usize,
         ckpt_bytes: Option<u64>,
-    ) -> Arc<Daemon> {
-        let dir = std::env::temp_dir().join(format!("esr-daemon-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Daemon::start(DaemonConfig {
+    ) -> Booted {
+        let pipe = WakePipe::new().unwrap();
+        let cfg = DaemonConfig {
             site: SiteId(site),
             sites,
             method,
             dir,
             ckpt_bytes,
-        })
-        .unwrap()
+        };
+        let (daemon, links, _listener) = Daemon::boot(cfg, pipe.waker().unwrap()).unwrap();
+        (daemon, links, pipe)
+    }
+
+    fn fresh_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("esr-daemon-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn boot(
+        tag: &str,
+        method: RtMethod,
+        site: u64,
+        sites: usize,
+        ckpt_bytes: Option<u64>,
+    ) -> Booted {
+        boot_at(fresh_dir(tag), method, site, sites, ckpt_bytes)
     }
 
     fn incr(et: u64, origin: u64) -> MSet {
@@ -1045,7 +1078,7 @@ mod tests {
     /// One readiness batch of client requests, handled exactly as the
     /// reactor would — minus the commit, which is the caller's to make.
     /// Returns whether the connection stays open, and the replies.
-    fn try_batch(daemon: &Daemon, requests: &[Frame]) -> (bool, Vec<Frame>) {
+    fn try_batch(daemon: &mut Daemon, links: &mut Links, requests: &[Frame]) -> (bool, Vec<Frame>) {
         let envs = requests
             .iter()
             .map(|f| Envelope {
@@ -1054,7 +1087,7 @@ mod tests {
             })
             .collect();
         let mut out = Vec::new();
-        let open = daemon.handle_batch(ConnKind::Client, envs, &mut out);
+        let open = daemon.handle_batch(ConnKind::Client, envs, &mut out, links);
         let end = out.len() as u64;
         let mut out = std::io::Cursor::new(out);
         let mut replies = Vec::new();
@@ -1066,8 +1099,8 @@ mod tests {
     }
 
     /// A [`try_batch`] every request of which is answered.
-    fn batch(daemon: &Daemon, requests: &[Frame]) -> Vec<Frame> {
-        let (open, replies) = try_batch(daemon, requests);
+    fn batch(daemon: &mut Daemon, links: &mut Links, requests: &[Frame]) -> Vec<Frame> {
+        let (open, replies) = try_batch(daemon, links, requests);
         assert!(open);
         assert_eq!(replies.len(), requests.len());
         replies
@@ -1088,14 +1121,14 @@ mod tests {
     /// so the count is exact: two fan-out MSets and one `Applied`.
     #[test]
     fn a_status_in_the_cycle_of_a_submit_counts_its_staged_sends() {
-        let daemon = start("staged-status", RtMethod::Commu, 1, 3, None);
-        let replies = batch(&daemon, &[Frame::Submit(incr(1, 1)), Frame::Status]);
+        let (mut daemon, mut links, _pipe) = boot("staged-status", RtMethod::Commu, 1, 3, None);
+        let replies = batch(&mut daemon, &mut links, &[Frame::Submit(incr(1, 1)), Frame::Status]);
         assert!(matches!(replies[0], Frame::SubmitOk { et } if et == EtId(1)));
         assert_eq!(outbound_pending(&replies[1]), 3, "staged sends are outbound work");
-        RpcService::commit(&*daemon);
-        assert!(daemon.staged.lock().is_empty());
-        assert_eq!(daemon.journal.lock().entries(), 1);
-        assert_eq!(outbound_pending(&batch(&daemon, &[Frame::Status])[0]), 3);
+        daemon.commit(&mut links);
+        assert!(daemon.staged.is_empty());
+        assert_eq!(daemon.journal.entries(), 1);
+        assert_eq!(outbound_pending(&batch(&mut daemon, &mut links, &[Frame::Status])[0]), 3);
     }
 
     fn newest_image(daemon: &Daemon) -> CkptPayload {
@@ -1106,36 +1139,145 @@ mod tests {
         decode_payload(&bytes).unwrap()
     }
 
+    /// Applies the writer's reports until every cut handed to it so far
+    /// is accounted for.
+    fn settle_ckpt(daemon: &mut Daemon) {
+        for _ in 0..500 {
+            daemon.woken();
+            if daemon.ckpt.seq == daemon.ckpt.cut {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("the writer left cuts {}..={} unreported", daemon.ckpt.seq + 1, daemon.ckpt.cut);
+    }
+
     /// A cut names the journal's last id, and its image holds every
     /// step so far — so what those steps staged is written first.
     #[test]
     fn a_checkpoint_cut_commits_what_is_staged_before_naming_the_journal_id() {
         // On demand, in the very cycle of the submit it must cover.
-        let daemon = start("staged-cut", RtMethod::Commu, 0, 1, None);
-        let replies = batch(&daemon, &[Frame::Submit(incr(1, 0)), Frame::Checkpoint]);
+        let (mut daemon, mut links, _pipe) = boot("staged-cut", RtMethod::Commu, 0, 1, None);
+        let cycle = [Frame::Submit(incr(1, 0)), Frame::Checkpoint];
+        let replies = batch(&mut daemon, &mut links, &cycle);
         assert!(matches!(replies[1], Frame::CheckpointOk { seq: 1, covered: 1 }));
         let image = newest_image(&daemon);
         assert_eq!((image.covered, image.covered_through), (1, Some(0)));
 
-        // By policy: the first commit trips the byte limit, the next
-        // step cuts — after its own record is in the journal. (Should
-        // the heartbeat's step get to the cut first it covers one
-        // record, not two; the image must name its last record either
-        // way.)
-        let daemon = start("staged-policy-cut", RtMethod::Commu, 0, 1, Some(1));
-        batch(&daemon, &[Frame::Submit(incr(1, 0))]);
-        RpcService::commit(&*daemon);
-        batch(&daemon, &[Frame::Submit(incr(2, 0))]);
-        // The writer thread installs the image off the apply path.
-        for _ in 0..500 {
-            if daemon.ckpt_status().0 > 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // By policy: the commit that trips the byte limit cuts once its
+        // own record is in the journal.
+        let (mut daemon, mut links, _pipe) =
+            boot("staged-policy-cut", RtMethod::Commu, 0, 1, Some(1));
+        batch(&mut daemon, &mut links, &[Frame::Submit(incr(1, 0))]);
+        daemon.commit(&mut links);
+        // The writer installs the image off the apply path.
+        settle_ckpt(&mut daemon);
         let image = newest_image(&daemon);
-        assert!(image.covered >= 1);
-        assert_eq!(image.covered_through, Some(image.covered - 1));
+        assert_eq!((image.covered, image.covered_through), (1, Some(0)));
+    }
+
+    /// The installs and truncations of the event log, in order.
+    #[derive(Debug, PartialEq)]
+    enum Chain {
+        Install { seq: u64, covered: u64 },
+        Truncate { through: u64 },
+    }
+
+    fn chain_events(daemon: &Daemon) -> Vec<Chain> {
+        let (_, events) = daemon.events.query(crate::spans::SPAN_QUERY_ALL);
+        events
+            .into_iter()
+            .filter_map(|(_, _, e)| match e {
+                Event::CkptInstall { seq, covered } => Some(Chain::Install { seq, covered }),
+                Event::CkptTruncate { through, .. } => Some(Chain::Truncate { through }),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A policy cut still with the writer when an on-demand cut lands in
+    /// the next cycle: reports are applied in cut order, the chain only
+    /// moves forward, each install retires the journal through the
+    /// *previous* install's cut, and a restart boots from the newest
+    /// image plus the suffix past it.
+    #[test]
+    fn checkpoint_completions_keep_the_chain_monotone() {
+        let dir = fresh_dir("ckpt-chain");
+        let (mut daemon, mut links, _pipe) = boot_at(dir.clone(), RtMethod::Commu, 0, 1, Some(1));
+        let mut et = 0;
+        for _ in 0..3 {
+            // Cycle 1: the commit trips the policy; its cut goes to the
+            // writer and the cycle ends without waiting for it.
+            et += 1;
+            batch(&mut daemon, &mut links, &[Frame::Submit(incr(et, 0))]);
+            daemon.commit(&mut links);
+            let policy_cut = daemon.ckpt.cut;
+            // Cycle 2: another submit, then the on-demand cut.
+            et += 1;
+            let cycle = [Frame::Submit(incr(et, 0)), Frame::Checkpoint];
+            let replies = batch(&mut daemon, &mut links, &cycle);
+            daemon.commit(&mut links);
+            assert_eq!(daemon.ckpt.cut, policy_cut + 1);
+            assert_eq!(
+                replies[1],
+                Frame::CheckpointOk {
+                    seq: policy_cut + 1,
+                    covered: et
+                },
+                "the reply reflects the snapshot its own cut installed"
+            );
+        }
+        // One more policy cut, applied through the wake path.
+        et += 1;
+        batch(&mut daemon, &mut links, &[Frame::Submit(incr(et, 0))]);
+        daemon.commit(&mut links);
+        settle_ckpt(&mut daemon);
+
+        // On one fresh journal, a cut covering `c` records names id
+        // `c - 1`: each truncation must name the install before last.
+        let chain = chain_events(&daemon);
+        let (mut last_seq, mut last_covered) = (0, 0);
+        let mut previous_cut: Option<u64> = None;
+        let mut newest_cut: Option<u64> = None;
+        for step in &chain {
+            match *step {
+                Chain::Install { seq, covered } => {
+                    assert!(seq > last_seq, "seq went {last_seq} -> {seq}: {chain:?}");
+                    assert!(covered >= last_covered, "covered went back: {chain:?}");
+                    (last_seq, last_covered) = (seq, covered);
+                    previous_cut = newest_cut;
+                    newest_cut = Some(covered - 1);
+                }
+                Chain::Truncate { through } => {
+                    assert_eq!(Some(through), previous_cut, "lag-by-one: {chain:?}");
+                }
+            }
+        }
+        assert_eq!(
+            chain.iter().filter(|c| matches!(c, Chain::Install { .. })).count(),
+            7,
+            "three policy cuts, three on demand, one more by policy: {chain:?}"
+        );
+        assert_eq!((last_seq, last_covered), (7, et));
+        let retired = previous_cut.expect("two installs") + 1;
+        assert_eq!(daemon.journal.live_entries(), et - retired);
+
+        // A suffix past the newest image: one more record, no cut.
+        daemon.cfg.ckpt_bytes = None;
+        batch(&mut daemon, &mut links, &[Frame::Submit(incr(et + 1, 0))]);
+        daemon.commit(&mut links);
+        drop((daemon, links, _pipe));
+
+        let (daemon, _links, _pipe) = boot_at(dir, RtMethod::Commu, 0, 1, Some(1));
+        let (_, events) = daemon.events.query(crate::spans::SPAN_QUERY_ALL);
+        assert!(
+            events.iter().any(|(_, _, e)| matches!(
+                e,
+                Event::Boot { snapshot: Some((7, covered)), replayed: 1, .. } if *covered == et
+            )),
+            "boot from the newest image plus one suffix record: {events:?}"
+        );
+        assert_eq!(daemon.core.state.snapshot()[&ObjectId(0)], Value::Int(et as i64 + 1));
     }
 
     /// A reply no frame can carry must not be skipped: the client has
@@ -1144,13 +1286,14 @@ mod tests {
     /// still fits.
     #[test]
     fn a_reply_over_max_frame_closes_the_connection_after_the_earlier_replies() {
-        let daemon = start("oversized-reply", RtMethod::Ordup, 0, 1, None);
+        let (mut daemon, mut links, _pipe) = boot("oversized-reply", RtMethod::Ordup, 0, 1, None);
         let big = |et: u64| {
             let text = Value::Text("x".repeat(9 << 20));
             let write = ObjectOp::new(ObjectId(et), Operation::Write(text));
             Frame::Submit(MSet::new(EtId(et), SiteId(0), vec![write]).sequenced(SeqNo(et - 1)))
         };
-        let (open, replies) = try_batch(&daemon, &[big(1), big(2), Frame::Snapshot]);
+        let (open, replies) =
+            try_batch(&mut daemon, &mut links, &[big(1), big(2), Frame::Snapshot]);
         assert!(!open, "the oversized SnapshotOk must close the connection");
         assert!(
             matches!(replies[..], [Frame::SubmitOk { et: EtId(1) }, Frame::SubmitOk { et: EtId(2) }]),
@@ -1165,21 +1308,17 @@ mod tests {
     /// on serving.
     #[test]
     fn a_submit_of_the_wrong_shape_closes_the_connection_and_steps_nothing() {
-        let unsequenced = start("unsequenced", RtMethod::Ordup, 0, 1, None);
-        let (open, replies) =
-            try_batch(&unsequenced, &[Frame::Submit(incr(1, 0)), Frame::Status]);
-        assert!(!open, "ORDUP takes only sequenced MSets");
-        assert!(replies.is_empty(), "nothing after the malformed request is answered");
-
-        let untimestamped = start("untimestamped", RtMethod::RituMv, 0, 1, None);
-        let (open, _) = try_batch(&untimestamped, &[Frame::Submit(incr(1, 0))]);
-        assert!(!open, "RITU-MV takes only timestamped writes");
-
-        for daemon in [unsequenced, untimestamped] {
-            assert!(daemon.staged.lock().is_empty());
-            RpcService::commit(&*daemon);
-            assert_eq!(daemon.journal.lock().entries(), 0);
-            let status = batch(&daemon, &[Frame::Status]);
+        let unsequenced = boot("unsequenced", RtMethod::Ordup, 0, 1, None);
+        let untimestamped = boot("untimestamped", RtMethod::RituMv, 0, 1, None);
+        for (mut daemon, mut links, _pipe) in [unsequenced, untimestamped] {
+            let (open, replies) =
+                try_batch(&mut daemon, &mut links, &[Frame::Submit(incr(1, 0)), Frame::Status]);
+            assert!(!open, "ORDUP takes only sequenced MSets, RITU-MV only timestamped writes");
+            assert!(replies.is_empty(), "nothing after the malformed request is answered");
+            assert!(daemon.staged.is_empty());
+            daemon.commit(&mut links);
+            assert_eq!(daemon.journal.entries(), 0);
+            let status = batch(&mut daemon, &mut links, &[Frame::Status]);
             assert_eq!(outbound_pending(&status[0]), 0);
         }
     }
@@ -1190,8 +1329,7 @@ mod tests {
     /// reply never comes.
     #[test]
     fn catch_up_from_a_peer_that_never_answers_falls_back_to_a_cold_boot() {
-        let dir = std::env::temp_dir().join(format!("esr-daemon-frozen-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = fresh_dir("frozen");
         std::fs::create_dir_all(&dir).unwrap();
         let frozen = TcpListener::bind("127.0.0.1:0").unwrap(); // never accepts
         publish(&addr_path(&dir, SiteId(1)), &frozen.local_addr().unwrap().to_string()).unwrap();
@@ -1199,18 +1337,11 @@ mod tests {
         let started = Instant::now();
         let (booted_tx, booted) = mpsc::channel();
         std::thread::spawn(move || {
-            let _ = booted_tx.send(Daemon::start(DaemonConfig {
-                site: SiteId(0),
-                sites: 2,
-                method: RtMethod::Commu,
-                dir,
-                ckpt_bytes: Some(1 << 20),
-            }));
+            let _ = booted_tx.send(boot_at(dir, RtMethod::Commu, 0, 2, Some(1 << 20)));
         });
-        let daemon = booted
+        let (daemon, _links, _pipe) = booted
             .recv_timeout(Duration::from_secs(20))
-            .expect("boot still blocked on the frozen peer after 20 s")
-            .unwrap();
+            .expect("boot still blocked on the frozen peer after 20 s");
         let took = started.elapsed();
         assert!(took < Duration::from_secs(2), "boot took {took:?}");
 
@@ -1237,7 +1368,7 @@ mod tests {
     /// (ORDUP, no sequencer stamp) go the same way on the peer plane.
     #[test]
     fn a_corrupt_peer_frame_is_acked_dropped_and_counted() {
-        let daemon = start("rejected", RtMethod::Ordup, 1, 3, None);
+        let (mut daemon, mut links, _pipe) = boot("rejected", RtMethod::Ordup, 1, 3, None);
         let envs = vec![
             Envelope {
                 entry: 5,
@@ -1249,13 +1380,13 @@ mod tests {
             },
         ];
         let mut out = Vec::new();
-        assert!(daemon.handle_batch(ConnKind::Peer, envs, &mut out));
+        assert!(daemon.handle_batch(ConnKind::Peer, envs, &mut out, &mut links));
         let ack = unseal(read_frame(&mut std::io::Cursor::new(out)).unwrap()).unwrap();
         assert_eq!(ack.ack_ids().unwrap().collect::<Vec<_>>(), vec![5, 6]);
         assert!(daemon
             .metrics
             .render()
             .contains("esr_peer_frames_rejected_total{site=\"1\"} 2"));
-        assert!(daemon.staged.lock().is_empty(), "the core was not stepped");
+        assert!(daemon.staged.is_empty(), "the core was not stepped");
     }
 }

@@ -41,7 +41,7 @@ pub use esr_replica::{ctrl, node_ckpt as ckpt, state};
 pub use ckpt::{decode_payload, encode_payload, CkptPayload};
 pub use client::RpcClient;
 pub use ctrl::{CoordCore, CtrlCanary, Effect, NodeCore, NodeEvent};
-pub use daemon::{Daemon, DaemonConfig};
+pub use daemon::{Daemon, DaemonConfig, DaemonHandle};
 pub use proc_cluster::{ProcCluster, QuiesceTimeout};
 pub use recovery::ApplyJournal;
 pub use spans::{

@@ -14,8 +14,12 @@
 //!   that connection when the buffer passes its cap, stays fully
 //!   responsive to everyone else, and delivers every reply once the
 //!   slow reader finally drains.
+//!
+//! And two properties of the one thread that owns the daemon: the
+//! heartbeat still fires when that thread never idles, and dropping
+//! the daemon's handle stops it.
 
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -230,5 +234,77 @@ fn slow_reader_is_backpressured_while_daemon_stays_responsive() {
             }
             other => panic!("reply {i}: unexpected frame {other:?}"),
         }
+    }
+}
+
+/// The value of `series` in a Prometheus text scrape (0 when absent).
+fn scraped(metrics: &str, series: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(series))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(0)
+}
+
+#[test]
+fn the_heartbeat_fires_on_a_reactor_that_never_idles() {
+    // Site 0, the view-0 coordinator, never starts. Site 1 must suspect
+    // it after SUSPECT_AFTER silent ticks (≈ 3 s) and start an election
+    // while a client keeps its reactor busy with back-to-back submits:
+    // every `poll` returns on a request, none on a timeout.
+    let daemon = Daemon::start(DaemonConfig {
+        site: SiteId(1),
+        sites: 2,
+        method: RtMethod::Commu,
+        dir: cluster_dir("busy"),
+        ckpt_bytes: None,
+    })
+    .expect("start daemon");
+    let mut client = connect_patiently(daemon.addr());
+    let deadline = Instant::now() + Duration::from_secs(8);
+    let mut et = 0;
+    loop {
+        for _ in 0..100 {
+            et += 1;
+            let mset = MSet::new(
+                EtId(et),
+                SiteId(1),
+                vec![ObjectOp::new(ObjectId(et % 64), Operation::Incr(1))],
+            );
+            client.submit(mset).expect("submit");
+        }
+        let metrics = client.metrics().expect("metrics scrape");
+        if scraped(&metrics, "esr_elections_total{site=\"1\"}") >= 1 {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no election after {et} back-to-back submits in 8 s"
+        );
+    }
+}
+
+#[test]
+fn a_dropped_daemon_stops_serving() {
+    let daemon = Daemon::start(DaemonConfig {
+        site: SiteId(0),
+        sites: 1,
+        method: RtMethod::Commu,
+        dir: cluster_dir("dropped"),
+        ckpt_bytes: None,
+    })
+    .expect("start daemon");
+    let addr = daemon.addr();
+    drop(daemon);
+    let deadline = Instant::now() + Duration::from_secs(1);
+    loop {
+        match TcpStream::connect_timeout(&addr, Duration::from_millis(300)) {
+            Err(e) if e.kind() == ErrorKind::ConnectionRefused => return,
+            outcome => assert!(
+                Instant::now() < deadline,
+                "a dropped daemon still serves {addr} after 1 s: {outcome:?}"
+            ),
+        }
+        std::thread::sleep(Duration::from_millis(20));
     }
 }
