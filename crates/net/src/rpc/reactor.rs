@@ -139,7 +139,7 @@ pub trait RpcService: Send + 'static {
     fn tick(&mut self, _links: &mut Links) {}
 
     /// Called in the cycle after a [`Waker::wake`] from another thread.
-    fn woken(&mut self) {}
+    fn woken(&mut self, _links: &mut Links) {}
 }
 
 /// Wakes a reactor from another thread: one byte on its self-pipe.
@@ -779,7 +779,7 @@ fn run<S: RpcService>(
                             break;
                         }
                     }
-                    service.woken();
+                    service.woken(&mut links);
                     owed = true;
                 }
                 Owner::Listener => loop {

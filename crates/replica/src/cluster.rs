@@ -1,30 +1,31 @@
 //! The simulated replicated system: the protocol core under a
 //! deterministic virtual-time network.
 //!
-//! `SimCluster` is an **effect executor** around one
-//! [`NodeCore`] per site — the same pure core `esrd` executes and
-//! `esr-model` checks. One
-//! scheduler event kind carries a [`wire::Frame`](crate::wire::Frame)
-//! to a site; the site's core steps on it, and the simulator performs
-//! the returned [`Effect`]s in order: a `Send` is planned through the
-//! simulated [`Network`] (latency, loss, duplication, partitions,
-//! bandwidth — and therefore *reordering*) and becomes one scheduled
-//! arrival per planned copy, an `Event` lands in the site's in-memory
-//! event log, a `Journal` is pushed on the site's in-memory journal,
-//! and view / checkpoint effects are dropped (no `Tick` is injected, so
-//! site 0 coordinates view 0 for the whole run). ORDUP hold-back,
-//! completion tracking, VTNC certification and COMPE decision broadcast
-//! are the core's; none of them is written here.
+//! `SimCluster` runs one [`Node`] per site — the effect executor `esrd`
+//! runs, around the pure core `esr-model` checks — over a memory
+//! [`Host`]. One scheduler event kind carries a
+//! [`wire::Frame`](crate::wire::Frame) to a site; the site's node steps
+//! on it and commits the step. The journal, the view register and the
+//! snapshot containers live in the host's memory, events land in its
+//! log stamped in virtual time, and the commit's sends leave through
+//! its outbox, in the commit plan's order, onto the simulated
+//! [`Network`] (latency, loss, duplication, partitions, bandwidth — and
+//! therefore *reordering*): one scheduled arrival per planned copy.
+//! ORDUP hold-back, completion tracking, VTNC certification, COMPE
+//! decision broadcast, elections and checkpoints are the node's; none
+//! of them is written here.
 //!
-//! It is also the repository's one **seeded fault harness**:
-//! [`SimCluster::crash`] discards a site's core and event log between
-//! two steps, and [`SimCluster::restart`] rebuilds it from the journal
-//! through [`NodeCore::recover`] and greets every peer with a `Hello` —
-//! the recovery `esrd` performs after a `kill -9`, here under loss,
-//! duplication, partitions *and* reordering (DESIGN.md §10). What
-//! survives a crash is what survives one in `esrd`: the journal, and
-//! the senders' queues — an arrival that finds its site down waits for
-//! the restart.
+//! It is also the repository's one **seeded fault harness**
+//! (DESIGN.md §10): [`SimCluster::crash`] drops a site's node between
+//! two steps, and [`SimCluster::restart`] boots a new one over the
+//! host's durable half exactly as `esrd` boots after a `kill -9` —
+//! restore or replay, into the recorded view — then greets every peer
+//! with a `Hello`; [`SimCluster::tick`] is one heartbeat interval at
+//! every site, and [`SimCluster::checkpoint`] cuts and installs an
+//! image. All of it runs under loss, duplication, partitions *and*
+//! reordering. What survives a crash is what survives one in `esrd`:
+//! the journal, the view register, the snapshots, and the senders'
+//! queues — an arrival that finds its site down waits for the restart.
 //!
 //! What stays in the simulator is what a *client* or an *omniscient
 //! observer* does:
@@ -32,8 +33,8 @@
 //! * minting ET ids, the **ORDUP sequencer** (the stamped submit enters
 //!   the core at the sequencer site after an origin → sequencer hop),
 //!   the RITU **version clock**, and — for distributed ORDUP — the
-//!   Lamport **send clocks**, per-origin FIFO numbers and the heartbeat
-//!   round that stabilizes the tail at quiescence;
+//!   Lamport **send clocks**, per-origin FIFO numbers and the heartbeats
+//!   that stabilize the tail at quiescence;
 //! * the seeded COMPE **outcome draw** and the timer that hands the
 //!   origin the client decision (the core forwards it to the
 //!   coordinator, which broadcasts it);
@@ -46,10 +47,10 @@
 //! replica states, metrics, per-site event logs — is reproducible from
 //! the seed.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use esr_core::divergence::{EpsilonSpec, InconsistencyCounter, LockCounters};
-use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId, VersionTs};
+use esr_core::ids::{ClientId, EtId, LamportTs, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
 use esr_core::spatial::{DeviationTracker, SpatialSpec};
 use esr_core::value::Value;
@@ -61,12 +62,15 @@ use esr_sim::clock::LamportClock;
 use esr_sim::rng::DetRng;
 use esr_sim::sched::Scheduler;
 use esr_sim::time::{Duration, VirtualTime};
+use esr_storage::snapshot;
 use esr_storage::store::ObjectStore;
 
-use crate::ctrl::{coordinator_of, Effect, NodeCore, NodeEvent};
+use crate::ctrl::{coordinator_of, NodeEvent};
 use crate::mset::{MSet, OrderTag};
+use crate::node::{Host, Install, Node, NodeConfig};
+use crate::node_ckpt::{encode_payload, CkptPayload};
 use crate::site::QueryOutcome;
-use crate::span::{publish_readings, Event, SpanRec, SpanStage};
+use crate::span::{publish_readings, Event, SpanStage};
 use crate::state::{RtMethod, SiteState};
 use crate::wire::Frame;
 
@@ -279,27 +283,133 @@ pub struct SpatialQueryOutcome {
     pub changed_items: u64,
 }
 
-/// One simulated site: the pure core plus what its effects act on.
+/// The simulator's [`Host`]: one site's I/O, in memory. The journal,
+/// the view register and the snapshot containers are its durable half,
+/// what a crash keeps; the rest dies with the node.
+#[derive(Debug, Default)]
+struct MemHost {
+    /// Live journal records with their ids, oldest first.
+    journal: Vec<(u64, MSet)>,
+    /// The id the next record gets.
+    next_id: u64,
+    /// Bytes ever appended: a journal file before compaction.
+    journal_bytes: u64,
+    /// The recorded view.
+    view: u64,
+    /// Snapshot containers, oldest first: the two newest are kept, so
+    /// a corrupt newest falls back to the one before it.
+    snapshots: Vec<(u64, Vec<u8>)>,
+    /// Install reports the node has not taken yet.
+    installs: VecDeque<Install>,
+    /// Every event this incarnation recorded, stamped with the virtual
+    /// time of its step.
+    events: Vec<(VirtualTime, Event)>,
+    /// What the last commit sent, per link, in plan order.
+    outbox: Vec<(SiteId, Vec<Frame>)>,
+    /// The virtual time of the step being taken.
+    now: VirtualTime,
+}
+
+impl MemHost {
+    /// Loses what a crash loses: the event log, the outbox and the
+    /// writer's unread reports.
+    fn crash(&mut self) {
+        self.events.clear();
+        self.outbox.clear();
+        self.installs.clear();
+    }
+}
+
+impl Host for MemHost {
+    fn append(&mut self, records: Vec<MSet>) -> u64 {
+        // Record framing plus the wire size, per record.
+        let bytes: u64 = records.iter().map(|m| 13 + m.wire_size()).sum();
+        for m in records {
+            self.journal.push((self.next_id, m));
+            self.next_id += 1;
+        }
+        self.journal_bytes += bytes;
+        bytes
+    }
+
+    fn journal(&self) -> Vec<(u64, MSet)> {
+        self.journal.clone()
+    }
+
+    fn last_id(&self) -> Option<u64> {
+        self.next_id.checked_sub(1)
+    }
+
+    fn retire_through(&mut self, through: u64) -> u64 {
+        let live = self.journal.len();
+        self.journal.retain(|(id, _)| *id > through);
+        (live - self.journal.len()) as u64
+    }
+
+    fn journal_size(&self) -> (u64, u64) {
+        (self.journal_bytes, self.journal.len() as u64)
+    }
+
+    fn view(&self) -> u64 {
+        self.view
+    }
+
+    fn record_view(&mut self, view: u64) {
+        self.view = view;
+    }
+
+    fn snapshots(&self) -> Vec<u64> {
+        self.snapshots.iter().rev().map(|(seq, _)| *seq).collect()
+    }
+
+    fn load_snapshot(&self, seq: u64) -> Option<Vec<u8>> {
+        let (_, container) = self.snapshots.iter().find(|(s, _)| *s == seq)?;
+        snapshot::decode_container(container).map(|(_, payload)| payload.to_vec())
+    }
+
+    fn cut(&mut self, seq: u64, payload: Box<CkptPayload>) {
+        let container = snapshot::encode_container(seq, &encode_payload(&payload));
+        self.installs.push_back(Ok((container.len() as u64, 0)));
+        self.snapshots.push((seq, container));
+        if self.snapshots.len() > 2 {
+            self.snapshots.remove(0);
+        }
+    }
+
+    fn installed(&mut self, _wait: bool) -> Option<Install> {
+        self.installs.pop_front()
+    }
+
+    fn send(&mut self, to: SiteId, frames: Vec<Frame>) {
+        self.outbox.push((to, frames));
+    }
+
+    fn record(&mut self, event: Event) {
+        self.events.push((self.now, event));
+    }
+
+    fn now(&self) -> u64 {
+        self.now.as_micros()
+    }
+}
+
+/// One simulated site: its node while it is up, and its host.
 #[derive(Debug)]
 struct Site {
-    /// While the site is down, a blank core nothing steps: a crashed
-    /// site has applied nothing and answers nothing.
-    core: NodeCore,
-    /// Every [`Effect::Event`] the current incarnation's core emitted,
-    /// stamped with the virtual time of the step.
-    events: Vec<(VirtualTime, Event)>,
-    /// Every [`Effect::Journal`], in order — all of the site's own
-    /// state that survives a crash.
-    journal: Vec<MSet>,
-    /// `Some` while the site is down: the arrivals that found it so,
-    /// waiting as they would in their senders' stable queues.
-    down: Option<Vec<Arrival>>,
+    /// `None` while the site is down: a crashed site has applied
+    /// nothing and answers nothing.
+    node: Option<Node>,
+    /// The node's I/O; a crash keeps only its durable half.
+    host: MemHost,
+    /// The arrivals that found the site down, waiting as they would in
+    /// their senders' stable queues.
+    waiting: Vec<Arrival>,
     /// Boot count, carried by the restart `Hello`.
     epoch: u64,
-    /// The site's series in the cluster registry, fed by
-    /// [`SimCluster::perform`] (counters), [`SimCluster::try_query`] and
-    /// [`SimCluster::refresh_metrics`] (gauges). Outlives the core: a
-    /// restarted incarnation reports to the same series.
+    /// The site's series in the cluster registry: the node counts its
+    /// events into them, [`SimCluster::try_query`] and
+    /// [`SimCluster::refresh_metrics`] feed the rest. Outlives the node:
+    /// a restarted incarnation reports to the same series.
     obs: SiteInstruments,
 }
 
@@ -361,17 +471,18 @@ impl SimCluster {
             .with_partitions(config.partitions.clone());
         let site_ids: Vec<SiteId> = (0..config.sites as u64).map(SiteId).collect();
         let metrics = MetricsRegistry::new();
-        let method = config.method.rt();
         let sites = site_ids
             .iter()
             .map(|&id| {
                 let obs = SiteInstruments::for_site(&metrics, config.method.name(), id.raw());
-                let state = Self::fresh_state(&config, id);
+                let mut host = MemHost::default();
+                let node = Self::boot(&config, &metrics, &mut host, id, 1, obs.clone());
+                #[expect(clippy::expect_used, reason = "an empty journal has nothing to retire")]
+                let node = node.expect("a cold boot");
                 Site {
-                    core: NodeCore::fresh(state, method, id, config.sites, None),
-                    events: Vec::new(),
-                    journal: Vec::new(),
-                    down: None,
+                    node: Some(node),
+                    host,
+                    waiting: Vec::new(),
                     epoch: 1,
                     obs,
                 }
@@ -420,58 +531,92 @@ impl SimCluster {
         }
     }
 
-    /// Crashes `site` at the current virtual time, between two steps:
-    /// its core and event log are gone, its journal stays, and every
-    /// arrival from now on — peer frames and its own client plane
-    /// alike — waits for [`SimCluster::restart`]. Frames it sent before
-    /// the crash stay in flight: links are durable on the sender's side.
-    pub fn crash(&mut self, site: SiteId) {
-        let config = &self.config;
-        let s = &mut self.sites[site.raw() as usize];
-        assert!(s.down.is_none(), "crash of {site}, which is already down");
-        let blank = Self::fresh_state(config, site);
-        s.core = NodeCore::fresh(blank, config.method.rt(), site, config.sites, None);
-        s.events.clear();
-        s.down = Some(Vec::new());
+    /// Boots `site`'s node over `host`, the boot `esrd` runs.
+    fn boot(
+        config: &ClusterConfig,
+        metrics: &MetricsRegistry,
+        host: &mut MemHost,
+        site: SiteId,
+        epoch: u64,
+        obs: SiteInstruments,
+    ) -> std::io::Result<Node> {
+        let cfg = NodeConfig {
+            site,
+            sites: config.sites,
+            method: config.method.rt(),
+            epoch,
+            ckpt_bytes: None,
+        };
+        Node::boot(host, cfg, Self::fresh_state(config, site), metrics, obs)
     }
 
-    /// Restarts a crashed `site` the way `esrd` boots: replay the
-    /// journal through [`NodeCore::recover`], perform what recovery
-    /// asks for, greet every peer with a `Hello` — which travels the
-    /// simulated network like any other frame — and then take the
-    /// arrivals that waited.
-    #[expect(clippy::expect_used, reason = "restarting a running site is a caller bug; the panic is the documented contract")]
-    pub fn restart(&mut self, site: SiteId) {
-        let config = &self.config;
+    /// Crashes `site` at the current virtual time, between two steps:
+    /// its node and event log are gone, its journal, view register and
+    /// snapshots stay, and every arrival from now on — peer frames and
+    /// its own client plane alike — waits for [`SimCluster::restart`].
+    /// Frames it sent before the crash stay in flight: links are durable
+    /// on the sender's side.
+    pub fn crash(&mut self, site: SiteId) {
         let s = &mut self.sites[site.raw() as usize];
-        let waiting = s.down.take().expect("restart of a site that is not down");
-        s.epoch += 1;
-        let epoch = s.epoch;
-        self.metrics
-            .counter("esr_recovery_replays_total", &[("site", &site.raw().to_string())])
-            .add(s.journal.len() as u64);
-        let state = Self::fresh_state(config, site);
-        // View 0: no `Tick` is injected, so no other view was recorded.
-        let (core, mut effects) = NodeCore::recover(
-            state,
-            config.method.rt(),
-            site,
-            config.sites,
-            None,
-            0,
-            s.journal.clone(),
+        assert!(
+            s.node.take().is_some(),
+            "crash of {site}, which is already down"
         );
-        s.core = core;
-        let peers = self.site_ids().into_iter().filter(|p| *p != site);
-        effects.extend(peers.map(|to| Effect::Send {
-            to,
-            frame: Frame::Hello { site, epoch },
-        }));
+        s.host.crash();
+    }
+
+    /// Restarts a crashed `site` the way `esrd` boots: a node boots over
+    /// the host's durable half ([`Node::boot`]: restore or replay, into
+    /// the recorded view) and commits what recovery stepped, then greets
+    /// every peer with a `Hello` — which travels the simulated network
+    /// like any other frame — and takes the arrivals that waited. A boot
+    /// error leaves the site down.
+    pub fn restart(&mut self, site: SiteId) -> std::io::Result<()> {
         let now = self.now();
-        self.perform(now, site, effects);
+        let s = &mut self.sites[site.raw() as usize];
+        assert!(s.node.is_none(), "restart of {site}, which is up");
+        s.host.now = now;
+        let seen = s.host.events.len();
+        let epoch = s.epoch + 1;
+        let booted = Self::boot(
+            &self.config,
+            &self.metrics,
+            &mut s.host,
+            site,
+            epoch,
+            s.obs.clone(),
+        );
+        s.node = Some(booted?);
+        s.epoch = epoch;
+        let waiting = std::mem::take(&mut s.waiting);
+        self.drain(now, site, seen);
+        for to in self.site_ids().into_iter().filter(|p| *p != site) {
+            self.send(now, site, to, Frame::Hello { site, epoch });
+        }
         for arrival in waiting {
             self.sched.schedule_at(now, arrival);
         }
+        Ok(())
+    }
+
+    /// One heartbeat interval at every site that is up, now: the
+    /// coordinator pings, a follower counts the silence and, after
+    /// [`crate::ctrl::SUSPECT_AFTER`] silent ticks, starts an election.
+    /// A fault operation like [`SimCluster::crash`]: a run that never
+    /// calls it draws nothing extra from the network.
+    pub fn tick(&mut self) {
+        for site in self.site_ids() {
+            self.step_site(site, NodeEvent::Tick);
+        }
+    }
+
+    /// Cuts a checkpoint at `site` now and installs it, as
+    /// `esrctl checkpoint` does; returns the chain's `(seq, covered)`.
+    /// Each install retires the journal prefix the one before it
+    /// covered.
+    pub fn checkpoint(&mut self, site: SiteId) -> (u64, u64) {
+        let chain = self.on_node(site, |node, host| node.checkpoint(host));
+        chain.unwrap_or_else(|| panic!("checkpoint of {site}, which is down"))
     }
 
     /// The configuration.
@@ -488,8 +633,8 @@ impl SimCluster {
     /// fire on the way — while a client thinks, the network keeps
     /// delivering.
     pub fn advance_to(&mut self, t: VirtualTime) {
-        while let Some((now, e)) = self.sched.next_event_before(t) {
-            self.arrive(now, e);
+        while let Some((_, e)) = self.sched.next_event_before(t) {
+            self.arrive(e);
         }
         self.sched.advance_to(t);
     }
@@ -509,7 +654,7 @@ impl SimCluster {
     /// of `ProcCluster::trace_of`, holding the same typed [`Event`]s, ready for the trace certifier and the span
     /// merger.
     pub fn events_of(&self, site: SiteId) -> Vec<(u64, u64, Event)> {
-        let log = self.site(site).events.iter().enumerate();
+        let log = self.site(site).host.events.iter().enumerate();
         log.map(|(seq, (at, event))| (seq as u64, at.as_micros(), event.clone()))
             .collect()
     }
@@ -551,12 +696,14 @@ impl SimCluster {
             .into_iter()
             .collect();
         for id in self.site_ids() {
-            let site = self.site(id);
-            publish_readings(site.core.state.readings(), &site.obs);
             let d = self.divergent_updates(id, &objects);
             self.divergence_gauge
                 .set(id.raw(), i64::try_from(d).unwrap_or(i64::MAX));
-            if let SiteState::RituMv(s) = &self.site(id).core.state {
+            let Some(state) = self.state(id) else {
+                continue;
+            };
+            publish_readings(state.readings(), &self.site(id).obs);
+            if let SiteState::RituMv(s) = state {
                 let lag = self.next_version_time.saturating_sub(s.vtnc().time);
                 self.vtnc_lag_gauge
                     .set(id.raw(), i64::try_from(lag).unwrap_or(i64::MAX));
@@ -584,6 +731,16 @@ impl SimCluster {
         &self.sites[id.raw() as usize]
     }
 
+    /// `id`'s replica, while it is up.
+    fn state(&self, id: SiteId) -> Option<&SiteState> {
+        self.site(id).node.as_ref().map(|n| &n.core().state)
+    }
+
+    /// Has `id` applied `et`? A down site has applied nothing.
+    fn has_applied(&self, id: SiteId, et: EtId) -> bool {
+        self.state(id).is_some_and(|s| s.has_applied(et))
+    }
+
     /// Does `sub` survive globally (always, except an aborted or still
     /// pending COMPE update)?
     fn survives(&self, sub: &Submission) -> bool {
@@ -591,7 +748,9 @@ impl SimCluster {
     }
 
     fn applied_everywhere(&self, et: EtId) -> bool {
-        self.sites.iter().all(|s| s.core.state.has_applied(et))
+        self.site_ids()
+            .into_iter()
+            .all(|id| self.has_applied(id, et))
     }
 
     /// Submits an update ET at `origin` carrying `ops`, at the current
@@ -754,11 +913,11 @@ impl SimCluster {
         }
     }
 
-    /// Steps the receiving site's core with one arrived frame and
-    /// performs the effects.
-    fn arrive(&mut self, now: VirtualTime, arrival: Arrival) {
-        if let Some(waiting) = &mut self.sites[arrival.to.raw() as usize].down {
-            waiting.push(arrival);
+    /// Steps the receiving site's node with one arrived frame.
+    fn arrive(&mut self, arrival: Arrival) {
+        let site = &mut self.sites[arrival.to.raw() as usize];
+        if site.node.is_none() {
+            site.waiting.push(arrival);
             self.stats.redelivered += 1;
             return;
         }
@@ -775,32 +934,66 @@ impl SimCluster {
             }
             frame => NodeEvent::PeerFrame(frame),
         };
-        let effects = self.sites[to.raw() as usize].core.step(event);
-        self.perform(now, to, effects);
+        self.step_site(to, event);
     }
 
-    /// Executes one step's effects strictly in order.
-    fn perform(&mut self, now: VirtualTime, site: SiteId, effects: Vec<Effect>) {
-        for effect in effects {
-            match effect {
-                Effect::Send { to, frame } => self.send(now, site, to, frame),
-                Effect::Event(event) => {
-                    self.observe(now, site, &event);
-                    let s = &mut self.sites[site.raw() as usize];
-                    event.count(&s.obs);
-                    s.events.push((now, event));
-                }
-                Effect::Journal(mset) => self.sites[site.raw() as usize].journal.push(mset),
-                // No `Tick` is injected, so no view past 0 is ever
-                // installed; checkpoint cuts have no consumer here.
-                Effect::RecordView(_) | Effect::Checkpoint(_) => {}
+    /// Steps `site`'s node on `event` now and commits the step; a down
+    /// site takes no step.
+    fn step_site(&mut self, site: SiteId, event: NodeEvent) {
+        self.on_node(site, |node, host| {
+            node.dispatch(host, event);
+            node.commit(host);
+        });
+    }
+
+    /// Runs `op` on `site`'s node and host now, then drains what it
+    /// recorded and sent; `None` when the site is down.
+    fn on_node<R>(
+        &mut self,
+        site: SiteId,
+        op: impl FnOnce(&mut Node, &mut MemHost) -> R,
+    ) -> Option<R> {
+        let now = self.now();
+        let s = &mut self.sites[site.raw() as usize];
+        let node = s.node.as_mut()?;
+        s.host.now = now;
+        let seen = s.host.events.len();
+        let out = op(node, &mut s.host);
+        self.drain(now, site, seen);
+        Some(out)
+    }
+
+    /// Hands the observer the events `site` recorded from index `seen`
+    /// on, then puts what its commit sent on the wire, in plan order.
+    fn drain(&mut self, now: VirtualTime, site: SiteId, seen: usize) {
+        let host = &mut self.sites[site.raw() as usize].host;
+        let events: Vec<Event> = host.events[seen..].iter().map(|(_, e)| e.clone()).collect();
+        let outbox = std::mem::take(&mut host.outbox);
+        for event in &events {
+            self.observe(now, site, event);
+        }
+        for (to, frames) in outbox {
+            for frame in frames {
+                self.send(now, site, to, frame);
             }
         }
     }
 
-    /// The measurement side's only input: the events the cores emit.
+    /// The measurement side's only input: the events the nodes record.
     fn observe(&mut self, now: VirtualTime, site: SiteId, event: &Event) {
-        let Event::Span(rec) = event else { return };
+        let rec = match event {
+            Event::Span(rec) => rec,
+            // A restore is the restarted site's apply of everything its
+            // image covers.
+            Event::CkptRestore { .. } => {
+                let ets: Vec<EtId> = self.submissions.keys().copied().collect();
+                for et in ets {
+                    self.release_if_resolved(et);
+                }
+                return;
+            }
+            _ => return,
+        };
         let Some(et) = rec.et else { return };
         match rec.stage {
             // A replay is the restarted site's apply.
@@ -848,7 +1041,8 @@ impl SimCluster {
     /// Re-reads the sites' cumulative rollback costs into the run
     /// statistics (E8's columns).
     fn refresh_rollback_stats(&mut self) {
-        let costs = self.sites.iter().filter_map(|site| match &site.core.state {
+        let states = self.sites.iter().filter_map(|site| site.node.as_ref());
+        let costs = states.filter_map(|node| match &node.core().state {
             SiteState::Compe(s) => Some(s.rollback_totals()),
             _ => None,
         });
@@ -863,8 +1057,8 @@ impl SimCluster {
     /// remain.
     pub fn step(&mut self) -> bool {
         match self.sched.next_event() {
-            Some((now, e)) => {
-                self.arrive(now, e);
+            Some((_, e)) => {
+                self.arrive(e);
                 true
             }
             None => false,
@@ -872,14 +1066,14 @@ impl SimCluster {
     }
 
     /// Processes events until the queue drains, then (for ORDUP-Lamport)
-    /// broadcasts the final heartbeat round that stabilizes the tail.
+    /// steps every site on the final heartbeats that stabilize the tail.
     /// Returns the virtual time at quiescence.
     pub fn run_until_quiescent(&mut self) -> VirtualTime {
         while self.step() {}
         if self.config.method == Method::OrdupLamport {
             // One heartbeat per origin, carrying a clock strictly past
             // every timestamp it ever issued.
-            let beats: Vec<(SiteId, esr_core::LamportTs)> = self
+            let beats: Vec<(SiteId, LamportTs)> = self
                 .send_clocks
                 .iter()
                 .map(|c| {
@@ -888,23 +1082,10 @@ impl SimCluster {
                     (c.site(), ts)
                 })
                 .collect();
-            let now = self.now();
             for id in self.site_ids() {
-                let SiteState::OrdupLamport(s) = &mut self.sites[id.raw() as usize].core.state
-                else {
-                    continue;
-                };
-                // The flush applies the tail without a core step, so
-                // this executor records the applies it caused.
-                let applies = beats
-                    .iter()
-                    .flat_map(|(origin, ts)| s.heartbeat(*origin, *ts))
-                    .map(|r| {
-                        let rec = SpanRec::new(SpanStage::Apply, r.et);
-                        Effect::Event(Event::Span(rec.with_version(r.version).with_gseq(r.seq)))
-                    })
-                    .collect();
-                self.perform(now, id, applies);
+                for &(origin, ts) in &beats {
+                    self.step_site(id, NodeEvent::Heartbeat { origin, ts });
+                }
             }
         }
         self.refresh_metrics();
@@ -931,29 +1112,33 @@ impl SimCluster {
         epsilon: EpsilonSpec,
     ) -> QueryOutcome {
         let mut counter = InconsistencyCounter::new(epsilon);
-        let Site { core, obs, .. } = &mut self.sites[site.raw() as usize];
-        let out = if let SiteState::RituMv(_) = core.state {
-            core.state.query(read_set, &mut counter)
-        } else {
-            // The admission decision is made here, against the *global*
-            // divergence control — the site only ever sees an unbounded
-            // wrapper, and what it would have charged is discarded.
-            let charge = match &core.state {
-                SiteState::Ordup(s) => s.gap_to(self.next_seq),
-                _ => self
-                    .global_counters
-                    .inconsistency_of_set(read_set.iter().copied()),
-            };
-            if counter.charge(charge).is_admitted() {
-                let mut unbounded = InconsistencyCounter::new(EpsilonSpec::UNBOUNDED);
-                let values = core.state.query(read_set, &mut unbounded).values;
-                QueryOutcome {
-                    values,
-                    charged: charge,
-                    admitted: true,
+        let Site { node, obs, .. } = &mut self.sites[site.raw() as usize];
+        let out = match node.as_mut().map(Node::state_mut) {
+            // A down site answers nothing.
+            None => QueryOutcome::rejected(),
+            Some(state @ SiteState::RituMv(_)) => state.query(read_set, &mut counter),
+            Some(state) => {
+                // The admission decision is made here, against the
+                // *global* divergence control — the site only ever sees
+                // an unbounded wrapper, and what it would have charged
+                // is discarded.
+                let charge = match state {
+                    SiteState::Ordup(s) => s.gap_to(self.next_seq),
+                    _ => self
+                        .global_counters
+                        .inconsistency_of_set(read_set.iter().copied()),
+                };
+                if counter.charge(charge).is_admitted() {
+                    let mut unbounded = InconsistencyCounter::new(EpsilonSpec::UNBOUNDED);
+                    let values = state.query(read_set, &mut unbounded).values;
+                    QueryOutcome {
+                        values,
+                        charged: charge,
+                        admitted: true,
+                    }
+                } else {
+                    QueryOutcome::rejected()
                 }
-            } else {
-                QueryOutcome::rejected()
             }
         };
         obs.query(out.charged, epsilon.limit, out.admitted);
@@ -977,15 +1162,12 @@ impl SimCluster {
         let pending_deviation = self.deviation.pending_deviation(read_set);
         let pending_operations = self.deviation.pending_operations(read_set);
         let changed_items = self.deviation.changed_items(read_set);
-        let values = if admitted {
-            let mut unbounded = InconsistencyCounter::new(EpsilonSpec::UNBOUNDED);
-            self.sites[site.raw() as usize]
-                .core
-                .state
-                .query(read_set, &mut unbounded)
-                .values
-        } else {
-            Vec::new()
+        let values = match &mut self.sites[site.raw() as usize].node {
+            Some(node) if admitted => {
+                let mut unbounded = InconsistencyCounter::new(EpsilonSpec::UNBOUNDED);
+                node.state_mut().query(read_set, &mut unbounded).values
+            }
+            _ => Vec::new(),
         };
         if admitted {
             self.stats.queries_served += 1;
@@ -1045,7 +1227,9 @@ impl SimCluster {
 
     /// One site's full snapshot.
     pub fn snapshot_of(&self, site: SiteId) -> BTreeMap<ObjectId, Value> {
-        self.site(site).core.state.snapshot()
+        self.state(site)
+            .map(SiteState::snapshot)
+            .unwrap_or_default()
     }
 
     /// Strips zero values: an object never written and an object whose
@@ -1058,22 +1242,24 @@ impl SimCluster {
     /// True when every replica exposes semantically identical values
     /// (call after [`SimCluster::run_until_quiescent`]).
     pub fn converged(&self) -> bool {
-        let first = Self::normalize(self.sites[0].core.state.snapshot());
-        self.sites
-            .iter()
-            .all(|s| Self::normalize(s.core.state.snapshot()) == first)
+        let first = Self::normalize(self.snapshot_of(SiteId(0)));
+        self.site_ids()
+            .into_iter()
+            .all(|id| Self::normalize(self.snapshot_of(id)) == first)
     }
 
     /// True when replica state semantically equals the serial oracle
     /// ([`SimCluster::expected_state`]).
     pub fn matches_oracle(&self) -> bool {
-        Self::normalize(self.sites[0].core.state.snapshot())
-            == Self::normalize(self.expected_state())
+        Self::normalize(self.snapshot_of(SiteId(0))) == Self::normalize(self.expected_state())
     }
 
     /// Total backlog across sites (should be zero at quiescence).
     pub fn total_backlog(&self) -> usize {
-        self.sites.iter().map(|s| s.core.state.backlog()).sum()
+        let ids = self.site_ids().into_iter();
+        ids.filter_map(|id| self.state(id))
+            .map(SiteState::backlog)
+            .sum()
     }
 
     /// The 1SR oracle: the state produced by applying every *surviving*
@@ -1118,14 +1304,13 @@ impl SimCluster {
     /// whose effects are **still** visible because the compensation has
     /// not run yet.
     pub fn divergent_updates(&self, site: SiteId, objects: &[ObjectId]) -> u64 {
-        let state = &self.site(site).core.state;
         self.submissions
             .iter()
             .filter(|(et, sub)| {
                 sub.ops
                     .iter()
                     .any(|o| o.op.is_write() && objects.contains(&o.object))
-                    && self.survives(sub) != state.has_applied(**et)
+                    && self.survives(sub) != self.has_applied(site, **et)
             })
             .count() as u64
     }
@@ -1133,7 +1318,6 @@ impl SimCluster {
     /// Committed updates writing any of `objects` not yet applied at
     /// `site` (a one-sided view of [`SimCluster::divergent_updates`]).
     pub fn missing_updates(&self, site: SiteId, objects: &[ObjectId]) -> u64 {
-        let state = &self.site(site).core.state;
         self.submissions
             .iter()
             .filter(|(et, sub)| {
@@ -1142,7 +1326,7 @@ impl SimCluster {
                         .ops
                         .iter()
                         .any(|o| o.op.is_write() && objects.contains(&o.object))
-                    && !state.has_applied(**et)
+                    && !self.has_applied(site, **et)
             })
             .count() as u64
     }
@@ -1367,7 +1551,7 @@ mod tests {
         c.resolve(et, true);
         c.advance_to(VirtualTime::from_millis(10));
         c.crash(SiteId(1));
-        c.restart(SiteId(1));
+        c.restart(SiteId(1)).unwrap();
         c.run_until_quiescent();
         let decisions = |site| {
             let log = c.events_of(site);
@@ -1406,7 +1590,7 @@ mod tests {
         assert_eq!(c.missing_updates(SiteId(1), &[X]), 1, "a down site holds nothing");
         let down = c.try_query(SiteId(0), &[X], EpsilonSpec::STRICT);
         assert!(!down.admitted, "site 1 has not (re)applied it yet");
-        c.restart(SiteId(1));
+        c.restart(SiteId(1)).unwrap();
         let out = c.try_query(SiteId(0), &[X], EpsilonSpec::STRICT);
         assert!(out.admitted && out.charged == 0);
         c.run_until_quiescent();
@@ -1426,5 +1610,59 @@ mod tests {
             .completion_latencies
             .iter()
             .all(|d| *d > Duration::ZERO));
+    }
+
+    /// One COMMU site checkpointed after each of six updates: installs
+    /// 1–6 and one live journal record, the rest retired lag-by-one.
+    fn six_installs() -> SimCluster {
+        let mut c = SimCluster::new(ClusterConfig::new(Method::Commu).with_sites(1));
+        for _ in 0..6 {
+            c.submit_update(SiteId(0), incr_op(1));
+            c.run_until_quiescent();
+            c.checkpoint(SiteId(0));
+        }
+        assert_eq!(c.sites[0].host.journal.len(), 1);
+        c
+    }
+
+    fn garbage(seq: u64) -> Vec<u8> {
+        snapshot::encode_container(seq, b"not a payload")
+    }
+
+    /// A container whose CRC holds but whose payload does not decode
+    /// must not send boot to a replay of a journal truncation already
+    /// cut: boot restores the newest image that does, the one before.
+    #[test]
+    fn an_undecodable_newest_snapshot_boots_from_the_one_before() {
+        let mut c = six_installs();
+        c.sites[0].host.snapshots.push((7, garbage(7)));
+        c.crash(SiteId(0));
+        c.restart(SiteId(0)).unwrap();
+        let boot = c
+            .events_of(SiteId(0))
+            .into_iter()
+            .find_map(|(_, _, e)| match e {
+                Event::Boot {
+                    snapshot, replayed, ..
+                } => Some((snapshot, replayed)),
+                _ => None,
+            });
+        assert_eq!(boot, Some((Some((6, 6)), 0)));
+        assert_eq!(c.snapshot_of(SiteId(0))[&X], Value::Int(6));
+    }
+
+    /// With no container that restores, a journal a checkpoint retired
+    /// records from cannot be replayed: boot fails, and the site stays
+    /// down instead of serving a replica missing acknowledged updates.
+    #[test]
+    fn no_usable_snapshot_over_a_truncated_journal_is_a_boot_error() {
+        let mut c = six_installs();
+        for (seq, container) in &mut c.sites[0].host.snapshots {
+            *container = garbage(*seq);
+        }
+        c.crash(SiteId(0));
+        let err = c.restart(SiteId(0)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(c.sites[0].node.is_none(), "the site stays down");
     }
 }

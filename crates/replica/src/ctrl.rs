@@ -85,7 +85,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-use esr_core::ids::{ClientId, EtId, SiteId, VersionTs};
+use esr_core::ids::{ClientId, EtId, LamportTs, SiteId, VersionTs};
 use crate::mset::MSet;
 use crate::node_ckpt::CkptPayload;
 use crate::site::{Delivered, Released};
@@ -129,6 +129,16 @@ pub enum NodeEvent {
         /// Journal high-water [`esr_storage::stable_queue::EntryId`]
         /// covered by this cut, or `None` when ids are not meaningful.
         through: Option<u64>,
+    },
+    /// A Lamport heartbeat from `origin` carrying its clock: raises the
+    /// ORDUP-L stability horizon, and the step applies — and traces —
+    /// whatever that releases (nothing, for the other methods). The
+    /// simulator beats once per origin at quiescence.
+    Heartbeat {
+        /// The origin the beat speaks for.
+        origin: SiteId,
+        /// A clock strictly past every timestamp `origin` issued.
+        ts: LamportTs,
     },
 }
 
@@ -649,6 +659,13 @@ impl NodeCore {
                     detail: "this site's method has no checkpoint image".into(),
                 })],
             },
+            NodeEvent::Heartbeat { origin, ts } => {
+                let released = self.state.heartbeat(origin, ts);
+                released
+                    .into_iter()
+                    .flat_map(|r| self.applied(r, None))
+                    .collect()
+            }
         }
     }
 
@@ -1478,6 +1495,33 @@ mod tests {
             "release must trace both applies in sequence order: {effects:?}"
         );
         assert!(core.state.has_applied(EtId(1)) && core.state.has_applied(EtId(2)));
+    }
+
+    #[test]
+    fn an_ordup_lamport_heartbeat_applies_and_traces_the_tail_it_releases() {
+        // Origin 1's update waits until origin 0 is heard past it; the
+        // heartbeat is that word, and the step traces the apply.
+        let origins = vec![SiteId(0), SiteId(1)];
+        let state = SiteState::ordup_lamport(SiteId(0), origins);
+        let mut core = NodeCore::fresh(state, RtMethod::Ordup, SiteId(0), 2, None);
+        let stamped = incr(1, 1).lamport(LamportTs::new(1, SiteId(1)), SeqNo(0));
+        core.step(NodeEvent::PeerFrame(Frame::MSet(stamped)));
+        assert!(
+            !core.state.has_applied(EtId(1)),
+            "no word from origin 0 yet"
+        );
+        let beat = |t| NodeEvent::Heartbeat {
+            origin: SiteId(0),
+            ts: LamportTs::new(t, SiteId(0)),
+        };
+        let effects = core.step(beat(2));
+        assert!(core.state.has_applied(EtId(1)));
+        assert!(
+            matches!(&effects[..], [Effect::Event(Event::Span(r))]
+                if r.stage == SpanStage::Apply && r.et == Some(EtId(1))),
+            "{effects:?}"
+        );
+        assert!(core.step(beat(3)).is_empty(), "nothing left to release");
     }
 
     #[test]

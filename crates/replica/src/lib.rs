@@ -20,11 +20,13 @@
 pub mod api;
 pub mod ckpt;
 pub mod cluster;
+pub mod commit;
 pub mod commu;
 pub mod compe;
 pub mod ctrl;
 pub mod etspec;
 pub mod mset;
+pub mod node;
 pub mod node_ckpt;
 pub mod ordup;
 pub mod quorum;
@@ -44,6 +46,7 @@ pub use etspec::{PropagationClass, SpecPipe};
 pub use compe::CompeSite;
 pub use ctrl::{CoordCore, CtrlCanary, Effect, NodeCore, NodeEvent};
 pub use mset::{MSet, OrderTag};
+pub use node::{Host, Node, NodeConfig};
 pub use node_ckpt::{decode_payload, encode_payload, CkptPayload};
 pub use ordup::{OrdupLamportSite, OrdupSite};
 pub use ritu::{RituMvSite, RituOverwriteSite};

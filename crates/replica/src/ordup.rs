@@ -275,10 +275,10 @@ impl OrdupLamportSite {
 
     /// Records a heartbeat from `origin` carrying its current clock:
     /// raises the stability horizon so held-back MSets can apply even
-    /// when `origin` has gone quiet. The cluster driver broadcasts
-    /// heartbeats during quiesce. Returns the parked MSets the
-    /// heartbeat released, in the order they were applied — no core
-    /// step ran, so the caller is the one to record those applies.
+    /// when `origin` has gone quiet. The simulator beats at quiescence,
+    /// as a `NodeEvent::Heartbeat` step. Returns the parked MSets the
+    /// heartbeat released, in the order they were applied, for that
+    /// step to trace.
     pub fn heartbeat(&mut self, origin: SiteId, ts: LamportTs) -> Vec<Released> {
         let e = self.last_seen.entry(origin).or_insert(ts);
         if ts > *e {

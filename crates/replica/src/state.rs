@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use esr_core::divergence::InconsistencyCounter;
-use esr_core::ids::{EtId, ObjectId, SiteId, VersionTs};
+use esr_core::ids::{EtId, LamportTs, ObjectId, SiteId, VersionTs};
 use esr_core::op::Operation;
 use esr_core::value::Value;
 
@@ -20,7 +20,7 @@ use crate::compe::CompeSite;
 use crate::mset::{MSet, OrderTag};
 use crate::ordup::{OrdupLamportSite, OrdupSite};
 use crate::ritu::{RituMvSite, RituOverwriteSite};
-use crate::site::{Delivery, QueryOutcome, ReplicaSite, SiteReadings};
+use crate::site::{Delivery, QueryOutcome, Released, ReplicaSite, SiteReadings};
 
 /// Replica control methods available in the runtimes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,6 +164,16 @@ impl SiteState {
                 .iter()
                 .all(|o| matches!(o.op, Operation::TimestampedWrite(..) | Operation::Read)),
             SiteState::Commu(_) | SiteState::Compe(_) => true,
+        }
+    }
+
+    /// An ORDUP-L heartbeat from `origin` at `ts` (a no-op for the
+    /// other methods): returns the parked MSets it released, in apply
+    /// order.
+    pub fn heartbeat(&mut self, origin: SiteId, ts: LamportTs) -> Vec<Released> {
+        match self {
+            SiteState::OrdupLamport(s) => s.heartbeat(origin, ts),
+            _ => Vec::new(),
         }
     }
 

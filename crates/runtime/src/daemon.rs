@@ -17,16 +17,23 @@
 //! re-announces its applies, and catches up on everything it missed
 //! through the peers' at-least-once queues.
 //!
-//! ## One owner
+//! ## One owner, one executor
+//!
+//! The effects are executed by a [`Node`] — the executor the simulator
+//! runs too: the commit plan, the view register, the checkpoint chain
+//! and restore-or-replay are its, over a [`Host`]. This file is that
+//! host, files and the reactor, plus what only a daemon has: the
+//! client plane, catch-up from peers, the epoch and address files, and
+//! the checkpoint writer thread.
 //!
 //! [`Daemon::start`] boots a [`Daemon`] on the calling thread — epoch,
-//! catch-up, restore or replay, journal, link queues, listener — and
-//! moves it into the reactor thread, which owns it from then on. The
-//! core, the staged writes, the journal and the links are plain values
-//! reached through `&mut`: one thread steps and commits, so there is
-//! nothing to lock. The one other thread is the checkpoint writer,
-//! which takes owned cut payloads over a channel and reports each
-//! install back over another, with a wake byte for the reactor.
+//! catch-up, link queues, the node's boot, listener — and moves it into
+//! the reactor thread, which owns it from then on. The node, the
+//! journal and the links are plain values reached through `&mut`: one
+//! thread steps and commits, so there is nothing to lock. The one other
+//! thread is the checkpoint writer, which takes owned cut payloads over
+//! a channel and reports each install back over another, with a wake
+//! byte for the reactor.
 //!
 //! ## Tick commit
 //!
@@ -58,11 +65,10 @@
 //! feeds [`NodeEvent::Tick`]s to the core, the acting coordinator
 //! heartbeats with [`Frame::Ping`], and a follower that misses enough
 //! pings elects view `v+1` via the StartViewChange / DoViewChange /
-//! StartView exchange — all of it pure [`NodeCore`] logic; this file
-//! only executes the resulting effects. An installed view is persisted
-//! to `<dir>/site-<i>.view` (tmp+rename) by [`Effect::RecordView`]
-//! before any frame of the new view is sent, so a rebooted site rejoins
-//! its last view rather than view 0. `kill -9` of the acting
+//! StartView exchange — all of it pure `NodeCore` logic. An installed
+//! view is persisted to `<dir>/site-<i>.view` (tmp+rename) by
+//! `Effect::RecordView` before any frame of the new view is sent, so a
+//! rebooted site rejoins its last view rather than view 0. `kill -9` of the acting
 //! coordinator is therefore survivable: the survivors elect the next
 //! site, re-announce their applied ETs, and the merged DoViewChange
 //! evidence carries completions/decisions/VTNC across the handoff.
@@ -89,10 +95,10 @@ use esr_net::rpc::{
     NO_ENTRY,
 };
 use esr_obs::{
-    CkptInstruments, Counter, Gauge, Histogram, LinkInstruments, MetricsRegistry,
-    ReactorInstruments, SiteInstruments,
+    Counter, Histogram, LinkInstruments, MetricsRegistry, ReactorInstruments, SiteInstruments,
 };
 use esr_replica::mset::MSet;
+use esr_replica::node::{Host, Install, Node, NodeConfig};
 use esr_replica::span::{publish_readings, Event};
 use esr_replica::wire::{decode_frame, encode_frame, Frame};
 use esr_storage::snapshot;
@@ -100,8 +106,7 @@ use esr_storage::stable_queue::FileQueue;
 
 use crate::ckpt::{decode_payload, encode_payload, CkptPayload};
 use crate::client::RpcClient;
-use crate::commit::{Staged, Write};
-use crate::ctrl::{Effect, NodeCore, NodeEvent};
+use crate::ctrl::NodeEvent;
 use crate::recovery::ApplyJournal;
 use crate::spans::EventLog;
 use crate::state::{RtMethod, SiteState};
@@ -126,39 +131,8 @@ pub struct DaemonConfig {
     pub ckpt_bytes: Option<u64>,
 }
 
-/// What the daemon knows about its checkpoint chain.
-#[derive(Debug, Clone, Copy, Default)]
-struct CkptState {
-    /// Sequence of the newest installed snapshot (0 = none yet).
-    seq: u64,
-    /// Journalled-MSet count that snapshot covers.
-    covered: u64,
-    /// That snapshot's journal entry-id cut (`None` for a catch-up
-    /// image whose ids refer to a peer's journal).
-    covered_through: Option<u64>,
-    /// Sequence handed to the newest cut (`>= seq`; the ones above
-    /// `seq` are with the writer or failed).
-    cut: u64,
-}
-
-/// A snapshot the checkpoint writer installed.
-#[derive(Debug)]
-struct Installed {
-    seq: u64,
-    covered: u64,
-    covered_through: Option<u64>,
-    /// Container size on disk.
-    bytes: u64,
-    /// Encode-and-install time.
-    micros: u64,
-}
-
 /// A cut on its way to the writer: its sequence number and payload.
 type Cut = (u64, Box<CkptPayload>);
-
-/// The writer's report on one cut: the install, or its sequence and
-/// why it failed.
-type Completion = Result<Installed, (u64, String)>;
 
 /// A running daemon: what [`Daemon::start`] returns. Dropping it shuts
 /// the reactor down, which drops the [`Daemon`] it owns — closing the
@@ -185,77 +159,145 @@ impl DaemonHandle {
 /// One site daemon, booted. [`Daemon::start`] hands it to a reactor
 /// thread, which owns it and is the only caller of its methods.
 ///
-/// All protocol logic lives in the pure [`NodeCore`]
-/// (`crate::ctrl`): the daemon's job is only to feed it events and
-/// execute the effects it returns against the real world — the on-disk
-/// journal, the durable links, and the event log.
+/// All protocol logic lives in the pure `NodeCore`, and all of its
+/// effects are executed by the [`Node`]: the daemon feeds the node
+/// events, hands it its [`Host`] — the files below and the reactor's
+/// links — and answers the client plane.
 pub struct Daemon {
     cfg: DaemonConfig,
     epoch: u64,
-    /// The pure control-plane state machine (replica state, journalled
-    /// set, view-change machine, and — on the current view's
-    /// coordinator — the coordinator core).
-    core: NodeCore,
-    /// Journal records and link sends stepped but not yet written.
-    staged: Staged,
-    /// The on-disk journal a commit appends the core's
-    /// `Effect::Journal` effects to.
-    journal: ApplyJournal,
+    /// The executor: the core, its staged writes, the checkpoint chain
+    /// and the per-site executor series.
+    node: Node,
+    /// The node's host, but for the links the reactor lends each call.
+    files: Files,
     /// Reactor metrics bundle (kept here to tick ack-batch sizes from
     /// the service dispatch).
     robs: ReactorInstruments,
     /// This incarnation's metrics; scraped via [`Frame::Metrics`].
     metrics: MetricsRegistry,
-    /// This site's replica series: counters fed from the core's events
-    /// in [`Daemon::perform`], the query series in the client plane,
-    /// the state-held gauges when a scrape is answered.
+    /// This site's replica series: the node counts its events into
+    /// them; the query series tick in the client plane, and the
+    /// state-held gauges when a scrape is answered.
     site_obs: SiteInstruments,
-    /// This incarnation's bounded event log: every `Effect::Event` of
-    /// the core plus the daemon's own boot and checkpoint-chain notes;
-    /// scraped via [`Frame::EventQuery`].
-    events: EventLog,
     /// Wall-clock latency of the core step that accepts an MSet
     /// (apply and staging; its journal write is the cycle's commit).
     apply_latency: Histogram,
     /// Wall-clock client-plane request handling latency.
     rpc_latency: Histogram,
-    /// Journal records plus link frames written per non-empty commit
-    /// (`esr_commit_records`): the batching a cycle achieved.
-    commit_records: Histogram,
-    /// Wall-clock latency of a non-empty commit
-    /// (`esr_commit_latency_micros`).
-    commit_latency: Histogram,
     /// Peer frames that failed to decode — acked so a poisoned entry is
     /// not retransmitted forever, and dropped
     /// (`esr_peer_frames_rejected_total`).
     peer_frames_rejected: Counter,
-    /// The currently installed view (`esr_view`).
-    view_gauge: Gauge,
-    /// Whether this site holds the coordinator role (`esr_coordinator`).
-    coordinator_gauge: Gauge,
-    /// Elections this incarnation participated in (`esr_elections_total`,
-    /// counted at the first StartViewChange sent per election).
-    elections: Counter,
-    /// Wall-clock latency from first StartViewChange sent to the next
-    /// view landing durably (`esr_election_latency_micros`).
-    election_latency: Histogram,
-    /// When the in-progress election started (None outside elections).
-    election_started: Option<Instant>,
-    /// The checkpoint chain: newest installed snapshot seq, its covered
-    /// frontier and journal cut, and the newest cut's seq.
-    ckpt: CkptState,
-    /// Journal bytes appended since the last policy-triggered cut.
-    ckpt_bytes_since: u64,
-    /// Set by the policy when a cut is due; the commit that set it cuts
-    /// once its writes are done, so the cut is a consistent prefix.
-    ckpt_due: bool,
+}
+
+/// `esrd`'s storage: the journal, the view register and snapshot files
+/// under the cluster directory, the checkpoint writer's channels, and
+/// the event log.
+struct Files {
+    dir: PathBuf,
+    site: SiteId,
+    /// The on-disk journal a commit appends the core's
+    /// `Effect::Journal` effects to.
+    journal: ApplyJournal,
+    /// This incarnation's bounded event log, scraped via
+    /// [`Frame::EventQuery`]; its clock is the node's.
+    events: EventLog,
     /// Hands numbered cut payloads to the writer thread, so snapshot
     /// encoding + fsync never blocks the apply path.
-    ckpt_tx: Sender<Cut>,
+    cuts: Sender<Cut>,
     /// The writer's reports, one per cut, in cut order.
-    ckpt_done: Receiver<Completion>,
-    /// Checkpoint/journal metrics bundle.
-    ckpt_obs: CkptInstruments,
+    installs: Receiver<Install>,
+}
+
+impl Files {
+    /// The node's host for one call: these files and the reactor's
+    /// links.
+    fn with<'a>(&'a mut self, links: &'a mut Links) -> FileHost<'a> {
+        FileHost { files: self, links }
+    }
+}
+
+/// `esrd`'s [`Host`].
+struct FileHost<'a> {
+    files: &'a mut Files,
+    links: &'a mut Links,
+}
+
+impl Host for FileHost<'_> {
+    fn append(&mut self, records: Vec<MSet>) -> u64 {
+        self.files.journal.record_batch(&records)
+    }
+
+    fn journal(&self) -> Vec<(u64, MSet)> {
+        self.files.journal.replay_entries()
+    }
+
+    fn last_id(&self) -> Option<u64> {
+        self.files.journal.last_id()
+    }
+
+    fn retire_through(&mut self, through: u64) -> u64 {
+        self.files.journal.retire_through(through)
+    }
+
+    fn journal_size(&self) -> (u64, u64) {
+        let journal = &self.files.journal;
+        (journal.file_bytes(), journal.live_entries())
+    }
+
+    /// Absent or unreadable means view 0: the pre-failover layout.
+    fn view(&self) -> u64 {
+        std::fs::read_to_string(view_path(&self.files.dir, self.files.site))
+            .ok()
+            .and_then(|s| s.trim().parse::<u64>().ok())
+            .unwrap_or(0)
+    }
+
+    /// The same tmp+rename publish as the address file.
+    fn record_view(&mut self, view: u64) {
+        let _ = publish(
+            &view_path(&self.files.dir, self.files.site),
+            &view.to_string(),
+        );
+    }
+
+    fn snapshots(&self) -> Vec<u64> {
+        let listed = snapshot::list(&self.files.dir, &snap_prefix(self.files.site));
+        listed.map_or_else(
+            |_| Vec::new(),
+            |l| l.into_iter().rev().map(|(seq, _)| seq).collect(),
+        )
+    }
+
+    fn load_snapshot(&self, seq: u64) -> Option<Vec<u8>> {
+        snapshot::load(&self.files.dir, &snap_prefix(self.files.site), seq)
+    }
+
+    fn cut(&mut self, seq: u64, payload: Box<CkptPayload>) {
+        let _ = self.files.cuts.send((seq, payload));
+    }
+
+    fn installed(&mut self, wait: bool) -> Option<Install> {
+        if wait {
+            self.files.installs.recv().ok()
+        } else {
+            self.files.installs.try_recv().ok()
+        }
+    }
+
+    fn send(&mut self, to: SiteId, frames: Vec<Frame>) {
+        let payloads = frames.iter().map(encode_frame).collect();
+        self.links.send_batch(to.raw() as usize, payloads);
+    }
+
+    fn record(&mut self, event: Event) {
+        self.files.events.record(event);
+    }
+
+    fn now(&self) -> u64 {
+        self.files.events.now()
+    }
 }
 
 /// Heartbeat period: coordinators ping every tick, followers suspect
@@ -367,7 +409,7 @@ fn spawn_writer(
     dir: PathBuf,
     site: SiteId,
     waker: Waker,
-) -> std::io::Result<(Sender<Cut>, Receiver<Completion>)> {
+) -> std::io::Result<(Sender<Cut>, Receiver<Install>)> {
     let (cut_tx, cuts) = mpsc::channel::<Cut>();
     let (done_tx, done) = mpsc::channel();
     std::thread::Builder::new()
@@ -382,15 +424,10 @@ fn spawn_writer(
                         // Keep the two newest containers: a corrupt
                         // newest falls back to the one before it.
                         let _ = snapshot::retain(&dir, &prefix, 2);
-                        Ok(Installed {
-                            seq,
-                            covered: payload.covered,
-                            covered_through: payload.covered_through,
-                            bytes: (bytes.len() + snapshot::SNAP_OVERHEAD) as u64,
-                            micros: started.elapsed().as_micros() as u64,
-                        })
+                        let size = (bytes.len() + snapshot::SNAP_OVERHEAD) as u64;
+                        Ok((size, started.elapsed().as_micros() as u64))
                     }
-                    Err(e) => Err((seq, format!("install: {e}"))),
+                    Err(e) => Err(format!("install: {e}")),
                 };
                 if done_tx.send(report).is_err() {
                     break;
@@ -425,10 +462,10 @@ impl Daemon {
     }
 
     /// Boots a daemon without running it: bumps the epoch, catches up a
-    /// wiped site, restores or replays the journal, opens the link
-    /// queues, binds a loopback listener, starts the checkpoint writer
-    /// (which reports through `waker`), and commits what recovery
-    /// stepped.
+    /// wiped site, opens the link queues, starts the checkpoint writer
+    /// (which reports through `waker`), boots the node over its files —
+    /// restore or replay, then a commit of what recovery stepped — and
+    /// binds a loopback listener. A node that cannot boot is an error.
     fn boot(cfg: DaemonConfig, waker: Waker) -> std::io::Result<(Self, Links, TcpListener)> {
         assert!(cfg.sites > 0 && (cfg.site.raw() as usize) < cfg.sites);
         std::fs::create_dir_all(&cfg.dir)?;
@@ -441,17 +478,9 @@ impl Daemon {
             + 1;
         publish(&epoch_path(&cfg.dir, cfg.site), &epoch.to_string())?;
 
-        // Recovery: replay the write-ahead journal into a fresh state
-        // machine via the pure recovery path (`NodeCore::recover`) —
-        // the very code the model checker explores. Recovered applies
-        // are re-announced to the coordinator through the returned
-        // effects, because the previous incarnation may have died
-        // before its `Applied` report was durably enqueued.
         let events = EventLog::start();
         let metrics = MetricsRegistry::new();
         let site_label = cfg.site.raw().to_string();
-        let replays = metrics.counter("esr_recovery_replays_total", &[("site", &site_label)]);
-        let ckpt_obs = CkptInstruments::for_site(&metrics, cfg.site.raw());
         let site_obs = SiteInstruments::for_site(&metrics, cfg.method.name(), cfg.site.raw());
         let journal = ApplyJournal::open(journal_path(&cfg.dir, cfg.site))?;
         let prefix = snap_prefix(cfg.site);
@@ -467,95 +496,6 @@ impl Daemon {
         {
             catch_up_from_peers(&cfg, &prefix, &events);
         }
-
-        // Rejoin the last durably installed view (0 on a cold boot):
-        // the recovered core assumes the coordinator role only if the
-        // view still maps to this site.
-        let view = std::fs::read_to_string(view_path(&cfg.dir, cfg.site))
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or(0);
-
-        // Restore-or-replay: prefer the newest decodable snapshot plus
-        // the journal suffix past its cut; fall back to a full journal
-        // replay when there is no snapshot or every snapshot is
-        // corrupt. Either path runs the pure recovery code the model
-        // checker explores.
-        let mut restored: Option<(NodeCore, Vec<Effect>, CkptState, u64)> = None;
-        if let Some((snap_seq, payload_bytes)) =
-            snapshot::load_newest(&cfg.dir, &prefix).ok().flatten()
-        {
-            if let Some(payload) = decode_payload(&payload_bytes) {
-                let suffix: Vec<MSet> = journal
-                    .replay_entries()
-                    .into_iter()
-                    .filter(|(id, _)| payload.covered_through.is_none_or(|cut| *id > cut))
-                    .map(|(_, m)| m)
-                    .collect();
-                let replayed = suffix.len() as u64;
-                let chain = CkptState {
-                    seq: snap_seq,
-                    covered: payload.covered,
-                    covered_through: payload.covered_through,
-                    cut: snap_seq,
-                };
-                let started = Instant::now();
-                if let Some((core, effects)) = NodeCore::restore(
-                    cfg.method,
-                    cfg.site,
-                    cfg.sites,
-                    None,
-                    view.max(payload.view),
-                    payload,
-                    suffix,
-                ) {
-                    ckpt_obs.suffix_replay(started.elapsed().as_micros() as u64);
-                    restored = Some((core, effects, chain, replayed));
-                } else {
-                    events.record(Event::CkptFailed {
-                        seq: snap_seq,
-                        detail: "method mismatch; full replay".to_owned(),
-                    });
-                }
-            }
-        }
-        let (core, recovery_effects, mut ckpt, replayed) = match restored {
-            Some(r) => r,
-            None => {
-                let entries = journal.replay();
-                let replayed = entries.len() as u64;
-                let (core, effects) = NodeCore::recover(
-                    SiteState::new(cfg.method, cfg.site),
-                    cfg.method,
-                    cfg.site,
-                    cfg.sites,
-                    None,
-                    view,
-                    entries,
-                );
-                (core, effects, CkptState::default(), replayed)
-            }
-        };
-        // One account of the boot, whichever branch ran: the records
-        // handed to the replay here, the `Replay` spans among the
-        // recovery effects counted when `perform` executes them below.
-        replays.add(replayed);
-        events.record(Event::Boot {
-            epoch,
-            snapshot: (ckpt.seq > 0).then_some((ckpt.seq, ckpt.covered)),
-            replayed,
-            view: core.view,
-        });
-        // Never re-issue a sequence number an on-disk container already
-        // claims, even a corrupt one load_newest skipped.
-        if let Some(newest) = snapshot::list(&cfg.dir, &prefix)
-            .ok()
-            .and_then(|l| l.last().map(|(seq, _)| *seq))
-        {
-            ckpt.seq = ckpt.seq.max(newest);
-        }
-        ckpt.cut = ckpt.seq;
-        ckpt_obs.journal(journal.file_bytes(), journal.live_entries());
 
         // Durable outbound links, one per peer, all drained by the
         // reactor. The hello frame carries our id + epoch; the
@@ -586,167 +526,52 @@ impl Daemon {
             );
         }
 
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-
-        let apply_latency =
-            metrics.histogram("esr_apply_latency_micros", &[("site", &site_label)]);
-        let rpc_latency = metrics.histogram("esr_rpc_latency_micros", &[("site", &site_label)]);
-        let commit_records = metrics.histogram("esr_commit_records", &[("site", &site_label)]);
-        let commit_latency =
-            metrics.histogram("esr_commit_latency_micros", &[("site", &site_label)]);
-        let peer_frames_rejected =
-            metrics.counter("esr_peer_frames_rejected_total", &[("site", &site_label)]);
-        let view_gauge = metrics.gauge("esr_view", &[("site", &site_label)]);
-        view_gauge.set(core.view as i64);
-        let coordinator_gauge = metrics.gauge("esr_coordinator", &[("site", &site_label)]);
-        coordinator_gauge.set(i64::from(core.coord.is_some()));
-        let elections = metrics.counter("esr_elections_total", &[("site", &site_label)]);
-        let election_latency =
-            metrics.histogram("esr_election_latency_micros", &[("site", &site_label)]);
-        let (ckpt_tx, ckpt_done) = spawn_writer(cfg.dir.clone(), cfg.site, waker)?;
-        let mut daemon = Self {
-            epoch,
-            core,
-            staged: Staged::default(),
+        let (cuts, installs) = spawn_writer(cfg.dir.clone(), cfg.site, waker)?;
+        let mut files = Files {
+            dir: cfg.dir.clone(),
+            site: cfg.site,
             journal,
+            events,
+            cuts,
+            installs,
+        };
+        let node_cfg = NodeConfig {
+            site: cfg.site,
+            sites: cfg.sites,
+            method: cfg.method,
+            epoch,
+            ckpt_bytes: cfg.ckpt_bytes,
+        };
+        let blank = SiteState::new(cfg.method, cfg.site);
+        let host = &mut files.with(&mut links);
+        let node = Node::boot(host, node_cfg, blank, &metrics, site_obs.clone())?;
+
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let site: &[(&str, &str)] = &[("site", &site_label)];
+        let daemon = Self {
+            epoch,
+            node,
+            files,
             robs: ReactorInstruments::for_registry(&metrics),
             cfg,
+            apply_latency: metrics.histogram("esr_apply_latency_micros", site),
+            rpc_latency: metrics.histogram("esr_rpc_latency_micros", site),
+            peer_frames_rejected: metrics.counter("esr_peer_frames_rejected_total", site),
             metrics,
             site_obs,
-            events,
-            apply_latency,
-            rpc_latency,
-            commit_records,
-            commit_latency,
-            peer_frames_rejected,
-            view_gauge,
-            coordinator_gauge,
-            elections,
-            election_latency,
-            election_started: None,
-            ckpt,
-            ckpt_bytes_since: 0,
-            ckpt_due: false,
-            ckpt_tx,
-            ckpt_done,
-            ckpt_obs,
         };
-
-        // Execute the recovery effects: replay events (counted like any
-        // other, whichever branch produced them) plus the
-        // re-announcement of recovered applies (the coordinator
-        // deduplicates).
-        daemon.perform(recovery_effects);
-        daemon.commit(&mut links);
         Ok((daemon, links, listener))
     }
 
-    /// Feeds one event through the pure core and executes its effects:
-    /// the immediate ones now, in order; journal records and sends are
-    /// staged for the cycle's commit.
-    fn dispatch(&mut self, event: NodeEvent) {
-        let effects = self.core.step(event);
-        self.perform(effects);
-        self.coordinator_gauge.set(i64::from(self.core.coord.is_some()));
+    /// Steps the node on `event`, lending it the links.
+    fn dispatch(&mut self, links: &mut Links, event: NodeEvent) {
+        self.node.dispatch(&mut self.files.with(links), event);
     }
 
-    /// Cuts a checkpoint of the core and hands it to the writer. The
-    /// image holds every step made so far and names the journal's last
-    /// id as its cut, so what those steps staged is written first:
-    /// `covered_through` is then the last record the image contains.
-    fn cut(&mut self, links: &mut Links) {
-        self.write(links);
-        self.ckpt_due = false;
-        let through = self.journal.last_id();
-        let effects = self.core.step(NodeEvent::Checkpoint { through });
-        self.perform(effects);
-    }
-
-    /// Executes one step's effects: view records land durably, events
-    /// land in the log and a cut's payload goes to the writer at once,
-    /// in order; journal appends and link sends are staged for the
-    /// commit.
-    fn perform(&mut self, effects: Vec<Effect>) {
-        // The first StartViewChange of an election marks its start for
-        // the latency histogram.
-        let starts_election = effects.iter().any(|e| {
-            matches!(e, Effect::Send { frame: Frame::StartViewChange { .. }, .. })
-        });
-        if starts_election && self.election_started.is_none() {
-            self.election_started = Some(Instant::now());
-            self.elections.inc();
-        }
-        for effect in self.staged.stage(effects) {
-            match effect {
-                Effect::Checkpoint(payload) => {
-                    self.ckpt.cut += 1;
-                    let _ = self.ckpt_tx.send((self.ckpt.cut, payload));
-                }
-                Effect::RecordView(view) => self.record_view(view),
-                Effect::Event(event) => {
-                    event.count(&self.site_obs);
-                    self.events.record(event);
-                }
-                // Staged above.
-                Effect::Journal(_) | Effect::Send { .. } => {}
-            }
-        }
-    }
-
-    /// Writes everything staged, in the order [`crate::commit`] plans:
-    /// fan-out sends, the journal records, every other send — one
-    /// append per file.
-    fn write(&mut self, links: &mut Links) {
-        if self.staged.is_empty() {
-            return;
-        }
-        let started = Instant::now();
-        let mut records = 0;
-        for write in self.staged.plan() {
-            records += write.records() as u64;
-            match write {
-                Write::Journal(msets) => {
-                    let bytes = self.journal.record_batch(&msets);
-                    self.ckpt_obs
-                        .journal(self.journal.file_bytes(), self.journal.live_entries());
-                    if let Some(limit) = self.cfg.ckpt_bytes {
-                        self.ckpt_bytes_since += bytes;
-                        if self.ckpt_bytes_since >= limit {
-                            self.ckpt_bytes_since = 0;
-                            self.ckpt_due = true;
-                        }
-                    }
-                }
-                Write::Link { to, frames } => {
-                    links.send_batch(to.raw() as usize, frames.iter().map(encode_frame).collect());
-                }
-            }
-        }
-        self.commit_records.record(records);
-        self.commit_latency
-            .record(started.elapsed().as_micros() as u64);
-    }
-
-    /// Durably installs a view: file write (the same tmp+rename publish
-    /// as the address file — executed by `perform` at once, so before
-    /// the commit that writes any send of the new view), then the obs
-    /// gauges.
-    fn record_view(&mut self, view: u64) {
-        let _ = publish(
-            &view_path(&self.cfg.dir, self.cfg.site),
-            &view.to_string(),
-        );
-        self.view_gauge.set(view as i64);
-        if let Some(started) = self.election_started.take() {
-            self.election_latency
-                .record(started.elapsed().as_micros() as u64);
-        }
-    }
-
-    fn handle_peer_frame(&mut self, frame: Frame) {
+    fn handle_peer_frame(&mut self, frame: Frame, links: &mut Links) {
         let timed = matches!(frame, Frame::MSet(_));
         let started = Instant::now();
-        self.dispatch(NodeEvent::PeerFrame(frame));
+        self.dispatch(links, NodeEvent::PeerFrame(frame));
         if timed {
             self.apply_latency
                 .record(started.elapsed().as_micros() as u64);
@@ -760,7 +585,7 @@ impl Daemon {
     fn handle_client_request(&mut self, request: Frame, links: &mut Links) -> Option<Frame> {
         Some(match request {
             Frame::Submit(mset) => {
-                if !self.core.state.accepts(&mset) {
+                if !self.node.core().state.accepts(&mset) {
                     return None;
                 }
                 // Exactly-once: a retried request (same client id +
@@ -768,8 +593,8 @@ impl Daemon {
                 // the *original* ET — byte-identical to the first
                 // SubmitOk — even if the retry was re-stamped.
                 if let Some((cid, seq)) = mset.client {
-                    if let Some(et) = self.core.cached_et(cid, seq) {
-                        self.events.record(Event::DuplicateSubmit {
+                    if let Some(et) = self.node.core().cached_et(cid, seq) {
+                        self.files.events.record(Event::DuplicateSubmit {
                             client: cid,
                             seq,
                             et,
@@ -779,7 +604,7 @@ impl Daemon {
                 }
                 let et = mset.et;
                 let started = Instant::now();
-                self.dispatch(NodeEvent::ClientSubmit(mset));
+                self.dispatch(links, NodeEvent::ClientSubmit(mset));
                 self.apply_latency
                     .record(started.elapsed().as_micros() as u64);
                 Frame::SubmitOk { et }
@@ -790,30 +615,35 @@ impl Daemon {
             } => {
                 let mut counter =
                     InconsistencyCounter::new(EpsilonSpec::bounded(epsilon_limit));
-                let out = self.core.state.query(&read_set, &mut counter);
+                let out = self.node.state_mut().query(&read_set, &mut counter);
                 self.site_obs.query(out.charged, epsilon_limit, out.admitted);
                 Frame::QueryOk(out)
             }
             Frame::Snapshot => Frame::SnapshotOk {
-                entries: self.core.state.snapshot().into_iter().collect(),
+                entries: self.node.core().state.snapshot().into_iter().collect(),
             },
-            Frame::Status => Frame::StatusOk {
-                settled: self.core.state.settled(),
-                // Sends staged earlier in this very cycle are outbound
-                // work like any queue entry (quiesce relies on it).
-                outbound_pending: (self.staged.sends() + links.pending()) as u64,
-                epoch: self.epoch,
-                view: self.core.view,
-                coordinator: self.core.coord.is_some(),
-                ckpt_seq: self.ckpt.seq,
-                ckpt_covered: self.ckpt.covered,
-            },
+            Frame::Status => {
+                let (core, chain) = (self.node.core(), self.node.chain());
+                Frame::StatusOk {
+                    settled: core.state.settled(),
+                    // Sends staged earlier in this very cycle are
+                    // outbound work like any queue entry (quiesce
+                    // relies on it).
+                    outbound_pending: (self.node.staged().sends() + links.pending()) as u64,
+                    epoch: self.epoch,
+                    view: core.view,
+                    coordinator: core.coord.is_some(),
+                    ckpt_seq: chain.seq,
+                    ckpt_covered: chain.covered,
+                }
+            }
             Frame::Decision { et, commit } => {
-                self.dispatch(NodeEvent::ClientDecision { et, commit });
+                self.dispatch(links, NodeEvent::ClientDecision { et, commit });
                 Frame::DecisionOk { et }
             }
+            // Replies only after its own cut is installed.
             Frame::Checkpoint => {
-                let (seq, covered) = self.take_checkpoint(links);
+                let (seq, covered) = self.node.checkpoint(&mut self.files.with(links));
                 Frame::CheckpointOk { seq, covered }
             }
             Frame::SnapshotRequest { offset } => {
@@ -840,13 +670,13 @@ impl Daemon {
                 }
             }
             Frame::Metrics => {
-                publish_readings(self.core.state.readings(), &self.site_obs);
+                publish_readings(self.node.core().state.readings(), &self.site_obs);
                 Frame::MetricsOk {
                     text: self.metrics.render(),
                 }
             }
             Frame::EventQuery { et } => {
-                let (dropped, events) = self.events.query(et);
+                let (dropped, events) = self.files.events.query(et);
                 Frame::EventOk { dropped, events }
             }
             // Anything else is a protocol error; answer with an empty
@@ -861,69 +691,6 @@ impl Daemon {
                 ckpt_covered: 0,
             },
         })
-    }
-
-    /// An on-demand checkpoint (`esrctl checkpoint`): cuts like the
-    /// policy does, then waits for the writer to install that cut — and
-    /// applies every report before it, which the writer sends first —
-    /// so the reply reflects the new snapshot. Works with the byte
-    /// policy disabled.
-    fn take_checkpoint(&mut self, links: &mut Links) -> (u64, u64) {
-        let before = self.ckpt.cut;
-        self.cut(links);
-        if self.ckpt.cut > before {
-            while let Ok(report) = self.ckpt_done.recv() {
-                let seq = match &report {
-                    Ok(installed) => installed.seq,
-                    Err((seq, _)) => *seq,
-                };
-                self.apply_install(report);
-                if seq == self.ckpt.cut {
-                    break;
-                }
-            }
-        }
-        (self.ckpt.seq, self.ckpt.covered)
-    }
-
-    /// Applies the writer's report on one cut. An install becomes the
-    /// chain's newest snapshot and retires the journal prefix the
-    /// *previous* snapshot covered (lag-by-one: the newest snapshot's
-    /// own prefix stays live so a corrupt-newest fallback to snapshot
-    /// N-1 still finds its suffix). A report older than the chain
-    /// changes nothing: `seq` and `covered` only move forward.
-    fn apply_install(&mut self, report: Completion) {
-        let installed = match report {
-            Ok(installed) => installed,
-            Err((seq, detail)) => {
-                self.events.record(Event::CkptFailed { seq, detail });
-                return;
-            }
-        };
-        if installed.seq <= self.ckpt.seq || installed.covered < self.ckpt.covered {
-            return;
-        }
-        self.ckpt_obs.installed(installed.bytes, installed.micros);
-        self.events.record(Event::CkptInstall {
-            seq: installed.seq,
-            covered: installed.covered,
-        });
-        let previous_cut = self.ckpt.covered_through;
-        self.ckpt.seq = installed.seq;
-        self.ckpt.covered = installed.covered;
-        self.ckpt.covered_through = installed.covered_through;
-        if let Some(cut) = previous_cut {
-            let retired = self.journal.retire_through(cut);
-            if retired > 0 {
-                self.ckpt_obs.truncated(retired);
-                self.ckpt_obs
-                    .journal(self.journal.file_bytes(), self.journal.live_entries());
-                self.events.record(Event::CkptTruncate {
-                    through: cut,
-                    retired,
-                });
-            }
-        }
     }
 }
 
@@ -953,10 +720,10 @@ impl RpcService for Daemon {
                         // a shape this method's `deliver` panics on —
                         // is dropped; acking it anyway prevents an
                         // infinite retransmit of a poisoned entry.
-                        Ok(Frame::MSet(m)) if !self.core.state.accepts(&m) => {
+                        Ok(Frame::MSet(m)) if !self.node.core().state.accepts(&m) => {
                             self.peer_frames_rejected.inc()
                         }
-                        Ok(f) => self.handle_peer_frame(f),
+                        Ok(f) => self.handle_peer_frame(f, links),
                         Err(_) => self.peer_frames_rejected.inc(),
                     }
                     if entry != NO_ENTRY {
@@ -997,26 +764,21 @@ impl RpcService for Daemon {
         }
     }
 
-    /// Writes the cycle's staged effects (`Daemon::write`), then cuts
-    /// a checkpoint if those writes reached the policy's byte limit.
+    /// Writes the cycle's staged effects, then cuts a checkpoint if
+    /// those writes reached the policy's byte limit ([`Node::commit`]).
     fn commit(&mut self, links: &mut Links) {
-        self.write(links);
-        if self.ckpt_due {
-            self.cut(links);
-        }
+        self.node.commit(&mut self.files.with(links));
     }
 
     /// The heartbeat: the only place wall-clock time enters the
     /// protocol, and it enters as a bare tick count.
-    fn tick(&mut self, _links: &mut Links) {
-        self.dispatch(NodeEvent::Tick);
+    fn tick(&mut self, links: &mut Links) {
+        self.dispatch(links, NodeEvent::Tick);
     }
 
     /// Applies the checkpoint writer's reports.
-    fn woken(&mut self) {
-        while let Ok(report) = self.ckpt_done.try_recv() {
-            self.apply_install(report);
-        }
+    fn woken(&mut self, links: &mut Links) {
+        self.node.installs(&mut self.files.with(links), false);
     }
 }
 
@@ -1032,13 +794,13 @@ mod tests {
     /// pipe its writer wakes stays open as long as the daemon.
     type Booted = (Daemon, Links, WakePipe);
 
-    fn boot_at(
+    fn try_boot(
         dir: PathBuf,
         method: RtMethod,
         site: u64,
         sites: usize,
         ckpt_bytes: Option<u64>,
-    ) -> Booted {
+    ) -> std::io::Result<Booted> {
         let pipe = WakePipe::new().unwrap();
         let cfg = DaemonConfig {
             site: SiteId(site),
@@ -1047,8 +809,18 @@ mod tests {
             dir,
             ckpt_bytes,
         };
-        let (daemon, links, _listener) = Daemon::boot(cfg, pipe.waker().unwrap()).unwrap();
-        (daemon, links, pipe)
+        let (daemon, links, _listener) = Daemon::boot(cfg, pipe.waker().unwrap())?;
+        Ok((daemon, links, pipe))
+    }
+
+    fn boot_at(
+        dir: PathBuf,
+        method: RtMethod,
+        site: u64,
+        sites: usize,
+        ckpt_bytes: Option<u64>,
+    ) -> Booted {
+        try_boot(dir, method, site, sites, ckpt_bytes).unwrap()
     }
 
     fn fresh_dir(tag: &str) -> PathBuf {
@@ -1126,8 +898,8 @@ mod tests {
         assert!(matches!(replies[0], Frame::SubmitOk { et } if et == EtId(1)));
         assert_eq!(outbound_pending(&replies[1]), 3, "staged sends are outbound work");
         daemon.commit(&mut links);
-        assert!(daemon.staged.is_empty());
-        assert_eq!(daemon.journal.entries(), 1);
+        assert!(daemon.node.staged().is_empty());
+        assert_eq!(daemon.files.journal.entries(), 1);
         assert_eq!(outbound_pending(&batch(&mut daemon, &mut links, &[Frame::Status])[0]), 3);
     }
 
@@ -1141,15 +913,21 @@ mod tests {
 
     /// Applies the writer's reports until every cut handed to it so far
     /// is accounted for.
-    fn settle_ckpt(daemon: &mut Daemon) {
+    fn settle_ckpt(daemon: &mut Daemon, links: &mut Links) {
         for _ in 0..500 {
-            daemon.woken();
-            if daemon.ckpt.seq == daemon.ckpt.cut {
+            daemon.woken(links);
+            let chain = daemon.node.chain();
+            if chain.seq == chain.cut {
                 return;
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-        panic!("the writer left cuts {}..={} unreported", daemon.ckpt.seq + 1, daemon.ckpt.cut);
+        let chain = daemon.node.chain();
+        panic!(
+            "the writer left cuts {}..={} unreported",
+            chain.seq + 1,
+            chain.cut
+        );
     }
 
     /// A cut names the journal's last id, and its image holds every
@@ -1171,7 +949,7 @@ mod tests {
         batch(&mut daemon, &mut links, &[Frame::Submit(incr(1, 0))]);
         daemon.commit(&mut links);
         // The writer installs the image off the apply path.
-        settle_ckpt(&mut daemon);
+        settle_ckpt(&mut daemon, &mut links);
         let image = newest_image(&daemon);
         assert_eq!((image.covered, image.covered_through), (1, Some(0)));
     }
@@ -1184,7 +962,7 @@ mod tests {
     }
 
     fn chain_events(daemon: &Daemon) -> Vec<Chain> {
-        let (_, events) = daemon.events.query(crate::spans::SPAN_QUERY_ALL);
+        let (_, events) = daemon.files.events.query(crate::spans::SPAN_QUERY_ALL);
         events
             .into_iter()
             .filter_map(|(_, _, e)| match e {
@@ -1211,13 +989,13 @@ mod tests {
             et += 1;
             batch(&mut daemon, &mut links, &[Frame::Submit(incr(et, 0))]);
             daemon.commit(&mut links);
-            let policy_cut = daemon.ckpt.cut;
+            let policy_cut = daemon.node.chain().cut;
             // Cycle 2: another submit, then the on-demand cut.
             et += 1;
             let cycle = [Frame::Submit(incr(et, 0)), Frame::Checkpoint];
             let replies = batch(&mut daemon, &mut links, &cycle);
             daemon.commit(&mut links);
-            assert_eq!(daemon.ckpt.cut, policy_cut + 1);
+            assert_eq!(daemon.node.chain().cut, policy_cut + 1);
             assert_eq!(
                 replies[1],
                 Frame::CheckpointOk {
@@ -1231,7 +1009,7 @@ mod tests {
         et += 1;
         batch(&mut daemon, &mut links, &[Frame::Submit(incr(et, 0))]);
         daemon.commit(&mut links);
-        settle_ckpt(&mut daemon);
+        settle_ckpt(&mut daemon, &mut links);
 
         // On one fresh journal, a cut covering `c` records names id
         // `c - 1`: each truncation must name the install before last.
@@ -1260,16 +1038,18 @@ mod tests {
         );
         assert_eq!((last_seq, last_covered), (7, et));
         let retired = previous_cut.expect("two installs") + 1;
-        assert_eq!(daemon.journal.live_entries(), et - retired);
+        assert_eq!(daemon.files.journal.live_entries(), et - retired);
 
-        // A suffix past the newest image: one more record, no cut.
-        daemon.cfg.ckpt_bytes = None;
+        // A suffix past the newest image: one more record, by an
+        // incarnation with no policy, so no cut.
+        drop((daemon, links, _pipe));
+        let (mut daemon, mut links, _pipe) = boot_at(dir.clone(), RtMethod::Commu, 0, 1, None);
         batch(&mut daemon, &mut links, &[Frame::Submit(incr(et + 1, 0))]);
         daemon.commit(&mut links);
         drop((daemon, links, _pipe));
 
         let (daemon, _links, _pipe) = boot_at(dir, RtMethod::Commu, 0, 1, Some(1));
-        let (_, events) = daemon.events.query(crate::spans::SPAN_QUERY_ALL);
+        let (_, events) = daemon.files.events.query(crate::spans::SPAN_QUERY_ALL);
         assert!(
             events.iter().any(|(_, _, e)| matches!(
                 e,
@@ -1277,7 +1057,10 @@ mod tests {
             )),
             "boot from the newest image plus one suffix record: {events:?}"
         );
-        assert_eq!(daemon.core.state.snapshot()[&ObjectId(0)], Value::Int(et as i64 + 1));
+        assert_eq!(
+            daemon.node.core().state.snapshot()[&ObjectId(0)],
+            Value::Int(et as i64 + 1)
+        );
     }
 
     /// A reply no frame can carry must not be skipped: the client has
@@ -1315,9 +1098,9 @@ mod tests {
                 try_batch(&mut daemon, &mut links, &[Frame::Submit(incr(1, 0)), Frame::Status]);
             assert!(!open, "ORDUP takes only sequenced MSets, RITU-MV only timestamped writes");
             assert!(replies.is_empty(), "nothing after the malformed request is answered");
-            assert!(daemon.staged.is_empty());
+            assert!(daemon.node.staged().is_empty());
             daemon.commit(&mut links);
-            assert_eq!(daemon.journal.entries(), 0);
+            assert_eq!(daemon.files.journal.entries(), 0);
             let status = batch(&mut daemon, &mut links, &[Frame::Status]);
             assert_eq!(outbound_pending(&status[0]), 0);
         }
@@ -1345,7 +1128,7 @@ mod tests {
         let took = started.elapsed();
         assert!(took < Duration::from_secs(2), "boot took {took:?}");
 
-        let (_, events) = daemon.events.query(crate::spans::SPAN_QUERY_ALL);
+        let (_, events) = daemon.files.events.query(crate::spans::SPAN_QUERY_ALL);
         assert!(
             !events.iter().any(|(_, _, e)| matches!(e, Event::CkptCatchUp { .. })),
             "nothing was caught up: {events:?}"
@@ -1387,6 +1170,69 @@ mod tests {
             .metrics
             .render()
             .contains("esr_peer_frames_rejected_total{site=\"1\"} 2"));
-        assert!(daemon.staged.is_empty(), "the core was not stepped");
+        assert!(daemon.node.staged().is_empty(), "the core was not stepped");
+    }
+
+    /// One COMMU site, the byte policy cutting at every commit: six
+    /// submits leave installs 1–6 and one live journal record, the rest
+    /// retired lag-by-one.
+    fn six_installs(tag: &str) -> PathBuf {
+        let dir = fresh_dir(tag);
+        let (mut daemon, mut links, _pipe) = boot_at(dir.clone(), RtMethod::Commu, 0, 1, Some(1));
+        for et in 1..=6 {
+            batch(&mut daemon, &mut links, &[Frame::Submit(incr(et, 0))]);
+            daemon.commit(&mut links);
+            settle_ckpt(&mut daemon, &mut links);
+        }
+        assert_eq!(daemon.node.chain().seq, 6);
+        assert_eq!(daemon.files.journal.live_entries(), 1);
+        dir
+    }
+
+    /// A container whose CRC holds but whose payload does not decode
+    /// must not send boot to a replay of a journal truncation already
+    /// cut: boot restores the newest image that does, the one before.
+    #[test]
+    fn an_undecodable_newest_snapshot_boots_from_the_one_before() {
+        let dir = six_installs("undecodable-newest");
+        snapshot::install(&dir, "site-0", 7, b"not a payload").unwrap();
+        let (daemon, _links, _pipe) = boot_at(dir, RtMethod::Commu, 0, 1, Some(1));
+        let (_, events) = daemon.files.events.query(crate::spans::SPAN_QUERY_ALL);
+        assert!(
+            events.iter().any(|(_, _, e)| matches!(
+                e,
+                Event::Boot {
+                    snapshot: Some((6, 6)),
+                    replayed: 0,
+                    ..
+                }
+            )),
+            "boot from image 6: {events:?}"
+        );
+        assert_eq!(
+            daemon.node.core().state.snapshot()[&ObjectId(0)],
+            Value::Int(6)
+        );
+        assert_eq!(
+            daemon.node.chain().cut,
+            7,
+            "seq 7 is claimed, even unrestored"
+        );
+    }
+
+    /// With no container that restores, a journal a checkpoint retired
+    /// records from cannot be replayed: boot fails instead of serving a
+    /// replica missing acknowledged updates.
+    #[test]
+    fn no_usable_snapshot_over_a_truncated_journal_is_a_boot_error() {
+        let dir = six_installs("no-usable-snapshot");
+        for seq in [5, 6] {
+            snapshot::install(&dir, "site-0", seq, b"not a payload").unwrap();
+        }
+        let booted = try_boot(dir, RtMethod::Commu, 0, 1, Some(1));
+        assert!(
+            matches!(&booted, Err(e) if e.kind() == std::io::ErrorKind::InvalidData),
+            "boot must fail"
+        );
     }
 }

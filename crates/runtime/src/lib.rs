@@ -5,15 +5,17 @@
 //! ORDUP hold-back, completion tracking (COMMU/RITU lock-counter
 //! release), VTNC certification, COMPE decisions, recovery and
 //! coordinator election are side-effect-free steps returning ordered
-//! [`ctrl::Effect`]s. The core lives in `esr-replica` (so the
-//! simulator, [`esr_replica::SimCluster`], can execute it under
-//! virtual time) and is re-exported here under its historical paths
-//! [`ctrl`], [`state`] and [`ckpt`]. This crate holds the executor
-//! that performs those effects against the real world, and its harness:
+//! [`ctrl::Effect`]s. The core and the one executor of its effects,
+//! [`esr_replica::Node`] (commit plan, view register, checkpoint chain,
+//! restore-or-replay), live in `esr-replica`, so the simulator,
+//! [`esr_replica::SimCluster`], runs both under virtual time; they are
+//! re-exported here under their historical paths [`ctrl`], [`state`],
+//! [`ckpt`] and [`commit`]. This crate holds the node's real-world
+//! host, and its harness:
 //!
-//! * [`daemon::Daemon`] (`esrd`) — the core behind real sockets, an
-//!   on-disk journal ([`recovery`]), durable TCP links, checkpoints and
-//!   spans;
+//! * [`daemon::Daemon`] (`esrd`) — a node over real sockets, an
+//!   on-disk journal ([`recovery`]), durable TCP links, snapshot files
+//!   and spans;
 //! * [`proc_cluster::ProcCluster`] — N `esrd` OS processes on loopback
 //!   driven through the client plane by any number of client threads,
 //!   `kill -9` included.
@@ -28,15 +30,14 @@
 #![warn(rust_2018_idioms)]
 
 pub mod client;
-pub mod commit;
 pub mod daemon;
 pub mod proc_cluster;
 pub mod recovery;
 pub mod spans;
 
-// The pure core lives in esr-replica (the simulator owns one too); it
-// keeps its historical paths here.
-pub use esr_replica::{ctrl, node_ckpt as ckpt, state};
+// The pure core and its executor live in esr-replica (the simulator
+// runs them too); they keep their historical paths here.
+pub use esr_replica::{commit, ctrl, node_ckpt as ckpt, state};
 
 pub use ckpt::{decode_payload, encode_payload, CkptPayload};
 pub use client::RpcClient;

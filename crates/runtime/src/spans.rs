@@ -88,8 +88,12 @@ impl EventLog {
 
     /// Appends `event`, stamped now.
     pub fn record(&self, event: Event) {
-        let micros = self.wall_base + self.boot.elapsed().as_micros() as u64;
-        self.ring.record(micros, event);
+        self.ring.record(self.now(), event);
+    }
+
+    /// Now, on this log's clock, in micros.
+    pub fn now(&self) -> u64 {
+        self.wall_base + self.boot.elapsed().as_micros() as u64
     }
 
     /// The evicted-event count plus the retained events `et` selects,

@@ -138,17 +138,19 @@ pub fn list(dir: &Path, prefix: &str) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(found)
 }
 
+/// The payload of snapshot `seq`, or `None` when it is missing, torn
+/// or corrupt.
+pub fn load(dir: &Path, prefix: &str, seq: u64) -> Option<Vec<u8>> {
+    let bytes = std::fs::read(snap_path(dir, prefix, seq)).ok()?;
+    decode_container(&bytes).map(|(_, payload)| payload.to_vec())
+}
+
 /// Loads the newest snapshot that validates, returning
 /// `(seq, payload)` — or `None` when no candidate exists or every one
 /// is torn/corrupt. Invalid newer files are skipped, not fatal.
 pub fn load_newest(dir: &Path, prefix: &str) -> io::Result<Option<(u64, Vec<u8>)>> {
-    for (_, path) in list(dir, prefix)?.into_iter().rev() {
-        let Ok(bytes) = std::fs::read(&path) else { continue };
-        if let Some((seq, payload)) = decode_container(&bytes) {
-            return Ok(Some((seq, payload.to_vec())));
-        }
-    }
-    Ok(None)
+    let mut newest_first = list(dir, prefix)?.into_iter().rev();
+    Ok(newest_first.find_map(|(seq, _)| Some((seq, load(dir, prefix, seq)?))))
 }
 
 /// The raw container bytes of the newest *valid* snapshot (for serving

@@ -360,7 +360,7 @@ fn run_crash_scenario(method: Method, seed: u64, victim: SiteId) -> ChaosRun {
     // Stay down long enough for retried attempts to find the site dead
     // too.
     c.advance_to(slot(2 * PHASE + 6));
-    c.restart(victim);
+    c.restart(victim).expect("restart");
     if method == Method::Compe {
         chaos_decide(&mut c, &ets[PHASE as usize..], PHASE);
     }
@@ -495,7 +495,7 @@ fn a_rebooted_coordinator_relearns_the_decisions_its_hello_overtook() {
             c.step();
         }
         c.crash(COORDINATOR);
-        c.restart(COORDINATOR);
+        c.restart(COORDINATOR).expect("restart");
         c.run_until_quiescent();
         assert!(c.converged(), "seed {seed}: the coordinator kept an aborted update");
         assert!(c.matches_oracle(), "seed {seed}");
@@ -560,7 +560,7 @@ fn crashed_site_recovers_journalled_state_alone() {
     let before = c.snapshot_of(FOLLOWER);
     c.crash(FOLLOWER);
     assert!(c.snapshot_of(FOLLOWER).is_empty(), "a crashed site keeps no state");
-    c.restart(FOLLOWER);
+    c.restart(FOLLOWER).expect("restart");
     c.run_until_quiescent();
     assert_eq!(c.snapshot_of(FOLLOWER), before, "journal replay lost acknowledged state");
     assert!(c.converged() && c.matches_oracle());
@@ -568,4 +568,164 @@ fn crashed_site_recovers_journalled_state_alone() {
     let replays = ChaosRun::of(&c).count(FOLLOWER, |e| is_stage(e, SpanStage::Replay));
     assert_eq!(replays as u64, PHASE, "every applied MSet was journalled");
     assert_certified(&c, Method::Commu, "a crash at rest");
+}
+
+// ---------------------------------------------------------------------
+// The node's own recovery paths, in virtual time: a restart from a
+// checkpoint image, and an election. Same links, partition and seed as
+// the crash scenarios above.
+// ---------------------------------------------------------------------
+
+/// `site`'s boot, from its current incarnation's log.
+fn boot_of(run: &ChaosRun, site: SiteId) -> Option<&Event> {
+    let log = &run.events[site.raw() as usize];
+    log.iter()
+        .map(|(_, _, e)| e)
+        .find(|e| matches!(e, Event::Boot { .. }))
+}
+
+/// The final judgment every scenario here shares: converged, the serial
+/// oracle's state, nothing held back, certified.
+fn assert_judged(c: &SimCluster, method: Method, scenario: &str) {
+    let name = method.name();
+    assert!(c.converged(), "{name} after {scenario}: replicas diverged");
+    assert!(
+        c.matches_oracle(),
+        "{name} after {scenario}: not the serial oracle's state"
+    );
+    assert_eq!(c.total_backlog(), 0, "{name} after {scenario}");
+    assert_certified(c, method, scenario);
+}
+
+/// The follower cuts a checkpoint halfway through phase 1, crashes at
+/// its end, misses phase 2, and boots from the image plus the journal
+/// suffix past it.
+fn run_restore_scenario(method: Method, seed: u64) -> ChaosRun {
+    let name = method.name();
+    let mut c = SimCluster::new(chaos_config(method, seed));
+    let mut ets: Vec<EtId> = (0..PHASE / 2)
+        .map(|i| chaos_submit(&mut c, method, i))
+        .collect();
+    let (seq, covered) = c.checkpoint(FOLLOWER);
+    assert!(
+        seq == 1 && covered > 0,
+        "{name}: checkpoint ({seq}, {covered})"
+    );
+    ets.extend((PHASE / 2..PHASE).map(|i| chaos_submit(&mut c, method, i)));
+    if method == Method::Compe {
+        chaos_decide(&mut c, &ets, 0);
+    }
+    c.advance_to(slot(PHASE - 1) + Duration::from_millis(5));
+    c.crash(FOLLOWER);
+    ets.extend((PHASE..2 * PHASE).map(|i| chaos_submit(&mut c, method, i)));
+    c.advance_to(slot(2 * PHASE + 6));
+    c.restart(FOLLOWER).expect("restart");
+    if method == Method::Compe {
+        chaos_decide(&mut c, &ets[PHASE as usize..], PHASE);
+    }
+    c.run_until_quiescent();
+    assert_judged(&c, method, &format!("a restore, seed {seed}"));
+    let out = c.query_with_retry(FOLLOWER, &[X, Y], EpsilonSpec::STRICT);
+    assert_eq!(
+        out.charged, 0,
+        "{name}: the restored updates are still charged"
+    );
+
+    let run = ChaosRun::of(&c);
+    let boot = boot_of(&run, FOLLOWER);
+    assert!(
+        matches!(boot, Some(Event::Boot { snapshot: Some((1, image)), replayed, .. })
+            if *image == covered && *replayed > 0),
+        "{name} seed={seed}: not a boot from image 1 plus a suffix: {boot:?}"
+    );
+    run
+}
+
+#[test]
+fn a_restart_restores_its_checkpoint_under_chaos() {
+    let seed = chaos_seed();
+    for method in [Method::Commu, Method::RituMv, Method::Compe] {
+        let run = run_restore_scenario(method, seed);
+        let again = run_restore_scenario(method, seed);
+        assert_eq!(
+            run,
+            again,
+            "{} seed={seed}: the run is not reproducible",
+            method.name()
+        );
+    }
+}
+
+/// The heartbeat period `esrd` ticks at.
+const TICK: Duration = Duration::from_millis(250);
+
+/// The coordinator dies; heartbeats elect a successor; the successor
+/// crashes and boots into the view it recorded; the old coordinator
+/// rejoins from view 0 and learns the new one.
+fn run_election_scenario(method: Method, seed: u64) -> ChaosRun {
+    let name = method.name();
+    let mut c = SimCluster::new(chaos_config(method, seed));
+    let mut ets: Vec<EtId> = (0..PHASE)
+        .map(|i| chaos_submit(&mut c, method, i))
+        .collect();
+    if method == Method::Compe {
+        chaos_decide(&mut c, &ets, 0);
+    }
+    c.advance_to(slot(PHASE));
+    c.crash(COORDINATOR);
+    let installed = |c: &SimCluster, site: SiteId| {
+        let log = c.events_of(site);
+        log.iter().rev().find_map(|(_, _, e)| match e {
+            Event::ViewInstall { view, .. } => Some(*view),
+            _ => None,
+        })
+    };
+    let mut now = slot(PHASE);
+    let (elected, view) = loop {
+        now += TICK;
+        assert!(
+            now < VirtualTime::from_millis(60_000),
+            "{name} seed={seed}: nobody was elected"
+        );
+        c.advance_to(now);
+        c.tick();
+        let new_view = [FOLLOWER, SiteId(2)]
+            .into_iter()
+            .find_map(|s| Some((s, installed(&c, s)?)));
+        if let Some(found) = new_view {
+            break found;
+        }
+    };
+    assert!(view >= 1, "{name}: installed view {view}");
+    ets.extend((PHASE..2 * PHASE).map(|i| chaos_submit(&mut c, method, i)));
+    c.crash(elected);
+    c.restart(elected).expect("restart the successor");
+    let run = ChaosRun::of(&c);
+    let reboot = boot_of(&run, elected);
+    assert!(
+        matches!(reboot, Some(Event::Boot { view: booted, .. }) if *booted == view),
+        "{name} seed={seed}: {elected} did not boot into view {view}: {reboot:?}"
+    );
+    c.restart(COORDINATOR).expect("restart the old coordinator");
+    if method == Method::Compe {
+        chaos_decide(&mut c, &ets[PHASE as usize..], PHASE);
+    }
+    c.run_until_quiescent();
+    assert_judged(&c, method, &format!("an election, seed {seed}"));
+    ChaosRun::of(&c)
+}
+
+#[test]
+fn an_election_in_virtual_time_survives_both_restarts() {
+    let seed = chaos_seed();
+    for method in [Method::Commu, Method::RituMv, Method::Compe] {
+        let run = run_election_scenario(method, seed);
+        let again = run_election_scenario(method, seed);
+        assert_eq!(
+            run,
+            again,
+            "{} seed={seed}: the run is not reproducible",
+            method.name()
+        );
+    }
 }

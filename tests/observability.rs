@@ -294,7 +294,7 @@ fn crash_recovery_ends_with_zero_divergence_and_counted_replays() {
     for i in UPDATES..2 * UPDATES {
         submit(&mut c, i);
     }
-    c.restart(SiteId(1));
+    c.restart(SiteId(1)).expect("restart");
     c.run_until_quiescent();
     assert!(c.converged(), "replicas diverged after recovery");
 
