@@ -682,18 +682,6 @@ impl<'a> World<'a> {
         }
     }
 
-    /// The client-plane transitions in program order (all submits,
-    /// then all decisions) — the fault-free reference schedule used
-    /// with [`World::drain`] between steps.
-    pub fn client_schedule(&self) -> Vec<Tx> {
-        let submits = (0..self.cfg.workload.len()).map(|i| Tx::Submit {
-            idx: i as u8,
-            crash: None,
-        });
-        let decides = (0..self.cfg.decisions.len()).map(|i| Tx::Decide { idx: i as u8 });
-        submits.chain(decides).collect()
-    }
-
     /// Drains every queue with a deterministic round-robin delivery
     /// until quiescent (no faults injected). Used by the
     /// recovery-idempotence oracle pass. Returns `false` if the

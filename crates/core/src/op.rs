@@ -79,11 +79,6 @@ impl Operation {
         )
     }
 
-    /// Is this a RITU timestamped write?
-    pub fn is_timestamped(&self) -> bool {
-        matches!(self, Operation::TimestampedWrite(_, _))
-    }
-
     /// The commutativity relation between two operations *on the same
     /// object*. Operations on different objects always commute; callers
     /// must only consult this for same-object pairs.

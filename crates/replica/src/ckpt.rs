@@ -15,7 +15,7 @@
 //! Deliberately excluded from the image: metrics bundles (re-attached
 //! by the daemon after restore).
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 
 use esr_core::ids::{EtId, ObjectId, SeqNo, VersionTs};
 use esr_core::op::ObjectOp;
@@ -23,10 +23,7 @@ use esr_core::value::Value;
 use esr_storage::recovery_log::{AppliedOp, LogRecord};
 
 use crate::mset::MSet;
-use crate::wire::{
-    decode_mset_from, decode_op, decode_value, encode_mset_into, encode_op, encode_value,
-    get_count, get_u64, get_u8, WireError,
-};
+use crate::wire::{encode, flag, smallest, wire_struct, Wire, WireError};
 
 const CKPT_ORDUP: u8 = 0;
 const CKPT_COMMU: u8 = 1;
@@ -136,291 +133,147 @@ pub enum SiteCkpt {
     Compe(CompeCkpt),
 }
 
-fn encode_values(b: &mut BytesMut, values: &[(ObjectId, Value)]) {
-    b.put_u32(values.len() as u32);
-    for (o, v) in values {
-        b.put_u64(o.raw());
-        encode_value(b, v);
+wire_struct!(OrdupCkpt {
+    values: Vec<(ObjectId, Value)>,
+    next_seq: SeqNo,
+    holdback: Vec<MSet>,
+    applied_ets: Vec<EtId>,
+    applied: u64,
+    redelivered: u64,
+});
+
+wire_struct!(CommuCkpt {
+    values: Vec<(ObjectId, Value)>,
+    held: Vec<(EtId, Vec<ObjectId>)>,
+    applied_ets: Vec<EtId>,
+    applied: u64,
+    redelivered: u64,
+});
+
+wire_struct!(RituCkpt {
+    values: Vec<(ObjectId, VersionTs, Value)>,
+    held: Vec<(EtId, Vec<ObjectId>)>,
+    applied_ets: Vec<EtId>,
+    applied: u64,
+    redelivered: u64,
+});
+
+wire_struct!(RituMvCkpt {
+    versions: Vec<(ObjectId, VersionTs, Value)>,
+    vtnc: VersionTs,
+    newest_installed: u64,
+    applied_ets: Vec<EtId>,
+    applied: u64,
+    redelivered: u64,
+});
+
+wire_struct!(AppliedOp {
+    op: ObjectOp,
+    before: Value,
+});
+
+impl Wire for LogRecord {
+    const MIN_LEN: usize = EtId::MIN_LEN + bool::MIN_LEN + Vec::<AppliedOp>::MIN_LEN;
+    fn put(&self, b: &mut BytesMut) {
+        self.et.put(b);
+        self.resolved.put(b);
+        self.ops.put(b);
+    }
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(LogRecord {
+            et: Wire::get(b)?,
+            resolved: flag(b, "resolved")?,
+            ops: Wire::get(b)?,
+        })
     }
 }
 
-fn decode_values(b: &mut &[u8]) -> Result<Vec<(ObjectId, Value)>, WireError> {
-    // Each entry is at least 13 bytes (object + value tag + int payload).
-    let n = get_count(b, 13)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let o = ObjectId(get_u64(b)?);
-        out.push((o, decode_value(b)?));
+impl Wire for CompeCkpt {
+    const MIN_LEN: usize = Vec::<(ObjectId, Value)>::MIN_LEN
+        + Vec::<LogRecord>::MIN_LEN
+        + Vec::<(EtId, u8)>::MIN_LEN
+        + 3 * u64::MIN_LEN;
+    fn put(&self, b: &mut BytesMut) {
+        self.values.put(b);
+        self.log.put(b);
+        self.seen.put(b);
+        self.applied.put(b);
+        self.compensations.put(b);
+        self.redelivered.put(b);
     }
-    Ok(out)
-}
-
-fn encode_versioned_values(b: &mut BytesMut, values: &[(ObjectId, VersionTs, Value)]) {
-    b.put_u32(values.len() as u32);
-    for (o, ts, v) in values {
-        b.put_u64(o.raw());
-        b.put_u64(ts.time);
-        b.put_u64(ts.client.raw());
-        encode_value(b, v);
-    }
-}
-
-fn decode_versioned_values(
-    b: &mut &[u8],
-) -> Result<Vec<(ObjectId, VersionTs, Value)>, WireError> {
-    let n = get_count(b, 29)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let o = ObjectId(get_u64(b)?);
-        let time = get_u64(b)?;
-        let client = esr_core::ids::ClientId(get_u64(b)?);
-        out.push((o, VersionTs::new(time, client), decode_value(b)?));
-    }
-    Ok(out)
-}
-
-fn encode_ets(b: &mut BytesMut, ets: &[EtId]) {
-    b.put_u32(ets.len() as u32);
-    for et in ets {
-        b.put_u64(et.raw());
-    }
-}
-
-fn decode_ets(b: &mut &[u8]) -> Result<Vec<EtId>, WireError> {
-    let n = get_count(b, 8)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(EtId(get_u64(b)?));
-    }
-    Ok(out)
-}
-
-fn encode_held(b: &mut BytesMut, held: &[(EtId, Vec<ObjectId>)]) {
-    b.put_u32(held.len() as u32);
-    for (et, objs) in held {
-        b.put_u64(et.raw());
-        b.put_u32(objs.len() as u32);
-        for o in objs {
-            b.put_u64(o.raw());
-        }
-    }
-}
-
-fn decode_held(b: &mut &[u8]) -> Result<Vec<(EtId, Vec<ObjectId>)>, WireError> {
-    let n = get_count(b, 12)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let et = EtId(get_u64(b)?);
-        let m = get_count(b, 8)?;
-        let mut objs = Vec::with_capacity(m);
-        for _ in 0..m {
-            objs.push(ObjectId(get_u64(b)?));
-        }
-        out.push((et, objs));
-    }
-    Ok(out)
-}
-
-fn encode_msets(b: &mut BytesMut, msets: &[MSet]) {
-    b.put_u32(msets.len() as u32);
-    for m in msets {
-        encode_mset_into(b, m);
-    }
-}
-
-fn decode_msets(b: &mut &[u8]) -> Result<Vec<MSet>, WireError> {
-    // A minimal MSet is 22 bytes (et + origin + order tag + op count +
-    // client presence byte).
-    let n = get_count(b, 22)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(decode_mset_from(b)?);
-    }
-    Ok(out)
-}
-
-fn encode_log(b: &mut BytesMut, log: &[LogRecord]) {
-    b.put_u32(log.len() as u32);
-    for rec in log {
-        b.put_u64(rec.et.raw());
-        b.put_u8(u8::from(rec.resolved));
-        b.put_u32(rec.ops.len() as u32);
-        for applied in &rec.ops {
-            b.put_u64(applied.op.object.raw());
-            encode_op(b, &applied.op.op);
-            encode_value(b, &applied.before);
-        }
-    }
-}
-
-fn decode_log(b: &mut &[u8]) -> Result<Vec<LogRecord>, WireError> {
-    let n = get_count(b, 13)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let et = EtId(get_u64(b)?);
-        let resolved = match get_u8(b)? {
-            0 => false,
-            1 => true,
-            tag => return Err(WireError::BadTag { field: "resolved", tag }),
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        let c = CompeCkpt {
+            values: Wire::get(b)?,
+            log: Wire::get(b)?,
+            seen: Wire::get(b)?,
+            applied: Wire::get(b)?,
+            compensations: Wire::get(b)?,
+            redelivered: Wire::get(b)?,
         };
-        // Each logged op is at least 14 bytes (object + op tag + before
-        // value).
-        let m = get_count(b, 14)?;
-        let mut ops = Vec::with_capacity(m);
-        for _ in 0..m {
-            let object = ObjectId(get_u64(b)?);
-            let op = decode_op(b)?;
-            let before = decode_value(b)?;
-            ops.push(AppliedOp {
-                op: ObjectOp::new(object, op),
-                before,
-            });
-        }
-        out.push(LogRecord { et, ops, resolved });
-    }
-    Ok(out)
-}
-
-fn encode_seen(b: &mut BytesMut, seen: &[(EtId, u8)]) {
-    b.put_u32(seen.len() as u32);
-    for (et, disposition) in seen {
-        b.put_u64(et.raw());
-        b.put_u8(*disposition);
-    }
-}
-
-fn decode_seen(b: &mut &[u8]) -> Result<Vec<(EtId, u8)>, WireError> {
-    let n = get_count(b, 9)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let et = EtId(get_u64(b)?);
-        let disposition = get_u8(b)?;
-        if disposition > 3 {
-            return Err(WireError::BadTag {
+        match c.seen.iter().find(|&&(_, disposition)| disposition > 3) {
+            Some(&(_, tag)) => Err(WireError::BadTag {
                 field: "disposition",
-                tag: disposition,
-            });
+                tag,
+            }),
+            None => Ok(c),
         }
-        out.push((et, disposition));
     }
-    Ok(out)
 }
 
-/// Appends the encoded checkpoint to `b` (for embedding in a larger
-/// payload).
-pub fn encode_site_ckpt_into(b: &mut BytesMut, ckpt: &SiteCkpt) {
-    match ckpt {
-        SiteCkpt::Ordup(c) => {
-            b.put_u8(CKPT_ORDUP);
-            encode_values(b, &c.values);
-            b.put_u64(c.next_seq.raw());
-            encode_msets(b, &c.holdback);
-            encode_ets(b, &c.applied_ets);
-            b.put_u64(c.applied);
-            b.put_u64(c.redelivered);
+impl Wire for SiteCkpt {
+    const MIN_LEN: usize = u8::MIN_LEN + smallest(&[
+        OrdupCkpt::MIN_LEN,
+        CommuCkpt::MIN_LEN,
+        RituCkpt::MIN_LEN,
+        RituMvCkpt::MIN_LEN,
+        CompeCkpt::MIN_LEN,
+    ]);
+    fn put(&self, b: &mut BytesMut) {
+        match self {
+            SiteCkpt::Ordup(c) => {
+                CKPT_ORDUP.put(b);
+                c.put(b);
+            }
+            SiteCkpt::Commu(c) => {
+                CKPT_COMMU.put(b);
+                c.put(b);
+            }
+            SiteCkpt::Ritu(c) => {
+                CKPT_RITU.put(b);
+                c.put(b);
+            }
+            SiteCkpt::RituMv(c) => {
+                CKPT_RITU_MV.put(b);
+                c.put(b);
+            }
+            SiteCkpt::Compe(c) => {
+                CKPT_COMPE.put(b);
+                c.put(b);
+            }
         }
-        SiteCkpt::Commu(c) => {
-            b.put_u8(CKPT_COMMU);
-            encode_values(b, &c.values);
-            encode_held(b, &c.held);
-            encode_ets(b, &c.applied_ets);
-            b.put_u64(c.applied);
-            b.put_u64(c.redelivered);
-        }
-        SiteCkpt::Ritu(c) => {
-            b.put_u8(CKPT_RITU);
-            encode_versioned_values(b, &c.values);
-            encode_held(b, &c.held);
-            encode_ets(b, &c.applied_ets);
-            b.put_u64(c.applied);
-            b.put_u64(c.redelivered);
-        }
-        SiteCkpt::RituMv(c) => {
-            b.put_u8(CKPT_RITU_MV);
-            encode_versioned_values(b, &c.versions);
-            b.put_u64(c.vtnc.time);
-            b.put_u64(c.vtnc.client.raw());
-            b.put_u64(c.newest_installed);
-            encode_ets(b, &c.applied_ets);
-            b.put_u64(c.applied);
-            b.put_u64(c.redelivered);
-        }
-        SiteCkpt::Compe(c) => {
-            b.put_u8(CKPT_COMPE);
-            encode_values(b, &c.values);
-            encode_log(b, &c.log);
-            encode_seen(b, &c.seen);
-            b.put_u64(c.applied);
-            b.put_u64(c.compensations);
-            b.put_u64(c.redelivered);
-        }
+    }
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(match u8::get(b)? {
+            CKPT_ORDUP => SiteCkpt::Ordup(Wire::get(b)?),
+            CKPT_COMMU => SiteCkpt::Commu(Wire::get(b)?),
+            CKPT_RITU => SiteCkpt::Ritu(Wire::get(b)?),
+            CKPT_RITU_MV => SiteCkpt::RituMv(Wire::get(b)?),
+            CKPT_COMPE => SiteCkpt::Compe(Wire::get(b)?),
+            tag => return Err(WireError::BadTag { field: "ckpt", tag }),
+        })
     }
 }
 
 /// Encodes a checkpoint into a self-contained byte payload.
 pub fn encode_site_ckpt(ckpt: &SiteCkpt) -> Bytes {
-    let mut b = BytesMut::with_capacity(256);
-    encode_site_ckpt_into(&mut b, ckpt);
-    b.freeze()
-}
-
-/// Decodes a checkpoint from a cursor (for embedding in a larger
-/// payload). Total: any byte slice yields a checkpoint or an error,
-/// never a panic.
-pub fn decode_site_ckpt_from(b: &mut &[u8]) -> Result<SiteCkpt, WireError> {
-    Ok(match get_u8(b)? {
-        CKPT_ORDUP => SiteCkpt::Ordup(OrdupCkpt {
-            values: decode_values(b)?,
-            next_seq: SeqNo(get_u64(b)?),
-            holdback: decode_msets(b)?,
-            applied_ets: decode_ets(b)?,
-            applied: get_u64(b)?,
-            redelivered: get_u64(b)?,
-        }),
-        CKPT_COMMU => SiteCkpt::Commu(CommuCkpt {
-            values: decode_values(b)?,
-            held: decode_held(b)?,
-            applied_ets: decode_ets(b)?,
-            applied: get_u64(b)?,
-            redelivered: get_u64(b)?,
-        }),
-        CKPT_RITU => SiteCkpt::Ritu(RituCkpt {
-            values: decode_versioned_values(b)?,
-            held: decode_held(b)?,
-            applied_ets: decode_ets(b)?,
-            applied: get_u64(b)?,
-            redelivered: get_u64(b)?,
-        }),
-        CKPT_RITU_MV => {
-            let versions = decode_versioned_values(b)?;
-            let time = get_u64(b)?;
-            let client = esr_core::ids::ClientId(get_u64(b)?);
-            SiteCkpt::RituMv(RituMvCkpt {
-                versions,
-                vtnc: VersionTs::new(time, client),
-                newest_installed: get_u64(b)?,
-                applied_ets: decode_ets(b)?,
-                applied: get_u64(b)?,
-                redelivered: get_u64(b)?,
-            })
-        }
-        CKPT_COMPE => SiteCkpt::Compe(CompeCkpt {
-            values: decode_values(b)?,
-            log: decode_log(b)?,
-            seen: decode_seen(b)?,
-            applied: get_u64(b)?,
-            compensations: get_u64(b)?,
-            redelivered: get_u64(b)?,
-        }),
-        tag => return Err(WireError::BadTag { field: "ckpt", tag }),
-    })
+    encode(ckpt, 256)
 }
 
 /// Decodes a self-contained checkpoint payload produced by
-/// [`encode_site_ckpt`].
+/// [`encode_site_ckpt`]. Total: any byte slice yields a checkpoint or an
+/// error, never a panic.
 pub fn decode_site_ckpt(payload: &[u8]) -> Result<SiteCkpt, WireError> {
-    let mut b = payload;
-    decode_site_ckpt_from(&mut b)
+    SiteCkpt::get(&mut &payload[..])
 }
 
 #[cfg(test)]

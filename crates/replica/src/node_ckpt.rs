@@ -15,16 +15,13 @@
 //! slice either yields a payload or `None`, never a panic — corrupt
 //! snapshot files are detected, reported, and fall back to full replay.
 
-use bytes::{BufMut, BytesMut};
+use bytes::BytesMut;
 use esr_core::ids::{EtId, VersionTs};
 
-use crate::ckpt::{decode_site_ckpt, encode_site_ckpt, SiteCkpt};
+use crate::ckpt::SiteCkpt;
 use crate::ctrl::Evidence;
 use crate::state::RtMethod;
-use crate::wire::{
-    decode_evidence, decode_u64_opt, decode_version_opt, encode_evidence, encode_u64_opt,
-    encode_version_opt, get_count, get_u64, WireError,
-};
+use crate::wire::{get_nested, put_nested, Wire, WireError};
 
 /// One consistent checkpoint of a daemon node, cut between two steps
 /// (so no effect is half-applied across the image).
@@ -78,37 +75,50 @@ impl CkptPayload {
 
 // ---- payload codec -----------------------------------------------------
 
+/// The fields in declaration order, the method image in a nested
+/// section.
+impl Wire for CkptPayload {
+    const MIN_LEN: usize = u64::MIN_LEN
+        + Option::<u64>::MIN_LEN
+        + u64::MIN_LEN
+        + Vec::<(u64, u64)>::MIN_LEN
+        + Vec::<EtId>::MIN_LEN
+        + Vec::<(u64, u64, EtId)>::MIN_LEN
+        + Vec::<(EtId, Option<VersionTs>)>::MIN_LEN
+        + Evidence::MIN_LEN
+        + u32::MIN_LEN
+        + SiteCkpt::MIN_LEN;
+    fn put(&self, b: &mut BytesMut) {
+        self.covered.put(b);
+        self.covered_through.put(b);
+        self.view.put(b);
+        self.frontier.put(b);
+        self.journaled.put(b);
+        self.client_table.put(b);
+        self.applied_log.put(b);
+        self.evidence.put(b);
+        put_nested(b, &self.site);
+    }
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(CkptPayload {
+            covered: Wire::get(b)?,
+            covered_through: Wire::get(b)?,
+            view: Wire::get(b)?,
+            frontier: Wire::get(b)?,
+            journaled: Wire::get(b)?,
+            client_table: Wire::get(b)?,
+            applied_log: Wire::get(b)?,
+            evidence: Wire::get(b)?,
+            site: get_nested(b)?,
+        })
+    }
+}
+
 /// Encodes a payload for [`esr_storage::snapshot::install`].
 pub fn encode_payload(p: &CkptPayload) -> Vec<u8> {
-    let site = encode_site_ckpt(&p.site);
-    let mut out = BytesMut::with_capacity(128 + site.len());
-    out.put_u64(p.covered);
-    encode_u64_opt(&mut out, p.covered_through);
-    out.put_u64(p.view);
-    out.put_u32(p.frontier.len() as u32);
-    for &(site_id, count) in &p.frontier {
-        out.put_u64(site_id);
-        out.put_u64(count);
-    }
-    out.put_u32(p.journaled.len() as u32);
-    for et in &p.journaled {
-        out.put_u64(et.raw());
-    }
-    out.put_u32(p.client_table.len() as u32);
-    for &(client, seq, et) in &p.client_table {
-        out.put_u64(client);
-        out.put_u64(seq);
-        out.put_u64(et.raw());
-    }
-    out.put_u32(p.applied_log.len() as u32);
-    for &(et, version) in &p.applied_log {
-        out.put_u64(et.raw());
-        encode_version_opt(&mut out, &version);
-    }
-    encode_evidence(&mut out, &p.evidence);
-    out.put_u32(site.len() as u32);
-    out.put_slice(&site);
-    out.to_vec()
+    let mut b = BytesMut::new();
+    p.put(&mut b);
+    b.to_vec()
 }
 
 /// Decodes a payload. Total: `None` on any truncation, bad tag, or
@@ -116,57 +126,15 @@ pub fn encode_payload(p: &CkptPayload) -> Vec<u8> {
 /// falls back to the next-older image (then to full journal replay).
 pub fn decode_payload(bytes: &[u8]) -> Option<CkptPayload> {
     let mut b = bytes;
-    let payload = decode_payload_from(&mut b).ok()?;
+    let payload = CkptPayload::get(&mut b).ok()?;
     // Trailing garbage: not an image we wrote.
     b.is_empty().then_some(payload)
-}
-
-fn decode_payload_from(b: &mut &[u8]) -> Result<CkptPayload, WireError> {
-    let covered = get_u64(b)?;
-    let covered_through = decode_u64_opt(b)?;
-    let view = get_u64(b)?;
-    let n = get_count(b, 16)?;
-    let mut frontier = Vec::with_capacity(n);
-    for _ in 0..n {
-        frontier.push((get_u64(b)?, get_u64(b)?));
-    }
-    let n = get_count(b, 8)?;
-    let mut journaled = Vec::with_capacity(n);
-    for _ in 0..n {
-        journaled.push(EtId::new(get_u64(b)?));
-    }
-    let n = get_count(b, 24)?;
-    let mut client_table = Vec::with_capacity(n);
-    for _ in 0..n {
-        client_table.push((get_u64(b)?, get_u64(b)?, EtId::new(get_u64(b)?)));
-    }
-    let n = get_count(b, 9)?;
-    let mut applied_log = Vec::with_capacity(n);
-    for _ in 0..n {
-        let et = EtId::new(get_u64(b)?);
-        applied_log.push((et, decode_version_opt(b)?));
-    }
-    let evidence = decode_evidence(b)?;
-    let site_len = get_count(b, 1)?;
-    let (site_bytes, rest) = b.split_at(site_len);
-    *b = rest;
-    Ok(CkptPayload {
-        covered,
-        covered_through,
-        view,
-        frontier,
-        journaled,
-        client_table,
-        applied_log,
-        evidence,
-        site: decode_site_ckpt(site_bytes)?,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ckpt::{CommuCkpt, OrdupCkpt, RituMvCkpt};
+    use crate::ckpt::{encode_site_ckpt, CommuCkpt, OrdupCkpt, RituMvCkpt};
     use esr_core::ids::{ClientId, SeqNo};
 
     fn sample() -> CkptPayload {
@@ -261,6 +229,20 @@ mod tests {
         let mut bytes = encode_payload(&sample());
         bytes.push(0xEE);
         assert!(decode_payload(&bytes).is_none());
+    }
+
+    /// The method image sits last, behind its `u32` length: lengthen
+    /// that section by one byte and append it.
+    #[test]
+    fn trailing_bytes_inside_the_site_section_are_rejected() {
+        let p = sample();
+        let mut bytes = encode_payload(&p);
+        let site_len = encode_site_ckpt(&p.site).len();
+        let at = bytes.len() - site_len - 4;
+        let widened = (site_len as u32 + 1).to_be_bytes();
+        bytes[at..at + 4].copy_from_slice(&widened);
+        bytes.push(0xEE);
+        assert_eq!(decode_payload(&bytes), None);
     }
 
     #[test]

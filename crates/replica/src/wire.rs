@@ -1,20 +1,28 @@
-//! Wire codec for [`MSet`]s.
+//! The codec: one binary layout per type, for the wire, the journal and
+//! snapshot files.
 //!
 //! `esrd` backs outbound delivery with durable
 //! [`esr_storage::stable_queue::FileQueue`]s whose payloads are opaque
-//! bytes, and each site keeps a durable apply journal of the MSets it has
-//! applied. Both need a complete, self-describing MSet encoding — every
-//! [`Operation`] and [`Value`] variant plus all three [`OrderTag`]
-//! shapes — so a site restarted after a crash can reconstruct exactly
-//! the updates it had seen.
+//! bytes, each site keeps a durable apply journal of the MSets it has
+//! applied, and a checkpoint image is one more payload. All of them are
+//! encoded here, through one trait, `Wire`. Each type implements it
+//! once — the integers, text, lists and options below, then every id,
+//! [`Operation`], [`Value`], [`MSet`], [`Event`] and [`Frame`], and in
+//! [`crate::ckpt`] and [`crate::node_ckpt`] the checkpoint images — and a
+//! compound type's layout is its fields' layouts in order. A list is a
+//! `u32` count and its elements, an option a 0/1 presence byte and its
+//! value, an enum a tag byte and its variant's fields.
 //!
 //! The format is a simple tagged binary layout (big-endian integers, no
 //! compression): stable within this workspace, not a cross-version
-//! interchange format. Decoding is total: any byte slice either yields
-//! an MSet or a [`WireError`], never a panic — torn queue tails surface
-//! as errors the recovery path can skip.
+//! interchange format. Decoding is total: any byte slice either yields a
+//! value or a [`WireError`], never a panic and never an allocation the
+//! remaining bytes could not fill — torn queue tails surface as errors
+//! the recovery path can skip.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::collections::BTreeSet;
+
+use bytes::{BufMut, Bytes, BytesMut};
 
 use esr_core::ids::{ClientId, EtId, LamportTs, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
@@ -25,19 +33,21 @@ use crate::mset::{MSet, OrderTag};
 use crate::site::QueryOutcome;
 use crate::span::{Event, SpanRec, SpanStage};
 
-/// Why a byte payload failed to decode as an MSet.
+/// Why a byte payload failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// The payload ended before the announced structure was complete.
     Truncated,
     /// An unknown tag byte for the given field.
     BadTag {
-        /// Which field carried the tag ("order", "op", "value").
+        /// Which field carried the tag ("order", "op", "value", "frame",
+        /// "option", "bool", ...).
         field: &'static str,
         /// The offending byte.
         tag: u8,
     },
-    /// A length prefix exceeded the remaining payload (corrupt frame).
+    /// A count or length prefix disagreed with the payload: it exceeded
+    /// what was left, or a nested section was not consumed exactly.
     BadLength,
     /// Embedded text was not valid UTF-8.
     BadUtf8,
@@ -48,7 +58,7 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::Truncated => write!(f, "payload truncated"),
             WireError::BadTag { field, tag } => write!(f, "unknown {field} tag {tag:#04x}"),
-            WireError::BadLength => write!(f, "length prefix exceeds payload"),
+            WireError::BadLength => write!(f, "length prefix disagrees with payload"),
             WireError::BadUtf8 => write!(f, "text field is not valid UTF-8"),
         }
     }
@@ -56,9 +66,302 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-const ORDER_UNORDERED: u8 = 0;
-const ORDER_SEQUENCED: u8 = 1;
-const ORDER_LAMPORT: u8 = 2;
+/// A type with one binary layout.
+pub(crate) trait Wire: Sized {
+    /// The fewest bytes any value encodes to: the sum of the fields' for
+    /// a struct, the tag byte plus the smallest variant for an enum. A
+    /// list count is checked against it before anything is allocated,
+    /// and since a derived minimum never exceeds the true one, that
+    /// check never rejects a valid payload.
+    const MIN_LEN: usize;
+
+    /// Appends this value's encoding.
+    fn put(&self, b: &mut BytesMut);
+
+    /// Decodes one value from the front of `b` and advances past it.
+    fn get(b: &mut &[u8]) -> Result<Self, WireError>;
+
+    /// Appends `items` back to back: a list's body. Bytes override it
+    /// with one slice copy.
+    fn put_many(items: &[Self], b: &mut BytesMut) {
+        for item in items {
+            item.put(b);
+        }
+    }
+
+    /// Decodes `n` values back to back; `n` has passed the count check.
+    /// Bytes override it with one slice copy.
+    fn get_many(b: &mut &[u8], n: usize) -> Result<Vec<Self>, WireError> {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(Self::get(b)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Encodes `v` into a buffer pre-sized to `capacity` bytes.
+pub(crate) fn encode<T: Wire>(v: &T, capacity: usize) -> Bytes {
+    let mut b = BytesMut::with_capacity(capacity);
+    v.put(&mut b);
+    b.freeze()
+}
+
+/// The smallest of `lens`: an enum's [`Wire::MIN_LEN`] is its tag plus
+/// the smallest of its variants'.
+pub(crate) const fn smallest(lens: &[usize]) -> usize {
+    let (mut min, mut i) = (usize::MAX, 0);
+    while i < lens.len() {
+        if lens[i] < min {
+            min = lens[i];
+        }
+        i += 1;
+    }
+    min
+}
+
+/// A 0/1 byte; anything else is a [`WireError::BadTag`] for `field`.
+pub(crate) fn flag(b: &mut &[u8], field: &'static str) -> Result<bool, WireError> {
+    match u8::get(b)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        tag => Err(WireError::BadTag { field, tag }),
+    }
+}
+
+/// Writes an iterator in `Vec<T>`'s layout.
+fn put_seq<T: Wire>(b: &mut BytesMut, items: impl ExactSizeIterator<Item = T>) {
+    (items.len() as u32).put(b);
+    for item in items {
+        item.put(b);
+    }
+}
+
+/// Writes `v` as a nested section: its encoded length as a `u32`, then
+/// the encoding.
+pub(crate) fn put_nested<T: Wire>(b: &mut BytesMut, v: &T) {
+    let at = b.len();
+    0u32.put(b);
+    v.put(b);
+    let len = (b.len() - at - u32::MIN_LEN) as u32;
+    b[at..at + u32::MIN_LEN].copy_from_slice(&len.to_be_bytes());
+}
+
+/// Reads a section written by [`put_nested`]. The value must fill its
+/// section exactly: bytes it does not account for are a
+/// [`WireError::BadLength`], as trailing bytes after a payload are.
+pub(crate) fn get_nested<T: Wire>(b: &mut &[u8]) -> Result<T, WireError> {
+    let len = u32::get(b)? as usize;
+    let (mut section, rest) = b.split_at_checked(len).ok_or(WireError::BadLength)?;
+    *b = rest;
+    let v = T::get(&mut section)?;
+    section.is_empty().then_some(v).ok_or(WireError::BadLength)
+}
+
+macro_rules! int {
+    ($($t:ty),+) => {$(
+        impl Wire for $t {
+            const MIN_LEN: usize = std::mem::size_of::<$t>();
+            fn put(&self, b: &mut BytesMut) {
+                b.put_slice(&self.to_be_bytes());
+            }
+            fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+                let (head, rest) = b.split_first_chunk().ok_or(WireError::Truncated)?;
+                *b = rest;
+                Ok(<$t>::from_be_bytes(*head))
+            }
+        }
+    )+};
+}
+
+int!(u32, u64, i64);
+
+impl Wire for u8 {
+    const MIN_LEN: usize = 1;
+    fn put(&self, b: &mut BytesMut) {
+        b.put_u8(*self);
+    }
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        let (&byte, rest) = b.split_first().ok_or(WireError::Truncated)?;
+        *b = rest;
+        Ok(byte)
+    }
+    fn put_many(items: &[u8], b: &mut BytesMut) {
+        b.put_slice(items);
+    }
+    fn get_many(b: &mut &[u8], n: usize) -> Result<Vec<u8>, WireError> {
+        let (head, rest) = b.split_at_checked(n).ok_or(WireError::BadLength)?;
+        *b = rest;
+        Ok(head.to_vec())
+    }
+}
+
+impl Wire for bool {
+    const MIN_LEN: usize = u8::MIN_LEN;
+    fn put(&self, b: &mut BytesMut) {
+        u8::from(*self).put(b);
+    }
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        flag(b, "bool")
+    }
+}
+
+/// UTF-8 bytes in `Vec<u8>`'s layout.
+impl Wire for String {
+    const MIN_LEN: usize = Vec::<u8>::MIN_LEN;
+    fn put(&self, b: &mut BytesMut) {
+        (self.len() as u32).put(b);
+        b.put_slice(self.as_bytes());
+    }
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        String::from_utf8(Vec::get(b)?).map_err(|_| WireError::BadUtf8)
+    }
+}
+
+/// A `u32` count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = u32::MIN_LEN;
+    fn put(&self, b: &mut BytesMut) {
+        (self.len() as u32).put(b);
+        T::put_many(self, b);
+    }
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        // The one count check: a corrupt count cannot allocate more
+        // elements than the bytes left could hold.
+        const { assert!(T::MIN_LEN > 0) };
+        let n = u32::get(b)? as usize;
+        if n.saturating_mul(T::MIN_LEN) > b.len() {
+            return Err(WireError::BadLength);
+        }
+        T::get_many(b, n)
+    }
+}
+
+/// A 0/1 presence byte, then the value if present.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_LEN: usize = u8::MIN_LEN;
+    fn put(&self, b: &mut BytesMut) {
+        match self {
+            None => 0u8.put(b),
+            Some(v) => {
+                1u8.put(b);
+                v.put(b);
+            }
+        }
+    }
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        flag(b, "option")?.then(|| T::get(b)).transpose()
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    const MIN_LEN: usize = T::MIN_LEN;
+    fn put(&self, b: &mut BytesMut) {
+        (**self).put(b);
+    }
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        T::get(b).map(Box::new)
+    }
+}
+
+macro_rules! tuple {
+    ($($t:ident),+) => {
+        #[allow(non_snake_case)]
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            const MIN_LEN: usize = 0 $(+ $t::MIN_LEN)+;
+            fn put(&self, b: &mut BytesMut) {
+                let ($($t,)+) = self;
+                $($t.put(b);)+
+            }
+            fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+                Ok(($($t::get(b)?,)+))
+            }
+        }
+    };
+}
+
+tuple!(A, B);
+tuple!(A, B, C);
+tuple!(A, B, C, D);
+tuple!(A, B, C, D, E);
+
+/// Ascending, in `Vec<i64>`'s layout.
+impl Wire for BTreeSet<i64> {
+    const MIN_LEN: usize = Vec::<i64>::MIN_LEN;
+    fn put(&self, b: &mut BytesMut) {
+        put_seq(b, self.iter().copied());
+    }
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(Vec::<i64>::get(b)?.into_iter().collect())
+    }
+}
+
+/// Implements [`Wire`] for a struct whose layout is the listed fields,
+/// in the listed order (the wire order, which need not be the
+/// declaration order).
+macro_rules! wire_struct {
+    ($name:ident { $($field:ident: $ty:ty),+ $(,)? }) => {
+        impl $crate::wire::Wire for $name {
+            const MIN_LEN: usize = 0 $(+ <$ty as $crate::wire::Wire>::MIN_LEN)+;
+            fn put(&self, b: &mut ::bytes::BytesMut) {
+                $($crate::wire::Wire::put(&self.$field, b);)+
+            }
+            fn get(b: &mut &[u8]) -> Result<Self, $crate::wire::WireError> {
+                Ok(Self { $($field: <$ty as $crate::wire::Wire>::get(b)?),+ })
+            }
+        }
+    };
+}
+
+pub(crate) use wire_struct;
+
+macro_rules! id {
+    ($($t:ident),+) => {$(
+        impl Wire for $t {
+            const MIN_LEN: usize = u64::MIN_LEN;
+            fn put(&self, b: &mut BytesMut) {
+                self.0.put(b);
+            }
+            fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+                Ok(Self(u64::get(b)?))
+            }
+        }
+    )+};
+}
+
+id!(EtId, SiteId, ObjectId, ClientId, SeqNo);
+wire_struct!(VersionTs { time: u64, client: ClientId });
+wire_struct!(LamportTs { counter: u64, site: SiteId });
+
+const VAL_INT: u8 = 0;
+const VAL_TEXT: u8 = 1;
+const VAL_SET: u8 = 2;
+
+impl Wire for Value {
+    const MIN_LEN: usize =
+        u8::MIN_LEN + smallest(&[i64::MIN_LEN, String::MIN_LEN, BTreeSet::<i64>::MIN_LEN]);
+    fn put(&self, b: &mut BytesMut) {
+        match self {
+            Value::Int(i) => (VAL_INT, *i).put(b),
+            Value::Text(s) => {
+                VAL_TEXT.put(b);
+                s.put(b);
+            }
+            Value::Set(s) => {
+                VAL_SET.put(b);
+                s.put(b);
+            }
+        }
+    }
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(match u8::get(b)? {
+            VAL_INT => Value::Int(Wire::get(b)?),
+            VAL_TEXT => Value::Text(Wire::get(b)?),
+            VAL_SET => Value::Set(Wire::get(b)?),
+            tag => return Err(WireError::BadTag { field: "value", tag }),
+        })
+    }
+}
 
 const OP_READ: u8 = 0;
 const OP_WRITE: u8 = 1;
@@ -70,118 +373,88 @@ const OP_INSERT: u8 = 6;
 const OP_REMOVE: u8 = 7;
 const OP_TSWRITE: u8 = 8;
 
-const VAL_INT: u8 = 0;
-const VAL_TEXT: u8 = 1;
-const VAL_SET: u8 = 2;
-
-/// Encodes an MSet into a self-contained byte payload.
-pub fn encode_mset(mset: &MSet) -> Bytes {
-    let mut b = BytesMut::with_capacity(32 + 16 * mset.ops.len());
-    encode_mset_into(&mut b, mset);
-    b.freeze()
-}
-
-pub(crate) fn encode_mset_into(b: &mut BytesMut, mset: &MSet) {
-    b.put_u64(mset.et.raw());
-    b.put_u64(mset.origin.raw());
-    match mset.order {
-        OrderTag::Unordered => b.put_u8(ORDER_UNORDERED),
-        OrderTag::Sequenced(seq) => {
-            b.put_u8(ORDER_SEQUENCED);
-            b.put_u64(seq.raw());
-        }
-        OrderTag::Lamport { ts, fifo } => {
-            b.put_u8(ORDER_LAMPORT);
-            b.put_u64(ts.counter);
-            b.put_u64(ts.site.raw());
-            b.put_u64(fifo.raw());
-        }
-    }
-    b.put_u32(mset.ops.len() as u32);
-    for op in &mset.ops {
-        b.put_u64(op.object.raw());
-        encode_op(b, &op.op);
-    }
-    // Client identity for exactly-once dedup: a mandatory trailing
-    // presence byte keeps decoding total under truncation.
-    match mset.client {
-        None => b.put_u8(0),
-        Some((client, seq)) => {
-            b.put_u8(1);
-            b.put_u64(client.raw());
-            b.put_u64(seq);
-        }
-    }
-    // Trace context (client submit wall stamp), same trailing
-    // presence-byte pattern.
-    match mset.t0 {
-        None => b.put_u8(0),
-        Some(t0) => {
-            b.put_u8(1);
-            b.put_u64(t0);
-        }
-    }
-}
-
-pub(crate) fn encode_op(b: &mut BytesMut, op: &Operation) {
-    match op {
-        Operation::Read => b.put_u8(OP_READ),
-        Operation::Write(v) => {
-            b.put_u8(OP_WRITE);
-            encode_value(b, v);
-        }
-        Operation::Incr(n) => {
-            b.put_u8(OP_INCR);
-            b.put_i64(*n);
-        }
-        Operation::Decr(n) => {
-            b.put_u8(OP_DECR);
-            b.put_i64(*n);
-        }
-        Operation::MulBy(k) => {
-            b.put_u8(OP_MULBY);
-            b.put_i64(*k);
-        }
-        Operation::DivBy(k) => {
-            b.put_u8(OP_DIVBY);
-            b.put_i64(*k);
-        }
-        Operation::InsertElem(e) => {
-            b.put_u8(OP_INSERT);
-            b.put_i64(*e);
-        }
-        Operation::RemoveElem(e) => {
-            b.put_u8(OP_REMOVE);
-            b.put_i64(*e);
-        }
-        Operation::TimestampedWrite(ts, v) => {
-            b.put_u8(OP_TSWRITE);
-            b.put_u64(ts.time);
-            b.put_u64(ts.client.raw());
-            encode_value(b, v);
-        }
-    }
-}
-
-pub(crate) fn encode_value(b: &mut BytesMut, v: &Value) {
-    match v {
-        Value::Int(i) => {
-            b.put_u8(VAL_INT);
-            b.put_i64(*i);
-        }
-        Value::Text(s) => {
-            b.put_u8(VAL_TEXT);
-            b.put_u32(s.len() as u32);
-            b.put_slice(s.as_bytes());
-        }
-        Value::Set(s) => {
-            b.put_u8(VAL_SET);
-            b.put_u32(s.len() as u32);
-            for e in s {
-                b.put_i64(*e);
+impl Wire for Operation {
+    /// `Read` is the bare tag.
+    const MIN_LEN: usize = u8::MIN_LEN;
+    fn put(&self, b: &mut BytesMut) {
+        match self {
+            Operation::Read => OP_READ.put(b),
+            Operation::Write(v) => {
+                OP_WRITE.put(b);
+                v.put(b);
+            }
+            Operation::Incr(n) => (OP_INCR, *n).put(b),
+            Operation::Decr(n) => (OP_DECR, *n).put(b),
+            Operation::MulBy(k) => (OP_MULBY, *k).put(b),
+            Operation::DivBy(k) => (OP_DIVBY, *k).put(b),
+            Operation::InsertElem(e) => (OP_INSERT, *e).put(b),
+            Operation::RemoveElem(e) => (OP_REMOVE, *e).put(b),
+            Operation::TimestampedWrite(ts, v) => {
+                (OP_TSWRITE, *ts).put(b);
+                v.put(b);
             }
         }
     }
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(match u8::get(b)? {
+            OP_READ => Operation::Read,
+            OP_WRITE => Operation::Write(Wire::get(b)?),
+            OP_INCR => Operation::Incr(Wire::get(b)?),
+            OP_DECR => Operation::Decr(Wire::get(b)?),
+            OP_MULBY => Operation::MulBy(Wire::get(b)?),
+            OP_DIVBY => Operation::DivBy(Wire::get(b)?),
+            OP_INSERT => Operation::InsertElem(Wire::get(b)?),
+            OP_REMOVE => Operation::RemoveElem(Wire::get(b)?),
+            OP_TSWRITE => Operation::TimestampedWrite(Wire::get(b)?, Wire::get(b)?),
+            tag => return Err(WireError::BadTag { field: "op", tag }),
+        })
+    }
+}
+
+wire_struct!(ObjectOp { object: ObjectId, op: Operation });
+
+const ORDER_UNORDERED: u8 = 0;
+const ORDER_SEQUENCED: u8 = 1;
+const ORDER_LAMPORT: u8 = 2;
+
+impl Wire for OrderTag {
+    /// `Unordered` is the bare tag.
+    const MIN_LEN: usize = u8::MIN_LEN;
+    fn put(&self, b: &mut BytesMut) {
+        match *self {
+            OrderTag::Unordered => ORDER_UNORDERED.put(b),
+            OrderTag::Sequenced(seq) => (ORDER_SEQUENCED, seq).put(b),
+            OrderTag::Lamport { ts, fifo } => (ORDER_LAMPORT, ts, fifo).put(b),
+        }
+    }
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(match u8::get(b)? {
+            ORDER_UNORDERED => OrderTag::Unordered,
+            ORDER_SEQUENCED => OrderTag::Sequenced(Wire::get(b)?),
+            ORDER_LAMPORT => OrderTag::Lamport {
+                ts: Wire::get(b)?,
+                fifo: Wire::get(b)?,
+            },
+            tag => return Err(WireError::BadTag { field: "order", tag }),
+        })
+    }
+}
+
+// The client identity (exactly-once dedup) and the trace context (the
+// client's submit wall stamp) trail as options: a mandatory presence
+// byte each keeps truncation detectable.
+wire_struct!(MSet {
+    et: EtId,
+    origin: SiteId,
+    order: OrderTag,
+    ops: Vec<ObjectOp>,
+    client: Option<(ClientId, u64)>,
+    t0: Option<u64>,
+});
+
+/// Encodes an MSet into a self-contained byte payload.
+pub fn encode_mset(mset: &MSet) -> Bytes {
+    encode(mset, 32 + 16 * mset.ops.len())
 }
 
 /// Decodes an MSet produced by [`encode_mset`].
@@ -189,125 +462,7 @@ pub(crate) fn encode_value(b: &mut BytesMut, v: &Value) {
 /// Decoding walks a plain slice cursor over the payload — no refcounted
 /// sub-buffers, and embedded text costs exactly one `String` allocation.
 pub fn decode_mset(payload: &Bytes) -> Result<MSet, WireError> {
-    let mut b = payload.as_ref();
-    decode_mset_from(&mut b)
-}
-
-pub(crate) fn decode_mset_from(b: &mut &[u8]) -> Result<MSet, WireError> {
-    let et = EtId(get_u64(b)?);
-    let origin = SiteId(get_u64(b)?);
-    let order = match get_u8(b)? {
-        ORDER_UNORDERED => OrderTag::Unordered,
-        ORDER_SEQUENCED => OrderTag::Sequenced(SeqNo(get_u64(b)?)),
-        ORDER_LAMPORT => {
-            let counter = get_u64(b)?;
-            let site = SiteId(get_u64(b)?);
-            let fifo = SeqNo(get_u64(b)?);
-            OrderTag::Lamport {
-                ts: LamportTs::new(counter, site),
-                fifo,
-            }
-        }
-        tag => return Err(WireError::BadTag { field: "order", tag }),
-    };
-    let n = get_u32(b)? as usize;
-    // Each op is at least 9 bytes; reject absurd counts up front so a
-    // corrupt length cannot trigger a huge allocation.
-    if n > b.remaining() {
-        return Err(WireError::BadLength);
-    }
-    let mut ops = Vec::with_capacity(n);
-    for _ in 0..n {
-        let object = ObjectId(get_u64(b)?);
-        let op = decode_op(b)?;
-        ops.push(ObjectOp::new(object, op));
-    }
-    let client = match get_u8(b)? {
-        0 => None,
-        1 => {
-            let client = ClientId(get_u64(b)?);
-            let seq = get_u64(b)?;
-            Some((client, seq))
-        }
-        tag => return Err(WireError::BadTag { field: "client", tag }),
-    };
-    let t0 = match get_u8(b)? {
-        0 => None,
-        1 => Some(get_u64(b)?),
-        tag => return Err(WireError::BadTag { field: "t0", tag }),
-    };
-    let mut mset = MSet::new(et, origin, ops);
-    mset.order = order;
-    mset.client = client;
-    mset.t0 = t0;
-    Ok(mset)
-}
-
-pub(crate) fn decode_op(b: &mut &[u8]) -> Result<Operation, WireError> {
-    Ok(match get_u8(b)? {
-        OP_READ => Operation::Read,
-        OP_WRITE => Operation::Write(decode_value(b)?),
-        OP_INCR => Operation::Incr(get_i64(b)?),
-        OP_DECR => Operation::Decr(get_i64(b)?),
-        OP_MULBY => Operation::MulBy(get_i64(b)?),
-        OP_DIVBY => Operation::DivBy(get_i64(b)?),
-        OP_INSERT => Operation::InsertElem(get_i64(b)?),
-        OP_REMOVE => Operation::RemoveElem(get_i64(b)?),
-        OP_TSWRITE => {
-            let time = get_u64(b)?;
-            let client = ClientId(get_u64(b)?);
-            let v = decode_value(b)?;
-            Operation::TimestampedWrite(VersionTs::new(time, client), v)
-        }
-        tag => return Err(WireError::BadTag { field: "op", tag }),
-    })
-}
-
-pub(crate) fn decode_value(b: &mut &[u8]) -> Result<Value, WireError> {
-    Ok(match get_u8(b)? {
-        VAL_INT => Value::Int(get_i64(b)?),
-        VAL_TEXT => Value::Text(decode_text(b)?),
-        VAL_SET => {
-            let len = get_u32(b)? as usize;
-            if b.remaining() < len.saturating_mul(8) {
-                return Err(WireError::BadLength);
-            }
-            let mut set = std::collections::BTreeSet::new();
-            for _ in 0..len {
-                set.insert(get_i64(b)?);
-            }
-            Value::Set(set)
-        }
-        tag => return Err(WireError::BadTag { field: "value", tag }),
-    })
-}
-
-pub(crate) fn get_u8(b: &mut &[u8]) -> Result<u8, WireError> {
-    if b.remaining() < 1 {
-        return Err(WireError::Truncated);
-    }
-    Ok(b.get_u8())
-}
-
-pub(crate) fn get_u32(b: &mut &[u8]) -> Result<u32, WireError> {
-    if b.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    Ok(b.get_u32())
-}
-
-pub(crate) fn get_u64(b: &mut &[u8]) -> Result<u64, WireError> {
-    if b.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    Ok(b.get_u64())
-}
-
-pub(crate) fn get_i64(b: &mut &[u8]) -> Result<i64, WireError> {
-    if b.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    Ok(b.get_i64())
+    MSet::get(&mut payload.as_ref())
 }
 
 // ---------------------------------------------------------------------------
@@ -323,7 +478,8 @@ pub(crate) fn get_i64(b: &mut &[u8]) -> Result<i64, WireError> {
 
 const FRAME_HELLO: u8 = 0x01;
 const FRAME_MSET: u8 = 0x02;
-const FRAME_ACK: u8 = 0x03;
+// 0x03 is retired (the per-entry link ack, an envelope since the
+// durable links) and must keep decoding to `BadTag`.
 const FRAME_APPLIED: u8 = 0x04;
 const FRAME_COMPLETE: u8 = 0x05;
 const FRAME_VTNC: u8 = 0x06;
@@ -375,12 +531,6 @@ pub enum Frame {
     /// Update propagation: one MSet, exactly as the simulator and the
     /// model ship it.
     MSet(MSet),
-    /// Durable-link acknowledgement: the receiver journalled and applied
-    /// the frame carried by queue entry `entry`; the sender may retire it.
-    Ack {
-        /// The sender-side queue entry being acknowledged.
-        entry: u64,
-    },
     /// Completion evidence for the coordinator's tracker: `site` has
     /// applied `et` (carrying the max written version for VTNC).
     Applied {
@@ -569,52 +719,7 @@ pub enum Frame {
     },
 }
 
-fn encode_text(b: &mut BytesMut, s: &str) {
-    b.put_u32(s.len() as u32);
-    b.put_slice(s.as_bytes());
-}
-
-fn decode_text(b: &mut &[u8]) -> Result<String, WireError> {
-    let len = get_u32(b)? as usize;
-    if b.len() < len {
-        return Err(WireError::BadLength);
-    }
-    let (raw, rest) = b.split_at(len);
-    let s = std::str::from_utf8(raw).map_err(|_| WireError::BadUtf8)?;
-    *b = rest;
-    Ok(s.to_owned())
-}
-
-fn decode_bytes(b: &mut &[u8]) -> Result<Vec<u8>, WireError> {
-    let n = get_count(b, 1)?;
-    let (raw, rest) = b.split_at(n);
-    *b = rest;
-    Ok(raw.to_vec())
-}
-
-pub(crate) fn encode_version_opt(b: &mut BytesMut, v: &Option<VersionTs>) {
-    match v {
-        None => b.put_u8(0),
-        Some(ts) => {
-            b.put_u8(1);
-            b.put_u64(ts.time);
-            b.put_u64(ts.client.raw());
-        }
-    }
-}
-
-pub(crate) fn decode_version_opt(b: &mut &[u8]) -> Result<Option<VersionTs>, WireError> {
-    match get_u8(b)? {
-        0 => Ok(None),
-        1 => {
-            let time = get_u64(b)?;
-            let client = ClientId(get_u64(b)?);
-            Ok(Some(VersionTs::new(time, client)))
-        }
-        tag => Err(WireError::BadTag { field: "option", tag }),
-    }
-}
-
+/// The stages in declaration order: a stage's tag is its discriminant.
 const SPAN_STAGES: [SpanStage; 12] = [
     SpanStage::Submit,
     SpanStage::Enqueue,
@@ -630,72 +735,29 @@ const SPAN_STAGES: [SpanStage; 12] = [
     SpanStage::Decision,
 ];
 
-fn span_stage_tag(stage: SpanStage) -> u8 {
-    SPAN_STAGES
-        .iter()
-        .position(|s| *s == stage)
-        .unwrap_or_default() as u8
-}
-
-pub(crate) fn encode_u64_opt(b: &mut BytesMut, v: Option<u64>) {
-    match v {
-        None => b.put_u8(0),
-        Some(v) => {
-            b.put_u8(1);
-            b.put_u64(v);
-        }
+impl Wire for SpanStage {
+    const MIN_LEN: usize = u8::MIN_LEN;
+    fn put(&self, b: &mut BytesMut) {
+        (*self as u8).put(b);
+    }
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        let tag = u8::get(b)?;
+        SPAN_STAGES
+            .get(tag as usize)
+            .copied()
+            .ok_or(WireError::BadTag { field: "stage", tag })
     }
 }
 
-pub(crate) fn decode_u64_opt(b: &mut &[u8]) -> Result<Option<u64>, WireError> {
-    match get_u8(b)? {
-        0 => Ok(None),
-        1 => Ok(Some(get_u64(b)?)),
-        tag => Err(WireError::BadTag { field: "option", tag }),
-    }
-}
-
-fn encode_span_rec(b: &mut BytesMut, rec: &SpanRec) {
-    b.put_u8(span_stage_tag(rec.stage));
-    encode_u64_opt(b, rec.et.map(EtId::raw));
-    encode_u64_opt(b, rec.peer.map(SiteId::raw));
-    encode_version_opt(b, &rec.version);
-    encode_u64_opt(b, rec.gseq.map(SeqNo::raw));
-    encode_u64_opt(b, rec.t0);
-    match rec.commit {
-        None => b.put_u8(0),
-        Some(c) => {
-            b.put_u8(1);
-            b.put_u8(u8::from(c));
-        }
-    }
-}
-
-fn decode_span_rec(b: &mut &[u8]) -> Result<SpanRec, WireError> {
-    let tag = get_u8(b)?;
-    let stage = *SPAN_STAGES
-        .get(tag as usize)
-        .ok_or(WireError::BadTag { field: "stage", tag })?;
-    let et = decode_u64_opt(b)?.map(EtId);
-    let peer = decode_u64_opt(b)?.map(SiteId);
-    let version = decode_version_opt(b)?;
-    let gseq = decode_u64_opt(b)?.map(SeqNo);
-    let t0 = decode_u64_opt(b)?;
-    let commit = match get_u8(b)? {
-        0 => None,
-        1 => Some(decode_bool(b)?),
-        tag => return Err(WireError::BadTag { field: "option", tag }),
-    };
-    Ok(SpanRec {
-        stage,
-        et,
-        peer,
-        version,
-        gseq,
-        t0,
-        commit,
-    })
-}
+wire_struct!(SpanRec {
+    stage: SpanStage,
+    et: Option<EtId>,
+    peer: Option<SiteId>,
+    version: Option<VersionTs>,
+    gseq: Option<SeqNo>,
+    t0: Option<u64>,
+    commit: Option<bool>,
+});
 
 const EVENT_SPAN: u8 = 0;
 const EVENT_DUPLICATE_DELIVERY: u8 = 1;
@@ -711,503 +773,338 @@ const EVENT_CKPT_CATCH_UP: u8 = 10;
 const EVENT_CKPT_FAILED: u8 = 11;
 const EVENT_BOOT: u8 = 12;
 
-fn put_tagged(b: &mut BytesMut, tag: u8, fields: &[u64]) {
-    b.put_u8(tag);
-    for f in fields {
-        b.put_u64(*f);
-    }
-}
-
-fn encode_event(b: &mut BytesMut, event: &Event) {
-    match event {
-        Event::Span(rec) => {
-            put_tagged(b, EVENT_SPAN, &[]);
-            encode_span_rec(b, rec);
-        }
-        Event::DuplicateDelivery { et } => {
-            put_tagged(b, EVENT_DUPLICATE_DELIVERY, &[et.raw()]);
-        }
-        Event::DuplicateSubmit { client, seq, et } => {
-            put_tagged(b, EVENT_DUPLICATE_SUBMIT, &[client.raw(), *seq, et.raw()]);
-        }
-        Event::Hello { site, epoch } => put_tagged(b, EVENT_HELLO, &[site.raw(), *epoch]),
-        Event::ViewChangeStart { view } => put_tagged(b, EVENT_VIEW_CHANGE_START, &[*view]),
-        Event::ViewInstall { view, coordinator } => {
-            put_tagged(b, EVENT_VIEW_INSTALL, &[*view, coordinator.raw()]);
-        }
-        Event::CkptCut { covered } => put_tagged(b, EVENT_CKPT_CUT, &[*covered]),
-        Event::CkptRestore { covered, view } => {
-            put_tagged(b, EVENT_CKPT_RESTORE, &[*covered, *view]);
-        }
-        Event::CkptInstall { seq, covered } => {
-            put_tagged(b, EVENT_CKPT_INSTALL, &[*seq, *covered]);
-        }
-        Event::CkptTruncate { through, retired } => {
-            put_tagged(b, EVENT_CKPT_TRUNCATE, &[*through, *retired]);
-        }
-        Event::CkptCatchUp { seq, covered, from } => {
-            put_tagged(b, EVENT_CKPT_CATCH_UP, &[*seq, *covered, from.raw()]);
-        }
-        Event::CkptFailed { seq, detail } => {
-            put_tagged(b, EVENT_CKPT_FAILED, &[*seq]);
-            encode_text(b, detail);
-        }
-        Event::Boot {
-            epoch,
-            snapshot,
-            replayed,
-            view,
-        } => {
-            put_tagged(b, EVENT_BOOT, &[*epoch, *replayed, *view]);
-            match snapshot {
-                None => b.put_u8(0),
-                Some((seq, covered)) => put_tagged(b, 1, &[*seq, *covered]),
+impl Wire for Event {
+    const MIN_LEN: usize = u8::MIN_LEN + smallest(&[
+        SpanRec::MIN_LEN,
+        EtId::MIN_LEN,
+        <(ClientId, u64, EtId)>::MIN_LEN,
+        <(SiteId, u64)>::MIN_LEN,
+        u64::MIN_LEN,
+        <(u64, SiteId)>::MIN_LEN,
+        <(u64, u64)>::MIN_LEN,
+        <(u64, u64, SiteId)>::MIN_LEN,
+        <(u64, String)>::MIN_LEN,
+        <(u64, u64, u64, Option<(u64, u64)>)>::MIN_LEN,
+    ]);
+    fn put(&self, b: &mut BytesMut) {
+        match self {
+            Event::Span(rec) => (EVENT_SPAN, *rec).put(b),
+            Event::DuplicateDelivery { et } => (EVENT_DUPLICATE_DELIVERY, *et).put(b),
+            Event::DuplicateSubmit { client, seq, et } => {
+                (EVENT_DUPLICATE_SUBMIT, *client, *seq, *et).put(b);
             }
-        }
-    }
-}
-
-fn decode_event(b: &mut &[u8]) -> Result<Event, WireError> {
-    Ok(match get_u8(b)? {
-        EVENT_SPAN => Event::Span(decode_span_rec(b)?),
-        EVENT_DUPLICATE_DELIVERY => Event::DuplicateDelivery {
-            et: EtId(get_u64(b)?),
-        },
-        EVENT_DUPLICATE_SUBMIT => Event::DuplicateSubmit {
-            client: ClientId(get_u64(b)?),
-            seq: get_u64(b)?,
-            et: EtId(get_u64(b)?),
-        },
-        EVENT_HELLO => Event::Hello {
-            site: SiteId(get_u64(b)?),
-            epoch: get_u64(b)?,
-        },
-        EVENT_VIEW_CHANGE_START => Event::ViewChangeStart { view: get_u64(b)? },
-        EVENT_VIEW_INSTALL => Event::ViewInstall {
-            view: get_u64(b)?,
-            coordinator: SiteId(get_u64(b)?),
-        },
-        EVENT_CKPT_CUT => Event::CkptCut {
-            covered: get_u64(b)?,
-        },
-        EVENT_CKPT_RESTORE => Event::CkptRestore {
-            covered: get_u64(b)?,
-            view: get_u64(b)?,
-        },
-        EVENT_CKPT_INSTALL => Event::CkptInstall {
-            seq: get_u64(b)?,
-            covered: get_u64(b)?,
-        },
-        EVENT_CKPT_TRUNCATE => Event::CkptTruncate {
-            through: get_u64(b)?,
-            retired: get_u64(b)?,
-        },
-        EVENT_CKPT_CATCH_UP => Event::CkptCatchUp {
-            seq: get_u64(b)?,
-            covered: get_u64(b)?,
-            from: SiteId(get_u64(b)?),
-        },
-        EVENT_CKPT_FAILED => Event::CkptFailed {
-            seq: get_u64(b)?,
-            detail: decode_text(b)?,
-        },
-        EVENT_BOOT => {
-            let (epoch, replayed, view) = (get_u64(b)?, get_u64(b)?, get_u64(b)?);
-            let snapshot = match get_u8(b)? {
-                0 => None,
-                1 => Some((get_u64(b)?, get_u64(b)?)),
-                tag => return Err(WireError::BadTag { field: "option", tag }),
-            };
+            Event::Hello { site, epoch } => (EVENT_HELLO, *site, *epoch).put(b),
+            Event::ViewChangeStart { view } => (EVENT_VIEW_CHANGE_START, *view).put(b),
+            Event::ViewInstall { view, coordinator } => {
+                (EVENT_VIEW_INSTALL, *view, *coordinator).put(b);
+            }
+            Event::CkptCut { covered } => (EVENT_CKPT_CUT, *covered).put(b),
+            Event::CkptRestore { covered, view } => (EVENT_CKPT_RESTORE, *covered, *view).put(b),
+            Event::CkptInstall { seq, covered } => (EVENT_CKPT_INSTALL, *seq, *covered).put(b),
+            Event::CkptTruncate { through, retired } => {
+                (EVENT_CKPT_TRUNCATE, *through, *retired).put(b);
+            }
+            Event::CkptCatchUp { seq, covered, from } => {
+                (EVENT_CKPT_CATCH_UP, *seq, *covered, *from).put(b);
+            }
+            Event::CkptFailed { seq, detail } => {
+                (EVENT_CKPT_FAILED, *seq).put(b);
+                detail.put(b);
+            }
             Event::Boot {
                 epoch,
                 snapshot,
                 replayed,
                 view,
+            } => (EVENT_BOOT, *epoch, *replayed, *view, *snapshot).put(b),
+        }
+    }
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(match u8::get(b)? {
+            EVENT_SPAN => Event::Span(Wire::get(b)?),
+            EVENT_DUPLICATE_DELIVERY => Event::DuplicateDelivery { et: Wire::get(b)? },
+            EVENT_DUPLICATE_SUBMIT => Event::DuplicateSubmit {
+                client: Wire::get(b)?,
+                seq: Wire::get(b)?,
+                et: Wire::get(b)?,
+            },
+            EVENT_HELLO => Event::Hello {
+                site: Wire::get(b)?,
+                epoch: Wire::get(b)?,
+            },
+            EVENT_VIEW_CHANGE_START => Event::ViewChangeStart {
+                view: Wire::get(b)?,
+            },
+            EVENT_VIEW_INSTALL => Event::ViewInstall {
+                view: Wire::get(b)?,
+                coordinator: Wire::get(b)?,
+            },
+            EVENT_CKPT_CUT => Event::CkptCut {
+                covered: Wire::get(b)?,
+            },
+            EVENT_CKPT_RESTORE => Event::CkptRestore {
+                covered: Wire::get(b)?,
+                view: Wire::get(b)?,
+            },
+            EVENT_CKPT_INSTALL => Event::CkptInstall {
+                seq: Wire::get(b)?,
+                covered: Wire::get(b)?,
+            },
+            EVENT_CKPT_TRUNCATE => Event::CkptTruncate {
+                through: Wire::get(b)?,
+                retired: Wire::get(b)?,
+            },
+            EVENT_CKPT_CATCH_UP => Event::CkptCatchUp {
+                seq: Wire::get(b)?,
+                covered: Wire::get(b)?,
+                from: Wire::get(b)?,
+            },
+            EVENT_CKPT_FAILED => Event::CkptFailed {
+                seq: Wire::get(b)?,
+                detail: Wire::get(b)?,
+            },
+            EVENT_BOOT => Event::Boot {
+                epoch: Wire::get(b)?,
+                replayed: Wire::get(b)?,
+                view: Wire::get(b)?,
+                snapshot: Wire::get(b)?,
+            },
+            tag => return Err(WireError::BadTag { field: "event", tag }),
+        })
+    }
+}
+
+/// A control-plane ledger: the payload of `DoViewChange` and
+/// `StartView`, and the control section of a checkpoint image.
+/// Completions, then decisions, each as a list in first-seen order,
+/// then the VTNC horizon.
+impl Wire for Evidence {
+    const MIN_LEN: usize = Vec::<EtId>::MIN_LEN
+        + Vec::<(EtId, bool)>::MIN_LEN
+        + Option::<VersionTs>::MIN_LEN;
+    fn put(&self, b: &mut BytesMut) {
+        put_seq(b, self.completed());
+        put_seq(b, self.decisions());
+        self.vtnc().put(b);
+    }
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        let mut evidence = Evidence::default();
+        for et in Vec::<EtId>::get(b)? {
+            evidence.complete(et);
+        }
+        for (et, commit) in Vec::<(EtId, bool)>::get(b)? {
+            evidence.decide(et, commit);
+        }
+        if let Some(ts) = Option::<VersionTs>::get(b)? {
+            evidence.advance_vtnc(ts);
+        }
+        Ok(evidence)
+    }
+}
+
+wire_struct!(QueryOutcome {
+    admitted: bool,
+    charged: u64,
+    values: Vec<Value>,
+});
+
+impl Wire for Frame {
+    /// The bare tags (`Snapshot`, `Status`, `Metrics`, `Checkpoint`).
+    const MIN_LEN: usize = u8::MIN_LEN;
+    fn put(&self, b: &mut BytesMut) {
+        match self {
+            Frame::Hello { site, epoch } => (FRAME_HELLO, *site, *epoch).put(b),
+            Frame::MSet(mset) => {
+                FRAME_MSET.put(b);
+                mset.put(b);
+            }
+            Frame::Applied { site, et, version } => {
+                (FRAME_APPLIED, *site, *et, *version).put(b);
+            }
+            Frame::Complete { et } => (FRAME_COMPLETE, *et).put(b),
+            Frame::Vtnc { ts } => (FRAME_VTNC, *ts).put(b),
+            Frame::Decision { et, commit } => (FRAME_DECISION, *et, *commit).put(b),
+            Frame::Ping { view, from } => (FRAME_PING, *view, *from).put(b),
+            Frame::StartViewChange { view, from } => {
+                (FRAME_START_VIEW_CHANGE, *view, *from).put(b);
+            }
+            Frame::DoViewChange {
+                view,
+                from,
+                evidence,
+            } => {
+                (FRAME_DO_VIEW_CHANGE, *view, *from).put(b);
+                evidence.put(b);
+            }
+            Frame::StartView { view, evidence } => {
+                (FRAME_START_VIEW, *view).put(b);
+                evidence.put(b);
+            }
+            Frame::ForwardDecision { et, commit } => {
+                (FRAME_FORWARD_DECISION, *et, *commit).put(b);
+            }
+            Frame::SnapshotRequest { offset } => (FRAME_SNAPSHOT_REQUEST, *offset).put(b),
+            Frame::SnapshotChunk {
+                total_len,
+                offset,
+                bytes,
+            } => {
+                (FRAME_SNAPSHOT_CHUNK, *total_len, *offset).put(b);
+                bytes.put(b);
+            }
+            Frame::Submit(mset) => {
+                FRAME_SUBMIT.put(b);
+                mset.put(b);
+            }
+            Frame::SubmitOk { et } => (FRAME_SUBMIT_OK, *et).put(b),
+            Frame::Query {
+                read_set,
+                epsilon_limit,
+            } => {
+                (FRAME_QUERY, *epsilon_limit).put(b);
+                read_set.put(b);
+            }
+            Frame::QueryOk(out) => {
+                FRAME_QUERY_OK.put(b);
+                out.put(b);
+            }
+            Frame::Snapshot => FRAME_SNAPSHOT.put(b),
+            Frame::SnapshotOk { entries } => {
+                FRAME_SNAPSHOT_OK.put(b);
+                entries.put(b);
+            }
+            Frame::Status => FRAME_STATUS.put(b),
+            Frame::StatusOk {
+                settled,
+                outbound_pending,
+                epoch,
+                view,
+                coordinator,
+                ckpt_seq,
+                ckpt_covered,
+            } => {
+                (FRAME_STATUS_OK, *settled, *outbound_pending, *epoch).put(b);
+                (*view, *coordinator, *ckpt_seq, *ckpt_covered).put(b);
+            }
+            Frame::DecisionOk { et } => (FRAME_DECISION_OK, *et).put(b),
+            Frame::Metrics => FRAME_METRICS.put(b),
+            Frame::MetricsOk { text } => {
+                FRAME_METRICS_OK.put(b);
+                text.put(b);
+            }
+            Frame::Checkpoint => FRAME_CHECKPOINT.put(b),
+            Frame::CheckpointOk { seq, covered } => {
+                (FRAME_CHECKPOINT_OK, *seq, *covered).put(b);
+            }
+            Frame::EventQuery { et } => (FRAME_EVENT_QUERY, *et).put(b),
+            Frame::EventOk { dropped, events } => {
+                (FRAME_EVENT_OK, *dropped).put(b);
+                events.put(b);
             }
         }
-        tag => return Err(WireError::BadTag { field: "event", tag }),
-    })
-}
-
-/// Reads an element count and checks it against the bytes actually
-/// left (at `min_elem` bytes each), so a corrupt count cannot trigger a
-/// huge allocation.
-pub(crate) fn get_count(b: &mut &[u8], min_elem: usize) -> Result<usize, WireError> {
-    let n = get_u32(b)? as usize;
-    if n.saturating_mul(min_elem) > b.remaining() {
-        return Err(WireError::BadLength);
     }
-    Ok(n)
-}
-
-/// Encodes a control-plane ledger: the payload of `DoViewChange` and
-/// `StartView`, and the control section of a checkpoint image.
-pub(crate) fn encode_evidence(b: &mut BytesMut, evidence: &Evidence) {
-    let completed = evidence.completed();
-    b.put_u32(completed.len() as u32);
-    for et in completed {
-        b.put_u64(et.raw());
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(match u8::get(b)? {
+            FRAME_HELLO => Frame::Hello {
+                site: Wire::get(b)?,
+                epoch: Wire::get(b)?,
+            },
+            FRAME_MSET => Frame::MSet(Wire::get(b)?),
+            FRAME_APPLIED => Frame::Applied {
+                site: Wire::get(b)?,
+                et: Wire::get(b)?,
+                version: Wire::get(b)?,
+            },
+            FRAME_COMPLETE => Frame::Complete { et: Wire::get(b)? },
+            FRAME_VTNC => Frame::Vtnc { ts: Wire::get(b)? },
+            FRAME_DECISION => Frame::Decision {
+                et: Wire::get(b)?,
+                commit: Wire::get(b)?,
+            },
+            FRAME_PING => Frame::Ping {
+                view: Wire::get(b)?,
+                from: Wire::get(b)?,
+            },
+            FRAME_START_VIEW_CHANGE => Frame::StartViewChange {
+                view: Wire::get(b)?,
+                from: Wire::get(b)?,
+            },
+            FRAME_DO_VIEW_CHANGE => Frame::DoViewChange {
+                view: Wire::get(b)?,
+                from: Wire::get(b)?,
+                evidence: Wire::get(b)?,
+            },
+            FRAME_START_VIEW => Frame::StartView {
+                view: Wire::get(b)?,
+                evidence: Wire::get(b)?,
+            },
+            FRAME_FORWARD_DECISION => Frame::ForwardDecision {
+                et: Wire::get(b)?,
+                commit: Wire::get(b)?,
+            },
+            FRAME_SNAPSHOT_REQUEST => Frame::SnapshotRequest {
+                offset: Wire::get(b)?,
+            },
+            FRAME_SNAPSHOT_CHUNK => Frame::SnapshotChunk {
+                total_len: Wire::get(b)?,
+                offset: Wire::get(b)?,
+                bytes: Wire::get(b)?,
+            },
+            FRAME_SUBMIT => Frame::Submit(Wire::get(b)?),
+            FRAME_SUBMIT_OK => Frame::SubmitOk { et: Wire::get(b)? },
+            FRAME_QUERY => Frame::Query {
+                epsilon_limit: Wire::get(b)?,
+                read_set: Wire::get(b)?,
+            },
+            FRAME_QUERY_OK => Frame::QueryOk(Wire::get(b)?),
+            FRAME_SNAPSHOT => Frame::Snapshot,
+            FRAME_SNAPSHOT_OK => Frame::SnapshotOk {
+                entries: Wire::get(b)?,
+            },
+            FRAME_STATUS => Frame::Status,
+            FRAME_STATUS_OK => Frame::StatusOk {
+                settled: Wire::get(b)?,
+                outbound_pending: Wire::get(b)?,
+                epoch: Wire::get(b)?,
+                view: Wire::get(b)?,
+                coordinator: Wire::get(b)?,
+                ckpt_seq: Wire::get(b)?,
+                ckpt_covered: Wire::get(b)?,
+            },
+            FRAME_DECISION_OK => Frame::DecisionOk { et: Wire::get(b)? },
+            FRAME_METRICS => Frame::Metrics,
+            FRAME_METRICS_OK => Frame::MetricsOk {
+                text: Wire::get(b)?,
+            },
+            FRAME_CHECKPOINT => Frame::Checkpoint,
+            FRAME_CHECKPOINT_OK => Frame::CheckpointOk {
+                seq: Wire::get(b)?,
+                covered: Wire::get(b)?,
+            },
+            FRAME_EVENT_QUERY => Frame::EventQuery { et: Wire::get(b)? },
+            FRAME_EVENT_OK => Frame::EventOk {
+                dropped: Wire::get(b)?,
+                events: Wire::get(b)?,
+            },
+            tag => return Err(WireError::BadTag { field: "frame", tag }),
+        })
     }
-    let decisions = evidence.decisions();
-    b.put_u32(decisions.len() as u32);
-    for (et, commit) in decisions {
-        b.put_u64(et.raw());
-        b.put_u8(u8::from(commit));
-    }
-    encode_version_opt(b, &evidence.vtnc());
-}
-
-pub(crate) fn decode_evidence(b: &mut &[u8]) -> Result<Evidence, WireError> {
-    let mut evidence = Evidence::default();
-    for _ in 0..get_count(b, 8)? {
-        evidence.complete(EtId(get_u64(b)?));
-    }
-    for _ in 0..get_count(b, 9)? {
-        let et = EtId(get_u64(b)?);
-        evidence.decide(et, decode_bool(b)?);
-    }
-    if let Some(ts) = decode_version_opt(b)? {
-        evidence.advance_vtnc(ts);
-    }
-    Ok(evidence)
 }
 
 /// Encodes a frame into a self-contained byte payload.
 pub fn encode_frame(frame: &Frame) -> Bytes {
-    let mut b = BytesMut::with_capacity(64);
-    match frame {
-        Frame::Hello { site, epoch } => {
-            b.put_u8(FRAME_HELLO);
-            b.put_u64(site.raw());
-            b.put_u64(*epoch);
-        }
-        Frame::MSet(mset) => {
-            b.put_u8(FRAME_MSET);
-            encode_mset_into(&mut b, mset);
-        }
-        Frame::Ack { entry } => {
-            b.put_u8(FRAME_ACK);
-            b.put_u64(*entry);
-        }
-        Frame::Applied { site, et, version } => {
-            b.put_u8(FRAME_APPLIED);
-            b.put_u64(site.raw());
-            b.put_u64(et.raw());
-            encode_version_opt(&mut b, version);
-        }
-        Frame::Complete { et } => {
-            b.put_u8(FRAME_COMPLETE);
-            b.put_u64(et.raw());
-        }
-        Frame::Vtnc { ts } => {
-            b.put_u8(FRAME_VTNC);
-            b.put_u64(ts.time);
-            b.put_u64(ts.client.raw());
-        }
-        Frame::Decision { et, commit } => {
-            b.put_u8(FRAME_DECISION);
-            b.put_u64(et.raw());
-            b.put_u8(u8::from(*commit));
-        }
-        Frame::Ping { view, from } => {
-            b.put_u8(FRAME_PING);
-            b.put_u64(*view);
-            b.put_u64(from.raw());
-        }
-        Frame::StartViewChange { view, from } => {
-            b.put_u8(FRAME_START_VIEW_CHANGE);
-            b.put_u64(*view);
-            b.put_u64(from.raw());
-        }
-        Frame::DoViewChange {
-            view,
-            from,
-            evidence,
-        } => {
-            b.put_u8(FRAME_DO_VIEW_CHANGE);
-            b.put_u64(*view);
-            b.put_u64(from.raw());
-            encode_evidence(&mut b, evidence);
-        }
-        Frame::StartView { view, evidence } => {
-            b.put_u8(FRAME_START_VIEW);
-            b.put_u64(*view);
-            encode_evidence(&mut b, evidence);
-        }
-        Frame::ForwardDecision { et, commit } => {
-            b.put_u8(FRAME_FORWARD_DECISION);
-            b.put_u64(et.raw());
-            b.put_u8(u8::from(*commit));
-        }
-        Frame::SnapshotRequest { offset } => {
-            b.put_u8(FRAME_SNAPSHOT_REQUEST);
-            b.put_u64(*offset);
-        }
-        Frame::SnapshotChunk {
-            total_len,
-            offset,
-            bytes,
-        } => {
-            b.put_u8(FRAME_SNAPSHOT_CHUNK);
-            b.put_u64(*total_len);
-            b.put_u64(*offset);
-            b.put_u32(bytes.len() as u32);
-            b.put_slice(bytes);
-        }
-        Frame::Submit(mset) => {
-            b.put_u8(FRAME_SUBMIT);
-            encode_mset_into(&mut b, mset);
-        }
-        Frame::SubmitOk { et } => {
-            b.put_u8(FRAME_SUBMIT_OK);
-            b.put_u64(et.raw());
-        }
-        Frame::Query {
-            read_set,
-            epsilon_limit,
-        } => {
-            b.put_u8(FRAME_QUERY);
-            b.put_u64(*epsilon_limit);
-            b.put_u32(read_set.len() as u32);
-            for o in read_set {
-                b.put_u64(o.raw());
-            }
-        }
-        Frame::QueryOk(out) => {
-            b.put_u8(FRAME_QUERY_OK);
-            b.put_u8(u8::from(out.admitted));
-            b.put_u64(out.charged);
-            b.put_u32(out.values.len() as u32);
-            for v in &out.values {
-                encode_value(&mut b, v);
-            }
-        }
-        Frame::Snapshot => {
-            b.put_u8(FRAME_SNAPSHOT);
-        }
-        Frame::SnapshotOk { entries } => {
-            b.put_u8(FRAME_SNAPSHOT_OK);
-            b.put_u32(entries.len() as u32);
-            for (o, v) in entries {
-                b.put_u64(o.raw());
-                encode_value(&mut b, v);
-            }
-        }
-        Frame::Status => {
-            b.put_u8(FRAME_STATUS);
-        }
-        Frame::StatusOk {
-            settled,
-            outbound_pending,
-            epoch,
-            view,
-            coordinator,
-            ckpt_seq,
-            ckpt_covered,
-        } => {
-            b.put_u8(FRAME_STATUS_OK);
-            b.put_u8(u8::from(*settled));
-            b.put_u64(*outbound_pending);
-            b.put_u64(*epoch);
-            b.put_u64(*view);
-            b.put_u8(u8::from(*coordinator));
-            b.put_u64(*ckpt_seq);
-            b.put_u64(*ckpt_covered);
-        }
-        Frame::DecisionOk { et } => {
-            b.put_u8(FRAME_DECISION_OK);
-            b.put_u64(et.raw());
-        }
-        Frame::Metrics => {
-            b.put_u8(FRAME_METRICS);
-        }
-        Frame::MetricsOk { text } => {
-            b.put_u8(FRAME_METRICS_OK);
-            encode_text(&mut b, text);
-        }
-        Frame::Checkpoint => {
-            b.put_u8(FRAME_CHECKPOINT);
-        }
-        Frame::CheckpointOk { seq, covered } => {
-            b.put_u8(FRAME_CHECKPOINT_OK);
-            b.put_u64(*seq);
-            b.put_u64(*covered);
-        }
-        Frame::EventQuery { et } => {
-            b.put_u8(FRAME_EVENT_QUERY);
-            b.put_u64(*et);
-        }
-        Frame::EventOk { dropped, events } => {
-            b.put_u8(FRAME_EVENT_OK);
-            b.put_u64(*dropped);
-            b.put_u32(events.len() as u32);
-            for (seq, micros, event) in events {
-                b.put_u64(*seq);
-                b.put_u64(*micros);
-                encode_event(&mut b, event);
-            }
-        }
-    }
-    b.freeze()
+    encode(frame, 64)
 }
 
 /// Decodes a frame produced by [`encode_frame`]. Total: any byte slice
 /// yields a frame or an error, never a panic.
 pub fn decode_frame(payload: &Bytes) -> Result<Frame, WireError> {
-    let mut b = payload.as_ref();
-    let frame = match get_u8(&mut b)? {
-        FRAME_HELLO => Frame::Hello {
-            site: SiteId(get_u64(&mut b)?),
-            epoch: get_u64(&mut b)?,
-        },
-        FRAME_MSET => Frame::MSet(decode_mset_from(&mut b)?),
-        FRAME_ACK => Frame::Ack {
-            entry: get_u64(&mut b)?,
-        },
-        FRAME_APPLIED => Frame::Applied {
-            site: SiteId(get_u64(&mut b)?),
-            et: EtId(get_u64(&mut b)?),
-            version: decode_version_opt(&mut b)?,
-        },
-        FRAME_COMPLETE => Frame::Complete {
-            et: EtId(get_u64(&mut b)?),
-        },
-        FRAME_VTNC => {
-            let time = get_u64(&mut b)?;
-            let client = ClientId(get_u64(&mut b)?);
-            Frame::Vtnc {
-                ts: VersionTs::new(time, client),
-            }
-        }
-        FRAME_DECISION => Frame::Decision {
-            et: EtId(get_u64(&mut b)?),
-            commit: decode_bool(&mut b)?,
-        },
-        FRAME_PING => Frame::Ping {
-            view: get_u64(&mut b)?,
-            from: SiteId(get_u64(&mut b)?),
-        },
-        FRAME_START_VIEW_CHANGE => Frame::StartViewChange {
-            view: get_u64(&mut b)?,
-            from: SiteId(get_u64(&mut b)?),
-        },
-        FRAME_DO_VIEW_CHANGE => Frame::DoViewChange {
-            view: get_u64(&mut b)?,
-            from: SiteId(get_u64(&mut b)?),
-            evidence: Box::new(decode_evidence(&mut b)?),
-        },
-        FRAME_START_VIEW => Frame::StartView {
-            view: get_u64(&mut b)?,
-            evidence: Box::new(decode_evidence(&mut b)?),
-        },
-        FRAME_FORWARD_DECISION => Frame::ForwardDecision {
-            et: EtId(get_u64(&mut b)?),
-            commit: decode_bool(&mut b)?,
-        },
-        FRAME_SNAPSHOT_REQUEST => Frame::SnapshotRequest {
-            offset: get_u64(&mut b)?,
-        },
-        FRAME_SNAPSHOT_CHUNK => Frame::SnapshotChunk {
-            total_len: get_u64(&mut b)?,
-            offset: get_u64(&mut b)?,
-            bytes: decode_bytes(&mut b)?,
-        },
-        FRAME_SUBMIT => Frame::Submit(decode_mset_from(&mut b)?),
-        FRAME_SUBMIT_OK => Frame::SubmitOk {
-            et: EtId(get_u64(&mut b)?),
-        },
-        FRAME_QUERY => {
-            let epsilon_limit = get_u64(&mut b)?;
-            let n = get_count(&mut b, 8)?;
-            let mut read_set = Vec::with_capacity(n);
-            for _ in 0..n {
-                read_set.push(ObjectId(get_u64(&mut b)?));
-            }
-            Frame::Query {
-                read_set,
-                epsilon_limit,
-            }
-        }
-        FRAME_QUERY_OK => {
-            let admitted = decode_bool(&mut b)?;
-            let charged = get_u64(&mut b)?;
-            let n = get_count(&mut b, 5)?;
-            let mut values = Vec::with_capacity(n);
-            for _ in 0..n {
-                values.push(decode_value(&mut b)?);
-            }
-            Frame::QueryOk(QueryOutcome {
-                values,
-                charged,
-                admitted,
-            })
-        }
-        FRAME_SNAPSHOT => Frame::Snapshot,
-        FRAME_SNAPSHOT_OK => {
-            let n = get_count(&mut b, 13)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let o = ObjectId(get_u64(&mut b)?);
-                entries.push((o, decode_value(&mut b)?));
-            }
-            Frame::SnapshotOk { entries }
-        }
-        FRAME_STATUS => Frame::Status,
-        FRAME_STATUS_OK => Frame::StatusOk {
-            settled: decode_bool(&mut b)?,
-            outbound_pending: get_u64(&mut b)?,
-            epoch: get_u64(&mut b)?,
-            view: get_u64(&mut b)?,
-            coordinator: decode_bool(&mut b)?,
-            ckpt_seq: get_u64(&mut b)?,
-            ckpt_covered: get_u64(&mut b)?,
-        },
-        FRAME_DECISION_OK => Frame::DecisionOk {
-            et: EtId(get_u64(&mut b)?),
-        },
-        FRAME_METRICS => Frame::Metrics,
-        FRAME_METRICS_OK => Frame::MetricsOk {
-            text: decode_text(&mut b)?,
-        },
-        FRAME_CHECKPOINT => Frame::Checkpoint,
-        FRAME_CHECKPOINT_OK => Frame::CheckpointOk {
-            seq: get_u64(&mut b)?,
-            covered: get_u64(&mut b)?,
-        },
-        FRAME_EVENT_QUERY => Frame::EventQuery {
-            et: get_u64(&mut b)?,
-        },
-        FRAME_EVENT_OK => {
-            let dropped = get_u64(&mut b)?;
-            // Each event is at least 24 bytes: two u64s, its tag, and
-            // the smallest body — a span with every option absent
-            // (stage byte + six absent-option bytes).
-            let n = get_count(&mut b, 24)?;
-            let mut events = Vec::with_capacity(n);
-            for _ in 0..n {
-                let seq = get_u64(&mut b)?;
-                let micros = get_u64(&mut b)?;
-                events.push((seq, micros, decode_event(&mut b)?));
-            }
-            Frame::EventOk { dropped, events }
-        }
-        tag => return Err(WireError::BadTag { field: "frame", tag }),
-    };
-    Ok(frame)
-}
-
-pub(crate) fn decode_bool(b: &mut &[u8]) -> Result<bool, WireError> {
-    match get_u8(b)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        tag => Err(WireError::BadTag { field: "bool", tag }),
-    }
+    Frame::get(&mut payload.as_ref())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
 
     fn roundtrip(mset: &MSet) {
         let bytes = encode_mset(mset);
@@ -1443,7 +1340,6 @@ mod tests {
                 epoch: 7,
             },
             Frame::MSet(sample_mset()),
-            Frame::Ack { entry: u64::MAX },
             Frame::Applied {
                 site: SiteId(1),
                 et: EtId(9),
@@ -1628,9 +1524,9 @@ mod tests {
 
     #[test]
     fn unknown_frame_tag_is_rejected() {
-        // 0x08 (control snapshot) and 0x18/0x19 (audit request/reply)
-        // are retired tags: never reassigned.
-        for tag in [0xEEu8, 0x08, 0x18, 0x19] {
+        // 0x03 (link ack), 0x08 (control snapshot) and 0x18/0x19 (audit
+        // request/reply) are retired tags: never reassigned.
+        for tag in [0xEEu8, 0x03, 0x08, 0x18, 0x19] {
             let raw = Bytes::from(vec![tag, 0, 0, 0]);
             assert_eq!(
                 decode_frame(&raw),
@@ -1650,5 +1546,130 @@ mod tests {
         let n = raw.len();
         raw[n - 4..].copy_from_slice(&u32::MAX.to_be_bytes());
         assert_eq!(decode_frame(&Bytes::from(raw)), Err(WireError::BadLength));
+    }
+
+    #[test]
+    fn span_stage_tags_are_discriminants() {
+        for (i, stage) in SPAN_STAGES.into_iter().enumerate() {
+            assert_eq!(stage as usize, i);
+        }
+    }
+
+    /// Encodes `v`, which must be the smallest value of its type, and
+    /// checks that it takes exactly `T::MIN_LEN` bytes.
+    fn smallest_is<T: Wire + std::fmt::Debug>(v: T) {
+        let mut b = BytesMut::new();
+        v.put(&mut b);
+        assert_eq!(b.len(), T::MIN_LEN, "{v:?}");
+        assert_eq!(T::get(&mut &b[..]).map(|_| ()), Ok(()), "{v:?}");
+    }
+
+    #[test]
+    fn min_len_is_exact() {
+        use crate::ckpt::{CommuCkpt, CompeCkpt, OrdupCkpt, RituCkpt, RituMvCkpt, SiteCkpt};
+        use crate::node_ckpt::CkptPayload;
+        use esr_storage::recovery_log::{AppliedOp, LogRecord};
+
+        smallest_is(0u8);
+        smallest_is(0u32);
+        smallest_is(0u64);
+        smallest_is(0i64);
+        smallest_is(false);
+        smallest_is(String::new());
+        smallest_is(Vec::<MSet>::new());
+        smallest_is(Option::<MSet>::None);
+        smallest_is(Box::new(0u8));
+        smallest_is((0u8, false));
+        smallest_is((0u8, 0u32, None::<u8>, 0i64, String::new()));
+        smallest_is(BTreeSet::<i64>::new());
+        smallest_is(EtId(0));
+        smallest_is(SiteId(0));
+        smallest_is(ObjectId(0));
+        smallest_is(ClientId(0));
+        smallest_is(SeqNo(0));
+        smallest_is(VersionTs::MIN);
+        smallest_is(LamportTs::new(0, SiteId(0)));
+        smallest_is(Value::Text(String::new()));
+        smallest_is(Value::Set(BTreeSet::new()));
+        smallest_is(Operation::Read);
+        smallest_is(ObjectOp::new(ObjectId(0), Operation::Read));
+        smallest_is(OrderTag::Unordered);
+        smallest_is(MSet::new(EtId(0), SiteId(0), vec![]));
+        assert_eq!(MSet::MIN_LEN, 23);
+        smallest_is(SpanStage::Submit);
+        let bare_span = SpanRec {
+            stage: SpanStage::Submit,
+            et: None,
+            peer: None,
+            version: None,
+            gseq: None,
+            t0: None,
+            commit: None,
+        };
+        smallest_is(bare_span);
+        smallest_is(Event::Span(bare_span));
+        smallest_is(Evidence::default());
+        smallest_is(QueryOutcome::rejected());
+        smallest_is(Frame::Status);
+        smallest_is(AppliedOp {
+            op: ObjectOp::new(ObjectId(0), Operation::Read),
+            before: Value::Text(String::new()),
+        });
+        smallest_is(LogRecord {
+            et: EtId(0),
+            ops: vec![],
+            resolved: false,
+        });
+        smallest_is(OrdupCkpt {
+            values: vec![],
+            next_seq: SeqNo(0),
+            holdback: vec![],
+            applied_ets: vec![],
+            applied: 0,
+            redelivered: 0,
+        });
+        let commu = CommuCkpt {
+            values: vec![],
+            held: vec![],
+            applied_ets: vec![],
+            applied: 0,
+            redelivered: 0,
+        };
+        smallest_is(commu.clone());
+        smallest_is(RituCkpt {
+            values: vec![],
+            held: vec![],
+            applied_ets: vec![],
+            applied: 0,
+            redelivered: 0,
+        });
+        smallest_is(RituMvCkpt {
+            versions: vec![],
+            vtnc: VersionTs::MIN,
+            newest_installed: 0,
+            applied_ets: vec![],
+            applied: 0,
+            redelivered: 0,
+        });
+        smallest_is(CompeCkpt {
+            values: vec![],
+            log: vec![],
+            seen: vec![],
+            applied: 0,
+            compensations: 0,
+            redelivered: 0,
+        });
+        smallest_is(SiteCkpt::Commu(commu.clone()));
+        smallest_is(CkptPayload {
+            covered: 0,
+            covered_through: None,
+            view: 0,
+            frontier: vec![],
+            journaled: vec![],
+            client_table: vec![],
+            applied_log: vec![],
+            evidence: Evidence::default(),
+            site: SiteCkpt::Commu(commu),
+        });
     }
 }

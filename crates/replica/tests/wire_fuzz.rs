@@ -96,7 +96,6 @@ fn corpus(seed: u64) -> Vec<Frame> {
     vec![
         Frame::Hello { site, epoch: seed },
         Frame::MSet(mset.clone()),
-        Frame::Ack { entry: seed },
         Frame::Applied {
             site,
             et,

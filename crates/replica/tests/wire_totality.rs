@@ -70,7 +70,10 @@ fn frame_from(seed: u64, variant: u8) -> Frame {
             epoch: seed,
         },
         1 => Frame::MSet(mset),
-        2 => Frame::Ack { entry: seed },
+        2 => Frame::ForwardDecision {
+            et,
+            commit: seed.is_multiple_of(2),
+        },
         3 => Frame::Applied {
             site,
             et,
@@ -199,12 +202,13 @@ fn event(seed: u64, i: u64) -> Event {
     }
 }
 
-/// Tag 0x08 carried the pre-failover control snapshot, 0x18/0x19 the
-/// audit-log request and reply. They are retired, never reassigned:
-/// whatever follows them, the decoder says `BadTag`, never panics.
+/// Tag 0x03 carried the per-entry link ack, 0x08 the pre-failover
+/// control snapshot, 0x18/0x19 the audit-log request and reply. They are
+/// retired, never reassigned: whatever follows them, the decoder says
+/// `BadTag`, never panics.
 #[test]
 fn retired_tags_are_bad_tags() {
-    for tag in [0x08u8, 0x18, 0x19] {
+    for tag in [0x03u8, 0x08, 0x18, 0x19] {
         for body in [&[][..], &[0; 9][..], &encode_frame(&Frame::Status)[..]] {
             let raw = [&[tag][..], body].concat();
             assert_eq!(
