@@ -121,6 +121,7 @@ fn main() {
     let journal = ApplyJournal::open(&journal_path).expect("reopen for cut");
     let prefix: Vec<MSet> = journal
         .replay_entries()
+        .expect("journal decodes")
         .into_iter()
         .filter(|(id, _)| *id <= cut_id)
         .map(|(_, m)| m)
@@ -170,6 +171,7 @@ fn main() {
     let journal = ApplyJournal::open(&journal_path).expect("reopen journal");
     let suffix: Vec<MSet> = journal
         .replay_entries()
+        .expect("journal decodes")
         .into_iter()
         .filter(|(id, _)| *id > cut)
         .map(|(_, m)| m)

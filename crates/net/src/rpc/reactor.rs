@@ -515,7 +515,6 @@ fn pump_link(l: &mut LinkConn, now: Instant) {
                 break;
             }
             for (id, payload) in &batch {
-                l.queue.record_attempt(*id);
                 let _ = put_frame(&mut wbuf.buf, id.0, payload);
                 if l.sent_ever.is_some_and(|h| id.0 <= h.0) {
                     l.obs.retransmitted(1);

@@ -23,13 +23,7 @@ use esr_core::value::Value;
 use esr_storage::recovery_log::{AppliedOp, LogRecord};
 
 use crate::mset::MSet;
-use crate::wire::{encode, flag, smallest, wire_struct, Wire, WireError};
-
-const CKPT_ORDUP: u8 = 0;
-const CKPT_COMMU: u8 = 1;
-const CKPT_RITU: u8 = 2;
-const CKPT_RITU_MV: u8 = 3;
-const CKPT_COMPE: u8 = 4;
+use crate::wire::{encode, flag, wire_enum, wire_struct, Wire, WireError};
 
 /// ORDUP checkpoint image (see `OrdupSite::to_ckpt`).
 #[derive(Debug, Clone, PartialEq)]
@@ -220,49 +214,13 @@ impl Wire for CompeCkpt {
     }
 }
 
-impl Wire for SiteCkpt {
-    const MIN_LEN: usize = u8::MIN_LEN + smallest(&[
-        OrdupCkpt::MIN_LEN,
-        CommuCkpt::MIN_LEN,
-        RituCkpt::MIN_LEN,
-        RituMvCkpt::MIN_LEN,
-        CompeCkpt::MIN_LEN,
-    ]);
-    fn put(&self, b: &mut BytesMut) {
-        match self {
-            SiteCkpt::Ordup(c) => {
-                CKPT_ORDUP.put(b);
-                c.put(b);
-            }
-            SiteCkpt::Commu(c) => {
-                CKPT_COMMU.put(b);
-                c.put(b);
-            }
-            SiteCkpt::Ritu(c) => {
-                CKPT_RITU.put(b);
-                c.put(b);
-            }
-            SiteCkpt::RituMv(c) => {
-                CKPT_RITU_MV.put(b);
-                c.put(b);
-            }
-            SiteCkpt::Compe(c) => {
-                CKPT_COMPE.put(b);
-                c.put(b);
-            }
-        }
-    }
-    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::get(b)? {
-            CKPT_ORDUP => SiteCkpt::Ordup(Wire::get(b)?),
-            CKPT_COMMU => SiteCkpt::Commu(Wire::get(b)?),
-            CKPT_RITU => SiteCkpt::Ritu(Wire::get(b)?),
-            CKPT_RITU_MV => SiteCkpt::RituMv(Wire::get(b)?),
-            CKPT_COMPE => SiteCkpt::Compe(Wire::get(b)?),
-            tag => return Err(WireError::BadTag { field: "ckpt", tag }),
-        })
-    }
-}
+wire_enum!(SiteCkpt, "ckpt" {
+    0 => Ordup(c: OrdupCkpt),
+    1 => Commu(c: CommuCkpt),
+    2 => Ritu(c: RituCkpt),
+    3 => RituMv(c: RituMvCkpt),
+    4 => Compe(c: CompeCkpt),
+});
 
 /// Encodes a checkpoint into a self-contained byte payload.
 pub fn encode_site_ckpt(ckpt: &SiteCkpt) -> Bytes {

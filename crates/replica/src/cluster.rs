@@ -48,6 +48,7 @@
 //! the seed.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::io;
 
 use esr_core::divergence::{EpsilonSpec, InconsistencyCounter, LockCounters};
 use esr_core::ids::{ClientId, EtId, LamportTs, ObjectId, SeqNo, SiteId, VersionTs};
@@ -332,8 +333,8 @@ impl Host for MemHost {
         bytes
     }
 
-    fn journal(&self) -> Vec<(u64, MSet)> {
-        self.journal.clone()
+    fn journal(&self) -> io::Result<Vec<(u64, MSet)>> {
+        Ok(self.journal.clone())
     }
 
     fn last_id(&self) -> Option<u64> {

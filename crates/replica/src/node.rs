@@ -55,8 +55,9 @@ pub trait Host {
     /// Appends one commit's journal records, in order, in one write;
     /// returns the bytes appended.
     fn append(&mut self, records: Vec<MSet>) -> u64;
-    /// Every live journal record with its id, oldest first.
-    fn journal(&self) -> Vec<(u64, MSet)>;
+    /// Every live journal record with its id, oldest first; a record
+    /// that does not decode is an `InvalidData` error naming its id.
+    fn journal(&self) -> io::Result<Vec<(u64, MSet)>>;
     /// The id of the newest record ever appended (`None` for a journal
     /// that never held one). Ids count from 0 and are never reused.
     fn last_id(&self) -> Option<u64>;
@@ -170,8 +171,8 @@ impl Node {
     /// what recovery stepped — the re-announcement of recovered applies,
     /// which the previous incarnation may have died before sending.
     /// Series register in `metrics`; `site_obs` counts the core's
-    /// events. Fails when the journal was truncated and no snapshot
-    /// restores.
+    /// events. Fails when a journal record does not decode, or when the
+    /// journal was truncated and no snapshot restores.
     pub fn boot(
         host: &mut impl Host,
         cfg: NodeConfig,
@@ -183,7 +184,7 @@ impl Node {
         let site: &[(&str, &str)] = &[("site", &label)];
         let ckpt_obs = CkptInstruments::for_site(metrics, cfg.site.raw());
         let view = host.view();
-        let journal = host.journal();
+        let journal = host.journal()?;
         // Every record from this id on is live; the ones before it were
         // retired, so only an image covering them can stand in for them.
         let first_live = journal

@@ -11,7 +11,9 @@
 //! [`crate::ckpt`] and [`crate::node_ckpt`] the checkpoint images — and a
 //! compound type's layout is its fields' layouts in order. A list is a
 //! `u32` count and its elements, an option a 0/1 presence byte and its
-//! value, an enum a tag byte and its variant's fields.
+//! value, an enum a tag byte and its variant's fields. A plain struct's
+//! impl is one `wire_struct!` field list and an enum's one `wire_enum!`
+//! tag table, so adding a variant is adding a row.
 //!
 //! The format is a simple tagged binary layout (big-endian integers, no
 //! compression): stable within this workspace, not a cross-version
@@ -315,6 +317,48 @@ macro_rules! wire_struct {
 
 pub(crate) use wire_struct;
 
+/// Implements [`Wire`] for an enum from its tag table: one row per
+/// variant, `tag => Variant`, `tag => Variant(binding: Type, …)` or
+/// `tag => Variant { field: Type, … }`, the fields in wire order. The
+/// layout is the tag byte, then the variant's fields; an unknown tag
+/// decodes to a [`WireError::BadTag`] for `label`. A variant left out
+/// of the table does not compile, and two rows sharing a tag are an
+/// unreachable pattern.
+macro_rules! wire_enum {
+    ($name:ident, $label:literal {
+        $($tag:literal => $variant:ident
+            $(($($arg:ident: $aty:ty),+))?
+            $({ $($field:ident: $fty:ty),+ $(,)? })?),+ $(,)?
+    }) => {
+        impl $crate::wire::Wire for $name {
+            const MIN_LEN: usize = <u8 as $crate::wire::Wire>::MIN_LEN
+                + $crate::wire::smallest(&[$(
+                    0 $($(+ <$aty as $crate::wire::Wire>::MIN_LEN)+)?
+                      $($(+ <$fty as $crate::wire::Wire>::MIN_LEN)+)?
+                ),+]);
+            fn put(&self, b: &mut ::bytes::BytesMut) {
+                match self {$(
+                    $name::$variant $(($($arg),+))? $({ $($field),+ })? => {
+                        <u8 as $crate::wire::Wire>::put(&$tag, b);
+                        $($($crate::wire::Wire::put($arg, b);)+)?
+                        $($($crate::wire::Wire::put($field, b);)+)?
+                    }
+                )+}
+            }
+            fn get(b: &mut &[u8]) -> Result<Self, $crate::wire::WireError> {
+                Ok(match <u8 as $crate::wire::Wire>::get(b)? {
+                    $($tag => $name::$variant
+                        $(($(<$aty as $crate::wire::Wire>::get(b)?),+))?
+                        $({ $($field: <$fty as $crate::wire::Wire>::get(b)?),+ })?,)+
+                    tag => return Err($crate::wire::WireError::BadTag { field: $label, tag }),
+                })
+            }
+        }
+    };
+}
+
+pub(crate) use wire_enum;
+
 macro_rules! id {
     ($($t:ident),+) => {$(
         impl Wire for $t {
@@ -333,112 +377,31 @@ id!(EtId, SiteId, ObjectId, ClientId, SeqNo);
 wire_struct!(VersionTs { time: u64, client: ClientId });
 wire_struct!(LamportTs { counter: u64, site: SiteId });
 
-const VAL_INT: u8 = 0;
-const VAL_TEXT: u8 = 1;
-const VAL_SET: u8 = 2;
+wire_enum!(Value, "value" {
+    0 => Int(i: i64),
+    1 => Text(s: String),
+    2 => Set(s: BTreeSet<i64>),
+});
 
-impl Wire for Value {
-    const MIN_LEN: usize =
-        u8::MIN_LEN + smallest(&[i64::MIN_LEN, String::MIN_LEN, BTreeSet::<i64>::MIN_LEN]);
-    fn put(&self, b: &mut BytesMut) {
-        match self {
-            Value::Int(i) => (VAL_INT, *i).put(b),
-            Value::Text(s) => {
-                VAL_TEXT.put(b);
-                s.put(b);
-            }
-            Value::Set(s) => {
-                VAL_SET.put(b);
-                s.put(b);
-            }
-        }
-    }
-    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::get(b)? {
-            VAL_INT => Value::Int(Wire::get(b)?),
-            VAL_TEXT => Value::Text(Wire::get(b)?),
-            VAL_SET => Value::Set(Wire::get(b)?),
-            tag => return Err(WireError::BadTag { field: "value", tag }),
-        })
-    }
-}
-
-const OP_READ: u8 = 0;
-const OP_WRITE: u8 = 1;
-const OP_INCR: u8 = 2;
-const OP_DECR: u8 = 3;
-const OP_MULBY: u8 = 4;
-const OP_DIVBY: u8 = 5;
-const OP_INSERT: u8 = 6;
-const OP_REMOVE: u8 = 7;
-const OP_TSWRITE: u8 = 8;
-
-impl Wire for Operation {
-    /// `Read` is the bare tag.
-    const MIN_LEN: usize = u8::MIN_LEN;
-    fn put(&self, b: &mut BytesMut) {
-        match self {
-            Operation::Read => OP_READ.put(b),
-            Operation::Write(v) => {
-                OP_WRITE.put(b);
-                v.put(b);
-            }
-            Operation::Incr(n) => (OP_INCR, *n).put(b),
-            Operation::Decr(n) => (OP_DECR, *n).put(b),
-            Operation::MulBy(k) => (OP_MULBY, *k).put(b),
-            Operation::DivBy(k) => (OP_DIVBY, *k).put(b),
-            Operation::InsertElem(e) => (OP_INSERT, *e).put(b),
-            Operation::RemoveElem(e) => (OP_REMOVE, *e).put(b),
-            Operation::TimestampedWrite(ts, v) => {
-                (OP_TSWRITE, *ts).put(b);
-                v.put(b);
-            }
-        }
-    }
-    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::get(b)? {
-            OP_READ => Operation::Read,
-            OP_WRITE => Operation::Write(Wire::get(b)?),
-            OP_INCR => Operation::Incr(Wire::get(b)?),
-            OP_DECR => Operation::Decr(Wire::get(b)?),
-            OP_MULBY => Operation::MulBy(Wire::get(b)?),
-            OP_DIVBY => Operation::DivBy(Wire::get(b)?),
-            OP_INSERT => Operation::InsertElem(Wire::get(b)?),
-            OP_REMOVE => Operation::RemoveElem(Wire::get(b)?),
-            OP_TSWRITE => Operation::TimestampedWrite(Wire::get(b)?, Wire::get(b)?),
-            tag => return Err(WireError::BadTag { field: "op", tag }),
-        })
-    }
-}
+wire_enum!(Operation, "op" {
+    0 => Read,
+    1 => Write(v: Value),
+    2 => Incr(n: i64),
+    3 => Decr(n: i64),
+    4 => MulBy(k: i64),
+    5 => DivBy(k: i64),
+    6 => InsertElem(e: i64),
+    7 => RemoveElem(e: i64),
+    8 => TimestampedWrite(ts: VersionTs, v: Value),
+});
 
 wire_struct!(ObjectOp { object: ObjectId, op: Operation });
 
-const ORDER_UNORDERED: u8 = 0;
-const ORDER_SEQUENCED: u8 = 1;
-const ORDER_LAMPORT: u8 = 2;
-
-impl Wire for OrderTag {
-    /// `Unordered` is the bare tag.
-    const MIN_LEN: usize = u8::MIN_LEN;
-    fn put(&self, b: &mut BytesMut) {
-        match *self {
-            OrderTag::Unordered => ORDER_UNORDERED.put(b),
-            OrderTag::Sequenced(seq) => (ORDER_SEQUENCED, seq).put(b),
-            OrderTag::Lamport { ts, fifo } => (ORDER_LAMPORT, ts, fifo).put(b),
-        }
-    }
-    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::get(b)? {
-            ORDER_UNORDERED => OrderTag::Unordered,
-            ORDER_SEQUENCED => OrderTag::Sequenced(Wire::get(b)?),
-            ORDER_LAMPORT => OrderTag::Lamport {
-                ts: Wire::get(b)?,
-                fifo: Wire::get(b)?,
-            },
-            tag => return Err(WireError::BadTag { field: "order", tag }),
-        })
-    }
-}
+wire_enum!(OrderTag, "order" {
+    0 => Unordered,
+    1 => Sequenced(seq: SeqNo),
+    2 => Lamport { ts: LamportTs, fifo: SeqNo },
+});
 
 // The client identity (exactly-once dedup) and the trace context (the
 // client's submit wall stamp) trail as options: a mandatory presence
@@ -475,41 +438,6 @@ pub fn decode_mset(payload: &Bytes) -> Result<MSet, WireError> {
 // binary, big-endian, and **total decoding** — any byte slice yields a
 // [`Frame`] or a [`WireError`], never a panic, so a hostile or corrupt
 // peer can at worst be disconnected.
-
-const FRAME_HELLO: u8 = 0x01;
-const FRAME_MSET: u8 = 0x02;
-// 0x03 is retired (the per-entry link ack, an envelope since the
-// durable links) and must keep decoding to `BadTag`.
-const FRAME_APPLIED: u8 = 0x04;
-const FRAME_COMPLETE: u8 = 0x05;
-const FRAME_VTNC: u8 = 0x06;
-const FRAME_DECISION: u8 = 0x07;
-// 0x08 is retired (the pre-failover control snapshot) and must keep
-// decoding to `BadTag`.
-const FRAME_PING: u8 = 0x09;
-const FRAME_START_VIEW_CHANGE: u8 = 0x0A;
-const FRAME_DO_VIEW_CHANGE: u8 = 0x0B;
-const FRAME_START_VIEW: u8 = 0x0C;
-const FRAME_FORWARD_DECISION: u8 = 0x0D;
-const FRAME_SNAPSHOT_REQUEST: u8 = 0x0E;
-const FRAME_SNAPSHOT_CHUNK: u8 = 0x0F;
-const FRAME_SUBMIT: u8 = 0x10;
-const FRAME_SUBMIT_OK: u8 = 0x11;
-const FRAME_QUERY: u8 = 0x12;
-const FRAME_QUERY_OK: u8 = 0x13;
-const FRAME_SNAPSHOT: u8 = 0x14;
-const FRAME_SNAPSHOT_OK: u8 = 0x15;
-const FRAME_STATUS: u8 = 0x16;
-const FRAME_STATUS_OK: u8 = 0x17;
-// 0x18/0x19 are retired (the audit-log request and reply) and must
-// keep decoding to `BadTag`.
-const FRAME_DECISION_OK: u8 = 0x1A;
-const FRAME_METRICS: u8 = 0x1B;
-const FRAME_METRICS_OK: u8 = 0x1C;
-const FRAME_CHECKPOINT: u8 = 0x1F;
-const FRAME_CHECKPOINT_OK: u8 = 0x20;
-const FRAME_EVENT_QUERY: u8 = 0x21;
-const FRAME_EVENT_OK: u8 = 0x22;
 
 /// One message of the esr-rpc protocol.
 ///
@@ -719,35 +647,21 @@ pub enum Frame {
     },
 }
 
-/// The stages in declaration order: a stage's tag is its discriminant.
-const SPAN_STAGES: [SpanStage; 12] = [
-    SpanStage::Submit,
-    SpanStage::Enqueue,
-    SpanStage::Deliver,
-    SpanStage::Held,
-    SpanStage::Apply,
-    SpanStage::Replay,
-    SpanStage::CompleteCert,
-    SpanStage::Complete,
-    SpanStage::VtncCert,
-    SpanStage::Vtnc,
-    SpanStage::DecisionCert,
-    SpanStage::Decision,
-];
-
-impl Wire for SpanStage {
-    const MIN_LEN: usize = u8::MIN_LEN;
-    fn put(&self, b: &mut BytesMut) {
-        (*self as u8).put(b);
-    }
-    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
-        let tag = u8::get(b)?;
-        SPAN_STAGES
-            .get(tag as usize)
-            .copied()
-            .ok_or(WireError::BadTag { field: "stage", tag })
-    }
-}
+// A stage's tag is its discriminant.
+wire_enum!(SpanStage, "stage" {
+    0 => Submit,
+    1 => Enqueue,
+    2 => Deliver,
+    3 => Held,
+    4 => Apply,
+    5 => Replay,
+    6 => CompleteCert,
+    7 => Complete,
+    8 => VtncCert,
+    9 => Vtnc,
+    10 => DecisionCert,
+    11 => Decision,
+});
 
 wire_struct!(SpanRec {
     stage: SpanStage,
@@ -759,120 +673,21 @@ wire_struct!(SpanRec {
     commit: Option<bool>,
 });
 
-const EVENT_SPAN: u8 = 0;
-const EVENT_DUPLICATE_DELIVERY: u8 = 1;
-const EVENT_DUPLICATE_SUBMIT: u8 = 2;
-const EVENT_HELLO: u8 = 3;
-const EVENT_VIEW_CHANGE_START: u8 = 4;
-const EVENT_VIEW_INSTALL: u8 = 5;
-const EVENT_CKPT_CUT: u8 = 6;
-const EVENT_CKPT_RESTORE: u8 = 7;
-const EVENT_CKPT_INSTALL: u8 = 8;
-const EVENT_CKPT_TRUNCATE: u8 = 9;
-const EVENT_CKPT_CATCH_UP: u8 = 10;
-const EVENT_CKPT_FAILED: u8 = 11;
-const EVENT_BOOT: u8 = 12;
-
-impl Wire for Event {
-    const MIN_LEN: usize = u8::MIN_LEN + smallest(&[
-        SpanRec::MIN_LEN,
-        EtId::MIN_LEN,
-        <(ClientId, u64, EtId)>::MIN_LEN,
-        <(SiteId, u64)>::MIN_LEN,
-        u64::MIN_LEN,
-        <(u64, SiteId)>::MIN_LEN,
-        <(u64, u64)>::MIN_LEN,
-        <(u64, u64, SiteId)>::MIN_LEN,
-        <(u64, String)>::MIN_LEN,
-        <(u64, u64, u64, Option<(u64, u64)>)>::MIN_LEN,
-    ]);
-    fn put(&self, b: &mut BytesMut) {
-        match self {
-            Event::Span(rec) => (EVENT_SPAN, *rec).put(b),
-            Event::DuplicateDelivery { et } => (EVENT_DUPLICATE_DELIVERY, *et).put(b),
-            Event::DuplicateSubmit { client, seq, et } => {
-                (EVENT_DUPLICATE_SUBMIT, *client, *seq, *et).put(b);
-            }
-            Event::Hello { site, epoch } => (EVENT_HELLO, *site, *epoch).put(b),
-            Event::ViewChangeStart { view } => (EVENT_VIEW_CHANGE_START, *view).put(b),
-            Event::ViewInstall { view, coordinator } => {
-                (EVENT_VIEW_INSTALL, *view, *coordinator).put(b);
-            }
-            Event::CkptCut { covered } => (EVENT_CKPT_CUT, *covered).put(b),
-            Event::CkptRestore { covered, view } => (EVENT_CKPT_RESTORE, *covered, *view).put(b),
-            Event::CkptInstall { seq, covered } => (EVENT_CKPT_INSTALL, *seq, *covered).put(b),
-            Event::CkptTruncate { through, retired } => {
-                (EVENT_CKPT_TRUNCATE, *through, *retired).put(b);
-            }
-            Event::CkptCatchUp { seq, covered, from } => {
-                (EVENT_CKPT_CATCH_UP, *seq, *covered, *from).put(b);
-            }
-            Event::CkptFailed { seq, detail } => {
-                (EVENT_CKPT_FAILED, *seq).put(b);
-                detail.put(b);
-            }
-            Event::Boot {
-                epoch,
-                snapshot,
-                replayed,
-                view,
-            } => (EVENT_BOOT, *epoch, *replayed, *view, *snapshot).put(b),
-        }
-    }
-    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::get(b)? {
-            EVENT_SPAN => Event::Span(Wire::get(b)?),
-            EVENT_DUPLICATE_DELIVERY => Event::DuplicateDelivery { et: Wire::get(b)? },
-            EVENT_DUPLICATE_SUBMIT => Event::DuplicateSubmit {
-                client: Wire::get(b)?,
-                seq: Wire::get(b)?,
-                et: Wire::get(b)?,
-            },
-            EVENT_HELLO => Event::Hello {
-                site: Wire::get(b)?,
-                epoch: Wire::get(b)?,
-            },
-            EVENT_VIEW_CHANGE_START => Event::ViewChangeStart {
-                view: Wire::get(b)?,
-            },
-            EVENT_VIEW_INSTALL => Event::ViewInstall {
-                view: Wire::get(b)?,
-                coordinator: Wire::get(b)?,
-            },
-            EVENT_CKPT_CUT => Event::CkptCut {
-                covered: Wire::get(b)?,
-            },
-            EVENT_CKPT_RESTORE => Event::CkptRestore {
-                covered: Wire::get(b)?,
-                view: Wire::get(b)?,
-            },
-            EVENT_CKPT_INSTALL => Event::CkptInstall {
-                seq: Wire::get(b)?,
-                covered: Wire::get(b)?,
-            },
-            EVENT_CKPT_TRUNCATE => Event::CkptTruncate {
-                through: Wire::get(b)?,
-                retired: Wire::get(b)?,
-            },
-            EVENT_CKPT_CATCH_UP => Event::CkptCatchUp {
-                seq: Wire::get(b)?,
-                covered: Wire::get(b)?,
-                from: Wire::get(b)?,
-            },
-            EVENT_CKPT_FAILED => Event::CkptFailed {
-                seq: Wire::get(b)?,
-                detail: Wire::get(b)?,
-            },
-            EVENT_BOOT => Event::Boot {
-                epoch: Wire::get(b)?,
-                replayed: Wire::get(b)?,
-                view: Wire::get(b)?,
-                snapshot: Wire::get(b)?,
-            },
-            tag => return Err(WireError::BadTag { field: "event", tag }),
-        })
-    }
-}
+wire_enum!(Event, "event" {
+    0 => Span(rec: SpanRec),
+    1 => DuplicateDelivery { et: EtId },
+    2 => DuplicateSubmit { client: ClientId, seq: u64, et: EtId },
+    3 => Hello { site: SiteId, epoch: u64 },
+    4 => ViewChangeStart { view: u64 },
+    5 => ViewInstall { view: u64, coordinator: SiteId },
+    6 => CkptCut { covered: u64 },
+    7 => CkptRestore { covered: u64, view: u64 },
+    8 => CkptInstall { seq: u64, covered: u64 },
+    9 => CkptTruncate { through: u64, retired: u64 },
+    10 => CkptCatchUp { seq: u64, covered: u64, from: SiteId },
+    11 => CkptFailed { seq: u64, detail: String },
+    12 => Boot { epoch: u64, replayed: u64, view: u64, snapshot: Option<(u64, u64)> },
+});
 
 /// A control-plane ledger: the payload of `DoViewChange` and
 /// `StartView`, and the control section of a checkpoint image.
@@ -908,188 +723,49 @@ wire_struct!(QueryOutcome {
     values: Vec<Value>,
 });
 
-impl Wire for Frame {
-    /// The bare tags (`Snapshot`, `Status`, `Metrics`, `Checkpoint`).
-    const MIN_LEN: usize = u8::MIN_LEN;
-    fn put(&self, b: &mut BytesMut) {
-        match self {
-            Frame::Hello { site, epoch } => (FRAME_HELLO, *site, *epoch).put(b),
-            Frame::MSet(mset) => {
-                FRAME_MSET.put(b);
-                mset.put(b);
-            }
-            Frame::Applied { site, et, version } => {
-                (FRAME_APPLIED, *site, *et, *version).put(b);
-            }
-            Frame::Complete { et } => (FRAME_COMPLETE, *et).put(b),
-            Frame::Vtnc { ts } => (FRAME_VTNC, *ts).put(b),
-            Frame::Decision { et, commit } => (FRAME_DECISION, *et, *commit).put(b),
-            Frame::Ping { view, from } => (FRAME_PING, *view, *from).put(b),
-            Frame::StartViewChange { view, from } => {
-                (FRAME_START_VIEW_CHANGE, *view, *from).put(b);
-            }
-            Frame::DoViewChange {
-                view,
-                from,
-                evidence,
-            } => {
-                (FRAME_DO_VIEW_CHANGE, *view, *from).put(b);
-                evidence.put(b);
-            }
-            Frame::StartView { view, evidence } => {
-                (FRAME_START_VIEW, *view).put(b);
-                evidence.put(b);
-            }
-            Frame::ForwardDecision { et, commit } => {
-                (FRAME_FORWARD_DECISION, *et, *commit).put(b);
-            }
-            Frame::SnapshotRequest { offset } => (FRAME_SNAPSHOT_REQUEST, *offset).put(b),
-            Frame::SnapshotChunk {
-                total_len,
-                offset,
-                bytes,
-            } => {
-                (FRAME_SNAPSHOT_CHUNK, *total_len, *offset).put(b);
-                bytes.put(b);
-            }
-            Frame::Submit(mset) => {
-                FRAME_SUBMIT.put(b);
-                mset.put(b);
-            }
-            Frame::SubmitOk { et } => (FRAME_SUBMIT_OK, *et).put(b),
-            Frame::Query {
-                read_set,
-                epsilon_limit,
-            } => {
-                (FRAME_QUERY, *epsilon_limit).put(b);
-                read_set.put(b);
-            }
-            Frame::QueryOk(out) => {
-                FRAME_QUERY_OK.put(b);
-                out.put(b);
-            }
-            Frame::Snapshot => FRAME_SNAPSHOT.put(b),
-            Frame::SnapshotOk { entries } => {
-                FRAME_SNAPSHOT_OK.put(b);
-                entries.put(b);
-            }
-            Frame::Status => FRAME_STATUS.put(b),
-            Frame::StatusOk {
-                settled,
-                outbound_pending,
-                epoch,
-                view,
-                coordinator,
-                ckpt_seq,
-                ckpt_covered,
-            } => {
-                (FRAME_STATUS_OK, *settled, *outbound_pending, *epoch).put(b);
-                (*view, *coordinator, *ckpt_seq, *ckpt_covered).put(b);
-            }
-            Frame::DecisionOk { et } => (FRAME_DECISION_OK, *et).put(b),
-            Frame::Metrics => FRAME_METRICS.put(b),
-            Frame::MetricsOk { text } => {
-                FRAME_METRICS_OK.put(b);
-                text.put(b);
-            }
-            Frame::Checkpoint => FRAME_CHECKPOINT.put(b),
-            Frame::CheckpointOk { seq, covered } => {
-                (FRAME_CHECKPOINT_OK, *seq, *covered).put(b);
-            }
-            Frame::EventQuery { et } => (FRAME_EVENT_QUERY, *et).put(b),
-            Frame::EventOk { dropped, events } => {
-                (FRAME_EVENT_OK, *dropped).put(b);
-                events.put(b);
-            }
-        }
-    }
-    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::get(b)? {
-            FRAME_HELLO => Frame::Hello {
-                site: Wire::get(b)?,
-                epoch: Wire::get(b)?,
-            },
-            FRAME_MSET => Frame::MSet(Wire::get(b)?),
-            FRAME_APPLIED => Frame::Applied {
-                site: Wire::get(b)?,
-                et: Wire::get(b)?,
-                version: Wire::get(b)?,
-            },
-            FRAME_COMPLETE => Frame::Complete { et: Wire::get(b)? },
-            FRAME_VTNC => Frame::Vtnc { ts: Wire::get(b)? },
-            FRAME_DECISION => Frame::Decision {
-                et: Wire::get(b)?,
-                commit: Wire::get(b)?,
-            },
-            FRAME_PING => Frame::Ping {
-                view: Wire::get(b)?,
-                from: Wire::get(b)?,
-            },
-            FRAME_START_VIEW_CHANGE => Frame::StartViewChange {
-                view: Wire::get(b)?,
-                from: Wire::get(b)?,
-            },
-            FRAME_DO_VIEW_CHANGE => Frame::DoViewChange {
-                view: Wire::get(b)?,
-                from: Wire::get(b)?,
-                evidence: Wire::get(b)?,
-            },
-            FRAME_START_VIEW => Frame::StartView {
-                view: Wire::get(b)?,
-                evidence: Wire::get(b)?,
-            },
-            FRAME_FORWARD_DECISION => Frame::ForwardDecision {
-                et: Wire::get(b)?,
-                commit: Wire::get(b)?,
-            },
-            FRAME_SNAPSHOT_REQUEST => Frame::SnapshotRequest {
-                offset: Wire::get(b)?,
-            },
-            FRAME_SNAPSHOT_CHUNK => Frame::SnapshotChunk {
-                total_len: Wire::get(b)?,
-                offset: Wire::get(b)?,
-                bytes: Wire::get(b)?,
-            },
-            FRAME_SUBMIT => Frame::Submit(Wire::get(b)?),
-            FRAME_SUBMIT_OK => Frame::SubmitOk { et: Wire::get(b)? },
-            FRAME_QUERY => Frame::Query {
-                epsilon_limit: Wire::get(b)?,
-                read_set: Wire::get(b)?,
-            },
-            FRAME_QUERY_OK => Frame::QueryOk(Wire::get(b)?),
-            FRAME_SNAPSHOT => Frame::Snapshot,
-            FRAME_SNAPSHOT_OK => Frame::SnapshotOk {
-                entries: Wire::get(b)?,
-            },
-            FRAME_STATUS => Frame::Status,
-            FRAME_STATUS_OK => Frame::StatusOk {
-                settled: Wire::get(b)?,
-                outbound_pending: Wire::get(b)?,
-                epoch: Wire::get(b)?,
-                view: Wire::get(b)?,
-                coordinator: Wire::get(b)?,
-                ckpt_seq: Wire::get(b)?,
-                ckpt_covered: Wire::get(b)?,
-            },
-            FRAME_DECISION_OK => Frame::DecisionOk { et: Wire::get(b)? },
-            FRAME_METRICS => Frame::Metrics,
-            FRAME_METRICS_OK => Frame::MetricsOk {
-                text: Wire::get(b)?,
-            },
-            FRAME_CHECKPOINT => Frame::Checkpoint,
-            FRAME_CHECKPOINT_OK => Frame::CheckpointOk {
-                seq: Wire::get(b)?,
-                covered: Wire::get(b)?,
-            },
-            FRAME_EVENT_QUERY => Frame::EventQuery { et: Wire::get(b)? },
-            FRAME_EVENT_OK => Frame::EventOk {
-                dropped: Wire::get(b)?,
-                events: Wire::get(b)?,
-            },
-            tag => return Err(WireError::BadTag { field: "frame", tag }),
-        })
-    }
-}
+// Peer-plane tags from 0x01, client-plane tags from 0x10. Retired tags
+// stay unassigned and must keep decoding to `BadTag`: 0x03 (the
+// per-entry link ack, an envelope since the durable links), 0x08 (the
+// pre-failover control snapshot) and 0x18/0x19 (the audit-log request
+// and reply).
+wire_enum!(Frame, "frame" {
+    0x01 => Hello { site: SiteId, epoch: u64 },
+    0x02 => MSet(mset: MSet),
+    0x04 => Applied { site: SiteId, et: EtId, version: Option<VersionTs> },
+    0x05 => Complete { et: EtId },
+    0x06 => Vtnc { ts: VersionTs },
+    0x07 => Decision { et: EtId, commit: bool },
+    0x09 => Ping { view: u64, from: SiteId },
+    0x0A => StartViewChange { view: u64, from: SiteId },
+    0x0B => DoViewChange { view: u64, from: SiteId, evidence: Box<Evidence> },
+    0x0C => StartView { view: u64, evidence: Box<Evidence> },
+    0x0D => ForwardDecision { et: EtId, commit: bool },
+    0x0E => SnapshotRequest { offset: u64 },
+    0x0F => SnapshotChunk { total_len: u64, offset: u64, bytes: Vec<u8> },
+    0x10 => Submit(mset: MSet),
+    0x11 => SubmitOk { et: EtId },
+    0x12 => Query { epsilon_limit: u64, read_set: Vec<ObjectId> },
+    0x13 => QueryOk(out: QueryOutcome),
+    0x14 => Snapshot,
+    0x15 => SnapshotOk { entries: Vec<(ObjectId, Value)> },
+    0x16 => Status,
+    0x17 => StatusOk {
+        settled: bool,
+        outbound_pending: u64,
+        epoch: u64,
+        view: u64,
+        coordinator: bool,
+        ckpt_seq: u64,
+        ckpt_covered: u64,
+    },
+    0x1A => DecisionOk { et: EtId },
+    0x1B => Metrics,
+    0x1C => MetricsOk { text: String },
+    0x1F => Checkpoint,
+    0x20 => CheckpointOk { seq: u64, covered: u64 },
+    0x21 => EventQuery { et: u64 },
+    0x22 => EventOk { dropped: u64, events: Vec<(u64, u64, Event)> },
+});
 
 /// Encodes a frame into a self-contained byte payload.
 pub fn encode_frame(frame: &Frame) -> Bytes {
@@ -1550,8 +1226,12 @@ mod tests {
 
     #[test]
     fn span_stage_tags_are_discriminants() {
-        for (i, stage) in SPAN_STAGES.into_iter().enumerate() {
-            assert_eq!(stage as usize, i);
+        let stages: Vec<(u8, SpanStage)> = (0..=u8::MAX)
+            .filter_map(|tag| Some((tag, SpanStage::get(&mut &[tag][..]).ok()?)))
+            .collect();
+        assert_eq!(stages.len(), 12);
+        for (tag, stage) in stages {
+            assert_eq!(stage as u8, tag);
         }
     }
 

@@ -189,6 +189,10 @@ pub struct Daemon {
     /// not retransmitted forever, and dropped
     /// (`esr_peer_frames_rejected_total`).
     peer_frames_rejected: Counter,
+    /// The raw container a snapshot download is served from: the newest
+    /// valid one when its first chunk was asked for, held until its last
+    /// chunk is served.
+    serving: Option<Vec<u8>>,
 }
 
 /// `esrd`'s storage: the journal, the view register and snapshot files
@@ -229,7 +233,7 @@ impl Host for FileHost<'_> {
         self.files.journal.record_batch(&records)
     }
 
-    fn journal(&self) -> Vec<(u64, MSet)> {
+    fn journal(&self) -> std::io::Result<Vec<(u64, MSet)>> {
         self.files.journal.replay_entries()
     }
 
@@ -326,7 +330,7 @@ fn snap_prefix(site: SiteId) -> String {
 /// means a cold boot — and so does a peer that accepts but never
 /// answers (a frozen process whose kernel still completes handshakes
 /// into its listen backlog), which every call gives [`CATCH_UP_BUDGET`].
-fn catch_up_from_peers(cfg: &DaemonConfig, prefix: &str, events: &EventLog) {
+fn catch_up_from_peers(cfg: &DaemonConfig, prefix: &str, events: &mut EventLog) {
     for j in 0..cfg.sites {
         let peer = SiteId(j as u64);
         if peer == cfg.site {
@@ -478,7 +482,7 @@ impl Daemon {
             + 1;
         publish(&epoch_path(&cfg.dir, cfg.site), &epoch.to_string())?;
 
-        let events = EventLog::start();
+        let mut events = EventLog::start();
         let metrics = MetricsRegistry::new();
         let site_label = cfg.site.raw().to_string();
         let site_obs = SiteInstruments::for_site(&metrics, cfg.method.name(), cfg.site.raw());
@@ -494,7 +498,7 @@ impl Daemon {
             && journal.live_entries() == 0
             && snapshot::load_newest(&cfg.dir, &prefix).ok().flatten().is_none()
         {
-            catch_up_from_peers(&cfg, &prefix, &events);
+            catch_up_from_peers(&cfg, &prefix, &mut events);
         }
 
         // Durable outbound links, one per peer, all drained by the
@@ -559,6 +563,7 @@ impl Daemon {
             peer_frames_rejected: metrics.counter("esr_peer_frames_rejected_total", site),
             metrics,
             site_obs,
+            serving: None,
         };
         Ok((daemon, links, listener))
     }
@@ -647,19 +652,30 @@ impl Daemon {
                 Frame::CheckpointOk { seq, covered }
             }
             Frame::SnapshotRequest { offset } => {
-                // Serve the raw newest container (CRC and all) in
-                // bounded chunks; the fetcher validates the container
-                // end-to-end. `total_len == 0` means "no snapshot yet".
-                let prefix = snap_prefix(self.cfg.site);
-                match snapshot::load_newest_raw(&self.cfg.dir, &prefix).ok().flatten() {
-                    Some((_, raw)) => {
+                // Serve a raw container (CRC and all) in bounded chunks;
+                // the fetcher validates it end-to-end. The newest one is
+                // read and checked once, at the first chunk, and every
+                // later chunk comes from it: a checkpoint installed, or a
+                // container retired, mid-download cannot splice two.
+                // `total_len == 0` means "no snapshot yet".
+                if offset == 0 || self.serving.is_none() {
+                    let prefix = snap_prefix(self.cfg.site);
+                    let newest = snapshot::load_newest_raw(&self.cfg.dir, &prefix);
+                    self.serving = newest.ok().flatten().map(|(_, raw)| raw);
+                }
+                match &self.serving {
+                    Some(raw) => {
                         let total_len = raw.len() as u64;
                         let start = (offset.min(total_len)) as usize;
                         let end = (start + SNAP_CHUNK).min(raw.len());
+                        let bytes = raw[start..end].to_vec();
+                        if end == raw.len() {
+                            self.serving = None;
+                        }
                         Frame::SnapshotChunk {
                             total_len,
                             offset,
-                            bytes: raw[start..end].to_vec(),
+                            bytes,
                         }
                     }
                     None => Frame::SnapshotChunk {
@@ -789,6 +805,7 @@ mod tests {
     use esr_core::op::{ObjectOp, Operation};
     use esr_core::value::Value;
     use esr_net::rpc::{read_frame, unseal};
+    use esr_storage::stable_queue::StableQueue;
 
     /// A booted daemon with no reactor: the test is its thread. The
     /// pipe its writer wakes stays open as long as the daemon.
@@ -1145,6 +1162,58 @@ mod tests {
             "a cold boot: {events:?}"
         );
         drop(frozen);
+    }
+
+    /// A well-framed journal record that is not an MSet fails the boot,
+    /// naming the record, instead of panicking it.
+    #[test]
+    fn an_undecodable_journal_record_is_a_boot_error() {
+        let dir = fresh_dir("undecodable-record");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut journal = FileQueue::open(journal_path(&dir, SiteId(0))).unwrap();
+        journal.enqueue(Bytes::from_static(b"not an mset"));
+        drop(journal);
+        let booted = try_boot(dir, RtMethod::Commu, 0, 1, None);
+        assert!(
+            matches!(&booted, Err(e) if e.kind() == std::io::ErrorKind::InvalidData
+                && e.to_string().contains("journal record 0")),
+            "boot must fail naming the record"
+        );
+    }
+
+    /// A download is served from the container its first chunk picked:
+    /// a newer checkpoint installed mid-download does not splice in.
+    #[test]
+    fn a_snapshot_download_is_served_from_the_container_its_first_chunk_picked() {
+        let dir = fresh_dir("download");
+        let (mut daemon, mut links, _pipe) = boot_at(dir.clone(), RtMethod::Commu, 0, 1, None);
+        let first: Vec<u8> = (0..3 * SNAP_CHUNK).map(|i| (i % 251) as u8).collect();
+        snapshot::install(&dir, "site-0", 1, &first).unwrap();
+        let mut fetched = Vec::new();
+        loop {
+            let offset = fetched.len() as u64;
+            let request = Frame::SnapshotRequest { offset };
+            match &batch(&mut daemon, &mut links, &[request])[0] {
+                Frame::SnapshotChunk {
+                    total_len, bytes, ..
+                } => {
+                    assert!(!bytes.is_empty(), "chunk at {offset} of {total_len}");
+                    fetched.extend_from_slice(bytes);
+                    if fetched.len() as u64 >= *total_len {
+                        break;
+                    }
+                }
+                other => panic!("expected SnapshotChunk, got {other:?}"),
+            }
+            if offset == 0 {
+                snapshot::install(&dir, "site-0", 2, &[7; 2 * SNAP_CHUNK]).unwrap();
+            }
+        }
+        let container = snapshot::decode_container(&fetched);
+        assert!(
+            container.is_some_and(|(seq, payload)| seq == 1 && payload == first),
+            "the chunks must make up the first container"
+        );
     }
 
     /// Undecodable bytes and a decodable MSet its method cannot take

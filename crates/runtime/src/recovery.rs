@@ -13,6 +13,7 @@
 //! exchange. This is `esrd`'s journal; the simulator runs the same
 //! recovery path over an in-memory one (DESIGN.md §10).
 
+use std::io;
 use std::path::Path;
 
 use esr_replica::mset::MSet;
@@ -31,7 +32,7 @@ pub struct ApplyJournal {
 
 impl ApplyJournal {
     /// Opens (or reopens after a crash) the journal at `path`.
-    pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
+    pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
         let queue = FileQueue::open(path)?;
         let entries = queue.len() as u64;
         Ok(Self { queue, entries })
@@ -57,22 +58,30 @@ impl ApplyJournal {
         bytes
     }
 
-    /// Decodes every journalled MSet in acceptance order.
+    /// Decodes every journalled MSet in acceptance order. Panics on a
+    /// record that is not an MSet, which [`ApplyJournal::replay_entries`]
+    /// reports as an error instead.
     pub fn replay(&self) -> Vec<MSet> {
-        self.replay_entries().into_iter().map(|(_, m)| m).collect()
+        match self.replay_entries() {
+            Ok(entries) => entries.into_iter().map(|(_, m)| m).collect(),
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// Decodes every live journalled MSet with its stable entry id —
     /// the id-aware walk checkpoint recovery uses to split the log at a
-    /// snapshot's `covered_through` cut.
-    pub fn replay_entries(&self) -> Vec<(u64, MSet)> {
+    /// snapshot's `covered_through` cut. A well-framed record that is
+    /// not an MSet is an `InvalidData` error naming its id.
+    pub fn replay_entries(&self) -> io::Result<Vec<(u64, MSet)>> {
         self.queue
             .pending(usize::MAX)
             .into_iter()
             .map(|(id, payload)| {
-                let m = decode_mset(&payload)
-                    .unwrap_or_else(|e| panic!("journal entry {} undecodable: {e}", id.0));
-                (id.0, m)
+                let m = decode_mset(&payload).map_err(|e| {
+                    let why = format!("journal record {} undecodable: {e}", id.0);
+                    io::Error::new(io::ErrorKind::InvalidData, why)
+                })?;
+                Ok((id.0, m))
             })
             .collect()
     }
@@ -203,7 +212,12 @@ mod tests {
         for et in 1..=5 {
             assert!(j.record(&mk(et)) > 13);
         }
-        let ids: Vec<u64> = j.replay_entries().iter().map(|(id, _)| *id).collect();
+        let ids: Vec<u64> = j
+            .replay_entries()
+            .unwrap()
+            .iter()
+            .map(|(id, _)| *id)
+            .collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
         assert_eq!(j.last_id(), Some(4));
         // Retire the first three; the suffix survives with stable ids.
@@ -213,6 +227,7 @@ mod tests {
         assert_eq!(j.file_bytes(), std::fs::metadata(&path).unwrap().len());
         let left: Vec<(u64, EtId)> = j
             .replay_entries()
+            .unwrap()
             .into_iter()
             .map(|(id, m)| (id, m.et))
             .collect();

@@ -61,13 +61,13 @@ pub type RawEvent = (u64, u64, Event);
 /// `(ring seq, wall micros, record)`.
 pub type RawSpan = (u64, u64, SpanRec);
 
-/// One incarnation's bounded event log. Cloning shares the log.
+/// One incarnation's bounded event log, owned by its daemon.
 ///
 /// Stamps are `wall_base + elapsed`: UNIX micros read once at start,
 /// advanced by a monotonic clock, so every site on a host shares an
 /// epoch (what lets `esrctl spans` subtract stamps across sites) and
 /// no log's stamps run backwards.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EventLog {
     ring: EventRing<Event>,
     wall_base: u64,
@@ -87,7 +87,7 @@ impl EventLog {
     }
 
     /// Appends `event`, stamped now.
-    pub fn record(&self, event: Event) {
+    pub fn record(&mut self, event: Event) {
         self.ring.record(self.now(), event);
     }
 
@@ -398,7 +398,7 @@ mod tests {
 
     #[test]
     fn query_filters_by_et_but_always_yields_horizons() {
-        let log = EventLog::start();
+        let mut log = EventLog::start();
         log.record(Event::Span(SpanRec::new(SpanStage::Apply, EtId(1))));
         log.record(Event::Span(SpanRec::new(SpanStage::Apply, EtId(2))));
         log.record(Event::Span(SpanRec::vtnc(

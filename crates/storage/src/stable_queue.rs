@@ -41,7 +41,9 @@ pub trait StableQueue {
     }
 
     /// The unacknowledged entries, oldest first, up to `max`.
-    fn pending(&self, max: usize) -> Vec<(EntryId, Bytes)>;
+    fn pending(&self, max: usize) -> Vec<(EntryId, Bytes)> {
+        self.pending_after(None, max)
+    }
 
     /// The unacknowledged entries with ids strictly greater than
     /// `after`, oldest first, up to `max` — the cursor a draining
@@ -50,10 +52,6 @@ pub trait StableQueue {
     /// acknowledgement. `after = None` starts from the head, so
     /// `pending_after(None, max)` equals `pending(max)`.
     fn pending_after(&self, after: Option<EntryId>, max: usize) -> Vec<(EntryId, Bytes)>;
-
-    /// Records a delivery attempt (for retry/backoff accounting).
-    /// Returns the new attempt count, or `None` for unknown entries.
-    fn record_attempt(&mut self, id: EntryId) -> Option<u32>;
 
     /// Acknowledges (removes) a delivered entry. Returns `false` when the
     /// entry was unknown (e.g. duplicate ack).
@@ -74,16 +72,10 @@ pub trait StableQueue {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    payload: Bytes,
-    attempts: u32,
-}
-
 /// In-memory stable queue.
 #[derive(Debug, Clone, Default)]
 pub struct MemQueue {
-    entries: BTreeMap<EntryId, Entry>,
+    entries: BTreeMap<EntryId, Bytes>,
     next_id: u64,
 }
 
@@ -98,32 +90,12 @@ impl StableQueue for MemQueue {
     fn enqueue(&mut self, payload: Bytes) -> EntryId {
         let id = EntryId(self.next_id);
         self.next_id += 1;
-        self.entries.insert(
-            id,
-            Entry {
-                payload,
-                attempts: 0,
-            },
-        );
+        self.entries.insert(id, payload);
         id
-    }
-
-    fn pending(&self, max: usize) -> Vec<(EntryId, Bytes)> {
-        self.entries
-            .iter()
-            .take(max)
-            .map(|(id, e)| (*id, e.payload.clone()))
-            .collect()
     }
 
     fn pending_after(&self, after: Option<EntryId>, max: usize) -> Vec<(EntryId, Bytes)> {
         pending_after_of(&self.entries, after, max)
-    }
-
-    fn record_attempt(&mut self, id: EntryId) -> Option<u32> {
-        let e = self.entries.get_mut(&id)?;
-        e.attempts += 1;
-        Some(e.attempts)
     }
 
     fn ack(&mut self, id: EntryId) -> bool {
@@ -138,7 +110,7 @@ impl StableQueue for MemQueue {
 /// Shared `pending_after` walk over an entry map: everything strictly
 /// beyond the cursor, oldest first.
 fn pending_after_of(
-    entries: &BTreeMap<EntryId, Entry>,
+    entries: &BTreeMap<EntryId, Bytes>,
     after: Option<EntryId>,
     max: usize,
 ) -> Vec<(EntryId, Bytes)> {
@@ -148,7 +120,7 @@ fn pending_after_of(
     };
     range
         .take(max)
-        .map(|(id, e)| (*id, e.payload.clone()))
+        .map(|(id, payload)| (*id, payload.clone()))
         .collect()
 }
 
@@ -174,7 +146,7 @@ const COMPACT_DEAD_BYTES: u64 = 64 * 1024;
 pub struct FileQueue {
     path: PathBuf,
     file: File,
-    entries: BTreeMap<EntryId, Entry>,
+    entries: BTreeMap<EntryId, Bytes>,
     next_id: u64,
     /// Bytes of the log occupied by acknowledged records (the dead
     /// enqueue plus its ack record) since the last rewrite.
@@ -220,14 +192,7 @@ impl FileQueue {
                         if cursor.remaining() < len {
                             break; // torn payload
                         }
-                        let payload = cursor.copy_to_bytes(len);
-                        entries.insert(
-                            EntryId(id),
-                            Entry {
-                                payload,
-                                attempts: 0,
-                            },
-                        );
+                        entries.insert(EntryId(id), cursor.copy_to_bytes(len));
                         next_id = next_id.max(id + 1);
                         valid_len += 13 + len as u64;
                     }
@@ -305,12 +270,12 @@ impl FileQueue {
             pin.put_u8(TAG_NEXT_ID);
             pin.put_u64(self.next_id);
             out.write_all(&pin)?;
-            for (id, e) in &self.entries {
-                let mut rec = BytesMut::with_capacity(13 + e.payload.len());
+            for (id, payload) in &self.entries {
+                let mut rec = BytesMut::with_capacity(13 + payload.len());
                 rec.put_u8(TAG_ENQUEUE);
                 rec.put_u64(id.0);
-                rec.put_u32(e.payload.len() as u32);
-                rec.put_slice(&e.payload);
+                rec.put_u32(payload.len() as u32);
+                rec.put_slice(payload);
                 out.write_all(&rec)?;
                 len += rec.len() as u64;
             }
@@ -345,34 +310,14 @@ impl StableQueue for FileQueue {
             .map(|payload| {
                 let id = EntryId(self.next_id);
                 self.next_id += 1;
-                self.entries.insert(
-                    id,
-                    Entry {
-                        payload,
-                        attempts: 0,
-                    },
-                );
+                self.entries.insert(id, payload);
                 id
             })
             .collect()
     }
 
-    fn pending(&self, max: usize) -> Vec<(EntryId, Bytes)> {
-        self.entries
-            .iter()
-            .take(max)
-            .map(|(id, e)| (*id, e.payload.clone()))
-            .collect()
-    }
-
     fn pending_after(&self, after: Option<EntryId>, max: usize) -> Vec<(EntryId, Bytes)> {
         pending_after_of(&self.entries, after, max)
-    }
-
-    fn record_attempt(&mut self, id: EntryId) -> Option<u32> {
-        let e = self.entries.get_mut(&id)?;
-        e.attempts += 1;
-        Some(e.attempts)
     }
 
     fn ack(&mut self, id: EntryId) -> bool {
@@ -384,14 +329,14 @@ impl StableQueue for FileQueue {
         let mut recs = BytesMut::with_capacity(9 * ids.len());
         let mut dead = 0;
         for id in ids {
-            let Some(e) = self.entries.remove(id) else {
+            let Some(payload) = self.entries.remove(id) else {
                 continue;
             };
             recs.put_u8(TAG_ACK);
             recs.put_u64(id.0);
             // The entry's enqueue record (13 + payload) and its ack are
             // both dead weight now.
-            dead += 13 + e.payload.len() as u64 + 9;
+            dead += 13 + payload.len() as u64 + 9;
         }
         if recs.is_empty() {
             return 0;
@@ -443,16 +388,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert!(q.ack(b));
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn mem_queue_attempts() {
-        let mut q = MemQueue::new();
-        let a = q.enqueue(Bytes::from_static(b"x"));
-        assert_eq!(q.record_attempt(a), Some(1));
-        assert_eq!(q.record_attempt(a), Some(2));
-        q.ack(a);
-        assert_eq!(q.record_attempt(a), None);
     }
 
     #[test]

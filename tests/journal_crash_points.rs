@@ -344,6 +344,7 @@ fn truncation_ack_crash_at_every_offset_keeps_recovery_exact() {
         let p = decode_payload(&payload_bytes).unwrap();
         let suffix: Vec<MSet> = j
             .replay_entries()
+            .unwrap()
             .into_iter()
             .filter(|(id, _)| p.covered_through.is_none_or(|c| *id > c))
             .map(|(_, m)| m)

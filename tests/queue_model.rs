@@ -15,8 +15,6 @@ enum Cmd {
     Enqueue(u8),
     /// Ack the i-th currently-pending entry (modulo pending count).
     AckNth(usize),
-    /// Record a delivery attempt on the i-th pending entry.
-    AttemptNth(usize),
     /// Crash the file queue (drop + reopen). The in-memory model keeps
     /// running — stability means they still agree afterwards.
     CrashReopen,
@@ -28,7 +26,6 @@ fn arb_cmd() -> impl Strategy<Value = Cmd> {
     prop_oneof![
         4 => any::<u8>().prop_map(Cmd::Enqueue),
         3 => (0usize..8).prop_map(Cmd::AckNth),
-        2 => (0usize..8).prop_map(Cmd::AttemptNth),
         1 => Just(Cmd::CrashReopen),
         1 => Just(Cmd::Compact),
     ]
@@ -76,12 +73,6 @@ proptest! {
                     if let (Some(m), Some(r)) = (nth_pending(&model, i), nth_pending(&real, i)) {
                         prop_assert!(model.ack(m));
                         prop_assert!(real.ack(r));
-                    }
-                }
-                Cmd::AttemptNth(i) => {
-                    if let (Some(m), Some(r)) = (nth_pending(&model, i), nth_pending(&real, i)) {
-                        model.record_attempt(m);
-                        real.record_attempt(r);
                     }
                 }
                 Cmd::CrashReopen => {

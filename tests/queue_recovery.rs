@@ -156,19 +156,6 @@ fn mem_and_file_queues_share_semantics() {
     std::fs::remove_file(&path).unwrap();
 }
 
-#[test]
-fn retry_attempts_track_per_entry() {
-    let mut q = MemQueue::new();
-    let a = q.enqueue(encode(&sample_mset(1)));
-    let b = q.enqueue(encode(&sample_mset(2)));
-    for _ in 0..3 {
-        q.record_attempt(a);
-    }
-    q.record_attempt(b);
-    assert_eq!(q.record_attempt(a), Some(4));
-    assert_eq!(q.record_attempt(b), Some(2));
-}
-
 // ---------------------------------------------------------------------
 // Crash-point tests: the file is cut at an arbitrary byte offset — the
 // moment the power went out mid-write — and reopen must recover exactly
