@@ -31,8 +31,10 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use esr_replica::node::NodeInstruments;
+
 use super::oracles::{self, ModelFinding};
-use super::{ModelCfg, Tx, World};
+use super::{instruments, ModelCfg, Tx, World};
 
 /// Search nodes this deep are the units the threads share.
 const SPLIT_DEPTH: usize = 2;
@@ -109,23 +111,27 @@ pub fn explore(cfg: &ModelCfg, max_states: u64) -> Sweep {
     };
     let mut tasks = Vec::new();
     let mut stats = SweepStats::default();
-    search.split(&mut Vec::new(), &[], &mut tasks);
+    search.split(&instruments(cfg), &mut Vec::new(), &[], &mut tasks);
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, SweepStats, Outcome)>> = Mutex::new(Vec::new());
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     std::thread::scope(|scope| {
         for _ in 0..threads.min(tasks.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(task) = tasks.get(i) else { break };
-                let mut prefix = task.prefix.clone();
-                let mut task_stats = SweepStats::default();
-                let outcome = search.dfs(&mut prefix, &task.sleep, &mut task_stats, i);
-                if outcome.is_err() {
-                    search.failed.fetch_min(i, Ordering::Relaxed);
-                }
-                if let Ok(mut r) = results.lock() {
-                    r.push((i, task_stats, outcome));
+            scope.spawn(|| {
+                // Each thread's own series: no counter is shared.
+                let obs = instruments(cfg);
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(task) = tasks.get(i) else { break };
+                    let mut prefix = task.prefix.clone();
+                    let mut task_stats = SweepStats::default();
+                    let outcome = search.dfs(&obs, &mut prefix, &task.sleep, &mut task_stats, i);
+                    if outcome.is_err() {
+                        search.failed.fetch_min(i, Ordering::Relaxed);
+                    }
+                    if let Ok(mut r) = results.lock() {
+                        r.push((i, task_stats, outcome));
+                    }
                 }
             });
         }
@@ -146,9 +152,9 @@ pub fn explore(cfg: &ModelCfg, max_states: u64) -> Sweep {
     Sweep::Clean(stats)
 }
 
-/// Rebuilds the world at `prefix`.
-fn replay<'a>(cfg: &'a ModelCfg, prefix: &[Tx]) -> World<'a> {
-    let mut world = World::new(cfg);
+/// Rebuilds the world at `prefix`, its nodes reporting to `obs`.
+fn replay<'a>(cfg: &'a ModelCfg, obs: &'a [NodeInstruments], prefix: &[Tx]) -> World<'a> {
+    let mut world = World::new(cfg, obs);
     for tx in prefix {
         world.execute(*tx);
     }
@@ -181,8 +187,14 @@ impl Search<'_> {
     /// Expands the top of the tree, in DFS order, into the tasks the
     /// threads share: every node at [`SPLIT_DEPTH`], and every node
     /// above it that has nothing to expand (a terminal, or all asleep).
-    fn split(&self, prefix: &mut Vec<Tx>, sleep: &[Tx], tasks: &mut Vec<Task>) {
-        let enabled = replay(self.cfg, prefix).enabled();
+    fn split(
+        &self,
+        obs: &[NodeInstruments],
+        prefix: &mut Vec<Tx>,
+        sleep: &[Tx],
+        tasks: &mut Vec<Task>,
+    ) {
+        let enabled = replay(self.cfg, obs, prefix).enabled();
         if prefix.len() == SPLIT_DEPTH || enabled.iter().all(|t| sleep.contains(t)) {
             tasks.push(Task {
                 prefix: prefix.clone(),
@@ -193,17 +205,24 @@ impl Search<'_> {
         self.states.fetch_add(1, Ordering::Relaxed);
         for (t, child_sleep) in children(self.cfg, enabled, sleep) {
             prefix.push(t);
-            self.split(prefix, &child_sleep, tasks);
+            self.split(obs, prefix, &child_sleep, tasks);
             prefix.pop();
         }
     }
 
-    fn dfs(&self, prefix: &mut Vec<Tx>, sleep: &[Tx], stats: &mut SweepStats, task: usize) -> Outcome {
+    fn dfs(
+        &self,
+        obs: &[NodeInstruments],
+        prefix: &mut Vec<Tx>,
+        sleep: &[Tx],
+        stats: &mut SweepStats,
+        task: usize,
+    ) -> Outcome {
         let visited = self.states.fetch_add(1, Ordering::Relaxed);
         if visited >= self.max_states || self.failed.load(Ordering::Relaxed) < task {
             return Ok(false);
         }
-        let mut world = replay(self.cfg, prefix);
+        let mut world = replay(self.cfg, obs, prefix);
         let enabled = world.enabled();
         if enabled.is_empty() {
             debug_assert!(world.is_terminal(), "stuck non-terminal state");
@@ -225,7 +244,7 @@ impl Search<'_> {
         }
         for (t, child_sleep) in explore {
             prefix.push(t);
-            let complete = self.dfs(prefix, &child_sleep, stats, task)?;
+            let complete = self.dfs(obs, prefix, &child_sleep, stats, task)?;
             prefix.pop();
             if !complete {
                 return Ok(false);

@@ -1,23 +1,26 @@
 //! `esr-model`: exhaustive model checking of the esrd control plane.
 //!
-//! The model executes the *same* pure state machine the daemon runs —
-//! [`esr_runtime::ctrl::NodeCore`] — against in-memory link queues and
-//! a durable journal per site, and explores every distinguishable
-//! interleaving of message delivery, client activity, duplication, and
-//! crash/recovery for a small bounded configuration (3 sites, a handful
-//! of updates).
+//! The model runs the *same* executor the daemon and the simulator run
+//! — one [`Node`] per site over the simulator's memory host,
+//! [`MemHost`] — with its sends carried by in-memory FIFO link queues,
+//! and explores every distinguishable interleaving of message delivery,
+//! client activity, duplication, and crash/recovery for a small bounded
+//! configuration (3 sites, a handful of updates). What it checks is the
+//! core, the commit plan, the view register, the boot rule and the
+//! memory host as they run.
 //!
 //! ## Fidelity map (model ↔ esrd)
 //!
 //! | world piece            | real counterpart                          |
 //! |------------------------|-------------------------------------------|
+//! | `ModelNode::node`      | the daemon's [`Node`]: the same boot, step, perform and commit |
+//! | `ModelNode::host`      | the site's files: its journal (MSets and decisions), `site-<i>.view`, the link cursors of `site-<i>.acked` — each moved only by an acknowledgement — and the event log |
 //! | `queues[(i,j)]`        | in-memory link i→j (FIFO, at-least-once): its MSets survive i's crash in i's journal, its control frames do not |
-//! | `ModelNode::journal`   | the site's on-disk [`ApplyJournal`]: MSets and decisions |
-//! | `ModelNode::acked`     | the link cursors (journal ids) of `site-<i>.acked`, as if saved just before the crash |
-//! | `Tx::Deliver`          | peer envelope dispatch + batched ack       |
+//! | `Tx::Deliver`          | peer envelope dispatch + commit, then the ack on the sender's link |
 //! | `Tx::Dup`              | an ack-timeout retransmit (head redelivered, order preserved) |
-//! | `CrashPoint::*`        | `kill -9` inside or after a step's commit  |
-//! | crash + recover        | `Daemon::start` boot: epoch bump, journal replay, links re-seeded from the journal (the same `Reboot::from_journal`), re-announce, Hello |
+//! | `CrashPoint::Durable(k)` | `kill -9` inside a step's commit: [`MemHost::tear`] keeps its first `k` writes |
+//! | `CrashPoint::AfterAck` | `kill -9` after a step's commit and its ack |
+//! | crash + recover        | [`MemHost::crash`], then `Daemon::start`'s boot: [`Node::boot`] — journal replay into the recorded view, links re-seeded above their cursors, decisions passed on, re-announce — and the model's Hello |
 //!
 //! Crash injection follows the configuration's [`CrashPolicy`]: the
 //! standard sweeps probe every durable boundary but never kill a site
@@ -29,17 +32,13 @@
 //! Either way, *every* explored terminal state additionally gets a
 //! staggered full-cluster crash/recover from the recovery-idempotence
 //! oracle — coordinator first, then the followers — so coordinator
-//! amnesia is always covered. The durable per-site view
-//! (`Effect::RecordView`) is modelled as a register that survives
-//! crashes, exactly like `site-<i>.view`.
+//! amnesia is always covered.
 //!
 //! A crash is atomic crash+recover. That is sound for safety because
 //! what a crash loses it loses at once: the crashed site's control
 //! frames leave its queues at the crash, and a site that stays down is
 //! otherwise indistinguishable from one whose inbound deliveries are
 //! delayed — and delivery delay is already explored by the scheduler.
-//!
-//! [`ApplyJournal`]: esr_runtime::recovery::ApplyJournal
 
 pub mod canary;
 pub mod explore;
@@ -50,10 +49,10 @@ use std::collections::VecDeque;
 use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
 use esr_replica::mset::MSet;
+use esr_replica::node::{MemHost, Node, NodeConfig, NodeInstruments};
 use esr_replica::span::Event;
 use esr_replica::wire::Frame;
-use esr_runtime::commit::Reboot;
-use esr_runtime::ctrl::{CtrlCanary, Effect, NodeCore, NodeEvent, Record};
+use esr_runtime::ctrl::{CtrlCanary, NodeEvent};
 use esr_runtime::state::{RtMethod, SiteState};
 
 /// Where the explorer may spend its crash budget. The standard sweeps
@@ -173,14 +172,15 @@ impl ModelCfg {
 
 /// Two-update workload: origins 1 and 2, object 1, shaped per method
 /// (sequenced for ORDUP, dense timestamped writes for RITU/RITU-MV,
-/// exactly-compensatable increments for COMPE).
+/// exactly-compensatable increments for COMPE), each with a client
+/// stamp.
 fn standard_workload(method: RtMethod) -> Vec<MSet> {
     let x = ObjectId(1);
     (0..2u64)
         .map(|i| {
             let et = EtId(i + 1);
             let origin = SiteId(i + 1);
-            match method {
+            let mset = match method {
                 RtMethod::Ordup => {
                     MSet::new(et, origin, vec![ObjectOp::new(x, Operation::Incr(1 + i as i64))])
                         .sequenced(SeqNo(i))
@@ -199,7 +199,11 @@ fn standard_workload(method: RtMethod) -> Vec<MSet> {
                         )],
                     )
                 }
-            }
+            };
+            // Stamped as every client stamps its submits: a retry of
+            // one a crash left journalled is answered from the client
+            // table, and only the boot's re-seed carries it on.
+            mset.from_client(ClientId(0), et.0)
         })
         .collect()
 }
@@ -207,17 +211,29 @@ fn standard_workload(method: RtMethod) -> Vec<MSet> {
 /// Where a crash interrupts a step's effect execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
-    /// Crash after the first `k` durable effects (journal records /
-    /// view records) were written, before any send and before the
-    /// inbound envelope was acked: the frame stays queued and is
-    /// redelivered to the next incarnation. `Durable(1)` on an update
-    /// is exactly the journal-write boundary (journal durable, fan-out
-    /// and `Applied` report not sent).
+    /// Crash inside the step's commit, with its first `k` writes made
+    /// — view records, then journal records, then sends
+    /// ([`MemHost::tear`]) — and before the inbound envelope was acked:
+    /// the frame stays queued and is redelivered to the next
+    /// incarnation. `Durable(1)` on an update is exactly the
+    /// journal-write boundary (journal durable, fan-out and `Applied`
+    /// report not sent).
     Durable(u8),
     /// Crash after the full step and its ack: the frame is consumed,
     /// and only volatile state is lost — protocol memory that is not
     /// journalled, and the control frames in the site's link queues.
     AfterAck,
+}
+
+impl CrashPoint {
+    /// The writes a crash here lets the step make (`None`: all of them,
+    /// and the ack).
+    fn writes(self) -> Option<usize> {
+        match self {
+            CrashPoint::Durable(k) => Some(k as usize),
+            CrashPoint::AfterAck => None,
+        }
+    }
 }
 
 /// One schedulable transition.
@@ -348,45 +364,53 @@ fn decision_site(cfg: &ModelCfg, idx: u8) -> u8 {
         .unwrap_or(0)
 }
 
-/// One modelled site: the pure core plus its durable journal and boot
-/// epoch.
+/// One modelled site: the daemon's executor over a memory host.
 pub struct ModelNode {
-    /// The shared-with-the-daemon protocol state machine.
-    pub core: NodeCore,
-    /// The durable write-ahead journal (survives crashes).
-    pub journal: Vec<Record>,
-    /// Per peer, the journal id through which the peer has acknowledged
-    /// the MSets this site originated (`None`: none yet) — the link
-    /// cursor a boot re-seeds the link above.
-    pub acked: Vec<Option<u64>>,
+    /// The executor, with the core it steps.
+    pub node: Node,
+    /// Its I/O: the durable journal, view register and link cursors a
+    /// crash keeps, and this incarnation's event log — certifier food,
+    /// never consulted by a transition.
+    pub host: MemHost,
     /// Boot count, bumped on every recovery.
     pub epoch: u64,
-    /// The durably recorded view — the model's `site-<i>.view` file:
-    /// written by `Effect::RecordView`, survives crashes, fed back to
-    /// `NodeCore::recover`.
-    pub durable_view: u64,
-    /// Views this incarnation booted into / installed, in order (the
-    /// view-monotonicity oracle's evidence; reset on crash like the
-    /// trace).
-    pub view_history: Vec<u64>,
-    /// This incarnation's events (cleared on crash, like the real
-    /// per-process event log) — certifier food, never consulted by a
-    /// transition.
-    pub trace: Vec<Event>,
-    /// The newest checkpoint cut emitted by `Effect::Checkpoint`
-    /// (durable: survives crashes, like the daemon's installed
-    /// snapshot container). Properties compare restore-from-it +
-    /// journal-suffix against a full journal replay.
-    pub ckpt: Option<Box<esr_runtime::CkptPayload>>,
 }
+
+impl ModelNode {
+    /// Views this incarnation booted into and installed, in order (the
+    /// view-monotonicity oracle's evidence), read off its event log.
+    pub fn view_history(&self) -> Vec<u64> {
+        let log = self.host.events().iter();
+        log.filter_map(|(_, e)| match e {
+            Event::Boot { view, .. } | Event::ViewInstall { view, .. } => Some(*view),
+            _ => None,
+        })
+        .collect()
+    }
+}
+
+/// Registers one world's node series, once for every world an explorer
+/// thread builds: a registration costs more than a state visit.
+pub fn instruments(cfg: &ModelCfg) -> Vec<NodeInstruments> {
+    let metrics = Default::default();
+    let name = cfg.method.name();
+    (0..cfg.sites as u64)
+        .map(|i| NodeInstruments::for_site(&metrics, name, SiteId(i)))
+        .collect()
+}
+
+/// A frame on a model link, with its entry on the sender's link
+/// (`None` for a `Hello`, which no link queue holds).
+type Queued = (Option<u64>, Frame);
 
 /// The full modelled cluster state.
 pub struct World<'a> {
     cfg: &'a ModelCfg,
+    obs: &'a [NodeInstruments],
     /// Per-site state.
     pub nodes: Vec<ModelNode>,
     /// FIFO links, `queues[from][to]`.
-    pub queues: Vec<Vec<VecDeque<Frame>>>,
+    pub queues: Vec<Vec<VecDeque<Queued>>>,
     next_submit: usize,
     next_decision: usize,
     crashes_left: usize,
@@ -395,51 +419,64 @@ pub struct World<'a> {
 }
 
 impl<'a> World<'a> {
-    /// The initial world: fresh cores, empty journals, and each site's
-    /// boot Hello already queued to the coordinator (links send their
-    /// handshake on first connect; Hellos to non-coordinators carry no
-    /// protocol effect and are elided).
-    pub fn new(cfg: &'a ModelCfg) -> Self {
-        let nodes = (0..cfg.sites)
-            .map(|i| {
-                let site = SiteId(i as u64);
-                ModelNode {
-                    core: NodeCore::fresh(
-                        SiteState::new(cfg.method, site),
-                        cfg.method,
-                        site,
-                        cfg.sites,
-                        cfg.canary,
-                    ),
-                    journal: Vec::new(),
-                    acked: vec![None; cfg.sites],
-                    epoch: 1,
-                    durable_view: 0,
-                    view_history: vec![0],
-                    trace: Vec::new(),
-                    ckpt: None,
-                }
-            })
-            .collect();
-        let mut queues: Vec<Vec<VecDeque<Frame>>> = (0..cfg.sites)
+    /// The initial world: every node booted over an empty host, and
+    /// each site's boot Hello already queued to the coordinator (links
+    /// send their handshake on first connect; Hellos to
+    /// non-coordinators carry no protocol effect and are elided). `obs`
+    /// holds the sites' series ([`instruments`]).
+    pub fn new(cfg: &'a ModelCfg, obs: &'a [NodeInstruments]) -> Self {
+        let queues = (0..cfg.sites)
             .map(|_| (0..cfg.sites).map(|_| VecDeque::new()).collect())
             .collect();
-        for (i, from) in queues.iter_mut().enumerate().skip(1) {
-            from[0].push_back(Frame::Hello {
-                site: SiteId(i as u64),
-                epoch: 1,
-            });
-        }
-        Self {
+        let mut world = Self {
             cfg,
-            nodes,
+            obs,
+            nodes: Vec::with_capacity(cfg.sites),
             queues,
             next_submit: 0,
             next_decision: 0,
             crashes_left: cfg.max_crashes,
             dups_left: cfg.max_dups,
             suspects_left: cfg.max_suspects,
+        };
+        for site in 0..cfg.sites {
+            let mut host = MemHost::default();
+            let node = world.boot(site, &mut host, 1);
+            world.nodes.push(ModelNode {
+                node,
+                host,
+                epoch: 1,
+            });
+            world.queue_sent(site);
         }
+        for (i, from) in world.queues.iter_mut().enumerate().skip(1) {
+            from[0].push_back((
+                None,
+                Frame::Hello {
+                    site: SiteId(i as u64),
+                    epoch: 1,
+                },
+            ));
+        }
+        world
+    }
+
+    /// Boots `site`'s node over `host` as incarnation `epoch`. A memory
+    /// journal always decodes and the model never retires a record, so
+    /// the boot cannot fail.
+    fn boot(&self, site: usize, host: &mut MemHost, epoch: u64) -> Node {
+        let (cfg, id) = (self.cfg, SiteId(site as u64));
+        let node_cfg = NodeConfig {
+            site: id,
+            sites: cfg.sites,
+            method: cfg.method,
+            epoch,
+            ckpt_bytes: None,
+            canary: cfg.canary,
+        };
+        let blank = SiteState::new(cfg.method, id);
+        Node::boot(host, node_cfg, blank, self.obs[site].clone())
+            .unwrap_or_else(|e| panic!("site {site}: a memory host failed to boot: {e}"))
     }
 
     /// All work delivered and the client done — the state the oracles
@@ -481,7 +518,7 @@ impl<'a> World<'a> {
         // change, the old coordinator becomes crashable and the new
         // one stops being so.
         let crashable =
-            |site: u64| policy.role_holders || self.nodes[site as usize].core.coord.is_none();
+            |site: u64| policy.role_holders || self.nodes[site as usize].node.core().coord.is_none();
         if self.next_submit < self.cfg.workload.len() {
             let idx = self.next_submit as u8;
             txs.push(Tx::Submit { idx, crash: None });
@@ -508,7 +545,7 @@ impl<'a> World<'a> {
         }
         for from in 0..self.cfg.sites {
             for to in 0..self.cfg.sites {
-                let Some(head) = self.queues[from][to].front() else {
+                let Some((_, head)) = self.queues[from][to].front() else {
                     continue;
                 };
                 let journals = matches!(head, Frame::MSet(_));
@@ -555,7 +592,7 @@ impl<'a> World<'a> {
                     .cfg
                     .suspect_site
                     .is_some_and(|s| s != i as u64);
-                if node.core.coord.is_none() && !pinned_elsewhere {
+                if node.node.core().coord.is_none() && !pinned_elsewhere {
                     txs.push(Tx::Suspect { site: i as u8 });
                 }
             }
@@ -569,80 +606,59 @@ impl<'a> World<'a> {
             Tx::Submit { idx, crash } => {
                 let mset = self.cfg.workload[idx as usize].clone();
                 let site = mset.origin.raw() as usize;
-                let effects = self.nodes[site].core.step(NodeEvent::ClientSubmit(mset));
-                match crash {
-                    None => {
-                        self.apply_effects(site, effects, usize::MAX);
-                        self.next_submit += 1;
-                    }
-                    Some(CrashPoint::AfterAck) => {
-                        self.apply_effects(site, effects, usize::MAX);
-                        self.next_submit += 1;
-                        self.crash_recover(site);
-                    }
-                    Some(CrashPoint::Durable(k)) => {
-                        // Unacked submit: the client will retry, so the
-                        // workload item stays pending.
-                        self.apply_effects(site, effects, k as usize);
-                        self.crash_recover(site);
-                    }
+                let tear = crash.and_then(CrashPoint::writes);
+                self.step(site, NodeEvent::ClientSubmit(mset), tear);
+                // A torn submit was not answered: the client retries,
+                // so the workload item stays pending.
+                if tear.is_none() {
+                    self.next_submit += 1;
+                }
+                if crash.is_some() {
+                    self.crash_recover(site);
                 }
             }
             Tx::Decide { idx } => {
                 let (et, commit) = self.cfg.decisions[idx as usize];
                 let site = decision_site(self.cfg, idx) as usize;
-                let effects = self.nodes[site]
-                    .core
-                    .step(NodeEvent::ClientDecision { et, commit });
-                self.apply_effects(site, effects, usize::MAX);
+                self.step(site, NodeEvent::ClientDecision { et, commit }, None);
                 self.next_decision += 1;
             }
             Tx::Deliver { from, to, crash, .. } => {
                 let (from, to) = (from as usize, to as usize);
-                match crash {
-                    None | Some(CrashPoint::AfterAck) => {
-                        let Some(frame) = self.queues[from][to].pop_front() else {
+                match crash.and_then(CrashPoint::writes) {
+                    None => {
+                        let Some((entry, frame)) = self.queues[from][to].pop_front() else {
                             return;
                         };
-                        if let Frame::MSet(m) = &frame {
-                            let sender = &mut self.nodes[from];
-                            let id = sender.journal.iter().position(
-                                |r| matches!(r, Record::MSet(j) if j.et == m.et),
-                            );
-                            sender.acked[to] = id.map(|id| id as u64).or(sender.acked[to]);
-                        }
-                        let effects = self.nodes[to].core.step(NodeEvent::PeerFrame(frame));
-                        self.apply_effects(to, effects, usize::MAX);
-                        if crash.is_some() {
-                            self.crash_recover(to);
+                        self.step(to, NodeEvent::PeerFrame(frame), None);
+                        if let Some(entry) = entry {
+                            self.nodes[from].host.ack(SiteId(to as u64), entry);
                         }
                     }
-                    Some(CrashPoint::Durable(k)) => {
-                        // Crash mid-step: no ack was written, so the
-                        // frame stays queued and the sender retransmits
-                        // it to the next incarnation.
-                        let Some(frame) = self.queues[from][to].front().cloned() else {
+                    // Crash mid-commit: no ack was written, so the frame
+                    // stays queued and the sender retransmits it to the
+                    // next incarnation.
+                    tear => {
+                        let Some((_, frame)) = self.queues[from][to].front().cloned() else {
                             return;
                         };
-                        let effects = self.nodes[to].core.step(NodeEvent::PeerFrame(frame));
-                        self.apply_effects(to, effects, k as usize);
-                        self.crash_recover(to);
+                        self.step(to, NodeEvent::PeerFrame(frame), tear);
                     }
+                }
+                if crash.is_some() {
+                    self.crash_recover(to);
                 }
             }
             Tx::Dup { from, to, .. } => {
                 let (from, to) = (from as usize, to as usize);
-                let Some(frame) = self.queues[from][to].front().cloned() else {
+                let Some((_, frame)) = self.queues[from][to].front().cloned() else {
                     return;
                 };
-                let effects = self.nodes[to].core.step(NodeEvent::PeerFrame(frame));
-                self.apply_effects(to, effects, usize::MAX);
+                self.step(to, NodeEvent::PeerFrame(frame), None);
                 self.dups_left -= 1;
             }
             Tx::Suspect { site } => {
-                let site = site as usize;
-                let effects = self.nodes[site].core.step(NodeEvent::SuspectCoordinator);
-                self.apply_effects(site, effects, usize::MAX);
+                self.step(site as usize, NodeEvent::SuspectCoordinator, None);
                 self.suspects_left -= 1;
             }
         }
@@ -651,114 +667,60 @@ impl<'a> World<'a> {
         }
     }
 
-    /// Executes a step's effects as the daemon's commit does: its
-    /// journal records, view records and events in order, then its
-    /// sends. A crash after `durable_budget` durable effects (journal
-    /// and view records) stops it there, before any send — the
-    /// crash-truncation primitive.
-    fn apply_effects(&mut self, site: usize, effects: Vec<Effect>, durable_budget: usize) {
-        let mut durable = 0;
-        let mut sends = Vec::new();
-        for effect in effects {
-            match effect {
-                Effect::Journal(_) | Effect::JournalDecision { .. } if durable == durable_budget => {
-                    return;
-                }
-                Effect::Journal(mset) => {
-                    self.nodes[site].journal.push(Record::MSet(mset));
-                    durable += 1;
-                }
-                Effect::JournalDecision { et, commit } => {
-                    self.nodes[site].journal.push(Record::Decision { et, commit });
-                    durable += 1;
-                }
-                Effect::Send { to, frame } => sends.push((to, frame)),
-                Effect::RecordView(view) => {
-                    // The durable view register survives crashes, like
-                    // the daemon's atomic `site-<i>.view` write. It is
-                    // itself a durable effect for crash truncation —
-                    // ordered before the sends of the same step.
-                    if durable == durable_budget {
-                        return;
-                    }
-                    self.nodes[site].durable_view = view;
-                    self.nodes[site].view_history.push(view);
-                    durable += 1;
-                }
-                Effect::Checkpoint(payload) => {
-                    // The model keeps the newest cut in memory; the
-                    // snapshot-equivalence property (restore + suffix
-                    // ≡ full replay) is checked directly over it.
-                    self.nodes[site].ckpt = Some(payload);
-                }
-                Effect::Event(event) => self.nodes[site].trace.push(event),
-            }
+    /// Steps `site`'s node on `event` and commits the step — torn after
+    /// its first `tear` writes, if set — then queues what it sent.
+    fn step(&mut self, site: usize, event: NodeEvent, tear: Option<usize>) {
+        let ModelNode { node, host, .. } = &mut self.nodes[site];
+        if let Some(writes) = tear {
+            host.tear(writes);
         }
-        if durable < durable_budget {
-            for (to, frame) in sends {
-                self.queues[site][to.raw() as usize].push_back(frame);
-            }
+        node.dispatch(host, event);
+        node.commit(host);
+        self.queue_sent(site);
+    }
+
+    /// Moves what `site`'s host sent onto the FIFO queues.
+    fn queue_sent(&mut self, site: usize) {
+        for (to, frames) in self.nodes[site].host.take_sent() {
+            let queue = &mut self.queues[site][to.raw() as usize];
+            queue.extend(frames.into_iter().map(|(entry, frame)| (Some(entry), frame)));
         }
     }
 
-    /// Atomic crash + recovery of `site`: volatile state is wiped — its
-    /// link queues included — the boot epoch bumps, the journal replays
-    /// through the daemon's own pure recovery path (re-announcing
-    /// recovered applies to the durable view's coordinator, passing
-    /// journalled decisions on again), each link is re-seeded with the
-    /// originated MSets its peer had not acknowledged, and the
-    /// reconnecting link's Hello goes out — to the coordinator of the
-    /// site's durable view, or to every peer when the recovering site
-    /// *is* that coordinator (each follower answers a coordinator Hello
-    /// by re-announcing its applies, rebuilding the lost in-memory
-    /// evidence).
+    /// Atomic crash + recovery of `site`: its host loses what a crash
+    /// loses — its link queues included — and the node boots again over
+    /// it, as `esrd` does ([`Node::boot`]: the journal replays into the
+    /// recorded view, each link is re-seeded with the originated MSets
+    /// above its cursor, the journalled decisions are passed on again,
+    /// recovered applies re-announced); then the reconnecting link's
+    /// Hello goes out — to the coordinator of the booted view, or to
+    /// every peer when the recovering site *is* that coordinator (each
+    /// follower answers a coordinator Hello by re-announcing its
+    /// applies, rebuilding the lost in-memory evidence).
     pub fn crash_recover(&mut self, site: usize) {
-        let cfg = self.cfg;
-        let node = &mut self.nodes[site];
-        node.epoch += 1;
-        node.trace.clear();
-        let view = node.durable_view;
-        let origin = SiteId(site as u64);
-        // The model's journal is never truncated: a record's id is its
-        // index.
-        let journal = node.journal.iter().cloned().enumerate();
-        let journal = journal.map(|(id, r)| (id as u64, r)).collect();
-        let boot = Reboot::from_journal(journal, origin, cfg.sites, |peer| {
-            node.acked[peer.raw() as usize]
-        });
         for queue in &mut self.queues[site] {
             queue.clear();
         }
-        for (to, frames) in boot.reseed {
-            self.queues[site][to.raw() as usize] = frames.into();
-        }
-        let (mut core, mut effects) = NodeCore::recover(
-            SiteState::new(cfg.method, origin),
-            cfg.method,
-            origin,
-            cfg.sites,
-            cfg.canary,
-            view,
-            boot.msets.into_iter().map(|(_, m)| m).collect(),
-        );
-        effects.extend(core.replay_decisions(boot.decisions));
-        node.core = core;
-        node.view_history = vec![view];
-        let epoch = node.epoch;
-        self.apply_effects(site, effects, usize::MAX);
-        let coordinator = esr_runtime::ctrl::coordinator_of(view, cfg.sites);
+        let mut host = std::mem::take(&mut self.nodes[site].host);
+        host.crash();
+        let epoch = self.nodes[site].epoch + 1;
+        let node = self.boot(site, &mut host, epoch);
+        let view = node.core().view;
+        self.nodes[site] = ModelNode { node, host, epoch };
+        self.queue_sent(site);
+        let coordinator = esr_runtime::ctrl::coordinator_of(view, self.cfg.sites);
         let hello = Frame::Hello {
             site: SiteId(site as u64),
             epoch,
         };
         if coordinator.raw() as usize == site {
-            for to in 0..cfg.sites {
+            for to in 0..self.cfg.sites {
                 if to != site {
-                    self.queues[site][to].push_back(hello.clone());
+                    self.queues[site][to].push_back((None, hello.clone()));
                 }
             }
         } else {
-            self.queues[site][coordinator.raw() as usize].push_back(hello);
+            self.queues[site][coordinator.raw() as usize].push_back((None, hello));
         }
     }
 
@@ -772,7 +734,7 @@ impl<'a> World<'a> {
             let mut delivered = false;
             for from in 0..self.cfg.sites {
                 for to in 0..self.cfg.sites {
-                    if let Some(head) = self.queues[from][to].front() {
+                    if let Some((_, head)) = self.queues[from][to].front() {
                         let control = !matches!(head, Frame::MSet(_));
                         self.execute(Tx::Deliver {
                             from: from as u8,

@@ -74,7 +74,7 @@ pub fn check_terminal(cfg: &ModelCfg, world: &mut World<'_>) -> Vec<ModelFinding
     let coordinator = world
         .nodes
         .iter()
-        .position(|n| n.core.coord.is_some())
+        .position(|n| n.node.core().coord.is_some())
         .unwrap_or(0);
     world.crash_recover(coordinator);
     if !world.drain() {
@@ -106,9 +106,10 @@ pub fn check_safety(cfg: &ModelCfg, world: &World<'_>, phase: &str) -> Vec<Model
     let reference = reference_snapshot(cfg);
 
     for (i, node) in world.nodes.iter().enumerate() {
+        let core = node.node.core();
         // Perrin-style update consistency: quiesced replicas converge
         // to the sequential reference.
-        let snap = node.core.state.snapshot();
+        let snap = core.state.snapshot();
         if snap != reference {
             findings.push(finding(
                 "convergence",
@@ -117,7 +118,7 @@ pub fn check_safety(cfg: &ModelCfg, world: &World<'_>, phase: &str) -> Vec<Model
         }
         // Nothing may be left held back, locked, or at risk once the
         // control plane has quiesced.
-        if !node.core.state.settled() {
+        if !core.state.settled() {
             findings.push(finding(
                 "settled",
                 format!("{phase}site {i} not settled at quiescence"),
@@ -127,15 +128,15 @@ pub fn check_safety(cfg: &ModelCfg, world: &World<'_>, phase: &str) -> Vec<Model
         // site its installed view elects — a node holding a CoordCore
         // anywhere else (or an elected node without one) is the
         // split-brain double-coordinator failure mode.
-        let elected = esr_runtime::ctrl::coordinator_of(node.core.view, cfg.sites);
-        let holds_role = node.core.coord.is_some();
+        let elected = esr_runtime::ctrl::coordinator_of(core.view, cfg.sites);
+        let holds_role = core.coord.is_some();
         if holds_role != (elected == SiteId(i as u64)) {
             findings.push(finding(
                 "split-brain",
                 format!(
                     "{phase}site {i} at view {} {} the coordinator role, \
                      but that view elects site {}",
-                    node.core.view,
+                    core.view,
                     if holds_role { "holds" } else { "lacks" },
                     elected.raw()
                 ),
@@ -143,13 +144,11 @@ pub fn check_safety(cfg: &ModelCfg, world: &World<'_>, phase: &str) -> Vec<Model
         }
         // The durable view register only advances; a regression would
         // let a demoted coordinator resurrect an old incarnation.
-        if node.view_history.windows(2).any(|w| w[0] >= w[1]) {
+        let views = node.view_history();
+        if views.windows(2).any(|w| w[0] >= w[1]) {
             findings.push(finding(
                 "view-monotonicity",
-                format!(
-                    "{phase}site {i} recorded a non-increasing view sequence {:?}",
-                    node.view_history
-                ),
+                format!("{phase}site {i} recorded a non-increasing view sequence {views:?}"),
             ));
         }
     }
@@ -162,7 +161,7 @@ pub fn check_safety(cfg: &ModelCfg, world: &World<'_>, phase: &str) -> Vec<Model
         .map(|(i, node)| SiteTrace {
             site: i as u64,
             dropped: 0,
-            events: node.trace.clone(),
+            events: node.host.events().iter().map(|(_, e)| e.clone()).collect(),
         })
         .collect();
     for f in certify(cfg.method, &traces) {
@@ -185,9 +184,10 @@ pub fn check_safety(cfg: &ModelCfg, world: &World<'_>, phase: &str) -> Vec<Model
         let horizon = world
             .nodes
             .iter()
-            .filter(|n| n.core.coord.is_some())
-            .max_by_key(|n| n.core.view)
-            .and_then(|n| n.core.evidence().vtnc())
+            .map(|n| n.node.core())
+            .filter(|core| core.coord.is_some())
+            .max_by_key(|core| core.view)
+            .and_then(|core| core.evidence().vtnc())
             .map(|v| v.time);
         if horizon < expected {
             findings.push(finding(

@@ -2,8 +2,8 @@
 //! deterministic virtual-time network.
 //!
 //! `SimCluster` runs one [`Node`] per site — the effect executor `esrd`
-//! runs, around the pure core `esr-model` checks — over a memory
-//! [`Host`]. One scheduler event kind carries a
+//! runs — over a [`MemHost`], as the model checker `esr-model` does.
+//! One scheduler event kind carries a
 //! [`wire::Frame`](crate::wire::Frame) to a site; the site's node steps
 //! on it and commits the step. The journal, the view register and the
 //! snapshot containers live in the host's memory, events land in its
@@ -24,8 +24,9 @@
 //! every site, and [`SimCluster::checkpoint`] cuts and installs an
 //! image. All of it runs under loss, duplication, partitions *and*
 //! reordering. What survives a crash is what survives one in `esrd`:
-//! the journal, the view register, the snapshots, and the senders'
-//! queues — an arrival that finds its site down waits for the restart.
+//! the journal, the view register, the snapshots, the link cursors,
+//! and the senders' queues — an arrival that finds its site down waits
+//! for the restart.
 //!
 //! What stays in the simulator is what a *client* or an *omniscient
 //! observer* does:
@@ -47,8 +48,7 @@
 //! replica states, metrics, per-site event logs — is reproducible from
 //! the seed.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io;
+use std::collections::{BTreeMap, BTreeSet};
 
 use esr_core::divergence::{EpsilonSpec, InconsistencyCounter, LockCounters};
 use esr_core::ids::{ClientId, EtId, LamportTs, ObjectId, SeqNo, SiteId, VersionTs};
@@ -58,18 +58,16 @@ use esr_core::value::Value;
 use esr_net::topology::{LinkConfig, Topology};
 use esr_net::transport::{NetStats, Network};
 use esr_net::PartitionSchedule;
-use esr_obs::{Counter, Gauge, GaugeFamily, MetricsRegistry, SiteInstruments};
+use esr_obs::{Counter, Gauge, GaugeFamily, MetricsRegistry};
 use esr_sim::clock::LamportClock;
 use esr_sim::rng::DetRng;
 use esr_sim::sched::Scheduler;
 use esr_sim::time::{Duration, VirtualTime};
-use esr_storage::snapshot;
 use esr_storage::store::ObjectStore;
 
-use crate::ctrl::{coordinator_of, NodeEvent, Record};
+use crate::ctrl::{coordinator_of, NodeEvent};
 use crate::mset::{MSet, OrderTag};
-use crate::node::{Cursor, Host, Install, Node, NodeConfig};
-use crate::node_ckpt::{encode_payload, CkptPayload};
+use crate::node::{MemHost, Node, NodeConfig, NodeInstruments};
 use crate::site::QueryOutcome;
 use crate::span::{publish_readings, Event, SpanStage};
 use crate::state::{RtMethod, SiteState};
@@ -290,180 +288,6 @@ pub struct SpatialQueryOutcome {
     pub changed_items: u64,
 }
 
-/// One in-memory link: the entries sent on it that no arrival has
-/// acknowledged yet, and the cursor they leave.
-#[derive(Debug, Default)]
-struct MemLink {
-    next: u64,
-    unacked: BTreeSet<u64>,
-    cursor: Cursor,
-}
-
-impl MemLink {
-    fn advance(&mut self, last_id: Option<u64>) -> Option<u64> {
-        let head = self.unacked.first().copied();
-        self.cursor.advance(head, last_id)
-    }
-}
-
-/// The simulator's [`Host`]: one site's I/O, in memory. The journal,
-/// the view register and the snapshot containers are its durable half,
-/// what a crash keeps; the rest — the links included — dies with the
-/// node. It keeps no cursor, so a restart re-sends every live MSet the
-/// site originated.
-#[derive(Debug, Default)]
-struct MemHost {
-    /// Live journal records with their ids, oldest first.
-    journal: Vec<(u64, Record)>,
-    /// The id the next record gets.
-    next_id: u64,
-    /// Bytes ever appended: a journal file before compaction.
-    journal_bytes: u64,
-    /// The recorded view.
-    view: u64,
-    /// Snapshot containers, oldest first: the two newest are kept, so
-    /// a corrupt newest falls back to the one before it.
-    snapshots: Vec<(u64, Vec<u8>)>,
-    /// Install reports the node has not taken yet.
-    installs: VecDeque<Install>,
-    /// Every event this incarnation recorded, stamped with the virtual
-    /// time of its step.
-    events: Vec<(VirtualTime, Event)>,
-    /// The links, by peer.
-    links: BTreeMap<SiteId, MemLink>,
-    /// What the last commit sent, per link, in plan order, with each
-    /// frame's link entry.
-    outbox: Vec<(SiteId, Vec<(u64, Frame)>)>,
-    /// The virtual time of the step being taken.
-    now: VirtualTime,
-}
-
-impl MemHost {
-    /// Loses what a crash loses: the event log, the links, the outbox
-    /// and the writer's unread reports.
-    fn crash(&mut self) {
-        self.events.clear();
-        self.links.clear();
-        self.outbox.clear();
-        self.installs.clear();
-    }
-
-    /// `to` took entry `entry` of its link from here.
-    fn ack(&mut self, to: SiteId, entry: u64) {
-        let last_id = self.last_id();
-        if let Some(link) = self.links.get_mut(&to) {
-            link.unacked.remove(&entry);
-            link.advance(last_id);
-        }
-    }
-}
-
-impl Host for MemHost {
-    fn append(&mut self, records: Vec<Record>) -> u64 {
-        // Record framing plus the wire size, per record.
-        let size = |r: &Record| match r {
-            Record::MSet(m) => m.wire_size(),
-            Record::Decision { .. } => 10,
-        };
-        let bytes: u64 = records.iter().map(|r| 13 + size(r)).sum();
-        for r in records {
-            self.journal.push((self.next_id, r));
-            self.next_id += 1;
-        }
-        self.journal_bytes += bytes;
-        bytes
-    }
-
-    fn journal(&self) -> io::Result<Vec<(u64, Record)>> {
-        Ok(self.journal.clone())
-    }
-
-    fn last_id(&self) -> Option<u64> {
-        self.next_id.checked_sub(1)
-    }
-
-    fn retire_through(&mut self, through: u64) -> u64 {
-        let live = self.journal.len();
-        self.journal.retain(|(id, _)| *id > through);
-        (live - self.journal.len()) as u64
-    }
-
-    fn journal_size(&self) -> (u64, u64) {
-        (self.journal_bytes, self.journal.len() as u64)
-    }
-
-    fn view(&self) -> u64 {
-        self.view
-    }
-
-    fn record_view(&mut self, view: u64) {
-        self.view = view;
-    }
-
-    fn snapshots(&self) -> Vec<u64> {
-        self.snapshots.iter().rev().map(|(seq, _)| *seq).collect()
-    }
-
-    fn load_snapshot(&self, seq: u64) -> Option<Vec<u8>> {
-        let (_, container) = self.snapshots.iter().find(|(s, _)| *s == seq)?;
-        snapshot::decode_container(container).map(|(_, payload)| payload.to_vec())
-    }
-
-    fn cut(&mut self, seq: u64, payload: Box<CkptPayload>) {
-        let container = snapshot::encode_container(seq, &encode_payload(&payload));
-        self.installs.push_back(Ok((container.len() as u64, 0)));
-        self.snapshots.push((seq, container));
-        if self.snapshots.len() > 2 {
-            self.snapshots.remove(0);
-        }
-    }
-
-    fn installed(&mut self, _wait: bool) -> Option<Install> {
-        self.installs.pop_front()
-    }
-
-    fn send(&mut self, sends: Vec<(SiteId, Vec<Frame>)>) {
-        let mut tails = BTreeMap::new();
-        for (to, frames) in sends {
-            let link = self.links.entry(to).or_default();
-            let frames: Vec<(u64, Frame)> = frames
-                .into_iter()
-                .map(|frame| {
-                    let entry = link.next;
-                    link.next += 1;
-                    link.unacked.insert(entry);
-                    (entry, frame)
-                })
-                .collect();
-            tails.insert(to, link.next - 1);
-            self.outbox.push((to, frames));
-        }
-        let last_id = self.last_id();
-        for (to, tail) in tails {
-            if let Some(link) = self.links.get_mut(&to) {
-                link.cursor.sent(tail, last_id);
-            }
-        }
-    }
-
-    fn resume(&self, _peer: SiteId) -> Option<u64> {
-        None
-    }
-
-    fn acked(&mut self, peer: SiteId) -> Option<u64> {
-        let last_id = self.last_id();
-        self.links.entry(peer).or_default().advance(last_id)
-    }
-
-    fn record(&mut self, event: Event) {
-        self.events.push((self.now, event));
-    }
-
-    fn now(&self) -> u64 {
-        self.now.as_micros()
-    }
-}
-
 /// One simulated site: its node while it is up, and its host.
 #[derive(Debug)]
 struct Site {
@@ -481,7 +305,7 @@ struct Site {
     /// events into them, [`SimCluster::try_query`] and
     /// [`SimCluster::refresh_metrics`] feed the rest. Outlives the node:
     /// a restarted incarnation reports to the same series.
-    obs: SiteInstruments,
+    obs: NodeInstruments,
 }
 
 /// The simulated replicated system.
@@ -545,9 +369,9 @@ impl SimCluster {
         let sites = site_ids
             .iter()
             .map(|&id| {
-                let obs = SiteInstruments::for_site(&metrics, config.method.name(), id.raw());
+                let obs = NodeInstruments::for_site(&metrics, config.method.name(), id);
                 let mut host = MemHost::default();
-                let node = Self::boot(&config, &metrics, &mut host, id, 1, obs.clone());
+                let node = Self::boot(&config, &mut host, id, 1, obs.clone());
                 #[expect(clippy::expect_used, reason = "an empty journal has nothing to retire")]
                 let node = node.expect("a cold boot");
                 Site {
@@ -605,11 +429,10 @@ impl SimCluster {
     /// Boots `site`'s node over `host`, the boot `esrd` runs.
     fn boot(
         config: &ClusterConfig,
-        metrics: &MetricsRegistry,
         host: &mut MemHost,
         site: SiteId,
         epoch: u64,
-        obs: SiteInstruments,
+        obs: NodeInstruments,
     ) -> std::io::Result<Node> {
         let cfg = NodeConfig {
             site,
@@ -617,8 +440,9 @@ impl SimCluster {
             method: config.method.rt(),
             epoch,
             ckpt_bytes: None,
+            canary: None,
         };
-        Node::boot(host, cfg, Self::fresh_state(config, site), metrics, obs)
+        Node::boot(host, cfg, Self::fresh_state(config, site), obs)
     }
 
     /// Crashes `site` at the current virtual time, between two steps:
@@ -626,8 +450,9 @@ impl SimCluster {
     /// register and snapshots stay, and every arrival from now on — peer
     /// frames and its own client plane alike — waits for
     /// [`SimCluster::restart`]. A frame it sent that has not arrived yet
-    /// is lost with its link: the restart re-sends the journalled MSets,
-    /// and recovery re-derives the rest.
+    /// is lost with its link: the restart re-sends the journalled MSets
+    /// it originated above each peer's cursor, and recovery re-derives
+    /// the rest.
     pub fn crash(&mut self, site: SiteId) {
         let s = &mut self.sites[site.raw() as usize];
         assert!(
@@ -648,17 +473,10 @@ impl SimCluster {
         let now = self.now();
         let s = &mut self.sites[site.raw() as usize];
         assert!(s.node.is_none(), "restart of {site}, which is up");
-        s.host.now = now;
-        let seen = s.host.events.len();
+        s.host.set_now(now);
+        let seen = s.host.events().len();
         let epoch = s.epoch + 1;
-        let booted = Self::boot(
-            &self.config,
-            &self.metrics,
-            &mut s.host,
-            site,
-            epoch,
-            s.obs.clone(),
-        );
+        let booted = Self::boot(&self.config, &mut s.host, site, epoch, s.obs.clone());
         s.node = Some(booted?);
         s.epoch = epoch;
         let waiting = std::mem::take(&mut s.waiting);
@@ -737,7 +555,7 @@ impl SimCluster {
     /// of `ProcCluster::trace_of`, holding the same typed [`Event`]s, ready for the trace certifier and the span
     /// merger.
     pub fn events_of(&self, site: SiteId) -> Vec<(u64, u64, Event)> {
-        let log = self.site(site).host.events.iter().enumerate();
+        let log = self.site(site).host.events().iter().enumerate();
         log.map(|(seq, (at, event))| (seq as u64, at.as_micros(), event.clone()))
             .collect()
     }
@@ -785,7 +603,7 @@ impl SimCluster {
             let Some(state) = self.state(id) else {
                 continue;
             };
-            publish_readings(state.readings(), &self.site(id).obs);
+            publish_readings(state.readings(), self.site(id).obs.site());
             if let SiteState::RituMv(s) = state {
                 let lag = self.next_version_time.saturating_sub(s.vtnc().time);
                 self.vtnc_lag_gauge
@@ -1071,8 +889,8 @@ impl SimCluster {
         let now = self.now();
         let s = &mut self.sites[site.raw() as usize];
         let node = s.node.as_mut()?;
-        s.host.now = now;
-        let seen = s.host.events.len();
+        s.host.set_now(now);
+        let seen = s.host.events().len();
         let out = op(node, &mut s.host);
         self.drain(now, site, seen);
         Some(out)
@@ -1082,8 +900,8 @@ impl SimCluster {
     /// on, then puts what its commit sent on the wire, in plan order.
     fn drain(&mut self, now: VirtualTime, site: SiteId, seen: usize) {
         let host = &mut self.sites[site.raw() as usize].host;
-        let events: Vec<Event> = host.events[seen..].iter().map(|(_, e)| e.clone()).collect();
-        let outbox = std::mem::take(&mut host.outbox);
+        let events: Vec<Event> = host.events()[seen..].iter().map(|(_, e)| e.clone()).collect();
+        let outbox = host.take_sent();
         for event in &events {
             self.observe(now, site, event);
         }
@@ -1256,7 +1074,7 @@ impl SimCluster {
                 }
             }
         };
-        obs.query(out.charged, epsilon.limit, out.admitted);
+        obs.site().query(out.charged, epsilon.limit, out.admitted);
         if out.admitted {
             self.stats.queries_served += 1;
             self.stats.total_charged += out.charged;
@@ -1450,7 +1268,9 @@ impl SimCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Host;
     use esr_net::latency::LatencyModel;
+    use esr_storage::snapshot;
 
     const X: ObjectId = ObjectId(0);
 
@@ -1725,6 +1545,37 @@ mod tests {
             .completion_latencies
             .iter()
             .all(|d| *d > Duration::ZERO));
+    }
+
+    /// A restart re-sends exactly the MSets the site originated above
+    /// each peer's cursor: what every peer acknowledged is not sent
+    /// again, what the crash lost in flight is.
+    #[test]
+    fn a_restart_resends_only_what_its_peers_had_not_acknowledged() {
+        let link = LinkConfig::reliable(LatencyModel::Constant(Duration::from_millis(5)));
+        let config = ClusterConfig::new(Method::Commu).with_sites(3);
+        let mut c = SimCluster::new(config.with_link(link));
+        c.submit_update(SiteId(1), incr_op(1));
+        c.submit_update(SiteId(1), incr_op(2));
+        c.run_until_quiescent();
+        let et3 = c.submit_update(SiteId(1), incr_op(3));
+        assert!(c.step(), "site 1 takes the submit");
+        c.crash(SiteId(1));
+        let host = &c.sites[1].host;
+        let ids: Vec<u64> = host.journal.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [0, 1, 2]);
+        for peer in [SiteId(0), SiteId(2)] {
+            assert_eq!(host.resume(peer), Some(1), "et1 and et2 acknowledged");
+        }
+        c.restart(SiteId(1)).unwrap();
+        c.run_until_quiescent();
+        assert!(c.converged() && c.matches_oracle());
+        for peer in [SiteId(0), SiteId(2)] {
+            let log = c.events_of(peer);
+            let dups = log.iter().filter(|(_, _, e)| matches!(e, Event::DuplicateDelivery { .. }));
+            assert_eq!(dups.count(), 0, "{peer} was sent nothing it had");
+            assert!(c.has_applied(peer, et3), "{peer} got the update the crash lost");
+        }
     }
 
     /// One COMMU site checkpointed after each of six updates: installs

@@ -1,5 +1,4 @@
-//! Tick commit: the write plan of one reactor cycle, and what a boot
-//! reads back from the writes it left.
+//! Tick commit: the write plan of one reactor cycle.
 //!
 //! A node does not write when it steps. Every journal record and
 //! [`Effect::Send`] a step returns is *staged* here, and once per
@@ -17,22 +16,19 @@
 //! and answers nothing: the peers redeliver, the clients retry, and
 //! whatever record prefix the torn append kept is absorbed by the
 //! journalled set and the client table. A crash after it loses the
-//! sends only. Either way the boot ([`Reboot::from_journal`]) re-seeds
-//! each link with the journal records that originated here and lie
-//! above the peer's acknowledged cursor, so a journalled submit reaches
-//! every peer, and recovery re-derives the control frames (DESIGN.md
-//! §13.1). `tests/commit_window.rs` crashes after every record prefix,
-//! and shows a send put before its record diverging.
-//!
-//! Both halves are pure so that test can drive them; [`crate::node::Node`]
-//! executes the very same plan and boot against its host: `esrd`'s
-//! journal file and links, the simulator's memory. The model checker
-//! boots through [`Reboot::from_journal`] too.
+//! sends only. Either way the boot ([`crate::node::Node::boot`])
+//! re-seeds each link with the journal records that originated here and
+//! lie above the peer's acknowledged cursor, so a journalled submit
+//! reaches every peer, and recovery re-derives the control frames
+//! (DESIGN.md §13.1). [`crate::node::Node`] executes the plan against
+//! its host — `esrd`'s journal file and links, or the memory host of
+//! the simulator and the model checker — and `tests/commit_window.rs`
+//! tears one commit after every record prefix, and shows a send put
+//! before its record diverging.
 
-use esr_core::ids::{EtId, SiteId};
+use esr_core::ids::SiteId;
 
 use crate::ctrl::{Effect, Record};
-use crate::mset::MSet;
 use crate::wire::Frame;
 
 /// The journal records and sends of the steps made since the last
@@ -78,6 +74,11 @@ impl Staged {
         self.sends.iter().map(|(_, f)| f.len()).sum()
     }
 
+    /// The writes a commit would make: journal records plus frames.
+    pub fn len(&self) -> usize {
+        self.journal.len() + self.sends()
+    }
+
     /// True when a commit would write nothing.
     pub fn is_empty(&self) -> bool {
         self.journal.is_empty() && self.sends.is_empty()
@@ -92,65 +93,13 @@ impl Staged {
     }
 }
 
-/// What a boot takes from the live journal: the one rule of what a
-/// restart replays and re-sends.
-#[derive(Debug, Default)]
-pub struct Reboot {
-    /// The MSets to replay, with their journal ids, oldest first.
-    pub msets: Vec<(u64, MSet)>,
-    /// The decisions to pass on again, `(et, commit)`, oldest first.
-    pub decisions: Vec<(EtId, bool)>,
-    /// Per peer with anything to re-send, the frames its link starts
-    /// with: the MSets this site originated above the journal id that
-    /// peer had acknowledged.
-    pub reseed: Vec<(SiteId, Vec<Frame>)>,
-}
-
-impl Reboot {
-    /// Splits `journal` — every live record with its id, oldest first —
-    /// for the boot of `site` in a cluster of `sites`. `resume(peer)` is
-    /// the id through which `peer` had acknowledged what it was sent
-    /// (`None`: nothing), so it gets back everything above it.
-    pub fn from_journal(
-        journal: Vec<(u64, Record)>,
-        site: SiteId,
-        sites: usize,
-        resume: impl Fn(SiteId) -> Option<u64>,
-    ) -> Self {
-        let (mut msets, mut decisions) = (Vec::new(), Vec::new());
-        for (id, record) in journal {
-            match record {
-                Record::MSet(m) => msets.push((id, m)),
-                Record::Decision { et, commit } => decisions.push((et, commit)),
-            }
-        }
-        let reseed = (0..sites as u64)
-            .map(SiteId)
-            .filter(|peer| *peer != site)
-            .filter_map(|peer| {
-                let resume = resume(peer);
-                let frames: Vec<Frame> = msets
-                    .iter()
-                    .filter(|(id, m)| m.origin == site && resume.is_none_or(|c| *id > c))
-                    .map(|(_, m)| Frame::MSet(m.clone()))
-                    .collect();
-                (!frames.is_empty()).then_some((peer, frames))
-            })
-            .collect();
-        Self {
-            msets,
-            decisions,
-            reseed,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ctrl::{NodeCore, NodeEvent};
+    use crate::mset::MSet;
     use crate::state::{RtMethod, SiteState};
-    use esr_core::ids::ObjectId;
+    use esr_core::ids::{EtId, ObjectId};
     use esr_core::op::{ObjectOp, Operation};
 
     fn incr(et: u64, origin: u64) -> MSet {
@@ -214,35 +163,5 @@ mod tests {
         let (records, sends) = staged.plan();
         assert_eq!(records, [Record::Decision { et: EtId(4), commit: false }]);
         assert_eq!(shape(&sends), ["0 decision"]);
-    }
-
-    #[test]
-    fn a_boot_reseeds_each_peer_with_what_it_originated_above_the_peer_cursor() {
-        let journal = vec![
-            (3, Record::MSet(incr(1, 1))),
-            (4, Record::MSet(incr(2, 2))),
-            (5, Record::Decision { et: EtId(2), commit: false }),
-            (6, Record::MSet(incr(3, 1))),
-        ];
-        let resume = |peer: SiteId| (peer == SiteId(0)).then_some(3);
-        let boot = Reboot::from_journal(journal, SiteId(1), 3, resume);
-        let ids: Vec<u64> = boot.msets.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids, [3, 4, 6], "every live MSet replays");
-        assert_eq!(boot.decisions, [(EtId(2), false)]);
-        let ets = |frames: &[Frame]| -> Vec<u64> {
-            frames
-                .iter()
-                .map(|f| match f {
-                    Frame::MSet(m) => m.et.0,
-                    other => panic!("only MSets are re-seeded: {other:?}"),
-                })
-                .collect()
-        };
-        let reseed: Vec<(u64, Vec<u64>)> =
-            boot.reseed.iter().map(|(p, f)| (p.raw(), ets(f))).collect();
-        assert_eq!(reseed, [(0, vec![3]), (2, vec![1, 3])], "own records above each cursor");
-        let caught_up = |_: SiteId| Some(6);
-        let boot = Reboot::from_journal(Vec::new(), SiteId(1), 3, caught_up);
-        assert!(boot.reseed.is_empty(), "a peer with nothing to re-send gets no run");
     }
 }

@@ -3,21 +3,21 @@
 //! the view register, the checkpoint chain (cut, install, lag-by-one
 //! truncation bounded by the peers' acknowledgements), boot by
 //! restore-or-replay and the re-seeding of the links, and the per-site
-//! executor series. `esrd` and [`crate::cluster::SimCluster`] both run a
-//! [`Node`]; they differ only in the [`Host`] they hand it, which is
-//! all of the node's I/O:
+//! executor series. It is the only code that performs an [`Effect`]:
+//! `esrd`, [`crate::cluster::SimCluster`] and the model checker
+//! (`crates/check`) each run a [`Node`], and differ only in the
+//! [`Host`] they hand it, which is all of the node's I/O:
 //!
 //! * `esrd`'s host is files and its reactor: the journal file,
 //!   `site-<i>.view`, snapshot containers installed by a writer thread,
 //!   the in-memory links and the cursor file that bounds what a restart
 //!   re-sends, the event ring and the monotonic clock;
-//! * the simulator's host is memory and its virtual-time network: a
-//!   journal with stable ids, a view register, the two newest snapshot
-//!   containers, an event log stamped in virtual time, and an outbox
-//!   the network drains after each step's commit.
-//!
-//! The model checker (`crates/check`) steps [`NodeCore`] directly with
-//! registers of its own, so nothing here moves its state counts.
+//! * [`MemHost`] is memory: a journal with stable ids, a view register,
+//!   the two newest snapshot containers, the link cursors, an event log
+//!   stamped in virtual time, and an outbox its owner drains after each
+//!   step's commit — onto the simulator's virtual-time network, or onto
+//!   the model's FIFO queues. Its one fault operation is a torn commit
+//!   ([`MemHost::tear`]).
 //!
 //! ## Boot
 //!
@@ -38,20 +38,23 @@
 //! to the snapshot writer. Its journal records and sends are staged,
 //! and [`Node::commit`] writes them in the plan's order — journal, then
 //! sends — once per reactor cycle in `esrd`, once per step in the
-//! simulator. Time is read only through [`Host::now`]: the same latency
-//! histograms run on a monotonic clock in `esrd` and on virtual time in
-//! the simulator.
+//! simulator and the model. Time is read only through [`Host::now`]:
+//! the same latency histograms run on a monotonic clock in `esrd` and
+//! on virtual time in the simulator.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
+use std::sync::Arc;
 
-use esr_core::ids::SiteId;
+use esr_core::ids::{EtId, SiteId};
 use esr_obs::{CkptInstruments, Counter, Gauge, Histogram, MetricsRegistry, SiteInstruments};
+use esr_sim::time::VirtualTime;
+use esr_storage::snapshot;
 
-use crate::commit::{Reboot, Staged};
-use crate::ctrl::{Effect, NodeCore, NodeEvent, Record};
+use crate::commit::Staged;
+use crate::ctrl::{CtrlCanary, Effect, NodeCore, NodeEvent, Record};
 use crate::mset::MSet;
-use crate::node_ckpt::{decode_payload, CkptPayload};
+use crate::node_ckpt::{decode_payload, encode_payload, CkptPayload};
 use crate::span::Event;
 use crate::state::{RtMethod, SiteState};
 use crate::wire::Frame;
@@ -117,6 +120,67 @@ pub struct NodeConfig {
     /// Checkpoint policy: cut after roughly this many bytes of journal
     /// appends (`None`: only on demand).
     pub ckpt_bytes: Option<u64>,
+    /// Seeded control-plane defect the core runs with: the model
+    /// checker arms one to prove it is caught; `esrd` and the simulator
+    /// run `None`.
+    pub canary: Option<CtrlCanary>,
+}
+
+/// A node's series, registered once per site: every incarnation of the
+/// site reports to the same ones, and a boot registers nothing.
+#[derive(Debug, Clone)]
+pub struct NodeInstruments(Arc<Series>);
+
+/// The series a [`NodeInstruments`] handle shares.
+#[derive(Debug)]
+struct Series {
+    /// The site's replica series, fed from the core's events.
+    site: SiteInstruments,
+    /// Checkpoint and journal series.
+    ckpt: CkptInstruments,
+    /// Journal records handed to a boot's replay
+    /// (`esr_recovery_replays_total`).
+    replays: Counter,
+    /// The installed view (`esr_view`).
+    view: Gauge,
+    /// Whether this site holds the coordinator role (`esr_coordinator`).
+    coordinator: Gauge,
+    /// Elections taken part in (`esr_elections_total`, counted at the
+    /// first StartViewChange sent per election).
+    elections: Counter,
+    /// First StartViewChange sent to the next view recorded
+    /// (`esr_election_latency_micros`).
+    election_latency: Histogram,
+    /// Journal records plus link frames per non-empty commit
+    /// (`esr_commit_records`): the batching a commit achieved.
+    commit_records: Histogram,
+    /// Latency of a non-empty commit (`esr_commit_latency_micros`).
+    commit_latency: Histogram,
+}
+
+impl NodeInstruments {
+    /// Registers `site`'s series, labelled with `method`, in `metrics`.
+    pub fn for_site(metrics: &MetricsRegistry, method: &str, site: SiteId) -> Self {
+        let label = site.raw().to_string();
+        let l: &[(&str, &str)] = &[("site", &label)];
+        Self(Arc::new(Series {
+            site: SiteInstruments::for_site(metrics, method, site.raw()),
+            ckpt: CkptInstruments::for_site(metrics, site.raw()),
+            replays: metrics.counter("esr_recovery_replays_total", l),
+            view: metrics.gauge("esr_view", l),
+            coordinator: metrics.gauge("esr_coordinator", l),
+            elections: metrics.counter("esr_elections_total", l),
+            election_latency: metrics.histogram("esr_election_latency_micros", l),
+            commit_records: metrics.histogram("esr_commit_records", l),
+            commit_latency: metrics.histogram("esr_commit_latency_micros", l),
+        }))
+    }
+
+    /// The replica series, which the executor's query and scrape paths
+    /// feed too.
+    pub fn site(&self) -> &SiteInstruments {
+        &self.0.site
+    }
 }
 
 /// What a node knows about its checkpoint chain.
@@ -171,6 +235,11 @@ impl Cursor {
         self.marks.push_back((entry, last_id));
     }
 
+    /// Where the last [`Cursor::advance`] left the cursor.
+    pub fn acked(&self) -> Option<u64> {
+        self.acked
+    }
+
     /// Advances past what the link has acknowledged — `head` is its
     /// oldest unacknowledged entry, `None` when it holds none, and
     /// `last_id` the journal's newest id — and returns the cursor.
@@ -217,27 +286,10 @@ pub struct Node {
     /// Set when a commit reaches the policy's limit; that commit cuts
     /// once its writes are done, so the cut is a consistent prefix.
     ckpt_due: bool,
-    /// The site's replica series, fed from the core's events.
-    site_obs: SiteInstruments,
-    /// Checkpoint and journal series.
-    ckpt_obs: CkptInstruments,
-    /// The installed view (`esr_view`).
-    view_gauge: Gauge,
-    /// Whether this site holds the coordinator role (`esr_coordinator`).
-    coordinator_gauge: Gauge,
-    /// Elections taken part in (`esr_elections_total`, counted at the
-    /// first StartViewChange sent per election).
-    elections: Counter,
-    /// First StartViewChange sent to the next view recorded
-    /// (`esr_election_latency_micros`).
-    election_latency: Histogram,
+    /// The site's series.
+    obs: Arc<Series>,
     /// When the election in progress started.
     election_started: Option<u64>,
-    /// Journal records plus link frames per non-empty commit
-    /// (`esr_commit_records`): the batching a commit achieved.
-    commit_records: Histogram,
-    /// Latency of a non-empty commit (`esr_commit_latency_micros`).
-    commit_latency: Histogram,
 }
 
 impl Node {
@@ -246,19 +298,15 @@ impl Node {
     /// was retired from into `blank`; records the boot; and commits
     /// what recovery stepped — the re-announcement of recovered applies,
     /// which the previous incarnation may have died before sending.
-    /// Series register in `metrics`; `site_obs` counts the core's
-    /// events. Fails when a journal record does not decode, or when the
-    /// journal was truncated and no snapshot restores.
+    /// The node reports to `obs`, the site's series. Fails when a
+    /// journal record does not decode, or when the journal was
+    /// truncated and no snapshot restores.
     pub fn boot(
         host: &mut impl Host,
         cfg: NodeConfig,
         blank: SiteState,
-        metrics: &MetricsRegistry,
-        site_obs: SiteInstruments,
+        NodeInstruments(obs): NodeInstruments,
     ) -> io::Result<Self> {
-        let label = cfg.site.raw().to_string();
-        let site: &[(&str, &str)] = &[("site", &label)];
-        let ckpt_obs = CkptInstruments::for_site(metrics, cfg.site.raw());
         let view = host.view();
         let journal = host.journal()?;
         // Every record from this id on is live; the ones before it were
@@ -266,13 +314,27 @@ impl Node {
         let first_live = journal
             .first()
             .map_or(host.last_id().map_or(0, |id| id + 1), |(id, _)| *id);
+        let (mut msets, mut decisions) = (Vec::new(), Vec::new());
+        for (id, record) in journal {
+            match record {
+                Record::MSet(m) => msets.push((id, m)),
+                Record::Decision { et, commit } => decisions.push((et, commit)),
+            }
+        }
         // The links start empty: each peer gets back the MSets this site
         // originated above the cursor it had acknowledged.
-        let Reboot {
-            msets,
-            decisions,
-            reseed,
-        } = Reboot::from_journal(journal, cfg.site, cfg.sites, |peer| host.resume(peer));
+        let peers = (0..cfg.sites as u64).map(SiteId).filter(|peer| *peer != cfg.site);
+        let reseed: Vec<(SiteId, Vec<Frame>)> = peers
+            .filter_map(|peer| {
+                let resume = host.resume(peer);
+                let frames: Vec<Frame> = msets
+                    .iter()
+                    .filter(|(id, m)| m.origin == cfg.site && resume.is_none_or(|c| *id > c))
+                    .map(|(_, m)| Frame::MSet(m.clone()))
+                    .collect();
+                (!frames.is_empty()).then_some((peer, frames))
+            })
+            .collect();
         let snapshots = host.snapshots();
         let mut restored = None;
         for &seq in &snapshots {
@@ -299,10 +361,10 @@ impl Node {
                         .collect();
                     let replayed = suffix.len() as u64;
                     let started = host.now();
-                    let (method, at) = (cfg.method, view.max(p.view));
-                    match NodeCore::restore(method, cfg.site, cfg.sites, None, at, p, suffix) {
+                    let (method, at, canary) = (cfg.method, view.max(p.view), cfg.canary);
+                    match NodeCore::restore(method, cfg.site, cfg.sites, canary, at, p, suffix) {
                         Some((core, effects)) => {
-                            ckpt_obs.suffix_replay(host.now().saturating_sub(started));
+                            obs.ckpt.suffix_replay(host.now().saturating_sub(started));
                             restored = Some((core, effects, chain, replayed));
                             break;
                         }
@@ -321,7 +383,7 @@ impl Node {
                 let entries: Vec<MSet> = msets.into_iter().map(|(_, m)| m).collect();
                 let replayed = entries.len() as u64;
                 let (core, effects) =
-                    NodeCore::recover(blank, cfg.method, cfg.site, cfg.sites, None, view, entries);
+                    NodeCore::recover(blank, cfg.method, cfg.site, cfg.sites, cfg.canary, view, entries);
                 (core, effects, CkptState::default(), replayed)
             }
             None => {
@@ -335,9 +397,7 @@ impl Node {
         // One account of the boot, whichever branch ran: the records
         // handed to the replay here, the `Replay` spans among the
         // recovery effects counted when they are performed below.
-        metrics
-            .counter("esr_recovery_replays_total", site)
-            .add(replayed);
+        obs.replays.add(replayed);
         host.record(Event::Boot {
             epoch: cfg.epoch,
             snapshot: (ckpt.seq > 0).then_some((ckpt.seq, ckpt.covered)),
@@ -349,11 +409,9 @@ impl Node {
         ckpt.seq = ckpt.seq.max(snapshots.first().copied().unwrap_or(0));
         ckpt.cut = ckpt.seq;
         let (bytes, live) = host.journal_size();
-        ckpt_obs.journal(bytes, live);
-        let view_gauge = metrics.gauge("esr_view", site);
-        view_gauge.set(core.view as i64);
-        let coordinator_gauge = metrics.gauge("esr_coordinator", site);
-        coordinator_gauge.set(i64::from(core.coord.is_some()));
+        obs.ckpt.journal(bytes, live);
+        obs.view.set(core.view as i64);
+        obs.coordinator.set(i64::from(core.coord.is_some()));
         let mut node = Self {
             core,
             staged: Staged::default(),
@@ -363,15 +421,8 @@ impl Node {
             ckpt_bytes: cfg.ckpt_bytes,
             ckpt_bytes_since: 0,
             ckpt_due: false,
-            site_obs,
-            ckpt_obs,
-            view_gauge,
-            coordinator_gauge,
-            elections: metrics.counter("esr_elections_total", site),
-            election_latency: metrics.histogram("esr_election_latency_micros", site),
+            obs,
             election_started: None,
-            commit_records: metrics.histogram("esr_commit_records", site),
-            commit_latency: metrics.histogram("esr_commit_latency_micros", site),
         };
         host.send(reseed);
         node.perform(host, recovery);
@@ -407,11 +458,22 @@ impl Node {
         let tick = matches!(event, NodeEvent::Tick);
         let effects = self.core.step(event);
         self.perform(host, effects);
-        self.coordinator_gauge
-            .set(i64::from(self.core.coord.is_some()));
+        self.obs.coordinator.set(i64::from(self.core.coord.is_some()));
         if tick {
             self.retire(host);
         }
+    }
+
+    /// Steps a client submit and returns the ET its client is answered
+    /// with: the one the client table holds for the request's
+    /// `(client, seq)` — for a retry, the original ET, whatever the
+    /// retry was stamped with — else the submit's own.
+    pub fn submit(&mut self, host: &mut impl Host, mset: MSet) -> EtId {
+        let (request, et) = (mset.client, mset.et);
+        self.dispatch(host, NodeEvent::ClientSubmit(mset));
+        request
+            .and_then(|(client, seq)| self.core.cached_et(client, seq))
+            .unwrap_or(et)
     }
 
     /// Writes everything staged ([`crate::commit`]'s order), then cuts
@@ -459,7 +521,7 @@ impl Node {
         });
         if starts_election && self.election_started.is_none() {
             self.election_started = Some(host.now());
-            self.elections.inc();
+            self.obs.elections.inc();
         }
         for effect in self.staged.stage(effects) {
             match effect {
@@ -479,14 +541,15 @@ impl Node {
                 // the new view.
                 Effect::RecordView(view) => {
                     host.record_view(view);
-                    self.view_gauge.set(view as i64);
+                    self.obs.view.set(view as i64);
                     if let Some(started) = self.election_started.take() {
-                        self.election_latency
+                        self.obs
+                            .election_latency
                             .record(host.now().saturating_sub(started));
                     }
                 }
                 Effect::Event(event) => {
-                    event.count(&self.site_obs);
+                    event.count(&self.obs.site);
                     host.record(event);
                 }
                 // Staged above.
@@ -502,12 +565,12 @@ impl Node {
             return;
         }
         let started = host.now();
+        let written = self.staged.len();
         let (records, sends) = self.staged.plan();
-        let written = records.len() + sends.iter().map(|(_, f)| f.len()).sum::<usize>();
         if !records.is_empty() {
             let bytes = host.append(records);
             let (file, live) = host.journal_size();
-            self.ckpt_obs.journal(file, live);
+            self.obs.ckpt.journal(file, live);
             if let Some(limit) = self.ckpt_bytes {
                 self.ckpt_bytes_since += bytes;
                 if self.ckpt_bytes_since >= limit {
@@ -517,8 +580,9 @@ impl Node {
             }
         }
         host.send(sends);
-        self.commit_records.record(written as u64);
-        self.commit_latency
+        self.obs.commit_records.record(written as u64);
+        self.obs
+            .commit_latency
             .record(host.now().saturating_sub(started));
     }
 
@@ -559,7 +623,7 @@ impl Node {
         if cut.covered < self.ckpt.covered {
             return;
         }
-        self.ckpt_obs.installed(bytes, micros);
+        self.obs.ckpt.installed(bytes, micros);
         host.record(Event::CkptInstall {
             seq: cut.seq,
             covered: cut.covered,
@@ -591,17 +655,400 @@ impl Node {
         }
         let retired = host.retire_through(through);
         if retired > 0 {
-            self.ckpt_obs.truncated(retired);
+            self.obs.ckpt.truncated(retired);
             let (bytes, live) = host.journal_size();
-            self.ckpt_obs.journal(bytes, live);
+            self.obs.ckpt.journal(bytes, live);
             host.record(Event::CkptTruncate { through, retired });
         }
+    }
+}
+
+/// Whether a step's next write is kept, spending one of a tear's
+/// writes (`tear`: those left, `None` when no tear is armed).
+fn keeps(tear: &mut Option<usize>) -> bool {
+    let kept = *tear != Some(0);
+    if let Some(left) = tear {
+        *left = left.saturating_sub(1);
+    }
+    kept
+}
+
+/// One in-memory link: the entries sent on it that no arrival has
+/// acknowledged yet, and the cursor they leave.
+#[derive(Debug, Default)]
+struct MemLink {
+    next: u64,
+    unacked: BTreeSet<u64>,
+    cursor: Cursor,
+}
+
+/// One site's I/O, in memory: the simulator's and the model checker's
+/// [`Host`]. The journal, the view register, the snapshot containers
+/// and each link's cursor are its durable half, what
+/// [`MemHost::crash`] keeps; the rest — the links' entries included —
+/// dies with the node.
+///
+/// A link's cursor moves when an arrival acknowledges an entry
+/// ([`MemHost::ack`]): once every entry up to an MSet's is
+/// acknowledged, the peer holds every MSet that originated here up to
+/// that one's journal id — the frames of a link are sent in journal
+/// order. A link left with no entry is caught up with the whole
+/// journal. A crash keeps each cursor where the last acknowledgement
+/// left it, so a boot re-sends exactly the originated MSets above it.
+#[derive(Debug, Default)]
+pub struct MemHost {
+    /// Live journal records with their ids, oldest first.
+    pub(crate) journal: Vec<(u64, Record)>,
+    /// The id the next record gets.
+    next_id: u64,
+    /// Bytes ever appended: a journal file before compaction.
+    journal_bytes: u64,
+    /// The recorded view.
+    view: u64,
+    /// Snapshot containers, oldest first: the two newest are kept, so
+    /// a corrupt newest falls back to the one before it.
+    pub(crate) snapshots: Vec<(u64, Vec<u8>)>,
+    /// Install reports the node has not taken yet.
+    installs: VecDeque<Install>,
+    /// Every event this incarnation recorded, stamped with the virtual
+    /// time of its step.
+    events: Vec<(VirtualTime, Event)>,
+    /// The links, by peer.
+    links: BTreeMap<SiteId, MemLink>,
+    /// What the commits since the last [`MemHost::take_sent`] sent, per
+    /// link, in plan order, with each frame's link entry.
+    outbox: Vec<(SiteId, Vec<(u64, Frame)>)>,
+    /// The virtual time of the step being taken.
+    now: VirtualTime,
+    /// Writes the torn step may still make (`None`: no tear armed).
+    tear: Option<usize>,
+}
+
+impl MemHost {
+    /// Loses what a crash loses: the event log, the links' entries, the
+    /// outbox, the writer's unread reports and an armed tear. The link
+    /// cursors stay where the last acknowledgement left them — never
+    /// advanced here, which could cover records whose sends a torn
+    /// commit lost.
+    pub fn crash(&mut self) {
+        self.events.clear();
+        for link in self.links.values_mut() {
+            link.unacked.clear();
+            link.cursor = Cursor::at(link.cursor.acked());
+        }
+        self.outbox.clear();
+        self.installs.clear();
+        self.tear = None;
+    }
+
+    /// Tears the next step's commit: of its writes — the view record,
+    /// then the journal records of its append, then its sends, in the
+    /// order the node makes them — it keeps only the first `writes`
+    /// and loses the rest, as a crash inside the step would. The owner
+    /// crashes the host once the step is taken; until then the host is
+    /// dead, and takes no acknowledgement of what it did send.
+    pub fn tear(&mut self, writes: usize) {
+        self.tear = Some(writes);
+    }
+
+    /// `to` took entry `entry` of its link from here.
+    pub fn ack(&mut self, to: SiteId, entry: u64) {
+        // A torn host crashed inside its commit: an empty link is not
+        // caught up with records whose sends were torn off.
+        if self.tear.is_some() {
+            return;
+        }
+        let last_id = self.last_id();
+        if let Some(link) = self.links.get_mut(&to) {
+            link.unacked.remove(&entry);
+            link.cursor.advance(link.unacked.first().copied(), last_id);
+        }
+    }
+
+    /// Takes what was sent since the last call, per link in plan order,
+    /// each frame with its link entry.
+    pub fn take_sent(&mut self) -> Vec<(SiteId, Vec<(u64, Frame)>)> {
+        std::mem::take(&mut self.outbox)
+    }
+
+    /// Every event this incarnation recorded, with its virtual time.
+    pub fn events(&self) -> &[(VirtualTime, Event)] {
+        &self.events
+    }
+
+    /// Sets the virtual time the next writes and events are stamped
+    /// with.
+    pub fn set_now(&mut self, now: VirtualTime) {
+        self.now = now;
+    }
+}
+
+impl Host for MemHost {
+    fn append(&mut self, records: Vec<Record>) -> u64 {
+        // Record framing plus the wire size, per record.
+        let size = |r: &Record| match r {
+            Record::MSet(m) => m.wire_size(),
+            Record::Decision { .. } => 10,
+        };
+        let mut bytes = 0;
+        for r in records {
+            if !keeps(&mut self.tear) {
+                break;
+            }
+            bytes += 13 + size(&r);
+            self.journal.push((self.next_id, r));
+            self.next_id += 1;
+        }
+        self.journal_bytes += bytes;
+        bytes
+    }
+
+    fn journal(&self) -> io::Result<Vec<(u64, Record)>> {
+        Ok(self.journal.clone())
+    }
+
+    fn last_id(&self) -> Option<u64> {
+        self.next_id.checked_sub(1)
+    }
+
+    fn retire_through(&mut self, through: u64) -> u64 {
+        let live = self.journal.len();
+        self.journal.retain(|(id, _)| *id > through);
+        (live - self.journal.len()) as u64
+    }
+
+    fn journal_size(&self) -> (u64, u64) {
+        (self.journal_bytes, self.journal.len() as u64)
+    }
+
+    fn view(&self) -> u64 {
+        self.view
+    }
+
+    fn record_view(&mut self, view: u64) {
+        if keeps(&mut self.tear) {
+            self.view = view;
+        }
+    }
+
+    fn snapshots(&self) -> Vec<u64> {
+        self.snapshots.iter().rev().map(|(seq, _)| *seq).collect()
+    }
+
+    fn load_snapshot(&self, seq: u64) -> Option<Vec<u8>> {
+        let (_, container) = self.snapshots.iter().find(|(s, _)| *s == seq)?;
+        snapshot::decode_container(container).map(|(_, payload)| payload.to_vec())
+    }
+
+    fn cut(&mut self, seq: u64, payload: Box<CkptPayload>) {
+        let container = snapshot::encode_container(seq, &encode_payload(&payload));
+        self.installs.push_back(Ok((container.len() as u64, 0)));
+        self.snapshots.push((seq, container));
+        if self.snapshots.len() > 2 {
+            self.snapshots.remove(0);
+        }
+    }
+
+    fn installed(&mut self, _wait: bool) -> Option<Install> {
+        self.installs.pop_front()
+    }
+
+    fn send(&mut self, sends: Vec<(SiteId, Vec<Frame>)>) {
+        for (to, frames) in sends {
+            let link = self.links.entry(to).or_default();
+            let mut sent = Vec::with_capacity(frames.len());
+            for frame in frames {
+                if !keeps(&mut self.tear) {
+                    break;
+                }
+                let entry = link.next;
+                link.next += 1;
+                link.unacked.insert(entry);
+                if let Frame::MSet(m) = &frame {
+                    // Its acknowledgement covers the journal through
+                    // its own record.
+                    let id = self.journal.iter().rev().find_map(|(id, r)| {
+                        matches!(r, Record::MSet(j) if j.et == m.et).then_some(*id)
+                    });
+                    link.cursor.sent(entry, id);
+                }
+                sent.push((entry, frame));
+            }
+            if !sent.is_empty() {
+                self.outbox.push((to, sent));
+            }
+        }
+    }
+
+    fn resume(&self, peer: SiteId) -> Option<u64> {
+        self.links.get(&peer).and_then(|link| link.cursor.acked())
+    }
+
+    fn acked(&mut self, peer: SiteId) -> Option<u64> {
+        let last_id = self.last_id();
+        let link = self.links.entry(peer).or_default();
+        link.cursor.advance(link.unacked.first().copied(), last_id)
+    }
+
+    fn record(&mut self, event: Event) {
+        self.events.push((self.now, event));
+    }
+
+    fn now(&self) -> u64 {
+        self.now.as_micros()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esr_core::ids::ObjectId;
+    use esr_core::op::{ObjectOp, Operation};
+
+    fn incr(et: u64) -> MSet {
+        let op = ObjectOp::new(ObjectId(0), Operation::Incr(1));
+        MSet::new(EtId(et), SiteId(0), vec![op])
+    }
+
+    /// What `host` holds of the writes a step makes, in the order the
+    /// node makes them: view record, journal records, sends.
+    fn writes(host: &mut MemHost) -> Vec<String> {
+        let view = (host.view() > 0).then(|| format!("view {}", host.view()));
+        let records = host.journal().unwrap().into_iter().map(|(id, r)| match r {
+            Record::MSet(m) => format!("record {id} et{}", m.et.0),
+            Record::Decision { et, .. } => format!("record {id} decision et{}", et.0),
+        });
+        let sent = host.take_sent().into_iter().flat_map(|(to, frames)| {
+            frames.into_iter().map(move |(entry, f)| format!("{} entry {entry} {f:?}", to.raw()))
+        });
+        view.into_iter().chain(records).chain(sent).collect()
+    }
+
+    /// A step's writes: a view record, two journal records, then three
+    /// frames on two links.
+    fn a_step(host: &mut MemHost) {
+        host.record_view(1);
+        let decision = Record::Decision {
+            et: EtId(1),
+            commit: true,
+        };
+        host.append(vec![Record::MSet(incr(1)), decision]);
+        let mset = Frame::MSet(incr(1));
+        let decision = Frame::Decision {
+            et: EtId(1),
+            commit: true,
+        };
+        host.send(vec![
+            (SiteId(1), vec![mset.clone(), decision.clone()]),
+            (SiteId(2), vec![mset]),
+        ]);
+    }
+
+    #[test]
+    fn a_boot_reseeds_each_peer_with_what_it_originated_above_the_peer_cursor() {
+        let mut host = MemHost::default();
+        let mut theirs = incr(2);
+        theirs.origin = SiteId(2);
+        let decision = Record::Decision {
+            et: EtId(2),
+            commit: false,
+        };
+        let records = [Record::MSet(incr(1)), Record::MSet(theirs), decision];
+        host.append([records.to_vec(), vec![Record::MSet(incr(3))]].concat());
+        let acked = MemLink {
+            cursor: Cursor::at(Some(0)),
+            ..MemLink::default()
+        };
+        host.links.insert(SiteId(1), acked);
+        let obs = NodeInstruments::for_site(&MetricsRegistry::new(), "COMPE", SiteId(0));
+        let cfg = NodeConfig {
+            site: SiteId(0),
+            sites: 3,
+            method: RtMethod::Compe,
+            epoch: 2,
+            ckpt_bytes: None,
+            canary: None,
+        };
+        let blank = SiteState::new(RtMethod::Compe, SiteId(0));
+        Node::boot(&mut host, cfg, blank, obs).unwrap();
+        let replayed = host.events().iter().find_map(|(_, e)| match e {
+            Event::Boot { replayed, .. } => Some(*replayed),
+            _ => None,
+        });
+        assert_eq!(replayed, Some(3), "every live MSet replays");
+        let reseed: Vec<(u64, Vec<u64>)> = host
+            .take_sent()
+            .into_iter()
+            .map(|(to, frames)| {
+                let ets = frames.into_iter().filter_map(|(_, f)| match f {
+                    Frame::MSet(m) => Some(m.et.0),
+                    _ => None,
+                });
+                (to.raw(), ets.collect::<Vec<u64>>())
+            })
+            .filter(|(_, ets)| !ets.is_empty())
+            .collect();
+        assert_eq!(reseed, [(1, vec![3]), (2, vec![1, 3])], "own records above each cursor");
+    }
+
+    #[test]
+    fn a_torn_commit_keeps_exactly_its_first_writes() {
+        let mut whole = MemHost::default();
+        a_step(&mut whole);
+        let all = writes(&mut whole);
+        assert_eq!(all.len(), 6);
+        for k in 0..=all.len() + 1 {
+            let mut host = MemHost::default();
+            host.tear(k);
+            a_step(&mut host);
+            assert_eq!(writes(&mut host), all[..k.min(all.len())], "torn after {k} writes");
+            host.crash();
+            a_step(&mut host);
+            assert_eq!(host.take_sent().len(), 2, "a crash disarms the tear");
+        }
+    }
+
+    #[test]
+    fn a_crash_right_after_a_torn_append_keeps_the_cursor_below_the_torn_record() {
+        let (mut host, peer) = (MemHost::default(), SiteId(1));
+        host.append(vec![Record::MSet(incr(1))]);
+        host.send(vec![(peer, vec![Frame::MSet(incr(1))])]);
+        host.take_sent();
+        host.ack(peer, 0);
+        assert_eq!(host.resume(peer), Some(0), "et1 acknowledged");
+        // et2's record is kept, and a control frame ahead of its send;
+        // the send is torn off. The peer acknowledges the control
+        // frame, which leaves the link empty.
+        host.tear(2);
+        host.append(vec![Record::MSet(incr(2))]);
+        let decision = Frame::Decision {
+            et: EtId(1),
+            commit: true,
+        };
+        host.send(vec![(peer, vec![decision, Frame::MSet(incr(2))])]);
+        assert_eq!(host.take_sent()[0].1.len(), 1, "the control frame alone left");
+        host.ack(peer, 1);
+        host.crash();
+        assert_eq!(host.resume(peer), Some(0), "the cursor stays below et2's record");
+        let obs = NodeInstruments::for_site(&MetricsRegistry::new(), "COMMU", SiteId(0));
+        let cfg = NodeConfig {
+            site: SiteId(0),
+            sites: 2,
+            method: RtMethod::Commu,
+            epoch: 2,
+            ckpt_bytes: None,
+            canary: None,
+        };
+        let blank = SiteState::new(RtMethod::Commu, SiteId(0));
+        Node::boot(&mut host, cfg, blank, obs).unwrap();
+        let resent: Vec<(SiteId, Vec<String>)> = host
+            .take_sent()
+            .into_iter()
+            .map(|(to, frames)| (to, frames.into_iter().map(|(_, f)| format!("{f:?}")).collect()))
+            .collect();
+        let et2 = format!("{:?}", Frame::MSet(incr(2)));
+        assert_eq!(resent, [(peer, vec![et2])], "the boot re-sends et2 only");
+    }
 
     #[test]
     fn a_cursor_moves_only_past_what_its_link_acknowledged() {

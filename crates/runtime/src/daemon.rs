@@ -114,7 +114,7 @@ use esr_net::rpc::{
 use esr_obs::{
     Counter, Histogram, LinkInstruments, MetricsRegistry, ReactorInstruments, SiteInstruments,
 };
-use esr_replica::node::{Cursor, Host, Install, Node, NodeConfig};
+use esr_replica::node::{Cursor, Host, Install, Node, NodeConfig, NodeInstruments};
 use esr_replica::span::{publish_readings, Event};
 use esr_replica::wire::{decode_frame, encode_frame, Frame};
 use esr_storage::snapshot;
@@ -567,7 +567,7 @@ impl Daemon {
         let mut events = EventLog::start();
         let metrics = MetricsRegistry::new();
         let site_label = cfg.site.raw().to_string();
-        let site_obs = SiteInstruments::for_site(&metrics, cfg.method.name(), cfg.site.raw());
+        let node_obs = NodeInstruments::for_site(&metrics, cfg.method.name(), cfg.site);
         let journal = ApplyJournal::open(journal_path(&cfg.dir, cfg.site))?;
         let prefix = snap_prefix(cfg.site);
 
@@ -629,10 +629,12 @@ impl Daemon {
             method: cfg.method,
             epoch,
             ckpt_bytes: cfg.ckpt_bytes,
+            canary: None,
         };
         let blank = SiteState::new(cfg.method, cfg.site);
         let host = &mut files.with(&mut links);
-        let node = Node::boot(host, node_cfg, blank, &metrics, site_obs.clone())?;
+        let site_obs = node_obs.site().clone();
+        let node = Node::boot(host, node_cfg, blank, node_obs)?;
 
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let site: &[(&str, &str)] = &[("site", &site_label)];
@@ -678,22 +680,11 @@ impl Daemon {
                     return None;
                 }
                 // Exactly-once: a retried request (same client id +
-                // request seq) is answered from the client table with
-                // the *original* ET — byte-identical to the first
-                // SubmitOk — even if the retry was re-stamped.
-                if let Some((cid, seq)) = mset.client {
-                    if let Some(et) = self.node.core().cached_et(cid, seq) {
-                        self.files.events.record(Event::DuplicateSubmit {
-                            client: cid,
-                            seq,
-                            et,
-                        });
-                        return Some(Frame::SubmitOk { et });
-                    }
-                }
-                let et = mset.et;
+                // request seq) is answered with the *original* ET the
+                // core's client table holds — byte-identical to the
+                // first SubmitOk — even if the retry was re-stamped.
                 let started = Instant::now();
-                self.dispatch(links, NodeEvent::ClientSubmit(mset));
+                let et = self.node.submit(&mut self.files.with(links), mset);
                 self.apply_latency
                     .record(started.elapsed().as_micros() as u64);
                 Frame::SubmitOk { et }
@@ -887,7 +878,7 @@ impl RpcService for Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esr_core::ids::{EtId, ObjectId, SeqNo};
+    use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo};
     use esr_replica::mset::MSet;
     use esr_core::op::{ObjectOp, Operation};
     use esr_core::value::Value;
@@ -1410,6 +1401,27 @@ mod tests {
     /// stamped: a submit claiming site 2 is journalled as site 0's, so a
     /// crash that takes its sends after the journal append still leaves
     /// the next boot re-sending it to both peers.
+    /// A retry of a submit — the same `(client, seq)`, stamped with
+    /// another ET — is answered with the original ET, journals nothing,
+    /// and is recorded once as a duplicate.
+    #[test]
+    fn a_retried_submit_is_answered_with_the_original_et() {
+        let (mut daemon, mut links, _pipe) = boot("retried-submit", RtMethod::Commu, 0, 1, None);
+        let client = ClientId(7);
+        for et in [1, 2] {
+            let request = incr(et, 0).from_client(client, 3);
+            let replies = batch(&mut daemon, &mut links, &[Frame::Submit(request)]);
+            assert!(matches!(replies[0], Frame::SubmitOk { et } if et == EtId(1)), "{replies:?}");
+            daemon.commit(&mut links);
+        }
+        assert_eq!(daemon.files.journal.records().unwrap().len(), 1);
+        let (_, events) = daemon.files.events.query(crate::spans::SPAN_QUERY_ALL);
+        let duplicates = events.iter().filter(|(_, _, e)| {
+            matches!(e, Event::DuplicateSubmit { client: c, seq: 3, et } if *c == client && *et == EtId(1))
+        });
+        assert_eq!(duplicates.count(), 1);
+    }
+
     #[test]
     fn a_submit_stamped_with_another_origin_is_resent_by_the_site_it_reached() {
         let dir = fresh_dir("foreign-origin");

@@ -6,10 +6,10 @@
 //! until it sees a reply. The properties below drive arbitrary
 //! interleavings of such retries — duplicated, reordered, landing at
 //! different sites, straddling a view change — through a 3-site
-//! cluster of [`NodeCore`]s wired by in-memory FIFO links, emulating
-//! the daemon's reply path (answer from the client table when the
-//! request is already known). They assert the update applies exactly
-//! once everywhere, every retry is answered with the original ET, the
+//! cluster of the daemon's [`Node`]s over memory hosts, wired by
+//! in-memory FIFO links, answering each submit the way the daemon does
+//! ([`Node::submit`]). They assert the update applies exactly once
+//! everywhere, every retry is answered with the original ET, the
 //! cluster settles in the new view, and the client table survives a
 //! journal-replay restart at every site.
 
@@ -17,9 +17,11 @@ use std::collections::VecDeque;
 
 use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId};
 use esr_core::op::{ObjectOp, Operation};
+use esr_obs::MetricsRegistry;
 use esr_replica::mset::MSet;
+use esr_replica::node::{MemHost, Node, NodeConfig, NodeInstruments};
 use esr_replica::wire::Frame;
-use esr_runtime::ctrl::{Effect, NodeCore, NodeEvent};
+use esr_runtime::ctrl::NodeEvent;
 use esr_runtime::state::{RtMethod, SiteState};
 use proptest::prelude::*;
 
@@ -53,61 +55,76 @@ impl Lcg {
     }
 }
 
-/// The in-memory cluster: pure cores, per-site journals, FIFO links.
+/// The in-memory cluster: nodes over memory hosts, FIFO links of
+/// `(entry, frame)`.
 struct Net {
-    cores: Vec<NodeCore>,
-    journals: Vec<Vec<MSet>>,
-    views: Vec<u64>,
-    queues: Vec<Vec<VecDeque<Frame>>>,
+    method: RtMethod,
+    nodes: Vec<Node>,
+    hosts: Vec<MemHost>,
+    obs: Vec<NodeInstruments>,
+    queues: Vec<Vec<VecDeque<(u64, Frame)>>>,
+}
+
+/// Boots `site`'s node over `host`.
+fn boot(method: RtMethod, site: usize, host: &mut MemHost, obs: &NodeInstruments) -> Node {
+    let cfg = NodeConfig {
+        site: SiteId(site as u64),
+        sites: SITES,
+        method,
+        epoch: 1,
+        ckpt_bytes: None,
+        canary: None,
+    };
+    let blank = SiteState::new(method, SiteId(site as u64));
+    Node::boot(host, cfg, blank, obs.clone()).unwrap_or_else(|e| panic!("boot: {e}"))
 }
 
 impl Net {
     fn new(method: RtMethod) -> Self {
-        let cores = (0..SITES)
-            .map(|i| {
-                let site = SiteId(i as u64);
-                let state = SiteState::new(method, site);
-                NodeCore::fresh(state, method, site, SITES, None)
-            })
+        let metrics = MetricsRegistry::new();
+        let obs: Vec<NodeInstruments> = (0..SITES as u64)
+            .map(|i| NodeInstruments::for_site(&metrics, method.name(), SiteId(i)))
+            .collect();
+        let mut hosts: Vec<MemHost> = (0..SITES).map(|_| MemHost::default()).collect();
+        let nodes = (0..SITES)
+            .map(|i| boot(method, i, &mut hosts[i], &obs[i]))
             .collect();
         Net {
-            cores,
-            journals: vec![Vec::new(); SITES],
-            views: vec![0; SITES],
+            method,
+            nodes,
+            hosts,
+            obs,
             queues: (0..SITES)
                 .map(|_| (0..SITES).map(|_| VecDeque::new()).collect())
                 .collect(),
         }
     }
 
-    fn apply(&mut self, site: usize, effects: Vec<Effect>) {
-        for e in effects {
-            match e {
-                Effect::Journal(m) => self.journals[site].push(m),
-                Effect::Send { to, frame } => {
-                    self.queues[site][to.raw() as usize].push_back(frame)
-                }
-                Effect::RecordView(v) => self.views[site] = v,
-                Effect::Event(_) | Effect::Checkpoint(_) | Effect::JournalDecision { .. } => {}
-            }
+    /// Commits what `site` stepped and queues what it sent.
+    fn commit(&mut self, site: usize) {
+        self.nodes[site].commit(&mut self.hosts[site]);
+        for (to, frames) in self.hosts[site].take_sent() {
+            self.queues[site][to.raw() as usize].extend(frames);
         }
     }
 
     fn step(&mut self, site: usize, event: NodeEvent) {
-        let effects = self.cores[site].step(event);
-        self.apply(site, effects);
+        self.nodes[site].dispatch(&mut self.hosts[site], event);
+        self.commit(site);
     }
 
-    /// Delivers up to `budget` queued frames in round-robin order.
+    /// Delivers up to `budget` queued frames in round-robin order, each
+    /// acknowledged on its sender's link once its step is committed.
     fn deliver_some(&mut self, budget: u64) {
         for _ in 0..budget {
-            let Some((to, frame)) = (0..SITES)
+            let Some((from, to, (entry, frame))) = (0..SITES)
                 .flat_map(|f| (0..SITES).map(move |t| (f, t)))
-                .find_map(|(f, t)| self.queues[f][t].pop_front().map(|fr| (t, fr)))
+                .find_map(|(f, t)| self.queues[f][t].pop_front().map(|q| (f, t, q)))
             else {
                 return;
             };
             self.step(to, NodeEvent::PeerFrame(frame));
+            self.hosts[from].ack(SiteId(to as u64), entry);
         }
     }
 
@@ -125,18 +142,19 @@ impl Net {
         panic!("links failed to drain");
     }
 
-    /// The daemon's submit handler: answer a known `(client, seq)`
-    /// from the client table, otherwise run the submit through the
-    /// core. Returns the ET the client would see in `SubmitOk`.
+    /// The daemon's submit handler: the ET the client sees in
+    /// `SubmitOk`.
     fn submit(&mut self, site: usize, request: &Request) -> EtId {
-        if let Some(et) =
-            self.cores[site].cached_et(ClientId(request.client), request.seq)
-        {
-            return et;
-        }
-        let et = request.mset.et;
-        self.step(site, NodeEvent::ClientSubmit(request.mset.clone()));
+        let et = self.nodes[site].submit(&mut self.hosts[site], request.mset.clone());
+        self.commit(site);
         et
+    }
+
+    /// `kill -9` and reboot of `site`: its journal replays into its
+    /// recorded view.
+    fn restart(&mut self, site: usize) {
+        self.hosts[site].crash();
+        self.nodes[site] = boot(self.method, site, &mut self.hosts[site], &self.obs[site]);
     }
 }
 
@@ -221,7 +239,7 @@ fn check_schedule(method: RtMethod, n: usize, retries: usize, suspect: usize, se
     // Exactly-once: every site converged to the one-application
     // reference, settled, in an installed post-failover view.
     let reference = reference(method, &reqs).snapshot();
-    for (i, core) in net.cores.iter().enumerate() {
+    for (i, core) in net.nodes.iter().map(Node::core).enumerate() {
         assert_eq!(
             core.state.snapshot(),
             reference,
@@ -229,15 +247,15 @@ fn check_schedule(method: RtMethod, n: usize, retries: usize, suspect: usize, se
         );
         assert!(core.state.settled(), "site {i} unsettled (seed {seed})");
     }
-    let views: Vec<u64> = net.cores.iter().map(|c| c.view).collect();
+    let views: Vec<u64> = net.nodes.iter().map(|n| n.core().view).collect();
     assert!(
         views.iter().all(|v| *v == views[0] && *v >= 1),
         "views diverged or never advanced: {views:?} (seed {seed})"
     );
     let coordinators = net
-        .cores
+        .nodes
         .iter()
-        .filter(|c| c.coord.is_some())
+        .filter(|n| n.core().coord.is_some())
         .count();
     assert_eq!(coordinators, 1, "expected one coordinator (seed {seed})");
 
@@ -254,26 +272,16 @@ fn check_schedule(method: RtMethod, n: usize, retries: usize, suspect: usize, se
     // journal-replay restart at its durable view, every site still
     // answers every request from the cache.
     for i in 0..SITES {
-        let state = SiteState::new(method, SiteId(i as u64));
-        let (recovered, _) = NodeCore::recover(
-            state,
-            method,
-            SiteId(i as u64),
-            SITES,
-            None,
-            net.views[i],
-            net.journals[i].clone(),
-        );
+        net.restart(i);
         for r in &reqs {
             assert_eq!(
-                recovered.cached_et(ClientId(r.client), r.seq),
+                net.nodes[i].core().cached_et(ClientId(r.client), r.seq),
                 Some(r.mset.et),
                 "site {i} lost request (client {}, seq {}) across a restart (seed {seed})",
                 r.client,
                 r.seq
             );
         }
-        net.cores[i] = recovered;
     }
 }
 
@@ -313,16 +321,16 @@ fn cross_site_retry_after_failover_hits_the_cache() {
     net.drain();
     net.step(1, NodeEvent::SuspectCoordinator);
     net.drain();
-    assert!(net.cores.iter().all(|c| c.view == 1));
+    assert!(net.nodes.iter().all(|n| n.core().view == 1));
     let retried = net.submit(2, &reqs[0]);
     net.drain();
     assert_eq!(first, retried);
     assert_eq!(
-        net.cores[2].cached_et(ClientId(reqs[0].client), reqs[0].seq),
+        net.nodes[2].core().cached_et(ClientId(reqs[0].client), reqs[0].seq),
         Some(first)
     );
     let reference = reference(RtMethod::Commu, &reqs).snapshot();
-    for core in &net.cores {
+    for core in net.nodes.iter().map(Node::core) {
         assert_eq!(core.state.snapshot(), reference);
         assert!(core.state.settled());
     }

@@ -9,34 +9,37 @@
 //! (`queue_recovery.rs`), and a send is either still in the queue the
 //! crash empties or already delivered by the reactor.
 //!
-//! For every method, three [`NodeCore`]s with in-memory journals and
-//! link queues; site 1, a follower, handles one cycle mixing a peer's
-//! MSet, a client submit and, under COMPE, a client decision. The plan
-//! comes from the very [`Staged`] the daemon commits through. For each
-//! `k` site 1 crashes with the first `k` records of the plan written and
-//! the sends among them delivered; it recovers as the daemon boots,
-//! through the very [`Reboot`] the node boots through — journal replay,
-//! its links re-seeded with the MSets it originated above each peer's
-//! acknowledged journal id, its journalled decisions passed on again —
-//! greets its peers, has everything unacked redelivered and the
+//! For every method, three of the daemon's [`Node`]s over the
+//! simulator's memory host, [`MemHost`], wired by FIFO link queues;
+//! site 1, a follower, handles one cycle mixing a peer's MSet, a client
+//! submit and, under COMPE, a client decision, and commits it once. For
+//! each `k` site 1 crashes with the first `k` records of that commit
+//! written ([`MemHost::tear`]) and the sends among them delivered; it
+//! recovers as the daemon boots, through [`Node::boot`] — journal
+//! replay, its links re-seeded with the MSets it originated above each
+//! peer's acknowledged journal id, its journalled decisions passed on
+//! again — greets its peers, has everything unacked redelivered and the
 //! unanswered client requests retried. The cluster must land exactly
 //! where the crash-free run does, settled, with a clean
 //! [`esr_check::certify`].
 //!
-//! The canary is the order itself: with the sends ahead of the journal,
-//! the coordinator counts an apply that site 1 then loses with the
-//! crash, and the completion it broadcasts reaches site 1 before the
-//! update is redelivered.
+//! The canary is the order itself: with a host that writes the sends
+//! ahead of the journal, the coordinator counts an apply that site 1
+//! then loses with the crash, and the completion it broadcasts reaches
+//! site 1 before the update is redelivered.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::io;
 
 use esr::core::{ClientId, EtId, ObjectId, ObjectOp, Operation, SeqNo, SiteId, Value, VersionTs};
+use esr::obs::MetricsRegistry;
 use esr::replica::ctrl::Record;
 use esr::replica::mset::MSet;
+use esr::replica::node::{Host, Install, MemHost, Node, NodeConfig, NodeInstruments};
 use esr::replica::span::Event;
 use esr::replica::wire::Frame;
-use esr::runtime::commit::{Reboot, Staged};
-use esr::runtime::ctrl::{Effect, NodeCore, NodeEvent};
+use esr::runtime::ckpt::CkptPayload;
+use esr::runtime::ctrl::NodeEvent;
 use esr::runtime::state::{RtMethod, SiteState};
 use esr_check::certify::{certify, SiteTrace};
 
@@ -72,104 +75,121 @@ fn update(method: RtMethod, i: u64, origin: u64) -> MSet {
     }
 }
 
-/// One site: the pure core plus what its daemon would keep on disk (the
-/// journal, the link cursors) and in memory (the link queues, the
-/// staging area, the event ring).
+/// A site's host: the memory host, or — for the canary — the memory
+/// host with each commit's journal records written after its sends,
+/// the order this module exists to rule out.
+#[derive(Default)]
+struct TestHost {
+    mem: MemHost,
+    sends_first: bool,
+    /// The records of the commit being written, held for its sends.
+    held: Vec<Record>,
+}
+
+impl Host for TestHost {
+    fn append(&mut self, records: Vec<Record>) -> u64 {
+        if self.sends_first {
+            self.held = records;
+            return 0;
+        }
+        self.mem.append(records)
+    }
+    fn send(&mut self, sends: Vec<(SiteId, Vec<Frame>)>) {
+        self.mem.send(sends);
+        let held = std::mem::take(&mut self.held);
+        if !held.is_empty() {
+            self.mem.append(held);
+        }
+    }
+    // The rest is the memory host's.
+    fn journal(&self) -> io::Result<Vec<(u64, Record)>> { self.mem.journal() }
+    fn last_id(&self) -> Option<u64> { self.mem.last_id() }
+    fn retire_through(&mut self, through: u64) -> u64 { self.mem.retire_through(through) }
+    fn journal_size(&self) -> (u64, u64) { self.mem.journal_size() }
+    fn view(&self) -> u64 { self.mem.view() }
+    fn record_view(&mut self, view: u64) { self.mem.record_view(view) }
+    fn snapshots(&self) -> Vec<u64> { self.mem.snapshots() }
+    fn load_snapshot(&self, seq: u64) -> Option<Vec<u8>> { self.mem.load_snapshot(seq) }
+    fn cut(&mut self, seq: u64, payload: Box<CkptPayload>) { self.mem.cut(seq, payload) }
+    fn installed(&mut self, wait: bool) -> Option<Install> { self.mem.installed(wait) }
+    fn resume(&self, peer: SiteId) -> Option<u64> { self.mem.resume(peer) }
+    fn acked(&mut self, peer: SiteId) -> Option<u64> { self.mem.acked(peer) }
+    fn record(&mut self, event: Event) { self.mem.record(event) }
+    fn now(&self) -> u64 { self.mem.now() }
+}
+
+/// One site: the daemon's executor, its host, and its outbound links —
+/// FIFO queues of `(entry, frame)` that a crash empties.
 struct Site {
-    core: NodeCore,
-    journal: Vec<Record>,
-    out: Vec<VecDeque<Frame>>,
-    /// Per peer, the journal id through which it acked the MSets this
-    /// site originated.
-    acked: Vec<Option<u64>>,
-    staged: Staged,
-    events: Vec<Event>,
-}
-
-/// One record of a commit — the unit a torn append keeps.
-enum Entry {
-    Journal(Record),
-    Link(SiteId, Frame),
-}
-
-/// A commit's records in the order it writes them: the journal
-/// append, then the sends.
-fn entries((records, sends): (Vec<Record>, Vec<(SiteId, Vec<Frame>)>)) -> Vec<Entry> {
-    let links = sends
-        .into_iter()
-        .flat_map(|(to, frames)| frames.into_iter().map(move |f| Entry::Link(to, f)));
-    records.into_iter().map(Entry::Journal).chain(links).collect()
-}
-
-/// The sends moved ahead of the journal append: the order this module
-/// exists to rule out.
-fn sends_first(mut entries: Vec<Entry>) -> Vec<Entry> {
-    entries.sort_by_key(|e| matches!(e, Entry::Journal(_)));
-    entries
+    node: Node,
+    host: TestHost,
+    out: Vec<VecDeque<(u64, Frame)>>,
 }
 
 struct World {
     method: RtMethod,
+    obs: Vec<NodeInstruments>,
     sites: Vec<Site>,
 }
 
 impl World {
-    fn new(method: RtMethod) -> Self {
-        let sites = (0..SITES as u64)
-            .map(|i| Site {
-                core: NodeCore::fresh(
-                    SiteState::new(method, SiteId(i)),
-                    method,
-                    SiteId(i),
-                    SITES,
-                    None,
-                ),
-                journal: Vec::new(),
-                out: vec![VecDeque::new(); SITES],
-                acked: vec![None; SITES],
-                staged: Staged::default(),
-                events: Vec::new(),
-            })
+    /// Three booted sites; the victim's host writes its journal after
+    /// its sends when `sends_first`.
+    fn new(method: RtMethod, sends_first: bool) -> Self {
+        let metrics = MetricsRegistry::new();
+        let obs: Vec<NodeInstruments> = (0..SITES as u64)
+            .map(|i| NodeInstruments::for_site(&metrics, method.name(), SiteId(i)))
             .collect();
-        Self { method, sites }
+        let mut w = Self {
+            method,
+            obs,
+            sites: Vec::new(),
+        };
+        for i in 0..SITES {
+            let mut host = TestHost {
+                sends_first: sends_first && i == VICTIM,
+                ..TestHost::default()
+            };
+            let node = w.boot(i, &mut host, 1);
+            let out = vec![VecDeque::new(); SITES];
+            w.sites.push(Site { node, host, out });
+        }
+        w
     }
 
-    /// The daemon's `perform`: stage what the commit writes, log the
-    /// events.
-    fn perform(&mut self, site: usize, effects: Vec<Effect>) {
-        let s = &mut self.sites[site];
-        for effect in s.staged.stage(effects) {
-            match effect {
-                Effect::Event(event) => s.events.push(event),
-                other => panic!("no view change or checkpoint in this scenario: {other:?}"),
-            }
-        }
+    /// `site`'s node, booted over `host` as incarnation `epoch`.
+    fn boot(&self, site: usize, host: &mut TestHost, epoch: u64) -> Node {
+        let id = SiteId(site as u64);
+        let cfg = NodeConfig {
+            site: id,
+            sites: SITES,
+            method: self.method,
+            epoch,
+            ckpt_bytes: None,
+            canary: None,
+        };
+        let blank = SiteState::new(self.method, id);
+        Node::boot(host, cfg, blank, self.obs[site].clone()).unwrap_or_else(|e| panic!("boot: {e}"))
     }
 
     fn step(&mut self, site: usize, event: NodeEvent) {
-        let effects = self.sites[site].core.step(event);
-        self.perform(site, effects);
-    }
-
-    fn write(&mut self, site: usize, entry: Entry) {
         let s = &mut self.sites[site];
-        match entry {
-            Entry::Journal(record) => s.journal.push(record),
-            Entry::Link(to, frame) => s.out[to.raw() as usize].push_back(frame),
-        }
+        s.node.dispatch(&mut s.host, event);
     }
 
-    /// A whole commit, in plan order.
+    /// Commits what `site` stepped, in plan order, and queues its sends.
     fn commit(&mut self, site: usize) {
-        for entry in entries(self.sites[site].staged.plan()) {
-            self.write(site, entry);
+        let s = &mut self.sites[site];
+        s.node.commit(&mut s.host);
+        for (to, frames) in s.host.mem.take_sent() {
+            s.out[to.raw() as usize].extend(frames);
         }
     }
 
     /// Delivers the head of link `from → to` as the daemon would: step,
     /// commit, and only then the ack that retires the entry.
     fn deliver(&mut self, from: usize, to: usize) {
-        let frame = self.sites[from].out[to][0].clone();
+        let frame = self.sites[from].out[to][0].1.clone();
         self.step(to, NodeEvent::PeerFrame(frame));
         self.commit(to);
         self.ack(from, to);
@@ -177,9 +197,8 @@ impl World {
 
     fn ack(&mut self, from: usize, to: usize) {
         let s = &mut self.sites[from];
-        if let Some(Frame::MSet(m)) = s.out[to].pop_front() {
-            let id = s.journal.iter().position(|r| matches!(r, Record::MSet(j) if j.et == m.et));
-            s.acked[to] = id.map(|id| id as u64).or(s.acked[to]);
+        if let Some((entry, _)) = s.out[to].pop_front() {
+            s.host.mem.ack(SiteId(to as u64), entry);
         }
     }
 
@@ -203,35 +222,21 @@ impl World {
     }
 
     /// `kill -9` and reboot of the victim: memory and link queues are
-    /// gone; the journal replays, each link is re-seeded with the MSets
-    /// the victim originated above its peer's cursor, the journalled
-    /// decisions are passed on again, the recovery effects commit at
-    /// boot, and the links' reconnects exchange `Hello`s.
+    /// gone; the node boots over what its host kept — the journal
+    /// replays, each link is re-seeded with the MSets the victim
+    /// originated above its peer's cursor, the journalled decisions are
+    /// passed on again, the recovery effects commit at boot — and the
+    /// links' reconnects exchange `Hello`s.
     fn crash_and_recover(&mut self) {
         let v = VICTIM;
-        let me = SiteId(v as u64);
-        let s = &mut self.sites[v];
-        let journal = s.journal.iter().cloned().enumerate();
-        let journal = journal.map(|(id, r)| (id as u64, r)).collect();
-        let boot = Reboot::from_journal(journal, me, SITES, |peer| s.acked[peer.raw() as usize]);
-        let (mut core, mut effects) = NodeCore::recover(
-            SiteState::new(self.method, me),
-            self.method,
-            me,
-            SITES,
-            None,
-            0,
-            boot.msets.into_iter().map(|(_, m)| m).collect(),
-        );
-        effects.extend(core.replay_decisions(boot.decisions));
-        s.out = vec![VecDeque::new(); SITES];
-        for (to, frames) in boot.reseed {
-            s.out[to.raw() as usize] = frames.into();
-        }
-        s.core = core;
-        s.staged = Staged::default();
-        s.events.clear();
-        self.perform(v, effects);
+        let mut host = std::mem::take(&mut self.sites[v].host);
+        host.mem.crash();
+        let node = self.boot(v, &mut host, 2);
+        self.sites[v] = Site {
+            node,
+            host,
+            out: vec![VecDeque::new(); SITES],
+        };
         self.commit(v);
         for peer in (0..SITES).filter(|p| *p != v) {
             let hello = |site: usize, epoch| Frame::Hello {
@@ -246,7 +251,7 @@ impl World {
     }
 
     fn snapshots(&self) -> Vec<BTreeMap<ObjectId, Value>> {
-        self.sites.iter().map(|s| s.core.state.snapshot()).collect()
+        self.sites.iter().map(|s| s.node.core().state.snapshot()).collect()
     }
 
     /// Where this run departs from the crash-free one (`expect`): a
@@ -259,7 +264,7 @@ impl World {
             .map(|(i, s)| SiteTrace {
                 site: i as u64,
                 dropped: 0,
-                events: s.events.clone(),
+                events: s.host.mem.events().iter().map(|(_, e)| e.clone()).collect(),
             })
             .collect();
         let mut faults: Vec<String> = certify(self.method, &traces)
@@ -270,7 +275,7 @@ impl World {
             faults.push(format!("snapshots {:?}", self.snapshots()));
         }
         for (i, s) in self.sites.iter().enumerate() {
-            if !s.core.state.settled() {
+            if !s.node.core().state.settled() {
                 faults.push(format!("site {i} unsettled"));
             }
         }
@@ -280,14 +285,11 @@ impl World {
 
 /// Runs the scenario; `crash_after = Some(k)` kills the victim with the
 /// first `k` records of its cycle's commit written and the sends among
-/// them delivered. Returns the final world and the number of records
-/// the cycle planned.
-fn run(
-    method: RtMethod,
-    crash_after: Option<usize>,
-    order: fn(Vec<Entry>) -> Vec<Entry>,
-) -> (World, usize) {
-    let mut w = World::new(method);
+/// them delivered; `sends_first` writes the victim's sends ahead of its
+/// journal. Returns the final world and the number of records the cycle
+/// planned.
+fn run(method: RtMethod, crash_after: Option<usize>, sends_first: bool) -> (World, usize) {
+    let mut w = World::new(method, sends_first);
     let (a, b) = (update(method, 1, 1), update(method, 0, 2));
 
     // Before the cycle: site 2 takes a submit, and the coordinator has
@@ -311,32 +313,25 @@ fn run(
             w.step(VICTIM, decision);
         }
     };
-    let inbound = w.sites[2].out[VICTIM][0].clone();
+    let inbound = w.sites[2].out[VICTIM][0].1.clone();
     w.step(VICTIM, NodeEvent::PeerFrame(inbound));
     requests(&mut w);
-    let plan = order(entries(w.sites[VICTIM].staged.plan()));
-    let planned = plan.len();
+    let planned = w.sites[VICTIM].node.staged().len();
 
     match crash_after {
         None => {
-            for entry in plan {
-                w.write(VICTIM, entry);
-            }
+            w.commit(VICTIM);
             // The commit returned: the ack retires what was delivered.
             w.ack(2, VICTIM);
         }
         Some(k) => {
-            for entry in plan.into_iter().take(k) {
-                // A written send is out of the victim before its crash.
-                let to = match &entry {
-                    Entry::Link(to, _) => Some(to.raw() as usize),
-                    Entry::Journal(_) => None,
-                };
-                w.write(VICTIM, entry);
-                if let Some(to) = to {
-                    // The victim sent nothing before the cycle, so the
-                    // send is the head of its link.
-                    assert_eq!(w.sites[VICTIM].out[to].len(), 1);
+            w.sites[VICTIM].host.mem.tear(k);
+            w.commit(VICTIM);
+            // A written send is out of the victim before its crash. The
+            // victim sent nothing before the cycle, so its links hold
+            // exactly those.
+            for to in 0..SITES {
+                while !w.sites[VICTIM].out[to].is_empty() {
                     w.deliver(VICTIM, to);
                 }
             }
@@ -365,7 +360,7 @@ fn run(
 #[test]
 fn a_crash_after_any_record_prefix_of_a_commit_recovers_to_the_crash_free_state() {
     for method in METHODS {
-        let (reference, planned) = run(method, None, std::convert::identity);
+        let (reference, planned) = run(method, None, false);
         let expect = reference.snapshots();
         assert!(
             expect.iter().all(|s| *s == expect[0] && !s.is_empty()),
@@ -378,7 +373,7 @@ fn a_crash_after_any_record_prefix_of_a_commit_recovers_to_the_crash_free_state(
         assert!(planned >= 4, "{method:?}: only {planned} records planned");
 
         for k in 0..=planned {
-            let (world, _) = run(method, Some(k), std::convert::identity);
+            let (world, _) = run(method, Some(k), false);
             let faults = world.faults(&expect);
             assert!(
                 faults.is_empty(),
@@ -391,14 +386,14 @@ fn a_crash_after_any_record_prefix_of_a_commit_recovers_to_the_crash_free_state(
 #[test]
 fn a_send_ahead_of_its_journal_record_is_caught() {
     let method = RtMethod::Commu;
-    let (reference, planned) = run(method, None, sends_first);
+    let (reference, planned) = run(method, None, true);
     let expect = reference.snapshots();
     assert!(reference.faults(&expect).is_empty(), "the order is fine without a crash");
     // With every send out and no record down, the coordinator completes
     // the peer's update on the strength of an apply the victim lost,
     // and the victim learns of the completion before it applies again.
     let caught: Vec<Vec<String>> = (0..=planned)
-        .map(|k| run(method, Some(k), sends_first).0.faults(&expect))
+        .map(|k| run(method, Some(k), true).0.faults(&expect))
         .filter(|faults| !faults.is_empty())
         .collect();
     assert!(
