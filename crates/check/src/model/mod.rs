@@ -6,21 +6,21 @@
 //! and explores every distinguishable interleaving of message delivery,
 //! client activity, duplication, and crash/recovery for a small bounded
 //! configuration (3 sites, a handful of updates). What it checks is the
-//! core, the commit plan, the view register, the boot rule and the
-//! memory host as they run.
+//! core, the commit plan, the cursor rule, the boot rule and the memory
+//! host as they run.
 //!
 //! ## Fidelity map (model ↔ esrd)
 //!
 //! | world piece            | real counterpart                          |
 //! |------------------------|-------------------------------------------|
-//! | `ModelNode::node`      | the daemon's [`Node`]: the same boot, step, perform and commit |
-//! | `ModelNode::host`      | the site's files: its journal (MSets and decisions), `site-<i>.view`, the link cursors of `site-<i>.acked` — each moved only by an acknowledgement — and the event log |
+//! | `ModelNode::node`      | the daemon's [`Node`]: the same boot, step, perform and commit, and the same link cursors — marked at each commit, advanced past the link's oldest unacknowledged entry, recorded in an append that is made anyway, lost with the node |
+//! | `ModelNode::host`      | the site's files: `site-<i>.journal` (MSets, decisions, views and cursor records) and the event log |
 //! | `queues[(i,j)]`        | in-memory link i→j (FIFO, at-least-once): its MSets survive i's crash in i's journal, its control frames do not |
 //! | `Tx::Deliver`          | peer envelope dispatch + commit, then the ack on the sender's link |
 //! | `Tx::Dup`              | an ack-timeout retransmit (head redelivered, order preserved) |
-//! | `CrashPoint::Durable(k)` | `kill -9` inside a step's commit: [`MemHost::tear`] keeps its first `k` writes |
+//! | `CrashPoint::Durable(k)` | `kill -9` inside a step's commit: [`MemHost::tear`] keeps the first `k` writes of its one append, then its sends |
 //! | `CrashPoint::AfterAck` | `kill -9` after a step's commit and its ack |
-//! | crash + recover        | [`MemHost::crash`], then `Daemon::start`'s boot: [`Node::boot`] — journal replay into the recorded view, links re-seeded above their cursors, decisions passed on, re-announce — and the model's Hello |
+//! | crash + recover        | [`MemHost::crash`], then `Daemon::start`'s boot: [`Node::boot`] — journal replay into the newest recorded view, links re-seeded above the newest cursor record, decisions passed on, re-announce — and the model's Hello |
 //!
 //! Crash injection follows the configuration's [`CrashPolicy`]: the
 //! standard sweeps probe every durable boundary but never kill a site
@@ -212,7 +212,7 @@ fn standard_workload(method: RtMethod) -> Vec<MSet> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
     /// Crash inside the step's commit, with its first `k` writes made
-    /// — view records, then journal records, then sends
+    /// — the records of its one journal append, then its sends
     /// ([`MemHost::tear`]) — and before the inbound envelope was acked:
     /// the frame stays queued and is redelivered to the next
     /// incarnation. `Durable(1)` on an update is exactly the
@@ -368,9 +368,9 @@ fn decision_site(cfg: &ModelCfg, idx: u8) -> u8 {
 pub struct ModelNode {
     /// The executor, with the core it steps.
     pub node: Node,
-    /// Its I/O: the durable journal, view register and link cursors a
-    /// crash keeps, and this incarnation's event log — certifier food,
-    /// never consulted by a transition.
+    /// Its I/O: the durable journal a crash keeps, and this
+    /// incarnation's event log — certifier food, never consulted by a
+    /// transition.
     pub host: MemHost,
     /// Boot count, bumped on every recovery.
     pub epoch: u64,
@@ -690,9 +690,10 @@ impl<'a> World<'a> {
     /// Atomic crash + recovery of `site`: its host loses what a crash
     /// loses — its link queues included — and the node boots again over
     /// it, as `esrd` does ([`Node::boot`]: the journal replays into the
-    /// recorded view, each link is re-seeded with the originated MSets
-    /// above its cursor, the journalled decisions are passed on again,
-    /// recovered applies re-announced); then the reconnecting link's
+    /// newest recorded view, each link is re-seeded with the originated
+    /// MSets above its newest recorded cursor, the journalled decisions
+    /// are passed on again, recovered applies re-announced); then the
+    /// reconnecting link's
     /// Hello goes out — to the coordinator of the booted view, or to
     /// every peer when the recovering site *is* that coordinator (each
     /// follower answers a coordinator Hello by re-announcing its

@@ -18,8 +18,8 @@
 //!
 //! Since views made the coordinator role movable, two more oracles
 //! guard the handoff itself: at most one site may hold the coordinator
-//! role for its installed view (`split-brain`), and a site's durable
-//! view register may only advance (`view-monotonicity`).
+//! role for its installed view (`split-brain`), and the views a site
+//! boots into and installs may only advance (`view-monotonicity`).
 
 use std::collections::BTreeMap;
 
@@ -142,7 +142,7 @@ pub fn check_safety(cfg: &ModelCfg, world: &World<'_>, phase: &str) -> Vec<Model
                 ),
             ));
         }
-        // The durable view register only advances; a regression would
+        // The recorded view only advances; a regression would
         // let a demoted coordinator resurrect an old incarnation.
         let views = node.view_history();
         if views.windows(2).any(|w| w[0] >= w[1]) {

@@ -5,8 +5,8 @@
 //! runs — over a [`MemHost`], as the model checker `esr-model` does.
 //! One scheduler event kind carries a
 //! [`wire::Frame`](crate::wire::Frame) to a site; the site's node steps
-//! on it and commits the step. The journal, the view register and the
-//! snapshot containers live in the host's memory, events land in its
+//! on it and commits the step. The journal and the snapshot containers
+//! live in the host's memory, events land in its
 //! log stamped in virtual time, and the commit's sends leave through
 //! its outbox, in the commit plan's order, onto the simulated
 //! [`Network`] (latency, loss, duplication, partitions, bandwidth — and
@@ -24,7 +24,7 @@
 //! every site, and [`SimCluster::checkpoint`] cuts and installs an
 //! image. All of it runs under loss, duplication, partitions *and*
 //! reordering. What survives a crash is what survives one in `esrd`:
-//! the journal, the view register, the snapshots, the link cursors,
+//! the journal — its views and link cursors included — the snapshots,
 //! and the senders' queues — an arrival that finds its site down waits
 //! for the restart.
 //!
@@ -1268,7 +1268,7 @@ impl SimCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::Host;
+    use crate::ctrl::Record;
     use esr_net::latency::LatencyModel;
     use esr_storage::snapshot;
 
@@ -1548,7 +1548,8 @@ mod tests {
     }
 
     /// A restart re-sends exactly the MSets the site originated above
-    /// each peer's cursor: what every peer acknowledged is not sent
+    /// each peer's cursor in its newest cursor record: what every peer
+    /// had acknowledged when the last append was made is not sent
     /// again, what the crash lost in flight is.
     #[test]
     fn a_restart_resends_only_what_its_peers_had_not_acknowledged() {
@@ -1561,12 +1562,11 @@ mod tests {
         let et3 = c.submit_update(SiteId(1), incr_op(3));
         assert!(c.step(), "site 1 takes the submit");
         c.crash(SiteId(1));
-        let host = &c.sites[1].host;
-        let ids: Vec<u64> = host.journal.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids, [0, 1, 2]);
-        for peer in [SiteId(0), SiteId(2)] {
-            assert_eq!(host.resume(peer), Some(1), "et1 and et2 acknowledged");
-        }
+        let journal = &c.sites[1].host.journal;
+        let ids: Vec<u64> = journal.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [0, 1, 2, 3], "et1, et2, et3, and et3's cursor record");
+        let acked = Record::Cursors(vec![Some(1), None, Some(1)]);
+        assert_eq!(journal[3].1, acked, "et3's append recorded et1 and et2 acknowledged");
         c.restart(SiteId(1)).unwrap();
         c.run_until_quiescent();
         assert!(c.converged() && c.matches_oracle());

@@ -9,22 +9,26 @@
 //! one run of frames per peer.
 //!
 //! The order is the contract: journal ≺ every send. The journal is a
-//! site's one durable file, and a link is an in-memory FIFO queue that
-//! a crash empties. `Applied(m)` certifies a durable apply, and a
-//! decision is journalled before its forward or broadcast can be lost.
-//! A crash before or inside the append loses every send of the cycle
-//! and answers nothing: the peers redeliver, the clients retry, and
-//! whatever record prefix the torn append kept is absorbed by the
-//! journalled set and the client table. A crash after it loses the
-//! sends only. Either way the boot ([`crate::node::Node::boot`])
-//! re-seeds each link with the journal records that originated here and
-//! lie above the peer's acknowledged cursor, so a journalled submit
-//! reaches every peer, and recovery re-derives the control frames
-//! (DESIGN.md §13.1). [`crate::node::Node`] executes the plan against
-//! its host — `esrd`'s journal file and links, or the memory host of
-//! the simulator and the model checker — and `tests/commit_window.rs`
-//! tears one commit after every record prefix, and shows a send put
-//! before its record diverging.
+//! site's one durable file — its MSets, decisions and views, and the
+//! cursor record [`crate::node::Node`] adds to an append when a link's
+//! acknowledged cursor moved — so a commit's durable writes are one
+//! append, and a link is an in-memory FIFO queue that a crash empties.
+//! `Applied(m)` certifies a durable apply, a decision is journalled
+//! before its forward or broadcast can be lost, and a view before any
+//! frame that presumes it. A crash before or inside the append loses
+//! every send of the cycle and answers nothing: the peers redeliver,
+//! the clients retry, and whatever record prefix the torn append kept
+//! is absorbed by the journalled set and the client table. A crash
+//! after it loses the sends only. Either way the boot
+//! ([`crate::node::Node::boot`]) re-seeds each link with the journal
+//! records that originated here and lie above the peer's newest
+//! recorded cursor, so a journalled submit reaches every peer, and
+//! recovery re-derives the control frames (DESIGN.md §13.1).
+//! [`crate::node::Node`] executes the plan against its host — `esrd`'s
+//! journal file and links, or the memory host of the simulator and the
+//! model checker — and `tests/commit_window.rs` tears one commit after
+//! every write prefix, and shows a send put before its record
+//! diverging.
 
 use esr_core::ids::SiteId;
 
@@ -42,18 +46,14 @@ pub struct Staged {
 
 impl Staged {
     /// Stages one step's journal records and sends and returns the
-    /// rest (events, `RecordView`, `Checkpoint`), in order, for the
-    /// caller to execute at once.
+    /// rest (events, `Checkpoint`), in order, for the caller to execute
+    /// at once.
     pub fn stage(&mut self, effects: Vec<Effect>) -> Vec<Effect> {
         effects
             .into_iter()
             .filter_map(|effect| match effect {
-                Effect::Journal(mset) => {
-                    self.journal.push(Record::MSet(mset));
-                    None
-                }
-                Effect::JournalDecision { et, commit } => {
-                    self.journal.push(Record::Decision { et, commit });
+                Effect::Journal(record) => {
+                    self.journal.push(record);
                     None
                 }
                 Effect::Send { to, frame } => {

@@ -28,10 +28,10 @@
 //! Viewstamped-Replication-style change (DESIGN.md §15):
 //! `StartViewChange(v+1)` → majority → `DoViewChange` carrying local
 //! control evidence to the new coordinator → majority → `StartView`
-//! broadcast with merged evidence. Installed views are journalled
-//! durably via [`Effect::RecordView`] *before* any frame of the new
-//! view is sent, and every site re-announces its applied ETs to the new
-//! coordinator, so completion evidence survives the handoff.
+//! broadcast with merged evidence. An installed view is journalled
+//! ([`Record::View`]) *before* any frame of the new view is sent, and
+//! every site re-announces its applied ETs to the new coordinator, so
+//! completion evidence survives the handoff.
 //!
 //! ## Each control-plane fact is stored once
 //!
@@ -52,23 +52,24 @@
 //! ## Effect ordering is part of the contract
 //!
 //! Effects must be executed in the order returned, except that every
-//! send waits for the step's journal records: the journal is a site's
-//! one durable log, and its links are in-memory queues a crash empties.
-//! An MSet a site originated survives in its journal, which re-seeds
-//! the links at boot; a control frame dies with the queue, so each kind
-//! is one that recovery re-derives (`Applied` re-announced, completions
-//! and VTNC re-certified, view state re-sent on every `Hello`) — except
-//! a COMPE decision, which a site journals ([`Effect::JournalDecision`])
-//! before it passes the decision on and replays at boot. The daemon
-//! acknowledges an inbound envelope only after every effect of its step
-//! has been executed — that is the write-ahead discipline that makes a
-//! `kill -9` at any point safe: whatever was acked is journalled,
-//! whatever wasn't acked will be retransmitted by the peer. The same
-//! rule covers [`Effect::RecordView`]: a view is durable before the
-//! first send that presumes it. An executor may batch as long as those
-//! edges hold: `esrd` stages the journal records and sends of a whole
-//! reactor cycle and writes the records once, then hands the sends to
-//! the links, and acknowledges nothing of the cycle before that
+//! send waits for the step's journal records: [`Effect::Journal`] is
+//! the core's one durable effect, the journal a site's one durable log,
+//! and its links are in-memory queues a crash empties. An MSet a site
+//! originated survives in its journal, which re-seeds the links at
+//! boot; a control frame dies with the queue, so each kind is one that
+//! recovery re-derives (`Applied` re-announced, completions and VTNC
+//! re-certified, view state re-sent on every `Hello`) — except a COMPE
+//! decision, which a site journals ([`Record::Decision`]) before it
+//! passes the decision on and replays at boot. The daemon acknowledges
+//! an inbound envelope only after every effect of its step has been
+//! executed — that is the write-ahead discipline that makes a `kill -9`
+//! at any point safe: whatever was acked is journalled, whatever wasn't
+//! acked will be retransmitted by the peer. The same rule covers a view
+//! record: a view is durable before the first send that presumes it.
+//! An executor may batch as long as those edges hold: `esrd` stages
+//! the journal records and sends of a whole reactor cycle and writes
+//! the records in one append, then hands the sends to the links, and
+//! acknowledges nothing of the cycle before that
 //! (`esr_runtime::commit`, DESIGN.md §13.1).
 //!
 //! ## One observational effect per protocol point
@@ -152,20 +153,16 @@ pub enum NodeEvent {
 /// One side effect implied by a step, to be executed in order.
 #[derive(Debug, Clone)]
 pub enum Effect {
-    /// Append this MSet to the durable write-ahead journal. Written
-    /// before any `Send` of the same step (write-ahead), and the step's
-    /// inbound envelope may be acknowledged only after it is durable.
-    Journal(MSet),
-    /// Append this COMPE decision to the journal, like an MSet: the
-    /// step that takes it on — a client's, or one forwarded here — then
-    /// passes it on over a link a crash empties, and the boot after
-    /// such a crash replays it ([`NodeCore::replay_decisions`]).
-    JournalDecision {
-        /// The decided ET.
-        et: EtId,
-        /// `true` = commit, `false` = abort.
-        commit: bool,
-    },
+    /// Append this record to the durable write-ahead journal, the
+    /// site's one durable effect: an accepted MSet, a COMPE decision
+    /// taken on (the step then passes it on over a link a crash
+    /// empties, and the boot after such a crash replays it,
+    /// [`NodeCore::replay_decisions`]), or an installed view. Written
+    /// before any `Send` of the same step (write-ahead) — so no frame
+    /// of a view can be observed before the view itself would survive a
+    /// crash — and the step's inbound envelope may be acknowledged only
+    /// after it is durable.
+    Journal(Record),
     /// Enqueue a frame on the at-least-once link to `to`.
     Send {
         /// Target site.
@@ -173,12 +170,6 @@ pub enum Effect {
         /// The frame to deliver.
         frame: Frame,
     },
-    /// Durably record that this site installed view `v` (atomic
-    /// file write in the daemon, a per-node register in the model).
-    /// Ordered like `Journal`: it precedes every `Send` of the same
-    /// step, so no frame of a view can be observed before the view
-    /// itself would survive a crash.
-    RecordView(u64),
     /// Persist this checkpoint image (atomic snapshot install in the
     /// daemon, an in-memory register in the model). Boxed: a payload
     /// carries the whole replica image and would otherwise dominate the
@@ -236,8 +227,10 @@ pub enum CtrlCanary {
     VolatileDecision,
 }
 
-/// One journal record: an MSet the site accepted, or a decision it
-/// took on ([`Effect::Journal`], [`Effect::JournalDecision`]).
+/// One journal record ([`Effect::Journal`]): an MSet the site
+/// accepted, a decision it took on, a view it installed, or what its
+/// links had acknowledged — the executor's own record, which the core
+/// never returns.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
     /// An accepted MSet.
@@ -249,6 +242,13 @@ pub enum Record {
         /// `true` = commit, `false` = abort.
         commit: bool,
     },
+    /// An installed view: boot rejoins the newest one recorded.
+    View(u64),
+    /// By site, the journal id through which that peer had acknowledged
+    /// every record it was sent from here (`None`: not even the first;
+    /// this site's own slot is always `None`). Boot re-sends the
+    /// originated MSets above the newest one.
+    Cursors(Vec<Option<u64>>),
 }
 
 /// Which site coordinates view `view` in an `n`-site cluster. View 0
@@ -490,8 +490,7 @@ pub struct NodeCore {
     /// `coordinator_of(view, sites)` (the split-brain canary breaks
     /// this invariant on purpose).
     pub coord: Option<CoordCore>,
-    /// The currently installed view (durable via
-    /// [`Effect::RecordView`]).
+    /// The currently installed view (durable as a [`Record::View`]).
     pub view: u64,
     /// ETs already appended to the write-ahead journal (dedupe guard so
     /// redeliveries don't journal twice).
@@ -743,9 +742,10 @@ impl NodeCore {
     /// where the cut fell (e.g. a catch-up image whose entry ids refer
     /// to a peer's journal) can safely replay its whole local journal.
     ///
-    /// `view` is the view to boot into — the daemon passes
-    /// `max(durable view register, payload.view)` so a view recorded
-    /// after the cut is not lost.
+    /// `view` is the view to boot into — the node passes
+    /// `max(newest journalled view, payload.view)`, so neither a view
+    /// recorded after the cut nor one whose record truncation retired
+    /// is lost.
     pub fn restore(
         method: RtMethod,
         site: SiteId,
@@ -957,7 +957,7 @@ impl NodeCore {
         }
         self.coord = Some(coord);
         let mut effects = vec![
-            Effect::RecordView(w),
+            Effect::Journal(Record::View(w)),
             Effect::Event(Event::ViewInstall {
                 view: w,
                 coordinator: self.site,
@@ -1187,7 +1187,7 @@ impl NodeCore {
                     if self.canary != Some(CtrlCanary::SplitBrainCoordinator) {
                         self.coord = None;
                     }
-                    effects.push(Effect::RecordView(view));
+                    effects.push(Effect::Journal(Record::View(view)));
                     effects.push(Effect::Event(Event::ViewInstall {
                         view,
                         coordinator: coordinator_of(view, self.sites),
@@ -1228,7 +1228,7 @@ impl NodeCore {
             if let Some((cid, cseq)) = mset.client {
                 self.client_table.insert((cid.raw(), cseq), et);
             }
-            effects.push(Effect::Journal(mset.clone()));
+            effects.push(Effect::Journal(Record::MSet(mset.clone())));
         }
         if self.canary == Some(CtrlCanary::DecisionReplayReapplies) {
             self.canary_msets.insert(et, mset.clone());
@@ -1306,7 +1306,7 @@ impl NodeCore {
     fn decide(&mut self, et: EtId, commit: bool) -> Vec<Effect> {
         let mut effects = self.pass_on(et, commit);
         if !effects.is_empty() && self.canary != Some(CtrlCanary::VolatileDecision) {
-            effects.insert(0, Effect::JournalDecision { et, commit });
+            effects.insert(0, Effect::Journal(Record::Decision { et, commit }));
         }
         effects
     }
@@ -1877,12 +1877,12 @@ mod tests {
         let mut cores = cluster3(RtMethod::Commu);
         let kick = cores[1].step(NodeEvent::SuspectCoordinator);
         let all = pump(&mut cores, kick);
-        // Every effect run that contains a RecordView must place it
+        // Every effect run that contains a view record must place it
         // before the first Send (per-step ordering is preserved by
         // pump's per-step extend).
         let record_at = all
             .iter()
-            .position(|e| matches!(e, Effect::RecordView(1)))
+            .position(|e| matches!(e, Effect::Journal(Record::View(1))))
             .expect("the installer records view 1");
         let start_view_at = all
             .iter()
@@ -1890,7 +1890,7 @@ mod tests {
                 matches!(e, Effect::Send { frame: Frame::StartView { view: 1, .. }, .. })
             })
             .expect("the installer announces view 1");
-        assert!(record_at < start_view_at, "RecordView must precede StartView");
+        assert!(record_at < start_view_at, "the view record must precede StartView");
     }
 
     #[test]

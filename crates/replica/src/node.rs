@@ -1,46 +1,53 @@
 //! One site's effect executor: the [`NodeCore`] plus everything that
 //! performing its effects takes — the commit plan ([`crate::commit`]),
-//! the view register, the checkpoint chain (cut, install, lag-by-one
-//! truncation bounded by the peers' acknowledgements), boot by
+//! the links' acknowledged cursors, the checkpoint chain (cut, install,
+//! lag-by-one truncation bounded by those cursors), boot by
 //! restore-or-replay and the re-seeding of the links, and the per-site
 //! executor series. It is the only code that performs an [`Effect`]:
 //! `esrd`, [`crate::cluster::SimCluster`] and the model checker
 //! (`crates/check`) each run a [`Node`], and differ only in the
 //! [`Host`] they hand it, which is all of the node's I/O:
 //!
-//! * `esrd`'s host is files and its reactor: the journal file,
-//!   `site-<i>.view`, snapshot containers installed by a writer thread,
-//!   the in-memory links and the cursor file that bounds what a restart
-//!   re-sends, the event ring and the monotonic clock;
-//! * [`MemHost`] is memory: a journal with stable ids, a view register,
-//!   the two newest snapshot containers, the link cursors, an event log
-//!   stamped in virtual time, and an outbox its owner drains after each
-//!   step's commit — onto the simulator's virtual-time network, or onto
-//!   the model's FIFO queues. Its one fault operation is a torn commit
-//!   ([`MemHost::tear`]).
+//! * `esrd`'s host is files and its reactor: the journal file, snapshot
+//!   containers installed by a writer thread, the in-memory links, the
+//!   event ring and the monotonic clock;
+//! * [`MemHost`] is memory: a journal with stable ids, the two newest
+//!   snapshot containers, the links' unacknowledged entries, an event
+//!   log stamped in virtual time, and an outbox its owner drains after
+//!   each step's commit — onto the simulator's virtual-time network, or
+//!   onto the model's FIFO queues. Its one fault operation is a torn
+//!   commit ([`MemHost::tear`]).
+//!
+//! A site's durable state is its journal and its snapshots: a view it
+//! installed and what its links had acknowledged are journal records
+//! too ([`Record::View`], [`Record::Cursors`]).
 //!
 //! ## Boot
 //!
-//! [`Node::boot`] reads the view register, then restores the newest
-//! snapshot that decodes, restores, and is continued by the journal,
-//! replaying the journal suffix past its cut. With no such image it
-//! replays the whole journal — but only a journal nothing was ever
-//! retired from. A journal whose prefix a checkpoint retired, with no
-//! usable image left, is a boot error: the rest of it would boot a
+//! [`Node::boot`] restores the newest snapshot that decodes, restores,
+//! and is continued by the journal, replaying the journal suffix past
+//! its cut, into the newest view recorded — the journal's or the
+//! image's, which covers a view record truncation retired. With no such
+//! image it replays the whole journal — but only a journal nothing was
+//! ever retired from. A journal whose prefix a checkpoint retired, with
+//! no usable image left, is a boot error: the rest of it would boot a
 //! replica missing acknowledged updates (DESIGN.md §16.3). The links
 //! are in-memory and start empty: boot re-seeds each with the live
-//! MSets that originated here above that peer's acknowledged cursor,
-//! and replays every live decision record, before the recovery commit.
+//! MSets that originated here above that peer's cursor in the newest
+//! cursor record — every live one when none is left — and replays
+//! every live decision record, before the recovery commit.
 //!
 //! ## Commit
 //!
-//! A step writes only the view register, the event log and a cut handed
-//! to the snapshot writer. Its journal records and sends are staged,
-//! and [`Node::commit`] writes them in the plan's order — journal, then
-//! sends — once per reactor cycle in `esrd`, once per step in the
-//! simulator and the model. Time is read only through [`Host::now`]:
-//! the same latency histograms run on a monotonic clock in `esrd` and
-//! on virtual time in the simulator.
+//! A step writes only the event log and a cut handed to the snapshot
+//! writer. Its journal records and sends are staged, and
+//! [`Node::commit`] writes them in the plan's order — one journal
+//! append, then the sends — once per reactor cycle in `esrd`, once per
+//! step in the simulator and the model. An append also carries a cursor
+//! record when a link's cursor moved since the last one; a commit that
+//! appends nothing writes none. Time is read only through
+//! [`Host::now`]: the same latency histograms run on a monotonic clock
+//! in `esrd` and on virtual time in the simulator.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
@@ -74,10 +81,6 @@ pub trait Host {
     fn retire_through(&mut self, through: u64) -> u64;
     /// What the journal occupies: bytes, and live records.
     fn journal_size(&self) -> (u64, u64);
-    /// The durably recorded view (0 when none was recorded).
-    fn view(&self) -> u64;
-    /// Durably records view `view`.
-    fn record_view(&mut self, view: u64);
     /// The snapshot containers on record, newest first — intact or not.
     fn snapshots(&self) -> Vec<u64>;
     /// The payload of container `seq`, if the container is intact.
@@ -90,16 +93,12 @@ pub trait Host {
     fn installed(&mut self, wait: bool) -> Option<Install>;
     /// Enqueues one commit's sends — runs of frames, each on the
     /// in-memory link to its peer, in order — which a link retries until
-    /// the peer acknowledges them or this site crashes.
-    fn send(&mut self, sends: Vec<(SiteId, Vec<Frame>)>);
-    /// The journal id through which `peer` had acknowledged every
-    /// record it was sent from here, as last recorded (`None`: nothing
-    /// recorded). Boot re-sends what lies above it.
-    fn resume(&self, peer: SiteId) -> Option<u64>;
-    /// The journal id through which `peer` has acknowledged every
-    /// record it was sent from here, now (`None`: not even the first).
-    /// No checkpoint retires a record past it.
-    fn acked(&mut self, peer: SiteId) -> Option<u64>;
+    /// the peer acknowledges them or this site crashes. Returns, per
+    /// peer sent to, the link entry its last frame took.
+    fn send(&mut self, sends: Vec<(SiteId, Vec<Frame>)>) -> Vec<(SiteId, u64)>;
+    /// The oldest entry on the link to `peer` that the peer has not
+    /// acknowledged (`None`: the link holds none). Entries count up.
+    fn head(&self, peer: SiteId) -> Option<u64>;
     /// Records one event, stamped now.
     fn record(&mut self, event: Event);
     /// Now, in microseconds: the node's only clock.
@@ -201,14 +200,13 @@ pub struct CkptState {
 /// The most commits a [`Cursor`] remembers one by one.
 const MAX_MARKS: usize = 1024;
 
-/// What one link has acknowledged, in journal ids: the state behind
-/// [`Host::acked`] that a host keeps for each peer. A commit sends only
-/// after its journal append, and boot re-seeds the links before anything
-/// else is sent, so once a peer has acknowledged every frame sent it
-/// through a commit, it holds every record the journal held then that it
-/// was to receive.
+/// What one link has acknowledged, in journal ids: the node keeps one
+/// per peer. A commit sends only after its journal append, and boot
+/// re-seeds the links before anything else is sent, so once a peer has
+/// acknowledged every frame sent it through a commit, it holds every
+/// record the journal held then that it was to receive.
 #[derive(Debug, Clone, Default)]
-pub struct Cursor {
+struct Cursor {
     acked: Option<u64>,
     /// `(entry, id)`: the link's entries through `entry` were sent with
     /// the journal through `id`.
@@ -217,7 +215,7 @@ pub struct Cursor {
 
 impl Cursor {
     /// A cursor at `acked`, as a boot resumes one.
-    pub fn at(acked: Option<u64>) -> Self {
+    fn at(acked: Option<u64>) -> Self {
         Self {
             acked,
             marks: VecDeque::new(),
@@ -228,22 +226,17 @@ impl Cursor {
     /// with the journal through `last_id`. Past [`MAX_MARKS`] marks — a
     /// peer that acknowledges nothing — the note replaces the newest
     /// one: the cursor then moves in coarser steps, never too far.
-    pub fn sent(&mut self, entry: u64, last_id: Option<u64>) {
+    fn sent(&mut self, entry: u64, last_id: Option<u64>) {
         if self.marks.len() >= MAX_MARKS {
             self.marks.pop_back();
         }
         self.marks.push_back((entry, last_id));
     }
 
-    /// Where the last [`Cursor::advance`] left the cursor.
-    pub fn acked(&self) -> Option<u64> {
-        self.acked
-    }
-
     /// Advances past what the link has acknowledged — `head` is its
     /// oldest unacknowledged entry, `None` when it holds none, and
     /// `last_id` the journal's newest id — and returns the cursor.
-    pub fn advance(&mut self, head: Option<u64>, last_id: Option<u64>) -> Option<u64> {
+    fn advance(&mut self, head: Option<u64>, last_id: Option<u64>) -> Option<u64> {
         let Some(head) = head else {
             self.marks.clear();
             self.acked = self.acked.max(last_id);
@@ -279,6 +272,12 @@ pub struct Node {
     /// The journal id an install left to retire through that some
     /// peer's acknowledgements still hold back.
     retire_to: Option<u64>,
+    /// Each link's cursor, by site (this site's own is unused). They
+    /// die with the node: a boot resumes them from the newest cursor
+    /// record.
+    cursors: Vec<Cursor>,
+    /// The cursors the newest cursor record holds, by site.
+    recorded: Vec<Option<u64>>,
     /// Checkpoint policy: cut after roughly this many journal bytes.
     ckpt_bytes: Option<u64>,
     /// Journal bytes appended since the last policy cut.
@@ -307,26 +306,34 @@ impl Node {
         blank: SiteState,
         NodeInstruments(obs): NodeInstruments,
     ) -> io::Result<Self> {
-        let view = host.view();
         let journal = host.journal()?;
         // Every record from this id on is live; the ones before it were
         // retired, so only an image covering them can stand in for them.
         let first_live = journal
             .first()
             .map_or(host.last_id().map_or(0, |id| id + 1), |(id, _)| *id);
-        let (mut msets, mut decisions) = (Vec::new(), Vec::new());
+        let (mut msets, mut decisions, mut view) = (Vec::new(), Vec::new(), 0);
+        let mut recorded = vec![None; cfg.sites];
         for (id, record) in journal {
             match record {
                 Record::MSet(m) => msets.push((id, m)),
                 Record::Decision { et, commit } => decisions.push((et, commit)),
+                Record::View(v) => view = v,
+                Record::Cursors(acked) => {
+                    recorded = (0..cfg.sites)
+                        .map(|j| acked.get(j).copied().flatten())
+                        .collect();
+                }
             }
         }
         // The links start empty: each peer gets back the MSets this site
-        // originated above the cursor it had acknowledged.
+        // originated above its newest recorded cursor — every live one
+        // when truncation retired that record, as every peer had
+        // acknowledged whatever was retired.
         let peers = (0..cfg.sites as u64).map(SiteId).filter(|peer| *peer != cfg.site);
         let reseed: Vec<(SiteId, Vec<Frame>)> = peers
             .filter_map(|peer| {
-                let resume = host.resume(peer);
+                let resume = recorded[peer.raw() as usize];
                 let frames: Vec<Frame> = msets
                     .iter()
                     .filter(|(id, m)| m.origin == cfg.site && resume.is_none_or(|c| *id > c))
@@ -418,13 +425,15 @@ impl Node {
             ckpt,
             in_flight: VecDeque::new(),
             retire_to: None,
+            cursors: recorded.iter().map(|acked| Cursor::at(*acked)).collect(),
+            recorded,
             ckpt_bytes: cfg.ckpt_bytes,
             ckpt_bytes_since: 0,
             ckpt_due: false,
             obs,
             election_started: None,
         };
-        host.send(reseed);
+        node.send(host, reseed);
         node.perform(host, recovery);
         node.commit(host);
         Ok(node)
@@ -450,15 +459,22 @@ impl Node {
         self.ckpt
     }
 
-    /// Steps the core on `event` and performs what it returns: view
-    /// records, events and cuts at once, in order; journal records and
-    /// sends are staged for the commit. A heartbeat also retires what
-    /// a lagging peer held an install back from.
+    /// Steps the core on `event` and performs what it returns: events
+    /// and cuts at once, in order; journal records and sends are staged
+    /// for the commit. A heartbeat also retires what a lagging peer held
+    /// an install back from.
     pub fn dispatch(&mut self, host: &mut impl Host, event: NodeEvent) {
-        let tick = matches!(event, NodeEvent::Tick);
+        let (tick, view) = (matches!(event, NodeEvent::Tick), self.core.view);
         let effects = self.core.step(event);
         self.perform(host, effects);
         self.obs.coordinator.set(i64::from(self.core.coord.is_some()));
+        if self.core.view != view {
+            self.obs.view.set(self.core.view as i64);
+            if let Some(started) = self.election_started.take() {
+                let took = host.now().saturating_sub(started);
+                self.obs.election_latency.record(took);
+            }
+        }
         if tick {
             self.retire(host);
         }
@@ -537,37 +553,35 @@ impl Node {
                     });
                     host.cut(seq, payload);
                 }
-                // At once, so before the commit that writes any send of
-                // the new view.
-                Effect::RecordView(view) => {
-                    host.record_view(view);
-                    self.obs.view.set(view as i64);
-                    if let Some(started) = self.election_started.take() {
-                        self.obs
-                            .election_latency
-                            .record(host.now().saturating_sub(started));
-                    }
-                }
                 Effect::Event(event) => {
                     event.count(&self.obs.site);
                     host.record(event);
                 }
                 // Staged above.
-                Effect::Journal(_) | Effect::JournalDecision { .. } | Effect::Send { .. } => {}
+                Effect::Journal(_) | Effect::Send { .. } => {}
             }
         }
     }
 
     /// Writes everything staged, in the order [`crate::commit`] plans:
-    /// the journal records in one append, then every send.
+    /// the journal records in one append, then every send. An append
+    /// ends with a cursor record when a cursor moved since the last one.
     fn write(&mut self, host: &mut impl Host) {
         if self.staged.is_empty() {
             return;
         }
         let started = host.now();
         let written = self.staged.len();
-        let (records, sends) = self.staged.plan();
+        let (mut records, sends) = self.staged.plan();
         if !records.is_empty() {
+            // As the links stand before the append: a cursor taken after
+            // it would cover this commit's records, whose sends a crash
+            // may still lose.
+            let acked = self.acked(host);
+            if acked != self.recorded {
+                records.push(Record::Cursors(acked.clone()));
+                self.recorded = acked;
+            }
             let bytes = host.append(records);
             let (file, live) = host.journal_size();
             self.obs.ckpt.journal(file, live);
@@ -579,11 +593,36 @@ impl Node {
                 }
             }
         }
-        host.send(sends);
+        self.send(host, sends);
         self.obs.commit_records.record(written as u64);
         self.obs
             .commit_latency
             .record(host.now().saturating_sub(started));
+    }
+
+    /// Hands `sends` to the links, and marks each link's cursor with the
+    /// entry its last frame took and the journal's last id: once the
+    /// peer acknowledges that entry, it holds what the journal held.
+    fn send(&mut self, host: &mut impl Host, sends: Vec<(SiteId, Vec<Frame>)>) {
+        let last_id = host.last_id();
+        for (to, tail) in host.send(sends) {
+            self.cursors[to.raw() as usize].sent(tail, last_id);
+        }
+    }
+
+    /// Advances each link's cursor past what its peer has acknowledged,
+    /// and returns them by site (this site's own is `None`).
+    fn acked(&mut self, host: &impl Host) -> Vec<Option<u64>> {
+        let (site, last_id) = (self.core.site, host.last_id());
+        let links = self.cursors.iter_mut().enumerate();
+        links
+            .map(|(j, cursor)| {
+                let peer = SiteId(j as u64);
+                (peer != site)
+                    .then(|| cursor.advance(host.head(peer), last_id))
+                    .flatten()
+            })
+            .collect()
     }
 
     /// Cuts a checkpoint of the core and hands it to the writer. The
@@ -640,13 +679,11 @@ impl Node {
     /// peer has acknowledged; what a lagging peer holds back is retired
     /// by a later call — the next install, or a heartbeat.
     fn retire(&mut self, host: &mut impl Host) {
-        let (site, sites) = (self.core.site, self.core.sites as u64);
-        let through = self.retire_to.and_then(|cut| {
-            (0..sites)
-                .map(SiteId)
-                .filter(|peer| *peer != site)
-                .try_fold(cut, |through, peer| Some(through.min(host.acked(peer)?)))
-        });
+        let (own, acked) = (self.core.site.raw() as usize, self.acked(host));
+        let mut peers = acked.into_iter().enumerate().filter(|(j, _)| *j != own);
+        let through = self
+            .retire_to
+            .and_then(|cut| peers.try_fold(cut, |through, (_, acked)| Some(through.min(acked?))));
         let Some(through) = through else {
             return;
         };
@@ -673,28 +710,20 @@ fn keeps(tear: &mut Option<usize>) -> bool {
     kept
 }
 
-/// One in-memory link: the entries sent on it that no arrival has
-/// acknowledged yet, and the cursor they leave.
+/// One in-memory link: the entry the next frame takes, and the entries
+/// sent on it that no arrival has acknowledged yet.
 #[derive(Debug, Default)]
 struct MemLink {
     next: u64,
     unacked: BTreeSet<u64>,
-    cursor: Cursor,
 }
 
 /// One site's I/O, in memory: the simulator's and the model checker's
-/// [`Host`]. The journal, the view register, the snapshot containers
-/// and each link's cursor are its durable half, what
-/// [`MemHost::crash`] keeps; the rest — the links' entries included —
-/// dies with the node.
-///
-/// A link's cursor moves when an arrival acknowledges an entry
-/// ([`MemHost::ack`]): once every entry up to an MSet's is
-/// acknowledged, the peer holds every MSet that originated here up to
-/// that one's journal id — the frames of a link are sent in journal
-/// order. A link left with no entry is caught up with the whole
-/// journal. A crash keeps each cursor where the last acknowledgement
-/// left it, so a boot re-sends exactly the originated MSets above it.
+/// [`Host`]. The journal and the snapshot containers are its durable
+/// half, what [`MemHost::crash`] keeps; the rest — the links' entries
+/// included — dies with the node. An arrival acknowledges an entry
+/// ([`MemHost::ack`]); entries keep counting up across a crash, so an
+/// acknowledgement of the previous incarnation's entry matches none.
 #[derive(Debug, Default)]
 pub struct MemHost {
     /// Live journal records with their ids, oldest first.
@@ -703,8 +732,6 @@ pub struct MemHost {
     next_id: u64,
     /// Bytes ever appended: a journal file before compaction.
     journal_bytes: u64,
-    /// The recorded view.
-    view: u64,
     /// Snapshot containers, oldest first: the two newest are kept, so
     /// a corrupt newest falls back to the one before it.
     pub(crate) snapshots: Vec<(u64, Vec<u8>)>,
@@ -726,42 +753,30 @@ pub struct MemHost {
 
 impl MemHost {
     /// Loses what a crash loses: the event log, the links' entries, the
-    /// outbox, the writer's unread reports and an armed tear. The link
-    /// cursors stay where the last acknowledgement left them — never
-    /// advanced here, which could cover records whose sends a torn
-    /// commit lost.
+    /// outbox, the writer's unread reports and an armed tear.
     pub fn crash(&mut self) {
         self.events.clear();
         for link in self.links.values_mut() {
             link.unacked.clear();
-            link.cursor = Cursor::at(link.cursor.acked());
         }
         self.outbox.clear();
         self.installs.clear();
         self.tear = None;
     }
 
-    /// Tears the next step's commit: of its writes — the view record,
-    /// then the journal records of its append, then its sends, in the
-    /// order the node makes them — it keeps only the first `writes`
-    /// and loses the rest, as a crash inside the step would. The owner
-    /// crashes the host once the step is taken; until then the host is
-    /// dead, and takes no acknowledgement of what it did send.
+    /// Tears the next step's commit: of its writes — the records of
+    /// its one journal append, then its sends, in the order the node
+    /// makes them — it keeps only the first `writes` and loses the rest,
+    /// as a crash inside the step would. The owner crashes the host once
+    /// the step is taken.
     pub fn tear(&mut self, writes: usize) {
         self.tear = Some(writes);
     }
 
     /// `to` took entry `entry` of its link from here.
     pub fn ack(&mut self, to: SiteId, entry: u64) {
-        // A torn host crashed inside its commit: an empty link is not
-        // caught up with records whose sends were torn off.
-        if self.tear.is_some() {
-            return;
-        }
-        let last_id = self.last_id();
         if let Some(link) = self.links.get_mut(&to) {
             link.unacked.remove(&entry);
-            link.cursor.advance(link.unacked.first().copied(), last_id);
         }
     }
 
@@ -789,6 +804,9 @@ impl Host for MemHost {
         let size = |r: &Record| match r {
             Record::MSet(m) => m.wire_size(),
             Record::Decision { .. } => 10,
+            Record::View(_) => 9,
+            // At most: a count, then a flag and an id per site.
+            Record::Cursors(acked) => 4 + 9 * acked.len() as u64,
         };
         let mut bytes = 0;
         for r in records {
@@ -821,16 +839,6 @@ impl Host for MemHost {
         (self.journal_bytes, self.journal.len() as u64)
     }
 
-    fn view(&self) -> u64 {
-        self.view
-    }
-
-    fn record_view(&mut self, view: u64) {
-        if keeps(&mut self.tear) {
-            self.view = view;
-        }
-    }
-
     fn snapshots(&self) -> Vec<u64> {
         self.snapshots.iter().rev().map(|(seq, _)| *seq).collect()
     }
@@ -853,7 +861,8 @@ impl Host for MemHost {
         self.installs.pop_front()
     }
 
-    fn send(&mut self, sends: Vec<(SiteId, Vec<Frame>)>) {
+    fn send(&mut self, sends: Vec<(SiteId, Vec<Frame>)>) -> Vec<(SiteId, u64)> {
+        let mut tails = Vec::new();
         for (to, frames) in sends {
             let link = self.links.entry(to).or_default();
             let mut sent = Vec::with_capacity(frames.len());
@@ -861,33 +870,20 @@ impl Host for MemHost {
                 if !keeps(&mut self.tear) {
                     break;
                 }
-                let entry = link.next;
+                sent.push((link.next, frame));
+                link.unacked.insert(link.next);
                 link.next += 1;
-                link.unacked.insert(entry);
-                if let Frame::MSet(m) = &frame {
-                    // Its acknowledgement covers the journal through
-                    // its own record.
-                    let id = self.journal.iter().rev().find_map(|(id, r)| {
-                        matches!(r, Record::MSet(j) if j.et == m.et).then_some(*id)
-                    });
-                    link.cursor.sent(entry, id);
-                }
-                sent.push((entry, frame));
             }
-            if !sent.is_empty() {
+            if let Some((tail, _)) = sent.last() {
+                tails.push((to, *tail));
                 self.outbox.push((to, sent));
             }
         }
+        tails
     }
 
-    fn resume(&self, peer: SiteId) -> Option<u64> {
-        self.links.get(&peer).and_then(|link| link.cursor.acked())
-    }
-
-    fn acked(&mut self, peer: SiteId) -> Option<u64> {
-        let last_id = self.last_id();
-        let link = self.links.entry(peer).or_default();
-        link.cursor.advance(link.unacked.first().copied(), last_id)
+    fn head(&self, peer: SiteId) -> Option<u64> {
+        self.links.get(&peer)?.unacked.first().copied()
     }
 
     fn record(&mut self, event: Event) {
@@ -902,6 +898,7 @@ impl Host for MemHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctrl::Evidence;
     use esr_core::ids::ObjectId;
     use esr_core::op::{ObjectOp, Operation};
 
@@ -910,29 +907,67 @@ mod tests {
         MSet::new(EtId(et), SiteId(0), vec![op])
     }
 
+    /// A COMMU-or-`method` node for `site` of `sites`, booted over `host`.
+    fn boot(host: &mut MemHost, method: RtMethod, site: u64, sites: usize) -> Node {
+        let obs = NodeInstruments::for_site(&MetricsRegistry::new(), method.name(), SiteId(site));
+        let cfg = NodeConfig {
+            site: SiteId(site),
+            sites,
+            method,
+            epoch: 1,
+            ckpt_bytes: None,
+            canary: None,
+        };
+        Node::boot(host, cfg, SiteState::new(method, SiteId(site)), obs).unwrap()
+    }
+
+    /// Acknowledges every frame in `sent`, as its peers would.
+    fn ack(host: &mut MemHost, sent: Vec<(SiteId, Vec<(u64, Frame)>)>) {
+        for (to, frames) in sent {
+            for (entry, _) in frames {
+                host.ack(to, entry);
+            }
+        }
+    }
+
+    /// The MSets in `sent`, as `(peer, ets)` for each peer sent one.
+    fn msets(sent: Vec<(SiteId, Vec<(u64, Frame)>)>) -> Vec<(u64, Vec<u64>)> {
+        sent.into_iter()
+            .map(|(to, frames)| {
+                let ets = frames.into_iter().filter_map(|(_, f)| match f {
+                    Frame::MSet(m) => Some(m.et.0),
+                    _ => None,
+                });
+                (to.raw(), ets.collect::<Vec<u64>>())
+            })
+            .filter(|(_, ets)| !ets.is_empty())
+            .collect()
+    }
+
+    /// The live journal records of one kind, by id.
+    fn live(host: &MemHost, kind: fn(&Record) -> bool) -> Vec<u64> {
+        host.journal.iter().filter(|(_, r)| kind(r)).map(|(id, _)| *id).collect()
+    }
+
     /// What `host` holds of the writes a step makes, in the order the
-    /// node makes them: view record, journal records, sends.
+    /// node makes them: journal records, then sends.
     fn writes(host: &mut MemHost) -> Vec<String> {
-        let view = (host.view() > 0).then(|| format!("view {}", host.view()));
-        let records = host.journal().unwrap().into_iter().map(|(id, r)| match r {
-            Record::MSet(m) => format!("record {id} et{}", m.et.0),
-            Record::Decision { et, .. } => format!("record {id} decision et{}", et.0),
-        });
+        let journal = host.journal().unwrap().into_iter();
+        let records = journal.map(|(id, r)| format!("record {id} {r:?}"));
         let sent = host.take_sent().into_iter().flat_map(|(to, frames)| {
             frames.into_iter().map(move |(entry, f)| format!("{} entry {entry} {f:?}", to.raw()))
         });
-        view.into_iter().chain(records).chain(sent).collect()
+        records.chain(sent).collect()
     }
 
-    /// A step's writes: a view record, two journal records, then three
-    /// frames on two links.
+    /// A step's writes: an append of three records — an MSet, a
+    /// decision and a view — then three frames on two links.
     fn a_step(host: &mut MemHost) {
-        host.record_view(1);
         let decision = Record::Decision {
             et: EtId(1),
             commit: true,
         };
-        host.append(vec![Record::MSet(incr(1)), decision]);
+        host.append(vec![Record::MSet(incr(1)), decision, Record::View(1)]);
         let mset = Frame::MSet(incr(1));
         let decision = Frame::Decision {
             et: EtId(1),
@@ -945,7 +980,7 @@ mod tests {
     }
 
     #[test]
-    fn a_boot_reseeds_each_peer_with_what_it_originated_above_the_peer_cursor() {
+    fn a_boot_reseeds_each_peer_with_what_it_originated_above_the_newest_cursor_record() {
         let mut host = MemHost::default();
         let mut theirs = incr(2);
         theirs.origin = SiteId(2);
@@ -953,41 +988,21 @@ mod tests {
             et: EtId(2),
             commit: false,
         };
-        let records = [Record::MSet(incr(1)), Record::MSet(theirs), decision];
-        host.append([records.to_vec(), vec![Record::MSet(incr(3))]].concat());
-        let acked = MemLink {
-            cursor: Cursor::at(Some(0)),
-            ..MemLink::default()
-        };
-        host.links.insert(SiteId(1), acked);
-        let obs = NodeInstruments::for_site(&MetricsRegistry::new(), "COMPE", SiteId(0));
-        let cfg = NodeConfig {
-            site: SiteId(0),
-            sites: 3,
-            method: RtMethod::Compe,
-            epoch: 2,
-            ckpt_bytes: None,
-            canary: None,
-        };
-        let blank = SiteState::new(RtMethod::Compe, SiteId(0));
-        Node::boot(&mut host, cfg, blank, obs).unwrap();
+        host.append(vec![
+            Record::MSet(incr(1)),
+            Record::Cursors(vec![None, None, Some(9)]),
+            Record::MSet(theirs),
+            decision,
+            Record::Cursors(vec![None, Some(0), None]),
+            Record::MSet(incr(3)),
+        ]);
+        boot(&mut host, RtMethod::Compe, 0, 3);
         let replayed = host.events().iter().find_map(|(_, e)| match e {
             Event::Boot { replayed, .. } => Some(*replayed),
             _ => None,
         });
         assert_eq!(replayed, Some(3), "every live MSet replays");
-        let reseed: Vec<(u64, Vec<u64>)> = host
-            .take_sent()
-            .into_iter()
-            .map(|(to, frames)| {
-                let ets = frames.into_iter().filter_map(|(_, f)| match f {
-                    Frame::MSet(m) => Some(m.et.0),
-                    _ => None,
-                });
-                (to.raw(), ets.collect::<Vec<u64>>())
-            })
-            .filter(|(_, ets)| !ets.is_empty())
-            .collect();
+        let reseed = msets(host.take_sent());
         assert_eq!(reseed, [(1, vec![3]), (2, vec![1, 3])], "own records above each cursor");
     }
 
@@ -1008,46 +1023,95 @@ mod tests {
         }
     }
 
+    /// A commit's cursor record is taken as the links stand before its
+    /// append: acknowledgements of what it sends — or of what a crash
+    /// tore off — are never in it, so a boot re-sends its MSets.
     #[test]
-    fn a_crash_right_after_a_torn_append_keeps_the_cursor_below_the_torn_record() {
+    fn a_cursor_record_covers_only_what_was_acknowledged_before_its_append() {
         let (mut host, peer) = (MemHost::default(), SiteId(1));
-        host.append(vec![Record::MSet(incr(1))]);
-        host.send(vec![(peer, vec![Frame::MSet(incr(1))])]);
-        host.take_sent();
-        host.ack(peer, 0);
-        assert_eq!(host.resume(peer), Some(0), "et1 acknowledged");
-        // et2's record is kept, and a control frame ahead of its send;
-        // the send is torn off. The peer acknowledges the control
-        // frame, which leaves the link empty.
+        let mut node = boot(&mut host, RtMethod::Commu, 0, 2);
+        node.submit(&mut host, incr(1));
+        node.commit(&mut host);
+        let sent = host.take_sent();
+        ack(&mut host, sent);
+        // et2's append keeps its record and the cursor record; its send
+        // is torn off, and the crash takes the node's live cursors.
         host.tear(2);
-        host.append(vec![Record::MSet(incr(2))]);
-        let decision = Frame::Decision {
-            et: EtId(1),
-            commit: true,
-        };
-        host.send(vec![(peer, vec![decision, Frame::MSet(incr(2))])]);
-        assert_eq!(host.take_sent()[0].1.len(), 1, "the control frame alone left");
-        host.ack(peer, 1);
+        node.submit(&mut host, incr(2));
+        node.commit(&mut host);
+        assert!(host.take_sent().is_empty(), "the send was torn off");
+        let records: Vec<Record> = host.journal.iter().map(|(_, r)| r.clone()).collect();
+        let acked = Record::Cursors(vec![None, Some(0)]);
+        assert_eq!(records, [Record::MSet(incr(1)), Record::MSet(incr(2)), acked]);
         host.crash();
-        assert_eq!(host.resume(peer), Some(0), "the cursor stays below et2's record");
-        let obs = NodeInstruments::for_site(&MetricsRegistry::new(), "COMMU", SiteId(0));
-        let cfg = NodeConfig {
-            site: SiteId(0),
-            sites: 2,
-            method: RtMethod::Commu,
-            epoch: 2,
-            ckpt_bytes: None,
-            canary: None,
+        boot(&mut host, RtMethod::Commu, 0, 2);
+        assert_eq!(msets(host.take_sent()), [(peer.raw(), vec![2])], "the boot re-sends et2 only");
+    }
+
+    /// Lag-by-one truncation may retire a view record: the image that
+    /// covers it carries the view, and boot rejoins it from there.
+    #[test]
+    fn a_view_whose_record_was_retired_boots_from_the_snapshot() {
+        let mut host = MemHost::default();
+        let mut node = boot(&mut host, RtMethod::Commu, 1, 3);
+        let start_view = Frame::StartView {
+            view: 3,
+            evidence: Box::new(Evidence::default()),
         };
-        let blank = SiteState::new(RtMethod::Commu, SiteId(0));
-        Node::boot(&mut host, cfg, blank, obs).unwrap();
-        let resent: Vec<(SiteId, Vec<String>)> = host
-            .take_sent()
-            .into_iter()
-            .map(|(to, frames)| (to, frames.into_iter().map(|(_, f)| format!("{f:?}")).collect()))
-            .collect();
-        let et2 = format!("{:?}", Frame::MSet(incr(2)));
-        assert_eq!(resent, [(peer, vec![et2])], "the boot re-sends et2 only");
+        node.dispatch(&mut host, NodeEvent::PeerFrame(start_view));
+        node.commit(&mut host);
+        assert_eq!(live(&host, |r| matches!(r, Record::View(3))), [0]);
+        node.checkpoint(&mut host);
+        let mut theirs = incr(1);
+        theirs.origin = SiteId(2);
+        node.dispatch(&mut host, NodeEvent::PeerFrame(Frame::MSet(theirs)));
+        node.commit(&mut host);
+        let sent = host.take_sent();
+        ack(&mut host, sent);
+        node.checkpoint(&mut host);
+        assert!(live(&host, |r| matches!(r, Record::View(_))).is_empty(), "retired");
+        host.crash();
+        let node = boot(&mut host, RtMethod::Commu, 1, 3);
+        assert_eq!(node.core().view, 3, "the image's view");
+        assert_eq!(node.chain().seq, 2);
+    }
+
+    /// Truncation may retire the newest cursor record, but only through
+    /// what every peer had acknowledged: boot then re-sends every live
+    /// MSet that originated here, and no peer misses one.
+    #[test]
+    fn with_the_newest_cursor_record_retired_boot_resends_every_live_originated_mset() {
+        let mut host = MemHost::default();
+        let mut node = boot(&mut host, RtMethod::Commu, 0, 3);
+        let mut took = vec![Vec::new(); 3];
+        let commit = |node: &mut Node, host: &mut MemHost, et| {
+            node.submit(host, incr(et));
+            node.commit(host);
+            host.take_sent()
+        };
+        let mut acked = |host: &mut MemHost, sent: Vec<_>| {
+            for (peer, ets) in msets(Vec::clone(&sent)) {
+                took[peer as usize].extend(ets);
+            }
+            ack(host, sent);
+        };
+        let et1 = commit(&mut node, &mut host, 1);
+        acked(&mut host, et1);
+        let et2 = commit(&mut node, &mut host, 2);
+        assert_eq!(live(&host, |r| matches!(r, Record::Cursors(_))), [2], "et1 acked");
+        node.checkpoint(&mut host);
+        // et3's append holds no cursor record: nothing more was acked.
+        commit(&mut node, &mut host, 3);
+        acked(&mut host, et2);
+        node.checkpoint(&mut host);
+        assert!(live(&host, |r| matches!(r, Record::Cursors(_))).is_empty(), "retired");
+        assert_eq!(live(&host, |r| matches!(r, Record::MSet(_))), [3], "et3 was never acked");
+        host.crash();
+        boot(&mut host, RtMethod::Commu, 0, 3);
+        for (peer, ets) in msets(host.take_sent()) {
+            took[peer as usize].extend(ets);
+        }
+        assert_eq!(took, [vec![], vec![1, 2, 3], vec![1, 2, 3]], "every peer has every MSet");
     }
 
     #[test]

@@ -2,17 +2,19 @@
 //! snapshot files.
 //!
 //! `esrd` sends frames over its links, each site keeps one durable
-//! journal of the MSets it applied and the decisions it took on
+//! journal of the MSets it applied, the decisions it took on, the views
+//! it installed and its links' acknowledged cursors
 //! ([`encode_record`]), and a checkpoint image is one more payload. All
-//! of them are encoded here, through one trait, `Wire`. Each type implements it
-//! once — the integers, text, lists and options below, then every id,
-//! [`Operation`], [`Value`], [`MSet`], [`Event`] and [`Frame`], and in
-//! [`crate::ckpt`] and [`crate::node_ckpt`] the checkpoint images — and a
-//! compound type's layout is its fields' layouts in order. A list is a
-//! `u32` count and its elements, an option a 0/1 presence byte and its
-//! value, an enum a tag byte and its variant's fields. A plain struct's
-//! impl is one `wire_struct!` field list and an enum's one `wire_enum!`
-//! tag table, so adding a variant is adding a row.
+//! of them are encoded here, through one trait, `Wire`. Each type
+//! implements it once — the integers, text, lists and options below,
+//! then every id, [`Operation`], [`Value`], [`MSet`], [`Event`] and
+//! [`Frame`], and in [`crate::ckpt`] and [`crate::node_ckpt`] the
+//! checkpoint images — and a compound type's layout is its fields'
+//! layouts in order. A list is a `u32` count and its elements, an
+//! option a 0/1 presence byte and its value, an enum a tag byte and its
+//! variant's fields. A plain struct's impl is one `wire_struct!` field
+//! list and an enum's one `wire_enum!` tag table, so adding a variant
+//! is adding a row.
 //!
 //! The format is a simple tagged binary layout (big-endian integers, no
 //! compression): stable within this workspace, not a cross-version
@@ -777,29 +779,25 @@ pub fn decode_frame(payload: &Bytes) -> Result<Frame, WireError> {
     Frame::get(&mut payload.as_ref())
 }
 
-/// Encodes one journal record. An MSet keeps [`encode_mset`]'s layout,
-/// so a journal of MSets alone reads as it always did; a decision is
-/// its client's [`Frame::Decision`].
+// An MSet and a decision keep the tags of the frames that carry them,
+// so a decision record reads as its client's `Frame::Decision`; the
+// kinds no frame carries take tags above every frame's.
+wire_enum!(Record, "record" {
+    0x02 => MSet(mset: MSet),
+    0x07 => Decision { et: EtId, commit: bool },
+    0x30 => View(view: u64),
+    0x31 => Cursors(acked: Vec<Option<u64>>),
+});
+
+/// Encodes one journal record.
 pub fn encode_record(record: &Record) -> Bytes {
-    match record {
-        Record::MSet(mset) => encode_mset(mset),
-        &Record::Decision { et, commit } => encode_frame(&Frame::Decision { et, commit }),
-    }
+    encode(record, 64)
 }
 
-/// Decodes a record written by [`encode_record`]. A decision is
-/// shorter than the shortest MSet, which is how the two are told apart.
+/// Decodes a record written by [`encode_record`]. Total, like
+/// [`decode_frame`]: boot reads whatever bytes the journal file holds.
 pub fn decode_record(payload: &Bytes) -> Result<Record, WireError> {
-    if payload.len() >= MSet::MIN_LEN {
-        return decode_mset(payload).map(Record::MSet);
-    }
-    match decode_frame(payload)? {
-        Frame::Decision { et, commit } => Ok(Record::Decision { et, commit }),
-        _ => Err(WireError::BadTag {
-            field: "record",
-            tag: payload[0],
-        }),
-    }
+    Record::get(&mut payload.as_ref())
 }
 
 #[cfg(test)]

@@ -16,6 +16,10 @@
 //!    into its canonical set, so a frame laundered through a hostile
 //!    byte-stream can always be durably re-queued and re-read.
 //!
+//! The journal record decoder gets the same treatment from a corpus of
+//! every record kind: boot decodes whatever bytes the journal file
+//! holds.
+//!
 //! Everything is seed-deterministic (xorshift64*), so a failure
 //! reproduces by iteration number alone.
 
@@ -23,11 +27,13 @@ use bytes::Bytes;
 use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
-use esr_replica::ctrl::Evidence;
+use esr_replica::ctrl::{Evidence, Record};
 use esr_replica::mset::MSet;
 use esr_replica::site::QueryOutcome;
 use esr_replica::span::{Event, SpanRec, SpanStage};
-use esr_replica::wire::{decode_frame, decode_mset, encode_frame, Frame, WireError};
+use esr_replica::wire::{
+    decode_frame, decode_mset, decode_record, encode_frame, encode_record, Frame, WireError,
+};
 
 /// xorshift64* — deterministic, dependency-free.
 struct Rng(u64);
@@ -302,6 +308,59 @@ fn check_mutant(raw: &[u8]) {
     // The bare MSet decoder sees durable-queue payloads (same hostile
     // surface); totality must hold there too.
     let _ = decode_mset(&bytes);
+    check_record_mutant(raw);
+}
+
+/// Totality and re-encode closure for `decode_record`, as
+/// [`check_mutant`] checks them for frames.
+fn check_record_mutant(raw: &[u8]) {
+    if let Ok(record) = decode_record(&Bytes::copy_from_slice(raw)) {
+        let again = decode_record(&encode_record(&record));
+        assert_eq!(again, Ok(record), "accepted record mutant {raw:02x?} diverged");
+    }
+}
+
+/// One journal record of every kind: the MSets and decisions of
+/// [`corpus`]'s frames, a view, and the cursors of `sites` sites.
+fn records(seed: u64) -> Vec<Record> {
+    let mut records: Vec<Record> = corpus(seed)
+        .into_iter()
+        .filter_map(|frame| match frame {
+            Frame::MSet(mset) => Some(Record::MSet(mset)),
+            Frame::Decision { et, commit } => Some(Record::Decision { et, commit }),
+            _ => None,
+        })
+        .collect();
+    let sites = 1 + seed % 5;
+    records.push(Record::View(seed % 9));
+    records.push(Record::Cursors(
+        (0..sites).map(|j| (j != seed % sites).then_some(seed * 3 + j)).collect(),
+    ));
+    records
+}
+
+#[test]
+fn journal_record_mutation_fuzz() {
+    let mut rng = Rng::new(0x5EED_CAFE_F00D_0002);
+    let corpus: Vec<Vec<u8>> = (0..8u64)
+        .flat_map(|s| records(s.wrapping_mul(0x9E37_79B9) + s))
+        .map(|r| encode_record(&r).to_vec())
+        .collect();
+    let mut accepted = 0u64;
+    for _ in 0..30_000 {
+        let base = &corpus[rng.below(corpus.len())];
+        let other = &corpus[rng.below(corpus.len())];
+        let mut mutant = mutate(&mut rng, base, other);
+        for _ in 0..rng.below(3) {
+            let other = &corpus[rng.below(corpus.len())];
+            mutant = mutate(&mut rng, &mutant, other);
+        }
+        if decode_record(&Bytes::copy_from_slice(&mutant)).is_ok() {
+            accepted += 1;
+        }
+        check_record_mutant(&mutant);
+    }
+    assert!(accepted > 100, "only {accepted} record mutants accepted");
 }
 
 #[test]

@@ -563,9 +563,10 @@ fn every_mset_shape_is_golden() {
     );
 }
 
-/// A journal record is an MSet in its own layout (so a journal of
-/// MSets alone reads as it always did) or a decision in its client's
-/// `Decision` frame layout — shorter than the shortest MSet.
+/// A journal record is a tag byte and its kind's fields. An MSet and a
+/// decision take the tags of the frames that carry them, so a decision
+/// record is its client's `Decision` frame, and an MSet record the
+/// `MSet` frame: the MSet layout behind a 0x02.
 #[test]
 fn every_journal_record_kind_is_golden() {
     let records = vec![
@@ -578,9 +579,17 @@ fn every_journal_record_kind_is_golden() {
             et: EtId(9),
             commit: true,
         },
+        Record::View(3),
+        Record::Cursors(vec![Some(41), None, Some(0)]),
     ];
     check(
-        &[MSETS[0], "07000000000000000d00", "07000000000000000901"],
+        &[
+            &format!("02{}", MSETS[0]),
+            "07000000000000000d00",
+            "07000000000000000901",
+            "300000000000000003",
+            "310000000301000000000000002900010000000000000000",
+        ],
         records,
         |r| encode_record(r).to_vec(),
         |raw| decode_record(&Bytes::copy_from_slice(raw)).ok(),

@@ -1,22 +1,24 @@
 //! Decode-totality properties for the wire codec.
 //!
 //! The esr-rpc transport hands `decode_frame`/`decode_mset` whatever a
-//! socket (or a torn durable-queue tail) produced, so the codec must be
-//! total: *any* byte slice yields a value or a [`WireError`], never a
-//! panic or an unbounded allocation. The properties below throw
-//! arbitrary byte soup, mutated valid encodings, and truncated prefixes
-//! at both decoders, and check that every valid encoding round-trips.
+//! socket produced, and boot hands `decode_record` whatever bytes the
+//! journal file holds, so the codec must be total: *any* byte slice
+//! yields a value or a [`WireError`], never a panic or an unbounded
+//! allocation. The properties below throw arbitrary byte soup, mutated
+//! valid encodings, and truncated prefixes at the three decoders, and
+//! check that every valid encoding round-trips.
 
 use bytes::Bytes;
 use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
-use esr_replica::ctrl::Evidence;
+use esr_replica::ctrl::{Evidence, Record};
 use esr_replica::mset::MSet;
 use esr_replica::site::QueryOutcome;
 use esr_replica::span::{Event, SpanRec, SpanStage};
 use esr_replica::wire::{
-    decode_frame, decode_mset, encode_frame, encode_mset, Frame, WireError,
+    decode_frame, decode_mset, decode_record, encode_frame, encode_mset, encode_record, Frame,
+    WireError,
 };
 use proptest::prelude::*;
 
@@ -149,6 +151,45 @@ fn frame_from(seed: u64, variant: u8) -> Frame {
     }
 }
 
+/// A journal record of kind `kind` (mod 4: MSet, decision, view,
+/// cursors), with seed-derived fields.
+fn record_from(seed: u64, kind: u8) -> Record {
+    match kind % 4 {
+        0 => match frame_from(seed, 1) {
+            Frame::MSet(mset) => Record::MSet(mset),
+            other => unreachable!("variant 1 is an MSet, not {other:?}"),
+        },
+        1 => Record::Decision {
+            et: EtId(seed % 97),
+            commit: seed.is_multiple_of(2),
+        },
+        2 => Record::View(seed % 9),
+        _ => Record::Cursors(
+            (0..seed % 6)
+                .map(|j| (!(seed + j).is_multiple_of(3)).then_some(seed.wrapping_mul(j)))
+                .collect(),
+        ),
+    }
+}
+
+/// Every strict prefix of every record kind's encoding is an error —
+/// a torn journal tail never boots as a shorter record — and no prefix
+/// panics the decoder.
+#[test]
+fn every_truncation_of_every_record_kind_errors() {
+    for seed in 0..32u64 {
+        for kind in 0..4 {
+            let record = record_from(seed, kind);
+            let raw = encode_record(&record);
+            assert_eq!(decode_record(&raw), Ok(record));
+            for cut in 0..raw.len() {
+                let prefix = Bytes::copy_from_slice(&raw[..cut]);
+                assert!(decode_record(&prefix).is_err(), "kind {kind}, cut {cut}");
+            }
+        }
+    }
+}
+
 /// The `i`-th [`Event`] variant (mod 13), with seed-derived fields.
 fn event(seed: u64, i: u64) -> Event {
     let et = EtId(seed % 97);
@@ -232,6 +273,29 @@ proptest! {
     #[test]
     fn decode_mset_is_total(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = decode_mset(&Bytes::from(bytes));
+    }
+
+    /// Arbitrary bytes never panic the journal record decoder.
+    #[test]
+    fn decode_record_is_total(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+        let _ = decode_record(&Bytes::from(bytes));
+    }
+
+    /// Every record kind round-trips, and a single-byte corruption of
+    /// one decodes to *some* record or errors, never panics.
+    #[test]
+    fn mutated_records_never_panic(
+        seed in any::<u64>(),
+        kind in any::<u8>(),
+        at in any::<u64>(),
+        byte in any::<u8>(),
+    ) {
+        let record = record_from(seed, kind);
+        let mut raw = encode_record(&record).to_vec();
+        prop_assert_eq!(decode_record(&Bytes::copy_from_slice(&raw)), Ok(record));
+        let i = (at % raw.len() as u64) as usize;
+        raw[i] = byte;
+        let _ = decode_record(&Bytes::from(raw));
     }
 
     /// Every frame family round-trips through encode/decode.

@@ -24,11 +24,13 @@
 //! ## One owner, one executor
 //!
 //! The effects are executed by a [`Node`] — the executor the simulator
-//! runs too: the commit plan, the view register, the checkpoint chain
+//! runs too: the commit plan, the links' cursors, the checkpoint chain
 //! and restore-or-replay are its, over a [`Host`]. This file is that
 //! host, files and the reactor, plus what only a daemon has: the
 //! client plane, catch-up from peers, the epoch and address files, and
-//! the checkpoint writer thread.
+//! the checkpoint writer thread. A site's durable state is
+//! `<dir>/site-<i>.journal` and its snapshot containers; the epoch and
+//! address files are discovery.
 //!
 //! [`Daemon::start`] boots a [`Daemon`] on the calling thread — epoch,
 //! catch-up, links, the node's boot, listener — and moves it into
@@ -46,20 +48,21 @@
 //! cycle are staged ([`crate::commit::Staged`]), and the reactor calls
 //! [`RpcService::commit`] once, after the last step and before any
 //! reply or ack of the cycle reaches a socket. The commit is one
-//! journal append, then the sends, handed to the in-memory links — the
-//! order `crate::commit` argues; a send costs no syscall. Boot
-//! recovery, which runs before the reactor exists, commits once at the
-//! end of boot.
+//! journal append — one write to one file — then the sends, handed to
+//! the in-memory links — the order `crate::commit` argues; a send costs
+//! no syscall. Boot recovery, which runs before the reactor exists,
+//! commits once at the end of boot.
 //!
 //! ## What a restart re-sends
 //!
-//! Each link keeps a cursor: the journal id through which its peer has
-//! acknowledged everything it was sent ([`Cursor`]). The heartbeat
-//! writes the cursors to `<dir>/site-<i>.acked` (tmp+rename) when they
-//! moved. A boot re-sends the originated MSets above each peer's
-//! recorded cursor — all of them when the file is missing, so a stale
-//! or lost file costs only redundant sends, which the peers' journalled
-//! sets absorb. The cursors also bound journal truncation: a checkpoint
+//! The node keeps a cursor per link: the journal id through which its
+//! peer has acknowledged everything it was sent. When one moved, the
+//! next commit that appends anything appends a cursor record too, so an
+//! idle or query-only cycle still writes nothing. A boot re-sends the
+//! originated MSets above each peer's cursor in the newest cursor
+//! record — all live ones when truncation retired it — so a stale
+//! record costs only redundant sends, which the peers' journalled sets
+//! absorb. The cursors also bound journal truncation: a checkpoint
 //! never retires a record some peer has not acknowledged.
 //!
 //! ## Topology and the coordinator
@@ -82,12 +85,13 @@
 //! heartbeats with [`Frame::Ping`], and a follower that misses enough
 //! pings elects view `v+1` via the StartViewChange / DoViewChange /
 //! StartView exchange — all of it pure `NodeCore` logic. An installed
-//! view is persisted to `<dir>/site-<i>.view` (tmp+rename) by
-//! `Effect::RecordView` before any frame of the new view is sent, so a
-//! rebooted site rejoins its last view rather than view 0. `kill -9` of the acting
-//! coordinator is therefore survivable: the survivors elect the next
-//! site, re-announce their applied ETs, and the merged DoViewChange
-//! evidence carries completions/decisions/VTNC across the handoff.
+//! view is a journal record, appended before any frame of the new view
+//! is sent, so a rebooted site rejoins its last view rather than view
+//! 0 — from the newest snapshot when truncation retired the record.
+//! `kill -9` of the acting coordinator is therefore survivable: the
+//! survivors elect the next site, re-announce their applied ETs, and
+//! the merged DoViewChange evidence carries completions/decisions/VTNC
+//! across the handoff.
 //!
 //! ## Discovery
 //!
@@ -97,7 +101,6 @@
 //! found as soon as it republishes. `<dir>/site-<i>.epoch` counts boots
 //! and is echoed in the handshake.
 
-use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -114,7 +117,7 @@ use esr_net::rpc::{
 use esr_obs::{
     Counter, Histogram, LinkInstruments, MetricsRegistry, ReactorInstruments, SiteInstruments,
 };
-use esr_replica::node::{Cursor, Host, Install, Node, NodeConfig, NodeInstruments};
+use esr_replica::node::{Host, Install, Node, NodeConfig, NodeInstruments};
 use esr_replica::span::{publish_readings, Event};
 use esr_replica::wire::{decode_frame, encode_frame, Frame};
 use esr_storage::snapshot;
@@ -135,8 +138,8 @@ pub struct DaemonConfig {
     pub sites: usize,
     /// The replica control method to run.
     pub method: RtMethod,
-    /// The cluster directory: address files, journals, snapshots and
-    /// cursor files all live here (shared by every site of one cluster).
+    /// The cluster directory: address and epoch files, journals and
+    /// snapshots all live here (shared by every site of one cluster).
     pub dir: PathBuf,
     /// Checkpoint policy: cut a snapshot after roughly this many bytes
     /// of journal appends. `None` disables the policy (on-demand
@@ -209,19 +212,14 @@ pub struct Daemon {
     serving: Option<Vec<u8>>,
 }
 
-/// `esrd`'s storage: the journal, the view register, the cursor file and
-/// snapshot files under the cluster directory, the links' cursors, the
-/// checkpoint writer's channels, and the event log.
+/// `esrd`'s storage: the journal and snapshot files under the cluster
+/// directory, the checkpoint writer's channels, and the event log.
 struct Files {
     dir: PathBuf,
     site: SiteId,
     /// The on-disk journal a commit appends the core's journal records
     /// to.
     journal: ApplyJournal,
-    /// Each link's cursor, by site (this site's own is unused).
-    cursors: Vec<Cursor>,
-    /// The cursors the cursor file holds, by site.
-    saved: Vec<Option<u64>>,
     /// This incarnation's bounded event log, scraped via
     /// [`Frame::EventQuery`]; its clock is the node's.
     events: EventLog,
@@ -238,50 +236,6 @@ impl Files {
     fn with<'a>(&'a mut self, links: &'a mut Links) -> FileHost<'a> {
         FileHost { files: self, links }
     }
-
-    /// Advances `peer`'s cursor past what its link has acknowledged.
-    fn acked(&mut self, peer: usize, links: &Links) -> Option<u64> {
-        let head = links.head(peer).map(|e| e.0);
-        self.cursors[peer].advance(head, self.journal.last_id())
-    }
-
-    /// Rewrites the cursor file if a cursor moved since it was written.
-    fn save_cursors(&mut self, links: &Links) {
-        let me = self.site.raw() as usize;
-        let now: Vec<Option<u64>> = (0..self.cursors.len())
-            .map(|j| if j == me { None } else { self.acked(j, links) })
-            .collect();
-        let path = cursor_path(&self.dir, self.site);
-        if now != self.saved && publish(&path, &format_cursors(&now)).is_ok() {
-            self.saved = now;
-        }
-    }
-}
-
-/// The cursor file's text: `<peer>=<id>` per recorded cursor.
-fn format_cursors(cursors: &[Option<u64>]) -> String {
-    let recorded = cursors.iter().enumerate();
-    let pairs: Vec<String> = recorded
-        .filter_map(|(j, c)| c.map(|id| format!("{j}={id}")))
-        .collect();
-    pairs.join(" ")
-}
-
-/// The cursors `site`'s cursor file under `dir` records, by site (`None`
-/// for a peer it does not name, and for every peer when it is missing or
-/// unreadable).
-fn load_cursors(dir: &Path, site: SiteId, sites: usize) -> Vec<Option<u64>> {
-    let mut cursors = vec![None; sites];
-    let text = std::fs::read_to_string(cursor_path(dir, site)).unwrap_or_default();
-    for pair in text.split_whitespace() {
-        let parsed = pair
-            .split_once('=')
-            .and_then(|(j, id)| Some((j.parse::<usize>().ok()?, id.parse::<u64>().ok()?)));
-        if let Some((j, id)) = parsed.filter(|(j, _)| *j < sites) {
-            cursors[j] = Some(id);
-        }
-    }
-    cursors
 }
 
 /// `esrd`'s [`Host`].
@@ -312,22 +266,6 @@ impl Host for FileHost<'_> {
         (journal.file_bytes(), journal.live_entries())
     }
 
-    /// Absent or unreadable means view 0: the pre-failover layout.
-    fn view(&self) -> u64 {
-        std::fs::read_to_string(view_path(&self.files.dir, self.files.site))
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or(0)
-    }
-
-    /// The same tmp+rename publish as the address file.
-    fn record_view(&mut self, view: u64) {
-        let _ = publish(
-            &view_path(&self.files.dir, self.files.site),
-            &view.to_string(),
-        );
-    }
-
     fn snapshots(&self) -> Vec<u64> {
         let listed = snapshot::list(&self.files.dir, &snap_prefix(self.files.site));
         listed.map_or_else(
@@ -352,27 +290,18 @@ impl Host for FileHost<'_> {
         }
     }
 
-    fn send(&mut self, sends: Vec<(SiteId, Vec<Frame>)>) {
-        let mut tails = BTreeMap::new();
+    fn send(&mut self, sends: Vec<(SiteId, Vec<Frame>)>) -> Vec<(SiteId, u64)> {
+        let mut tails = Vec::new();
         for (to, frames) in sends {
             let payloads = frames.iter().map(encode_frame).collect();
-            let to = to.raw() as usize;
-            if let Some(last) = self.links.send_batch(to, payloads).last() {
-                tails.insert(to, last.0);
-            }
+            let sent = self.links.send_batch(to.raw() as usize, payloads);
+            tails.extend(sent.last().map(|entry| (to, entry.0)));
         }
-        let last_id = self.files.journal.last_id();
-        for (to, tail) in tails {
-            self.files.cursors[to].sent(tail, last_id);
-        }
+        tails
     }
 
-    fn resume(&self, peer: SiteId) -> Option<u64> {
-        self.files.saved[peer.raw() as usize]
-    }
-
-    fn acked(&mut self, peer: SiteId) -> Option<u64> {
-        self.files.acked(peer.raw() as usize, self.links)
+    fn head(&self, peer: SiteId) -> Option<u64> {
+        self.links.head(peer.raw() as usize).map(|entry| entry.0)
     }
 
     fn record(&mut self, event: Event) {
@@ -454,18 +383,6 @@ fn epoch_path(dir: &Path, site: SiteId) -> PathBuf {
 
 fn journal_path(dir: &Path, site: SiteId) -> PathBuf {
     dir.join(format!("site-{}.journal", site.raw()))
-}
-
-/// The durably recorded view of site `site` under `dir` (absent or
-/// unreadable means view 0 — the pre-failover layout).
-fn view_path(dir: &Path, site: SiteId) -> PathBuf {
-    dir.join(format!("site-{}.view", site.raw()))
-}
-
-/// The cursor file of site `site` under `dir`: through which journal id
-/// each peer had acknowledged its links, as the heartbeat last saw it.
-fn cursor_path(dir: &Path, site: SiteId) -> PathBuf {
-    dir.join(format!("site-{}.acked", site.raw()))
 }
 
 /// Publishes all at once: write to a tmp file, then rename into place,
@@ -612,13 +529,10 @@ impl Daemon {
         }
 
         let (cuts, installs) = spawn_writer(cfg.dir.clone(), cfg.site, waker)?;
-        let saved = load_cursors(&cfg.dir, cfg.site, cfg.sites);
         let mut files = Files {
             dir: cfg.dir.clone(),
             site: cfg.site,
             journal,
-            cursors: saved.iter().map(|c| Cursor::at(*c)).collect(),
-            saved,
             events,
             cuts,
             installs,
@@ -669,10 +583,11 @@ impl Daemon {
         }
     }
 
-    /// The reply to one client request; `None` for a request that
-    /// decodes but is malformed — an MSet of a shape this site's method
-    /// cannot take ([`SiteState::accepts`]) — which closes the
-    /// connection without stepping the core.
+    /// The reply to one client request; `None` for a frame that decodes
+    /// but is no well-formed request — a frame that is not a client
+    /// request at all, or an MSet of a shape this site's method cannot
+    /// take ([`SiteState::accepts`]) — which closes the connection
+    /// without stepping the core.
     fn handle_client_request(&mut self, request: Frame, links: &mut Links) -> Option<Frame> {
         Some(match request {
             Frame::Submit(mset) => {
@@ -770,17 +685,8 @@ impl Daemon {
                 let (dropped, events) = self.files.events.query(et);
                 Frame::EventOk { dropped, events }
             }
-            // Anything else is a protocol error; answer with an empty
-            // status so the client sees *a* frame and can give up.
-            _ => Frame::StatusOk {
-                settled: false,
-                outbound_pending: 0,
-                epoch: self.epoch,
-                view: 0,
-                coordinator: false,
-                ckpt_seq: 0,
-                ckpt_covered: 0,
-            },
+            // A peer frame or a reply is no request.
+            _ => return None,
         })
     }
 }
@@ -828,8 +734,9 @@ impl RpcService for Daemon {
                 true
             }
             // Client plane: one request frame in, one reply frame out,
-            // in order. A malformed request (undecodable, or a submit
-            // its method cannot take) closes the connection, and so
+            // in order. A malformed request (undecodable, no client
+            // request, or a submit its method cannot take) closes the
+            // connection, and so
             // does a reply no frame can carry (a `SnapshotOk` past
             // `MAX_FRAME`): skipping it would leave the client blocked
             // on a reply that never comes, closing shows it EOF after
@@ -862,11 +769,9 @@ impl RpcService for Daemon {
     }
 
     /// The heartbeat: the only place wall-clock time enters the
-    /// protocol, and it enters as a bare tick count. It also records the
-    /// links' cursors.
+    /// protocol, and it enters as a bare tick count.
     fn tick(&mut self, links: &mut Links) {
         self.dispatch(links, NodeEvent::Tick);
-        self.files.save_cursors(links);
     }
 
     /// Applies the checkpoint writer's reports.
@@ -1181,17 +1086,27 @@ mod tests {
     }
 
     /// A submit that decodes but has a shape its method's `deliver`
-    /// panics on is a malformed request like an undecodable one: the
-    /// connection closes, the core is not stepped, and the daemon goes
-    /// on serving.
+    /// panics on is a malformed request like an undecodable one, and so
+    /// is a frame that is no client request at all: the connection
+    /// closes, the core is not stepped, and the daemon goes on serving.
     #[test]
     fn a_submit_of_the_wrong_shape_closes_the_connection_and_steps_nothing() {
-        let unsequenced = boot("unsequenced", RtMethod::Ordup, 0, 1, None);
-        let untimestamped = boot("untimestamped", RtMethod::RituMv, 0, 1, None);
-        for (mut daemon, mut links, _pipe) in [unsequenced, untimestamped] {
-            let (open, replies) =
-                try_batch(&mut daemon, &mut links, &[Frame::Submit(incr(1, 0)), Frame::Status]);
-            assert!(!open, "ORDUP takes only sequenced MSets, RITU-MV only timestamped writes");
+        let ping = Frame::Ping {
+            view: 0,
+            from: SiteId(0),
+        };
+        // ORDUP takes only sequenced MSets, RITU-MV only timestamped
+        // writes, and a client sends no peer frame.
+        let cases = [
+            ("unsequenced", RtMethod::Ordup, Frame::Submit(incr(1, 0))),
+            ("untimestamped", RtMethod::RituMv, Frame::Submit(incr(1, 0))),
+            ("peer-mset", RtMethod::Commu, Frame::MSet(incr(1, 0))),
+            ("ping", RtMethod::Commu, ping),
+        ];
+        for (tag, method, bad) in cases {
+            let (mut daemon, mut links, _pipe) = boot(tag, method, 0, 1, None);
+            let (open, replies) = try_batch(&mut daemon, &mut links, &[bad, Frame::Status]);
+            assert!(!open, "{tag}: the connection closes");
             assert!(replies.is_empty(), "nothing after the malformed request is answered");
             assert!(daemon.node.staged().is_empty());
             daemon.commit(&mut links);
@@ -1360,17 +1275,21 @@ mod tests {
         daemon.commit(&mut links);
         settle_ckpt(&mut daemon, &mut links);
         assert_eq!(daemon.node.chain().seq, 7);
-        assert_eq!(
-            daemon.files.journal.live_entries(),
-            1,
-            "install 7 retires through install 6's cut, which both peers acked"
+        let live = daemon.files.journal.records().unwrap().into_iter();
+        let live: Vec<Record> = live.map(|(_, r)| r).collect();
+        assert!(
+            matches!(&live[..], [Record::MSet(m), Record::Cursors(_)] if m.et == EtId(7)),
+            "install 7 retires through install 6's cut, which both peers acked; \
+             et7's append also recorded the acknowledgements: {live:?}"
         );
     }
 
-    /// A restart re-sends what the cursor file says a peer lacks: the
-    /// heartbeat records each link's cursor, and the next boot seeds
-    /// the links with the originated records above it — and every live
-    /// one when the file is gone.
+    /// A restart re-sends what the newest cursor record says a peer
+    /// lacks: a commit that appends anything records the links' cursors
+    /// when they moved, and the next boot seeds the links with the
+    /// originated records above them. Neither an acknowledgement nor
+    /// the heartbeat writes anything, and no file but the journal holds
+    /// the site's durable state.
     #[test]
     fn a_boot_reseeds_each_link_above_its_recorded_cursor() {
         let dir = fresh_dir("reseed");
@@ -1384,17 +1303,23 @@ mod tests {
         daemon.commit(&mut links);
         assert_eq!(links.ack(1, &[EntryId(0)]), 1, "peer 1 took the first commit");
         daemon.tick(&mut links);
-        let text = std::fs::read_to_string(cursor_path(&dir, SiteId(0))).unwrap();
-        assert_eq!(text, "1=0", "peer 2 acknowledged nothing, so only peer 1 has a cursor");
+        assert_eq!(daemon.files.journal.entries(), 3, "the heartbeat writes nothing");
+        // The next append (id 3) carries the cursors (id 4): peer 2
+        // acknowledged nothing, peer 1 the first commit.
+        batch(&mut daemon, &mut links, &[Frame::Submit(incr(4, 0))]);
+        daemon.commit(&mut links);
+        let newest = daemon.files.journal.records().unwrap().pop();
+        assert_eq!(newest, Some((4, Record::Cursors(vec![None, Some(0), None]))));
         drop((daemon, links, _pipe));
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["site-0.epoch", "site-0.journal"]);
 
-        let (daemon, links, _pipe) = boot_at(dir.clone(), RtMethod::Commu, 0, 3, None);
-        assert_eq!(links.pending(), 1 + 2, "the second record to peer 1, both to peer 2");
-        drop((daemon, links, _pipe));
-
-        std::fs::remove_file(cursor_path(&dir, SiteId(0))).unwrap();
         let (_daemon, links, _pipe) = boot_at(dir, RtMethod::Commu, 0, 3, None);
-        assert_eq!(links.pending(), 2 + 2, "no cursor: every own record to each peer");
+        assert_eq!(links.pending(), 2 + 3, "et2 and et4 to peer 1, all three to peer 2");
     }
 
     /// The site a submit arrives at is its origin, whatever the client

@@ -6,7 +6,7 @@
 //! release), VTNC certification, COMPE decisions, recovery and
 //! coordinator election are side-effect-free steps returning ordered
 //! [`ctrl::Effect`]s. The core and the one executor of its effects,
-//! [`esr_replica::Node`] (commit plan, view register, checkpoint chain,
+//! [`esr_replica::Node`] (commit plan, link cursors, checkpoint chain,
 //! restore-or-replay), live in `esr-replica`, so the simulator,
 //! [`esr_replica::SimCluster`], runs both under virtual time; they are
 //! re-exported here under their historical paths [`ctrl`], [`state`],

@@ -272,7 +272,7 @@ impl ProcCluster {
     }
 
     /// `SIGKILL`s a site's daemon process mid-flight — no shutdown
-    /// path runs. Its journal, cursor file and (stale) address file stay
+    /// path runs. Its journal, snapshots and (stale) address file stay
     /// on disk, and its link queues die with it; peers keep retrying
     /// until [`ProcCluster::restart`].
     pub fn kill(&mut self, site: SiteId) {
@@ -294,7 +294,7 @@ impl ProcCluster {
     }
 
     /// Destroys a killed site's entire local disk state — journal,
-    /// snapshots, durable view/epoch, cursor and address files. The
+    /// snapshots, epoch and address files. The
     /// peers' links toward the site hold only what it had not
     /// acknowledged, which is exactly the wiped-replacement scenario
     /// snapshot catch-up exists for: the fresh incarnation pulls a
@@ -309,9 +309,7 @@ impl ProcCluster {
         let i = site.raw();
         for name in [
             format!("site-{i}.journal"),
-            format!("site-{i}.view"),
             format!("site-{i}.epoch"),
-            format!("site-{i}.acked"),
             format!("site-{i}.addr"),
         ] {
             let _ = std::fs::remove_file(self.dir.join(name));

@@ -1,21 +1,22 @@
 //! Crash/restart support: the per-site write-ahead journal, a site's
 //! one durable log.
 //!
-//! A site persists every MSet it accepts, and every COMPE decision it
-//! takes on, to an append-only [`FileQueue`] journal — the executor's
-//! half of [`crate::ctrl::Effect::Journal`] and
-//! [`crate::ctrl::Effect::JournalDecision`], written by the reactor
-//! cycle's commit ([`crate::commit`]) before any of the cycle's sends —
-//! and acknowledges the inbound envelope only afterwards, so a crash can
-//! lose link contents but never an acknowledged update. Restart replays
-//! the journal through [`crate::ctrl::NodeCore::recover`], which
-//! rebuilds the replica and re-announces the recovered applies, re-sends
-//! the MSets the site originated to the peers that had not acknowledged
-//! them, and passes every journalled decision on again; the rest of the
-//! control plane (completion notices, VTNC horizons, view state) comes
-//! back through the core's Hello exchange. This is `esrd`'s journal; the
-//! simulator runs the same recovery path over an in-memory one
-//! (DESIGN.md §10).
+//! A site persists every MSet it accepts, every COMPE decision it takes
+//! on, every view it installs and, when they moved, its links'
+//! acknowledged cursors, to an append-only [`FileQueue`] journal — the
+//! executor's half of [`crate::ctrl::Effect::Journal`], written by the
+//! reactor cycle's commit ([`crate::commit`]) in one append before any
+//! of the cycle's sends — and acknowledges the inbound envelope only
+//! afterwards, so a crash can lose link contents but never an
+//! acknowledged update. Restart replays the journal through
+//! [`crate::ctrl::NodeCore::recover`] into the newest view recorded,
+//! which rebuilds the replica and re-announces the recovered applies,
+//! re-sends the MSets the site originated above each peer's newest
+//! recorded cursor, and passes every journalled decision on again; the
+//! rest of the control plane (completion notices, VTNC horizons, view
+//! state) comes back through the core's Hello exchange. This is
+//! `esrd`'s journal; the simulator runs the same recovery path over an
+//! in-memory one (DESIGN.md §10).
 
 use std::io;
 use std::path::Path;
@@ -24,7 +25,7 @@ use bytes::Bytes;
 
 use esr_replica::ctrl::Record;
 use esr_replica::mset::MSet;
-use esr_replica::wire::{decode_record, encode_mset, encode_record};
+use esr_replica::wire::{decode_record, encode_record};
 use esr_storage::stable_queue::{EntryId, FileQueue, StableQueue};
 
 /// A site's durable journal: encoded records in acceptance order.
@@ -45,22 +46,19 @@ impl ApplyJournal {
         Ok(Self { queue, entries })
     }
 
-    /// Durably records an accepted MSet: [`ApplyJournal::append`] of
-    /// one MSet record. Must be called before the envelope that carried
-    /// the MSet is acked. Returns the approximate bytes appended, for
+    /// Durably records one record: [`ApplyJournal::append`] of it
+    /// alone. An MSet's must be written before the envelope that
+    /// carried it is acked. Returns the approximate bytes appended, for
     /// checkpoint-policy accounting.
-    pub fn record(&mut self, mset: &MSet) -> u64 {
-        self.write(vec![encode_mset(mset)])
+    pub fn record(&mut self, record: &Record) -> u64 {
+        self.append(std::slice::from_ref(record))
     }
 
     /// Durably records every record of a commit, in order, with one
     /// append (a crash mid-write leaves a whole-record prefix). Returns
     /// the approximate bytes appended.
     pub fn append(&mut self, records: &[Record]) -> u64 {
-        self.write(records.iter().map(encode_record).collect())
-    }
-
-    fn write(&mut self, encoded: Vec<Bytes>) -> u64 {
+        let encoded: Vec<Bytes> = records.iter().map(encode_record).collect();
         // Record framing + payload, per record.
         let bytes = encoded.iter().map(|e| 13 + e.len() as u64).sum();
         self.entries += encoded.len() as u64;
@@ -85,7 +83,7 @@ impl ApplyJournal {
         Ok(records
             .filter_map(|(id, r)| match r {
                 Record::MSet(m) => Some((id, m)),
-                Record::Decision { .. } => None,
+                _ => None,
             })
             .collect())
     }
@@ -174,8 +172,8 @@ mod tests {
         );
         {
             let mut j = ApplyJournal::open(&path).unwrap();
-            j.record(&m1);
-            j.record(&m2);
+            j.record(&Record::MSet(m1.clone()));
+            j.record(&Record::MSet(m2.clone()));
             assert_eq!(j.entries(), 2);
             assert_eq!(j.file_bytes(), std::fs::metadata(&path).unwrap().len());
         } // "crash": journal dropped without ceremony
@@ -207,7 +205,7 @@ mod tests {
             })
             .collect();
         let mut j1 = ApplyJournal::open(&single).unwrap();
-        let bytes: u64 = msets.iter().map(|m| j1.record(m)).sum();
+        let bytes: u64 = msets.iter().map(|m| j1.record(&Record::MSet(m.clone()))).sum();
         let mut jn = ApplyJournal::open(&batch).unwrap();
         let records: Vec<Record> = msets.iter().cloned().map(Record::MSet).collect();
         assert_eq!(jn.append(&records), bytes);
@@ -243,7 +241,7 @@ mod tests {
         };
         let mut j = ApplyJournal::open(&path).unwrap();
         for et in 1..=5 {
-            assert!(j.record(&mk(et)) > 13);
+            assert!(j.record(&Record::MSet(mk(et))) > 13);
         }
         let ids: Vec<u64> = j
             .replay_entries()
@@ -270,7 +268,7 @@ mod tests {
         let mut j2 = ApplyJournal::open(&path).unwrap();
         assert_eq!(j2.live_entries(), 2);
         assert_eq!(j2.last_id(), Some(4));
-        j2.record(&mk(6));
+        j2.record(&Record::MSet(mk(6)));
         assert_eq!(j2.last_id(), Some(5));
         let _ = std::fs::remove_file(&path);
     }

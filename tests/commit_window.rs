@@ -12,16 +12,19 @@
 //! For every method, three of the daemon's [`Node`]s over the
 //! simulator's memory host, [`MemHost`], wired by FIFO link queues;
 //! site 1, a follower, handles one cycle mixing a peer's MSet, a client
-//! submit and, under COMPE, a client decision, and commits it once. For
-//! each `k` site 1 crashes with the first `k` records of that commit
-//! written ([`MemHost::tear`]) and the sends among them delivered; it
-//! recovers as the daemon boots, through [`Node::boot`] — journal
+//! submit and, under COMPE, a client decision, and commits it once. An
+//! earlier submit of its own that every peer acknowledged has moved its
+//! links' cursors, so the cycle's one append ends with a cursor record:
+//! its writes are the cycle's records, the cursor record, then the
+//! sends. For each `k` site 1 crashes with the first `k` of those
+//! writes made ([`MemHost::tear`]) and the sends among them delivered;
+//! it recovers as the daemon boots, through [`Node::boot`] — journal
 //! replay, its links re-seeded with the MSets it originated above each
-//! peer's acknowledged journal id, its journalled decisions passed on
-//! again — greets its peers, has everything unacked redelivered and the
-//! unanswered client requests retried. The cluster must land exactly
-//! where the crash-free run does, settled, with a clean
-//! [`esr_check::certify`].
+//! peer's cursor in the newest cursor record, its journalled decisions
+//! passed on again — greets its peers, has everything unacked
+//! redelivered and the unanswered client requests retried. The cluster
+//! must land exactly where the crash-free run does, settled, with a
+//! clean [`esr_check::certify`].
 //!
 //! The canary is the order itself: with a host that writes the sends
 //! ahead of the journal, the coordinator counts an apply that site 1
@@ -68,7 +71,7 @@ fn update(method: RtMethod, i: u64, origin: u64) -> MSet {
         }
         _ => vec![ObjectOp::new(x, Operation::Incr(i as i64 + 1))],
     };
-    let mset = MSet::new(et, SiteId(origin), ops).from_client(ClientId(40 + origin), 1);
+    let mset = MSet::new(et, SiteId(origin), ops).from_client(ClientId(40 + origin), i);
     match method {
         RtMethod::Ordup => mset.sequenced(SeqNo(i)),
         _ => mset,
@@ -94,26 +97,24 @@ impl Host for TestHost {
         }
         self.mem.append(records)
     }
-    fn send(&mut self, sends: Vec<(SiteId, Vec<Frame>)>) {
-        self.mem.send(sends);
+    fn send(&mut self, sends: Vec<(SiteId, Vec<Frame>)>) -> Vec<(SiteId, u64)> {
+        let tails = self.mem.send(sends);
         let held = std::mem::take(&mut self.held);
         if !held.is_empty() {
             self.mem.append(held);
         }
+        tails
     }
     // The rest is the memory host's.
     fn journal(&self) -> io::Result<Vec<(u64, Record)>> { self.mem.journal() }
     fn last_id(&self) -> Option<u64> { self.mem.last_id() }
     fn retire_through(&mut self, through: u64) -> u64 { self.mem.retire_through(through) }
     fn journal_size(&self) -> (u64, u64) { self.mem.journal_size() }
-    fn view(&self) -> u64 { self.mem.view() }
-    fn record_view(&mut self, view: u64) { self.mem.record_view(view) }
     fn snapshots(&self) -> Vec<u64> { self.mem.snapshots() }
     fn load_snapshot(&self, seq: u64) -> Option<Vec<u8>> { self.mem.load_snapshot(seq) }
     fn cut(&mut self, seq: u64, payload: Box<CkptPayload>) { self.mem.cut(seq, payload) }
     fn installed(&mut self, wait: bool) -> Option<Install> { self.mem.installed(wait) }
-    fn resume(&self, peer: SiteId) -> Option<u64> { self.mem.resume(peer) }
-    fn acked(&mut self, peer: SiteId) -> Option<u64> { self.mem.acked(peer) }
+    fn head(&self, peer: SiteId) -> Option<u64> { self.mem.head(peer) }
     fn record(&mut self, event: Event) { self.mem.record(event) }
     fn now(&self) -> u64 { self.mem.now() }
 }
@@ -224,7 +225,7 @@ impl World {
     /// `kill -9` and reboot of the victim: memory and link queues are
     /// gone; the node boots over what its host kept — the journal
     /// replays, each link is re-seeded with the MSets the victim
-    /// originated above its peer's cursor, the journalled decisions are
+    /// originated above its peer's recorded cursor, the journalled decisions are
     /// passed on again, the recovery effects commit at boot — and the
     /// links' reconnects exchange `Hello`s.
     fn crash_and_recover(&mut self) {
@@ -284,16 +285,26 @@ impl World {
 }
 
 /// Runs the scenario; `crash_after = Some(k)` kills the victim with the
-/// first `k` records of its cycle's commit written and the sends among
-/// them delivered; `sends_first` writes the victim's sends ahead of its
-/// journal. Returns the final world and the number of records the cycle
-/// planned.
+/// first `k` writes of its cycle's commit made and the sends among them
+/// delivered; `sends_first` writes the victim's sends ahead of its
+/// journal. Returns the final world and the number of writes the
+/// cycle's commit makes: its planned records and frames, and the cursor
+/// record.
 fn run(method: RtMethod, crash_after: Option<usize>, sends_first: bool) -> (World, usize) {
     let mut w = World::new(method, sends_first);
-    let (a, b) = (update(method, 1, 1), update(method, 0, 2));
+    let (p, b, a) = (update(method, 0, 1), update(method, 1, 2), update(method, 2, 1));
 
-    // Before the cycle: site 2 takes a submit, and the coordinator has
-    // it already. The victim's inbound link from site 2 holds it.
+    // Before the cycle: the victim takes a submit every peer
+    // acknowledges, which moves its links' cursors.
+    w.step(VICTIM, NodeEvent::ClientSubmit(p.clone()));
+    if method == RtMethod::Compe {
+        w.step(VICTIM, NodeEvent::ClientDecision { et: p.et, commit: true });
+    }
+    w.commit(VICTIM);
+    w.drain();
+
+    // Then site 2 takes a submit, and the coordinator has it already.
+    // The victim's inbound link from site 2 holds it.
     w.step(2, NodeEvent::ClientSubmit(b.clone()));
     w.commit(2);
     while !w.sites[2].out[0].is_empty() {
@@ -316,11 +327,13 @@ fn run(method: RtMethod, crash_after: Option<usize>, sends_first: bool) -> (Worl
     let inbound = w.sites[2].out[VICTIM][0].1.clone();
     w.step(VICTIM, NodeEvent::PeerFrame(inbound));
     requests(&mut w);
-    let planned = w.sites[VICTIM].node.staged().len();
+    let writes = w.sites[VICTIM].node.staged().len() + 1;
 
     match crash_after {
         None => {
             w.commit(VICTIM);
+            let newest = w.sites[VICTIM].host.mem.journal().unwrap().pop();
+            assert!(matches!(newest, Some((_, Record::Cursors(_)))), "{newest:?}");
             // The commit returned: the ack retires what was delivered.
             w.ack(2, VICTIM);
         }
@@ -328,7 +341,7 @@ fn run(method: RtMethod, crash_after: Option<usize>, sends_first: bool) -> (Worl
             w.sites[VICTIM].host.mem.tear(k);
             w.commit(VICTIM);
             // A written send is out of the victim before its crash. The
-            // victim sent nothing before the cycle, so its links hold
+            // victim's links were drained before the cycle, so they hold
             // exactly those.
             for to in 0..SITES {
                 while !w.sites[VICTIM].out[to].is_empty() {
@@ -354,13 +367,13 @@ fn run(method: RtMethod, crash_after: Option<usize>, sends_first: bool) -> (Worl
         w.commit(VICTIM);
         w.drain();
     }
-    (w, planned)
+    (w, writes)
 }
 
 #[test]
 fn a_crash_after_any_record_prefix_of_a_commit_recovers_to_the_crash_free_state() {
     for method in METHODS {
-        let (reference, planned) = run(method, None, false);
+        let (reference, writes) = run(method, None, false);
         let expect = reference.snapshots();
         assert!(
             expect.iter().all(|s| *s == expect[0] && !s.is_empty()),
@@ -368,16 +381,16 @@ fn a_crash_after_any_record_prefix_of_a_commit_recovers_to_the_crash_free_state(
         );
         let faults = reference.faults(&expect);
         assert!(faults.is_empty(), "{method:?} crash-free: {faults:#?}");
-        // Two records, a submit's fan-out, and what the method
-        // announces: the window is never trivial.
-        assert!(planned >= 4, "{method:?}: only {planned} records planned");
+        // Two records, the cursor record, a submit's fan-out, and what
+        // the method announces: the window is never trivial.
+        assert!(writes >= 5, "{method:?}: only {writes} writes");
 
-        for k in 0..=planned {
+        for k in 0..=writes {
             let (world, _) = run(method, Some(k), false);
             let faults = world.faults(&expect);
             assert!(
                 faults.is_empty(),
-                "{method:?}: crash after {k}/{planned} records: {faults:#?}"
+                "{method:?}: crash after {k}/{writes} writes: {faults:#?}"
             );
         }
     }
@@ -386,13 +399,13 @@ fn a_crash_after_any_record_prefix_of_a_commit_recovers_to_the_crash_free_state(
 #[test]
 fn a_send_ahead_of_its_journal_record_is_caught() {
     let method = RtMethod::Commu;
-    let (reference, planned) = run(method, None, true);
+    let (reference, writes) = run(method, None, true);
     let expect = reference.snapshots();
     assert!(reference.faults(&expect).is_empty(), "the order is fine without a crash");
     // With every send out and no record down, the coordinator completes
     // the peer's update on the strength of an apply the victim lost,
     // and the victim learns of the completion before it applies again.
-    let caught: Vec<Vec<String>> = (0..=planned)
+    let caught: Vec<Vec<String>> = (0..=writes)
         .map(|k| run(method, Some(k), true).0.faults(&expect))
         .filter(|faults| !faults.is_empty())
         .collect();
