@@ -28,7 +28,7 @@ use std::time::Instant;
 use esr_core::ids::{EtId, ObjectId, SiteId};
 use esr_core::op::{ObjectOp, Operation};
 use esr_replica::mset::MSet;
-use esr_runtime::ctrl::{Effect, NodeCore, NodeEvent, Record};
+use esr_runtime::ctrl::{Effect, NodeCore, NodeEvent};
 use esr_runtime::recovery::ApplyJournal;
 use esr_runtime::state::{RtMethod, SiteState};
 use esr_runtime::{decode_payload, encode_payload};
@@ -100,7 +100,7 @@ fn main() {
     let t = Instant::now();
     let mut journal = ApplyJournal::open(&journal_path).expect("open journal");
     for i in 0..entries {
-        journal.record(&Record::MSet(mset(i)));
+        journal.record(&mset(i));
     }
     drop(journal);
     let build_secs = t.elapsed().as_secs_f64();

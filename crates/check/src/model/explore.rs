@@ -91,6 +91,9 @@ struct Task {
     sleep: Vec<Tx>,
 }
 
+/// Which pairs of transitions the sleep sets treat as commuting.
+pub type Independence = fn(&Tx, &Tx, &ModelCfg) -> bool;
+
 /// What the threads share.
 struct Search<'a> {
     cfg: &'a ModelCfg,
@@ -152,6 +155,30 @@ pub fn explore(cfg: &ModelCfg, max_states: u64) -> Sweep {
     Sweep::Clean(stats)
 }
 
+/// Visits every state a single-threaded sleep-set search under
+/// `independent` reaches, without judging any: sleep sets prune
+/// transitions, never a reachable state, so two sound relations visit
+/// the same set — what lets a test check one against the other.
+pub fn visit(cfg: &ModelCfg, independent: Independence, each: &mut impl FnMut(&World)) {
+    fn dfs(
+        cfg: &ModelCfg,
+        obs: &[NodeInstruments],
+        independent: Independence,
+        prefix: &mut Vec<Tx>,
+        sleep: &[Tx],
+        each: &mut impl FnMut(&World),
+    ) {
+        let world = replay(cfg, obs, prefix);
+        each(&world);
+        for (t, child_sleep) in children(cfg, independent, world.enabled(), sleep) {
+            prefix.push(t);
+            dfs(cfg, obs, independent, prefix, &child_sleep, each);
+            prefix.pop();
+        }
+    }
+    dfs(cfg, &instruments(cfg), independent, &mut Vec::new(), &[], each);
+}
+
 /// Rebuilds the world at `prefix`, its nodes reporting to `obs`.
 fn replay<'a>(cfg: &'a ModelCfg, obs: &'a [NodeInstruments], prefix: &[Tx]) -> World<'a> {
     let mut world = World::new(cfg, obs);
@@ -164,7 +191,12 @@ fn replay<'a>(cfg: &'a ModelCfg, obs: &'a [NodeInstruments], prefix: &[Tx]) -> W
 /// The transitions to explore below a node, each with its child's
 /// sleep set: sleeping siblings stay asleep under `t` only while
 /// independent of it.
-fn children(cfg: &ModelCfg, enabled: Vec<Tx>, sleep: &[Tx]) -> Vec<(Tx, Vec<Tx>)> {
+fn children(
+    cfg: &ModelCfg,
+    independent: Independence,
+    enabled: Vec<Tx>,
+    sleep: &[Tx],
+) -> Vec<(Tx, Vec<Tx>)> {
     let mut done: Vec<Tx> = Vec::new();
     let mut out = Vec::new();
     for t in enabled {
@@ -174,7 +206,7 @@ fn children(cfg: &ModelCfg, enabled: Vec<Tx>, sleep: &[Tx]) -> Vec<(Tx, Vec<Tx>)
         let child_sleep: Vec<Tx> = sleep
             .iter()
             .chain(done.iter())
-            .filter(|s| s.independent(&t, cfg))
+            .filter(|s| independent(s, &t, cfg))
             .copied()
             .collect();
         out.push((t, child_sleep));
@@ -203,7 +235,7 @@ impl Search<'_> {
             return;
         }
         self.states.fetch_add(1, Ordering::Relaxed);
-        for (t, child_sleep) in children(self.cfg, enabled, sleep) {
+        for (t, child_sleep) in children(self.cfg, Tx::independent, enabled, sleep) {
             prefix.push(t);
             self.split(obs, prefix, &child_sleep, tasks);
             prefix.pop();
@@ -237,7 +269,7 @@ impl Search<'_> {
             }
             return Ok(true);
         }
-        let explore = children(self.cfg, enabled, sleep);
+        let explore = children(self.cfg, Tx::independent, enabled, sleep);
         if explore.is_empty() {
             stats.sleep_pruned += 1;
             return Ok(true);

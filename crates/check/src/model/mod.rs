@@ -309,7 +309,12 @@ impl Tx {
     /// backs; a deliver additionally *pops* its own inbound head, which
     /// no differently-targeted transition can touch) — except a crash,
     /// which drops the control frames of its node's outbound queues and
-    /// so depends on every delivery of one. Shared fault
+    /// so depends on every delivery of one. A delivery's ack writes the
+    /// sender's host too, which this relation ignores: the sender's next
+    /// append records it in a cursor record, and its crash forgets it
+    /// unrecorded, so two orders of the pair can leave different
+    /// journals ([`Tx::independent_of_acks`] is the exact relation;
+    /// DESIGN.md §14.2 says what that assumes). Shared fault
     /// budgets make any two crash (or dup) transitions dependent, and
     /// the client's in-order counters serialize same-kind client
     /// transitions (only one is enabled at a time anyway).
@@ -331,6 +336,26 @@ impl Tx {
             return false;
         }
         self.target(cfg) != other.target(cfg)
+    }
+
+    /// [`Tx::independent`] with every acknowledgement also ordered
+    /// against every transition of its sender, whose appends read it
+    /// into a cursor record and whose crash forgets it: the exact
+    /// relation, which the reduction approximates.
+    pub fn independent_of_acks(&self, other: &Tx, cfg: &ModelCfg) -> bool {
+        let acks = |a: &Tx, b: &Tx| a.acks_at() == Some(b.target(cfg));
+        !acks(self, other) && !acks(other, self) && self.independent(other, cfg)
+    }
+
+    /// The sender whose link this transition acknowledges an entry on:
+    /// a delivery whose step is committed (a torn one takes no ack).
+    fn acks_at(&self) -> Option<u8> {
+        match *self {
+            Tx::Deliver { from, crash, .. } if crash.and_then(CrashPoint::writes).is_none() => {
+                Some(from)
+            }
+            _ => None,
+        }
     }
 
     /// The site whose outbound control frame this transition takes. (An

@@ -11,8 +11,9 @@
 //! The order is the contract: journal ≺ every send. The journal is a
 //! site's one durable file — its MSets, decisions and views, and the
 //! cursor record [`crate::node::Node`] adds to an append when a link's
-//! acknowledged cursor moved — so a commit's durable writes are one
-//! append, and a link is an in-memory FIFO queue that a crash empties.
+//! acknowledged cursor passed an MSet the site originated — so a
+//! commit's durable writes are one append, and a link is an in-memory
+//! FIFO queue that a crash empties.
 //! `Applied(m)` certifies a durable apply, a decision is journalled
 //! before its forward or broadcast can be lost, and a view before any
 //! frame that presumes it. A crash before or inside the append loses
@@ -52,8 +53,12 @@ impl Staged {
         effects
             .into_iter()
             .filter_map(|effect| match effect {
-                Effect::Journal(record) => {
+                Effect::Record(record) => {
                     self.journal.push(record);
+                    None
+                }
+                Effect::Journal(mset) => {
+                    self.journal.push(Record::MSet(mset));
                     None
                 }
                 Effect::Send { to, frame } => {

@@ -52,8 +52,9 @@
 //! ## Effect ordering is part of the contract
 //!
 //! Effects must be executed in the order returned, except that every
-//! send waits for the step's journal records: [`Effect::Journal`] is
-//! the core's one durable effect, the journal a site's one durable log,
+//! send waits for the step's journal records: [`Effect::Record`] is
+//! the core's one durable effect ([`Effect::Journal`] its MSet form),
+//! the journal a site's one durable log,
 //! and its links are in-memory queues a crash empties. An MSet a site
 //! originated survives in its journal, which re-seeds the links at
 //! boot; a control frame dies with the queue, so each kind is one that
@@ -154,15 +155,20 @@ pub enum NodeEvent {
 #[derive(Debug, Clone)]
 pub enum Effect {
     /// Append this record to the durable write-ahead journal, the
-    /// site's one durable effect: an accepted MSet, a COMPE decision
-    /// taken on (the step then passes it on over a link a crash
-    /// empties, and the boot after such a crash replays it,
-    /// [`NodeCore::replay_decisions`]), or an installed view. Written
-    /// before any `Send` of the same step (write-ahead) — so no frame
-    /// of a view can be observed before the view itself would survive a
-    /// crash — and the step's inbound envelope may be acknowledged only
-    /// after it is durable.
-    Journal(Record),
+    /// site's one durable effect: a COMPE decision taken on (the step
+    /// then passes it on over a link a crash empties, and the boot
+    /// after such a crash replays it, [`NodeCore::replay_decisions`])
+    /// or an installed view — an accepted MSet arrives as
+    /// [`Effect::Journal`]. Written before any `Send` of the same step
+    /// (write-ahead) — so no frame of a view can be observed before the
+    /// view itself would survive a crash — and the step's inbound
+    /// envelope may be acknowledged only after it is durable.
+    Record(Record),
+    /// Append this accepted MSet to the journal: [`Effect::Record`] of
+    /// a [`Record::MSet`], under the name the benchmark's probe compiles
+    /// against (`benchmark/README.md`, "Pinned public surface"), whose
+    /// executor journals this variant alone.
+    Journal(MSet),
     /// Enqueue a frame on the at-least-once link to `to`.
     Send {
         /// Target site.
@@ -227,7 +233,7 @@ pub enum CtrlCanary {
     VolatileDecision,
 }
 
-/// One journal record ([`Effect::Journal`]): an MSet the site
+/// One journal record ([`Effect::Record`]): an MSet the site
 /// accepted, a decision it took on, a view it installed, or what its
 /// links had acknowledged — the executor's own record, which the core
 /// never returns.
@@ -957,7 +963,7 @@ impl NodeCore {
         }
         self.coord = Some(coord);
         let mut effects = vec![
-            Effect::Journal(Record::View(w)),
+            Effect::Record(Record::View(w)),
             Effect::Event(Event::ViewInstall {
                 view: w,
                 coordinator: self.site,
@@ -1187,7 +1193,7 @@ impl NodeCore {
                     if self.canary != Some(CtrlCanary::SplitBrainCoordinator) {
                         self.coord = None;
                     }
-                    effects.push(Effect::Journal(Record::View(view)));
+                    effects.push(Effect::Record(Record::View(view)));
                     effects.push(Effect::Event(Event::ViewInstall {
                         view,
                         coordinator: coordinator_of(view, self.sites),
@@ -1228,7 +1234,7 @@ impl NodeCore {
             if let Some((cid, cseq)) = mset.client {
                 self.client_table.insert((cid.raw(), cseq), et);
             }
-            effects.push(Effect::Journal(Record::MSet(mset.clone())));
+            effects.push(Effect::Journal(mset.clone()));
         }
         if self.canary == Some(CtrlCanary::DecisionReplayReapplies) {
             self.canary_msets.insert(et, mset.clone());
@@ -1306,7 +1312,7 @@ impl NodeCore {
     fn decide(&mut self, et: EtId, commit: bool) -> Vec<Effect> {
         let mut effects = self.pass_on(et, commit);
         if !effects.is_empty() && self.canary != Some(CtrlCanary::VolatileDecision) {
-            effects.insert(0, Effect::Journal(Record::Decision { et, commit }));
+            effects.insert(0, Effect::Record(Record::Decision { et, commit }));
         }
         effects
     }
@@ -1882,7 +1888,7 @@ mod tests {
         // pump's per-step extend).
         let record_at = all
             .iter()
-            .position(|e| matches!(e, Effect::Journal(Record::View(1))))
+            .position(|e| matches!(e, Effect::Record(Record::View(1))))
             .expect("the installer records view 1");
         let start_view_at = all
             .iter()

@@ -44,8 +44,9 @@
 //! [`Node::commit`] writes them in the plan's order — one journal
 //! append, then the sends — once per reactor cycle in `esrd`, once per
 //! step in the simulator and the model. An append also carries a cursor
-//! record when a link's cursor moved since the last one; a commit that
-//! appends nothing writes none. Time is read only through
+//! record when a link's cursor passed an MSet this site originated since
+//! the last one — the only move that changes what a boot re-sends; a
+//! commit that appends nothing writes none. Time is read only through
 //! [`Host::now`]: the same latency histograms run on a monotonic clock
 //! in `esrd` and on virtual time in the simulator.
 
@@ -278,6 +279,10 @@ pub struct Node {
     cursors: Vec<Cursor>,
     /// The cursors the newest cursor record holds, by site.
     recorded: Vec<Option<u64>>,
+    /// The journal ids of the live MSets this site originated that some
+    /// peer's recorded cursor is still below, oldest first: what a boot
+    /// would re-send, and so all a new cursor record can spare it.
+    originated: VecDeque<u64>,
     /// Checkpoint policy: cut after roughly this many journal bytes.
     ckpt_bytes: Option<u64>,
     /// Journal bytes appended since the last policy cut.
@@ -341,6 +346,11 @@ impl Node {
                     .collect();
                 (!frames.is_empty()).then_some((peer, frames))
             })
+            .collect();
+        let originated: VecDeque<u64> = msets
+            .iter()
+            .filter(|(_, m)| m.origin == cfg.site)
+            .map(|(id, _)| *id)
             .collect();
         let snapshots = host.snapshots();
         let mut restored = None;
@@ -426,6 +436,7 @@ impl Node {
             in_flight: VecDeque::new(),
             retire_to: None,
             cursors: recorded.iter().map(|acked| Cursor::at(*acked)).collect(),
+            originated,
             recorded,
             ckpt_bytes: cfg.ckpt_bytes,
             ckpt_bytes_since: 0,
@@ -433,6 +444,7 @@ impl Node {
             obs,
             election_started: None,
         };
+        node.forget_recorded();
         node.send(host, reseed);
         node.perform(host, recovery);
         node.commit(host);
@@ -558,14 +570,14 @@ impl Node {
                     host.record(event);
                 }
                 // Staged above.
-                Effect::Journal(_) | Effect::Send { .. } => {}
+                Effect::Record(_) | Effect::Journal(_) | Effect::Send { .. } => {}
             }
         }
     }
 
     /// Writes everything staged, in the order [`crate::commit`] plans:
     /// the journal records in one append, then every send. An append
-    /// ends with a cursor record when a cursor moved since the last one.
+    /// ends with a cursor record when it spares a boot a re-send.
     fn write(&mut self, host: &mut impl Host) {
         if self.staged.is_empty() {
             return;
@@ -578,10 +590,16 @@ impl Node {
             // it would cover this commit's records, whose sends a crash
             // may still lose.
             let acked = self.acked(host);
-            if acked != self.recorded {
+            if self.spares_a_resend(&acked) {
                 records.push(Record::Cursors(acked.clone()));
                 self.recorded = acked;
             }
+            let (site, next) = (self.core.site, host.last_id().map_or(0, |id| id + 1));
+            let own = records.iter().zip(next..).filter_map(|(record, id)| {
+                matches!(record, Record::MSet(m) if m.origin == site).then_some(id)
+            });
+            self.originated.extend(own);
+            self.forget_recorded();
             let bytes = host.append(records);
             let (file, live) = host.journal_size();
             self.obs.ckpt.journal(file, live);
@@ -607,6 +625,28 @@ impl Node {
         let last_id = host.last_id();
         for (to, tail) in host.send(sends) {
             self.cursors[to.raw() as usize].sent(tail, last_id);
+        }
+    }
+
+    /// Whether a cursor record of `acked` would spare a boot a re-send
+    /// the newest one would make: some peer's cursor passed an MSet
+    /// this site originated. Any other move changes nothing a boot
+    /// does, so no record is written for it — at a site that originates
+    /// nothing, none ever is.
+    fn spares_a_resend(&self, acked: &[Option<u64>]) -> bool {
+        self.recorded.iter().zip(acked).any(|(from, to)| {
+            let above = self.originated.partition_point(|id| Some(*id) <= *from);
+            self.originated.get(above).is_some_and(|id| Some(*id) <= *to)
+        })
+    }
+
+    /// Drops the originated MSets every peer's recorded cursor covers.
+    fn forget_recorded(&mut self) {
+        let own = self.core.site.raw() as usize;
+        let peers = self.recorded.iter().enumerate().filter(|(j, _)| *j != own);
+        let floor = peers.map(|(_, acked)| *acked).min().unwrap_or(Some(u64::MAX));
+        while self.originated.front().is_some_and(|id| Some(*id) <= floor) {
+            self.originated.pop_front();
         }
     }
 
@@ -1046,6 +1086,35 @@ mod tests {
         host.crash();
         boot(&mut host, RtMethod::Commu, 0, 2);
         assert_eq!(msets(host.take_sent()), [(peer.raw(), vec![2])], "the boot re-sends et2 only");
+    }
+
+    /// A cursor record is written only when it spares a boot a re-send:
+    /// a site that relays what others originated records none however
+    /// its links' cursors move, and records one once a peer has
+    /// acknowledged an MSet of its own.
+    #[test]
+    fn a_cursor_record_is_written_only_past_an_originated_mset() {
+        let (mut host, mut own) = (MemHost::default(), incr(4));
+        own.origin = SiteId(1);
+        let mut node = boot(&mut host, RtMethod::Commu, 1, 2);
+        let cursors = |host: &MemHost| live(host, |r| matches!(r, Record::Cursors(_)));
+        for et in 1..=3 {
+            node.dispatch(&mut host, NodeEvent::PeerFrame(Frame::MSet(incr(et))));
+            node.commit(&mut host);
+            let sent = host.take_sent();
+            assert!(!sent.is_empty(), "each apply is reported to the coordinator");
+            ack(&mut host, sent);
+        }
+        assert!(cursors(&host).is_empty(), "a relaying site records no cursor");
+        node.submit(&mut host, own);
+        node.commit(&mut host);
+        let sent = host.take_sent();
+        ack(&mut host, sent);
+        node.dispatch(&mut host, NodeEvent::PeerFrame(Frame::MSet(incr(5))));
+        node.commit(&mut host);
+        let newest = host.journal.last().map(|(_, r)| r.clone());
+        assert_eq!(cursors(&host).len(), 1);
+        assert_eq!(newest, Some(Record::Cursors(vec![Some(3), None])));
     }
 
     /// Lag-by-one truncation may retire a view record: the image that

@@ -1286,10 +1286,10 @@ mod tests {
 
     /// A restart re-sends what the newest cursor record says a peer
     /// lacks: a commit that appends anything records the links' cursors
-    /// when they moved, and the next boot seeds the links with the
-    /// originated records above them. Neither an acknowledgement nor
-    /// the heartbeat writes anything, and no file but the journal holds
-    /// the site's durable state.
+    /// when one passed an originated MSet, and the next boot seeds the
+    /// links with the originated records above them. Neither an
+    /// acknowledgement nor the heartbeat writes anything, and no file
+    /// but the journal holds the site's durable state.
     #[test]
     fn a_boot_reseeds_each_link_above_its_recorded_cursor() {
         let dir = fresh_dir("reseed");

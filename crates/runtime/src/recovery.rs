@@ -2,9 +2,9 @@
 //! one durable log.
 //!
 //! A site persists every MSet it accepts, every COMPE decision it takes
-//! on, every view it installs and, when they moved, its links'
-//! acknowledged cursors, to an append-only [`FileQueue`] journal — the
-//! executor's half of [`crate::ctrl::Effect::Journal`], written by the
+//! on, every view it installs and, when one passed an MSet it
+//! originated, its links' acknowledged cursors, to an append-only [`FileQueue`] journal — the
+//! executor's half of [`crate::ctrl::Effect::Record`], written by the
 //! reactor cycle's commit ([`crate::commit`]) in one append before any
 //! of the cycle's sends — and acknowledges the inbound envelope only
 //! afterwards, so a crash can lose link contents but never an
@@ -46,12 +46,12 @@ impl ApplyJournal {
         Ok(Self { queue, entries })
     }
 
-    /// Durably records one record: [`ApplyJournal::append`] of it
-    /// alone. An MSet's must be written before the envelope that
-    /// carried it is acked. Returns the approximate bytes appended, for
+    /// Durably records an accepted MSet: [`ApplyJournal::append`] of
+    /// one MSet record. Must be called before the envelope that carried
+    /// the MSet is acked. Returns the approximate bytes appended, for
     /// checkpoint-policy accounting.
-    pub fn record(&mut self, record: &Record) -> u64 {
-        self.append(std::slice::from_ref(record))
+    pub fn record(&mut self, mset: &MSet) -> u64 {
+        self.append(&[Record::MSet(mset.clone())])
     }
 
     /// Durably records every record of a commit, in order, with one
@@ -172,8 +172,8 @@ mod tests {
         );
         {
             let mut j = ApplyJournal::open(&path).unwrap();
-            j.record(&Record::MSet(m1.clone()));
-            j.record(&Record::MSet(m2.clone()));
+            j.record(&m1);
+            j.record(&m2);
             assert_eq!(j.entries(), 2);
             assert_eq!(j.file_bytes(), std::fs::metadata(&path).unwrap().len());
         } // "crash": journal dropped without ceremony
@@ -205,7 +205,7 @@ mod tests {
             })
             .collect();
         let mut j1 = ApplyJournal::open(&single).unwrap();
-        let bytes: u64 = msets.iter().map(|m| j1.record(&Record::MSet(m.clone()))).sum();
+        let bytes: u64 = msets.iter().map(|m| j1.record(m)).sum();
         let mut jn = ApplyJournal::open(&batch).unwrap();
         let records: Vec<Record> = msets.iter().cloned().map(Record::MSet).collect();
         assert_eq!(jn.append(&records), bytes);
@@ -241,7 +241,7 @@ mod tests {
         };
         let mut j = ApplyJournal::open(&path).unwrap();
         for et in 1..=5 {
-            assert!(j.record(&Record::MSet(mk(et))) > 13);
+            assert!(j.record(&mk(et)) > 13);
         }
         let ids: Vec<u64> = j
             .replay_entries()
@@ -268,7 +268,7 @@ mod tests {
         let mut j2 = ApplyJournal::open(&path).unwrap();
         assert_eq!(j2.live_entries(), 2);
         assert_eq!(j2.last_id(), Some(4));
-        j2.record(&Record::MSet(mk(6)));
+        j2.record(&mk(6));
         assert_eq!(j2.last_id(), Some(5));
         let _ = std::fs::remove_file(&path);
     }

@@ -18,7 +18,7 @@
 use esr::core::{ClientId, EtId, ObjectId, ObjectOp, Operation, SeqNo, SiteId, Value, VersionTs};
 use esr::replica::mset::MSet;
 use esr::replica::wire::Frame;
-use esr::runtime::ctrl::{Effect, NodeCore, NodeEvent, Record};
+use esr::runtime::ctrl::{Effect, NodeCore, NodeEvent};
 use esr::runtime::recovery::ApplyJournal;
 use esr::runtime::state::{RtMethod, SiteState};
 use esr::runtime::{decode_payload, encode_payload};
@@ -89,7 +89,7 @@ fn truncation_at_every_offset_recovers_the_record_prefix() {
         {
             let mut j = ApplyJournal::open(&path).unwrap();
             for m in &msets {
-                j.record(&Record::MSet(m.clone()));
+                j.record(m);
                 boundaries.push(std::fs::metadata(&path).unwrap().len());
             }
         }
@@ -179,9 +179,9 @@ fn appends_after_torn_recovery_extend_the_journal() {
     let boundary;
     {
         let mut j = ApplyJournal::open(&path).unwrap();
-        j.record(&Record::MSet(msets[0].clone()));
+        j.record(&msets[0]);
         boundary = std::fs::metadata(&path).unwrap().len();
-        j.record(&Record::MSet(msets[1].clone()));
+        j.record(&msets[1]);
     }
     // Tear the second record in half.
     let full = std::fs::metadata(&path).unwrap().len();
@@ -191,7 +191,7 @@ fn appends_after_torn_recovery_extend_the_journal() {
     {
         let mut j = ApplyJournal::open(&path).unwrap();
         assert_eq!(j.replay(), &msets[..1]);
-        j.record(&Record::MSet(msets[2].clone()));
+        j.record(&msets[2]);
     }
     let j = ApplyJournal::open(&path).unwrap();
     assert_eq!(j.replay(), vec![msets[0].clone(), msets[2].clone()]);
@@ -322,7 +322,7 @@ fn truncation_ack_crash_at_every_offset_keeps_recovery_exact() {
     {
         let mut j = ApplyJournal::open(&path).unwrap();
         for m in &msets {
-            j.record(&Record::MSet(m.clone()));
+            j.record(m);
         }
         before_acks = std::fs::metadata(&path).unwrap().len();
         assert_eq!(j.retire_through(CUT_AT - 1), CUT_AT);
