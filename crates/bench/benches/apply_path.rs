@@ -88,7 +88,7 @@ fn bench_apply(c: &mut Criterion) {
             for m in &msets {
                 s.deliver(black_box(m.clone()));
             }
-            black_box(s.applied())
+            black_box(s.has_applied(EtId(N - 1)))
         })
     });
 
@@ -105,7 +105,7 @@ fn bench_apply(c: &mut Criterion) {
             for m in &msets {
                 s.deliver(black_box(m.clone()));
             }
-            black_box(s.applied())
+            black_box(s.has_applied(EtId(N - 1)))
         })
     });
 
@@ -116,7 +116,7 @@ fn bench_apply(c: &mut Criterion) {
             for m in &msets {
                 s.deliver(black_box(m.clone()));
             }
-            black_box(s.applied())
+            black_box(s.has_applied(EtId(N - 1)))
         })
     });
 
@@ -127,7 +127,7 @@ fn bench_apply(c: &mut Criterion) {
             for m in &msets {
                 s.deliver(black_box(m.clone()));
             }
-            black_box(s.applied())
+            black_box(s.has_applied(EtId(N - 1)))
         })
     });
 
@@ -138,7 +138,7 @@ fn bench_apply(c: &mut Criterion) {
             for m in &msets {
                 s.deliver(black_box(m.clone()));
             }
-            black_box(s.applied())
+            black_box(s.has_applied(EtId(N - 1)))
         })
     });
 
@@ -153,7 +153,7 @@ fn bench_apply(c: &mut Criterion) {
             for i in 0..N {
                 s.commit(EtId(i));
             }
-            black_box(s.applied())
+            black_box(s.has_applied(EtId(N - 1)))
         })
     });
 

@@ -2,7 +2,8 @@
 //! point, a node restored from a checkpoint of the journal prefix plus
 //! a replay of the journal suffix must be indistinguishable from a
 //! node that replayed the full journal — same replica snapshot, same
-//! journalled set, same per-origin frontier. This is the pure-core
+//! journalled set, same applies listed with the same versions (the
+//! completion-tracking methods' re-announce set). This is the pure-core
 //! statement of the daemon's restart path (`NodeCore::restore` vs
 //! `NodeCore::recover`), checked exhaustively at every possible cut
 //! rather than at the one cut a live run happens to take.
@@ -169,7 +170,7 @@ fn restore_plus_suffix_matches_full_replay_at_every_cut() {
             let mut prefix_core = fresh(w.method);
             drive(&mut prefix_core, &w, cut);
             let payload = cut_payload(&mut prefix_core, Some(cut as u64));
-            assert_eq!(payload.covered, cut as u64, "{:?} cut {cut}", w.method);
+            assert_eq!(payload.covered(), cut as u64, "{:?} cut {cut}", w.method);
             let payload = decode_payload(&encode_payload(&payload))
                 .unwrap_or_else(|| panic!("{:?} cut {cut}: image must round-trip", w.method));
 
@@ -199,9 +200,9 @@ fn restore_plus_suffix_matches_full_replay_at_every_cut() {
                 w.method
             );
             assert_eq!(
-                restored.frontier(),
-                live.frontier(),
-                "{:?} cut {cut}: per-origin frontier diverged",
+                restored.state.applies(),
+                live.state.applies(),
+                "{:?} cut {cut}: the listed applies diverged",
                 w.method
             );
 
@@ -230,6 +231,7 @@ fn restore_plus_suffix_matches_full_replay_at_every_cut() {
                 w.method
             );
             assert_eq!(over.journaled_count(), live.journaled_count());
+            assert_eq!(over.state.applies(), live.state.applies());
         }
     }
 }

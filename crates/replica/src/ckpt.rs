@@ -22,7 +22,7 @@ use esr_core::op::ObjectOp;
 use esr_core::value::Value;
 use esr_storage::recovery_log::{AppliedOp, LogRecord};
 
-use crate::mset::MSet;
+use crate::mset::{MSet, OrderTag};
 use crate::wire::{encode, flag, wire_enum, wire_struct, Wire, WireError};
 
 /// ORDUP checkpoint image (see `OrdupSite::to_ckpt`).
@@ -37,10 +37,6 @@ pub struct OrdupCkpt {
     pub holdback: Vec<MSet>,
     /// Applied ET ids (duplicate suppression), ascending.
     pub applied_ets: Vec<EtId>,
-    /// Total MSets applied.
-    pub applied: u64,
-    /// Duplicates suppressed.
-    pub redelivered: u64,
 }
 
 /// COMMU checkpoint image (see `CommuSite::to_ckpt`).
@@ -50,12 +46,9 @@ pub struct CommuCkpt {
     pub values: Vec<(ObjectId, Value)>,
     /// In-flight updates still holding lock-counters: `(et, write set)`.
     pub held: Vec<(EtId, Vec<ObjectId>)>,
-    /// Applied ET ids, ascending.
-    pub applied_ets: Vec<EtId>,
-    /// Total MSets applied.
-    pub applied: u64,
-    /// Duplicates suppressed.
-    pub redelivered: u64,
+    /// Applied ET ids, ascending, each with its MSet's max version —
+    /// the applies the control core re-announces.
+    pub applied_ets: Vec<(EtId, Option<VersionTs>)>,
 }
 
 /// RITU overwrite-mode checkpoint image (see
@@ -67,12 +60,9 @@ pub struct RituCkpt {
     pub values: Vec<(ObjectId, VersionTs, Value)>,
     /// In-flight updates still holding lock-counters.
     pub held: Vec<(EtId, Vec<ObjectId>)>,
-    /// Applied ET ids, ascending.
-    pub applied_ets: Vec<EtId>,
-    /// Total MSets applied.
-    pub applied: u64,
-    /// Duplicates suppressed.
-    pub redelivered: u64,
+    /// Applied ET ids, ascending, each with its MSet's max version —
+    /// the applies the control core re-announces.
+    pub applied_ets: Vec<(EtId, Option<VersionTs>)>,
 }
 
 /// RITU multiversion-mode checkpoint image (see `RituMvSite::to_ckpt`).
@@ -85,12 +75,9 @@ pub struct RituMvCkpt {
     pub vtnc: VersionTs,
     /// Largest version time installed locally (lag gauge input).
     pub newest_installed: u64,
-    /// Applied ET ids, ascending.
-    pub applied_ets: Vec<EtId>,
-    /// Total MSets applied.
-    pub applied: u64,
-    /// Duplicates suppressed.
-    pub redelivered: u64,
+    /// Applied ET ids, ascending, each with its MSet's max version —
+    /// the applies the control core re-announces.
+    pub applied_ets: Vec<(EtId, Option<VersionTs>)>,
 }
 
 /// COMPE checkpoint image (see `CompeSite::to_ckpt`).
@@ -104,12 +91,8 @@ pub struct CompeCkpt {
     /// Every ET ever seen with its disposition
     /// (0 = at-risk, 1 = committed, 2 = aborted, 3 = commit-pending).
     pub seen: Vec<(EtId, u8)>,
-    /// Total MSets applied optimistically.
-    pub applied: u64,
     /// Total aborts compensated.
     pub compensations: u64,
-    /// Duplicates suppressed.
-    pub redelivered: u64,
 }
 
 /// The method-specific half of a site checkpoint.
@@ -127,38 +110,59 @@ pub enum SiteCkpt {
     Compe(CompeCkpt),
 }
 
-wire_struct!(OrdupCkpt {
-    values: Vec<(ObjectId, Value)>,
-    next_seq: SeqNo,
-    holdback: Vec<MSet>,
-    applied_ets: Vec<EtId>,
-    applied: u64,
-    redelivered: u64,
-});
+/// The hold-back queue is keyed by sequence number, so an image whose
+/// hold-back holds an MSet without one was not written by
+/// `OrdupSite::to_ckpt` and is rejected like any other bad tag.
+impl Wire for OrdupCkpt {
+    const MIN_LEN: usize = Vec::<(ObjectId, Value)>::MIN_LEN
+        + SeqNo::MIN_LEN
+        + Vec::<MSet>::MIN_LEN
+        + Vec::<EtId>::MIN_LEN;
+    fn put(&self, b: &mut BytesMut) {
+        self.values.put(b);
+        self.next_seq.put(b);
+        self.holdback.put(b);
+        self.applied_ets.put(b);
+    }
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        let c = OrdupCkpt {
+            values: Wire::get(b)?,
+            next_seq: Wire::get(b)?,
+            holdback: Wire::get(b)?,
+            applied_ets: Wire::get(b)?,
+        };
+        let unsequenced = c.holdback.iter().find_map(|m| match m.order {
+            OrderTag::Sequenced(_) => None,
+            OrderTag::Unordered => Some(0),
+            OrderTag::Lamport { .. } => Some(2),
+        });
+        match unsequenced {
+            Some(tag) => Err(WireError::BadTag {
+                field: "holdback order",
+                tag,
+            }),
+            None => Ok(c),
+        }
+    }
+}
 
 wire_struct!(CommuCkpt {
     values: Vec<(ObjectId, Value)>,
     held: Vec<(EtId, Vec<ObjectId>)>,
-    applied_ets: Vec<EtId>,
-    applied: u64,
-    redelivered: u64,
+    applied_ets: Vec<(EtId, Option<VersionTs>)>,
 });
 
 wire_struct!(RituCkpt {
     values: Vec<(ObjectId, VersionTs, Value)>,
     held: Vec<(EtId, Vec<ObjectId>)>,
-    applied_ets: Vec<EtId>,
-    applied: u64,
-    redelivered: u64,
+    applied_ets: Vec<(EtId, Option<VersionTs>)>,
 });
 
 wire_struct!(RituMvCkpt {
     versions: Vec<(ObjectId, VersionTs, Value)>,
     vtnc: VersionTs,
     newest_installed: u64,
-    applied_ets: Vec<EtId>,
-    applied: u64,
-    redelivered: u64,
+    applied_ets: Vec<(EtId, Option<VersionTs>)>,
 });
 
 wire_struct!(AppliedOp {
@@ -186,23 +190,19 @@ impl Wire for CompeCkpt {
     const MIN_LEN: usize = Vec::<(ObjectId, Value)>::MIN_LEN
         + Vec::<LogRecord>::MIN_LEN
         + Vec::<(EtId, u8)>::MIN_LEN
-        + 3 * u64::MIN_LEN;
+        + u64::MIN_LEN;
     fn put(&self, b: &mut BytesMut) {
         self.values.put(b);
         self.log.put(b);
         self.seen.put(b);
-        self.applied.put(b);
         self.compensations.put(b);
-        self.redelivered.put(b);
     }
     fn get(b: &mut &[u8]) -> Result<Self, WireError> {
         let c = CompeCkpt {
             values: Wire::get(b)?,
             log: Wire::get(b)?,
             seen: Wire::get(b)?,
-            applied: Wire::get(b)?,
             compensations: Wire::get(b)?,
-            redelivered: Wire::get(b)?,
         };
         match c.seen.iter().find(|&&(_, disposition)| disposition > 3) {
             Some(&(_, tag)) => Err(WireError::BadTag {
@@ -254,30 +254,22 @@ mod tests {
                 next_seq: SeqNo(5),
                 holdback: vec![held_mset],
                 applied_ets: vec![EtId(1), EtId(2)],
-                applied: 2,
-                redelivered: 1,
             }),
             SiteCkpt::Ordup(OrdupCkpt {
                 values: vec![],
                 next_seq: SeqNo::ZERO,
                 holdback: vec![],
                 applied_ets: vec![],
-                applied: 0,
-                redelivered: 0,
             }),
             SiteCkpt::Commu(CommuCkpt {
                 values: vec![(ObjectId(4), Value::Int(-2))],
                 held: vec![(EtId(3), vec![ObjectId(4), ObjectId(5)]), (EtId(4), vec![])],
-                applied_ets: vec![EtId(3), EtId(4)],
-                applied: 2,
-                redelivered: 0,
+                applied_ets: vec![(EtId(3), None), (EtId(4), None)],
             }),
             SiteCkpt::Ritu(RituCkpt {
                 values: vec![(ObjectId(1), ts, Value::Int(10))],
                 held: vec![(EtId(6), vec![ObjectId(1)])],
-                applied_ets: vec![EtId(6)],
-                applied: 1,
-                redelivered: 2,
+                applied_ets: vec![(EtId(6), Some(ts))],
             }),
             SiteCkpt::RituMv(RituMvCkpt {
                 versions: vec![
@@ -286,9 +278,7 @@ mod tests {
                 ],
                 vtnc: VersionTs::new(1, ClientId(0)),
                 newest_installed: 7,
-                applied_ets: vec![EtId(8)],
-                applied: 1,
-                redelivered: 0,
+                applied_ets: vec![(EtId(8), Some(ts))],
             }),
             SiteCkpt::Compe(CompeCkpt {
                 values: vec![(ObjectId(0), Value::Int(12))],
@@ -308,9 +298,7 @@ mod tests {
                     },
                 ],
                 seen: vec![(EtId(1), 0), (EtId(2), 1), (EtId(3), 2), (EtId(4), 3)],
-                applied: 2,
                 compensations: 1,
-                redelivered: 0,
             }),
         ]
     }
@@ -350,17 +338,45 @@ mod tests {
             values: vec![],
             log: vec![],
             seen: vec![(EtId(1), 0)],
-            applied: 0,
             compensations: 0,
-            redelivered: 0,
         });
         let mut raw = encode_site_ckpt(&ckpt).to_vec();
-        // The disposition byte trails the final three u64 counters.
-        let at = raw.len() - 25;
+        // The disposition byte trails the final u64 counter.
+        let at = raw.len() - 9;
         raw[at] = 9;
         assert!(matches!(
             decode_site_ckpt(&raw),
             Err(WireError::BadTag { field: "disposition", .. })
         ));
+    }
+
+    /// A hold-back MSet without a sequence stamp decodes to an error,
+    /// not to an image whose restore would panic.
+    #[test]
+    fn unsequenced_holdback_is_rejected() {
+        let stray = MSet::new(
+            EtId(9),
+            SiteId(1),
+            vec![ObjectOp::new(ObjectId(3), Operation::Incr(4))],
+        );
+        let tagged = [
+            (stray.clone(), 0),
+            (stray.lamport(esr_core::ids::LamportTs::new(1, SiteId(1)), SeqNo(0)), 2),
+        ];
+        for (held, tag) in tagged {
+            let ckpt = SiteCkpt::Ordup(OrdupCkpt {
+                values: vec![],
+                next_seq: SeqNo(0),
+                holdback: vec![held],
+                applied_ets: vec![],
+            });
+            assert_eq!(
+                decode_site_ckpt(&encode_site_ckpt(&ckpt)),
+                Err(WireError::BadTag {
+                    field: "holdback order",
+                    tag
+                })
+            );
+        }
     }
 }

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 
 use esr_core::divergence::{InconsistencyCounter, LockCounters};
 use esr_core::fastid::FastIdMap;
-use esr_core::ids::{EtId, ObjectId, SiteId};
+use esr_core::ids::{EtId, ObjectId, SiteId, VersionTs};
 use esr_core::value::Value;
 use esr_storage::store::ObjectStore;
 
@@ -33,10 +33,9 @@ use crate::site::{Delivered, Delivery, QueryOutcome, ReplicaSite};
 pub struct CommuSite {
     store: ObjectStore,
     counters: LockCounters,
-    /// ETs applied at this site (for duplicate suppression).
-    applied_ets: FastIdMap<EtId, ()>,
-    applied: u64,
-    redelivered: u64,
+    /// ETs applied at this site, each with its MSet's max version
+    /// (duplicate suppression, and the applies the core re-announces).
+    applied_ets: FastIdMap<EtId, Option<VersionTs>>,
 }
 
 impl CommuSite {
@@ -46,34 +45,22 @@ impl CommuSite {
             store: ObjectStore::new(),
             counters: LockCounters::new(),
             applied_ets: FastIdMap::default(),
-            applied: 0,
-            redelivered: 0,
         }
     }
 
-    /// Total MSets applied.
-    pub fn applied(&self) -> u64 {
-        self.applied
-    }
-
-    /// Duplicate deliveries this site suppressed (each one is proof the
-    /// idempotency guard fired under at-least-once delivery).
-    pub fn redelivered(&self) -> u64 {
-        self.redelivered
+    /// Every ET applied here with its max version, in ET order.
+    pub fn applies(&self) -> Vec<(EtId, Option<VersionTs>)> {
+        crate::site::sorted_applies(&self.applied_ets)
     }
 
     /// Captures the site's full protocol state as a checkpoint image:
     /// store contents, the in-flight updates still holding
-    /// lock-counters, and the duplicate-suppression set.
+    /// lock-counters, and the applied ETs with their versions.
     pub fn to_ckpt(&self) -> crate::ckpt::CommuCkpt {
-        let mut applied_ets: Vec<EtId> = self.applied_ets.keys().copied().collect();
-        applied_ets.sort_unstable();
         crate::ckpt::CommuCkpt {
             values: self.store.snapshot().into_iter().collect(),
             held: self.counters.held_sets(),
-            applied_ets,
-            applied: self.applied,
-            redelivered: self.redelivered,
+            applied_ets: self.applies(),
         }
     }
 
@@ -86,9 +73,7 @@ impl CommuSite {
         Self {
             store: ObjectStore::with_values(c.values),
             counters,
-            applied_ets: c.applied_ets.into_iter().map(|et| (et, ())).collect(),
-            applied: c.applied,
-            redelivered: c.redelivered,
+            applied_ets: c.applied_ets.into_iter().collect(),
         }
     }
 
@@ -129,7 +114,6 @@ impl ReplicaSite for CommuSite {
     #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
     fn deliver(&mut self, mset: MSet) -> Delivery {
         if self.applied_ets.contains_key(&mset.et) {
-            self.redelivered += 1;
             return Delivered::Duplicate.into();
         }
         for op in &mset.ops {
@@ -138,8 +122,7 @@ impl ReplicaSite for CommuSite {
                 .expect("commutative MSet must apply cleanly");
         }
         self.counters.begin_update(mset.et, mset.write_set());
-        self.applied_ets.insert(mset.et, ());
-        self.applied += 1;
+        self.applied_ets.insert(mset.et, mset.max_version());
         Delivered::Applied.into()
     }
 
@@ -203,17 +186,16 @@ mod tests {
         assert_eq!(a.snapshot(), b.snapshot());
         assert_eq!(a.snapshot()[&X], Value::Int(12));
         assert_eq!(a.backlog(), 0);
-        assert_eq!(b.applied(), 3);
+        assert_eq!(b.applies(), vec![(EtId(1), None), (EtId(2), None), (EtId(3), None)]);
     }
 
     #[test]
     fn duplicates_suppressed() {
         let mut s = CommuSite::new(SiteId(0));
         let m = inc(1, X, 5);
-        s.deliver(m.clone());
-        s.deliver(m);
+        assert_eq!(s.deliver(m.clone()).outcome, Delivered::Applied);
+        assert_eq!(s.deliver(m).outcome, Delivered::Duplicate);
         assert_eq!(s.snapshot()[&X], Value::Int(5));
-        assert_eq!(s.applied(), 1);
         assert_eq!(s.lock_counter(X), 1, "counter raised once");
     }
 
@@ -221,12 +203,15 @@ mod tests {
     fn redelivery_storm_is_idempotent_and_counted() {
         let msets = [inc(1, X, 5), inc(2, X, 7), inc(3, Y, 1)];
         let mut s = CommuSite::new(SiteId(0));
-        for m in msets.iter().chain(msets.iter().rev()).chain(msets.iter()) {
-            s.deliver(m.clone());
-        }
+        let duplicates = msets
+            .iter()
+            .chain(msets.iter().rev())
+            .chain(msets.iter())
+            .filter(|m| s.deliver((*m).clone()).outcome == Delivered::Duplicate)
+            .count();
         assert_eq!(s.snapshot()[&X], Value::Int(12), "each Incr applied once");
-        assert_eq!(s.applied(), 3);
-        assert_eq!(s.redelivered(), 6);
+        assert_eq!(duplicates, 6);
+        assert!(msets.iter().all(|m| s.has_applied(m.et)));
         assert_eq!(s.lock_counter(X), 2, "counters raised once per ET");
     }
 

@@ -36,10 +36,8 @@ pub struct CompeSite {
     /// Every ET ever applied here (duplicate suppression), with its
     /// final disposition.
     seen: BTreeMap<EtId, Disposition>,
-    applied: u64,
     compensations: u64,
     rollbacks: RollbackTotals,
-    redelivered: u64,
 }
 
 /// Cumulative cost of the rollbacks a site has run (experiment E8's
@@ -100,16 +98,9 @@ impl CompeSite {
             store: ObjectStore::new(),
             log: RecoveryLog::new(),
             seen: BTreeMap::new(),
-            applied: 0,
             compensations: 0,
             rollbacks: RollbackTotals::default(),
-            redelivered: 0,
         }
-    }
-
-    /// Total MSets applied optimistically.
-    pub fn applied(&self) -> u64 {
-        self.applied
     }
 
     /// Total aborts compensated.
@@ -120,14 +111,6 @@ impl CompeSite {
     /// What those compensations cost, cumulatively.
     pub fn rollback_totals(&self) -> RollbackTotals {
         self.rollbacks
-    }
-
-    /// Duplicate deliveries this site suppressed — re-arrivals of an ET
-    /// already applied here (at risk or committed). Late MSets dropped
-    /// because their abort arrived first are *not* counted: those are
-    /// first deliveries, suppressed for a different reason.
-    pub fn redelivered(&self) -> u64 {
-        self.redelivered
     }
 
     /// Number of MSets still at risk of rollback.
@@ -148,9 +131,7 @@ impl CompeSite {
                 .iter()
                 .map(|(et, d)| (*et, d.to_u8()))
                 .collect(),
-            applied: self.applied,
             compensations: self.compensations,
-            redelivered: self.redelivered,
         }
     }
 
@@ -167,10 +148,8 @@ impl CompeSite {
                 .into_iter()
                 .map(|(et, tag)| (et, Disposition::from_u8(tag)))
                 .collect(),
-            applied: c.applied,
             compensations: c.compensations,
             rollbacks: RollbackTotals::default(),
-            redelivered: c.redelivered,
         }
     }
 
@@ -247,8 +226,6 @@ impl ReplicaSite for CompeSite {
             Some(Disposition::AtRisk) | Some(Disposition::Committed) => Delivered::Duplicate,
             Some(Disposition::Aborted) => Delivered::Suppressed, // abort arrived first
         };
-        self.applied += u64::from(outcome == Delivered::Applied);
-        self.redelivered += u64::from(outcome == Delivered::Duplicate);
         outcome.into()
     }
 
@@ -358,22 +335,22 @@ mod tests {
     fn redelivery_storm_is_idempotent_and_counted() {
         let msets = [inc(1, X, 10), mul(2, X, 2), inc(3, X, 7)];
         let mut s = CompeSite::new(SiteId(0));
-        for m in msets.iter().chain(msets.iter().rev()) {
-            s.deliver(m.clone());
-        }
+        let outcomes: Vec<Delivered> = msets
+            .iter()
+            .chain(msets.iter().rev())
+            .map(|m| s.deliver(m.clone()).outcome)
+            .collect();
         assert_eq!(s.snapshot()[&X], Value::Int(27), "((0+10)*2)+7, each once");
-        assert_eq!(s.applied(), 3);
-        assert_eq!(s.redelivered(), 3);
+        let count = |d: Delivered| outcomes.iter().filter(|o| **o == d).count();
+        assert_eq!((count(Delivered::Applied), count(Delivered::Duplicate)), (3, 3));
         assert_eq!(s.at_risk(), 3, "one log record per ET despite duplicates");
-        // Duplicates after commit are still suppressed and counted.
+        // Duplicates after commit are still suppressed as such.
         s.commit(EtId(1));
-        s.deliver(msets[0].clone());
-        assert_eq!(s.redelivered(), 4);
+        assert_eq!(s.deliver(msets[0].clone()).outcome, Delivered::Duplicate);
         assert_eq!(s.snapshot()[&X], Value::Int(27));
         // A suppressed late MSet (abort-first) is NOT a redelivery.
         assert!(s.abort(EtId(9)).is_none());
-        s.deliver(inc(9, X, 100));
-        assert_eq!(s.redelivered(), 4);
+        assert_eq!(s.deliver(inc(9, X, 100)).outcome, Delivered::Suppressed);
     }
 
     #[test]
@@ -395,7 +372,7 @@ mod tests {
             None,
             "late MSet for an aborted ET must not apply"
         );
-        assert_eq!(s.applied(), 0);
+        assert!(!s.has_applied(EtId(1)));
     }
 
     #[test]

@@ -47,7 +47,9 @@
 //! state machine: [`SiteState::deliver`] *returns* what a delivery did
 //! ([`crate::site::Delivery`]), and the core emits its events and
 //! `Applied` reports from that — it never probes the site or mirrors
-//! its queue.
+//! its queue. What the replica applied is the site's to keep too: the
+//! re-announcement to a new coordinator reads it back
+//! ([`SiteState::applies`]) instead of a copy the core would keep.
 //!
 //! ## Effect ordering is part of the contract
 //!
@@ -501,19 +503,11 @@ pub struct NodeCore {
     /// ETs already appended to the write-ahead journal (dedupe guard so
     /// redeliveries don't journal twice).
     journaled: BTreeSet<EtId>,
-    /// Per-origin journalled counts (site raw id → count): the node's
-    /// propagation frontier, reported in status and captured by
-    /// checkpoints.
-    frontier: BTreeMap<u64, u64>,
     /// Every completion, COMPE decision and VTNC horizon this site has
     /// seen — the idempotency guard for redelivered or re-broadcast
     /// control frames, the coordinator's dedup guard, and what
     /// `DoViewChange`, `StartView` and checkpoints carry.
     evidence: Evidence,
-    /// Every ET this site has applied, with its max install version —
-    /// re-announced wholesale to a newly-elected (or freshly-recovered)
-    /// coordinator so completion tracking survives the handoff.
-    applied_log: BTreeMap<EtId, Option<VersionTs>>,
     /// Exactly-once client dedup: `(client, request seq) -> et`.
     /// Rebuilt from the journal on recovery, so a retried submit after
     /// a crash or failover returns the original ET instead of applying
@@ -582,9 +576,7 @@ impl NodeCore {
             coord,
             view,
             journaled: BTreeSet::new(),
-            frontier: BTreeMap::new(),
             evidence: Evidence::default(),
-            applied_log: BTreeMap::new(),
             client_table: BTreeMap::new(),
             missed_pings: 0,
             vc_target: 0,
@@ -695,7 +687,7 @@ impl NodeCore {
             NodeEvent::Checkpoint { through } => match self.ckpt_payload(through) {
                 Some(payload) => vec![
                     Effect::Event(Event::CkptCut {
-                        covered: payload.covered,
+                        covered: payload.covered(),
                     }),
                     Effect::Checkpoint(Box::new(payload)),
                 ],
@@ -721,17 +713,14 @@ impl NodeCore {
     /// state has no image ([`SiteState::to_ckpt`]).
     pub fn ckpt_payload(&self, through: Option<u64>) -> Option<CkptPayload> {
         Some(CkptPayload {
-            covered: self.journaled.len() as u64,
             covered_through: through,
             view: self.view,
-            frontier: self.frontier.iter().map(|(s, c)| (*s, *c)).collect(),
             journaled: self.journaled.iter().copied().collect(),
             client_table: self
                 .client_table
                 .iter()
                 .map(|(&(c, s), &et)| (c, s, et))
                 .collect(),
-            applied_log: self.applied_log.iter().map(|(&et, &v)| (et, v)).collect(),
             evidence: self.evidence.clone(),
             site: self.state.to_ckpt()?,
         })
@@ -764,21 +753,22 @@ impl NodeCore {
         if payload.method() != method {
             return None;
         }
+        let covered = payload.covered();
         let state = SiteState::from_ckpt(site, payload.site);
         let mut core = Self::fresh_at_view(state, method, site, sites, canary, view);
         core.journaled = payload.journaled.into_iter().collect();
-        core.frontier = payload.frontier.into_iter().collect();
         core.client_table = payload
             .client_table
             .into_iter()
             .map(|(c, s, et)| ((c, s), et))
             .collect();
-        core.applied_log = payload.applied_log.into_iter().collect();
         core.evidence = payload.evidence;
         let mut effects = vec![Effect::Event(Event::CkptRestore {
-            covered: payload.covered,
+            covered,
             view: core.view,
         })];
+        // The suffix's applies land in the site, which lists them with
+        // the image's below.
         let mut recovered: Vec<(EtId, Option<VersionTs>)> = Vec::new();
         for mset in suffix {
             core.replay(mset, &mut effects, &mut recovered);
@@ -786,14 +776,7 @@ impl NodeCore {
         // Re-announce *everything* applied (image + suffix), exactly as
         // a full recovery would: the coordinator's evidence may have
         // died with the previous incarnation, and it deduplicates.
-        if core.method.tracks_completion() {
-            for (et, version) in recovered {
-                core.applied_log.entry(et).or_insert(version);
-            }
-        }
-        let applied: Vec<(EtId, Option<VersionTs>)> =
-            core.applied_log.iter().map(|(&et, &v)| (et, v)).collect();
-        for (et, version) in applied {
+        for (et, version) in core.state.applies() {
             effects.extend(core.report_applied(et, version));
         }
         Some((core, effects))
@@ -811,9 +794,7 @@ impl NodeCore {
         recovered: &mut Vec<(EtId, Option<VersionTs>)>,
     ) {
         let own = Released::of(&mset);
-        if self.journaled.insert(own.et) {
-            *self.frontier.entry(mset.origin.raw()).or_insert(0) += 1;
-        }
+        self.journaled.insert(own.et);
         if let Some((cid, cseq)) = mset.client {
             self.client_table.insert((cid.raw(), cseq), own.et);
         }
@@ -959,7 +940,7 @@ impl NodeCore {
         // Defect: the installer marks its own applied-but-uncompleted
         // ETs as done, so their completions are never re-driven.
         if self.canary == Some(CtrlCanary::HandoffDropsCompletions) {
-            coord.done.extend(self.applied_log.keys());
+            coord.done.extend(self.state.applies().into_iter().map(|(et, _)| et));
         }
         self.coord = Some(coord);
         let mut effects = vec![
@@ -980,9 +961,7 @@ impl NodeCore {
         effects.extend(self.relay(self.start_view()));
         // Count our own applies toward completion in the new view (the
         // peers re-announce theirs on receiving StartView).
-        let applied: Vec<(EtId, Option<VersionTs>)> =
-            self.applied_log.iter().map(|(et, v)| (*et, *v)).collect();
-        for (et, version) in applied {
+        for (et, version) in self.state.applies() {
             effects.extend(self.report_applied(et, version));
         }
         effects
@@ -1034,7 +1013,7 @@ impl NodeCore {
     fn reannounce(&self, to: SiteId) -> Vec<Effect> {
         let mut effects = Vec::new();
         if self.method.tracks_completion() {
-            for (&et, &version) in &self.applied_log {
+            for (et, version) in self.state.applies() {
                 effects.push(Effect::Send {
                     to,
                     frame: Frame::Applied {
@@ -1230,7 +1209,6 @@ impl NodeCore {
                 .with_t0(t0),
         )];
         if self.journaled.insert(et) {
-            *self.frontier.entry(mset.origin.raw()).or_insert(0) += 1;
             if let Some((cid, cseq)) = mset.client {
                 self.client_table.insert((cid.raw(), cseq), et);
             }
@@ -1272,13 +1250,12 @@ impl NodeCore {
     }
 
     /// Routes apply evidence to the current view's coordinator (inline
-    /// when we *are* the coordinator, over the link otherwise),
-    /// recording it in the applied log for handoff re-announcement.
+    /// when we *are* the coordinator, over the link otherwise). The
+    /// apply itself is the site's to remember ([`SiteState::applies`]).
     fn report_applied(&mut self, et: EtId, version: Option<VersionTs>) -> Vec<Effect> {
         if !self.method.tracks_completion() {
             return Vec::new();
         }
-        self.applied_log.insert(et, version);
         if self.coord.is_some() {
             return self.tally(self.site, et, version);
         }
@@ -1464,12 +1441,6 @@ impl NodeCore {
     /// Number of distinct ETs journalled at this site.
     pub fn journaled_count(&self) -> u64 {
         self.journaled.len() as u64
-    }
-
-    /// Per-origin journalled counts `(site, count)`, in site order —
-    /// the propagation frontier the status surface reports.
-    pub fn frontier(&self) -> Vec<(u64, u64)> {
-        self.frontier.iter().map(|(s, c)| (*s, *c)).collect()
     }
 }
 
@@ -2004,7 +1975,7 @@ mod tests {
                 _ => None,
             })
             .expect("cut produces a payload");
-        assert_eq!(payload.covered, 2);
+        assert_eq!(payload.covered(), 2);
         assert_eq!(payload.covered_through, Some(2));
         // The image survives its wire codec.
         let bytes = crate::node_ckpt::encode_payload(&payload);
@@ -2031,7 +2002,7 @@ mod tests {
         );
         assert_eq!(restored.state.snapshot(), full.state.snapshot());
         assert_eq!(restored.journaled_count(), full.journaled_count());
-        assert_eq!(restored.frontier(), full.frontier());
+        assert_eq!(restored.state.applies(), full.state.applies());
         // Over-approximated suffix (the whole journal) is absorbed.
         let payload2 = full.ckpt_payload(None).expect("COMMU has an image");
         let (re2, _) = NodeCore::restore(

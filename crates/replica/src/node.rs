@@ -367,7 +367,7 @@ impl Node {
                 Some(p) => {
                     let chain = CkptState {
                         seq,
-                        covered: p.covered,
+                        covered: p.covered(),
                         covered_through: p.covered_through,
                         cut: seq,
                     };
@@ -556,7 +556,7 @@ impl Node {
                 Effect::Checkpoint(payload) => {
                     self.ckpt.cut += 1;
                     let seq = self.ckpt.cut;
-                    let (covered, covered_through) = (payload.covered, payload.covered_through);
+                    let (covered, covered_through) = (payload.covered(), payload.covered_through);
                     self.in_flight.push_back(CkptState {
                         seq,
                         covered,
@@ -938,8 +938,10 @@ impl Host for MemHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ckpt::SiteCkpt;
     use crate::ctrl::Evidence;
-    use esr_core::ids::ObjectId;
+    use crate::mset::OrderTag;
+    use esr_core::ids::{ObjectId, SeqNo};
     use esr_core::op::{ObjectOp, Operation};
 
     fn incr(et: u64) -> MSet {
@@ -1181,6 +1183,44 @@ mod tests {
             took[peer as usize].extend(ets);
         }
         assert_eq!(took, [vec![], vec![1, 2, 3], vec![1, 2, 3]], "every peer has every MSet");
+    }
+
+    /// An ORDUP image holding back an MSet without a sequence stamp
+    /// does not decode: boot records the failure and restores the image
+    /// before it, where a restore of the bad one would have panicked.
+    #[test]
+    fn an_ordup_image_holding_an_unsequenced_mset_falls_back_to_the_one_before() {
+        let mut host = MemHost::default();
+        let mut node = boot(&mut host, RtMethod::Ordup, 1, 3);
+        let from_peer = |et: u64, seq: u64| {
+            let mut m = incr(et).sequenced(SeqNo(seq));
+            m.origin = SiteId(2);
+            NodeEvent::PeerFrame(Frame::MSet(m))
+        };
+        node.dispatch(&mut host, from_peer(1, 0));
+        node.commit(&mut host);
+        node.checkpoint(&mut host);
+        // Sequence 1 never arrives: ET 3 is held back in the next image.
+        node.dispatch(&mut host, from_peer(3, 2));
+        node.commit(&mut host);
+        node.checkpoint(&mut host);
+        let (seq, container) = host.snapshots.pop().expect("two images");
+        let (_, bytes) = snapshot::decode_container(&container).expect("container");
+        let mut payload = decode_payload(bytes).expect("image");
+        let SiteCkpt::Ordup(image) = &mut payload.site else {
+            panic!("an ORDUP image")
+        };
+        image.holdback[0].order = OrderTag::Unordered;
+        host.snapshots.push((seq, snapshot::encode_container(seq, &encode_payload(&payload))));
+        host.crash();
+        let node = boot(&mut host, RtMethod::Ordup, 1, 3);
+        let events: Vec<&Event> = host.events().iter().map(|(_, e)| e).collect();
+        assert!(events.iter().any(|e| matches!(e, Event::CkptFailed { seq: 2, .. })));
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, Event::Boot { snapshot: Some((1, 1)), .. })));
+        assert!(node.core().state.has_applied(EtId(1)));
+        assert_eq!(node.core().state.backlog(), 1, "ET 3, from the journal past the older cut");
     }
 
     #[test]

@@ -2,21 +2,24 @@
 //!
 //! A checkpoint captures everything [`crate::ctrl::NodeCore`] would
 //! otherwise rebuild by replaying the journal from its first entry: the
-//! method state machine (via [`crate::ckpt`] — hold-back queue
-//! included, so nothing about held MSets is recorded a second time
-//! here), the node's idempotency bookkeeping, and its control-plane
-//! ledger ([`Evidence`]: completions, decisions, the VTNC horizon —
-//! each result recorded once, in the same encoding `StartView`
-//! carries). Restoring a payload and replaying only the journal
-//! *suffix* past the cut must be indistinguishable from a full replay —
-//! `crates/check` tests exactly that equivalence.
+//! method state machine (via [`crate::ckpt`] — hold-back queue and
+//! applied ETs with their versions included, so nothing the site
+//! records is recorded a second time here), the node's idempotency
+//! bookkeeping, and its control-plane ledger ([`Evidence`]:
+//! completions, decisions, the VTNC horizon — each result recorded
+//! once, in the same encoding `StartView` carries). What can be
+//! computed from those — the count of journalled MSets, the applies
+//! the node re-announces — is not stored. Restoring a payload and
+//! replaying only the journal *suffix* past the cut must be
+//! indistinguishable from a full replay — `crates/check` tests exactly
+//! that equivalence.
 //!
 //! Like every codec in this workspace the decoder is *total*: any byte
 //! slice either yields a payload or `None`, never a panic — corrupt
 //! snapshot files are detected, reported, and fall back to full replay.
 
 use bytes::BytesMut;
-use esr_core::ids::{EtId, VersionTs};
+use esr_core::ids::EtId;
 
 use crate::ckpt::SiteCkpt;
 use crate::ctrl::Evidence;
@@ -27,9 +30,6 @@ use crate::wire::{get_nested, put_nested, Wire, WireError};
 /// (so no effect is half-applied across the image).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CkptPayload {
-    /// Number of distinct MSets journalled at the cut — the payload's
-    /// logical position, monotone across checkpoints of one node.
-    pub covered: u64,
     /// Journal [`esr_storage::stable_queue::EntryId`] high-water mark at
     /// the cut: every journal entry with id `<= covered_through` is
     /// reflected in this image. `None` when the ids are meaningless
@@ -38,18 +38,11 @@ pub struct CkptPayload {
     pub covered_through: Option<u64>,
     /// Durable view number at the cut.
     pub view: u64,
-    /// Per-origin journalled counts `(site, count)` at the cut, for the
-    /// status surface and the certifier's frontier rules.
-    pub frontier: Vec<(u64, u64)>,
     /// Every ET journalled at the cut (sorted; the write-ahead dedup
     /// set).
     pub journaled: Vec<EtId>,
     /// Exactly-once client table: `(client, request_seq, et)`.
     pub client_table: Vec<(u64, u64, EtId)>,
-    /// ETs this node has applied and announced, with the installed
-    /// version for RITU-family methods (the coordinator re-announce
-    /// set).
-    pub applied_log: Vec<(EtId, Option<VersionTs>)>,
     /// The control-plane ledger at the cut: completion notices and
     /// COMPE decisions in arrival order, and the highest VTNC
     /// certificate.
@@ -59,6 +52,12 @@ pub struct CkptPayload {
 }
 
 impl CkptPayload {
+    /// Number of distinct MSets journalled at the cut — the payload's
+    /// logical position, monotone across checkpoints of one node.
+    pub fn covered(&self) -> u64 {
+        self.journaled.len() as u64
+    }
+
     /// The replica-control method this image belongs to. Restore
     /// refuses a payload whose method disagrees with the daemon's
     /// configuration.
@@ -78,36 +77,27 @@ impl CkptPayload {
 /// The fields in declaration order, the method image in a nested
 /// section.
 impl Wire for CkptPayload {
-    const MIN_LEN: usize = u64::MIN_LEN
-        + Option::<u64>::MIN_LEN
+    const MIN_LEN: usize = Option::<u64>::MIN_LEN
         + u64::MIN_LEN
-        + Vec::<(u64, u64)>::MIN_LEN
         + Vec::<EtId>::MIN_LEN
         + Vec::<(u64, u64, EtId)>::MIN_LEN
-        + Vec::<(EtId, Option<VersionTs>)>::MIN_LEN
         + Evidence::MIN_LEN
         + u32::MIN_LEN
         + SiteCkpt::MIN_LEN;
     fn put(&self, b: &mut BytesMut) {
-        self.covered.put(b);
         self.covered_through.put(b);
         self.view.put(b);
-        self.frontier.put(b);
         self.journaled.put(b);
         self.client_table.put(b);
-        self.applied_log.put(b);
         self.evidence.put(b);
         put_nested(b, &self.site);
     }
     fn get(b: &mut &[u8]) -> Result<Self, WireError> {
         Ok(CkptPayload {
-            covered: Wire::get(b)?,
             covered_through: Wire::get(b)?,
             view: Wire::get(b)?,
-            frontier: Wire::get(b)?,
             journaled: Wire::get(b)?,
             client_table: Wire::get(b)?,
-            applied_log: Wire::get(b)?,
             evidence: Wire::get(b)?,
             site: get_nested(b)?,
         })
@@ -135,7 +125,7 @@ pub fn decode_payload(bytes: &[u8]) -> Option<CkptPayload> {
 mod tests {
     use super::*;
     use crate::ckpt::{encode_site_ckpt, CommuCkpt, OrdupCkpt, RituMvCkpt};
-    use esr_core::ids::{ClientId, SeqNo};
+    use esr_core::ids::{ClientId, SeqNo, VersionTs};
 
     fn sample() -> CkptPayload {
         let mut evidence = Evidence::default();
@@ -144,24 +134,19 @@ mod tests {
         evidence.decide(EtId::new(9), false);
         evidence.advance_vtnc(VersionTs::new(10, ClientId::new(5)));
         CkptPayload {
-            covered: 7,
             covered_through: Some(41),
             view: 3,
-            frontier: vec![(0, 4), (1, 3)],
             journaled: vec![EtId::new(1), EtId::new(2), EtId::new(9)],
             client_table: vec![(5, 1, EtId::new(2)), (5, 2, EtId::new(9))],
-            applied_log: vec![
-                (EtId::new(1), None),
-                (EtId::new(2), Some(VersionTs::new(10, ClientId::new(5)))),
-            ],
             evidence,
             site: SiteCkpt::RituMv(RituMvCkpt {
                 versions: vec![],
                 vtnc: VersionTs::new(10, ClientId::new(5)),
                 newest_installed: 2,
-                applied_ets: vec![EtId::new(1), EtId::new(2)],
-                applied: 2,
-                redelivered: 0,
+                applied_ets: vec![
+                    (EtId::new(1), None),
+                    (EtId::new(2), Some(VersionTs::new(10, ClientId::new(5)))),
+                ],
             }),
         }
     }
@@ -171,20 +156,15 @@ mod tests {
         let samples = vec![
             sample(),
             CkptPayload {
-                covered: 0,
                 covered_through: None,
                 view: 0,
-                frontier: vec![],
                 journaled: vec![],
                 client_table: vec![],
-                applied_log: vec![],
                 evidence: Evidence::default(),
                 site: SiteCkpt::Commu(CommuCkpt {
                     values: vec![],
                     held: vec![],
                     applied_ets: vec![],
-                    applied: 0,
-                    redelivered: 0,
                 }),
             },
         ];
@@ -204,8 +184,6 @@ mod tests {
                 next_seq: SeqNo(0),
                 holdback: vec![],
                 applied_ets: vec![],
-                applied: 0,
-                redelivered: 0,
             }),
             ..sample()
         };

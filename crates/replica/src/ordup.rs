@@ -22,7 +22,9 @@
 //! strict (epsilon = 0) query takes a *global order token* and is served
 //! only when the site has applied every update sequenced before it
 //! ("the query ET is allowed to proceed only when it is running in the
-//! global order"); [`OrdupSite::applied_through`] supports that check.
+//! global order"). [`OrdupSite::gap_to`] counts the sequenced updates
+//! the site still lacks; the simulator charges a token-holding query
+//! that count, so a strict one is admitted only once the gap is zero.
 
 use std::collections::BTreeMap;
 
@@ -45,11 +47,6 @@ pub struct OrdupSite {
     holdback: BTreeMap<SeqNo, MSet>,
     /// ETs whose MSets have been applied.
     applied_ets: FastIdSet<esr_core::ids::EtId>,
-    /// Total MSets applied (for reporting).
-    applied: u64,
-    /// Duplicate deliveries recognized and suppressed (at-least-once
-    /// transport makes these routine, not errors).
-    redelivered: u64,
 }
 
 impl OrdupSite {
@@ -60,8 +57,6 @@ impl OrdupSite {
             next_seq: SeqNo::ZERO,
             holdback: BTreeMap::new(),
             applied_ets: FastIdSet::default(),
-            applied: 0,
-            redelivered: 0,
         }
     }
 
@@ -77,8 +72,6 @@ impl OrdupSite {
             next_seq: self.next_seq,
             holdback: self.holdback.values().cloned().collect(),
             applied_ets,
-            applied: self.applied,
-            redelivered: self.redelivered,
         }
     }
 
@@ -90,8 +83,8 @@ impl OrdupSite {
     /// # Panics
     ///
     /// If a held-back MSet in the image is not `Sequenced` — the codec
-    /// cannot produce one from an image written by [`Self::to_ckpt`],
-    /// so this indicates a hand-built image.
+    /// rejects such an image ([`crate::ckpt::OrdupCkpt`]'s decoder), so
+    /// only a hand-built one gets here.
     pub fn from_ckpt(_site: SiteId, c: crate::ckpt::OrdupCkpt) -> Self {
         let mut holdback = BTreeMap::new();
         for m in c.holdback {
@@ -105,32 +98,7 @@ impl OrdupSite {
             next_seq: c.next_seq,
             holdback,
             applied_ets: c.applied_ets.into_iter().collect(),
-            applied: c.applied,
-            redelivered: c.redelivered,
         }
-    }
-
-    /// The next sequence number this site is waiting for.
-    pub fn next_seq(&self) -> SeqNo {
-        self.next_seq
-    }
-
-    /// True when this site has applied every update sequenced strictly
-    /// before `token` — the admission test for strict queries holding a
-    /// global order token.
-    pub fn applied_through(&self, token: SeqNo) -> bool {
-        self.next_seq >= token
-    }
-
-    /// Total MSets applied.
-    pub fn applied(&self) -> u64 {
-        self.applied
-    }
-
-    /// Duplicate deliveries this site suppressed (each one is proof the
-    /// idempotency guard fired under at-least-once delivery).
-    pub fn redelivered(&self) -> u64 {
-        self.redelivered
     }
 
     /// How many globally sequenced updates this site has **not** yet
@@ -153,7 +121,6 @@ impl OrdupSite {
         }
         self.applied_ets.insert(mset.et);
         self.next_seq = self.next_seq.next();
-        self.applied += 1;
     }
 
     /// Applies the run of parked successors the last in-order apply
@@ -188,7 +155,6 @@ impl ReplicaSite for OrdupSite {
         } else {
             Delivered::Held
         };
-        self.redelivered += u64::from(outcome == Delivered::Duplicate);
         Delivery { outcome, released }
     }
 
@@ -242,8 +208,6 @@ pub struct OrdupLamportSite {
     /// Timestamp-ordered hold-back of reassembled MSets.
     holdback: BTreeMap<LamportTs, MSet>,
     applied_ets: FastIdSet<esr_core::ids::EtId>,
-    applied: u64,
-    redelivered: u64,
 }
 
 impl OrdupLamportSite {
@@ -257,20 +221,7 @@ impl OrdupLamportSite {
             last_seen: BTreeMap::new(),
             holdback: BTreeMap::new(),
             applied_ets: FastIdSet::default(),
-            applied: 0,
-            redelivered: 0,
         }
-    }
-
-    /// Total MSets applied.
-    pub fn applied(&self) -> u64 {
-        self.applied
-    }
-
-    /// Duplicate deliveries this site suppressed (each one is proof the
-    /// idempotency guard fired under at-least-once delivery).
-    pub fn redelivered(&self) -> u64 {
-        self.redelivered
     }
 
     /// Records a heartbeat from `origin` carrying its current clock:
@@ -291,7 +242,7 @@ impl OrdupLamportSite {
 
     /// FIFO-reassembles one delivered MSet into the timestamp hold-back
     /// without draining — the front half of [`ReplicaSite::deliver`].
-    /// Returns `false` for a duplicate, which is counted and dropped.
+    /// Returns `false` for a duplicate, which is dropped.
     fn ingest(&mut self, mset: MSet) -> bool {
         let OrderTag::Lamport { ts, fifo } = mset.order else {
             panic!("ORDUP-Lamport site received non-Lamport MSet {mset}");
@@ -299,7 +250,6 @@ impl OrdupLamportSite {
         let origin = mset.origin;
         let mut cursor = *self.fifo_next.entry(origin).or_insert(SeqNo::ZERO);
         if fifo < cursor || self.fifo_buffer.contains_key(&(origin, fifo)) {
-            self.redelivered += 1;
             return false; // duplicate of a reassembled or buffered MSet
         }
         self.fifo_buffer.insert((origin, fifo), mset);
@@ -348,7 +298,6 @@ impl OrdupLamportSite {
                     .expect("update MSet must apply cleanly at every replica");
             }
             self.applied_ets.insert(mset.et);
-            self.applied += 1;
         }
     }
 }
@@ -434,8 +383,9 @@ mod tests {
         s.deliver(mset_seq(1, 0, vec![ObjectOp::new(X, Operation::Incr(10))]));
         assert_eq!(s.backlog(), 0);
         assert_eq!(s.snapshot()[&X], Value::Int(20), "(0+10)*2");
-        assert_eq!(s.applied(), 2);
-        assert_eq!(s.next_seq(), SeqNo(2));
+        assert!(s.has_applied(EtId(1)) && s.has_applied(EtId(2)));
+        let next = s.deliver(mset_seq(3, 2, vec![ObjectOp::new(X, Operation::Incr(1))]));
+        assert_eq!(next.outcome, Delivered::Applied, "#2 is next in line");
     }
 
     #[test]
@@ -465,13 +415,16 @@ mod tests {
         }
         // Stormed replica: every MSet three times, interleaved both ways.
         let mut stormed = OrdupSite::new(SiteId(1));
-        for m in msets.iter().chain(msets.iter().rev()).chain(msets.iter()) {
-            stormed.deliver(m.clone());
-        }
+        let outcomes: Vec<Delivered> = msets
+            .iter()
+            .chain(msets.iter().rev())
+            .chain(msets.iter())
+            .map(|m| stormed.deliver(m.clone()).outcome)
+            .collect();
         assert_eq!(stormed.snapshot(), clean.snapshot());
-        assert_eq!(stormed.applied(), 3, "each MSet applied exactly once");
-        assert_eq!(stormed.redelivered(), 6, "six duplicates suppressed");
-        assert_eq!(clean.redelivered(), 0);
+        let count = |d: Delivered| outcomes.iter().filter(|o| **o == d).count();
+        assert_eq!(count(Delivered::Applied), 3, "each MSet applied exactly once");
+        assert_eq!(count(Delivered::Duplicate), 6, "six duplicates suppressed");
     }
 
     #[test]
@@ -499,15 +452,6 @@ mod tests {
         // A strict query on an unrelated object is fine.
         let out = s.query(&[ObjectId(7)], &mut c);
         assert!(out.admitted);
-    }
-
-    #[test]
-    fn applied_through_token_check() {
-        let mut s = OrdupSite::new(SiteId(0));
-        assert!(s.applied_through(SeqNo(0)));
-        assert!(!s.applied_through(SeqNo(1)));
-        s.deliver(mset_seq(1, 0, vec![ObjectOp::new(X, Operation::Incr(1))]));
-        assert!(s.applied_through(SeqNo(1)));
     }
 
     #[test]
@@ -542,16 +486,17 @@ mod tests {
         let mut s = OrdupLamportSite::new(SiteId(2), origins);
         // Origin 1 sends ts=2 first; origin 0's ts=1 is still missing, so
         // nothing may apply yet (ts=2 isn't stable).
-        s.deliver(lam(2, 1, 2, 0, vec![ObjectOp::new(X, Operation::MulBy(2))]));
-        assert_eq!(s.applied(), 0);
+        let first = s.deliver(lam(2, 1, 2, 0, vec![ObjectOp::new(X, Operation::MulBy(2))]));
+        assert_eq!(first.outcome, Delivered::Held);
         // Origin 0's ts=1 arrives: horizon = min(1, 2) = 1, so ts=1
         // applies but ts=2 still waits (origin 0 might send ts=2 later).
-        s.deliver(lam(1, 0, 1, 0, vec![ObjectOp::new(X, Operation::Incr(10))]));
-        assert_eq!(s.applied(), 1);
+        let second = s.deliver(lam(1, 0, 1, 0, vec![ObjectOp::new(X, Operation::Incr(10))]));
+        assert_eq!(second.outcome, Delivered::Applied);
+        assert!(second.released.is_empty() && !s.has_applied(EtId(2)));
         assert_eq!(s.snapshot()[&X], Value::Int(10));
         // A heartbeat from origin 0 past ts=2 stabilizes the Mul.
-        s.heartbeat(SiteId(0), LamportTs::new(5, SiteId(0)));
-        assert_eq!(s.applied(), 2);
+        let released = s.heartbeat(SiteId(0), LamportTs::new(5, SiteId(0)));
+        assert_eq!(released.iter().map(|r| r.et).collect::<Vec<_>>(), [EtId(2)]);
         assert_eq!(s.snapshot()[&X], Value::Int(20));
     }
 
@@ -559,12 +504,12 @@ mod tests {
     fn lamport_fifo_reassembly_handles_reordering() {
         let mut s = OrdupLamportSite::new(SiteId(2), vec![SiteId(0)]);
         // fifo #1 arrives before fifo #0: buffered.
-        s.deliver(lam(2, 0, 2, 1, vec![ObjectOp::new(X, Operation::MulBy(2))]));
-        assert_eq!(s.applied(), 0);
+        let early = s.deliver(lam(2, 0, 2, 1, vec![ObjectOp::new(X, Operation::MulBy(2))]));
+        assert_eq!(early.outcome, Delivered::Held);
         assert_eq!(s.backlog(), 1);
         s.deliver(lam(1, 0, 1, 0, vec![ObjectOp::new(X, Operation::Incr(10))]));
         // Both reassembled; horizon = ts 2, both stable.
-        assert_eq!(s.applied(), 2);
+        assert!(s.has_applied(EtId(1)) && s.has_applied(EtId(2)));
         assert_eq!(s.snapshot()[&X], Value::Int(20));
     }
 
@@ -572,9 +517,8 @@ mod tests {
     fn lamport_duplicate_fifo_is_ignored() {
         let mut s = OrdupLamportSite::new(SiteId(2), vec![SiteId(0)]);
         let m = lam(1, 0, 1, 0, vec![ObjectOp::new(X, Operation::Incr(5))]);
-        s.deliver(m.clone());
-        s.deliver(m);
-        assert_eq!(s.applied(), 1);
+        assert_eq!(s.deliver(m.clone()).outcome, Delivered::Applied);
+        assert_eq!(s.deliver(m).outcome, Delivered::Duplicate);
         assert_eq!(s.snapshot()[&X], Value::Int(5));
     }
 
@@ -614,13 +558,15 @@ mod tests {
         ];
         let origins = vec![SiteId(0), SiteId(1)];
         let mut s = OrdupLamportSite::new(SiteId(2), origins);
-        for m in msets.iter().chain(msets.iter().rev()) {
-            s.deliver(m.clone());
-        }
+        let duplicates = msets
+            .iter()
+            .chain(msets.iter().rev())
+            .filter(|m| s.deliver((*m).clone()).outcome == Delivered::Duplicate)
+            .count();
         s.heartbeat(SiteId(0), LamportTs::new(100, SiteId(0)));
         s.heartbeat(SiteId(1), LamportTs::new(100, SiteId(1)));
-        assert_eq!(s.applied(), 3);
-        assert_eq!(s.redelivered(), 3, "the reversed pass was all duplicates");
+        assert!(msets.iter().all(|m| s.has_applied(m.et)));
+        assert_eq!(duplicates, 3, "the reversed pass was all duplicates");
         assert_eq!(s.snapshot()[&X], Value::Int(16), "(0+10)*2-4");
     }
 

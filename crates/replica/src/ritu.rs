@@ -33,9 +33,8 @@ use crate::site::{Delivered, Delivery, QueryOutcome, ReplicaSite};
 pub struct RituOverwriteSite {
     store: LwwStore,
     counters: LockCounters,
-    applied_ets: FastIdMap<EtId, ()>,
-    applied: u64,
-    redelivered: u64,
+    /// ETs applied here with their MSets' max versions.
+    applied_ets: FastIdMap<EtId, Option<VersionTs>>,
 }
 
 impl RituOverwriteSite {
@@ -45,20 +44,12 @@ impl RituOverwriteSite {
             store: LwwStore::new(),
             counters: LockCounters::new(),
             applied_ets: FastIdMap::default(),
-            applied: 0,
-            redelivered: 0,
         }
     }
 
-    /// Total MSets applied.
-    pub fn applied(&self) -> u64 {
-        self.applied
-    }
-
-    /// Duplicate deliveries this site suppressed (each one is proof the
-    /// idempotency guard fired under at-least-once delivery).
-    pub fn redelivered(&self) -> u64 {
-        self.redelivered
+    /// Every ET applied here with its max version, in ET order.
+    pub fn applies(&self) -> Vec<(EtId, Option<VersionTs>)> {
+        crate::site::sorted_applies(&self.applied_ets)
     }
 
     /// Completion notice (see [`crate::commu::CommuSite::complete`]).
@@ -79,16 +70,12 @@ impl RituOverwriteSite {
     /// Captures the site's full protocol state as a checkpoint image:
     /// store contents *with* the winning version per object (the LWW
     /// arbitration state), in-flight lock-counter holders, and the
-    /// duplicate-suppression set.
+    /// applied ETs with their versions.
     pub fn to_ckpt(&self) -> crate::ckpt::RituCkpt {
-        let mut applied_ets: Vec<EtId> = self.applied_ets.keys().copied().collect();
-        applied_ets.sort_unstable();
         crate::ckpt::RituCkpt {
             values: self.store.versioned_dump(),
             held: self.counters.held_sets(),
-            applied_ets,
-            applied: self.applied,
-            redelivered: self.redelivered,
+            applied_ets: self.applies(),
         }
     }
 
@@ -104,9 +91,7 @@ impl RituOverwriteSite {
         Self {
             store,
             counters,
-            applied_ets: c.applied_ets.into_iter().map(|et| (et, ())).collect(),
-            applied: c.applied,
-            redelivered: c.redelivered,
+            applied_ets: c.applied_ets.into_iter().collect(),
         }
     }
 }
@@ -115,7 +100,6 @@ impl ReplicaSite for RituOverwriteSite {
     #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
     fn deliver(&mut self, mset: MSet) -> Delivery {
         if self.applied_ets.contains_key(&mset.et) {
-            self.redelivered += 1;
             return Delivered::Duplicate.into();
         }
         for op in &mset.ops {
@@ -134,8 +118,7 @@ impl ReplicaSite for RituOverwriteSite {
             }
         }
         self.counters.begin_update(mset.et, mset.write_set());
-        self.applied_ets.insert(mset.et, ());
-        self.applied += 1;
+        self.applied_ets.insert(mset.et, mset.max_version());
         Delivered::Applied.into()
     }
 
@@ -172,9 +155,8 @@ impl ReplicaSite for RituOverwriteSite {
 #[derive(Debug)]
 pub struct RituMvSite {
     store: MvStore,
-    applied_ets: FastIdMap<EtId, ()>,
-    applied: u64,
-    redelivered: u64,
+    /// ETs applied here with their MSets' max versions.
+    applied_ets: FastIdMap<EtId, Option<VersionTs>>,
     /// Largest version time installed locally (for the lag reading).
     newest_installed: u64,
 }
@@ -185,25 +167,19 @@ impl RituMvSite {
         Self {
             store: MvStore::new(),
             applied_ets: FastIdMap::default(),
-            applied: 0,
-            redelivered: 0,
             newest_installed: 0,
         }
     }
 
     /// Captures the site's full protocol state as a checkpoint image:
     /// every retained version, the VTNC visibility horizon, and the
-    /// duplicate-suppression set.
+    /// applied ETs with their versions.
     pub fn to_ckpt(&self) -> crate::ckpt::RituMvCkpt {
-        let mut applied_ets: Vec<EtId> = self.applied_ets.keys().copied().collect();
-        applied_ets.sort_unstable();
         crate::ckpt::RituMvCkpt {
             versions: self.store.dump(),
             vtnc: self.store.vtnc(),
             newest_installed: self.newest_installed,
-            applied_ets,
-            applied: self.applied,
-            redelivered: self.redelivered,
+            applied_ets: self.applies(),
         }
     }
 
@@ -218,22 +194,14 @@ impl RituMvSite {
         store.advance_vtnc(c.vtnc);
         Self {
             store,
-            applied_ets: c.applied_ets.into_iter().map(|et| (et, ())).collect(),
-            applied: c.applied,
-            redelivered: c.redelivered,
+            applied_ets: c.applied_ets.into_iter().collect(),
             newest_installed: c.newest_installed,
         }
     }
 
-    /// Total MSets applied.
-    pub fn applied(&self) -> u64 {
-        self.applied
-    }
-
-    /// Duplicate deliveries this site suppressed (each one is proof the
-    /// idempotency guard fired under at-least-once delivery).
-    pub fn redelivered(&self) -> u64 {
-        self.redelivered
+    /// Every ET applied here with its max version, in ET order.
+    pub fn applies(&self) -> Vec<(EtId, Option<VersionTs>)> {
+        crate::site::sorted_applies(&self.applied_ets)
     }
 
     /// The current VTNC.
@@ -269,7 +237,6 @@ impl RituMvSite {
 impl ReplicaSite for RituMvSite {
     fn deliver(&mut self, mset: MSet) -> Delivery {
         if self.applied_ets.contains_key(&mset.et) {
-            self.redelivered += 1;
             return Delivered::Duplicate.into();
         }
         for op in &mset.ops {
@@ -282,8 +249,7 @@ impl ReplicaSite for RituMvSite {
                 other => panic!("RITU-MV MSet carries non-timestamped write {other}"),
             }
         }
-        self.applied_ets.insert(mset.et, ());
-        self.applied += 1;
+        self.applied_ets.insert(mset.et, mset.max_version());
         Delivered::Applied.into()
     }
 
@@ -380,32 +346,37 @@ mod tests {
     fn overwrite_duplicates_suppressed() {
         let mut s = RituOverwriteSite::new(SiteId(0));
         let m = tw(1, X, 5, 50);
-        s.deliver(m.clone());
-        s.deliver(m);
-        assert_eq!(s.applied(), 1);
+        assert_eq!(s.deliver(m.clone()).outcome, Delivered::Applied);
+        assert_eq!(s.deliver(m).outcome, Delivered::Duplicate);
+        assert_eq!(s.applies(), vec![(EtId(1), Some(vts(5)))]);
     }
 
     #[test]
     fn overwrite_redelivery_storm_is_idempotent_and_counted() {
         let msets = [tw(1, X, 1, 10), tw(2, X, 3, 30), tw(3, X, 2, 20)];
         let mut s = RituOverwriteSite::new(SiteId(0));
-        for m in msets.iter().chain(msets.iter().rev()) {
-            s.deliver(m.clone());
-        }
+        let duplicates = msets
+            .iter()
+            .chain(msets.iter().rev())
+            .filter(|m| s.deliver((*m).clone()).outcome == Delivered::Duplicate)
+            .count();
         assert_eq!(s.snapshot()[&X], Value::Int(30));
-        assert_eq!(s.applied(), 3);
-        assert_eq!(s.redelivered(), 3);
+        assert_eq!(duplicates, 3);
+        assert!(msets.iter().all(|m| s.has_applied(m.et)));
     }
 
     #[test]
     fn mv_redelivery_storm_is_idempotent_and_counted() {
         let msets = [tw(1, X, 2, 20), tw(2, X, 1, 10), tw(3, Y, 1, 5)];
         let mut s = RituMvSite::new(SiteId(0));
-        for m in msets.iter().chain(msets.iter()).chain(msets.iter()) {
-            s.deliver(m.clone());
-        }
-        assert_eq!(s.applied(), 3);
-        assert_eq!(s.redelivered(), 6);
+        let duplicates = msets
+            .iter()
+            .chain(msets.iter())
+            .chain(msets.iter())
+            .filter(|m| s.deliver((*m).clone()).outcome == Delivered::Duplicate)
+            .count();
+        assert_eq!(duplicates, 6);
+        assert!(msets.iter().all(|m| s.has_applied(m.et)));
         assert_eq!(s.version_count(X), 2, "no duplicate versions installed");
         assert_eq!(s.snapshot()[&X], Value::Int(20));
     }

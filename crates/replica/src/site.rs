@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 
 use esr_core::divergence::InconsistencyCounter;
+use esr_core::fastid::FastIdMap;
 use esr_core::ids::{EtId, ObjectId, SeqNo, VersionTs};
 use esr_core::value::Value;
 
@@ -98,6 +99,17 @@ impl From<Delivered> for Delivery {
             released: Vec::new(),
         }
     }
+}
+
+/// A completion-tracking site's applies, each ET with its MSet's max
+/// version, in ET order — the one record of what the replica applied,
+/// which the control core re-announces and the checkpoint image keeps.
+pub(crate) fn sorted_applies(
+    applied: &FastIdMap<EtId, Option<VersionTs>>,
+) -> Vec<(EtId, Option<VersionTs>)> {
+    let mut applies: Vec<_> = applied.iter().map(|(&et, &v)| (et, v)).collect();
+    applies.sort_unstable_by_key(|&(et, _)| et);
+    applies
 }
 
 /// The quantities a site holds that an executor publishes as gauges

@@ -243,6 +243,20 @@ impl SiteState {
         }
     }
 
+    /// What the replica applied, in ET order, each ET with its MSet's
+    /// max version — kept by the completion-tracking methods
+    /// ([`RtMethod::tracks_completion`]), empty for the others. The
+    /// control core re-announces these to a new coordinator; it keeps
+    /// no copy of its own.
+    pub fn applies(&self) -> Vec<(EtId, Option<VersionTs>)> {
+        match self {
+            SiteState::Commu(s) => s.applies(),
+            SiteState::Ritu(s) => s.applies(),
+            SiteState::RituMv(s) => s.applies(),
+            _ => Vec::new(),
+        }
+    }
+
     /// What this site holds that a scrape publishes as gauges — the one
     /// place an executor reads them from.
     pub fn readings(&self) -> SiteReadings {

@@ -1327,49 +1327,36 @@ mod tests {
             next_seq: SeqNo(0),
             holdback: vec![],
             applied_ets: vec![],
-            applied: 0,
-            redelivered: 0,
         });
         let commu = CommuCkpt {
             values: vec![],
             held: vec![],
             applied_ets: vec![],
-            applied: 0,
-            redelivered: 0,
         };
         smallest_is(commu.clone());
         smallest_is(RituCkpt {
             values: vec![],
             held: vec![],
             applied_ets: vec![],
-            applied: 0,
-            redelivered: 0,
         });
         smallest_is(RituMvCkpt {
             versions: vec![],
             vtnc: VersionTs::MIN,
             newest_installed: 0,
             applied_ets: vec![],
-            applied: 0,
-            redelivered: 0,
         });
         smallest_is(CompeCkpt {
             values: vec![],
             log: vec![],
             seen: vec![],
-            applied: 0,
             compensations: 0,
-            redelivered: 0,
         });
         smallest_is(SiteCkpt::Commu(commu.clone()));
         smallest_is(CkptPayload {
-            covered: 0,
             covered_through: None,
             view: 0,
-            frontier: vec![],
             journaled: vec![],
             client_table: vec![],
-            applied_log: vec![],
             evidence: Evidence::default(),
             site: SiteCkpt::Commu(commu),
         });

@@ -9,6 +9,12 @@
 //! COMPE decisions racing ahead of their MSets) and check every
 //! returned `Delivery` against the `has_applied` / `backlog` deltas an
 //! observer probing the site around the call would see.
+//!
+//! The completion-tracking sites (COMMU, RITU, RITU-MV) also *list*
+//! what they applied — the core re-announces that list to a new
+//! coordinator and keeps no copy — so for them the list is checked
+//! after every delivery too: exactly the applied ETs, in ET order,
+//! each with its MSet's max version.
 
 use esr_core::ids::{ClientId, EtId, LamportTs, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
@@ -144,6 +150,33 @@ fn check_stream<S: ReplicaSite>(
     Ok(())
 }
 
+/// What a completion-tracking site lists as applied.
+type Applies = Vec<(EtId, Option<VersionTs>)>;
+
+/// Delivers `stream` to `site`, checking each [`Delivery`] as
+/// [`check_stream`] does and, after every delivery, that `applies`
+/// lists exactly the ETs `has_applied` reports, in ET order, each with
+/// its MSet's `max_version()`.
+fn check_listed_applies<S: ReplicaSite>(
+    mut site: S,
+    stream: &[MSet],
+    applies: fn(&S) -> Applies,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let all_ets: Vec<EtId> = stream.iter().map(|m| m.et).collect();
+    for m in stream {
+        deliver_checked(&mut site, m, &all_ets)?;
+        let mut expected: Applies = stream
+            .iter()
+            .filter(|m| site.has_applied(m.et))
+            .map(|m| (m.et, m.max_version()))
+            .collect();
+        expected.sort_unstable_by_key(|&(et, _)| et);
+        expected.dedup();
+        prop_assert_eq!(applies(&site), expected, "after {}", m);
+    }
+    Ok(())
+}
+
 const OBJECTS: u64 = 8;
 
 proptest! {
@@ -206,6 +239,20 @@ proptest! {
         g.shuffle(&mut stream);
         g.sprinkle_duplicates(&mut stream);
         check_stream(RituMvSite::new(SiteId(0)), &stream)?;
+    }
+
+    #[test]
+    fn listed_applies_are_the_applied_ets(seed in 0u64..u64::MAX, n in 1usize..40) {
+        let mut g = Gen(seed);
+        let mut incrs: Vec<MSet> = (0..n as u64).map(|i| g.int_mset(i, OBJECTS)).collect();
+        let mut writes: Vec<MSet> = (0..n as u64).map(|i| g.tw_mset(i, OBJECTS)).collect();
+        for stream in [&mut incrs, &mut writes] {
+            g.shuffle(stream);
+            g.sprinkle_duplicates(stream);
+        }
+        check_listed_applies(CommuSite::new(SiteId(0)), &incrs, CommuSite::applies)?;
+        check_listed_applies(RituOverwriteSite::new(SiteId(0)), &writes, RituOverwriteSite::applies)?;
+        check_listed_applies(RituMvSite::new(SiteId(0)), &writes, RituMvSite::applies)?;
     }
 
     #[test]

@@ -366,22 +366,16 @@ fn site_ckpts() -> Vec<SiteCkpt> {
             next_seq: SeqNo(5),
             holdback: vec![held],
             applied_ets: vec![EtId(1), EtId(2)],
-            applied: 2,
-            redelivered: 1,
         }),
         SiteCkpt::Commu(CommuCkpt {
             values: vec![(ObjectId(4), Value::Set(BTreeSet::from([3])))],
             held: vec![(EtId(3), vec![ObjectId(4), ObjectId(5)]), (EtId(4), vec![])],
-            applied_ets: vec![EtId(3), EtId(4)],
-            applied: 2,
-            redelivered: 0,
+            applied_ets: vec![(EtId(3), None), (EtId(4), None)],
         }),
         SiteCkpt::Ritu(RituCkpt {
             values: vec![(ObjectId(1), ts, Value::Int(10))],
             held: vec![(EtId(6), vec![ObjectId(1)])],
-            applied_ets: vec![EtId(6)],
-            applied: 1,
-            redelivered: 2,
+            applied_ets: vec![(EtId(6), Some(ts))],
         }),
         SiteCkpt::RituMv(RituMvCkpt {
             versions: vec![
@@ -390,9 +384,7 @@ fn site_ckpts() -> Vec<SiteCkpt> {
             ],
             vtnc: v(1, 0),
             newest_installed: 7,
-            applied_ets: vec![EtId(8)],
-            applied: 1,
-            redelivered: 0,
+            applied_ets: vec![(EtId(8), Some(ts))],
         }),
         SiteCkpt::Compe(CompeCkpt {
             values: vec![(ObjectId(0), Value::Int(12))],
@@ -421,30 +413,23 @@ fn site_ckpts() -> Vec<SiteCkpt> {
                 },
             ],
             seen: vec![(EtId(1), 0), (EtId(2), 1), (EtId(3), 2), (EtId(4), 3)],
-            applied: 2,
             compensations: 1,
-            redelivered: 0,
         }),
     ]
 }
 
 fn payload() -> CkptPayload {
     CkptPayload {
-        covered: 7,
         covered_through: Some(41),
         view: 3,
-        frontier: vec![(0, 4), (1, 3)],
         journaled: vec![EtId(1), EtId(2), EtId(9)],
         client_table: vec![(5, 1, EtId(2)), (5, 2, EtId(9))],
-        applied_log: vec![(EtId(1), None), (EtId(2), Some(v(10, 5)))],
         evidence: evidence(&[1], &[(2, true), (9, false)], Some(v(10, 5))),
         site: SiteCkpt::RituMv(RituMvCkpt {
             versions: vec![(ObjectId(3), v(10, 5), Value::Int(4))],
             vtnc: v(10, 5),
             newest_installed: 2,
-            applied_ets: vec![EtId(1), EtId(2)],
-            applied: 2,
-            redelivered: 0,
+            applied_ets: vec![(EtId(1), None), (EtId(2), Some(v(10, 5)))],
         }),
     }
 }
@@ -523,15 +508,15 @@ const MSETS: &[&str] = &[
 ];
 
 const SITE_CKPTS: &[&str] = &[
-    "00000000020000000000000000000000000000000003000000000000000101000000017800000000000000050000000100000000000000090000000000000001010000000000000005000000010000000000000003020000000000000004010000000000000001000000000000000200000000020000000000000001000000000000000200000000000000020000000000000001",
-    "01000000010000000000000004020000000100000000000000030000000200000000000000030000000200000000000000040000000000000005000000000000000400000000000000020000000000000003000000000000000400000000000000020000000000000000",
-    "020000000100000000000000010000000000000007000000000000000200000000000000000a00000001000000000000000600000001000000000000000100000001000000000000000600000000000000010000000000000002",
-    "030000000200000000000000010000000000000001000000000000000000000000000000000100000000000000010000000000000007000000000000000200000000000000000200000000000000010000000000000000000000000000000700000001000000000000000800000000000000010000000000000000",
-    "0400000001000000000000000000000000000000000c0000000200000000000000010000000002000000000000000002000000000000000c0000000000000000000000000000000002010100000001620100000001610000000000000002010000000000000004000000000000000100000000000000000201000000000000000302000000000000000403000000000000000200000000000000010000000000000000",
+    "000000000200000000000000000000000000000000030000000000000001010000000178000000000000000500000001000000000000000900000000000000010100000000000000050000000100000000000000030200000000000000040100000000000000010000000000000002000000000200000000000000010000000000000002",
+    "0100000001000000000000000402000000010000000000000003000000020000000000000003000000020000000000000004000000000000000500000000000000040000000000000002000000000000000300000000000000000400",
+    "020000000100000000000000010000000000000007000000000000000200000000000000000a0000000100000000000000060000000100000000000000010000000100000000000000060100000000000000070000000000000002",
+    "03000000020000000000000001000000000000000100000000000000000000000000000000010000000000000001000000000000000700000000000000020000000000000000020000000000000001000000000000000000000000000000070000000100000000000000080100000000000000070000000000000002",
+    "0400000001000000000000000000000000000000000c0000000200000000000000010000000002000000000000000002000000000000000c00000000000000000000000000000000020101000000016201000000016100000000000000020100000000000000040000000000000001000000000000000002010000000000000003020000000000000004030000000000000001",
 ];
 
 const PAYLOADS: &[&str] = &[
-    "00000000000000070100000000000000290000000000000003000000020000000000000000000000000000000400000000000000010000000000000003000000030000000000000001000000000000000200000000000000090000000200000000000000050000000000000001000000000000000200000000000000050000000000000002000000000000000900000002000000000000000100000000000000000201000000000000000a00000000000000050000000100000000000000010000000200000000000000020100000000000000090001000000000000000a00000000000000050000006203000000010000000000000003000000000000000a0000000000000005000000000000000004000000000000000a00000000000000050000000000000002000000020000000000000001000000000000000200000000000000020000000000000000",
+    "010000000000000029000000000000000300000003000000000000000100000000000000020000000000000009000000020000000000000005000000000000000100000000000000020000000000000005000000000000000200000000000000090000000100000000000000010000000200000000000000020100000000000000090001000000000000000a00000000000000050000006403000000010000000000000003000000000000000a0000000000000005000000000000000004000000000000000a0000000000000005000000000000000200000002000000000000000100000000000000000201000000000000000a0000000000000005",
 ];
 
 #[test]

@@ -6,14 +6,20 @@
 //! yields a value or a [`WireError`], never a panic or an unbounded
 //! allocation. The properties below throw arbitrary byte soup, mutated
 //! valid encodings, and truncated prefixes at the three decoders, and
-//! check that every valid encoding round-trips.
+//! check that every valid encoding round-trips. Boot hands
+//! `decode_payload` whatever a snapshot container (or a peer's
+//! catch-up reply) holds and restores what decodes, so there the
+//! property is stronger: an image that decodes also restores without
+//! a panic.
 
 use bytes::Bytes;
-use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId, VersionTs};
+use esr_core::ids::{ClientId, EtId, LamportTs, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
-use esr_replica::ctrl::{Evidence, Record};
-use esr_replica::mset::MSet;
+use esr_replica::ckpt::{OrdupCkpt, SiteCkpt};
+use esr_replica::ctrl::{Evidence, NodeCore, Record};
+use esr_replica::mset::{MSet, OrderTag};
+use esr_replica::node_ckpt::{decode_payload, encode_payload, CkptPayload};
 use esr_replica::site::QueryOutcome;
 use esr_replica::span::{Event, SpanRec, SpanStage};
 use esr_replica::wire::{
@@ -260,8 +266,67 @@ fn retired_tags_are_bad_tags() {
     }
 }
 
+/// An ORDUP node image holding back one seed-shaped MSet stamped
+/// `order`.
+fn ordup_payload(seed: u64, order: OrderTag) -> CkptPayload {
+    let mut held = MSet::new(
+        EtId(seed % 50 + 2),
+        SiteId(seed % 3),
+        vec![ObjectOp::new(ObjectId(seed % 7), Operation::Incr(seed as i64 % 9))],
+    );
+    held.order = order;
+    CkptPayload {
+        covered_through: Some(seed % 11),
+        view: seed % 5,
+        journaled: vec![EtId(1), held.et],
+        client_table: vec![],
+        evidence: *evidence(seed, VersionTs::new(seed % 17, ClientId(seed % 4))),
+        site: SiteCkpt::Ordup(OrdupCkpt {
+            values: vec![(ObjectId(seed % 7), Value::Int(seed as i64 % 100))],
+            next_seq: SeqNo(1),
+            holdback: vec![held],
+            applied_ets: vec![EtId(1)],
+        }),
+    }
+}
+
+/// The ORDUP hold-back is keyed by sequence number: an image holding
+/// an unstamped or Lamport-stamped MSet there does not decode, so boot
+/// falls back past it instead of panicking in the restore.
+#[test]
+fn an_ordup_image_holding_an_unsequenced_mset_does_not_decode() {
+    let lamport = OrderTag::Lamport {
+        ts: LamportTs::new(3, SiteId(1)),
+        fifo: SeqNo(0),
+    };
+    for seed in 0..16 {
+        for order in [OrderTag::Unordered, lamport] {
+            assert_eq!(decode_payload(&encode_payload(&ordup_payload(seed, order))), None);
+        }
+        let sequenced = ordup_payload(seed, OrderTag::Sequenced(SeqNo(3)));
+        assert_eq!(decode_payload(&encode_payload(&sequenced)), Some(sequenced));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A single-byte corruption of an ORDUP image either fails to
+    /// decode or restores — never panics the boot.
+    #[test]
+    fn mutated_images_that_decode_restore(
+        seed in any::<u64>(),
+        at in any::<u64>(),
+        byte in any::<u8>(),
+    ) {
+        let mut raw = encode_payload(&ordup_payload(seed, OrderTag::Sequenced(SeqNo(3))));
+        let i = (at % raw.len() as u64) as usize;
+        raw[i] = byte;
+        if let Some(payload) = decode_payload(&raw) {
+            let method = payload.method();
+            prop_assert!(NodeCore::restore(method, SiteId(0), 3, None, 0, payload, vec![]).is_some());
+        }
+    }
 
     /// Arbitrary bytes never panic the frame decoder.
     #[test]

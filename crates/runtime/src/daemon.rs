@@ -364,7 +364,7 @@ fn catch_up_from_peers(cfg: &DaemonConfig, prefix: &str, events: &mut EventLog) 
         if snapshot::install(&cfg.dir, prefix, peer_seq, &encode_payload(&payload)).is_ok() {
             events.record(Event::CkptCatchUp {
                 seq: peer_seq,
-                covered: payload.covered,
+                covered: payload.covered(),
                 from: peer,
             });
             return;
@@ -940,7 +940,7 @@ mod tests {
         let replies = batch(&mut daemon, &mut links, &cycle);
         assert!(matches!(replies[1], Frame::CheckpointOk { seq: 1, covered: 1 }));
         let image = newest_image(&daemon);
-        assert_eq!((image.covered, image.covered_through), (1, Some(0)));
+        assert_eq!((image.covered(), image.covered_through), (1, Some(0)));
 
         // By policy: the commit that trips the byte limit cuts once its
         // own record is in the journal.
@@ -951,7 +951,7 @@ mod tests {
         // The writer installs the image off the apply path.
         settle_ckpt(&mut daemon, &mut links);
         let image = newest_image(&daemon);
-        assert_eq!((image.covered, image.covered_through), (1, Some(0)));
+        assert_eq!((image.covered(), image.covered_through), (1, Some(0)));
     }
 
     /// The installs and truncations of the event log, in order.

@@ -96,29 +96,6 @@ impl MvStore {
             .or_insert(value);
     }
 
-    /// COMPE support: removes the version installed at `ts`, as if the
-    /// update never ran. Returns the removed value.
-    pub fn remove_version(&mut self, object: ObjectId, ts: VersionTs) -> Option<Value> {
-        let chain = self.chains.get_mut(&object)?;
-        let removed = chain.remove(&ts);
-        if chain.is_empty() {
-            self.chains.remove(&object);
-        }
-        removed
-    }
-
-    /// COMPE's alternative compensation: overwrite the version at `ts`
-    /// with the previous value, keeping the timestamp.
-    pub fn replace_version(&mut self, object: ObjectId, ts: VersionTs, value: Value) -> bool {
-        match self.chains.get_mut(&object).and_then(|c| c.get_mut(&ts)) {
-            Some(slot) => {
-                *slot = value;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// A strictly serializable read: the newest version at or below the
     /// VTNC (zero if none).
     pub fn read_at_vtnc(&self, object: ObjectId) -> VersionedRead {
@@ -219,8 +196,7 @@ impl MvStore {
     /// Latest-value snapshot (for replica convergence comparison).
     pub fn snapshot_latest(&self) -> BTreeMap<ObjectId, Value> {
         // A chain is never empty: `install` creates it with its first
-        // version, `remove_version` drops it with its last, pruning
-        // keeps the newest stable one.
+        // version, and pruning keeps the newest stable one.
         to_btree(&self.chains, |c| {
             c.values().next_back().cloned().unwrap_or_default()
         })
@@ -302,31 +278,6 @@ mod tests {
         }
         assert_eq!(a.snapshot_latest(), b.snapshot_latest());
         assert_eq!(a.versions(X), b.versions(X));
-    }
-
-    #[test]
-    fn remove_version_compensates() {
-        let mut s = MvStore::new();
-        s.install(X, vts(1), Value::Int(10));
-        s.install(X, vts(2), Value::Int(20));
-        let removed = s.remove_version(X, vts(2));
-        assert_eq!(removed, Some(Value::Int(20)));
-        assert_eq!(s.read_latest(X).value, Value::Int(10));
-        assert_eq!(s.remove_version(X, vts(9)), None);
-        // Removing the last version clears the chain entirely.
-        s.remove_version(X, vts(1));
-        assert_eq!(s.version_count(X), 0);
-        assert_eq!(s.read_latest(X).value, Value::ZERO);
-    }
-
-    #[test]
-    fn replace_version_keeps_timestamp() {
-        let mut s = MvStore::new();
-        s.install(X, vts(1), Value::Int(10));
-        assert!(s.replace_version(X, vts(1), Value::Int(5)));
-        assert_eq!(s.read_latest(X).value, Value::Int(5));
-        assert_eq!(s.version_count(X), 1);
-        assert!(!s.replace_version(X, vts(2), Value::Int(0)));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! This module is deliberately ignorant of *what* is being
 //! checkpointed — the payload is opaque bytes (the runtime encodes its
-//! applied-frontier vector, method state, and client table into it).
+//! journalled set, client table, control ledger and method state into
+//! it).
 //! What lives here is the durability story:
 //!
 //! * **Framing** — `"ESRSNAP1"` magic, a `u64` checkpoint sequence

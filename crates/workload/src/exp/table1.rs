@@ -68,9 +68,9 @@ pub fn probe_ordup() -> Table1Column {
     let mut s = OrdupSite::new(SiteId(0));
     // Deliver #1 before #0: it must be held, not applied.
     s.deliver(inc_mset(2, 5).sequenced(SeqNo(1)));
-    let held_back = s.backlog() == 1 && s.applied() == 0;
+    let held_back = s.backlog() == 1 && !s.has_applied(EtId(2));
     s.deliver(mul_mset(1, 3).sequenced(SeqNo(0)));
-    let sorted_before_apply = s.applied() == 2 && s.snapshot()[&X] == Value::Int(5); // 0*3+5
+    let sorted_before_apply = s.has_applied(EtId(2)) && s.snapshot()[&X] == Value::Int(5); // 0*3+5
     assert!(held_back, "ORDUP must hold back out-of-order MSets");
     assert!(sorted_before_apply, "ORDUP must apply in sequence order");
     Table1Column {
