@@ -1,9 +1,9 @@
 //! Instrumentation overhead on the step esrd runs.
 //!
-//! The replica sites carry no instruments: an executor that owns a
-//! registry feeds the per-site counters from the events its core
-//! emits ([`Event::count`] — one match per event, a relaxed atomic add
-//! for the three stages and one variant that count). This bench
+//! The replica sites carry no instruments: the node that runs a site
+//! folds the site's counters from the events it records
+//! ([`Event::count`] — one match per event, a relaxed atomic add for
+//! each event that counts) into its one [`NodeInstruments`] bundle. This bench
 //! measures exactly that: the same COMMU stream as `apply_path`, fed
 //! one `PeerFrame(MSet)` at a time to [`NodeCore::step`] on a follower
 //! — the step esrd runs per propagated update — once with every
@@ -14,7 +14,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use esr_core::ids::{EtId, ObjectId, SiteId};
 use esr_core::op::{ObjectOp, Operation};
-use esr_obs::{MetricsRegistry, SiteInstruments};
+use esr_obs::{MetricsRegistry, NodeInstruments};
 use esr_replica::ctrl::{Effect, NodeCore, NodeEvent};
 use esr_replica::mset::MSet;
 use esr_replica::span::Event;
@@ -79,7 +79,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
         let registry = MetricsRegistry::new();
         // The same registered cells every iteration, exactly like a
         // restarting daemon.
-        let obs = SiteInstruments::for_site(&registry, "commu", 2);
+        let obs = NodeInstruments::for_site(&registry, "commu", SiteId(2));
         b.iter(|| black_box(run(&msets, |event| event.count(&obs))))
     });
 

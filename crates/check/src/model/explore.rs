@@ -29,7 +29,7 @@
 //! order, fails the sweep with the offending schedule.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use esr_replica::node::NodeInstruments;
 
@@ -162,7 +162,7 @@ pub fn explore(cfg: &ModelCfg, max_states: u64) -> Sweep {
 pub fn visit(cfg: &ModelCfg, independent: Independence, each: &mut impl FnMut(&World)) {
     fn dfs(
         cfg: &ModelCfg,
-        obs: &[NodeInstruments],
+        obs: &[Arc<NodeInstruments>],
         independent: Independence,
         prefix: &mut Vec<Tx>,
         sleep: &[Tx],
@@ -180,7 +180,7 @@ pub fn visit(cfg: &ModelCfg, independent: Independence, each: &mut impl FnMut(&W
 }
 
 /// Rebuilds the world at `prefix`, its nodes reporting to `obs`.
-fn replay<'a>(cfg: &'a ModelCfg, obs: &'a [NodeInstruments], prefix: &[Tx]) -> World<'a> {
+fn replay<'a>(cfg: &'a ModelCfg, obs: &'a [Arc<NodeInstruments>], prefix: &[Tx]) -> World<'a> {
     let mut world = World::new(cfg, obs);
     for tx in prefix {
         world.execute(*tx);
@@ -221,7 +221,7 @@ impl Search<'_> {
     /// above it that has nothing to expand (a terminal, or all asleep).
     fn split(
         &self,
-        obs: &[NodeInstruments],
+        obs: &[Arc<NodeInstruments>],
         prefix: &mut Vec<Tx>,
         sleep: &[Tx],
         tasks: &mut Vec<Task>,
@@ -244,7 +244,7 @@ impl Search<'_> {
 
     fn dfs(
         &self,
-        obs: &[NodeInstruments],
+        obs: &[Arc<NodeInstruments>],
         prefix: &mut Vec<Tx>,
         sleep: &[Tx],
         stats: &mut SweepStats,

@@ -45,6 +45,7 @@ pub mod explore;
 pub mod oracles;
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
@@ -416,7 +417,7 @@ impl ModelNode {
 
 /// Registers one world's node series, once for every world an explorer
 /// thread builds: a registration costs more than a state visit.
-pub fn instruments(cfg: &ModelCfg) -> Vec<NodeInstruments> {
+pub fn instruments(cfg: &ModelCfg) -> Vec<Arc<NodeInstruments>> {
     let metrics = Default::default();
     let name = cfg.method.name();
     (0..cfg.sites as u64)
@@ -431,7 +432,7 @@ type Queued = (Option<u64>, Frame);
 /// The full modelled cluster state.
 pub struct World<'a> {
     cfg: &'a ModelCfg,
-    obs: &'a [NodeInstruments],
+    obs: &'a [Arc<NodeInstruments>],
     /// Per-site state.
     pub nodes: Vec<ModelNode>,
     /// FIFO links, `queues[from][to]`.
@@ -449,7 +450,7 @@ impl<'a> World<'a> {
     /// send their handshake on first connect; Hellos to
     /// non-coordinators carry no protocol effect and are elided). `obs`
     /// holds the sites' series ([`instruments`]).
-    pub fn new(cfg: &'a ModelCfg, obs: &'a [NodeInstruments]) -> Self {
+    pub fn new(cfg: &'a ModelCfg, obs: &'a [Arc<NodeInstruments>]) -> Self {
         let queues = (0..cfg.sites)
             .map(|_| (0..cfg.sites).map(|_| VecDeque::new()).collect())
             .collect();

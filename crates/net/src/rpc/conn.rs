@@ -161,8 +161,8 @@ mod tests {
         links.send_batch(1, entries);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let pipe = WakePipe::new().unwrap();
-        let reactor =
-            Reactor::spawn(pipe, listener, Idle, links, ReactorInstruments::default()).unwrap();
+        let obs = ReactorInstruments::for_registry(&registry);
+        let reactor = Reactor::spawn(pipe, listener, Idle, links, obs).unwrap();
         (reactor, registry.counter("esr_link_acks_total", &[("link", "0->1")]))
     }
 

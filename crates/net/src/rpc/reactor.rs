@@ -428,7 +428,7 @@ impl LinkConn {
         }
         let acked = self.queue.ack_batch(ids);
         if acked > 0 {
-            self.obs.acked(acked as u64);
+            self.obs.acks.add(acked as u64);
         }
         acked
     }
@@ -473,7 +473,7 @@ impl LinkConn {
         wbuf.buf.push(KIND_PEER);
         let _ = put_frame(&mut wbuf.buf, NO_ENTRY, &self.hello);
         self.delay = self.backoff.initial;
-        self.obs.dialed();
+        self.obs.dials.inc();
         self.phase = LinkPhase::Up {
             stream,
             rbuf: RecvBuf::default(),
@@ -507,7 +507,8 @@ fn refresh_queue_gauge(l: &mut LinkConn, now: Instant) {
     let age = l
         .backlog_since
         .map_or(0, |t| now.duration_since(t).as_micros() as u64);
-    l.obs.queue(depth as u64, age);
+    l.obs.queue_depth.set_u64(depth as u64);
+    l.obs.queue_age_micros.set_u64(age);
 }
 
 /// Transmits pending queue entries into the link's write buffer
@@ -529,9 +530,9 @@ fn pump_link(l: &mut LinkConn, now: Instant) {
             for (id, payload) in &batch {
                 let _ = put_frame(&mut wbuf.buf, id.0, payload);
                 if l.sent_ever.is_some_and(|h| id.0 <= h.0) {
-                    l.obs.retransmitted(1);
+                    l.obs.retransmits.inc();
                 } else {
-                    l.obs.sent(1);
+                    l.obs.sends.inc();
                     l.sent_ever = Some(*id);
                 }
                 *sent_high = Some(*id);
@@ -755,9 +756,9 @@ fn run<S: RpcService>(
             }
         };
         let now = Instant::now();
-        obs.poll_tick(now.duration_since(polled_at).as_micros() as u64);
+        obs.poll_micros.record(now.duration_since(polled_at).as_micros() as u64);
         if ready > 0 {
-            obs.wakeup();
+            obs.wakeups.inc();
         }
 
         // 4. Dispatch readiness. Accepted sockets are registered after
@@ -823,7 +824,7 @@ fn run<S: RpcService>(
                     }
                     if !alive {
                         conns.remove(i);
-                        obs.connection_closed();
+                        obs.connections.add(-1);
                     }
                 }
                 Owner::Link(j) => {
@@ -884,7 +885,7 @@ fn run<S: RpcService>(
                 };
                 if c.wbuf.flush(&mut c.stream).is_err() || !alive {
                     conns.remove(i);
-                    obs.connection_closed();
+                    obs.connections.add(-1);
                 } else if c.wbuf.pending() < WRITE_BUF_CAP && c.rbuf.has_complete_frame() {
                     let mut alive = true;
                     dispatch_inbound(c, &mut service, &mut links, &mut alive);
@@ -902,7 +903,7 @@ fn run<S: RpcService>(
                 rbuf: RecvBuf::default(),
                 wbuf: WriteBuf::default(),
             });
-            obs.connection_opened();
+            obs.connections.add(1);
         }
     }
 }
@@ -920,7 +921,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let pipe = WakePipe::new().unwrap();
-        let obs = ReactorInstruments::default();
+        let obs = ReactorInstruments::for_registry(&esr_obs::MetricsRegistry::new());
         let reactor = Reactor::spawn(pipe, listener, service, Links::default(), obs).unwrap();
         (reactor, addr)
     }

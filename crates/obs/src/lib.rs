@@ -15,19 +15,22 @@
 //!   integer-only, and nothing in the registry reads a wall clock —
 //!   under the sim's virtual clock the same seed yields a
 //!   byte-identical [`MetricsSnapshot`].
-//! * [`SiteInstruments`] / [`LinkInstruments`] — pre-registered handle
-//!   bundles. The per-site one is held by the executor that owns the
-//!   registry and fed from the typed event plane, each query outcome
-//!   and the site's state at scrape time; the replica sites never see
-//!   it. The link bundle is threaded through the TCP link manager and
-//!   is a no-op when detached (`Default`).
+//! * [`NodeInstruments`] / [`LinkInstruments`] / [`ReactorInstruments`]
+//!   — pre-registered handle bundles: plain structs of public handles,
+//!   each filled in by one constructor. The node bundle is held by the
+//!   executor that runs a site's node; its counters are folded from the
+//!   events the node records, its gauges read from the node when the
+//!   registry is about to be read, its histograms observed where the
+//!   node times something. The replica sites never see it. The link and
+//!   reactor bundles are threaded through the TCP link manager and the
+//!   reactor, which feed them where they move the quantity.
 //! * [`EventRing`] — a bounded in-memory ring of causally ordered,
 //!   caller-stamped events, generic over the event type (the runtimes'
 //!   flight recorder; `esrctl trace` / `esrctl spans` dump it over the
 //!   wire).
 //!
-//! Zero dependencies beyond `esr-core` (for the shared
-//! [`esr_core::fastid`] hasher); no wall-clock reads anywhere — callers
+//! Zero dependencies beyond `esr-core` (for the site ids the node
+//! bundle is registered under); no wall-clock reads anywhere — callers
 //! supply timestamps where they want them.
 
 #![warn(missing_docs)]
@@ -38,9 +41,7 @@ pub mod instruments;
 pub mod registry;
 
 pub use events::EventRing;
-pub use instruments::{
-    CkptInstruments, GaugeFamily, LinkInstruments, ReactorInstruments, SiteInstruments,
-};
+pub use instruments::{LinkInstruments, NodeInstruments, ReactorInstruments};
 pub use registry::{
     quantile_from_cumulative, Counter, Gauge, Histogram, HistogramSample, MetricsRegistry,
     MetricsSnapshot, SampleValue, SeriesSample, HIST_BUCKETS,

@@ -110,6 +110,14 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
+    /// Sets the value from a `u64`, clamped to `i64::MAX`: a quantity
+    /// at or above it — the UNBOUNDED epsilon limit — reads as the
+    /// largest value a gauge holds.
+    #[inline]
+    pub fn set_u64(&self, v: u64) {
+        self.set(i64::try_from(v).unwrap_or(i64::MAX));
+    }
+
     /// Adds `d` (may be negative).
     #[inline]
     pub fn add(&self, d: i64) {
@@ -528,6 +536,16 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_u64_past_the_gauge_range_clamps_to_its_max() {
+        let r = MetricsRegistry::new();
+        let g = r.gauge("g", &[]);
+        g.set_u64(u64::MAX);
+        assert_eq!(g.get(), i64::MAX);
+        g.set_u64(7);
+        assert_eq!(g.get(), 7);
+    }
 
     #[test]
     fn counter_and_gauge_round_trip() {

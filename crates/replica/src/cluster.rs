@@ -49,6 +49,7 @@
 //! the seed.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use esr_core::divergence::{EpsilonSpec, InconsistencyCounter, LockCounters};
 use esr_core::ids::{ClientId, EtId, LamportTs, ObjectId, SeqNo, SiteId, VersionTs};
@@ -58,7 +59,7 @@ use esr_core::value::Value;
 use esr_net::topology::{LinkConfig, Topology};
 use esr_net::transport::{NetStats, Network};
 use esr_net::PartitionSchedule;
-use esr_obs::{Counter, Gauge, GaugeFamily, MetricsRegistry};
+use esr_obs::{Counter, Gauge, MetricsRegistry, NodeInstruments};
 use esr_sim::clock::LamportClock;
 use esr_sim::rng::DetRng;
 use esr_sim::sched::Scheduler;
@@ -67,9 +68,9 @@ use esr_storage::store::ObjectStore;
 
 use crate::ctrl::{coordinator_of, NodeEvent};
 use crate::mset::{MSet, OrderTag};
-use crate::node::{MemHost, Node, NodeConfig, NodeInstruments};
+use crate::node::{MemHost, Node, NodeConfig};
 use crate::site::QueryOutcome;
-use crate::span::{publish_readings, Event, SpanStage};
+use crate::span::{count_query, Event, SpanStage};
 use crate::state::{RtMethod, SiteState};
 use crate::wire::Frame;
 
@@ -302,10 +303,14 @@ struct Site {
     /// Boot count, carried by the restart `Hello`.
     epoch: u64,
     /// The site's series in the cluster registry: the node counts its
-    /// events into them, [`SimCluster::try_query`] and
-    /// [`SimCluster::refresh_metrics`] feed the rest. Outlives the node:
-    /// a restarted incarnation reports to the same series.
-    obs: NodeInstruments,
+    /// events into them and publishes its gauges when
+    /// [`SimCluster::refresh_metrics`] asks, [`SimCluster::try_query`]
+    /// feeds the query series. Outlives the node: a restarted
+    /// incarnation reports to the same series.
+    obs: Arc<NodeInstruments>,
+    /// Updates whose disposition here disagrees with the global outcome
+    /// (`esr_divergence{site}`), set by [`SimCluster::refresh_metrics`].
+    divergence: Gauge,
 }
 
 /// The simulated replicated system.
@@ -341,12 +346,6 @@ pub struct SimCluster {
     /// snapshot is deterministic under the sim clock (the registry never
     /// reads wall time).
     metrics: MetricsRegistry,
-    /// Per-site replica divergence vs. the global outcome
-    /// (`esr_divergence`), refreshed by [`SimCluster::refresh_metrics`].
-    divergence_gauge: GaugeFamily,
-    /// Per-site VTNC lag in version-clock ticks (`esr_vtnc_lag`,
-    /// RITU-MV only).
-    vtnc_lag_gauge: GaugeFamily,
     /// `esr_updates_submitted_total{method=…}`.
     obs_updates: Counter,
     /// `esr_overlap_inflight`: updates currently raised in the global
@@ -380,11 +379,10 @@ impl SimCluster {
                     waiting: Vec::new(),
                     epoch: 1,
                     obs,
+                    divergence: metrics.gauge("esr_divergence", &[("site", &id.raw().to_string())]),
                 }
             })
             .collect();
-        let divergence_gauge = GaugeFamily::new(&metrics, "esr_divergence");
-        let vtnc_lag_gauge = GaugeFamily::new(&metrics, "esr_vtnc_lag");
         let obs_updates = metrics.counter(
             "esr_updates_submitted_total",
             &[("method", config.method.name())],
@@ -406,8 +404,6 @@ impl SimCluster {
             deviation: DeviationTracker::new(),
             stats: ClusterStats::default(),
             metrics,
-            divergence_gauge,
-            vtnc_lag_gauge,
             obs_updates,
             obs_overlap_inflight,
             obs_quiescence,
@@ -432,7 +428,7 @@ impl SimCluster {
         host: &mut MemHost,
         site: SiteId,
         epoch: u64,
-        obs: NodeInstruments,
+        obs: Arc<NodeInstruments>,
     ) -> std::io::Result<Node> {
         let cfg = NodeConfig {
             site,
@@ -562,9 +558,9 @@ impl SimCluster {
 
     /// The cluster's metrics registry. The per-site counters and query
     /// series update live, as events are recorded and queries answered;
-    /// every gauge read from state — the sites' own (backlog, at-risk,
-    /// VTNC, …) and the cluster-computed ones (divergence, VTNC lag,
-    /// overlap, quiescence progress) — updates on
+    /// every gauge read from state — the nodes' own (backlog, at-risk,
+    /// VTNC, view, journal, …) and the cluster-computed ones
+    /// (divergence, overlap, quiescence progress) — updates on
     /// [`SimCluster::refresh_metrics`], which
     /// [`SimCluster::run_until_quiescent`] calls at the end of a run.
     /// Snapshots are deterministic: same seed, same workload —
@@ -573,15 +569,12 @@ impl SimCluster {
         &self.metrics
     }
 
-    /// Publishes every site's state-held gauges
-    /// ([`SiteState::readings`]) and recomputes the cluster-derived ones
-    /// at the current instant:
+    /// Has every live node publish its gauges ([`Node::publish`]) and
+    /// recomputes the cluster-derived ones at the current instant:
     ///
     /// * `esr_divergence{site}` — updates whose disposition at the site
     ///   disagrees with the global outcome (the true per-site error,
     ///   experiment E5); 0 everywhere at quiescence.
-    /// * `esr_vtnc_lag{site}` — version-clock ticks between the global
-    ///   version clock and the site's certified VTNC horizon (RITU-MV).
     /// * `esr_overlap_inflight` — size of the in-flight overlap set in
     ///   the global lock-counters.
     /// * `esr_quiescence_progress_permille` — 1000 × resolved updates /
@@ -597,21 +590,14 @@ impl SimCluster {
             .into_iter()
             .collect();
         for id in self.site_ids() {
-            let d = self.divergent_updates(id, &objects);
-            self.divergence_gauge
-                .set(id.raw(), i64::try_from(d).unwrap_or(i64::MAX));
-            let Some(state) = self.state(id) else {
-                continue;
-            };
-            publish_readings(state.readings(), self.site(id).obs.site());
-            if let SiteState::RituMv(s) = state {
-                let lag = self.next_version_time.saturating_sub(s.vtnc().time);
-                self.vtnc_lag_gauge
-                    .set(id.raw(), i64::try_from(lag).unwrap_or(i64::MAX));
+            let site = self.site(id);
+            site.divergence.set_u64(self.divergent_updates(id, &objects));
+            if let Some(node) = &site.node {
+                node.publish(&site.host);
             }
         }
         self.obs_overlap_inflight
-            .set(i64::try_from(self.global_counters.in_flight()).unwrap_or(i64::MAX));
+            .set_u64(self.global_counters.in_flight() as u64);
         let total = self.submissions.len();
         let resolved = self
             .submissions
@@ -1074,7 +1060,7 @@ impl SimCluster {
                 }
             }
         };
-        obs.site().query(out.charged, epsilon.limit, out.admitted);
+        count_query(&out, epsilon.limit, obs);
         if out.admitted {
             self.stats.queries_served += 1;
             self.stats.total_charged += out.charged;

@@ -49,13 +49,23 @@
 //! commit that appends nothing writes none. Time is read only through
 //! [`Host::now`]: the same latency histograms run on a monotonic clock
 //! in `esrd` and on virtual time in the simulator.
+//!
+//! ## Series
+//!
+//! The node feeds its site's [`NodeInstruments`] by three rules, one
+//! per kind: a counter is folded from an event the node records — the
+//! core's and its own (boot, install, truncation) alike — through one
+//! count-then-record path ([`Event::count`]); a gauge is read from the
+//! node when the registry is about to be read ([`Node::publish`]); a
+//! histogram is observed where the node times something.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
 use std::sync::Arc;
 
 use esr_core::ids::{EtId, SiteId};
-use esr_obs::{CkptInstruments, Counter, Gauge, Histogram, MetricsRegistry, SiteInstruments};
+/// The site's series a node reports to, which [`Node::boot`] takes.
+pub use esr_obs::NodeInstruments;
 use esr_sim::time::VirtualTime;
 use esr_storage::snapshot;
 
@@ -63,7 +73,7 @@ use crate::commit::Staged;
 use crate::ctrl::{CtrlCanary, Effect, NodeCore, NodeEvent, Record};
 use crate::mset::MSet;
 use crate::node_ckpt::{decode_payload, encode_payload, CkptPayload};
-use crate::span::Event;
+use crate::span::{publish_readings, Event};
 use crate::state::{RtMethod, SiteState};
 use crate::wire::Frame;
 
@@ -124,63 +134,6 @@ pub struct NodeConfig {
     /// checker arms one to prove it is caught; `esrd` and the simulator
     /// run `None`.
     pub canary: Option<CtrlCanary>,
-}
-
-/// A node's series, registered once per site: every incarnation of the
-/// site reports to the same ones, and a boot registers nothing.
-#[derive(Debug, Clone)]
-pub struct NodeInstruments(Arc<Series>);
-
-/// The series a [`NodeInstruments`] handle shares.
-#[derive(Debug)]
-struct Series {
-    /// The site's replica series, fed from the core's events.
-    site: SiteInstruments,
-    /// Checkpoint and journal series.
-    ckpt: CkptInstruments,
-    /// Journal records handed to a boot's replay
-    /// (`esr_recovery_replays_total`).
-    replays: Counter,
-    /// The installed view (`esr_view`).
-    view: Gauge,
-    /// Whether this site holds the coordinator role (`esr_coordinator`).
-    coordinator: Gauge,
-    /// Elections taken part in (`esr_elections_total`, counted at the
-    /// first StartViewChange sent per election).
-    elections: Counter,
-    /// First StartViewChange sent to the next view recorded
-    /// (`esr_election_latency_micros`).
-    election_latency: Histogram,
-    /// Journal records plus link frames per non-empty commit
-    /// (`esr_commit_records`): the batching a commit achieved.
-    commit_records: Histogram,
-    /// Latency of a non-empty commit (`esr_commit_latency_micros`).
-    commit_latency: Histogram,
-}
-
-impl NodeInstruments {
-    /// Registers `site`'s series, labelled with `method`, in `metrics`.
-    pub fn for_site(metrics: &MetricsRegistry, method: &str, site: SiteId) -> Self {
-        let label = site.raw().to_string();
-        let l: &[(&str, &str)] = &[("site", &label)];
-        Self(Arc::new(Series {
-            site: SiteInstruments::for_site(metrics, method, site.raw()),
-            ckpt: CkptInstruments::for_site(metrics, site.raw()),
-            replays: metrics.counter("esr_recovery_replays_total", l),
-            view: metrics.gauge("esr_view", l),
-            coordinator: metrics.gauge("esr_coordinator", l),
-            elections: metrics.counter("esr_elections_total", l),
-            election_latency: metrics.histogram("esr_election_latency_micros", l),
-            commit_records: metrics.histogram("esr_commit_records", l),
-            commit_latency: metrics.histogram("esr_commit_latency_micros", l),
-        }))
-    }
-
-    /// The replica series, which the executor's query and scrape paths
-    /// feed too.
-    pub fn site(&self) -> &SiteInstruments {
-        &self.0.site
-    }
 }
 
 /// What a node knows about its checkpoint chain.
@@ -291,7 +244,7 @@ pub struct Node {
     /// once its writes are done, so the cut is a consistent prefix.
     ckpt_due: bool,
     /// The site's series.
-    obs: Arc<Series>,
+    obs: Arc<NodeInstruments>,
     /// When the election in progress started.
     election_started: Option<u64>,
 }
@@ -309,7 +262,7 @@ impl Node {
         host: &mut impl Host,
         cfg: NodeConfig,
         blank: SiteState,
-        NodeInstruments(obs): NodeInstruments,
+        obs: Arc<NodeInstruments>,
     ) -> io::Result<Self> {
         let journal = host.journal()?;
         // Every record from this id on is live; the ones before it were
@@ -353,6 +306,9 @@ impl Node {
             .map(|(id, _)| *id)
             .collect();
         let snapshots = host.snapshots();
+        // What the boot records once the node is up: each image that
+        // does not restore, then the boot itself.
+        let mut noted = Vec::new();
         let mut restored = None;
         for &seq in &snapshots {
             // A torn or bit-flipped container is no snapshot at all.
@@ -381,7 +337,8 @@ impl Node {
                     let (method, at, canary) = (cfg.method, view.max(p.view), cfg.canary);
                     match NodeCore::restore(method, cfg.site, cfg.sites, canary, at, p, suffix) {
                         Some((core, effects)) => {
-                            obs.ckpt.suffix_replay(host.now().saturating_sub(started));
+                            let took = host.now().saturating_sub(started);
+                            obs.suffix_replay_latency.record(took);
                             restored = Some((core, effects, chain, replayed));
                             break;
                         }
@@ -389,10 +346,8 @@ impl Node {
                     }
                 }
             };
-            host.record(Event::CkptFailed {
-                seq,
-                detail: format!("{detail}; not restored"),
-            });
+            let detail = format!("{detail}; not restored");
+            noted.push(Event::CkptFailed { seq, detail });
         }
         let (mut core, mut recovery, mut ckpt, replayed) = match restored {
             Some(restored) => restored,
@@ -414,8 +369,7 @@ impl Node {
         // One account of the boot, whichever branch ran: the records
         // handed to the replay here, the `Replay` spans among the
         // recovery effects counted when they are performed below.
-        obs.replays.add(replayed);
-        host.record(Event::Boot {
+        noted.push(Event::Boot {
             epoch: cfg.epoch,
             snapshot: (ckpt.seq > 0).then_some((ckpt.seq, ckpt.covered)),
             replayed,
@@ -425,10 +379,6 @@ impl Node {
         // even one that did not restore.
         ckpt.seq = ckpt.seq.max(snapshots.first().copied().unwrap_or(0));
         ckpt.cut = ckpt.seq;
-        let (bytes, live) = host.journal_size();
-        obs.ckpt.journal(bytes, live);
-        obs.view.set(core.view as i64);
-        obs.coordinator.set(i64::from(core.coord.is_some()));
         let mut node = Self {
             core,
             staged: Staged::default(),
@@ -444,6 +394,9 @@ impl Node {
             obs,
             election_started: None,
         };
+        for event in noted {
+            node.record(host, event);
+        }
         node.forget_recorded();
         node.send(host, reseed);
         node.perform(host, recovery);
@@ -471,6 +424,20 @@ impl Node {
         self.ckpt
     }
 
+    /// Sets the site's gauges from what the node holds now: the
+    /// replica's readings, the installed view, the coordinator role and
+    /// the journal's size. The one publisher of those gauges, called
+    /// when the registry is about to be read — never on the step or
+    /// commit path.
+    pub fn publish(&self, host: &impl Host) {
+        publish_readings(self.core.state.readings(), &self.obs);
+        self.obs.view.set_u64(self.core.view);
+        self.obs.coordinator.set(i64::from(self.core.coord.is_some()));
+        let (bytes, live) = host.journal_size();
+        self.obs.journal_bytes.set_u64(bytes);
+        self.obs.journal_live.set_u64(live);
+    }
+
     /// Steps the core on `event` and performs what it returns: events
     /// and cuts at once, in order; journal records and sends are staged
     /// for the commit. A heartbeat also retires what a lagging peer held
@@ -479,9 +446,7 @@ impl Node {
         let (tick, view) = (matches!(event, NodeEvent::Tick), self.core.view);
         let effects = self.core.step(event);
         self.perform(host, effects);
-        self.obs.coordinator.set(i64::from(self.core.coord.is_some()));
         if self.core.view != view {
-            self.obs.view.set(self.core.view as i64);
             if let Some(started) = self.election_started.take() {
                 let took = host.now().saturating_sub(started);
                 self.obs.election_latency.record(took);
@@ -534,6 +499,14 @@ impl Node {
         }
     }
 
+    /// Records `event` on `host` once its counters are fed
+    /// ([`Event::count`]): the one path of every event the node records,
+    /// the core's and its own.
+    fn record(&self, host: &mut impl Host, event: Event) {
+        event.count(&self.obs);
+        host.record(event);
+    }
+
     /// Executes one step's effects: the first StartViewChange of an
     /// election starts its clock; journal records and sends are staged,
     /// the rest performed now, in order.
@@ -565,10 +538,7 @@ impl Node {
                     });
                     host.cut(seq, payload);
                 }
-                Effect::Event(event) => {
-                    event.count(&self.obs.site);
-                    host.record(event);
-                }
+                Effect::Event(event) => self.record(host, event),
                 // Staged above.
                 Effect::Record(_) | Effect::Journal(_) | Effect::Send { .. } => {}
             }
@@ -601,8 +571,6 @@ impl Node {
             self.originated.extend(own);
             self.forget_recorded();
             let bytes = host.append(records);
-            let (file, live) = host.journal_size();
-            self.obs.ckpt.journal(file, live);
             if let Some(limit) = self.ckpt_bytes {
                 self.ckpt_bytes_since += bytes;
                 if self.ckpt_bytes_since >= limit {
@@ -692,21 +660,18 @@ impl Node {
         let (bytes, micros) = match report {
             Ok(installed) => installed,
             Err(detail) => {
-                host.record(Event::CkptFailed {
-                    seq: cut.seq,
-                    detail,
-                });
+                let seq = cut.seq;
+                self.record(host, Event::CkptFailed { seq, detail });
                 return;
             }
         };
         if cut.covered < self.ckpt.covered {
             return;
         }
-        self.obs.ckpt.installed(bytes, micros);
-        host.record(Event::CkptInstall {
-            seq: cut.seq,
-            covered: cut.covered,
-        });
+        self.obs.checkpoint_bytes.set_u64(bytes);
+        self.obs.checkpoint_latency.record(micros);
+        let (seq, covered) = (cut.seq, cut.covered);
+        self.record(host, Event::CkptInstall { seq, covered });
         self.retire_to = self.ckpt.covered_through.or(self.retire_to);
         self.ckpt = CkptState {
             cut: self.ckpt.cut,
@@ -732,10 +697,7 @@ impl Node {
         }
         let retired = host.retire_through(through);
         if retired > 0 {
-            self.obs.ckpt.truncated(retired);
-            let (bytes, live) = host.journal_size();
-            self.obs.ckpt.journal(bytes, live);
-            host.record(Event::CkptTruncate { through, retired });
+            self.record(host, Event::CkptTruncate { through, retired });
         }
     }
 }
@@ -943,6 +905,7 @@ mod tests {
     use crate::mset::OrderTag;
     use esr_core::ids::{ObjectId, SeqNo};
     use esr_core::op::{ObjectOp, Operation};
+    use esr_obs::MetricsRegistry;
 
     fn incr(et: u64) -> MSet {
         let op = ObjectOp::new(ObjectId(0), Operation::Incr(1));

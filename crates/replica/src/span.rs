@@ -21,20 +21,22 @@
 //! `t0` rides inside the MSet so every site can report queueing delay
 //! against the same epoch.
 //!
-//! The metrics registry is one more consumer: an executor that owns
-//! one feeds the per-site counters from the events it records
-//! ([`Event::count`]) and the per-site gauges from the site's state
-//! when the registry is read ([`publish_readings`]). The sites and the
-//! core hold no instrument.
+//! The metrics registry is one more consumer, and this module holds
+//! every rule that feeds a site's series from what the site reports:
+//! the counters are folded from the events the node records
+//! ([`Event::count`]), the query series from each query's outcome
+//! ([`count_query`]), and the replica's gauges are read from its state
+//! when the registry is about to be read ([`publish_readings`]). The
+//! sites and the core hold no instrument.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use esr_core::ids::{ClientId, EtId, SeqNo, SiteId, VersionTs};
-use esr_obs::SiteInstruments;
+use esr_obs::NodeInstruments;
 
-use crate::site::SiteReadings;
+use crate::site::{QueryOutcome, SiteReadings};
 
 /// A protocol hop in an ET's distributed lifecycle.
 ///
@@ -316,37 +318,60 @@ pub enum Event {
 }
 
 impl Event {
-    /// Feeds the per-site delivery counters from this event — the only
-    /// mapping from the event plane to `esr_msets_delivered_total`,
-    /// `esr_msets_applied_total` and `esr_redelivered_total`; an
-    /// executor calls it where it records the event. A `Replay` is the
-    /// restarted site's delivery and apply in one. A journal record the
-    /// restored image already covers emits no event and counts as
-    /// nothing: the image, not a delivery, put it there.
-    pub fn count(&self, obs: &SiteInstruments) {
+    /// Feeds the site's counters from this event — the only mapping
+    /// from the event plane to a counter; the node calls it where it
+    /// records the event. A `Replay` is the restarted site's delivery
+    /// and apply in one. A journal record the restored image already
+    /// covers emits no event and counts as nothing: the image, not a
+    /// delivery, put it there. A boot counts the records it handed to
+    /// the replay, an install one checkpoint, a truncation the records
+    /// it retired.
+    pub fn count(&self, obs: &NodeInstruments) {
         match self {
             Event::Span(rec) => match rec.stage {
-                SpanStage::Deliver => obs.delivered(),
-                SpanStage::Apply => obs.applied(),
+                SpanStage::Deliver => obs.msets_delivered.inc(),
+                SpanStage::Apply => obs.msets_applied.inc(),
                 SpanStage::Replay => {
-                    obs.delivered();
-                    obs.applied();
+                    obs.msets_delivered.inc();
+                    obs.msets_applied.inc();
                 }
                 _ => {}
             },
-            Event::DuplicateDelivery { .. } => obs.redelivered(),
+            Event::DuplicateDelivery { .. } => obs.redelivered.inc(),
+            Event::Boot { replayed, .. } => obs.replays.add(*replayed),
+            Event::CkptInstall { .. } => obs.checkpoints.inc(),
+            Event::CkptTruncate { retired, .. } => obs.truncated.add(*retired),
             _ => {}
         }
     }
 }
 
+/// Feeds the query series from one query's outcome against the
+/// `limit` it was asked under: the last query's charge and limit, and
+/// the running totals. Called right after the executor's query.
+pub fn count_query(out: &QueryOutcome, limit: u64, obs: &NodeInstruments) {
+    obs.query_epsilon_charged.set_u64(out.charged);
+    obs.query_epsilon_limit.set_u64(limit);
+    if out.admitted {
+        obs.epsilon_charged_total.add(out.charged);
+        obs.queries_admitted.inc();
+    } else {
+        obs.queries_rejected.inc();
+    }
+}
+
 /// Copies what a site holds ([`crate::state::SiteState::readings`])
-/// into its gauges — called when a registry is about to be read.
-pub fn publish_readings(r: SiteReadings, obs: &SiteInstruments) {
-    obs.set_pending(r.backlog, r.at_risk);
-    obs.set_compensations(r.compensations);
-    obs.set_lock_counter_high_water(r.lock_counter_high_water);
-    obs.set_vtnc(r.vtnc_time, r.vtnc_lag);
+/// into its gauges — called when a registry is about to be read. The
+/// compensation count is the site's own total, copied into a counter
+/// that never moves backwards: a lower reading (a simulated site
+/// between crash and replay) leaves it where it was.
+pub fn publish_readings(r: SiteReadings, obs: &NodeInstruments) {
+    obs.backlog.set_u64(r.backlog);
+    obs.at_risk.set_u64(r.at_risk);
+    obs.compensations.raise_to(r.compensations);
+    obs.lock_counter_high_water.set_u64(r.lock_counter_high_water);
+    obs.vtnc_time.set_u64(r.vtnc_time);
+    obs.vtnc_lag.set_u64(r.vtnc_lag);
 }
 
 /// Renders the `component<TAB>message` columns of an `esrctl trace`
@@ -430,12 +455,12 @@ mod tests {
         assert!(s.contains("seq=#2"), "{s}");
     }
 
-    /// The whole event → counter table: three stages and one variant
+    /// The whole event → counter table: three stages and four variants
     /// count, everything else is silent.
     #[test]
-    fn count_feeds_exactly_the_delivery_counters() {
+    fn count_feeds_exactly_the_event_counters() {
         let registry = esr_obs::MetricsRegistry::new();
-        let obs = SiteInstruments::for_site(&registry, "commu", 0);
+        let obs = NodeInstruments::for_site(&registry, "commu", SiteId(0));
         let span = |stage| Event::Span(SpanRec::new(stage, EtId(1)));
         for event in [
             span(SpanStage::Submit),
@@ -447,6 +472,23 @@ mod tests {
             span(SpanStage::Replay),
             span(SpanStage::Complete),
             Event::CkptCut { covered: 1 },
+            Event::CkptRestore { covered: 1, view: 0 },
+            Event::CkptInstall { seq: 1, covered: 1 },
+            Event::CkptInstall { seq: 2, covered: 3 },
+            Event::CkptTruncate {
+                through: 4,
+                retired: 5,
+            },
+            Event::CkptFailed {
+                seq: 3,
+                detail: String::new(),
+            },
+            Event::Boot {
+                epoch: 2,
+                snapshot: None,
+                replayed: 7,
+                view: 0,
+            },
         ] {
             event.count(&obs);
         }
@@ -455,6 +497,54 @@ mod tests {
         assert_eq!(read("esr_msets_delivered_total"), Some(3), "two arrivals + one replay");
         assert_eq!(read("esr_msets_applied_total"), Some(2), "one apply + one replay");
         assert_eq!(read("esr_redelivered_total"), Some(1));
+        let read = |name| snap.value(name, &[("site", "0")]);
+        assert_eq!(read("esr_recovery_replays_total"), Some(7));
+        assert_eq!(read("esr_checkpoint_total"), Some(2));
+        assert_eq!(read("esr_journal_truncated_total"), Some(5));
+    }
+
+    #[test]
+    fn count_query_keeps_the_last_query_and_the_totals() {
+        let registry = esr_obs::MetricsRegistry::new();
+        let obs = NodeInstruments::for_site(&registry, "ordup", SiteId(2));
+        let admitted = QueryOutcome {
+            values: Vec::new(),
+            charged: 2,
+            admitted: true,
+        };
+        count_query(&admitted, 10, &obs);
+        count_query(&QueryOutcome::rejected(), u64::MAX, &obs);
+        let snap = registry.snapshot();
+        let read = |name| snap.value(name, &[("method", "ordup"), ("site", "2")]);
+        assert_eq!(read("esr_epsilon_charged_total"), Some(2));
+        assert_eq!(read("esr_queries_admitted_total"), Some(1));
+        assert_eq!(read("esr_queries_rejected_total"), Some(1));
+        assert_eq!(read("esr_query_epsilon_charged"), Some(0), "a rejection charges nothing");
+        assert_eq!(read("esr_query_epsilon_limit"), Some(i64::MAX), "UNBOUNDED clamps");
+    }
+
+    #[test]
+    fn publish_readings_sets_the_gauges_and_never_lowers_compensations() {
+        let registry = esr_obs::MetricsRegistry::new();
+        let obs = NodeInstruments::for_site(&registry, "compe", SiteId(1));
+        let readings = SiteReadings {
+            backlog: 3,
+            at_risk: 1,
+            compensations: 2,
+            lock_counter_high_water: 4,
+            vtnc_time: 7,
+            vtnc_lag: 2,
+        };
+        publish_readings(readings, &obs);
+        publish_readings(SiteReadings { compensations: 1, ..readings }, &obs);
+        let snap = registry.snapshot();
+        let read = |name| snap.value(name, &[("method", "compe"), ("site", "1")]);
+        assert_eq!(read("esr_backlog"), Some(3));
+        assert_eq!(read("esr_at_risk"), Some(1));
+        assert_eq!(read("esr_compensations_total"), Some(2), "never backwards");
+        assert_eq!(read("esr_commu_lock_counter_high_water"), Some(4));
+        assert_eq!(read("esr_vtnc_time"), Some(7));
+        assert_eq!(read("esr_vtnc_lag"), Some(2));
     }
 
     #[test]

@@ -104,6 +104,7 @@
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -115,10 +116,10 @@ use esr_net::rpc::{
     NO_ENTRY,
 };
 use esr_obs::{
-    Counter, Histogram, LinkInstruments, MetricsRegistry, ReactorInstruments, SiteInstruments,
+    Counter, Histogram, LinkInstruments, MetricsRegistry, NodeInstruments, ReactorInstruments,
 };
-use esr_replica::node::{Host, Install, Node, NodeConfig, NodeInstruments};
-use esr_replica::span::{publish_readings, Event};
+use esr_replica::node::{Host, Install, Node, NodeConfig};
+use esr_replica::span::{count_query, Event};
 use esr_replica::wire::{decode_frame, encode_frame, Frame};
 use esr_storage::snapshot;
 
@@ -193,10 +194,10 @@ pub struct Daemon {
     robs: ReactorInstruments,
     /// This incarnation's metrics; scraped via [`Frame::Metrics`].
     metrics: MetricsRegistry,
-    /// This site's replica series: the node counts its events into
-    /// them; the query series tick in the client plane, and the
-    /// state-held gauges when a scrape is answered.
-    site_obs: SiteInstruments,
+    /// This site's series: the node counts its events into them and
+    /// publishes its gauges when a scrape is answered; the query series
+    /// tick in the client plane.
+    obs: Arc<NodeInstruments>,
     /// Wall-clock latency of the core step that accepts an MSet
     /// (apply and staging; its journal write is the cycle's commit).
     apply_latency: Histogram,
@@ -484,7 +485,7 @@ impl Daemon {
         let mut events = EventLog::start();
         let metrics = MetricsRegistry::new();
         let site_label = cfg.site.raw().to_string();
-        let node_obs = NodeInstruments::for_site(&metrics, cfg.method.name(), cfg.site);
+        let obs = NodeInstruments::for_site(&metrics, cfg.method.name(), cfg.site);
         let journal = ApplyJournal::open(journal_path(&cfg.dir, cfg.site))?;
         let prefix = snap_prefix(cfg.site);
 
@@ -547,8 +548,7 @@ impl Daemon {
         };
         let blank = SiteState::new(cfg.method, cfg.site);
         let host = &mut files.with(&mut links);
-        let site_obs = node_obs.site().clone();
-        let node = Node::boot(host, node_cfg, blank, node_obs)?;
+        let node = Node::boot(host, node_cfg, blank, Arc::clone(&obs))?;
 
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let site: &[(&str, &str)] = &[("site", &site_label)];
@@ -562,7 +562,7 @@ impl Daemon {
             rpc_latency: metrics.histogram("esr_rpc_latency_micros", site),
             peer_frames_rejected: metrics.counter("esr_peer_frames_rejected_total", site),
             metrics,
-            site_obs,
+            obs,
             serving: None,
         };
         Ok((daemon, links, listener))
@@ -611,7 +611,7 @@ impl Daemon {
                 let mut counter =
                     InconsistencyCounter::new(EpsilonSpec::bounded(epsilon_limit));
                 let out = self.node.state_mut().query(&read_set, &mut counter);
-                self.site_obs.query(out.charged, epsilon_limit, out.admitted);
+                count_query(&out, epsilon_limit, &self.obs);
                 Frame::QueryOk(out)
             }
             Frame::Snapshot => Frame::SnapshotOk {
@@ -676,7 +676,7 @@ impl Daemon {
                 }
             }
             Frame::Metrics => {
-                publish_readings(self.node.core().state.readings(), &self.site_obs);
+                self.node.publish(&self.files.with(links));
                 Frame::MetricsOk {
                     text: self.metrics.render(),
                 }
@@ -728,7 +728,7 @@ impl RpcService for Daemon {
                     }
                 }
                 if !acks.is_empty() {
-                    self.robs.ack_batch(acks.len() as u64);
+                    self.robs.ack_batch.record(acks.len() as u64);
                     let _ = put_acks(out, &acks);
                 }
                 true

@@ -14,6 +14,7 @@
 //! journal-replay restart at every site.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId};
 use esr_core::op::{ObjectOp, Operation};
@@ -61,12 +62,12 @@ struct Net {
     method: RtMethod,
     nodes: Vec<Node>,
     hosts: Vec<MemHost>,
-    obs: Vec<NodeInstruments>,
+    obs: Vec<Arc<NodeInstruments>>,
     queues: Vec<Vec<VecDeque<(u64, Frame)>>>,
 }
 
 /// Boots `site`'s node over `host`.
-fn boot(method: RtMethod, site: usize, host: &mut MemHost, obs: &NodeInstruments) -> Node {
+fn boot(method: RtMethod, site: usize, host: &mut MemHost, obs: &Arc<NodeInstruments>) -> Node {
     let cfg = NodeConfig {
         site: SiteId(site as u64),
         sites: SITES,
@@ -82,7 +83,7 @@ fn boot(method: RtMethod, site: usize, host: &mut MemHost, obs: &NodeInstruments
 impl Net {
     fn new(method: RtMethod) -> Self {
         let metrics = MetricsRegistry::new();
-        let obs: Vec<NodeInstruments> = (0..SITES as u64)
+        let obs: Vec<Arc<NodeInstruments>> = (0..SITES as u64)
             .map(|i| NodeInstruments::for_site(&metrics, method.name(), SiteId(i)))
             .collect();
         let mut hosts: Vec<MemHost> = (0..SITES).map(|_| MemHost::default()).collect();

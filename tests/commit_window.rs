@@ -33,6 +33,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
+use std::sync::Arc;
 
 use esr::core::{ClientId, EtId, ObjectId, ObjectOp, Operation, SeqNo, SiteId, Value, VersionTs};
 use esr::obs::MetricsRegistry;
@@ -129,7 +130,7 @@ struct Site {
 
 struct World {
     method: RtMethod,
-    obs: Vec<NodeInstruments>,
+    obs: Vec<Arc<NodeInstruments>>,
     sites: Vec<Site>,
 }
 
@@ -138,7 +139,7 @@ impl World {
     /// its sends when `sends_first`.
     fn new(method: RtMethod, sends_first: bool) -> Self {
         let metrics = MetricsRegistry::new();
-        let obs: Vec<NodeInstruments> = (0..SITES as u64)
+        let obs: Vec<Arc<NodeInstruments>> = (0..SITES as u64)
             .map(|i| NodeInstruments::for_site(&metrics, method.name(), SiteId(i)))
             .collect();
         let mut w = Self {

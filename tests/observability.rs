@@ -1,7 +1,7 @@
 //! End-to-end observability: the `esr-obs` registry threaded through
 //! the simulated cluster.
 //!
-//! Five guarantees under test:
+//! Six guarantees under test:
 //!
 //! 1. **Determinism** — a simulated run reads only the virtual clock, so
 //!    the same seed must produce a *byte-identical* metrics snapshot.
@@ -15,8 +15,11 @@
 //! 4. **One event plane** — the simulator's per-site event logs are the
 //!    same typed events the daemon records, so they merge into one
 //!    causal per-ET timeline through the same `merge_timeline`.
-//! 5. **One fold** — the per-site delivery counters are a function of
-//!    the site's event dump and nothing else.
+//! 5. **One fold** — the per-site counters (deliveries, replays,
+//!    checkpoints, truncations) are a function of the site's event dump
+//!    and nothing else.
+//! 6. **One meaning per name** — every series of one metric name
+//!    carries the same label keys.
 
 use esr::core::{EpsilonSpec, ObjectId, ObjectOp, Operation, SiteId, Value};
 use esr::net::latency::LatencyModel;
@@ -135,12 +138,33 @@ fn divergence_zero_and_epsilon_bounded_at_quiescence_for_all_methods() {
             assert_eq!(charged, 0, "{}: site {s} charged at quiescence", method.name());
         }
         if method == Method::RituMv {
+            // At quiescence every version is delivered everywhere, so the
+            // site's own lag (newest install − horizon) is the global one.
             for s in 0..SITES {
+                let labels = &[("method", method.name()), ("site", &s.to_string())];
                 let lag = snap
-                    .value("esr_vtnc_lag", &[("site", &s.to_string())])
+                    .value("esr_vtnc_lag", labels)
                     .expect("RITU-MV publishes a VTNC lag gauge per site");
                 assert_eq!(lag, 0, "site {s} VTNC horizon lags at quiescence");
             }
+        }
+    }
+}
+
+/// A metric name means one thing: every series of one name carries the
+/// same label keys.
+#[test]
+fn no_metric_name_has_two_label_sets() {
+    use std::collections::{BTreeMap, BTreeSet};
+    for method in Method::ALL {
+        let cluster = run_scenario(method, 7);
+        let mut keys: BTreeMap<String, BTreeSet<Vec<String>>> = BTreeMap::new();
+        for sample in cluster.metrics().snapshot().samples {
+            let names = sample.labels.into_iter().map(|(k, _)| k).collect();
+            keys.entry(sample.name).or_default().insert(names);
+        }
+        for (name, sets) in keys {
+            assert_eq!(sets.len(), 1, "{}: {name} has label sets {sets:?}", method.name());
         }
     }
 }
@@ -196,9 +220,14 @@ fn delivery_counters_match_the_run() {
 #[test]
 fn registry_equals_the_fold_of_the_event_dump() {
     // Loss + duplication + reordering, no crash — so no event log is
-    // lost and the dump is the site's whole history.
+    // lost and the dump is the site's whole history. Two checkpoints per
+    // site at rest: the second install retires what the first covered.
     for method in Method::ALL {
-        let cluster = run_scenario(method, 0xF01D);
+        let mut cluster = run_scenario(method, 0xF01D);
+        for s in 0..SITES {
+            cluster.checkpoint(SiteId(s));
+            cluster.checkpoint(SiteId(s));
+        }
         let snap = cluster.metrics().snapshot();
         for s in 0..SITES {
             let site = s.to_string();
@@ -207,6 +236,11 @@ fn registry_equals_the_fold_of_the_event_dump() {
                 snap.value(name, labels)
                     .unwrap_or_else(|| panic!("{}: site {s} has no {name}", method.name()))
             };
+            let read_site = |name: &str| {
+                snap.value(name, &[("site", &site)])
+                    .unwrap_or_else(|| panic!("{}: site {s} has no {name}", method.name()))
+            };
+            let (mut replays, mut installs, mut retired) = (0i64, 0i64, 0i64);
             let (mut delivered, mut applied, mut redelivered) = (0i64, 0i64, 0i64);
             let mut arrived = std::collections::BTreeSet::new();
             let mut applied_ets = std::collections::BTreeSet::new();
@@ -221,10 +255,19 @@ fn registry_equals_the_fold_of_the_event_dump() {
                         applied_ets.insert(rec.et);
                     }
                     Event::DuplicateDelivery { .. } => redelivered += 1,
+                    Event::Boot { replayed, .. } => replays += replayed as i64,
+                    Event::CkptInstall { .. } => installs += 1,
+                    Event::CkptTruncate { retired: n, .. } => retired += n as i64,
                     _ => {}
                 }
             }
             let what = format!("{} site {s}", method.name());
+            assert_eq!(read_site("esr_recovery_replays_total"), replays, "{what}: replays");
+            assert_eq!(read_site("esr_checkpoint_total"), installs, "{what}: checkpoints");
+            assert_eq!(read_site("esr_journal_truncated_total"), retired, "{what}: truncated");
+            // ORDUP-L has no checkpoint image: its cuts fail.
+            let imaged = method != Method::OrdupLamport;
+            assert_eq!(installs == 2 && retired > 0, imaged, "{what}: {installs} installs");
             assert_eq!(read("esr_msets_delivered_total"), delivered, "{what}: delivered");
             assert_eq!(read("esr_msets_applied_total"), applied, "{what}: applied");
             assert_eq!(read("esr_redelivered_total"), redelivered, "{what}: redelivered");

@@ -10,7 +10,7 @@
 //! files, sockets and `kill -9` are the only things that changed, and
 //! that is the point.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
@@ -135,19 +135,33 @@ fn certify_cluster(c: &ProcCluster, method: RtMethod, n: usize) {
     );
 }
 
-/// The registry equals the fold of the dump: a site's delivery
-/// counters as a `metrics` scrape shows them, recomputed from the lines
-/// of the same site's `trace` dump (the events' `Display` text, as
+/// The registry equals the fold of the dump: a site's delivery and
+/// replay counters as a `metrics` scrape shows them, recomputed from the
+/// lines of the same site's `trace` dump (the events' `Display` text, as
 /// `esrctl trace` prints it). Only meaningful for a ring that has
 /// dropped nothing, and once the site has gone quiet.
-fn assert_counters_match_trace(what: &str, site_labels: &str, metrics: &str, trace: &str) {
+fn assert_counters_match_trace(
+    what: &str,
+    site: usize,
+    site_labels: &str,
+    metrics: &str,
+    trace: &str,
+) {
     let count = |pred: &dyn Fn(&str) -> bool| trace.lines().filter(|l| pred(l)).count() as u64;
     let deliver = count(&|l| l.contains("\tspan\tdeliver "));
     let apply = count(&|l| l.contains("\tspan\tapply "));
     let replay = count(&|l| l.contains("\tspan\treplay "));
     let duplicate = count(&|l| l.contains("\tapply\tet ") && l.ends_with(" duplicate"));
-    let read = |series: &str| -> u64 {
-        let prefix = format!("{series}{site_labels} ");
+    // The ring and the registry both began at this incarnation's boot:
+    // one boot line, naming the journal records its replay was handed.
+    let boots: Vec<u64> = trace
+        .lines()
+        .filter(|l| l.contains("\tboot\t"))
+        .filter_map(|l| l.split("replayed ").nth(1)?.split(' ').next()?.parse().ok())
+        .collect();
+    assert_eq!(boots.len(), 1, "{what}: one boot line with a replay count:\n{trace}");
+    let read = |series: &str, labels: &str| -> u64 {
+        let prefix = format!("{series}{labels} ");
         metrics
             .lines()
             .find_map(|l| l.strip_prefix(&prefix))
@@ -155,9 +169,61 @@ fn assert_counters_match_trace(what: &str, site_labels: &str, metrics: &str, tra
             .unwrap_or_else(|| panic!("{what}: no {series} in the scrape:\n{metrics}"))
     };
     assert!(apply + replay > 0, "{what}: the dump shows no apply:\n{trace}");
-    assert_eq!(read("esr_msets_delivered_total"), deliver + replay, "{what}: delivered\n{trace}");
-    assert_eq!(read("esr_msets_applied_total"), apply + replay, "{what}: applied\n{trace}");
-    assert_eq!(read("esr_redelivered_total"), duplicate, "{what}: redelivered\n{trace}");
+    let delivered = read("esr_msets_delivered_total", site_labels);
+    assert_eq!(delivered, deliver + replay, "{what}: delivered\n{trace}");
+    let applied = read("esr_msets_applied_total", site_labels);
+    assert_eq!(applied, apply + replay, "{what}: applied\n{trace}");
+    let redelivered = read("esr_redelivered_total", site_labels);
+    assert_eq!(redelivered, duplicate, "{what}: redelivered\n{trace}");
+    let replays = read("esr_recovery_replays_total", &format!("{{site=\"{site}\"}}"));
+    assert_eq!(replays, boots[0], "{what}: replays\n{trace}");
+}
+
+/// Every series of a Prometheus scrape as `name{label keys}`, a
+/// histogram once under its own name (its `_bucket`, `_sum` and
+/// `_count` lines folded, `le` dropped).
+fn series_catalogue(text: &str) -> BTreeSet<String> {
+    let mut series = BTreeSet::new();
+    let mut histograms = BTreeSet::new();
+    for line in text.lines().filter(|l| !l.is_empty() && !l.starts_with('#')) {
+        let key = line.rsplit_once(' ').map_or(line, |(key, _)| key);
+        let (name, labels) = key.split_once('{').unwrap_or((key, "}"));
+        let keys: Vec<&str> = labels
+            .trim_end_matches('}')
+            .split(',')
+            .filter_map(|pair| pair.split_once('=').map(|(k, _)| k))
+            .collect();
+        let (name, keys) = match name.strip_suffix("_bucket") {
+            Some(base) if keys.contains(&"le") => {
+                histograms.insert(base.to_owned());
+                (base, keys.into_iter().filter(|k| *k != "le").collect())
+            }
+            _ => (name, keys),
+        };
+        series.insert((name.to_owned(), keys.join(",")));
+    }
+    let folded = |name: &str| {
+        ["_sum", "_count"]
+            .iter()
+            .any(|end| name.strip_suffix(end).is_some_and(|base| histograms.contains(base)))
+    };
+    series
+        .into_iter()
+        .filter(|(name, _)| !folded(name))
+        .map(|(name, keys)| format!("{name}{{{keys}}}"))
+        .collect()
+}
+
+/// A metric name means one thing: every series of one name in `text`
+/// carries the same label keys.
+fn assert_one_label_set_per_name(what: &str, text: &str) {
+    let mut seen: BTreeMap<String, String> = BTreeMap::new();
+    for series in series_catalogue(text) {
+        let (name, keys) = series.split_once('{').unwrap_or((&series, ""));
+        if let Some(before) = seen.insert(name.to_owned(), keys.to_owned()) {
+            assert_eq!(before, keys, "{what}: {name} has two label sets");
+        }
+    }
 }
 
 /// The full scenario: phase 1, `SIGKILL` site 1, phase 2 through the
@@ -214,7 +280,8 @@ fn assert_proc_scenario(method: RtMethod, tag: &str) {
         assert_eq!(dropped, 0, "{method:?}: site {i} ring overflowed");
         let trace: Vec<String> = events.iter().map(|(seq, _, e)| format!("{seq}\t{e}")).collect();
         let labels = format!("{{method=\"{}\",site=\"{i}\"}}", method.name());
-        assert_counters_match_trace(&format!("{method:?} site {i}"), &labels, &text, &trace.join("\n"));
+        let what = format!("{method:?} site {i}");
+        assert_counters_match_trace(&what, i, &labels, &text, &trace.join("\n"));
     }
     certify_cluster(&c, method, N);
     c.shutdown();
@@ -430,6 +497,100 @@ fn esrctl_submits_and_traces_a_live_daemon() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every series one esrd exports, as `name{label keys}`: a rename, a
+/// new label or a dropped series shows up here first. It holds the
+/// metric names the benchmark reads (`benchmark/README.md`, "Pinned
+/// public surface").
+const ESRD_SERIES: &[&str] = &[
+    "esr_ack_batch_size{}",
+    "esr_apply_latency_micros{site}",
+    "esr_at_risk{method,site}",
+    "esr_backlog{method,site}",
+    "esr_checkpoint_bytes{site}",
+    "esr_checkpoint_latency_micros{site}",
+    "esr_checkpoint_total{site}",
+    "esr_commit_latency_micros{site}",
+    "esr_commit_records{site}",
+    "esr_commu_lock_counter_high_water{method,site}",
+    "esr_compensations_total{method,site}",
+    "esr_coordinator{site}",
+    "esr_election_latency_micros{site}",
+    "esr_elections_total{site}",
+    "esr_epsilon_charged_total{method,site}",
+    "esr_journal_bytes{site}",
+    "esr_journal_live_entries{site}",
+    "esr_journal_truncated_total{site}",
+    "esr_link_acks_total{link}",
+    "esr_link_dials_total{link}",
+    "esr_link_queue_age_micros{link}",
+    "esr_link_queue_depth{link}",
+    "esr_link_retransmits_total{link}",
+    "esr_link_sends_total{link}",
+    "esr_msets_applied_total{method,site}",
+    "esr_msets_delivered_total{method,site}",
+    "esr_peer_frames_rejected_total{site}",
+    "esr_queries_admitted_total{method,site}",
+    "esr_queries_rejected_total{method,site}",
+    "esr_query_epsilon_charged{method,site}",
+    "esr_query_epsilon_limit{method,site}",
+    "esr_reactor_connections{}",
+    "esr_reactor_poll_micros{}",
+    "esr_reactor_wakeups_total{}",
+    "esr_recovery_replays_total{site}",
+    "esr_redelivered_total{method,site}",
+    "esr_rpc_latency_micros{site}",
+    "esr_suffix_replay_latency_micros{site}",
+    "esr_view{site}",
+    "esr_vtnc_lag{method,site}",
+    "esr_vtnc_time{method,site}",
+];
+
+#[test]
+fn esrd_exports_the_pinned_series_catalogue() {
+    // One daemon of a two-site cluster, so it has a link; its peer never
+    // comes up, which leaves the link's frames queued.
+    let dir = fresh_dir("catalogue");
+    let mut esrd = Command::new(esrd())
+        .args(["--site", "0", "--sites", "2", "--method", "commu", "--dir"])
+        .arg(&dir)
+        .stdin(std::process::Stdio::null())
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn esrd");
+    let mut client =
+        esr::runtime::RpcClient::connect_dir(&dir, SiteId(0), QUIESCE).expect("connect");
+    for et in 1..=3 {
+        let ops = vec![ObjectOp::new(X, Operation::Incr(1))];
+        let mset = esr::replica::mset::MSet::new(EtId(et), SiteId(0), ops);
+        assert_eq!(client.submit(mset).expect("submit"), EtId(et));
+    }
+    assert!(client.query(&[X], 10).expect("query").admitted);
+    let text = client.metrics().expect("metrics");
+    let _ = esrd.kill();
+    let _ = esrd.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+    let catalogue: Vec<String> = series_catalogue(&text).into_iter().collect();
+    assert_eq!(catalogue, ESRD_SERIES, "the scrape:\n{text}");
+    let pinned = [
+        "esr_elections_total",
+        "esr_recovery_replays_total",
+        "esr_reactor_wakeups_total",
+        "esr_reactor_poll_micros",
+        "esr_ack_batch_size",
+        "esr_link_sends_total",
+        "esr_link_retransmits_total",
+        "esr_link_queue_depth",
+        "esr_apply_latency_micros",
+        "esr_rpc_latency_micros",
+    ];
+    for name in pinned {
+        let listed = ESRD_SERIES.iter().any(|s| s.split('{').next() == Some(name));
+        assert!(listed, "{name}, which the benchmark reads, is not in the catalogue");
+    }
+    assert_one_label_set_per_name("esrd", &text);
+}
+
 #[test]
 fn esrctl_metrics_scrapes_live_series_from_every_site() {
     // Observability acceptance: a live 3-site RITU-MV cluster must
@@ -525,7 +686,8 @@ fn esrctl_metrics_scrapes_live_series_from_every_site() {
             trace.contains("boot") && trace.contains("apply"),
             "site {s}: trace ring missing boot/apply events:\n{trace}"
         );
-        assert_counters_match_trace(&format!("esrctl site {s}"), &site_labels, &text, &trace);
+        assert_counters_match_trace(&format!("esrctl site {s}"), s, &site_labels, &text, &trace);
+        assert_one_label_set_per_name(&format!("esrctl site {s}"), &text);
     }
     certify_cluster(&c, RtMethod::RituMv, N);
     c.shutdown();
