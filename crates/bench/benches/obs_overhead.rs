@@ -45,8 +45,8 @@ fn inc_msets() -> Vec<MSet> {
 }
 
 /// Steps a fresh follower core through the stream, handing every
-/// event the steps return to `fold`.
-fn run(msets: &[MSet], mut fold: impl FnMut(&Event)) -> u64 {
+/// event the steps return to `fold`; returns the core.
+fn run(msets: &[MSet], mut fold: impl FnMut(&Event)) -> NodeCore {
     let me = SiteId(2);
     let state = SiteState::new(RtMethod::Commu, me);
     let mut core = NodeCore::fresh(state, RtMethod::Commu, me, 3, None);
@@ -58,7 +58,7 @@ fn run(msets: &[MSet], mut fold: impl FnMut(&Event)) -> u64 {
             }
         }
     }
-    core.journaled_count()
+    core
 }
 
 fn bench_obs_overhead(c: &mut Criterion) {

@@ -183,14 +183,11 @@ fn main() {
     let snap_secs = t.elapsed().as_secs_f64();
     eprintln!("snapshot boot: {snap_secs:.3}s ({replayed} suffix records)");
 
-    // The whole point: both boots land on the same replica.
-    assert_eq!(
-        restored_core.state.snapshot(),
-        full_core.state.snapshot(),
-        "restored replica diverged from full replay"
+    // The whole point: both boots land on the same node image.
+    assert!(
+        restored_core.ckpt_payload(None) == full_core.ckpt_payload(None),
+        "restored image diverged from full replay"
     );
-    assert_eq!(restored_core.journaled_count(), full_core.journaled_count());
-    assert_eq!(restored_core.state.applies(), full_core.state.applies());
     assert_eq!(replayed, tail, "suffix must be exactly the uncovered tail");
 
     let speedup = full_secs / snap_secs;

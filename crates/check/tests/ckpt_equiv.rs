@@ -1,9 +1,9 @@
 //! Snapshot-equivalence sweep: for every method, workload, and cut
 //! point, a node restored from a checkpoint of the journal prefix plus
 //! a replay of the journal suffix must be indistinguishable from a
-//! node that replayed the full journal — same replica snapshot, same
-//! journalled set, same applies listed with the same versions (the
-//! completion-tracking methods' re-announce set). This is the pure-core
+//! node that took the same inputs live — the same whole image (replica,
+//! client table, ledger and view) — and hold the replica of a node that
+//! saw everything live. This is the pure-core
 //! statement of the daemon's restart path (`NodeCore::restore` vs
 //! `NodeCore::recover`), checked exhaustively at every possible cut
 //! rather than at the one cut a live run happens to take.
@@ -11,8 +11,7 @@
 //! Also swept: the *over-approximated* suffix (replaying the whole
 //! journal on top of a restored image), which the daemon relies on
 //! when a snapshot's `covered_through` is `None` after catch-up — the
-//! journalled-set and per-ET idempotency guards must absorb the
-//! already-covered prefix.
+//! replica's duplicate guard must absorb the already-covered prefix.
 
 use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
@@ -187,6 +186,21 @@ fn restore_plus_suffix_matches_full_replay_at_every_cut() {
                 }
             }
 
+            // The same inputs in the same order, taken live: the image
+            // the restore must reproduce exactly. (`live` saw each
+            // control frame at its point in the journal instead, and
+            // COMPE's recovery log records when an abort landed.)
+            let mut reference = fresh(w.method);
+            drive(&mut reference, &w, cut);
+            for m in &w.journal[cut..] {
+                reference.step(NodeEvent::PeerFrame(Frame::MSet(m.clone())));
+            }
+            for (after, f) in &w.control {
+                if *after > cut {
+                    reference.step(NodeEvent::PeerFrame(f.clone()));
+                }
+            }
+
             assert_eq!(
                 restored.state.snapshot(),
                 live.state.snapshot(),
@@ -194,21 +208,16 @@ fn restore_plus_suffix_matches_full_replay_at_every_cut() {
                 w.method
             );
             assert_eq!(
-                restored.journaled_count(),
-                live.journaled_count(),
-                "{:?} cut {cut}: journalled set diverged",
-                w.method
-            );
-            assert_eq!(
-                restored.state.applies(),
-                live.state.applies(),
-                "{:?} cut {cut}: the listed applies diverged",
+                restored.ckpt_payload(None),
+                reference.ckpt_payload(None),
+                "{:?} cut {cut}: restored image diverged",
                 w.method
             );
 
             // Over-approximated suffix: replay the *whole* journal on
             // top of the image (the catch-up path, covered_through =
-            // None). The journalled-set guard must absorb the prefix.
+            // None). The replica's duplicate guard must absorb the
+            // prefix.
             let (mut over, _) = NodeCore::restore(
                 w.method,
                 SITE,
@@ -230,8 +239,7 @@ fn restore_plus_suffix_matches_full_replay_at_every_cut() {
                 "{:?} cut {cut}: over-approximated replay diverged",
                 w.method
             );
-            assert_eq!(over.journaled_count(), live.journaled_count());
-            assert_eq!(over.state.applies(), live.state.applies());
+            assert_eq!(over.ckpt_payload(None), reference.ckpt_payload(None));
         }
     }
 }

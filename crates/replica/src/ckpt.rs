@@ -22,6 +22,7 @@ use esr_core::op::ObjectOp;
 use esr_core::value::Value;
 use esr_storage::recovery_log::{AppliedOp, LogRecord};
 
+use crate::compe::Disposition;
 use crate::mset::{MSet, OrderTag};
 use crate::wire::{encode, flag, wire_enum, wire_struct, Wire, WireError};
 
@@ -88,9 +89,9 @@ pub struct CompeCkpt {
     /// The recovery log, oldest record first: before-images for every
     /// ET still compensatable plus resolved markers.
     pub log: Vec<LogRecord>,
-    /// Every ET ever seen with its disposition
-    /// (0 = at-risk, 1 = committed, 2 = aborted, 3 = commit-pending).
-    pub seen: Vec<(EtId, u8)>,
+    /// Every ET whose MSet or decision reached the site, with its
+    /// disposition.
+    pub seen: Vec<(EtId, Disposition)>,
     /// Total aborts compensated.
     pub compensations: u64,
 }
@@ -186,33 +187,22 @@ impl Wire for LogRecord {
     }
 }
 
-impl Wire for CompeCkpt {
-    const MIN_LEN: usize = Vec::<(ObjectId, Value)>::MIN_LEN
-        + Vec::<LogRecord>::MIN_LEN
-        + Vec::<(EtId, u8)>::MIN_LEN
-        + u64::MIN_LEN;
-    fn put(&self, b: &mut BytesMut) {
-        self.values.put(b);
-        self.log.put(b);
-        self.seen.put(b);
-        self.compensations.put(b);
-    }
-    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
-        let c = CompeCkpt {
-            values: Wire::get(b)?,
-            log: Wire::get(b)?,
-            seen: Wire::get(b)?,
-            compensations: Wire::get(b)?,
-        };
-        match c.seen.iter().find(|&&(_, disposition)| disposition > 3) {
-            Some(&(_, tag)) => Err(WireError::BadTag {
-                field: "disposition",
-                tag,
-            }),
-            None => Ok(c),
-        }
-    }
-}
+wire_struct!(CompeCkpt {
+    values: Vec<(ObjectId, Value)>,
+    log: Vec<LogRecord>,
+    seen: Vec<(EtId, Disposition)>,
+    compensations: u64,
+});
+
+// A disposition byte no COMPE site writes is a bad tag like any other,
+// so a restore never guesses what an ET's state was.
+wire_enum!(Disposition, "disposition" {
+    0 => AtRisk,
+    1 => Committed,
+    2 => Aborted,
+    3 => CommitPending,
+    4 => AbortPending,
+});
 
 wire_enum!(SiteCkpt, "ckpt" {
     0 => Ordup(c: OrdupCkpt),
@@ -297,7 +287,13 @@ mod tests {
                         resolved: true,
                     },
                 ],
-                seen: vec![(EtId(1), 0), (EtId(2), 1), (EtId(3), 2), (EtId(4), 3)],
+                seen: vec![
+                    (EtId(1), Disposition::AtRisk),
+                    (EtId(2), Disposition::Committed),
+                    (EtId(3), Disposition::Aborted),
+                    (EtId(4), Disposition::CommitPending),
+                    (EtId(5), Disposition::AbortPending),
+                ],
                 compensations: 1,
             }),
         ]
@@ -337,7 +333,7 @@ mod tests {
         let ckpt = SiteCkpt::Compe(CompeCkpt {
             values: vec![],
             log: vec![],
-            seen: vec![(EtId(1), 0)],
+            seen: vec![(EtId(1), Disposition::AtRisk)],
             compensations: 0,
         });
         let mut raw = encode_site_ckpt(&ckpt).to_vec();

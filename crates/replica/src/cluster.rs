@@ -1612,9 +1612,15 @@ mod tests {
         for (seq, container) in &mut c.sites[0].host.snapshots {
             *container = garbage(*seq);
         }
+        let seqs: Vec<u64> = c.sites[0].host.snapshots.iter().map(|(seq, _)| *seq).collect();
         c.crash(SiteId(0));
         let err = c.restart(SiteId(0)).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(c.sites[0].node.is_none(), "the site stays down");
+        assert!(!seqs.is_empty());
+        for seq in seqs {
+            let why = format!("snapshot {seq}: undecodable");
+            assert!(err.to_string().contains(&why), "{err} does not say {why}");
+        }
     }
 }

@@ -19,7 +19,7 @@
 //! frame that presumes it. A crash before or inside the append loses
 //! every send of the cycle and answers nothing: the peers redeliver,
 //! the clients retry, and whatever record prefix the torn append kept
-//! is absorbed by the journalled set and the client table. A crash
+//! is absorbed by the replicas' duplicate guards and the client table. A crash
 //! after it loses the sends only. Either way the boot
 //! ([`crate::node::Node::boot`]) re-seeds each link with the journal
 //! records that originated here and lie above the peer's newest

@@ -33,8 +33,8 @@ use crate::site::{Delivered, Delivery, QueryOutcome, ReplicaSite};
 pub struct CompeSite {
     store: ObjectStore,
     log: RecoveryLog,
-    /// Every ET ever applied here (duplicate suppression), with its
-    /// final disposition.
+    /// Every ET whose MSet or decision reached this site, with its
+    /// disposition — the site's duplicate guard.
     seen: BTreeMap<EtId, Disposition>,
     compensations: u64,
     rollbacks: RollbackTotals,
@@ -55,39 +55,28 @@ pub struct RollbackTotals {
     pub ops_replayed: u64,
 }
 
+/// An ET's state at a COMPE site — the site's duplicate guard, kept
+/// as is in its checkpoint image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Disposition {
+pub enum Disposition {
     /// Applied, waiting for the global outcome.
     AtRisk,
     /// Applied and committed.
     Committed,
-    /// Aborted (compensated, or suppressed before application).
+    /// Aborted after its MSet arrived: compensated, or suppressed on
+    /// arrival.
     Aborted,
     /// Commit notice arrived before the MSet: apply it on arrival
     /// without entering the risk window.
     CommitPending,
+    /// Abort notice arrived before the MSet: suppress it on arrival.
+    AbortPending,
 }
 
 impl Disposition {
-    /// Stable byte tag for the checkpoint codec.
-    fn to_u8(self) -> u8 {
-        match self {
-            Self::AtRisk => 0,
-            Self::Committed => 1,
-            Self::Aborted => 2,
-            Self::CommitPending => 3,
-        }
-    }
-
-    /// Inverse of [`Self::to_u8`]; the codec rejects tags above 3, so
-    /// the catch-all arm is unreachable on decoded images.
-    fn from_u8(tag: u8) -> Self {
-        match tag {
-            0 => Self::AtRisk,
-            1 => Self::Committed,
-            2 => Self::Aborted,
-            _ => Self::CommitPending,
-        }
+    /// Has the MSet of an ET in this disposition arrived here?
+    pub fn delivered(self) -> bool {
+        !matches!(self, Self::CommitPending | Self::AbortPending)
     }
 }
 
@@ -126,11 +115,7 @@ impl CompeSite {
         crate::ckpt::CompeCkpt {
             values: self.store.snapshot().into_iter().collect(),
             log: self.log.records().cloned().collect(),
-            seen: self
-                .seen
-                .iter()
-                .map(|(et, d)| (*et, d.to_u8()))
-                .collect(),
+            seen: self.seen.iter().map(|(&et, &d)| (et, d)).collect(),
             compensations: self.compensations,
         }
     }
@@ -143,11 +128,7 @@ impl CompeSite {
         Self {
             store: ObjectStore::with_values(c.values),
             log: RecoveryLog::from_records(c.log),
-            seen: c
-                .seen
-                .into_iter()
-                .map(|(et, tag)| (et, Disposition::from_u8(tag)))
-                .collect(),
+            seen: c.seen.into_iter().collect(),
             compensations: c.compensations,
             rollbacks: RollbackTotals::default(),
         }
@@ -171,8 +152,8 @@ impl CompeSite {
 
     /// Abort notice: compensate the MSet. Returns the rollback report,
     /// or `None` when the ET was never applied here (or already
-    /// resolved) — an abort for an unseen ET is recorded so a late MSet
-    /// delivery is suppressed.
+    /// resolved) — an abort for an unseen ET is recorded as pending so
+    /// a late MSet delivery is suppressed.
     #[expect(clippy::expect_used, reason = "an at-risk ET is on the log and its before-images re-apply cleanly; anything else is log corruption")]
     pub fn abort(&mut self, et: EtId) -> Option<RollbackReport> {
         match self.seen.get(&et) {
@@ -181,7 +162,7 @@ impl CompeSite {
             None => {
                 // Abort raced ahead of the MSet: remember so the MSet is
                 // dropped on arrival.
-                self.seen.insert(et, Disposition::Aborted);
+                self.seen.insert(et, Disposition::AbortPending);
                 return None;
             }
         }
@@ -223,8 +204,15 @@ impl ReplicaSite for CompeSite {
                 self.seen.insert(mset.et, Disposition::Committed);
                 Delivered::Applied
             }
-            Some(Disposition::AtRisk) | Some(Disposition::Committed) => Delivered::Duplicate,
-            Some(Disposition::Aborted) => Delivered::Suppressed, // abort arrived first
+            Some(Disposition::AbortPending) => {
+                // The abort arrived first: the MSet never applies, and
+                // it is here now, so a redelivery is a duplicate.
+                self.seen.insert(mset.et, Disposition::Aborted);
+                Delivered::Suppressed
+            }
+            Some(Disposition::AtRisk | Disposition::Committed | Disposition::Aborted) => {
+                Delivered::Duplicate
+            }
         };
         outcome.into()
     }
@@ -348,9 +336,14 @@ mod tests {
         s.commit(EtId(1));
         assert_eq!(s.deliver(msets[0].clone()).outcome, Delivered::Duplicate);
         assert_eq!(s.snapshot()[&X], Value::Int(27));
-        // A suppressed late MSet (abort-first) is NOT a redelivery.
+        // A suppressed late MSet (abort-first) is NOT a redelivery …
         assert!(s.abort(EtId(9)).is_none());
         assert_eq!(s.deliver(inc(9, X, 100)).outcome, Delivered::Suppressed);
+        // … but its next copy is, as is any copy of a compensated ET.
+        assert_eq!(s.deliver(inc(9, X, 100)).outcome, Delivered::Duplicate);
+        assert!(s.abort(EtId(3)).is_some());
+        assert_eq!(s.deliver(msets[2].clone()).outcome, Delivered::Duplicate);
+        assert_eq!(s.snapshot()[&X], Value::Int(20), "ET 3 compensated, once");
     }
 
     #[test]

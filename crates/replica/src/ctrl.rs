@@ -49,7 +49,10 @@
 //! `Applied` reports from that — it never probes the site or mirrors
 //! its queue. What the replica applied is the site's to keep too: the
 //! re-announcement to a new coordinator reads it back
-//! ([`SiteState::applies`]) instead of a copy the core would keep.
+//! ([`SiteState::applies`]) instead of a copy the core would keep. And
+//! so is what is new: the core journals an arriving MSet unless the
+//! site reports it as a [`Delivered::Duplicate`], and keeps no set of
+//! journalled ETs beside the replica's own guard.
 //!
 //! ## Effect ordering is part of the contract
 //!
@@ -203,7 +206,7 @@ pub enum CtrlCanary {
     /// forever and the cluster never settles.
     LostCompletionOnRestart,
     /// Recovery re-applies the final journal entry a second time
-    /// (bypassing the ET idempotency guard, as if the replay cursor
+    /// (bypassing the replica's duplicate guard, as if the replay cursor
     /// double-counted the tail record), silently diverging the replica.
     DoubleReplayedSuffix,
     /// The coordinator certifies a VTNC horizon after the *first*
@@ -223,10 +226,10 @@ pub enum CtrlCanary {
     /// coordinators certifying concurrently — the split-brain the
     /// at-most-one-coordinator oracle must expose.
     SplitBrainCoordinator,
-    /// The coordinator installing a new view silently marks every ET it
-    /// has applied locally as already completed, so completions whose
-    /// broadcast died with the old coordinator are never re-driven and
-    /// the cluster never settles.
+    /// The coordinator installing a new view leaves its own applies out
+    /// of the new coordinator's count, so completions whose broadcast
+    /// died with the old coordinator are never re-driven and the
+    /// cluster never settles.
     HandoffDropsCompletions,
     /// A site passes a decision on without journalling it, leaving it
     /// only in the in-memory link queue: a crash before the frame is
@@ -380,13 +383,11 @@ pub struct CoordCore {
     /// Per-ET apply evidence: which sites reported, and the max
     /// timestamped-write version seen (for VTNC).
     counts: BTreeMap<EtId, (HashSet<SiteId>, Option<VersionTs>)>,
-    /// RITU-MV ETs already fed to the prefix scan: no `Complete` is
-    /// minted for them, so the ledger cannot absorb their late or
-    /// duplicate `Applied` reports — this set does.
-    done: HashSet<EtId>,
     /// VTNC certification: fully-installed version times awaiting the
     /// dense-prefix scan (the version clock hands out 1, 2, 3, …).
     fully_installed: BTreeMap<u64, VersionTs>,
+    /// The version time the scan certifies next: every time below it
+    /// is certified.
     next_time: u64,
     /// First Hello epoch seen per site — only consulted by the
     /// [`CtrlCanary::HelloEpochPinned`] defect.
@@ -401,7 +402,6 @@ impl CoordCore {
             n,
             method,
             counts: BTreeMap::new(),
-            done: HashSet::new(),
             fully_installed: BTreeMap::new(),
             next_time: 1,
             greeted: BTreeMap::new(),
@@ -420,9 +420,23 @@ impl CoordCore {
     ) -> Option<Frame> {
         // Late or duplicate reports (redelivery, restart and handoff
         // re-announcements) for a finished ET are dropped here.
-        if !self.method.tracks_completion() || ledger.is_completed(et) || self.done.contains(&et)
-        {
+        if !self.method.tracks_completion() || ledger.is_completed(et) {
             return None;
+        }
+        // RITU-MV mints no `Complete`, so the ledger cannot absorb its
+        // late reports; their version does. One without a version
+        // certifies nothing, and one whose version is certified (by
+        // this scan or the ledger's horizon) or fully installed is
+        // stale: it counts nothing, but a horizon learned from another
+        // coordinator may have closed the gap a fully installed
+        // version waits behind, so the scan runs.
+        let known = |v: VersionTs| {
+            v.time < self.next_time
+                || ledger.vtnc().is_some_and(|h| v.time <= h.time)
+                || self.fully_installed.contains_key(&v.time)
+        };
+        if self.method == RtMethod::RituMv && version.is_none_or(known) {
+            return self.scan(ledger);
         }
         let e = self.counts.entry(et).or_insert_with(|| (HashSet::new(), None));
         e.0.insert(site);
@@ -442,12 +456,16 @@ impl CoordCore {
         if self.method != RtMethod::RituMv {
             return Some(Frame::Complete { et });
         }
-        self.done.insert(et);
         let installed = version?;
         self.fully_installed.insert(installed.time, installed);
-        // The scan never runs behind the ledger's horizon (a handoff's
-        // merged evidence, a stale coordinator's broadcast), so
-        // certification never moves backwards.
+        self.scan(ledger)
+    }
+
+    /// The dense-prefix scan: certifies the run of fully installed
+    /// versions from `next_time` on. It never runs behind the ledger's
+    /// horizon (a handoff's merged evidence, a stale coordinator's
+    /// broadcast), so certification never moves backwards.
+    fn scan(&mut self, ledger: &Evidence) -> Option<Frame> {
         self.next_time = self.next_time.max(ledger.vtnc().map_or(1, |h| h.time + 1));
         let mut horizon = None;
         while let Some(v) = self.fully_installed.remove(&self.next_time) {
@@ -480,8 +498,8 @@ fn span(rec: SpanRec) -> Effect {
 /// any id a workload would mint.
 const CANARY_ET_BIT: u64 = 1 << 60;
 
-/// One site's complete control-plane state machine: the replica state,
-/// the journalled-ET set, the view-change election machine, and (on
+/// One site's complete control-plane state machine: the replica state
+/// (which decides what is new), the view-change election machine, and (on
 /// the current view's coordinator) the coordinator core. All protocol
 /// logic of the `esrd` daemon lives here, as pure transitions.
 #[derive(Debug)]
@@ -500,9 +518,6 @@ pub struct NodeCore {
     pub coord: Option<CoordCore>,
     /// The currently installed view (durable as a [`Record::View`]).
     pub view: u64,
-    /// ETs already appended to the write-ahead journal (dedupe guard so
-    /// redeliveries don't journal twice).
-    journaled: BTreeSet<EtId>,
     /// Every completion, COMPE decision and VTNC horizon this site has
     /// seen — the idempotency guard for redelivered or re-broadcast
     /// control frames, the coordinator's dedup guard, and what
@@ -575,7 +590,6 @@ impl NodeCore {
             state,
             coord,
             view,
-            journaled: BTreeSet::new(),
             evidence: Evidence::default(),
             client_table: BTreeMap::new(),
             missed_pings: 0,
@@ -613,7 +627,7 @@ impl NodeCore {
             core.replay(mset, &mut effects, &mut recovered);
         }
         // Defect: the replay cursor double-counts the tail record,
-        // re-applying it outside the ET idempotency guard.
+        // re-applying it outside the replica's duplicate guard.
         if core.canary == Some(CtrlCanary::DoubleReplayedSuffix) {
             if let Some(mut dup) = last {
                 dup.et = EtId(dup.et.0 | CANARY_ET_BIT);
@@ -715,7 +729,6 @@ impl NodeCore {
         Some(CkptPayload {
             covered_through: through,
             view: self.view,
-            journaled: self.journaled.iter().copied().collect(),
             client_table: self
                 .client_table
                 .iter()
@@ -732,10 +745,10 @@ impl NodeCore {
     /// configuration (the daemon then falls back to full replay).
     ///
     /// The suffix may over-approximate: entries at or before the cut
-    /// are absorbed by the restored `journaled` set and the method's
-    /// per-ET idempotency guards, so a caller that cannot tell exactly
-    /// where the cut fell (e.g. a catch-up image whose entry ids refer
-    /// to a peer's journal) can safely replay its whole local journal.
+    /// are absorbed by the restored replica's duplicate guard, so a
+    /// caller that cannot tell exactly where the cut fell (e.g. a
+    /// catch-up image whose entry ids refer to a peer's journal) can
+    /// safely replay its whole local journal.
     ///
     /// `view` is the view to boot into — the node passes
     /// `max(newest journalled view, payload.view)`, so neither a view
@@ -756,7 +769,6 @@ impl NodeCore {
         let covered = payload.covered();
         let state = SiteState::from_ckpt(site, payload.site);
         let mut core = Self::fresh_at_view(state, method, site, sites, canary, view);
-        core.journaled = payload.journaled.into_iter().collect();
         core.client_table = payload
             .client_table
             .into_iter()
@@ -786,7 +798,7 @@ impl NodeCore {
     /// a `recovered` entry for it and for any held predecessors it
     /// unblocked (the journal records acceptance order, which for ORDUP
     /// can run ahead of the sequence). An entry the restored image
-    /// already covers is absorbed by the idempotency guards.
+    /// already covers is absorbed by the replica's duplicate guard.
     fn replay(
         &mut self,
         mset: MSet,
@@ -794,7 +806,6 @@ impl NodeCore {
         recovered: &mut Vec<(EtId, Option<VersionTs>)>,
     ) {
         let own = Released::of(&mset);
-        self.journaled.insert(own.et);
         if let Some((cid, cseq)) = mset.client {
             self.client_table.insert((cid.raw(), cseq), own.et);
         }
@@ -936,13 +947,7 @@ impl NodeCore {
         let reports = std::mem::take(&mut self.dvc);
         self.view = w;
         self.clear_election();
-        let mut coord = CoordCore::new(self.sites, self.method, self.canary);
-        // Defect: the installer marks its own applied-but-uncompleted
-        // ETs as done, so their completions are never re-driven.
-        if self.canary == Some(CtrlCanary::HandoffDropsCompletions) {
-            coord.done.extend(self.state.applies().into_iter().map(|(et, _)| et));
-        }
-        self.coord = Some(coord);
+        self.coord = Some(CoordCore::new(self.sites, self.method, self.canary));
         let mut effects = vec![
             Effect::Record(Record::View(w)),
             Effect::Event(Event::ViewInstall {
@@ -960,9 +965,13 @@ impl NodeCore {
         }
         effects.extend(self.relay(self.start_view()));
         // Count our own applies toward completion in the new view (the
-        // peers re-announce theirs on receiving StartView).
-        for (et, version) in self.state.applies() {
-            effects.extend(self.report_applied(et, version));
+        // peers re-announce theirs on receiving StartView). Defect: the
+        // installer leaves them out, so the completions of what it
+        // applied before the handoff are never re-driven.
+        if self.canary != Some(CtrlCanary::HandoffDropsCompletions) {
+            for (et, version) in self.state.applies() {
+                effects.extend(self.report_applied(et, version));
+            }
         }
         effects
     }
@@ -1194,30 +1203,32 @@ impl NodeCore {
         }
     }
 
-    /// Journal (write-ahead), apply, and report the apply — the one
-    /// path every update takes, whether it arrived from a client
-    /// (origin) or a peer link (propagation).
+    /// Apply, journal (write-ahead of every send), and report the apply
+    /// — the one path every update takes, whether it arrived from a
+    /// client (origin) or a peer link (propagation). The replica
+    /// decides what is new: whatever it does not report as a
+    /// [`Delivered::Duplicate`] is journalled, once.
     fn accept_mset(&mut self, mset: MSet) -> Vec<Effect> {
         // The arriving MSet's own (et, seq, version), in the shape the
         // site reports releases in: both are traced the same way.
         let own = Released::of(&mset);
         let et = own.et;
         let t0 = mset.t0;
+        if self.canary == Some(CtrlCanary::DecisionReplayReapplies) {
+            self.canary_msets.insert(et, mset.clone());
+        }
+        let delivery = self.state.deliver(mset.clone());
         let mut effects = vec![span(
             SpanRec::new(SpanStage::Deliver, et)
                 .with_gseq(own.seq)
                 .with_t0(t0),
         )];
-        if self.journaled.insert(et) {
+        if delivery.outcome != Delivered::Duplicate {
             if let Some((cid, cseq)) = mset.client {
                 self.client_table.insert((cid.raw(), cseq), et);
             }
-            effects.push(Effect::Journal(mset.clone()));
+            effects.push(Effect::Journal(mset));
         }
-        if self.canary == Some(CtrlCanary::DecisionReplayReapplies) {
-            self.canary_msets.insert(et, mset.clone());
-        }
-        let delivery = self.state.deliver(mset);
         match delivery.outcome {
             Delivered::Applied => effects.extend(self.applied(own, t0)),
             // Parked behind an ORDUP sequence gap.
@@ -1437,16 +1448,12 @@ impl NodeCore {
     pub fn evidence(&self) -> &Evidence {
         &self.evidence
     }
-
-    /// Number of distinct ETs journalled at this site.
-    pub fn journaled_count(&self) -> u64 {
-        self.journaled.len() as u64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mset::OrderTag;
     use esr_core::ids::{ObjectId, SeqNo};
     use esr_core::op::{ObjectOp, Operation};
 
@@ -1611,28 +1618,96 @@ mod tests {
         ));
     }
 
+    /// One client-stamped MSet of the shape `method`'s site takes —
+    /// `held` stamps ORDUP's one a sequence number past a gap.
+    fn stamped(method: RtMethod, held: bool) -> MSet {
+        let m = match method {
+            RtMethod::Ordup => incr(7, 0).sequenced(SeqNo(u64::from(held))),
+            RtMethod::Ritu | RtMethod::RituMv => MSet::new(
+                EtId(7),
+                SiteId(0),
+                vec![ObjectOp::new(
+                    ObjectId(1),
+                    Operation::TimestampedWrite(VersionTs::new(1, ClientId(0)), 5.into()),
+                )],
+            ),
+            RtMethod::Commu | RtMethod::Compe => incr(7, 0),
+        };
+        m.from_client(ClientId(9), 3)
+    }
+
+    /// Every method journals an MSet on its first arrival — once,
+    /// applied, held or suppressed — and never on a redelivery, which
+    /// the replica reports as a duplicate; a restored node still
+    /// answers the client's retry from its table.
     #[test]
     fn duplicate_delivery_is_absorbed() {
-        let mut core = NodeCore::fresh(
-            SiteState::new(RtMethod::Commu, SiteId(1)),
-            RtMethod::Commu,
-            SiteId(1),
-            3,
-            None,
-        );
-        let first = core.step(NodeEvent::PeerFrame(Frame::MSet(incr(7, 0))));
-        assert!(first.iter().any(|e| matches!(e, Effect::Journal(_))));
-        let second = core.step(NodeEvent::PeerFrame(Frame::MSet(incr(7, 0))));
-        assert!(
-            !second.iter().any(|e| matches!(
-                e,
-                Effect::Journal(_) | Effect::Send { .. }
-            )),
-            "redelivery must neither re-journal nor re-announce"
-        );
-        assert!(second
-            .iter()
-            .any(|e| matches!(e, Effect::Event(Event::DuplicateDelivery { et }) if *et == EtId(7))));
+        let abort = || Some(Frame::Decision { et: EtId(7), commit: false });
+        let compe = stamped(RtMethod::Compe, false);
+        let lamport = incr(7, 0)
+            .lamport(LamportTs::new(1, SiteId(0)), SeqNo(0))
+            .from_client(ClientId(9), 3);
+        // (label, method, MSet, decision before it, decision after its
+        // first arrival); a Lamport-stamped MSet goes to an ORDUP-L site.
+        type Case = (&'static str, RtMethod, MSet, Option<Frame>, Option<Frame>);
+        let mut cases: Vec<Case> = RtMethod::ALL
+            .into_iter()
+            .map(|m| (m.name(), m, stamped(m, false), None, None))
+            .collect();
+        cases.extend([
+            ("ordup held", RtMethod::Ordup, stamped(RtMethod::Ordup, true), None, None),
+            ("ordup-l held", RtMethod::Ordup, lamport, None, None),
+            ("compe abort-first", RtMethod::Compe, compe.clone(), abort(), None),
+            ("compe abort-after-apply", RtMethod::Compe, compe, None, abort()),
+        ]);
+        let journals =
+            |effects: &[Effect]| effects.iter().filter(|e| matches!(e, Effect::Journal(_))).count();
+        for (label, method, m, before, after) in cases {
+            let state = || match m.order {
+                OrderTag::Lamport { .. } => {
+                    SiteState::ordup_lamport(SiteId(1), vec![SiteId(0), SiteId(1)])
+                }
+                _ => SiteState::new(method, SiteId(1)),
+            };
+            let mut core = NodeCore::fresh(state(), method, SiteId(1), 3, None);
+            if let Some(decision) = before {
+                core.step(NodeEvent::PeerFrame(decision));
+            }
+            let first = core.step(NodeEvent::PeerFrame(Frame::MSet(m.clone())));
+            assert_eq!(journals(&first), 1, "{label}: first arrival: {first:?}");
+            if let Some(decision) = after {
+                core.step(NodeEvent::PeerFrame(decision));
+            }
+            let image = core.ckpt_payload(None);
+            for _ in 0..2 {
+                let again = core.step(NodeEvent::PeerFrame(Frame::MSet(m.clone())));
+                assert!(
+                    matches!(
+                        &again[..],
+                        [_, Effect::Event(Event::DuplicateDelivery { et })] if *et == EtId(7)
+                    ),
+                    "{label}: a redelivery must neither re-journal nor re-announce: {again:?}"
+                );
+            }
+            assert_eq!(core.ckpt_payload(None), image, "{label}: a redelivery changed the image");
+            // Boot from the image (ORDUP-L has none: from the journal),
+            // replaying the MSet once more, then retry the submit.
+            let (mut booted, _) = match image {
+                Some(payload) => {
+                    NodeCore::restore(method, SiteId(1), 3, None, 0, payload, vec![m.clone()])
+                        .expect("method matches")
+                }
+                None => NodeCore::recover(state(), method, SiteId(1), 3, None, 0, vec![m.clone()]),
+            };
+            let retry = booted.step(NodeEvent::ClientSubmit(m));
+            assert!(
+                matches!(
+                    &retry[..],
+                    [Effect::Event(Event::DuplicateSubmit { et, .. })] if *et == EtId(7)
+                ),
+                "{label}: the retried submit was not answered from the table: {retry:?}"
+            );
+        }
     }
 
     #[test]
@@ -1663,6 +1738,33 @@ mod tests {
         assert!(s
             .iter()
             .all(|(_, f)| matches!(f, Frame::Complete { et } if *et == EtId(7))));
+    }
+
+    /// RITU-MV reports carry their version, which is the coordinator's
+    /// guard: a duplicate of a version fully installed or certified
+    /// counts nothing — and when a horizon learned from another
+    /// coordinator has closed the gap a fully installed version waited
+    /// behind, the stale report lets the scan certify it.
+    #[test]
+    fn a_stale_ritu_mv_report_counts_nothing_but_runs_the_scan() {
+        let mut coord = CoordCore::new(3, RtMethod::RituMv, None);
+        let mut ledger = Evidence::default();
+        let v = |time| Some(VersionTs::new(time, ClientId(0)));
+        for site in [0, 1, 2] {
+            assert_eq!(coord.on_applied(&ledger, SiteId(site), EtId(2), v(2)), None);
+        }
+        assert!(coord.counts.is_empty() && coord.fully_installed.contains_key(&2));
+        // A redelivered report of a fully installed version is stale.
+        assert_eq!(coord.on_applied(&ledger, SiteId(1), EtId(2), v(2)), None);
+        assert!(coord.counts.is_empty(), "a stale report was counted");
+        // Another coordinator certified time 1; the first late report
+        // of it releases time 2.
+        ledger.advance_vtnc(VersionTs::new(1, ClientId(0)));
+        let released = coord.on_applied(&ledger, SiteId(0), EtId(1), v(1));
+        assert_eq!(released, Some(Frame::Vtnc { ts: VersionTs::new(2, ClientId(0)) }));
+        assert!(coord.counts.is_empty() && coord.fully_installed.is_empty());
+        assert_eq!(coord.on_applied(&ledger, SiteId(2), EtId(9), None), None);
+        assert!(coord.counts.is_empty(), "a versionless report was counted");
     }
 
     #[test]
@@ -2000,9 +2102,8 @@ mod tests {
             0,
             journal.clone(),
         );
+        assert_eq!(restored.ckpt_payload(None), full.ckpt_payload(None));
         assert_eq!(restored.state.snapshot(), full.state.snapshot());
-        assert_eq!(restored.journaled_count(), full.journaled_count());
-        assert_eq!(restored.state.applies(), full.state.applies());
         // Over-approximated suffix (the whole journal) is absorbed.
         let payload2 = full.ckpt_payload(None).expect("COMMU has an image");
         let (re2, _) = NodeCore::restore(
@@ -2015,8 +2116,7 @@ mod tests {
             journal,
         )
         .expect("method matches");
-        assert_eq!(re2.state.snapshot(), full.state.snapshot());
-        assert_eq!(re2.journaled_count(), full.journaled_count());
+        assert_eq!(re2.ckpt_payload(None), full.ckpt_payload(None));
     }
 
     /// The `StartView` sent to `to`, if any.

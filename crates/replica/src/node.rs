@@ -307,8 +307,10 @@ impl Node {
             .collect();
         let snapshots = host.snapshots();
         // What the boot records once the node is up: each image that
-        // does not restore, then the boot itself.
+        // does not restore, then the boot itself. Why each did not is
+        // also what a boot that cannot start says.
         let mut noted = Vec::new();
+        let mut why_not = String::new();
         let mut restored = None;
         for &seq in &snapshots {
             // A torn or bit-flipped container is no snapshot at all.
@@ -346,6 +348,7 @@ impl Node {
                     }
                 }
             };
+            why_not += &format!("; snapshot {seq}: {detail}");
             let detail = format!("{detail}; not restored");
             noted.push(Event::CkptFailed { seq, detail });
         }
@@ -359,7 +362,8 @@ impl Node {
                 (core, effects, CkptState::default(), replayed)
             }
             None => {
-                let why = format!("journal ids below {first_live} retired, no snapshot restores");
+                let why =
+                    format!("journal ids below {first_live} retired, no snapshot restores{why_not}");
                 return Err(io::Error::new(io::ErrorKind::InvalidData, why));
             }
         };
@@ -914,6 +918,11 @@ mod tests {
 
     /// A COMMU-or-`method` node for `site` of `sites`, booted over `host`.
     fn boot(host: &mut MemHost, method: RtMethod, site: u64, sites: usize) -> Node {
+        try_boot(host, method, site, sites).unwrap()
+    }
+
+    /// [`boot`], returning its error.
+    fn try_boot(host: &mut MemHost, method: RtMethod, site: u64, sites: usize) -> io::Result<Node> {
         let obs = NodeInstruments::for_site(&MetricsRegistry::new(), method.name(), SiteId(site));
         let cfg = NodeConfig {
             site: SiteId(site),
@@ -923,7 +932,7 @@ mod tests {
             ckpt_bytes: None,
             canary: None,
         };
-        Node::boot(host, cfg, SiteState::new(method, SiteId(site)), obs).unwrap()
+        Node::boot(host, cfg, SiteState::new(method, SiteId(site)), obs)
     }
 
     /// Acknowledges every frame in `sent`, as its peers would.
@@ -1184,6 +1193,34 @@ mod tests {
             .any(|e| matches!(e, Event::Boot { snapshot: Some((1, 1)), .. })));
         assert!(node.core().state.has_applied(EtId(1)));
         assert_eq!(node.core().state.backlog(), 1, "ET 3, from the journal past the older cut");
+    }
+
+    /// Over a journal a checkpoint truncated, a boot with no snapshot
+    /// that restores fails — and says of each container why it did not.
+    #[test]
+    fn no_usable_snapshot_over_a_truncated_journal_is_a_boot_error() {
+        let mut host = MemHost::default();
+        let mut node = boot(&mut host, RtMethod::Commu, 0, 1);
+        for et in 1..=3 {
+            node.submit(&mut host, incr(et));
+            node.commit(&mut host);
+            node.checkpoint(&mut host);
+        }
+        assert!(host.journal.first().is_some_and(|(id, _)| *id > 0), "truncated");
+        for (seq, container) in &mut host.snapshots {
+            *container = snapshot::encode_container(*seq, b"not a payload");
+        }
+        let seqs: Vec<u64> = host.snapshots.iter().map(|(seq, _)| *seq).collect();
+        assert!(!seqs.is_empty());
+        host.crash();
+        let Err(err) = try_boot(&mut host, RtMethod::Commu, 0, 1) else {
+            panic!("boot must fail")
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        for seq in seqs {
+            let why = format!("snapshot {seq}: undecodable");
+            assert!(err.to_string().contains(&why), "{err} does not say {why}");
+        }
     }
 
     #[test]

@@ -2,17 +2,18 @@
 //!
 //! A checkpoint captures everything [`crate::ctrl::NodeCore`] would
 //! otherwise rebuild by replaying the journal from its first entry: the
-//! method state machine (via [`crate::ckpt`] — hold-back queue and
-//! applied ETs with their versions included, so nothing the site
-//! records is recorded a second time here), the node's idempotency
-//! bookkeeping, and its control-plane ledger ([`Evidence`]:
+//! method state machine (via [`crate::ckpt`] — hold-back queue, applied
+//! ETs with their versions and COMPE dispositions included, so nothing
+//! the site records is recorded a second time here; they are also the
+//! duplicate guard a restored node journals by), the exactly-once
+//! client table, the view, and the control-plane ledger ([`Evidence`]:
 //! completions, decisions, the VTNC horizon — each result recorded
 //! once, in the same encoding `StartView` carries). What can be
-//! computed from those — the count of journalled MSets, the applies
-//! the node re-announces — is not stored. Restoring a payload and
+//! computed from those — the count of MSets covered, the applies the
+//! node re-announces — is not stored. Restoring a payload and
 //! replaying only the journal *suffix* past the cut must be
 //! indistinguishable from a full replay — `crates/check` tests exactly
-//! that equivalence.
+//! that equivalence, comparing whole images.
 //!
 //! Like every codec in this workspace the decoder is *total*: any byte
 //! slice either yields a payload or `None`, never a panic — corrupt
@@ -38,9 +39,6 @@ pub struct CkptPayload {
     pub covered_through: Option<u64>,
     /// Durable view number at the cut.
     pub view: u64,
-    /// Every ET journalled at the cut (sorted; the write-ahead dedup
-    /// set).
-    pub journaled: Vec<EtId>,
     /// Exactly-once client table: `(client, request_seq, et)`.
     pub client_table: Vec<(u64, u64, EtId)>,
     /// The control-plane ledger at the cut: completion notices and
@@ -52,10 +50,20 @@ pub struct CkptPayload {
 }
 
 impl CkptPayload {
-    /// Number of distinct MSets journalled at the cut — the payload's
-    /// logical position, monotone across checkpoints of one node.
+    /// Number of ETs whose MSet the replica held at the cut — applied,
+    /// held back, or (COMPE) suppressed by an abort that outran it: one
+    /// per MSet the node journalled, since the site reports every later
+    /// copy as a duplicate. The payload's logical position, monotone
+    /// across checkpoints of one node.
     pub fn covered(&self) -> u64 {
-        self.journaled.len() as u64
+        let n = match &self.site {
+            SiteCkpt::Ordup(c) => c.applied_ets.len() + c.holdback.len(),
+            SiteCkpt::Commu(c) => c.applied_ets.len(),
+            SiteCkpt::Ritu(c) => c.applied_ets.len(),
+            SiteCkpt::RituMv(c) => c.applied_ets.len(),
+            SiteCkpt::Compe(c) => c.seen.iter().filter(|(_, d)| d.delivered()).count(),
+        };
+        n as u64
     }
 
     /// The replica-control method this image belongs to. Restore
@@ -79,7 +87,6 @@ impl CkptPayload {
 impl Wire for CkptPayload {
     const MIN_LEN: usize = Option::<u64>::MIN_LEN
         + u64::MIN_LEN
-        + Vec::<EtId>::MIN_LEN
         + Vec::<(u64, u64, EtId)>::MIN_LEN
         + Evidence::MIN_LEN
         + u32::MIN_LEN
@@ -87,7 +94,6 @@ impl Wire for CkptPayload {
     fn put(&self, b: &mut BytesMut) {
         self.covered_through.put(b);
         self.view.put(b);
-        self.journaled.put(b);
         self.client_table.put(b);
         self.evidence.put(b);
         put_nested(b, &self.site);
@@ -96,7 +102,6 @@ impl Wire for CkptPayload {
         Ok(CkptPayload {
             covered_through: Wire::get(b)?,
             view: Wire::get(b)?,
-            journaled: Wire::get(b)?,
             client_table: Wire::get(b)?,
             evidence: Wire::get(b)?,
             site: get_nested(b)?,
@@ -136,7 +141,6 @@ mod tests {
         CkptPayload {
             covered_through: Some(41),
             view: 3,
-            journaled: vec![EtId::new(1), EtId::new(2), EtId::new(9)],
             client_table: vec![(5, 1, EtId::new(2)), (5, 2, EtId::new(9))],
             evidence,
             site: SiteCkpt::RituMv(RituMvCkpt {
@@ -158,7 +162,6 @@ mod tests {
             CkptPayload {
                 covered_through: None,
                 view: 0,
-                journaled: vec![],
                 client_table: vec![],
                 evidence: Evidence::default(),
                 site: SiteCkpt::Commu(CommuCkpt {

@@ -1355,7 +1355,6 @@ mod tests {
         smallest_is(CkptPayload {
             covered_through: None,
             view: 0,
-            journaled: vec![],
             client_table: vec![],
             evidence: Evidence::default(),
             site: SiteCkpt::Commu(commu),

@@ -10,6 +10,12 @@
 //! returned `Delivery` against the `has_applied` / `backlog` deltas an
 //! observer probing the site around the call would see.
 //!
+//! A site is also the only duplicate guard an MSet meets: the core
+//! journals whatever the site does not report as a `Duplicate`. So
+//! for every method, once an MSet has been delivered, each later copy
+//! must be reported as one and change nothing — COMPE's included,
+//! whether its decision came before or after it.
+//!
 //! The completion-tracking sites (COMMU, RITU, RITU-MV) also *list*
 //! what they applied — the core re-announces that list to a new
 //! coordinator and keeps no copy — so for them the list is checked
@@ -26,6 +32,7 @@ use esr_replica::ordup::{OrdupLamportSite, OrdupSite};
 use esr_replica::ritu::{RituMvSite, RituOverwriteSite};
 use esr_replica::site::{Delivered, Delivery, ReplicaSite};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// Deterministic generator for stream shaping (splitmix64).
 struct Gen(u64);
@@ -150,6 +157,39 @@ fn check_stream<S: ReplicaSite>(
     Ok(())
 }
 
+/// Delivers `m`; if an MSet of its ET was delivered before, checks that
+/// the site reports a duplicate and that `state` — everything the site
+/// shows — did not move.
+fn deliver_again_checked<S: ReplicaSite>(
+    site: &mut S,
+    m: &MSet,
+    delivered: &mut HashSet<EtId>,
+    state: &impl Fn(&S) -> String,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    if delivered.insert(m.et) {
+        site.deliver(m.clone());
+        return Ok(());
+    }
+    let before = state(site);
+    let d = site.deliver(m.clone());
+    prop_assert_eq!(d, Delivery::from(Delivered::Duplicate), "again: {}", m);
+    prop_assert_eq!(state(site), before, "a redelivery of {} changed the site", m);
+    Ok(())
+}
+
+/// [`deliver_again_checked`] over a whole stream.
+fn check_redeliveries<S: ReplicaSite>(
+    mut site: S,
+    stream: &[MSet],
+    state: impl Fn(&S) -> String,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let mut delivered = HashSet::new();
+    for m in stream {
+        deliver_again_checked(&mut site, m, &mut delivered, &state)?;
+    }
+    Ok(())
+}
+
 /// What a completion-tracking site lists as applied.
 type Applies = Vec<(EtId, Option<VersionTs>)>;
 
@@ -255,6 +295,64 @@ proptest! {
         check_listed_applies(RituMvSite::new(SiteId(0)), &writes, RituMvSite::applies)?;
     }
 
+    /// Every method reports each later copy of a delivered MSet as a
+    /// duplicate and leaves its state alone: over shuffled streams
+    /// with ~25 % duplicates, and for COMPE with commit and abort
+    /// decisions landing before and after their MSets.
+    #[test]
+    fn every_redelivery_is_a_duplicate(seed in 0u64..u64::MAX, n in 1usize..30) {
+        let mut g = Gen(seed);
+        let stream = |g: &mut Gen, mset: &dyn Fn(&mut Gen, u64) -> MSet| {
+            let mut s: Vec<MSet> = (0..n as u64).map(|i| mset(g, i)).collect();
+            g.shuffle(&mut s);
+            g.sprinkle_duplicates(&mut s);
+            s
+        };
+        let seq = stream(&mut g, &|g, i| g.int_mset(i, OBJECTS).sequenced(SeqNo(i)));
+        check_redeliveries(OrdupSite::new(SiteId(0)), &seq, |s| format!("{:?}", s.to_ckpt()))?;
+        let origins = [SiteId(0), SiteId(1)];
+        let lamport = stream(&mut g, &|g, i| {
+            let origin = origins[(i % 2) as usize];
+            let mut m = g.int_mset(i, OBJECTS);
+            m.origin = origin;
+            m.lamport(LamportTs::new(1 + i, origin), SeqNo(i / 2))
+        });
+        let ets: Vec<EtId> = (0..n as u64).map(EtId).collect();
+        check_redeliveries(OrdupLamportSite::new(SiteId(7), origins.to_vec()), &lamport, |s| {
+            let applied: Vec<&EtId> = ets.iter().filter(|et| s.has_applied(**et)).collect();
+            format!("{:?} {} {:?}", s.snapshot(), s.backlog(), applied)
+        })?;
+        let incrs = stream(&mut g, &|g, i| g.int_mset(i, OBJECTS));
+        check_redeliveries(CommuSite::new(SiteId(0)), &incrs, |s| format!("{:?}", s.to_ckpt()))?;
+        let writes = stream(&mut g, &|g, i| g.tw_mset(i, OBJECTS));
+        check_redeliveries(RituOverwriteSite::new(SiteId(0)), &writes, |s| {
+            format!("{:?}", s.to_ckpt())
+        })?;
+        check_redeliveries(RituMvSite::new(SiteId(0)), &writes, |s| format!("{:?}", s.to_ckpt()))?;
+        // COMPE: each ET's decision, if it gets one, lands at a random
+        // point of the stream — before its MSet or after it.
+        let mut decisions: Vec<(usize, EtId, bool)> = Vec::new();
+        for i in 0..n as u64 {
+            if g.below(4) != 0 {
+                let at = g.below(incrs.len() as u64) as usize;
+                decisions.push((at, EtId(i), g.below(2) == 0));
+            }
+        }
+        let mut site = CompeSite::new(SiteId(0));
+        let mut delivered = HashSet::new();
+        let state = |s: &CompeSite| format!("{:?}", s.to_ckpt());
+        for (i, m) in incrs.iter().enumerate() {
+            for &(_, et, commit) in decisions.iter().filter(|&&(at, _, _)| at == i) {
+                if commit {
+                    site.commit(et);
+                } else {
+                    site.abort(et);
+                }
+            }
+            deliver_again_checked(&mut site, m, &mut delivered, &state)?;
+        }
+    }
+
     #[test]
     fn compe_delivery_report(seed in 0u64..u64::MAX, n in 1usize..30) {
         let mut g = Gen(seed);
@@ -277,11 +375,13 @@ proptest! {
                 _ => {}
             }
         }
+        let mut delivered = HashSet::new();
         for m in &stream {
             let d = deliver_checked(&mut site, m, &all_ets)?;
+            let first = delivered.insert(m.et);
             prop_assert_eq!(
                 d.outcome == Delivered::Suppressed,
-                aborted_early.contains(&m.et)
+                first && aborted_early.contains(&m.et)
             );
         }
         // Resolve every ET: nothing stays at risk.

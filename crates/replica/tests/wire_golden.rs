@@ -16,6 +16,7 @@ use esr_core::ids::{ClientId, EtId, LamportTs, ObjectId, SeqNo, SiteId, VersionT
 use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
 use esr_replica::ckpt::{CommuCkpt, CompeCkpt, OrdupCkpt, RituCkpt, RituMvCkpt, SiteCkpt};
+use esr_replica::compe::Disposition;
 use esr_replica::ctrl::{Evidence, Record};
 use esr_replica::mset::{MSet, OrderTag};
 use esr_replica::site::QueryOutcome;
@@ -412,7 +413,13 @@ fn site_ckpts() -> Vec<SiteCkpt> {
                     resolved: true,
                 },
             ],
-            seen: vec![(EtId(1), 0), (EtId(2), 1), (EtId(3), 2), (EtId(4), 3)],
+            seen: vec![
+                (EtId(1), Disposition::AtRisk),
+                (EtId(2), Disposition::Committed),
+                (EtId(3), Disposition::Aborted),
+                (EtId(4), Disposition::CommitPending),
+                (EtId(5), Disposition::AbortPending),
+            ],
             compensations: 1,
         }),
     ]
@@ -422,7 +429,6 @@ fn payload() -> CkptPayload {
     CkptPayload {
         covered_through: Some(41),
         view: 3,
-        journaled: vec![EtId(1), EtId(2), EtId(9)],
         client_table: vec![(5, 1, EtId(2)), (5, 2, EtId(9))],
         evidence: evidence(&[1], &[(2, true), (9, false)], Some(v(10, 5))),
         site: SiteCkpt::RituMv(RituMvCkpt {
@@ -512,11 +518,11 @@ const SITE_CKPTS: &[&str] = &[
     "0100000001000000000000000402000000010000000000000003000000020000000000000003000000020000000000000004000000000000000500000000000000040000000000000002000000000000000300000000000000000400",
     "020000000100000000000000010000000000000007000000000000000200000000000000000a0000000100000000000000060000000100000000000000010000000100000000000000060100000000000000070000000000000002",
     "03000000020000000000000001000000000000000100000000000000000000000000000000010000000000000001000000000000000700000000000000020000000000000000020000000000000001000000000000000000000000000000070000000100000000000000080100000000000000070000000000000002",
-    "0400000001000000000000000000000000000000000c0000000200000000000000010000000002000000000000000002000000000000000c00000000000000000000000000000000020101000000016201000000016100000000000000020100000000000000040000000000000001000000000000000002010000000000000003020000000000000004030000000000000001",
+    "0400000001000000000000000000000000000000000c0000000200000000000000010000000002000000000000000002000000000000000c00000000000000000000000000000000020101000000016201000000016100000000000000020100000000000000050000000000000001000000000000000002010000000000000003020000000000000004030000000000000005040000000000000001",
 ];
 
 const PAYLOADS: &[&str] = &[
-    "010000000000000029000000000000000300000003000000000000000100000000000000020000000000000009000000020000000000000005000000000000000100000000000000020000000000000005000000000000000200000000000000090000000100000000000000010000000200000000000000020100000000000000090001000000000000000a00000000000000050000006403000000010000000000000003000000000000000a0000000000000005000000000000000004000000000000000a0000000000000005000000000000000200000002000000000000000100000000000000000201000000000000000a0000000000000005",
+    "0100000000000000290000000000000003000000020000000000000005000000000000000100000000000000020000000000000005000000000000000200000000000000090000000100000000000000010000000200000000000000020100000000000000090001000000000000000a00000000000000050000006403000000010000000000000003000000000000000a0000000000000005000000000000000004000000000000000a0000000000000005000000000000000200000002000000000000000100000000000000000201000000000000000a0000000000000005",
 ];
 
 #[test]

@@ -16,11 +16,13 @@ use bytes::Bytes;
 use esr_core::ids::{ClientId, EtId, LamportTs, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
-use esr_replica::ckpt::{OrdupCkpt, SiteCkpt};
+use esr_replica::ckpt::{decode_site_ckpt, encode_site_ckpt, CompeCkpt, OrdupCkpt, SiteCkpt};
+use esr_replica::compe::Disposition;
 use esr_replica::ctrl::{Evidence, NodeCore, Record};
 use esr_replica::mset::{MSet, OrderTag};
 use esr_replica::node_ckpt::{decode_payload, encode_payload, CkptPayload};
-use esr_replica::site::QueryOutcome;
+use esr_replica::site::{Delivered, QueryOutcome};
+use esr_replica::state::SiteState;
 use esr_replica::span::{Event, SpanRec, SpanStage};
 use esr_replica::wire::{
     decode_frame, decode_mset, decode_record, encode_frame, encode_mset, encode_record, Frame,
@@ -278,7 +280,6 @@ fn ordup_payload(seed: u64, order: OrderTag) -> CkptPayload {
     CkptPayload {
         covered_through: Some(seed % 11),
         view: seed % 5,
-        journaled: vec![EtId(1), held.et],
         client_table: vec![],
         evidence: *evidence(seed, VersionTs::new(seed % 17, ClientId(seed % 4))),
         site: SiteCkpt::Ordup(OrdupCkpt {
@@ -305,6 +306,44 @@ fn an_ordup_image_holding_an_unsequenced_mset_does_not_decode() {
         }
         let sequenced = ordup_payload(seed, OrderTag::Sequenced(SeqNo(3)));
         assert_eq!(decode_payload(&encode_payload(&sequenced)), Some(sequenced));
+    }
+}
+
+/// A COMPE image knows five dispositions: at-risk, committed, aborted,
+/// commit-pending and abort-pending (an abort that outran its MSet).
+/// Each one's byte decodes and restores as itself — abort-pending
+/// suppressing the late MSet once and reporting every later copy as a
+/// duplicate — and every other byte is a `BadTag`, never a guess.
+#[test]
+fn a_compe_image_restores_each_disposition_as_itself_and_rejects_any_other_byte() {
+    let image = SiteCkpt::Compe(CompeCkpt {
+        values: vec![],
+        log: vec![],
+        seen: vec![(EtId(1), Disposition::AtRisk)],
+        compensations: 0,
+    });
+    let raw = encode_site_ckpt(&image).to_vec();
+    // The disposition byte trails the final u64 counter.
+    let at = raw.len() - 9;
+    for tag in 0..=u8::MAX {
+        let mut patched = raw.clone();
+        patched[at] = tag;
+        let decoded = decode_site_ckpt(&patched);
+        if tag > 4 {
+            assert_eq!(decoded, Err(WireError::BadTag { field: "disposition", tag }));
+            continue;
+        }
+        let decoded = decoded.unwrap_or_else(|e| panic!("disposition {tag}: {e:?}"));
+        let mut site = SiteState::from_ckpt(SiteId(0), decoded);
+        let dumped = site.to_ckpt().map(|c| encode_site_ckpt(&c).to_vec());
+        assert_eq!(dumped, Some(patched), "disposition {tag} restored as another");
+        if tag == 4 {
+            let op = ObjectOp::new(ObjectId(0), Operation::Incr(1));
+            let late = MSet::new(EtId(1), SiteId(1), vec![op]);
+            assert_eq!(site.deliver(late.clone()).outcome, Delivered::Suppressed);
+            assert_eq!(site.deliver(late).outcome, Delivered::Duplicate);
+            assert!(!site.has_applied(EtId(1)));
+        }
     }
 }
 

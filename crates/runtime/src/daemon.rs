@@ -61,8 +61,8 @@
 //! idle or query-only cycle still writes nothing. A boot re-sends the
 //! originated MSets above each peer's cursor in the newest cursor
 //! record — all live ones when truncation retired it — so a stale
-//! record costs only redundant sends, which the peers' journalled sets
-//! absorb. The cursors also bound journal truncation: a checkpoint
+//! record costs only redundant sends, which the peers' replicas report
+//! as duplicates and journal nothing for. The cursors also bound journal truncation: a checkpoint
 //! never retires a record some peer has not acknowledged.
 //!
 //! ## Topology and the coordinator
@@ -1401,10 +1401,13 @@ mod tests {
         for seq in [5, 6] {
             snapshot::install(&dir, "site-0", seq, b"not a payload").unwrap();
         }
-        let booted = try_boot(dir, RtMethod::Commu, 0, 1, Some(1));
-        assert!(
-            matches!(&booted, Err(e) if e.kind() == std::io::ErrorKind::InvalidData),
-            "boot must fail"
-        );
+        let Err(err) = try_boot(dir, RtMethod::Commu, 0, 1, Some(1)) else {
+            panic!("boot must fail")
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        for seq in [5, 6] {
+            let why = format!("snapshot {seq}: undecodable");
+            assert!(err.to_string().contains(&why), "{err} does not say {why}");
+        }
     }
 }

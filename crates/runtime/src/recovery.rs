@@ -8,14 +8,18 @@
 //! reactor cycle's commit ([`crate::commit`]) in one append before any
 //! of the cycle's sends — and acknowledges the inbound envelope only
 //! afterwards, so a crash can lose link contents but never an
-//! acknowledged update. Restart replays the journal through
-//! [`crate::ctrl::NodeCore::recover`] into the newest view recorded,
-//! which rebuilds the replica and re-announces the recovered applies,
-//! re-sends the MSets the site originated above each peer's newest
-//! recorded cursor, and passes every journalled decision on again; the
-//! rest of the control plane (completion notices, VTNC horizons, view
-//! state) comes back through the core's Hello exchange. This is
-//! `esrd`'s journal; the simulator runs the same recovery path over an
+//! acknowledged update. Restart is [`esr_replica::node::Node::boot`]:
+//! it restores the newest snapshot that still restores plus the journal
+//! suffix past its cut ([`crate::ctrl::NodeCore::restore`]), or replays a
+//! journal nothing was retired from in full
+//! ([`crate::ctrl::NodeCore::recover`]), into the newest view recorded —
+//! either way the replica is rebuilt, its duplicate guard absorbing any
+//! record the image already holds, and the recovered applies are
+//! re-announced. It re-sends the MSets the site originated above each
+//! peer's newest recorded cursor and passes every journalled decision on
+//! again; the rest of the control plane (completion notices, VTNC
+//! horizons, view state) comes back through the core's Hello exchange.
+//! This is `esrd`'s journal; the simulator runs the same boot over an
 //! in-memory one (DESIGN.md §10).
 
 use std::io;

@@ -3,8 +3,7 @@
 //!
 //! This module is deliberately ignorant of *what* is being
 //! checkpointed — the payload is opaque bytes (the runtime encodes its
-//! journalled set, client table, control ledger and method state into
-//! it).
+//! view, client table, control ledger and method state into it).
 //! What lives here is the durability story:
 //!
 //! * **Framing** — `"ESRSNAP1"` magic, a `u64` checkpoint sequence
