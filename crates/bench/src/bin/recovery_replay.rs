@@ -13,16 +13,24 @@
 //! Both boots include their real I/O (journal open, snapshot load and
 //! CRC check, codec work), and the restored core is checked
 //! bit-identical to the fully replayed one before any number is
-//! reported. The JSON records the replay times, the speedup, and the
-//! journal size before/after truncation.
+//! reported. Each timed boot runs in a fresh process, as a restarted
+//! site's does: timed in this one, a boot would reuse heap pages that
+//! the build and the other boot had already faulted in, and its time
+//! would depend on how much they had allocated and freed. The JSON
+//! records the replay times, the speedup, and the journal size
+//! before/after truncation.
 //!
 //! Usage: `recovery_replay [--entries N] [--tail N] [--test] [--json [PATH]]`
 //!   --entries N  journal records to build (default 1_000_000)
 //!   --tail N     records left uncovered past the cut (default 10_000)
 //!   --test       tiny run (5_000 entries, 500 tail), for CI smoke
 //!   --json PATH  output path (default BENCH_ckpt.json in cwd)
+//!
+//! `recovery_replay --boot full|snapshot DIR` times one boot of the
+//! site in `DIR` and prints the seconds: the child the run spawns.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::time::Instant;
 
 use esr_core::ids::{EtId, ObjectId, SiteId};
@@ -51,9 +59,9 @@ fn mset(i: u64) -> MSet {
     )
 }
 
-fn recover_full(path: &std::path::Path) -> (NodeCore, f64) {
-    let t = Instant::now();
-    let journal = ApplyJournal::open(path).expect("reopen journal");
+/// Full replay: open the journal and recover over every record.
+fn recover_full(dir: &Path) -> NodeCore {
+    let journal = ApplyJournal::open(dir.join("site-1.journal")).expect("reopen journal");
     let (core, _) = NodeCore::recover(
         SiteState::new(METHOD, SITE),
         METHOD,
@@ -63,7 +71,42 @@ fn recover_full(path: &std::path::Path) -> (NodeCore, f64) {
         0,
         journal.replay(),
     );
-    (core, t.elapsed().as_secs_f64())
+    core
+}
+
+/// Checkpointed boot: load and verify the snapshot, replay the journal
+/// suffix past its cut. Returns the core and the records replayed.
+fn restore_snapshot(dir: &Path) -> (NodeCore, u64) {
+    let (_, raw) = snapshot::load_newest(dir, "site-1")
+        .expect("load snapshot")
+        .expect("snapshot present");
+    let restored_payload = decode_payload(&raw).expect("image decodes");
+    let cut = restored_payload.covered_through.expect("cut id present");
+    let journal = ApplyJournal::open(dir.join("site-1.journal")).expect("reopen journal");
+    let suffix: Vec<MSet> = journal
+        .replay_entries()
+        .expect("journal decodes")
+        .into_iter()
+        .filter(|(id, _)| *id > cut)
+        .map(|(_, m)| m)
+        .collect();
+    let replayed = suffix.len() as u64;
+    let (core, _) = NodeCore::restore(METHOD, SITE, SITES, None, 0, restored_payload, suffix)
+        .expect("method matches");
+    (core, replayed)
+}
+
+/// Times one boot of the site in `dir` in a fresh process.
+fn timed_boot(kind: &str, dir: &Path) -> f64 {
+    let exe = std::env::current_exe().expect("own path");
+    let out = Command::new(exe)
+        .args(["--boot", kind])
+        .arg(dir)
+        .output()
+        .expect("spawn boot");
+    assert!(out.status.success(), "{kind} boot failed");
+    let secs = String::from_utf8_lossy(&out.stdout).trim().parse();
+    secs.expect("boot prints its seconds")
 }
 
 fn main() {
@@ -73,6 +116,19 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
+            "--boot" => {
+                let kind = args.next().expect("--boot full|snapshot DIR");
+                let dir = PathBuf::from(args.next().expect("--boot full|snapshot DIR"));
+                let t = Instant::now();
+                let _core = match kind.as_str() {
+                    "full" => recover_full(&dir),
+                    "snapshot" => restore_snapshot(&dir).0,
+                    other => panic!("unknown boot {other}"),
+                };
+                // Timed up to the booted core; freeing it is not a boot.
+                println!("{}", t.elapsed().as_secs_f64());
+                return;
+            }
             "--entries" => entries = args.next().and_then(|v| v.parse().ok()).expect("--entries N"),
             "--tail" => tail = args.next().and_then(|v| v.parse().ok()).expect("--tail N"),
             "--test" => {
@@ -111,7 +167,8 @@ fn main() {
     );
 
     // Baseline: full replay from record zero.
-    let (full_core, full_secs) = recover_full(&journal_path);
+    let full_secs = timed_boot("full", &dir);
+    let full_core = recover_full(&dir);
     eprintln!("full replay: {full_secs:.3}s");
 
     // Cut a checkpoint covering everything but the tail, from a core
@@ -162,25 +219,8 @@ fn main() {
     );
 
     // Checkpointed boot: load + verify the snapshot, replay the tail.
-    let t = Instant::now();
-    let (_, raw) = snapshot::load_newest(&dir, "site-1")
-        .expect("load snapshot")
-        .expect("snapshot present");
-    let restored_payload = decode_payload(&raw).expect("image decodes");
-    let cut = restored_payload.covered_through.expect("cut id present");
-    let journal = ApplyJournal::open(&journal_path).expect("reopen journal");
-    let suffix: Vec<MSet> = journal
-        .replay_entries()
-        .expect("journal decodes")
-        .into_iter()
-        .filter(|(id, _)| *id > cut)
-        .map(|(_, m)| m)
-        .collect();
-    let replayed = suffix.len() as u64;
-    let (restored_core, _) =
-        NodeCore::restore(METHOD, SITE, SITES, None, 0, restored_payload, suffix)
-            .expect("method matches");
-    let snap_secs = t.elapsed().as_secs_f64();
+    let snap_secs = timed_boot("snapshot", &dir);
+    let (restored_core, replayed) = restore_snapshot(&dir);
     eprintln!("snapshot boot: {snap_secs:.3}s ({replayed} suffix records)");
 
     // The whole point: both boots land on the same node image.

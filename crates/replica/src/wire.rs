@@ -794,10 +794,24 @@ pub fn encode_record(record: &Record) -> Bytes {
     encode(record, 64)
 }
 
+/// Appends one journal record's encoding, the bytes of
+/// [`encode_record`], to the buffer the journal writes.
+pub fn put_record(record: &Record, b: &mut BytesMut) {
+    record.put(b);
+}
+
+/// Appends the journal record of an accepted MSet: the bytes of
+/// `put_record(&Record::MSet(mset.clone()), b)`, without the clone.
+pub fn put_mset_record(mset: &MSet, b: &mut BytesMut) {
+    // `Record::MSet`'s row of the tag table above.
+    0x02u8.put(b);
+    mset.put(b);
+}
+
 /// Decodes a record written by [`encode_record`]. Total, like
 /// [`decode_frame`]: boot reads whatever bytes the journal file holds.
-pub fn decode_record(payload: &Bytes) -> Result<Record, WireError> {
-    Record::get(&mut payload.as_ref())
+pub fn decode_record(payload: &[u8]) -> Result<Record, WireError> {
+    Record::get(&mut &payload[..])
 }
 
 #[cfg(test)]
@@ -834,6 +848,23 @@ mod tests {
             ),
         ];
         roundtrip(&MSet::new(EtId(12), SiteId(2), ops));
+    }
+
+    #[test]
+    fn an_mset_record_is_put_as_its_record_is_encoded() {
+        let mset = MSet::new(
+            EtId(7),
+            SiteId(1),
+            vec![ObjectOp::new(ObjectId(2), Operation::Incr(3))],
+        )
+        .from_client(ClientId(4), 5);
+        let record = Record::MSet(mset.clone());
+        let (mut by_ref, mut by_record) = (BytesMut::new(), BytesMut::new());
+        put_mset_record(&mset, &mut by_ref);
+        put_record(&record, &mut by_record);
+        assert_eq!(by_ref.as_ref(), encode_record(&record).as_ref());
+        assert_eq!(by_record.as_ref(), by_ref.as_ref());
+        assert_eq!(decode_record(&by_ref), Ok(record));
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //!
 //! A site persists every MSet it accepts, every COMPE decision it takes
 //! on, every view it installs and, when one passed an MSet it
-//! originated, its links' acknowledged cursors, to an append-only [`FileQueue`] journal — the
-//! executor's half of [`crate::ctrl::Effect::Record`], written by the
-//! reactor cycle's commit ([`crate::commit`]) in one append before any
-//! of the cycle's sends — and acknowledges the inbound envelope only
+//! originated, its links' acknowledged cursors, to an append-only
+//! journal — a [`JournalLog`] whose file is its only copy, encoded
+//! straight into the one write of each append. That is the executor's
+//! half of [`crate::ctrl::Effect::Record`], written by the reactor
+//! cycle's commit ([`crate::commit`]) in one append before any of the
+//! cycle's sends; the site acknowledges the inbound envelope only
 //! afterwards, so a crash can lose link contents but never an
 //! acknowledged update. Restart is [`esr_replica::node::Node::boot`]:
 //! it restores the newest snapshot that still restores plus the journal
@@ -25,49 +27,50 @@
 use std::io;
 use std::path::Path;
 
-use bytes::Bytes;
+use bytes::BytesMut;
 
 use esr_replica::ctrl::Record;
 use esr_replica::mset::MSet;
-use esr_replica::wire::{decode_record, encode_record};
-use esr_storage::stable_queue::{EntryId, FileQueue, StableQueue};
+use esr_replica::wire::{decode_record, put_mset_record, put_record};
+use esr_storage::journal_log::JournalLog;
 
-/// A site's durable journal: encoded records in acceptance order.
-/// Entries stay live until a checkpoint covering them is installed;
-/// [`ApplyJournal::retire_through`] then acknowledges the covered
-/// prefix so compaction can reclaim it.
+/// A site's durable journal: encoded records in acceptance order, with
+/// consecutive ids. Records stay live until a checkpoint covering them
+/// is installed; [`ApplyJournal::retire_through`] then retires the
+/// covered prefix so compaction can reclaim it.
 #[derive(Debug)]
 pub struct ApplyJournal {
-    queue: FileQueue,
+    log: JournalLog,
     entries: u64,
 }
 
 impl ApplyJournal {
     /// Opens (or reopens after a crash) the journal at `path`.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        let queue = FileQueue::open(path)?;
-        let entries = queue.len() as u64;
-        Ok(Self { queue, entries })
+        let log = JournalLog::open(path)?;
+        let entries = log.live_len();
+        Ok(Self { log, entries })
     }
 
-    /// Durably records an accepted MSet: [`ApplyJournal::append`] of
-    /// one MSet record. Must be called before the envelope that carried
-    /// the MSet is acked. Returns the approximate bytes appended, for
-    /// checkpoint-policy accounting.
+    /// Durably records an accepted MSet: one MSet record, appended as
+    /// [`ApplyJournal::append`] would. Must be called before the
+    /// envelope that carried the MSet is acked. Returns the bytes
+    /// appended, for checkpoint-policy accounting.
     pub fn record(&mut self, mset: &MSet) -> u64 {
-        self.append(&[Record::MSet(mset.clone())])
+        self.write(std::slice::from_ref(mset), put_mset_record)
     }
 
     /// Durably records every record of a commit, in order, with one
     /// append (a crash mid-write leaves a whole-record prefix). Returns
-    /// the approximate bytes appended.
+    /// the bytes appended.
     pub fn append(&mut self, records: &[Record]) -> u64 {
-        let encoded: Vec<Bytes> = records.iter().map(encode_record).collect();
-        // Record framing + payload, per record.
-        let bytes = encoded.iter().map(|e| 13 + e.len() as u64).sum();
-        self.entries += encoded.len() as u64;
-        self.queue.enqueue_batch(encoded);
-        bytes
+        self.write(records, put_record)
+    }
+
+    #[expect(clippy::expect_used, reason = "a failed append to the journal leaves the site unusable; panicking is the recovery story")]
+    fn write<T>(&mut self, items: &[T], put: fn(&T, &mut BytesMut)) -> u64 {
+        self.entries += items.len() as u64;
+        self.log.append(items, put).expect("journal append")
     }
 
     /// Decodes every journalled MSet in acceptance order. Panics on a
@@ -92,57 +95,50 @@ impl ApplyJournal {
             .collect())
     }
 
-    /// Decodes every live record with its stable entry id — the
-    /// id-aware walk checkpoint recovery uses to split the log at a
-    /// snapshot's `covered_through` cut. A well-framed record that does
-    /// not decode is an `InvalidData` error naming its id.
+    /// Decodes every live record with its stable entry id, from one
+    /// read of the file — the id-aware walk checkpoint recovery uses to
+    /// split the log at a snapshot's `covered_through` cut. A
+    /// well-framed record that does not decode is an `InvalidData`
+    /// error naming its id.
     pub fn records(&self) -> io::Result<Vec<(u64, Record)>> {
-        self.queue
-            .pending(usize::MAX)
-            .into_iter()
-            .map(|(id, payload)| {
-                let r = decode_record(&payload).map_err(|e| {
-                    let why = format!("journal record {} undecodable: {e}", id.0);
-                    io::Error::new(io::ErrorKind::InvalidData, why)
-                })?;
-                Ok((id.0, r))
-            })
-            .collect()
+        let mut records = Vec::with_capacity(self.log.live_len() as usize);
+        self.log.read_live(|id, payload| {
+            let r = decode_record(payload).map_err(|e| {
+                let why = format!("journal record {id} undecodable: {e}");
+                io::Error::new(io::ErrorKind::InvalidData, why)
+            })?;
+            records.push((id, r));
+            Ok(())
+        })?;
+        Ok(records)
     }
 
     /// The stable id of the newest record ever journalled, or `None`
     /// for a journal that never held one. Monotone across recovery,
-    /// retirement, and compaction (the queue pins its allocator).
+    /// retirement, and compaction (the log pins its allocator).
     pub fn last_id(&self) -> Option<u64> {
-        let next = self.queue.next_id();
-        (next > 0).then(|| next - 1)
+        self.log.next_id().checked_sub(1)
     }
 
     /// Retires every entry with id `<= through`: the installed
     /// checkpoint covers them, so replay no longer needs them.
-    /// Retirement is an ack, not a delete — the bytes are reclaimed by
-    /// the queue's compaction once enough accumulate. Returns the
-    /// number of entries retired.
+    /// Retirement appends an ack record per entry, not a delete — the
+    /// bytes are reclaimed by the log's compaction once enough
+    /// accumulate. Returns the number of entries retired.
+    #[expect(clippy::expect_used, reason = "a failed append to the journal leaves the site unusable; panicking is the recovery story")]
     pub fn retire_through(&mut self, through: u64) -> u64 {
-        let covered: Vec<EntryId> = self
-            .queue
-            .pending(usize::MAX)
-            .into_iter()
-            .map(|(id, _)| id)
-            .filter(|id| id.0 <= through)
-            .collect();
-        self.queue.ack_batch(&covered) as u64
+        self.log.retire_through(through).expect("journal retirement")
     }
 
     /// Number of live (unretired) journal entries.
     pub fn live_entries(&self) -> u64 {
-        self.queue.len() as u64
+        self.log.live_len()
     }
 
-    /// Bytes currently occupied by the journal file (the queue's own
+    /// Bytes currently occupied by the journal file (the log's own
     /// running count — no filesystem call).
     pub fn file_bytes(&self) -> u64 {
-        self.queue.file_len()
+        self.log.file_len()
     }
 
     /// Number of records journalled this incarnation (live entries at

@@ -11,12 +11,15 @@
 //!   visibility (Modular Synchronization) for RITU multiversion mode;
 //! * [`stable_queue`] — at-least-once queues with explicit acks, both
 //!   in-memory and file-backed with crash recovery;
+//! * [`journal_log`] — the journal's prefix-retired log, whose file is
+//!   its only copy, in the file-backed queue's format;
 //! * [`recovery_log`] — before-image logging and the two compensation
 //!   strategies of COMPE (commutative fast path, suffix rollback+replay).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod journal_log;
 pub mod mvstore;
 pub mod recovery_log;
 pub mod snapshot;

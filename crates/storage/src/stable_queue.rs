@@ -10,16 +10,25 @@
 //! * [`MemQueue`] — in-memory: every `esrd` link queue. A crash empties
 //!   it; what makes the link stable is the site's journal, which holds
 //!   every MSet the site originated and re-seeds the links at boot;
-//! * [`FileQueue`] — append-only file-backed: `esrd`'s journal, the
-//!   site's one durable log, and nothing else. Reopening the file after
-//!   a crash recovers exactly the unacknowledged (unretired) entries.
+//! * [`FileQueue`] — append-only file-backed, keeping every live
+//!   entry's payload in memory as well. Reopening the file after a
+//!   crash recovers exactly the unacknowledged entries. No runtime uses
+//!   it: the journal is a [`JournalLog`](crate::journal_log::JournalLog),
+//!   whose file is its only copy and whose file format — the framing
+//!   defined in [`crate::journal_log`] — this queue shares, so either
+//!   opens the other's file.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+
+use crate::journal_log::{
+    compaction_due, put_enqueue, put_mark, Framed, Frames, ENQUEUE_HEADER, MARK_LEN, TAG_ACK,
+    TAG_NEXT_ID,
+};
 
 /// Identifier of one queue entry, assigned at enqueue time and stable
 /// across recovery.
@@ -124,23 +133,6 @@ fn pending_after_of(
         .collect()
 }
 
-// File record framing: one byte tag, eight byte id, then for ENQUEUE a
-// four byte length and the payload. NEXT_ID pins the id allocator: a
-// compacted file whose entries were all acknowledged would otherwise
-// replay to an empty map and restart ids at zero, and any cursor keyed
-// to old ids (a sender's high-water mark, a checkpoint's journal
-// frontier) would silently skip the reused range.
-const TAG_ENQUEUE: u8 = 1;
-const TAG_ACK: u8 = 2;
-const TAG_NEXT_ID: u8 = 3;
-
-/// After an ack, once this many bytes of the log belong to acknowledged
-/// records, the file is rewritten with only the live entries. Small
-/// enough that a journal visibly shrinks (and never makes the next boot
-/// re-read a history of dead records); large enough that a rewrite
-/// never dominates steady-state appends.
-const COMPACT_DEAD_BYTES: u64 = 64 * 1024;
-
 /// File-backed stable queue: an append-only log of enqueue/ack records.
 #[derive(Debug)]
 pub struct FileQueue {
@@ -170,53 +162,34 @@ impl FileQueue {
         let path = path.as_ref().to_path_buf();
         let mut entries = BTreeMap::new();
         let mut next_id = 0u64;
-        // Byte offset of the end of the last record replayed intact.
-        let mut valid_len = 0u64;
-        if path.exists() {
-            let mut buf = Vec::new();
-            File::open(&path)?.read_to_end(&mut buf)?;
-            let total = buf.len() as u64;
-            let mut cursor = Bytes::from(buf);
-            loop {
-                if cursor.remaining() < 9 {
-                    break;
+        let buf = match std::fs::read(&path) {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        let mut frames = Frames::new(&buf);
+        for (_, framed) in &mut frames {
+            match framed {
+                Framed::Enqueue { id, payload } => {
+                    entries.insert(EntryId(id), Bytes::copy_from_slice(payload));
+                    next_id = next_id.max(id + 1);
                 }
-                let tag = cursor.get_u8();
-                let id = cursor.get_u64();
-                match tag {
-                    TAG_ENQUEUE => {
-                        if cursor.remaining() < 4 {
-                            break; // torn write at crash: discard tail
-                        }
-                        let len = cursor.get_u32() as usize;
-                        if cursor.remaining() < len {
-                            break; // torn payload
-                        }
-                        entries.insert(EntryId(id), cursor.copy_to_bytes(len));
-                        next_id = next_id.max(id + 1);
-                        valid_len += 13 + len as u64;
-                    }
-                    TAG_ACK => {
-                        entries.remove(&EntryId(id));
-                        next_id = next_id.max(id + 1);
-                        valid_len += 9;
-                    }
-                    TAG_NEXT_ID => {
-                        // The id field *is* the pinned allocator value
-                        // ("the next id is at least this"), not an
-                        // entry id — hence max(id), not max(id + 1).
-                        next_id = next_id.max(id);
-                        valid_len += 9;
-                    }
-                    _ => break, // corrupt record: stop replay
+                Framed::Ack(id) => {
+                    entries.remove(&EntryId(id));
+                    next_id = next_id.max(id + 1);
                 }
+                // The pinned allocator value ("the next id is at least
+                // this"), not an entry id — hence max(id), not
+                // max(id + 1).
+                Framed::NextId(id) => next_id = next_id.max(id),
             }
-            if valid_len < total {
-                // Drop the torn/corrupt tail so future appends land
-                // directly after the last valid record.
-                let f = OpenOptions::new().write(true).open(&path)?;
-                f.set_len(valid_len)?;
-            }
+        }
+        let valid_len = frames.valid_len() as u64;
+        if valid_len < buf.len() as u64 {
+            // Drop the torn/corrupt tail so future appends land
+            // directly after the last valid record.
+            let f = OpenOptions::new().write(true).open(&path)?;
+            f.set_len(valid_len)?;
         }
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Self {
@@ -263,19 +236,15 @@ impl FileQueue {
     /// cursors held by senders survive.
     pub fn compact(&mut self) -> io::Result<()> {
         let tmp = self.path.with_extension("compact");
-        let mut len = 9;
+        let mut len = MARK_LEN as u64;
         {
             let mut out = BufWriter::new(File::create(&tmp)?);
-            let mut pin = BytesMut::with_capacity(9);
-            pin.put_u8(TAG_NEXT_ID);
-            pin.put_u64(self.next_id);
-            out.write_all(&pin)?;
+            let mut rec = BytesMut::new();
+            put_mark(&mut rec, TAG_NEXT_ID, self.next_id);
+            out.write_all(&rec)?;
             for (id, payload) in &self.entries {
-                let mut rec = BytesMut::with_capacity(13 + payload.len());
-                rec.put_u8(TAG_ENQUEUE);
-                rec.put_u64(id.0);
-                rec.put_u32(payload.len() as u32);
-                rec.put_slice(payload);
+                rec = BytesMut::with_capacity(ENQUEUE_HEADER + payload.len());
+                put_enqueue(&mut rec, id.0, |b| b.put_slice(payload));
                 out.write_all(&rec)?;
                 len += rec.len() as u64;
             }
@@ -296,13 +265,10 @@ impl StableQueue for FileQueue {
 
     #[expect(clippy::expect_used, reason = "a failed append to the backing file leaves the queue unusable; panicking is the recovery story")]
     fn enqueue_batch(&mut self, payloads: Vec<Bytes>) -> Vec<EntryId> {
-        let bytes: usize = payloads.iter().map(|p| 13 + p.len()).sum();
+        let bytes: usize = payloads.iter().map(|p| ENQUEUE_HEADER + p.len()).sum();
         let mut recs = BytesMut::with_capacity(bytes);
-        for (i, payload) in payloads.iter().enumerate() {
-            recs.put_u8(TAG_ENQUEUE);
-            recs.put_u64(self.next_id + i as u64);
-            recs.put_u32(payload.len() as u32);
-            recs.put_slice(payload);
+        for (id, payload) in (self.next_id..).zip(&payloads) {
+            put_enqueue(&mut recs, id, |b| b.put_slice(payload));
         }
         self.append(&recs).expect("queue file append");
         payloads
@@ -326,33 +292,28 @@ impl StableQueue for FileQueue {
 
     #[expect(clippy::expect_used, reason = "a failed append to the backing file leaves the queue unusable; panicking is the recovery story")]
     fn ack_batch(&mut self, ids: &[EntryId]) -> usize {
-        let mut recs = BytesMut::with_capacity(9 * ids.len());
+        let mut recs = BytesMut::with_capacity(MARK_LEN * ids.len());
         let mut dead = 0;
         for id in ids {
             let Some(payload) = self.entries.remove(id) else {
                 continue;
             };
-            recs.put_u8(TAG_ACK);
-            recs.put_u64(id.0);
-            // The entry's enqueue record (13 + payload) and its ack are
-            // both dead weight now.
-            dead += 13 + payload.len() as u64 + 9;
+            put_mark(&mut recs, TAG_ACK, id.0);
+            // The entry's enqueue record and its ack are both dead
+            // weight now.
+            dead += (ENQUEUE_HEADER + payload.len() + MARK_LEN) as u64;
         }
         if recs.is_empty() {
             return 0;
         }
         self.append(&recs).expect("queue file append");
         self.dead_bytes += dead;
-        // Rewrite only once the dead records also outweigh the live
-        // ones, so draining a long backlog (a peer back from an outage,
-        // a checkpoint retiring a long prefix) costs rewrites linear in
-        // the backlog rather than one full rewrite per threshold. A
-        // failed compaction is ignored: the log stays append-only
+        // A failed compaction is ignored: the log stays append-only
         // correct, just longer than asked.
-        if self.dead_bytes >= COMPACT_DEAD_BYTES.max(self.file_len / 2) {
+        if compaction_due(self.dead_bytes, self.file_len) {
             let _ = self.compact();
         }
-        recs.len() / 9
+        recs.len() / MARK_LEN
     }
 
     fn len(&self) -> usize {
@@ -363,6 +324,7 @@ impl StableQueue for FileQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal_log::TAG_ENQUEUE;
 
     fn tmpdir() -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
