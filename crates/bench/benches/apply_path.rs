@@ -8,7 +8,11 @@
 //! Every case feeds [`ReplicaSite::deliver`] one MSet at a time — the
 //! method's one apply rule, the path every executor runs. ORDUP is
 //! measured twice: in sequence order (the dense hot path) and fully
-//! reversed (everything parked until the first MSet arrives).
+//! reversed (everything parked until the first MSet arrives). RITU-MV
+//! is measured twice too: with the VTNC never advancing (every version
+//! stays reachable) and in the shape esrd runs `ritumv-wide16` — uniform
+//! writes over a wide keyspace, the VTNC trailing the installs — where
+//! each install prunes its chain.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -34,6 +38,11 @@ const OPS_PER_MSET: u64 = 16;
 const WINDOW: u64 = 2048;
 const REGION: u64 = 2048;
 
+/// The `RITU-mv-vtnc` keyspace, written uniformly.
+const WIDE: u64 = 65_536;
+/// How many MSets the VTNC trails the installs by in `RITU-mv-vtnc`.
+const VTNC_LAG: u64 = 64;
+
 fn object_for(i: u64, j: u64) -> ObjectId {
     // Fibonacci-hash scramble: objects within a window are drawn
     // pseudo-randomly from its REGION (an update ET writes scattered
@@ -55,12 +64,24 @@ fn inc_msets() -> Vec<MSet> {
 }
 
 fn tw_msets() -> Vec<MSet> {
+    tw_msets_over(object_for)
+}
+
+fn wide_tw_msets() -> Vec<MSet> {
+    tw_msets_over(|i, j| {
+        let k = (i * OPS_PER_MSET + j).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ObjectId((k >> 32) % WIDE)
+    })
+}
+
+/// MSet `i` writes version `i + 1` to `object(i, j)` for each op `j`.
+fn tw_msets_over(object: impl Fn(u64, u64) -> ObjectId) -> Vec<MSet> {
     (0..N)
         .map(|i| {
             let ops = (0..OPS_PER_MSET)
                 .map(|j| {
                     ObjectOp::new(
-                        object_for(i, j),
+                        object(i, j),
                         Operation::TimestampedWrite(
                             VersionTs::new(i + 1, ClientId(0)),
                             Value::Int(i as i64),
@@ -137,6 +158,20 @@ fn bench_apply(c: &mut Criterion) {
             let mut s = RituMvSite::new(SiteId(0));
             for m in &msets {
                 s.deliver(black_box(m.clone()));
+            }
+            black_box(s.has_applied(EtId(N - 1)))
+        })
+    });
+
+    group.bench_function(BenchmarkId::new("deliver", "RITU-mv-vtnc"), |b| {
+        let msets = wide_tw_msets();
+        b.iter(|| {
+            let mut s = RituMvSite::new(SiteId(0));
+            for (i, m) in (1u64..).zip(&msets) {
+                s.deliver(black_box(m.clone()));
+                if let Some(stable) = i.checked_sub(VTNC_LAG) {
+                    s.advance_vtnc(VersionTs::new(stable, ClientId(0)));
+                }
             }
             black_box(s.has_applied(EtId(N - 1)))
         })

@@ -4,7 +4,7 @@
 //! resume mid-protocol: not just the store contents but the
 //! method-specific in-flight state — ORDUP's hold-back queue and next
 //! sequence number, COMMU's raised lock-counters, RITU's version
-//! timestamps, RITU-MV's version chains and VTNC, COMPE's recovery log
+//! timestamps, RITU-MV's reachable versions and VTNC, COMPE's recovery log
 //! and decision outcomes. [`SiteCkpt`] is that image, one variant per
 //! method, with the same codec guarantees as the wire module it builds
 //! on: self-describing tagged binary, big-endian, and **total
@@ -69,8 +69,9 @@ pub struct RituCkpt {
 /// RITU multiversion-mode checkpoint image (see `RituMvSite::to_ckpt`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RituMvCkpt {
-    /// Every retained version: `(object, version, value)`, ascending by
-    /// object then version.
+    /// Every version a read can reach at `vtnc` — per object, the
+    /// newest stable version and everything above it: `(object,
+    /// version, value)`, ascending by object then version.
     pub versions: Vec<(ObjectId, VersionTs, Value)>,
     /// The certified visibility horizon.
     pub vtnc: VersionTs,

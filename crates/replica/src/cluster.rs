@@ -1254,6 +1254,7 @@ impl SimCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ckpt::SiteCkpt;
     use crate::ctrl::Record;
     use esr_net::latency::LatencyModel;
     use esr_storage::snapshot;
@@ -1347,6 +1348,29 @@ mod tests {
         assert!(out.admitted);
         assert_eq!(out.charged, 0);
         assert_eq!(out.values, vec![Value::Int(9)]);
+    }
+
+    #[test]
+    fn ritu_mv_image_holds_one_version_per_object_at_quiescence() {
+        // Many versions of a few objects: once the VTNC has certified
+        // them all, a read can reach only each object's newest one, and
+        // that is all any site's image holds.
+        let mut c = SimCluster::new(lossy_config(Method::RituMv));
+        let objects = [ObjectId(0), ObjectId(1), ObjectId(2)];
+        for i in 0..60u64 {
+            c.submit_blind_write(SiteId(i % 4), objects[i as usize % 3], Value::Int(i as i64));
+        }
+        c.run_until_quiescent();
+        assert!(c.converged());
+        for site in c.site_ids() {
+            let Some(SiteCkpt::RituMv(image)) = c.state(site).and_then(SiteState::to_ckpt) else {
+                panic!("{site} has no RITU-MV image");
+            };
+            let held: Vec<ObjectId> = image.versions.iter().map(|(o, _, _)| *o).collect();
+            assert_eq!(held, objects, "{site} holds unreachable versions");
+            let newest: Vec<Value> = image.versions.into_iter().map(|(_, _, v)| v).collect();
+            assert_eq!(newest, [Value::Int(57), Value::Int(58), Value::Int(59)]);
+        }
     }
 
     #[test]

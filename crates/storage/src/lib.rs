@@ -7,7 +7,7 @@
 //!
 //! * [`store`] — single-version object stores, including the
 //!   last-writer-wins store for RITU overwrite mode;
-//! * [`mvstore`] — the append-only multiversion store with VTNC
+//! * [`mvstore`] — the multiversion store with VTNC
 //!   visibility (Modular Synchronization) for RITU multiversion mode;
 //! * [`stable_queue`] — at-least-once queues with explicit acks, both
 //!   in-memory and file-backed with crash recovery;
