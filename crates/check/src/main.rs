@@ -6,7 +6,7 @@
 //! esr-check [--model-budget N]
 //! ```
 //!
-//! Phase 1 hunts the eight seeded control-plane defects (the two
+//! Phase 1 hunts the nine seeded control-plane defects (the two
 //! failover defects — split-brain double-coordinator and
 //! completion-lost-in-handoff — run with a one-suspicion budget so the
 //! explorer can drive a view change). Phase 2 sweeps the canary-size

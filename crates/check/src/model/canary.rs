@@ -33,16 +33,24 @@ pub struct CtrlCanaryCase {
     pub needs_view_change: bool,
 }
 
-/// The eight control-plane defect classes: the original five, the two
-/// failover defects a view-change protocol can smuggle in — a demoted
-/// coordinator that keeps acting, and a handoff that swallows in-flight
-/// completions — and a decision left only in a link queue a crash
-/// empties.
-pub const CTRL_CANARIES: [CtrlCanaryCase; 8] = [
+/// The nine control-plane defect hunts: the original five classes, the
+/// two failover defects a view-change protocol can smuggle in — a
+/// demoted coordinator that keeps acting, and a handoff that swallows
+/// in-flight completions — a decision left only in a link queue a crash
+/// empties, and the lost completion again under RITU, whose overwrite
+/// site shares COMMU's lock-counters.
+pub const CTRL_CANARIES: [CtrlCanaryCase; 9] = [
     CtrlCanaryCase {
         name: "lost-completion-after-crash",
         canary: CtrlCanary::LostCompletionOnRestart,
         method: RtMethod::Commu,
+        oracle: "settled",
+        needs_view_change: false,
+    },
+    CtrlCanaryCase {
+        name: "lost-ritu-completion-after-crash",
+        canary: CtrlCanary::LostCompletionOnRestart,
+        method: RtMethod::Ritu,
         oracle: "settled",
         needs_view_change: false,
     },

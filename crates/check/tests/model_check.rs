@@ -1,4 +1,4 @@
-//! `esr-model` end-to-end: the eight control-plane canaries must be
+//! `esr-model` end-to-end: the nine control-plane canaries must be
 //! caught and the unmutated protocol must sweep clean for every method
 //! (every terminal's traces pass the certifier — it is one of the
 //! terminal oracles).

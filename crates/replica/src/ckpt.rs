@@ -3,11 +3,12 @@
 //! A consistent checkpoint must capture everything a method needs to
 //! resume mid-protocol: not just the store contents but the
 //! method-specific in-flight state — ORDUP's hold-back queue and next
-//! sequence number, COMMU's raised lock-counters, RITU's version
-//! timestamps, RITU-MV's reachable versions and VTNC, COMPE's recovery log
-//! and decision outcomes. [`SiteCkpt`] is that image, one variant per
-//! method, with the same codec guarantees as the wire module it builds
-//! on: self-describing tagged binary, big-endian, and **total
+//! sequence number, the raised lock-counters of COMMU and RITU (one
+//! [`CountedCkpt`] layout over each store's rows, RITU's carrying the
+//! version timestamps), RITU-MV's reachable versions and VTNC, COMPE's
+//! recovery log and decision outcomes. [`SiteCkpt`] is that image, one
+//! variant per method, with the same codec guarantees as the wire module
+//! it builds on: self-describing tagged binary, big-endian, and **total
 //! decoding** — any byte slice yields a checkpoint or a [`WireError`],
 //! never a panic, so a torn or hostile snapshot file can at worst be
 //! skipped.
@@ -40,11 +41,15 @@ pub struct OrdupCkpt {
     pub applied_ets: Vec<EtId>,
 }
 
-/// COMMU checkpoint image (see `CommuSite::to_ckpt`).
+/// A lock-counter site's checkpoint image (see
+/// `CountedSite::to_ckpt`): the store's rows, the in-flight updates,
+/// the applied ETs.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CommuCkpt {
-    /// Store contents.
-    pub values: Vec<(ObjectId, Value)>,
+pub struct CountedCkpt<R> {
+    /// The store's rows, in object order: `(object, value)` for COMMU;
+    /// `(object, version, value)` for RITU, the winning version being the
+    /// LWW arbitration state a restored site must keep honoring.
+    pub values: Vec<R>,
     /// In-flight updates still holding lock-counters: `(et, write set)`.
     pub held: Vec<(EtId, Vec<ObjectId>)>,
     /// Applied ET ids, ascending, each with its MSet's max version —
@@ -52,19 +57,11 @@ pub struct CommuCkpt {
     pub applied_ets: Vec<(EtId, Option<VersionTs>)>,
 }
 
-/// RITU overwrite-mode checkpoint image (see
-/// `RituOverwriteSite::to_ckpt`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RituCkpt {
-    /// Store contents with the winning version per object — the LWW
-    /// arbitration state a restored site must keep honoring.
-    pub values: Vec<(ObjectId, VersionTs, Value)>,
-    /// In-flight updates still holding lock-counters.
-    pub held: Vec<(EtId, Vec<ObjectId>)>,
-    /// Applied ET ids, ascending, each with its MSet's max version —
-    /// the applies the control core re-announces.
-    pub applied_ets: Vec<(EtId, Option<VersionTs>)>,
-}
+/// COMMU checkpoint image.
+pub type CommuCkpt = CountedCkpt<(ObjectId, Value)>;
+
+/// RITU overwrite-mode checkpoint image.
+pub type RituCkpt = CountedCkpt<(ObjectId, VersionTs, Value)>;
 
 /// RITU multiversion-mode checkpoint image (see `RituMvSite::to_ckpt`).
 #[derive(Debug, Clone, PartialEq)]
@@ -148,17 +145,23 @@ impl Wire for OrdupCkpt {
     }
 }
 
-wire_struct!(CommuCkpt {
-    values: Vec<(ObjectId, Value)>,
-    held: Vec<(EtId, Vec<ObjectId>)>,
-    applied_ets: Vec<(EtId, Option<VersionTs>)>,
-});
-
-wire_struct!(RituCkpt {
-    values: Vec<(ObjectId, VersionTs, Value)>,
-    held: Vec<(EtId, Vec<ObjectId>)>,
-    applied_ets: Vec<(EtId, Option<VersionTs>)>,
-});
+impl<R: Wire> Wire for CountedCkpt<R> {
+    const MIN_LEN: usize = Vec::<R>::MIN_LEN
+        + Vec::<(EtId, Vec<ObjectId>)>::MIN_LEN
+        + Vec::<(EtId, Option<VersionTs>)>::MIN_LEN;
+    fn put(&self, b: &mut BytesMut) {
+        self.values.put(b);
+        self.held.put(b);
+        self.applied_ets.put(b);
+    }
+    fn get(b: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(CountedCkpt {
+            values: Wire::get(b)?,
+            held: Wire::get(b)?,
+            applied_ets: Wire::get(b)?,
+        })
+    }
+}
 
 wire_struct!(RituMvCkpt {
     versions: Vec<(ObjectId, VersionTs, Value)>,

@@ -1047,17 +1047,10 @@ impl SimCluster {
                         .global_counters
                         .inconsistency_of_set(read_set.iter().copied()),
                 };
-                if counter.charge(charge).is_admitted() {
+                QueryOutcome::admit(&mut counter, charge, || {
                     let mut unbounded = InconsistencyCounter::new(EpsilonSpec::UNBOUNDED);
-                    let values = state.query(read_set, &mut unbounded).values;
-                    QueryOutcome {
-                        values,
-                        charged: charge,
-                        admitted: true,
-                    }
-                } else {
-                    QueryOutcome::rejected()
-                }
+                    state.query(read_set, &mut unbounded).values
+                })
             }
         };
         count_query(&out, epsilon.limit, obs);

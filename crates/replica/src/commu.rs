@@ -1,4 +1,5 @@
-//! COMMU — commutative operations (§3.2).
+//! COMMU — commutative operations (§3.2), and the lock-counter site it
+//! shares with RITU's overwrite mode.
 //!
 //! When update MSets commute, the final result is the same under any
 //! application order, so MSets are applied immediately on arrival — no
@@ -15,34 +16,82 @@
 //!
 //! The completion notice is an ordinary asynchronous message broadcast by
 //! the origin once all replicas have acknowledged; the cluster driver
-//! models it with [`CommuSite::complete`].
+//! models it with [`CountedSite::complete`].
+//!
+//! RITU's overwrite mode "reduces to COMMU" (§3.3): its timestamped
+//! overwrites converge under any delivery order too, so it is the same
+//! [`CountedSite`] over a last-writer-wins store
+//! ([`crate::ritu::RituOverwriteSite`]). A [`ConvergentStore`] is all
+//! the site asks of its store.
 
 use std::collections::BTreeMap;
 
 use esr_core::divergence::{InconsistencyCounter, LockCounters};
+use esr_core::error::CoreResult;
 use esr_core::fastid::FastIdMap;
 use esr_core::ids::{EtId, ObjectId, SiteId, VersionTs};
+use esr_core::op::ObjectOp;
 use esr_core::value::Value;
 use esr_storage::store::ObjectStore;
 
+use crate::ckpt::CountedCkpt;
 use crate::mset::MSet;
 use crate::site::{Delivered, Delivery, QueryOutcome, ReplicaSite};
 
-/// A COMMU replica site.
+/// A store that every delivery order of the same MSets brings to the
+/// same state — all a lock-counter site needs of it.
+pub trait ConvergentStore: Default {
+    /// One object's checkpoint row.
+    type Row;
+    /// Applies one operation of a delivered MSet.
+    fn apply(&mut self, op: &ObjectOp) -> CoreResult<Value>;
+    /// The current value of `object`.
+    fn get(&self, object: ObjectId) -> Value;
+    /// Every written object's value, in object order.
+    fn snapshot(&self) -> BTreeMap<ObjectId, Value>;
+    /// The checkpoint rows, in object order.
+    fn rows(&self) -> Vec<Self::Row>;
+    /// The store those rows describe.
+    fn from_rows(rows: Vec<Self::Row>) -> Self;
+}
+
+impl ConvergentStore for ObjectStore {
+    type Row = (ObjectId, Value);
+    fn apply(&mut self, op: &ObjectOp) -> CoreResult<Value> {
+        ObjectStore::apply(self, op)
+    }
+    fn get(&self, object: ObjectId) -> Value {
+        ObjectStore::get(self, object)
+    }
+    fn snapshot(&self) -> BTreeMap<ObjectId, Value> {
+        ObjectStore::snapshot(self)
+    }
+    fn rows(&self) -> Vec<Self::Row> {
+        self.snapshot().into_iter().collect()
+    }
+    fn from_rows(rows: Vec<Self::Row>) -> Self {
+        ObjectStore::with_values(rows)
+    }
+}
+
+/// A lock-counter replica site over a convergent store.
 #[derive(Debug)]
-pub struct CommuSite {
-    store: ObjectStore,
+pub struct CountedSite<S> {
+    pub(crate) store: S,
     counters: LockCounters,
     /// ETs applied at this site, each with its MSet's max version
     /// (duplicate suppression, and the applies the core re-announces).
     applied_ets: FastIdMap<EtId, Option<VersionTs>>,
 }
 
-impl CommuSite {
+/// A COMMU replica site.
+pub type CommuSite = CountedSite<ObjectStore>;
+
+impl<S: ConvergentStore> CountedSite<S> {
     /// A fresh site.
     pub fn new(_site: SiteId) -> Self {
         Self {
-            store: ObjectStore::new(),
+            store: S::default(),
             counters: LockCounters::new(),
             applied_ets: FastIdMap::default(),
         }
@@ -54,11 +103,11 @@ impl CommuSite {
     }
 
     /// Captures the site's full protocol state as a checkpoint image:
-    /// store contents, the in-flight updates still holding
+    /// the store's rows, the in-flight updates still holding
     /// lock-counters, and the applied ETs with their versions.
-    pub fn to_ckpt(&self) -> crate::ckpt::CommuCkpt {
-        crate::ckpt::CommuCkpt {
-            values: self.store.snapshot().into_iter().collect(),
+    pub fn to_ckpt(&self) -> CountedCkpt<S::Row> {
+        CountedCkpt {
+            values: self.store.rows(),
             held: self.counters.held_sets(),
             applied_ets: self.applies(),
         }
@@ -68,11 +117,10 @@ impl CommuSite {
     /// write sets re-raise exactly the lock-counters that were up at
     /// the cut, so queries keep being charged for in-flight updates and
     /// late completion notices land correctly.
-    pub fn from_ckpt(_site: SiteId, c: crate::ckpt::CommuCkpt) -> Self {
-        let counters = LockCounters::from_held_sets(c.held);
+    pub fn from_ckpt(_site: SiteId, c: CountedCkpt<S::Row>) -> Self {
         Self {
-            store: ObjectStore::with_values(c.values),
-            counters,
+            store: S::from_rows(c.values),
+            counters: LockCounters::from_held_sets(c.held),
             applied_ets: c.applied_ets.into_iter().collect(),
         }
     }
@@ -84,24 +132,9 @@ impl CommuSite {
         self.counters.end_update(et);
     }
 
-    /// The lock-counter value of one object (visible inconsistency).
-    pub fn lock_counter(&self, object: ObjectId) -> u64 {
-        self.counters.inconsistency_of(object)
-    }
-
     /// The highest lock-counter value any object has reached here.
     pub fn lock_counter_high_water(&self) -> u64 {
         self.counters.high_water()
-    }
-
-    /// True when applying an update over `write_set` would push any
-    /// object's lock-counter beyond `limit` — the paper's optional update
-    /// throttle ("the update ET trying to write must either wait or
-    /// abort").
-    pub fn would_exceed(&self, write_set: &[ObjectId], limit: u64) -> bool {
-        write_set
-            .iter()
-            .any(|&o| self.counters.inconsistency_of(o) + 1 > limit)
     }
 
     /// True when no update is in flight at this site.
@@ -110,7 +143,7 @@ impl CommuSite {
     }
 }
 
-impl ReplicaSite for CommuSite {
+impl<S: ConvergentStore> ReplicaSite for CountedSite<S> {
     #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
     fn deliver(&mut self, mset: MSet) -> Delivery {
         if self.applied_ets.contains_key(&mset.et) {
@@ -119,7 +152,7 @@ impl ReplicaSite for CommuSite {
         for op in &mset.ops {
             self.store
                 .apply(op)
-                .expect("commutative MSet must apply cleanly");
+                .expect("a convergent store applies every MSet cleanly");
         }
         self.counters.begin_update(mset.et, mset.write_set());
         self.applied_ets.insert(mset.et, mset.max_version());
@@ -136,14 +169,9 @@ impl ReplicaSite for CommuSite {
         counter: &mut InconsistencyCounter,
     ) -> QueryOutcome {
         let charge = self.counters.inconsistency_of_set(read_set.iter().copied());
-        if !counter.charge(charge).is_admitted() {
-            return QueryOutcome::rejected();
-        }
-        QueryOutcome {
-            values: read_set.iter().map(|&o| self.store.get(o)).collect(),
-            charged: charge,
-            admitted: true,
-        }
+        QueryOutcome::admit(counter, charge, || {
+            read_set.iter().map(|&o| self.store.get(o)).collect()
+        })
     }
 
     fn snapshot(&self) -> BTreeMap<ObjectId, Value> {
@@ -151,7 +179,7 @@ impl ReplicaSite for CommuSite {
     }
 
     fn backlog(&self) -> usize {
-        0 // COMMU never holds anything back
+        0 // a lock-counter site never holds anything back
     }
 }
 
@@ -159,24 +187,83 @@ impl ReplicaSite for CommuSite {
 mod tests {
     use super::*;
     use esr_core::divergence::EpsilonSpec;
-    use esr_core::op::{ObjectOp, Operation};
+    use esr_core::ids::ClientId;
+    use esr_core::op::Operation;
+    use esr_storage::store::LwwStore;
 
     const X: ObjectId = ObjectId(0);
     const Y: ObjectId = ObjectId(1);
 
-    fn inc(et: u64, obj: ObjectId, n: i64) -> MSet {
-        MSet::new(EtId(et), SiteId(9), vec![ObjectOp::new(obj, Operation::Incr(n))])
+    /// What each lock-counter test needs to know about a store.
+    trait Fixture: ConvergentStore + std::fmt::Debug {
+        /// ET `et`'s update MSet: adds `n` to `obj` (COMMU) or writes
+        /// `n` to it at version `et` (RITU).
+        fn update(et: u64, obj: ObjectId, n: i64) -> MSet;
+        /// The value left by two updates writing `a` then `b`, in ET
+        /// order.
+        fn merged(a: i64, b: i64) -> i64;
     }
+
+    impl Fixture for ObjectStore {
+        fn update(et: u64, obj: ObjectId, n: i64) -> MSet {
+            MSet::new(
+                EtId(et),
+                SiteId(9),
+                vec![ObjectOp::new(obj, Operation::Incr(n))],
+            )
+        }
+        fn merged(a: i64, b: i64) -> i64 {
+            a + b
+        }
+    }
+
+    impl Fixture for LwwStore {
+        fn update(et: u64, obj: ObjectId, n: i64) -> MSet {
+            let write = Operation::TimestampedWrite(VersionTs::new(et, ClientId(0)), Value::Int(n));
+            MSet::new(EtId(et), SiteId(9), vec![ObjectOp::new(obj, write)])
+        }
+        fn merged(_: i64, b: i64) -> i64 {
+            b
+        }
+    }
+
+    /// Runs each named test over COMMU's store and RITU's.
+    macro_rules! over_both_stores {
+        ($($test:ident),+ $(,)?) => {
+            mod commu {
+                $(#[test]
+                fn $test() {
+                    super::$test::<super::ObjectStore>();
+                })+
+            }
+            mod ritu {
+                $(#[test]
+                fn $test() {
+                    super::$test::<super::LwwStore>();
+                })+
+            }
+        };
+    }
+
+    over_both_stores!(
+        applies_immediately_in_any_order,
+        duplicates_suppressed,
+        redelivery_storm_is_idempotent_and_counted,
+        lock_counters_track_in_flight_updates,
+        query_charges_lock_counters,
+        strict_query_rejected_while_updates_in_flight,
+        bounded_budget_spends_down,
+        image_restores_values_and_counters,
+    );
 
     fn unbounded() -> InconsistencyCounter {
         InconsistencyCounter::new(EpsilonSpec::UNBOUNDED)
     }
 
-    #[test]
-    fn applies_immediately_in_any_order() {
-        let msets = [inc(1, X, 5), inc(2, X, 7), inc(3, Y, 1)];
-        let mut a = CommuSite::new(SiteId(0));
-        let mut b = CommuSite::new(SiteId(1));
+    fn applies_immediately_in_any_order<S: Fixture>() {
+        let msets = [S::update(1, X, 5), S::update(2, X, 7), S::update(3, Y, 1)];
+        let mut a = CountedSite::<S>::new(SiteId(0));
+        let mut b = CountedSite::<S>::new(SiteId(1));
         for m in &msets {
             a.deliver(m.clone());
         }
@@ -184,56 +271,62 @@ mod tests {
             b.deliver(m.clone());
         }
         assert_eq!(a.snapshot(), b.snapshot());
-        assert_eq!(a.snapshot()[&X], Value::Int(12));
+        assert_eq!(a.snapshot()[&X], Value::Int(S::merged(5, 7)));
         assert_eq!(a.backlog(), 0);
-        assert_eq!(b.applies(), vec![(EtId(1), None), (EtId(2), None), (EtId(3), None)]);
+        let applies: Vec<_> = msets.iter().map(|m| (m.et, m.max_version())).collect();
+        assert_eq!(b.applies(), applies);
     }
 
-    #[test]
-    fn duplicates_suppressed() {
-        let mut s = CommuSite::new(SiteId(0));
-        let m = inc(1, X, 5);
+    fn duplicates_suppressed<S: Fixture>() {
+        let mut s = CountedSite::<S>::new(SiteId(0));
+        let m = S::update(1, X, 5);
         assert_eq!(s.deliver(m.clone()).outcome, Delivered::Applied);
         assert_eq!(s.deliver(m).outcome, Delivered::Duplicate);
         assert_eq!(s.snapshot()[&X], Value::Int(5));
-        assert_eq!(s.lock_counter(X), 1, "counter raised once");
+        assert_eq!(s.counters.inconsistency_of(X), 1, "counter raised once");
     }
 
-    #[test]
-    fn redelivery_storm_is_idempotent_and_counted() {
-        let msets = [inc(1, X, 5), inc(2, X, 7), inc(3, Y, 1)];
-        let mut s = CommuSite::new(SiteId(0));
+    fn redelivery_storm_is_idempotent_and_counted<S: Fixture>() {
+        let msets = [S::update(1, X, 5), S::update(2, X, 7), S::update(3, Y, 1)];
+        let mut s = CountedSite::<S>::new(SiteId(0));
         let duplicates = msets
             .iter()
             .chain(msets.iter().rev())
             .chain(msets.iter())
             .filter(|m| s.deliver((*m).clone()).outcome == Delivered::Duplicate)
             .count();
-        assert_eq!(s.snapshot()[&X], Value::Int(12), "each Incr applied once");
+        assert_eq!(
+            s.snapshot()[&X],
+            Value::Int(S::merged(5, 7)),
+            "each update applied once"
+        );
         assert_eq!(duplicates, 6);
         assert!(msets.iter().all(|m| s.has_applied(m.et)));
-        assert_eq!(s.lock_counter(X), 2, "counters raised once per ET");
+        assert_eq!(
+            s.counters.inconsistency_of(X),
+            2,
+            "counters raised once per ET"
+        );
     }
 
-    #[test]
-    fn lock_counters_track_in_flight_updates() {
-        let mut s = CommuSite::new(SiteId(0));
-        s.deliver(inc(1, X, 5));
-        s.deliver(inc(2, X, 3));
-        assert_eq!(s.lock_counter(X), 2);
+    fn lock_counters_track_in_flight_updates<S: Fixture>() {
+        let mut s = CountedSite::<S>::new(SiteId(0));
+        s.deliver(S::update(1, X, 5));
+        s.deliver(S::update(2, X, 3));
+        assert_eq!(s.counters.inconsistency_of(X), 2);
         assert!(!s.quiescent());
         s.complete(EtId(1));
-        assert_eq!(s.lock_counter(X), 1);
+        assert_eq!(s.counters.inconsistency_of(X), 1);
         s.complete(EtId(2));
         assert!(s.quiescent());
-        assert_eq!(s.lock_counter(X), 0);
+        assert_eq!(s.counters.inconsistency_of(X), 0);
+        assert_eq!(s.lock_counter_high_water(), 2);
     }
 
-    #[test]
-    fn query_charges_lock_counters() {
-        let mut s = CommuSite::new(SiteId(0));
-        s.deliver(inc(1, X, 5));
-        s.deliver(inc(2, Y, 1));
+    fn query_charges_lock_counters<S: Fixture>() {
+        let mut s = CountedSite::<S>::new(SiteId(0));
+        s.deliver(S::update(1, X, 5));
+        s.deliver(S::update(2, Y, 1));
         let mut c = unbounded();
         let out = s.query(&[X, Y], &mut c);
         assert!(out.admitted);
@@ -246,34 +339,40 @@ mod tests {
         assert!(s.query(&[X, Y], &mut c2).admitted);
     }
 
-    #[test]
-    fn strict_query_rejected_while_updates_in_flight() {
-        let mut s = CommuSite::new(SiteId(0));
-        s.deliver(inc(1, X, 5));
+    fn strict_query_rejected_while_updates_in_flight<S: Fixture>() {
+        let mut s = CountedSite::<S>::new(SiteId(0));
+        s.deliver(S::update(1, X, 5));
         let mut c = InconsistencyCounter::new(EpsilonSpec::STRICT);
-        assert!(!s.query(&[X], &mut c).admitted);
+        assert_eq!(s.query(&[X], &mut c), QueryOutcome::rejected());
+        assert_eq!(c.imported(), 0, "a rejected query charges nothing");
         // Unrelated object unaffected.
         assert!(s.query(&[Y], &mut c).admitted);
     }
 
-    #[test]
-    fn bounded_budget_spends_down() {
-        let mut s = CommuSite::new(SiteId(0));
-        s.deliver(inc(1, X, 1));
-        s.deliver(inc(2, X, 1));
+    fn bounded_budget_spends_down<S: Fixture>() {
+        let mut s = CountedSite::<S>::new(SiteId(0));
+        s.deliver(S::update(1, X, 1));
+        s.deliver(S::update(2, X, 1));
         let mut c = InconsistencyCounter::new(EpsilonSpec::bounded(3));
         assert!(s.query(&[X], &mut c).admitted, "charge 2 fits in 3");
         assert_eq!(c.remaining(), 1);
         assert!(!s.query(&[X], &mut c).admitted, "second charge of 2 doesn't");
     }
 
-    #[test]
-    fn update_throttle_check() {
-        let mut s = CommuSite::new(SiteId(0));
-        s.deliver(inc(1, X, 1));
-        s.deliver(inc(2, X, 1));
-        assert!(s.would_exceed(&[X], 2));
-        assert!(!s.would_exceed(&[X], 3));
-        assert!(!s.would_exceed(&[Y], 1));
+    /// A site rebuilt from its image mid-protocol reads the same values,
+    /// charges the same counters and lets a late completion land.
+    fn image_restores_values_and_counters<S: Fixture>() {
+        let mut s = CountedSite::<S>::new(SiteId(0));
+        s.deliver(S::update(1, X, 5));
+        s.deliver(S::update(2, Y, 1));
+        s.complete(EtId(2));
+        let mut r = CountedSite::<S>::from_ckpt(SiteId(0), s.to_ckpt());
+        assert_eq!(r.snapshot(), s.snapshot());
+        assert_eq!(r.applies(), s.applies());
+        let out = r.query(&[X, Y], &mut unbounded());
+        assert_eq!(out, s.query(&[X, Y], &mut unbounded()));
+        assert_eq!(out.charged, 1, "ET1's counter survives the image");
+        r.complete(EtId(1));
+        assert!(r.quiescent());
     }
 }

@@ -241,14 +241,9 @@ impl ReplicaSite for CompeSite {
                     .any(|a| a.op.op.is_write() && read_set.contains(&a.op.object))
             })
             .count() as u64;
-        if !counter.charge(charge).is_admitted() {
-            return QueryOutcome::rejected();
-        }
-        QueryOutcome {
-            values: read_set.iter().map(|&o| self.store.get(o)).collect(),
-            charged: charge,
-            admitted: true,
-        }
+        QueryOutcome::admit(counter, charge, || {
+            read_set.iter().map(|&o| self.store.get(o)).collect()
+        })
     }
 
     fn snapshot(&self) -> BTreeMap<ObjectId, Value> {

@@ -133,6 +133,13 @@ impl OrdupSite {
     }
 }
 
+/// A query's charge at either ORDUP site: every held-back MSet writing a
+/// queried object is an overlapping update whose effect the read would
+/// order inconsistently.
+fn held_back_charge<'a>(held: impl Iterator<Item = &'a MSet>, read_set: &[ObjectId]) -> u64 {
+    held.filter(|m| m.touches(read_set)).count() as u64
+}
+
 impl ReplicaSite for OrdupSite {
     fn deliver(&mut self, mset: MSet) -> Delivery {
         let OrderTag::Sequenced(seq) = mset.order else {
@@ -167,21 +174,10 @@ impl ReplicaSite for OrdupSite {
         read_set: &[ObjectId],
         counter: &mut InconsistencyCounter,
     ) -> QueryOutcome {
-        // Every held-back MSet writing a queried object is an overlapping
-        // update whose effect this read would order inconsistently.
-        let charge = self
-            .holdback
-            .values()
-            .filter(|m| m.touches(read_set))
-            .count() as u64;
-        if !counter.charge(charge).is_admitted() {
-            return QueryOutcome::rejected();
-        }
-        QueryOutcome {
-            values: read_set.iter().map(|&o| self.store.get(o)).collect(),
-            charged: charge,
-            admitted: true,
-        }
+        let charge = held_back_charge(self.holdback.values(), read_set);
+        QueryOutcome::admit(counter, charge, || {
+            read_set.iter().map(|&o| self.store.get(o)).collect()
+        })
     }
 
     fn snapshot(&self) -> BTreeMap<ObjectId, Value> {
@@ -332,19 +328,10 @@ impl ReplicaSite for OrdupLamportSite {
         read_set: &[ObjectId],
         counter: &mut InconsistencyCounter,
     ) -> QueryOutcome {
-        let charge = self
-            .holdback
-            .values()
-            .filter(|m| m.touches(read_set))
-            .count() as u64;
-        if !counter.charge(charge).is_admitted() {
-            return QueryOutcome::rejected();
-        }
-        QueryOutcome {
-            values: read_set.iter().map(|&o| self.store.get(o)).collect(),
-            charged: charge,
-            admitted: true,
-        }
+        let charge = held_back_charge(self.holdback.values(), read_set);
+        QueryOutcome::admit(counter, charge, || {
+            read_set.iter().map(|&o| self.store.get(o)).collect()
+        })
     }
 
     fn snapshot(&self) -> BTreeMap<ObjectId, Value> {

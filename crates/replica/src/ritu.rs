@@ -7,8 +7,9 @@
 //! * [`RituOverwriteSite`] — single-version overwrite mode: the newest
 //!   timestamp wins, older updates are ignored; "there is no divergence
 //!   since by definition all the reads request the latest version — RITU
-//!   reduces to COMMU", so divergence bounding reuses the lock-counter
-//!   scheme.
+//!   reduces to COMMU", so it *is* COMMU's lock-counter site
+//!   ([`CountedSite`]) over a last-writer-wins store; this module adds
+//!   only that store's [`ConvergentStore`] impl and the version read.
 //! * [`RituMvSite`] — multiversion mode over the pruned version store with
 //!   VTNC visibility: reads at or below the VTNC are SR; a query may read
 //!   a newer version, paying one inconsistency unit per such read, and a
@@ -17,137 +18,52 @@
 
 use std::collections::BTreeMap;
 
-use esr_core::divergence::{InconsistencyCounter, LockCounters};
+use esr_core::divergence::InconsistencyCounter;
+use esr_core::error::CoreResult;
 use esr_core::fastid::FastIdMap;
 use esr_core::ids::{EtId, ObjectId, SiteId, VersionTs};
-use esr_core::op::Operation;
+use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
 use esr_storage::mvstore::MvStore;
 use esr_storage::store::LwwStore;
 
+use crate::commu::{ConvergentStore, CountedSite};
 use crate::mset::MSet;
 use crate::site::{Delivered, Delivery, QueryOutcome, ReplicaSite};
 
 /// RITU in overwrite (last-writer-wins) mode.
-#[derive(Debug)]
-pub struct RituOverwriteSite {
-    store: LwwStore,
-    counters: LockCounters,
-    /// ETs applied here with their MSets' max versions.
-    applied_ets: FastIdMap<EtId, Option<VersionTs>>,
+pub type RituOverwriteSite = CountedSite<LwwStore>;
+
+/// A checkpoint row keeps each object's winning version, so a restored
+/// site keeps arbitrating: an older write redelivered after the restart
+/// still loses.
+impl ConvergentStore for LwwStore {
+    type Row = (ObjectId, VersionTs, Value);
+    fn apply(&mut self, op: &ObjectOp) -> CoreResult<Value> {
+        LwwStore::apply(self, op)
+    }
+    fn get(&self, object: ObjectId) -> Value {
+        LwwStore::get(self, object)
+    }
+    fn snapshot(&self) -> BTreeMap<ObjectId, Value> {
+        LwwStore::snapshot(self)
+    }
+    fn rows(&self) -> Vec<Self::Row> {
+        self.versioned_dump()
+    }
+    fn from_rows(rows: Vec<Self::Row>) -> Self {
+        let mut store = LwwStore::new();
+        for (object, ts, value) in rows {
+            let _ = store.apply_timestamped(object, ts, value);
+        }
+        store
+    }
 }
 
 impl RituOverwriteSite {
-    /// A fresh site.
-    pub fn new(_site: SiteId) -> Self {
-        Self {
-            store: LwwStore::new(),
-            counters: LockCounters::new(),
-            applied_ets: FastIdMap::default(),
-        }
-    }
-
-    /// Every ET applied here with its max version, in ET order.
-    pub fn applies(&self) -> Vec<(EtId, Option<VersionTs>)> {
-        crate::site::sorted_applies(&self.applied_ets)
-    }
-
-    /// Completion notice (see [`crate::commu::CommuSite::complete`]).
-    pub fn complete(&mut self, et: EtId) {
-        self.counters.end_update(et);
-    }
-
     /// The stored version of an object.
     pub fn version(&self, object: ObjectId) -> VersionTs {
         self.store.version(object)
-    }
-
-    /// The highest lock-counter value any object has reached here.
-    pub fn lock_counter_high_water(&self) -> u64 {
-        self.counters.high_water()
-    }
-
-    /// Captures the site's full protocol state as a checkpoint image:
-    /// store contents *with* the winning version per object (the LWW
-    /// arbitration state), in-flight lock-counter holders, and the
-    /// applied ETs with their versions.
-    pub fn to_ckpt(&self) -> crate::ckpt::RituCkpt {
-        crate::ckpt::RituCkpt {
-            values: self.store.versioned_dump(),
-            held: self.counters.held_sets(),
-            applied_ets: self.applies(),
-        }
-    }
-
-    /// Rebuilds a site from a checkpoint image, mid-protocol: restored
-    /// versions keep arbitrating against late timestamped writes, so an
-    /// older write redelivered after the restart still loses.
-    pub fn from_ckpt(_site: SiteId, c: crate::ckpt::RituCkpt) -> Self {
-        let mut store = LwwStore::new();
-        for (object, ts, value) in c.values {
-            let _ = store.apply_timestamped(object, ts, value);
-        }
-        let counters = LockCounters::from_held_sets(c.held);
-        Self {
-            store,
-            counters,
-            applied_ets: c.applied_ets.into_iter().collect(),
-        }
-    }
-}
-
-impl ReplicaSite for RituOverwriteSite {
-    #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
-    fn deliver(&mut self, mset: MSet) -> Delivery {
-        if self.applied_ets.contains_key(&mset.et) {
-            return Delivered::Duplicate.into();
-        }
-        for op in &mset.ops {
-            debug_assert!(
-                matches!(op.op, Operation::TimestampedWrite(_, _) | Operation::Read),
-                "RITU MSets carry only timestamped writes, got {op}"
-            );
-            match &op.op {
-                Operation::TimestampedWrite(ts, v) => {
-                    let _ = self.store.apply_timestamped(op.object, *ts, v.clone());
-                }
-                Operation::Read => {}
-                _ => {
-                    self.store.apply(op).expect("RITU op applies cleanly");
-                }
-            }
-        }
-        self.counters.begin_update(mset.et, mset.write_set());
-        self.applied_ets.insert(mset.et, mset.max_version());
-        Delivered::Applied.into()
-    }
-
-    fn has_applied(&self, et: EtId) -> bool {
-        self.applied_ets.contains_key(&et)
-    }
-
-    fn query(
-        &mut self,
-        read_set: &[ObjectId],
-        counter: &mut InconsistencyCounter,
-    ) -> QueryOutcome {
-        let charge = self.counters.inconsistency_of_set(read_set.iter().copied());
-        if !counter.charge(charge).is_admitted() {
-            return QueryOutcome::rejected();
-        }
-        QueryOutcome {
-            values: read_set.iter().map(|&o| self.store.get(o)).collect(),
-            charged: charge,
-            admitted: true,
-        }
-    }
-
-    fn snapshot(&self) -> BTreeMap<ObjectId, Value> {
-        self.store.snapshot()
-    }
-
-    fn backlog(&self) -> usize {
-        0
     }
 }
 
@@ -337,29 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn overwrite_duplicates_suppressed() {
-        let mut s = RituOverwriteSite::new(SiteId(0));
-        let m = tw(1, X, 5, 50);
-        assert_eq!(s.deliver(m.clone()).outcome, Delivered::Applied);
-        assert_eq!(s.deliver(m).outcome, Delivered::Duplicate);
-        assert_eq!(s.applies(), vec![(EtId(1), Some(vts(5)))]);
-    }
-
-    #[test]
-    fn overwrite_redelivery_storm_is_idempotent_and_counted() {
-        let msets = [tw(1, X, 1, 10), tw(2, X, 3, 30), tw(3, X, 2, 20)];
-        let mut s = RituOverwriteSite::new(SiteId(0));
-        let duplicates = msets
-            .iter()
-            .chain(msets.iter().rev())
-            .filter(|m| s.deliver((*m).clone()).outcome == Delivered::Duplicate)
-            .count();
-        assert_eq!(s.snapshot()[&X], Value::Int(30));
-        assert_eq!(duplicates, 3);
-        assert!(msets.iter().all(|m| s.has_applied(m.et)));
-    }
-
-    #[test]
     fn mv_redelivery_storm_is_idempotent_and_counted() {
         let msets = [tw(1, X, 2, 20), tw(2, X, 1, 10), tw(3, Y, 1, 5)];
         let mut s = RituMvSite::new(SiteId(0));
@@ -373,20 +266,6 @@ mod tests {
         assert!(msets.iter().all(|m| s.has_applied(m.et)));
         assert_eq!(s.version_count(X), 2, "no duplicate versions installed");
         assert_eq!(s.snapshot()[&X], Value::Int(20));
-    }
-
-    #[test]
-    fn overwrite_query_uses_lock_counters() {
-        let mut s = RituOverwriteSite::new(SiteId(0));
-        s.deliver(tw(1, X, 1, 10));
-        let mut c = unbounded();
-        let out = s.query(&[X], &mut c);
-        assert_eq!(out.charged, 1, "ET1 still in flight");
-        s.complete(EtId(1));
-        let mut c2 = InconsistencyCounter::new(EpsilonSpec::STRICT);
-        let out = s.query(&[X], &mut c2);
-        assert!(out.admitted);
-        assert_eq!(out.values, vec![Value::Int(10)]);
     }
 
     #[test]

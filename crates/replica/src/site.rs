@@ -44,6 +44,24 @@ impl QueryOutcome {
             admitted: false,
         }
     }
+
+    /// The one admission rule of a query that prices itself before it
+    /// reads: charges `charge` to `counter` and, if the budget absorbs
+    /// it, reads; otherwise nothing is read or charged.
+    pub fn admit(
+        counter: &mut InconsistencyCounter,
+        charge: u64,
+        read: impl FnOnce() -> Vec<Value>,
+    ) -> Self {
+        if !counter.charge(charge).is_admitted() {
+            return Self::rejected();
+        }
+        Self {
+            values: read(),
+            charged: charge,
+            admitted: true,
+        }
+    }
 }
 
 /// What a site did with the MSet it was just handed.

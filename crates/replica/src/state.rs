@@ -222,10 +222,12 @@ impl SiteState {
         }
     }
 
-    /// Is this site settled (nothing held back, nothing at risk)?
+    /// Is this site settled (nothing held back, nothing at risk, no
+    /// update still holding a lock-counter)?
     pub fn settled(&self) -> bool {
         match self {
             SiteState::Commu(s) => s.quiescent(),
+            SiteState::Ritu(s) => s.quiescent(),
             SiteState::Compe(s) => s.at_risk() == 0,
             _ => self.backlog() == 0,
         }
@@ -358,5 +360,25 @@ mod tests {
         // (two ops each); RITU and RITU-MV the timestamped write under
         // any tag.
         assert_eq!(accepted, 2 * 6 + 2 * 2 + 2 * 3);
+    }
+
+    /// A lock-counter site is settled only once every update it applied
+    /// has completed — for RITU as for COMMU, so a lost RITU completion
+    /// shows at quiescence.
+    #[test]
+    fn lock_counter_sites_settle_on_completion() {
+        let write = Operation::TimestampedWrite(VersionTs::new(1, ClientId(0)), Value::Int(1));
+        let mset = MSet::new(EtId(1), SiteId(1), vec![ObjectOp::new(ObjectId(0), write)]);
+        for method in [RtMethod::Commu, RtMethod::Ritu] {
+            let mut site = SiteState::new(method, SiteId(0));
+            assert!(site.settled(), "{method:?} fresh");
+            site.deliver(mset.clone());
+            assert!(
+                !site.settled(),
+                "{method:?} with ET1 applied but not completed"
+            );
+            site.complete(EtId(1));
+            assert!(site.settled(), "{method:?} after ET1's completion");
+        }
     }
 }
