@@ -53,9 +53,9 @@ pub fn reference_snapshot(cfg: &ModelCfg) -> BTreeMap<ObjectId, Value> {
     }
     for &(et, commit) in &cfg.decisions {
         if commit {
-            s.commit(et);
+            s.site_mut().commit(et);
         } else {
-            s.abort(et);
+            s.site_mut().abort(et);
         }
     }
     s.snapshot()

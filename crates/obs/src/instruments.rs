@@ -43,7 +43,7 @@ pub struct NodeInstruments {
     /// (`esr_compensations_total`).
     pub compensations: Counter,
     /// The highest per-object lock-counter seen
-    /// (`esr_commu_lock_counter_high_water`).
+    /// (`esr_lock_counter_high_water`).
     pub lock_counter_high_water: Gauge,
     /// RITU-MV's certified VTNC horizon (`esr_vtnc_time`).
     pub vtnc_time: Gauge,
@@ -113,7 +113,7 @@ impl NodeInstruments {
             backlog: registry.gauge("esr_backlog", m),
             at_risk: registry.gauge("esr_at_risk", m),
             compensations: registry.counter("esr_compensations_total", m),
-            lock_counter_high_water: registry.gauge("esr_commu_lock_counter_high_water", m),
+            lock_counter_high_water: registry.gauge("esr_lock_counter_high_water", m),
             vtnc_time: registry.gauge("esr_vtnc_time", m),
             vtnc_lag: registry.gauge("esr_vtnc_lag", m),
             query_epsilon_charged: registry.gauge("esr_query_epsilon_charged", m),
@@ -219,7 +219,7 @@ mod tests {
             "esr_backlog",
             "esr_at_risk",
             "esr_compensations_total",
-            "esr_commu_lock_counter_high_water",
+            "esr_lock_counter_high_water",
             "esr_vtnc_time",
             "esr_vtnc_lag",
             "esr_query_epsilon_charged",

@@ -625,7 +625,7 @@ impl SimCluster {
 
     /// Has `id` applied `et`? A down site has applied nothing.
     fn has_applied(&self, id: SiteId, et: EtId) -> bool {
-        self.state(id).is_some_and(|s| s.has_applied(et))
+        self.state(id).is_some_and(|s| s.site().has_applied(et))
     }
 
     /// Does `sub` survive globally (always, except an aborted or still
@@ -1170,7 +1170,7 @@ impl SimCluster {
     pub fn total_backlog(&self) -> usize {
         let ids = self.site_ids().into_iter();
         ids.filter_map(|id| self.state(id))
-            .map(SiteState::backlog)
+            .map(|s| s.site().backlog())
             .sum()
     }
 

@@ -15,8 +15,8 @@
 //! the query ET."
 //!
 //! The completion notice is an ordinary asynchronous message broadcast by
-//! the origin once all replicas have acknowledged; the cluster driver
-//! models it with [`CountedSite::complete`].
+//! the origin once all replicas have acknowledged; the control core
+//! hands it to the site as [`ReplicaSite::complete`].
 //!
 //! RITU's overwrite mode "reduces to COMMU" (§3.3): its timestamped
 //! overwrites converge under any delivery order too, so it is the same
@@ -30,19 +30,24 @@ use esr_core::divergence::{InconsistencyCounter, LockCounters};
 use esr_core::error::CoreResult;
 use esr_core::fastid::FastIdMap;
 use esr_core::ids::{EtId, ObjectId, SiteId, VersionTs};
-use esr_core::op::ObjectOp;
+use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
 use esr_storage::store::ObjectStore;
 
 use crate::ckpt::CountedCkpt;
 use crate::mset::MSet;
-use crate::site::{Delivered, Delivery, QueryOutcome, ReplicaSite};
+use crate::site::{Delivered, Delivery, QueryOutcome, ReplicaSite, SiteReadings};
 
 /// A store that every delivery order of the same MSets brings to the
 /// same state — all a lock-counter site needs of it.
 pub trait ConvergentStore: Default {
     /// One object's checkpoint row.
     type Row;
+    /// Can a delivered MSet carry `op`? Any operation, unless the store
+    /// narrows it.
+    fn takes(_op: &Operation) -> bool {
+        true
+    }
     /// Applies one operation of a delivered MSet.
     fn apply(&mut self, op: &ObjectOp) -> CoreResult<Value>;
     /// The current value of `object`.
@@ -97,11 +102,6 @@ impl<S: ConvergentStore> CountedSite<S> {
         }
     }
 
-    /// Every ET applied here with its max version, in ET order.
-    pub fn applies(&self) -> Vec<(EtId, Option<VersionTs>)> {
-        crate::site::sorted_applies(&self.applied_ets)
-    }
-
     /// Captures the site's full protocol state as a checkpoint image:
     /// the store's rows, the in-flight updates still holding
     /// lock-counters, and the applied ETs with their versions.
@@ -124,23 +124,6 @@ impl<S: ConvergentStore> CountedSite<S> {
             applied_ets: c.applied_ets.into_iter().collect(),
         }
     }
-
-    /// Handles the completion notice for `et`: every replica has applied
-    /// its MSet, so the update is no longer in flight and its
-    /// lock-counters drop.
-    pub fn complete(&mut self, et: EtId) {
-        self.counters.end_update(et);
-    }
-
-    /// The highest lock-counter value any object has reached here.
-    pub fn lock_counter_high_water(&self) -> u64 {
-        self.counters.high_water()
-    }
-
-    /// True when no update is in flight at this site.
-    pub fn quiescent(&self) -> bool {
-        self.counters.quiescent()
-    }
 }
 
 impl<S: ConvergentStore> ReplicaSite for CountedSite<S> {
@@ -157,6 +140,10 @@ impl<S: ConvergentStore> ReplicaSite for CountedSite<S> {
         self.counters.begin_update(mset.et, mset.write_set());
         self.applied_ets.insert(mset.et, mset.max_version());
         Delivered::Applied.into()
+    }
+
+    fn accepts(&self, mset: &MSet) -> bool {
+        mset.ops.iter().all(|o| S::takes(&o.op))
     }
 
     fn has_applied(&self, et: EtId) -> bool {
@@ -178,8 +165,26 @@ impl<S: ConvergentStore> ReplicaSite for CountedSite<S> {
         self.store.snapshot()
     }
 
-    fn backlog(&self) -> usize {
-        0 // a lock-counter site never holds anything back
+    /// Settled once no update is in flight here.
+    fn settled(&self) -> bool {
+        self.counters.quiescent()
+    }
+
+    fn applies(&self) -> Vec<(EtId, Option<VersionTs>)> {
+        crate::site::sorted_applies(&self.applied_ets)
+    }
+
+    fn readings(&self) -> SiteReadings {
+        SiteReadings {
+            lock_counter_high_water: self.counters.high_water(),
+            ..SiteReadings::default()
+        }
+    }
+
+    /// Every replica has applied `et`'s MSet, so the update is no longer
+    /// in flight and its lock-counters drop.
+    fn complete(&mut self, et: EtId) {
+        self.counters.end_update(et);
     }
 }
 
@@ -188,7 +193,6 @@ mod tests {
     use super::*;
     use esr_core::divergence::EpsilonSpec;
     use esr_core::ids::ClientId;
-    use esr_core::op::Operation;
     use esr_storage::store::LwwStore;
 
     const X: ObjectId = ObjectId(0);
@@ -314,13 +318,13 @@ mod tests {
         s.deliver(S::update(1, X, 5));
         s.deliver(S::update(2, X, 3));
         assert_eq!(s.counters.inconsistency_of(X), 2);
-        assert!(!s.quiescent());
+        assert!(!s.settled());
         s.complete(EtId(1));
         assert_eq!(s.counters.inconsistency_of(X), 1);
         s.complete(EtId(2));
-        assert!(s.quiescent());
+        assert!(s.settled());
         assert_eq!(s.counters.inconsistency_of(X), 0);
-        assert_eq!(s.lock_counter_high_water(), 2);
+        assert_eq!(s.readings().lock_counter_high_water, 2);
     }
 
     fn query_charges_lock_counters<S: Fixture>() {
@@ -373,6 +377,6 @@ mod tests {
         assert_eq!(out, s.query(&[X, Y], &mut unbounded()));
         assert_eq!(out.charged, 1, "ET1's counter survives the image");
         r.complete(EtId(1));
-        assert!(r.quiescent());
+        assert!(r.settled());
     }
 }

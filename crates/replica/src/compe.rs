@@ -22,11 +22,11 @@ use std::collections::BTreeMap;
 use esr_core::divergence::InconsistencyCounter;
 use esr_core::ids::{EtId, ObjectId, SiteId};
 use esr_core::value::Value;
-use esr_storage::recovery_log::{RecoveryLog, RollbackReport, RollbackStrategy};
+use esr_storage::recovery_log::{RecoveryLog, RollbackStrategy};
 use esr_storage::store::ObjectStore;
 
 use crate::mset::MSet;
-use crate::site::{Delivered, Delivery, QueryOutcome, ReplicaSite};
+use crate::site::{Delivered, Delivery, QueryOutcome, ReplicaSite, SiteReadings};
 
 /// A COMPE replica site.
 #[derive(Debug)]
@@ -41,7 +41,7 @@ pub struct CompeSite {
 }
 
 /// Cumulative cost of the rollbacks a site has run (experiment E8's
-/// columns), summed over its [`RollbackReport`]s. Not part of the
+/// columns), summed over its rollback reports. Not part of the
 /// checkpoint image: it counts this incarnation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RollbackTotals {
@@ -133,54 +133,6 @@ impl CompeSite {
             rollbacks: RollbackTotals::default(),
         }
     }
-
-    /// Commit notice: the global update committed; its MSet leaves the
-    /// risk window. A commit that races ahead of the MSet is remembered
-    /// so the late MSet applies directly as committed state.
-    pub fn commit(&mut self, et: EtId) {
-        match self.seen.get_mut(&et) {
-            Some(d @ Disposition::AtRisk) => {
-                *d = Disposition::Committed;
-                self.log.commit(et);
-            }
-            Some(_) => {}
-            None => {
-                self.seen.insert(et, Disposition::CommitPending);
-            }
-        }
-    }
-
-    /// Abort notice: compensate the MSet. Returns the rollback report,
-    /// or `None` when the ET was never applied here (or already
-    /// resolved) — an abort for an unseen ET is recorded as pending so
-    /// a late MSet delivery is suppressed.
-    #[expect(clippy::expect_used, reason = "an at-risk ET is on the log and its before-images re-apply cleanly; anything else is log corruption")]
-    pub fn abort(&mut self, et: EtId) -> Option<RollbackReport> {
-        match self.seen.get(&et) {
-            Some(Disposition::AtRisk) => {}
-            Some(_) => return None,
-            None => {
-                // Abort raced ahead of the MSet: remember so the MSet is
-                // dropped on arrival.
-                self.seen.insert(et, Disposition::AbortPending);
-                return None;
-            }
-        }
-        self.seen.insert(et, Disposition::Aborted);
-        let report = self
-            .log
-            .compensate(&mut self.store, et)
-            .expect("at-risk ET must be on the log")
-            .expect("compensation ops apply cleanly");
-        self.compensations += 1;
-        match report.strategy {
-            RollbackStrategy::CommutativeCompensation => self.rollbacks.fast += 1,
-            RollbackStrategy::SuffixRollback => self.rollbacks.suffix += 1,
-        }
-        self.rollbacks.ops_undone += report.ops_undone as u64;
-        self.rollbacks.ops_replayed += report.ops_replayed as u64;
-        Some(report)
-    }
 }
 
 impl ReplicaSite for CompeSite {
@@ -250,8 +202,63 @@ impl ReplicaSite for CompeSite {
         self.store.snapshot()
     }
 
-    fn backlog(&self) -> usize {
-        0 // optimistic application: nothing held back
+    /// Settled once no applied MSet is still at risk of rollback.
+    fn settled(&self) -> bool {
+        self.at_risk() == 0
+    }
+
+    fn readings(&self) -> SiteReadings {
+        SiteReadings {
+            at_risk: self.at_risk() as u64,
+            compensations: self.compensations,
+            ..SiteReadings::default()
+        }
+    }
+
+    /// The global update committed; its MSet leaves the risk window. A
+    /// commit that races ahead of the MSet is remembered so the late
+    /// MSet applies directly as committed state.
+    fn commit(&mut self, et: EtId) {
+        match self.seen.get_mut(&et) {
+            Some(d @ Disposition::AtRisk) => {
+                *d = Disposition::Committed;
+                self.log.commit(et);
+            }
+            Some(_) => {}
+            None => {
+                self.seen.insert(et, Disposition::CommitPending);
+            }
+        }
+    }
+
+    /// Compensates the MSet. An abort for an ET never applied here is
+    /// recorded as pending, so a late MSet delivery is suppressed; one
+    /// for an ET already resolved is ignored.
+    #[expect(clippy::expect_used, reason = "an at-risk ET is on the log and its before-images re-apply cleanly; anything else is log corruption")]
+    fn abort(&mut self, et: EtId) {
+        match self.seen.get(&et) {
+            Some(Disposition::AtRisk) => {}
+            Some(_) => return,
+            None => {
+                // Abort raced ahead of the MSet: remember so the MSet is
+                // dropped on arrival.
+                self.seen.insert(et, Disposition::AbortPending);
+                return;
+            }
+        }
+        self.seen.insert(et, Disposition::Aborted);
+        let report = self
+            .log
+            .compensate(&mut self.store, et)
+            .expect("at-risk ET must be on the log")
+            .expect("compensation ops apply cleanly");
+        self.compensations += 1;
+        match report.strategy {
+            RollbackStrategy::CommutativeCompensation => self.rollbacks.fast += 1,
+            RollbackStrategy::SuffixRollback => self.rollbacks.suffix += 1,
+        }
+        self.rollbacks.ops_undone += report.ops_undone as u64;
+        self.rollbacks.ops_replayed += report.ops_replayed as u64;
     }
 }
 
@@ -294,8 +301,8 @@ mod tests {
         let mut s = CompeSite::new(SiteId(0));
         s.deliver(inc(1, X, 10));
         s.deliver(inc(2, X, 5));
-        let report = s.abort(EtId(1)).unwrap();
-        assert_eq!(report.strategy, RollbackStrategy::CommutativeCompensation);
+        s.abort(EtId(1));
+        assert_eq!(s.rollback_totals().fast, 1, "compensated in place");
         assert_eq!(s.snapshot()[&X], Value::Int(5));
         assert_eq!(s.compensations(), 1);
         assert_eq!(s.at_risk(), 1);
@@ -307,8 +314,8 @@ mod tests {
         s.deliver(inc(1, X, 10));
         s.deliver(mul(2, X, 2));
         assert_eq!(s.snapshot()[&X], Value::Int(20));
-        let report = s.abort(EtId(1)).unwrap();
-        assert_eq!(report.strategy, RollbackStrategy::SuffixRollback);
+        s.abort(EtId(1));
+        assert_eq!(s.rollback_totals().suffix, 1, "Mul does not commute with Inc");
         assert_eq!(s.snapshot()[&X], Value::Int(0), "equals Mul(x,2) alone");
         s.commit(EtId(2));
         assert_eq!(s.at_risk(), 0);
@@ -332,11 +339,13 @@ mod tests {
         assert_eq!(s.deliver(msets[0].clone()).outcome, Delivered::Duplicate);
         assert_eq!(s.snapshot()[&X], Value::Int(27));
         // A suppressed late MSet (abort-first) is NOT a redelivery …
-        assert!(s.abort(EtId(9)).is_none());
+        s.abort(EtId(9));
+        assert_eq!(s.compensations(), 0);
         assert_eq!(s.deliver(inc(9, X, 100)).outcome, Delivered::Suppressed);
         // … but its next copy is, as is any copy of a compensated ET.
         assert_eq!(s.deliver(inc(9, X, 100)).outcome, Delivered::Duplicate);
-        assert!(s.abort(EtId(3)).is_some());
+        s.abort(EtId(3));
+        assert_eq!(s.compensations(), 1);
         assert_eq!(s.deliver(msets[2].clone()).outcome, Delivered::Duplicate);
         assert_eq!(s.snapshot()[&X], Value::Int(20), "ET 3 compensated, once");
     }
@@ -345,15 +354,15 @@ mod tests {
     fn double_abort_is_ignored() {
         let mut s = CompeSite::new(SiteId(0));
         s.deliver(inc(1, X, 10));
-        assert!(s.abort(EtId(1)).is_some());
-        assert!(s.abort(EtId(1)).is_none());
+        s.abort(EtId(1));
+        s.abort(EtId(1));
         assert_eq!(s.compensations(), 1);
     }
 
     #[test]
     fn abort_before_delivery_suppresses_late_mset() {
         let mut s = CompeSite::new(SiteId(0));
-        assert!(s.abort(EtId(1)).is_none());
+        s.abort(EtId(1));
         s.deliver(inc(1, X, 10));
         assert_eq!(
             s.snapshot().get(&X),
@@ -368,7 +377,8 @@ mod tests {
         let mut s = CompeSite::new(SiteId(0));
         s.deliver(inc(1, X, 10));
         s.commit(EtId(1));
-        assert!(s.abort(EtId(1)).is_none());
+        s.abort(EtId(1));
+        assert_eq!(s.compensations(), 0);
         assert_eq!(s.snapshot()[&X], Value::Int(10));
     }
 

@@ -49,10 +49,10 @@
 //! `Applied` reports from that — it never probes the site or mirrors
 //! its queue. What the replica applied is the site's to keep too: the
 //! re-announcement to a new coordinator reads it back
-//! ([`SiteState::applies`]) instead of a copy the core would keep. And
-//! so is what is new: the core journals an arriving MSet unless the
-//! site reports it as a [`Delivered::Duplicate`], and keeps no set of
-//! journalled ETs beside the replica's own guard.
+//! ([`crate::site::ReplicaSite::applies`]) instead of a copy the core
+//! would keep. And so is what is new: the core journals an arriving
+//! MSet unless the site reports it as a [`Delivered::Duplicate`], and
+//! keeps no set of journalled ETs beside the replica's own guard.
 //!
 //! ## Effect ordering is part of the contract
 //!
@@ -711,7 +711,7 @@ impl NodeCore {
                 })],
             },
             NodeEvent::Heartbeat { origin, ts } => {
-                let released = self.state.heartbeat(origin, ts);
+                let released = self.state.site_mut().heartbeat(origin, ts);
                 released
                     .into_iter()
                     .flat_map(|r| self.applied(r, None))
@@ -788,7 +788,7 @@ impl NodeCore {
         // Re-announce *everything* applied (image + suffix), exactly as
         // a full recovery would: the coordinator's evidence may have
         // died with the previous incarnation, and it deduplicates.
-        for (et, version) in core.state.applies() {
+        for (et, version) in core.state.site().applies() {
             effects.extend(core.report_applied(et, version));
         }
         Some((core, effects))
@@ -969,7 +969,7 @@ impl NodeCore {
         // installer leaves them out, so the completions of what it
         // applied before the handoff are never re-driven.
         if self.canary != Some(CtrlCanary::HandoffDropsCompletions) {
-            for (et, version) in self.state.applies() {
+            for (et, version) in self.state.site().applies() {
                 effects.extend(self.report_applied(et, version));
             }
         }
@@ -1022,7 +1022,7 @@ impl NodeCore {
     fn reannounce(&self, to: SiteId) -> Vec<Effect> {
         let mut effects = Vec::new();
         if self.method.tracks_completion() {
-            for (et, version) in self.state.applies() {
+            for (et, version) in self.state.site().applies() {
                 effects.push(Effect::Send {
                     to,
                     frame: Frame::Applied {
@@ -1262,7 +1262,8 @@ impl NodeCore {
 
     /// Routes apply evidence to the current view's coordinator (inline
     /// when we *are* the coordinator, over the link otherwise). The
-    /// apply itself is the site's to remember ([`SiteState::applies`]).
+    /// apply itself is the site's to remember
+    /// ([`crate::site::ReplicaSite::applies`]).
     fn report_applied(&mut self, et: EtId, version: Option<VersionTs>) -> Vec<Effect> {
         if !self.method.tracks_completion() {
             return Vec::new();
@@ -1373,7 +1374,7 @@ impl NodeCore {
         if !self.evidence.complete(et) {
             return Vec::new();
         }
-        self.state.complete(et);
+        self.state.site_mut().complete(et);
         vec![span(SpanRec::new(SpanStage::Complete, et))]
     }
 
@@ -1382,7 +1383,7 @@ impl NodeCore {
         // actual advance is traced, so a recovered coordinator
         // re-certifying old horizons can't make a site's trace run
         // backwards.
-        self.state.advance_vtnc(ts);
+        self.state.site_mut().advance_vtnc(ts);
         if !self.evidence.advance_vtnc(ts) {
             return Vec::new();
         }
@@ -1392,9 +1393,9 @@ impl NodeCore {
     fn apply_decision(&mut self, et: EtId, commit: bool) -> Vec<Effect> {
         let duplicate = !self.evidence.decide(et, commit);
         if commit {
-            self.state.commit(et);
+            self.state.site_mut().commit(et);
         } else {
-            self.state.abort(et);
+            self.state.site_mut().abort(et);
         }
         // Defect: a replayed/duplicate commit decision re-applies the
         // decided update under a fresh identity instead of being
@@ -1406,7 +1407,7 @@ impl NodeCore {
             if let Some(mut dup) = self.canary_msets.get(&et).cloned() {
                 dup.et = EtId(dup.et.0 | CANARY_ET_BIT);
                 self.state.deliver(dup);
-                self.state.commit(EtId(et.0 | CANARY_ET_BIT));
+                self.state.site_mut().commit(EtId(et.0 | CANARY_ET_BIT));
             }
         }
         if duplicate {
@@ -1541,7 +1542,7 @@ mod tests {
             vec![Some(SeqNo(0)), Some(SeqNo(1))],
             "release must trace both applies in sequence order: {effects:?}"
         );
-        assert!(core.state.has_applied(EtId(1)) && core.state.has_applied(EtId(2)));
+        assert!(core.state.site().has_applied(EtId(1)) && core.state.site().has_applied(EtId(2)));
     }
 
     #[test]
@@ -1554,7 +1555,7 @@ mod tests {
         let stamped = incr(1, 1).lamport(LamportTs::new(1, SiteId(1)), SeqNo(0));
         core.step(NodeEvent::PeerFrame(Frame::MSet(stamped)));
         assert!(
-            !core.state.has_applied(EtId(1)),
+            !core.state.site().has_applied(EtId(1)),
             "no word from origin 0 yet"
         );
         let beat = |t| NodeEvent::Heartbeat {
@@ -1562,7 +1563,7 @@ mod tests {
             ts: LamportTs::new(t, SiteId(0)),
         };
         let effects = core.step(beat(2));
-        assert!(core.state.has_applied(EtId(1)));
+        assert!(core.state.site().has_applied(EtId(1)));
         assert!(
             matches!(&effects[..], [Effect::Event(Event::Span(r))]
                 if r.stage == SpanStage::Apply && r.et == Some(EtId(1))),
@@ -1596,8 +1597,8 @@ mod tests {
             )),
             "a suppressed MSet is neither held nor applied: {effects:?}"
         );
-        assert!(!core.state.has_applied(EtId(1)));
-        assert_eq!(core.state.backlog(), 0, "held forever");
+        assert!(!core.state.site().has_applied(EtId(1)));
+        assert_eq!(core.state.site().backlog(), 0, "held forever");
         assert!(core.state.settled());
     }
 
@@ -1778,7 +1779,7 @@ mod tests {
             0,
             vec![incr(1, 0), incr(2, 1)],
         );
-        assert!(core.state.has_applied(EtId(1)) && core.state.has_applied(EtId(2)));
+        assert!(core.state.site().has_applied(EtId(1)) && core.state.site().has_applied(EtId(2)));
         let announced: Vec<_> = effects
             .iter()
             .filter_map(|e| match e {

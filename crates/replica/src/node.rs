@@ -434,7 +434,7 @@ impl Node {
     /// when the registry is about to be read — never on the step or
     /// commit path.
     pub fn publish(&self, host: &impl Host) {
-        publish_readings(self.core.state.readings(), &self.obs);
+        publish_readings(self.core.state.site().readings(), &self.obs);
         self.obs.view.set_u64(self.core.view);
         self.obs.coordinator.set(i64::from(self.core.coord.is_some()));
         let (bytes, live) = host.journal_size();
@@ -1191,8 +1191,8 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, Event::Boot { snapshot: Some((1, 1)), .. })));
-        assert!(node.core().state.has_applied(EtId(1)));
-        assert_eq!(node.core().state.backlog(), 1, "ET 3, from the journal past the older cut");
+        assert!(node.core().state.site().has_applied(EtId(1)));
+        assert_eq!(node.core().state.site().backlog(), 1, "ET 3, from the journal past the older cut");
     }
 
     /// Over a journal a checkpoint truncated, a boot with no snapshot

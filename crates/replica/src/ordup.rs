@@ -165,6 +165,10 @@ impl ReplicaSite for OrdupSite {
         Delivery { outcome, released }
     }
 
+    fn accepts(&self, mset: &MSet) -> bool {
+        matches!(mset.order, OrderTag::Sequenced(_))
+    }
+
     fn has_applied(&self, et: esr_core::ids::EtId) -> bool {
         self.applied_ets.contains(&et)
     }
@@ -220,27 +224,11 @@ impl OrdupLamportSite {
         }
     }
 
-    /// Records a heartbeat from `origin` carrying its current clock:
-    /// raises the stability horizon so held-back MSets can apply even
-    /// when `origin` has gone quiet. The simulator beats at quiescence,
-    /// as a `NodeEvent::Heartbeat` step. Returns the parked MSets the
-    /// heartbeat released, in the order they were applied, for that
-    /// step to trace.
-    pub fn heartbeat(&mut self, origin: SiteId, ts: LamportTs) -> Vec<Released> {
-        let e = self.last_seen.entry(origin).or_insert(ts);
-        if ts > *e {
-            *e = ts;
-        }
-        let mut released = Vec::new();
-        self.drain_stable(|m| released.push(Released::of(m)));
-        released
-    }
-
     /// FIFO-reassembles one delivered MSet into the timestamp hold-back
     /// without draining — the front half of [`ReplicaSite::deliver`].
     /// Returns `false` for a duplicate, which is dropped.
     fn ingest(&mut self, mset: MSet) -> bool {
-        let OrderTag::Lamport { ts, fifo } = mset.order else {
+        let OrderTag::Lamport { fifo, .. } = mset.order else {
             panic!("ORDUP-Lamport site received non-Lamport MSet {mset}");
         };
         let origin = mset.origin;
@@ -262,7 +250,6 @@ impl OrdupLamportSite {
             self.holdback.insert(mts, m);
         }
         self.fifo_next.insert(origin, cursor);
-        let _ = ts;
         true
     }
 
@@ -319,6 +306,10 @@ impl ReplicaSite for OrdupLamportSite {
         Delivery { outcome, released }
     }
 
+    fn accepts(&self, mset: &MSet) -> bool {
+        matches!(mset.order, OrderTag::Lamport { .. })
+    }
+
     fn has_applied(&self, et: esr_core::ids::EtId) -> bool {
         self.applied_ets.contains(&et)
     }
@@ -340,6 +331,20 @@ impl ReplicaSite for OrdupLamportSite {
 
     fn backlog(&self) -> usize {
         self.holdback.len() + self.fifo_buffer.len()
+    }
+
+    /// Records a heartbeat from `origin` carrying its current clock:
+    /// raises the stability horizon so held-back MSets can apply even
+    /// when `origin` has gone quiet. The simulator beats at quiescence,
+    /// as a `NodeEvent::Heartbeat` step.
+    fn heartbeat(&mut self, origin: SiteId, ts: LamportTs) -> Vec<Released> {
+        let e = self.last_seen.entry(origin).or_insert(ts);
+        if ts > *e {
+            *e = ts;
+        }
+        let mut released = Vec::new();
+        self.drain_stable(|m| released.push(Released::of(m)));
+        released
     }
 }
 

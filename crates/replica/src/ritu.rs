@@ -29,16 +29,24 @@ use esr_storage::store::LwwStore;
 
 use crate::commu::{ConvergentStore, CountedSite};
 use crate::mset::MSet;
-use crate::site::{Delivered, Delivery, QueryOutcome, ReplicaSite};
+use crate::site::{Delivered, Delivery, QueryOutcome, ReplicaSite, SiteReadings};
 
 /// RITU in overwrite (last-writer-wins) mode.
 pub type RituOverwriteSite = CountedSite<LwwStore>;
+
+/// A RITU MSet carries only blind timestamped writes (and reads).
+fn timestamped(op: &Operation) -> bool {
+    matches!(op, Operation::TimestampedWrite(..) | Operation::Read)
+}
 
 /// A checkpoint row keeps each object's winning version, so a restored
 /// site keeps arbitrating: an older write redelivered after the restart
 /// still loses.
 impl ConvergentStore for LwwStore {
     type Row = (ObjectId, VersionTs, Value);
+    fn takes(op: &Operation) -> bool {
+        timestamped(op)
+    }
     fn apply(&mut self, op: &ObjectOp) -> CoreResult<Value> {
         LwwStore::apply(self, op)
     }
@@ -115,29 +123,6 @@ impl RituMvSite {
         }
     }
 
-    /// Every ET applied here with its max version, in ET order.
-    pub fn applies(&self) -> Vec<(EtId, Option<VersionTs>)> {
-        crate::site::sorted_applies(&self.applied_ets)
-    }
-
-    /// The current VTNC.
-    pub fn vtnc(&self) -> VersionTs {
-        self.store.vtnc()
-    }
-
-    /// How far certified visibility trails the newest version installed
-    /// here, in version-clock ticks (0 once the horizon catches up).
-    pub fn vtnc_lag(&self) -> u64 {
-        self.newest_installed.saturating_sub(self.store.vtnc().time)
-    }
-
-    /// Advances the VTNC: the certification service has determined that
-    /// every version at or below `to` is installed at every replica and
-    /// no smaller version can ever be created.
-    pub fn advance_vtnc(&mut self, to: VersionTs) {
-        self.store.advance_vtnc(to);
-    }
-
     /// Number of versions held for an object.
     pub fn version_count(&self, object: ObjectId) -> usize {
         self.store.version_count(object)
@@ -161,6 +146,10 @@ impl ReplicaSite for RituMvSite {
         }
         self.applied_ets.insert(mset.et, mset.max_version());
         Delivered::Applied.into()
+    }
+
+    fn accepts(&self, mset: &MSet) -> bool {
+        mset.ops.iter().all(|o| timestamped(&o.op))
     }
 
     fn has_applied(&self, et: EtId) -> bool {
@@ -202,8 +191,26 @@ impl ReplicaSite for RituMvSite {
         self.store.snapshot_latest()
     }
 
-    fn backlog(&self) -> usize {
-        0
+    fn applies(&self) -> Vec<(EtId, Option<VersionTs>)> {
+        crate::site::sorted_applies(&self.applied_ets)
+    }
+
+    /// The certified horizon, and how far it trails the newest version
+    /// installed here, in version-clock ticks (0 once it catches up).
+    fn readings(&self) -> SiteReadings {
+        let vtnc = self.store.vtnc().time;
+        SiteReadings {
+            vtnc_time: vtnc,
+            vtnc_lag: self.newest_installed.saturating_sub(vtnc),
+            ..SiteReadings::default()
+        }
+    }
+
+    /// The certification service has determined that every version at
+    /// or below `to` is installed at every replica and no smaller
+    /// version can ever be created.
+    fn advance_vtnc(&mut self, to: VersionTs) {
+        self.store.advance_vtnc(to);
     }
 }
 
@@ -404,6 +411,6 @@ mod tests {
         let mut s = RituMvSite::new(SiteId(0));
         s.advance_vtnc(vts(5));
         s.advance_vtnc(vts(2));
-        assert_eq!(s.vtnc(), vts(5));
+        assert_eq!(s.readings().vtnc_time, 5);
     }
 }

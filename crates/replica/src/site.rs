@@ -1,10 +1,14 @@
 //! The per-site replica control interface.
 //!
-//! Each replica control method implements [`ReplicaSite`]: the state one
-//! site keeps for its replicas, how it handles a delivered MSet
-//! ("MSet processing"), how it serves query ETs, and when it considers
-//! itself caught up. The cluster driver owns delivery timing
-//! ("MSet delivery") and the shared divergence-control services.
+//! Each replica control method implements [`ReplicaSite`], the one list
+//! of what a site does: how it handles a delivered MSet ("MSet
+//! processing"), how it serves query ETs, what it does with each control
+//! input — a completion notice, a VTNC certificate, a COMPE decision, an
+//! ORDUP-L heartbeat — and when it considers itself caught up. A hook a
+//! method does not own has a no-op or neutral default, so each impl lists
+//! only its method's rules. The control core ([`crate::ctrl::NodeCore`])
+//! drives the site: it owns delivery timing ("MSet delivery") and hands
+//! the site each control input as it is decided.
 //!
 //! A site is the only owner of its hold-back state, so it *reports*
 //! what a delivery did ([`Delivery`]) instead of being probed for it:
@@ -16,7 +20,7 @@ use std::collections::BTreeMap;
 
 use esr_core::divergence::InconsistencyCounter;
 use esr_core::fastid::FastIdMap;
-use esr_core::ids::{EtId, ObjectId, SeqNo, VersionTs};
+use esr_core::ids::{EtId, LamportTs, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::value::Value;
 
 use crate::mset::MSet;
@@ -163,6 +167,14 @@ pub trait ReplicaSite {
     /// at a time.
     fn deliver(&mut self, mset: MSet) -> Delivery;
 
+    /// Does `mset` have the shape [`ReplicaSite::deliver`] takes?
+    /// `deliver` panics on anything else, so an MSet from outside the
+    /// program — a client `Submit`, a peer frame — is checked with this
+    /// where it enters, before the core is stepped.
+    fn accepts(&self, _mset: &MSet) -> bool {
+        true
+    }
+
     /// Serves a query ET over `read_set`, charging imported inconsistency
     /// to `counter`. A site that cannot serve the query within the
     /// remaining budget returns [`QueryOutcome::rejected`] without
@@ -179,7 +191,51 @@ pub trait ReplicaSite {
     fn snapshot(&self) -> BTreeMap<ObjectId, Value>;
 
     /// Number of delivered-but-unapplied MSets held at this site (ORDUP
-    /// hold-back, COMPE at-risk entries do **not** count — they are
+    /// hold-back; COMPE at-risk entries do **not** count — they are
     /// applied).
-    fn backlog(&self) -> usize;
+    fn backlog(&self) -> usize {
+        0
+    }
+
+    /// Is this site settled: nothing held back, nothing at risk, no
+    /// update still holding a lock-counter?
+    fn settled(&self) -> bool {
+        self.backlog() == 0
+    }
+
+    /// What the replica applied, in ET order, each ET with its MSet's
+    /// max version — kept by the completion-tracking methods, empty for
+    /// the others. The control core re-announces these to a new
+    /// coordinator; it keeps no copy of its own.
+    fn applies(&self) -> Vec<(EtId, Option<VersionTs>)> {
+        Vec::new()
+    }
+
+    /// What this site holds that a scrape publishes as gauges — the one
+    /// place an executor reads them from.
+    fn readings(&self) -> SiteReadings {
+        SiteReadings {
+            backlog: self.backlog() as u64,
+            ..SiteReadings::default()
+        }
+    }
+
+    /// Completion notice: every site has applied `et`.
+    fn complete(&mut self, _et: EtId) {}
+
+    /// VTNC certificate: every version at or below `ts` is installed at
+    /// every replica. Monotone, so a replay is harmless.
+    fn advance_vtnc(&mut self, _ts: VersionTs) {}
+
+    /// COMPE commit decision for `et`.
+    fn commit(&mut self, _et: EtId) {}
+
+    /// COMPE abort decision for `et`.
+    fn abort(&mut self, _et: EtId) {}
+
+    /// An ORDUP-L heartbeat from `origin` at `ts`: returns the parked
+    /// MSets it released, in apply order.
+    fn heartbeat(&mut self, _origin: SiteId, _ts: LamportTs) -> Vec<Released> {
+        Vec::new()
+    }
 }

@@ -360,7 +360,7 @@ pub fn count_query(out: &QueryOutcome, limit: u64, obs: &NodeInstruments) {
     }
 }
 
-/// Copies what a site holds ([`crate::state::SiteState::readings`])
+/// Copies what a site holds ([`crate::site::ReplicaSite::readings`])
 /// into its gauges — called when a registry is about to be read. The
 /// compensation count is the site's own total, copied into a counter
 /// that never moves backwards: a lower reading (a simulated site
@@ -542,7 +542,7 @@ mod tests {
         assert_eq!(read("esr_backlog"), Some(3));
         assert_eq!(read("esr_at_risk"), Some(1));
         assert_eq!(read("esr_compensations_total"), Some(2), "never backwards");
-        assert_eq!(read("esr_commu_lock_counter_high_water"), Some(4));
+        assert_eq!(read("esr_lock_counter_high_water"), Some(4));
         assert_eq!(read("esr_vtnc_time"), Some(7));
         assert_eq!(read("esr_vtnc_lag"), Some(2));
     }

@@ -1,7 +1,10 @@
 //! The method-dispatched site state machine shared by every executor.
 //!
-//! [`SiteState`] wraps one of the replica-control site implementations
-//! behind a uniform surface; the control core
+//! [`SiteState`] holds one of the replica-control site implementations;
+//! what a site does is its [`ReplicaSite`] impl, reached through the
+//! enum's `site()` / `site_mut()`. The enum itself only
+//! builds a site, dumps and restores its checkpoint image, and forwards
+//! the few calls esrbench's probe makes on it. The control core
 //! ([`crate::ctrl::NodeCore`]) owns one and is the only code that
 //! drives it, whichever executor — the simulator
 //! ([`crate::cluster::SimCluster`]), the networked daemon of
@@ -10,17 +13,16 @@
 use std::collections::BTreeMap;
 
 use esr_core::divergence::InconsistencyCounter;
-use esr_core::ids::{EtId, LamportTs, ObjectId, SiteId, VersionTs};
-use esr_core::op::Operation;
+use esr_core::ids::{ObjectId, SiteId};
 use esr_core::value::Value;
 
 use crate::ckpt::SiteCkpt;
 use crate::commu::CommuSite;
 use crate::compe::CompeSite;
-use crate::mset::{MSet, OrderTag};
+use crate::mset::MSet;
 use crate::ordup::{OrdupLamportSite, OrdupSite};
 use crate::ritu::{RituMvSite, RituOverwriteSite};
-use crate::site::{Delivery, QueryOutcome, Released, ReplicaSite, SiteReadings};
+use crate::site::{Delivery, QueryOutcome, ReplicaSite};
 
 /// Replica control methods available in the runtimes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,203 +138,86 @@ impl SiteState {
         }
     }
 
-    /// Delivers one MSet (idempotent under redelivery) and reports what
-    /// the site did with it — the only way an MSet reaches a store.
+    /// The method's site.
+    pub fn site(&self) -> &dyn ReplicaSite {
+        match self {
+            SiteState::Ordup(s) => s,
+            SiteState::OrdupLamport(s) => s,
+            SiteState::Commu(s) => s,
+            SiteState::Ritu(s) => s,
+            SiteState::RituMv(s) => s,
+            SiteState::Compe(s) => s,
+        }
+    }
+
+    /// The method's site, to drive.
+    pub fn site_mut(&mut self) -> &mut dyn ReplicaSite {
+        match self {
+            SiteState::Ordup(s) => s,
+            SiteState::OrdupLamport(s) => s,
+            SiteState::Commu(s) => s,
+            SiteState::Ritu(s) => s,
+            SiteState::RituMv(s) => s,
+            SiteState::Compe(s) => s,
+        }
+    }
+
+    // Forwarders for the calls esrbench's probe
+    // (`benchmark/src/probe.rs`) makes without importing `ReplicaSite`.
+
+    /// [`ReplicaSite::deliver`]: the only way an MSet reaches a store.
     pub fn deliver(&mut self, mset: MSet) -> Delivery {
-        match self {
-            SiteState::Ordup(s) => s.deliver(mset),
-            SiteState::OrdupLamport(s) => s.deliver(mset),
-            SiteState::Commu(s) => s.deliver(mset),
-            SiteState::Ritu(s) => s.deliver(mset),
-            SiteState::RituMv(s) => s.deliver(mset),
-            SiteState::Compe(s) => s.deliver(mset),
-        }
-    }
-
-    /// Does `mset` have the shape this method's [`SiteState::deliver`]
-    /// takes? ORDUP needs a sequencer stamp, ORDUP-L a Lamport stamp,
-    /// RITU / RITU-MV carry only timestamped writes (and reads);
-    /// `deliver` panics on anything else. An MSet from outside the
-    /// program — a client `Submit`, a peer frame — is checked with this
-    /// where it enters, before the core is stepped.
-    pub fn accepts(&self, mset: &MSet) -> bool {
-        match self {
-            SiteState::Ordup(_) => matches!(mset.order, OrderTag::Sequenced(_)),
-            SiteState::OrdupLamport(_) => matches!(mset.order, OrderTag::Lamport { .. }),
-            SiteState::Ritu(_) | SiteState::RituMv(_) => mset
-                .ops
-                .iter()
-                .all(|o| matches!(o.op, Operation::TimestampedWrite(..) | Operation::Read)),
-            SiteState::Commu(_) | SiteState::Compe(_) => true,
-        }
-    }
-
-    /// An ORDUP-L heartbeat from `origin` at `ts` (a no-op for the
-    /// other methods): returns the parked MSets it released, in apply
-    /// order.
-    pub fn heartbeat(&mut self, origin: SiteId, ts: LamportTs) -> Vec<Released> {
-        match self {
-            SiteState::OrdupLamport(s) => s.heartbeat(origin, ts),
-            _ => Vec::new(),
-        }
+        self.site_mut().deliver(mset)
     }
 
     /// `deliver` per MSet, in order. Exists only because esrbench's
-    /// probe (`benchmark/src/probe.rs`, a pinned surface) calls it to
-    /// fill `replica.site.deliver_batch_ns`; it leaves with that metric.
+    /// probe calls it to fill `replica.site.deliver_batch_ns`; it leaves
+    /// with that metric.
     pub fn deliver_batch(&mut self, msets: Vec<MSet>) {
+        let site = self.site_mut();
         for m in msets {
-            self.deliver(m);
+            site.deliver(m);
         }
     }
 
-    /// Runs a query ET against the local replica under `c`'s budget.
+    /// [`ReplicaSite::query`].
     pub fn query(&mut self, rs: &[ObjectId], c: &mut InconsistencyCounter) -> QueryOutcome {
-        match self {
-            SiteState::Ordup(s) => s.query(rs, c),
-            SiteState::OrdupLamport(s) => s.query(rs, c),
-            SiteState::Commu(s) => s.query(rs, c),
-            SiteState::Ritu(s) => s.query(rs, c),
-            SiteState::RituMv(s) => s.query(rs, c),
-            SiteState::Compe(s) => s.query(rs, c),
-        }
+        self.site_mut().query(rs, c)
     }
 
-    /// The full replica snapshot.
+    /// [`ReplicaSite::snapshot`].
     pub fn snapshot(&self) -> BTreeMap<ObjectId, Value> {
-        match self {
-            SiteState::Ordup(s) => s.snapshot(),
-            SiteState::OrdupLamport(s) => s.snapshot(),
-            SiteState::Commu(s) => s.snapshot(),
-            SiteState::Ritu(s) => s.snapshot(),
-            SiteState::RituMv(s) => s.snapshot(),
-            SiteState::Compe(s) => s.snapshot(),
-        }
+        self.site().snapshot()
     }
 
-    /// MSets delivered but not yet applied (hold-back queues).
-    pub fn backlog(&self) -> usize {
-        match self {
-            SiteState::Ordup(s) => s.backlog(),
-            SiteState::OrdupLamport(s) => s.backlog(),
-            SiteState::Commu(s) => s.backlog(),
-            SiteState::Ritu(s) => s.backlog(),
-            SiteState::RituMv(s) => s.backlog(),
-            SiteState::Compe(s) => s.backlog(),
-        }
-    }
-
-    /// Is this site settled (nothing held back, nothing at risk, no
-    /// update still holding a lock-counter)?
+    /// [`ReplicaSite::settled`].
     pub fn settled(&self) -> bool {
-        match self {
-            SiteState::Commu(s) => s.quiescent(),
-            SiteState::Ritu(s) => s.quiescent(),
-            SiteState::Compe(s) => s.at_risk() == 0,
-            _ => self.backlog() == 0,
-        }
-    }
-
-    /// Has this site applied `et`?
-    pub fn has_applied(&self, et: EtId) -> bool {
-        match self {
-            SiteState::Ordup(s) => s.has_applied(et),
-            SiteState::OrdupLamport(s) => s.has_applied(et),
-            SiteState::Commu(s) => s.has_applied(et),
-            SiteState::Ritu(s) => s.has_applied(et),
-            SiteState::RituMv(s) => s.has_applied(et),
-            SiteState::Compe(s) => s.has_applied(et),
-        }
-    }
-
-    /// What the replica applied, in ET order, each ET with its MSet's
-    /// max version — kept by the completion-tracking methods
-    /// ([`RtMethod::tracks_completion`]), empty for the others. The
-    /// control core re-announces these to a new coordinator; it keeps
-    /// no copy of its own.
-    pub fn applies(&self) -> Vec<(EtId, Option<VersionTs>)> {
-        match self {
-            SiteState::Commu(s) => s.applies(),
-            SiteState::Ritu(s) => s.applies(),
-            SiteState::RituMv(s) => s.applies(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// What this site holds that a scrape publishes as gauges — the one
-    /// place an executor reads them from.
-    pub fn readings(&self) -> SiteReadings {
-        let mut r = SiteReadings {
-            backlog: self.backlog() as u64,
-            ..SiteReadings::default()
-        };
-        match self {
-            SiteState::Ordup(_) | SiteState::OrdupLamport(_) => {}
-            SiteState::Commu(s) => r.lock_counter_high_water = s.lock_counter_high_water(),
-            SiteState::Ritu(s) => r.lock_counter_high_water = s.lock_counter_high_water(),
-            SiteState::RituMv(s) => {
-                r.vtnc_time = s.vtnc().time;
-                r.vtnc_lag = s.vtnc_lag();
-            }
-            SiteState::Compe(s) => {
-                r.at_risk = s.at_risk() as u64;
-                r.compensations = s.compensations();
-            }
-        }
-        r
-    }
-
-    /// Completion notice: every site has applied `et` (releases the
-    /// COMMU/RITU lock-counters; a no-op for the other methods).
-    pub fn complete(&mut self, et: EtId) {
-        match self {
-            SiteState::Commu(s) => s.complete(et),
-            SiteState::Ritu(s) => s.complete(et),
-            _ => {}
-        }
-    }
-
-    /// VTNC certificate: advances the RITU-MV visibility horizon (a
-    /// no-op for the other methods; monotone, so replays are harmless).
-    pub fn advance_vtnc(&mut self, ts: VersionTs) {
-        if let SiteState::RituMv(s) = self {
-            s.advance_vtnc(ts);
-        }
-    }
-
-    /// COMPE commit decision (no-op for the other methods).
-    pub fn commit(&mut self, et: EtId) {
-        if let SiteState::Compe(s) = self {
-            s.commit(et);
-        }
-    }
-
-    /// COMPE abort decision (no-op for the other methods).
-    pub fn abort(&mut self, et: EtId) {
-        if let SiteState::Compe(s) = self {
-            let _ = s.abort(et);
-        }
+        self.site().settled()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esr_core::ids::{ClientId, LamportTs, SeqNo};
-    use esr_core::op::ObjectOp;
+    use esr_core::ids::{ClientId, EtId, LamportTs, SeqNo, VersionTs};
+    use esr_core::op::{ObjectOp, Operation};
 
-    /// Whatever [`SiteState::accepts`] lets through, `deliver` takes
+    /// A fresh site of every method, ORDUP-L (origins 0 and 1) last.
+    fn sites() -> Vec<SiteState> {
+        let mut all: Vec<SiteState> = RtMethod::ALL
+            .iter()
+            .map(|&m| SiteState::new(m, SiteId(0)))
+            .collect();
+        let origins = vec![SiteId(0), SiteId(1)];
+        all.push(SiteState::ordup_lamport(SiteId(0), origins));
+        all
+    }
+
+    /// Whatever [`ReplicaSite::accepts`] lets through, `deliver` takes
     /// without panicking on its shape — for every method, over every
     /// order tag crossed with a plain and a timestamped write.
     #[test]
     fn accepts_admits_exactly_the_shapes_deliver_takes() {
-        let origins = vec![SiteId(0), SiteId(1)];
-        let sites = || {
-            let mut all: Vec<SiteState> =
-                RtMethod::ALL.iter().map(|&m| SiteState::new(m, SiteId(0))).collect();
-            all.push(SiteState::ordup_lamport(SiteId(0), origins.clone()));
-            all
-        };
         let ops = [
             Operation::Incr(1),
             Operation::TimestampedWrite(VersionTs::new(1, ClientId(0)), Value::Int(1)),
@@ -349,7 +234,7 @@ mod tests {
                 let read = ObjectOp::new(ObjectId(1), Operation::Read);
                 let mset = tag(MSet::new(EtId(1), SiteId(1), vec![write, read]));
                 for mut site in sites() {
-                    if site.accepts(&mset) {
+                    if site.site().accepts(&mset) {
                         site.deliver(mset.clone());
                         accepted += 1;
                     }
@@ -377,8 +262,68 @@ mod tests {
                 !site.settled(),
                 "{method:?} with ET1 applied but not completed"
             );
-            site.complete(EtId(1));
+            site.site_mut().complete(EtId(1));
             assert!(site.settled(), "{method:?} after ET1's completion");
         }
+    }
+
+    /// A control input the method does not own leaves its site as it
+    /// was — snapshot, readings, settledness and applies — with an
+    /// update in hand (parked, at risk, above the VTNC or holding a
+    /// lock-counter): the trait's default hooks change nothing.
+    #[test]
+    fn control_inputs_a_method_does_not_own_change_nothing() {
+        type Input = fn(&mut dyn ReplicaSite);
+        let inputs: [(&str, Input); 5] = [
+            ("complete", |s| s.complete(EtId(1))),
+            ("advance_vtnc", |s| {
+                s.advance_vtnc(VersionTs::new(9, ClientId(0)))
+            }),
+            ("commit", |s| s.commit(EtId(1))),
+            ("abort", |s| s.abort(EtId(1))),
+            ("heartbeat", |s| {
+                s.heartbeat(SiteId(0), LamportTs::new(9, SiteId(0)));
+            }),
+        ];
+        let owns = |site: &SiteState, input: &str| match site {
+            SiteState::Ordup(_) => false,
+            SiteState::OrdupLamport(_) => input == "heartbeat",
+            SiteState::Commu(_) | SiteState::Ritu(_) => input == "complete",
+            SiteState::RituMv(_) => input == "advance_vtnc",
+            SiteState::Compe(_) => input == "commit" || input == "abort",
+        };
+        let write = Operation::TimestampedWrite(VersionTs::new(1, ClientId(0)), Value::Int(1));
+        let update = MSet::new(EtId(1), SiteId(1), vec![ObjectOp::new(ObjectId(0), write)]);
+        // Untagged, then ORDUP's and ORDUP-L's: each sequenced or
+        // stamped past what the site can apply yet.
+        let shapes = [
+            update.clone(),
+            update.clone().sequenced(SeqNo(1)),
+            update.lamport(LamportTs::new(1, SiteId(1)), SeqNo(0)),
+        ];
+        let mut skipped = 0;
+        for (name, input) in inputs {
+            for mut site in sites() {
+                let mset = shapes.iter().find(|m| site.site().accepts(m));
+                site.deliver(mset.cloned().expect("every site takes one shape"));
+                if owns(&site, name) {
+                    skipped += 1;
+                    continue;
+                }
+                let seen = |s: &SiteState| {
+                    let site = s.site();
+                    (
+                        site.snapshot(),
+                        site.readings(),
+                        site.settled(),
+                        site.applies(),
+                    )
+                };
+                let before = seen(&site);
+                input(site.site_mut());
+                assert_eq!(seen(&site), before, "{name} changed {site:?}");
+            }
+        }
+        assert_eq!(skipped, 6, "each owned input is one site's");
     }
 }

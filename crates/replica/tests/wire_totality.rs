@@ -342,7 +342,7 @@ fn a_compe_image_restores_each_disposition_as_itself_and_rejects_any_other_byte(
             let late = MSet::new(EtId(1), SiteId(1), vec![op]);
             assert_eq!(site.deliver(late.clone()).outcome, Delivered::Suppressed);
             assert_eq!(site.deliver(late).outcome, Delivered::Duplicate);
-            assert!(!site.has_applied(EtId(1)));
+            assert!(!site.site().has_applied(EtId(1)));
         }
     }
 }

@@ -586,12 +586,12 @@ impl Daemon {
     /// The reply to one client request; `None` for a frame that decodes
     /// but is no well-formed request — a frame that is not a client
     /// request at all, or an MSet of a shape this site's method cannot
-    /// take ([`SiteState::accepts`]) — which closes the connection
-    /// without stepping the core.
+    /// take ([`esr_replica::site::ReplicaSite::accepts`]) — which closes
+    /// the connection without stepping the core.
     fn handle_client_request(&mut self, request: Frame, links: &mut Links) -> Option<Frame> {
         Some(match request {
             Frame::Submit(mset) => {
-                if !self.node.core().state.accepts(&mset) {
+                if !self.node.core().state.site().accepts(&mset) {
                     return None;
                 }
                 // Exactly-once: a retried request (same client id +
@@ -717,7 +717,7 @@ impl RpcService for Daemon {
                         // a shape this method's `deliver` panics on —
                         // is dropped; acking it anyway prevents an
                         // infinite retransmit of a poisoned entry.
-                        Ok(Frame::MSet(m)) if !self.node.core().state.accepts(&m) => {
+                        Ok(Frame::MSet(m)) if !self.node.core().state.site().accepts(&m) => {
                             self.peer_frames_rejected.inc()
                         }
                         Ok(f) => self.handle_peer_frame(f, links),

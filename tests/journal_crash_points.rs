@@ -130,7 +130,7 @@ fn truncation_at_every_offset_recovers_the_record_prefix() {
             );
             for m in &msets[..survivors] {
                 assert!(
-                    recovered.state.has_applied(m.et),
+                    recovered.state.site().has_applied(m.et),
                     "{method:?} cut at {cut}: recovered site lost et {}",
                     m.et.raw()
                 );

@@ -511,7 +511,6 @@ const ESRD_SERIES: &[&str] = &[
     "esr_checkpoint_total{site}",
     "esr_commit_latency_micros{site}",
     "esr_commit_records{site}",
-    "esr_commu_lock_counter_high_water{method,site}",
     "esr_compensations_total{method,site}",
     "esr_coordinator{site}",
     "esr_election_latency_micros{site}",
@@ -526,6 +525,7 @@ const ESRD_SERIES: &[&str] = &[
     "esr_link_queue_depth{link}",
     "esr_link_retransmits_total{link}",
     "esr_link_sends_total{link}",
+    "esr_lock_counter_high_water{method,site}",
     "esr_msets_applied_total{method,site}",
     "esr_msets_delivered_total{method,site}",
     "esr_peer_frames_rejected_total{site}",
