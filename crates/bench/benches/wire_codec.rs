@@ -1,16 +1,20 @@
 //! Wire codec throughput: MSet encode/decode and the framed RPC
 //! protocol on top of it. These are the per-message CPU costs every
 //! propagation pays on the TCP transport, so they bound the daemon's
-//! link throughput.
+//! link throughput. `encode_frame` builds a fresh buffer per frame;
+//! `encode_frame_into` encodes the same frames into one reused buffer,
+//! the way the daemon does.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
 use esr_replica::mset::MSet;
-use esr_replica::wire::{decode_frame, decode_mset, encode_frame, encode_mset, Frame};
+use esr_replica::wire::{
+    decode_frame, decode_mset, encode_frame, encode_frame_into, encode_mset, Frame,
+};
 
 const BATCH: usize = 256;
 
@@ -84,6 +88,20 @@ fn bench_wire(c: &mut Criterion) {
             b.iter(|| {
                 for m in &msets {
                     black_box(encode_frame(black_box(&Frame::MSet(m.clone()))));
+                }
+            })
+        });
+
+        // The same frames into one reused buffer, as esrd encodes every
+        // link entry and reply: the encoding allocates nothing once the
+        // buffer has grown to the largest frame.
+        let mut reused = BytesMut::new();
+        group.bench_function(BenchmarkId::new("encode_frame_into", shape), |b| {
+            b.iter(|| {
+                for m in &msets {
+                    reused.clear();
+                    encode_frame_into(black_box(&Frame::MSet(m.clone())), &mut reused);
+                    black_box(&reused);
                 }
             })
         });

@@ -166,15 +166,28 @@ impl LockCounters {
         }
     }
 
-    /// Raises the counter of every object in `write_set` on behalf of
-    /// update ET `et` (a second call for the same ET extends its held
-    /// set — a saga step adding objects), keeping the running
-    /// high-water mark ([`LockCounters::high_water`]) — free here
-    /// because every raised counter passes through this loop anyway.
+    /// Raises the counter of every object in `write_set` once on behalf
+    /// of update ET `et` — an object the set names twice is one write
+    /// — (a second call for the same ET extends its held set — a saga
+    /// step adding objects), keeping the running high-water mark
+    /// ([`LockCounters::high_water`]) — free here because every raised
+    /// counter passes through this loop anyway. The set is sorted and
+    /// deduplicated in place at the end of the held list it joins, so
+    /// no temporary set is built.
     pub fn begin_update(&mut self, et: EtId, write_set: impl IntoIterator<Item = ObjectId>) {
         let held = self.held.entry(et).or_default();
-        for o in write_set {
-            held.push(o);
+        let from = held.len();
+        held.extend(write_set);
+        held[from..].sort_unstable();
+        let mut kept = from;
+        for i in from..held.len() {
+            if kept == from || held[i] != held[kept - 1] {
+                held[kept] = held[i];
+                kept += 1;
+            }
+        }
+        held.truncate(kept);
+        for &o in &held[from..] {
             let c = self.counters.entry(o).or_insert(0);
             *c += 1;
             self.high_water = self.high_water.max(*c);

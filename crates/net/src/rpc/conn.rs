@@ -80,18 +80,18 @@ impl Links {
         self.conns[to] = Some(LinkConn::new(MemQueue::new(), resolve, hello, backoff, obs));
     }
 
-    /// Enqueues `payloads` on the link to `to`, in order, with one queue
-    /// append, and marks the link to be pumped before the reactor next
-    /// polls. Delivery happens (and keeps being retried)
-    /// from the reactor. A peer with no link gets nothing.
-    pub fn send_batch(&mut self, to: usize, payloads: Vec<Bytes>) -> Vec<EntryId> {
-        match self.conns.get_mut(to) {
-            Some(Some(link)) => {
-                link.dirty = true;
-                link.queue.enqueue_batch(payloads)
-            }
-            _ => Vec::new(),
-        }
+    /// Enqueues `payloads` on the link to `to`, in order, and marks the
+    /// link to be pumped before the reactor next polls; returns the
+    /// entry the last one took. Delivery happens (and keeps being
+    /// retried) from the reactor. A peer with no link gets nothing.
+    pub fn send_batch(
+        &mut self,
+        to: usize,
+        payloads: impl IntoIterator<Item = Bytes>,
+    ) -> Option<EntryId> {
+        let link = self.conns.get_mut(to)?.as_mut()?;
+        link.dirty = true;
+        payloads.into_iter().map(|p| link.queue.enqueue(p)).last()
     }
 
     /// Entries enqueued on every link and not yet acknowledged.
@@ -112,14 +112,14 @@ impl Links {
     /// when it holds none, or there is no such link).
     pub fn head(&self, to: usize) -> Option<EntryId> {
         let link = self.conns.get(to)?.as_ref()?;
-        link.queue.pending(1).first().map(|(id, _)| *id)
+        link.queue.iter_after(None).next().map(|(id, _)| id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::frame::{
-        put_acks, read_frame, unseal, write_envelope, Envelope, KIND_PEER, NO_ENTRY,
+        put_acks, read_frame, unseal, write_envelope, Envelopes, KIND_PEER, NO_ENTRY,
     };
     use super::super::reactor::{ConnKind, Reactor, RpcService, WakePipe};
     use super::*;
@@ -133,7 +133,7 @@ mod tests {
         fn handle_batch(
             &mut self,
             _: ConnKind,
-            _: Vec<Envelope>,
+            _: Envelopes<'_>,
             _: &mut Vec<u8>,
             _: &mut Links,
         ) -> bool {
@@ -177,9 +177,10 @@ mod tests {
         let mut kind = [0u8; 1];
         std::io::Read::read_exact(&mut s, &mut kind).unwrap();
         assert_eq!(kind[0], KIND_PEER);
-        let hello = unseal(read_frame(&mut s).unwrap()).unwrap();
+        let frame = read_frame(&mut s).unwrap();
+        let hello = unseal(&frame).unwrap();
         assert_eq!(hello.entry, NO_ENTRY);
-        (s, hello.payload)
+        (s, hello.payload.to_vec())
     }
 
     fn wait_until(mut cond: impl FnMut() -> bool) {
@@ -201,7 +202,8 @@ mod tests {
         let (mut s, hello) = accept_peer(&listener);
         assert_eq!(hello, b"hi");
         for expect in [b"alpha".as_slice(), b"beta".as_slice()] {
-            let env = unseal(read_frame(&mut s).unwrap()).unwrap();
+            let frame = read_frame(&mut s).unwrap();
+            let env = unseal(&frame).unwrap();
             assert_eq!(env.payload, expect);
             write_envelope(&mut s, env.entry, &[]).unwrap();
         }
@@ -217,7 +219,8 @@ mod tests {
         // First incarnation: read both, ack only the first, then die.
         {
             let (mut s, _) = accept_peer(&listener);
-            let first = unseal(read_frame(&mut s).unwrap()).unwrap();
+            let frame = read_frame(&mut s).unwrap();
+            let first = unseal(&frame).unwrap();
             assert_eq!(first.payload, b"one");
             let _second = read_frame(&mut s).unwrap();
             write_envelope(&mut s, first.entry, &[]).unwrap();
@@ -228,7 +231,8 @@ mod tests {
 
         // Second incarnation: the unacked entry comes back.
         let (mut s, _) = accept_peer(&listener);
-        let env = unseal(read_frame(&mut s).unwrap()).unwrap();
+        let frame = read_frame(&mut s).unwrap();
+        let env = unseal(&frame).unwrap();
         assert_eq!(env.payload, b"two");
         write_envelope(&mut s, env.entry, &[]).unwrap();
         wait_until(|| acks.get() == 2);
@@ -248,7 +252,8 @@ mod tests {
 
         let listener = TcpListener::bind(addr).unwrap();
         let (mut s, _) = accept_peer(&listener);
-        let env = unseal(read_frame(&mut s).unwrap()).unwrap();
+        let frame = read_frame(&mut s).unwrap();
+        let env = unseal(&frame).unwrap();
         assert_eq!(env.payload, b"late");
         write_envelope(&mut s, env.entry, &[]).unwrap();
         wait_until(|| acks.get() == 1);
@@ -263,7 +268,7 @@ mod tests {
 
         let (mut s, _) = accept_peer(&listener);
         let ids: Vec<u64> = (0..5)
-            .map(|_| unseal(read_frame(&mut s).unwrap()).unwrap().entry)
+            .map(|_| unseal(&read_frame(&mut s).unwrap()).unwrap().entry)
             .collect();
         let mut frame = Vec::new();
         put_acks(&mut frame, &ids).unwrap();

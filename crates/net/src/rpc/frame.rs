@@ -26,6 +26,11 @@
 //! one `send` and one segment, never a 4-byte prefix segment followed by
 //! its body. Only the syscall count differs from the two-write form: the
 //! bytes on the wire are the same, so old and new peers interoperate.
+//!
+//! **Read in place.** An [`Envelope`] borrows its payload from the bytes
+//! it was read into: [`scan`] lends the whole frames at the front of a
+//! receive buffer as one [`Envelopes`] batch, and [`unseal`] splits a
+//! frame [`read_frame`] returned. Nothing is copied out.
 
 use std::io::{self, Read, Write};
 
@@ -77,6 +82,14 @@ pub fn write_envelope(w: &mut impl Write, entry: u64, payload: &[u8]) -> io::Res
 /// arrives or the stream errors; a clean EOF before the length prefix
 /// surfaces as [`io::ErrorKind::UnexpectedEof`].
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
+    let mut payload = Vec::new();
+    read_frame_into(r, &mut payload)?;
+    Ok(payload)
+}
+
+/// [`read_frame`] into `payload`, replacing what it held: a caller that
+/// reads frame after frame reuses one buffer.
+pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<()> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
     let len = u32::from_be_bytes(len) as usize;
@@ -86,22 +99,23 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
             format!("announced frame of {len} bytes exceeds MAX_FRAME"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(payload)
+    payload.clear();
+    payload.resize(len, 0);
+    r.read_exact(payload)
 }
 
 /// A link envelope: which link queue entry (if any) the message
-/// rides on, plus the opaque message bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Envelope {
+/// rides on, plus the opaque message bytes — borrowed from the buffer
+/// the frame was read into, never copied out of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Envelope<'a> {
     /// The sender-side queue entry id, or [`NO_ENTRY`].
     pub entry: u64,
     /// The message bytes (empty for a transport acknowledgement).
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
-impl Envelope {
+impl<'a> Envelope<'a> {
     /// Is this a *single-entry* transport acknowledgement (an echoed
     /// entry id with no message)? Batched acknowledgements carry extra
     /// ids in the payload — [`Envelope::ack_ids`] covers both shapes.
@@ -114,17 +128,130 @@ impl Envelope {
     /// `u64`s ([`put_acks`]). `None` when the envelope is not an
     /// acknowledgement (no entry id, or a payload that is not a whole
     /// number of ids).
-    pub fn ack_ids(&self) -> Option<impl Iterator<Item = u64> + '_> {
+    pub fn ack_ids(&self) -> Option<impl Iterator<Item = u64> + 'a> {
         if self.entry == NO_ENTRY || !self.payload.len().is_multiple_of(8) {
             return None;
         }
-        let batched = self.payload.chunks_exact(8).map(|chunk| {
-            let mut id = [0u8; 8];
-            id.copy_from_slice(chunk);
-            u64::from_be_bytes(id)
-        });
+        let batched = self.payload.chunks_exact(8).map(be_u64);
         Some(batched.chain(std::iter::once(self.entry)))
     }
+}
+
+pub(crate) fn be_u32(b: &[u8]) -> u32 {
+    let mut a = [0u8; 4];
+    a.copy_from_slice(&b[..4]);
+    u32::from_be_bytes(a)
+}
+
+fn be_u64(b: &[u8]) -> u64 {
+    let mut a = [0u8; 8];
+    a.copy_from_slice(&b[..8]);
+    u64::from_be_bytes(a)
+}
+
+/// Envelope frames lent in place: a run of whole frames at the front of
+/// a receive buffer, checked by [`scan`], read one by one as the batch is
+/// iterated. Nothing is copied out of the buffer, which must not move
+/// while the batch lives.
+#[derive(Debug, Clone, Copy)]
+pub struct Envelopes<'a> {
+    frames: &'a [u8],
+    len: usize,
+}
+
+impl<'a> Envelopes<'a> {
+    /// How many envelopes the batch holds.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the batch holds none.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The envelopes, in arrival order.
+    pub fn iter(&self) -> EnvelopeIter<'a> {
+        EnvelopeIter {
+            rest: self.frames,
+            left: self.len,
+        }
+    }
+}
+
+impl<'a> IntoIterator for Envelopes<'a> {
+    type Item = Envelope<'a>;
+    type IntoIter = EnvelopeIter<'a>;
+
+    fn into_iter(self) -> EnvelopeIter<'a> {
+        self.iter()
+    }
+}
+
+impl<'a> IntoIterator for &Envelopes<'a> {
+    type Item = Envelope<'a>;
+    type IntoIter = EnvelopeIter<'a>;
+
+    fn into_iter(self) -> EnvelopeIter<'a> {
+        self.iter()
+    }
+}
+
+/// The iterator over an [`Envelopes`] batch.
+#[derive(Debug, Clone)]
+pub struct EnvelopeIter<'a> {
+    rest: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Iterator for EnvelopeIter<'a> {
+    type Item = Envelope<'a>;
+
+    fn next(&mut self) -> Option<Envelope<'a>> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        // `scan` checked every frame of the batch: whole, and at least
+        // an envelope header long.
+        let len = be_u32(self.rest) as usize;
+        let (frame, rest) = self.rest[4..].split_at(len);
+        self.rest = rest;
+        unseal(frame).ok()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for EnvelopeIter<'_> {}
+
+/// Finds the whole envelope frames at the front of `buf`, up to `max`
+/// of them, and lends them as one batch along with the bytes they span
+/// (what the owner drains once the batch is handled). A frame still
+/// arriving ends the batch. `Err` means a protocol violation — a frame
+/// announced past [`MAX_FRAME`], or one shorter than its envelope
+/// header — and the connection must close.
+pub fn scan(buf: &[u8], max: usize) -> io::Result<(Envelopes<'_>, usize)> {
+    let (mut off, mut len) = (0, 0);
+    while len < max && buf.len() - off >= 4 {
+        let frame = be_u32(&buf[off..]) as usize;
+        if frame > MAX_FRAME {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "announced frame exceeds MAX_FRAME",
+            ));
+        }
+        if buf.len() - off - 4 < frame {
+            break; // incomplete — wait for more bytes
+        }
+        unseal(&buf[off + 4..off + 4 + frame])?;
+        off += 4 + frame;
+        len += 1;
+    }
+    let frames = &buf[..off];
+    Ok((Envelopes { frames, len }, off))
 }
 
 /// Wraps message bytes in a link envelope: the frame payload [`unseal`]
@@ -171,21 +298,17 @@ pub fn put_acks(out: &mut Vec<u8>, ids: &[u64]) -> io::Result<()> {
     Ok(())
 }
 
-/// Splits a frame back into its link envelope.
-pub fn unseal(frame: Vec<u8>) -> io::Result<Envelope> {
+/// Splits a frame back into its link envelope, borrowing the payload.
+pub fn unseal(frame: &[u8]) -> io::Result<Envelope<'_>> {
     if frame.len() < 8 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "frame shorter than its envelope header",
         ));
     }
-    let mut entry = [0u8; 8];
-    entry.copy_from_slice(&frame[..8]);
-    let mut payload = frame;
-    payload.drain(..8);
     Ok(Envelope {
-        entry: u64::from_be_bytes(entry),
-        payload,
+        entry: be_u64(frame),
+        payload: &frame[8..],
     })
 }
 
@@ -221,15 +344,15 @@ mod tests {
         );
     }
 
-    /// The envelope one `put_*` call appended, read back as a receiver
-    /// would.
-    fn envelope(put: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> Envelope {
+    /// The frame one `put_*` call appended, read back as a receiver
+    /// would; [`unseal`] lends its envelope.
+    fn envelope(put: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> Vec<u8> {
         let mut out = Vec::new();
         put(&mut out).unwrap();
         let mut r = Cursor::new(out);
-        let env = unseal(read_frame(&mut r).unwrap()).unwrap();
+        let frame = read_frame(&mut r).unwrap();
         assert_eq!(r.position() as usize, r.get_ref().len(), "exactly one frame");
-        env
+        frame
     }
 
     #[test]
@@ -303,26 +426,28 @@ mod tests {
         assert_eq!(w.writes, 3, "raw frame: prefix and body in one write");
 
         let mut r = Cursor::new(w.bytes);
-        assert_eq!(unseal(read_frame(&mut r).unwrap()).unwrap().payload, b"request");
-        assert_eq!(unseal(read_frame(&mut r).unwrap()).unwrap().entry, 8);
+        assert_eq!(unseal(&read_frame(&mut r).unwrap()).unwrap().payload, b"request");
+        assert_eq!(unseal(&read_frame(&mut r).unwrap()).unwrap().entry, 8);
         assert_eq!(read_frame(&mut r).unwrap(), b"raw");
     }
 
     #[test]
     fn envelope_roundtrip_and_ack_shape() {
-        let env = envelope(|out| put_frame(out, 42, b"payload"));
+        let frame = envelope(|out| put_frame(out, 42, b"payload"));
+        let env = unseal(&frame).unwrap();
         assert_eq!(env.entry, 42);
         assert_eq!(env.payload, b"payload");
         assert!(!env.is_ack());
 
-        let ack = envelope(|out| put_frame(out, 42, &[]));
+        let frame = envelope(|out| put_frame(out, 42, &[]));
+        let ack = unseal(&frame).unwrap();
         assert!(ack.is_ack());
         assert_eq!(ack.entry, 42);
 
-        let hello = envelope(|out| put_frame(out, NO_ENTRY, b"h"));
-        assert!(!hello.is_ack());
+        let frame = envelope(|out| put_frame(out, NO_ENTRY, b"h"));
+        assert!(!unseal(&frame).unwrap().is_ack());
 
-        assert!(unseal(vec![1, 2, 3]).is_err());
+        assert!(unseal(&[1, 2, 3]).is_err());
     }
 
     #[test]
@@ -333,22 +458,27 @@ mod tests {
         put_frame(&mut single, 7, &[]).unwrap();
         assert_eq!(one, single);
 
-        let env = envelope(|out| put_acks(out, &[3, 9, 27]));
+        let frame = envelope(|out| put_acks(out, &[3, 9, 27]));
+        let env = unseal(&frame).unwrap();
         assert_eq!(env.entry, 27, "envelope rides the last id");
         let ids: Vec<u64> = env.ack_ids().unwrap().collect();
         assert_eq!(ids, vec![3, 9, 27]);
 
         // A single ack parses through ack_ids.
-        let single = envelope(|out| put_frame(out, 42, &[]));
+        let frame = envelope(|out| put_frame(out, 42, &[]));
+        let single = unseal(&frame).unwrap();
         assert_eq!(single.ack_ids().unwrap().collect::<Vec<_>>(), vec![42]);
 
         // Non-ack envelopes yield nothing.
-        assert!(envelope(|out| put_frame(out, NO_ENTRY, b"hello")).ack_ids().is_none());
-        let odd = envelope(|out| put_frame(out, 5, b"xyz"));
+        let frame = envelope(|out| put_frame(out, NO_ENTRY, b"hello"));
+        assert!(unseal(&frame).unwrap().ack_ids().is_none());
+        let frame = envelope(|out| put_frame(out, 5, b"xyz"));
+        let odd = unseal(&frame).unwrap();
         assert!(odd.ack_ids().is_none(), "payload not a whole set of ids");
 
         // The empty-batch degenerate form is ignored by every receiver.
-        let empty = envelope(|out| put_acks(out, &[]));
+        let frame = envelope(|out| put_acks(out, &[]));
+        let empty = unseal(&frame).unwrap();
         assert!(empty.ack_ids().is_none());
         assert!(!empty.is_ack());
     }

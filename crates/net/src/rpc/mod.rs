@@ -17,7 +17,7 @@ pub mod sys;
 
 pub use conn::{Backoff, Links, Resolver};
 pub use frame::{
-    put_acks, put_frame, read_frame, unseal, write_envelope, write_frame, Envelope, KIND_CLIENT,
-    KIND_PEER, MAX_FRAME, NO_ENTRY,
+    put_acks, put_frame, read_frame, read_frame_into, scan, unseal, write_envelope, write_frame, Envelope,
+    EnvelopeIter, Envelopes, KIND_CLIENT, KIND_PEER, MAX_FRAME, NO_ENTRY,
 };
 pub use reactor::{ConnKind, Reactor, RpcService, WakePipe, Waker, WRITE_BUF_CAP};

@@ -14,10 +14,14 @@
 //!
 //! Each socket is a small state machine:
 //!
-//! - **Inbound connections** accumulate reads into a buffer and decode
-//!   length-prefixed frames incrementally, dispatching every complete
-//!   envelope of a readiness cycle to the [`RpcService`] in one batch
-//!   (peer planes answer N entries with one batched ack frame —
+//! - **Inbound connections** accumulate reads into a receive buffer and
+//!   scan it in place for whole length-prefixed frames
+//!   ([`super::frame::scan`]). Every complete envelope of a readiness
+//!   cycle is lent to the [`RpcService`] in one batch — borrowed from
+//!   the receive buffer, valid for that one
+//!   [`RpcService::handle_batch`] call, never copied out — and the bytes
+//!   the batch spanned are drained once it returns (peer planes answer
+//!   N entries with one batched ack frame —
 //!   [`super::frame::put_acks`]). Replies coalesce into a per-connection
 //!   write buffer flushed on write readiness; a connection whose buffer
 //!   exceeds [`WRITE_BUF_CAP`] stops being read until the peer drains
@@ -25,8 +29,11 @@
 //! - **Outbound links** run the stable-queue retry contract as a
 //!   dial/connect/pump state machine: nonblocking connect with a
 //!   deadline, capped exponential redial backoff, full retransmission
-//!   of unacknowledged entries on every new connection, and batched
-//!   coalesced frame writes from the stable queue.
+//!   of unacknowledged entries on every new connection, and coalesced
+//!   frame writes straight from the queue. A link entry is the one
+//!   `Bytes` its sender encoded once; the pump frames it into the write
+//!   buffer by reference, and an acknowledgement retires its ids
+//!   straight from the receive buffer.
 //!
 //! A self-pipe carries the only wake-ups from other threads
 //! ([`Waker`]: a background worker reporting back, and shutdown), so
@@ -63,7 +70,9 @@ use bytes::Bytes;
 use esr_obs::{LinkInstruments, ReactorInstruments};
 use esr_storage::stable_queue::{EntryId, MemQueue, StableQueue};
 
-use super::frame::{put_frame, Envelope, KIND_CLIENT, KIND_PEER, MAX_FRAME, NO_ENTRY};
+use super::frame::{
+    be_u32, put_frame, scan, Envelopes, KIND_CLIENT, KIND_PEER, MAX_FRAME, NO_ENTRY,
+};
 use super::sys::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 
 use super::conn::{Backoff, Links, Resolver};
@@ -82,8 +91,6 @@ const MAX_READ_PER_CYCLE: usize = 1024 * 1024;
 const ENV_BATCH: usize = 128;
 /// Nonblocking connect deadline.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
-/// Stable-queue entries fetched per transmit scan.
-const LINK_BATCH: usize = 32;
 /// While a link has backlog the reactor wakes at least this often, to
 /// retry transmission and keep the queue gauges current.
 const BACKLOG_TICK: Duration = Duration::from_millis(100);
@@ -115,8 +122,9 @@ pub trait RpcService: Send + 'static {
     const TICK: Duration = Duration::from_secs(1);
 
     /// Handles one batch of inbound envelopes from a single connection:
-    /// `envs` holds every complete envelope decoded in one readiness
-    /// cycle (bounded, in arrival order); replies and acknowledgements
+    /// `envs` lends the complete envelopes of one readiness cycle
+    /// (bounded, in arrival order) in place in the connection's receive
+    /// buffer, for this call only; replies and acknowledgements
     /// are appended to `out` as already-framed bytes, which the reactor
     /// flushes through the connection's coalescing write buffer — after
     /// the cycle's [`RpcService::commit`]. Returning `false` closes the
@@ -124,7 +132,7 @@ pub trait RpcService: Send + 'static {
     fn handle_batch(
         &mut self,
         kind: ConnKind,
-        envs: Vec<Envelope>,
+        envs: Envelopes<'_>,
         out: &mut Vec<u8>,
         links: &mut Links,
     ) -> bool;
@@ -260,19 +268,8 @@ impl WriteBuf {
     }
 }
 
-fn be_u32(b: &[u8]) -> u32 {
-    let mut a = [0u8; 4];
-    a.copy_from_slice(&b[..4]);
-    u32::from_be_bytes(a)
-}
-
-fn be_u64(b: &[u8]) -> u64 {
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&b[..8]);
-    u64::from_be_bytes(a)
-}
-
-/// Inbound bytes with incremental length-prefixed frame decoding.
+/// Inbound bytes, scanned in place for whole length-prefixed frames
+/// ([`scan`]).
 #[derive(Default)]
 struct RecvBuf {
     buf: Vec<u8>,
@@ -305,48 +302,13 @@ impl RecvBuf {
     }
 
     /// Whether a whole frame is already buffered at the front (a frame
-    /// announcing more than `MAX_FRAME` never counts: the next decode
+    /// announcing more than `MAX_FRAME` never counts: the next scan
     /// rejects it).
     fn has_complete_frame(&self) -> bool {
         self.buf.len() >= 4 && {
             let len = be_u32(&self.buf) as usize;
             len <= MAX_FRAME && self.buf.len() - 4 >= len
         }
-    }
-
-    /// Decodes up to `max` complete envelope frames off the front.
-    /// `Err` means a protocol violation (oversized or truncated frame)
-    /// and the connection must close.
-    fn drain_envelopes(&mut self, out: &mut Vec<Envelope>, max: usize) -> io::Result<()> {
-        let mut off = 0;
-        while out.len() < max && self.buf.len() - off >= 4 {
-            let len = be_u32(&self.buf[off..]) as usize;
-            if len > MAX_FRAME {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "announced frame exceeds MAX_FRAME",
-                ));
-            }
-            if self.buf.len() - off - 4 < len {
-                break; // incomplete — wait for more bytes
-            }
-            let frame = &self.buf[off + 4..off + 4 + len];
-            if frame.len() < 8 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "frame shorter than its envelope header",
-                ));
-            }
-            out.push(Envelope {
-                entry: be_u64(frame),
-                payload: frame[8..].to_vec(),
-            });
-            off += 4 + len;
-        }
-        if off > 0 {
-            self.buf.drain(..off);
-        }
-        Ok(())
     }
 }
 
@@ -423,14 +385,7 @@ impl LinkConn {
 
     /// Retires the acknowledged entries among `ids`; returns how many.
     pub(crate) fn ack(&mut self, ids: &[EntryId]) -> usize {
-        if ids.is_empty() {
-            return 0;
-        }
-        let acked = self.queue.ack_batch(ids);
-        if acked > 0 {
-            self.obs.acks.add(acked as u64);
-        }
-        acked
+        retire(&mut self.queue, &self.obs, ids.iter().copied())
     }
 
     /// Connection lost after being up: redial immediately (the backoff
@@ -483,6 +438,20 @@ impl LinkConn {
     }
 }
 
+/// Retires the entries among `ids` that `queue` holds, counting them on
+/// the link's `obs`; returns how many.
+fn retire(
+    queue: &mut MemQueue,
+    obs: &LinkInstruments,
+    ids: impl Iterator<Item = EntryId>,
+) -> usize {
+    let acked = ids.filter(|id| queue.ack(*id)).count();
+    if acked > 0 {
+        obs.acks.add(acked as u64);
+    }
+    acked
+}
+
 /// Checks `SO_ERROR` on a connect that reported writability and moves
 /// the link up or back down.
 fn finish_connect(l: &mut LinkConn, now: Instant) {
@@ -522,21 +491,18 @@ fn pump_link(l: &mut LinkConn, now: Instant) {
         ..
     } = &mut l.phase
     {
-        while wbuf.pending() < WRITE_BUF_CAP {
-            let batch = l.queue.pending_after(*sent_high, LINK_BATCH);
-            if batch.is_empty() {
+        for (id, payload) in l.queue.iter_after(*sent_high) {
+            if wbuf.pending() >= WRITE_BUF_CAP {
                 break;
             }
-            for (id, payload) in &batch {
-                let _ = put_frame(&mut wbuf.buf, id.0, payload);
-                if l.sent_ever.is_some_and(|h| id.0 <= h.0) {
-                    l.obs.retransmits.inc();
-                } else {
-                    l.obs.sends.inc();
-                    l.sent_ever = Some(*id);
-                }
-                *sent_high = Some(*id);
+            let _ = put_frame(&mut wbuf.buf, id.0, payload);
+            if l.sent_ever.is_some_and(|h| id.0 <= h.0) {
+                l.obs.retransmits.inc();
+            } else {
+                l.obs.sends.inc();
+                l.sent_ever = Some(id);
             }
+            *sent_high = Some(id);
         }
         if wbuf.flush(stream).is_err() {
             l.drop_conn();
@@ -554,19 +520,14 @@ fn reap_link(l: &mut LinkConn, scratch: &mut [u8]) -> bool {
     let alive = rbuf
         .fill(stream, scratch, MAX_READ_PER_CYCLE)
         .unwrap_or_default();
-    // Even a dying connection may have delivered complete ack frames.
-    let mut envs = Vec::new();
-    if rbuf.drain_envelopes(&mut envs, usize::MAX).is_err() {
+    // Even a dying connection may have delivered complete ack frames:
+    // every id they carry retires straight from the buffer.
+    let Ok((acks, used)) = scan(&rbuf.buf, usize::MAX) else {
         return false;
-    }
-    // Every id this read delivered retires with one queue append.
-    let ids: Vec<EntryId> = envs
-        .iter()
-        .filter_map(Envelope::ack_ids)
-        .flatten()
-        .map(EntryId)
-        .collect();
-    l.ack(&ids);
+    };
+    let ids = acks.iter().filter_map(|env| env.ack_ids()).flatten();
+    retire(&mut l.queue, &l.obs, ids.map(EntryId));
+    rbuf.buf.drain(..used);
     alive
 }
 
@@ -632,16 +593,19 @@ fn dispatch_inbound<S: RpcService>(
     let Some(kind) = c.kind else { return false };
     let mut handled = false;
     while c.wbuf.pending() < WRITE_BUF_CAP {
-        let mut envs = Vec::new();
-        if c.rbuf.drain_envelopes(&mut envs, ENV_BATCH).is_err() {
+        // The batch borrows the receive buffer for the call; the bytes it
+        // spanned are drained once the service returns.
+        let Ok((envs, used)) = scan(&c.rbuf.buf, ENV_BATCH) else {
             *alive = false;
             break;
-        }
+        };
         if envs.is_empty() {
             break;
         }
         handled = true;
-        if !service.handle_batch(kind, envs, &mut c.wbuf.buf, links) {
+        let keep = service.handle_batch(kind, envs, &mut c.wbuf.buf, links);
+        c.rbuf.buf.drain(..used);
+        if !keep {
             *alive = false;
             break;
         }
@@ -692,6 +656,11 @@ fn run<S: RpcService>(
     let mut pollfds: Vec<PollFd> = Vec::new();
     let mut owners: Vec<Owner> = Vec::new();
     let mut next_tick = Instant::now() + S::TICK;
+    // Inbound connections whose envelopes reached the service this
+    // cycle, with whether each outlives the flush of what it was
+    // answered; and those the commit loop dispatches again.
+    let mut dispatched: Vec<(usize, bool)> = Vec::new();
+    let mut again: Vec<(usize, bool)> = Vec::new();
 
     loop {
         // 1. Pump every link enqueued on since the last poll, then run
@@ -765,10 +734,6 @@ fn run<S: RpcService>(
         // the loop so a freed index can't be reused while stale
         // revents still reference it.
         let mut accepted: Vec<TcpStream> = Vec::new();
-        // Inbound connections whose envelopes reached the service this
-        // cycle, with whether each outlives the flush of what it was
-        // answered.
-        let mut dispatched: Vec<(usize, bool)> = Vec::new();
         let mut owed = false;
         for (pfd, owner) in pollfds.iter().zip(&owners) {
             if pfd.revents == 0 {
@@ -878,7 +843,6 @@ fn run<S: RpcService>(
         owed |= !dispatched.is_empty();
         while owed {
             service.commit(&mut links);
-            let mut again = Vec::new();
             for (i, alive) in dispatched.drain(..) {
                 let Some(c) = conns.slots[i].as_mut() else {
                     continue;
@@ -893,7 +857,7 @@ fn run<S: RpcService>(
                 }
             }
             owed = !again.is_empty();
-            dispatched = again;
+            std::mem::swap(&mut dispatched, &mut again);
         }
 
         for stream in accepted {
@@ -910,7 +874,9 @@ fn run<S: RpcService>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::frame::{put_acks, read_frame, seal, unseal, write_envelope, write_frame};
+    use super::super::frame::{
+        put_acks, read_frame, seal, unseal, write_envelope, write_frame, Envelope,
+    };
     use super::*;
     use std::io::Cursor;
     use std::net::{Shutdown, SocketAddr};
@@ -936,6 +902,16 @@ mod tests {
         assert_eq!(wb.pending(), 2);
     }
 
+    /// The envelopes `scan` lends from `rb` now, as owned
+    /// `(entry, payload)` pairs; the bytes they span are then drained.
+    fn take(rb: &mut RecvBuf, max: usize) -> io::Result<Vec<(u64, Vec<u8>)>> {
+        let (envs, used) = scan(&rb.buf, max)?;
+        let got = envs.iter().map(|e| (e.entry, e.payload.to_vec())).collect();
+        assert_eq!(envs.iter().len(), envs.len());
+        rb.buf.drain(..used);
+        Ok(got)
+    }
+
     #[test]
     fn recv_buf_decodes_incrementally_across_partial_arrivals() {
         let mut framed = Vec::new();
@@ -943,35 +919,46 @@ mod tests {
         write_frame(&mut framed, &seal(2, b"beta")).unwrap();
 
         let mut rb = RecvBuf::default();
-        let mut out = Vec::new();
 
-        // First frame plus a split second frame: only one decodes.
+        // First frame plus a split second frame: only one is lent.
         rb.buf.extend_from_slice(&framed[..framed.len() - 3]);
-        rb.drain_envelopes(&mut out, usize::MAX).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].entry, 1);
-        assert_eq!(out[0].payload, b"alpha");
+        assert_eq!(take(&mut rb, usize::MAX).unwrap(), [(1, b"alpha".to_vec())]);
+        let split = &framed[17..framed.len() - 3];
+        assert_eq!(rb.buf, split, "the split frame stays");
 
         // Remainder arrives: the second completes.
         rb.buf.extend_from_slice(&framed[framed.len() - 3..]);
-        rb.drain_envelopes(&mut out, usize::MAX).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[1].entry, 2);
-        assert_eq!(out[1].payload, b"beta");
+        assert_eq!(take(&mut rb, usize::MAX).unwrap(), [(2, b"beta".to_vec())]);
         assert!(rb.buf.is_empty(), "fully consumed");
+
+        // A length prefix alone lends nothing and consumes nothing.
+        rb.buf.extend_from_slice(&framed[..3]);
+        assert!(take(&mut rb, usize::MAX).unwrap().is_empty());
+        assert_eq!(rb.buf.len(), 3);
     }
 
     #[test]
     fn recv_buf_rejects_oversized_and_short_frames() {
         let mut rb = RecvBuf::default();
         rb.buf.extend_from_slice(&u32::MAX.to_be_bytes());
-        assert!(rb.drain_envelopes(&mut Vec::new(), usize::MAX).is_err());
+        assert!(scan(&rb.buf, usize::MAX).is_err());
 
         let mut rb = RecvBuf::default();
         // A 3-byte frame cannot hold an 8-byte envelope header.
         rb.buf.extend_from_slice(&3u32.to_be_bytes());
         rb.buf.extend_from_slice(b"abc");
-        assert!(rb.drain_envelopes(&mut Vec::new(), usize::MAX).is_err());
+        assert!(scan(&rb.buf, usize::MAX).is_err());
+
+        // Behind a good frame the bad one still fails the whole scan.
+        let mut rb = RecvBuf::default();
+        put_frame(&mut rb.buf, 1, b"ok").unwrap();
+        let oversized = MAX_FRAME as u32 + 1;
+        rb.buf.extend_from_slice(&oversized.to_be_bytes());
+        assert!(scan(&rb.buf, usize::MAX).is_err());
+        // The largest frame allowed only waits for its bytes.
+        let mut rb = RecvBuf::default();
+        rb.buf.extend_from_slice(&(MAX_FRAME as u32).to_be_bytes());
+        assert!(take(&mut rb, usize::MAX).unwrap().is_empty());
     }
 
     /// Acks every peer envelope and reports the payload sizes it saw.
@@ -981,7 +968,7 @@ mod tests {
         fn handle_batch(
             &mut self,
             _kind: ConnKind,
-            envs: Vec<Envelope>,
+            envs: Envelopes<'_>,
             out: &mut Vec<u8>,
             _links: &mut Links,
         ) -> bool {
@@ -1013,10 +1000,8 @@ mod tests {
 
         let mut acked = Vec::new();
         while acked.len() < 2 {
-            let ack = super::super::frame::unseal(
-                super::super::frame::read_frame(&mut peer).expect("ack for the large frame"),
-            )
-            .unwrap();
+            let frame = read_frame(&mut peer).expect("ack for the large frame");
+            let ack = unseal(&frame).unwrap();
             acked.extend(ack.ack_ids().expect("an ack envelope"));
         }
         assert_eq!(acked, vec![7, 8]);
@@ -1034,7 +1019,7 @@ mod tests {
         fn handle_batch(
             &mut self,
             _kind: ConnKind,
-            envs: Vec<Envelope>,
+            envs: Envelopes<'_>,
             out: &mut Vec<u8>,
             _links: &mut Links,
         ) -> bool {
@@ -1042,7 +1027,7 @@ mod tests {
                 if env.payload == b"bad" {
                     return false;
                 }
-                let _ = put_frame(out, NO_ENTRY, &env.payload);
+                let _ = put_frame(out, NO_ENTRY, env.payload);
             }
             true
         }
@@ -1084,7 +1069,8 @@ mod tests {
         // Commit returns: the earlier reply is flushed, then the close.
         drop(release);
         client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let reply = unseal(read_frame(&mut client).expect("reply after commit")).unwrap();
+        let frame = read_frame(&mut client).expect("reply after commit");
+        let reply = unseal(&frame).unwrap();
         assert_eq!(reply.payload, b"ping");
         assert!(read_frame(&mut client).is_err(), "connection closed after the flush");
     }
@@ -1092,17 +1078,89 @@ mod tests {
     #[test]
     fn recv_buf_honours_the_batch_limit() {
         let mut rb = RecvBuf::default();
-        for i in 0..10u64 {
+        let frames = ENV_BATCH as u64 + 6;
+        for i in 0..frames {
             let mut c = Cursor::new(Vec::new());
             write_frame(&mut c, &seal(i, b"x")).unwrap();
             rb.buf.extend_from_slice(c.get_ref());
         }
-        let mut out = Vec::new();
-        rb.drain_envelopes(&mut out, 4).unwrap();
-        assert_eq!(out.len(), 4);
-        out.clear();
-        rb.drain_envelopes(&mut out, usize::MAX).unwrap();
-        assert_eq!(out.len(), 6, "remaining frames decode next call");
+        let first = take(&mut rb, ENV_BATCH).unwrap();
+        assert_eq!(first.len(), ENV_BATCH);
+        assert_eq!(first.last().map(|e| e.0), Some(ENV_BATCH as u64 - 1));
+        let rest = take(&mut rb, ENV_BATCH).unwrap();
+        assert_eq!(rest.len(), 6, "remaining frames are lent next call");
+        assert_eq!(rest[0].0, ENV_BATCH as u64);
+        assert!(rb.buf.is_empty());
+    }
+
+    /// One frame of a generated stream: an envelope, or a batched ack.
+    #[derive(Debug, Clone)]
+    enum Gen {
+        Envelope(u64, Vec<u8>),
+        Acks(Vec<u64>),
+    }
+
+    fn gen_frame() -> impl proptest::strategy::Strategy<Value = Gen> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..40))
+                .prop_map(|(entry, payload)| Gen::Envelope(entry, payload)),
+            proptest::collection::vec(0u64..1_000, 0..6).prop_map(Gen::Acks),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(200))]
+
+        /// However a stream of envelope and batched-ack frames is split
+        /// into arrivals, the envelopes the scanner lends in place, and
+        /// their acknowledged ids, are those the blocking reader yields.
+        #[test]
+        fn scanned_envelopes_match_the_blocking_reader(
+            frames in proptest::collection::vec(gen_frame(), 0..24),
+            cuts in proptest::collection::vec(0usize..2_000, 0..8),
+            max in 1usize..6,
+        ) {
+            let mut stream = Vec::new();
+            for f in &frames {
+                match f {
+                    Gen::Envelope(entry, payload) => put_frame(&mut stream, *entry, payload).unwrap(),
+                    Gen::Acks(ids) => put_acks(&mut stream, ids).unwrap(),
+                }
+            }
+            type Seen = (u64, Vec<u8>, Option<Vec<u64>>);
+            let seen = |entry: u64, payload: &[u8]| -> Seen {
+                let env = Envelope { entry, payload };
+                (entry, payload.to_vec(), env.ack_ids().map(Iterator::collect))
+            };
+            let mut want: Vec<Seen> = Vec::new();
+            let mut r = Cursor::new(&stream);
+            while (r.position() as usize) < stream.len() {
+                let frame = read_frame(&mut r).unwrap();
+                let env = unseal(&frame).unwrap();
+                want.push(seen(env.entry, env.payload));
+            }
+
+            let mut offsets: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
+            offsets.push(stream.len());
+            offsets.sort_unstable();
+            let (mut rb, mut got, mut from) = (RecvBuf::default(), Vec::new(), 0);
+            for to in offsets {
+                rb.buf.extend_from_slice(&stream[from..to]);
+                from = to;
+                loop {
+                    let (envs, used) = scan(&rb.buf, max).unwrap();
+                    if envs.is_empty() {
+                        break;
+                    }
+                    proptest::prop_assert!(envs.len() <= max);
+                    got.extend(envs.iter().map(|e| seen(e.entry, e.payload)));
+                    rb.buf.drain(..used);
+                }
+            }
+            proptest::prop_assert!(rb.buf.is_empty());
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     /// Answers every client envelope with its own payload.
@@ -1112,11 +1170,11 @@ mod tests {
         fn handle_batch(
             &mut self,
             _kind: ConnKind,
-            envs: Vec<Envelope>,
+            envs: Envelopes<'_>,
             out: &mut Vec<u8>,
             _links: &mut Links,
         ) -> bool {
-            envs.iter().all(|env| put_frame(out, NO_ENTRY, &env.payload).is_ok())
+            envs.iter().all(|env| put_frame(out, NO_ENTRY, env.payload).is_ok())
         }
     }
 
@@ -1146,7 +1204,8 @@ mod tests {
     fn a_request_split_after_its_length_prefix_is_answered() {
         let (_reactor, mut client) = dial(Echo, KIND_CLIENT);
         send_split(&mut client, NO_ENTRY, b"ping");
-        let reply = unseal(read_frame(&mut client).expect("reply")).unwrap();
+        let frame = read_frame(&mut client).expect("reply");
+        let reply = unseal(&frame).unwrap();
         assert_eq!(reply.payload, b"ping");
     }
 
@@ -1155,7 +1214,8 @@ mod tests {
         let (sizes_tx, sizes) = mpsc::channel();
         let (_reactor, mut peer) = dial(SizeRecorder(sizes_tx), KIND_PEER);
         send_split(&mut peer, 7, b"entry");
-        let ack = unseal(read_frame(&mut peer).expect("ack")).unwrap();
+        let frame = read_frame(&mut peer).expect("ack");
+        let ack = unseal(&frame).unwrap();
         assert_eq!(ack.ack_ids().expect("an ack envelope").collect::<Vec<_>>(), vec![7]);
         assert_eq!(sizes.try_iter().collect::<Vec<_>>(), vec![5]);
     }
@@ -1168,7 +1228,8 @@ mod tests {
         let (_reactor, mut client) = dial(Echo, KIND_CLIENT);
         write_envelope(&mut client, NO_ENTRY, b"last").unwrap();
         client.shutdown(Shutdown::Write).unwrap();
-        let reply = unseal(read_frame(&mut client).expect("reply before the close")).unwrap();
+        let frame = read_frame(&mut client).expect("reply before the close");
+        let reply = unseal(&frame).unwrap();
         assert_eq!(reply.payload, b"last");
         let closed = read_frame(&mut client).unwrap_err();
         assert_eq!(closed.kind(), io::ErrorKind::UnexpectedEof, "then the close");

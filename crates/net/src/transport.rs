@@ -130,7 +130,7 @@ impl Network {
     /// retries through drops and partitions until an attempt succeeds.
     /// Returns one arrival, or two when the link duplicates.
     ///
-    /// Panics if the link stays unavailable for [`MAX_ATTEMPTS`]
+    /// Panics if the link stays unavailable for `MAX_ATTEMPTS` (100 000)
     /// retries.
     pub fn plan_send(&mut self, from: SiteId, to: SiteId, now: VirtualTime) -> Vec<Delivery> {
         self.plan_send_sized(from, to, now, 0)

@@ -3,10 +3,11 @@
 //! A node does not write when it steps. Every journal record and
 //! [`Effect::Send`] a step returns is *staged* here, and once per
 //! cycle — after every ready connection has been stepped, before any
-//! reply or ack of the cycle leaves — [`Staged::plan`] takes what
+//! reply or ack of the cycle leaves — [`Staged::plan`] lends what
 //! accumulated as one journal append followed by the sends: every
 //! journal record, then every send in the order the steps listed them,
-//! one run of frames per peer.
+//! one run of frames per peer. The host drains those buffers in place,
+//! so a cycle stages into the memory the previous one used.
 //!
 //! The order is the contract: journal ≺ every send. The journal is a
 //! site's one durable file — its MSets, decisions and views, and the
@@ -37,46 +38,50 @@ use crate::ctrl::{Effect, Record};
 use crate::wire::Frame;
 
 /// The journal records and sends of the steps made since the last
-/// commit.
+/// commit. Its buffers outlive the commit: the host drains them in
+/// place ([`crate::node::Host::append_from`],
+/// [`crate::node::Host::send_from`]) and the next cycle stages into the
+/// same memory.
 #[derive(Debug, Default)]
 pub struct Staged {
     journal: Vec<Record>,
-    /// Runs of frames to one peer, in step order.
+    /// Runs of frames to one peer, in step order: the first `runs` hold
+    /// what is staged, the rest are drained runs kept for their buffers.
     sends: Vec<(SiteId, Vec<Frame>)>,
+    runs: usize,
 }
 
 impl Staged {
-    /// Stages one step's journal records and sends and returns the
-    /// rest (events, `Checkpoint`), in order, for the caller to execute
-    /// at once.
-    pub fn stage(&mut self, effects: Vec<Effect>) -> Vec<Effect> {
-        effects
-            .into_iter()
-            .filter_map(|effect| match effect {
-                Effect::Record(record) => {
-                    self.journal.push(record);
-                    None
-                }
-                Effect::Journal(mset) => {
-                    self.journal.push(Record::MSet(mset));
-                    None
-                }
-                Effect::Send { to, frame } => {
-                    match self.sends.last_mut() {
-                        Some((last, frames)) if *last == to => frames.push(frame),
-                        _ => self.sends.push((to, vec![frame])),
+    /// Stages `effect` when it is a journal record or a send; hands any
+    /// other effect (an event, a `Checkpoint`) back for the caller to
+    /// execute at once.
+    pub fn stage(&mut self, effect: Effect) -> Option<Effect> {
+        match effect {
+            Effect::Record(record) => self.journal.push(record),
+            Effect::Journal(mset) => self.journal.push(Record::MSet(mset)),
+            Effect::Send { to, frame } => {
+                match self.runs.checked_sub(1).map(|last| &mut self.sends[last]) {
+                    Some((peer, frames)) if *peer == to => frames.push(frame),
+                    _ => {
+                        if self.runs == self.sends.len() {
+                            self.sends.push((to, Vec::new()));
+                        }
+                        let (peer, frames) = &mut self.sends[self.runs];
+                        *peer = to;
+                        frames.push(frame);
+                        self.runs += 1;
                     }
-                    None
                 }
-                now => Some(now),
-            })
-            .collect()
+            }
+            now => return Some(now),
+        }
+        None
     }
 
     /// Frames staged and not yet planned — outbound work a status
     /// report must count, exactly like entries already in a link queue.
     pub fn sends(&self) -> usize {
-        self.sends.iter().map(|(_, f)| f.len()).sum()
+        self.sends[..self.runs].iter().map(|(_, f)| f.len()).sum()
     }
 
     /// The writes a commit would make: journal records plus frames.
@@ -86,15 +91,29 @@ impl Staged {
 
     /// True when a commit would write nothing.
     pub fn is_empty(&self) -> bool {
-        self.journal.is_empty() && self.sends.is_empty()
+        self.journal.is_empty() && self.runs == 0
     }
 
-    /// Takes everything staged as one commit, in its order: the records
+    /// The journal records staged, in order.
+    pub fn records(&self) -> &[Record] {
+        &self.journal
+    }
+
+    /// Lends everything staged as one commit, in its order: the records
     /// of the journal append, then the sends — runs of frames, each on
-    /// the link to one peer.
-    pub fn plan(&mut self) -> (Vec<Record>, Vec<(SiteId, Vec<Frame>)>) {
-        let staged = std::mem::take(self);
-        (staged.journal, staged.sends)
+    /// the link to one peer — for the host to drain.
+    /// [`Staged::clear`] then readies the buffers for the next cycle.
+    pub fn plan(&mut self) -> (&mut Vec<Record>, &mut [(SiteId, Vec<Frame>)]) {
+        (&mut self.journal, &mut self.sends[..self.runs])
+    }
+
+    /// Empties what a commit planned, keeping every buffer.
+    pub fn clear(&mut self) {
+        self.journal.clear();
+        for (_, frames) in &mut self.sends[..self.runs] {
+            frames.clear();
+        }
+        self.runs = 0;
     }
 }
 
@@ -118,6 +137,14 @@ mod tests {
     fn follower(method: RtMethod) -> NodeCore {
         let site = SiteId(1);
         NodeCore::fresh(SiteState::new(method, site), method, site, 3, None)
+    }
+
+    /// Stages one step's effects, returning those executed at once.
+    fn stage(staged: &mut Staged, effects: Vec<Effect>) -> Vec<Effect> {
+        effects
+            .into_iter()
+            .filter_map(|e| staged.stage(e))
+            .collect()
     }
 
     /// `peer kinds` per run of sends.
@@ -145,28 +172,46 @@ mod tests {
         let mut staged = Staged::default();
         // A peer MSet first (its `Applied` report is staged before the
         // submit's fan-out), then a client submit.
-        let now = staged.stage(core.step(NodeEvent::PeerFrame(Frame::MSet(incr(1, 2)))));
-        assert!(now.iter().all(|e| matches!(e, Effect::Event(_))));
-        staged.stage(core.step(NodeEvent::ClientSubmit(incr(2, 1))));
+        let now = stage(
+            &mut staged,
+            core.step(NodeEvent::PeerFrame(Frame::MSet(incr(1, 2)))),
+        );
+        assert!(!now.is_empty() && now.iter().all(|e| matches!(e, Effect::Event(_))));
+        stage(&mut staged, core.step(NodeEvent::ClientSubmit(incr(2, 1))));
         assert_eq!(staged.sends(), 4, "two fan-out MSets, two Applied reports");
         let (records, sends) = staged.plan();
         assert_eq!(records.len(), 2);
-        assert_eq!(shape(&sends), ["0 applied,mset", "2 mset", "0 applied"]);
-        assert!(staged.is_empty(), "a plan is taken once");
+        assert_eq!(shape(sends), ["0 applied,mset", "2 mset", "0 applied"]);
+        staged.clear();
+        assert!(staged.is_empty(), "a plan is written once");
         let (records, sends) = staged.plan();
         assert!(records.is_empty() && sends.is_empty());
+
+        // The next cycle stages into the same buffers, in its own runs.
+        stage(&mut staged, core.step(NodeEvent::ClientSubmit(incr(3, 1))));
+        assert_eq!(staged.sends(), 3);
+        let (records, sends) = staged.plan();
+        assert_eq!(records.len(), 1);
+        assert_eq!(shape(sends), ["0 mset", "2 mset", "0 applied"]);
     }
 
     #[test]
     fn a_decision_is_a_journal_record_ahead_of_its_forward() {
         let mut core = follower(RtMethod::Compe);
         let mut staged = Staged::default();
-        staged.stage(core.step(NodeEvent::ClientDecision {
+        stage(
+            &mut staged,
+            core.step(NodeEvent::ClientDecision {
+                et: EtId(4),
+                commit: false,
+            }),
+        );
+        let (records, sends) = staged.plan();
+        let decision = Record::Decision {
             et: EtId(4),
             commit: false,
-        }));
-        let (records, sends) = staged.plan();
-        assert_eq!(records, [Record::Decision { et: EtId(4), commit: false }]);
-        assert_eq!(shape(&sends), ["0 decision"]);
+        };
+        assert_eq!(*records, [decision]);
+        assert_eq!(shape(sends), ["0 decision"]);
     }
 }

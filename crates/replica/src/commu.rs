@@ -137,7 +137,12 @@ impl<S: ConvergentStore> ReplicaSite for CountedSite<S> {
                 .apply(op)
                 .expect("a convergent store applies every MSet cleanly");
         }
-        self.counters.begin_update(mset.et, mset.write_set());
+        let writes = mset
+            .ops
+            .iter()
+            .filter(|o| o.op.is_write())
+            .map(|o| o.object);
+        self.counters.begin_update(mset.et, writes);
         self.applied_ets.insert(mset.et, mset.max_version());
         Delivered::Applied.into()
     }

@@ -637,8 +637,7 @@ impl NodeCore {
         // Defect: recovery "forgets" the re-announcement pass.
         if core.canary != Some(CtrlCanary::LostCompletionOnRestart) {
             for (et, version) in recovered {
-                let announce = core.report_applied(et, version);
-                effects.extend(announce);
+                core.report_applied(et, version, &mut effects);
             }
         }
         (core, effects)
@@ -646,9 +645,11 @@ impl NodeCore {
 
     /// Consumes one event, mutates the core, and returns the ordered
     /// effects to execute. This is the daemon's whole protocol brain.
+    /// Every transition below pushes onto the one list a step returns.
     pub fn step(&mut self, event: NodeEvent) -> Vec<Effect> {
+        let mut fx = Vec::new();
         match event {
-            NodeEvent::PeerFrame(frame) => self.on_peer_frame(frame),
+            NodeEvent::PeerFrame(frame) => self.on_peer_frame(frame, &mut fx),
             NodeEvent::ClientSubmit(mut mset) => {
                 // Exactly-once: a retried submit (same client, same
                 // request seq) is answered from the client table — no
@@ -657,11 +658,12 @@ impl NodeCore {
                 // the original SubmitOk.
                 if let Some((cid, cseq)) = mset.client {
                     if let Some(et) = self.cached_et(cid, cseq) {
-                        return vec![Effect::Event(Event::DuplicateSubmit {
+                        fx.push(Effect::Event(Event::DuplicateSubmit {
                             client: cid,
                             seq: cseq,
                             et,
-                        })];
+                        }));
+                        return fx;
                     }
                 }
                 // The site a submit arrives at is its origin, whatever
@@ -673,51 +675,49 @@ impl NodeCore {
                 // submit span marks the trace root; one enqueue span per
                 // peer marks each link hand-off.
                 let t0 = mset.t0;
-                let mut effects: Vec<Effect> = vec![span(
+                fx.push(span(
                     SpanRec::new(SpanStage::Submit, mset.et)
                         .with_gseq(mset.gseq())
                         .with_t0(t0),
-                )];
-                for to in self.peers().collect::<Vec<_>>() {
-                    effects.push(span(
+                ));
+                for to in self.peers() {
+                    fx.push(span(
                         SpanRec::new(SpanStage::Enqueue, mset.et)
                             .to_peer(to)
                             .with_t0(t0),
                     ));
-                    effects.push(Effect::Send {
+                    fx.push(Effect::Send {
                         to,
                         frame: Frame::MSet(mset.clone()),
                     });
                 }
-                effects.extend(self.accept_mset(mset));
-                effects
+                self.accept_mset(mset, &mut fx);
             }
-            NodeEvent::ClientDecision { et, commit } => self.decide(et, commit),
-            NodeEvent::Tick => self.on_tick(),
+            NodeEvent::ClientDecision { et, commit } => self.decide(et, commit, &mut fx),
+            NodeEvent::Tick => self.on_tick(&mut fx),
             NodeEvent::SuspectCoordinator => {
                 let next = self.view.max(self.vc_target) + 1;
-                self.start_view_change(next)
+                self.start_view_change(next, &mut fx);
             }
             NodeEvent::Checkpoint { through } => match self.ckpt_payload(through) {
-                Some(payload) => vec![
-                    Effect::Event(Event::CkptCut {
+                Some(payload) => {
+                    fx.push(Effect::Event(Event::CkptCut {
                         covered: payload.covered(),
-                    }),
-                    Effect::Checkpoint(Box::new(payload)),
-                ],
-                None => vec![Effect::Event(Event::CkptFailed {
+                    }));
+                    fx.push(Effect::Checkpoint(Box::new(payload)));
+                }
+                None => fx.push(Effect::Event(Event::CkptFailed {
                     seq: 0,
                     detail: "this site's method has no checkpoint image".into(),
-                })],
+                })),
             },
             NodeEvent::Heartbeat { origin, ts } => {
-                let released = self.state.site_mut().heartbeat(origin, ts);
-                released
-                    .into_iter()
-                    .flat_map(|r| self.applied(r, None))
-                    .collect()
+                for r in self.state.site_mut().heartbeat(origin, ts) {
+                    self.applied(r, None, &mut fx);
+                }
             }
         }
+        fx
     }
 
     /// Captures a consistent checkpoint of this node. Must be called
@@ -789,7 +789,7 @@ impl NodeCore {
         // a full recovery would: the coordinator's evidence may have
         // died with the previous incarnation, and it deduplicates.
         for (et, version) in core.state.site().applies() {
-            effects.extend(core.report_applied(et, version));
+            core.report_applied(et, version, &mut effects);
         }
         Some((core, effects))
     }
@@ -838,7 +838,7 @@ impl NodeCore {
     /// One heartbeat interval. Coordinators ping; followers count
     /// silence and eventually suspect; a stalled election escalates
     /// past a dead coordinator-to-be.
-    fn on_tick(&mut self) -> Vec<Effect> {
+    fn on_tick(&mut self, fx: &mut Vec<Effect>) {
         if self.vc_target > self.view {
             // Election in progress: give it SUSPECT_AFTER ticks, then
             // assume the coordinator-to-be is down as well and move on.
@@ -846,29 +846,26 @@ impl NodeCore {
             if self.vc_ticks >= SUSPECT_AFTER {
                 self.vc_ticks = 0;
                 let next = self.vc_target + 1;
-                return self.start_view_change(next);
+                self.start_view_change(next, fx);
             }
-            return Vec::new();
+            return;
         }
         if self.coord.is_some() {
-            return self
-                .peers()
-                .map(|to| Effect::Send {
-                    to,
-                    frame: Frame::Ping {
-                        view: self.view,
-                        from: self.site,
-                    },
-                })
-                .collect();
+            fx.extend(self.peers().map(|to| Effect::Send {
+                to,
+                frame: Frame::Ping {
+                    view: self.view,
+                    from: self.site,
+                },
+            }));
+            return;
         }
         self.missed_pings += 1;
         if self.missed_pings >= SUSPECT_AFTER {
             self.missed_pings = 0;
             let next = self.view + 1;
-            return self.start_view_change(next);
+            self.start_view_change(next, fx);
         }
-        Vec::new()
     }
 
     /// Simple majority of the cluster (self-inclusive).
@@ -878,9 +875,9 @@ impl NodeCore {
 
     /// Begins (or joins) the election of view `target`. Idempotent per
     /// target; a higher target supersedes a pending lower one.
-    fn start_view_change(&mut self, target: u64) -> Vec<Effect> {
+    fn start_view_change(&mut self, target: u64, fx: &mut Vec<Effect>) {
         if target <= self.view {
-            return Vec::new();
+            return;
         }
         if target > self.vc_target {
             self.vc_target = target;
@@ -889,11 +886,10 @@ impl NodeCore {
             self.dvc_sent = false;
             self.vc_ticks = 0;
         }
-        let mut effects = Vec::new();
         if self.svc_from.insert(self.site) {
-            effects.push(Effect::Event(Event::ViewChangeStart { view: target }));
+            fx.push(Effect::Event(Event::ViewChangeStart { view: target }));
             for to in self.peers() {
-                effects.push(Effect::Send {
+                fx.push(Effect::Send {
                     to,
                     frame: Frame::StartViewChange {
                         view: target,
@@ -902,34 +898,33 @@ impl NodeCore {
                 });
             }
         }
-        effects.extend(self.maybe_send_dvc());
-        effects
+        self.maybe_send_dvc(fx);
     }
 
     /// Once a majority has started the pending view change, ship this
     /// site's control evidence to the new view's coordinator (or file
     /// it directly when that coordinator is us).
-    fn maybe_send_dvc(&mut self) -> Vec<Effect> {
+    fn maybe_send_dvc(&mut self, fx: &mut Vec<Effect>) {
         if self.dvc_sent
             || self.vc_target <= self.view
             || self.svc_from.len() < self.majority()
         {
-            return Vec::new();
+            return;
         }
         self.dvc_sent = true;
         let target = self.vc_target;
         let next_coord = coordinator_of(target, self.sites);
         if next_coord == self.site {
-            self.maybe_install_view()
+            self.maybe_install_view(fx);
         } else {
-            vec![Effect::Send {
+            fx.push(Effect::Send {
                 to: next_coord,
                 frame: Frame::DoViewChange {
                     view: target,
                     from: self.site,
                     evidence: Box::new(self.evidence.clone()),
                 },
-            }]
+            });
         }
     }
 
@@ -938,42 +933,39 @@ impl NodeCore {
     /// the peers' ledgers into ours, take a fresh [`CoordCore`],
     /// durably record the view, tell everyone, and feed this site's own
     /// applies into the new coordinator.
-    fn maybe_install_view(&mut self) -> Vec<Effect> {
+    fn maybe_install_view(&mut self, fx: &mut Vec<Effect>) {
         let votes = self.dvc.len() + usize::from(self.dvc_sent);
         if self.vc_target <= self.view || votes < self.majority() {
-            return Vec::new();
+            return;
         }
         let w = self.vc_target;
         let reports = std::mem::take(&mut self.dvc);
         self.view = w;
         self.clear_election();
         self.coord = Some(CoordCore::new(self.sites, self.method, self.canary));
-        let mut effects = vec![
-            Effect::Record(Record::View(w)),
-            Effect::Event(Event::ViewInstall {
-                view: w,
-                coordinator: self.site,
-            }),
-        ];
+        fx.push(Effect::Record(Record::View(w)));
+        fx.push(Effect::Event(Event::ViewInstall {
+            view: w,
+            coordinator: self.site,
+        }));
         // The handoff is a ledger union: any single site's ledger is a
         // prefix-consistent view of the old coordinator's broadcast
         // order, so absorbing the majority's in turn loses nothing, and
         // the ledger's guards make the new coordinator treat all of it
         // as already broadcast.
         for evidence in reports.values() {
-            effects.extend(self.absorb_evidence(evidence));
+            self.absorb_evidence(evidence, fx);
         }
-        effects.extend(self.relay(self.start_view()));
+        self.relay(self.start_view(), fx);
         // Count our own applies toward completion in the new view (the
         // peers re-announce theirs on receiving StartView). Defect: the
         // installer leaves them out, so the completions of what it
         // applied before the handoff are never re-driven.
         if self.canary != Some(CtrlCanary::HandoffDropsCompletions) {
             for (et, version) in self.state.site().applies() {
-                effects.extend(self.report_applied(et, version));
+                self.report_applied(et, version, fx);
             }
         }
-        effects
     }
 
     /// Resets all pending-election state (on install or supersession).
@@ -989,18 +981,16 @@ impl NodeCore {
 
     /// Applies snapshot/handoff evidence idempotently (the ledger
     /// absorbs anything this site has already seen).
-    fn absorb_evidence(&mut self, evidence: &Evidence) -> Vec<Effect> {
-        let mut effects = Vec::new();
+    fn absorb_evidence(&mut self, evidence: &Evidence, fx: &mut Vec<Effect>) {
         for et in evidence.completed() {
-            effects.extend(self.apply_complete(et));
+            fx.extend(self.apply_complete(et));
         }
         for (et, commit) in evidence.decisions() {
-            effects.extend(self.apply_decision(et, commit));
+            fx.extend(self.apply_decision(et, commit));
         }
         if let Some(v) = evidence.vtnc() {
-            effects.extend(self.apply_vtnc(v));
+            fx.extend(self.apply_vtnc(v));
         }
-        effects
     }
 
     /// This site's view and ledger as a `StartView`: the new
@@ -1019,11 +1009,10 @@ impl NodeCore {
     /// what it may not know: this site's applies (its guards absorb
     /// what already completed) and the decisions seen here (absorbed
     /// idempotently, then rebroadcast).
-    fn reannounce(&self, to: SiteId) -> Vec<Effect> {
-        let mut effects = Vec::new();
+    fn reannounce(&self, to: SiteId, fx: &mut Vec<Effect>) {
         if self.method.tracks_completion() {
             for (et, version) in self.state.site().applies() {
-                effects.push(Effect::Send {
+                fx.push(Effect::Send {
                     to,
                     frame: Frame::Applied {
                         site: self.site,
@@ -1034,24 +1023,23 @@ impl NodeCore {
             }
         }
         for (et, commit) in self.evidence.decisions() {
-            effects.push(Effect::Send {
+            fx.push(Effect::Send {
                 to,
                 frame: Frame::ForwardDecision { et, commit },
             });
         }
-        effects
     }
 
-    fn on_peer_frame(&mut self, frame: Frame) -> Vec<Effect> {
+    fn on_peer_frame(&mut self, frame: Frame, fx: &mut Vec<Effect>) {
         match frame {
             Frame::Hello { site, epoch } => {
-                let mut effects = vec![Effect::Event(Event::Hello { site, epoch })];
+                fx.push(Effect::Event(Event::Hello { site, epoch }));
                 if let Some(coord) = &mut self.coord {
                     // Coordinator: answer every peer (re)handshake with
                     // the view snapshot — idempotent replay that covers
                     // a recovering site whose link queues were lost.
                     if coord.answer_hello(site, epoch) {
-                        effects.push(Effect::Send {
+                        fx.push(Effect::Send {
                             to: site,
                             frame: self.start_view(),
                         });
@@ -1060,12 +1048,11 @@ impl NodeCore {
                     // Our coordinator rebooted: whatever its journal or
                     // image did not hold died with it.
                     self.coordinator_rebooted |= epoch > 1;
-                    effects.extend(self.reannounce(site));
+                    self.reannounce(site, fx);
                 }
-                effects
             }
-            Frame::MSet(mset) => self.accept_mset(mset),
-            Frame::Applied { site, et, version } => self.tally(site, et, version),
+            Frame::MSet(mset) => self.accept_mset(mset, fx),
+            Frame::Applied { site, et, version } => self.tally(site, et, version, fx),
             // A control broadcast minted by another coordinator (an
             // older view's catching up with us). If we hold the role
             // and it is news, our followers may have missed the
@@ -1076,39 +1063,40 @@ impl NodeCore {
                     c.counts.remove(&et);
                 }
                 let learned = self.apply_complete(et);
-                self.relay_news(learned, Frame::Complete { et })
+                self.relay_news(learned, Frame::Complete { et }, fx);
             }
             Frame::Vtnc { ts } => {
                 let learned = self.apply_vtnc(ts);
-                self.relay_news(learned, Frame::Vtnc { ts })
+                self.relay_news(learned, Frame::Vtnc { ts }, fx);
             }
             Frame::Decision { et, commit } => {
-                let mut learned = self.apply_decision(et, commit);
+                let learned = self.apply_decision(et, commit);
+                let news = learned.is_some();
+                self.relay_news(learned, Frame::Decision { et, commit }, fx);
                 // News that reached us after the rebooted coordinator's
                 // `Hello` was not in our re-announcement, and may be a
                 // broadcast of its previous life (links are not FIFO
                 // across a reboot): hand it back. A coordinator that
                 // knows it absorbs the echo silently.
-                if !learned.is_empty() && self.coord.is_none() && self.coordinator_rebooted {
-                    learned.push(Effect::Send {
+                if news && self.coord.is_none() && self.coordinator_rebooted {
+                    fx.push(Effect::Send {
                         to: coordinator_of(self.view, self.sites),
                         frame: Frame::ForwardDecision { et, commit },
                     });
                 }
-                self.relay_news(learned, Frame::Decision { et, commit })
             }
             Frame::ForwardDecision { et, commit } => {
                 if self.coord.is_some() {
-                    self.decide(et, commit)
+                    self.decide(et, commit, fx);
                 } else {
                     // Not (or no longer) the coordinator: re-forward
                     // toward the current view's coordinator so a
                     // decision in flight across a failover is never
                     // stranded in a dead site's inbound queue.
-                    vec![Effect::Send {
+                    fx.push(Effect::Send {
                         to: coordinator_of(self.view, self.sites),
                         frame: Frame::ForwardDecision { et, commit },
-                    }]
+                    });
                 }
             }
             Frame::Ping { view, from } => {
@@ -1116,33 +1104,29 @@ impl NodeCore {
                     if from == coordinator_of(self.view, self.sites) {
                         self.missed_pings = 0;
                     }
-                    Vec::new()
                 } else if view < self.view {
                     // A stale coordinator is still pinging: answer with
                     // our view's state so it demotes itself without
                     // waiting for the durable StartView to drain.
-                    vec![Effect::Send {
+                    fx.push(Effect::Send {
                         to: from,
                         frame: self.start_view(),
-                    }]
-                } else {
-                    // A view ahead of ours: its durable StartView is
-                    // already on the way.
-                    Vec::new()
+                    });
                 }
+                // A view ahead of ours: its durable StartView is
+                // already on the way.
             }
             Frame::StartViewChange { view, from } => {
                 if view <= self.view {
-                    return Vec::new();
+                    return;
                 }
                 // Join the election (no-op if already in it), then
                 // count the sender's vote.
-                let mut effects = self.start_view_change(view);
+                self.start_view_change(view, fx);
                 if view == self.vc_target {
                     self.svc_from.insert(from);
-                    effects.extend(self.maybe_send_dvc());
+                    self.maybe_send_dvc(fx);
                 }
-                effects
             }
             Frame::DoViewChange {
                 view,
@@ -1150,7 +1134,7 @@ impl NodeCore {
                 evidence,
             } => {
                 if view <= self.view || coordinator_of(view, self.sites) != self.site {
-                    return Vec::new();
+                    return;
                 }
                 // A DoViewChange proves a majority started this view
                 // change; adopt it even if our own SVC count lags.
@@ -1164,16 +1148,14 @@ impl NodeCore {
                 if view == self.vc_target {
                     self.dvc.insert(from, *evidence);
                     self.dvc_sent = true;
-                    return self.maybe_install_view();
+                    self.maybe_install_view(fx);
                 }
-                Vec::new()
             }
             Frame::StartView { view, evidence } => {
                 if view < self.view {
-                    return Vec::new();
+                    return;
                 }
                 let install = view > self.view;
-                let mut effects = Vec::new();
                 if install {
                     self.view = view;
                     self.clear_election();
@@ -1181,25 +1163,24 @@ impl NodeCore {
                     if self.canary != Some(CtrlCanary::SplitBrainCoordinator) {
                         self.coord = None;
                     }
-                    effects.push(Effect::Record(Record::View(view)));
-                    effects.push(Effect::Event(Event::ViewInstall {
+                    fx.push(Effect::Record(Record::View(view)));
+                    fx.push(Effect::Event(Event::ViewInstall {
                         view,
                         coordinator: coordinator_of(view, self.sites),
                     }));
                 }
-                effects.extend(self.absorb_evidence(&evidence));
+                self.absorb_evidence(&evidence, fx);
                 let coordinator = coordinator_of(view, self.sites);
                 if install && coordinator != self.site {
                     // The new coordinator's counts start from the DVC
                     // majority's ledgers, and a minority site may hold
                     // applies or decisions that majority never saw.
-                    effects.extend(self.reannounce(coordinator));
+                    self.reannounce(coordinator, fx);
                 }
-                effects
             }
             // Client-plane or transport-layer frames have no business
             // on a peer link; ignore them.
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
@@ -1208,7 +1189,7 @@ impl NodeCore {
     /// client (origin) or a peer link (propagation). The replica
     /// decides what is new: whatever it does not report as a
     /// [`Delivered::Duplicate`] is journalled, once.
-    fn accept_mset(&mut self, mset: MSet) -> Vec<Effect> {
+    fn accept_mset(&mut self, mset: MSet, fx: &mut Vec<Effect>) {
         // The arriving MSet's own (et, seq, version), in the shape the
         // site reports releases in: both are traced the same way.
         let own = Released::of(&mset);
@@ -1218,79 +1199,76 @@ impl NodeCore {
             self.canary_msets.insert(et, mset.clone());
         }
         let delivery = self.state.deliver(mset.clone());
-        let mut effects = vec![span(
+        fx.push(span(
             SpanRec::new(SpanStage::Deliver, et)
                 .with_gseq(own.seq)
                 .with_t0(t0),
-        )];
+        ));
         if delivery.outcome != Delivered::Duplicate {
             if let Some((cid, cseq)) = mset.client {
                 self.client_table.insert((cid.raw(), cseq), et);
             }
-            effects.push(Effect::Journal(mset));
+            fx.push(Effect::Journal(mset));
         }
         match delivery.outcome {
-            Delivered::Applied => effects.extend(self.applied(own, t0)),
+            Delivered::Applied => self.applied(own, t0, fx),
             // Parked behind an ORDUP sequence gap.
-            Delivered::Held => effects.push(span(
+            Delivered::Held => fx.push(span(
                 SpanRec::new(SpanStage::Held, et).with_gseq(own.seq),
             )),
             // A redelivery: its lifecycle was recorded the first time.
-            Delivered::Duplicate => effects.push(Effect::Event(Event::DuplicateDelivery { et })),
+            Delivered::Duplicate => fx.push(Effect::Event(Event::DuplicateDelivery { et })),
             // A COMPE MSet its abort outran: neither held nor applied.
             Delivered::Suppressed => {}
         }
         // An in-order arrival may have released held successors: they
         // are applied *now*, so they are traced and reported now.
         for r in delivery.released {
-            effects.extend(self.applied(r, None));
+            self.applied(r, None, fx);
         }
-        effects
     }
 
     /// The apply span of one ET plus its report toward the coordinator.
-    fn applied(&mut self, r: Released, t0: Option<u64>) -> Vec<Effect> {
-        let mut effects = vec![span(
+    fn applied(&mut self, r: Released, t0: Option<u64>, fx: &mut Vec<Effect>) {
+        fx.push(span(
             SpanRec::new(SpanStage::Apply, r.et)
                 .with_version(r.version)
                 .with_gseq(r.seq)
                 .with_t0(t0),
-        )];
-        effects.extend(self.report_applied(r.et, r.version));
-        effects
+        ));
+        self.report_applied(r.et, r.version, fx);
     }
 
     /// Routes apply evidence to the current view's coordinator (inline
     /// when we *are* the coordinator, over the link otherwise). The
     /// apply itself is the site's to remember
     /// ([`crate::site::ReplicaSite::applies`]).
-    fn report_applied(&mut self, et: EtId, version: Option<VersionTs>) -> Vec<Effect> {
+    fn report_applied(&mut self, et: EtId, version: Option<VersionTs>, fx: &mut Vec<Effect>) {
         if !self.method.tracks_completion() {
-            return Vec::new();
+            return;
         }
         if self.coord.is_some() {
-            return self.tally(self.site, et, version);
+            return self.tally(self.site, et, version, fx);
         }
-        vec![Effect::Send {
+        fx.push(Effect::Send {
             to: coordinator_of(self.view, self.sites),
             frame: Frame::Applied {
                 site: self.site,
                 et,
                 version,
             },
-        }]
+        });
     }
 
     /// Counts one apply report (a coordinator duty; a no-op elsewhere)
     /// and broadcasts whatever it completes.
-    fn tally(&mut self, site: SiteId, et: EtId, version: Option<VersionTs>) -> Vec<Effect> {
+    fn tally(&mut self, site: SiteId, et: EtId, version: Option<VersionTs>, fx: &mut Vec<Effect>) {
         let broadcast = self
             .coord
             .as_mut()
             .and_then(|c| c.on_applied(&self.evidence, site, et, version));
-        match broadcast {
-            Some(frame) => self.broadcast_control(frame),
-            None => Vec::new(),
+        if let Some(frame) = broadcast {
+            self.broadcast_control(frame, fx);
         }
     }
 
@@ -1298,12 +1276,12 @@ impl NodeCore {
     /// when it implies anything: the frames it leads to travel links a
     /// crash empties, and its client (or forwarding peer) is answered
     /// once the journal holds it.
-    fn decide(&mut self, et: EtId, commit: bool) -> Vec<Effect> {
-        let mut effects = self.pass_on(et, commit);
-        if !effects.is_empty() && self.canary != Some(CtrlCanary::VolatileDecision) {
-            effects.insert(0, Effect::Record(Record::Decision { et, commit }));
+    fn decide(&mut self, et: EtId, commit: bool, fx: &mut Vec<Effect>) {
+        let start = fx.len();
+        self.pass_on(et, commit, fx);
+        if fx.len() > start && self.canary != Some(CtrlCanary::VolatileDecision) {
+            fx.insert(start, Effect::Record(Record::Decision { et, commit }));
         }
-        effects
     }
 
     /// Replays journalled decisions at boot, in journal order: each is
@@ -1311,10 +1289,11 @@ impl NodeCore {
     /// knows it, re-forwarded by any other site — without a second
     /// record. The coordinator absorbs what it already decided.
     pub fn replay_decisions(&mut self, decisions: Vec<(EtId, bool)>) -> Vec<Effect> {
-        decisions
-            .into_iter()
-            .flat_map(|(et, commit)| self.pass_on(et, commit))
-            .collect()
+        let mut fx = Vec::new();
+        for (et, commit) in decisions {
+            self.pass_on(et, commit, &mut fx);
+        }
+        fx
     }
 
     /// What a decision implies here. The coordinator records and
@@ -1322,75 +1301,71 @@ impl NodeCore {
     /// the current view's coordinator (the broadcast will come back
     /// around; a receiver that is no longer the coordinator re-forwards
     /// it).
-    fn pass_on(&mut self, et: EtId, commit: bool) -> Vec<Effect> {
+    fn pass_on(&mut self, et: EtId, commit: bool, fx: &mut Vec<Effect>) {
         if self.coord.is_none() {
-            vec![Effect::Send {
+            fx.push(Effect::Send {
                 to: coordinator_of(self.view, self.sites),
                 frame: Frame::ForwardDecision { et, commit },
-            }]
-        } else if self.evidence.is_decided(et) {
-            Vec::new()
-        } else {
-            self.broadcast_control(Frame::Decision { et, commit })
+            });
+        } else if !self.evidence.is_decided(et) {
+            self.broadcast_control(Frame::Decision { et, commit }, fx);
         }
     }
 
     /// Applies a control broadcast locally and enqueues it to every
     /// peer (durable, so a currently-dead site receives it on revival).
-    fn broadcast_control(&mut self, frame: Frame) -> Vec<Effect> {
+    fn broadcast_control(&mut self, frame: Frame, fx: &mut Vec<Effect>) {
         // The `*Cert` span marks the certification moment itself —
         // coordinator-only, and only when the broadcast is news (a
         // re-driven log is absorbed silently below, so it gets no
         // second cert span either).
-        let certified = |cert: SpanRec, mut learned: Vec<Effect>| {
-            if !learned.is_empty() {
-                learned.insert(0, span(cert));
-            }
-            learned
-        };
-        let mut effects = match frame {
-            Frame::Complete { et } => certified(
+        let (cert, learned) = match frame {
+            Frame::Complete { et } => (
                 SpanRec::new(SpanStage::CompleteCert, et),
                 self.apply_complete(et),
             ),
-            Frame::Vtnc { ts } => {
-                certified(SpanRec::vtnc(SpanStage::VtncCert, ts), self.apply_vtnc(ts))
-            }
-            Frame::Decision { et, commit } => certified(
+            Frame::Vtnc { ts } => (SpanRec::vtnc(SpanStage::VtncCert, ts), self.apply_vtnc(ts)),
+            Frame::Decision { et, commit } => (
                 SpanRec::new(SpanStage::DecisionCert, et).with_commit(commit),
                 self.apply_decision(et, commit),
             ),
-            _ => Vec::new(),
+            _ => return self.relay(frame, fx),
         };
-        effects.extend(self.relay(frame));
-        effects
+        if let Some(learned) = learned {
+            fx.push(span(cert));
+            fx.push(learned);
+        }
+        self.relay(frame, fx);
     }
 
-    fn apply_complete(&mut self, et: EtId) -> Vec<Effect> {
+    /// Applies a completion; its span when it is news.
+    fn apply_complete(&mut self, et: EtId) -> Option<Effect> {
         // Re-broadcasts (a recovered or newly-elected coordinator
         // re-driving its log, snapshot replay) are absorbed silently:
         // a duplicate `complete` event would itself be a certifier
         // finding.
         if !self.evidence.complete(et) {
-            return Vec::new();
+            return None;
         }
         self.state.site_mut().complete(et);
-        vec![span(SpanRec::new(SpanStage::Complete, et))]
+        Some(span(SpanRec::new(SpanStage::Complete, et)))
     }
 
-    fn apply_vtnc(&mut self, ts: VersionTs) -> Vec<Effect> {
+    /// Applies a VTNC horizon; its span when the horizon advanced.
+    fn apply_vtnc(&mut self, ts: VersionTs) -> Option<Effect> {
         // The state-machine horizon is monotone regardless; only an
         // actual advance is traced, so a recovered coordinator
         // re-certifying old horizons can't make a site's trace run
         // backwards.
         self.state.site_mut().advance_vtnc(ts);
         if !self.evidence.advance_vtnc(ts) {
-            return Vec::new();
+            return None;
         }
-        vec![span(SpanRec::vtnc(SpanStage::Vtnc, ts))]
+        Some(span(SpanRec::vtnc(SpanStage::Vtnc, ts)))
     }
 
-    fn apply_decision(&mut self, et: EtId, commit: bool) -> Vec<Effect> {
+    /// Applies a COMPE decision; its span when it is news.
+    fn apply_decision(&mut self, et: EtId, commit: bool) -> Option<Effect> {
         let duplicate = !self.evidence.decide(et, commit);
         if commit {
             self.state.site_mut().commit(et);
@@ -1411,32 +1386,32 @@ impl NodeCore {
             }
         }
         if duplicate {
-            return Vec::new();
+            return None;
         }
-        vec![span(
+        Some(span(
             SpanRec::new(SpanStage::Decision, et).with_commit(commit),
-        )]
+        ))
     }
 
     /// Finishes a control broadcast received from another coordinator:
-    /// `learned` is what applying it locally produced, and when that is
-    /// non-empty (it was news) and we hold the role, it is relayed.
-    fn relay_news(&self, mut learned: Vec<Effect>, frame: Frame) -> Vec<Effect> {
-        if !learned.is_empty() && self.coord.is_some() {
-            learned.extend(self.relay(frame));
+    /// `learned` is what applying it locally produced, and when it was
+    /// news and we hold the role, the broadcast is relayed.
+    fn relay_news(&self, learned: Option<Effect>, frame: Frame, fx: &mut Vec<Effect>) {
+        if let Some(learned) = learned {
+            fx.push(learned);
+            if self.coord.is_some() {
+                self.relay(frame, fx);
+            }
         }
-        learned
     }
 
     /// Enqueues `frame` to every peer without applying it locally —
     /// the relay path, where the local apply already happened.
-    fn relay(&self, frame: Frame) -> Vec<Effect> {
-        self.peers()
-            .map(|to| Effect::Send {
-                to,
-                frame: frame.clone(),
-            })
-            .collect()
+    fn relay(&self, frame: Frame, fx: &mut Vec<Effect>) {
+        fx.extend(self.peers().map(|to| Effect::Send {
+            to,
+            frame: frame.clone(),
+        }));
     }
 
     /// Every other site, in id order.

@@ -6,7 +6,6 @@
 //! one MSet, delivered asynchronously to every replica site; each method
 //! attaches its own ordering information.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -129,15 +128,6 @@ impl MSet {
             .max()
     }
 
-    /// The objects this MSet writes.
-    pub fn write_set(&self) -> BTreeSet<ObjectId> {
-        self.ops
-            .iter()
-            .filter(|o| o.op.is_write())
-            .map(|o| o.object)
-            .collect()
-    }
-
     /// Does this MSet write any object in `objects`?
     pub fn touches(&self, objects: &[ObjectId]) -> bool {
         self.ops
@@ -213,18 +203,6 @@ mod tests {
         let m = mset(vec![]).lamport(LamportTs::new(3, SiteId(1)), SeqNo(0));
         assert!(matches!(m.order, OrderTag::Lamport { .. }));
         assert_eq!(mset(vec![]).order, OrderTag::Unordered);
-    }
-
-    #[test]
-    fn write_set_ignores_reads() {
-        let m = mset(vec![
-            ObjectOp::new(ObjectId(0), Operation::Read),
-            ObjectOp::new(ObjectId(1), Operation::Incr(1)),
-            ObjectOp::new(ObjectId(2), Operation::Write(Value::Int(1))),
-        ]);
-        let ws = m.write_set();
-        assert_eq!(ws.len(), 2);
-        assert!(!ws.contains(&ObjectId(0)));
     }
 
     #[test]

@@ -78,10 +78,22 @@ use crate::state::{RtMethod, SiteState};
 use crate::wire::Frame;
 
 /// All of a node's I/O.
+///
+/// A commit is handed over by reference — [`Host::append_from`] and
+/// [`Host::send_from`] drain the node's staged buffers, which it keeps
+/// for the next commit. Each has a by-value twin, [`Host::append`] and
+/// [`Host::send`], and each pair is defined by the other: a host
+/// implements one of the two.
 pub trait Host {
     /// Appends one commit's journal records, in order, in one write;
-    /// returns the bytes appended.
-    fn append(&mut self, records: Vec<Record>) -> u64;
+    /// returns the bytes appended. `records` is left empty.
+    fn append_from(&mut self, records: &mut Vec<Record>) -> u64 {
+        self.append(std::mem::take(records))
+    }
+    /// [`Host::append_from`] of a list the host may keep.
+    fn append(&mut self, mut records: Vec<Record>) -> u64 {
+        self.append_from(&mut records)
+    }
     /// Every live journal record with its id, oldest first; a record
     /// that does not decode is an `InvalidData` error naming its id.
     fn journal(&self) -> io::Result<Vec<(u64, Record)>>;
@@ -104,9 +116,24 @@ pub trait Host {
     fn installed(&mut self, wait: bool) -> Option<Install>;
     /// Enqueues one commit's sends — runs of frames, each on the
     /// in-memory link to its peer, in order — which a link retries until
-    /// the peer acknowledges them or this site crashes. Returns, per
-    /// peer sent to, the link entry its last frame took.
-    fn send(&mut self, sends: Vec<(SiteId, Vec<Frame>)>) -> Vec<(SiteId, u64)>;
+    /// the peer acknowledges them or this site crashes, and tells `sent`,
+    /// per run, the peer and the link entry its last frame took. The
+    /// runs are left empty.
+    fn send_from(&mut self, runs: &mut [(SiteId, Vec<Frame>)], sent: &mut dyn FnMut(SiteId, u64)) {
+        let runs = runs
+            .iter_mut()
+            .map(|(to, frames)| (*to, std::mem::take(frames)));
+        for (to, tail) in self.send(runs.collect()) {
+            sent(to, tail);
+        }
+    }
+    /// [`Host::send_from`] of runs the host may keep; returns each run's
+    /// peer and last entry.
+    fn send(&mut self, mut sends: Vec<(SiteId, Vec<Frame>)>) -> Vec<(SiteId, u64)> {
+        let mut tails = Vec::new();
+        self.send_from(&mut sends, &mut |to, tail| tails.push((to, tail)));
+        tails
+    }
     /// The oldest entry on the link to `peer` that the peer has not
     /// acknowledged (`None`: the link holds none). Entries count up.
     fn head(&self, peer: SiteId) -> Option<u64>;
@@ -289,7 +316,7 @@ impl Node {
         // when truncation retired that record, as every peer had
         // acknowledged whatever was retired.
         let peers = (0..cfg.sites as u64).map(SiteId).filter(|peer| *peer != cfg.site);
-        let reseed: Vec<(SiteId, Vec<Frame>)> = peers
+        let mut reseed: Vec<(SiteId, Vec<Frame>)> = peers
             .filter_map(|peer| {
                 let resume = recorded[peer.raw() as usize];
                 let frames: Vec<Frame> = msets
@@ -402,7 +429,7 @@ impl Node {
             node.record(host, event);
         }
         node.forget_recorded();
-        node.send(host, reseed);
+        Self::send(&mut node.cursors, host, &mut reseed);
         node.perform(host, recovery);
         node.commit(host);
         Ok(node)
@@ -528,8 +555,11 @@ impl Node {
             self.election_started = Some(host.now());
             self.obs.elections.inc();
         }
-        for effect in self.staged.stage(effects) {
-            match effect {
+        for effect in effects {
+            let Some(now) = self.staged.stage(effect) else {
+                continue;
+            };
+            match now {
                 Effect::Checkpoint(payload) => {
                     self.ckpt.cut += 1;
                     let seq = self.ckpt.cut;
@@ -558,23 +588,24 @@ impl Node {
         }
         let started = host.now();
         let written = self.staged.len();
-        let (mut records, sends) = self.staged.plan();
-        if !records.is_empty() {
+        if !self.staged.records().is_empty() {
             // As the links stand before the append: a cursor taken after
             // it would cover this commit's records, whose sends a crash
             // may still lose.
-            let acked = self.acked(host);
-            if self.spares_a_resend(&acked) {
-                records.push(Record::Cursors(acked.clone()));
-                self.recorded = acked;
+            self.advance_cursors(host);
+            if self.spares_a_resend() {
+                let acked: Vec<Option<u64>> = self.acked().collect();
+                self.recorded.clone_from(&acked);
+                self.staged.stage(Effect::Record(Record::Cursors(acked)));
             }
             let (site, next) = (self.core.site, host.last_id().map_or(0, |id| id + 1));
-            let own = records.iter().zip(next..).filter_map(|(record, id)| {
+            let records = self.staged.records().iter().zip(next..);
+            let own = records.filter_map(|(record, id)| {
                 matches!(record, Record::MSet(m) if m.origin == site).then_some(id)
             });
             self.originated.extend(own);
             self.forget_recorded();
-            let bytes = host.append(records);
+            let bytes = host.append_from(self.staged.plan().0);
             if let Some(limit) = self.ckpt_bytes {
                 self.ckpt_bytes_since += bytes;
                 if self.ckpt_bytes_since >= limit {
@@ -583,32 +614,33 @@ impl Node {
                 }
             }
         }
-        self.send(host, sends);
+        Self::send(&mut self.cursors, host, self.staged.plan().1);
+        self.staged.clear();
         self.obs.commit_records.record(written as u64);
         self.obs
             .commit_latency
             .record(host.now().saturating_sub(started));
     }
 
-    /// Hands `sends` to the links, and marks each link's cursor with the
+    /// Hands `runs` to the links, and marks each link's cursor with the
     /// entry its last frame took and the journal's last id: once the
     /// peer acknowledges that entry, it holds what the journal held.
-    fn send(&mut self, host: &mut impl Host, sends: Vec<(SiteId, Vec<Frame>)>) {
+    fn send(cursors: &mut [Cursor], host: &mut impl Host, runs: &mut [(SiteId, Vec<Frame>)]) {
         let last_id = host.last_id();
-        for (to, tail) in host.send(sends) {
-            self.cursors[to.raw() as usize].sent(tail, last_id);
-        }
+        host.send_from(runs, &mut |to, tail| {
+            cursors[to.raw() as usize].sent(tail, last_id)
+        });
     }
 
-    /// Whether a cursor record of `acked` would spare a boot a re-send
-    /// the newest one would make: some peer's cursor passed an MSet
-    /// this site originated. Any other move changes nothing a boot
-    /// does, so no record is written for it — at a site that originates
-    /// nothing, none ever is.
-    fn spares_a_resend(&self, acked: &[Option<u64>]) -> bool {
-        self.recorded.iter().zip(acked).any(|(from, to)| {
+    /// Whether a cursor record of the links' cursors now would spare a
+    /// boot a re-send the newest one would make: some peer's cursor
+    /// passed an MSet this site originated. Any other move changes
+    /// nothing a boot does, so no record is written for it — at a site
+    /// that originates nothing, none ever is.
+    fn spares_a_resend(&self) -> bool {
+        self.recorded.iter().zip(self.acked()).any(|(from, to)| {
             let above = self.originated.partition_point(|id| Some(*id) <= *from);
-            self.originated.get(above).is_some_and(|id| Some(*id) <= *to)
+            self.originated.get(above).is_some_and(|id| Some(*id) <= to)
         })
     }
 
@@ -622,19 +654,23 @@ impl Node {
         }
     }
 
-    /// Advances each link's cursor past what its peer has acknowledged,
-    /// and returns them by site (this site's own is `None`).
-    fn acked(&mut self, host: &impl Host) -> Vec<Option<u64>> {
+    /// Advances each link's cursor past what its peer has acknowledged.
+    fn advance_cursors(&mut self, host: &impl Host) {
         let (site, last_id) = (self.core.site, host.last_id());
-        let links = self.cursors.iter_mut().enumerate();
-        links
-            .map(|(j, cursor)| {
-                let peer = SiteId(j as u64);
-                (peer != site)
-                    .then(|| cursor.advance(host.head(peer), last_id))
-                    .flatten()
-            })
-            .collect()
+        for (j, cursor) in self.cursors.iter_mut().enumerate() {
+            let peer = SiteId(j as u64);
+            if peer != site {
+                cursor.advance(host.head(peer), last_id);
+            }
+        }
+    }
+
+    /// The links' cursors by site, as [`Node::advance_cursors`] left
+    /// them (this site's own is `None`).
+    fn acked(&self) -> impl Iterator<Item = Option<u64>> + '_ {
+        let own = self.core.site.raw() as usize;
+        let cursors = self.cursors.iter().enumerate();
+        cursors.map(move |(j, cursor)| if j == own { None } else { cursor.acked })
     }
 
     /// Cuts a checkpoint of the core and hands it to the writer. The
@@ -688,11 +724,12 @@ impl Node {
     /// peer has acknowledged; what a lagging peer holds back is retired
     /// by a later call — the next install, or a heartbeat.
     fn retire(&mut self, host: &mut impl Host) {
-        let (own, acked) = (self.core.site.raw() as usize, self.acked(host));
-        let mut peers = acked.into_iter().enumerate().filter(|(j, _)| *j != own);
-        let through = self
-            .retire_to
-            .and_then(|cut| peers.try_fold(cut, |through, (_, acked)| Some(through.min(acked?))));
+        self.advance_cursors(host);
+        let own = self.core.site.raw() as usize;
+        let through = self.retire_to.and_then(|cut| {
+            let mut peers = self.acked().enumerate().filter(|(j, _)| *j != own);
+            peers.try_fold(cut, |through, (_, acked)| Some(through.min(acked?)))
+        });
         let Some(through) = through else {
             return;
         };
@@ -805,7 +842,7 @@ impl MemHost {
 }
 
 impl Host for MemHost {
-    fn append(&mut self, records: Vec<Record>) -> u64 {
+    fn append_from(&mut self, records: &mut Vec<Record>) -> u64 {
         // Record framing plus the wire size, per record.
         let size = |r: &Record| match r {
             Record::MSet(m) => m.wire_size(),
@@ -815,7 +852,7 @@ impl Host for MemHost {
             Record::Cursors(acked) => 4 + 9 * acked.len() as u64,
         };
         let mut bytes = 0;
-        for r in records {
+        for r in records.drain(..) {
             if !keeps(&mut self.tear) {
                 break;
             }
@@ -867,25 +904,23 @@ impl Host for MemHost {
         self.installs.pop_front()
     }
 
-    fn send(&mut self, sends: Vec<(SiteId, Vec<Frame>)>) -> Vec<(SiteId, u64)> {
-        let mut tails = Vec::new();
-        for (to, frames) in sends {
-            let link = self.links.entry(to).or_default();
-            let mut sent = Vec::with_capacity(frames.len());
-            for frame in frames {
+    fn send_from(&mut self, runs: &mut [(SiteId, Vec<Frame>)], sent: &mut dyn FnMut(SiteId, u64)) {
+        for (to, frames) in runs {
+            let link = self.links.entry(*to).or_default();
+            let mut run = Vec::with_capacity(frames.len());
+            for frame in frames.drain(..) {
                 if !keeps(&mut self.tear) {
                     break;
                 }
-                sent.push((link.next, frame));
+                run.push((link.next, frame));
                 link.unacked.insert(link.next);
                 link.next += 1;
             }
-            if let Some((tail, _)) = sent.last() {
-                tails.push((to, *tail));
-                self.outbox.push((to, sent));
+            if let Some((tail, _)) = run.last() {
+                sent(*to, *tail);
+                self.outbox.push((*to, run));
             }
         }
-        tails
     }
 
     fn head(&self, peer: SiteId) -> Option<u64> {

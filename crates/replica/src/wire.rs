@@ -773,10 +773,17 @@ pub fn encode_frame(frame: &Frame) -> Bytes {
     encode(frame, 64)
 }
 
-/// Decodes a frame produced by [`encode_frame`]. Total: any byte slice
-/// yields a frame or an error, never a panic.
-pub fn decode_frame(payload: &Bytes) -> Result<Frame, WireError> {
-    Frame::get(&mut payload.as_ref())
+/// Appends a frame's encoding, the bytes of [`encode_frame`], to `b`: a
+/// caller that encodes many frames clears and reuses one buffer.
+pub fn encode_frame_into(frame: &Frame, b: &mut BytesMut) {
+    frame.put(b);
+}
+
+/// Decodes a frame produced by [`encode_frame`], in place: any byte
+/// slice — a `Bytes`, or a span of a receive buffer — yields a frame or
+/// an error, never a panic.
+pub fn decode_frame(payload: &[u8]) -> Result<Frame, WireError> {
+    Frame::get(&mut &payload[..])
 }
 
 // An MSet and a decision keep the tags of the frames that carry them,

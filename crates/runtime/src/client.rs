@@ -12,11 +12,13 @@
 //! address file) never wedges a cached connection.
 //!
 //! A round trip costs one `write` and, typically, one `read`: the
-//! request leaves as one contiguous frame
-//! ([`esr_net::rpc::write_envelope`]), and replies are read through a
-//! [`RECV_BUF`]-byte buffer, so the length prefix and body of a small
-//! reply come off the socket together. A reply larger than the buffer
-//! is read straight into its payload. The buffer is small because a
+//! request leaves as one contiguous frame ([`esr_net::rpc::put_frame`]),
+//! and replies are read through a 4 KiB receive buffer (`RECV_BUF`), so
+//! the length prefix and body of a small reply come off the socket
+//! together. A reply larger than the buffer is read straight into its
+//! frame, and decoded there. The client encodes each request and reads
+//! each reply into buffers it keeps, so a round trip allocates only
+//! what the reply decodes to. The receive buffer is small because a
 //! client is one of thousands a daemon may hold open (`reactor_fanin`
 //! keeps 10k), and bytes past one reply stay buffered for the next —
 //! the daemon answers in order, one reply per request.
@@ -27,14 +29,14 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
+use bytes::BytesMut;
 
 use esr_core::ids::{EtId, ObjectId, SiteId};
 use esr_core::value::Value;
-use esr_net::rpc::{read_frame, unseal, write_envelope, KIND_CLIENT, NO_ENTRY};
+use esr_net::rpc::{put_frame, read_frame_into, unseal, KIND_CLIENT, NO_ENTRY};
 use esr_replica::mset::MSet;
 use esr_replica::site::QueryOutcome;
-use esr_replica::wire::{decode_frame, encode_frame, Frame};
+use esr_replica::wire::{decode_frame, encode_frame_into, Frame};
 
 use crate::daemon::resolve_addr;
 use crate::spans::{span_records, RawEvent, RawSpan, SPAN_QUERY_ALL};
@@ -68,6 +70,11 @@ pub struct RpcClient {
     /// The connection, read through the reply buffer; requests are
     /// written to the socket underneath it.
     stream: BufReader<TcpStream>,
+    /// The request being encoded, reused call to call.
+    enc: BytesMut,
+    /// The request's frame on its way out, then the reply's frame on its
+    /// way in: one buffer, reused call to call.
+    frame: Vec<u8>,
 }
 
 fn bad_reply(got: &Frame) -> io::Error {
@@ -85,6 +92,8 @@ impl RpcClient {
         stream.write_all(&[KIND_CLIENT])?;
         Ok(Self {
             stream: BufReader::with_capacity(RECV_BUF, stream),
+            enc: BytesMut::new(),
+            frame: Vec::new(),
         })
     }
 
@@ -120,10 +129,19 @@ impl RpcClient {
         }
     }
 
+    /// One round trip, through buffers the client keeps: the request
+    /// leaves as one contiguous frame, and the reply is decoded in place
+    /// in the frame it arrived in.
     fn call(&mut self, request: &Frame) -> io::Result<Frame> {
-        write_envelope(self.stream.get_mut(), NO_ENTRY, &encode_frame(request))?;
-        let env = unseal(read_frame(&mut self.stream)?)?;
-        decode_frame(&Bytes::from(env.payload))
+        self.enc.clear();
+        encode_frame_into(request, &mut self.enc);
+        self.frame.clear();
+        put_frame(&mut self.frame, NO_ENTRY, &self.enc)?;
+        let socket = self.stream.get_mut();
+        socket.write_all(&self.frame)?;
+        socket.flush()?;
+        read_frame_into(&mut self.stream, &mut self.frame)?;
+        decode_frame(unseal(&self.frame)?.payload)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))
     }
 
@@ -271,7 +289,7 @@ impl RpcClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esr_net::rpc::put_frame;
+    use esr_replica::wire::encode_frame;
     use std::io::Read;
     use std::net::TcpListener;
     use std::thread::JoinHandle;
@@ -297,8 +315,8 @@ mod tests {
             assert_eq!(kind[0], KIND_CLIENT);
             let mut requests = Vec::new();
             for segments in script {
-                let env = unseal(read_frame(&mut s).unwrap()).unwrap();
-                requests.push(decode_frame(&Bytes::from(env.payload)).unwrap());
+                let frame = esr_net::rpc::read_frame(&mut s).unwrap();
+                requests.push(decode_frame(unseal(&frame).unwrap().payload).unwrap());
                 for (i, segment) in segments.iter().enumerate() {
                     if i > 0 {
                         std::thread::sleep(Duration::from_millis(20));

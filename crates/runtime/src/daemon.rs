@@ -107,12 +107,12 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use esr_core::divergence::{EpsilonSpec, InconsistencyCounter};
 use esr_core::ids::SiteId;
 use esr_net::rpc::{
-    put_acks, put_frame, Backoff, ConnKind, Envelope, Links, Reactor, RpcService, WakePipe, Waker,
+    put_acks, put_frame, Backoff, ConnKind, Envelopes, Links, Reactor, RpcService, WakePipe, Waker,
     NO_ENTRY,
 };
 use esr_obs::{
@@ -120,7 +120,7 @@ use esr_obs::{
 };
 use esr_replica::node::{Host, Install, Node, NodeConfig};
 use esr_replica::span::{count_query, Event};
-use esr_replica::wire::{decode_frame, encode_frame, Frame};
+use esr_replica::wire::{decode_frame, encode_frame, encode_frame_into, Frame};
 use esr_storage::snapshot;
 
 use crate::ckpt::{decode_payload, encode_payload, CkptPayload};
@@ -211,6 +211,8 @@ pub struct Daemon {
     /// valid one when its first chunk was asked for, held until its last
     /// chunk is served.
     serving: Option<Vec<u8>>,
+    /// The entry ids a peer batch acknowledges, reused batch to batch.
+    acks: Vec<u64>,
 }
 
 /// `esrd`'s storage: the journal and snapshot files under the cluster
@@ -229,6 +231,9 @@ struct Files {
     cuts: Sender<Cut>,
     /// The writer's reports, one per cut, in cut order.
     installs: Receiver<Install>,
+    /// The one buffer every outbound frame — link entry or reply — is
+    /// encoded into before it is copied to where it leaves from.
+    enc: BytesMut,
 }
 
 impl Files {
@@ -246,8 +251,10 @@ struct FileHost<'a> {
 }
 
 impl Host for FileHost<'_> {
-    fn append(&mut self, records: Vec<Record>) -> u64 {
-        self.files.journal.append(&records)
+    fn append_from(&mut self, records: &mut Vec<Record>) -> u64 {
+        let bytes = self.files.journal.append(records);
+        records.clear();
+        bytes
     }
 
     fn journal(&self) -> std::io::Result<Vec<(u64, Record)>> {
@@ -291,14 +298,20 @@ impl Host for FileHost<'_> {
         }
     }
 
-    fn send(&mut self, sends: Vec<(SiteId, Vec<Frame>)>) -> Vec<(SiteId, u64)> {
-        let mut tails = Vec::new();
-        for (to, frames) in sends {
-            let payloads = frames.iter().map(encode_frame).collect();
-            let sent = self.links.send_batch(to.raw() as usize, payloads);
-            tails.extend(sent.last().map(|entry| (to, entry.0)));
+    /// Encodes each frame once, into the reused buffer, and queues it
+    /// as one `Bytes`: a link entry costs one allocation.
+    fn send_from(&mut self, runs: &mut [(SiteId, Vec<Frame>)], sent: &mut dyn FnMut(SiteId, u64)) {
+        let enc = &mut self.files.enc;
+        for (to, frames) in runs {
+            let payloads = frames.drain(..).map(|frame| {
+                enc.clear();
+                encode_frame_into(&frame, enc);
+                Bytes::copy_from_slice(enc)
+            });
+            if let Some(entry) = self.links.send_batch(to.raw() as usize, payloads) {
+                sent(*to, entry.0);
+            }
         }
-        tails
     }
 
     fn head(&self, peer: SiteId) -> Option<u64> {
@@ -537,6 +550,7 @@ impl Daemon {
             events,
             cuts,
             installs,
+            enc: BytesMut::new(),
         };
         let node_cfg = NodeConfig {
             site: cfg.site,
@@ -564,6 +578,7 @@ impl Daemon {
             metrics,
             obs,
             serving: None,
+            acks: Vec::new(),
         };
         Ok((daemon, links, listener))
     }
@@ -699,7 +714,7 @@ impl RpcService for Daemon {
     fn handle_batch(
         &mut self,
         kind: ConnKind,
-        envs: Vec<Envelope>,
+        envs: Envelopes<'_>,
         out: &mut Vec<u8>,
         links: &mut Links,
     ) -> bool {
@@ -709,10 +724,11 @@ impl RpcService for Daemon {
             // commit, so the sender retires an entry only once its
             // effect is crash-durable here.
             ConnKind::Peer => {
-                let mut acks = Vec::with_capacity(envs.len());
+                let mut acks = std::mem::take(&mut self.acks);
+                acks.clear();
                 for env in envs {
                     let entry = env.entry;
-                    match decode_frame(&Bytes::from(env.payload)) {
+                    match decode_frame(env.payload) {
                         // A corrupt frame — undecodable, or an MSet of
                         // a shape this method's `deliver` panics on —
                         // is dropped; acking it anyway prevents an
@@ -731,6 +747,7 @@ impl RpcService for Daemon {
                     self.robs.ack_batch.record(acks.len() as u64);
                     let _ = put_acks(out, &acks);
                 }
+                self.acks = acks;
                 true
             }
             // Client plane: one request frame in, one reply frame out,
@@ -743,7 +760,7 @@ impl RpcService for Daemon {
             // the cycle's earlier replies.
             ConnKind::Client => {
                 for env in envs {
-                    let Ok(request) = decode_frame(&Bytes::from(env.payload)) else {
+                    let Ok(request) = decode_frame(env.payload) else {
                         return false;
                     };
                     let started = Instant::now();
@@ -752,8 +769,10 @@ impl RpcService for Daemon {
                     };
                     self.rpc_latency
                         .record(started.elapsed().as_micros() as u64);
-                    let bytes = encode_frame(&reply);
-                    if put_frame(out, NO_ENTRY, &bytes).is_err() {
+                    let enc = &mut self.files.enc;
+                    enc.clear();
+                    encode_frame_into(&reply, enc);
+                    if put_frame(out, NO_ENTRY, enc).is_err() {
                         return false;
                     }
                 }
@@ -787,7 +806,7 @@ mod tests {
     use esr_replica::mset::MSet;
     use esr_core::op::{ObjectOp, Operation};
     use esr_core::value::Value;
-    use esr_net::rpc::{read_frame, unseal};
+    use esr_net::rpc::{read_frame, scan, unseal};
     use esr_storage::stable_queue::{EntryId, FileQueue, StableQueue};
 
     /// A booted daemon with no reactor: the test is its thread. The
@@ -851,21 +870,19 @@ mod tests {
     /// reactor would — minus the commit, which is the caller's to make.
     /// Returns whether the connection stays open, and the replies.
     fn try_batch(daemon: &mut Daemon, links: &mut Links, requests: &[Frame]) -> (bool, Vec<Frame>) {
-        let envs = requests
-            .iter()
-            .map(|f| Envelope {
-                entry: NO_ENTRY,
-                payload: encode_frame(f).to_vec(),
-            })
-            .collect();
+        let mut received = Vec::new();
+        for f in requests {
+            put_frame(&mut received, NO_ENTRY, &encode_frame(f)).unwrap();
+        }
+        let (envs, _) = scan(&received, usize::MAX).unwrap();
         let mut out = Vec::new();
         let open = daemon.handle_batch(ConnKind::Client, envs, &mut out, links);
         let end = out.len() as u64;
         let mut out = std::io::Cursor::new(out);
         let mut replies = Vec::new();
         while out.position() < end {
-            let env = unseal(read_frame(&mut out).unwrap()).unwrap();
-            replies.push(decode_frame(&Bytes::from(env.payload)).unwrap());
+            let frame = read_frame(&mut out).unwrap();
+            replies.push(decode_frame(unseal(&frame).unwrap().payload).unwrap());
         }
         (open, replies)
     }
@@ -1214,19 +1231,14 @@ mod tests {
     #[test]
     fn a_corrupt_peer_frame_is_acked_dropped_and_counted() {
         let (mut daemon, mut links, _pipe) = boot("rejected", RtMethod::Ordup, 1, 3, None);
-        let envs = vec![
-            Envelope {
-                entry: 5,
-                payload: vec![0xFF; 3],
-            },
-            Envelope {
-                entry: 6,
-                payload: encode_frame(&Frame::MSet(incr(1, 0))).to_vec(),
-            },
-        ];
+        let mut received = Vec::new();
+        put_frame(&mut received, 5, &[0xFF; 3]).unwrap();
+        put_frame(&mut received, 6, &encode_frame(&Frame::MSet(incr(1, 0)))).unwrap();
+        let (envs, _) = scan(&received, usize::MAX).unwrap();
         let mut out = Vec::new();
         assert!(daemon.handle_batch(ConnKind::Peer, envs, &mut out, &mut links));
-        let ack = unseal(read_frame(&mut std::io::Cursor::new(out)).unwrap()).unwrap();
+        let frame = read_frame(&mut std::io::Cursor::new(out)).unwrap();
+        let ack = unseal(&frame).unwrap();
         assert_eq!(ack.ack_ids().unwrap().collect::<Vec<_>>(), vec![5, 6]);
         assert!(daemon
             .metrics

@@ -140,6 +140,9 @@ pub struct JournalLog {
     /// Bytes of retired records and their acks since open or the last
     /// compaction.
     dead: u64,
+    /// The bytes of the append being written, emptied once written: its
+    /// buffer is reused append to append, never a copy of the log.
+    append: BytesMut,
 }
 
 impl JournalLog {
@@ -209,6 +212,7 @@ impl JournalLog {
             live_at,
             len: len as u64,
             dead: 0,
+            append: BytesMut::new(),
         })
     }
 
@@ -242,12 +246,12 @@ impl JournalLog {
         if items.is_empty() {
             return Ok(0);
         }
-        // Framing plus a typical record; a larger one grows the buffer.
-        let mut b = BytesMut::with_capacity(items.len() * (ENQUEUE_HEADER + 64));
+        let b = &mut self.append;
+        b.clear();
         for (id, item) in (self.next..).zip(items) {
-            put_enqueue(&mut b, id, |b| put(item, b));
+            put_enqueue(b, id, |b| put(item, b));
         }
-        self.file.write_all(&b)?;
+        self.file.write_all(b)?;
         if self.first == self.next {
             self.live_at = self.len;
         }

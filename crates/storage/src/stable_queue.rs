@@ -93,6 +93,13 @@ impl MemQueue {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The unacknowledged entries with ids strictly greater than
+    /// `after`, oldest first, lent in place: what
+    /// [`StableQueue::pending_after`] lists, without a list or a copy.
+    pub fn iter_after(&self, after: Option<EntryId>) -> impl Iterator<Item = (EntryId, &Bytes)> {
+        range_after(&self.entries, after).map(|(id, payload)| (*id, payload))
+    }
 }
 
 impl StableQueue for MemQueue {
@@ -116,6 +123,17 @@ impl StableQueue for MemQueue {
     }
 }
 
+/// The entries of a map strictly beyond the cursor, oldest first.
+fn range_after(
+    entries: &BTreeMap<EntryId, Bytes>,
+    after: Option<EntryId>,
+) -> std::collections::btree_map::Range<'_, EntryId, Bytes> {
+    match after {
+        Some(id) => entries.range((std::ops::Bound::Excluded(id), std::ops::Bound::Unbounded)),
+        None => entries.range(..),
+    }
+}
+
 /// Shared `pending_after` walk over an entry map: everything strictly
 /// beyond the cursor, oldest first.
 fn pending_after_of(
@@ -123,11 +141,7 @@ fn pending_after_of(
     after: Option<EntryId>,
     max: usize,
 ) -> Vec<(EntryId, Bytes)> {
-    let range = match after {
-        Some(id) => entries.range((std::ops::Bound::Excluded(id), std::ops::Bound::Unbounded)),
-        None => entries.range(..),
-    };
-    range
+    range_after(entries, after)
         .take(max)
         .map(|(id, payload)| (*id, payload.clone()))
         .collect()

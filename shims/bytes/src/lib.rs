@@ -26,8 +26,13 @@ impl Bytes {
         Self::from(bytes.to_vec())
     }
 
+    /// A copy of `bytes`: one allocation, the shared buffer itself.
     pub fn copy_from_slice(bytes: &[u8]) -> Self {
-        Self::from(bytes.to_vec())
+        Self {
+            data: Arc::from(bytes),
+            start: 0,
+            end: bytes.len(),
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -178,6 +183,11 @@ impl BytesMut {
 
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
+    }
+
+    /// Empties the buffer, keeping its capacity for the next encoding.
+    pub fn clear(&mut self) {
+        self.data.clear();
     }
 
     pub fn extend_from_slice(&mut self, s: &[u8]) {

@@ -1,10 +1,11 @@
 //! Offline shim for `proptest`.
 //!
 //! A miniature property-testing framework exposing the subset of the
-//! proptest API this workspace's tests use: the [`Strategy`] trait with
-//! `prop_map`/`boxed`, integer-range / tuple / `Just` / `any` /
-//! `prop_oneof!` / `prop::collection::vec` strategies, the `proptest!`
-//! test macro with `#![proptest_config(..)]`, and the
+//! proptest API this workspace's tests use: the
+//! [`Strategy`](strategy::Strategy) trait with `prop_map`/`boxed`,
+//! integer-range / tuple / `Just` / `any` / `prop_oneof!` /
+//! `prop::collection::vec` strategies, the `proptest!` test macro with
+//! `#![proptest_config(..)]`, and the
 //! `prop_assert!`/`prop_assert_eq!`/`prop_assume!` assertion macros.
 //!
 //! Differences from the real crate, deliberate for an offline build:
@@ -347,7 +348,7 @@ pub mod collection {
         }
     }
 
-    /// The result of [`vec`].
+    /// The result of [`vec()`].
     pub struct VecStrategy<S> {
         elem: S,
         size: SizeRange,

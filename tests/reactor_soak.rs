@@ -26,8 +26,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-
 use esr::core::ids::{ClientId, VersionTs};
 use esr::core::{EtId, ObjectId, ObjectOp, Operation, SiteId, Value};
 use esr::net::rpc::{read_frame, unseal, write_envelope, KIND_CLIENT, NO_ENTRY};
@@ -224,11 +222,11 @@ fn slow_reader_is_backpressured_while_daemon_stays_responsive() {
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("read timeout");
     for i in 0..STALLED_REQUESTS {
-        let env = unseal(read_frame(&mut stalled).unwrap_or_else(|e| {
+        let frame = read_frame(&mut stalled).unwrap_or_else(|e| {
             panic!("reply {i}/{STALLED_REQUESTS} missing after drain: {e}")
-        }))
-        .expect("unseal reply");
-        match decode_frame(&Bytes::from(env.payload)).expect("decode reply") {
+        });
+        let env = unseal(&frame).expect("unseal reply");
+        match decode_frame(env.payload).expect("decode reply") {
             Frame::SnapshotOk { entries } => {
                 assert_eq!(entries.len(), PRELOAD_OBJECTS as usize, "reply {i}");
             }
