@@ -13,10 +13,10 @@
 //! when a snapshot's `covered_through` is `None` after catch-up — the
 //! replica's duplicate guard must absorb the already-covered prefix.
 
-use esr_core::ids::{ClientId, EtId, ObjectId, SeqNo, SiteId, VersionTs};
+use esr_core::ids::{ClientId, EtId, LamportTs, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
-use esr_replica::mset::MSet;
+use esr_replica::mset::{MSet, OrderTag};
 use esr_replica::wire::Frame;
 use esr_runtime::ctrl::{Effect, NodeCore, NodeEvent};
 use esr_runtime::state::{RtMethod, SiteState};
@@ -44,15 +44,35 @@ fn tswrite(et: u64, origin: u64, object: u64, time: u64, value: i64) -> MSet {
     )
 }
 
+/// `m` stamped by `origin`'s Lamport clock at `counter`, its `fifo`-th
+/// MSet.
+fn stamped(m: MSet, counter: u64, fifo: u64) -> MSet {
+    let ts = LamportTs::new(counter, m.origin);
+    m.lamport(ts, SeqNo(fifo))
+}
+
+fn mul(et: u64, origin: u64, object: u64, by: i64) -> MSet {
+    MSet::new(
+        EtId(et),
+        SiteId(origin),
+        vec![ObjectOp::new(ObjectId(object), Operation::MulBy(by))],
+    )
+}
+
 /// A method's exercise script: the journal (delivered in order, entry
-/// `i` carrying stable id `i + 1`) plus non-journalled control frames
+/// `i` carrying stable id `i + 1`) plus non-journalled control inputs
 /// delivered after a given number of journal entries.
 struct Workload {
     method: RtMethod,
     journal: Vec<MSet>,
-    /// `(after_entry, frame)` — delivered once `after_entry` journal
+    /// `(after_entry, input)` — delivered once `after_entry` journal
     /// entries have been accepted.
-    control: Vec<(usize, Frame)>,
+    control: Vec<(usize, NodeEvent)>,
+}
+
+/// A peer frame, as a control input.
+fn frame(after: usize, f: Frame) -> (usize, NodeEvent) {
+    (after, NodeEvent::PeerFrame(f))
 }
 
 fn workloads() -> Vec<Workload> {
@@ -81,8 +101,8 @@ fn workloads() -> Vec<Workload> {
                 incr(4, 2, 2, 4),
             ],
             control: vec![
-                (2, Frame::Complete { et: EtId(1) }),
-                (3, Frame::Complete { et: EtId(2) }),
+                frame(2, Frame::Complete { et: EtId(1) }),
+                frame(3, Frame::Complete { et: EtId(2) }),
             ],
         },
         // RITU overwrite: interleaved stale and fresh versions.
@@ -105,7 +125,7 @@ fn workloads() -> Vec<Workload> {
                 tswrite(3, 0, 2, 3, 30),
                 tswrite(4, 2, 1, 4, 40),
             ],
-            control: vec![(2, Frame::Vtnc { ts: VersionTs::new(1, ClientId(0)) })],
+            control: vec![frame(2, Frame::Vtnc { ts: VersionTs::new(1, ClientId(0)) })],
         },
         // COMPE: optimistic applies with one commit and one abort
         // (compensation) decided mid-stream.
@@ -118,15 +138,47 @@ fn workloads() -> Vec<Workload> {
                 incr(4, 2, 2, 5000),
             ],
             control: vec![
-                (2, Frame::Decision { et: EtId(1), commit: true }),
-                (2, Frame::Decision { et: EtId(2), commit: false }),
+                frame(2, Frame::Decision { et: EtId(1), commit: true }),
+                frame(2, Frame::Decision { et: EtId(2), commit: false }),
             ],
+        },
+        // ORDUP-L over the three sites' clocks: an MSet past its
+        // origin's FIFO gap, a heartbeat that waits for the MSets its
+        // origin sent before it, and cuts while stamps are parked
+        // waiting for a silent origin.
+        Workload {
+            method: RtMethod::Ordup,
+            journal: vec![
+                stamped(incr(2, 2, 1, 2), 2, 0),
+                stamped(mul(3, 0, 1, 3), 3, 1),
+                stamped(incr(1, 1, 1, 1), 1, 0),
+                stamped(incr(4, 0, 1, 10), 1, 0),
+                stamped(mul(5, 1, 1, 2), 4, 1),
+            ],
+            control: vec![(3, beat(0, 2, 5)), (5, beat(2, 1, 6))],
         },
     ]
 }
 
-fn fresh(method: RtMethod) -> NodeCore {
-    NodeCore::fresh(SiteState::new(method, SITE), method, SITE, SITES, None)
+/// A heartbeat from `origin` at `counter`, sent after `sent` MSets.
+fn beat(origin: u64, sent: u64, counter: u64) -> NodeEvent {
+    NodeEvent::Heartbeat {
+        origin: SiteId(origin),
+        sent: SeqNo(sent),
+        ts: LamportTs::new(counter, SiteId(origin)),
+    }
+}
+
+/// A fresh node for `w`: an ORDUP-L site when its journal is
+/// Lamport-stamped, hearing every site.
+fn fresh(w: &Workload) -> NodeCore {
+    let state = match w.journal[0].order {
+        OrderTag::Lamport { .. } => {
+            SiteState::ordup_lamport(SITE, (0..SITES as u64).map(SiteId).collect())
+        }
+        _ => SiteState::new(w.method, SITE),
+    };
+    NodeCore::fresh(state, w.method, SITE, SITES, None)
 }
 
 /// Drives `core` through the first `upto` journal entries (stable ids
@@ -135,9 +187,9 @@ fn fresh(method: RtMethod) -> NodeCore {
 fn drive(core: &mut NodeCore, w: &Workload, upto: usize) {
     for (i, m) in w.journal.iter().take(upto).enumerate() {
         core.step(NodeEvent::PeerFrame(Frame::MSet(m.clone())));
-        for (after, f) in &w.control {
+        for (after, input) in &w.control {
             if *after == i + 1 {
-                core.step(NodeEvent::PeerFrame(f.clone()));
+                core.step(input.clone());
             }
         }
     }
@@ -159,14 +211,14 @@ fn restore_plus_suffix_matches_full_replay_at_every_cut() {
     for w in workloads() {
         let n = w.journal.len();
         // The golden reference: a core that saw everything live.
-        let mut live = fresh(w.method);
+        let mut live = fresh(&w);
         drive(&mut live, &w, n);
 
         for cut in 0..=n {
             // Cut a checkpoint after `cut` entries (with the control
             // frames scheduled by then), round-trip it through the
             // wire codec, then restore and replay the suffix.
-            let mut prefix_core = fresh(w.method);
+            let mut prefix_core = fresh(&w);
             drive(&mut prefix_core, &w, cut);
             let payload = cut_payload(&mut prefix_core, Some(cut as u64));
             assert_eq!(payload.covered(), cut as u64, "{:?} cut {cut}", w.method);
@@ -180,9 +232,9 @@ fn restore_plus_suffix_matches_full_replay_at_every_cut() {
             // Control frames past the cut are not journalled; the live
             // reference saw them, so re-deliver (idempotent, like the
             // coordinator's StartView snapshot at rejoin).
-            for (after, f) in &w.control {
+            for (after, input) in &w.control {
                 if *after > cut {
-                    restored.step(NodeEvent::PeerFrame(f.clone()));
+                    restored.step(input.clone());
                 }
             }
 
@@ -190,14 +242,14 @@ fn restore_plus_suffix_matches_full_replay_at_every_cut() {
             // the restore must reproduce exactly. (`live` saw each
             // control frame at its point in the journal instead, and
             // COMPE's recovery log records when an abort landed.)
-            let mut reference = fresh(w.method);
+            let mut reference = fresh(&w);
             drive(&mut reference, &w, cut);
             for m in &w.journal[cut..] {
                 reference.step(NodeEvent::PeerFrame(Frame::MSet(m.clone())));
             }
-            for (after, f) in &w.control {
+            for (after, input) in &w.control {
                 if *after > cut {
-                    reference.step(NodeEvent::PeerFrame(f.clone()));
+                    reference.step(input.clone());
                 }
             }
 
@@ -228,9 +280,9 @@ fn restore_plus_suffix_matches_full_replay_at_every_cut() {
                 w.journal.clone(),
             )
             .expect("method matches");
-            for (after, f) in &w.control {
+            for (after, input) in &w.control {
                 if *after > cut {
-                    over.step(NodeEvent::PeerFrame(f.clone()));
+                    over.step(input.clone());
                 }
             }
             assert_eq!(
@@ -251,7 +303,7 @@ fn restored_client_table_still_dedups() {
     // the table instead of re-applying.
     let w = &workloads()[1];
     assert_eq!(w.method, RtMethod::Commu);
-    let mut prefix_core = fresh(w.method);
+    let mut prefix_core = fresh(w);
     drive(&mut prefix_core, w, 2); // includes (client 9, seq 1) -> et 2
     let payload = cut_payload(&mut prefix_core, Some(2));
     let (restored, _) =

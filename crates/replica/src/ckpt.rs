@@ -2,8 +2,9 @@
 //!
 //! A consistent checkpoint must capture everything a method needs to
 //! resume mid-protocol: not just the store contents but the
-//! method-specific in-flight state — ORDUP's hold-back queue and next
-//! sequence number, the raised lock-counters of COMMU and RITU (one
+//! method-specific in-flight state — ORDUP's parked MSets and where its
+//! order stands (the next sequence number, or ORDUP-L's origin
+//! streams), the raised lock-counters of COMMU and RITU (one
 //! [`CountedCkpt`] layout over each store's rows, RITU's carrying the
 //! version timestamps), RITU-MV's reachable versions and VTNC, COMPE's
 //! recovery log and decision outcomes. [`SiteCkpt`] is that image, one
@@ -18,28 +19,36 @@
 
 use bytes::{Bytes, BytesMut};
 
-use esr_core::ids::{EtId, ObjectId, SeqNo, VersionTs};
+use esr_core::ids::{EtId, LamportTs, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::ObjectOp;
 use esr_core::value::Value;
 use esr_storage::recovery_log::{AppliedOp, LogRecord};
 
 use crate::compe::Disposition;
-use crate::mset::{MSet, OrderTag};
+use crate::mset::MSet;
+use crate::ordup::{Order, Stream};
 use crate::wire::{encode, flag, wire_enum, wire_struct, Wire, WireError};
 
-/// ORDUP checkpoint image (see `OrdupSite::to_ckpt`).
+/// An ORDUP site's checkpoint image (see `OrderedSite::to_ckpt`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct OrdupCkpt {
+pub struct OrderedCkpt<O: Order> {
     /// Store contents.
     pub values: Vec<(ObjectId, Value)>,
-    /// The next sequence number the site will apply.
-    pub next_seq: SeqNo,
-    /// Held-back MSets awaiting predecessors (all `Sequenced`; the key
-    /// is recovered from each MSet's order tag).
+    /// Where the order stands: ORDUP's next sequence number, ORDUP-L's
+    /// origin streams.
+    pub order: O::Position,
+    /// Parked MSets awaiting their turn (each tagged for `O`; the key is
+    /// recovered from its order tag).
     pub holdback: Vec<MSet>,
     /// Applied ET ids (duplicate suppression), ascending.
     pub applied_ets: Vec<EtId>,
 }
+
+/// ORDUP (sequencer) checkpoint image.
+pub type OrdupCkpt = OrderedCkpt<SeqNo>;
+
+/// ORDUP-L (Lamport) checkpoint image.
+pub type OrdupLamportCkpt = OrderedCkpt<LamportTs>;
 
 /// A lock-counter site's checkpoint image (see
 /// `CountedSite::to_ckpt`): the store's rows, the in-flight updates,
@@ -107,43 +116,51 @@ pub enum SiteCkpt {
     RituMv(RituMvCkpt),
     /// COMPE.
     Compe(CompeCkpt),
+    /// ORDUP over Lamport timestamps.
+    OrdupLamport(OrdupLamportCkpt),
 }
 
-/// The hold-back queue is keyed by sequence number, so an image whose
-/// hold-back holds an MSet without one was not written by
-/// `OrdupSite::to_ckpt` and is rejected like any other bad tag.
-impl Wire for OrdupCkpt {
+/// Parked MSets are keyed by their order tag, so an image holding one
+/// tagged for another order was not written by `OrderedSite::to_ckpt`
+/// and is rejected like any other bad tag.
+impl<O: Order> Wire for OrderedCkpt<O>
+where
+    O::Position: Wire,
+{
     const MIN_LEN: usize = Vec::<(ObjectId, Value)>::MIN_LEN
-        + SeqNo::MIN_LEN
+        + <O::Position as Wire>::MIN_LEN
         + Vec::<MSet>::MIN_LEN
         + Vec::<EtId>::MIN_LEN;
     fn put(&self, b: &mut BytesMut) {
         self.values.put(b);
-        self.next_seq.put(b);
+        self.order.put(b);
         self.holdback.put(b);
         self.applied_ets.put(b);
     }
     fn get(b: &mut &[u8]) -> Result<Self, WireError> {
-        let c = OrdupCkpt {
+        let c = OrderedCkpt {
             values: Wire::get(b)?,
-            next_seq: Wire::get(b)?,
+            order: Wire::get(b)?,
             holdback: Wire::get(b)?,
             applied_ets: Wire::get(b)?,
         };
-        let unsequenced = c.holdback.iter().find_map(|m| match m.order {
-            OrderTag::Sequenced(_) => None,
-            OrderTag::Unordered => Some(0),
-            OrderTag::Lamport { .. } => Some(2),
-        });
-        match unsequenced {
-            Some(tag) => Err(WireError::BadTag {
+        match c.holdback.iter().find(|m| O::key(m).is_none()) {
+            Some(stray) => Err(WireError::BadTag {
                 field: "holdback order",
-                tag,
+                // The stray MSet's order tag byte.
+                tag: encode(&stray.order, 1)[0],
             }),
             None => Ok(c),
         }
     }
 }
+
+wire_struct!(Stream {
+    origin: SiteId,
+    next: SeqNo,
+    seen: Option<LamportTs>,
+    beat: Option<(SeqNo, LamportTs)>,
+});
 
 impl<R: Wire> Wire for CountedCkpt<R> {
     const MIN_LEN: usize = Vec::<R>::MIN_LEN
@@ -214,6 +231,7 @@ wire_enum!(SiteCkpt, "ckpt" {
     2 => Ritu(c: RituCkpt),
     3 => RituMv(c: RituMvCkpt),
     4 => Compe(c: CompeCkpt),
+    5 => OrdupLamport(c: OrdupLamportCkpt),
 });
 
 /// Encodes a checkpoint into a self-contained byte payload.
@@ -245,15 +263,39 @@ mod tests {
         vec![
             SiteCkpt::Ordup(OrdupCkpt {
                 values: vec![(ObjectId(0), Value::Int(3)), (ObjectId(1), Value::Text("x".into()))],
-                next_seq: SeqNo(5),
+                order: SeqNo(5),
                 holdback: vec![held_mset],
                 applied_ets: vec![EtId(1), EtId(2)],
             }),
             SiteCkpt::Ordup(OrdupCkpt {
                 values: vec![],
-                next_seq: SeqNo::ZERO,
+                order: SeqNo::ZERO,
                 holdback: vec![],
                 applied_ets: vec![],
+            }),
+            SiteCkpt::OrdupLamport(OrdupLamportCkpt {
+                values: vec![(ObjectId(3), Value::Int(8))],
+                order: vec![
+                    Stream {
+                        origin: SiteId(0),
+                        next: SeqNo(2),
+                        seen: Some(LamportTs::new(4, SiteId(0))),
+                        beat: None,
+                    },
+                    Stream {
+                        origin: SiteId(1),
+                        next: SeqNo(0),
+                        seen: None,
+                        beat: Some((SeqNo(1), LamportTs::new(6, SiteId(1)))),
+                    },
+                ],
+                holdback: vec![MSet::new(
+                    EtId(7),
+                    SiteId(0),
+                    vec![ObjectOp::new(ObjectId(3), Operation::MulBy(2))],
+                )
+                .lamport(LamportTs::new(3, SiteId(0)), SeqNo(1))],
+                applied_ets: vec![EtId(6)],
             }),
             SiteCkpt::Commu(CommuCkpt {
                 values: vec![(ObjectId(4), Value::Int(-2))],
@@ -350,26 +392,32 @@ mod tests {
         ));
     }
 
-    /// A hold-back MSet without a sequence stamp decodes to an error,
-    /// not to an image whose restore would panic.
+    /// A parked MSet tagged for another order decodes to an error, not
+    /// to an image whose restore would panic.
     #[test]
-    fn unsequenced_holdback_is_rejected() {
+    fn a_parked_mset_of_another_order_is_rejected() {
         let stray = MSet::new(
             EtId(9),
             SiteId(1),
             vec![ObjectOp::new(ObjectId(3), Operation::Incr(4))],
         );
-        let tagged = [
-            (stray.clone(), 0),
-            (stray.lamport(esr_core::ids::LamportTs::new(1, SiteId(1)), SeqNo(0)), 2),
-        ];
-        for (held, tag) in tagged {
-            let ckpt = SiteCkpt::Ordup(OrdupCkpt {
+        let stamped = stray.clone().lamport(LamportTs::new(1, SiteId(1)), SeqNo(0));
+        let ordup = |held: MSet| {
+            SiteCkpt::Ordup(OrdupCkpt {
                 values: vec![],
-                next_seq: SeqNo(0),
+                order: SeqNo(0),
                 holdback: vec![held],
                 applied_ets: vec![],
-            });
+            })
+        };
+        let lamport = SiteCkpt::OrdupLamport(OrdupLamportCkpt {
+            values: vec![],
+            order: vec![],
+            holdback: vec![stray.clone().sequenced(SeqNo(0))],
+            applied_ets: vec![],
+        });
+        let images = [(ordup(stray), 0), (ordup(stamped), 2), (lamport, 1)];
+        for (ckpt, tag) in images {
             assert_eq!(
                 decode_site_ckpt(&encode_site_ckpt(&ckpt)),
                 Err(WireError::BadTag {

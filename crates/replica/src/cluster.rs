@@ -990,20 +990,21 @@ impl SimCluster {
     pub fn run_until_quiescent(&mut self) -> VirtualTime {
         while self.step() {}
         if self.config.method == Method::OrdupLamport {
-            // One heartbeat per origin, carrying a clock strictly past
-            // every timestamp it ever issued.
-            let beats: Vec<(SiteId, LamportTs)> = self
+            // One heartbeat per origin, carrying its FIFO count and a
+            // clock strictly past every timestamp it ever issued.
+            let beats: Vec<(SiteId, SeqNo, LamportTs)> = self
                 .send_clocks
                 .iter()
-                .map(|c| {
+                .zip(&self.fifo_counters)
+                .map(|(c, &sent)| {
                     let mut ts = c.peek();
                     ts.counter += 1;
-                    (c.site(), ts)
+                    (c.site(), sent, ts)
                 })
                 .collect();
             for id in self.site_ids() {
-                for &(origin, ts) in &beats {
-                    self.step_site(id, NodeEvent::Heartbeat { origin, ts });
+                for &(origin, sent, ts) in &beats {
+                    self.step_site(id, NodeEvent::Heartbeat { origin, sent, ts });
                 }
             }
         }
@@ -1356,7 +1357,7 @@ mod tests {
         c.run_until_quiescent();
         assert!(c.converged());
         for site in c.site_ids() {
-            let Some(SiteCkpt::RituMv(image)) = c.state(site).and_then(SiteState::to_ckpt) else {
+            let Some(SiteCkpt::RituMv(image)) = c.state(site).map(SiteState::to_ckpt) else {
                 panic!("{site} has no RITU-MV image");
             };
             let held: Vec<ObjectId> = image.versions.iter().map(|(o, _, _)| *o).collect();

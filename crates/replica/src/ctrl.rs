@@ -98,7 +98,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-use esr_core::ids::{ClientId, EtId, LamportTs, SiteId, VersionTs};
+use esr_core::ids::{ClientId, EtId, LamportTs, SeqNo, SiteId, VersionTs};
 use crate::mset::MSet;
 use crate::node_ckpt::CkptPayload;
 use crate::site::{Delivered, Released};
@@ -146,11 +146,16 @@ pub enum NodeEvent {
     },
     /// A Lamport heartbeat from `origin` carrying its clock: raises the
     /// ORDUP-L stability horizon, and the step applies — and traces —
-    /// whatever that releases (nothing, for the other methods). The
+    /// whatever that releases (nothing, for the other methods). A site
+    /// uses the beat only once it has reassembled the `sent` MSets the
+    /// origin sent before it, in FIFO order: until then an earlier MSet
+    /// of the origin may still arrive below the beat's clock. The
     /// simulator beats once per origin at quiescence.
     Heartbeat {
         /// The origin the beat speaks for.
         origin: SiteId,
+        /// How many MSets `origin` had sent when it beat: its FIFO count.
+        sent: SeqNo,
         /// A clock strictly past every timestamp `origin` issued.
         ts: LamportTs,
     },
@@ -699,20 +704,15 @@ impl NodeCore {
                 let next = self.view.max(self.vc_target) + 1;
                 self.start_view_change(next, &mut fx);
             }
-            NodeEvent::Checkpoint { through } => match self.ckpt_payload(through) {
-                Some(payload) => {
-                    fx.push(Effect::Event(Event::CkptCut {
-                        covered: payload.covered(),
-                    }));
-                    fx.push(Effect::Checkpoint(Box::new(payload)));
-                }
-                None => fx.push(Effect::Event(Event::CkptFailed {
-                    seq: 0,
-                    detail: "this site's method has no checkpoint image".into(),
-                })),
-            },
-            NodeEvent::Heartbeat { origin, ts } => {
-                for r in self.state.site_mut().heartbeat(origin, ts) {
+            NodeEvent::Checkpoint { through } => {
+                let payload = self.ckpt_payload(through);
+                fx.push(Effect::Event(Event::CkptCut {
+                    covered: payload.covered(),
+                }));
+                fx.push(Effect::Checkpoint(Box::new(payload)));
+            }
+            NodeEvent::Heartbeat { origin, sent, ts } => {
+                for r in self.state.site_mut().heartbeat(origin, sent, ts) {
                     self.applied(r, None, &mut fx);
                 }
             }
@@ -723,10 +723,9 @@ impl NodeCore {
     /// Captures a consistent checkpoint of this node. Must be called
     /// with the core otherwise quiescent (the daemon's reactor thread
     /// cuts between steps; the model steps nodes one at a time), so no
-    /// effect is half-applied across the image. `None` when the method
-    /// state has no image ([`SiteState::to_ckpt`]).
-    pub fn ckpt_payload(&self, through: Option<u64>) -> Option<CkptPayload> {
-        Some(CkptPayload {
+    /// effect is half-applied across the image.
+    pub fn ckpt_payload(&self, through: Option<u64>) -> CkptPayload {
+        CkptPayload {
             covered_through: through,
             view: self.view,
             client_table: self
@@ -735,8 +734,8 @@ impl NodeCore {
                 .map(|(&(c, s), &et)| (c, s, et))
                 .collect(),
             evidence: self.evidence.clone(),
-            site: self.state.to_ckpt()?,
-        })
+            site: self.state.to_ckpt(),
+        }
     }
 
     /// Boot-time restore from a checkpoint image plus the journal
@@ -1430,7 +1429,7 @@ impl NodeCore {
 mod tests {
     use super::*;
     use crate::mset::OrderTag;
-    use esr_core::ids::{ObjectId, SeqNo};
+    use esr_core::ids::ObjectId;
     use esr_core::op::{ObjectOp, Operation};
 
     fn incr(et: u64, origin: u64) -> MSet {
@@ -1535,6 +1534,7 @@ mod tests {
         );
         let beat = |t| NodeEvent::Heartbeat {
             origin: SiteId(0),
+            sent: SeqNo(0),
             ts: LamportTs::new(t, SiteId(0)),
         };
         let effects = core.step(beat(2));
@@ -1577,21 +1577,43 @@ mod tests {
         assert!(core.state.settled());
     }
 
+    /// An ORDUP-L node's cut round-trips through the codec and restores
+    /// mid-protocol: the parked MSets still wait for origin 0, and the
+    /// beats release them at the restored node as at the live one.
     #[test]
-    fn lamport_site_has_no_checkpoint_image() {
-        let origins = (0..3).map(SiteId).collect();
-        let mut core = NodeCore::fresh(
-            SiteState::ordup_lamport(SiteId(1), origins),
-            RtMethod::Ordup,
-            SiteId(1),
-            3,
-            None,
-        );
-        let effects = core.step(NodeEvent::Checkpoint { through: None });
-        assert!(matches!(
-            effects.as_slice(),
-            [Effect::Event(Event::CkptFailed { .. })]
-        ));
+    fn an_ordup_lamport_image_round_trips() {
+        let origins: Vec<SiteId> = (0..3).map(SiteId).collect();
+        let state = || SiteState::ordup_lamport(SiteId(1), origins.clone());
+        let mut core = NodeCore::fresh(state(), RtMethod::Ordup, SiteId(1), 3, None);
+        for (et, origin, t) in [(1, 1, 1), (2, 2, 2), (3, 1, 3)] {
+            let m = incr(et, origin).lamport(LamportTs::new(t, SiteId(origin)), SeqNo(et / 3));
+            core.step(NodeEvent::PeerFrame(Frame::MSet(m)));
+        }
+        let effects = core.step(NodeEvent::Checkpoint { through: Some(3) });
+        let [Effect::Event(Event::CkptCut { covered: 3 }), Effect::Checkpoint(payload)] =
+            &effects[..]
+        else {
+            panic!("an ORDUP-L cut yields an image: {effects:?}");
+        };
+        let decoded = crate::node_ckpt::decode_payload(&crate::node_ckpt::encode_payload(payload));
+        assert_eq!(decoded.as_ref(), Some(&**payload), "the image round-trips");
+        let (mut restored, _) =
+            NodeCore::restore(RtMethod::Ordup, SiteId(1), 3, None, 0, *payload.clone(), vec![])
+                .expect("an ORDUP-L image restores an ORDUP node");
+        assert_eq!(restored.ckpt_payload(None), core.ckpt_payload(None));
+        assert_eq!(restored.state.site().backlog(), 3, "nothing is stable before origin 0 is heard");
+        let beat = |origin, sent| NodeEvent::Heartbeat {
+            origin: SiteId(origin),
+            sent: SeqNo(sent),
+            ts: LamportTs::new(9, SiteId(origin)),
+        };
+        for node in [&mut core, &mut restored] {
+            node.step(beat(0, 0));
+            assert_eq!(node.state.site().backlog(), 1, "ET 3 at ts 3 waits for origin 2");
+            node.step(beat(2, 1));
+            assert!(node.state.settled());
+        }
+        assert_eq!(restored.ckpt_payload(None), core.ckpt_payload(None));
     }
 
     /// One client-stamped MSet of the shape `method`'s site takes —
@@ -1639,13 +1661,13 @@ mod tests {
         let journals =
             |effects: &[Effect]| effects.iter().filter(|e| matches!(e, Effect::Journal(_))).count();
         for (label, method, m, before, after) in cases {
-            let state = || match m.order {
+            let state = match m.order {
                 OrderTag::Lamport { .. } => {
                     SiteState::ordup_lamport(SiteId(1), vec![SiteId(0), SiteId(1)])
                 }
                 _ => SiteState::new(method, SiteId(1)),
             };
-            let mut core = NodeCore::fresh(state(), method, SiteId(1), 3, None);
+            let mut core = NodeCore::fresh(state, method, SiteId(1), 3, None);
             if let Some(decision) = before {
                 core.step(NodeEvent::PeerFrame(decision));
             }
@@ -1666,15 +1688,11 @@ mod tests {
                 );
             }
             assert_eq!(core.ckpt_payload(None), image, "{label}: a redelivery changed the image");
-            // Boot from the image (ORDUP-L has none: from the journal),
-            // replaying the MSet once more, then retry the submit.
-            let (mut booted, _) = match image {
-                Some(payload) => {
-                    NodeCore::restore(method, SiteId(1), 3, None, 0, payload, vec![m.clone()])
-                        .expect("method matches")
-                }
-                None => NodeCore::recover(state(), method, SiteId(1), 3, None, 0, vec![m.clone()]),
-            };
+            // Boot from the image, replaying the MSet once more, then
+            // retry the submit.
+            let (mut booted, _) =
+                NodeCore::restore(method, SiteId(1), 3, None, 0, image, vec![m.clone()])
+                    .expect("method matches");
             let retry = booted.step(NodeEvent::ClientSubmit(m));
             assert!(
                 matches!(
@@ -2081,7 +2099,7 @@ mod tests {
         assert_eq!(restored.ckpt_payload(None), full.ckpt_payload(None));
         assert_eq!(restored.state.snapshot(), full.state.snapshot());
         // Over-approximated suffix (the whole journal) is absorbed.
-        let payload2 = full.ckpt_payload(None).expect("COMMU has an image");
+        let payload2 = full.ckpt_payload(None);
         let (re2, _) = NodeCore::restore(
             RtMethod::Commu,
             SiteId(2),
@@ -2122,7 +2140,7 @@ mod tests {
                 }));
             }
         }
-        let payload = coordinator.ckpt_payload(None).expect("COMMU has an image");
+        let payload = coordinator.ckpt_payload(None);
         let known: Vec<EtId> = payload.evidence.completed().collect();
         assert_eq!(known, vec![EtId(1), EtId(2), EtId(3)]);
         let (mut restored, _) =
@@ -2247,7 +2265,7 @@ mod tests {
             );
             let mut node = cluster3(RtMethod::Commu).remove(0);
             node.evidence = ab;
-            let payload = node.ckpt_payload(None).expect("COMMU has an image");
+            let payload = node.ckpt_payload(None);
             let bytes = crate::node_ckpt::encode_payload(&payload);
             proptest::prop_assert_eq!(crate::node_ckpt::decode_payload(&bytes), Some(payload));
         }
@@ -2262,7 +2280,7 @@ mod tests {
             3,
             None,
         );
-        let payload = core.ckpt_payload(None).expect("COMMU has an image");
+        let payload = core.ckpt_payload(None);
         assert!(NodeCore::restore(
             RtMethod::Ordup,
             SiteId(0),

@@ -81,19 +81,11 @@ use crate::wire::Frame;
 ///
 /// A commit is handed over by reference — [`Host::append_from`] and
 /// [`Host::send_from`] drain the node's staged buffers, which it keeps
-/// for the next commit. Each has a by-value twin, [`Host::append`] and
-/// [`Host::send`], and each pair is defined by the other: a host
-/// implements one of the two.
+/// for the next commit.
 pub trait Host {
     /// Appends one commit's journal records, in order, in one write;
     /// returns the bytes appended. `records` is left empty.
-    fn append_from(&mut self, records: &mut Vec<Record>) -> u64 {
-        self.append(std::mem::take(records))
-    }
-    /// [`Host::append_from`] of a list the host may keep.
-    fn append(&mut self, mut records: Vec<Record>) -> u64 {
-        self.append_from(&mut records)
-    }
+    fn append_from(&mut self, records: &mut Vec<Record>) -> u64;
     /// Every live journal record with its id, oldest first; a record
     /// that does not decode is an `InvalidData` error naming its id.
     fn journal(&self) -> io::Result<Vec<(u64, Record)>>;
@@ -119,21 +111,7 @@ pub trait Host {
     /// the peer acknowledges them or this site crashes, and tells `sent`,
     /// per run, the peer and the link entry its last frame took. The
     /// runs are left empty.
-    fn send_from(&mut self, runs: &mut [(SiteId, Vec<Frame>)], sent: &mut dyn FnMut(SiteId, u64)) {
-        let runs = runs
-            .iter_mut()
-            .map(|(to, frames)| (*to, std::mem::take(frames)));
-        for (to, tail) in self.send(runs.collect()) {
-            sent(to, tail);
-        }
-    }
-    /// [`Host::send_from`] of runs the host may keep; returns each run's
-    /// peer and last entry.
-    fn send(&mut self, mut sends: Vec<(SiteId, Vec<Frame>)>) -> Vec<(SiteId, u64)> {
-        let mut tails = Vec::new();
-        self.send_from(&mut sends, &mut |to, tail| tails.push((to, tail)));
-        tails
-    }
+    fn send_from(&mut self, runs: &mut [(SiteId, Vec<Frame>)], sent: &mut dyn FnMut(SiteId, u64));
     /// The oldest entry on the link to `peer` that the peer has not
     /// acknowledged (`None`: the link holds none). Entries count up.
     fn head(&self, peer: SiteId) -> Option<u64>;
@@ -1016,16 +994,17 @@ mod tests {
             et: EtId(1),
             commit: true,
         };
-        host.append(vec![Record::MSet(incr(1)), decision, Record::View(1)]);
+        host.append_from(&mut vec![Record::MSet(incr(1)), decision, Record::View(1)]);
         let mset = Frame::MSet(incr(1));
         let decision = Frame::Decision {
             et: EtId(1),
             commit: true,
         };
-        host.send(vec![
+        let mut runs = [
             (SiteId(1), vec![mset.clone(), decision.clone()]),
             (SiteId(2), vec![mset]),
-        ]);
+        ];
+        host.send_from(&mut runs, &mut |_, _| {});
     }
 
     #[test]
@@ -1037,7 +1016,7 @@ mod tests {
             et: EtId(2),
             commit: false,
         };
-        host.append(vec![
+        host.append_from(&mut vec![
             Record::MSet(incr(1)),
             Record::Cursors(vec![None, None, Some(9)]),
             Record::MSet(theirs),

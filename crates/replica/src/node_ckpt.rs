@@ -58,6 +58,7 @@ impl CkptPayload {
     pub fn covered(&self) -> u64 {
         let n = match &self.site {
             SiteCkpt::Ordup(c) => c.applied_ets.len() + c.holdback.len(),
+            SiteCkpt::OrdupLamport(c) => c.applied_ets.len() + c.holdback.len(),
             SiteCkpt::Commu(c) => c.applied_ets.len(),
             SiteCkpt::Ritu(c) => c.applied_ets.len(),
             SiteCkpt::RituMv(c) => c.applied_ets.len(),
@@ -71,7 +72,7 @@ impl CkptPayload {
     /// configuration.
     pub fn method(&self) -> RtMethod {
         match self.site {
-            SiteCkpt::Ordup(_) => RtMethod::Ordup,
+            SiteCkpt::Ordup(_) | SiteCkpt::OrdupLamport(_) => RtMethod::Ordup,
             SiteCkpt::Commu(_) => RtMethod::Commu,
             SiteCkpt::Ritu(_) => RtMethod::Ritu,
             SiteCkpt::RituMv(_) => RtMethod::RituMv,
@@ -184,7 +185,7 @@ mod tests {
         let ordup = CkptPayload {
             site: SiteCkpt::Ordup(OrdupCkpt {
                 values: vec![],
-                next_seq: SeqNo(0),
+                order: SeqNo(0),
                 holdback: vec![],
                 applied_ets: vec![],
             }),

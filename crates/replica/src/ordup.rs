@@ -4,101 +4,212 @@
 //! same order*, making the update ETs SR; queries are processed in any
 //! order because they may see inconsistent results.
 //!
-//! Two ordering mechanisms, matching the paper:
+//! One site, [`OrderedSite`], holds the store, the MSets parked until
+//! their turn and the applied-ET guard, and has the one deliver, drain,
+//! query and image code. Its order key is the only part that differs
+//! between the paper's two ordering mechanisms:
 //!
-//! * [`OrdupSite`] — a **centralized sequencer** stamps each update MSet
-//!   with a dense global sequence number; each site "simply waits for the
-//!   next MSet in the execution sequence to show up before running other
-//!   MSets" (a hold-back queue keyed by sequence number).
-//! * [`OrdupLamportSite`] — **Lamport-style global timestamps** for true
-//!   distributed control; the site reconstructs each origin's FIFO order
-//!   and applies MSets in timestamp order once they are *stable* (a
-//!   message with a higher timestamp has been seen from every origin, so
-//!   no smaller timestamp can still arrive).
+//! * [`OrdupSite`], keyed by [`SeqNo`] — a **centralized sequencer**
+//!   stamps each update MSet with a dense global sequence number; each
+//!   site "simply waits for the next MSet in the execution sequence to
+//!   show up before running other MSets". An MSet is stable when it is
+//!   next.
+//! * [`OrdupLamportSite`], keyed by [`LamportTs`] — **Lamport-style
+//!   global timestamps** for true distributed control; the site
+//!   reassembles each origin's FIFO order ([`Stream`]) and applies MSets
+//!   in timestamp order once they are *stable*: at or below the newest
+//!   stamp seen from every origin, so no smaller timestamp can still
+//!   arrive. A heartbeat speaks for its origin only once the site has
+//!   reassembled every MSet the origin sent before it (the beat's `sent`
+//!   count); until then the site keeps the newest such beat per origin.
+//!   A beat that outran an earlier MSet of its origin would otherwise let
+//!   later stamps of other origins apply ahead of that MSet.
 //!
-//! Divergence bounding: a query is charged one unit per held-back MSet
+//! Divergence bounding: a query is charged one unit per parked MSet
 //! that writes an object in its read set — those are exactly the
-//! overlapping update ETs the query would expose. With a sequencer, a
-//! strict (epsilon = 0) query takes a *global order token* and is served
-//! only when the site has applied every update sequenced before it
-//! ("the query ET is allowed to proceed only when it is running in the
-//! global order"). [`OrdupSite::gap_to`] counts the sequenced updates
-//! the site still lacks; the simulator charges a token-holding query
-//! that count, so a strict one is admitted only once the gap is zero.
+//! overlapping update ETs the query would expose, and the same MSets
+//! [`ReplicaSite::backlog`] counts. With a sequencer, a strict (epsilon
+//! = 0) query takes a *global order token* and is served only when the
+//! site has applied every update sequenced before it ("the query ET is
+//! allowed to proceed only when it is running in the global order").
+//! [`OrdupSite::gap_to`] counts the sequenced updates the site still
+//! lacks; the simulator charges a token-holding query that count, so a
+//! strict one is admitted only once the gap is zero.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Bound;
 
 use esr_core::divergence::InconsistencyCounter;
 use esr_core::fastid::FastIdSet;
-use esr_core::ids::{LamportTs, ObjectId, SeqNo, SiteId};
+use esr_core::ids::{EtId, LamportTs, ObjectId, SeqNo, SiteId};
 use esr_core::value::Value;
 use esr_storage::store::ObjectStore;
 
+use crate::ckpt::OrderedCkpt;
 use crate::mset::{MSet, OrderTag};
 use crate::site::{Delivered, Delivery, QueryOutcome, Released, ReplicaSite};
 
-/// ORDUP site using sequencer-assigned global order.
-#[derive(Debug)]
-pub struct OrdupSite {
-    store: ObjectStore,
-    /// The next sequence number this site will apply.
-    next_seq: SeqNo,
-    /// Delivered MSets waiting for their predecessors.
-    holdback: BTreeMap<SeqNo, MSet>,
-    /// ETs whose MSets have been applied.
-    applied_ets: FastIdSet<esr_core::ids::EtId>,
+/// An ORDUP order key — what a parked MSet waits under, in apply order —
+/// with what a site tracks to tell when the next key may apply.
+pub trait Order: Ord + Copy + fmt::Debug {
+    /// Where a site's order stands; its checkpoint image keeps it whole.
+    type Position: Clone + fmt::Debug + PartialEq;
+    /// The key `mset` carries, if it is tagged for this order.
+    fn key(mset: &MSet) -> Option<Self>;
+    /// Takes note of an arrival, before it is applied or parked beside
+    /// `parked`. `false`: the site has already taken `mset` in order —
+    /// applied it, or parked it behind its key — so this is a duplicate.
+    fn arrive(pos: &mut Self::Position, mset: &MSet, parked: &BTreeMap<Self, MSet>) -> bool;
+    /// May the MSet at `key` apply, once every parked key below it has?
+    fn stable(pos: &Self::Position, key: Self) -> bool;
+    /// Moves past the key just applied.
+    fn applied(_pos: &mut Self::Position, _key: Self) {}
+    /// Takes note of a heartbeat from `origin` at `ts`, sent after its
+    /// first `sent` MSets.
+    fn beat(_pos: &mut Self::Position, _origin: SiteId, _sent: SeqNo, _ts: LamportTs) {}
 }
+
+/// The sequencer's order: the position is the next sequence number the
+/// site will apply.
+impl Order for SeqNo {
+    type Position = SeqNo;
+    fn key(mset: &MSet) -> Option<Self> {
+        mset.gseq()
+    }
+    fn arrive(next: &mut SeqNo, mset: &MSet, _: &BTreeMap<Self, MSet>) -> bool {
+        mset.gseq() >= Some(*next)
+    }
+    fn stable(next: &SeqNo, key: SeqNo) -> bool {
+        key == *next
+    }
+    fn applied(next: &mut SeqNo, _key: SeqNo) {
+        *next = next.next();
+    }
+}
+
+/// One origin's FIFO stream at an ORDUP-L site.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stream {
+    /// The origin.
+    pub origin: SiteId,
+    /// How many of its MSets the site has reassembled: the FIFO number
+    /// it expects next.
+    pub next: SeqNo,
+    /// The newest stamp known to cover the origin — its last reassembled
+    /// MSet's, or a beat's — below which none of its MSets can still
+    /// arrive; `None` before any word from it.
+    pub seen: Option<LamportTs>,
+    /// The newest beat still waiting for the origin's earlier MSets: how
+    /// many it was sent after, and its stamp.
+    pub beat: Option<(SeqNo, LamportTs)>,
+}
+
+impl Stream {
+    fn of(origin: SiteId) -> Self {
+        Self {
+            origin,
+            next: SeqNo::ZERO,
+            seen: None,
+            beat: None,
+        }
+    }
+
+    /// Raises `seen` to `ts`, stamped after the origin's first `sent`
+    /// MSets, once those are reassembled; until then keeps the newest
+    /// such stamp pending.
+    fn cover(&mut self, sent: SeqNo, ts: LamportTs) {
+        if sent <= self.next {
+            self.seen = self.seen.max(Some(ts));
+        } else if self.beat.is_none_or(|(_, pending)| pending < ts) {
+            self.beat = Some((sent, ts));
+        }
+    }
+
+    /// Reassembles the origin's next MSet, stamped `ts`.
+    fn take(&mut self, ts: LamportTs) {
+        self.next = self.next.next();
+        self.cover(self.next, ts);
+        if let Some((sent, beat)) = self.beat.take() {
+            self.cover(sent, beat);
+        }
+    }
+}
+
+/// The stream of `origin`, opened on its first word if the site was not
+/// built hearing it.
+fn stream(streams: &mut Vec<Stream>, origin: SiteId) -> &mut Stream {
+    let at = streams.iter().position(|s| s.origin == origin);
+    let at = at.unwrap_or_else(|| {
+        streams.push(Stream::of(origin));
+        streams.len() - 1
+    });
+    &mut streams[at]
+}
+
+/// Lamport order: the position is every origin's FIFO stream.
+impl Order for LamportTs {
+    type Position = Vec<Stream>;
+    fn key(mset: &MSet) -> Option<Self> {
+        match mset.order {
+            OrderTag::Lamport { ts, .. } => Some(ts),
+            _ => None,
+        }
+    }
+    fn arrive(streams: &mut Vec<Stream>, mset: &MSet, parked: &BTreeMap<Self, MSet>) -> bool {
+        let OrderTag::Lamport { ts, fifo } = mset.order else {
+            return true;
+        };
+        let s = stream(streams, mset.origin);
+        if fifo != s.next {
+            // Reassembled already, or past a gap until it fills.
+            return fifo > s.next;
+        }
+        s.take(ts);
+        // An origin stamps its MSets in FIFO order, so those of its
+        // successors that arrived early follow this one among the
+        // parked stamps, in order.
+        let later = parked.range((Bound::Excluded(ts), Bound::Unbounded));
+        for (&ts, m) in later.filter(|(_, m)| m.origin == mset.origin) {
+            match m.order {
+                OrderTag::Lamport { fifo, .. } if fifo == s.next => s.take(ts),
+                _ => break,
+            }
+        }
+        true
+    }
+    fn stable(streams: &Vec<Stream>, key: LamportTs) -> bool {
+        // Nothing is stable while some origin has not been heard from.
+        let horizon = streams.iter().map(|s| s.seen).min().flatten();
+        horizon.is_some_and(|horizon| key <= horizon)
+    }
+    fn beat(streams: &mut Vec<Stream>, origin: SiteId, sent: SeqNo, ts: LamportTs) {
+        stream(streams, origin).cover(sent, ts);
+    }
+}
+
+/// An ORDUP replica site over order key `O`.
+#[derive(Debug)]
+pub struct OrderedSite<O: Order> {
+    store: ObjectStore,
+    /// Where the order stands.
+    order: O::Position,
+    /// Delivered MSets waiting for their turn, by key.
+    parked: BTreeMap<O, MSet>,
+    /// ETs whose MSets have been applied.
+    applied_ets: FastIdSet<EtId>,
+}
+
+/// ORDUP site using sequencer-assigned global order.
+pub type OrdupSite = OrderedSite<SeqNo>;
+
+/// ORDUP site using distributed Lamport-timestamp ordering.
+pub type OrdupLamportSite = OrderedSite<LamportTs>;
 
 impl OrdupSite {
     /// A fresh site.
     pub fn new(_site: SiteId) -> Self {
-        Self {
-            store: ObjectStore::new(),
-            next_seq: SeqNo::ZERO,
-            holdback: BTreeMap::new(),
-            applied_ets: FastIdSet::default(),
-        }
-    }
-
-    /// Captures the site's full protocol state as a checkpoint image:
-    /// store contents, the hold-back queue, the next expected sequence
-    /// number, and the duplicate-suppression set.
-    pub fn to_ckpt(&self) -> crate::ckpt::OrdupCkpt {
-        let mut applied_ets: Vec<esr_core::ids::EtId> =
-            self.applied_ets.iter().copied().collect();
-        applied_ets.sort_unstable();
-        crate::ckpt::OrdupCkpt {
-            values: self.store.snapshot().into_iter().collect(),
-            next_seq: self.next_seq,
-            holdback: self.holdback.values().cloned().collect(),
-            applied_ets,
-        }
-    }
-
-    /// Rebuilds a site from a checkpoint image, mid-protocol: the
-    /// hold-back queue resumes waiting for exactly the same next
-    /// sequence number, and redelivered duplicates of already-applied
-    /// ETs keep being suppressed.
-    ///
-    /// # Panics
-    ///
-    /// If a held-back MSet in the image is not `Sequenced` — the codec
-    /// rejects such an image ([`crate::ckpt::OrdupCkpt`]'s decoder), so
-    /// only a hand-built one gets here.
-    pub fn from_ckpt(_site: SiteId, c: crate::ckpt::OrdupCkpt) -> Self {
-        let mut holdback = BTreeMap::new();
-        for m in c.holdback {
-            let OrderTag::Sequenced(seq) = m.order else {
-                panic!("ORDUP checkpoint holds non-sequenced MSet {m}");
-            };
-            holdback.insert(seq, m);
-        }
-        Self {
-            store: ObjectStore::with_values(c.values),
-            next_seq: c.next_seq,
-            holdback,
-            applied_ets: c.applied_ets.into_iter().collect(),
-        }
+        Self::with_order(SeqNo::ZERO)
     }
 
     /// How many globally sequenced updates this site has **not** yet
@@ -107,210 +218,125 @@ impl OrdupSite {
     /// conservative charge a query holding a global order token pays:
     /// every sequenced-but-unapplied update might conflict.
     pub fn gap_to(&self, horizon: SeqNo) -> u64 {
-        horizon.raw().saturating_sub(self.next_seq.raw())
+        horizon.raw().saturating_sub(self.order.raw())
+    }
+}
+
+impl OrdupLamportSite {
+    /// A fresh site that expects updates from `origins`.
+    pub fn new(_site: SiteId, origins: Vec<SiteId>) -> Self {
+        Self::with_order(origins.into_iter().map(Stream::of).collect())
+    }
+}
+
+impl<O: Order> OrderedSite<O> {
+    fn with_order(order: O::Position) -> Self {
+        Self {
+            store: ObjectStore::new(),
+            order,
+            parked: BTreeMap::new(),
+            applied_ets: FastIdSet::default(),
+        }
     }
 
-    /// Applies `mset` assuming it carries exactly `next_seq` — the dense
-    /// in-order hot path, which never touches the hold-back map.
+    /// Captures the site's full protocol state as a checkpoint image:
+    /// store contents, the order's position, the parked MSets, and the
+    /// duplicate-suppression set.
+    pub fn to_ckpt(&self) -> OrderedCkpt<O> {
+        let mut applied_ets: Vec<EtId> = self.applied_ets.iter().copied().collect();
+        applied_ets.sort_unstable();
+        OrderedCkpt {
+            values: self.store.snapshot().into_iter().collect(),
+            order: self.order.clone(),
+            holdback: self.parked.values().cloned().collect(),
+            applied_ets,
+        }
+    }
+
+    /// Rebuilds a site from a checkpoint image, mid-protocol: the parked
+    /// MSets resume waiting for exactly the same turn, and redelivered
+    /// duplicates of already-applied ETs keep being suppressed.
+    ///
+    /// # Panics
+    ///
+    /// If a parked MSet in the image is not tagged for `O` — the codec
+    /// rejects such an image ([`OrderedCkpt`]'s decoder), so only a
+    /// hand-built one gets here.
+    pub fn from_ckpt(_site: SiteId, c: OrderedCkpt<O>) -> Self {
+        let parked = c.holdback.into_iter().map(|m| match O::key(&m) {
+            Some(key) => (key, m),
+            None => panic!("ORDUP checkpoint holds MSet {m} without its order tag"),
+        });
+        Self {
+            store: ObjectStore::with_values(c.values),
+            order: c.order,
+            parked: parked.collect(),
+            applied_ets: c.applied_ets.into_iter().collect(),
+        }
+    }
+
     #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
-    fn apply_next(&mut self, mset: MSet) {
+    fn apply(&mut self, key: O, mset: &MSet) {
         for op in &mset.ops {
             self.store
                 .apply(op)
                 .expect("update MSet must apply cleanly at every replica");
         }
         self.applied_ets.insert(mset.et);
-        self.next_seq = self.next_seq.next();
+        O::applied(&mut self.order, key);
     }
 
-    /// Applies the run of parked successors the last in-order apply
-    /// unblocked, handing each to `released` first.
-    fn drain(&mut self, mut released: impl FnMut(&MSet)) {
-        while let Some(mset) = self.holdback.remove(&self.next_seq) {
-            released(&mset);
-            self.apply_next(mset);
+    /// Applies the run of parked MSets that are now stable, in key
+    /// order, recording each in `released`.
+    fn drain(&mut self, released: &mut Vec<Released>) {
+        while let Some(entry) = self.parked.first_entry() {
+            if !O::stable(&self.order, *entry.key()) {
+                break;
+            }
+            let (key, mset) = entry.remove_entry();
+            released.push(Released::of(&mset));
+            self.apply(key, &mset);
         }
     }
 }
 
-/// A query's charge at either ORDUP site: every held-back MSet writing a
-/// queried object is an overlapping update whose effect the read would
-/// order inconsistently.
-fn held_back_charge<'a>(held: impl Iterator<Item = &'a MSet>, read_set: &[ObjectId]) -> u64 {
-    held.filter(|m| m.touches(read_set)).count() as u64
-}
-
-impl ReplicaSite for OrdupSite {
+impl<O: Order> ReplicaSite for OrderedSite<O> {
     fn deliver(&mut self, mset: MSet) -> Delivery {
-        let OrderTag::Sequenced(seq) = mset.order else {
-            panic!("ORDUP sequencer site received non-sequenced MSet {mset}");
+        let Some(key) = O::key(&mset) else {
+            panic!("ORDUP site received MSet {mset} without its order tag");
         };
-        let mut released = Vec::new();
-        let outcome = if seq < self.next_seq {
-            Delivered::Duplicate // of an already-applied MSet
-        } else if seq == self.next_seq {
-            self.apply_next(mset);
-            if !self.holdback.is_empty() {
-                // This was a gap-filler: successors may unblock.
-                self.drain(|m| released.push(Released::of(m)));
-            }
+        if !O::arrive(&mut self.order, &mset, &self.parked) {
+            return Delivered::Duplicate.into();
+        }
+        let et = mset.et;
+        let first = self.parked.keys().next();
+        let mut outcome = if first.is_none_or(|&k| key < k) && O::stable(&self.order, key) {
+            // Next in line: the in-order path parks nothing.
+            self.apply(key, &mset);
             Delivered::Applied
-        } else if self.holdback.insert(seq, mset).is_some() {
-            // Same seq = same MSet (the sequencer never reuses a number),
-            // so replacing the held-back copy with its duplicate is a no-op.
-            Delivered::Duplicate
+        } else if self.parked.insert(key, mset).is_some() {
+            // One key is one MSet, so replacing the parked copy with
+            // its duplicate is a no-op.
+            return Delivered::Duplicate.into();
         } else {
             Delivered::Held
         };
-        Delivery { outcome, released }
-    }
-
-    fn accepts(&self, mset: &MSet) -> bool {
-        matches!(mset.order, OrderTag::Sequenced(_))
-    }
-
-    fn has_applied(&self, et: esr_core::ids::EtId) -> bool {
-        self.applied_ets.contains(&et)
-    }
-
-    fn query(
-        &mut self,
-        read_set: &[ObjectId],
-        counter: &mut InconsistencyCounter,
-    ) -> QueryOutcome {
-        let charge = held_back_charge(self.holdback.values(), read_set);
-        QueryOutcome::admit(counter, charge, || {
-            read_set.iter().map(|&o| self.store.get(o)).collect()
-        })
-    }
-
-    fn snapshot(&self) -> BTreeMap<ObjectId, Value> {
-        self.store.snapshot()
-    }
-
-    fn backlog(&self) -> usize {
-        self.holdback.len()
-    }
-}
-
-/// ORDUP site using distributed Lamport-timestamp ordering.
-#[derive(Debug)]
-pub struct OrdupLamportSite {
-    store: ObjectStore,
-    /// All origins that may send updates (needed for stability).
-    origins: Vec<SiteId>,
-    /// Per-origin FIFO reassembly: next expected fifo number and
-    /// out-of-order buffer.
-    fifo_next: BTreeMap<SiteId, SeqNo>,
-    fifo_buffer: BTreeMap<(SiteId, SeqNo), MSet>,
-    /// Highest timestamp seen from each origin (after FIFO reassembly).
-    last_seen: BTreeMap<SiteId, LamportTs>,
-    /// Timestamp-ordered hold-back of reassembled MSets.
-    holdback: BTreeMap<LamportTs, MSet>,
-    applied_ets: FastIdSet<esr_core::ids::EtId>,
-}
-
-impl OrdupLamportSite {
-    /// A fresh site that expects updates from `origins`.
-    pub fn new(_site: SiteId, origins: Vec<SiteId>) -> Self {
-        Self {
-            store: ObjectStore::new(),
-            origins,
-            fifo_next: BTreeMap::new(),
-            fifo_buffer: BTreeMap::new(),
-            last_seen: BTreeMap::new(),
-            holdback: BTreeMap::new(),
-            applied_ets: FastIdSet::default(),
-        }
-    }
-
-    /// FIFO-reassembles one delivered MSet into the timestamp hold-back
-    /// without draining — the front half of [`ReplicaSite::deliver`].
-    /// Returns `false` for a duplicate, which is dropped.
-    fn ingest(&mut self, mset: MSet) -> bool {
-        let OrderTag::Lamport { fifo, .. } = mset.order else {
-            panic!("ORDUP-Lamport site received non-Lamport MSet {mset}");
-        };
-        let origin = mset.origin;
-        let mut cursor = *self.fifo_next.entry(origin).or_insert(SeqNo::ZERO);
-        if fifo < cursor || self.fifo_buffer.contains_key(&(origin, fifo)) {
-            return false; // duplicate of a reassembled or buffered MSet
-        }
-        self.fifo_buffer.insert((origin, fifo), mset);
-        // Reassemble this origin's FIFO order.
-        while let Some(m) = self.fifo_buffer.remove(&(origin, cursor)) {
-            let OrderTag::Lamport { ts: mts, .. } = m.order else {
-                unreachable!("buffered MSets are Lamport-tagged");
-            };
-            cursor = cursor.next();
-            let seen = self.last_seen.entry(origin).or_insert(mts);
-            if mts > *seen {
-                *seen = mts;
-            }
-            self.holdback.insert(mts, m);
-        }
-        self.fifo_next.insert(origin, cursor);
-        true
-    }
-
-    fn stable_horizon(&self) -> Option<LamportTs> {
-        // A timestamp is stable when every origin has been seen at or
-        // past it. If any origin has never been heard from, nothing is
-        // stable yet.
-        self.origins
-            .iter()
-            .map(|o| self.last_seen.get(o).copied())
-            .min()
-            .flatten()
-    }
-
-    #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
-    fn drain_stable(&mut self, mut released: impl FnMut(&MSet)) {
-        let Some(horizon) = self.stable_horizon() else {
-            return;
-        };
-        while let Some(entry) = self.holdback.first_entry() {
-            if *entry.key() > horizon {
-                break;
-            }
-            let mset = entry.remove();
-            released(&mset);
-            for op in &mset.ops {
-                self.store
-                    .apply(op)
-                    .expect("update MSet must apply cleanly at every replica");
-            }
-            self.applied_ets.insert(mset.et);
-        }
-    }
-}
-
-impl ReplicaSite for OrdupLamportSite {
-    fn deliver(&mut self, mset: MSet) -> Delivery {
-        let et = mset.et;
         let mut released = Vec::new();
-        let outcome = if self.ingest(mset) {
-            // Stability may release the new arrival along with (or
-            // instead of) its timestamp predecessors.
-            self.drain_stable(|m| released.push(Released::of(m)));
-            match released.iter().position(|r| r.et == et) {
-                Some(own) => {
-                    released.remove(own);
-                    Delivered::Applied
-                }
-                None => Delivered::Held,
-            }
-        } else {
-            Delivered::Duplicate
-        };
+        self.drain(&mut released);
+        // A Lamport arrival can stabilize an earlier parked stamp along
+        // with its own: then it applied in this drain.
+        if let Some(own) = released.iter().position(|r| r.et == et) {
+            released.remove(own);
+            outcome = Delivered::Applied;
+        }
         Delivery { outcome, released }
     }
 
     fn accepts(&self, mset: &MSet) -> bool {
-        matches!(mset.order, OrderTag::Lamport { .. })
+        O::key(mset).is_some()
     }
 
-    fn has_applied(&self, et: esr_core::ids::EtId) -> bool {
+    fn has_applied(&self, et: EtId) -> bool {
         self.applied_ets.contains(&et)
     }
 
@@ -319,7 +345,9 @@ impl ReplicaSite for OrdupLamportSite {
         read_set: &[ObjectId],
         counter: &mut InconsistencyCounter,
     ) -> QueryOutcome {
-        let charge = held_back_charge(self.holdback.values(), read_set);
+        // Every parked MSet writing a queried object is an overlapping
+        // update whose effect the read would order inconsistently.
+        let charge = self.parked.values().filter(|m| m.touches(read_set)).count() as u64;
         QueryOutcome::admit(counter, charge, || {
             read_set.iter().map(|&o| self.store.get(o)).collect()
         })
@@ -330,20 +358,18 @@ impl ReplicaSite for OrdupLamportSite {
     }
 
     fn backlog(&self) -> usize {
-        self.holdback.len() + self.fifo_buffer.len()
+        self.parked.len()
     }
 
-    /// Records a heartbeat from `origin` carrying its current clock:
-    /// raises the stability horizon so held-back MSets can apply even
+    /// Records a heartbeat from `origin` carrying its clock, sent after
+    /// its first `sent` MSets: once the site has reassembled those, the
+    /// beat raises the stability horizon, so parked MSets can apply even
     /// when `origin` has gone quiet. The simulator beats at quiescence,
     /// as a `NodeEvent::Heartbeat` step.
-    fn heartbeat(&mut self, origin: SiteId, ts: LamportTs) -> Vec<Released> {
-        let e = self.last_seen.entry(origin).or_insert(ts);
-        if ts > *e {
-            *e = ts;
-        }
+    fn heartbeat(&mut self, origin: SiteId, sent: SeqNo, ts: LamportTs) -> Vec<Released> {
+        O::beat(&mut self.order, origin, sent, ts);
         let mut released = Vec::new();
-        self.drain_stable(|m| released.push(Released::of(m)));
+        self.drain(&mut released);
         released
     }
 }
@@ -352,61 +378,116 @@ impl ReplicaSite for OrdupLamportSite {
 mod tests {
     use super::*;
     use esr_core::divergence::EpsilonSpec;
-    use esr_core::ids::EtId;
     use esr_core::op::{ObjectOp, Operation};
 
     const X: ObjectId = ObjectId(0);
 
-    fn mset_seq(et: u64, seq: u64, ops: Vec<ObjectOp>) -> MSet {
-        MSet::new(EtId(et), SiteId(9), ops).sequenced(SeqNo(seq))
+    /// What each ordering test needs to know about an order.
+    trait Fixture: Order {
+        /// A fresh site (ORDUP-L: hearing one origin, site 9).
+        fn site() -> OrderedSite<Self>;
+        /// ET `et`'s MSet, `i`-th in the order: sequence number `i`, or
+        /// origin 9's `i`-th MSet, stamped `i + 1`.
+        fn nth(et: u64, i: u64, ops: Vec<ObjectOp>) -> MSet;
+    }
+
+    impl Fixture for SeqNo {
+        fn site() -> OrderedSite<Self> {
+            OrdupSite::new(SiteId(0))
+        }
+        fn nth(et: u64, i: u64, ops: Vec<ObjectOp>) -> MSet {
+            MSet::new(EtId(et), SiteId(9), ops).sequenced(SeqNo(i))
+        }
+    }
+
+    impl Fixture for LamportTs {
+        fn site() -> OrderedSite<Self> {
+            OrdupLamportSite::new(SiteId(0), vec![SiteId(9)])
+        }
+        fn nth(et: u64, i: u64, ops: Vec<ObjectOp>) -> MSet {
+            lam(et, 9, i + 1, i, ops)
+        }
+    }
+
+    /// Runs each named test over the sequencer's order and Lamport's.
+    macro_rules! over_both_orders {
+        ($($test:ident),+ $(,)?) => {
+            mod seq {
+                $(#[test]
+                fn $test() {
+                    super::$test::<super::SeqNo>();
+                })+
+            }
+            mod lamport {
+                $(#[test]
+                fn $test() {
+                    super::$test::<super::LamportTs>();
+                })+
+            }
+        };
+    }
+
+    over_both_orders!(
+        applies_in_order_despite_reordered_delivery,
+        duplicate_delivery_is_idempotent,
+        redelivery_storm_is_idempotent_and_counted,
+        query_charges_per_conflicting_parked_mset,
+        strict_query_rejected_while_behind,
+        two_replicas_converge_under_opposite_delivery_orders,
+        image_restores_the_parked_msets_and_the_order,
+    );
+
+    fn incr(n: i64) -> Vec<ObjectOp> {
+        vec![ObjectOp::new(X, Operation::Incr(n))]
+    }
+
+    fn mul(n: i64) -> Vec<ObjectOp> {
+        vec![ObjectOp::new(X, Operation::MulBy(n))]
     }
 
     fn unbounded() -> InconsistencyCounter {
         InconsistencyCounter::new(EpsilonSpec::UNBOUNDED)
     }
 
-    #[test]
-    fn applies_in_sequence_order_despite_reordered_delivery() {
-        let mut s = OrdupSite::new(SiteId(0));
+    fn applies_in_order_despite_reordered_delivery<O: Fixture>() {
+        let mut s = O::site();
         // Deliver #1 (Mul) before #0 (Inc): must still apply Inc first.
-        s.deliver(mset_seq(2, 1, vec![ObjectOp::new(X, Operation::MulBy(2))]));
-        assert_eq!(s.backlog(), 1, "held back waiting for #0");
+        s.deliver(O::nth(2, 1, mul(2)));
+        assert_eq!(s.backlog(), 1, "parked waiting for #0");
         assert_eq!(s.snapshot().get(&X), None, "nothing applied yet");
-        s.deliver(mset_seq(1, 0, vec![ObjectOp::new(X, Operation::Incr(10))]));
+        s.deliver(O::nth(1, 0, incr(10)));
         assert_eq!(s.backlog(), 0);
         assert_eq!(s.snapshot()[&X], Value::Int(20), "(0+10)*2");
         assert!(s.has_applied(EtId(1)) && s.has_applied(EtId(2)));
-        let next = s.deliver(mset_seq(3, 2, vec![ObjectOp::new(X, Operation::Incr(1))]));
+        let next = s.deliver(O::nth(3, 2, incr(1)));
         assert_eq!(next.outcome, Delivered::Applied, "#2 is next in line");
     }
 
-    #[test]
-    fn duplicate_delivery_is_idempotent() {
-        let mut s = OrdupSite::new(SiteId(0));
-        let m = mset_seq(1, 0, vec![ObjectOp::new(X, Operation::Incr(5))]);
+    fn duplicate_delivery_is_idempotent<O: Fixture>() {
+        let mut s = O::site();
+        let m = O::nth(1, 0, incr(5));
         s.deliver(m.clone());
-        s.deliver(m.clone());
+        assert_eq!(s.deliver(m).outcome, Delivered::Duplicate);
         assert_eq!(s.snapshot()[&X], Value::Int(5));
-        // Duplicate of a held-back MSet too.
-        let h = mset_seq(2, 2, vec![ObjectOp::new(X, Operation::Incr(1))]);
-        s.deliver(h.clone());
-        s.deliver(h);
+        // Duplicate of a parked MSet too.
+        let h = O::nth(2, 2, incr(1));
+        assert_eq!(s.deliver(h.clone()).outcome, Delivered::Held);
+        assert_eq!(s.deliver(h).outcome, Delivered::Duplicate);
         assert_eq!(s.backlog(), 1);
     }
 
-    #[test]
-    fn redelivery_storm_is_idempotent_and_counted() {
+    fn redelivery_storm_is_idempotent_and_counted<O: Fixture>() {
         let msets = [
-            mset_seq(1, 0, vec![ObjectOp::new(X, Operation::Incr(10))]),
-            mset_seq(2, 1, vec![ObjectOp::new(X, Operation::MulBy(3))]),
-            mset_seq(3, 2, vec![ObjectOp::new(X, Operation::Decr(5))]),
+            O::nth(1, 0, incr(10)),
+            O::nth(2, 1, mul(3)),
+            O::nth(3, 2, incr(-5)),
         ];
-        let mut clean = OrdupSite::new(SiteId(0));
+        let mut clean = O::site();
         for m in &msets {
             clean.deliver(m.clone());
         }
         // Stormed replica: every MSet three times, interleaved both ways.
-        let mut stormed = OrdupSite::new(SiteId(1));
+        let mut stormed = O::site();
         let outcomes: Vec<Delivered> = msets
             .iter()
             .chain(msets.iter().rev())
@@ -419,24 +500,23 @@ mod tests {
         assert_eq!(count(Delivered::Duplicate), 6, "six duplicates suppressed");
     }
 
-    #[test]
-    fn query_charges_per_conflicting_heldback_mset() {
-        let mut s = OrdupSite::new(SiteId(0));
-        s.deliver(mset_seq(1, 1, vec![ObjectOp::new(X, Operation::Incr(1))]));
-        s.deliver(mset_seq(2, 2, vec![ObjectOp::new(X, Operation::Incr(2))]));
-        s.deliver(mset_seq(3, 3, vec![ObjectOp::new(ObjectId(5), Operation::Incr(3))]));
+    fn query_charges_per_conflicting_parked_mset<O: Fixture>() {
+        let mut s = O::site();
+        s.deliver(O::nth(1, 1, incr(1)));
+        s.deliver(O::nth(2, 2, incr(2)));
+        s.deliver(O::nth(3, 3, vec![ObjectOp::new(ObjectId(5), Operation::Incr(3))]));
         let mut c = unbounded();
         let out = s.query(&[X], &mut c);
         assert!(out.admitted);
-        assert_eq!(out.charged, 2, "two held-back MSets write x");
+        assert_eq!(out.charged, 2, "two parked MSets write x");
         assert_eq!(c.imported(), 2);
-        assert_eq!(out.values, vec![Value::Int(0)], "seq 0 never arrived");
+        assert_eq!(out.values, vec![Value::Int(0)], "#0 never arrived");
+        assert_eq!(s.backlog(), 3, "the backlog is what a query may count");
     }
 
-    #[test]
-    fn strict_query_rejected_while_behind() {
-        let mut s = OrdupSite::new(SiteId(0));
-        s.deliver(mset_seq(1, 1, vec![ObjectOp::new(X, Operation::Incr(1))]));
+    fn strict_query_rejected_while_behind<O: Fixture>() {
+        let mut s = O::site();
+        s.deliver(O::nth(1, 1, incr(1)));
         let mut c = InconsistencyCounter::new(EpsilonSpec::STRICT);
         let out = s.query(&[X], &mut c);
         assert!(!out.admitted);
@@ -446,15 +526,14 @@ mod tests {
         assert!(out.admitted);
     }
 
-    #[test]
-    fn two_replicas_converge_under_opposite_delivery_orders() {
+    fn two_replicas_converge_under_opposite_delivery_orders<O: Fixture>() {
         let msets = vec![
-            mset_seq(1, 0, vec![ObjectOp::new(X, Operation::Incr(10))]),
-            mset_seq(2, 1, vec![ObjectOp::new(X, Operation::MulBy(3))]),
-            mset_seq(3, 2, vec![ObjectOp::new(X, Operation::Decr(5))]),
+            O::nth(1, 0, incr(10)),
+            O::nth(2, 1, mul(3)),
+            O::nth(3, 2, incr(-5)),
         ];
-        let mut a = OrdupSite::new(SiteId(0));
-        let mut b = OrdupSite::new(SiteId(1));
+        let mut a = O::site();
+        let mut b = O::site();
         for m in &msets {
             a.deliver(m.clone());
         }
@@ -465,71 +544,128 @@ mod tests {
         assert_eq!(a.snapshot()[&X], Value::Int(25), "(0+10)*3-5");
     }
 
-    // ---- Lamport variant ----
+    /// A site rebuilt from its image mid-protocol dumps the same image,
+    /// absorbs a redelivery, and applies the gap-filler and its parked
+    /// successor as the original does.
+    fn image_restores_the_parked_msets_and_the_order<O: Fixture>() {
+        let mut s = O::site();
+        s.deliver(O::nth(1, 0, incr(10)));
+        s.deliver(O::nth(3, 2, mul(2)));
+        let mut r = OrderedSite::<O>::from_ckpt(SiteId(0), s.to_ckpt());
+        assert_eq!(r.to_ckpt(), s.to_ckpt());
+        assert_eq!(r.deliver(O::nth(1, 0, incr(10))).outcome, Delivered::Duplicate);
+        for site in [&mut s, &mut r] {
+            let filler = site.deliver(O::nth(2, 1, incr(1)));
+            assert_eq!(filler.outcome, Delivered::Applied);
+            assert_eq!(filler.released.iter().map(|r| r.et).collect::<Vec<_>>(), [EtId(3)]);
+        }
+        assert_eq!(r.to_ckpt(), s.to_ckpt());
+        assert_eq!(r.snapshot()[&X], Value::Int(22), "(0+10+1)*2");
+    }
+
+    // ---- Lamport order over several origins ----
 
     fn lam(et: u64, origin: u64, counter: u64, fifo: u64, ops: Vec<ObjectOp>) -> MSet {
         MSet::new(EtId(et), SiteId(origin), ops)
             .lamport(LamportTs::new(counter, SiteId(origin)), SeqNo(fifo))
     }
 
+    fn two_origins() -> OrdupLamportSite {
+        OrdupLamportSite::new(SiteId(2), vec![SiteId(0), SiteId(1)])
+    }
+
+    fn beat(s: &mut OrdupLamportSite, origin: u64, sent: u64, counter: u64) -> Vec<EtId> {
+        let ts = LamportTs::new(counter, SiteId(origin));
+        let released = s.heartbeat(SiteId(origin), SeqNo(sent), ts);
+        released.iter().map(|r| r.et).collect()
+    }
+
     #[test]
     fn lamport_applies_in_timestamp_order() {
-        let origins = vec![SiteId(0), SiteId(1)];
-        let mut s = OrdupLamportSite::new(SiteId(2), origins);
+        let mut s = two_origins();
         // Origin 1 sends ts=2 first; origin 0's ts=1 is still missing, so
         // nothing may apply yet (ts=2 isn't stable).
-        let first = s.deliver(lam(2, 1, 2, 0, vec![ObjectOp::new(X, Operation::MulBy(2))]));
+        let first = s.deliver(lam(2, 1, 2, 0, mul(2)));
         assert_eq!(first.outcome, Delivered::Held);
         // Origin 0's ts=1 arrives: horizon = min(1, 2) = 1, so ts=1
         // applies but ts=2 still waits (origin 0 might send ts=2 later).
-        let second = s.deliver(lam(1, 0, 1, 0, vec![ObjectOp::new(X, Operation::Incr(10))]));
+        let second = s.deliver(lam(1, 0, 1, 0, incr(10)));
         assert_eq!(second.outcome, Delivered::Applied);
         assert!(second.released.is_empty() && !s.has_applied(EtId(2)));
         assert_eq!(s.snapshot()[&X], Value::Int(10));
         // A heartbeat from origin 0 past ts=2 stabilizes the Mul.
-        let released = s.heartbeat(SiteId(0), LamportTs::new(5, SiteId(0)));
-        assert_eq!(released.iter().map(|r| r.et).collect::<Vec<_>>(), [EtId(2)]);
+        assert_eq!(beat(&mut s, 0, 1, 5), [EtId(2)]);
         assert_eq!(s.snapshot()[&X], Value::Int(20));
+    }
+
+    /// A beat sent after origin 0's first MSet says nothing until that
+    /// MSet has arrived: a site that hears the beat first still applies
+    /// ts=1 before origin 1's ts=2, like a site that saw ts=1 first.
+    #[test]
+    fn a_beat_waits_for_the_msets_its_origin_sent_before_it() {
+        let mut a = two_origins();
+        a.deliver(lam(1, 0, 1, 0, incr(10)));
+        a.deliver(lam(2, 1, 2, 0, mul(2)));
+        assert_eq!(beat(&mut a, 0, 1, 5), [EtId(2)]);
+        let mut b = two_origins();
+        b.deliver(lam(2, 1, 2, 0, mul(2)));
+        assert!(beat(&mut b, 0, 1, 5).is_empty(), "origin 0's ts=1 is still in flight");
+        assert_eq!(b.snapshot().get(&X), None);
+        let late = b.deliver(lam(1, 0, 1, 0, incr(10)));
+        assert_eq!(late.outcome, Delivered::Applied);
+        assert_eq!(late.released.iter().map(|r| r.et).collect::<Vec<_>>(), [EtId(2)]);
+        assert_eq!(b.snapshot(), a.snapshot());
+        assert_eq!(b.snapshot()[&X], Value::Int(20), "(0+10)*2");
+    }
+
+    /// Of two pending beats the newer is kept, and it speaks once its
+    /// own count has been reassembled.
+    #[test]
+    fn the_newest_pending_beat_is_kept() {
+        let mut s = two_origins();
+        s.deliver(lam(9, 1, 3, 0, incr(1)));
+        assert!(beat(&mut s, 1, 1, 20).is_empty(), "origin 0 unheard");
+        assert!(beat(&mut s, 0, 2, 7).is_empty());
+        assert!(beat(&mut s, 0, 1, 4).is_empty(), "an older beat replaces nothing");
+        s.deliver(lam(1, 0, 1, 0, incr(10)));
+        assert!(!s.has_applied(EtId(9)), "the kept beat needs two MSets");
+        let second = s.deliver(lam(2, 0, 5, 1, mul(2)));
+        assert_eq!(second.outcome, Delivered::Applied);
+        assert_eq!(second.released.iter().map(|r| r.et).collect::<Vec<_>>(), [EtId(9)]);
+        // Origin 0 is now covered to ts=7, past its own ts=5.
+        let third = s.deliver(lam(3, 1, 6, 1, incr(1)));
+        assert_eq!(third.outcome, Delivered::Applied);
+        assert_eq!(s.snapshot()[&X], Value::Int(23), "(0+10+1)*2+1");
     }
 
     #[test]
     fn lamport_fifo_reassembly_handles_reordering() {
         let mut s = OrdupLamportSite::new(SiteId(2), vec![SiteId(0)]);
-        // fifo #1 arrives before fifo #0: buffered.
-        let early = s.deliver(lam(2, 0, 2, 1, vec![ObjectOp::new(X, Operation::MulBy(2))]));
+        // fifo #1 arrives before fifo #0: parked.
+        let early = s.deliver(lam(2, 0, 2, 1, mul(2)));
         assert_eq!(early.outcome, Delivered::Held);
         assert_eq!(s.backlog(), 1);
-        s.deliver(lam(1, 0, 1, 0, vec![ObjectOp::new(X, Operation::Incr(10))]));
+        s.deliver(lam(1, 0, 1, 0, incr(10)));
         // Both reassembled; horizon = ts 2, both stable.
         assert!(s.has_applied(EtId(1)) && s.has_applied(EtId(2)));
         assert_eq!(s.snapshot()[&X], Value::Int(20));
     }
 
     #[test]
-    fn lamport_duplicate_fifo_is_ignored() {
-        let mut s = OrdupLamportSite::new(SiteId(2), vec![SiteId(0)]);
-        let m = lam(1, 0, 1, 0, vec![ObjectOp::new(X, Operation::Incr(5))]);
-        assert_eq!(s.deliver(m.clone()).outcome, Delivered::Applied);
-        assert_eq!(s.deliver(m).outcome, Delivered::Duplicate);
-        assert_eq!(s.snapshot()[&X], Value::Int(5));
-    }
-
-    #[test]
     fn lamport_replicas_converge_any_order() {
         let msets = [
-            lam(1, 0, 1, 0, vec![ObjectOp::new(X, Operation::Incr(10))]),
-            lam(2, 1, 1, 0, vec![ObjectOp::new(X, Operation::MulBy(2))]),
-            lam(3, 0, 3, 1, vec![ObjectOp::new(X, Operation::Decr(4))]),
+            lam(1, 0, 1, 0, incr(10)),
+            lam(2, 1, 1, 0, mul(2)),
+            lam(3, 0, 3, 1, incr(-4)),
         ];
-        let origins = vec![SiteId(0), SiteId(1)];
         let run = |order: Vec<usize>| {
-            let mut s = OrdupLamportSite::new(SiteId(2), origins.clone());
+            let mut s = two_origins();
             for i in order {
                 s.deliver(msets[i].clone());
             }
             // Final heartbeats flush the tail.
-            s.heartbeat(SiteId(0), LamportTs::new(100, SiteId(0)));
-            s.heartbeat(SiteId(1), LamportTs::new(100, SiteId(1)));
+            beat(&mut s, 0, 2, 100);
+            beat(&mut s, 1, 1, 100);
             s.snapshot()
         };
         let a = run(vec![0, 1, 2]);
@@ -544,31 +680,29 @@ mod tests {
     #[test]
     fn lamport_redelivery_storm_is_idempotent_and_counted() {
         let msets = [
-            lam(1, 0, 1, 0, vec![ObjectOp::new(X, Operation::Incr(10))]),
-            lam(2, 1, 1, 0, vec![ObjectOp::new(X, Operation::MulBy(2))]),
-            lam(3, 0, 3, 1, vec![ObjectOp::new(X, Operation::Decr(4))]),
+            lam(1, 0, 1, 0, incr(10)),
+            lam(2, 1, 1, 0, mul(2)),
+            lam(3, 0, 3, 1, incr(-4)),
         ];
-        let origins = vec![SiteId(0), SiteId(1)];
-        let mut s = OrdupLamportSite::new(SiteId(2), origins);
+        let mut s = two_origins();
         let duplicates = msets
             .iter()
             .chain(msets.iter().rev())
             .filter(|m| s.deliver((*m).clone()).outcome == Delivered::Duplicate)
             .count();
-        s.heartbeat(SiteId(0), LamportTs::new(100, SiteId(0)));
-        s.heartbeat(SiteId(1), LamportTs::new(100, SiteId(1)));
+        beat(&mut s, 0, 2, 100);
+        beat(&mut s, 1, 1, 100);
         assert!(msets.iter().all(|m| s.has_applied(m.et)));
         assert_eq!(duplicates, 3, "the reversed pass was all duplicates");
         assert_eq!(s.snapshot()[&X], Value::Int(16), "(0+10)*2-4");
     }
 
     #[test]
-    fn lamport_query_charges_holdback() {
-        let mut s = OrdupLamportSite::new(SiteId(2), vec![SiteId(0), SiteId(1)]);
-        s.deliver(lam(1, 0, 5, 0, vec![ObjectOp::new(X, Operation::Incr(1))]));
-        // Not stable (origin 1 silent): held back.
-        let mut c = unbounded();
-        let out = s.query(&[X], &mut c);
+    fn lamport_query_charges_parked_msets() {
+        let mut s = two_origins();
+        s.deliver(lam(1, 0, 5, 0, incr(1)));
+        // Not stable (origin 1 silent): parked.
+        let out = s.query(&[X], &mut unbounded());
         assert_eq!(out.charged, 1);
         assert_eq!(out.values, vec![Value::Int(0)]);
     }

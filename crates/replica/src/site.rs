@@ -233,9 +233,10 @@ pub trait ReplicaSite {
     /// COMPE abort decision for `et`.
     fn abort(&mut self, _et: EtId) {}
 
-    /// An ORDUP-L heartbeat from `origin` at `ts`: returns the parked
-    /// MSets it released, in apply order.
-    fn heartbeat(&mut self, _origin: SiteId, _ts: LamportTs) -> Vec<Released> {
+    /// An ORDUP-L heartbeat from `origin` at `ts`, sent after its first
+    /// `sent` MSets: returns the parked MSets it released, in apply
+    /// order.
+    fn heartbeat(&mut self, _origin: SiteId, _sent: SeqNo, _ts: LamportTs) -> Vec<Released> {
         Vec::new()
     }
 }

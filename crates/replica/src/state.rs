@@ -83,7 +83,7 @@ pub enum SiteState {
     /// ORDUP site ordering by Lamport timestamps instead of a sequencer
     /// — the simulator's distributed variant. It rides
     /// [`RtMethod::Ordup`] through the core (same hold-back contract,
-    /// no completion plane) and has no checkpoint image.
+    /// no completion plane).
     OrdupLamport(OrdupLamportSite),
     /// COMMU site.
     Commu(CommuSite),
@@ -113,17 +113,16 @@ impl SiteState {
         SiteState::OrdupLamport(OrdupLamportSite::new(id, origins))
     }
 
-    /// Dumps the method state machine into a checkpoint image (`None`
-    /// for the Lamport site, which has none).
-    pub fn to_ckpt(&self) -> Option<SiteCkpt> {
-        Some(match self {
+    /// Dumps the method state machine into a checkpoint image.
+    pub fn to_ckpt(&self) -> SiteCkpt {
+        match self {
             SiteState::Ordup(s) => SiteCkpt::Ordup(s.to_ckpt()),
-            SiteState::OrdupLamport(_) => return None,
+            SiteState::OrdupLamport(s) => SiteCkpt::OrdupLamport(s.to_ckpt()),
             SiteState::Commu(s) => SiteCkpt::Commu(s.to_ckpt()),
             SiteState::Ritu(s) => SiteCkpt::Ritu(s.to_ckpt()),
             SiteState::RituMv(s) => SiteCkpt::RituMv(s.to_ckpt()),
             SiteState::Compe(s) => SiteCkpt::Compe(s.to_ckpt()),
-        })
+        }
     }
 
     /// Rebuilds a site from a checkpoint image. The variant fixes the
@@ -131,6 +130,9 @@ impl SiteState {
     pub fn from_ckpt(id: SiteId, c: SiteCkpt) -> Self {
         match c {
             SiteCkpt::Ordup(c) => SiteState::Ordup(OrdupSite::from_ckpt(id, c)),
+            SiteCkpt::OrdupLamport(c) => {
+                SiteState::OrdupLamport(OrdupLamportSite::from_ckpt(id, c))
+            }
             SiteCkpt::Commu(c) => SiteState::Commu(CommuSite::from_ckpt(id, c)),
             SiteCkpt::Ritu(c) => SiteState::Ritu(RituOverwriteSite::from_ckpt(id, c)),
             SiteCkpt::RituMv(c) => SiteState::RituMv(RituMvSite::from_ckpt(id, c)),
@@ -282,7 +284,7 @@ mod tests {
             ("commit", |s| s.commit(EtId(1))),
             ("abort", |s| s.abort(EtId(1))),
             ("heartbeat", |s| {
-                s.heartbeat(SiteId(0), LamportTs::new(9, SiteId(0)));
+                s.heartbeat(SiteId(0), SeqNo(0), LamportTs::new(9, SiteId(0)));
             }),
         ];
         let owns = |site: &SiteState, input: &str| match site {

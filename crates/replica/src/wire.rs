@@ -1306,8 +1306,11 @@ mod tests {
 
     #[test]
     fn min_len_is_exact() {
-        use crate::ckpt::{CommuCkpt, CompeCkpt, OrdupCkpt, RituCkpt, RituMvCkpt, SiteCkpt};
+        use crate::ckpt::{
+            CommuCkpt, CompeCkpt, OrdupCkpt, OrdupLamportCkpt, RituCkpt, RituMvCkpt, SiteCkpt,
+        };
         use crate::node_ckpt::CkptPayload;
+        use crate::ordup::Stream;
         use esr_storage::recovery_log::{AppliedOp, LogRecord};
 
         smallest_is(0u8);
@@ -1362,7 +1365,19 @@ mod tests {
         });
         smallest_is(OrdupCkpt {
             values: vec![],
-            next_seq: SeqNo(0),
+            order: SeqNo(0),
+            holdback: vec![],
+            applied_ets: vec![],
+        });
+        smallest_is(Stream {
+            origin: SiteId(0),
+            next: SeqNo(0),
+            seen: None,
+            beat: None,
+        });
+        smallest_is(OrdupLamportCkpt {
+            values: vec![],
+            order: vec![],
             holdback: vec![],
             applied_ets: vec![],
         });

@@ -317,10 +317,8 @@ proptest! {
             m.origin = origin;
             m.lamport(LamportTs::new(1 + i, origin), SeqNo(i / 2))
         });
-        let ets: Vec<EtId> = (0..n as u64).map(EtId).collect();
         check_redeliveries(OrdupLamportSite::new(SiteId(7), origins.to_vec()), &lamport, |s| {
-            let applied: Vec<&EtId> = ets.iter().filter(|et| s.has_applied(**et)).collect();
-            format!("{:?} {} {:?}", s.snapshot(), s.backlog(), applied)
+            format!("{:?}", s.to_ckpt())
         })?;
         let incrs = stream(&mut g, &|g, i| g.int_mset(i, OBJECTS));
         check_redeliveries(CommuSite::new(SiteId(0)), &incrs, |s| format!("{:?}", s.to_ckpt()))?;

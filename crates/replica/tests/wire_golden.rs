@@ -15,10 +15,13 @@ use bytes::Bytes;
 use esr_core::ids::{ClientId, EtId, LamportTs, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
 use esr_core::value::Value;
-use esr_replica::ckpt::{CommuCkpt, CompeCkpt, OrdupCkpt, RituCkpt, RituMvCkpt, SiteCkpt};
+use esr_replica::ckpt::{
+    CommuCkpt, CompeCkpt, OrdupCkpt, OrdupLamportCkpt, RituCkpt, RituMvCkpt, SiteCkpt,
+};
 use esr_replica::compe::Disposition;
 use esr_replica::ctrl::{Evidence, Record};
 use esr_replica::mset::{MSet, OrderTag};
+use esr_replica::ordup::Stream;
 use esr_replica::site::QueryOutcome;
 use esr_replica::span::{Event, SpanRec, SpanStage};
 use esr_replica::wire::{
@@ -364,7 +367,7 @@ fn site_ckpts() -> Vec<SiteCkpt> {
                 (ObjectId(0), Value::Int(3)),
                 (ObjectId(1), Value::Text("x".into())),
             ],
-            next_seq: SeqNo(5),
+            order: SeqNo(5),
             holdback: vec![held],
             applied_ets: vec![EtId(1), EtId(2)],
         }),
@@ -421,6 +424,30 @@ fn site_ckpts() -> Vec<SiteCkpt> {
                 (EtId(5), Disposition::AbortPending),
             ],
             compensations: 1,
+        }),
+        SiteCkpt::OrdupLamport(OrdupLamportCkpt {
+            values: vec![(ObjectId(3), Value::Int(8))],
+            order: vec![
+                Stream {
+                    origin: SiteId(0),
+                    next: SeqNo(2),
+                    seen: Some(LamportTs::new(4, SiteId(0))),
+                    beat: None,
+                },
+                Stream {
+                    origin: SiteId(1),
+                    next: SeqNo(0),
+                    seen: None,
+                    beat: Some((SeqNo(1), LamportTs::new(6, SiteId(1)))),
+                },
+            ],
+            holdback: vec![MSet::new(
+                EtId(7),
+                SiteId(0),
+                vec![ObjectOp::new(ObjectId(3), Operation::MulBy(2))],
+            )
+            .lamport(LamportTs::new(3, SiteId(0)), SeqNo(1))],
+            applied_ets: vec![EtId(6)],
         }),
     ]
 }
@@ -519,6 +546,7 @@ const SITE_CKPTS: &[&str] = &[
     "020000000100000000000000010000000000000007000000000000000200000000000000000a0000000100000000000000060000000100000000000000010000000100000000000000060100000000000000070000000000000002",
     "03000000020000000000000001000000000000000100000000000000000000000000000000010000000000000001000000000000000700000000000000020000000000000000020000000000000001000000000000000000000000000000070000000100000000000000080100000000000000070000000000000002",
     "0400000001000000000000000000000000000000000c0000000200000000000000010000000002000000000000000002000000000000000c00000000000000000000000000000000020101000000016201000000016100000000000000020100000000000000050000000000000001000000000000000002010000000000000003020000000000000004030000000000000005040000000000000001",
+    "0500000001000000000000000300000000000000000800000002000000000000000000000000000000020100000000000000040000000000000000000000000000000001000000000000000000010000000000000001000000000000000600000000000000010000000100000000000000070000000000000000020000000000000003000000000000000000000000000000010000000100000000000000030400000000000000020000000000010000000000000006",
 ];
 
 const PAYLOADS: &[&str] = &[

@@ -284,7 +284,7 @@ fn ordup_payload(seed: u64, order: OrderTag) -> CkptPayload {
         evidence: *evidence(seed, VersionTs::new(seed % 17, ClientId(seed % 4))),
         site: SiteCkpt::Ordup(OrdupCkpt {
             values: vec![(ObjectId(seed % 7), Value::Int(seed as i64 % 100))],
-            next_seq: SeqNo(1),
+            order: SeqNo(1),
             holdback: vec![held],
             applied_ets: vec![EtId(1)],
         }),
@@ -335,8 +335,8 @@ fn a_compe_image_restores_each_disposition_as_itself_and_rejects_any_other_byte(
         }
         let decoded = decoded.unwrap_or_else(|e| panic!("disposition {tag}: {e:?}"));
         let mut site = SiteState::from_ckpt(SiteId(0), decoded);
-        let dumped = site.to_ckpt().map(|c| encode_site_ckpt(&c).to_vec());
-        assert_eq!(dumped, Some(patched), "disposition {tag} restored as another");
+        let dumped = encode_site_ckpt(&site.to_ckpt()).to_vec();
+        assert_eq!(dumped, patched, "disposition {tag} restored as another");
         if tag == 4 {
             let op = ObjectOp::new(ObjectId(0), Operation::Incr(1));
             let late = MSet::new(EtId(1), SiteId(1), vec![op]);

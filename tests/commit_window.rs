@@ -91,20 +91,18 @@ struct TestHost {
 }
 
 impl Host for TestHost {
-    fn append(&mut self, records: Vec<Record>) -> u64 {
+    fn append_from(&mut self, records: &mut Vec<Record>) -> u64 {
         if self.sends_first {
-            self.held = records;
+            self.held = std::mem::take(records);
             return 0;
         }
-        self.mem.append(records)
+        self.mem.append_from(records)
     }
-    fn send(&mut self, sends: Vec<(SiteId, Vec<Frame>)>) -> Vec<(SiteId, u64)> {
-        let tails = self.mem.send(sends);
-        let held = std::mem::take(&mut self.held);
-        if !held.is_empty() {
-            self.mem.append(held);
+    fn send_from(&mut self, runs: &mut [(SiteId, Vec<Frame>)], sent: &mut dyn FnMut(SiteId, u64)) {
+        self.mem.send_from(runs, sent);
+        if !self.held.is_empty() {
+            self.mem.append_from(&mut self.held);
         }
-        tails
     }
     // The rest is the memory host's.
     fn journal(&self) -> io::Result<Vec<(u64, Record)>> { self.mem.journal() }
