@@ -6,7 +6,9 @@
 //! logging. This is the "MSet processing" step of §2.4 in isolation.
 //!
 //! Every case feeds [`ReplicaSite::deliver`] one MSet at a time — the
-//! method's one apply rule, the path every executor runs. ORDUP is
+//! method's one apply rule, the path every executor runs — lending it
+//! one list of applies, emptied before each MSet, as the control core
+//! does. ORDUP is
 //! measured twice: in sequence order (the dense hot path) and fully
 //! reversed (everything parked until the first MSet arrives). RITU-MV
 //! is measured twice too: with the VTNC never advancing (every version
@@ -106,8 +108,10 @@ fn bench_apply(c: &mut Criterion) {
             .collect();
         b.iter(|| {
             let mut s = OrdupSite::new(SiteId(0));
+            let mut applied = Vec::new();
             for m in &msets {
-                s.deliver(black_box(m.clone()));
+                applied.clear();
+                s.deliver(black_box(m.clone()), &mut applied);
             }
             black_box(s.has_applied(EtId(N - 1)))
         })
@@ -123,8 +127,10 @@ fn bench_apply(c: &mut Criterion) {
         msets.reverse();
         b.iter(|| {
             let mut s = OrdupSite::new(SiteId(0));
+            let mut applied = Vec::new();
             for m in &msets {
-                s.deliver(black_box(m.clone()));
+                applied.clear();
+                s.deliver(black_box(m.clone()), &mut applied);
             }
             black_box(s.has_applied(EtId(N - 1)))
         })
@@ -134,8 +140,10 @@ fn bench_apply(c: &mut Criterion) {
         let msets = inc_msets();
         b.iter(|| {
             let mut s = CommuSite::new(SiteId(0));
+            let mut applied = Vec::new();
             for m in &msets {
-                s.deliver(black_box(m.clone()));
+                applied.clear();
+                s.deliver(black_box(m.clone()), &mut applied);
             }
             black_box(s.has_applied(EtId(N - 1)))
         })
@@ -145,8 +153,10 @@ fn bench_apply(c: &mut Criterion) {
         let msets = tw_msets();
         b.iter(|| {
             let mut s = RituOverwriteSite::new(SiteId(0));
+            let mut applied = Vec::new();
             for m in &msets {
-                s.deliver(black_box(m.clone()));
+                applied.clear();
+                s.deliver(black_box(m.clone()), &mut applied);
             }
             black_box(s.has_applied(EtId(N - 1)))
         })
@@ -156,8 +166,10 @@ fn bench_apply(c: &mut Criterion) {
         let msets = tw_msets();
         b.iter(|| {
             let mut s = RituMvSite::new(SiteId(0));
+            let mut applied = Vec::new();
             for m in &msets {
-                s.deliver(black_box(m.clone()));
+                applied.clear();
+                s.deliver(black_box(m.clone()), &mut applied);
             }
             black_box(s.has_applied(EtId(N - 1)))
         })
@@ -167,8 +179,10 @@ fn bench_apply(c: &mut Criterion) {
         let msets = wide_tw_msets();
         b.iter(|| {
             let mut s = RituMvSite::new(SiteId(0));
+            let mut applied = Vec::new();
             for (i, m) in (1u64..).zip(&msets) {
-                s.deliver(black_box(m.clone()));
+                applied.clear();
+                s.deliver(black_box(m.clone()), &mut applied);
                 if let Some(stable) = i.checked_sub(VTNC_LAG) {
                     s.advance_vtnc(VersionTs::new(stable, ClientId(0)));
                 }
@@ -181,8 +195,10 @@ fn bench_apply(c: &mut Criterion) {
         let msets = inc_msets();
         b.iter(|| {
             let mut s = CompeSite::new(SiteId(0));
+            let mut applied = Vec::new();
             for m in &msets {
-                s.deliver(black_box(m.clone()));
+                applied.clear();
+                s.deliver(black_box(m.clone()), &mut applied);
             }
             // Commit everything so the log drains like a healthy run.
             for i in 0..N {

@@ -24,14 +24,6 @@ use esr_check::model::explore::{explore, Sweep};
 use esr_check::model::ModelCfg;
 use esr_runtime::RtMethod;
 
-const METHODS: [RtMethod; 5] = [
-    RtMethod::Ordup,
-    RtMethod::Commu,
-    RtMethod::Ritu,
-    RtMethod::RituMv,
-    RtMethod::Compe,
-];
-
 /// Parses the command line into the per-sweep state budget.
 fn parse_args() -> Result<u64, String> {
     let mut budget = 200_000_000;
@@ -118,7 +110,7 @@ fn run_model(budget: u64) -> ExitCode {
         }
     }
     println!("== esr-model: clean sweeps ==");
-    for method in METHODS {
+    for method in RtMethod::ALL {
         let mut small = ModelCfg::standard(method);
         small.workload.truncate(1);
         small.decisions.retain(|(et, _)| small.workload.iter().any(|m| m.et == *et));

@@ -4,8 +4,10 @@
 //! node that took the same inputs live — the same whole image (replica,
 //! client table, ledger and view) — and hold the replica of a node that
 //! saw everything live. This is the pure-core
-//! statement of the daemon's restart path (`NodeCore::restore` vs
-//! `NodeCore::recover`), checked exhaustively at every possible cut
+//! statement of the daemon's restart path — one boot of the core fed
+//! two inputs, a checkpoint image with the suffix past its cut
+//! (`NodeCore::restore`) or the blank image with the whole journal
+//! (`NodeCore::recover`) — checked exhaustively at every possible cut
 //! rather than at the one cut a live run happens to take.
 //!
 //! Also swept: the *over-approximated* suffix (replaying the whole

@@ -516,11 +516,6 @@ impl SimCluster {
         chain.unwrap_or_else(|| panic!("checkpoint of {site}, which is down"))
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> VirtualTime {
         self.sched.now()
@@ -1227,22 +1222,6 @@ impl SimCluster {
             })
             .count() as u64
     }
-
-    /// Committed updates writing any of `objects` not yet applied at
-    /// `site` (a one-sided view of [`SimCluster::divergent_updates`]).
-    pub fn missing_updates(&self, site: SiteId, objects: &[ObjectId]) -> u64 {
-        self.submissions
-            .iter()
-            .filter(|(et, sub)| {
-                self.survives(sub)
-                    && sub
-                        .ops
-                        .iter()
-                        .any(|o| o.op.is_write() && objects.contains(&o.object))
-                    && !self.has_applied(site, **et)
-            })
-            .count() as u64
-    }
 }
 
 #[cfg(test)]
@@ -1411,13 +1390,13 @@ mod tests {
     }
 
     #[test]
-    fn missing_updates_counts_staleness() {
+    fn divergent_updates_counts_staleness() {
         let mut c = SimCluster::new(lossy_config(Method::Commu));
         c.submit_update(SiteId(0), incr_op(5));
         // Immediately after submit, remote sites have applied nothing.
-        assert_eq!(c.missing_updates(SiteId(3), &[X]), 1);
+        assert_eq!(c.divergent_updates(SiteId(3), &[X]), 1);
         c.run_until_quiescent();
-        assert_eq!(c.missing_updates(SiteId(3), &[X]), 0);
+        assert_eq!(c.divergent_updates(SiteId(3), &[X]), 0);
     }
 
     #[test]
@@ -1526,7 +1505,7 @@ mod tests {
         c.advance_to(VirtualTime::from_millis(10));
         c.crash(SiteId(1));
         c.advance_to(VirtualTime::from_millis(200));
-        assert_eq!(c.missing_updates(SiteId(1), &[X]), 1, "a down site holds nothing");
+        assert_eq!(c.divergent_updates(SiteId(1), &[X]), 1, "a down site holds nothing");
         let down = c.try_query(SiteId(0), &[X], EpsilonSpec::STRICT);
         assert!(!down.admitted, "site 1 has not (re)applied it yet");
         c.restart(SiteId(1)).unwrap();

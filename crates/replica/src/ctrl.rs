@@ -44,13 +44,13 @@
 //! checkpoint. [`CoordCore`] keeps only what no other site could tell
 //! it: apply reports still short of a quorum and the RITU-MV
 //! dense-prefix scan. Hold-back is likewise single-owned, by the method
-//! state machine: [`SiteState::deliver`] *returns* what a delivery did
-//! ([`crate::site::Delivery`]), and the core emits its events and
-//! `Applied` reports from that — it never probes the site or mirrors
-//! its queue. What the replica applied is the site's to keep too: the
-//! re-announcement to a new coordinator reads it back
-//! ([`crate::site::ReplicaSite::applies`]) instead of a copy the core
-//! would keep. And so is what is new: the core journals an arriving
+//! state machine: [`crate::site::ReplicaSite::deliver`] *returns* what
+//! a delivery did and lists what it applied, in its store's order, and
+//! the core emits its events and `Applied` reports from that — it never
+//! probes the site or mirrors its queue. What the replica applied is
+//! the site's to keep too: the re-announcement to a new coordinator
+//! reads it back ([`crate::site::ReplicaSite::applies`]) instead of a
+//! copy the core would keep. And so is what is new: the core journals an arriving
 //! MSet unless the site reports it as a [`Delivered::Duplicate`], and
 //! keeps no set of journalled ETs beside the replica's own guard.
 //!
@@ -555,6 +555,11 @@ pub struct NodeCore {
     /// and its `Hello` may have overtaken it on the way here, so every
     /// decision learned from now on is echoed back to it.
     coordinator_rebooted: bool,
+    /// What the site applied in the delivery or beat under way, in its
+    /// store's order: lent to each `deliver` / `heartbeat`, emptied once
+    /// traced and kept, so listing applies allocates nothing once it
+    /// has grown.
+    applies: Vec<Released>,
     /// Journalled MSets stashed for canary re-application (empty unless
     /// a canary that re-applies updates is armed).
     canary_msets: BTreeMap<EtId, MSet>,
@@ -604,17 +609,17 @@ impl NodeCore {
             dvc_sent: false,
             vc_ticks: 0,
             coordinator_rebooted: false,
+            applies: Vec::new(),
             canary_msets: BTreeMap::new(),
             canary,
         }
     }
 
-    /// Boot-time recovery: replays the write-ahead journal into the
-    /// fresh core, then re-announces every recovered apply (the
-    /// previous incarnation may have died before its `Applied` report
-    /// was sent; the coordinator deduplicates). Returns the
-    /// core plus the effects to execute — the same path for the real
-    /// daemon and the model's crash transitions.
+    /// Boot-time recovery: [`NodeCore::restore`] from the blank image —
+    /// `state`, no client table, no evidence — with the whole
+    /// write-ahead journal as its suffix. Returns the core plus the
+    /// effects to execute — the same path for the real daemon and the
+    /// model's crash transitions.
     pub fn recover(
         state: SiteState,
         method: RtMethod,
@@ -624,28 +629,7 @@ impl NodeCore {
         view: u64,
         journal: Vec<MSet>,
     ) -> (Self, Vec<Effect>) {
-        let mut core = Self::fresh_at_view(state, method, site, sites, canary, view);
-        let mut effects = Vec::new();
-        let mut recovered: Vec<(EtId, Option<VersionTs>)> = Vec::new();
-        let last = journal.last().cloned();
-        for mset in journal {
-            core.replay(mset, &mut effects, &mut recovered);
-        }
-        // Defect: the replay cursor double-counts the tail record,
-        // re-applying it outside the replica's duplicate guard.
-        if core.canary == Some(CtrlCanary::DoubleReplayedSuffix) {
-            if let Some(mut dup) = last {
-                dup.et = EtId(dup.et.0 | CANARY_ET_BIT);
-                core.state.deliver(dup);
-            }
-        }
-        // Defect: recovery "forgets" the re-announcement pass.
-        if core.canary != Some(CtrlCanary::LostCompletionOnRestart) {
-            for (et, version) in recovered {
-                core.report_applied(et, version, &mut effects);
-            }
-        }
-        (core, effects)
+        Self::fresh_at_view(state, method, site, sites, canary, view).boot(None, journal)
     }
 
     /// Consumes one event, mutates the core, and returns the ordered
@@ -712,9 +696,8 @@ impl NodeCore {
                 fx.push(Effect::Checkpoint(Box::new(payload)));
             }
             NodeEvent::Heartbeat { origin, sent, ts } => {
-                for r in self.state.site_mut().heartbeat(origin, sent, ts) {
-                    self.applied(r, None, &mut fx);
-                }
+                self.state.site_mut().heartbeat(origin, sent, ts, &mut self.applies);
+                self.applied(SpanStage::Apply, None, &mut fx);
             }
         }
         fx
@@ -774,57 +757,62 @@ impl NodeCore {
             .map(|(c, s, et)| ((c, s), et))
             .collect();
         core.evidence = payload.evidence;
-        let mut effects = vec![Effect::Event(Event::CkptRestore {
-            covered,
-            view: core.view,
-        })];
-        // The suffix's applies land in the site, which lists them with
-        // the image's below.
-        let mut recovered: Vec<(EtId, Option<VersionTs>)> = Vec::new();
-        for mset in suffix {
-            core.replay(mset, &mut effects, &mut recovered);
-        }
-        // Re-announce *everything* applied (image + suffix), exactly as
-        // a full recovery would: the coordinator's evidence may have
-        // died with the previous incarnation, and it deduplicates.
-        for (et, version) in core.state.site().applies() {
-            core.report_applied(et, version, &mut effects);
-        }
-        Some((core, effects))
+        Some(core.boot(Some(covered), suffix))
     }
 
-    /// Replays one journal entry at boot, appending a `Replay` span and
-    /// a `recovered` entry for it and for any held predecessors it
-    /// unblocked (the journal records acceptance order, which for ORDUP
-    /// can run ahead of the sequence). An entry the restored image
+    /// The one boot, from an image already in the core — a restored
+    /// one covering `covered` MSets, or the blank one (`None`): replays
+    /// the journal `suffix` past it, then re-announces every apply, the
+    /// image's in ET order and then the suffix's in replay order (the
+    /// previous incarnation may have died before its `Applied` report
+    /// was sent, and the coordinator's evidence with it; the
+    /// coordinator deduplicates).
+    fn boot(mut self, covered: Option<u64>, suffix: Vec<MSet>) -> (Self, Vec<Effect>) {
+        let mut effects: Vec<Effect> = covered
+            .map(|covered| Effect::Event(Event::CkptRestore { covered, view: self.view }))
+            .into_iter()
+            .collect();
+        let mut announce = self.state.site().applies();
+        // Defect: the replay cursor double-counts the tail record,
+        // re-applying it outside the replica's duplicate guard.
+        let double = self.canary == Some(CtrlCanary::DoubleReplayedSuffix);
+        let doubled = suffix.last().filter(|_| double).cloned();
+        for mset in suffix {
+            self.replay(mset, &mut effects, &mut announce);
+        }
+        if let Some(mut dup) = doubled {
+            dup.et = EtId(dup.et.0 | CANARY_ET_BIT);
+            self.state.deliver(dup);
+        }
+        // Defect: recovery "forgets" the re-announcement pass.
+        if self.canary != Some(CtrlCanary::LostCompletionOnRestart) {
+            for (et, version) in announce {
+                self.report_applied(et, version, &mut effects);
+            }
+        }
+        (self, effects)
+    }
+
+    /// Replays one journal entry at boot: a `Replay` span for each MSet
+    /// it applied, its held predecessors included (the journal records
+    /// acceptance order, which for ORDUP can run ahead of the sequence),
+    /// each also listed in `announce`. An entry the restored image
     /// already covers is absorbed by the replica's duplicate guard.
     fn replay(
         &mut self,
         mset: MSet,
         effects: &mut Vec<Effect>,
-        recovered: &mut Vec<(EtId, Option<VersionTs>)>,
+        announce: &mut Vec<(EtId, Option<VersionTs>)>,
     ) {
-        let own = Released::of(&mset);
         if let Some((cid, cseq)) = mset.client {
-            self.client_table.insert((cid.raw(), cseq), own.et);
+            self.client_table.insert((cid.raw(), cseq), mset.et);
         }
         if self.canary == Some(CtrlCanary::DecisionReplayReapplies) {
-            self.canary_msets.insert(own.et, mset.clone());
+            self.canary_msets.insert(mset.et, mset.clone());
         }
-        let delivery = self.state.deliver(mset);
-        let own = (delivery.outcome == Delivered::Applied).then_some(own);
-        for r in own.into_iter().chain(delivery.released) {
-            // The in-memory event ring died with the previous
-            // incarnation; the replay span is the durable trace of
-            // this site's apply, so post-crash timelines still stitch
-            // and the certifier still sees the apply.
-            effects.push(span(
-                SpanRec::new(SpanStage::Replay, r.et)
-                    .with_version(r.version)
-                    .with_gseq(r.seq),
-            ));
-            recovered.push((r.et, r.version));
-        }
+        self.state.site_mut().deliver(mset, &mut self.applies);
+        announce.extend(self.applies.iter().map(|r| (r.et, r.version)));
+        self.applied(SpanStage::Replay, None, effects);
     }
 
     /// The cached ET for a client request, if this site has journalled
@@ -1189,53 +1177,55 @@ impl NodeCore {
     /// decides what is new: whatever it does not report as a
     /// [`Delivered::Duplicate`] is journalled, once.
     fn accept_mset(&mut self, mset: MSet, fx: &mut Vec<Effect>) {
-        // The arriving MSet's own (et, seq, version), in the shape the
-        // site reports releases in: both are traced the same way.
-        let own = Released::of(&mset);
-        let et = own.et;
-        let t0 = mset.t0;
+        let (et, seq, t0) = (mset.et, mset.gseq(), mset.t0);
         if self.canary == Some(CtrlCanary::DecisionReplayReapplies) {
             self.canary_msets.insert(et, mset.clone());
         }
-        let delivery = self.state.deliver(mset.clone());
-        fx.push(span(
-            SpanRec::new(SpanStage::Deliver, et)
-                .with_gseq(own.seq)
-                .with_t0(t0),
-        ));
-        if delivery.outcome != Delivered::Duplicate {
+        let outcome = self.state.site_mut().deliver(mset.clone(), &mut self.applies);
+        fx.push(span(SpanRec::new(SpanStage::Deliver, et).with_gseq(seq).with_t0(t0)));
+        if outcome != Delivered::Duplicate {
             if let Some((cid, cseq)) = mset.client {
                 self.client_table.insert((cid.raw(), cseq), et);
             }
             fx.push(Effect::Journal(mset));
         }
-        match delivery.outcome {
-            Delivered::Applied => self.applied(own, t0, fx),
+        match outcome {
             // Parked behind an ORDUP sequence gap.
-            Delivered::Held => fx.push(span(
-                SpanRec::new(SpanStage::Held, et).with_gseq(own.seq),
-            )),
+            Delivered::Held => fx.push(span(SpanRec::new(SpanStage::Held, et).with_gseq(seq))),
             // A redelivery: its lifecycle was recorded the first time.
             Delivered::Duplicate => fx.push(Effect::Event(Event::DuplicateDelivery { et })),
-            // A COMPE MSet its abort outran: neither held nor applied.
-            Delivered::Suppressed => {}
+            // Applied at its place in the list below; or a COMPE MSet
+            // its abort outran, neither held nor applied.
+            Delivered::Applied | Delivered::Suppressed => {}
         }
-        // An in-order arrival may have released held successors: they
-        // are applied *now*, so they are traced and reported now.
-        for r in delivery.released {
-            self.applied(r, None, fx);
-        }
+        self.applied(SpanStage::Apply, t0.map(|t0| (et, t0)), fx);
     }
 
-    /// The apply span of one ET plus its report toward the coordinator.
-    fn applied(&mut self, r: Released, t0: Option<u64>, fx: &mut Vec<Effect>) {
-        fx.push(span(
-            SpanRec::new(SpanStage::Apply, r.et)
-                .with_version(r.version)
-                .with_gseq(r.seq)
-                .with_t0(t0),
-        ));
-        self.report_applied(r.et, r.version, fx);
+    /// Traces each apply the site just listed, in its store's order — as
+    /// an `Apply` span and a report toward the coordinator in a step,
+    /// as a `Replay` span at boot, whose re-announcement follows the
+    /// whole replay. `arrival` is the delivered MSet's ET and `t0`,
+    /// which its span carries.
+    fn applied(&mut self, stage: SpanStage, arrival: Option<(EtId, u64)>, fx: &mut Vec<Effect>) {
+        let mut applies = std::mem::take(&mut self.applies);
+        for r in &applies {
+            // A replay span is the durable trace of this site's apply:
+            // the in-memory event ring died with the previous
+            // incarnation, so post-crash timelines still stitch and the
+            // certifier still sees the apply.
+            let t0 = arrival.filter(|&(et, _)| et == r.et).map(|(_, t0)| t0);
+            fx.push(span(
+                SpanRec::new(stage, r.et)
+                    .with_version(r.version)
+                    .with_gseq(r.seq)
+                    .with_t0(t0),
+            ));
+            if stage == SpanStage::Apply {
+                self.report_applied(r.et, r.version, fx);
+            }
+        }
+        applies.clear();
+        self.applies = applies;
     }
 
     /// Routes apply evidence to the current view's coordinator (inline
@@ -1545,6 +1535,61 @@ mod tests {
             "{effects:?}"
         );
         assert!(core.step(beat(3)).is_empty(), "nothing left to release");
+    }
+
+    /// The ETs of `effects`' spans at `stage`, in order.
+    fn spanned(effects: &[Effect], stage: SpanStage) -> Vec<EtId> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Event(Event::Span(r)) if r.stage == stage => r.et,
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// An ORDUP-L arrival that stabilizes an earlier parked stamp along
+    /// with its own is traced after it, as the store applies them — in
+    /// the step and in the replay of its journal (the stream of
+    /// `ordup.rs`'s `the_newest_pending_beat_is_kept`).
+    #[test]
+    fn an_ordup_lamport_arrival_is_traced_after_the_stamp_it_releases() {
+        let lamport = || SiteState::ordup_lamport(SiteId(2), vec![SiteId(0), SiteId(1)]);
+        let mut core = NodeCore::fresh(lamport(), RtMethod::Ordup, SiteId(2), 3, None);
+        let lam = |et, origin, counter, fifo| {
+            let ts = LamportTs::new(counter, SiteId(origin));
+            let m = incr(et, origin).lamport(ts, SeqNo(fifo));
+            NodeEvent::PeerFrame(Frame::MSet(m))
+        };
+        let beat = |origin, sent, counter| NodeEvent::Heartbeat {
+            origin: SiteId(origin),
+            sent: SeqNo(sent),
+            ts: LamportTs::new(counter, SiteId(origin)),
+        };
+        let steps = [
+            lam(9, 1, 3, 0),
+            beat(1, 1, 20),
+            beat(0, 2, 7),
+            beat(0, 1, 4),
+            lam(1, 0, 1, 0),
+            lam(2, 0, 5, 1),
+            lam(3, 1, 6, 1),
+        ];
+        let mut journal = Vec::new();
+        let mut applied = Vec::new();
+        for event in steps {
+            let effects = core.step(event);
+            journal.extend(effects.iter().filter_map(|e| match e {
+                Effect::Journal(m) => Some(m.clone()),
+                _ => None,
+            }));
+            applied.push(spanned(&effects, SpanStage::Apply));
+        }
+        assert_eq!(applied[5], [EtId(9), EtId(2)], "ET 2's step: ts 3, then ts 5");
+        assert_eq!(applied.concat(), [EtId(1), EtId(9), EtId(2), EtId(3)]);
+        let (_, boot) = NodeCore::recover(lamport(), RtMethod::Ordup, SiteId(2), 3, None, 0, journal);
+        // No beat is journalled, so ET 3 (ts 6) stays parked past ts 5.
+        assert_eq!(spanned(&boot, SpanStage::Replay), [EtId(1), EtId(9), EtId(2)]);
     }
 
     #[test]

@@ -28,8 +28,11 @@
 //! and is continued by the journal, replaying the journal suffix past
 //! its cut, into the newest view recorded — the journal's or the
 //! image's, which covers a view record truncation retired. With no such
-//! image it replays the whole journal — but only a journal nothing was
-//! ever retired from. A journal whose prefix a checkpoint retired, with
+//! image it restores the blank one and replays the whole journal — but
+//! only a journal nothing was ever retired from. Either way it is the
+//! core's one boot ([`NodeCore::restore`], [`NodeCore::recover`]): the
+//! replay, then the re-announcement of the image's applies and the
+//! suffix's. A journal whose prefix a checkpoint retired, with
 //! no usable image left, is a boot error: the rest of it would boot a
 //! replica missing acknowledged updates (DESIGN.md §16.3). The links
 //! are in-memory and start empty: boot re-seeds each with the live

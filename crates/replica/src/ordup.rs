@@ -48,7 +48,7 @@ use esr_storage::store::ObjectStore;
 
 use crate::ckpt::OrderedCkpt;
 use crate::mset::{MSet, OrderTag};
-use crate::site::{Delivered, Delivery, QueryOutcome, Released, ReplicaSite};
+use crate::site::{Delivered, QueryOutcome, Released, ReplicaSite};
 
 /// An ORDUP order key — what a parked MSet waits under, in apply order —
 /// with what a site tracks to tell when the next key may apply.
@@ -275,8 +275,9 @@ impl<O: Order> OrderedSite<O> {
         }
     }
 
+    /// Applies `mset`, the MSet at `key`, and lists it in `applied`.
     #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
-    fn apply(&mut self, key: O, mset: &MSet) {
+    fn apply(&mut self, key: O, mset: &MSet, applied: &mut Vec<Released>) {
         for op in &mset.ops {
             self.store
                 .apply(op)
@@ -284,52 +285,47 @@ impl<O: Order> OrderedSite<O> {
         }
         self.applied_ets.insert(mset.et);
         O::applied(&mut self.order, key);
+        applied.push(Released::of(mset));
     }
 
     /// Applies the run of parked MSets that are now stable, in key
-    /// order, recording each in `released`.
-    fn drain(&mut self, released: &mut Vec<Released>) {
+    /// order.
+    fn drain(&mut self, applied: &mut Vec<Released>) {
         while let Some(entry) = self.parked.first_entry() {
             if !O::stable(&self.order, *entry.key()) {
                 break;
             }
             let (key, mset) = entry.remove_entry();
-            released.push(Released::of(&mset));
-            self.apply(key, &mset);
+            self.apply(key, &mset, applied);
         }
     }
 }
 
 impl<O: Order> ReplicaSite for OrderedSite<O> {
-    fn deliver(&mut self, mset: MSet) -> Delivery {
+    fn deliver(&mut self, mset: MSet, applied: &mut Vec<Released>) -> Delivered {
         let Some(key) = O::key(&mset) else {
             panic!("ORDUP site received MSet {mset} without its order tag");
         };
         if !O::arrive(&mut self.order, &mset, &self.parked) {
-            return Delivered::Duplicate.into();
+            return Delivered::Duplicate;
         }
-        let et = mset.et;
         let first = self.parked.keys().next();
-        let mut outcome = if first.is_none_or(|&k| key < k) && O::stable(&self.order, key) {
+        if first.is_none_or(|&k| key < k) && O::stable(&self.order, key) {
             // Next in line: the in-order path parks nothing.
-            self.apply(key, &mset);
-            Delivered::Applied
+            self.apply(key, &mset, applied);
         } else if self.parked.insert(key, mset).is_some() {
             // One key is one MSet, so replacing the parked copy with
             // its duplicate is a no-op.
-            return Delivered::Duplicate.into();
-        } else {
-            Delivered::Held
-        };
-        let mut released = Vec::new();
-        self.drain(&mut released);
-        // A Lamport arrival can stabilize an earlier parked stamp along
-        // with its own: then it applied in this drain.
-        if let Some(own) = released.iter().position(|r| r.et == et) {
-            released.remove(own);
-            outcome = Delivered::Applied;
+            return Delivered::Duplicate;
         }
-        Delivery { outcome, released }
+        self.drain(applied);
+        // A Lamport arrival can stabilize an earlier parked stamp along
+        // with its own: then it applied in this drain, after that stamp.
+        if self.parked.contains_key(&key) {
+            Delivered::Held
+        } else {
+            Delivered::Applied
+        }
     }
 
     fn accepts(&self, mset: &MSet) -> bool {
@@ -366,11 +362,15 @@ impl<O: Order> ReplicaSite for OrderedSite<O> {
     /// beat raises the stability horizon, so parked MSets can apply even
     /// when `origin` has gone quiet. The simulator beats at quiescence,
     /// as a `NodeEvent::Heartbeat` step.
-    fn heartbeat(&mut self, origin: SiteId, sent: SeqNo, ts: LamportTs) -> Vec<Released> {
+    fn heartbeat(
+        &mut self,
+        origin: SiteId,
+        sent: SeqNo,
+        ts: LamportTs,
+        applied: &mut Vec<Released>,
+    ) {
         O::beat(&mut self.order, origin, sent, ts);
-        let mut released = Vec::new();
-        self.drain(&mut released);
-        released
+        self.drain(applied);
     }
 }
 
@@ -449,30 +449,38 @@ mod tests {
         InconsistencyCounter::new(EpsilonSpec::UNBOUNDED)
     }
 
+    /// Delivers `m` to `s`: what became of it, and the ETs the delivery
+    /// applied, in apply order.
+    fn deliver<O: Order>(s: &mut OrderedSite<O>, m: MSet) -> (Delivered, Vec<EtId>) {
+        let mut applied = Vec::new();
+        let outcome = s.deliver(m, &mut applied);
+        (outcome, applied.iter().map(|r| r.et).collect())
+    }
+
     fn applies_in_order_despite_reordered_delivery<O: Fixture>() {
         let mut s = O::site();
         // Deliver #1 (Mul) before #0 (Inc): must still apply Inc first.
-        s.deliver(O::nth(2, 1, mul(2)));
+        deliver(&mut s, O::nth(2, 1, mul(2)));
         assert_eq!(s.backlog(), 1, "parked waiting for #0");
         assert_eq!(s.snapshot().get(&X), None, "nothing applied yet");
-        s.deliver(O::nth(1, 0, incr(10)));
+        deliver(&mut s, O::nth(1, 0, incr(10)));
         assert_eq!(s.backlog(), 0);
         assert_eq!(s.snapshot()[&X], Value::Int(20), "(0+10)*2");
         assert!(s.has_applied(EtId(1)) && s.has_applied(EtId(2)));
-        let next = s.deliver(O::nth(3, 2, incr(1)));
-        assert_eq!(next.outcome, Delivered::Applied, "#2 is next in line");
+        let next = deliver(&mut s, O::nth(3, 2, incr(1)));
+        assert_eq!(next.0, Delivered::Applied, "#2 is next in line");
     }
 
     fn duplicate_delivery_is_idempotent<O: Fixture>() {
         let mut s = O::site();
         let m = O::nth(1, 0, incr(5));
-        s.deliver(m.clone());
-        assert_eq!(s.deliver(m).outcome, Delivered::Duplicate);
+        deliver(&mut s, m.clone());
+        assert_eq!(deliver(&mut s, m).0, Delivered::Duplicate);
         assert_eq!(s.snapshot()[&X], Value::Int(5));
         // Duplicate of a parked MSet too.
         let h = O::nth(2, 2, incr(1));
-        assert_eq!(s.deliver(h.clone()).outcome, Delivered::Held);
-        assert_eq!(s.deliver(h).outcome, Delivered::Duplicate);
+        assert_eq!(deliver(&mut s, h.clone()).0, Delivered::Held);
+        assert_eq!(deliver(&mut s, h).0, Delivered::Duplicate);
         assert_eq!(s.backlog(), 1);
     }
 
@@ -484,7 +492,7 @@ mod tests {
         ];
         let mut clean = O::site();
         for m in &msets {
-            clean.deliver(m.clone());
+            deliver(&mut clean, m.clone());
         }
         // Stormed replica: every MSet three times, interleaved both ways.
         let mut stormed = O::site();
@@ -492,7 +500,7 @@ mod tests {
             .iter()
             .chain(msets.iter().rev())
             .chain(msets.iter())
-            .map(|m| stormed.deliver(m.clone()).outcome)
+            .map(|m| deliver(&mut stormed, m.clone()).0)
             .collect();
         assert_eq!(stormed.snapshot(), clean.snapshot());
         let count = |d: Delivered| outcomes.iter().filter(|o| **o == d).count();
@@ -502,9 +510,9 @@ mod tests {
 
     fn query_charges_per_conflicting_parked_mset<O: Fixture>() {
         let mut s = O::site();
-        s.deliver(O::nth(1, 1, incr(1)));
-        s.deliver(O::nth(2, 2, incr(2)));
-        s.deliver(O::nth(3, 3, vec![ObjectOp::new(ObjectId(5), Operation::Incr(3))]));
+        deliver(&mut s, O::nth(1, 1, incr(1)));
+        deliver(&mut s, O::nth(2, 2, incr(2)));
+        deliver(&mut s, O::nth(3, 3, vec![ObjectOp::new(ObjectId(5), Operation::Incr(3))]));
         let mut c = unbounded();
         let out = s.query(&[X], &mut c);
         assert!(out.admitted);
@@ -516,7 +524,7 @@ mod tests {
 
     fn strict_query_rejected_while_behind<O: Fixture>() {
         let mut s = O::site();
-        s.deliver(O::nth(1, 1, incr(1)));
+        deliver(&mut s, O::nth(1, 1, incr(1)));
         let mut c = InconsistencyCounter::new(EpsilonSpec::STRICT);
         let out = s.query(&[X], &mut c);
         assert!(!out.admitted);
@@ -535,10 +543,10 @@ mod tests {
         let mut a = O::site();
         let mut b = O::site();
         for m in &msets {
-            a.deliver(m.clone());
+            deliver(&mut a, m.clone());
         }
         for m in msets.iter().rev() {
-            b.deliver(m.clone());
+            deliver(&mut b, m.clone());
         }
         assert_eq!(a.snapshot(), b.snapshot());
         assert_eq!(a.snapshot()[&X], Value::Int(25), "(0+10)*3-5");
@@ -549,15 +557,15 @@ mod tests {
     /// successor as the original does.
     fn image_restores_the_parked_msets_and_the_order<O: Fixture>() {
         let mut s = O::site();
-        s.deliver(O::nth(1, 0, incr(10)));
-        s.deliver(O::nth(3, 2, mul(2)));
+        deliver(&mut s, O::nth(1, 0, incr(10)));
+        deliver(&mut s, O::nth(3, 2, mul(2)));
         let mut r = OrderedSite::<O>::from_ckpt(SiteId(0), s.to_ckpt());
         assert_eq!(r.to_ckpt(), s.to_ckpt());
-        assert_eq!(r.deliver(O::nth(1, 0, incr(10))).outcome, Delivered::Duplicate);
+        assert_eq!(deliver(&mut r, O::nth(1, 0, incr(10))).0, Delivered::Duplicate);
         for site in [&mut s, &mut r] {
-            let filler = site.deliver(O::nth(2, 1, incr(1)));
-            assert_eq!(filler.outcome, Delivered::Applied);
-            assert_eq!(filler.released.iter().map(|r| r.et).collect::<Vec<_>>(), [EtId(3)]);
+            let filler = deliver(site, O::nth(2, 1, incr(1)));
+            assert_eq!(filler.0, Delivered::Applied);
+            assert_eq!(filler.1, [EtId(2), EtId(3)]);
         }
         assert_eq!(r.to_ckpt(), s.to_ckpt());
         assert_eq!(r.snapshot()[&X], Value::Int(22), "(0+10+1)*2");
@@ -576,8 +584,9 @@ mod tests {
 
     fn beat(s: &mut OrdupLamportSite, origin: u64, sent: u64, counter: u64) -> Vec<EtId> {
         let ts = LamportTs::new(counter, SiteId(origin));
-        let released = s.heartbeat(SiteId(origin), SeqNo(sent), ts);
-        released.iter().map(|r| r.et).collect()
+        let mut applied = Vec::new();
+        s.heartbeat(SiteId(origin), SeqNo(sent), ts, &mut applied);
+        applied.iter().map(|r| r.et).collect()
     }
 
     #[test]
@@ -585,13 +594,13 @@ mod tests {
         let mut s = two_origins();
         // Origin 1 sends ts=2 first; origin 0's ts=1 is still missing, so
         // nothing may apply yet (ts=2 isn't stable).
-        let first = s.deliver(lam(2, 1, 2, 0, mul(2)));
-        assert_eq!(first.outcome, Delivered::Held);
+        let first = deliver(&mut s, lam(2, 1, 2, 0, mul(2)));
+        assert_eq!(first.0, Delivered::Held);
         // Origin 0's ts=1 arrives: horizon = min(1, 2) = 1, so ts=1
         // applies but ts=2 still waits (origin 0 might send ts=2 later).
-        let second = s.deliver(lam(1, 0, 1, 0, incr(10)));
-        assert_eq!(second.outcome, Delivered::Applied);
-        assert!(second.released.is_empty() && !s.has_applied(EtId(2)));
+        let second = deliver(&mut s, lam(1, 0, 1, 0, incr(10)));
+        assert_eq!(second.0, Delivered::Applied);
+        assert!(second.1 == [EtId(1)] && !s.has_applied(EtId(2)));
         assert_eq!(s.snapshot()[&X], Value::Int(10));
         // A heartbeat from origin 0 past ts=2 stabilizes the Mul.
         assert_eq!(beat(&mut s, 0, 1, 5), [EtId(2)]);
@@ -604,16 +613,16 @@ mod tests {
     #[test]
     fn a_beat_waits_for_the_msets_its_origin_sent_before_it() {
         let mut a = two_origins();
-        a.deliver(lam(1, 0, 1, 0, incr(10)));
-        a.deliver(lam(2, 1, 2, 0, mul(2)));
+        deliver(&mut a, lam(1, 0, 1, 0, incr(10)));
+        deliver(&mut a, lam(2, 1, 2, 0, mul(2)));
         assert_eq!(beat(&mut a, 0, 1, 5), [EtId(2)]);
         let mut b = two_origins();
-        b.deliver(lam(2, 1, 2, 0, mul(2)));
+        deliver(&mut b, lam(2, 1, 2, 0, mul(2)));
         assert!(beat(&mut b, 0, 1, 5).is_empty(), "origin 0's ts=1 is still in flight");
         assert_eq!(b.snapshot().get(&X), None);
-        let late = b.deliver(lam(1, 0, 1, 0, incr(10)));
-        assert_eq!(late.outcome, Delivered::Applied);
-        assert_eq!(late.released.iter().map(|r| r.et).collect::<Vec<_>>(), [EtId(2)]);
+        let late = deliver(&mut b, lam(1, 0, 1, 0, incr(10)));
+        assert_eq!(late.0, Delivered::Applied);
+        assert_eq!(late.1, [EtId(1), EtId(2)]);
         assert_eq!(b.snapshot(), a.snapshot());
         assert_eq!(b.snapshot()[&X], Value::Int(20), "(0+10)*2");
     }
@@ -623,18 +632,18 @@ mod tests {
     #[test]
     fn the_newest_pending_beat_is_kept() {
         let mut s = two_origins();
-        s.deliver(lam(9, 1, 3, 0, incr(1)));
+        deliver(&mut s, lam(9, 1, 3, 0, incr(1)));
         assert!(beat(&mut s, 1, 1, 20).is_empty(), "origin 0 unheard");
         assert!(beat(&mut s, 0, 2, 7).is_empty());
         assert!(beat(&mut s, 0, 1, 4).is_empty(), "an older beat replaces nothing");
-        s.deliver(lam(1, 0, 1, 0, incr(10)));
+        deliver(&mut s, lam(1, 0, 1, 0, incr(10)));
         assert!(!s.has_applied(EtId(9)), "the kept beat needs two MSets");
-        let second = s.deliver(lam(2, 0, 5, 1, mul(2)));
-        assert_eq!(second.outcome, Delivered::Applied);
-        assert_eq!(second.released.iter().map(|r| r.et).collect::<Vec<_>>(), [EtId(9)]);
+        let second = deliver(&mut s, lam(2, 0, 5, 1, mul(2)));
+        assert_eq!(second.0, Delivered::Applied);
+        assert_eq!(second.1, [EtId(9), EtId(2)], "ts 3 applies before ts 5");
         // Origin 0 is now covered to ts=7, past its own ts=5.
-        let third = s.deliver(lam(3, 1, 6, 1, incr(1)));
-        assert_eq!(third.outcome, Delivered::Applied);
+        let third = deliver(&mut s, lam(3, 1, 6, 1, incr(1)));
+        assert_eq!(third.0, Delivered::Applied);
         assert_eq!(s.snapshot()[&X], Value::Int(23), "(0+10+1)*2+1");
     }
 
@@ -642,10 +651,10 @@ mod tests {
     fn lamport_fifo_reassembly_handles_reordering() {
         let mut s = OrdupLamportSite::new(SiteId(2), vec![SiteId(0)]);
         // fifo #1 arrives before fifo #0: parked.
-        let early = s.deliver(lam(2, 0, 2, 1, mul(2)));
-        assert_eq!(early.outcome, Delivered::Held);
+        let early = deliver(&mut s, lam(2, 0, 2, 1, mul(2)));
+        assert_eq!(early.0, Delivered::Held);
         assert_eq!(s.backlog(), 1);
-        s.deliver(lam(1, 0, 1, 0, incr(10)));
+        deliver(&mut s, lam(1, 0, 1, 0, incr(10)));
         // Both reassembled; horizon = ts 2, both stable.
         assert!(s.has_applied(EtId(1)) && s.has_applied(EtId(2)));
         assert_eq!(s.snapshot()[&X], Value::Int(20));
@@ -661,7 +670,7 @@ mod tests {
         let run = |order: Vec<usize>| {
             let mut s = two_origins();
             for i in order {
-                s.deliver(msets[i].clone());
+                deliver(&mut s, msets[i].clone());
             }
             // Final heartbeats flush the tail.
             beat(&mut s, 0, 2, 100);
@@ -688,7 +697,7 @@ mod tests {
         let duplicates = msets
             .iter()
             .chain(msets.iter().rev())
-            .filter(|m| s.deliver((*m).clone()).outcome == Delivered::Duplicate)
+            .filter(|m| deliver(&mut s, (*m).clone()).0 == Delivered::Duplicate)
             .count();
         beat(&mut s, 0, 2, 100);
         beat(&mut s, 1, 1, 100);
@@ -700,7 +709,7 @@ mod tests {
     #[test]
     fn lamport_query_charges_parked_msets() {
         let mut s = two_origins();
-        s.deliver(lam(1, 0, 5, 0, incr(1)));
+        deliver(&mut s, lam(1, 0, 5, 0, incr(1)));
         // Not stable (origin 1 silent): parked.
         let out = s.query(&[X], &mut unbounded());
         assert_eq!(out.charged, 1);

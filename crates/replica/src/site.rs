@@ -11,10 +11,11 @@
 //! the site each control input as it is decided.
 //!
 //! A site is the only owner of its hold-back state, so it *reports*
-//! what a delivery did ([`Delivery`]) instead of being probed for it:
-//! the control core ([`crate::ctrl::NodeCore`]) emits its apply / held /
-//! duplicate events and its `Applied` reports from that return value
-//! and keeps no shadow of the hold-back queue.
+//! what a delivery did ([`Delivered`]) and lists every MSet it applied
+//! ([`Released`]), in the order its store applied them, instead of being
+//! probed for it: the control core ([`crate::ctrl::NodeCore`]) emits its
+//! apply / held / duplicate events and its `Applied` reports from that
+//! report and keeps no shadow of the hold-back queue.
 
 use std::collections::BTreeMap;
 
@@ -71,7 +72,8 @@ impl QueryOutcome {
 /// What a site did with the MSet it was just handed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Delivered {
-    /// Applied to the store (optimistically, under COMPE).
+    /// Applied to the store (optimistically, under COMPE), at its place
+    /// in the delivery's list of applies.
     Applied,
     /// Parked behind an ordering gap (ORDUP hold-back).
     Held,
@@ -81,11 +83,11 @@ pub enum Delivered {
     Suppressed,
 }
 
-/// A parked MSet that a later delivery unblocked, with what the control
-/// core needs to trace and report its apply.
+/// One MSet a site applied, with what the control core needs to trace
+/// and report the apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Released {
-    /// The released update ET.
+    /// The applied update ET.
     pub et: EtId,
     /// Its ORDUP global sequence number, if it carries one.
     pub seq: Option<SeqNo>,
@@ -94,31 +96,12 @@ pub struct Released {
 }
 
 impl Released {
-    /// The release record of `mset`.
+    /// The apply record of `mset`.
     pub fn of(mset: &MSet) -> Self {
         Self {
             et: mset.et,
             seq: mset.gseq(),
             version: mset.max_version(),
-        }
-    }
-}
-
-/// The outcome of one [`ReplicaSite::deliver`] call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Delivery {
-    /// What happened to the delivered MSet itself.
-    pub outcome: Delivered,
-    /// Parked MSets this delivery unblocked, in the order they were
-    /// applied (always empty for methods that never hold back).
-    pub released: Vec<Released>,
-}
-
-impl From<Delivered> for Delivery {
-    fn from(outcome: Delivered) -> Self {
-        Self {
-            outcome,
-            released: Vec::new(),
         }
     }
 }
@@ -159,13 +142,14 @@ pub trait ReplicaSite {
     /// Handles one delivered update MSet. The site may apply it
     /// immediately, hold it back for ordering, or apply it optimistically
     /// pending commit. Duplicate deliveries must be idempotent. The
-    /// return value says which of those happened, and which parked
-    /// MSets the delivery released.
+    /// return value says which of those happened to `mset`; every MSet
+    /// the delivery applied — `mset` itself, parked ones it released —
+    /// is appended to `applied` in the order the store applied them.
     ///
     /// This is the method's one apply rule: every executor (esrd, the
     /// simulator, the model) reaches a store only through it, one MSet
     /// at a time.
-    fn deliver(&mut self, mset: MSet) -> Delivery;
+    fn deliver(&mut self, mset: MSet, applied: &mut Vec<Released>) -> Delivered;
 
     /// Does `mset` have the shape [`ReplicaSite::deliver`] takes?
     /// `deliver` panics on anything else, so an MSet from outside the
@@ -234,9 +218,14 @@ pub trait ReplicaSite {
     fn abort(&mut self, _et: EtId) {}
 
     /// An ORDUP-L heartbeat from `origin` at `ts`, sent after its first
-    /// `sent` MSets: returns the parked MSets it released, in apply
-    /// order.
-    fn heartbeat(&mut self, _origin: SiteId, _sent: SeqNo, _ts: LamportTs) -> Vec<Released> {
-        Vec::new()
+    /// `sent` MSets: appends the parked MSets it released to `applied`,
+    /// in apply order.
+    fn heartbeat(
+        &mut self,
+        _origin: SiteId,
+        _sent: SeqNo,
+        _ts: LamportTs,
+        _applied: &mut Vec<Released>,
+    ) {
     }
 }

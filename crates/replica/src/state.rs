@@ -22,7 +22,7 @@ use crate::compe::CompeSite;
 use crate::mset::MSet;
 use crate::ordup::{OrdupLamportSite, OrdupSite};
 use crate::ritu::{RituMvSite, RituOverwriteSite};
-use crate::site::{Delivery, QueryOutcome, ReplicaSite};
+use crate::site::{Delivered, QueryOutcome, ReplicaSite};
 
 /// Replica control methods available in the runtimes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,18 +167,20 @@ impl SiteState {
     // Forwarders for the calls esrbench's probe
     // (`benchmark/src/probe.rs`) makes without importing `ReplicaSite`.
 
-    /// [`ReplicaSite::deliver`]: the only way an MSet reaches a store.
-    pub fn deliver(&mut self, mset: MSet) -> Delivery {
-        self.site_mut().deliver(mset)
+    /// [`ReplicaSite::deliver`]: the only way an MSet reaches a store,
+    /// for a caller that keeps no list of what it applied.
+    pub fn deliver(&mut self, mset: MSet) -> Delivered {
+        self.site_mut().deliver(mset, &mut Vec::new())
     }
 
     /// `deliver` per MSet, in order. Exists only because esrbench's
     /// probe calls it to fill `replica.site.deliver_batch_ns`; it leaves
     /// with that metric.
     pub fn deliver_batch(&mut self, msets: Vec<MSet>) {
-        let site = self.site_mut();
+        let (site, mut applied) = (self.site_mut(), Vec::new());
         for m in msets {
-            site.deliver(m);
+            applied.clear();
+            site.deliver(m, &mut applied);
         }
     }
 
@@ -284,7 +286,7 @@ mod tests {
             ("commit", |s| s.commit(EtId(1))),
             ("abort", |s| s.abort(EtId(1))),
             ("heartbeat", |s| {
-                s.heartbeat(SiteId(0), SeqNo(0), LamportTs::new(9, SiteId(0)));
+                s.heartbeat(SiteId(0), SeqNo(0), LamportTs::new(9, SiteId(0)), &mut Vec::new());
             }),
         ];
         let owns = |site: &SiteState, input: &str| match site {

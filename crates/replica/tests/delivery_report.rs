@@ -1,14 +1,17 @@
 //! What `deliver` reports is what `deliver` did.
 //!
 //! A site is the only owner of its hold-back state, and the control
-//! core acts on the [`Delivery`] a site returns — it emits its apply /
-//! held / duplicate events and its `Applied` reports from that value
-//! and never probes the site. So for every replica control method the
-//! properties below drive one site through a randomized stream
+//! core acts on what a site reports — the [`Delivered`] outcome and the
+//! list of MSets the delivery applied, in its store's order — emitting
+//! its apply / held / duplicate events and its `Applied` reports from
+//! that and never probing the site. So for every replica control method
+//! the properties below drive one site through a randomized stream
 //! (shuffles, ~25 % duplicates, sequence gaps while the shuffle lasts,
-//! COMPE decisions racing ahead of their MSets) and check every
-//! returned `Delivery` against the `has_applied` / `backlog` deltas an
-//! observer probing the site around the call would see.
+//! COMPE decisions racing ahead of their MSets) and check every report
+//! against the `has_applied` / `backlog` deltas an observer probing the
+//! site around the call would see. For both ORDUP orders the list must
+//! also run in ascending order key — a heartbeat's too — since that is
+//! the order the store applies in.
 //!
 //! A site is also the only duplicate guard an MSet meets: the core
 //! journals whatever the site does not report as a `Duplicate`. So
@@ -30,7 +33,8 @@ use esr_replica::compe::CompeSite;
 use esr_replica::mset::MSet;
 use esr_replica::ordup::{OrdupLamportSite, OrdupSite};
 use esr_replica::ritu::{RituMvSite, RituOverwriteSite};
-use esr_replica::site::{Delivered, Delivery, ReplicaSite};
+use esr_replica::ordup::Order;
+use esr_replica::site::{Delivered, Released, ReplicaSite};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -104,45 +108,67 @@ impl Gen {
     }
 }
 
-/// Delivers `m` and checks the returned [`Delivery`] against the
-/// observable deltas: the ETs that flipped to applied are exactly the
-/// delivered one (iff `Applied`) plus the released ones, the backlog
-/// moved by one parked MSet minus the released ones, and a duplicate or
+/// What one delivery reported: the outcome, and the MSets it applied.
+type Report = (Delivered, Vec<Released>);
+
+/// Delivers `m` and checks the report against the observable deltas:
+/// the ETs that flipped to applied are exactly the listed ones, the
+/// delivered one among them iff `Applied`; the backlog moved by one
+/// parked MSet minus the listed parked ones; and a duplicate or
 /// suppressed delivery changed nothing.
 fn deliver_checked<S: ReplicaSite>(
     site: &mut S,
     m: &MSet,
     all_ets: &[EtId],
-) -> Result<Delivery, proptest::test_runner::TestCaseError> {
+) -> Result<Report, proptest::test_runner::TestCaseError> {
     let applied_before: Vec<EtId> =
         all_ets.iter().copied().filter(|et| site.has_applied(*et)).collect();
     let backlog_before = site.backlog();
-    let d = site.deliver(m.clone());
+    let mut applied = Vec::new();
+    let d = site.deliver(m.clone(), &mut applied);
     let mut newly: Vec<EtId> = all_ets
         .iter()
         .copied()
         .filter(|et| site.has_applied(*et) && !applied_before.contains(et))
         .collect();
-    let mut reported: Vec<EtId> = d.released.iter().map(|r| r.et).collect();
-    if d.outcome == Delivered::Applied {
-        reported.push(m.et);
-    }
+    let mut reported: Vec<EtId> = applied.iter().map(|r| r.et).collect();
+    prop_assert_eq!(
+        reported.contains(&m.et),
+        d == Delivered::Applied,
+        "{:?} {:?} for {}",
+        d,
+        applied,
+        m
+    );
     newly.sort_unstable();
     newly.dedup();
     reported.sort_unstable();
     prop_assert_eq!(&newly, &reported, "{:?} for {}", d, m);
-    let parked = usize::from(d.outcome == Delivered::Held);
+    let parked = usize::from(d == Delivered::Held);
+    let released = applied.len() - usize::from(d == Delivered::Applied);
     prop_assert_eq!(
-        site.backlog() + d.released.len(),
+        site.backlog() + released,
         backlog_before + parked,
         "{:?} for {}",
         d,
         m
     );
-    if matches!(d.outcome, Delivered::Duplicate | Delivered::Suppressed) {
-        prop_assert!(d.released.is_empty(), "{:?} for {}", d, m);
+    if matches!(d, Delivered::Duplicate | Delivered::Suppressed) {
+        prop_assert!(applied.is_empty(), "{:?} for {}", d, m);
     }
-    Ok(d)
+    Ok((d, applied))
+}
+
+/// Checks that `applied` runs in ascending `O` key, each ET's key read
+/// off its MSet in `stream`.
+fn in_key_order<O: Order>(
+    applied: &[Released],
+    stream: &[MSet],
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let key = |r: &Released| stream.iter().find(|m| m.et == r.et).and_then(O::key);
+    let keys: Vec<Option<O>> = applied.iter().map(key).collect();
+    prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "applied out of order: {:?}", keys);
+    Ok(())
 }
 
 /// [`deliver_checked`] over a whole stream.
@@ -157,6 +183,32 @@ fn check_stream<S: ReplicaSite>(
     Ok(())
 }
 
+/// [`check_stream`] for an ORDUP site over order `O`, also checking
+/// that each delivery lists its applies in ascending key; then, when
+/// `origins` are given (ORDUP-L), a beat from each past every stamp,
+/// whose applies must run in ascending key too and leave nothing parked.
+fn check_ordered_stream<O: Order, S: ReplicaSite>(
+    mut site: S,
+    stream: &[MSet],
+    origins: &[SiteId],
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let all_ets: Vec<EtId> = stream.iter().map(|m| m.et).collect();
+    for m in stream {
+        let (_, applied) = deliver_checked(&mut site, m, &all_ets)?;
+        in_key_order::<O>(&applied, stream)?;
+    }
+    let mut applied = Vec::new();
+    for &origin in origins {
+        let sent: HashSet<EtId> =
+            stream.iter().filter(|m| m.origin == origin).map(|m| m.et).collect();
+        let ts = LamportTs::new(u64::MAX, origin);
+        site.heartbeat(origin, SeqNo(sent.len() as u64), ts, &mut applied);
+    }
+    in_key_order::<O>(&applied, stream)?;
+    prop_assert_eq!(site.backlog(), 0, "beats past every stamp release everything");
+    Ok(())
+}
+
 /// Delivers `m`; if an MSet of its ET was delivered before, checks that
 /// the site reports a duplicate and that `state` — everything the site
 /// shows — did not move.
@@ -166,13 +218,14 @@ fn deliver_again_checked<S: ReplicaSite>(
     delivered: &mut HashSet<EtId>,
     state: &impl Fn(&S) -> String,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
+    let mut applied = Vec::new();
     if delivered.insert(m.et) {
-        site.deliver(m.clone());
+        site.deliver(m.clone(), &mut applied);
         return Ok(());
     }
     let before = state(site);
-    let d = site.deliver(m.clone());
-    prop_assert_eq!(d, Delivery::from(Delivered::Duplicate), "again: {}", m);
+    let d = site.deliver(m.clone(), &mut applied);
+    prop_assert_eq!((d, applied), (Delivered::Duplicate, vec![]), "again: {}", m);
     prop_assert_eq!(state(site), before, "a redelivery of {} changed the site", m);
     Ok(())
 }
@@ -193,7 +246,7 @@ fn check_redeliveries<S: ReplicaSite>(
 /// What a completion-tracking site lists as applied.
 type Applies = Vec<(EtId, Option<VersionTs>)>;
 
-/// Delivers `stream` to `site`, checking each [`Delivery`] as
+/// Delivers `stream` to `site`, checking each report as
 /// [`check_stream`] does and, after every delivery, that `applies`
 /// lists exactly the ETs `has_applied` reports, in ET order, each with
 /// its MSet's `max_version()`.
@@ -230,7 +283,7 @@ proptest! {
             .collect();
         g.shuffle(&mut stream);
         g.sprinkle_duplicates(&mut stream);
-        check_stream(OrdupSite::new(SiteId(0)), &stream)?;
+        check_ordered_stream::<SeqNo, _>(OrdupSite::new(SiteId(0)), &stream, &[])?;
     }
 
     #[test]
@@ -251,7 +304,8 @@ proptest! {
         }
         g.shuffle(&mut stream);
         g.sprinkle_duplicates(&mut stream);
-        check_stream(OrdupLamportSite::new(SiteId(7), origins.to_vec()), &stream)?;
+        let site = OrdupLamportSite::new(SiteId(7), origins.to_vec());
+        check_ordered_stream::<LamportTs, _>(site, &stream, &origins)?;
     }
 
     #[test]
@@ -375,10 +429,10 @@ proptest! {
         }
         let mut delivered = HashSet::new();
         for m in &stream {
-            let d = deliver_checked(&mut site, m, &all_ets)?;
+            let (d, _) = deliver_checked(&mut site, m, &all_ets)?;
             let first = delivered.insert(m.et);
             prop_assert_eq!(
-                d.outcome == Delivered::Suppressed,
+                d == Delivered::Suppressed,
                 first && aborted_early.contains(&m.et)
             );
         }

@@ -340,8 +340,8 @@ fn a_compe_image_restores_each_disposition_as_itself_and_rejects_any_other_byte(
         if tag == 4 {
             let op = ObjectOp::new(ObjectId(0), Operation::Incr(1));
             let late = MSet::new(EtId(1), SiteId(1), vec![op]);
-            assert_eq!(site.deliver(late.clone()).outcome, Delivered::Suppressed);
-            assert_eq!(site.deliver(late).outcome, Delivered::Duplicate);
+            assert_eq!(site.deliver(late.clone()), Delivered::Suppressed);
+            assert_eq!(site.deliver(late), Delivered::Duplicate);
             assert!(!site.site().has_applied(EtId(1)));
         }
     }

@@ -12,12 +12,13 @@
 //! afterwards, so a crash can lose link contents but never an
 //! acknowledged update. Restart is [`esr_replica::node::Node::boot`]:
 //! it restores the newest snapshot that still restores plus the journal
-//! suffix past its cut ([`crate::ctrl::NodeCore::restore`]), or replays a
-//! journal nothing was retired from in full
-//! ([`crate::ctrl::NodeCore::recover`]), into the newest view recorded —
-//! either way the replica is rebuilt, its duplicate guard absorbing any
-//! record the image already holds, and the recovered applies are
-//! re-announced. It re-sends the MSets the site originated above each
+//! suffix past its cut ([`crate::ctrl::NodeCore::restore`]) or, with no
+//! such snapshot, the blank image plus a journal nothing was retired
+//! from, in full ([`crate::ctrl::NodeCore::recover`]), into the newest
+//! view recorded. Both are one boot of the core: it replays the suffix,
+//! the replica's duplicate guard absorbing any record the image already
+//! holds, and re-announces the image's applies and then the suffix's.
+//! It re-sends the MSets the site originated above each
 //! peer's newest recorded cursor and passes every journalled decision on
 //! again; the rest of the control plane (completion notices, VTNC
 //! horizons, view state) comes back through the core's Hello exchange.

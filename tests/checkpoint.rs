@@ -20,44 +20,16 @@
 //!    booting from a snapshot and one from its whole journal, count a
 //!    replayed record the same way.
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use esr::core::{ObjectId, ObjectOp, Operation, SiteId};
+use esr::core::SiteId;
 use esr::replica::span::Event;
 use esr::runtime::{ProcCluster, RtMethod};
-use esr_check::certify::{certify, SiteTrace};
 
-const X: ObjectId = ObjectId(0);
-const Y: ObjectId = ObjectId(1);
-const N: usize = 3;
+mod support;
+use support::{certify_cluster, esrd, fresh_dir, submit, N};
+
 const QUIESCE: Duration = Duration::from_secs(60);
-
-fn esrd() -> &'static str {
-    env!("CARGO_BIN_EXE_esrd")
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let k = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("esr-ckpt-{}-{tag}-{k}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// COMMU increments from rotating origins: order-free, so the final
-/// state is the plain sum regardless of interleaving.
-fn submit(c: &ProcCluster, i: u64, origins: &[u64]) {
-    let origin = SiteId(origins[i as usize % origins.len()]);
-    c.submit_update(
-        origin,
-        vec![
-            ObjectOp::new(X, Operation::Incr(i as i64 + 1)),
-            ObjectOp::new(Y, Operation::Incr(1)),
-        ],
-    )
-    .unwrap_or_else(|e| panic!("submit {i} failed: {e}"));
-}
 
 /// Parses one series value out of a Prometheus text dump.
 fn metric(text: &str, series: &str) -> Option<i64> {
@@ -67,26 +39,13 @@ fn metric(text: &str, series: &str) -> Option<i64> {
         .and_then(|v| v.parse().ok())
 }
 
-fn certify_cluster(c: &ProcCluster) {
-    let traces: Vec<SiteTrace> = (0..N)
-        .map(|s| {
-            let (dropped, events) = c
-                .trace_of(SiteId(s as u64))
-                .unwrap_or_else(|e| panic!("trace of site {s}: {e}"));
-            SiteTrace::from_dump(s as u64, dropped, events)
-        })
-        .collect();
-    let findings = certify(RtMethod::Commu, &traces);
-    assert!(findings.is_empty(), "trace certification failed:\n{findings:#?}");
-}
-
 #[test]
 fn restart_recovers_from_snapshot_replaying_only_the_suffix() {
     let dir = fresh_dir("restart");
     let mut c = ProcCluster::spawn(esrd(), &dir, RtMethod::Commu, N).expect("spawn");
 
     for i in 0..8 {
-        submit(&c, i, &[0, 1, 2]);
+        submit(&c, RtMethod::Commu, i, &[0, 1, 2]);
     }
     c.quiesce_within(QUIESCE).expect("quiesce before checkpoints");
 
@@ -122,7 +81,7 @@ fn restart_recovers_from_snapshot_replaying_only_the_suffix() {
 
     // Fresh traffic past the snapshot, then the crash.
     for i in 8..12 {
-        submit(&c, i, &[0, 1, 2]);
+        submit(&c, RtMethod::Commu, i, &[0, 1, 2]);
     }
     c.quiesce_within(QUIESCE).expect("quiesce before kill");
     let before = c.snapshot_of(SiteId(1)).expect("snapshot before kill");
@@ -150,7 +109,7 @@ fn restart_recovers_from_snapshot_replaying_only_the_suffix() {
     assert_eq!(status.ckpt_seq, 2, "restored chain should resume at seq 2");
     assert_eq!(status.ckpt_covered, 8);
 
-    certify_cluster(&c);
+    certify_cluster(&c, RtMethod::Commu);
     c.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -161,7 +120,7 @@ fn a_replay_counts_as_an_apply_with_and_without_a_snapshot() {
     let mut c = ProcCluster::spawn(esrd(), &dir, RtMethod::Commu, N).expect("spawn");
     let submit_range = |c: &ProcCluster, range: std::ops::Range<u64>, then: &str| {
         for i in range {
-            submit(c, i, &[0, 1, 2]);
+            submit(c, RtMethod::Commu, i, &[0, 1, 2]);
         }
         c.quiesce_within(QUIESCE).unwrap_or_else(|e| panic!("quiesce {then}: {e}"));
     };
@@ -199,7 +158,7 @@ fn a_replay_counts_as_an_apply_with_and_without_a_snapshot() {
         );
     }
 
-    certify_cluster(&c);
+    certify_cluster(&c, RtMethod::Commu);
     c.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -213,7 +172,7 @@ fn wiped_site_rejoins_via_snapshot_catch_up() {
         .expect("spawn");
 
     for i in 0..8 {
-        submit(&c, i, &[0, 1, 2]);
+        submit(&c, RtMethod::Commu, i, &[0, 1, 2]);
     }
     c.quiesce_within(QUIESCE).expect("quiesce before checkpoints");
     // Every site snapshots, so whichever peer answers first can serve
@@ -251,12 +210,12 @@ fn wiped_site_rejoins_via_snapshot_catch_up() {
 
     // The rejoined replica keeps up with new traffic.
     for i in 8..12 {
-        submit(&c, i, &[0, 1, 2]);
+        submit(&c, RtMethod::Commu, i, &[0, 1, 2]);
     }
     c.quiesce_within(QUIESCE).expect("quiesce after new traffic");
     assert!(c.converged().expect("converged after new traffic"));
 
-    certify_cluster(&c);
+    certify_cluster(&c, RtMethod::Commu);
     c.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -268,7 +227,7 @@ fn byte_policy_cuts_and_truncates_on_its_own() {
         .expect("spawn");
 
     for i in 0..32 {
-        submit(&c, i, &[0, 1, 2]);
+        submit(&c, RtMethod::Commu, i, &[0, 1, 2]);
     }
     c.quiesce_within(QUIESCE).expect("quiesce");
 
@@ -292,7 +251,7 @@ fn byte_policy_cuts_and_truncates_on_its_own() {
     assert!(status.ckpt_seq >= 2, "policy should have installed a chain");
     assert!(c.converged().expect("converged"));
 
-    certify_cluster(&c);
+    certify_cluster(&c, RtMethod::Commu);
     c.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

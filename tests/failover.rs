@@ -17,63 +17,16 @@
 //! different site, after the failover, and still gets the original ET.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use esr::core::{EtId, ObjectId, ObjectOp, Operation, SiteId, Value};
+use esr::core::{ObjectId, ObjectOp, Operation, SiteId, Value};
 use esr::runtime::{ProcCluster, RtMethod};
-use esr_check::certify::{certify, SiteTrace};
 
-const X: ObjectId = ObjectId(0);
-const Y: ObjectId = ObjectId(1);
-const N: usize = 3;
+mod support;
+use support::{certify_cluster, esrd, fresh_dir, submit, wait_for_view, N, X, Y};
+
 const PHASE: u64 = 6; // updates before and after the coordinator dies
 const QUIESCE: Duration = Duration::from_secs(90);
-/// Suspicion fires after ~3s of coordinator silence (12 ticks of
-/// 250ms); give elections a generous multiple of that.
-const FAILOVER: Duration = Duration::from_secs(45);
-
-fn esrd() -> &'static str {
-    env!("CARGO_BIN_EXE_esrd")
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let k = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("esr-failover-{}-{tag}-{k}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Same order-insensitive workload shapes as `proc_cluster.rs`.
-fn submit(c: &ProcCluster, method: RtMethod, i: u64, origins: &[u64]) -> EtId {
-    let origin = SiteId(origins[i as usize % origins.len()]);
-    let result = match method {
-        RtMethod::Ordup => {
-            if i % 3 == 2 {
-                c.submit_update(origin, vec![ObjectOp::new(X, Operation::MulBy(2))])
-            } else {
-                c.submit_update(
-                    origin,
-                    vec![
-                        ObjectOp::new(X, Operation::Incr(i as i64 + 1)),
-                        ObjectOp::new(Y, Operation::Incr(1)),
-                    ],
-                )
-            }
-        }
-        RtMethod::Commu | RtMethod::Compe => c.submit_update(
-            origin,
-            vec![
-                ObjectOp::new(X, Operation::Incr(i as i64 + 1)),
-                ObjectOp::new(Y, Operation::Incr(1)),
-            ],
-        ),
-        RtMethod::Ritu | RtMethod::RituMv => c.submit_blind_write(origin, X, Value::Int(i as i64)),
-    };
-    result.unwrap_or_else(|e| panic!("{method:?}: submit {i} failed: {e}"))
-}
-
 fn expected_final(method: RtMethod, updates: u64) -> BTreeMap<ObjectId, Value> {
     let mut x = 0i64;
     let mut y = 0i64;
@@ -112,24 +65,6 @@ fn expected_final(method: RtMethod, updates: u64) -> BTreeMap<ObjectId, Value> {
     m
 }
 
-/// Polls `site` until it reports a view of at least `min_view`.
-fn wait_for_view(c: &ProcCluster, site: SiteId, min_view: u64, what: &str) -> u64 {
-    let deadline = Instant::now() + FAILOVER;
-    loop {
-        if let Ok(s) = c.status_of(site) {
-            if s.view >= min_view {
-                return s.view;
-            }
-        }
-        assert!(
-            Instant::now() < deadline,
-            "{what}: site {} never reached view {min_view} within {FAILOVER:?}",
-            site.raw()
-        );
-        std::thread::sleep(Duration::from_millis(100));
-    }
-}
-
 /// At quiescence: every site in the same view `>= min_view`, and the
 /// coordinator role held by exactly the site that view elects.
 fn assert_view_consistent(c: &ProcCluster, method: RtMethod, min_view: u64) {
@@ -152,22 +87,6 @@ fn assert_view_consistent(c: &ProcCluster, method: RtMethod, min_view: u64) {
             "{method:?}: site {i} coordinator role wrong for view {view}"
         );
     }
-}
-
-fn certify_cluster(c: &ProcCluster, method: RtMethod) {
-    let traces: Vec<SiteTrace> = (0..N)
-        .map(|s| {
-            let (dropped, events) = c
-                .trace_of(SiteId(s as u64))
-                .unwrap_or_else(|e| panic!("{method:?}: trace of site {s}: {e}"));
-            SiteTrace::from_dump(s as u64, dropped, events)
-        })
-        .collect();
-    let findings = certify(method, &traces);
-    assert!(
-        findings.is_empty(),
-        "{method:?}: trace certification failed:\n{findings:#?}"
-    );
 }
 
 /// The core scenario: kill the acting coordinator mid-stream, keep

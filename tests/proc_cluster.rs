@@ -11,7 +11,6 @@
 //! that is the point.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
 
@@ -19,60 +18,12 @@ use esr::core::{EtId, ObjectId, ObjectOp, Operation, SiteId, Value};
 use esr::runtime::ctrl::Record;
 use esr::runtime::recovery::ApplyJournal;
 use esr::runtime::{ProcCluster, RtMethod};
-use esr_check::certify::{certify, SiteTrace};
 
-const X: ObjectId = ObjectId(0);
-const Y: ObjectId = ObjectId(1);
-const N: usize = 3;
+mod support;
+use support::{certify_cluster, esrd, fresh_dir, submit, N, X, Y};
+
 const PHASE: u64 = 8; // updates submitted before and after the kill
 const QUIESCE: Duration = Duration::from_secs(60);
-
-fn esrd() -> &'static str {
-    env!("CARGO_BIN_EXE_esrd")
-}
-
-/// A unique private directory for one cluster (addr files, epochs,
-/// journals, snapshots).
-fn fresh_dir(tag: &str) -> PathBuf {
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let k = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("esr-proc-{}-{tag}-{k}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Submits update `i`, originating it at one of `origins` (phase 2
-/// passes only the living sites — a killed daemon cannot accept
-/// submissions, unlike the simulator, where a submit waits for the
-/// site). Ops are chosen per method so the final state is independent
-/// of delivery order.
-fn submit(c: &ProcCluster, method: RtMethod, i: u64, origins: &[u64]) -> EtId {
-    let origin = SiteId(origins[i as usize % origins.len()]);
-    let result = match method {
-        RtMethod::Ordup => {
-            if i % 3 == 2 {
-                c.submit_update(origin, vec![ObjectOp::new(X, Operation::MulBy(2))])
-            } else {
-                c.submit_update(
-                    origin,
-                    vec![
-                        ObjectOp::new(X, Operation::Incr(i as i64 + 1)),
-                        ObjectOp::new(Y, Operation::Incr(1)),
-                    ],
-                )
-            }
-        }
-        RtMethod::Commu | RtMethod::Compe => c.submit_update(
-            origin,
-            vec![
-                ObjectOp::new(X, Operation::Incr(i as i64 + 1)),
-                ObjectOp::new(Y, Operation::Incr(1)),
-            ],
-        ),
-        RtMethod::Ritu | RtMethod::RituMv => c.submit_blind_write(origin, X, Value::Int(i as i64)),
-    };
-    result.unwrap_or_else(|e| panic!("{method:?}: submit {i} failed: {e}"))
-}
 
 /// What a fault-free, single-site execution of the scenario yields.
 fn expected_final(method: RtMethod) -> BTreeMap<ObjectId, Value> {
@@ -113,26 +64,6 @@ fn expected_final(method: RtMethod) -> BTreeMap<ObjectId, Value> {
     m.insert(X, Value::Int(x));
     m.insert(Y, Value::Int(y));
     m
-}
-
-/// Dumps every site's EventRing and runs the replication-aware trace
-/// certifier over the quiesced cluster: the per-method visibility and
-/// convergence specs must hold on the *live* run's own evidence, not
-/// just on the final snapshots.
-fn certify_cluster(c: &ProcCluster, method: RtMethod, n: usize) {
-    let traces: Vec<SiteTrace> = (0..n)
-        .map(|s| {
-            let (dropped, events) = c
-                .trace_of(SiteId(s as u64))
-                .unwrap_or_else(|e| panic!("{method:?}: trace of site {s}: {e}"));
-            SiteTrace::from_dump(s as u64, dropped, events)
-        })
-        .collect();
-    let findings = certify(method, &traces);
-    assert!(
-        findings.is_empty(),
-        "{method:?}: trace certification failed:\n{findings:#?}"
-    );
 }
 
 /// The registry equals the fold of the dump: a site's delivery and
@@ -283,7 +214,7 @@ fn assert_proc_scenario(method: RtMethod, tag: &str) {
         let what = format!("{method:?} site {i}");
         assert_counters_match_trace(&what, i, &labels, &text, &trace.join("\n"));
     }
-    certify_cluster(&c, method, N);
+    certify_cluster(&c, method);
     c.shutdown();
     // No checkpoint policy is set here, so nothing is retired: each
     // journal holds every update, the coordinator's every decision too,
@@ -348,7 +279,7 @@ fn journal_replay_alone_restores_acknowledged_state() {
         "journal replay lost acknowledged state"
     );
     assert!(c.converged().expect("converged"));
-    certify_cluster(&c, RtMethod::Commu, N);
+    certify_cluster(&c, RtMethod::Commu);
     c.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -381,7 +312,7 @@ fn a_restart_writes_no_link_file_and_leaves_the_journal_as_it_was() {
         .collect();
     assert!(links.is_empty(), "link queue files: {links:?}");
     assert!(c.converged().expect("converged"));
-    certify_cluster(&c, RtMethod::Commu, N);
+    certify_cluster(&c, RtMethod::Commu);
     c.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -411,7 +342,7 @@ fn a_panicking_daemon_exits_and_recovers_from_its_journal() {
     assert!(c.converged().expect("converged"));
     let expected = BTreeMap::from([(X, Value::Int(i64::MAX))]);
     assert_eq!(c.snapshot_of(SiteId(0)).expect("snapshot"), expected);
-    certify_cluster(&c, RtMethod::Commu, N);
+    certify_cluster(&c, RtMethod::Commu);
     c.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -689,7 +620,7 @@ fn esrctl_metrics_scrapes_live_series_from_every_site() {
         assert_counters_match_trace(&format!("esrctl site {s}"), s, &site_labels, &text, &trace);
         assert_one_label_set_per_name(&format!("esrctl site {s}"), &text);
     }
-    certify_cluster(&c, RtMethod::RituMv, N);
+    certify_cluster(&c, RtMethod::RituMv);
     c.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

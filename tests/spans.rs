@@ -16,61 +16,16 @@
 //! the CLI (site discovery, merge, render) is the operator-facing
 //! artifact the subsystem exists for.
 
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
 
-use esr::core::{EtId, ObjectId, ObjectOp, Operation, SiteId, Value};
+use esr::core::{EtId, SiteId};
 use esr::replica::span::SpanStage;
 use esr::runtime::{merge_timeline, ProcCluster, RtMethod, SiteSpan};
 
-const X: ObjectId = ObjectId(0);
-const Y: ObjectId = ObjectId(1);
-const N: usize = 3;
-const FAILOVER: Duration = Duration::from_secs(45);
-
-fn esrd() -> &'static str {
-    env!("CARGO_BIN_EXE_esrd")
-}
+mod support;
+use support::{esrd, fresh_dir, submit, wait_for_view, N};
 
 fn esrctl() -> &'static str {
     env!("CARGO_BIN_EXE_esrctl")
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let k = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("esr-spans-{}-{tag}-{k}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Same order-insensitive workload shapes as `proc_cluster.rs`.
-fn submit(c: &ProcCluster, method: RtMethod, i: u64, origins: &[u64]) -> EtId {
-    let origin = SiteId(origins[i as usize % origins.len()]);
-    let result = match method {
-        RtMethod::Ordup => {
-            if i % 3 == 2 {
-                c.submit_update(origin, vec![ObjectOp::new(X, Operation::MulBy(2))])
-            } else {
-                c.submit_update(
-                    origin,
-                    vec![
-                        ObjectOp::new(X, Operation::Incr(i as i64 + 1)),
-                        ObjectOp::new(Y, Operation::Incr(1)),
-                    ],
-                )
-            }
-        }
-        RtMethod::Commu | RtMethod::Compe => c.submit_update(
-            origin,
-            vec![
-                ObjectOp::new(X, Operation::Incr(i as i64 + 1)),
-                ObjectOp::new(Y, Operation::Incr(1)),
-            ],
-        ),
-        RtMethod::Ritu | RtMethod::RituMv => c.submit_blind_write(origin, X, Value::Int(i as i64)),
-    };
-    result.unwrap_or_else(|e| panic!("{method:?}: submit {i} failed: {e}"))
 }
 
 /// The test's own mirror of the happens-before ranks, so the assertion
@@ -262,23 +217,6 @@ fn every_et_timeline_is_complete_for_every_method() {
     }
 }
 
-/// Polls `site` until it reports a view of at least `min_view`.
-fn wait_for_view(c: &ProcCluster, site: SiteId, min_view: u64) -> u64 {
-    let deadline = Instant::now() + FAILOVER;
-    loop {
-        if let Ok(s) = c.status_of(site) {
-            if s.view >= min_view {
-                return s.view;
-            }
-        }
-        assert!(
-            Instant::now() < deadline,
-            "{site} never reached view {min_view}"
-        );
-        std::thread::sleep(Duration::from_millis(100));
-    }
-}
-
 /// The hard case: `SIGKILL` the coordinator mid-stream. Its span ring
 /// dies with the process, but after restart the journal-replay spans
 /// (`replay`, rank-equal to `apply`) stitch into every pre-kill ET's
@@ -297,7 +235,7 @@ fn timelines_stitch_across_coordinator_failover() {
     c.quiesce();
 
     c.kill(SiteId(0));
-    wait_for_view(&c, SiteId(1), 1);
+    wait_for_view(&c, SiteId(1), 1, "failover");
     let after: Vec<EtId> = (PHASE..2 * PHASE)
         .map(|i| submit(&c, method, i, &[1, 2]))
         .collect();
