@@ -9,7 +9,7 @@
 //! process for the daemon keeps each side under the per-process fd
 //! limit at the 10k tier, and makes its thread/RSS numbers its own.)
 //!
-//! What the tiers demonstrate: with the poll-driven reactor the daemon
+//! What the tiers demonstrate: with the epoll-driven reactor the daemon
 //! runs ONE I/O thread regardless of fan-in — its process thread count
 //! stays flat from 1k to 10k clients and memory grows only by the
 //! per-connection buffers. A thread-per-connection daemon would need

@@ -3,10 +3,10 @@
 //! real TCP connection.
 //!
 //! [`Links`] holds one connection state machine per peer, each owning
-//! the in-memory [`MemQueue`] it drains, and is handed whole to a
-//! poll-driven [`Reactor`](super::reactor::Reactor) at spawn. The reactor lends it
+//! the in-memory [`MemQueue`] it drains, and is handed whole to an
+//! epoll-driven [`Reactor`](super::reactor::Reactor) at spawn. The reactor lends it
 //! to its service on every call: [`Links::send_batch`] enqueues and
-//! marks the link to be pumped before the reactor next polls. The
+//! marks the link to be pumped before the reactor next waits. The
 //! reactor drains the queue over TCP, retransmitting every
 //! unacknowledged entry each time the connection is (re)established —
 //! at-least-once delivery, with the receiver responsible for
@@ -81,7 +81,7 @@ impl Links {
     }
 
     /// Enqueues `payloads` on the link to `to`, in order, and marks the
-    /// link to be pumped before the reactor next polls; returns the
+    /// link to be pumped before the reactor next waits; returns the
     /// entry the last one took. Delivery happens (and keeps being
     /// retried) from the reactor. A peer with no link gets nothing.
     pub fn send_batch(
@@ -145,12 +145,23 @@ mod tests {
     /// to `addr`, with a tight redial backoff, and that link's ack
     /// counter.
     fn link_to(addr: SocketAddr, hello: &'static [u8], entries: Vec<Bytes>) -> (Reactor, Counter) {
+        let (reactor, registry) = link_via(Box::new(move || Some(addr)), hello, entries);
+        (reactor, registry.counter("esr_link_acks_total", &[("link", "0->1")]))
+    }
+
+    /// [`link_to`] a peer `resolve` finds afresh before every dial; the
+    /// link's series are in the returned registry.
+    fn link_via(
+        resolve: Resolver,
+        hello: &'static [u8],
+        entries: Vec<Bytes>,
+    ) -> (Reactor, MetricsRegistry) {
         let registry = MetricsRegistry::new();
         let obs = LinkInstruments::for_link(&registry, "0->1");
         let mut links = Links::default();
         links.attach(
             1,
-            Box::new(move || Some(addr)),
+            resolve,
             Bytes::from_static(hello),
             Backoff {
                 initial: Duration::from_millis(5),
@@ -163,7 +174,7 @@ mod tests {
         let pipe = WakePipe::new().unwrap();
         let obs = ReactorInstruments::for_registry(&registry);
         let reactor = Reactor::spawn(pipe, listener, Idle, links, obs).unwrap();
-        (reactor, registry.counter("esr_link_acks_total", &[("link", "0->1")]))
+        (reactor, registry)
     }
 
     fn payloads(items: &[&'static [u8]]) -> Vec<Bytes> {
@@ -274,5 +285,43 @@ mod tests {
         put_acks(&mut frame, &ids).unwrap();
         std::io::Write::write_all(&mut s, &frame).unwrap();
         wait_until(|| acks.get() == 5);
+    }
+
+    #[test]
+    fn a_restarted_peer_is_redialed_on_a_fresh_socket_and_acks_the_retransmits() {
+        let first = TcpListener::bind("127.0.0.1:0").unwrap();
+        let published = std::sync::Arc::new(std::sync::Mutex::new(first.local_addr().unwrap()));
+        let resolve = {
+            let published = std::sync::Arc::clone(&published);
+            Box::new(move || Some(*published.lock().unwrap()))
+        };
+        let (_reactor, registry) = link_via(resolve, b"h", payloads(&[b"one", b"two"]));
+        let metric = |name: &str| registry.counter(name, &[("link", "0->1")]).get();
+
+        // First incarnation: take both entries, ack neither, and die —
+        // listener and connection both, as a killed daemon would.
+        {
+            let (mut s, _) = accept_peer(&first);
+            for _ in 0..2 {
+                read_frame(&mut s).unwrap();
+            }
+            drop(first);
+        }
+
+        // The peer boots on a new port and publishes it: the link dials a
+        // fresh socket (most likely on the old one's descriptor number),
+        // retransmits both entries, and their acks retire them.
+        let second = TcpListener::bind("127.0.0.1:0").unwrap();
+        *published.lock().unwrap() = second.local_addr().unwrap();
+        let (mut s, _) = accept_peer(&second);
+        for expect in [b"one".as_slice(), b"two".as_slice()] {
+            let frame = read_frame(&mut s).unwrap();
+            let env = unseal(&frame).unwrap();
+            assert_eq!(env.payload, expect);
+            write_envelope(&mut s, env.entry, &[]).unwrap();
+        }
+        wait_until(|| metric("esr_link_acks_total") == 2);
+        assert_eq!(metric("esr_link_retransmits_total"), 2);
+        assert_eq!(metric("esr_link_dials_total"), 2);
     }
 }

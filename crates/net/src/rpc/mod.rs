@@ -2,7 +2,7 @@
 //!
 //! Where the rest of this crate *plans* deliveries in virtual time for
 //! the simulator, this module moves actual bytes: length-prefixed
-//! frames over `std::net::TcpStream` ([`frame`]), a poll-driven
+//! frames over `std::net::TcpStream` ([`frame`]), an epoll-driven
 //! readiness loop multiplexing every socket on one thread ([`reactor`]
 //! over the thin [`sys`] FFI), and at-least-once outbound links
 //! that drain a stable queue with reconnect + exponential backoff

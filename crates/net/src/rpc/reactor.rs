@@ -1,6 +1,7 @@
-//! Poll-driven reactor: one thread multiplexing every nonblocking
+//! Epoll-driven reactor: one thread multiplexing every nonblocking
 //! socket a daemon owns — its listener, each accepted RPC connection,
-//! and each outbound link — over `poll(2)` ([`super::sys`]).
+//! and each outbound link — over one level-triggered `epoll` set
+//! ([`super::sys::Epoll`]).
 //!
 //! This replaces the thread-per-accepted-connection and
 //! thread-per-link model: fan-in no longer costs an OS thread (and its
@@ -25,7 +26,8 @@
 //!   [`super::frame::put_acks`]). Replies coalesce into a per-connection
 //!   write buffer flushed on write readiness; a connection whose buffer
 //!   exceeds [`WRITE_BUF_CAP`] stops being read until the peer drains
-//!   it (backpressure instead of unbounded memory).
+//!   it (backpressure instead of unbounded memory). Every close is
+//!   counted by its cause (`esr_reactor_closed_total{cause}`).
 //! - **Outbound links** run the stable-queue retry contract as a
 //!   dial/connect/pump state machine: nonblocking connect with a
 //!   deadline, capped exponential redial backoff, full retransmission
@@ -35,16 +37,28 @@
 //!   buffer by reference, and an acknowledgement retires its ids
 //!   straight from the receive buffer.
 //!
+//! **Interest is registered once.** Each socket joins the epoll set
+//! when it comes into being — the wake pipe and the listener at spawn,
+//! an accepted connection when it takes its slot, a link's socket when
+//! it dials — under a token naming its owner, and leaves it when it is
+//! closed. What a socket waits for changes only on a transition (a
+//! flush leaves bytes owed or pays them off, a write buffer crosses
+//! [`WRITE_BUF_CAP`], a link's connect completes), checked against the
+//! mask it is registered with; a request/reply round trip on an
+//! established connection makes no `epoll_ctl` call. A cycle visits
+//! only the ready events, plus its links (O(peers)) for their pumps and
+//! timers.
+//!
 //! A self-pipe carries the only wake-ups from other threads
 //! ([`Waker`]: a background worker reporting back, and shutdown), so
-//! the loop blocks in `poll` until a socket, that pipe or its next
-//! timer needs it.
+//! the loop blocks in `epoll_wait` until a socket, that pipe or its
+//! next timer needs it.
 //!
 //! A readiness event costs as few syscalls as its bytes need. Every
 //! socket — and the wake pipe — is read until a *short* read (or the
-//! per-cycle cap), never on to the `read` that returns `EAGAIN`:
-//! `poll(2)` is level-triggered, so bytes that land after the short read
-//! are reported next cycle. Every frame goes straight into its
+//! per-cycle cap), never on to the `read` that returns `EAGAIN`: the
+//! epoll set is level-triggered, so bytes that land after the short
+//! read are reported next cycle. Every frame goes straight into its
 //! connection's write buffer ([`super::frame::put_frame`]), so a cycle's
 //! replies, acks and link entries leave in one `write` per socket.
 //!
@@ -52,17 +66,19 @@
 //! connection's envelopes go to [`RpcService::handle_batch`], replies
 //! and acks accumulating in its write buffer; a due
 //! [`RpcService::tick`] runs after them — its deadline is checked on
-//! every cycle, not only when `poll` times out, so a loop that never
+//! every cycle, not only when the wait times out, so a loop that never
 //! idles still ticks. **Commit**: the service gets one
 //! [`RpcService::commit`] call, where it makes durable whatever the
 //! cycle implied. **Write**: only then are the write buffers flushed,
 //! and the links the service enqueued on are pumped at the top of the
-//! next cycle, before it polls.
+//! next cycle, before it waits.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -73,7 +89,7 @@ use esr_storage::stable_queue::{EntryId, MemQueue, StableQueue};
 use super::frame::{
     be_u32, put_frame, scan, Envelopes, KIND_CLIENT, KIND_PEER, MAX_FRAME, NO_ENTRY,
 };
-use super::sys::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
+use super::sys::{self, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 
 use super::conn::{Backoff, Links, Resolver};
 
@@ -115,7 +131,7 @@ pub enum ConnKind {
 /// thread at [`Reactor::spawn`] and called only from there.
 ///
 /// Every call is lent the reactor's [`Links`]: what the service
-/// enqueues there is pumped before the next `poll`.
+/// enqueues there is pumped before the next wait.
 pub trait RpcService: Send + 'static {
     /// The interval of [`RpcService::tick`] — a constant of the
     /// service, not a setting.
@@ -191,6 +207,9 @@ impl WakePipe {
 pub struct Reactor {
     shutdown: UnixStream,
     thread: Option<JoinHandle<()>>,
+    /// The thread's `epoll_ctl` calls so far, for this module's tests.
+    #[cfg(test)]
+    ctl_calls: Arc<AtomicU64>,
 }
 
 impl Reactor {
@@ -206,12 +225,21 @@ impl Reactor {
     ) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
         let WakePipe { tx, rx } = pipe;
+        let ctl_calls = Arc::<AtomicU64>::default();
+        let interest = Interest {
+            ep: Epoll::new()?,
+            ctl_calls: Arc::clone(&ctl_calls),
+        };
+        interest.add(rx.as_raw_fd(), EPOLLIN, Owner::Wake)?;
+        interest.add(listener.as_raw_fd(), EPOLLIN, Owner::Listener)?;
         let thread = std::thread::Builder::new()
             .name("esr-reactor".into())
-            .spawn(move || run(&rx, &listener, service, links, &obs))?;
+            .spawn(move || run(&rx, &listener, &interest, service, links, &obs))?;
         Ok(Self {
             shutdown: tx,
             thread: Some(thread),
+            #[cfg(test)]
+            ctl_calls,
         })
     }
 }
@@ -251,6 +279,15 @@ impl WriteBuf {
         self.buf.len() - self.pos
     }
 
+    /// Output interest: a socket waits to write while it owes bytes.
+    fn out_interest(&self) -> u32 {
+        if self.pending() > 0 {
+            EPOLLOUT
+        } else {
+            0
+        }
+    }
+
     /// Writes as much as the socket accepts; `Ok(true)` when drained.
     fn flush(&mut self, stream: &mut TcpStream) -> io::Result<bool> {
         while self.pos < self.buf.len() {
@@ -277,8 +314,8 @@ struct RecvBuf {
 
 impl RecvBuf {
     /// Reads until a short read (or `max_bytes`); `Ok(false)` on EOF.
-    /// A read that did not fill `scratch` emptied the socket, and
-    /// `poll(2)` is level-triggered — bytes that land after it are
+    /// A read that did not fill `scratch` emptied the socket, and the
+    /// epoll set is level-triggered — bytes that land after it are
     /// reported next cycle — so chasing them with one more `read` would
     /// only collect an `EAGAIN`.
     fn fill(&mut self, stream: &mut TcpStream, scratch: &mut [u8], max_bytes: usize) -> io::Result<bool> {
@@ -318,6 +355,34 @@ struct Inbound {
     kind: Option<ConnKind>,
     rbuf: RecvBuf,
     wbuf: WriteBuf,
+    /// What the socket is registered to wait for.
+    interest: u32,
+}
+
+impl Inbound {
+    /// What the socket should wait for: input while it owes less than
+    /// [`WRITE_BUF_CAP`], output while it owes anything.
+    fn wants(&self) -> u32 {
+        let input = if self.wbuf.pending() < WRITE_BUF_CAP { EPOLLIN } else { 0 };
+        input | self.wbuf.out_interest()
+    }
+}
+
+/// Why an accepted connection closed: an index into
+/// [`ReactorInstruments::closed`], in the order of
+/// [`esr_obs::CLOSE_CAUSES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Close {
+    /// The peer hung up.
+    Eof,
+    /// A read, write or registration failed.
+    IoError,
+    /// A frame failed the scan (oversized, or too short for its header).
+    BadFrame,
+    /// The first byte named no plane.
+    UnknownPlane,
+    /// The service returned `false` from [`RpcService::handle_batch`].
+    Refused,
 }
 
 enum LinkPhase {
@@ -333,6 +398,8 @@ enum LinkPhase {
         /// Highest entry transmitted on *this* connection; resets on
         /// reconnect so unacknowledged entries retransmit.
         sent_high: Option<EntryId>,
+        /// What the socket is registered to wait for.
+        interest: u32,
     },
 }
 
@@ -348,7 +415,7 @@ pub(crate) struct LinkConn {
     backoff: Backoff,
     /// Per-link metrics bundle.
     obs: LinkInstruments,
-    /// Enqueued on since the last pump: pumped before the next `poll`.
+    /// Enqueued on since the last pump: pumped before the next wait.
     pub(crate) dirty: bool,
     delay: Duration,
     /// Highest entry ever transmitted on *any* connection: anything at
@@ -390,10 +457,8 @@ impl LinkConn {
 
     /// Connection lost after being up: redial immediately (the backoff
     /// only grows on dial *failures*).
-    fn drop_conn(&mut self) {
-        self.phase = LinkPhase::Down {
-            retry_at: Instant::now(),
-        };
+    fn drop_conn(&mut self, now: Instant) {
+        self.phase = LinkPhase::Down { retry_at: now };
     }
 
     /// Dial failed (or the peer has no published address): back off.
@@ -404,24 +469,31 @@ impl LinkConn {
         self.delay = (self.delay * 2).min(self.backoff.max);
     }
 
-    fn try_dial(&mut self, now: Instant) {
-        match (self.resolve)() {
-            Some(addr) => match sys::connect_nonblocking(&addr) {
-                Ok(stream) => {
-                    self.phase = LinkPhase::Connecting {
-                        stream,
-                        deadline: now + CONNECT_TIMEOUT,
-                    };
-                }
-                Err(_) => self.dial_failed(now),
-            },
+    /// Dials a fresh socket and registers it, as link `j`, to learn
+    /// when its connect completes.
+    fn try_dial(&mut self, j: usize, interest: &Interest, now: Instant) {
+        let dialed = (self.resolve)().and_then(|addr| {
+            let stream = sys::connect_nonblocking(&addr).ok()?;
+            interest
+                .add(stream.as_raw_fd(), EPOLLOUT, Owner::Link(j))
+                .ok()?;
+            Some(stream)
+        });
+        match dialed {
+            Some(stream) => {
+                self.phase = LinkPhase::Connecting {
+                    stream,
+                    deadline: now + CONNECT_TIMEOUT,
+                };
+            }
             None => self.dial_failed(now),
         }
     }
 
     /// Connect handshake finished: queue the kind byte + hello, reset
     /// the per-connection high-water mark so everything unacknowledged
-    /// retransmits.
+    /// retransmits. The socket is still registered for writability
+    /// only; the pump that follows moves it to what it waits for now.
     fn go_up(&mut self, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
         let mut wbuf = WriteBuf::default();
@@ -434,6 +506,7 @@ impl LinkConn {
             rbuf: RecvBuf::default(),
             wbuf,
             sent_high: None,
+            interest: EPOLLOUT,
         };
     }
 }
@@ -481,13 +554,15 @@ fn refresh_queue_gauge(l: &mut LinkConn, now: Instant) {
 }
 
 /// Transmits pending queue entries into the link's write buffer
-/// (coalesced, oldest first, past the connection's high-water mark) and
-/// flushes what the socket accepts.
-fn pump_link(l: &mut LinkConn, now: Instant) {
+/// (coalesced, oldest first, past the connection's high-water mark),
+/// flushes what the socket accepts, and has link `j`'s socket wait for
+/// acks — and for writability while it still owes bytes.
+fn pump_link(l: &mut LinkConn, j: usize, interest: &Interest, now: Instant) {
     if let LinkPhase::Up {
         stream,
         wbuf,
         sent_high,
+        interest: have,
         ..
     } = &mut l.phase
     {
@@ -504,8 +579,12 @@ fn pump_link(l: &mut LinkConn, now: Instant) {
             }
             *sent_high = Some(id);
         }
-        if wbuf.flush(stream).is_err() {
-            l.drop_conn();
+        let synced = wbuf.flush(stream).is_ok() && {
+            let want = EPOLLIN | wbuf.out_interest();
+            interest.update(stream.as_raw_fd(), Owner::Link(j), have, want).is_ok()
+        };
+        if !synced {
+            l.drop_conn(now);
         }
     }
     refresh_queue_gauge(l, now);
@@ -531,12 +610,12 @@ fn reap_link(l: &mut LinkConn, scratch: &mut [u8]) -> bool {
     alive
 }
 
-/// Runs link timers (dial retries, connect deadlines) and reports when
-/// this link next needs the loop to wake.
-fn link_tick(l: &mut LinkConn, now: Instant) -> Option<Instant> {
+/// Runs link `j`'s timers (dial retries, connect deadlines) and
+/// reports when it next needs the loop to wake.
+fn link_tick(l: &mut LinkConn, j: usize, interest: &Interest, now: Instant) -> Option<Instant> {
     if let LinkPhase::Down { retry_at } = l.phase {
         if retry_at <= now {
-            l.try_dial(now);
+            l.try_dial(j, interest, now);
         }
     }
     if let LinkPhase::Connecting { deadline, .. } = l.phase {
@@ -555,40 +634,44 @@ fn link_tick(l: &mut LinkConn, now: Instant) -> Option<Instant> {
 }
 
 /// Reads what an inbound connection's socket holds and learns its
-/// plane from the first byte. Returns `false` when the peer hung up or
-/// spoke no known plane (envelopes that did arrive are still served).
-fn read_inbound(c: &mut Inbound, scratch: &mut [u8]) -> bool {
-    let mut alive = true;
+/// plane from the first byte. Returns why the connection must close, if
+/// the peer hung up or spoke no known plane (envelopes that did arrive
+/// are still served).
+fn read_inbound(c: &mut Inbound, scratch: &mut [u8]) -> Option<Close> {
+    let mut close = None;
     // Skip the fill when a previous cycle already left a large backlog
     // of decodable bytes (a backpressured connection drains first). A
     // backlog that is one still-incomplete frame must keep filling, or
     // a frame larger than the per-cycle cap would never finish arriving.
     if c.rbuf.buf.len() < MAX_READ_PER_CYCLE || !c.rbuf.has_complete_frame() {
-        alive = c
-            .rbuf
-            .fill(&mut c.stream, scratch, MAX_READ_PER_CYCLE)
-            .unwrap_or_default();
+        close = match c.rbuf.fill(&mut c.stream, scratch, MAX_READ_PER_CYCLE) {
+            Ok(true) => None,
+            Ok(false) => Some(Close::Eof),
+            Err(_) => Some(Close::IoError),
+        };
     }
     if c.kind.is_none() && !c.rbuf.buf.is_empty() {
         c.kind = match c.rbuf.buf.remove(0) {
             KIND_PEER => Some(ConnKind::Peer),
             KIND_CLIENT => Some(ConnKind::Client),
-            _ => return false,
+            _ => return Some(Close::UnknownPlane),
         };
     }
-    alive
+    close
 }
 
 /// Decodes and dispatches an inbound connection's buffered envelopes
 /// until its write buffer hits the cap. Nothing is flushed here: the
 /// replies leave after the cycle's commit. Returns whether the service
-/// was handed any batch (and so is owed a commit); clears `alive` when
-/// the connection should close once its replies have left.
+/// was handed any batch (and so is owed a commit); sets `close` when
+/// the connection should close once its replies have left — a bad frame
+/// or a refusal names the cause, as it came before whatever the read
+/// found at the stream's end.
 fn dispatch_inbound<S: RpcService>(
     c: &mut Inbound,
     service: &mut S,
     links: &mut Links,
-    alive: &mut bool,
+    close: &mut Option<Close>,
 ) -> bool {
     let Some(kind) = c.kind else { return false };
     let mut handled = false;
@@ -596,7 +679,7 @@ fn dispatch_inbound<S: RpcService>(
         // The batch borrows the receive buffer for the call; the bytes it
         // spanned are drained once the service returns.
         let Ok((envs, used)) = scan(&c.rbuf.buf, ENV_BATCH) else {
-            *alive = false;
+            *close = Some(Close::BadFrame);
             break;
         };
         if envs.is_empty() {
@@ -606,7 +689,7 @@ fn dispatch_inbound<S: RpcService>(
         let keep = service.handle_batch(kind, envs, &mut c.wbuf.buf, links);
         c.rbuf.buf.drain(..used);
         if !keep {
-            *alive = false;
+            *close = Some(Close::Refused);
             break;
         }
     }
@@ -621,22 +704,46 @@ struct Conns {
 }
 
 impl Conns {
-    fn insert(&mut self, conn: Inbound) {
+    /// Puts `conn` in a free slot; returns its index.
+    fn insert(&mut self, conn: Inbound) -> usize {
         match self.free.pop() {
-            Some(i) => self.slots[i] = Some(conn),
-            None => self.slots.push(Some(conn)),
+            Some(i) => {
+                self.slots[i] = Some(conn);
+                i
+            }
+            None => {
+                self.slots.push(Some(conn));
+                self.slots.len() - 1
+            }
         }
     }
 
-    fn remove(&mut self, i: usize) {
+    /// Closes the connection in slot `i` — its socket leaves the epoll
+    /// set with its descriptor — and counts the close under `cause`.
+    fn close(&mut self, i: usize, cause: Close, obs: &ReactorInstruments) {
         if self.slots[i].take().is_some() {
             self.free.push(i);
+            obs.connections.add(-1);
+            obs.closed[cause as usize].inc();
+        }
+    }
+
+    /// Has the connection in slot `i` wait for what it wants now,
+    /// closing it if the set refuses.
+    fn sync(&mut self, i: usize, interest: &Interest, obs: &ReactorInstruments) {
+        let Some(c) = self.slots[i].as_mut() else { return };
+        let want = c.wants();
+        if interest
+            .update(c.stream.as_raw_fd(), Owner::Conn(i), &mut c.interest, want)
+            .is_err()
+        {
+            self.close(i, Close::IoError, obs);
         }
     }
 }
 
-/// What one `pollfd` of a cycle belongs to.
-#[derive(Clone, Copy)]
+/// Whom a readiness event is for: the token a socket registers with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Owner {
     Wake,
     Listener,
@@ -644,102 +751,122 @@ enum Owner {
     Link(usize),
 }
 
+impl Owner {
+    /// The low two bits name the kind of owner, the rest its index.
+    fn token(self) -> u64 {
+        match self {
+            Owner::Wake => 0,
+            Owner::Listener => 1,
+            Owner::Conn(i) => (i as u64) << 2 | 2,
+            Owner::Link(j) => (j as u64) << 2 | 3,
+        }
+    }
+
+    fn of(token: u64) -> Self {
+        let i = (token >> 2) as usize;
+        match token & 3 {
+            0 => Owner::Wake,
+            1 => Owner::Listener,
+            2 => Owner::Conn(i),
+            _ => Owner::Link(i),
+        }
+    }
+}
+
+/// The reactor's epoll set, and a count of the `epoll_ctl` calls made on
+/// it (read by this module's tests; not a metric).
+struct Interest {
+    ep: Epoll,
+    ctl_calls: Arc<AtomicU64>,
+}
+
+impl Interest {
+    /// Registers a socket that just came into being.
+    fn add(&self, fd: RawFd, events: u32, owner: Owner) -> io::Result<()> {
+        self.ctl_calls.fetch_add(1, Ordering::Relaxed);
+        self.ep.add(fd, events, owner.token())
+    }
+
+    /// Re-registers `fd` for `want` when that differs from `have`, what
+    /// it is registered for now.
+    fn update(&self, fd: RawFd, owner: Owner, have: &mut u32, want: u32) -> io::Result<()> {
+        if *have == want {
+            return Ok(());
+        }
+        self.ctl_calls.fetch_add(1, Ordering::Relaxed);
+        self.ep.modify(fd, want, owner.token())?;
+        *have = want;
+        Ok(())
+    }
+}
+
 fn run<S: RpcService>(
     wake_rx: &UnixStream,
     listener: &TcpListener,
+    interest: &Interest,
     mut service: S,
     mut links: Links,
     obs: &ReactorInstruments,
 ) {
     let mut conns = Conns::default();
     let mut scratch = vec![0u8; READ_CHUNK];
-    let mut pollfds: Vec<PollFd> = Vec::new();
-    let mut owners: Vec<Owner> = Vec::new();
-    let mut next_tick = Instant::now() + S::TICK;
+    let mut ready: Vec<EpollEvent> = Vec::new();
+    let mut accepted: Vec<TcpStream> = Vec::new();
+    // The clock is read once before each wait and once after it; the
+    // reading after one wait times the cycle it starts and the link
+    // work at the top of the next.
+    let mut now = Instant::now();
+    let mut next_tick = now + S::TICK;
     // Inbound connections whose envelopes reached the service this
-    // cycle, with whether each outlives the flush of what it was
-    // answered; and those the commit loop dispatches again.
-    let mut dispatched: Vec<(usize, bool)> = Vec::new();
-    let mut again: Vec<(usize, bool)> = Vec::new();
+    // cycle, with why each closes once what it was answered is
+    // flushed; and those the commit loop dispatches again.
+    let mut dispatched: Vec<(usize, Option<Close>)> = Vec::new();
+    let mut again: Vec<(usize, Option<Close>)> = Vec::new();
 
     loop {
-        // 1. Pump every link enqueued on since the last poll, then run
+        // 1. Pump every link enqueued on since the last wait, then run
         // the link timers: due redials, expired connects, backlog ticks.
-        let now = Instant::now();
         let mut wake_at = next_tick;
-        for l in links.conns.iter_mut().flatten() {
+        for (j, l) in links.conns.iter_mut().enumerate() {
+            let Some(l) = l else { continue };
             if std::mem::take(&mut l.dirty) {
-                pump_link(l, now);
+                pump_link(l, j, interest, now);
             }
-            if let Some(t) = link_tick(l, now) {
+            if let Some(t) = link_tick(l, j, interest, now) {
                 wake_at = wake_at.min(t);
             }
         }
 
-        // 2. Build the descriptor set.
-        pollfds.clear();
-        owners.clear();
-        pollfds.push(PollFd::new(wake_rx.as_raw_fd(), POLLIN));
-        owners.push(Owner::Wake);
-        pollfds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
-        owners.push(Owner::Listener);
-        for (i, c) in conns.slots.iter().enumerate() {
-            let Some(c) = c else { continue };
-            let mut ev = 0;
-            if c.wbuf.pending() < WRITE_BUF_CAP {
-                ev |= POLLIN;
-            }
-            if c.wbuf.pending() > 0 {
-                ev |= POLLOUT;
-            }
-            pollfds.push(PollFd::new(c.stream.as_raw_fd(), ev));
-            owners.push(Owner::Conn(i));
+        // 2. Block for readiness (or the next timer), with room for an
+        // event from every socket. +1 rounds up so a sub-millisecond
+        // remainder can't spin.
+        let sockets = 2 + conns.slots.len() + links.conns.len();
+        if ready.len() < sockets {
+            ready.resize(sockets, EpollEvent::default());
         }
-        for (j, l) in links.conns.iter().enumerate() {
-            let Some(l) = l else { continue };
-            let (fd, events) = match &l.phase {
-                LinkPhase::Down { .. } => continue,
-                LinkPhase::Connecting { stream, .. } => (stream.as_raw_fd(), POLLOUT),
-                LinkPhase::Up { stream, wbuf, .. } => {
-                    let mut ev = POLLIN;
-                    if wbuf.pending() > 0 {
-                        ev |= POLLOUT;
-                    }
-                    (stream.as_raw_fd(), ev)
-                }
-            };
-            pollfds.push(PollFd::new(fd, events));
-            owners.push(Owner::Link(j));
-        }
-
-        // 3. Block for readiness (or the next timer). +1 rounds up so a
-        // sub-millisecond remainder can't spin.
-        let ms = wake_at.saturating_duration_since(now).as_millis() + 1;
+        let waited_at = Instant::now();
+        let ms = wake_at.saturating_duration_since(waited_at).as_millis() + 1;
         let timeout_ms = ms.min(i32::MAX as u128) as i32;
-        let polled_at = Instant::now();
-        let ready = match sys::poll(&mut pollfds, timeout_ms) {
+        let n = match interest.ep.wait(&mut ready, timeout_ms) {
             Ok(n) => n,
             Err(_) => {
                 std::thread::sleep(Duration::from_millis(5));
+                now = Instant::now();
                 continue;
             }
         };
-        let now = Instant::now();
-        obs.poll_micros.record(now.duration_since(polled_at).as_micros() as u64);
-        if ready > 0 {
+        now = Instant::now();
+        obs.poll_micros.record(now.duration_since(waited_at).as_micros() as u64);
+        if n > 0 {
             obs.wakeups.inc();
         }
 
-        // 4. Dispatch readiness. Accepted sockets are registered after
-        // the loop so a freed index can't be reused while stale
-        // revents still reference it.
-        let mut accepted: Vec<TcpStream> = Vec::new();
+        // 3. Dispatch the ready events. Accepted sockets take their slots
+        // (and join the set) only after the commit, so a slot freed this
+        // cycle can't be reused while a stale event still names it.
         let mut owed = false;
-        for (pfd, owner) in pollfds.iter().zip(&owners) {
-            if pfd.revents == 0 {
-                continue;
-            }
-            match *owner {
+        for &EpollEvent { events, token } in &ready[..n] {
+            match Owner::of(token) {
                 Owner::Wake => {
                     // Drain the pipe, up to a short read like any socket.
                     let mut pipe = wake_rx;
@@ -770,26 +897,28 @@ fn run<S: RpcService>(
                     let Some(c) = conns.slots[i].as_mut() else {
                         continue;
                     };
-                    let mut alive = true;
-                    if pfd.revents & POLLOUT != 0 && c.wbuf.flush(&mut c.stream).is_err() {
-                        alive = false;
+                    let mut close = None;
+                    if events & EPOLLOUT != 0 && c.wbuf.flush(&mut c.stream).is_err() {
+                        close = Some(Close::IoError);
                     }
                     // Any event (including a drained write buffer, which
                     // may unblock a backpressured connection's undecoded
                     // backlog) is a chance to read and dispatch — unless
                     // the connection still owes the peer too much.
-                    if alive && c.wbuf.pending() < WRITE_BUF_CAP {
-                        alive = read_inbound(c, &mut scratch);
-                        if dispatch_inbound(c, &mut service, &mut links, &mut alive) {
-                            dispatched.push((i, alive));
+                    if close.is_none() && c.wbuf.pending() < WRITE_BUF_CAP {
+                        close = read_inbound(c, &mut scratch);
+                        if dispatch_inbound(c, &mut service, &mut links, &mut close) {
+                            dispatched.push((i, close));
                             continue;
                         }
-                    } else if pfd.revents & (POLLERR | POLLHUP) != 0 {
-                        alive = false;
+                    } else if events & EPOLLERR != 0 {
+                        close = close.or(Some(Close::IoError));
+                    } else if events & EPOLLHUP != 0 {
+                        close = close.or(Some(Close::Eof));
                     }
-                    if !alive {
-                        conns.remove(i);
-                        obs.connections.add(-1);
+                    match close {
+                        Some(cause) => conns.close(i, cause, obs),
+                        None => conns.sync(i, interest, obs),
                     }
                 }
                 Owner::Link(j) => {
@@ -800,25 +929,25 @@ fn run<S: RpcService>(
                         LinkPhase::Connecting { .. } => {
                             finish_connect(l, now);
                             if matches!(l.phase, LinkPhase::Up { .. }) {
-                                pump_link(l, now);
+                                pump_link(l, j, interest, now);
                             }
                         }
                         LinkPhase::Up { .. } => {
                             let mut alive = true;
-                            if pfd.revents & POLLOUT != 0 {
+                            if events & EPOLLOUT != 0 {
                                 if let LinkPhase::Up { stream, wbuf, .. } = &mut l.phase {
                                     if wbuf.flush(stream).is_err() {
                                         alive = false;
                                     }
                                 }
                             }
-                            if alive && pfd.revents & (POLLIN | POLLERR | POLLHUP) != 0 {
+                            if alive && events & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0 {
                                 alive = reap_link(l, &mut scratch);
                             }
                             if alive {
-                                pump_link(l, now);
+                                pump_link(l, j, interest, now);
                             } else {
-                                l.drop_conn();
+                                l.drop_conn(now);
                             }
                         }
                         LinkPhase::Down { .. } => {}
@@ -827,14 +956,14 @@ fn run<S: RpcService>(
             }
         }
 
-        // The tick falls due on the clock, not on a `poll` timeout.
+        // The tick falls due on the clock, not on a wait's timeout.
         if now >= next_tick {
             service.tick(&mut links);
             next_tick = now + S::TICK;
             owed = true;
         }
 
-        // 5. Commit, then write. What the cycle staged becomes durable
+        // 4. Commit, then write. What the cycle staged becomes durable
         // before any reply or ack it produced reaches a socket. A
         // connection the flush leaves with decodable frames and room in
         // its write buffer is dispatched again at once — no socket
@@ -843,31 +972,38 @@ fn run<S: RpcService>(
         owed |= !dispatched.is_empty();
         while owed {
             service.commit(&mut links);
-            for (i, alive) in dispatched.drain(..) {
+            for (i, close) in dispatched.drain(..) {
                 let Some(c) = conns.slots[i].as_mut() else {
                     continue;
                 };
-                if c.wbuf.flush(&mut c.stream).is_err() || !alive {
-                    conns.remove(i);
-                    obs.connections.add(-1);
+                let flushed = c.wbuf.flush(&mut c.stream);
+                if let Some(cause) = close.or(flushed.err().map(|_| Close::IoError)) {
+                    conns.close(i, cause, obs);
                 } else if c.wbuf.pending() < WRITE_BUF_CAP && c.rbuf.has_complete_frame() {
-                    let mut alive = true;
-                    dispatch_inbound(c, &mut service, &mut links, &mut alive);
-                    again.push((i, alive));
+                    let mut close = None;
+                    dispatch_inbound(c, &mut service, &mut links, &mut close);
+                    again.push((i, close));
+                } else {
+                    conns.sync(i, interest, obs);
                 }
             }
             owed = !again.is_empty();
             std::mem::swap(&mut dispatched, &mut again);
         }
 
-        for stream in accepted {
-            conns.insert(Inbound {
+        for stream in accepted.drain(..) {
+            let fd = stream.as_raw_fd();
+            let i = conns.insert(Inbound {
                 stream,
                 kind: None,
                 rbuf: RecvBuf::default(),
                 wbuf: WriteBuf::default(),
+                interest: EPOLLIN,
             });
             obs.connections.add(1);
+            if interest.add(fd, EPOLLIN, Owner::Conn(i)).is_err() {
+                conns.close(i, Close::IoError, obs);
+            }
         }
     }
 }
@@ -884,12 +1020,42 @@ mod tests {
 
     /// A reactor serving `service` on a fresh loopback listener.
     fn serve<S: RpcService>(service: S) -> (Reactor, SocketAddr) {
+        let (reactor, addr, _) = serve_observed(service);
+        (reactor, addr)
+    }
+
+    /// [`serve`], with the reactor's metrics bundle.
+    fn serve_observed<S: RpcService>(service: S) -> (Reactor, SocketAddr, ReactorInstruments) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let pipe = WakePipe::new().unwrap();
         let obs = ReactorInstruments::for_registry(&esr_obs::MetricsRegistry::new());
-        let reactor = Reactor::spawn(pipe, listener, service, Links::default(), obs).unwrap();
-        (reactor, addr)
+        let reactor = Reactor::spawn(pipe, listener, service, Links::default(), obs.clone()).unwrap();
+        (reactor, addr, obs)
+    }
+
+    fn wait_until(mut cond: impl FnMut() -> bool) {
+        for _ in 0..500 {
+            if cond() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("condition not reached within 5s");
+    }
+
+    #[test]
+    fn owner_tokens_round_trip() {
+        for owner in [
+            Owner::Wake,
+            Owner::Listener,
+            Owner::Conn(0),
+            Owner::Conn(9_999),
+            Owner::Link(0),
+            Owner::Link(2),
+        ] {
+            assert_eq!(Owner::of(owner.token()), owner);
+        }
     }
 
     #[test]
@@ -1233,5 +1399,98 @@ mod tests {
         assert_eq!(reply.payload, b"last");
         let closed = read_frame(&mut client).unwrap_err();
         assert_eq!(closed.kind(), io::ErrorKind::UnexpectedEof, "then the close");
+    }
+
+    /// One request and its echoed reply over `client`.
+    fn round_trip(client: &mut TcpStream, payload: &[u8]) {
+        write_envelope(client, NO_ENTRY, payload).unwrap();
+        let frame = read_frame(client).expect("reply");
+        assert_eq!(unseal(&frame).unwrap().payload, payload);
+    }
+
+    #[test]
+    fn round_trips_on_an_established_connection_make_no_epoll_ctl_call() {
+        let (reactor, mut client) = dial(Echo, KIND_CLIENT);
+        // The first round trip has the connection accepted and added.
+        round_trip(&mut client, b"warm");
+        let before = reactor.ctl_calls.load(Ordering::Relaxed);
+        for i in 0..1_000u32 {
+            round_trip(&mut client, &i.to_be_bytes());
+        }
+        // Any interest change would follow the flush of the cycle that
+        // answered: give the last one time to land.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(reactor.ctl_calls.load(Ordering::Relaxed), before);
+    }
+
+    #[test]
+    fn a_connection_accepted_after_a_close_is_served() {
+        // Each client hangs up and the next connects at once, so the new
+        // socket most likely gets the old one's descriptor number and
+        // slot — in the same cycle as the close, or the next one.
+        let (_reactor, addr, obs) = serve_observed(Echo);
+        for round in 0..100u32 {
+            let mut client = TcpStream::connect(addr).unwrap();
+            client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            client.write_all(&[KIND_CLIENT]).unwrap();
+            round_trip(&mut client, &round.to_be_bytes());
+        }
+        wait_until(|| obs.closed[Close::Eof as usize].get() == 100);
+        assert_eq!(obs.connections.get(), 0);
+        let others: u64 = obs.closed.iter().map(|c| c.get()).sum::<u64>() - 100;
+        assert_eq!(others, 0, "every close was a hang-up");
+    }
+
+    /// Echoes every envelope but `bad`, which it refuses.
+    struct Picky;
+
+    impl RpcService for Picky {
+        fn handle_batch(
+            &mut self,
+            _kind: ConnKind,
+            envs: Envelopes<'_>,
+            out: &mut Vec<u8>,
+            _links: &mut Links,
+        ) -> bool {
+            envs.iter()
+                .all(|env| env.payload != b"bad" && put_frame(out, NO_ENTRY, env.payload).is_ok())
+        }
+    }
+
+    #[test]
+    fn every_close_names_its_cause() {
+        let (_reactor, addr, obs) = serve_observed(Picky);
+        let closed = |cause: Close| obs.closed[cause as usize].get();
+        let open = |first: &[u8]| {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            s.write_all(first).unwrap();
+            s
+        };
+        // Served, then the client hangs up.
+        let mut client = open(&[KIND_CLIENT]);
+        round_trip(&mut client, b"ok");
+        drop(client);
+        wait_until(|| closed(Close::Eof) == 1);
+        // A first byte that names no plane.
+        let mut stray = open(&[0x77]);
+        assert!(read_frame(&mut stray).is_err());
+        wait_until(|| closed(Close::UnknownPlane) == 1);
+        // A frame announcing more than the limit.
+        let mut bloated = open(&[KIND_CLIENT]);
+        bloated.write_all(&(MAX_FRAME as u32 + 1).to_be_bytes()).unwrap();
+        assert!(read_frame(&mut bloated).is_err());
+        wait_until(|| closed(Close::BadFrame) == 1);
+        // A request the service refuses: what came before it is answered.
+        let mut refused = open(&[KIND_CLIENT]);
+        let mut bytes = Vec::new();
+        put_frame(&mut bytes, NO_ENTRY, b"first").unwrap();
+        put_frame(&mut bytes, NO_ENTRY, b"bad").unwrap();
+        refused.write_all(&bytes).unwrap();
+        assert_eq!(unseal(&read_frame(&mut refused).unwrap()).unwrap().payload, b"first");
+        assert!(read_frame(&mut refused).is_err());
+        wait_until(|| closed(Close::Refused) == 1);
+        assert_eq!(closed(Close::IoError), 0);
+        assert_eq!(obs.connections.get(), 0);
     }
 }

@@ -1,6 +1,6 @@
-//! Thin libc FFI for the poll-driven reactor: `poll(2)`, nonblocking
-//! `connect(2)`, `SO_ERROR` draining, and `RLIMIT_NOFILE` raising for
-//! high fan-in benches.
+//! Thin libc FFI for the epoll-driven reactor: an owned `epoll`
+//! instance ([`Epoll`]), nonblocking `connect(2)`, `SO_ERROR` draining,
+//! and `RLIMIT_NOFILE` raising for high fan-in benches.
 //!
 //! `std` already links libc on every supported target, so bare
 //! `extern "C"` declarations resolve without adding a crate dependency
@@ -9,16 +9,16 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::os::fd::{AsRawFd, FromRawFd, RawFd};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 
-/// `poll(2)` readable event.
-pub const POLLIN: i16 = 0x001;
-/// `poll(2)` writable event.
-pub const POLLOUT: i16 = 0x004;
-/// `poll(2)` error condition (revents only).
-pub const POLLERR: i16 = 0x008;
-/// `poll(2)` peer hung up (revents only).
-pub const POLLHUP: i16 = 0x010;
+/// `epoll` readable event.
+pub const EPOLLIN: u32 = 0x001;
+/// `epoll` writable event.
+pub const EPOLLOUT: u32 = 0x004;
+/// `epoll` error condition (always reported, never requested).
+pub const EPOLLERR: u32 = 0x008;
+/// `epoll` peer hung up (always reported, never requested).
+pub const EPOLLHUP: u32 = 0x010;
 
 const AF_INET: u16 = 2;
 const AF_INET6: u16 = 10;
@@ -30,39 +30,21 @@ const SO_ERROR: i32 = 4;
 const EINPROGRESS: i32 = 115;
 const EINTR: i32 = 4;
 const RLIMIT_NOFILE: i32 = 7;
+const EPOLL_CLOEXEC: i32 = 0o2000000;
+const EPOLL_CTL_ADD: i32 = 1;
+const EPOLL_CTL_MOD: i32 = 3;
 
-/// One entry in a `poll(2)` descriptor set (`struct pollfd`).
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-pub struct PollFd {
-    /// Descriptor to watch.
-    pub fd: i32,
-    /// Requested events (`POLLIN` / `POLLOUT`).
-    pub events: i16,
-    /// Returned events; error conditions appear even when unrequested.
-    pub revents: i16,
-}
-
-impl PollFd {
-    /// A pollfd watching `fd` for `events`.
-    pub fn new(fd: RawFd, events: i16) -> Self {
-        Self {
-            fd,
-            events,
-            revents: 0,
-        }
-    }
-
-    /// Did the descriptor become readable (or fail — errors must be
-    /// consumed by a read attempt to learn the cause)?
-    pub fn readable(&self) -> bool {
-        self.revents & (POLLIN | POLLERR | POLLHUP) != 0
-    }
-
-    /// Did the descriptor become writable (or fail)?
-    pub fn writable(&self) -> bool {
-        self.revents & (POLLOUT | POLLERR | POLLHUP) != 0
-    }
+/// One readiness report (`struct epoll_event`, packed on x86-64 as
+/// the kernel lays it out): what happened, and the token the socket was
+/// registered with.
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EpollEvent {
+    /// Reported events (`EPOLLIN` / `EPOLLOUT` / `EPOLLERR` / `EPOLLHUP`).
+    pub events: u32,
+    /// The token given at registration.
+    pub token: u64,
 }
 
 #[repr(C)]
@@ -72,10 +54,12 @@ struct Rlimit {
 }
 
 mod c {
-    use super::{PollFd, Rlimit};
+    use super::{EpollEvent, Rlimit};
 
     extern "C" {
-        pub fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+        pub fn epoll_create1(flags: i32) -> i32;
+        pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+        pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
         pub fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         pub fn connect(fd: i32, addr: *const u8, len: u32) -> i32;
         pub fn getsockopt(fd: i32, level: i32, name: i32, val: *mut u8, len: *mut u32) -> i32;
@@ -84,24 +68,67 @@ mod c {
     }
 }
 
-/// Blocks until a descriptor in `fds` is ready or `timeout_ms` elapses
-/// (`-1` = wait indefinitely). Returns how many descriptors have
-/// nonzero `revents`; `EINTR` is retried internally.
-pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-    loop {
-        let rc = unsafe { c::poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-        if rc >= 0 {
-            return Ok(rc as usize);
+/// A level-triggered `epoll` interest set, closed on drop.
+#[derive(Debug)]
+pub struct Epoll(OwnedFd);
+
+impl Epoll {
+    /// A fresh, empty interest set.
+    pub fn new() -> io::Result<Self> {
+        // SAFETY: epoll_create1 takes no pointers.
+        let fd = unsafe { c::epoll_create1(EPOLL_CLOEXEC) };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
         }
-        let err = io::Error::last_os_error();
-        if err.raw_os_error() != Some(EINTR) {
-            return Err(err);
+        // SAFETY: `fd` was just opened by the call above and nothing
+        // else owns it.
+        Ok(Self(unsafe { OwnedFd::from_raw_fd(fd) }))
+    }
+
+    /// Registers `fd` for `events`, reported with `token`. Closing the
+    /// descriptor takes it out of the set.
+    pub fn add(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, events, token)
+    }
+
+    /// Replaces the events a registered `fd` is watched for.
+    pub fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, events, token)
+    }
+
+    fn ctl(&self, op: i32, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+        let mut ev = EpollEvent { events, token };
+        // SAFETY: `ev` is a live `struct epoll_event` for the length of
+        // the call, which only reads it.
+        if unsafe { c::epoll_ctl(self.0.as_raw_fd(), op, fd, &mut ev) } != 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
+    /// Blocks until a registered descriptor is ready or `timeout_ms`
+    /// elapses (`-1` = wait indefinitely), filling the front of
+    /// `events`. Returns how many it filled; `EINTR` is retried
+    /// internally.
+    pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+        let max = events.len().min(i32::MAX as usize) as i32;
+        loop {
+            // SAFETY: the kernel writes at most `max` events, and
+            // `events` holds at least that many.
+            let rc = unsafe { c::epoll_wait(self.0.as_raw_fd(), events.as_mut_ptr(), max, timeout_ms) };
+            if rc >= 0 {
+                return Ok(rc as usize);
+            }
+            let err = io::Error::last_os_error();
+            if err.raw_os_error() != Some(EINTR) {
+                return Err(err);
+            }
         }
     }
 }
 
 /// Starts a nonblocking TCP connect to `addr`. The returned stream is
-/// *not* connected yet: poll it for `POLLOUT`, then check
+/// *not* connected yet: wait for it to turn writable, then check
 /// [`take_socket_error`] to learn whether the handshake succeeded.
 pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
     // sockaddr_in / sockaddr_in6, laid out by hand: family in native
@@ -207,17 +234,48 @@ mod tests {
     use std::os::unix::net::UnixStream;
     use std::time::Instant;
 
+    /// Waits on a fresh set holding only `fd`, watched for `events`.
+    fn wait_for(fd: RawFd, events: u32, timeout_ms: i32) -> Option<EpollEvent> {
+        let ep = Epoll::new().unwrap();
+        ep.add(fd, events, 7).unwrap();
+        let mut ready = [EpollEvent::default(); 4];
+        let n = ep.wait(&mut ready, timeout_ms).unwrap();
+        assert!(n <= 1);
+        (n == 1).then(|| ready[0])
+    }
+
     #[test]
-    fn poll_times_out_and_wakes_on_data() {
+    fn epoll_times_out_and_wakes_on_data() {
         let (mut tx, rx) = UnixStream::pair().unwrap();
-        let mut fds = [PollFd::new(rx.as_raw_fd(), POLLIN)];
+        let ep = Epoll::new().unwrap();
+        ep.add(rx.as_raw_fd(), EPOLLIN, 42).unwrap();
+        let mut ready = [EpollEvent::default(); 4];
         let t0 = Instant::now();
-        assert_eq!(poll(&mut fds, 30).unwrap(), 0, "no data yet");
+        assert_eq!(ep.wait(&mut ready, 30).unwrap(), 0, "no data yet");
         assert!(t0.elapsed().as_millis() >= 25, "timeout honoured");
         tx.write_all(&[1]).unwrap();
-        let mut fds = [PollFd::new(rx.as_raw_fd(), POLLIN)];
-        assert_eq!(poll(&mut fds, 1000).unwrap(), 1);
-        assert!(fds[0].readable());
+        assert_eq!(ep.wait(&mut ready, 1000).unwrap(), 1);
+        let (events, token) = (ready[0].events, ready[0].token);
+        assert_eq!((events & EPOLLIN, token), (EPOLLIN, 42));
+        // Level-triggered: the unread byte is reported again.
+        assert_eq!(ep.wait(&mut ready, 0).unwrap(), 1);
+        // A modified interest replaces the old one.
+        ep.modify(rx.as_raw_fd(), EPOLLOUT, 43).unwrap();
+        assert_eq!(ep.wait(&mut ready, 0).unwrap(), 1);
+        let (events, token) = (ready[0].events, ready[0].token);
+        assert_eq!((events & (EPOLLIN | EPOLLOUT), token), (EPOLLOUT, 43));
+    }
+
+    #[test]
+    fn a_closed_descriptor_leaves_the_set() {
+        let (tx, rx) = UnixStream::pair().unwrap();
+        let ep = Epoll::new().unwrap();
+        ep.add(rx.as_raw_fd(), EPOLLIN, 1).unwrap();
+        drop(tx);
+        let mut ready = [EpollEvent::default(); 4];
+        assert_eq!(ep.wait(&mut ready, 0).unwrap(), 1, "the hang-up is reported");
+        drop(rx);
+        assert_eq!(ep.wait(&mut ready, 0).unwrap(), 0, "closed, so gone");
     }
 
     #[test]
@@ -225,9 +283,8 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let stream = connect_nonblocking(&addr).unwrap();
-        let mut fds = [PollFd::new(stream.as_raw_fd(), POLLOUT)];
-        assert_eq!(poll(&mut fds, 5000).unwrap(), 1);
-        assert!(fds[0].writable());
+        let ready = wait_for(stream.as_raw_fd(), EPOLLOUT, 5000).expect("writable");
+        assert_ne!(ready.events & EPOLLOUT, 0);
         take_socket_error(&stream).unwrap();
         let (_peer, peer_addr) = listener.accept().unwrap();
         assert_eq!(peer_addr, stream.local_addr().unwrap());
@@ -244,8 +301,7 @@ mod tests {
             Err(_) => {}
             // ...or report the refusal through SO_ERROR on writability.
             Ok(stream) => {
-                let mut fds = [PollFd::new(stream.as_raw_fd(), POLLOUT)];
-                assert_eq!(poll(&mut fds, 5000).unwrap(), 1);
+                wait_for(stream.as_raw_fd(), EPOLLOUT, 5000).expect("a report");
                 assert!(take_socket_error(&stream).is_err());
             }
         }

@@ -14,7 +14,7 @@
 //!   node times something.
 //! * [`LinkInstruments`] — one directed TCP link, fed by the link
 //!   manager.
-//! * [`ReactorInstruments`] — a daemon's poll-driven I/O reactor.
+//! * [`ReactorInstruments`] — a daemon's epoll-driven I/O reactor.
 
 use std::sync::Arc;
 
@@ -174,16 +174,25 @@ impl LinkInstruments {
     }
 }
 
-/// One poll-driven I/O reactor's series.
+/// Why the reactor closed an accepted connection: the `cause` label of
+/// `esr_reactor_closed_total`, indexing [`ReactorInstruments::closed`].
+pub const CLOSE_CAUSES: [&str; 5] = ["eof", "io_error", "bad_frame", "unknown_plane", "refused"];
+
+/// One epoll-driven I/O reactor's series.
 #[derive(Debug, Clone)]
 pub struct ReactorInstruments {
     /// Sockets in the readiness loop (`esr_reactor_connections`).
     pub connections: Gauge,
-    /// `poll` returns with at least one ready descriptor
+    /// `epoll_wait` returns with at least one ready event
     /// (`esr_reactor_wakeups_total`).
     pub wakeups: Counter,
-    /// How long each `poll(2)` call blocked (`esr_reactor_poll_micros`).
+    /// How long each `epoll_wait` call blocked — the name predates
+    /// epoll (`esr_reactor_poll_micros`).
     pub poll_micros: Histogram,
+    /// Accepted connections closed, by cause, in the order of
+    /// [`CLOSE_CAUSES`] (`esr_reactor_closed_total{cause}`; every cause
+    /// is registered up front).
+    pub closed: [Counter; 5],
     /// Queue entries each outgoing acknowledgement frame retires
     /// (`esr_ack_batch_size`).
     pub ack_batch: Histogram,
@@ -196,6 +205,7 @@ impl ReactorInstruments {
             connections: registry.gauge("esr_reactor_connections", &[]),
             wakeups: registry.counter("esr_reactor_wakeups_total", &[]),
             poll_micros: registry.histogram("esr_reactor_poll_micros", &[]),
+            closed: CLOSE_CAUSES.map(|cause| registry.counter("esr_reactor_closed_total", &[("cause", cause)])),
             ack_batch: registry.histogram("esr_ack_batch_size", &[]),
         }
     }
@@ -260,11 +270,15 @@ mod tests {
         reactor.connections.add(1);
         reactor.wakeups.inc();
         reactor.ack_batch.record(4);
+        reactor.closed[2].inc();
         let snap = r.snapshot();
         assert_eq!(snap.value("esr_link_sends_total", &[("link", "0->1")]), Some(2));
         assert_eq!(snap.value("esr_link_queue_depth", &[("link", "0->1")]), Some(4));
         assert_eq!(snap.value("esr_reactor_connections", &[]), Some(1));
         assert_eq!(snap.value("esr_reactor_wakeups_total", &[]), Some(1));
+        for (cause, want) in CLOSE_CAUSES.iter().zip([0, 0, 1, 0, 0]) {
+            assert_eq!(snap.value("esr_reactor_closed_total", &[("cause", cause)]), Some(want));
+        }
         // Histograms answer value() with their observation count.
         assert_eq!(snap.value("esr_ack_batch_size", &[]), Some(1));
         assert!(r.render().contains("esr_ack_batch_size_sum 4"));

@@ -41,7 +41,7 @@ pub mod instruments;
 pub mod registry;
 
 pub use events::EventRing;
-pub use instruments::{LinkInstruments, NodeInstruments, ReactorInstruments};
+pub use instruments::{LinkInstruments, NodeInstruments, ReactorInstruments, CLOSE_CAUSES};
 pub use registry::{
     quantile_from_cumulative, Counter, Gauge, Histogram, HistogramSample, MetricsRegistry,
     MetricsSnapshot, SampleValue, SeriesSample, HIST_BUCKETS,

@@ -10,7 +10,7 @@
 //! site originates is journalled before it is sent, and a boot re-seeds
 //! each link with the originated records its peer had not acknowledged.
 //! All of the daemon's I/O — the listener, every accepted connection,
-//! and every outbound link — multiplexes onto one poll-driven
+//! and every outbound link — multiplexes onto one epoll-driven
 //! [`Reactor`] thread; an accepted connection costs a buffer pair, not
 //! an OS thread, so client fan-in scales to thousands of concurrent
 //! sockets. A peer connection's

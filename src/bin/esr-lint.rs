@@ -16,7 +16,7 @@
 //! * **thread-rng** — `thread_rng`/`ThreadRng`/`from_entropy` likewise
 //!   (randomness comes from `DetRng` seeds).
 //! * **protocol scope** (`crates/net`) — the transport may read real
-//!   time for I/O deadlines (`Instant::now` is allowed: reactor poll
+//!   time for I/O deadlines (`Instant::now` is allowed: reactor wait
 //!   timeouts and retransmit backoff are wall-clock by nature), but
 //!   protocol-*state* decisions must not depend on `SystemTime` or
 //!   ambient randomness, so those tokens are banned. The reactor's
@@ -43,7 +43,7 @@ const TIME_RNG_SCOPES: [&str; 2] = ["crates/sim/src", "crates/replica/src"];
 
 /// Paths where protocol state must stay deterministic but I/O timing
 /// is real: `SystemTime` and ambient RNGs are banned, `Instant::now`
-/// is not (poll deadlines and retransmit backoff legitimately read the
+/// is not (readiness-wait deadlines and retransmit backoff legitimately read the
 /// monotonic clock).
 const PROTOCOL_SCOPES: [&str; 1] = ["crates/net/src"];
 

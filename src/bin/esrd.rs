@@ -20,7 +20,7 @@ use esr_core::ids::SiteId;
 use esr_net::rpc::sys::raise_nofile_limit;
 use esr_runtime::{Daemon, DaemonConfig, RtMethod};
 
-/// Descriptor headroom requested at boot: the poll-driven reactor
+/// Descriptor headroom requested at boot: the epoll-driven reactor
 /// happily multiplexes thousands of client sockets on one thread, so
 /// the default soft limit (often 1024) is the first thing to run out.
 const WANT_NOFILE: u64 = 32_768;

@@ -464,6 +464,7 @@ const ESRD_SERIES: &[&str] = &[
     "esr_queries_rejected_total{method,site}",
     "esr_query_epsilon_charged{method,site}",
     "esr_query_epsilon_limit{method,site}",
+    "esr_reactor_closed_total{cause}",
     "esr_reactor_connections{}",
     "esr_reactor_poll_micros{}",
     "esr_reactor_wakeups_total{}",
