@@ -111,7 +111,7 @@ fn bench_apply(c: &mut Criterion) {
             let mut applied = Vec::new();
             for m in &msets {
                 applied.clear();
-                s.deliver(black_box(m.clone()), &mut applied);
+                s.deliver(black_box(m), &mut applied);
             }
             black_box(s.has_applied(EtId(N - 1)))
         })
@@ -130,7 +130,7 @@ fn bench_apply(c: &mut Criterion) {
             let mut applied = Vec::new();
             for m in &msets {
                 applied.clear();
-                s.deliver(black_box(m.clone()), &mut applied);
+                s.deliver(black_box(m), &mut applied);
             }
             black_box(s.has_applied(EtId(N - 1)))
         })
@@ -143,7 +143,7 @@ fn bench_apply(c: &mut Criterion) {
             let mut applied = Vec::new();
             for m in &msets {
                 applied.clear();
-                s.deliver(black_box(m.clone()), &mut applied);
+                s.deliver(black_box(m), &mut applied);
             }
             black_box(s.has_applied(EtId(N - 1)))
         })
@@ -156,7 +156,7 @@ fn bench_apply(c: &mut Criterion) {
             let mut applied = Vec::new();
             for m in &msets {
                 applied.clear();
-                s.deliver(black_box(m.clone()), &mut applied);
+                s.deliver(black_box(m), &mut applied);
             }
             black_box(s.has_applied(EtId(N - 1)))
         })
@@ -169,7 +169,7 @@ fn bench_apply(c: &mut Criterion) {
             let mut applied = Vec::new();
             for m in &msets {
                 applied.clear();
-                s.deliver(black_box(m.clone()), &mut applied);
+                s.deliver(black_box(m), &mut applied);
             }
             black_box(s.has_applied(EtId(N - 1)))
         })
@@ -182,7 +182,7 @@ fn bench_apply(c: &mut Criterion) {
             let mut applied = Vec::new();
             for (i, m) in (1u64..).zip(&msets) {
                 applied.clear();
-                s.deliver(black_box(m.clone()), &mut applied);
+                s.deliver(black_box(m), &mut applied);
                 if let Some(stable) = i.checked_sub(VTNC_LAG) {
                     s.advance_vtnc(VersionTs::new(stable, ClientId(0)));
                 }
@@ -198,7 +198,7 @@ fn bench_apply(c: &mut Criterion) {
             let mut applied = Vec::new();
             for m in &msets {
                 applied.clear();
-                s.deliver(black_box(m.clone()), &mut applied);
+                s.deliver(black_box(m), &mut applied);
             }
             // Commit everything so the log drains like a healthy run.
             for i in 0..N {

@@ -91,7 +91,7 @@ fn restore_snapshot(dir: &Path) -> (NodeCore, u64) {
         .map(|(_, m)| m)
         .collect();
     let replayed = suffix.len() as u64;
-    let (core, _) = NodeCore::restore(METHOD, SITE, SITES, None, 0, restored_payload, suffix)
+    let (core, _) = NodeCore::restore(METHOD, SITE, SITES, None, 0, restored_payload, &suffix)
         .expect("method matches");
     (core, replayed)
 }

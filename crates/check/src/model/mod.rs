@@ -56,18 +56,15 @@ use esr_replica::wire::Frame;
 use esr_runtime::ctrl::{CtrlCanary, NodeEvent};
 use esr_runtime::state::{RtMethod, SiteState};
 
-/// Where the explorer may spend its crash budget. The standard sweeps
-/// probe every durable boundary but never kill the (fixed) view-0
-/// coordinator; the view-change sweeps let the coordinator role move,
-/// so the policy is expressed against the *role*, not site 0.
+/// Where the explorer may spend its crash budget. A site holding the
+/// coordinator role never crashes in-schedule — judged against the
+/// *role*, not site 0, as the view-change sweeps move it. (*Every*
+/// explored terminal state still gets a staggered full-cluster
+/// crash/recover pass from the recovery-idempotence oracle,
+/// coordinator included — so coordinator amnesia is always covered
+/// there.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPolicy {
-    /// May a site currently holding the coordinator role crash
-    /// in-schedule? (Independent of this, *every* explored terminal
-    /// state gets a staggered full-cluster crash/recover pass from the
-    /// recovery-idempotence oracle, coordinator included — so
-    /// coordinator amnesia is always covered there.)
-    pub role_holders: bool,
     /// Probe only `CrashPoint::AfterAck` (pure volatile loss), skipping
     /// the `Durable(k)` journal-boundary truncations. The
     /// crash-enriched view-change sweeps set this: durable-boundary
@@ -135,7 +132,6 @@ impl ModelCfg {
             max_suspects: 0,
             suspect_site: None,
             crash_policy: CrashPolicy {
-                role_holders: false,
                 afterack_only: false,
             },
             canary: None,
@@ -164,7 +160,6 @@ impl ModelCfg {
         cfg.max_suspects = 1;
         cfg.suspect_site = Some(2);
         cfg.crash_policy = CrashPolicy {
-            role_holders: false,
             afterack_only: true,
         };
         cfg
@@ -543,8 +538,7 @@ impl<'a> World<'a> {
         // The policy is judged against the role *now*: after a view
         // change, the old coordinator becomes crashable and the new
         // one stops being so.
-        let crashable =
-            |site: u64| policy.role_holders || self.nodes[site as usize].node.core().coord.is_none();
+        let crashable = |site: u64| self.nodes[site as usize].node.core().coord.is_none();
         if self.next_submit < self.cfg.workload.len() {
             let idx = self.next_submit as u8;
             txs.push(Tx::Submit { idx, crash: None });

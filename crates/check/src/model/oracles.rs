@@ -49,7 +49,7 @@ fn finding(oracle: &'static str, detail: String) -> ModelFinding {
 pub fn reference_snapshot(cfg: &ModelCfg) -> BTreeMap<ObjectId, Value> {
     let mut s = SiteState::new(cfg.method, SiteId(1_000));
     for m in &cfg.workload {
-        s.deliver(m.clone());
+        s.site_mut().deliver(m, &mut Vec::new());
     }
     for &(et, commit) in &cfg.decisions {
         if commit {

@@ -227,7 +227,7 @@ fn restore_plus_suffix_matches_full_replay_at_every_cut() {
             let payload = decode_payload(&encode_payload(&payload))
                 .unwrap_or_else(|| panic!("{:?} cut {cut}: image must round-trip", w.method));
 
-            let suffix: Vec<MSet> = w.journal[cut..].to_vec();
+            let suffix = &w.journal[cut..];
             let (mut restored, _) =
                 NodeCore::restore(w.method, SITE, SITES, None, 0, payload.clone(), suffix)
                     .expect("method matches");
@@ -279,7 +279,7 @@ fn restore_plus_suffix_matches_full_replay_at_every_cut() {
                 None,
                 0,
                 payload,
-                w.journal.clone(),
+                &w.journal,
             )
             .expect("method matches");
             for (after, input) in &w.control {
@@ -309,6 +309,6 @@ fn restored_client_table_still_dedups() {
     drive(&mut prefix_core, w, 2); // includes (client 9, seq 1) -> et 2
     let payload = cut_payload(&mut prefix_core, Some(2));
     let (restored, _) =
-        NodeCore::restore(w.method, SITE, SITES, None, 0, payload, vec![]).expect("method matches");
+        NodeCore::restore(w.method, SITE, SITES, None, 0, payload, &[]).expect("method matches");
     assert_eq!(restored.cached_et(ClientId(9), 1), Some(EtId(2)));
 }

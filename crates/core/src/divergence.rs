@@ -35,11 +35,6 @@ impl EpsilonSpec {
     pub const fn bounded(limit: u64) -> Self {
         Self { limit }
     }
-
-    /// True when the spec demands strict serializability.
-    pub fn is_strict(&self) -> bool {
-        self.limit == 0
-    }
 }
 
 impl Default for EpsilonSpec {
@@ -259,8 +254,6 @@ mod tests {
 
     #[test]
     fn spec_constructors() {
-        assert!(EpsilonSpec::STRICT.is_strict());
-        assert!(!EpsilonSpec::UNBOUNDED.is_strict());
         assert_eq!(EpsilonSpec::bounded(5).limit, 5);
         assert_eq!(EpsilonSpec::default(), EpsilonSpec::UNBOUNDED);
     }

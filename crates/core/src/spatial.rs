@@ -161,6 +161,22 @@ impl DeviationTracker {
         })
     }
 
+    /// In-flight update ETs writing each read-set object, summed over
+    /// the read set — what the §3.2 lock-counters of those objects
+    /// would read (each counts the distinct ETs holding it).
+    pub fn pending_ets(&self, read_set: &[ObjectId]) -> u64 {
+        read_set
+            .iter()
+            .map(|o| self.pending.get(o).map_or(0, |p| p.ets.len() as u64))
+            .sum()
+    }
+
+    /// Number of updates in flight — begun and not yet ended, whether
+    /// or not they write anything.
+    pub fn in_flight(&self) -> usize {
+        self.per_et.len()
+    }
+
     /// Read-set items with any pending change (criterion 1).
     pub fn changed_items(&self, read_set: &[ObjectId]) -> u64 {
         read_set
@@ -233,6 +249,38 @@ mod tests {
         assert_eq!(t.changed_items(&[X, Y]), 1);
         t.end(EtId(2));
         assert!(t.quiescent());
+    }
+
+    /// The in-flight ETs per object are what the §3.2 lock-counters
+    /// count: an ET writing an object twice holds it once, a read holds
+    /// nothing, and an update with no write is still in flight.
+    #[test]
+    fn pending_ets_read_as_the_lock_counters() {
+        use crate::divergence::LockCounters;
+        let updates = [
+            (EtId(1), vec![(X, inc(5)), (X, inc(1)), (Y, Operation::Read)]),
+            (EtId(2), vec![(Y, Operation::MulBy(2)), (X, inc(2))]),
+            (EtId(3), vec![(Y, Operation::Read)]),
+        ];
+        let (mut t, mut lc) = (DeviationTracker::new(), LockCounters::new());
+        let agree = |t: &DeviationTracker, lc: &LockCounters| {
+            for rs in [&[X][..], &[Y], &[X, Y], &[X, X]] {
+                assert_eq!(t.pending_ets(rs), lc.inconsistency_of_set(rs.iter().copied()));
+            }
+            assert_eq!(t.in_flight(), lc.in_flight());
+        };
+        for (et, ops) in &updates {
+            t.begin(*et, ops.iter().map(|(o, op)| (*o, op)));
+            let writes = ops.iter().filter(|(_, op)| op.is_write()).map(|(o, _)| *o);
+            lc.begin_update(*et, writes);
+            agree(&t, &lc);
+        }
+        assert_eq!((t.pending_ets(&[X, Y]), t.in_flight()), (3, 3));
+        for (et, _) in &updates {
+            t.end(*et);
+            lc.end_update(*et);
+            agree(&t, &lc);
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! the sender empties its queues: what makes them stable is the
 //! sender's journal, which `esrd` re-seeds them from at boot.
 //!
-//! Reconnection uses capped exponential backoff and re-resolves the
+//! Reconnection uses capped exponential backoff (the reactor's
+//! `REDIAL_INITIAL`, doubling to `REDIAL_MAX`) and re-resolves the
 //! peer address on every attempt, so a daemon that restarts on a new
 //! ephemeral port is picked up as soon as it republishes its address.
 //!
@@ -23,31 +24,12 @@
 //! one I/O thread total, regardless of cluster size or client fan-in.
 
 use std::net::SocketAddr;
-use std::time::Duration;
 
 use bytes::Bytes;
 use esr_obs::LinkInstruments;
 use esr_storage::stable_queue::{EntryId, MemQueue, StableQueue};
 
 use super::reactor::LinkConn;
-
-/// Reconnect backoff shape.
-#[derive(Debug, Clone, Copy)]
-pub struct Backoff {
-    /// Delay after the first failure.
-    pub initial: Duration,
-    /// Cap for the doubling delay.
-    pub max: Duration,
-}
-
-impl Default for Backoff {
-    fn default() -> Self {
-        Self {
-            initial: Duration::from_millis(20),
-            max: Duration::from_secs(1),
-        }
-    }
-}
 
 /// Re-resolves the peer's current address (daemons republish their
 /// listen address on every boot).
@@ -71,13 +53,12 @@ impl Links {
         to: usize,
         resolve: Resolver,
         hello: Bytes,
-        backoff: Backoff,
         obs: LinkInstruments,
     ) {
         if self.conns.len() <= to {
             self.conns.resize_with(to + 1, || None);
         }
-        self.conns[to] = Some(LinkConn::new(MemQueue::new(), resolve, hello, backoff, obs));
+        self.conns[to] = Some(LinkConn::new(MemQueue::new(), resolve, hello, obs));
     }
 
     /// Enqueues `payloads` on the link to `to`, in order, and marks the
@@ -125,6 +106,7 @@ mod tests {
     use super::*;
     use esr_obs::{Counter, MetricsRegistry, ReactorInstruments};
     use std::net::{Shutdown, TcpListener, TcpStream};
+    use std::time::Duration;
 
     /// Serves nothing: the reactors below only drain their link.
     struct Idle;
@@ -142,8 +124,7 @@ mod tests {
     }
 
     /// A reactor whose one link drains a queue prefilled with `entries`
-    /// to `addr`, with a tight redial backoff, and that link's ack
-    /// counter.
+    /// to `addr`, and that link's ack counter.
     fn link_to(addr: SocketAddr, hello: &'static [u8], entries: Vec<Bytes>) -> (Reactor, Counter) {
         let (reactor, registry) = link_via(Box::new(move || Some(addr)), hello, entries);
         (reactor, registry.counter("esr_link_acks_total", &[("link", "0->1")]))
@@ -163,10 +144,6 @@ mod tests {
             1,
             resolve,
             Bytes::from_static(hello),
-            Backoff {
-                initial: Duration::from_millis(5),
-                max: Duration::from_millis(40),
-            },
             obs,
         );
         links.send_batch(1, entries);

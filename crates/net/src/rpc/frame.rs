@@ -116,13 +116,6 @@ pub struct Envelope<'a> {
 }
 
 impl<'a> Envelope<'a> {
-    /// Is this a *single-entry* transport acknowledgement (an echoed
-    /// entry id with no message)? Batched acknowledgements carry extra
-    /// ids in the payload — [`Envelope::ack_ids`] covers both shapes.
-    pub fn is_ack(&self) -> bool {
-        self.entry != NO_ENTRY && self.payload.is_empty()
-    }
-
     /// The queue entries this envelope acknowledges: the carried entry
     /// id plus any batched ids packed into the payload as big-endian
     /// `u64`s ([`put_acks`]). `None` when the envelope is not an
@@ -437,15 +430,10 @@ mod tests {
         let env = unseal(&frame).unwrap();
         assert_eq!(env.entry, 42);
         assert_eq!(env.payload, b"payload");
-        assert!(!env.is_ack());
 
         let frame = envelope(|out| put_frame(out, 42, &[]));
         let ack = unseal(&frame).unwrap();
-        assert!(ack.is_ack());
         assert_eq!(ack.entry, 42);
-
-        let frame = envelope(|out| put_frame(out, NO_ENTRY, b"h"));
-        assert!(!unseal(&frame).unwrap().is_ack());
 
         assert!(unseal(&[1, 2, 3]).is_err());
     }
@@ -480,6 +468,5 @@ mod tests {
         let frame = envelope(|out| put_acks(out, &[]));
         let empty = unseal(&frame).unwrap();
         assert!(empty.ack_ids().is_none());
-        assert!(!empty.is_ack());
     }
 }

@@ -15,7 +15,7 @@ pub mod frame;
 pub mod reactor;
 pub mod sys;
 
-pub use conn::{Backoff, Links, Resolver};
+pub use conn::{Links, Resolver};
 pub use frame::{
     put_acks, put_frame, read_frame, read_frame_into, scan, unseal, write_envelope, write_frame, Envelope,
     EnvelopeIter, Envelopes, KIND_CLIENT, KIND_PEER, MAX_FRAME, NO_ENTRY,

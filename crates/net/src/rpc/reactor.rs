@@ -91,7 +91,7 @@ use super::frame::{
 };
 use super::sys::{self, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 
-use super::conn::{Backoff, Links, Resolver};
+use super::conn::{Links, Resolver};
 
 /// Write-buffer backpressure threshold: beyond this many buffered
 /// bytes the reactor stops reading from (and replying to) a connection
@@ -107,6 +107,11 @@ const MAX_READ_PER_CYCLE: usize = 1024 * 1024;
 const ENV_BATCH: usize = 128;
 /// Nonblocking connect deadline.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+/// Redial delay after a link's first failed dial; each further failure
+/// doubles it, up to [`REDIAL_MAX`], and a connect resets it.
+const REDIAL_INITIAL: Duration = Duration::from_millis(20);
+/// Cap for the doubling redial delay.
+const REDIAL_MAX: Duration = Duration::from_secs(1);
 /// While a link has backlog the reactor wakes at least this often, to
 /// retry transmission and keep the queue gauges current.
 const BACKLOG_TICK: Duration = Duration::from_millis(100);
@@ -411,8 +416,6 @@ pub(crate) struct LinkConn {
     resolve: Resolver,
     /// Greeting sent (outside the queue) on every connect.
     hello: Bytes,
-    /// Redial backoff shape.
-    backoff: Backoff,
     /// Per-link metrics bundle.
     obs: LinkInstruments,
     /// Enqueued on since the last pump: pumped before the next wait.
@@ -431,17 +434,15 @@ impl LinkConn {
         queue: MemQueue,
         resolve: Resolver,
         hello: Bytes,
-        backoff: Backoff,
         obs: LinkInstruments,
     ) -> Self {
         Self {
             queue,
             resolve,
             hello,
-            backoff,
             obs,
             dirty: false,
-            delay: backoff.initial,
+            delay: REDIAL_INITIAL,
             sent_ever: None,
             backlog_since: None,
             phase: LinkPhase::Down {
@@ -466,7 +467,7 @@ impl LinkConn {
         self.phase = LinkPhase::Down {
             retry_at: now + self.delay,
         };
-        self.delay = (self.delay * 2).min(self.backoff.max);
+        self.delay = (self.delay * 2).min(REDIAL_MAX);
     }
 
     /// Dials a fresh socket and registers it, as link `j`, to learn
@@ -499,7 +500,7 @@ impl LinkConn {
         let mut wbuf = WriteBuf::default();
         wbuf.buf.push(KIND_PEER);
         let _ = put_frame(&mut wbuf.buf, NO_ENTRY, &self.hello);
-        self.delay = self.backoff.initial;
+        self.delay = REDIAL_INITIAL;
         self.obs.dials.inc();
         self.phase = LinkPhase::Up {
             stream,

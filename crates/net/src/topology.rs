@@ -103,23 +103,12 @@ impl Topology {
         self.overrides.insert((from, to), config);
     }
 
-    /// Overrides both directions of a link.
-    pub fn set_link_bidir(&mut self, a: SiteId, b: SiteId, config: LinkConfig) {
-        self.set_link(a, b, config);
-        self.set_link(b, a, config);
-    }
-
     /// The configuration in force for a directed link.
     pub fn link(&self, from: SiteId, to: SiteId) -> LinkConfig {
         self.overrides
             .get(&(from, to))
             .copied()
             .unwrap_or(self.default_link)
-    }
-
-    /// Every site except `me` (the replication fan-out set).
-    pub fn peers_of(&self, me: SiteId) -> Vec<SiteId> {
-        self.sites.iter().copied().filter(|&s| s != me).collect()
     }
 }
 
@@ -139,13 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn peers_exclude_self() {
-        let t = Topology::full_mesh(3, LinkConfig::default());
-        let peers = t.peers_of(SiteId(1));
-        assert_eq!(peers, vec![SiteId(0), SiteId(2)]);
-    }
-
-    #[test]
     fn link_override_is_directional() {
         let mut t = Topology::full_mesh(2, LinkConfig::default());
         let slow = LinkConfig::reliable(LatencyModel::Constant(Duration::from_secs(1)));
@@ -157,15 +139,6 @@ mod tests {
         );
         // Reverse direction untouched.
         assert_eq!(t.link(SiteId(1), SiteId(0)).latency, LatencyModel::default());
-    }
-
-    #[test]
-    fn bidir_override_touches_both() {
-        let mut t = Topology::full_mesh(2, LinkConfig::default());
-        let lossy = LinkConfig::lossy(LatencyModel::default(), 0.5);
-        t.set_link_bidir(SiteId(0), SiteId(1), lossy);
-        assert_eq!(t.link(SiteId(0), SiteId(1)).drop_prob, 0.5);
-        assert_eq!(t.link(SiteId(1), SiteId(0)).drop_prob, 0.5);
     }
 
     #[test]

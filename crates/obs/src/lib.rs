@@ -43,6 +43,6 @@ pub mod registry;
 pub use events::EventRing;
 pub use instruments::{LinkInstruments, NodeInstruments, ReactorInstruments, CLOSE_CAUSES};
 pub use registry::{
-    quantile_from_cumulative, Counter, Gauge, Histogram, HistogramSample, MetricsRegistry,
-    MetricsSnapshot, SampleValue, SeriesSample, HIST_BUCKETS,
+    Counter, Gauge, Histogram, HistogramSample, MetricsRegistry, MetricsSnapshot, SampleValue,
+    SeriesSample, HIST_BUCKETS,
 };

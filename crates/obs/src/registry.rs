@@ -413,33 +413,6 @@ impl HistogramSample {
     }
 }
 
-/// Quantile extraction over *cumulative* `(upper_bound, count)` pairs —
-/// the shape a Prometheus `_bucket` scrape yields (`u64::MAX` stands
-/// for the `+Inf` bound). Same interpolation and saturation rules as
-/// [`HistogramSample::quantile`]; `None` when empty.
-pub fn quantile_from_cumulative(cumulative: &[(u64, u64)], q: f64) -> Option<u64> {
-    let total = cumulative.last()?.1;
-    if total == 0 {
-        return None;
-    }
-    let target = ((q * total as f64).ceil() as u64).clamp(1, total);
-    let mut lower = 0u64;
-    let mut before = 0u64;
-    for &(bound, cum) in cumulative {
-        if cum >= target {
-            if bound == u64::MAX {
-                return Some(lower); // +Inf bucket: saturate to last finite bound
-            }
-            let in_bucket = cum - before;
-            let frac = (target - before) as f64 / in_bucket as f64;
-            return Some(lower + (frac * (bound - lower) as f64).ceil() as u64);
-        }
-        lower = bound;
-        before = cum;
-    }
-    None
-}
-
 /// A deterministic, ordered snapshot of a [`MetricsRegistry`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
@@ -734,36 +707,5 @@ mod tests {
         assert_eq!(s.p50(), s.p999());
         let p = s.p50().unwrap();
         assert!((7..=8).contains(&p), "p50 = {p}");
-    }
-
-    #[test]
-    fn cumulative_quantiles_match_sample_quantiles() {
-        let h = Histogram::default();
-        for v in [3, 17, 17, 90, 1500, 250_000] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        // Rebuild the cumulative pairs the way a Prometheus scrape
-        // presents them and check both extractors agree.
-        let mut cum = 0u64;
-        let pairs: Vec<(u64, u64)> = s
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                cum += b;
-                let bound = if i < HIST_BUCKETS {
-                    bucket_bound(i)
-                } else {
-                    u64::MAX
-                };
-                (bound, cum)
-            })
-            .collect();
-        for q in [0.5, 0.9, 0.99, 0.999, 1.0] {
-            assert_eq!(quantile_from_cumulative(&pairs, q), s.quantile(q), "q={q}");
-        }
-        assert_eq!(quantile_from_cumulative(&[], 0.5), None);
-        assert_eq!(quantile_from_cumulative(&[(u64::MAX, 0)], 0.5), None);
     }
 }

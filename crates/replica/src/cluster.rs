@@ -39,8 +39,9 @@
 //! * the seeded COMPE **outcome draw** and the timer that hands the
 //!   origin the client decision (the core forwards it to the
 //!   coordinator, which broadcasts it);
-//! * the **measurement side**: the global lock-counters and deviation
-//!   tracker queries are admitted against (DESIGN §7), the serial
+//! * the **measurement side**: the deviation tracker whose in-flight
+//!   ETs are the global lock-counters queries are admitted against
+//!   (DESIGN §7), the serial
 //!   oracle, the true-error probe and the run statistics — fed by the
 //!   events the cores emit, never feeding a frame or a core input back.
 //!
@@ -51,7 +52,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use esr_core::divergence::{EpsilonSpec, InconsistencyCounter, LockCounters};
+use esr_core::divergence::{EpsilonSpec, InconsistencyCounter};
 use esr_core::ids::{ClientId, EtId, LamportTs, ObjectId, SeqNo, SiteId, VersionTs};
 use esr_core::op::{ObjectOp, Operation};
 use esr_core::spatial::{DeviationTracker, SpatialSpec};
@@ -332,14 +333,13 @@ pub struct SimCluster {
     /// All submissions by ET.
     submissions: BTreeMap<EtId, Submission>,
     next_et: u64,
-    /// Global divergence-control lock-counters (§3.2): raised at
-    /// origination, released once the update is resolved at every
-    /// replica. Queries under COMMU/RITU/COMPE/ORDUP-L charge against
-    /// these. An event-plane observer: it reads the cores' events and
-    /// states and feeds nothing back.
-    global_counters: LockCounters,
-    /// Spatial divergence control (§5.1): tracks the pending value
-    /// deviation / changed items alongside the operation counts.
+    /// The in-flight updates: begun at origination, ended once the
+    /// update is resolved at every replica. Its in-flight ETs per
+    /// object are the global divergence-control lock-counters (§3.2)
+    /// queries under COMMU/RITU/COMPE/ORDUP-L charge against, and it
+    /// tracks the pending value deviation / changed items beside them
+    /// for spatial divergence control (§5.1). An event-plane observer:
+    /// it reads the cores' events and states and feeds nothing back.
     deviation: DeviationTracker,
     stats: ClusterStats,
     /// Shared metrics registry — every site bundle registers here; the
@@ -348,8 +348,8 @@ pub struct SimCluster {
     metrics: MetricsRegistry,
     /// `esr_updates_submitted_total{method=…}`.
     obs_updates: Counter,
-    /// `esr_overlap_inflight`: updates currently raised in the global
-    /// lock-counters (the overlap set queries are charged against).
+    /// `esr_overlap_inflight`: updates currently in flight (the overlap
+    /// set queries are charged against).
     obs_overlap_inflight: Gauge,
     /// `esr_quiescence_progress_permille`: 1000 × resolved / submitted.
     obs_quiescence: Gauge,
@@ -400,7 +400,6 @@ impl SimCluster {
             next_version_time: 0,
             submissions: BTreeMap::new(),
             next_et: 1,
-            global_counters: LockCounters::new(),
             deviation: DeviationTracker::new(),
             stats: ClusterStats::default(),
             metrics,
@@ -570,8 +569,8 @@ impl SimCluster {
     /// * `esr_divergence{site}` — updates whose disposition at the site
     ///   disagrees with the global outcome (the true per-site error,
     ///   experiment E5); 0 everywhere at quiescence.
-    /// * `esr_overlap_inflight` — size of the in-flight overlap set in
-    ///   the global lock-counters.
+    /// * `esr_overlap_inflight` — size of the in-flight overlap set, the
+    ///   updates the deviation tracker holds.
     /// * `esr_quiescence_progress_permille` — 1000 × resolved updates /
     ///   submitted updates (1000 when nothing was submitted).
     pub fn refresh_metrics(&self) {
@@ -592,7 +591,7 @@ impl SimCluster {
             }
         }
         self.obs_overlap_inflight
-            .set_u64(self.global_counters.in_flight() as u64);
+            .set_u64(self.deviation.in_flight() as u64);
         let total = self.submissions.len();
         let resolved = self
             .submissions
@@ -732,12 +731,7 @@ impl SimCluster {
         let version = mset.max_version();
         self.send(now, origin, entry, Frame::Submit(mset), None);
 
-        self.global_counters.begin_update(
-            et,
-            ops.iter().filter(|o| o.op.is_write()).map(|o| o.object),
-        );
-        self.deviation
-            .begin(et, ops.iter().map(|o| (o.object, &o.op)));
+        self.deviation.begin(et, ops.iter().map(|o| (o.object, &o.op)));
         self.submissions.insert(
             et,
             Submission {
@@ -947,7 +941,6 @@ impl SimCluster {
             self.applied_everywhere(et)
         };
         if resolved {
-            self.global_counters.end_update(et);
             self.deviation.end(et);
         }
     }
@@ -1039,9 +1032,7 @@ impl SimCluster {
                 // is discarded.
                 let charge = match state {
                     SiteState::Ordup(s) => s.gap_to(self.next_seq),
-                    _ => self
-                        .global_counters
-                        .inconsistency_of_set(read_set.iter().copied()),
+                    _ => self.deviation.pending_ets(read_set),
                 };
                 QueryOutcome::admit(&mut counter, charge, || {
                     let mut unbounded = InconsistencyCounter::new(EpsilonSpec::UNBOUNDED);

@@ -128,7 +128,7 @@ impl<S: ConvergentStore> CountedSite<S> {
 
 impl<S: ConvergentStore> ReplicaSite for CountedSite<S> {
     #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
-    fn deliver(&mut self, mset: MSet, applied: &mut Vec<Released>) -> Delivered {
+    fn deliver(&mut self, mset: &MSet, applied: &mut Vec<Released>) -> Delivered {
         if self.applied_ets.contains_key(&mset.et) {
             return Delivered::Duplicate;
         }
@@ -143,7 +143,7 @@ impl<S: ConvergentStore> ReplicaSite for CountedSite<S> {
             .filter(|o| o.op.is_write())
             .map(|o| o.object);
         self.counters.begin_update(mset.et, writes);
-        let apply = Released::of(&mset);
+        let apply = Released::of(mset);
         self.applied_ets.insert(apply.et, apply.version);
         applied.push(apply);
         Delivered::Applied
@@ -276,10 +276,10 @@ mod tests {
         let mut a = CountedSite::<S>::new(SiteId(0));
         let mut b = CountedSite::<S>::new(SiteId(1));
         for m in &msets {
-            a.deliver(m.clone(), &mut Vec::new());
+            a.deliver(m, &mut Vec::new());
         }
         for m in msets.iter().rev() {
-            b.deliver(m.clone(), &mut Vec::new());
+            b.deliver(m, &mut Vec::new());
         }
         assert_eq!(a.snapshot(), b.snapshot());
         assert_eq!(a.snapshot()[&X], Value::Int(S::merged(5, 7)));
@@ -291,8 +291,8 @@ mod tests {
     fn duplicates_suppressed<S: Fixture>() {
         let mut s = CountedSite::<S>::new(SiteId(0));
         let m = S::update(1, X, 5);
-        assert_eq!(s.deliver(m.clone(), &mut Vec::new()), Delivered::Applied);
-        assert_eq!(s.deliver(m, &mut Vec::new()), Delivered::Duplicate);
+        assert_eq!(s.deliver(&m, &mut Vec::new()), Delivered::Applied);
+        assert_eq!(s.deliver(&m, &mut Vec::new()), Delivered::Duplicate);
         assert_eq!(s.snapshot()[&X], Value::Int(5));
         assert_eq!(s.counters.inconsistency_of(X), 1, "counter raised once");
     }
@@ -304,7 +304,7 @@ mod tests {
             .iter()
             .chain(msets.iter().rev())
             .chain(msets.iter())
-            .filter(|m| s.deliver((*m).clone(), &mut Vec::new()) == Delivered::Duplicate)
+            .filter(|m| s.deliver(m, &mut Vec::new()) == Delivered::Duplicate)
             .count();
         assert_eq!(
             s.snapshot()[&X],
@@ -322,8 +322,8 @@ mod tests {
 
     fn lock_counters_track_in_flight_updates<S: Fixture>() {
         let mut s = CountedSite::<S>::new(SiteId(0));
-        s.deliver(S::update(1, X, 5), &mut Vec::new());
-        s.deliver(S::update(2, X, 3), &mut Vec::new());
+        s.deliver(&S::update(1, X, 5), &mut Vec::new());
+        s.deliver(&S::update(2, X, 3), &mut Vec::new());
         assert_eq!(s.counters.inconsistency_of(X), 2);
         assert!(!s.settled());
         s.complete(EtId(1));
@@ -336,8 +336,8 @@ mod tests {
 
     fn query_charges_lock_counters<S: Fixture>() {
         let mut s = CountedSite::<S>::new(SiteId(0));
-        s.deliver(S::update(1, X, 5), &mut Vec::new());
-        s.deliver(S::update(2, Y, 1), &mut Vec::new());
+        s.deliver(&S::update(1, X, 5), &mut Vec::new());
+        s.deliver(&S::update(2, Y, 1), &mut Vec::new());
         let mut c = unbounded();
         let out = s.query(&[X, Y], &mut c);
         assert!(out.admitted);
@@ -352,7 +352,7 @@ mod tests {
 
     fn strict_query_rejected_while_updates_in_flight<S: Fixture>() {
         let mut s = CountedSite::<S>::new(SiteId(0));
-        s.deliver(S::update(1, X, 5), &mut Vec::new());
+        s.deliver(&S::update(1, X, 5), &mut Vec::new());
         let mut c = InconsistencyCounter::new(EpsilonSpec::STRICT);
         assert_eq!(s.query(&[X], &mut c), QueryOutcome::rejected());
         assert_eq!(c.imported(), 0, "a rejected query charges nothing");
@@ -362,8 +362,8 @@ mod tests {
 
     fn bounded_budget_spends_down<S: Fixture>() {
         let mut s = CountedSite::<S>::new(SiteId(0));
-        s.deliver(S::update(1, X, 1), &mut Vec::new());
-        s.deliver(S::update(2, X, 1), &mut Vec::new());
+        s.deliver(&S::update(1, X, 1), &mut Vec::new());
+        s.deliver(&S::update(2, X, 1), &mut Vec::new());
         let mut c = InconsistencyCounter::new(EpsilonSpec::bounded(3));
         assert!(s.query(&[X], &mut c).admitted, "charge 2 fits in 3");
         assert_eq!(c.remaining(), 1);
@@ -374,8 +374,8 @@ mod tests {
     /// charges the same counters and lets a late completion land.
     fn image_restores_values_and_counters<S: Fixture>() {
         let mut s = CountedSite::<S>::new(SiteId(0));
-        s.deliver(S::update(1, X, 5), &mut Vec::new());
-        s.deliver(S::update(2, Y, 1), &mut Vec::new());
+        s.deliver(&S::update(1, X, 5), &mut Vec::new());
+        s.deliver(&S::update(2, Y, 1), &mut Vec::new());
         s.complete(EtId(2));
         let mut r = CountedSite::<S>::from_ckpt(SiteId(0), s.to_ckpt());
         assert_eq!(r.snapshot(), s.snapshot());

@@ -137,7 +137,7 @@ impl CompeSite {
 
 impl ReplicaSite for CompeSite {
     #[expect(clippy::expect_used, reason = "a rejected apply is replica-state corruption; panicking is the documented contract")]
-    fn deliver(&mut self, mset: MSet, applied: &mut Vec<Released>) -> Delivered {
+    fn deliver(&mut self, mset: &MSet, applied: &mut Vec<Released>) -> Delivered {
         match self.seen.get(&mset.et) {
             None => {
                 self.log
@@ -164,7 +164,7 @@ impl ReplicaSite for CompeSite {
                 return Delivered::Duplicate;
             }
         }
-        applied.push(Released::of(&mset));
+        applied.push(Released::of(mset));
         Delivered::Applied
     }
 
@@ -287,7 +287,7 @@ mod tests {
     #[test]
     fn optimistic_apply_then_commit() {
         let mut s = CompeSite::new(SiteId(0));
-        s.deliver(inc(1, X, 10), &mut Vec::new());
+        s.deliver(&inc(1, X, 10), &mut Vec::new());
         assert_eq!(s.snapshot()[&X], Value::Int(10), "visible before commit");
         assert_eq!(s.at_risk(), 1);
         s.commit(EtId(1));
@@ -298,8 +298,8 @@ mod tests {
     #[test]
     fn abort_with_commutative_fast_path() {
         let mut s = CompeSite::new(SiteId(0));
-        s.deliver(inc(1, X, 10), &mut Vec::new());
-        s.deliver(inc(2, X, 5), &mut Vec::new());
+        s.deliver(&inc(1, X, 10), &mut Vec::new());
+        s.deliver(&inc(2, X, 5), &mut Vec::new());
         s.abort(EtId(1));
         assert_eq!(s.rollback_totals().fast, 1, "compensated in place");
         assert_eq!(s.snapshot()[&X], Value::Int(5));
@@ -310,8 +310,8 @@ mod tests {
     #[test]
     fn abort_with_suffix_rollback_matches_paper_example() {
         let mut s = CompeSite::new(SiteId(0));
-        s.deliver(inc(1, X, 10), &mut Vec::new());
-        s.deliver(mul(2, X, 2), &mut Vec::new());
+        s.deliver(&inc(1, X, 10), &mut Vec::new());
+        s.deliver(&mul(2, X, 2), &mut Vec::new());
         assert_eq!(s.snapshot()[&X], Value::Int(20));
         s.abort(EtId(1));
         assert_eq!(s.rollback_totals().suffix, 1, "Mul does not commute with Inc");
@@ -327,7 +327,7 @@ mod tests {
         let outcomes: Vec<Delivered> = msets
             .iter()
             .chain(msets.iter().rev())
-            .map(|m| s.deliver(m.clone(), &mut Vec::new()))
+            .map(|m| s.deliver(m, &mut Vec::new()))
             .collect();
         assert_eq!(s.snapshot()[&X], Value::Int(27), "((0+10)*2)+7, each once");
         let count = |d: Delivered| outcomes.iter().filter(|o| **o == d).count();
@@ -335,24 +335,24 @@ mod tests {
         assert_eq!(s.at_risk(), 3, "one log record per ET despite duplicates");
         // Duplicates after commit are still suppressed as such.
         s.commit(EtId(1));
-        assert_eq!(s.deliver(msets[0].clone(), &mut Vec::new()), Delivered::Duplicate);
+        assert_eq!(s.deliver(&msets[0], &mut Vec::new()), Delivered::Duplicate);
         assert_eq!(s.snapshot()[&X], Value::Int(27));
         // A suppressed late MSet (abort-first) is NOT a redelivery …
         s.abort(EtId(9));
         assert_eq!(s.compensations(), 0);
-        assert_eq!(s.deliver(inc(9, X, 100), &mut Vec::new()), Delivered::Suppressed);
+        assert_eq!(s.deliver(&inc(9, X, 100), &mut Vec::new()), Delivered::Suppressed);
         // … but its next copy is, as is any copy of a compensated ET.
-        assert_eq!(s.deliver(inc(9, X, 100), &mut Vec::new()), Delivered::Duplicate);
+        assert_eq!(s.deliver(&inc(9, X, 100), &mut Vec::new()), Delivered::Duplicate);
         s.abort(EtId(3));
         assert_eq!(s.compensations(), 1);
-        assert_eq!(s.deliver(msets[2].clone(), &mut Vec::new()), Delivered::Duplicate);
+        assert_eq!(s.deliver(&msets[2], &mut Vec::new()), Delivered::Duplicate);
         assert_eq!(s.snapshot()[&X], Value::Int(20), "ET 3 compensated, once");
     }
 
     #[test]
     fn double_abort_is_ignored() {
         let mut s = CompeSite::new(SiteId(0));
-        s.deliver(inc(1, X, 10), &mut Vec::new());
+        s.deliver(&inc(1, X, 10), &mut Vec::new());
         s.abort(EtId(1));
         s.abort(EtId(1));
         assert_eq!(s.compensations(), 1);
@@ -362,7 +362,7 @@ mod tests {
     fn abort_before_delivery_suppresses_late_mset() {
         let mut s = CompeSite::new(SiteId(0));
         s.abort(EtId(1));
-        s.deliver(inc(1, X, 10), &mut Vec::new());
+        s.deliver(&inc(1, X, 10), &mut Vec::new());
         assert_eq!(
             s.snapshot().get(&X),
             None,
@@ -374,7 +374,7 @@ mod tests {
     #[test]
     fn abort_after_commit_is_rejected() {
         let mut s = CompeSite::new(SiteId(0));
-        s.deliver(inc(1, X, 10), &mut Vec::new());
+        s.deliver(&inc(1, X, 10), &mut Vec::new());
         s.commit(EtId(1));
         s.abort(EtId(1));
         assert_eq!(s.compensations(), 0);
@@ -384,9 +384,9 @@ mod tests {
     #[test]
     fn query_charges_at_risk_conflicts() {
         let mut s = CompeSite::new(SiteId(0));
-        s.deliver(inc(1, X, 10), &mut Vec::new());
-        s.deliver(inc(2, Y, 5), &mut Vec::new());
-        s.deliver(inc(3, X, 1), &mut Vec::new());
+        s.deliver(&inc(1, X, 10), &mut Vec::new());
+        s.deliver(&inc(2, Y, 5), &mut Vec::new());
+        s.deliver(&inc(3, X, 1), &mut Vec::new());
         let mut c = unbounded();
         let out = s.query(&[X], &mut c);
         assert_eq!(out.charged, 2, "two at-risk MSets write x");
@@ -406,18 +406,18 @@ mod tests {
         let m3 = inc(3, X, 7);
 
         let mut a = CompeSite::new(SiteId(0));
-        a.deliver(m1.clone(), &mut Vec::new());
-        a.deliver(m2.clone(), &mut Vec::new());
-        a.deliver(m3.clone(), &mut Vec::new());
+        a.deliver(&m1, &mut Vec::new());
+        a.deliver(&m2, &mut Vec::new());
+        a.deliver(&m3, &mut Vec::new());
         a.abort(EtId(1));
         a.commit(EtId(2));
         a.commit(EtId(3));
 
         let mut b = CompeSite::new(SiteId(1));
-        b.deliver(m2, &mut Vec::new());
+        b.deliver(&m2, &mut Vec::new());
         b.abort(EtId(1)); // abort arrives before the MSet
-        b.deliver(m3, &mut Vec::new());
-        b.deliver(m1, &mut Vec::new());
+        b.deliver(&m3, &mut Vec::new());
+        b.deliver(&m1, &mut Vec::new());
         b.commit(EtId(3));
         b.commit(EtId(2));
 
@@ -432,7 +432,7 @@ mod tests {
     #[test]
     fn strict_query_sees_only_committed_state() {
         let mut s = CompeSite::new(SiteId(0));
-        s.deliver(inc(1, X, 10), &mut Vec::new());
+        s.deliver(&inc(1, X, 10), &mut Vec::new());
         let mut c = InconsistencyCounter::new(EpsilonSpec::STRICT);
         assert!(!s.query(&[X], &mut c).admitted);
     }

@@ -629,7 +629,7 @@ impl NodeCore {
         view: u64,
         journal: Vec<MSet>,
     ) -> (Self, Vec<Effect>) {
-        Self::fresh_at_view(state, method, site, sites, canary, view).boot(None, journal)
+        Self::fresh_at_view(state, method, site, sites, canary, view).boot(None, &journal)
     }
 
     /// Consumes one event, mutates the core, and returns the ordered
@@ -732,6 +732,8 @@ impl NodeCore {
     /// catch-up image whose entry ids refer to a peer's journal) can
     /// safely replay its whole local journal.
     ///
+    /// The suffix is borrowed: the site copies only what it keeps.
+    ///
     /// `view` is the view to boot into — the node passes
     /// `max(newest journalled view, payload.view)`, so neither a view
     /// recorded after the cut nor one whose record truncation retired
@@ -743,7 +745,7 @@ impl NodeCore {
         canary: Option<CtrlCanary>,
         view: u64,
         payload: CkptPayload,
-        suffix: Vec<MSet>,
+        suffix: &[MSet],
     ) -> Option<(Self, Vec<Effect>)> {
         if payload.method() != method {
             return None;
@@ -767,7 +769,7 @@ impl NodeCore {
     /// previous incarnation may have died before its `Applied` report
     /// was sent, and the coordinator's evidence with it; the
     /// coordinator deduplicates).
-    fn boot(mut self, covered: Option<u64>, suffix: Vec<MSet>) -> (Self, Vec<Effect>) {
+    fn boot(mut self, covered: Option<u64>, suffix: &[MSet]) -> (Self, Vec<Effect>) {
         let mut effects: Vec<Effect> = covered
             .map(|covered| Effect::Event(Event::CkptRestore { covered, view: self.view }))
             .into_iter()
@@ -800,7 +802,7 @@ impl NodeCore {
     /// already covers is absorbed by the replica's duplicate guard.
     fn replay(
         &mut self,
-        mset: MSet,
+        mset: &MSet,
         effects: &mut Vec<Effect>,
         announce: &mut Vec<(EtId, Option<VersionTs>)>,
     ) {
@@ -1175,13 +1177,14 @@ impl NodeCore {
     /// — the one path every update takes, whether it arrived from a
     /// client (origin) or a peer link (propagation). The replica
     /// decides what is new: whatever it does not report as a
-    /// [`Delivered::Duplicate`] is journalled, once.
+    /// [`Delivered::Duplicate`] is journalled, once. The site is lent
+    /// the MSet; the journal record is its one owned copy.
     fn accept_mset(&mut self, mset: MSet, fx: &mut Vec<Effect>) {
         let (et, seq, t0) = (mset.et, mset.gseq(), mset.t0);
         if self.canary == Some(CtrlCanary::DecisionReplayReapplies) {
             self.canary_msets.insert(et, mset.clone());
         }
-        let outcome = self.state.site_mut().deliver(mset.clone(), &mut self.applies);
+        let outcome = self.state.site_mut().deliver(&mset, &mut self.applies);
         fx.push(span(SpanRec::new(SpanStage::Deliver, et).with_gseq(seq).with_t0(t0)));
         if outcome != Delivered::Duplicate {
             if let Some((cid, cseq)) = mset.client {
@@ -1643,7 +1646,7 @@ mod tests {
         let decoded = crate::node_ckpt::decode_payload(&crate::node_ckpt::encode_payload(payload));
         assert_eq!(decoded.as_ref(), Some(&**payload), "the image round-trips");
         let (mut restored, _) =
-            NodeCore::restore(RtMethod::Ordup, SiteId(1), 3, None, 0, *payload.clone(), vec![])
+            NodeCore::restore(RtMethod::Ordup, SiteId(1), 3, None, 0, *payload.clone(), &[])
                 .expect("an ORDUP-L image restores an ORDUP node");
         assert_eq!(restored.ckpt_payload(None), core.ckpt_payload(None));
         assert_eq!(restored.state.site().backlog(), 3, "nothing is stable before origin 0 is heard");
@@ -1736,7 +1739,7 @@ mod tests {
             // Boot from the image, replaying the MSet once more, then
             // retry the submit.
             let (mut booted, _) =
-                NodeCore::restore(method, SiteId(1), 3, None, 0, image, vec![m.clone()])
+                NodeCore::restore(method, SiteId(1), 3, None, 0, image, std::slice::from_ref(&m))
                     .expect("method matches");
             let retry = booted.step(NodeEvent::ClientSubmit(m));
             assert!(
@@ -2129,7 +2132,7 @@ mod tests {
             None,
             0,
             payload,
-            journal[2..].to_vec(),
+            &journal[2..],
         )
         .expect("method matches");
         let (full, _) = NodeCore::recover(
@@ -2152,7 +2155,7 @@ mod tests {
             None,
             0,
             payload2,
-            journal,
+            &journal,
         )
         .expect("method matches");
         assert_eq!(re2.ckpt_payload(None), full.ckpt_payload(None));
@@ -2189,7 +2192,7 @@ mod tests {
         let known: Vec<EtId> = payload.evidence.completed().collect();
         assert_eq!(known, vec![EtId(1), EtId(2), EtId(3)]);
         let (mut restored, _) =
-            NodeCore::restore(RtMethod::Commu, SiteId(0), 3, None, 0, payload, vec![])
+            NodeCore::restore(RtMethod::Commu, SiteId(0), 3, None, 0, payload, &[])
                 .expect("method matches");
         assert!(restored.coord.is_some(), "view 0 maps to site 0");
         let reply = restored.step(NodeEvent::PeerFrame(Frame::Hello {
@@ -2333,7 +2336,7 @@ mod tests {
             None,
             0,
             payload,
-            vec![],
+            &[],
         )
         .is_none());
     }

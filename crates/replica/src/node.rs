@@ -11,12 +11,12 @@
 //! * `esrd`'s host is files and its reactor: the journal file, snapshot
 //!   containers installed by a writer thread, the in-memory links, the
 //!   event ring and the monotonic clock;
-//! * [`MemHost`] is memory: a journal with stable ids, the two newest
-//!   snapshot containers, the links' unacknowledged entries, an event
-//!   log stamped in virtual time, and an outbox its owner drains after
-//!   each step's commit — onto the simulator's virtual-time network, or
-//!   onto the model's FIFO queues. Its one fault operation is a torn
-//!   commit ([`MemHost::tear`]).
+//! * [`MemHost`] is memory: a journal with stable ids, as many of the
+//!   newest snapshot containers as `esrd` keeps, the links'
+//!   unacknowledged entries, an event log stamped in virtual time, and
+//!   an outbox its owner drains after each step's commit — onto the
+//!   simulator's virtual-time network, or onto the model's FIFO queues.
+//!   Its one fault operation is a torn commit ([`MemHost::tear`]).
 //!
 //! A site's durable state is its journal and its snapshots: a view it
 //! installed and what its links had acknowledged are journal records
@@ -27,7 +27,9 @@
 //! [`Node::boot`] restores the newest snapshot that decodes, restores,
 //! and is continued by the journal, replaying the journal suffix past
 //! its cut, into the newest view recorded — the journal's or the
-//! image's, which covers a view record truncation retired. With no such
+//! image's, which covers a view record truncation retired. The
+//! journal's MSets are read into one list, and each image tried is lent
+//! the slice of it past its cut: no suffix is copied. With no such
 //! image it restores the blank one and replays the whole journal — but
 //! only a journal nothing was ever retired from. Either way it is the
 //! core's one boot ([`NodeCore::restore`], [`NodeCore::recover`]): the
@@ -278,11 +280,17 @@ impl Node {
         let first_live = journal
             .first()
             .map_or(host.last_id().map_or(0, |id| id + 1), |(id, _)| *id);
-        let (mut msets, mut decisions, mut view) = (Vec::new(), Vec::new(), 0);
+        // The journal's MSets, each kept once and in id order beside its
+        // id: every image tried below is lent the slice past its cut.
+        let (mut ids, mut msets) = (Vec::new(), Vec::new());
+        let (mut decisions, mut view) = (Vec::new(), 0);
         let mut recorded = vec![None; cfg.sites];
         for (id, record) in journal {
             match record {
-                Record::MSet(m) => msets.push((id, m)),
+                Record::MSet(m) => {
+                    ids.push(id);
+                    msets.push(m);
+                }
                 Record::Decision { et, commit } => decisions.push((et, commit)),
                 Record::View(v) => view = v,
                 Record::Cursors(acked) => {
@@ -300,16 +308,18 @@ impl Node {
         let mut reseed: Vec<(SiteId, Vec<Frame>)> = peers
             .filter_map(|peer| {
                 let resume = recorded[peer.raw() as usize];
-                let frames: Vec<Frame> = msets
+                let frames: Vec<Frame> = ids
                     .iter()
-                    .filter(|(id, m)| m.origin == cfg.site && resume.is_none_or(|c| *id > c))
+                    .zip(&msets)
+                    .filter(|(id, m)| m.origin == cfg.site && resume.is_none_or(|c| **id > c))
                     .map(|(_, m)| Frame::MSet(m.clone()))
                     .collect();
                 (!frames.is_empty()).then_some((peer, frames))
             })
             .collect();
-        let originated: VecDeque<u64> = msets
+        let originated: VecDeque<u64> = ids
             .iter()
+            .zip(&msets)
             .filter(|(_, m)| m.origin == cfg.site)
             .map(|(id, _)| *id)
             .collect();
@@ -337,11 +347,8 @@ impl Node {
                         covered_through: p.covered_through,
                         cut: seq,
                     };
-                    let suffix: Vec<MSet> = msets
-                        .iter()
-                        .filter(|(id, _)| p.covered_through.is_none_or(|cut| *id > cut))
-                        .map(|(_, m)| m.clone())
-                        .collect();
+                    let past = p.covered_through.map_or(0, |cut| ids.partition_point(|&id| id <= cut));
+                    let suffix = &msets[past..];
                     let replayed = suffix.len() as u64;
                     let started = host.now();
                     let (method, at, canary) = (cfg.method, view.max(p.view), cfg.canary);
@@ -363,10 +370,9 @@ impl Node {
         let (mut core, mut recovery, mut ckpt, replayed) = match restored {
             Some(restored) => restored,
             None if first_live == 0 => {
-                let entries: Vec<MSet> = msets.into_iter().map(|(_, m)| m).collect();
-                let replayed = entries.len() as u64;
+                let replayed = msets.len() as u64;
                 let (core, effects) =
-                    NodeCore::recover(blank, cfg.method, cfg.site, cfg.sites, cfg.canary, view, entries);
+                    NodeCore::recover(blank, cfg.method, cfg.site, cfg.sites, cfg.canary, view, msets);
                 (core, effects, CkptState::default(), replayed)
             }
             None => {
@@ -756,8 +762,9 @@ pub struct MemHost {
     next_id: u64,
     /// Bytes ever appended: a journal file before compaction.
     journal_bytes: u64,
-    /// Snapshot containers, oldest first: the two newest are kept, so
-    /// a corrupt newest falls back to the one before it.
+    /// Snapshot containers, oldest first: the newest
+    /// [`snapshot::KEEP`] are kept, as `esrd` keeps its files, so a
+    /// corrupt newest falls back to the one before it.
     pub(crate) snapshots: Vec<(u64, Vec<u8>)>,
     /// Install reports the node has not taken yet.
     installs: VecDeque<Install>,
@@ -876,7 +883,7 @@ impl Host for MemHost {
         let container = snapshot::encode_container(seq, &encode_payload(&payload));
         self.installs.push_back(Ok((container.len() as u64, 0)));
         self.snapshots.push((seq, container));
-        if self.snapshots.len() > 2 {
+        if self.snapshots.len() > snapshot::KEEP {
             self.snapshots.remove(0);
         }
     }

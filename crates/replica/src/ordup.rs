@@ -6,7 +6,9 @@
 //!
 //! One site, [`OrderedSite`], holds the store, the MSets parked until
 //! their turn and the applied-ET guard, and has the one deliver, drain,
-//! query and image code. Its order key is the only part that differs
+//! query and image code. It is the one site that keeps an MSet it is
+//! lent: a parked MSet is copied into the hold-back, an in-order one is
+//! applied in place. Its order key is the only part that differs
 //! between the paper's two ordering mechanisms:
 //!
 //! * [`OrdupSite`], keyed by [`SeqNo`] — a **centralized sequencer**
@@ -36,6 +38,7 @@
 //! lacks; the simulator charges a token-holding query that count, so a
 //! strict one is admitted only once the gap is zero.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Bound;
@@ -302,21 +305,26 @@ impl<O: Order> OrderedSite<O> {
 }
 
 impl<O: Order> ReplicaSite for OrderedSite<O> {
-    fn deliver(&mut self, mset: MSet, applied: &mut Vec<Released>) -> Delivered {
-        let Some(key) = O::key(&mset) else {
+    fn deliver(&mut self, mset: &MSet, applied: &mut Vec<Released>) -> Delivered {
+        let Some(key) = O::key(mset) else {
             panic!("ORDUP site received MSet {mset} without its order tag");
         };
-        if !O::arrive(&mut self.order, &mset, &self.parked) {
+        if !O::arrive(&mut self.order, mset, &self.parked) {
             return Delivered::Duplicate;
         }
         let first = self.parked.keys().next();
         if first.is_none_or(|&k| key < k) && O::stable(&self.order, key) {
-            // Next in line: the in-order path parks nothing.
-            self.apply(key, &mset, applied);
-        } else if self.parked.insert(key, mset).is_some() {
-            // One key is one MSet, so replacing the parked copy with
-            // its duplicate is a no-op.
-            return Delivered::Duplicate;
+            // Next in line: the in-order path parks, and copies, nothing.
+            self.apply(key, mset, applied);
+        } else {
+            match self.parked.entry(key) {
+                // The one copy a site keeps: the MSet it parks.
+                Entry::Vacant(slot) => {
+                    slot.insert(mset.clone());
+                }
+                // One key is one MSet: this is its duplicate.
+                Entry::Occupied(_) => return Delivered::Duplicate,
+            }
         }
         self.drain(applied);
         // A Lamport arrival can stabilize an earlier parked stamp along
@@ -451,7 +459,7 @@ mod tests {
 
     /// Delivers `m` to `s`: what became of it, and the ETs the delivery
     /// applied, in apply order.
-    fn deliver<O: Order>(s: &mut OrderedSite<O>, m: MSet) -> (Delivered, Vec<EtId>) {
+    fn deliver<O: Order>(s: &mut OrderedSite<O>, m: &MSet) -> (Delivered, Vec<EtId>) {
         let mut applied = Vec::new();
         let outcome = s.deliver(m, &mut applied);
         (outcome, applied.iter().map(|r| r.et).collect())
@@ -460,27 +468,27 @@ mod tests {
     fn applies_in_order_despite_reordered_delivery<O: Fixture>() {
         let mut s = O::site();
         // Deliver #1 (Mul) before #0 (Inc): must still apply Inc first.
-        deliver(&mut s, O::nth(2, 1, mul(2)));
+        deliver(&mut s, &O::nth(2, 1, mul(2)));
         assert_eq!(s.backlog(), 1, "parked waiting for #0");
         assert_eq!(s.snapshot().get(&X), None, "nothing applied yet");
-        deliver(&mut s, O::nth(1, 0, incr(10)));
+        deliver(&mut s, &O::nth(1, 0, incr(10)));
         assert_eq!(s.backlog(), 0);
         assert_eq!(s.snapshot()[&X], Value::Int(20), "(0+10)*2");
         assert!(s.has_applied(EtId(1)) && s.has_applied(EtId(2)));
-        let next = deliver(&mut s, O::nth(3, 2, incr(1)));
+        let next = deliver(&mut s, &O::nth(3, 2, incr(1)));
         assert_eq!(next.0, Delivered::Applied, "#2 is next in line");
     }
 
     fn duplicate_delivery_is_idempotent<O: Fixture>() {
         let mut s = O::site();
         let m = O::nth(1, 0, incr(5));
-        deliver(&mut s, m.clone());
-        assert_eq!(deliver(&mut s, m).0, Delivered::Duplicate);
+        deliver(&mut s, &m);
+        assert_eq!(deliver(&mut s, &m).0, Delivered::Duplicate);
         assert_eq!(s.snapshot()[&X], Value::Int(5));
         // Duplicate of a parked MSet too.
         let h = O::nth(2, 2, incr(1));
-        assert_eq!(deliver(&mut s, h.clone()).0, Delivered::Held);
-        assert_eq!(deliver(&mut s, h).0, Delivered::Duplicate);
+        assert_eq!(deliver(&mut s, &h).0, Delivered::Held);
+        assert_eq!(deliver(&mut s, &h).0, Delivered::Duplicate);
         assert_eq!(s.backlog(), 1);
     }
 
@@ -492,7 +500,7 @@ mod tests {
         ];
         let mut clean = O::site();
         for m in &msets {
-            deliver(&mut clean, m.clone());
+            deliver(&mut clean, m);
         }
         // Stormed replica: every MSet three times, interleaved both ways.
         let mut stormed = O::site();
@@ -500,7 +508,7 @@ mod tests {
             .iter()
             .chain(msets.iter().rev())
             .chain(msets.iter())
-            .map(|m| deliver(&mut stormed, m.clone()).0)
+            .map(|m| deliver(&mut stormed, m).0)
             .collect();
         assert_eq!(stormed.snapshot(), clean.snapshot());
         let count = |d: Delivered| outcomes.iter().filter(|o| **o == d).count();
@@ -510,9 +518,9 @@ mod tests {
 
     fn query_charges_per_conflicting_parked_mset<O: Fixture>() {
         let mut s = O::site();
-        deliver(&mut s, O::nth(1, 1, incr(1)));
-        deliver(&mut s, O::nth(2, 2, incr(2)));
-        deliver(&mut s, O::nth(3, 3, vec![ObjectOp::new(ObjectId(5), Operation::Incr(3))]));
+        deliver(&mut s, &O::nth(1, 1, incr(1)));
+        deliver(&mut s, &O::nth(2, 2, incr(2)));
+        deliver(&mut s, &O::nth(3, 3, vec![ObjectOp::new(ObjectId(5), Operation::Incr(3))]));
         let mut c = unbounded();
         let out = s.query(&[X], &mut c);
         assert!(out.admitted);
@@ -524,7 +532,7 @@ mod tests {
 
     fn strict_query_rejected_while_behind<O: Fixture>() {
         let mut s = O::site();
-        deliver(&mut s, O::nth(1, 1, incr(1)));
+        deliver(&mut s, &O::nth(1, 1, incr(1)));
         let mut c = InconsistencyCounter::new(EpsilonSpec::STRICT);
         let out = s.query(&[X], &mut c);
         assert!(!out.admitted);
@@ -543,10 +551,10 @@ mod tests {
         let mut a = O::site();
         let mut b = O::site();
         for m in &msets {
-            deliver(&mut a, m.clone());
+            deliver(&mut a, m);
         }
         for m in msets.iter().rev() {
-            deliver(&mut b, m.clone());
+            deliver(&mut b, m);
         }
         assert_eq!(a.snapshot(), b.snapshot());
         assert_eq!(a.snapshot()[&X], Value::Int(25), "(0+10)*3-5");
@@ -557,13 +565,13 @@ mod tests {
     /// successor as the original does.
     fn image_restores_the_parked_msets_and_the_order<O: Fixture>() {
         let mut s = O::site();
-        deliver(&mut s, O::nth(1, 0, incr(10)));
-        deliver(&mut s, O::nth(3, 2, mul(2)));
+        deliver(&mut s, &O::nth(1, 0, incr(10)));
+        deliver(&mut s, &O::nth(3, 2, mul(2)));
         let mut r = OrderedSite::<O>::from_ckpt(SiteId(0), s.to_ckpt());
         assert_eq!(r.to_ckpt(), s.to_ckpt());
-        assert_eq!(deliver(&mut r, O::nth(1, 0, incr(10))).0, Delivered::Duplicate);
+        assert_eq!(deliver(&mut r, &O::nth(1, 0, incr(10))).0, Delivered::Duplicate);
         for site in [&mut s, &mut r] {
-            let filler = deliver(site, O::nth(2, 1, incr(1)));
+            let filler = deliver(site, &O::nth(2, 1, incr(1)));
             assert_eq!(filler.0, Delivered::Applied);
             assert_eq!(filler.1, [EtId(2), EtId(3)]);
         }
@@ -594,11 +602,11 @@ mod tests {
         let mut s = two_origins();
         // Origin 1 sends ts=2 first; origin 0's ts=1 is still missing, so
         // nothing may apply yet (ts=2 isn't stable).
-        let first = deliver(&mut s, lam(2, 1, 2, 0, mul(2)));
+        let first = deliver(&mut s, &lam(2, 1, 2, 0, mul(2)));
         assert_eq!(first.0, Delivered::Held);
         // Origin 0's ts=1 arrives: horizon = min(1, 2) = 1, so ts=1
         // applies but ts=2 still waits (origin 0 might send ts=2 later).
-        let second = deliver(&mut s, lam(1, 0, 1, 0, incr(10)));
+        let second = deliver(&mut s, &lam(1, 0, 1, 0, incr(10)));
         assert_eq!(second.0, Delivered::Applied);
         assert!(second.1 == [EtId(1)] && !s.has_applied(EtId(2)));
         assert_eq!(s.snapshot()[&X], Value::Int(10));
@@ -613,14 +621,14 @@ mod tests {
     #[test]
     fn a_beat_waits_for_the_msets_its_origin_sent_before_it() {
         let mut a = two_origins();
-        deliver(&mut a, lam(1, 0, 1, 0, incr(10)));
-        deliver(&mut a, lam(2, 1, 2, 0, mul(2)));
+        deliver(&mut a, &lam(1, 0, 1, 0, incr(10)));
+        deliver(&mut a, &lam(2, 1, 2, 0, mul(2)));
         assert_eq!(beat(&mut a, 0, 1, 5), [EtId(2)]);
         let mut b = two_origins();
-        deliver(&mut b, lam(2, 1, 2, 0, mul(2)));
+        deliver(&mut b, &lam(2, 1, 2, 0, mul(2)));
         assert!(beat(&mut b, 0, 1, 5).is_empty(), "origin 0's ts=1 is still in flight");
         assert_eq!(b.snapshot().get(&X), None);
-        let late = deliver(&mut b, lam(1, 0, 1, 0, incr(10)));
+        let late = deliver(&mut b, &lam(1, 0, 1, 0, incr(10)));
         assert_eq!(late.0, Delivered::Applied);
         assert_eq!(late.1, [EtId(1), EtId(2)]);
         assert_eq!(b.snapshot(), a.snapshot());
@@ -632,17 +640,17 @@ mod tests {
     #[test]
     fn the_newest_pending_beat_is_kept() {
         let mut s = two_origins();
-        deliver(&mut s, lam(9, 1, 3, 0, incr(1)));
+        deliver(&mut s, &lam(9, 1, 3, 0, incr(1)));
         assert!(beat(&mut s, 1, 1, 20).is_empty(), "origin 0 unheard");
         assert!(beat(&mut s, 0, 2, 7).is_empty());
         assert!(beat(&mut s, 0, 1, 4).is_empty(), "an older beat replaces nothing");
-        deliver(&mut s, lam(1, 0, 1, 0, incr(10)));
+        deliver(&mut s, &lam(1, 0, 1, 0, incr(10)));
         assert!(!s.has_applied(EtId(9)), "the kept beat needs two MSets");
-        let second = deliver(&mut s, lam(2, 0, 5, 1, mul(2)));
+        let second = deliver(&mut s, &lam(2, 0, 5, 1, mul(2)));
         assert_eq!(second.0, Delivered::Applied);
         assert_eq!(second.1, [EtId(9), EtId(2)], "ts 3 applies before ts 5");
         // Origin 0 is now covered to ts=7, past its own ts=5.
-        let third = deliver(&mut s, lam(3, 1, 6, 1, incr(1)));
+        let third = deliver(&mut s, &lam(3, 1, 6, 1, incr(1)));
         assert_eq!(third.0, Delivered::Applied);
         assert_eq!(s.snapshot()[&X], Value::Int(23), "(0+10+1)*2+1");
     }
@@ -651,10 +659,10 @@ mod tests {
     fn lamport_fifo_reassembly_handles_reordering() {
         let mut s = OrdupLamportSite::new(SiteId(2), vec![SiteId(0)]);
         // fifo #1 arrives before fifo #0: parked.
-        let early = deliver(&mut s, lam(2, 0, 2, 1, mul(2)));
+        let early = deliver(&mut s, &lam(2, 0, 2, 1, mul(2)));
         assert_eq!(early.0, Delivered::Held);
         assert_eq!(s.backlog(), 1);
-        deliver(&mut s, lam(1, 0, 1, 0, incr(10)));
+        deliver(&mut s, &lam(1, 0, 1, 0, incr(10)));
         // Both reassembled; horizon = ts 2, both stable.
         assert!(s.has_applied(EtId(1)) && s.has_applied(EtId(2)));
         assert_eq!(s.snapshot()[&X], Value::Int(20));
@@ -670,7 +678,7 @@ mod tests {
         let run = |order: Vec<usize>| {
             let mut s = two_origins();
             for i in order {
-                deliver(&mut s, msets[i].clone());
+                deliver(&mut s, &msets[i]);
             }
             // Final heartbeats flush the tail.
             beat(&mut s, 0, 2, 100);
@@ -697,7 +705,7 @@ mod tests {
         let duplicates = msets
             .iter()
             .chain(msets.iter().rev())
-            .filter(|m| deliver(&mut s, (*m).clone()).0 == Delivered::Duplicate)
+            .filter(|m| deliver(&mut s, m).0 == Delivered::Duplicate)
             .count();
         beat(&mut s, 0, 2, 100);
         beat(&mut s, 1, 1, 100);
@@ -709,7 +717,7 @@ mod tests {
     #[test]
     fn lamport_query_charges_parked_msets() {
         let mut s = two_origins();
-        deliver(&mut s, lam(1, 0, 5, 0, incr(1)));
+        deliver(&mut s, &lam(1, 0, 5, 0, incr(1)));
         // Not stable (origin 1 silent): parked.
         let out = s.query(&[X], &mut unbounded());
         assert_eq!(out.charged, 1);

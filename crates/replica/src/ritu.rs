@@ -130,7 +130,7 @@ impl RituMvSite {
 }
 
 impl ReplicaSite for RituMvSite {
-    fn deliver(&mut self, mset: MSet, applied: &mut Vec<Released>) -> Delivered {
+    fn deliver(&mut self, mset: &MSet, applied: &mut Vec<Released>) -> Delivered {
         if self.applied_ets.contains_key(&mset.et) {
             return Delivered::Duplicate;
         }
@@ -144,7 +144,7 @@ impl ReplicaSite for RituMvSite {
                 other => panic!("RITU-MV MSet carries non-timestamped write {other}"),
             }
         }
-        let apply = Released::of(&mset);
+        let apply = Released::of(mset);
         self.applied_ets.insert(apply.et, apply.version);
         applied.push(apply);
         Delivered::Applied
@@ -251,10 +251,10 @@ mod tests {
         let mut a = RituOverwriteSite::new(SiteId(0));
         let mut b = RituOverwriteSite::new(SiteId(1));
         for m in &msets {
-            a.deliver(m.clone(), &mut Vec::new());
+            a.deliver(m, &mut Vec::new());
         }
         for m in msets.iter().rev() {
-            b.deliver(m.clone(), &mut Vec::new());
+            b.deliver(m, &mut Vec::new());
         }
         assert_eq!(a.snapshot(), b.snapshot());
         assert_eq!(a.snapshot()[&X], Value::Int(30), "newest timestamp wins");
@@ -269,7 +269,7 @@ mod tests {
             .iter()
             .chain(msets.iter())
             .chain(msets.iter())
-            .filter(|m| s.deliver((*m).clone(), &mut Vec::new()) == Delivered::Duplicate)
+            .filter(|m| s.deliver(m, &mut Vec::new()) == Delivered::Duplicate)
             .count();
         assert_eq!(duplicates, 6);
         assert!(msets.iter().all(|m| s.has_applied(m.et)));
@@ -280,8 +280,8 @@ mod tests {
     #[test]
     fn mv_installs_versions_and_reads_latest() {
         let mut s = RituMvSite::new(SiteId(0));
-        s.deliver(tw(1, X, 1, 10), &mut Vec::new());
-        s.deliver(tw(2, X, 2, 20), &mut Vec::new());
+        s.deliver(&tw(1, X, 1, 10), &mut Vec::new());
+        s.deliver(&tw(2, X, 2, 20), &mut Vec::new());
         assert_eq!(s.version_count(X), 2);
         let mut c = unbounded();
         let out = s.query(&[X], &mut c);
@@ -292,14 +292,14 @@ mod tests {
     #[test]
     fn mv_charges_only_reads_above_vtnc() {
         let mut s = RituMvSite::new(SiteId(0));
-        s.deliver(tw(1, X, 1, 10), &mut Vec::new());
+        s.deliver(&tw(1, X, 1, 10), &mut Vec::new());
         s.advance_vtnc(vts(1));
         let mut c = unbounded();
         let out = s.query(&[X], &mut c);
         assert_eq!(out.charged, 0, "version 1 is stable");
         assert_eq!(out.values, vec![Value::Int(10)]);
 
-        s.deliver(tw(2, X, 5, 50), &mut Vec::new());
+        s.deliver(&tw(2, X, 5, 50), &mut Vec::new());
         let out = s.query(&[X], &mut c);
         assert_eq!(out.charged, 1, "version 5 is above the VTNC");
         assert_eq!(out.values, vec![Value::Int(50)]);
@@ -308,9 +308,9 @@ mod tests {
     #[test]
     fn mv_exhausted_budget_falls_back_to_vtnc_version() {
         let mut s = RituMvSite::new(SiteId(0));
-        s.deliver(tw(1, X, 1, 10), &mut Vec::new());
+        s.deliver(&tw(1, X, 1, 10), &mut Vec::new());
         s.advance_vtnc(vts(1));
-        s.deliver(tw(2, X, 5, 50), &mut Vec::new());
+        s.deliver(&tw(2, X, 5, 50), &mut Vec::new());
         let mut c = InconsistencyCounter::new(EpsilonSpec::STRICT);
         let out = s.query(&[X], &mut c);
         assert!(out.admitted, "multiversion queries never reject");
@@ -321,8 +321,8 @@ mod tests {
     #[test]
     fn mv_budget_splits_across_read_set() {
         let mut s = RituMvSite::new(SiteId(0));
-        s.deliver(tw(1, X, 5, 50), &mut Vec::new());
-        s.deliver(tw(2, Y, 6, 60), &mut Vec::new());
+        s.deliver(&tw(1, X, 5, 50), &mut Vec::new());
+        s.deliver(&tw(2, Y, 6, 60), &mut Vec::new());
         let mut c = InconsistencyCounter::new(EpsilonSpec::bounded(1));
         let out = s.query(&[X, Y], &mut c);
         assert_eq!(out.charged, 1);
@@ -339,10 +339,10 @@ mod tests {
         let mut a = RituMvSite::new(SiteId(0));
         let mut b = RituMvSite::new(SiteId(1));
         for m in &msets {
-            a.deliver(m.clone(), &mut Vec::new());
+            a.deliver(m, &mut Vec::new());
         }
         for m in msets.iter().rev() {
-            b.deliver(m.clone(), &mut Vec::new());
+            b.deliver(m, &mut Vec::new());
         }
         assert_eq!(a.snapshot(), b.snapshot());
         assert_eq!(a.snapshot()[&X], Value::Int(20));
@@ -386,7 +386,7 @@ mod tests {
         let mut s = RituMvSite::new(SiteId(0));
         let writes = [(X, 3), (X, 1), (Y, 2), (X, 5), (X, 4), (Y, 6), (X, 8)];
         for (et, &(object, t)) in writes.iter().enumerate() {
-            s.deliver(tw(et as u64 + 1, object, t, t as i64 * 10), &mut Vec::new());
+            s.deliver(&tw(et as u64 + 1, object, t, t as i64 * 10), &mut Vec::new());
         }
         assert_image_restores(&mut s);
         assert_eq!(image_times(&s, X), [1, 3, 4, 5, 8], "nothing stable yet");
@@ -398,7 +398,7 @@ mod tests {
         assert_eq!(image_times(&s, X), [4, 5, 8]);
         assert_image_restores(&mut s);
 
-        s.deliver(tw(8, X, 9, 90), &mut Vec::new());
+        s.deliver(&tw(8, X, 9, 90), &mut Vec::new());
         assert_eq!(s.version_count(X), 4, "the install pruned 1 and 3");
         assert_image_restores(&mut s);
 

@@ -10,6 +10,11 @@
 //! drives the site: it owns delivery timing ("MSet delivery") and hands
 //! the site each control input as it is decided.
 //!
+//! A site is *lent* each MSet it is delivered: the accepted MSet's one
+//! owned copy is the core's journal record ([`crate::ctrl::Effect::Journal`]),
+//! and a site copies only what it keeps — ORDUP's parked MSets; every
+//! other method applies the MSet in place and keeps none of it.
+//!
 //! A site is the only owner of its hold-back state, so it *reports*
 //! what a delivery did ([`Delivered`]) and lists every MSet it applied
 //! ([`Released`]), in the order its store applied them, instead of being
@@ -148,8 +153,9 @@ pub trait ReplicaSite {
     ///
     /// This is the method's one apply rule: every executor (esrd, the
     /// simulator, the model) reaches a store only through it, one MSet
-    /// at a time.
-    fn deliver(&mut self, mset: MSet, applied: &mut Vec<Released>) -> Delivered;
+    /// at a time. The MSet is lent: a site that keeps it (a parked
+    /// ORDUP MSet) copies it, any other reads it in place.
+    fn deliver(&mut self, mset: &MSet, applied: &mut Vec<Released>) -> Delivered;
 
     /// Does `mset` have the shape [`ReplicaSite::deliver`] takes?
     /// `deliver` panics on anything else, so an MSet from outside the

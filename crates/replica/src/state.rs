@@ -168,9 +168,11 @@ impl SiteState {
     // (`benchmark/src/probe.rs`) makes without importing `ReplicaSite`.
 
     /// [`ReplicaSite::deliver`]: the only way an MSet reaches a store,
-    /// for a caller that keeps no list of what it applied.
+    /// for a caller that keeps no list of what it applied. It takes the
+    /// MSet by value only because the probe's call is pinned; the site
+    /// is lent it.
     pub fn deliver(&mut self, mset: MSet) -> Delivered {
-        self.site_mut().deliver(mset, &mut Vec::new())
+        self.site_mut().deliver(&mset, &mut Vec::new())
     }
 
     /// `deliver` per MSet, in order. Exists only because esrbench's
@@ -178,7 +180,7 @@ impl SiteState {
     /// with that metric.
     pub fn deliver_batch(&mut self, msets: Vec<MSet>) {
         let (site, mut applied) = (self.site_mut(), Vec::new());
-        for m in msets {
+        for m in &msets {
             applied.clear();
             site.deliver(m, &mut applied);
         }

@@ -125,7 +125,7 @@ fn deliver_checked<S: ReplicaSite>(
         all_ets.iter().copied().filter(|et| site.has_applied(*et)).collect();
     let backlog_before = site.backlog();
     let mut applied = Vec::new();
-    let d = site.deliver(m.clone(), &mut applied);
+    let d = site.deliver(m, &mut applied);
     let mut newly: Vec<EtId> = all_ets
         .iter()
         .copied()
@@ -220,11 +220,11 @@ fn deliver_again_checked<S: ReplicaSite>(
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let mut applied = Vec::new();
     if delivered.insert(m.et) {
-        site.deliver(m.clone(), &mut applied);
+        site.deliver(m, &mut applied);
         return Ok(());
     }
     let before = state(site);
-    let d = site.deliver(m.clone(), &mut applied);
+    let d = site.deliver(m, &mut applied);
     prop_assert_eq!((d, applied), (Delivered::Duplicate, vec![]), "again: {}", m);
     prop_assert_eq!(state(site), before, "a redelivery of {} changed the site", m);
     Ok(())

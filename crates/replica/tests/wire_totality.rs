@@ -363,7 +363,7 @@ proptest! {
         raw[i] = byte;
         if let Some(payload) = decode_payload(&raw) {
             let method = payload.method();
-            prop_assert!(NodeCore::restore(method, SiteId(0), 3, None, 0, payload, vec![]).is_some());
+            prop_assert!(NodeCore::restore(method, SiteId(0), 3, None, 0, payload, &[]).is_some());
         }
     }
 

@@ -112,7 +112,7 @@ use bytes::{Bytes, BytesMut};
 use esr_core::divergence::{EpsilonSpec, InconsistencyCounter};
 use esr_core::ids::SiteId;
 use esr_net::rpc::{
-    put_acks, put_frame, Backoff, ConnKind, Envelopes, Links, Reactor, RpcService, WakePipe, Waker,
+    put_acks, put_frame, ConnKind, Envelopes, Links, Reactor, RpcService, WakePipe, Waker,
     NO_ENTRY,
 };
 use esr_obs::{
@@ -438,9 +438,9 @@ fn spawn_writer(
                 let bytes = encode_payload(&payload);
                 let report = match snapshot::install(&dir, &prefix, seq, &bytes) {
                     Ok(_) => {
-                        // Keep the two newest containers: a corrupt
-                        // newest falls back to the one before it.
-                        let _ = snapshot::retain(&dir, &prefix, 2);
+                        // Keep the newest containers: a corrupt newest
+                        // falls back to the one before it.
+                        let _ = snapshot::retain(&dir, &prefix);
                         let size = (bytes.len() + snapshot::SNAP_OVERHEAD) as u64;
                         Ok((size, started.elapsed().as_micros() as u64))
                     }
@@ -537,7 +537,6 @@ impl Daemon {
                 j,
                 Box::new(move || resolve_addr(&dir, to)),
                 hello.clone(),
-                Backoff::default(),
                 link_obs,
             );
         }

@@ -80,21 +80,6 @@ impl DetRng {
         Duration::from_micros(self.range(lo.as_micros(), hi.as_micros() + 1))
     }
 
-    /// Chooses an index by relative weights. Panics if `weights` is empty
-    /// or sums to zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "weights must sum to a positive value");
-        let mut draw = self.unit() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if draw < *w {
-                return i;
-            }
-            draw -= w;
-        }
-        weights.len() - 1
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -185,14 +170,6 @@ mod tests {
             assert!(d >= lo && d <= hi);
         }
         assert_eq!(r.uniform_duration(hi, lo), hi, "inverted range yields lo");
-    }
-
-    #[test]
-    fn weighted_index_prefers_heavy_weights() {
-        let mut r = DetRng::new(8);
-        let weights = [0.1, 0.9];
-        let ones = (0..10_000).filter(|_| r.weighted_index(&weights) == 1).count();
-        assert!(ones > 8_000, "got {ones}");
     }
 
     #[test]

@@ -32,6 +32,10 @@ pub const SNAP_MAGIC: [u8; 8] = *b"ESRSNAP1";
 /// Fixed container overhead: magic + seq + payload length + crc.
 pub const SNAP_OVERHEAD: usize = 8 + 8 + 8 + 4;
 
+/// How many snapshots a site keeps: the newest, and the one before it
+/// that a boot falls back to when the newest is corrupt.
+pub const KEEP: usize = 2;
+
 /// CRC-32 (IEEE) lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
@@ -165,11 +169,11 @@ pub fn load_newest_raw(dir: &Path, prefix: &str) -> io::Result<Option<(u64, Vec<
     Ok(None)
 }
 
-/// Deletes all but the newest `keep` snapshots for `prefix`.
-pub fn retain(dir: &Path, prefix: &str, keep: usize) -> io::Result<()> {
+/// Deletes all but the newest [`KEEP`] snapshots for `prefix`.
+pub fn retain(dir: &Path, prefix: &str) -> io::Result<()> {
     let found = list(dir, prefix)?;
-    if found.len() > keep {
-        for (_, path) in &found[..found.len() - keep] {
+    if found.len() > KEEP {
+        for (_, path) in &found[..found.len() - KEEP] {
             let _ = std::fs::remove_file(path);
         }
     }
@@ -248,7 +252,7 @@ mod tests {
             load_newest(&dir, "site-0").unwrap(),
             Some((3, b"three".to_vec()))
         );
-        retain(&dir, "site-0", 2).unwrap();
+        retain(&dir, "site-0").unwrap();
         let left = list(&dir, "site-0").unwrap();
         assert_eq!(left.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![2, 3]);
         assert_eq!(list(&dir, "site-1").unwrap().len(), 1);

@@ -67,9 +67,9 @@ fn tw_mset(et: u64, t: u64, v: i64) -> MSet {
 pub fn probe_ordup() -> Table1Column {
     let mut s = OrdupSite::new(SiteId(0));
     // Deliver #1 before #0: it must be held, not applied.
-    s.deliver(inc_mset(2, 5).sequenced(SeqNo(1)), &mut Vec::new());
+    s.deliver(&inc_mset(2, 5).sequenced(SeqNo(1)), &mut Vec::new());
     let held_back = s.backlog() == 1 && !s.has_applied(EtId(2));
-    s.deliver(mul_mset(1, 3).sequenced(SeqNo(0)), &mut Vec::new());
+    s.deliver(&mul_mset(1, 3).sequenced(SeqNo(0)), &mut Vec::new());
     let sorted_before_apply = s.has_applied(EtId(2)) && s.snapshot()[&X] == Value::Int(5); // 0*3+5
     assert!(held_back, "ORDUP must hold back out-of-order MSets");
     assert!(sorted_before_apply, "ORDUP must apply in sequence order");
@@ -89,10 +89,10 @@ pub fn probe_commu() -> Table1Column {
     let mut a = CommuSite::new(SiteId(0));
     let mut b = CommuSite::new(SiteId(1));
     for m in &msets {
-        a.deliver(m.clone(), &mut Vec::new());
+        a.deliver(m, &mut Vec::new());
     }
     for m in msets.iter().rev() {
-        b.deliver(m.clone(), &mut Vec::new());
+        b.deliver(m, &mut Vec::new());
     }
     assert_eq!(
         a.snapshot(),
@@ -115,10 +115,10 @@ pub fn probe_ritu() -> Table1Column {
     let mut a = RituOverwriteSite::new(SiteId(0));
     let mut b = RituOverwriteSite::new(SiteId(1));
     // a sees new-then-old, b sees old-then-new: both must read v2.
-    a.deliver(tw_mset(1, 2, 20), &mut Vec::new());
-    a.deliver(tw_mset(2, 1, 10), &mut Vec::new());
-    b.deliver(tw_mset(2, 1, 10), &mut Vec::new());
-    b.deliver(tw_mset(1, 2, 20), &mut Vec::new());
+    a.deliver(&tw_mset(1, 2, 20), &mut Vec::new());
+    a.deliver(&tw_mset(2, 1, 10), &mut Vec::new());
+    b.deliver(&tw_mset(2, 1, 10), &mut Vec::new());
+    b.deliver(&tw_mset(1, 2, 20), &mut Vec::new());
     assert_eq!(a.snapshot(), b.snapshot());
     assert_eq!(a.snapshot()[&X], Value::Int(20), "newest version wins at read");
     Table1Column {
@@ -135,8 +135,8 @@ pub fn probe_ritu() -> Table1Column {
 /// exist or a before-image must be logged).
 pub fn probe_compe() -> Table1Column {
     let mut s = CompeSite::new(SiteId(0));
-    s.deliver(inc_mset(1, 10), &mut Vec::new());
-    s.deliver(mul_mset(2, 2), &mut Vec::new());
+    s.deliver(&inc_mset(1, 10), &mut Vec::new());
+    s.deliver(&mul_mset(2, 2), &mut Vec::new());
     assert_eq!(s.snapshot()[&X], Value::Int(20), "optimistically applied");
     s.abort(EtId(1));
     assert_eq!(s.compensations(), 1, "abort compensates");

@@ -38,11 +38,6 @@ impl DurationSummary {
             max_us: *us.last().expect("non-empty"),
         }
     }
-
-    /// Mean in milliseconds, for human-readable tables.
-    pub fn mean_ms(&self) -> f64 {
-        self.mean_us as f64 / 1_000.0
-    }
 }
 
 /// The `p`-th percentile (nearest-rank) of an ascending-sorted slice.
@@ -126,7 +121,6 @@ mod tests {
         assert_eq!(s.p95_us, 95_000);
         assert_eq!(s.p99_us, 99_000);
         assert_eq!(s.max_us, 100_000);
-        assert!((s.mean_ms() - 50.5).abs() < 1e-9);
     }
 
     #[test]

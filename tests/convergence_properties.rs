@@ -75,11 +75,11 @@ fn tw_msets(values: &[i64]) -> Vec<MSet> {
 /// (indices into msets, possibly with repeats = duplicate deliveries).
 fn deliver_in_order<S: ReplicaSite>(mut site: S, msets: &[MSet], perm: &[usize]) -> S {
     for &i in perm {
-        site.deliver(msets[i % msets.len()].clone(), &mut Vec::new());
+        site.deliver(&msets[i % msets.len()], &mut Vec::new());
     }
     // Every MSet must be delivered at least once for convergence.
     for m in msets {
-        site.deliver(m.clone(), &mut Vec::new());
+        site.deliver(m, &mut Vec::new());
     }
     site
 }

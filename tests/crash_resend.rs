@@ -62,7 +62,7 @@ fn pump(queue: &mut FileQueue, sites: &mut [CommuSite], limit: usize) -> usize {
     for (id, payload) in &batch {
         let mset = decode(payload.clone());
         for site in sites.iter_mut() {
-            site.deliver(mset.clone(), &mut Vec::new());
+            site.deliver(&mset, &mut Vec::new());
         }
         assert!(queue.ack(*id));
     }
@@ -105,7 +105,7 @@ fn replication_survives_sender_crash_and_restart() {
         let (first_id, payload) = queue.pending(1).pop().expect("pending");
         let dup = decode(payload);
         for site in sites.iter_mut() {
-            site.deliver(dup.clone(), &mut Vec::new());
+            site.deliver(&dup, &mut Vec::new());
         }
         let _ = first_id; // not acked: the pump will deliver it again
         while pump(&mut queue, &mut sites, 2) > 0 {}

@@ -265,7 +265,7 @@ fn snapshot_truncation_at_every_offset_falls_back_to_full_replay() {
                         })
                         .map(|(_, m)| m.clone())
                         .collect();
-                    NodeCore::restore(method, SiteId(1), 3, None, 0, p, suffix)
+                    NodeCore::restore(method, SiteId(1), 3, None, 0, p, &suffix)
                         .unwrap()
                         .0
                 }
@@ -350,7 +350,7 @@ fn truncation_ack_crash_at_every_offset_keeps_recovery_exact() {
             .map(|(_, m)| m)
             .collect();
         let (recovered, _) =
-            NodeCore::restore(method, SiteId(1), 3, None, 0, p, suffix).unwrap();
+            NodeCore::restore(method, SiteId(1), 3, None, 0, p, &suffix).unwrap();
         assert_eq!(
             recovered.state.snapshot(),
             reference.state.snapshot(),
